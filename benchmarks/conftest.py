@@ -5,17 +5,10 @@ individual benchmarks print their table/figure next to the paper's
 numbers and time the operation the paper's Table 3 / Table 11 cost model
 describes.  Expect the first benchmark to take a few minutes while the
 session fixtures warm up.
-
-With ``--bench-record`` the session's pytest-benchmark timings are also
-written as a ``BENCH_<date>.pytest.json`` throughput report (see
-:mod:`repro.perf.regression`) and compared against the most recent
-committed baseline of the same profile; add ``--bench-compare`` to fail
-the run when a metric regresses past ``--bench-tolerance``.
 """
 
 from __future__ import annotations
 
-import datetime
 import os
 import sys
 
@@ -32,17 +25,7 @@ from repro.experiments import (  # noqa: E402
     Scenario,
     ScenarioParams,
 )
-from repro.experiments.benchlib import PAPER_WINDOW, print_block  # noqa: E402,F401
-from repro.perf.regression import (  # noqa: E402
-    BenchReport,
-    compare_reports,
-    default_meta,
-    find_baseline,
-    load_report,
-    save_report,
-)
-
-BASELINE_DIR = os.path.join(_REPO_ROOT, "benchmarks", "baselines")
+from repro.experiments.benchlib import PAPER_WINDOW  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -79,67 +62,3 @@ def paper_train_counts(paper_runner):
     lo, hi = PAPER_WINDOW.train_hours
     return paper_runner.counts_from(paper_runner.collect_window(lo, hi))
 
-
-# -- benchmark-regression recording -------------------------------------------
-
-def pytest_addoption(parser):
-    group = parser.getgroup("bench-regression")
-    group.addoption("--bench-record", action="store_true",
-                    help="write this session's benchmark throughputs to a "
-                         "BENCH_<date>.pytest.json report")
-    group.addoption("--bench-compare", action="store_true",
-                    help="fail the session when a recorded metric regresses "
-                         "past the tolerance vs the committed baseline")
-    group.addoption("--bench-dir", default=BASELINE_DIR,
-                    help="directory holding BENCH_*.json reports")
-    group.addoption("--bench-tolerance", type=float, default=0.30,
-                    help="fractional throughput drop that counts as a "
-                         "regression (default 0.30)")
-
-
-def _session_report(session) -> BenchReport:
-    today = datetime.date.today().isoformat()
-    report = BenchReport(date=today, profile="pytest", meta=default_meta())
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    for bench in getattr(bench_session, "benchmarks", []):
-        stats = getattr(bench, "stats", None)
-        if stats is None:
-            continue
-        # pytest-benchmark exposes Stats directly or via a wrapper,
-        # depending on where in the session the metadata is read
-        mean = getattr(stats, "mean", None)
-        if mean is None:
-            mean = stats.stats.mean
-        if mean > 0.0:
-            # throughput in operations/second: higher is better
-            report.record(bench.fullname, 1.0 / mean)
-    return report
-
-
-@pytest.hookimpl(trylast=True)
-def pytest_sessionfinish(session, exitstatus):
-    config = session.config
-    if not config.getoption("--bench-record"):
-        return
-    report = _session_report(session)
-    if not report.metrics:
-        return
-    directory = config.getoption("--bench-dir")
-    baseline_path = find_baseline(directory, profile="pytest",
-                                  before=report.date)
-    # load before saving: a same-date baseline shares our filename
-    baseline = load_report(baseline_path) if baseline_path else None
-    path = save_report(report, directory)
-    lines = [f"wrote benchmark report {path}"]
-    if baseline is not None:
-        tolerance = config.getoption("--bench-tolerance")
-        regressions = compare_reports(report, baseline, tolerance)
-        lines.append(f"compared against {baseline_path}: "
-                     f"{len(regressions)} regression(s) at "
-                     f"{tolerance:.0%} tolerance")
-        lines += [f"  REGRESSION {r}" for r in regressions]
-        if regressions and config.getoption("--bench-compare"):
-            session.exitstatus = 1
-    else:
-        lines.append("no committed pytest-profile baseline to compare against")
-    print_block("\n".join(lines))

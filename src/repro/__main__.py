@@ -8,8 +8,6 @@ Commands:
   TIPSY-guided.
 * ``risk`` — run Appendix C's Algorithm 1 and print the links-at-risk
   table.
-* ``bench`` — measure pipeline throughput, record a ``BENCH_<date>.json``
-  report and compare against the committed baseline.
 * ``lint`` — run the determinism & parallel-safety static checks
   (``docs/static-analysis.md``).
 * ``obs`` — run an instrumented example workload and export its metrics
@@ -150,23 +148,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import run_bench
-
-    return run_bench(
-        profile="smoke" if args.smoke else "full",
-        seed=args.seed,
-        out_dir=args.out_dir,
-        tolerance=args.tolerance,
-        workers=args.workers,
-        compare=not args.no_compare,
-        save=not args.no_save,
-        rounds=args.rounds,
-        suite=args.suite,
-        trace_out=args.trace_out,
-    )
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.cli import run_lint
 
@@ -228,34 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--naive-bayes", action="store_true")
     p_report.add_argument("-o", "--output", default="report.md")
     p_report.set_defaults(func=cmd_report)
-
-    p_bench = sub.add_parser(
-        "bench", help="measure pipeline throughput vs the baseline")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="seconds-fast CI profile (small scenario)")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--suite",
-                         choices=("all", "pipeline", "serving", "lint",
-                                  "store", "bgp", "soak"),
-                         default="all",
-                         help="which measurements to run (default: all)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (default: cpu count)")
-    p_bench.add_argument("--rounds", type=int, default=3,
-                         help="timing rounds per metric (best-of)")
-    p_bench.add_argument("--out-dir", default="benchmarks/baselines",
-                         help="directory for BENCH_<date>.json reports")
-    p_bench.add_argument("--tolerance", type=float, default=0.30,
-                         help="fractional throughput drop that fails "
-                              "the comparison (default 0.30)")
-    p_bench.add_argument("--no-compare", action="store_true",
-                         help="skip the baseline comparison")
-    p_bench.add_argument("--no-save", action="store_true",
-                         help="do not write a report file")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_bench.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="dump the bench run's span tree as JSON")
 
     p_lint = sub.add_parser(
         "lint", help="determinism & parallel-safety static checks")

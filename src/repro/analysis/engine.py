@@ -29,8 +29,8 @@ class AnalysisReport:
 
     ``cache_hits``/``cache_misses`` stay ``None`` for plain per-file
     runs; project mode (``--project``) fills them from its incremental
-    per-file cache so callers — and the lint bench suite — can assert
-    how much work a warm run actually skipped.
+    per-file cache so callers can assert how much work a warm run
+    actually skipped.
     """
 
     violations: List[Violation] = field(default_factory=list)

@@ -377,15 +377,6 @@ class TipsyService:
             raise RuntimeError("service has no trained models yet")
         return self._models[name]
 
-    def window_counts(self) -> CountsAccumulator:
-        """The merged finest-grain counts behind the served models."""
-        merged = CountsAccumulator()
-        for day in self._trained_on:
-            counts = self._days.get(day)
-            if counts is not None:
-                merged.merge(counts)
-        return merged
-
     # -- snapshot / restore -------------------------------------------------------
 
     def snapshot(self, directory: Union[str, Path]) -> SegmentStore:
@@ -460,8 +451,7 @@ class TipsyService:
         invert precisely).  Per-segment corruption degrades instead of
         erroring: lost days are dropped (and reported), a damaged model
         segment triggers a rebuild from the surviving day counts —
-        ``rebuild_models=True`` forces that path, which is also the
-        out-of-core benchmark's measured case.  Check
+        ``rebuild_models=True`` forces that path.  Check
         ``service.restore_report`` for what happened; only an unusable
         manifest raises :class:`SnapshotError`.
         """
@@ -613,7 +603,7 @@ class TipsyService:
         distinct key is predicted once and the spill is accumulated with
         numpy over the grouped byte totals.  See
         :meth:`what_if_per_flow` for the walk-one-flow-at-a-time
-        reference implementation this is benchmarked against.
+        reference implementation this is tested against.
         """
         if obs.enabled():
             obs.count("service.what_if.calls")
@@ -674,12 +664,8 @@ class TipsyService:
 
     # -- observability -------------------------------------------------------------
 
-    def clear_memo(self) -> None:
-        """Drop memoized answers (e.g. before a cold-path measurement)."""
-        self._memo.clear()
-
     def cache_stats(self) -> Dict[str, int]:
-        """Serving-cache occupancy and efficiency, for logs and benches."""
+        """Serving-cache occupancy and efficiency, for logs and gauges."""
         return {
             "memo_entries": len(self._memo),
             "memo_hits": self._memo.hits,
@@ -691,8 +677,8 @@ class TipsyService:
         """Publish serving state to the obs registry (no-op when off).
 
         Called automatically at the end of every retrain; callers that
-        want fresher memo numbers between retrains (the CLI, benches)
-        may call it directly.
+        want fresher memo numbers between retrains (the CLI) may call
+        it directly.
         """
         if not obs.enabled():
             return

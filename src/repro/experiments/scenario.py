@@ -265,7 +265,7 @@ class Scenario:
         bytes)`` filtered to positive byte counts — the same records, in
         the same order, as :meth:`ipfix_records_for`, without building
         per-record objects.  Feed straight into
-        :meth:`repro.pipeline.HourlyAggregator.aggregate_hour_arrays`.
+        :meth:`repro.pipeline.HourlyAggregator.aggregate_hour_columns`.
         """
         if self._flow_columns is None:
             flows = self.traffic.flows

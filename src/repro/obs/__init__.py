@@ -4,7 +4,7 @@ Production forecasting systems treat measurement as a first-class
 subsystem — TIPSY retrains daily and answers what-if queries against
 thousands of peering links, and an operator needs to see retrain
 latency, memo hit rates and pipeline stage timings *while it runs*, not
-just in offline bench reports.  This package is that subsystem for the
+just in offline benchmark runs.  This package is that subsystem for the
 reproduction, built to the same constraints as the rest of the tree:
 zero dependencies beyond the runtime, deterministic-safe, and
 essentially free when switched off.
@@ -24,8 +24,7 @@ The pieces:
   the cheap facade (``span``/``timed``/``count``/``gauge_set``) the
   instrumented hot paths call;
 * :mod:`repro.obs.export` — text, JSON and Prometheus renderings of a
-  snapshot, surfaced by ``repro obs`` and embedded in ``repro bench``
-  report meta.
+  snapshot, surfaced by ``repro obs``.
 
 Instrumentation is **off by default**: every facade call short-circuits
 on one module-level boolean, so the serving and pipeline hot paths pay

@@ -3,8 +3,7 @@
 Three surfaces for the same :class:`~repro.obs.metrics.MetricsSnapshot`:
 
 * ``render_text`` — aligned human-readable listing for terminals;
-* ``render_json`` — one sorted-keys JSON document (CI artifacts, the
-  ``repro bench`` meta embedding);
+* ``render_json`` — one sorted-keys JSON document (CI artifacts);
 * ``render_prometheus`` — the Prometheus exposition text format
   (``# TYPE`` lines, ``_bucket{le="..."}`` cumulative histograms), so a
   scrape endpoint or a push gateway can consume a run's metrics

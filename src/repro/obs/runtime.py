@@ -5,8 +5,8 @@ nearly nothing until someone turns it on: every facade function starts
 with a check of one module-level boolean, and the disabled branches
 return immediately (``span`` hands back a shared no-op context
 manager, ``count``/``observe``/``gauge_set`` return without touching
-the registry).  ``repro obs``, ``repro bench`` and tests call
-:func:`enable`; library code never does.
+the registry).  ``repro obs`` and tests call :func:`enable`; library
+code never does.
 
 One registry and one tracer per process.  Worker processes in a pool
 each enable their own fresh state (see

@@ -1,28 +1,11 @@
-"""Performance layer: parallel pipeline execution and bench regression.
+"""Performance layer: parallel pipeline execution.
 
 The paper's pipeline aggregates TBs/day on a Spark cluster (§4.2-§4.3);
 this package is the reproduction's equivalent scaling story.  It fans
 the telemetry→aggregation→training path out over a process pool with
-deterministic hour sharding (:class:`ParallelPipelineRunner`), and it
-keeps the speed honest over time with a benchmark-regression harness
-(:mod:`repro.perf.regression`) that records throughput to
-``BENCH_<date>.json`` files and compares runs against the last
-committed baseline.
+deterministic hour sharding (:class:`ParallelPipelineRunner`).
 """
 
 from .parallel import ParallelPipelineRunner, default_workers, make_shards
-from .regression import (
-    BenchReport,
-    Regression,
-    compare_reports,
-    default_meta,
-    find_baseline,
-    load_report,
-    save_report,
-)
 
-__all__ = [
-    "ParallelPipelineRunner", "default_workers", "make_shards",
-    "BenchReport", "Regression", "compare_reports", "default_meta",
-    "find_baseline", "load_report", "save_report",
-]
+__all__ = ["ParallelPipelineRunner", "default_workers", "make_shards"]

@@ -8,10 +8,9 @@ tracks the equivalent ratio here.
 
 Two execution paths produce identical output: :meth:`aggregate_hour`
 walks records one at a time (the reference implementation), while
-:meth:`aggregate_hour_batch` / :meth:`aggregate_hour_arrays` vectorise
-the group-by with numpy — same records, same order, bit-identical byte
-sums (both accumulate per key in input order), same strict/lenient
-drop accounting.
+:meth:`aggregate_hour_columns` vectorises the group-by with numpy —
+same records, same order, bit-identical byte sums (both accumulate per
+key in input order), same strict/lenient drop accounting.
 """
 
 from __future__ import annotations
@@ -141,32 +140,6 @@ class HourlyAggregator:
 
     # -- vectorised path ---------------------------------------------------
 
-    def aggregate_hour_batch(self, hour: int,
-                             records: Iterable[IpfixRecord]) -> List[AggRecord]:
-        """Vectorised :meth:`aggregate_hour`: same records, same output.
-
-        Converts the record stream to columns once, then delegates to
-        :meth:`aggregate_hour_arrays`.  Output records, their order, the
-        encoder code assignments and the drop accounting all match the
-        per-record path exactly.
-        """
-        recs = records if isinstance(records, list) else list(records)
-        n = len(recs)
-        if n == 0:
-            self.stats.records_out += 0
-            return []
-        hours = np.fromiter((r.hour for r in recs), np.int64, count=n)
-        link_ids = np.fromiter((r.link_id for r in recs), np.int64, count=n)
-        src_prefix_ids = np.fromiter(
-            (r.src_prefix_id for r in recs), np.int64, count=n)
-        src_asns = np.fromiter((r.src_asn for r in recs), np.int64, count=n)
-        dest_prefix_ids = np.fromiter(
-            (r.dest_prefix_id for r in recs), np.int64, count=n)
-        bytes_ = np.fromiter((r.bytes for r in recs), np.float64, count=n)
-        return self.aggregate_hour_columns(hour, link_ids, src_prefix_ids,
-                                           src_asns, dest_prefix_ids, bytes_,
-                                           hours=hours).to_records()
-
     def _raise_for_row(self, hour: int, link_ids: np.ndarray,
                        src_prefix_ids: np.ndarray, src_asns: np.ndarray,
                        dest_prefix_ids: np.ndarray, bytes_: np.ndarray,
@@ -183,21 +156,6 @@ class HourlyAggregator:
             raise ValueError(
                 f"cannot aggregate record {record!r}: {exc}") from exc
         raise AssertionError(f"row {row} flagged invalid but re-validates")
-
-    def aggregate_hour_arrays(
-        self,
-        hour: int,
-        link_ids: np.ndarray,
-        src_prefix_ids: np.ndarray,
-        src_asns: np.ndarray,
-        dest_prefix_ids: np.ndarray,
-        bytes_: np.ndarray,
-        hours: Optional[np.ndarray] = None,
-    ) -> List[AggRecord]:
-        """Columnar :meth:`aggregate_hour`, returning record objects."""
-        return self.aggregate_hour_columns(
-            hour, link_ids, src_prefix_ids, src_asns, dest_prefix_ids,
-            bytes_, hours=hours).to_records()
 
     def aggregate_hour_columns(
         self,
@@ -232,6 +190,7 @@ class HourlyAggregator:
         bytes_ = np.asarray(bytes_, dtype=np.float64)
         n = len(bytes_)
         if n == 0:
+            self._observe_hour(0, 0, 0)
             empty = np.empty(0, dtype=np.int64)
             return AggColumns(hour, empty, empty, empty, empty, empty,
                               empty, np.empty(0, dtype=np.float64))

@@ -7,8 +7,8 @@ slice incrementally behind a double-buffered
 :class:`~repro.serve.shard.HotSwapShard`, and batched queries
 scatter-gather through :class:`~repro.serve.daemon.ServeDaemon` with
 answers bit-identical to the single-process service.  ``repro serve
-run`` drives it from the CLI; ``repro bench --suite soak`` measures it
-under sustained concurrent ingest.
+run`` drives it from the CLI; the ``serve_live`` workload of
+``benchmarks/e2e`` measures it under sustained concurrent ingest.
 """
 
 from .daemon import DaemonConfig, ServeDaemon, ShardError

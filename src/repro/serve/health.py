@@ -5,7 +5,7 @@ one :class:`ShardHealth` per shard (trained window, swap counter,
 staleness, ingest backlog, memo efficiency), folds them into a
 :class:`DaemonStatus`, and publishes the numbers as ``serve.*`` gauges
 when instrumentation is enabled — so the same figures feed the CLI's
-status lines, the soak benchmark's meta, and the Prometheus exporter.
+status lines and the Prometheus exporter.
 
 *Staleness* is the operator's freshness number: how many ingested hours
 are newer than the newest day behind the served models.  A healthy

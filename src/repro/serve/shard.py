@@ -24,7 +24,7 @@ hold that replica's lock for the duration of one query:
   guarantee the lifecycle tests assert under a concurrent reader.
 
 The price is double ingest work per shard, but the incremental retrain
-is O(one day's delta) (``docs/benchmarking.md``), and shards divide the
+is O(one day's delta) (``docs/architecture.md``), and shards divide the
 window N ways — the daemon's total state is ~2x a single service's,
 spread across worker processes.
 """

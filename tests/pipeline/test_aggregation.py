@@ -1,7 +1,9 @@
 """Tests for hourly aggregation and metadata joins."""
 
+import numpy as np
 import pytest
 
+from repro.obs import runtime as obs
 from repro.pipeline import HourlyAggregator, UNKNOWN_LOCATION
 from repro.telemetry import GeoIPDatabase, IpfixRecord, MetadataStore
 from repro.topology import (
@@ -129,6 +131,23 @@ class TestCorruptTelemetry:
             agg.aggregate_hour(1, [record(universe, wan, hour=0)])
 
 
+def columns_of(records):
+    """A record list as the aligned columns `aggregate_hour_columns` takes."""
+    def column(field, dtype=np.int64):
+        return np.array([getattr(r, field) for r in records], dtype=dtype)
+    return dict(link_ids=column("link_id"),
+                src_prefix_ids=column("src_prefix_id"),
+                src_asns=column("src_asn"),
+                dest_prefix_ids=column("dest_prefix_id"),
+                bytes_=column("bytes", np.float64),
+                hours=column("hour"))
+
+
+def aggregate_counters():
+    return {name: value for name, value in obs.snapshot().counters.items()
+            if name.startswith("pipeline.aggregate.")}
+
+
 class TestBatchAggregation:
     """The vectorised path must match the per-record walk exactly."""
 
@@ -144,11 +163,26 @@ class TestBatchAggregation:
     def test_batch_matches_serial(self, aggregator):
         agg, wan, universe = aggregator
         records = self._mixed_records(universe, wan)
-        serial = agg.aggregate_hour(0, list(records))
         batch_agg = HourlyAggregator(agg.metadata)
-        batch = batch_agg.aggregate_hour_batch(0, list(records))
+        try:
+            # obs on: both paths must report the same hours, the empty
+            # one included
+            obs.enable(fresh=True)
+            assert agg.aggregate_hour(0, []) == []
+            serial = agg.aggregate_hour(0, list(records))
+            serial_counters = aggregate_counters()
+            obs.enable(fresh=True)
+            assert batch_agg.aggregate_hour_columns(
+                0, **columns_of([])).to_records() == []
+            batch = batch_agg.aggregate_hour_columns(
+                0, **columns_of(records)).to_records()
+            batch_counters = aggregate_counters()
+        finally:
+            obs.reset()
         assert batch == serial  # same records, same order
         assert batch_agg.stats == agg.stats
+        assert batch_counters == serial_counters
+        assert serial_counters["pipeline.aggregate.hours"] == 2
         # encoder code assignments must also match (first-seen order)
         assert batch_agg.encoders.region.decode(batch[0].dest_region) == \
             agg.encoders.region.decode(serial[0].dest_region)
@@ -158,8 +192,10 @@ class TestBatchAggregation:
         records = self._mixed_records(universe, wan)
         serial = agg.aggregate_hour(0, list(records))
         columns_agg = HourlyAggregator(agg.metadata)
-        columns_agg.aggregate_hour_batch(0, [])  # empty hour is fine
-        batch = columns_agg.aggregate_hour_batch(0, list(records))
+        columns_agg.aggregate_hour_columns(
+            0, **columns_of([]))  # empty hour is fine
+        batch = columns_agg.aggregate_hour_columns(
+            0, **columns_of(records)).to_records()
         assert [r.context for r in batch] == [r.context for r in serial]
         assert all(isinstance(r.bytes, float) for r in batch)
 
@@ -176,7 +212,7 @@ class TestBatchAggregation:
                 serial_agg.aggregate_hour(0, list(records))
             batch_agg = HourlyAggregator(agg.metadata)
             with pytest.raises(ValueError, match=pattern) as batch_exc:
-                batch_agg.aggregate_hour_batch(0, list(records))
+                batch_agg.aggregate_hour_columns(0, **columns_of(records))
             assert str(batch_exc.value) == str(serial_exc.value)
 
     def test_batch_lenient_drops_and_counts(self, aggregator):
@@ -186,7 +222,8 @@ class TestBatchAggregation:
         bad_dest = IpfixRecord(0, 0, universe.prefix(0).prefix_id,
                                universe.prefix(0).asn, 10**9, 1e6)
         bad_bytes = record(universe, wan, bytes_=0.0)
-        out = agg.aggregate_hour_batch(0, [good, bad_dest, bad_bytes, good])
+        out = agg.aggregate_hour_columns(
+            0, **columns_of([good, bad_dest, bad_bytes, good])).to_records()
         assert len(out) == 1
         assert out[0].bytes == pytest.approx(2e6)
         assert agg.stats.records_dropped == 2
@@ -197,7 +234,8 @@ class TestBatchAggregation:
         agg, wan, universe = aggregator
         agg.strict = False  # hour chunking violations raise regardless
         with pytest.raises(ValueError, match="chunk"):
-            agg.aggregate_hour_batch(1, [record(universe, wan, hour=0)])
+            agg.aggregate_hour_columns(
+                1, **columns_of([record(universe, wan, hour=0)]))
 
     def test_ratio_with_zero_input(self):
         from repro.pipeline import CompressionStats

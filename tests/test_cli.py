@@ -52,50 +52,6 @@ class TestCli:
         assert "Table 7" in text
 
 
-class TestBenchCommand:
-    def test_bench_smoke_runs_and_records(self, capsys, tmp_path):
-        assert main(["bench", "--smoke", "--seed", "3", "--workers", "1",
-                     "--rounds", "1", "--suite", "pipeline",
-                     "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "stream:" in out
-        assert "aggregate (column):" in out
-        reports = list(tmp_path.glob("BENCH_*.smoke.json"))
-        assert len(reports) == 1
-
-    def test_bench_serving_suite(self, capsys, tmp_path):
-        assert main(["bench", "--smoke", "--seed", "3", "--workers", "1",
-                     "--rounds", "1", "--suite", "serving",
-                     "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "retrain (incr):" in out
-        assert "what_if (batch):" in out
-        assert "stream:" not in out       # pipeline suite not run
-        from repro.perf import load_report
-
-        report = load_report(next(tmp_path.glob("BENCH_*.smoke.json")))
-        assert "serving_retrain_days_per_s" in report.metrics
-        assert "serving_what_if_flows_per_s" in report.metrics
-        assert "serving_memo_hits" in report.meta
-
-    def test_bench_rejects_unknown_suite(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench", "--smoke", "--suite", "frobnicate",
-                  "--out-dir", str(tmp_path)])
-
-    def test_bench_fails_on_regression(self, capsys, tmp_path):
-        from repro.perf import BenchReport, save_report
-
-        # an absurdly fast committed baseline forces a regression flag
-        baseline = BenchReport(date="2000-01-01", profile="smoke")
-        baseline.record("stream_hours_per_s", 1e15)
-        save_report(baseline, tmp_path)
-        assert main(["bench", "--smoke", "--seed", "3", "--workers", "1",
-                     "--rounds", "1", "--no-save", "--suite", "pipeline",
-                     "--out-dir", str(tmp_path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-
 class TestSnapshotCommand:
     def test_save_load_verify_inspect(self, capsys, tmp_path):
         target = str(tmp_path / "snap")

@@ -1,4 +1,5 @@
-"""Packaging checks: the ``py.typed`` marker must actually ship.
+"""Packaging checks: the ``py.typed`` marker must actually ship, and
+the linter must stay off the product's import graph.
 
 ``pyproject.toml`` references the marker via ``[tool.setuptools.package-data]``;
 these tests catch the classic failure where the file exists in the repo
@@ -7,6 +8,7 @@ all), which would turn every downstream ``mypy`` run against the
 installed package into a no-op.
 """
 
+import ast
 import subprocess
 import sys
 import tarfile
@@ -70,3 +72,36 @@ def test_wheel_includes_py_typed(tmp_path):
     with zipfile.ZipFile(artifact) as wheel:
         names = wheel.namelist()
     assert "repro/py.typed" in names, names
+
+
+def _imported_modules(path, package):
+    """Absolute dotted names a source file imports, at any scope."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - (node.level - 1)] \
+                if node.level else []
+            prefix = base + (node.module.split(".") if node.module else [])
+            # `from .. import analysis` names the module in the alias
+            for alias in node.names:
+                yield ".".join(prefix + [alias.name])
+
+
+def test_product_modules_do_not_import_the_linter():
+    """``repro.analysis`` reads source text and is not TIPSY: no product
+    module may import it (ROADMAP 3(b)).  Only the CLI root dispatches
+    to it.  Pure AST walk — nothing under ``src/`` is executed."""
+    root = REPO_ROOT / "src"
+    offenders = []
+    for path in sorted((root / "repro").rglob("*.py")):
+        parts = list(path.relative_to(root).with_suffix("").parts)
+        if parts[1] == "analysis" or parts == ["repro", "__main__"]:
+            continue
+        package = parts[:-1]
+        offenders += [
+            f"{path.relative_to(REPO_ROOT)} imports {name}"
+            for name in _imported_modules(path, package)
+            if (name + ".").startswith("repro.analysis.")]
+    assert not offenders, offenders
