@@ -188,6 +188,25 @@ class RoutingTable:
             frozenset(int(a) for a in arrays["seeded"]),
         )
 
+    def _nexthop_matrix(self) -> np.ndarray:
+        """Ranked next-hops as an ``(n, MAX_NEXTHOPS)`` matrix, -1 padded."""
+        counts = np.diff(self._nh_offsets)
+        matrix = np.full((len(counts), MAX_NEXTHOPS), -1, dtype=np.int64)
+        for k in range(MAX_NEXTHOPS):
+            rows = np.flatnonzero(counts > k)
+            matrix[rows, k] = self._nh_values[self._nh_offsets[rows] + k]
+        return matrix
+
+    def changed_asns(self, other: "RoutingTable") -> FrozenSet[int]:
+        """ASNs whose :class:`RouteInfo` differs between two tables over
+        the same graph (one column comparison, no rows materialised)."""
+        if other is self:
+            return frozenset()
+        differ = (self._dist != other._dist) | (self._direct != other._direct)
+        differ |= (self._nexthop_matrix()
+                   != other._nexthop_matrix()).any(axis=1)
+        return frozenset(self._topo.asns[differ].tolist())
+
     def columns_equal(self, other: "RoutingTable") -> bool:
         """Bit-identical column comparison (the equivalence-test check)."""
         return (

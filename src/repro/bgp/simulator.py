@@ -35,12 +35,16 @@ unknowable from pre-withdrawal history alone (models that never saw it
 degrade, paper Table 7).  Geography still constrains the outcome, which
 is why the AL+G completion recovers much of the loss.
 
-Results are cached per (flow, removal-key, drift-state); routing tables
-are cached per seeded-neighbor set, so week-long simulations stay fast.
-The hot caches are bounded LRU maps (``SimulatorParams`` capacities) so
-those simulations also stay bounded in memory; table-cache misses are
-repaired by dirty-set recomputation from a pinned full-availability
-table (``propagation.update_routing_table``) instead of full rebuilds.
+Results are cached per (flow, removal-key, drift-state) together with
+their *footprint* — the ASes whose table rows and links the walk read —
+and a result computed under one removal set is reused under another
+whenever the change touches no footprint AS (:meth:`touched_asns`);
+routing tables are cached per seeded-neighbor set, so week-long
+simulations stay fast.  The hot caches are bounded LRU maps
+(``SimulatorParams`` capacities) so those simulations also stay bounded
+in memory; table-cache misses are repaired by dirty-set recomputation
+from a pinned full-availability table
+(``propagation.update_routing_table``) instead of full rebuilds.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ from .state import AdvertisementState
 #: (link_id, fraction) pairs, descending fraction; fractions sum to 1.0
 ShareVector = Tuple[Tuple[int, float], ...]
 
-_EMPTY_REMOVED: FrozenSet[int] = frozenset()
+#: a cached resolution: its shares, its footprint (every AS whose table
+#: row or links the walk read) and the removal set it was computed under
+_Resolution = Tuple[ShareVector, Tuple[int, ...], FrozenSet[int]]
 
 
 @dataclass
@@ -102,7 +108,6 @@ class SimulatorParams:
     # set of removal keys; these caps turn that into bounded memory with
     # LRU recency doing the keeping (docs/architecture.md, cache table)
     share_cache_size: int = 262144
-    visited_cache_size: int = 131072
     table_cache_size: int = 256
 
 
@@ -130,15 +135,18 @@ class IngressSimulator:
             LruDict(p.table_cache_size)
         self._table_by_seeded: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
-        self._share_cache: LruDict[Tuple[Any, ...], ShareVector] = \
+        # (flow key, removal set) -> resolution, plus flow key -> the
+        # flow's latest full resolution (what the footprint rule tries)
+        self._share_cache: LruDict[Tuple[Any, ...], _Resolution] = \
             LruDict(p.share_cache_size)
-        self._visited_cache: LruDict[Tuple[Any, ...], Tuple[int, ...]] = \
-            LruDict(p.visited_cache_size)
+        self._link_share_cache: LruDict[Tuple[Any, ...], ShareVector] = \
+            LruDict(p.share_cache_size)
         self._entry_cache: Dict[Tuple[int, str], str] = {}
-        self._removed_peers_cache: LruDict[FrozenSet[int], FrozenSet[int]] = \
+        self._touched_cache: LruDict[Tuple[FrozenSet[int], FrozenSet[int]],
+                                     FrozenSet[int]] = \
             LruDict(p.table_cache_size)
         self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self._ranked_cache: Dict[Tuple[Any, ...], Tuple[PeeringLink, ...]] = {}
+        self._ranked_cache: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         self._p_cache: Dict[Tuple[int, int], float] = {}
         # the full-availability table every incremental update derives
         # from; pinned outside the LRU so eviction can never force a
@@ -155,11 +163,11 @@ class IngressSimulator:
 
     def seeded_for(self, removed: FrozenSet[int]) -> FrozenSet[int]:
         """Peers that keep >= 1 available link once ``removed`` is gone."""
-        return frozenset(
-            asn
-            for asn in self._peer_asns
-            if any(l.link_id not in removed for l in self._links_by_peer[asn])
-        )
+        wan = self.wan
+        return self._peer_asns - {
+            asn for asn in {wan.link(l).peer_asn
+                            for l in removed if wan.has_link(l)}
+            if all(l.link_id in removed for l in self._links_by_peer[asn])}
 
     def _base_table(self) -> RoutingTable:
         """Full-availability table (computed once, pinned forever)."""
@@ -209,6 +217,22 @@ class IngressSimulator:
         self._table_by_seeded[seeded] = table
         self._table_by_removed[removed] = table
 
+    def touched_asns(self, before: FrozenSet[int],
+                     after: FrozenSet[int]) -> FrozenSet[int]:
+        """ASes a change of removal set can make resolve differently: the
+        owners of the links that differ, and every AS whose route differs
+        between the two routing tables.  A resolution whose footprint is
+        disjoint from this set is the same under both (cached)."""
+        key = (before, after)
+        touched = self._touched_cache.get(key)
+        if touched is None:
+            touched = frozenset(
+                self.wan.link(l).peer_asn for l in before ^ after
+            ) | self.routing_table(before).changed_asns(
+                self.routing_table(after))
+            self._touched_cache[key] = touched
+        return touched
+
     def as_distance(self, asn: int) -> Optional[int]:
         """AS-hop distance to the WAN under full availability (Figure 2)."""
         return self.routing_table(frozenset()).distance(asn)
@@ -256,75 +280,46 @@ class IngressSimulator:
         Returns an empty tuple if the flow has no route to the WAN (all
         candidate paths withdrawn) — callers account those bytes as lost.
         """
+        return self._resolution(src_asn, src_metro, src_prefix, dest_prefix,
+                                state, day)[0]
+
+    def footprint(
+        self,
+        src_asn: int,
+        src_metro: str,
+        src_prefix: int,
+        dest_prefix: int,
+        state: AdvertisementState,
+        day: Optional[int] = None,
+    ) -> Tuple[int, ...]:
+        """The ASes :meth:`resolve_shares` read for this flow and state:
+        as long as a state change touches none of them
+        (:meth:`touched_asns`), the flow's shares cannot change."""
+        return self._resolution(src_asn, src_metro, src_prefix, dest_prefix,
+                                state, day, count=False)[1]
+
+    def _resolution(self, src_asn: int, src_metro: str, src_prefix: int,
+                    dest_prefix: int, state: AdvertisementState,
+                    day: Optional[int], count: bool = True) -> _Resolution:
         removed = state.removal_key(dest_prefix)
         prepends = state.prepend_key(dest_prefix)
         minor, major = self.drift_state(src_asn, src_prefix, dest_prefix, day)
-        key = (src_asn, src_metro, src_prefix, dest_prefix, removed,
-               prepends, minor, major)
-        shares = self._share_cache.get(key)
-        if shares is not None:
-            return shares
-        if prepends:
-            # TE prefixes are rare; resolve them fully
-            shares = self._resolve(src_asn, src_metro, src_prefix,
-                                   dest_prefix, removed, minor, major,
-                                   prepends=dict(prepends))
-        else:
-            shares = self._resolve_with_shortcut(
-                src_asn, src_metro, src_prefix, dest_prefix, removed,
+        flow = (src_asn, src_metro, src_prefix, dest_prefix, prepends,
                 minor, major)
-        self._share_cache[key] = shares
-        return shares
-
-    def _resolve_with_shortcut(
-        self, src_asn: int, src_metro: str, src_prefix: int, dest_prefix: int,
-        removed: FrozenSet[int], minor: bool, major: bool,
-    ) -> ShareVector:
-        """Skip re-resolution for flows a removal cannot affect.
-
-        A removal changes a flow's outcome only if (a) a removed link
-        belongs to an AS the flow delivers to under full availability, or
-        (b) AS-level routing changed (some peer fully de-seeded) for an AS
-        the flow's path walk actually visited.  Outside those cases the
-        full-availability result is reused, which makes week-long
-        simulations with dozens of concurrent outages cheap.
-        """
-        if not removed:
-            return self._resolve(src_asn, src_metro, src_prefix, dest_prefix,
-                                 removed, minor, major)
-        base_key = (src_asn, src_metro, src_prefix, dest_prefix,
-                    _EMPTY_REMOVED, (), minor, major)
-        base = self._share_cache.get(base_key, count=False)
-        if base is None:
-            base = self._resolve(src_asn, src_metro, src_prefix,
-                                 dest_prefix, _EMPTY_REMOVED, minor, major)
-            self._share_cache[base_key] = base
-        delivering = {self.wan.link(l).peer_asn for l, _ in base}
-        if delivering & self._removed_peers(removed):
-            return self._resolve(src_asn, src_metro, src_prefix, dest_prefix,
-                                 removed, minor, major)
-        base_table = self.routing_table(_EMPTY_REMOVED)
-        new_table = self.routing_table(removed)
-        if new_table is not base_table:
-            visited = self._visited_cache.get(base_key, count=False)
-            if visited is None:
-                # the LRU dropped the base walk's AS trail: without it
-                # the shortcut cannot prove the removal is irrelevant,
-                # so resolve fully (correctness over speed)
-                return self._resolve(src_asn, src_metro, src_prefix,
-                                     dest_prefix, removed, minor, major)
-            for asn in visited:
-                if base_table.get(asn) != new_table.get(asn):
-                    return self._resolve(src_asn, src_metro, src_prefix,
-                                         dest_prefix, removed, minor, major)
-        return base
-
-    def _removed_peers(self, removed: FrozenSet[int]) -> FrozenSet[int]:
-        cached = self._removed_peers_cache.get(removed)
-        if cached is None:
-            cached = frozenset(self.wan.link(l).peer_asn for l in removed)
-            self._removed_peers_cache[removed] = cached
-        return cached
+        found = self._share_cache.get((flow, removed), count=count)
+        if found is None:
+            # the footprint rule: the flow's latest full resolution, made
+            # under another removal set, stands if the change from that
+            # set to this one touches no AS the walk read
+            found = self._share_cache.get(flow, count=False)
+            if found is None or not self.touched_asns(
+                    found[2], removed).isdisjoint(found[1]):
+                found = self._resolve(src_asn, src_metro, src_prefix,
+                                      dest_prefix, removed, minor, major,
+                                      dict(prepends) or None)
+                self._share_cache[flow] = found
+            self._share_cache[(flow, removed)] = found
+        return found
 
     def _resolve(
         self,
@@ -336,11 +331,11 @@ class IngressSimulator:
         minor: bool,
         major: bool,
         prepends: Optional[Dict[int, int]] = None,
-    ) -> ShareVector:
+    ) -> _Resolution:
         if src_asn == self.wan.asn:
             raise ValueError("internal WAN traffic has no ingress link")
         if src_asn not in self.graph:
-            return ()
+            return (), (), removed
         table = self.routing_table(removed)
         node = self.graph.node(src_asn)
         rotate_extra = (1 if minor else 0) + (2 if major else 0)
@@ -365,10 +360,7 @@ class IngressSimulator:
         else:
             candidates = self._origin_candidates(src_asn, pocket, table)
             if not candidates:
-                self._remember_visited(src_asn, src_metro, src_prefix,
-                                       dest_prefix, removed, minor, major,
-                                       visited)
-                return ()
+                return (), tuple(visited), removed
             # keyed by the candidate set: a change in the viable next-hops
             # re-draws the choice among the survivors
             rot = rotation(len(candidates), src_asn, src_prefix, dest_prefix, 3,
@@ -392,27 +384,12 @@ class IngressSimulator:
                 add(links, d_metro, w)
                 delivered_weight += w
             if delivered_weight <= 0.0:
-                self._remember_visited(src_asn, src_metro, src_prefix,
-                                       dest_prefix, removed, minor, major,
-                                       visited)
-                return ()
+                return (), tuple(visited), removed
             if delivered_weight < 1.0:
                 accum = {k: v / delivered_weight for k, v in accum.items()}
 
-        self._remember_visited(src_asn, src_metro, src_prefix, dest_prefix,
-                               removed, minor, major, visited)
         shares = tuple(sorted(accum.items(), key=lambda kv: (-kv[1], kv[0])))
-        return shares
-
-    def _remember_visited(self, src_asn: int, src_metro: str, src_prefix: int,
-                          dest_prefix: int, removed: FrozenSet[int],
-                          minor: bool, major: bool,
-                          visited: List[int]) -> None:
-        """Record the ASes a base resolution touched (shortcut support)."""
-        if not removed:
-            key = (src_asn, src_metro, src_prefix, dest_prefix,
-                   _EMPTY_REMOVED, (), minor, major)
-            self._visited_cache[key] = tuple(visited)
+        return shares, tuple(visited), removed
 
     def _origin_candidates(self, src_asn: int, pocket: Optional[Pocket],
                            table: RoutingTable) -> List[int]:
@@ -525,22 +502,29 @@ class IngressSimulator:
             d0 = effective_distance(ranked[0])
             radius = d0 + self.params.reroute_radius_km
             pool = tuple(
-                l for l in ranked[: self.params.candidate_pool_size]
+                l.link_id for l in ranked[: self.params.candidate_pool_size]
                 if effective_distance(l) <= radius
             )
             if not prepends:
                 self._ranked_cache[rank_key] = pool
+        # past the pool the split is a pure function of this key: a flow
+        # re-resolved under a change that left its pool alone (the usual
+        # case, a removed link is rarely among its nearest) stops here
+        memo_key = (pool, src_prefix, dest_prefix, rotate_extra)
+        shares = self._link_share_cache.get(memo_key)
+        if shares is not None:
+            return shares
         # fold the pool membership into one hash base so each member draw
         # is a single extra mixing round
-        pool_base = mix64(17, *(l.link_id for l in pool), seed=self.seed)
+        pool_base = mix64(17, *pool, seed=self.seed)
         locality = self.params.locality
         keyed = []
-        for rank, link in enumerate(pool):
+        for rank, link_id in enumerate(pool):
             weight = locality ** rank
-            u = unit(src_prefix, dest_prefix, link.link_id, seed=pool_base)
-            keyed.append((max(u, 1e-12) ** (1.0 / weight), link))
-        keyed.sort(key=lambda t: (-t[0], t[1].link_id))
-        ordered = [link for _key, link in keyed]
+            u = unit(src_prefix, dest_prefix, link_id, seed=pool_base)
+            keyed.append((-(max(u, 1e-12) ** (1.0 / weight)), link_id))
+        keyed.sort()
+        ordered = [link_id for _key, link_id in keyed]
         if rotate_extra and len(ordered) > 1:
             shift = rotate_extra % len(ordered)
             ordered = ordered[shift:] + ordered[:shift]
@@ -558,9 +542,10 @@ class IngressSimulator:
         take = ordered[:3]
         weights = raw[: len(take)]
         total = sum(weights)
-        return tuple(
-            (link.link_id, w / total) for link, w in zip(take, weights)
-        )
+        shares = tuple((link_id, w / total)
+                       for link_id, w in zip(take, weights))
+        self._link_share_cache[memo_key] = shares
+        return shares
 
     # -- statistics -----------------------------------------------------------
 
@@ -568,9 +553,9 @@ class IngressSimulator:
         """Occupancy of every cache plus hot-path hit/miss counters."""
         return {
             "share_entries": len(self._share_cache),
-            "visited_entries": len(self._visited_cache),
+            "link_share_entries": len(self._link_share_cache),
             "entry_metro_entries": len(self._entry_cache),
-            "removed_peers_entries": len(self._removed_peers_cache),
+            "touched_entries": len(self._touched_cache),
             "drift_entries": len(self._drift_cache),
             "ranked_pool_entries": len(self._ranked_cache),
             "primary_share_entries": len(self._p_cache),
@@ -579,7 +564,8 @@ class IngressSimulator:
             "share_hits": self._share_cache.hits,
             "share_misses": self._share_cache.misses,
             "share_evictions": self._share_cache.evictions,
-            "visited_evictions": self._visited_cache.evictions,
+            "link_share_hits": self._link_share_cache.hits,
+            "link_share_misses": self._link_share_cache.misses,
             "table_hits": self._table_by_removed.hits,
             "table_misses": self._table_by_removed.misses,
             "table_seeded_hits": self._table_by_seeded.hits,
@@ -606,6 +592,6 @@ class IngressSimulator:
         gauges = {key: float(value)
                   for key, value in self.cache_stats().items()}
         gauges["share_hit_rate"] = self._share_cache.hit_rate
-        gauges["visited_hit_rate"] = self._visited_cache.hit_rate
+        gauges["link_share_hit_rate"] = self._link_share_cache.hit_rate
         gauges["table_hit_rate"] = self._table_by_removed.hit_rate
         obs.set_gauges(gauges, prefix="bgp.simulator.")

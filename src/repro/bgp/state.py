@@ -45,28 +45,32 @@ class AdvertisementState:
     def withdraw(self, prefix_id: int, link_id: int) -> None:
         """Withdraw one prefix at one link."""
         self._check_ids(prefix_id, link_id)
-        self._withdrawn.setdefault(prefix_id, set()).add(link_id)
-        self._version += 1
+        links = self._withdrawn.setdefault(prefix_id, set())
+        if link_id not in links:
+            links.add(link_id)
+            self._version += 1
 
     def announce(self, prefix_id: int, link_id: int) -> None:
         """Re-announce a previously withdrawn prefix at a link."""
         self._check_ids(prefix_id, link_id)
         links = self._withdrawn.get(prefix_id)
-        if links is not None:
+        if links is not None and link_id in links:
             links.discard(link_id)
             if not links:
                 del self._withdrawn[prefix_id]
-        self._version += 1
+            self._version += 1
 
     def set_link_down(self, link_id: int) -> None:
         if not self.wan.has_link(link_id):
             raise KeyError(f"unknown link {link_id}")
-        self._outages.add(link_id)
-        self._version += 1
+        if link_id not in self._outages:
+            self._outages.add(link_id)
+            self._version += 1
 
     def set_link_up(self, link_id: int) -> None:
-        self._outages.discard(link_id)
-        self._version += 1
+        if link_id in self._outages:
+            self._outages.discard(link_id)
+            self._version += 1
 
     def prepend(self, prefix_id: int, link_id: int, times: int = 3) -> None:
         """Apply AS-path prepending for a prefix on a link (ingress TE).
@@ -78,16 +82,18 @@ class AdvertisementState:
         self._check_ids(prefix_id, link_id)
         if times < 1:
             raise ValueError("prepend count must be >= 1")
-        self._prepends.setdefault(prefix_id, {})[link_id] = times
-        self._version += 1
+        links = self._prepends.setdefault(prefix_id, {})
+        if links.get(link_id) != times:
+            links[link_id] = times
+            self._version += 1
 
     def clear_prepend(self, prefix_id: int, link_id: int) -> None:
         links = self._prepends.get(prefix_id)
-        if links is not None:
-            links.pop(link_id, None)
+        if links is not None and link_id in links:
+            del links[link_id]
             if not links:
                 del self._prepends[prefix_id]
-        self._version += 1
+            self._version += 1
 
     def prepend_key(self, prefix_id: int) -> Tuple[Tuple[int, int], ...]:
         """Hashable (link, times) TE state for a prefix (cache key)."""
@@ -101,10 +107,11 @@ class AdvertisementState:
 
     def clear(self) -> None:
         """Reset to the all-advertised, all-links-up state."""
-        self._withdrawn.clear()
-        self._outages.clear()
-        self._prepends.clear()
-        self._version += 1
+        if self._withdrawn or self._outages or self._prepends:
+            self._withdrawn.clear()
+            self._outages.clear()
+            self._prepends.clear()
+            self._version += 1
 
     def _check_ids(self, prefix_id: int, link_id: int) -> None:
         if not self.wan.has_link(link_id):
@@ -115,7 +122,9 @@ class AdvertisementState:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on every mutation (for cache layers)."""
+        """Monotonic counter bumped by every mutation that changes the
+        state; a no-op (downing a down link, ...) leaves it alone, so
+        version-keyed caches survive it."""
         return self._version
 
     @property

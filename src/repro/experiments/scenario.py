@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -34,9 +34,19 @@ from ..topology.geography import MetroCatalog
 from ..topology.wan import WANParams, generate_wan
 from ..traffic.generator import TrafficGenerator, TrafficParams
 from ..traffic.prefixes import PrefixUniverse
+from ..util.cache import LruDict
 
 if TYPE_CHECKING:
     from ..cms.mitigation import TrafficEntry
+
+#: expansions kept, by content: a CMS probe alternates between the live
+#: state and one with a link down, an hour boundary adds one or two more
+_EXPANSION_SLOTS = 8
+
+#: what an expansion depends on: (day, per destination prefix
+#: (removal key, prepend key))
+_Content = Tuple[int, Tuple[Tuple[FrozenSet[int],
+                                  Tuple[Tuple[int, int], ...]], ...]]
 
 
 class HourColumns(NamedTuple):
@@ -47,6 +57,20 @@ class HourColumns(NamedTuple):
     link_ids: np.ndarray
     true_bytes: np.ndarray    # ground truth (never shown to TIPSY)
     sampled_bytes: np.ndarray  # IPFIX-sampled, scaled-up estimate
+
+
+class _Expansion(NamedTuple):
+    """Every flow's link shares under one (day, advertisement content),
+    as aligned arrays, plus the footprints that say what can change them."""
+
+    #: None only for the empty expansion the first one derives from
+    content: Optional[_Content]
+    rows: np.ndarray
+    links: np.ndarray
+    fracs: np.ndarray
+    # (flow row, AS) pairs: the row's resolution read that AS
+    footprint_rows: np.ndarray
+    footprint_asns: np.ndarray
 
 
 @dataclass
@@ -128,12 +152,26 @@ class Scenario:
         for outage in self.outage_schedule:
             self._starts.setdefault(outage.start_hour, []).append(outage.link_id)
             self._ends.setdefault(outage.end_hour, []).append(outage.link_id)
-        # expansion cache for the fast path
-        self._exp_key: Optional[Tuple[int, int, int]] = None
-        self._exp: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        # per-flow identifier columns for the columnar IPFIX path
-        self._flow_columns: Optional[Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]] = None
+        # expansions for the fast path, by content; a miss is derived
+        # from the latest one
+        self._expansions: LruDict[_Content, _Expansion] = \
+            LruDict(_EXPANSION_SLOTS)
+        none = np.empty(0, dtype=np.int64)
+        self._latest = _Expansion(
+            None, none, none, np.empty(0, dtype=np.float64), none, none)
+        flows = self.traffic.flows
+        self._dest_prefixes = sorted({f.dest_prefix_id for f in flows})
+        # per-flow identifier columns (the columnar IPFIX path, the
+        # expansion's per-prefix selection) and drift shift days
+        self._flow_columns = (
+            np.array([f.src_prefix_id for f in flows], dtype=np.int64),
+            np.array([f.src_asn for f in flows], dtype=np.int64),
+            np.array([f.dest_prefix_id for f in flows], dtype=np.int64),
+        )
+        self._shift_days = np.array(
+            [self.simulator.drift_days(f.src_asn, f.src_prefix_id,
+                                       f.dest_prefix_id) for f in flows],
+            dtype=np.int64).reshape(-1, 2)
 
     # -- derived properties ----------------------------------------------------
 
@@ -184,25 +222,88 @@ class Scenario:
 
     def _expansion(self, day: int, state: AdvertisementState
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = (state.uid, state.version, day)
-        if self._exp_key == key:
-            return self._exp
+        """(flow row, link id, fraction) arrays for every flow's shares.
+
+        Keyed by what the shares depend on, not by the state object: the
+        state a probe restores and the next hour's unchanged state are
+        hits.  A miss re-resolves only the rows the change from the
+        latest expansion can reach and splices them into its arrays.
+        """
+        content = (day, tuple((state.removal_key(p), state.prepend_key(p))
+                              for p in self._dest_prefixes))
+        found = self._expansions.get(content)
+        if found is None:
+            found = self._derive(self._latest, content, state)
+            self._expansions[content] = found
+        self._latest = found
+        return found.rows, found.links, found.fracs
+
+    def _derive(self, base: _Expansion, content: _Content,
+                state: AdvertisementState) -> _Expansion:
+        """``base`` with its stale rows resolved again under ``state``."""
+        stale = self._stale_rows(base, content)
+        flows = self.traffic.flows
+        day = content[0]
         rows: List[int] = []
         links: List[int] = []
         fracs: List[float] = []
-        resolve = self.simulator.resolve_shares
-        for i, flow in enumerate(self.traffic.flows):
-            shares = resolve(flow.src_asn, flow.src_metro, flow.src_prefix_id,
-                             flow.dest_prefix_id, state, day)
-            for link_id, frac in shares:
+        walked_rows: List[int] = []
+        walked_asns: List[int] = []
+        for i in np.flatnonzero(stale).tolist():
+            flow = flows[i]
+            args = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
+                    flow.dest_prefix_id, state, day)
+            # looked up per call: the benchmark's tracer wraps it
+            for link_id, frac in self.simulator.resolve_shares(*args):
                 rows.append(i)
                 links.append(link_id)
                 fracs.append(frac)
-        self._exp = (np.array(rows, dtype=np.int64),
-                     np.array(links, dtype=np.int64),
-                     np.array(fracs))
-        self._exp_key = key
-        return self._exp
+            for asn in self.simulator.footprint(*args):
+                walked_rows.append(i)
+                walked_asns.append(asn)
+
+        def splice(old: np.ndarray, keep: np.ndarray,
+                   new: Sequence[float]) -> np.ndarray:
+            return np.concatenate((old[keep], np.array(new, dtype=old.dtype)))
+
+        keep = ~stale[base.rows]
+        merged = splice(base.rows, keep, rows)
+        # a row's shares all come from one side, so a stable sort by row
+        # restores the from-scratch order
+        order = np.argsort(merged, kind="stable")
+        keep_walk = ~stale[base.footprint_rows]
+        return _Expansion(
+            content, merged[order],
+            splice(base.links, keep, links)[order],
+            splice(base.fracs, keep, fracs)[order],
+            splice(base.footprint_rows, keep_walk, walked_rows),
+            splice(base.footprint_asns, keep_walk, walked_asns))
+
+    def _stale_rows(self, base: _Expansion, content: _Content
+                    ) -> np.ndarray:
+        """Mask of the flow rows whose shares under ``content`` may differ
+        from ``base``'s: a drift flag flips between the two days, the
+        prefix's prepends changed, or the change of the prefix's removal
+        set touches an AS in the row's footprint."""
+        dest = self._flow_columns[2]
+        if base.content is None:
+            return np.ones(len(dest), dtype=np.bool_)
+        (old_day, old_parts), (day, parts) = base.content, content
+        stale = ((old_day >= self._shift_days)
+                 != (day >= self._shift_days)).any(axis=1)
+        moved: Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]] = {}
+        for prefix, old, new in zip(self._dest_prefixes, old_parts, parts):
+            if old[1] != new[1]:
+                stale |= dest == prefix
+            elif old[0] != new[0]:
+                moved.setdefault((old[0], new[0]), []).append(prefix)
+        walked_dest = dest[base.footprint_rows]
+        for (before, after), prefixes in moved.items():
+            touched = self.simulator.touched_asns(before, after)
+            hit = (np.isin(base.footprint_asns, list(touched))
+                   & np.isin(walked_dest, prefixes))
+            stale[base.footprint_rows[hit]] = True
+        return stale
 
     def stream(
         self,
@@ -244,16 +345,23 @@ class Scenario:
                           use_sampled: bool = True) -> List[IpfixRecord]:
         """Convert an hour of columns into IPFIX records."""
         flows = self.traffic.flows
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
         records = []
-        for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
-            if bytes_ <= 0.0:
-                continue
+        for row, link_id, bytes_ in self._positive(cols, use_sampled):
             flow = flows[row]
-            records.append(IpfixRecord(cols.hour, int(link_id),
+            records.append(IpfixRecord(cols.hour, link_id,
                                        flow.src_prefix_id, flow.src_asn,
-                                       flow.dest_prefix_id, float(bytes_)))
+                                       flow.dest_prefix_id, bytes_))
         return records
+
+    @staticmethod
+    def _positive(cols: HourColumns, use_sampled: bool
+                  ) -> Iterator[Tuple[int, int, float]]:
+        """(flow row, link id, bytes) of the entries with bytes > 0, as
+        python ``int``/``int``/``float`` in column order."""
+        values = cols.sampled_bytes if use_sampled else cols.true_bytes
+        keep = values > 0.0
+        return zip(cols.flow_rows[keep].tolist(), cols.link_ids[keep].tolist(),
+                   values[keep].astype(np.float64, copy=False).tolist())
 
     def ipfix_columns_for(self, cols: HourColumns,
                           use_sampled: bool = True
@@ -267,13 +375,6 @@ class Scenario:
         per-record objects.  Feed straight into
         :meth:`repro.pipeline.HourlyAggregator.aggregate_hour_columns`.
         """
-        if self._flow_columns is None:
-            flows = self.traffic.flows
-            self._flow_columns = (
-                np.array([f.src_prefix_id for f in flows], dtype=np.int64),
-                np.array([f.src_asn for f in flows], dtype=np.int64),
-                np.array([f.dest_prefix_id for f in flows], dtype=np.int64),
-            )
         src_prefixes, src_asns, dest_prefixes = self._flow_columns
         values = cols.sampled_bytes if use_sampled else cols.true_bytes
         keep = values > 0.0
@@ -290,41 +391,30 @@ class Scenario:
 
         flows = self.traffic.flows
         contexts = self.flow_contexts
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
-        entries = []
-        for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
-            if bytes_ <= 0.0:
-                continue
-            entries.append(TrafficEntry(
-                link_id=int(link_id),
-                dest_prefix_id=flows[row].dest_prefix_id,
-                context=contexts[row],
-                bytes=float(bytes_)))
-        return entries
+        return [
+            TrafficEntry(link_id=link_id,
+                         dest_prefix_id=flows[row].dest_prefix_id,
+                         context=contexts[row], bytes=bytes_)
+            for row, link_id, bytes_ in self._positive(cols, use_sampled)
+        ]
 
     def risk_entries_for(self, cols: HourColumns,
                          use_sampled: bool = True) -> List[Tuple[int, FlowContext, float]]:
         """One hour of columns as (link, context, bytes) for RiskAnalyzer."""
         contexts = self.flow_contexts
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
         return [
-            (int(link_id), contexts[row], float(bytes_))
-            for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids,
-                                            values)
-            if bytes_ > 0.0
+            (link_id, contexts[row], bytes_)
+            for row, link_id, bytes_ in self._positive(cols, use_sampled)
         ]
 
     def agg_records_for(self, cols: HourColumns,
                         use_sampled: bool = True) -> List[AggRecord]:
         """One hour of columns as aggregated, feature-indexed records."""
         contexts = self.flow_contexts
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
         sums: Dict[Tuple[FlowContext, int], float] = {}
-        for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
-            if bytes_ <= 0.0:
-                continue
-            key = (contexts[row], int(link_id))
-            sums[key] = sums.get(key, 0.0) + float(bytes_)
+        for row, link_id, bytes_ in self._positive(cols, use_sampled):
+            key = (contexts[row], link_id)
+            sums[key] = sums.get(key, 0.0) + bytes_
         return [
             AggRecord(cols.hour, link_id, ctx.src_asn, ctx.src_prefix,
                       ctx.src_loc, ctx.dest_region, ctx.dest_service, bytes_)

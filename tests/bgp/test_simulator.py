@@ -213,6 +213,105 @@ class TestWithdrawalsAndOutages:
         assert sim.resolve_shares(4, "nyc", 100, 0, state) == first
 
 
+class TestFootprintRule:
+    """A cached resolution is reused under another removal set exactly
+    when the change touches no AS its walk read."""
+
+    STUB = (4, "nyc", 100, 0)
+    POCKET = (3, "sin", 600, 0)
+
+    @staticmethod
+    def fresh(wan, removed):
+        """What a simulator with nothing cached says under ``removed``."""
+        graph, _wan = build_world()
+        state = AdvertisementState(wan)
+        for link in removed:
+            state.set_link_down(link)
+        return IngressSimulator(graph, wan, SimulatorParams(),
+                                seed=1).resolve_shares(
+            *TestFootprintRule.STUB, state)
+
+    def test_footprint_is_the_walked_ases(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        assert sim.footprint(*self.STUB, state) == (4, 2)
+        # a pocket's providers are read even when the walk ends early
+        assert set(sim.footprint(*self.POCKET, state)) == {3, 1}
+
+    def test_reuse_from_a_non_empty_removal_set(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        state.set_link_down(5)            # CDN link, off the stub's walk
+        first = sim.resolve_shares(*self.STUB, state)
+        state.set_link_down(0)            # tier-1 link, still off it
+        assert sim.resolve_shares(*self.STUB, state) is first
+        state.set_link_up(5)              # {5, 0} -> {0}
+        assert sim.resolve_shares(*self.STUB, state) is first
+        assert first == self.fresh(wan, {0})
+        state.set_link_down(3)            # a link of the delivering AS
+        moved = sim.resolve_shares(*self.STUB, state)
+        assert moved is not first
+        assert moved == self.fresh(wan, {0, 3})
+        assert sim.cache_stats()["touched_entries"] >= 3
+
+    def test_last_link_of_a_peer(self, world):
+        """Removing a peer's last link changes the tables, and with them
+        the rows of the ASes behind it."""
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        for link in (2, 3):
+            state.set_link_down(link)
+        before = sim.resolve_shares(*self.STUB, state)
+        assert [l for l, _f in before] == [6]
+        # same tables so far: only the owner of the links is touched
+        assert sim.touched_asns(frozenset(), frozenset({2, 3})) == {2}
+        state.set_link_down(6)            # transit 2 is no longer a peer
+        assert sim.routing_table(frozenset({2, 3, 6})) is not \
+            sim.routing_table(frozenset({2, 3}))
+        assert {2, 4} <= sim.touched_asns(frozenset({2, 3}),
+                                          frozenset({2, 3, 6}))
+        after = sim.resolve_shares(*self.STUB, state)
+        assert {wan.link(l).peer_asn for l, _f in after} == {1}
+        assert after == self.fresh(wan, {2, 3, 6})
+        state.set_link_up(6)
+        assert sim.resolve_shares(*self.STUB, state) is before
+
+    def test_walked_as_loses_every_link_and_gets_them_back(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        base = sim.resolve_shares(*self.POCKET, state)
+        assert {wan.link(l).peer_asn for l, _f in base} == {1}
+        for link in wan.links_of_peer(1):
+            state.set_link_down(link.link_id)
+        # the pocket can only leave through tier-1, which has no route
+        assert sim.resolve_shares(*self.POCKET, state) == ()
+        state.set_link_down(4)            # unrelated: the () is reused
+        assert sim.resolve_shares(*self.POCKET, state) == ()
+        state.set_link_up(4)
+        for link in wan.links_of_peer(1):
+            state.set_link_up(link.link_id)
+        assert sim.resolve_shares(*self.POCKET, state) == base
+
+    def test_seeded_for_equals_the_exhaustive_scan(self, world):
+        _g, wan, sim = world
+        from itertools import combinations
+
+        def scan(removed):
+            return frozenset(
+                asn for asn in wan.peer_asns
+                if any(l.link_id not in removed
+                       for l in wan.links_of_peer(asn)))
+
+        # every subset of the links, plus an id the WAN does not have
+        lost_a_peer = 0
+        for size in range(len(wan.link_ids) + 1):
+            for subset in combinations(list(wan.link_ids) + [99], size):
+                removed = frozenset(subset)
+                assert sim.seeded_for(removed) == scan(removed)
+                lost_a_peer += len(scan(removed)) < len(wan.peer_asns)
+        assert lost_a_peer
+
+
 class TestDrift:
     def test_no_day_means_no_drift(self, world):
         _g, wan, sim = world
@@ -268,8 +367,8 @@ class TestCacheStats:
     def test_all_caches_reported(self, world):
         _g, wan, sim = world
         stats = sim.cache_stats()
-        for key in ("share_entries", "visited_entries",
-                    "entry_metro_entries", "removed_peers_entries",
+        for key in ("share_entries", "link_share_entries",
+                    "entry_metro_entries", "touched_entries",
                     "drift_entries", "ranked_pool_entries",
                     "primary_share_entries", "tables_by_removed",
                     "tables_by_seeded", "share_hits", "share_misses",
@@ -350,7 +449,7 @@ class TestBoundedCaches:
             gauges = obs.snapshot().gauges
             assert gauges["bgp.simulator.table_hit_rate"] == 0.5
             assert "bgp.simulator.share_hit_rate" in gauges
-            assert "bgp.simulator.visited_hit_rate" in gauges
+            assert "bgp.simulator.link_share_hit_rate" in gauges
             assert "bgp.simulator.table_full_rebuilds" in gauges
         finally:
             obs.disable()

@@ -96,6 +96,32 @@ class TestOutages:
         state.withdraw(0, 2)
         assert state.version > v0
 
+    def test_noop_mutations_keep_version(self, wan):
+        """A mutation that changes nothing must not flush the
+        version-keyed caches above the state."""
+        state = AdvertisementState(wan)
+        state.set_link_down(1)
+        state.withdraw(0, 2)
+        state.prepend(0, 3, times=2)
+        version = state.version
+        key = state.removal_key(0)
+        state.set_link_down(1)        # already down
+        state.set_link_up(0)          # already up
+        state.withdraw(0, 2)          # already withdrawn
+        state.announce(0, 3)          # never withdrawn
+        state.announce(1, 2)          # prefix with no withdrawals
+        state.prepend(0, 3, times=2)  # same count
+        state.clear_prepend(0, 2)     # no prepend there
+        state.clear_prepend(1, 3)     # prefix with no prepends
+        assert state.version == version
+        assert state.removal_key(0) is key
+        state.prepend(0, 3, times=4)  # a new count is a change
+        assert state.version == version + 1
+        state.clear()
+        version = state.version
+        state.clear()                 # already clear
+        assert state.version == version
+
     def test_uids_unique(self, wan):
         a = AdvertisementState(wan)
         b = AdvertisementState(wan)

@@ -114,3 +114,89 @@ class TestRecordViews:
         cols = next(iter(sc.stream(0, 1)))
         entries = sc.risk_entries_for(cols)
         assert all(b > 0 for _l, _c, b in entries)
+
+    @pytest.mark.parametrize("use_sampled", [True, False])
+    def test_views_equal_the_row_by_row_loops(self, small_scenario,
+                                              use_sampled):
+        """The masked, ``tolist`` views are the old element-by-element
+        loops: same entries, same order, same python types."""
+        from repro.cms.mitigation import TrafficEntry
+        from repro.pipeline.records import AggRecord
+        from repro.telemetry.ipfix import IpfixRecord
+
+        sc = small_scenario
+        cols = next(iter(sc.stream(30, 31)))
+        values = cols.sampled_bytes if use_sampled else cols.true_bytes
+        assert (values <= 0.0).any() or not use_sampled
+        flows, contexts = sc.traffic.flows, sc.flow_contexts
+        ipfix, entries, risk = [], [], []
+        sums = {}
+        for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
+            if bytes_ <= 0.0:
+                continue
+            flow = flows[row]
+            ipfix.append(IpfixRecord(cols.hour, int(link_id),
+                                     flow.src_prefix_id, flow.src_asn,
+                                     flow.dest_prefix_id, float(bytes_)))
+            entries.append(TrafficEntry(
+                link_id=int(link_id), dest_prefix_id=flow.dest_prefix_id,
+                context=contexts[row], bytes=float(bytes_)))
+            risk.append((int(link_id), contexts[row], float(bytes_)))
+            key = (contexts[row], int(link_id))
+            sums[key] = sums.get(key, 0.0) + float(bytes_)
+        aggs = [AggRecord(cols.hour, link_id, ctx.src_asn, ctx.src_prefix,
+                          ctx.src_loc, ctx.dest_region, ctx.dest_service,
+                          bytes_)
+                for (ctx, link_id), bytes_ in sums.items()]
+
+        def typed(records):
+            return [[(type(v), v) for v in (r if isinstance(r, tuple)
+                                            else vars(r).values())]
+                    for r in records]
+
+        got = (sc.ipfix_records_for(cols, use_sampled),
+               sc.traffic_entries_for(cols, use_sampled),
+               sc.risk_entries_for(cols, use_sampled),
+               sc.agg_records_for(cols, use_sampled))
+        for mine, reference in zip(got, (ipfix, entries, risk, aggs)):
+            assert reference and typed(mine) == typed(reference)
+
+
+class TestExpansionBounds:
+    def test_caches_stay_bounded_over_a_week_of_churn(self):
+        """A week of scheduled outages with a probe per hour: the
+        expansion LRU and the simulator's share and link-share memos
+        never outgrow their bounds, and evicted contents come back."""
+        from dataclasses import replace
+
+        from repro.bgp import SimulatorParams
+        from repro.experiments.scenario import _EXPANSION_SLOTS
+
+        bound = 1500
+        params = ScenarioParams.small(seed=9, horizon_days=7)
+        sc = Scenario(replace(params, simulator=SimulatorParams(
+            share_cache_size=bound)))
+        state = sc.state_at(0)
+        contents = set()
+        for hour in range(sc.horizon_hours):
+            sc.apply_outage_transitions(state, hour)
+            base = next(iter(sc.stream(hour, hour + 1, state,
+                                       apply_outages=False)))
+            probe = sc.wan.link_ids[hour % len(sc.wan.link_ids)]
+            was_up = probe not in state.link_outages
+            state.set_link_down(probe)
+            down = next(iter(sc.stream(hour, hour + 1, state,
+                                       apply_outages=False)))
+            assert not (down.link_ids == probe).any()
+            if was_up:
+                state.set_link_up(probe)
+            again = next(iter(sc.stream(hour, hour + 1, state,
+                                        apply_outages=False)))
+            assert again.flow_rows is base.flow_rows  # a content hit
+            contents.add(sc._latest.content)
+            assert len(sc._expansions) <= _EXPANSION_SLOTS
+        stats = sc.simulator.cache_stats()
+        assert len(contents) > _EXPANSION_SLOTS
+        assert stats["share_entries"] <= bound
+        assert stats["link_share_entries"] <= bound
+        assert stats["share_evictions"] > 0

@@ -1,0 +1,102 @@
+"""Differential property test: delta share expansion vs. from scratch.
+
+``Scenario._expansion`` keeps a few expansions by content and derives a
+miss from the latest one, re-resolving only the rows the change can
+reach.  Whatever sequence of state changes and day steps led there, the
+arrays must equal — dtype and value — what a scenario that has never
+streamed computes flow by flow.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp import AdvertisementState, SimulatorParams
+from repro.experiments import Scenario, ScenarioParams
+from repro.experiments.scenario import _EXPANSION_SLOTS
+
+DAYS = 7
+
+
+def build() -> Scenario:
+    params = ScenarioParams.small(seed=21, horizon_days=DAYS)
+    # enough drift that day steps cross minor and major shift days
+    return Scenario(replace(params, simulator=SimulatorParams(
+        minor_drift_daily=0.05, major_drift_daily=0.03)))
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    """Shared by every example, so each starts from whatever expansions
+    the examples before it left in the LRU."""
+    return build()
+
+
+def from_scratch(scenario, day, state):
+    rows, links, fracs = [], [], []
+    for i, flow in enumerate(scenario.traffic.flows):
+        for link_id, frac in scenario.simulator.resolve_shares(
+                flow.src_asn, flow.src_metro, flow.src_prefix_id,
+                flow.dest_prefix_id, state, day):
+            rows.append(i)
+            links.append(link_id)
+            fracs.append(frac)
+    return (np.array(rows, dtype=np.int64), np.array(links, dtype=np.int64),
+            np.array(fracs))
+
+
+OPS = ["set_link_down", "set_link_up", "peer_down", "withdraw", "announce",
+       "prepend", "clear_prepend", "day"]
+#: (operation, destination prefix, link or day, prepend count); more
+#: steps than the LRU has slots, so eviction and re-derivation happen
+steps = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 23), st.integers(0, 60),
+              st.integers(1, 3)),
+    min_size=_EXPANSION_SLOTS + 4, max_size=3 * _EXPANSION_SLOTS)
+
+
+def apply(step, state, wan):
+    name, prefix, link, times = step
+    link = wan.link_ids[link % len(wan.link_ids)]
+    if name == "peer_down":
+        # a peer losing every link: the routing tables change
+        for other in wan.links_of_peer(wan.link(link).peer_asn):
+            state.set_link_down(other.link_id)
+    elif name in ("set_link_down", "set_link_up"):
+        getattr(state, name)(link)
+    elif name == "prepend":
+        state.prepend(prefix, link, times)
+    else:
+        getattr(state, name)(prefix, link)
+
+
+class TestDeltaExpansion:
+    @given(steps)
+    @settings(max_examples=12, deadline=None)
+    def test_equals_a_fresh_scenarios_loop(self, scenario, sequence):
+        reference = build()
+        state = AdvertisementState(scenario.wan)
+        mirror = AdvertisementState(reference.wan)
+        day = 0
+        for step in sequence:
+            if step[0] == "day":
+                day = step[2] % DAYS
+            else:
+                apply(step, state, scenario.wan)
+                apply(step, mirror, reference.wan)
+            got = scenario._expansion(day, state)
+            want = from_scratch(reference, day, mirror)
+            for mine, theirs in zip(got, want):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs), step
+            assert len(scenario._expansions) <= _EXPANSION_SLOTS
+        # hit or miss, the caller's arrays are the cached ones
+        assert scenario._expansion(day, state)[0] is got[0]
+
+    def test_shift_days_are_crossed(self, scenario):
+        """The world above does exercise the drift part of the rule."""
+        shifts = scenario._shift_days
+        assert ((shifts > 0) & (shifts < DAYS)).any(axis=0).all()

@@ -78,26 +78,37 @@ class TestResolutionInvariants:
             flow.dest_prefix_id, state)
         assert after == base
 
-    @given(flow_indices)
-    @settings(max_examples=30, deadline=None)
-    def test_shortcut_equals_full_resolution(self, world, idx):
-        """The affected-flow shortcut must be semantically invisible:
-        resolving with a removal present equals a fresh full resolve."""
+    @given(flow_indices, link_subsets)
+    @settings(max_examples=40, deadline=None)
+    def test_shortcut_equals_full_resolution(self, world, idx,
+                                             removed_links):
+        """The footprint rule must be semantically invisible: whichever
+        removal set a cached resolution is reused from — empty or not,
+        R -> R + {L} and back — the answer equals a full resolve."""
         scenario = world
+        simulator = scenario.simulator
         flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
+        key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
+               flow.dest_prefix_id)
         state = AdvertisementState(scenario.wan)
-        base = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
+
+        def check():
+            removed = state.removal_key(flow.dest_prefix_id)
+            shares = simulator.resolve_shares(*key, state)
+            full = simulator._resolve(*key, removed, False, False)
+            assert shares == full[0]
+            assert simulator.footprint(*key, state) == full[1]
+            return shares
+
+        check()
+        for link in removed_links:
+            if scenario.wan.has_link(link):
+                state.set_link_down(link)
+        base = check()
         if not base:
             return
         primary = base[0][0]
         state.set_link_down(primary)
-        removed = state.removal_key(flow.dest_prefix_id)
-        via_shortcut = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
-        direct = scenario.simulator._resolve(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, removed, False, False)
-        assert via_shortcut == direct
+        assert primary not in {l for l, _f in check()}
+        state.set_link_up(primary)
+        assert check() == base
