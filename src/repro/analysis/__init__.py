@@ -15,35 +15,33 @@ concurrency-lifecycle & durability wave RA800–RA805 (see
 :mod:`repro.analysis.lifecycle` and
 :mod:`repro.analysis.durability`) — lock-order deadlocks, blocking
 calls under a lock, leaked threads/processes, and durable artifacts
-(``[tool.repro.durability]``) written without tmp+fsync+rename — with
-per-file results cached incrementally by content hash.  ``repro lint
+(``[tool.repro.durability]``) written without tmp+fsync+rename — all
+in one uncached pass that parses each file once.  ``repro lint
 --fix`` applies the safe RA7xx rewrites (see
 :mod:`repro.analysis.fixer`).  Rules are documented in
 ``docs/static-analysis.md`` and suppressed inline with
 ``# repro: noqa[RAxxx]``.
 """
 
-from .base import (DEFAULT_HOT_PACKAGES, FIXABLE_RULES, LINT_VERSION,
-                   PROJECT_RULES, RULES, Checker, ImportMap,
-                   ModuleContext, Violation, apply_suppressions,
-                   checker_classes, ruleset_fingerprint,
-                   suppressed_lines)
+from .base import (DEFAULT_HOT_PACKAGES, FIXABLE_RULES, PROJECT_RULES,
+                   RULES, Checker, ImportMap, ModuleContext, Violation,
+                   apply_suppressions, checker_classes, suppressed_lines)
 from .dataflow import (DeterminismConfig, DeterminismConfigError,
-                       DetSite, check_determinism, extract_det_sites,
-                       find_determinism_config, read_determinism_table)
+                       DetSite, check_determinism,
+                       determinism_from_table, extract_det_sites)
 from .durability import (DurabilityConfig, DurabilityConfigError,
-                         DuraSite, check_durability, extract_dura_sites,
-                         find_durability_config, read_durability_table)
+                         DuraSite, check_durability,
+                         durability_from_table, extract_dura_sites)
 from .engine import (AnalysisReport, analyze_paths, analyze_source,
                      iter_python_files)
 from .lifecycle import LifeSite, check_lifecycle, extract_life_sites
 from .fixer import Fix, apply_fixes, fix_for_site, render_diffs
 from .project import analyze_project
+from .tables import find_table, read_table
 
 __all__ = [
     "DEFAULT_HOT_PACKAGES",
     "FIXABLE_RULES",
-    "LINT_VERSION",
     "PROJECT_RULES",
     "RULES",
     "Checker",
@@ -52,22 +50,21 @@ __all__ = [
     "Violation",
     "apply_suppressions",
     "checker_classes",
-    "ruleset_fingerprint",
     "suppressed_lines",
     "DeterminismConfig",
     "DeterminismConfigError",
     "DetSite",
     "check_determinism",
+    "determinism_from_table",
     "extract_det_sites",
-    "find_determinism_config",
-    "read_determinism_table",
     "DurabilityConfig",
     "DurabilityConfigError",
     "DuraSite",
     "check_durability",
+    "durability_from_table",
     "extract_dura_sites",
-    "find_durability_config",
-    "read_durability_table",
+    "find_table",
+    "read_table",
     "LifeSite",
     "check_lifecycle",
     "extract_life_sites",

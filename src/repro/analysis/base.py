@@ -11,15 +11,11 @@ the author suppressed with an inline ``# repro: noqa[RAxxx]`` marker.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
-
-#: linter version, part of the cache fingerprint: bump on any release
-#: that changes what the analyzer reports without touching rule text
-LINT_VERSION = "3.0.0"
 
 #: registry of rule code -> (symbolic name, one-line description).
 #: ``docs/static-analysis.md`` documents each in depth.
@@ -103,25 +99,6 @@ PROJECT_RULES: FrozenSet[str] = frozenset({
 #: RA7xx rules with an autofix: ``repro lint --fix`` can rewrite these
 FIXABLE_RULES: FrozenSet[str] = frozenset({"RA701", "RA702", "RA703"})
 
-
-def ruleset_fingerprint() -> str:
-    """Content hash of the rule set and the analyzer's own source.
-
-    Folded into the project cache key so that adding a rule, editing a
-    checker, or bumping :data:`LINT_VERSION` invalidates every warm
-    entry — a stale cache must never serve a clean verdict computed by
-    an older rule set.
-    """
-    digest = hashlib.sha256()
-    digest.update(LINT_VERSION.encode("utf-8"))
-    for code, (name, description) in sorted(RULES.items()):
-        digest.update(f"{code}\x00{name}\x00{description}\x00"
-                      .encode("utf-8"))
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        digest.update(path.name.encode("utf-8"))
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
 #: package directories whose hourly code must be a pure function of
 #: (seed, hour) — wall-clock reads are banned inside them (RA201).
 DEFAULT_HOT_PACKAGES: FrozenSet[str] = frozenset(
@@ -160,9 +137,73 @@ class Violation:
         }
 
 
+@dataclass(frozen=True)
+class FunctionUnit:
+    """One function as the project rules see it.
+
+    The call-graph facts and the RA7xx/RA8xx sites all key on
+    ``qualname``, so every extractor walks this one enumeration.
+    """
+
+    qualname: str                   # "f", "C.m", or "<module>"
+    owner_class: Optional[str]
+    body: Sequence[ast.stmt]
+    node: Optional[ast.AST] = None  # the def itself; None for "<module>"
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return False
+
+
+def _function_units(tree: ast.Module) -> List[FunctionUnit]:
+    """Top-level defs, class methods, then the ``<module>`` pseudo-function.
+
+    ``if`` blocks at module level are transparent (their defs and
+    statements count as top-level) except ``if TYPE_CHECKING:``, which
+    is skipped: nothing in it runs.  The remaining module-level
+    statements form ``<module>``, so top-level dispatch sites (scripts,
+    examples) still seed reachability.
+    """
+    units: List[FunctionUnit] = []
+    module_stmts: List[ast.stmt] = []
+
+    def scan_body(body: Sequence[ast.stmt],
+                  owner_class: Optional[str]) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = (node.name if owner_class is None
+                            else f"{owner_class}.{node.name}")
+                units.append(FunctionUnit(qualname, owner_class,
+                                          node.body, node))
+            elif owner_class is not None:
+                continue  # only the methods of a class body are units
+            elif isinstance(node, ast.ClassDef):
+                scan_body(node.body, node.name)
+            elif isinstance(node, ast.If):
+                if not _is_type_checking(node.test):
+                    scan_body(node.body, None)
+                    scan_body(node.orelse, None)
+            else:
+                module_stmts.append(node)
+
+    scan_body(tree.body, None)
+    units.append(FunctionUnit("<module>", None, module_stmts))
+    return units
+
+
 @dataclass
 class ModuleContext:
-    """Everything a checker needs to know about the file under analysis."""
+    """Everything the rules need to know about the file under analysis.
+
+    One context is built per parsed file and handed to every consumer —
+    the per-file checkers and, under ``--project``, the call-graph and
+    site extractors — so the import map and the function enumeration
+    are each computed once.
+    """
 
     path: Path
     source: str
@@ -178,6 +219,14 @@ class ModuleContext:
     def is_hot_path(self) -> bool:
         """True when the file lives under a determinism-critical package."""
         return bool(self.hot_packages.intersection(self.path.parts))
+
+    @cached_property
+    def imports(self) -> "ImportMap":
+        return ImportMap().collect(self.tree)
+
+    @cached_property
+    def functions(self) -> List[FunctionUnit]:
+        return _function_units(self.tree)
 
 
 class Checker(ast.NodeVisitor):
@@ -258,6 +307,15 @@ class ImportMap:
         else:
             return None
         return ".".join([prefix] + list(reversed(parts)))
+
+
+def _snippet(node: ast.expr, limit: int = 40) -> str:
+    """Short source rendering of an expression for messages."""
+    try:
+        text = ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse is total on 3.9+
+        text = "<expr>"
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def suppressed_lines(source: str) -> Dict[int, Optional[FrozenSet[str]]]:

@@ -13,10 +13,6 @@ this module two questions about each:
   the RA501 race detector), and the file's ``# repro: noqa`` map so
   project rules can honour suppressions without re-reading source.
 
-Facts are plain data (JSON round-trippable) because the project cache
-persists them keyed by content hash; a warm run rebuilds the call graph
-from cached facts without re-parsing unchanged files.
-
 The call graph is *conservative* in the usual static-analysis sense:
 edges exist only where a callee is resolvable by name (module-level
 functions, imported symbols — including one level of package
@@ -31,9 +27,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple)
 
-from .base import suppressed_lines
+from .base import ModuleContext, _is_type_checking, suppressed_lines
 
 #: attribute calls always treated as crossing a process-pool boundary
 #: (mirrors ``parallel.py``'s single-file RA101/RA102 heuristics)
@@ -61,15 +58,6 @@ class ImportFact:
     lineno: int
     col: int
 
-    def to_json(self) -> Dict[str, object]:
-        return {"target": self.target, "lineno": self.lineno,
-                "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "ImportFact":
-        return cls(str(raw["target"]), int(raw["lineno"]),  # type: ignore[arg-type]
-                   int(raw["col"]))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
 class WriteFact:
@@ -79,15 +67,6 @@ class WriteFact:
     kind: str       # "global-assign" | "mutation" | "class-attr"
     lineno: int
     col: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {"target": self.target, "kind": self.kind,
-                "lineno": self.lineno, "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "WriteFact":
-        return cls(str(raw["target"]), str(raw["kind"]),
-                   int(raw["lineno"]), int(raw["col"]))  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -99,15 +78,6 @@ class DispatchFact:
     lineno: int
     col: int
 
-    def to_json(self) -> Dict[str, object]:
-        return {"callee": self.callee, "how": self.how,
-                "lineno": self.lineno, "col": self.col}
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DispatchFact":
-        return cls(str(raw["callee"]), str(raw["how"]),
-                   int(raw["lineno"]), int(raw["col"]))  # type: ignore[arg-type]
-
 
 @dataclass
 class FunctionFacts:
@@ -117,25 +87,6 @@ class FunctionFacts:
     calls: Tuple[str, ...] = ()         # dotted callee candidates
     writes: Tuple[WriteFact, ...] = ()
     dispatches: Tuple[DispatchFact, ...] = ()
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "calls": list(self.calls),
-            "writes": [w.to_json() for w in self.writes],
-            "dispatches": [d.to_json() for d in self.dispatches],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "FunctionFacts":
-        return cls(
-            qualname=str(raw["qualname"]),
-            calls=tuple(str(c) for c in raw.get("calls", ())),  # type: ignore[union-attr]
-            writes=tuple(WriteFact.from_json(w)
-                         for w in raw.get("writes", ())),  # type: ignore[union-attr]
-            dispatches=tuple(DispatchFact.from_json(d)
-                             for d in raw.get("dispatches", ())),  # type: ignore[union-attr]
-        )
 
 
 @dataclass
@@ -153,42 +104,6 @@ class ModuleFacts:
     #: lineno -> suppressed codes (None = bare noqa, all codes)
     suppressed: Dict[int, Optional[FrozenSet[str]]] = field(
         default_factory=dict)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "module": self.module,
-            "display_path": self.display_path,
-            "internal_imports": [i.to_json()
-                                 for i in self.internal_imports],
-            "functions": {name: fn.to_json()
-                          for name, fn in self.functions.items()},
-            "defs": dict(self.defs),
-            "symbol_imports": dict(self.symbol_imports),
-            "suppressed": {str(line): (None if codes is None
-                                       else sorted(codes))
-                           for line, codes in self.suppressed.items()},
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "ModuleFacts":
-        suppressed: Dict[int, Optional[FrozenSet[str]]] = {}
-        for line, codes in dict(raw.get("suppressed", {})).items():  # type: ignore[arg-type]
-            suppressed[int(line)] = (None if codes is None
-                                     else frozenset(str(c) for c in codes))
-        return cls(
-            module=str(raw["module"]),
-            display_path=str(raw["display_path"]),
-            internal_imports=tuple(
-                ImportFact.from_json(i)
-                for i in raw.get("internal_imports", ())),  # type: ignore[union-attr]
-            functions={str(k): FunctionFacts.from_json(v)
-                       for k, v in dict(raw.get("functions", {})).items()},  # type: ignore[arg-type]
-            defs={str(k): str(v)
-                  for k, v in dict(raw.get("defs", {})).items()},  # type: ignore[arg-type]
-            symbol_imports={str(k): str(v) for k, v in
-                            dict(raw.get("symbol_imports", {})).items()},  # type: ignore[arg-type]
-            suppressed=suppressed,
-        )
 
     def is_suppressed(self, lineno: int, code: str) -> bool:
         """Does the noqa map silence ``code`` on ``lineno``?"""
@@ -396,7 +311,7 @@ class _Extractor:
                 return f"{base.id}.{node.attr}"
         return None
 
-    def _walk_function(self, fn_body: List[ast.stmt], qualname: str,
+    def _walk_function(self, fn_body: Sequence[ast.stmt], qualname: str,
                        owner_class: Optional[str],
                        local: Set[str],
                        declared_global: Set[str]) -> FunctionFacts:
@@ -503,17 +418,13 @@ class _Extractor:
 
     # -- the module walk -----------------------------------------------------
 
-    def extract(self, tree: ast.Module, source: str,
-                display_path: str) -> ModuleFacts:
+    def extract(self, context: ModuleContext) -> ModuleFacts:
         # pass 1: module-scope bindings (imports, defs, assignments) so
         # function walks can classify names
-        module_stmts: List[ast.stmt] = []
-
         def scan_top(body: List[ast.stmt]) -> None:
             for node in body:
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     self._collect_import(node, module_scope=True)
-                    module_stmts.append(node)
                 elif isinstance(node, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
                     self.defs[node.name] = "function"
@@ -545,60 +456,29 @@ class _Extractor:
                         if isinstance(target, ast.Name) and isinstance(
                                 target.ctx, ast.Store):
                             self.module_level_names.add(target.id)
-                    module_stmts.append(node)
 
-        scan_top(tree.body)
+        scan_top(context.tree.body)
 
+        # pass 2: one walk per function unit; "<module>" binds nothing
+        # locally
         functions: Dict[str, FunctionFacts] = {}
-
-        def add_function(fn: ast.stmt, qualname: str,
-                         owner_class: Optional[str]) -> None:
-            assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            local, declared_global = self._local_bindings(fn)
-            functions[qualname] = self._walk_function(
-                fn.body, qualname, owner_class, local, declared_global)
-
-        def scan_defs(body: List[ast.stmt]) -> None:
-            for node in body:
-                if isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    add_function(node, node.name, None)
-                elif isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                            add_function(item,
-                                         f"{node.name}.{item.name}",
-                                         node.name)
-                elif isinstance(node, ast.If) and not _is_type_checking(
-                        node.test):
-                    scan_defs(node.body)
-                    scan_defs(node.orelse)
-
-        scan_defs(tree.body)
-
-        # module-level statements form a pseudo-function so top-level
-        # dispatch sites (scripts, examples) still seed reachability
-        functions["<module>"] = self._walk_function(
-            module_stmts, "<module>", None, set(), set())
+        for unit in context.functions:
+            local, declared_global = (
+                (set(), set()) if unit.node is None
+                else self._local_bindings(unit.node))
+            functions[unit.qualname] = self._walk_function(
+                unit.body, unit.qualname, unit.owner_class, local,
+                declared_global)
 
         return ModuleFacts(
             module=self.module,
-            display_path=display_path,
+            display_path=context.display_path,
             internal_imports=tuple(self.internal_imports),
             functions=functions,
             defs=self.defs,
             symbol_imports=self.symbol_imports,
-            suppressed=suppressed_lines(source),
+            suppressed=suppressed_lines(context.source),
         )
-
-
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
 
 
 def _receiver_is_poolish(node: ast.expr) -> bool:
@@ -615,14 +495,15 @@ def _receiver_is_poolish(node: ast.expr) -> bool:
     return "pool" in lowered or "executor" in lowered
 
 
-def extract_facts(tree: ast.Module, source: str, path: Path,
-                  display_path: str,
+def extract_facts(context: ModuleContext, module: str,
                   internal_roots: FrozenSet[str]) -> ModuleFacts:
-    """Extract :class:`ModuleFacts` from one parsed module."""
-    module = module_name_for(path)
-    extractor = _Extractor(module, path.name == "__init__.py",
+    """Extract :class:`ModuleFacts` from one parsed module.
+
+    ``module`` is the file's dotted name (:func:`module_name_for`).
+    """
+    extractor = _Extractor(module, context.path.name == "__init__.py",
                            internal_roots)
-    return extractor.extract(tree, source, display_path)
+    return extractor.extract(context)
 
 
 # -- the linked project graph -------------------------------------------------

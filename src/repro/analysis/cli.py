@@ -3,17 +3,14 @@
 Exit codes: 0 clean, 1 violations found (including files that failed to
 parse, reported as RA000), 2 on contradictory flags.
 
-Three analysis modes:
+Two analysis modes:
 
 * default — per-file rules (RA0xx–RA4xx) over the given paths;
 * ``--project`` — whole-program mode: per-file rules **plus** the
-  semantic rules RA5xx/RA6xx and the RA7xx determinism dataflow, with
-  an incremental on-disk cache (``--cache-dir``, ``--no-cache``);
-* ``--changed-only`` — report only on the files changed versus the git
-  merge-base (plus untracked files).  Per-file rules then scan just
-  the diff; combined with ``--project`` the *analysis* still covers
-  the whole tree (whole-program rules are only sound over the full
-  module graph) and only the *report* is restricted to changed files.
+  semantic rules RA5xx/RA6xx, the RA7xx determinism dataflow and the
+  RA8xx lifecycle/durability wave, in one uncached in-memory pass.
+  Selecting one of those codes without ``--project`` is a usage error
+  (exit 2), never a silent "clean".
 
 ``--fix`` (project mode) applies the safe RA7xx rewrites in place and
 re-lints; ``--fix --check`` previews them as a unified diff without
@@ -25,15 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Set, TextIO
+from typing import Dict, FrozenSet, List, Optional, TextIO
 
 from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, RULES
-from .engine import AnalysisReport, analyze_paths, display_for
+from .engine import AnalysisReport, analyze_paths
 from .fixer import apply_fixes, render_diffs
-from .project import DEFAULT_CACHE_DIR, analyze_project
+from .project import analyze_project
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -44,13 +40,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--project", action="store_true",
         help="whole-program mode: adds the cross-module rules "
              "RA501/RA502/RA601, the RA7xx determinism dataflow, and "
-             "the RA8xx lifecycle/durability wave, with the "
-             "incremental cache")
-    parser.add_argument(
-        "--changed-only", action="store_true",
-        help="report only on files changed vs. the git merge-base "
-             "(plus untracked files); with --project the analysis "
-             "still spans the whole tree")
+             "the RA8xx lifecycle/durability wave")
     parser.add_argument(
         "--fix", action="store_true",
         help="apply the safe RA7xx autofixes in place and re-lint "
@@ -71,12 +61,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="PKGS",
         help="comma-separated package dirs treated as determinism-"
              "critical for RA201")
-    parser.add_argument(
-        "--cache-dir", default=str(DEFAULT_CACHE_DIR), metavar="DIR",
-        help="incremental-cache directory for --project runs")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the --project incremental cache for this run")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule registry and exit")
@@ -101,16 +85,12 @@ def _render_text(report: AnalysisReport, stream: TextIO) -> None:
         print(violation.render(), file=stream)
     counts = report.counts_by_code()
     summary = ", ".join(f"{code}×{n}" for code, n in counts.items())
-    cache = ""
-    if report.cache_hits is not None:
-        cache = (f" (cache: {report.cache_hits} hits, "
-                 f"{report.cache_misses} misses)")
     if report.clean:
         print(f"repro lint: {report.files_scanned} files scanned, "
-              f"clean{cache}", file=stream)
+              "clean", file=stream)
     else:
         print(f"repro lint: {report.files_scanned} files scanned, "
-              f"{len(report.violations)} violation(s): {summary}{cache}",
+              f"{len(report.violations)} violation(s): {summary}",
               file=stream)
 
 
@@ -167,66 +147,6 @@ def _render(report: AnalysisReport, fmt: str, stream: TextIO) -> None:
         _render_text(report, stream)
 
 
-def _git(args: List[str], cwd: Path) -> Optional[str]:
-    try:
-        proc = subprocess.run(
-            ["git"] + args, cwd=str(cwd), capture_output=True,
-            text=True, check=False)
-    except OSError:
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout
-
-
-def changed_files(cwd: Path,
-                  base_refs: Optional[List[str]] = None
-                  ) -> Optional[List[Path]]:
-    """Python files changed vs. the merge-base, plus untracked ones.
-
-    Returns None when git (or a usable base ref) is unavailable, in
-    which case the caller falls back to a full lint.
-    """
-    refs = base_refs if base_refs is not None else ["origin/main", "main"]
-    merge_base: Optional[str] = None
-    for ref in refs:
-        out = _git(["merge-base", "HEAD", ref], cwd)
-        if out is not None and out.strip():
-            merge_base = out.strip()
-            break
-    if merge_base is None:
-        return None
-    diff = _git(["diff", "--name-only", "--diff-filter=d",
-                 merge_base, "HEAD"], cwd)
-    staged = _git(["diff", "--name-only", "--diff-filter=d",
-                   merge_base], cwd)
-    untracked = _git(["ls-files", "--others", "--exclude-standard"], cwd)
-    if diff is None or staged is None or untracked is None:
-        return None
-    names = sorted({
-        line.strip()
-        for out in (diff, staged, untracked)
-        for line in out.splitlines() if line.strip()})
-    top = _git(["rev-parse", "--show-toplevel"], cwd)
-    base = Path(top.strip()) if top is not None and top.strip() else cwd
-    return [base / name for name in names
-            if name.endswith(".py") and (base / name).is_file()]
-
-
-def _restrict_to(requested: List[Path],
-                 changed: List[Path]) -> List[Path]:
-    """Changed files that fall under one of the requested paths."""
-    resolved = [p.resolve() for p in requested]
-    kept: List[Path] = []
-    for path in changed:
-        target = path.resolve()
-        for scope in resolved:
-            if target == scope or scope in target.parents:
-                kept.append(path)
-                break
-    return kept
-
-
 def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         for code, (name, description) in sorted(RULES.items()):
@@ -255,43 +175,20 @@ def run_lint(args: argparse.Namespace) -> int:
         p.strip() for p in args.hot_path.split(",") if p.strip())
     select = _parse_codes(args.select)
 
-    # --changed-only: per-file mode narrows the *scanned* set; project
-    # mode keeps analyzing the whole tree (RA5xx/RA6xx/RA7xx are only
-    # sound over the full module graph) and narrows the *report*
-    changed_display: Optional[Set[str]] = None
-    if args.changed_only:
-        changed = changed_files(Path.cwd())
-        if changed is None:
-            print("repro lint: --changed-only: no git merge-base "
-                  "available; linting everything", file=sys.stderr)
-        else:
-            restricted = _restrict_to(paths, changed)
-            if not restricted:
-                _render(AnalysisReport(), args.format, sys.stdout)
-                return 0
-            if args.project:
-                changed_display = {
-                    display_for(p, Path.cwd()) or str(p)
-                    for p in restricted}
-            else:
-                paths = restricted
-
-    def narrow(report: AnalysisReport) -> AnalysisReport:
-        if changed_display is not None:
-            report.violations = [v for v in report.violations
-                                 if v.path in changed_display]
-            report.fixes = [f for f in report.fixes
-                            if f.display in changed_display]
-        return report
+    if select is not None and not args.project:
+        needs_project = sorted(select & PROJECT_RULES)
+        if needs_project:
+            print(f"repro lint: --select {','.join(needs_project)} needs "
+                  "--project (whole-program rules never fire in "
+                  "per-file mode)", file=sys.stderr)
+            return 2
 
     def analyze() -> AnalysisReport:
         if args.project:
-            cache_dir = None if args.no_cache else Path(args.cache_dir)
-            return narrow(analyze_project(
-                paths, hot_packages=hot, select=select,
-                root=Path.cwd(), cache_dir=cache_dir))
-        return narrow(analyze_paths(paths, hot_packages=hot,
-                                    select=select, root=Path.cwd()))
+            return analyze_project(paths, hot_packages=hot,
+                                   select=select, root=Path.cwd())
+        return analyze_paths(paths, hot_packages=hot, select=select,
+                             root=Path.cwd())
 
     report = analyze()
     if args.fix and report.fixes:

@@ -17,10 +17,10 @@ checkable:
        parallel-pipeline = ["repro.perf.parallel._aggregate_shard"]
        snapshot-restore  = ["repro.store"]
 
-2. :func:`extract_det_sites` scans each module once (cacheable, plain
-   data) for *sites* — expressions whose value or visible effect can
-   depend on iteration order, float summation order, platform dtype
-   defaults, or ambient process state;
+2. :func:`extract_det_sites` scans each module once for *sites* —
+   expressions whose value or visible effect can depend on iteration
+   order, float summation order, platform dtype defaults, or ambient
+   process state;
 
 3. :func:`check_determinism` resolves the entry points against the
    conservative call graph (``callgraph.ProjectGraph``), computes the
@@ -56,19 +56,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
+from .base import ImportMap, ModuleContext, Violation, _snippet
 from .callgraph import FunctionKey, ProjectGraph
 from .hygiene import _WALL_CLOCK
-from .layers import _fallback_read_table
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.9 CI
-    tomllib = None  # type: ignore[assignment]
 
 
 class DeterminismConfigError(ValueError):
@@ -89,8 +82,9 @@ class DeterminismConfig:
                    for prefix in self.exempt)
 
 
-def _config_from_mapping(raw: Mapping[str, object],
-                         source: str) -> DeterminismConfig:
+def determinism_from_table(raw: Mapping[str, object],
+                           source: str) -> DeterminismConfig:
+    """Validate a raw ``[tool.repro.determinism]`` table."""
     contracts: Dict[str, Tuple[str, ...]] = {}
     exempt: Tuple[str, ...] = ()
 
@@ -120,54 +114,6 @@ def _config_from_mapping(raw: Mapping[str, object],
                              source=source)
 
 
-def read_determinism_table(pyproject: Path) -> Optional[DeterminismConfig]:
-    """Load ``[tool.repro.determinism]`` from a pyproject file.
-
-    Returns None when the file has no such table; raises
-    :class:`DeterminismConfigError` when it exists but is invalid.
-    """
-    source = str(pyproject)
-    text = pyproject.read_text(encoding="utf-8")
-    raw: Optional[Mapping[str, object]]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {})
-        repro = tool.get("repro", {}) if isinstance(tool, dict) else {}
-        det = repro.get("determinism") if isinstance(repro, dict) else None
-        raw = det if isinstance(det, dict) else None
-    else:  # pragma: no cover - py<3.11 only
-        base = _fallback_read_table(text, source, "tool.repro.determinism")
-        nested = _fallback_read_table(
-            text, source, "tool.repro.determinism.contracts")
-        if base is None and nested is None:
-            raw = None
-        else:
-            merged: Dict[str, object] = dict(base or {})
-            if nested is not None:
-                merged["contracts"] = dict(nested)
-            raw = merged
-    if raw is None:
-        return None
-    return _config_from_mapping(raw, source)
-
-
-def find_determinism_config(start: Path) -> Optional[DeterminismConfig]:
-    """Walk up from ``start`` to the nearest determinism table."""
-    cursor = start.resolve()
-    if cursor.is_file():
-        cursor = cursor.parent
-    while True:
-        candidate = cursor / "pyproject.toml"
-        if candidate.is_file():
-            config = read_determinism_table(candidate)
-            if config is not None:
-                return config
-        parent = cursor.parent
-        if parent == cursor:
-            return None
-        cursor = parent
-
-
 # -- sites --------------------------------------------------------------------
 
 #: autofix recipes a site may carry (applied by ``fixer.py``)
@@ -189,8 +135,8 @@ class DetSite:
     """One potential determinism hazard inside one function.
 
     Sites are extracted per file with no knowledge of the contract
-    table, so they cache alongside :class:`ModuleFacts`; whether a site
-    is *reported* depends on reachability, decided at link time.
+    table; whether a site is *reported* depends on reachability,
+    decided at link time.
     """
 
     function: str        # qualname within the module ("f", "C.m", "<module>")
@@ -203,35 +149,6 @@ class DetSite:
     #: 0-based columns; the region the fix edits (zero-width for inserts)
     span: Optional[Tuple[int, int, int, int]] = None
     payload: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "code": self.code,
-            "lineno": self.lineno,
-            "col": self.col,
-            "detail": self.detail,
-            "fix_kind": self.fix_kind,
-            "span": None if self.span is None else list(self.span),
-            "payload": self.payload,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DetSite":
-        span = raw.get("span")
-        return cls(
-            function=str(raw["function"]),
-            code=str(raw["code"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            detail=str(raw["detail"]),
-            fix_kind=(None if raw.get("fix_kind") is None
-                      else str(raw["fix_kind"])),
-            span=(None if span is None else (
-                int(span[0]), int(span[1]),  # type: ignore[index]
-                int(span[2]), int(span[3]))),  # type: ignore[index]
-            payload=str(raw.get("payload", "")),
-        )
 
 
 # -- extraction ---------------------------------------------------------------
@@ -287,15 +204,6 @@ _AMBIENT_RANDOM: FrozenSet[str] = frozenset({
 })
 
 _COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.DictComp)
-
-
-def _snippet(node: ast.expr, limit: int = 40) -> str:
-    """Short source rendering of an expression for messages."""
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = "<expr>"
-    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _span_of(node: ast.expr) -> Optional[Tuple[int, int, int, int]]:
@@ -831,45 +739,12 @@ class _FunctionDetScanner:
                        "RNG state")
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def extract_det_sites(tree: ast.Module) -> List[DetSite]:
-    """All determinism sites in one module, grouped by function.
-
-    Mirrors the call-graph extractor's notion of a "function" (top-level
-    defs, class methods, and a ``<module>`` pseudo-function for
-    module-level statements) so sites join cleanly against
-    :class:`~repro.analysis.callgraph.FunctionFacts` keys.
-    """
-    imports = ImportMap().collect(tree)
+def extract_det_sites(context: ModuleContext) -> List[DetSite]:
+    """All determinism sites in one module, grouped by function."""
     sites: List[DetSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                _FunctionDetScanner(qualname, imports,
-                                    sites).scan(node.body)
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    _FunctionDetScanner("<module>", imports, sites).scan(module_stmts)
+    for unit in context.functions:
+        _FunctionDetScanner(unit.qualname, context.imports,
+                            sites).scan(unit.body)
     return sites
 
 

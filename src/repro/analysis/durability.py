@@ -18,9 +18,9 @@ This module makes the protocol a contract:
        manifest  = ["serve.json", "MANIFEST.json"]
        artifacts = ["*.npz", "scenario.json"]
 
-2. :func:`extract_dura_sites` scans each module once (cacheable plain
-   data) for write/rename/replace/fsync sites, tracking constant
-   string fragments through locals, f-strings, ``/`` path joins and
+2. :func:`extract_dura_sites` scans each module once for
+   write/rename/replace/fsync sites, tracking constant string
+   fragments through locals, f-strings, ``/`` path joins and
    ``.with_name``/``.with_suffix`` so ``root / (NAME + ".tmp")``
    still resolves to ``NAME``'s value;
 
@@ -44,18 +44,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from fnmatch import fnmatch
-from pathlib import Path
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
+from .base import ImportMap, ModuleContext, Violation, _snippet
 from .callgraph import FunctionKey, ProjectGraph
-from .layers import _fallback_read_table
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - exercised on py3.9 CI
-    tomllib = None  # type: ignore[assignment]
 
 
 class DurabilityConfigError(ValueError):
@@ -91,8 +84,9 @@ class DurabilityConfig:
         return self._match(fragments, self.manifest) is not None
 
 
-def _config_from_mapping(raw: Mapping[str, object],
-                         source: str) -> DurabilityConfig:
+def durability_from_table(raw: Mapping[str, object],
+                          source: str) -> DurabilityConfig:
+    """Validate a raw ``[tool.repro.durability]`` table."""
     def pattern_list(name: str, value: object) -> Tuple[str, ...]:
         if not isinstance(value, (list, tuple)) or not all(
                 isinstance(item, str) for item in value):
@@ -114,45 +108,6 @@ def _config_from_mapping(raw: Mapping[str, object],
                 f"{key!r} (expected 'manifest' or 'artifacts')")
     return DurabilityConfig(manifest=manifest, artifacts=artifacts,
                             source=source)
-
-
-def read_durability_table(pyproject: Path) -> Optional[DurabilityConfig]:
-    """Load ``[tool.repro.durability]`` from a pyproject file.
-
-    Returns None when the file has no such table; raises
-    :class:`DurabilityConfigError` when it exists but is invalid.
-    """
-    source = str(pyproject)
-    text = pyproject.read_text(encoding="utf-8")
-    raw: Optional[Mapping[str, object]]
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {})
-        repro = tool.get("repro", {}) if isinstance(tool, dict) else {}
-        dura = repro.get("durability") if isinstance(repro, dict) else None
-        raw = dura if isinstance(dura, dict) else None
-    else:  # pragma: no cover - py<3.11 only
-        raw = _fallback_read_table(text, source, "tool.repro.durability")
-    if raw is None:
-        return None
-    return _config_from_mapping(raw, source)
-
-
-def find_durability_config(start: Path) -> Optional[DurabilityConfig]:
-    """Walk up from ``start`` to the nearest durability table."""
-    cursor = start.resolve()
-    if cursor.is_file():
-        cursor = cursor.parent
-    while True:
-        candidate = cursor / "pyproject.toml"
-        if candidate.is_file():
-            config = read_durability_table(candidate)
-            if config is not None:
-                return config
-        parent = cursor.parent
-        if parent == cursor:
-            return None
-        cursor = parent
 
 
 def check_durability_config(config: DurabilityConfig) -> List[Violation]:
@@ -194,29 +149,6 @@ class DuraSite:
     is_tmp: bool = False
     detail: str = ""     # short source rendering for messages
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "op": self.op,
-            "lineno": self.lineno,
-            "col": self.col,
-            "fragments": list(self.fragments),
-            "is_tmp": self.is_tmp,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "DuraSite":
-        return cls(
-            function=str(raw["function"]),
-            op=str(raw["op"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            fragments=tuple(str(f) for f in raw.get("fragments", ())),  # type: ignore[union-attr]
-            is_tmp=bool(raw.get("is_tmp", False)),
-            detail=str(raw.get("detail", "")),
-        )
-
 
 # -- extraction ---------------------------------------------------------------
 
@@ -226,14 +158,6 @@ _WRITE_MODES = ("w", "a", "x", "+")
 _PATH_METHODS: FrozenSet[str] = frozenset({
     "with_name", "with_suffix", "joinpath",
 })
-
-
-def _snippet(node: ast.expr, limit: int = 40) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on 3.9+
-        text = "<expr>"
-    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 class _FragmentTracker:
@@ -317,11 +241,10 @@ class _DuraScanner:
     """Statement-ordered walk of one function body collecting sites."""
 
     def __init__(self, qualname: str, module_strs: Mapping[str, str],
-                 dotted_for: "_DottedResolver",
-                 sites: List[DuraSite]) -> None:
+                 imports: ImportMap, sites: List[DuraSite]) -> None:
         self.qualname = qualname
         self.tracker = _FragmentTracker(module_strs)
-        self.dotted_for = dotted_for
+        self.imports = imports
         self.sites = sites
 
     def _site(self, node: ast.AST, op: str, target: Optional[ast.expr],
@@ -339,7 +262,7 @@ class _DuraScanner:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        dotted = self.dotted_for(func)
+        dotted = self.imports.resolve_attribute(func)
         if isinstance(func, ast.Name) and func.id == "open" and node.args:
             mode = _open_mode(node)
             if any(flag in mode for flag in _WRITE_MODES):
@@ -415,7 +338,7 @@ class _DuraScanner:
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             nested = _DuraScanner(self.qualname,
                                   self.tracker.module_strs,
-                                  self.dotted_for, self.sites)
+                                  self.imports, self.sites)
             nested.scan(stmt.body)
         elif isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
@@ -423,7 +346,7 @@ class _DuraScanner:
                                      ast.AsyncFunctionDef)):
                     nested = _DuraScanner(self.qualname,
                                           self.tracker.module_strs,
-                                          self.dotted_for, self.sites)
+                                          self.imports, self.sites)
                     nested.scan(item.body)
         else:
             for child in ast.iter_child_nodes(stmt):
@@ -431,29 +354,10 @@ class _DuraScanner:
                     self._expr(child)
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-class _DottedResolver:
-    """Callable wrapper around :meth:`ImportMap.resolve_attribute`."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.imports = ImportMap().collect(tree)
-
-    def __call__(self, node: ast.expr) -> Optional[str]:
-        return self.imports.resolve_attribute(node)
-
-
-def extract_dura_sites(tree: ast.Module) -> List[DuraSite]:
+def extract_dura_sites(context: ModuleContext) -> List[DuraSite]:
     """All durability sites in one module, grouped by function."""
-    dotted_for = _DottedResolver(tree)
     module_strs: Dict[str, str] = {}
-    for node in tree.body:
+    for node in context.tree.body:
         if isinstance(node, ast.Assign) and isinstance(
                 node.value, ast.Constant) and isinstance(
                 node.value.value, str):
@@ -462,28 +366,9 @@ def extract_dura_sites(tree: ast.Module) -> List[DuraSite]:
                     module_strs[target.id] = node.value.value
 
     sites: List[DuraSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                _DuraScanner(qualname, module_strs, dotted_for,
-                             sites).scan(node.body)
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    _DuraScanner("<module>", module_strs, dotted_for,
-                 sites).scan(module_stmts)
+    for unit in context.functions:
+        _DuraScanner(unit.qualname, module_strs, context.imports,
+                     sites).scan(unit.body)
     return sites
 
 
@@ -602,6 +487,6 @@ def check_durability(
 
 __all__: Tuple[str, ...] = (
     "DurabilityConfig", "DurabilityConfigError", "DuraSite",
-    "check_durability", "check_durability_config", "extract_dura_sites",
-    "find_durability_config", "read_durability_table",
+    "check_durability", "check_durability_config",
+    "durability_from_table", "extract_dura_sites",
 )

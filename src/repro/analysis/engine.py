@@ -25,18 +25,10 @@ _SKIP_DIRS: FrozenSet[str] = frozenset({
 
 @dataclass
 class AnalysisReport:
-    """Everything one lint run produced.
-
-    ``cache_hits``/``cache_misses`` stay ``None`` for plain per-file
-    runs; project mode (``--project``) fills them from its incremental
-    per-file cache so callers can assert how much work a warm run
-    actually skipped.
-    """
+    """Everything one lint run produced."""
 
     violations: List[Violation] = field(default_factory=list)
     files_scanned: int = 0
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
     #: applicable autofixes for the reported RA7xx findings (project
     #: mode only); ``repro lint --fix`` consumes these
     fixes: List[Fix] = field(default_factory=list)
@@ -52,7 +44,7 @@ class AnalysisReport:
         return dict(sorted(counts.items()))
 
     def to_json(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "clean": self.clean,
             "files_scanned": self.files_scanned,
             "violation_count": len(self.violations),
@@ -60,10 +52,6 @@ class AnalysisReport:
             "violations": [v.to_json() for v in self.violations],
             "fixable_count": len(self.fixes),
         }
-        if self.cache_hits is not None or self.cache_misses is not None:
-            payload["cache"] = {"hits": self.cache_hits or 0,
-                                "misses": self.cache_misses or 0}
-        return payload
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -83,18 +71,31 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def analyze_parsed(source: str, path: Path, tree: ast.Module,
-                   hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
-                   display_path: Optional[str] = None) -> List[Violation]:
-    """Run every per-file checker over an already-parsed module."""
-    display = display_path if display_path is not None else str(path)
-    context = ModuleContext(path=path, source=source, tree=tree,
-                            hot_packages=hot_packages,
-                            display_path=display)
+def parse_module(source: str, path: Path, hot_packages: FrozenSet[str],
+                 display: str) -> ModuleContext:
+    """Parse one file into the context every rule consumes.
+
+    Raises :class:`SyntaxError`; :func:`parse_error` renders it as the
+    RA000 violation.
+    """
+    return ModuleContext(path=path, source=source,
+                         tree=ast.parse(source, filename=str(path)),
+                         hot_packages=hot_packages, display_path=display)
+
+
+def parse_error(exc: SyntaxError, display: str) -> Violation:
+    """RA000 for a file that does not parse."""
+    return Violation(path=display, line=exc.lineno or 1,
+                     col=(exc.offset or 0) + 1, code="RA000",
+                     message=f"syntax error: {exc.msg}")
+
+
+def analyze_module(context: ModuleContext) -> List[Violation]:
+    """Run every per-file checker over one parsed module."""
     violations: List[Violation] = []
     for checker_cls in checker_classes():
         violations.extend(checker_cls(context).run())
-    return sorted(apply_suppressions(source, violations))
+    return sorted(apply_suppressions(context.source, violations))
 
 
 def analyze_source(source: str, path: Path,
@@ -103,13 +104,10 @@ def analyze_source(source: str, path: Path,
     """Run every checker over one module's source text."""
     display = display_path if display_path is not None else str(path)
     try:
-        tree = ast.parse(source, filename=str(path))
+        context = parse_module(source, path, hot_packages, display)
     except SyntaxError as exc:
-        return [Violation(path=display, line=exc.lineno or 1,
-                          col=(exc.offset or 0) + 1, code="RA000",
-                          message=f"syntax error: {exc.msg}")]
-    return analyze_parsed(source, path, tree, hot_packages=hot_packages,
-                          display_path=display)
+        return [parse_error(exc, display)]
+    return analyze_module(context)
 
 
 def display_for(file_path: Path, root: Optional[Path]) -> Optional[str]:

@@ -4,9 +4,10 @@ RA201 — wall-clock reads inside determinism-critical packages.  Every
 hourly quantity in ``pipeline/``, ``core/`` and ``traffic/`` must be a
 pure function of ``(scenario seed, hour)``; a ``time.time()`` or
 ``datetime.now()`` on that path makes output depend on when the run
-happened, which breaks bit-identical replay and poisons benchmark
-baselines.  Timing *instrumentation* belongs in ``perf/`` and the CLI,
-which are outside the hot set.
+happened, which breaks bit-identical replay.  Timing *instrumentation*
+belongs in ``repro.obs`` spans (the clock is injected there) and
+performance numbers come from ``benchmarks/e2e``, both outside the hot
+set.
 
 RA301 — mutable default argument values.  A ``def f(x, acc=[])`` default
 is evaluated once at import and shared by every call — a classic source
@@ -19,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Tuple
 
-from .base import Checker, ImportMap, Violation
+from .base import Checker, Violation
 
 #: dotted call paths that read the wall clock
 _WALL_CLOCK: FrozenSet[str] = frozenset({
@@ -47,19 +48,19 @@ class HotPathClockChecker(Checker):
     def run(self) -> List[Violation]:
         if not self.context.is_hot_path:
             return self.violations  # rule only applies on the hot path
-        self._imports = ImportMap().collect(self.context.tree)
         return super().run()
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._imports.resolve_attribute(node.func)
+        dotted = self.context.imports.resolve_attribute(node.func)
         if dotted in _WALL_CLOCK:
             packages = ", ".join(sorted(self.context.hot_packages))
             self.report(
                 node, "RA201",
                 f"`{dotted}` reads the wall clock inside a "
                 f"determinism-critical package ({packages}); hot-path "
-                f"output must be a pure function of (seed, hour) — move "
-                f"timing instrumentation to perf/ or the CLI")
+                f"output must be a pure function of (seed, hour) — time "
+                f"it with a repro.obs span or measure it from "
+                f"benchmarks/e2e")
         self.generic_visit(node)
 
 

@@ -33,10 +33,9 @@ call graph:
   ``open``/``os.open``/``NamedTemporaryFile``/``Pipe`` result bound to
   a local that never escapes the function and is never closed.
 
-Like RA502 and the RA7xx rules, extraction is per file and JSON
-round-trippable (:class:`LifeSite`) so the project cache can persist
-it; everything cross-module happens at link time in
-:func:`check_lifecycle`, which honours ``# repro: noqa[RAxxx]``
+Like RA502 and the RA7xx rules, extraction is per file (plain
+:class:`LifeSite` records); everything cross-module happens at link
+time in :func:`check_lifecycle`, which honours ``# repro: noqa[RAxxx]``
 through :class:`~repro.analysis.callgraph.ModuleFacts`.
 """
 
@@ -47,8 +46,9 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
-from .base import ImportMap, Violation
+from .base import ImportMap, ModuleContext, Violation
 from .callgraph import FunctionKey, ModuleFacts, ProjectGraph
+from .locks import _is_lock_name
 
 #: attribute calls that block unboundedly when called with no timeout
 _BLOCKING_ATTRS: FrozenSet[str] = frozenset({
@@ -78,10 +78,6 @@ _THREADISH_FRAGMENTS: Tuple[str, ...] = ("thread", "process", "proc",
 _RESOURCE_ATTRS: FrozenSet[str] = frozenset({
     "NamedTemporaryFile", "Pipe",
 })
-
-
-def _is_lock_name(name: str) -> bool:
-    return "lock" in name.lower()
 
 
 def _lock_identity(expr: ast.expr,
@@ -136,7 +132,7 @@ def _has_timeout(node: ast.Call) -> bool:
 
 @dataclass(frozen=True)
 class LifeSite:
-    """One lifecycle fact inside one function (plain, cacheable data).
+    """One lifecycle fact inside one function.
 
     ``kind`` is one of:
 
@@ -161,29 +157,6 @@ class LifeSite:
     name: str
     held: Tuple[str, ...] = ()
     detail: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "function": self.function,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "col": self.col,
-            "name": self.name,
-            "held": list(self.held),
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, raw: Mapping[str, object]) -> "LifeSite":
-        return cls(
-            function=str(raw["function"]),
-            kind=str(raw["kind"]),
-            lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-            col=int(raw["col"]),  # type: ignore[arg-type]
-            name=str(raw["name"]),
-            held=tuple(str(h) for h in raw.get("held", ())),  # type: ignore[union-attr]
-            detail=str(raw.get("detail", "")),
-        )
 
 
 # -- extraction ---------------------------------------------------------------
@@ -463,49 +436,14 @@ class _LifeScanner:
                 lineno=lineno, col=col, name=name, detail=ctor))
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    if isinstance(test, ast.Name):
-        return test.id == "TYPE_CHECKING"
-    if isinstance(test, ast.Attribute):
-        return test.attr == "TYPE_CHECKING"
-    return False
-
-
-def extract_life_sites(tree: ast.Module) -> List[LifeSite]:
-    """All lifecycle sites in one module, grouped by function.
-
-    Mirrors the call-graph extractor's notion of a "function"
-    (top-level defs, class methods, and a ``<module>``
-    pseudo-function) so sites join cleanly against
-    :class:`~repro.analysis.callgraph.FunctionFacts` keys.
-    """
-    imports = ImportMap().collect(tree)
+def extract_life_sites(context: ModuleContext) -> List[LifeSite]:
+    """All lifecycle sites in one module, grouped by function."""
     sites: List[LifeSite] = []
-    module_stmts: List[ast.stmt] = []
-
-    def scan_body(body: Sequence[ast.stmt],
-                  owner_class: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = (node.name if owner_class is None
-                            else f"{owner_class}.{node.name}")
-                scanner = _LifeScanner(qualname, owner_class, imports,
-                                       sites)
-                scanner.scan(node.body)
-                scanner.finish()
-            elif isinstance(node, ast.ClassDef) and owner_class is None:
-                scan_body(node.body, node.name)
-            elif isinstance(node, ast.If) and owner_class is None:
-                if not _is_type_checking(node.test):
-                    scan_body(node.body, None)
-                    scan_body(node.orelse, None)
-            elif owner_class is None:
-                module_stmts.append(node)
-
-    scan_body(tree.body, None)
-    top = _LifeScanner("<module>", None, imports, sites)
-    top.scan(module_stmts)
-    top.finish()
+    for unit in context.functions:
+        scanner = _LifeScanner(unit.qualname, unit.owner_class,
+                               context.imports, sites)
+        scanner.scan(unit.body)
+        scanner.finish()
     return sites
 
 

@@ -186,12 +186,7 @@ def _collect_class(node: ast.ClassDef) -> _ClassFacts:
 
 @dataclass(frozen=True)
 class LockFinding:
-    """One off-lock access of a guarded attribute (pre-suppression).
-
-    Findings are JSON round-trippable because the project cache stores
-    them next to the module facts — a warm run renders RA502 without
-    re-parsing the file.
-    """
+    """One off-lock access of a guarded attribute (pre-suppression)."""
 
     attr: str
     lineno: int
@@ -200,21 +195,6 @@ class LockFinding:
     method: str
     class_name: str
     guard_method: str       # a method that guards the attr (for context)
-
-    def to_json(self) -> Dict[str, object]:
-        return {"attr": self.attr, "lineno": self.lineno,
-                "col": self.col, "is_write": self.is_write,
-                "method": self.method, "class_name": self.class_name,
-                "guard_method": self.guard_method}
-
-    @classmethod
-    def from_json(cls, raw: Dict[str, object]) -> "LockFinding":
-        return cls(attr=str(raw["attr"]), lineno=int(raw["lineno"]),  # type: ignore[arg-type]
-                   col=int(raw["col"]),  # type: ignore[arg-type]
-                   is_write=bool(raw["is_write"]),
-                   method=str(raw["method"]),
-                   class_name=str(raw["class_name"]),
-                   guard_method=str(raw["guard_method"]))
 
 
 def find_lock_findings(tree: ast.Module) -> List[LockFinding]:

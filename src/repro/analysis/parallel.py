@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from .base import Checker, ImportMap, Violation
+from .base import Checker, Violation
 
 #: attribute calls always treated as a pool dispatch
 _DISPATCH_ALWAYS: FrozenSet[str] = frozenset({
@@ -67,7 +67,6 @@ class PoolBoundaryChecker(Checker):
     codes: Tuple[str, ...] = ("RA101", "RA102")
 
     def run(self) -> List[Violation]:
-        self._imports = ImportMap().collect(self.context.tree)
         # names of functions defined *inside* the current function-scope
         # stack — dispatching one of these is RA102
         self._local_funcs: List[Set[str]] = []
@@ -139,9 +138,9 @@ class PoolBoundaryChecker(Checker):
                 self._check_callable_arg(
                     node.args[0], f"passed to `.{attr}(...)`")
         # ProcessPoolExecutor(initializer=...) / Pool(initializer=...)
-        dotted = self._imports.resolve_attribute(node.func)
+        dotted = self.context.imports.resolve_attribute(node.func)
         if dotted is None and isinstance(node.func, ast.Name):
-            resolved = self._imports.symbols.get(node.func.id)
+            resolved = self.context.imports.symbols.get(node.func.id)
             if resolved is not None:
                 dotted = f"{resolved[0]}.{resolved[1]}"
         if dotted in _POOL_CONSTRUCTORS:

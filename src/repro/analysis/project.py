@@ -1,204 +1,59 @@
-"""Project mode: whole-program analysis with an incremental cache.
+"""Project mode: whole-program analysis in one in-memory pass.
 
 ``repro lint --project`` upgrades the linter from per-file pattern
 checks to semantic, cross-module rules:
 
-1. every module is parsed **once** and summarised into
-   :class:`~repro.analysis.callgraph.ModuleFacts` (plus the per-file
-   rule violations and RA502 lock findings),
-2. the summaries are linked into a
+1. every module is parsed **once** into a
+   :class:`~repro.analysis.base.ModuleContext` — one AST, one import
+   map, one function enumeration — which feeds the per-file checkers,
+   the call-graph fact extractor
+   (:class:`~repro.analysis.callgraph.ModuleFacts`) and the
+   determinism / lifecycle / durability site scanners,
+2. the facts are linked into a
    :class:`~repro.analysis.callgraph.ProjectGraph`,
 3. the project rules run over the graph — RA501 (shared-state races
-   reachable from pool dispatches), RA502 (lock discipline, rendered
-   from per-class findings), RA601 (the ``[tool.repro.layers]``
-   architecture contract).
+   reachable from pool dispatches), RA502 (lock discipline), RA601
+   (the ``[tool.repro.layers]`` architecture contract), RA7xx
+   (determinism dataflow) and RA8xx (lifecycle and durability).
 
-The per-file step is cached on disk keyed by a SHA-256 of the file's
-*content* plus the analysis parameters and a cache schema version, so
-a warm run re-analyzes only files that actually changed; everything
-else is loaded as JSON facts and re-linked.  Linking and the project
-rules are cheap (no parsing), which is what makes whole-program
-analysis viable in a pre-commit hook.  Cache entries are self-contained
-and content-addressed, so the cache directory is safe to delete at any
-time and safe to share between branches.
+Nothing is cached between runs: the whole of ``src`` lints cold in
+about two seconds, a quarter of it interpreter start-up, which is less
+than an on-disk format and its invalidation rules cost to keep right.
 """
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, Violation, \
-    ruleset_fingerprint
+from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, Violation
 from .callgraph import ModuleFacts, ProjectGraph, extract_facts, \
     module_name_for
 from .dataflow import DetSite, DeterminismConfig, check_determinism, \
-    extract_det_sites, find_determinism_config
+    determinism_from_table, extract_det_sites
 from .durability import DuraSite, DurabilityConfig, check_durability, \
-    extract_dura_sites, find_durability_config
-from .engine import AnalysisReport, analyze_parsed, display_for, \
-    iter_python_files
+    durability_from_table, extract_dura_sites
+from .engine import AnalysisReport, analyze_module, display_for, \
+    iter_python_files, parse_error, parse_module
 from .fixer import fix_for_site
-from .layers import LayerConfig, check_layers, find_layer_config
+from .layers import LayerConfig, check_layers, layers_from_table
 from .lifecycle import LifeSite, check_lifecycle, extract_life_sites
-from .locks import LockFinding, find_lock_findings, \
-    violations_from_findings
+from .locks import check_locks
 from .races import check_races
-
-#: bump when the facts schema or any project rule's extraction changes;
-#: stale entries are simply misses (their keys never match again).
-#: v2: determinism sites (RA7xx) joined the per-file payload.
-#: v3: lifecycle and durability sites (RA8xx) joined the payload.
-CACHE_SCHEMA_VERSION = 3
-
-#: default cache location, relative to the current working directory
-DEFAULT_CACHE_DIR = Path(".repro-lint-cache")
+from .tables import find_table
 
 
-@dataclass
-class _FileAnalysis:
-    """Everything project mode derives from one file."""
+def _scope_warnings(files: Sequence[Tuple[Path, str]], table: str,
+                    code: str, applied: str,
+                    source: str) -> List[Violation]:
+    """RA700/RA800 when one run spans pyprojects with different tables.
 
-    facts: Optional[ModuleFacts]            # None when the parse failed
-    violations: List[Violation]             # per-file rules (post-noqa)
-    lock_findings: List[LockFinding]
-    det_sites: List[DetSite]                # raw RA7xx sites (pre-noqa)
-    life_sites: List[LifeSite]              # raw RA801/802/803/805 sites
-    dura_sites: List[DuraSite]              # raw RA804 sites
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "facts": None if self.facts is None else self.facts.to_json(),
-            # paths are display-relative and recomputed on load, so the
-            # cache stays valid when the run's cwd or root changes
-            "violations": [{"line": v.line, "col": v.col,
-                            "code": v.code, "message": v.message}
-                           for v in self.violations],
-            "lock_findings": [f.to_json() for f in self.lock_findings],
-            "det_sites": [s.to_json() for s in self.det_sites],
-            "life_sites": [s.to_json() for s in self.life_sites],
-            "dura_sites": [s.to_json() for s in self.dura_sites],
-        }
-
-    @classmethod
-    def from_json(cls, raw: Dict[str, object],
-                  display: str) -> "_FileAnalysis":
-        facts = None
-        if raw.get("facts") is not None:
-            facts = ModuleFacts.from_json(raw["facts"])  # type: ignore[arg-type]
-            facts.display_path = display
-        violations = [
-            Violation(path=display, line=int(v["line"]),
-                      col=int(v["col"]), code=str(v["code"]),
-                      message=str(v["message"]))
-            for v in raw.get("violations", ())]  # type: ignore[union-attr]
-        lock_findings = [LockFinding.from_json(f)
-                         for f in raw.get("lock_findings", ())]  # type: ignore[union-attr]
-        det_sites = [DetSite.from_json(s)
-                     for s in raw.get("det_sites", ())]  # type: ignore[union-attr]
-        life_sites = [LifeSite.from_json(s)
-                      for s in raw.get("life_sites", ())]  # type: ignore[union-attr]
-        dura_sites = [DuraSite.from_json(s)
-                      for s in raw.get("dura_sites", ())]  # type: ignore[union-attr]
-        return cls(facts=facts, violations=violations,
-                   lock_findings=lock_findings, det_sites=det_sites,
-                   life_sites=life_sites, dura_sites=dura_sites)
-
-
-class ProjectCache:
-    """Content-addressed per-file analysis cache with hit/miss counters.
-
-    ``cache_dir=None`` disables persistence but keeps the counters, so
-    callers can always read ``hits``/``misses``.
-    """
-
-    def __init__(self, cache_dir: Optional[Path],
-                 params_key: str) -> None:
-        self.cache_dir = cache_dir
-        self.params_key = params_key
-        self.hits = 0
-        self.misses = 0
-
-    def key_for(self, content: bytes, module: str) -> str:
-        digest = hashlib.sha256()
-        digest.update(
-            f"v{CACHE_SCHEMA_VERSION}\x00{self.params_key}\x00"
-            f"{module}\x00".encode("utf-8"))
-        digest.update(content)
-        return digest.hexdigest()
-
-    def _path_for(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.json"
-
-    def get(self, key: str, display: str) -> Optional[_FileAnalysis]:
-        path = self._path_for(key)
-        if path is None or not path.is_file():
-            self.misses += 1
-            return None
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            entry = _FileAnalysis.from_json(raw, display)
-        except (ValueError, KeyError, TypeError):
-            # a corrupt entry is just a miss; it will be rewritten
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry
-
-    def put(self, key: str, entry: _FileAnalysis) -> None:
-        path = self._path_for(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry.to_json(), sort_keys=True),
-                       encoding="utf-8")
-        tmp.replace(path)  # atomic: parallel lint runs never see torn JSON
-
-
-def _analyze_file(file_path: Path, source: str, display: str,
-                  hot_packages: FrozenSet[str],
-                  internal_roots: FrozenSet[str]) -> _FileAnalysis:
-    try:
-        tree = ast.parse(source, filename=str(file_path))
-    except SyntaxError as exc:
-        return _FileAnalysis(
-            facts=None,
-            violations=[Violation(
-                path=display, line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1, code="RA000",
-                message=f"syntax error: {exc.msg}")],
-            lock_findings=[], det_sites=[], life_sites=[],
-            dura_sites=[])
-    violations = analyze_parsed(source, file_path, tree,
-                                hot_packages=hot_packages,
-                                display_path=display)
-    facts = extract_facts(tree, source, file_path, display,
-                          internal_roots)
-    return _FileAnalysis(facts=facts, violations=violations,
-                         lock_findings=find_lock_findings(tree),
-                         det_sites=extract_det_sites(tree),
-                         life_sites=extract_life_sites(tree),
-                         dura_sites=extract_dura_sites(tree))
-
-
-def _determinism_scope_warnings(
-        files: Sequence[Tuple[Path, str]],
-        config: DeterminismConfig) -> List[Violation]:
-    """RA700 when one run spans pyprojects with different contract tables.
-
-    The determinism table is resolved once, from the first analyzed
-    path (mirroring the layer-config behavior).  A file that actually
-    sits under a *different* pyproject would silently inherit the wrong
-    contracts, so each distinct foreign root draws one warning naming
-    both tables instead of being checked against the wrong one in
-    silence.
+    A ``[tool.repro.<table>]`` is resolved once, from the first
+    analyzed path (mirroring the layer-config behavior).  A file that
+    actually sits under a *different* pyproject would silently inherit
+    the wrong table, so each distinct foreign root draws one warning
+    naming both tables instead of being checked against the wrong one
+    in silence.
     """
     warnings: List[Violation] = []
     source_by_dir: Dict[Path, Optional[str]] = {}
@@ -206,59 +61,22 @@ def _determinism_scope_warnings(
     for path, display in files:
         directory = path.resolve().parent
         if directory not in source_by_dir:
-            found = find_determinism_config(directory)
+            found = find_table(directory, table)
             source_by_dir[directory] = (None if found is None
                                         else found.source)
-        source = source_by_dir[directory]
-        if source == config.source:
+        governing = source_by_dir[directory]
+        if governing == source:
             continue
-        label = source or "<no determinism table>"
+        label = governing or f"<no {table} table>"
         if label in flagged:
             continue
         flagged.add(label)
         warnings.append(Violation(
-            path=display, line=1, col=1, code="RA700",
+            path=display, line=1, col=1, code=code,
             message=(f"file is governed by {label}, but this run "
-                     f"applied the contracts from {config.source} "
-                     "(resolved from the first analyzed path); lint "
-                     "each root separately or pass one explicit "
-                     "config")))
-    return warnings
-
-
-def _durability_scope_warnings(
-        files: Sequence[Tuple[Path, str]],
-        config: DurabilityConfig) -> List[Violation]:
-    """RA800 when one run spans pyprojects with different artifact tables.
-
-    Mirrors :func:`_determinism_scope_warnings`: the durability table
-    is resolved once from the first analyzed path, and each distinct
-    foreign root draws one warning rather than being silently checked
-    against the wrong artifact patterns.
-    """
-    warnings: List[Violation] = []
-    source_by_dir: Dict[Path, Optional[str]] = {}
-    flagged: Set[str] = set()
-    for path, display in files:
-        directory = path.resolve().parent
-        if directory not in source_by_dir:
-            found = find_durability_config(directory)
-            source_by_dir[directory] = (None if found is None
-                                        else found.source)
-        source = source_by_dir[directory]
-        if source == config.source:
-            continue
-        label = source or "<no durability table>"
-        if label in flagged:
-            continue
-        flagged.add(label)
-        warnings.append(Violation(
-            path=display, line=1, col=1, code="RA800",
-            message=(f"file is governed by {label}, but this run "
-                     f"applied the artifact patterns from "
-                     f"{config.source} (resolved from the first "
-                     "analyzed path); lint each root separately or "
-                     "pass one explicit config")))
+                     f"applied the {applied} from {source} (resolved "
+                     "from the first analyzed path); lint each root "
+                     "separately or pass one explicit config")))
     return warnings
 
 
@@ -266,7 +84,6 @@ def analyze_project(paths: Sequence[Path],
                     hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
                     select: Optional[FrozenSet[str]] = None,
                     root: Optional[Path] = None,
-                    cache_dir: Optional[Path] = DEFAULT_CACHE_DIR,
                     layer_config: Optional[LayerConfig] = None,
                     determinism: Optional[DeterminismConfig] = None,
                     durability: Optional[DurabilityConfig] = None
@@ -291,76 +108,60 @@ def analyze_project(paths: Sequence[Path],
                       else str(file_path)))
 
     # internal roots are derived from the analyzed set itself, so the
-    # graph needs no package configuration; they feed the cache key
-    # because facts extraction depends on them
+    # graph needs no package configuration
     module_names = {path: module_name_for(path) for path, _ in files}
     internal_roots = frozenset(name.split(".")[0]
                                for name in module_names.values())
 
-    # the rule-set fingerprint folds the linter version, the rule
-    # registry, and the analyzer's own source into the key: editing any
-    # checker invalidates every warm entry rather than serving clean
-    # verdicts computed by an older rule set
-    params_key = "|".join([
-        ",".join(sorted(hot_packages)),
-        ",".join(sorted(internal_roots)),
-        ruleset_fingerprint(),
-    ])
-    cache = ProjectCache(cache_dir, params_key)
-
-    report = AnalysisReport(cache_hits=0, cache_misses=0)
-    analyses: List[_FileAnalysis] = []
-    for file_path, display in files:
-        content = file_path.read_bytes()
-        key = cache.key_for(content, module_names[file_path])
-        entry = cache.get(key, display)
-        if entry is None:
-            entry = _analyze_file(
-                file_path, content.decode("utf-8"), display,
-                hot_packages, internal_roots)
-            cache.put(key, entry)
-        analyses.append(entry)
-        report.files_scanned += 1
-
+    report = AnalysisReport(files_scanned=len(files))
     violations: List[Violation] = []
     modules: List[ModuleFacts] = []
-    for entry in analyses:
-        violations.extend(entry.violations)
-        if entry.facts is None:
+    det_sites: Dict[str, List[DetSite]] = {}
+    life_sites: Dict[str, List[LifeSite]] = {}
+    dura_sites: Dict[str, List[DuraSite]] = {}
+    for file_path, display in files:
+        source = file_path.read_text(encoding="utf-8")
+        try:
+            context = parse_module(source, file_path, hot_packages,
+                                   display)
+        except SyntaxError as exc:
+            violations.append(parse_error(exc, display))
             continue
-        modules.append(entry.facts)
-        violations.extend(violations_from_findings(
-            entry.lock_findings, entry.facts.display_path,
-            entry.facts.suppressed))
+        violations.extend(analyze_module(context))
+        facts = extract_facts(context, module_names[file_path],
+                              internal_roots)
+        modules.append(facts)
+        violations.extend(check_locks(context.tree, display,
+                                      facts.suppressed))
+        det_sites.setdefault(facts.module, []).extend(
+            extract_det_sites(context))
+        life_sites.setdefault(facts.module, []).extend(
+            extract_life_sites(context))
+        dura_sites.setdefault(facts.module, []).extend(
+            extract_dura_sites(context))
 
     graph = ProjectGraph.link(modules)
     violations.extend(check_races(graph))
+    violations.extend(check_lifecycle(graph, life_sites))
 
-    life_by_module: Dict[str, List[LifeSite]] = {}
-    for entry in analyses:
-        if entry.facts is not None:
-            life_by_module.setdefault(
-                entry.facts.module, []).extend(entry.life_sites)
-    violations.extend(check_lifecycle(graph, life_by_module))
-
-    if layer_config is None and files:
-        layer_config = find_layer_config(files[0][0])
+    first = files[0][0] if files else None
+    if layer_config is None and first is not None:
+        found = find_table(first, "layers")
+        if found is not None:
+            layer_config = layers_from_table(*found)
     if layer_config is not None:
         violations.extend(check_layers(modules, layer_config))
 
-    if determinism is None and files:
-        determinism = find_determinism_config(files[0][0])
-        if determinism is not None:
-            violations.extend(
-                _determinism_scope_warnings(files, determinism))
+    if determinism is None and first is not None:
+        found = find_table(first, "determinism")
+        if found is not None:
+            determinism = determinism_from_table(*found)
+            violations.extend(_scope_warnings(
+                files, "determinism", "RA700", "contracts",
+                determinism.source))
     if determinism is not None:
-        sites_by_module: Dict[str, List[DetSite]] = {}
-        for entry in analyses:
-            if entry.facts is not None:
-                sites_by_module.setdefault(
-                    entry.facts.module, []).extend(entry.det_sites)
         det_violations, fixable = check_determinism(
-            graph, sites_by_module, determinism)
+            graph, det_sites, determinism)
         violations.extend(det_violations)
         path_for_display = {display: str(path)
                             for path, display in files}
@@ -374,28 +175,22 @@ def analyze_project(paths: Sequence[Path],
             if fix is not None:
                 report.fixes.append(fix)
 
-    if durability is None and files:
-        durability = find_durability_config(files[0][0])
-        if durability is not None:
-            violations.extend(
-                _durability_scope_warnings(files, durability))
+    if durability is None and first is not None:
+        found = find_table(first, "durability")
+        if found is not None:
+            durability = durability_from_table(*found)
+            violations.extend(_scope_warnings(
+                files, "durability", "RA800", "artifact patterns",
+                durability.source))
     if durability is not None:
-        dura_by_module: Dict[str, List[DuraSite]] = {}
-        for entry in analyses:
-            if entry.facts is not None:
-                dura_by_module.setdefault(
-                    entry.facts.module, []).extend(entry.dura_sites)
         violations.extend(
-            check_durability(graph, dura_by_module, durability))
+            check_durability(graph, dura_sites, durability))
 
     if select is not None:
         violations = [v for v in violations if v.code in select]
     report.violations = sorted(violations)
-    report.cache_hits = cache.hits
-    report.cache_misses = cache.misses
     return report
 
 
 #: re-exported so callers can reason about which codes need --project
-__all__ = ["CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR", "ProjectCache",
-           "analyze_project", "PROJECT_RULES"]
+__all__ = ["analyze_project", "PROJECT_RULES"]

@@ -23,9 +23,9 @@ idiom: ``np.random.default_rng(mix64(hour, seed=self.seed))`` or
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
-from .base import Checker, ImportMap, Violation
+from .base import Checker
 
 #: ``numpy.random`` attributes that construct explicit generator state
 #: (allowed — though the constructors still need a seed, see RA003)
@@ -66,14 +66,10 @@ class RngDisciplineChecker(Checker):
 
     codes: Tuple[str, ...] = ("RA001", "RA002", "RA003")
 
-    def run(self) -> List[Violation]:
-        self._imports = ImportMap().collect(self.context.tree)
-        return super().run()
-
     # -- helpers -----------------------------------------------------------
 
     def _dotted(self, node: ast.expr) -> Optional[str]:
-        return self._imports.resolve_attribute(node)
+        return self.context.imports.resolve_attribute(node)
 
     def _check_seeded(self, call: ast.Call, dotted: str) -> None:
         if dotted in _SEED_REQUIRED and not _has_explicit_seed(call):

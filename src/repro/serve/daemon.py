@@ -1,7 +1,7 @@
 """The serving daemon: sharded ingest, scatter-gather queries, lifecycle.
 
 :class:`ServeDaemon` is the long-running form of
-:class:`~repro.core.service.TipsyService` (ROADMAP item 1): an hourly
+:class:`~repro.core.service.TipsyService`: an hourly
 telemetry stream goes in, sharded by feature-key hash
 (:mod:`repro.serve.sharding`) across workers that each hold one
 hot-swappable :class:`~repro.serve.shard.HotSwapShard`; batched
@@ -21,7 +21,7 @@ single-process service fed the same stream: every model grain keys on
 service's counts for the same keys, and ``what_if`` re-runs the exact
 :func:`~repro.core.service.group_flows` /
 :func:`~repro.core.service.spill_from_groups` accumulation parent-side
-over shard-computed predictions (``tests/serve/test_equivalence.py``).
+over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
 
 **Lifecycle.**  ``checkpoint`` drains in-flight ingest, snapshots every
 shard into ``<dir>/shard-NN/`` (``docs/storage.md``), then commits a

@@ -92,17 +92,28 @@ def test_check_without_fix_is_a_usage_error(capsys):
         in capsys.readouterr().err
 
 
-def test_project_mode_fires_semantic_rules_and_reports_cache(
-        tmp_path, capsys):
+def test_project_mode_fires_semantic_rules(capsys):
     scenario = FIXTURES / "project" / "locks"
     code = lint_main([str(scenario), "--project", "--format", "json",
-                      "--cache-dir", str(tmp_path / "cache"),
                       "--select", "RA502"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts_by_code"].keys() == {"RA502"}
-    assert payload["cache"] == {"hits": 0,
-                                "misses": payload["files_scanned"]}
+    assert "cache" not in payload
+
+
+def test_selecting_project_rules_without_project_is_a_usage_error(capsys):
+    # regression: this used to print "clean" and exit 0 on a fixture
+    # with four RA804 findings, because per-file mode never runs them
+    scenario = FIXTURES / "project" / "durability"
+    assert lint_main([str(scenario), "--select", "RA804,RA301,RA501"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RA501,RA804" in captured.err and "RA301" not in captured.err
+    assert "--project" in captured.err
+    assert lint_main([str(scenario), "--select", "RA804",
+                      "--project"]) == 1
+    assert "RA804×4" in capsys.readouterr().out
 
 
 def test_sarif_output_is_valid_for_code_scanning(capsys):
@@ -118,132 +129,6 @@ def test_sarif_output_is_valid_for_code_scanning(capsys):
     location = run["results"][0]["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
     assert location["region"]["startLine"] > 0
-
-
-# -- --changed-only ----------------------------------------------------------
-
-def _git_repo(tmp_path, branch="main"):
-    def git(*args):
-        subprocess.run(["git", *args], cwd=tmp_path, check=True,
-                       capture_output=True)
-    git("init", "-q", "-b", branch)
-    git("config", "user.email", "tests@example.invalid")
-    git("config", "user.name", "tests")
-    return git
-
-
-def test_changed_only_skips_unchanged_violations(tmp_path, monkeypatch,
-                                                 capsys):
-    git = _git_repo(tmp_path)
-    src = tmp_path / "src"
-    src.mkdir()
-    legacy = src / "legacy.py"
-    legacy.write_text('"""Doc."""\nimport random\nx = random.random()\n')
-    git("add", ".")
-    git("commit", "-q", "-m", "base")
-    git("checkout", "-q", "-b", "feature")
-    (src / "new.py").write_text('"""Doc."""\n')  # untracked and clean
-    monkeypatch.chdir(tmp_path)
-    # the legacy violation predates the merge-base, so the diff is clean
-    assert lint_main(["src", "--changed-only"]) == 0
-    # ... while a full lint still sees it
-    assert lint_main(["src"]) == 1
-    capsys.readouterr()
-
-
-def test_changed_only_flags_violations_in_the_diff(tmp_path, monkeypatch,
-                                                   capsys):
-    git = _git_repo(tmp_path)
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "ok.py").write_text('"""Doc."""\n')
-    git("add", ".")
-    git("commit", "-q", "-m", "base")
-    git("checkout", "-q", "-b", "feature")
-    bad = src / "bad.py"
-    bad.write_text('"""Doc."""\nimport random\nx = random.random()\n')
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--changed-only"]) == 1
-    out = capsys.readouterr().out
-    assert "bad.py" in out and "ok.py" not in out
-
-
-def test_changed_only_with_no_changes_exits_clean(tmp_path, monkeypatch,
-                                                  capsys):
-    git = _git_repo(tmp_path)
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "ok.py").write_text('"""Doc."""\n')
-    git("add", ".")
-    git("commit", "-q", "-m", "base")
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--changed-only"]) == 0
-    assert "0 files scanned" in capsys.readouterr().out
-
-
-def test_changed_only_without_a_merge_base_lints_everything(
-        tmp_path, monkeypatch, capsys):
-    git = _git_repo(tmp_path, branch="trunk")  # no main/origin ref
-    src = tmp_path / "src"
-    src.mkdir()
-    (src / "bad.py").write_text(
-        '"""Doc."""\nimport random\nx = random.random()\n')
-    git("add", ".")
-    git("commit", "-q", "-m", "base")
-    monkeypatch.chdir(tmp_path)
-    assert lint_main(["src", "--changed-only"]) == 1
-    captured = capsys.readouterr()
-    assert "linting everything" in captured.err
-    assert "bad.py" in captured.out
-
-
-_DET_PYPROJECT = '[tool.repro.determinism]\nall = ["a", "b"]\n'
-_RA702_MODULE = '"""Doc."""\n\n\ndef f(xs):\n    return sum(set(xs))\n'
-
-
-def _project_with_one_changed_file(tmp_path):
-    """Git repo: a.py predates the merge-base, b.py is new on a branch.
-
-    Both carry the same RA702 violation; only b.py's should be
-    reported under ``--project --changed-only``.
-    """
-    git = _git_repo(tmp_path)
-    (tmp_path / "pyproject.toml").write_text(_DET_PYPROJECT)
-    (tmp_path / "a.py").write_text(_RA702_MODULE)
-    git("add", ".")
-    git("commit", "-q", "-m", "base")
-    git("checkout", "-q", "-b", "feature")
-    (tmp_path / "b.py").write_text(_RA702_MODULE)
-
-
-@pytest.mark.parametrize("flags", [
-    ["--project", "--changed-only"],
-    ["--changed-only", "--project"],  # flag order must not matter
-])
-def test_project_changed_only_restricts_the_report(flags, tmp_path,
-                                                   monkeypatch, capsys):
-    _project_with_one_changed_file(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    code = lint_main([".", *flags, "--no-cache", "--format", "json"])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    # the *analysis* still spans the whole tree (project rules are only
-    # sound over the full module graph) ...
-    assert payload["files_scanned"] == 2
-    # ... but the *report* — violations and pending fixes — covers only
-    # the changed file
-    assert [v["path"] for v in payload["violations"]] == ["b.py"]
-    assert payload["fixable_count"] == 1
-
-
-def test_project_changed_only_with_clean_diff_exits_zero(
-        tmp_path, monkeypatch, capsys):
-    _project_with_one_changed_file(tmp_path)
-    (tmp_path / "b.py").write_text('"""Doc."""\n')
-    monkeypatch.chdir(tmp_path)
-    assert lint_main([".", "--project", "--changed-only",
-                      "--no-cache"]) == 0
-    capsys.readouterr()
 
 
 # -- --fix --------------------------------------------------------------------
@@ -264,7 +149,7 @@ def test_fix_check_previews_diff_without_writing(tmp_path, monkeypatch,
     original = (tree / "mod.py").read_text()
     monkeypatch.chdir(tree)
     code = lint_main([".", "--project", "--fix", "--check",
-                      "--no-cache", "--format", "json"])
+                      "--format", "json"])
     assert code == 1  # pending fixes: the tree is not clean yet
     captured = capsys.readouterr()
     assert (tree / "mod.py").read_text() == original
@@ -278,7 +163,7 @@ def test_fix_check_previews_diff_without_writing(tmp_path, monkeypatch,
 def test_fix_applies_and_relints_clean(tmp_path, monkeypatch, capsys):
     tree = _fixable_copy(tmp_path)
     monkeypatch.chdir(tree)
-    code = lint_main([".", "--project", "--fix", "--no-cache"])
+    code = lint_main([".", "--project", "--fix"])
     captured = capsys.readouterr()
     assert "4 fix(es) applied in 1 file(s)" in captured.err
     # the post-fix re-lint sees a clean tree, so the run exits 0
@@ -303,7 +188,7 @@ def test_repro_lint_project_subcommand_end_to_end():
     exits 0 on the repo's own tree, semantic rules included."""
     result = subprocess.run(
         [sys.executable, "-m", "repro", "lint", "--project", "src",
-         "--no-cache", "--format", "json"],
+         "--format", "json"],
         cwd=REPO_ROOT, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert result.returncode == 0, result.stdout + result.stderr

@@ -1,32 +1,36 @@
-"""RA7xx determinism dataflow: config, reachability, cache fingerprint.
+"""RA7xx determinism dataflow: config, reachability, scope warnings.
 
 The marker-driven scenario test lives in ``test_project.py`` (the
 ``determinism`` fixture); this module covers the pieces markers cannot
-express — config parsing and errors, entry-point resolution, exemption
-and suppression, RA700, and the rule-set fingerprint folded into the
-incremental cache key.
+express — config parsing and errors, the shared table walk-up,
+entry-point resolution, exemption and suppression, and RA700/RA800.
 """
 
-import shutil
 from pathlib import Path
 
 import pytest
 
-import repro.analysis.base as analysis_base
 import repro.analysis.dataflow as dataflow
-from repro.analysis import PROJECT_RULES, analyze_project, ruleset_fingerprint
-from repro.analysis.dataflow import (DeterminismConfigError,
-                                     find_determinism_config,
-                                     read_determinism_table)
+import repro.analysis.tables as tables
+from repro.analysis import (PROJECT_RULES, analyze_project,
+                            determinism_from_table, find_table,
+                            read_table)
+from repro.analysis.dataflow import DeterminismConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "project"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+TABLE_NAMES = ("layers", "determinism", "durability")
+
 
 def _analyze(tree, **kwargs):
-    kwargs.setdefault("cache_dir", None)
     return analyze_project([tree], select=PROJECT_RULES, root=tree,
                            **kwargs)
+
+
+def read_determinism_table(pyproject):
+    table = read_table(pyproject, "determinism")
+    return None if table is None else determinism_from_table(*table)
 
 
 # -- configuration ------------------------------------------------------------
@@ -74,38 +78,57 @@ def test_non_string_entry_is_rejected(tmp_path):
 
 def test_missing_table_returns_none(tmp_path):
     path = _write_pyproject(tmp_path, "[tool.other]\nx = 1\n")
-    assert read_determinism_table(path) is None
+    for name in TABLE_NAMES:
+        assert read_table(path, name) is None
 
 
 def test_find_determinism_config_walks_up(tmp_path):
-    _write_pyproject(tmp_path, (
-        "[tool.repro.determinism]\n"
-        'c = ["m"]\n'))
-    nested = tmp_path / "deep" / "er"
-    nested.mkdir(parents=True)
-    config = find_determinism_config(nested)
-    assert config is not None and config.contracts == {"c": ("m",)}
+    # one walk-up serves all three tables: each is found from a nested
+    # directory, and only under its own name
+    for name in TABLE_NAMES:
+        root = tmp_path / name
+        nested = root / "deep" / "er"
+        nested.mkdir(parents=True)
+        _write_pyproject(root, f'[tool.repro.{name}]\nc = ["m"]\n')
+        table = find_table(nested, name)
+        assert table is not None
+        assert table.values == {"c": ["m"]}
+        assert table.source == str(root / "pyproject.toml")
+        for other in TABLE_NAMES:
+            if other != name:
+                found = find_table(nested, other)
+                assert found is None or found.source != table.source
+    config = determinism_from_table(
+        *find_table(tmp_path / "determinism" / "deep", "determinism"))
+    assert config.contracts == {"c": ("m",)}
 
 
 def test_empty_table_stops_the_walk_up(tmp_path):
-    # fixture trees rely on this: an empty [tool.repro.determinism]
-    # shadows any table further up instead of falling through to it
-    _write_pyproject(tmp_path, (
-        "[tool.repro.determinism]\n"
-        'c = ["m"]\n'))
+    # fixture trees rely on this: an empty [tool.repro.<name>] shadows
+    # any table further up instead of falling through to it
     nested = tmp_path / "sub"
     nested.mkdir()
-    _write_pyproject(nested, "[tool.repro.determinism]\n")
-    config = find_determinism_config(nested)
-    assert config is not None and config.contracts == {}
+    for name in TABLE_NAMES:
+        _write_pyproject(tmp_path, f'[tool.repro.{name}]\nc = ["m"]\n')
+        _write_pyproject(nested, f"[tool.repro.{name}]\n")
+        table = find_table(nested, name)
+        assert table is not None and table.values == {}
+        assert table.source == str(nested / "pyproject.toml")
+        if name == "determinism":
+            assert determinism_from_table(*table).contracts == {}
 
 
 def test_fallback_parser_matches_tomllib(monkeypatch):
     pytest.importorskip("tomllib")
-    with_tomllib = read_determinism_table(REPO_ROOT / "pyproject.toml")
-    monkeypatch.setattr(dataflow, "tomllib", None)
-    fallback = read_determinism_table(REPO_ROOT / "pyproject.toml")
-    assert fallback == with_tomllib
+    pyproject = REPO_ROOT / "pyproject.toml"
+    with_tomllib = {name: read_table(pyproject, name)
+                    for name in TABLE_NAMES}
+    assert all(table is not None for table in with_tomllib.values())
+    monkeypatch.setattr(tables, "tomllib", None)
+    for name in TABLE_NAMES:
+        assert read_table(pyproject, name) == with_tomllib[name]
+    assert read_determinism_table(pyproject) == determinism_from_table(
+        *with_tomllib["determinism"])
 
 
 # -- reachability & reporting -------------------------------------------------
@@ -215,8 +238,8 @@ def test_foreign_pyproject_root_draws_a_scope_warning(tmp_path):
             f'{contract} = ["mod.run"]\n'))
         (root / "mod.py").write_text(
             '"""Doc."""\n\n\ndef run(xs):\n    return sorted(xs)\n')
-    report = analyze_project([first, second], cache_dir=None,
-                             select=PROJECT_RULES, root=tmp_path)
+    report = analyze_project([first, second], select=PROJECT_RULES,
+                             root=tmp_path)
     warnings = [v for v in report.violations if v.code == "RA700"]
     assert len(warnings) == 1
     assert warnings[0].path.endswith("second/mod.py")
@@ -224,9 +247,22 @@ def test_foreign_pyproject_root_draws_a_scope_warning(tmp_path):
     assert str(second / "pyproject.toml") in warnings[0].message
 
     # a single-root run stays silent
-    alone = analyze_project([first], cache_dir=None,
-                            select=PROJECT_RULES, root=tmp_path)
+    alone = analyze_project([first], select=PROJECT_RULES, root=tmp_path)
     assert alone.violations == []
+
+    # the same warning, from the same code, guards the durability
+    # table: give only the first root one and the second is flagged
+    # RA800 as governed by no table at all
+    with open(first / "pyproject.toml", "a") as handle:
+        handle.write('[tool.repro.durability]\nartifacts = ["*.npz"]\n')
+    both = analyze_project([first, second], select=PROJECT_RULES,
+                           root=tmp_path)
+    assert [(v.code, v.path.endswith("second/mod.py"))
+            for v in both.violations] == [("RA700", True), ("RA800", True)]
+    ra800 = both.violations[1].message
+    assert "<no durability table>" in ra800
+    assert "artifact patterns" in ra800
+    assert str(first / "pyproject.toml") in ra800
 
 
 def test_explicit_config_overrides_the_walk_up(tmp_path):
@@ -236,47 +272,3 @@ def test_explicit_config_overrides_the_walk_up(tmp_path):
         contracts={"c": ("mod.run",)}, source="<test>")
     report = _analyze(tmp_path, determinism=config)
     assert [v.code for v in report.violations] == ["RA702"]
-
-
-# -- the cache fingerprint (regression: rule bumps must invalidate) -----------
-
-
-def _copy_scenario(tmp_path, name):
-    target = tmp_path / name
-    shutil.copytree(FIXTURES / name, target)
-    return target
-
-
-def test_fingerprint_changes_when_a_rule_is_edited(monkeypatch):
-    before = ruleset_fingerprint()
-    monkeypatch.setitem(analysis_base.RULES, "RA701",
-                        ("unordered-iteration", "reworded description"))
-    assert ruleset_fingerprint() != before
-
-
-def test_fingerprint_changes_when_lint_version_is_bumped(monkeypatch):
-    before = ruleset_fingerprint()
-    monkeypatch.setattr(analysis_base, "LINT_VERSION", "999.0.0")
-    assert ruleset_fingerprint() != before
-
-
-def test_rule_bump_invalidates_every_warm_cache_entry(tmp_path,
-                                                      monkeypatch):
-    tree = _copy_scenario(tmp_path, "determinism")
-    cache_dir = tmp_path / "cache"
-
-    cold = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    warm = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    assert warm.cache_hits == warm.files_scanned > 0
-
-    # a rule-set change (here: a version bump) must miss everywhere —
-    # a stale cache serving verdicts from an older rule set would let
-    # regressions through silently
-    monkeypatch.setattr(analysis_base, "LINT_VERSION", "999.0.0")
-    bumped = analyze_project([tree], cache_dir=cache_dir,
-                             select=PROJECT_RULES, root=tmp_path)
-    assert bumped.cache_hits == 0
-    assert bumped.cache_misses == bumped.files_scanned
-    assert bumped.violations == cold.violations

@@ -35,8 +35,7 @@ def _copy_fixable(tmp_path):
 
 
 def _analyze(tree):
-    return analyze_project([tree], cache_dir=None,
-                           select=PROJECT_RULES, root=tree)
+    return analyze_project([tree], select=PROJECT_RULES, root=tree)
 
 
 def _import_from(path, alias):

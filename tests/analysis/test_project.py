@@ -1,4 +1,4 @@
-"""Whole-program analysis: fixtures, call graph, cache, layer config.
+"""Whole-program analysis: fixtures, call graph, layer config.
 
 The fixture scenarios under ``fixtures/project/`` mirror the style of
 the per-file rule fixtures: every ``# expect: RAxxx`` marker must fire
@@ -7,23 +7,21 @@ runs them with ``select=PROJECT_RULES`` so the per-file families stay
 out of the comparison.
 """
 
-import ast
 import io
-import json
 import re
-import shutil
 import tokenize
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import PROJECT_RULES, analyze_project
+from repro.analysis import (DEFAULT_HOT_PACKAGES, PROJECT_RULES,
+                            analyze_project, find_table, read_table)
 from repro.analysis.callgraph import (ProjectGraph, extract_facts,
                                       module_name_for)
-from repro.analysis.layers import (LayerConfigError, _fallback_read_layers,
-                                   find_layer_config, read_layers_table)
-from repro.analysis.project import ProjectCache
+from repro.analysis.engine import parse_module
+from repro.analysis.layers import LayerConfigError, layers_from_table
+from repro.analysis.tables import _fallback_read_table
 
 FIXTURES = Path(__file__).parent / "fixtures" / "project"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -48,8 +46,8 @@ def expected_violations(scenario_dir):
 
 def run_scenario(name):
     scenario = FIXTURES / name
-    report = analyze_project([scenario], cache_dir=None,
-                             select=PROJECT_RULES, root=scenario)
+    report = analyze_project([scenario], select=PROJECT_RULES,
+                             root=scenario)
     return report
 
 
@@ -165,7 +163,7 @@ def test_no_orphaned_noqa_markers_in_source_tree(monkeypatch):
     # ModuleFacts.suppressed table built in callgraph.extract_facts
     monkeypatch.setattr(base_mod, "suppressed_lines", no_suppression)
     monkeypatch.setattr(callgraph, "suppressed_lines", no_suppression)
-    report = analyze_project([src], cache_dir=None, root=REPO_ROOT)
+    report = analyze_project([src], root=REPO_ROOT)
     fired = {(v.path, v.line, v.code) for v in report.violations}
     orphans = [m for m in markers if m not in fired]
     assert orphans == [], (
@@ -175,11 +173,15 @@ def test_no_orphaned_noqa_markers_in_source_tree(monkeypatch):
 
 def test_repo_source_tree_is_project_clean():
     """The acceptance gate: the repo obeys its own semantic rules."""
-    report = analyze_project([REPO_ROOT / "src"], cache_dir=None,
-                             root=REPO_ROOT)
+    report = analyze_project([REPO_ROOT / "src"], root=REPO_ROOT)
     assert report.files_scanned > 50
     assert report.violations == [], "\n".join(
         v.render() for v in report.violations)
+
+
+def read_layers_table(pyproject):
+    table = read_table(pyproject, "layers")
+    return None if table is None else layers_from_table(*table)
 
 
 def test_repo_layer_table_is_loadable_and_matches_packages():
@@ -191,131 +193,6 @@ def test_repo_layer_table_is_loadable_and_matches_packages():
     assert packages == declared, (
         "every package must be declared in [tool.repro.layers] "
         f"(missing: {packages - declared}, stale: {declared - packages})")
-
-
-# -- the incremental cache ----------------------------------------------------
-
-
-def _copy_scenario(tmp_path, name):
-    target = tmp_path / name
-    shutil.copytree(FIXTURES / name, target)
-    return target
-
-
-def test_cache_cold_then_warm_then_one_changed_file(tmp_path):
-    tree = _copy_scenario(tmp_path, "races")
-    cache_dir = tmp_path / "cache"
-
-    cold = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    assert cold.cache_hits == 0
-    assert cold.cache_misses == cold.files_scanned > 0
-
-    warm = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    assert warm.cache_misses == 0
-    assert warm.cache_hits == warm.files_scanned
-    assert warm.violations == cold.violations
-
-    changed = tree / "helpers.py"
-    changed.write_text(changed.read_text() + "\n# cache-buster\n")
-    third = analyze_project([tree], cache_dir=cache_dir,
-                            select=PROJECT_RULES, root=tmp_path)
-    assert third.cache_misses == 1, "only the edited file re-analyzes"
-    assert third.cache_hits == third.files_scanned - 1
-    assert third.violations == cold.violations
-
-
-def test_cache_results_identical_with_and_without_cache(tmp_path):
-    tree = _copy_scenario(tmp_path, "locks")
-    cache_dir = tmp_path / "cache"
-    analyze_project([tree], cache_dir=cache_dir,
-                    select=PROJECT_RULES, root=tmp_path)
-    cached = analyze_project([tree], cache_dir=cache_dir,
-                             select=PROJECT_RULES, root=tmp_path)
-    uncached = analyze_project([tree], cache_dir=None,
-                               select=PROJECT_RULES, root=tmp_path)
-    assert cached.cache_hits == cached.files_scanned
-    assert cached.violations == uncached.violations
-
-
-def test_ruleset_fingerprint_covers_the_ra8xx_rule_files(tmp_path,
-                                                         monkeypatch):
-    """Editing lifecycle.py or durability.py must change the
-    fingerprint — warm caches may never serve verdicts computed by an
-    older rule set."""
-    import repro.analysis.base as base_mod
-
-    analysis_dir = Path(base_mod.__file__).resolve().parent
-    baseline = base_mod.ruleset_fingerprint()
-    copy = tmp_path / "analysis"
-    shutil.copytree(analysis_dir, copy,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    monkeypatch.setattr(base_mod, "__file__", str(copy / "base.py"))
-    assert base_mod.ruleset_fingerprint() == baseline, \
-        "an identical copy of the rule sources hashes identically"
-    seen = {baseline}
-    for rule_file in ("lifecycle.py", "durability.py"):
-        target = copy / rule_file
-        target.write_bytes(target.read_bytes() + b"\n# edited\n")
-        fingerprint = base_mod.ruleset_fingerprint()
-        assert fingerprint not in seen, \
-            f"editing {rule_file} must change the fingerprint"
-        seen.add(fingerprint)
-
-
-def test_warm_cache_invalidates_when_ruleset_changes(tmp_path,
-                                                     monkeypatch):
-    from repro.analysis import project as project_mod
-
-    tree = _copy_scenario(tmp_path, "lifecycle")
-    cache_dir = tmp_path / "cache"
-    cold = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    warm = analyze_project([tree], cache_dir=cache_dir,
-                           select=PROJECT_RULES, root=tmp_path)
-    assert warm.cache_hits == warm.files_scanned
-
-    real = project_mod.ruleset_fingerprint
-    monkeypatch.setattr(project_mod, "ruleset_fingerprint",
-                        lambda: "rule-edit-" + real())
-    third = analyze_project([tree], cache_dir=cache_dir,
-                            select=PROJECT_RULES, root=tmp_path)
-    assert third.cache_hits == 0, \
-        "a rule-set edit must miss every warm entry"
-    assert third.cache_misses == third.files_scanned
-    assert third.violations == cold.violations
-
-
-def test_cache_key_depends_on_analysis_params(tmp_path):
-    cache = ProjectCache(tmp_path, params_key="a")
-    other = ProjectCache(tmp_path, params_key="b")
-    content = b"x = 1\n"
-    assert cache.key_for(content, "m") != other.key_for(content, "m")
-    assert cache.key_for(content, "m") != cache.key_for(content, "n")
-    assert cache.key_for(content, "m") == cache.key_for(content, "m")
-
-
-def test_corrupt_cache_entry_is_a_miss_not_a_crash(tmp_path):
-    tree = _copy_scenario(tmp_path, "locks")
-    cache_dir = tmp_path / "cache"
-    analyze_project([tree], cache_dir=cache_dir,
-                    select=PROJECT_RULES, root=tmp_path)
-    for entry in cache_dir.glob("*.json"):
-        entry.write_text("{not json")
-    report = analyze_project([tree], cache_dir=cache_dir,
-                             select=PROJECT_RULES, root=tmp_path)
-    assert report.cache_hits == 0
-    assert report.cache_misses == report.files_scanned
-
-
-def test_report_json_carries_cache_counters(tmp_path):
-    tree = _copy_scenario(tmp_path, "locks")
-    report = analyze_project([tree], cache_dir=tmp_path / "cache",
-                             select=PROJECT_RULES, root=tmp_path)
-    payload = json.loads(json.dumps(report.to_json()))
-    assert payload["cache"] == {"hits": 0,
-                               "misses": report.files_scanned}
 
 
 # -- module naming & call-graph resolution ------------------------------------
@@ -337,8 +214,8 @@ def _facts_for(tmp_path, rel, source, roots):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    return extract_facts(ast.parse(source), source, path, rel,
-                         frozenset(roots))
+    context = parse_module(source, path, DEFAULT_HOT_PACKAGES, rel)
+    return extract_facts(context, module_name_for(path), frozenset(roots))
 
 
 def test_call_graph_follows_package_reexports(tmp_path):
@@ -435,17 +312,29 @@ def test_find_layer_config_walks_up(tmp_path):
         "a = []\n"))
     nested = tmp_path / "deep" / "er"
     nested.mkdir(parents=True)
-    config = find_layer_config(nested)
-    assert config is not None and config.root == "x"
+    (nested / "mod.py").write_text("")
+    for start in (nested, nested / "mod.py"):
+        table = find_table(start, "layers")
+        assert table is not None
+        assert table.source == str(tmp_path / "pyproject.toml")
+        assert layers_from_table(*table).root == "x"
 
 
 def test_fallback_parser_matches_tomllib():
     tomllib = pytest.importorskip("tomllib")
-    for path in (REPO_ROOT / "pyproject.toml",
-                 FIXTURES / "layers" / "pyproject.toml"):
+    pyprojects = [REPO_ROOT / "pyproject.toml",
+                  *sorted(FIXTURES.glob("*/pyproject.toml"))]
+    compared = set()
+    for path in pyprojects:
         text = path.read_text()
-        expected = tomllib.loads(text)["tool"]["repro"]["layers"]
-        assert _fallback_read_layers(text, str(path)) == expected
+        tables = tomllib.loads(text).get("tool", {}).get("repro", {})
+        for name in ("layers", "determinism", "durability"):
+            fallback = _fallback_read_table(text, str(path),
+                                            f"tool.repro.{name}")
+            assert fallback == tables.get(name), (path, name)
+            if name in tables:
+                compared.add(name)
+    assert compared == {"layers", "determinism", "durability"}
 
 
 def test_wildcard_layer_may_import_anything(tmp_path):

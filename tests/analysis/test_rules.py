@@ -76,6 +76,16 @@ def test_violation_messages_name_the_remedy():
     violations = analyze_source(path.read_text(), path)
     assert violations, "expected RA003 violations"
     assert all("mix64" in v.message for v in violations)
+    # RA201 sends timing code where timing lives today: obs spans and
+    # the benchmark — not perf/, which no longer holds any
+    path = FIXTURES / "hot" / "core" / "ra201_wall_clock.py"
+    clock = [v for v in analyze_source(path.read_text(), path)
+             if v.code == "RA201"]
+    assert clock, "expected RA201 violations"
+    for violation in clock:
+        assert "repro.obs" in violation.message
+        assert "benchmarks/e2e" in violation.message
+        assert "perf/" not in violation.message
 
 
 def test_hot_path_rule_silent_outside_hot_packages(tmp_path):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Documentation checker: markdown links and fenced CLI examples.
+"""Documentation checker: markdown links, fenced CLI examples, and the
+file paths that source docstrings and comments cite.
 
 Run from the repo root (CI runs it in the ``docs`` job)::
 
@@ -19,13 +20,23 @@ Two families of checks over ``README.md`` and ``docs/*.md``:
    subcommand's parser.  The truth source is
    :func:`repro.__main__.build_parser` itself, so examples can never
    drift from the CLI silently.
+
+And one over ``src/repro/**/*.py``:
+
+3. **Cited paths.**  Every repo-relative ``tests/…``, ``docs/…``,
+   ``benchmarks/…``, ``examples/…`` or ``tools/…`` ``.py``/``.md`` path
+   named in a docstring or a comment must exist, so a renamed test or
+   doc cannot leave the code pointing at nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -38,6 +49,9 @@ _FENCE_RE = re.compile(r"^(```+|~~~+)\s*([A-Za-z0-9_-]*)\s*$")
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+_CITED_PATH_RE = re.compile(
+    r"(?<![\w/.\-])((?:tests|docs|benchmarks|examples|tools)/"
+    r"[\w./\-]*\.(?:py|md))\b")
 
 
 def doc_files() -> List[Path]:
@@ -205,6 +219,30 @@ def check_cli_blocks(path: Path, blocks: List[Tuple[str, List[str]]],
                            f"unknown flag `{flag}`")
 
 
+def docstrings_and_comments(text: str) -> Iterator[Tuple[int, str]]:
+    """(first line number, text) of each docstring and comment."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                yield node.body[0].lineno, docstring
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def check_cited_paths(path: Path) -> Iterator[str]:
+    rel = path.relative_to(REPO_ROOT)
+    for first, text in docstrings_and_comments(
+            path.read_text(encoding="utf-8")):
+        for offset, line in enumerate(text.splitlines()):
+            for match in _CITED_PATH_RE.finditer(line):
+                if not (REPO_ROOT / match.group(1)).exists():
+                    yield (f"{rel}:{first + offset}: cites "
+                           f"`{match.group(1)}`, which does not exist")
+
+
 def main() -> int:
     surface = cli_surface()
     anchor_cache: Dict[Path, Set[str]] = {}
@@ -215,13 +253,16 @@ def main() -> int:
         problems.extend(check_links(path, prose, anchor_cache))
         problems.extend(check_cli_blocks(path, blocks, surface))
         checked += 1
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        problems.extend(check_cited_paths(path))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"check_docs: {len(problems)} problem(s) in "
               f"{checked} file(s)", file=sys.stderr)
         return 1
-    print(f"check_docs: {checked} files, links and CLI examples OK")
+    print(f"check_docs: {checked} files, links and CLI examples OK; "
+          "paths cited in src/repro exist")
     return 0
 
 
