@@ -13,9 +13,10 @@ Run:  python examples/bring_your_own_trace.py
 import tempfile
 from pathlib import Path
 
-from repro.core import FEATURES_AL, FEATURES_AP, HistoricalModel, save_model
+from repro.core import FEATURES_AL, FEATURES_AP, HistoricalModel
 from repro.experiments import Scenario, ScenarioParams
 from repro.pipeline import counts_from_trace, write_trace
+from repro.store import SegmentStore
 
 
 def main() -> None:
@@ -51,11 +52,17 @@ def main() -> None:
         link = scenario.wan.link(p.link_id)
         print(f"  {link.name:<28s} p={p.score:.2f}")
 
-    artifact = workdir / "hist_ap.json"
-    save_model(hist_ap, artifact)
-    print(f"\nmodel artifact written to {artifact} "
-          f"({artifact.stat().st_size / 1e3:.0f} kB) — load it in your "
-          "serving process with repro.core.load_model")
+    # the same checksummed segment format the service snapshots into
+    store = SegmentStore(workdir / "models", create=True)
+    arrays = hist_ap.to_arrays()
+    store.write("model-AP", arrays, kind="model_grain",
+                rows=len(arrays["value"]))
+    loaded = HistoricalModel.from_arrays(store.read("model-AP"), FEATURES_AP)
+    assert loaded.predict(context, 3) == predictions
+    print(f"\nmodel segment written to {store.root} "
+          f"({store.total_bytes() / 1e3:.0f} kB) — load it in your "
+          "serving process with HistoricalModel.from_arrays, inspect it "
+          "with `repro snapshot inspect`")
 
 
 if __name__ == "__main__":

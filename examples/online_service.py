@@ -21,10 +21,10 @@ def main() -> None:
                            ServiceConfig(training_window_days=7))
 
     print("streaming 12 days of telemetry into the service ...")
-    for cols in scenario.stream(0, 12 * 24):
-        service.ingest_hour(cols.hour, scenario.agg_records_for(cols))
-        if cols.hour % 24 == 0 and service.ready:
-            day = cols.hour // 24
+    for columns in scenario.aggregated_hours(0, 12 * 24):
+        service.ingest_hour(columns.hour, columns.to_records())
+        if columns.hour % 24 == 0 and service.ready:
+            day = columns.hour // 24
             window = service.trained_days
             print(f"  day {day:>2d}: retrain #{service.retrain_count} on "
                   f"days [{min(window)}..{max(window)}]")

@@ -39,12 +39,10 @@ from .anomaly import (
     IngressAnomalyDetector,
 )
 from .service import ServiceConfig, TipsyService
-from .persistence import load_model, model_from_dict, model_to_dict, save_model
 
 __all__ = [
     "AnomalyDetectorConfig", "AnomalyVerdict", "IngressAnomalyDetector",
     "ServiceConfig", "TipsyService",
-    "load_model", "model_from_dict", "model_to_dict", "save_model",
     "ALL_FEATURE_SETS", "FEATURES_A", "FEATURES_AL", "FEATURES_AP",
     "FEATURES_APL", "FeatureSet",
     "NO_LINKS", "IngressModel", "Prediction", "TrainableModel",

@@ -10,12 +10,11 @@ model suite costs one streaming pass plus cheap in-memory fits.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, \
-    Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..pipeline.records import AggColumns, AggRecord, FlowContext
+from ..pipeline.records import AggRecord, FlowContext
 from ..store.codec import encode_keyed_table, key_column_names
 from .base import TrainableModel
 
@@ -26,17 +25,13 @@ if TYPE_CHECKING:  # avoids the pipeline <-> core import cycle at runtime
 class CountsAccumulator:
     """Finest-grain (flow context, link) -> bytes accumulator.
 
-    Implements the :class:`repro.pipeline.dataset.HourConsumer` protocol
-    so it can sit directly on the aggregated hourly stream.  Columnar
-    producers should prefer :meth:`add_columns` + :meth:`drain`: hours
-    are buffered as arrays and reduced in one vectorised group-by whose
-    per-key sums are bit-identical to the per-record walk (both
-    accumulate in input order).
+    Sits directly on the aggregated hourly stream: one
+    :meth:`consume_hour` per hour of :class:`AggRecord`, per-key sums
+    accumulated in input order.
     """
 
     def __init__(self):
         self.counts: Dict[Tuple[FlowContext, int], float] = {}
-        self._pending: List[AggColumns] = []
 
     def consume_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
         counts = self.counts
@@ -44,121 +39,11 @@ class CountsAccumulator:
             key = (record.context, record.link_id)
             counts[key] = counts.get(key, 0.0) + record.bytes
 
-    # -- columnar fast path ----------------------------------------------------
-
-    def add_columns(self, columns: AggColumns) -> None:
-        """Buffer one aggregated hour for :meth:`drain`.
-
-        Equivalent to ``consume_hour(columns.hour, columns.to_records())``
-        once drained, but defers the reduction so a whole window costs a
-        single numpy group-by instead of a dict update per record.
-        """
-        if columns.n_records:
-            self._pending.append(columns)
-
-    def drain(self) -> None:
-        """Fold every buffered hour into :attr:`counts`.
-
-        Hours are concatenated in the order they were added, so the
-        per-key byte sums match a serial record-by-record accumulation
-        bit for bit (``np.bincount`` adds weights in input order).
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        # local import: aggregation imports records, not this module
-        from ..pipeline.aggregation import _combine_group_codes
-
-        def cat(column: int) -> np.ndarray:
-            if len(pending) == 1:
-                return pending[0][column]
-            return np.concatenate([c[column] for c in pending])
-
-        # AggColumns field order: hour, link_ids, src_asns, src_prefixes,
-        # src_locs, dest_regions, dest_services, bytes
-        key_columns = tuple(cat(i) for i in range(1, 7))
-        bytes_ = cat(7)
-        combined = _combine_group_codes(key_columns)
-        _, first, inverse = np.unique(combined, return_index=True,
-                                      return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=bytes_,
-                           minlength=len(first))
-        order = np.argsort(first, kind="stable")
-        rep = first[order]  # representative rows, in first-seen key order
-        link_ids, src_asns, src_prefixes, src_locs, dest_regions, \
-            dest_services = key_columns
-        contexts = map(tuple.__new__, itertools.repeat(FlowContext), zip(
-            src_asns[rep].tolist(), src_prefixes[rep].tolist(),
-            src_locs[rep].tolist(), dest_regions[rep].tolist(),
-            dest_services[rep].tolist()))
-        counts = self.counts
-        for context, link_id, total in zip(contexts,
-                                           link_ids[rep].tolist(),
-                                           sums[order].tolist()):
-            key = (context, link_id)
-            counts[key] = counts.get(key, 0.0) + total
-
     def add(self, context: FlowContext, link_id: int, bytes_: float) -> None:
         if bytes_ <= 0.0:
             return
         key = (context, link_id)
         self.counts[key] = self.counts.get(key, 0.0) + bytes_
-
-    def merge(self, other: "CountsAccumulator") -> None:
-        other.drain()
-        self.drain()
-        for key, bytes_ in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0.0) + bytes_
-
-    def subtract(self, other: "CountsAccumulator",
-                 refold: Optional[Sequence["CountsAccumulator"]] = None,
-                 ) -> None:
-        """Remove a previously-merged accumulator's contribution.
-
-        Without ``refold`` each key is plainly decremented — exact
-        whenever byte counts are integer-valued (sums below 2**53 are
-        representable), and keys that reach exactly zero are dropped.
-        For arbitrary floats, pass ``refold``: the surviving parts, in
-        merge order.  Every key present in ``other`` is then recomputed
-        as the left-fold over the parts, which is bit-identical to
-        having merged only the survivors from scratch.
-
-        A key in ``other`` that was never merged here is a caller bug
-        and raises ``KeyError``.
-        """
-        other.drain()
-        self.drain()
-        counts = self.counts
-        if refold is None:
-            for key, bytes_ in other.counts.items():
-                value = counts[key] - bytes_
-                if value == 0.0:
-                    del counts[key]
-                else:
-                    counts[key] = value
-            return
-        for part in refold:
-            part.drain()
-        for key in other.counts:
-            if key not in counts:
-                raise KeyError(key)
-            value = 0.0
-            present = False
-            for part in refold:
-                contribution = part.counts.get(key)
-                if contribution is not None:
-                    value = value + contribution if present else contribution
-                    present = True
-            if present:
-                counts[key] = value
-            else:
-                del counts[key]
-
-    def remove(self, context: FlowContext, link_id: int) -> float:
-        """Drop one (context, link) key; returns the bytes it held."""
-        self.drain()
-        return self.counts.pop((context, link_id), 0.0)
 
     # -- columnar persistence ----------------------------------------------
 
@@ -175,7 +60,6 @@ class CountsAccumulator:
         :meth:`from_arrays` must rebuild it in the same order for a
         restored accumulator to behave bit-identically.
         """
-        self.drain()
         flat: Dict[Tuple[int, ...], float] = {
             (*context, link_id): bytes_
             for (context, link_id), bytes_ in self.counts.items()}
@@ -205,18 +89,15 @@ class CountsAccumulator:
         return acc
 
     def total_bytes(self) -> float:
-        self.drain()
         return sum(self.counts.values())
 
     def __len__(self) -> int:
-        self.drain()
         return len(self.counts)
 
     # -- consumers -------------------------------------------------------------
 
     def fit(self, models: Iterable[TrainableModel]) -> None:
         """Train models from the accumulated counts (single pass each)."""
-        self.drain()
         models = list(models)
         for (context, link_id), bytes_ in self.counts.items():
             for model in models:
@@ -235,7 +116,6 @@ class CountsAccumulator:
         delta costs one pass over the day instead of one over the
         window.
         """
-        self.drain()
         key_of = feature_set.key
         out: Dict[Tuple[object, ...], Dict[int, float]] = {}
         for (context, link_id), bytes_ in self.counts.items():
@@ -245,7 +125,6 @@ class CountsAccumulator:
 
     def actuals(self) -> Dict[FlowContext, Dict[int, float]]:
         """Reshape into the evaluation :data:`ActualsMap` layout."""
-        self.drain()
         out: Dict[FlowContext, Dict[int, float]] = {}
         for (context, link_id), bytes_ in self.counts.items():
             # (context, link) keys are unique, so a straight assignment
@@ -255,7 +134,6 @@ class CountsAccumulator:
 
     def top1_links(self) -> Dict[FlowContext, int]:
         """Each flow's byte-dominant link (partitioning key in §5.3)."""
-        self.drain()
         best: Dict[FlowContext, Tuple[float, int]] = {}
         for (context, link_id), bytes_ in self.counts.items():
             current = best.get(context)

@@ -22,9 +22,11 @@ import numpy as np
 
 from ..bgp.simulator import IngressSimulator, SimulatorParams
 from ..bgp.state import AdvertisementState
+from ..obs import runtime as obs
+from ..pipeline.aggregation import HourlyAggregator
 from ..pipeline.encoding import EncoderSet
 from ..pipeline.outages import Outage, OutageParams, schedule_outages
-from ..pipeline.records import AggRecord, FlowContext, UNKNOWN_LOCATION
+from ..pipeline.records import AggColumns, FlowContext, UNKNOWN_LOCATION
 from ..telemetry.bmp import BmpFeed
 from ..telemetry.geoip import GeoIPDatabase
 from ..telemetry.ipfix import IpfixExporter, IpfixRecord
@@ -339,6 +341,33 @@ class Scenario:
             sampled = self.exporter.sample_bytes(true_bytes, hour)
             yield HourColumns(hour, rows, links, true_bytes, sampled)
 
+    def aggregated_hours(
+        self,
+        start_hour: int,
+        end_hour: int,
+        aggregator: Optional[HourlyAggregator] = None,
+        use_sampled: bool = True,
+    ) -> Iterator[AggColumns]:
+        """The feed: stream, join and aggregate ``[start_hour, end_hour)``.
+
+        The one production route from the world to an aggregated hour
+        (paper §4.2): every service, CLI and pipeline worker consumes
+        this generator, as ``ingest_hour(c.hour, c.to_records())`` where
+        records are wanted.  ``aggregator`` lets a caller keep one
+        aggregator (its join caches, stats and strictness) across calls;
+        the default joins against the scenario's own pre-seeded encoders,
+        so feature codes match :attr:`flow_contexts`.
+        """
+        if aggregator is None:
+            aggregator = HourlyAggregator(self.metadata,
+                                          encoders=self.encoders)
+        for cols in self.stream(start_hour, end_hour):
+            arrays = self.ipfix_columns_for(cols, use_sampled=use_sampled)
+            with obs.timed("pipeline.aggregate_hour"):
+                columns = aggregator.aggregate_hour_columns(cols.hour,
+                                                            *arrays)
+            yield columns
+
     # -- record-level view (pipeline-faithful path) -----------------------------------
 
     def ipfix_records_for(self, cols: HourColumns,
@@ -405,18 +434,4 @@ class Scenario:
         return [
             (link_id, contexts[row], bytes_)
             for row, link_id, bytes_ in self._positive(cols, use_sampled)
-        ]
-
-    def agg_records_for(self, cols: HourColumns,
-                        use_sampled: bool = True) -> List[AggRecord]:
-        """One hour of columns as aggregated, feature-indexed records."""
-        contexts = self.flow_contexts
-        sums: Dict[Tuple[FlowContext, int], float] = {}
-        for row, link_id, bytes_ in self._positive(cols, use_sampled):
-            key = (contexts[row], link_id)
-            sums[key] = sums.get(key, 0.0) + bytes_
-        return [
-            AggRecord(cols.hour, link_id, ctx.src_asn, ctx.src_prefix,
-                      ctx.src_loc, ctx.dest_region, ctx.dest_service, bytes_)
-            for (ctx, link_id), bytes_ in sums.items()
         ]

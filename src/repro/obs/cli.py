@@ -58,8 +58,8 @@ def run_example_workload(seed: int, days: int) -> MetricsSnapshot:
         service = TipsyService(scenario.wan, ServiceConfig(
             training_window_days=max(1, days - 1)))
         with obs.timed("obs.ingest"):
-            for cols in scenario.stream(0, days * 24):
-                service.ingest_hour(cols.hour, scenario.agg_records_for(cols))
+            for columns in scenario.aggregated_hours(0, days * 24):
+                service.ingest_hour(columns.hour, columns.to_records())
         with obs.timed("obs.serve"):
             contexts = scenario.flow_contexts
             service.predict_batch(contexts)

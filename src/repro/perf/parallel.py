@@ -18,10 +18,10 @@ Determinism is the design anchor, not an afterthought:
   cannot depend on which worker saw a value first;
 * shards are contiguous and results are re-assembled in hour order.
 
-Consequently ``iter_hours``/``iter_hour_columns`` yield *bit-identical*
-output to the serial path (``parallel=False``) for any worker count and
-shard size, and ``collect_counts`` builds training counts that are
-bit-identical to a serial single-pass accumulation.
+Consequently ``iter_hour_columns`` yields *bit-identical* output to the
+serial path (``parallel=False``) for any worker count and shard size.
+Serial path and workers both run :meth:`Scenario.aggregated_hours`, the
+same feed the services and CLIs ingest.
 
 ``precompute_tables`` extends the same pattern to the BGP substrate:
 routing tables for a set of withdrawal scenarios are derived
@@ -39,11 +39,10 @@ from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from ..bgp.propagation import RoutingTable
-from ..core.training import CountsAccumulator
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
 from ..pipeline.aggregation import CompressionStats, HourlyAggregator
-from ..pipeline.records import AggColumns, AggRecord
+from ..pipeline.records import AggColumns
 from ..experiments.scenario import Scenario, ScenarioParams
 
 if TYPE_CHECKING:
@@ -109,18 +108,6 @@ def _worker_aggregator(scenario: Scenario, strict: bool) -> HourlyAggregator:
     return agg
 
 
-def _aggregate_span(scenario: Scenario, aggregator: HourlyAggregator,
-                    start_hour: int, end_hour: int,
-                    use_sampled: bool) -> Iterator[AggColumns]:
-    """Stream and aggregate a contiguous hour span (shared by both the
-    serial path and the worker processes — one code path, one result)."""
-    for cols in scenario.stream(start_hour, end_hour):
-        arrays = scenario.ipfix_columns_for(cols, use_sampled=use_sampled)
-        with obs.timed("pipeline.aggregate_hour"):
-            columns = aggregator.aggregate_hour_columns(cols.hour, *arrays)
-        yield columns
-
-
 def _obs_delta_start() -> Optional[MetricsSnapshot]:
     """Pre-task registry snapshot (None when instrumentation is off)."""
     if not obs.enabled():
@@ -146,8 +133,8 @@ def _aggregate_shard(
     obs_before = _obs_delta_start()
     before = (aggregator.stats.records_in, aggregator.stats.records_out,
               aggregator.stats.records_dropped)
-    out = list(_aggregate_span(scenario, aggregator, start_hour, end_hour,
-                               use_sampled))
+    out = list(scenario.aggregated_hours(start_hour, end_hour, aggregator,
+                                         use_sampled))
     delta = (aggregator.stats.records_in - before[0],
              aggregator.stats.records_out - before[1],
              aggregator.stats.records_dropped - before[2])
@@ -317,9 +304,8 @@ class ParallelPipelineRunner:
             before = (aggregator.stats.records_in,
                       aggregator.stats.records_out,
                       aggregator.stats.records_dropped)
-            for columns in _aggregate_span(scenario, aggregator, start_hour,
-                                           end_hour, self.use_sampled):
-                yield columns
+            yield from scenario.aggregated_hours(
+                start_hour, end_hour, aggregator, self.use_sampled)
             self.stats.records_in += aggregator.stats.records_in - before[0]
             self.stats.records_out += aggregator.stats.records_out - before[1]
             self.stats.records_dropped += (
@@ -342,30 +328,6 @@ class ParallelPipelineRunner:
                 obs.registry().merge(obs_delta)
             for columns in columns_list:
                 yield columns
-
-    def iter_hours(self, start_hour: int, end_hour: int,
-                   parallel: bool = True
-                   ) -> Iterator[Tuple[int, List[AggRecord]]]:
-        """Record-level view of the aggregated stream, in hour order."""
-        for columns in self.iter_hour_columns(start_hour, end_hour,
-                                              parallel=parallel):
-            yield columns.hour, columns.to_records()
-
-    # -- training counts ----------------------------------------------------
-
-    def collect_counts(self, start_hour: int, end_hour: int,
-                       parallel: bool = True) -> CountsAccumulator:
-        """Finest-grain training counts for a window, one parallel pass.
-
-        Bit-identical to serially streaming the window into a fresh
-        ``CountsAccumulator`` (same per-key addition order)."""
-        with obs.timed("pipeline.collect_counts"):
-            counts = CountsAccumulator()
-            for columns in self.iter_hour_columns(start_hour, end_hour,
-                                                  parallel=parallel):
-                counts.add_columns(columns)
-            counts.drain()
-            return counts
 
     # -- evaluation-runner windows ------------------------------------------
 

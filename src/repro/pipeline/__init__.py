@@ -21,7 +21,6 @@ from .outages import (
     last_outage_days_before,
     schedule_outages,
 )
-from .dataset import HourConsumer, LinkByteTracker, fanout
 from .traces import counts_from_trace, read_trace, write_trace
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "CompressionStats", "HourlyAggregator",
     "Outage", "OutageInference", "OutageParams",
     "first_outage_days", "last_outage_days_before", "schedule_outages",
-    "HourConsumer", "LinkByteTracker", "fanout",
 ]

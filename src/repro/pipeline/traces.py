@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
                     Optional, Union)
 
-import numpy as np
-
 from ..telemetry.ipfix import IpfixRecord
 from ..telemetry.metadata import MetadataStore
 from .aggregation import HourlyAggregator
@@ -107,21 +105,6 @@ def counts_from_trace(
             continue
         by_hour.setdefault(record.hour, []).append(record)
     for hour in sorted(by_hour):
-        records = by_hour[hour]
-        columns = aggregator.aggregate_hour_columns(
-            hour,
-            np.fromiter((r.link_id for r in records), np.int64,
-                        count=len(records)),
-            np.fromiter((r.src_prefix_id for r in records), np.int64,
-                        count=len(records)),
-            np.fromiter((r.src_asn for r in records), np.int64,
-                        count=len(records)),
-            np.fromiter((r.dest_prefix_id for r in records), np.int64,
-                        count=len(records)),
-            np.fromiter((r.bytes for r in records), np.float64,
-                        count=len(records)),
-            hours=np.fromiter((r.hour for r in records), np.int64,
-                              count=len(records)))
-        counts.add_columns(columns)
-    counts.drain()
+        counts.consume_hour(
+            hour, aggregator.aggregate_hour(hour, by_hour[hour]))
     return counts

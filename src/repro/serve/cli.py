@@ -26,13 +26,11 @@ import sys
 import time
 from pathlib import Path
 from types import FrameType
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from ..store.cli import build_scenario
 from .daemon import (MANIFEST_NAME, DaemonConfig, ServeDaemon, ShardError,
                      read_manifest)
-
-if TYPE_CHECKING:
-    from ..experiments.scenario import Scenario
 
 ACTIONS = ("run", "status")
 
@@ -81,28 +79,12 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: 0, full speed)")
 
 
-def _build_scenario(size: str, seed: int, days: int) -> "Scenario":
-    # function-scope import: the serve layer has no core/experiments
-    # dependency at module scope beyond what serving itself needs
-    from ..experiments.scenario import Scenario, ScenarioParams
-
-    if size == "medium":
-        params = ScenarioParams.medium(seed=seed)
-    else:
-        params = ScenarioParams.small(seed=seed, horizon_days=days)
-    if days > params.horizon_days:
-        raise SystemExit(
-            f"repro serve: --days {days} exceeds the {size} scenario "
-            f"horizon ({params.horizon_days} days)")
-    return Scenario(params)
-
-
-def _write_recipe(directory: Path, args: argparse.Namespace) -> None:
+def _write_recipe(directory: Path, size: str, seed: int, days: int,
+                  window: int) -> None:
     # the recipe is a tracked durable artifact ([tool.repro.durability]):
     # commit it tmp + fsync + rename so a crashed run never leaves a
     # torn scenario.json for --resume/status to choke on (RA804)
-    payload = {"size": args.size, "seed": args.seed, "days": args.days,
-               "window": args.window}
+    payload = {"size": size, "seed": seed, "days": days, "window": window}
     path = directory / RECIPE_NAME
     tmp = directory / (RECIPE_NAME + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -140,7 +122,7 @@ def _serve_run(args: argparse.Namespace) -> int:
             recipe_window = recipe.get("window", window)
             window = (recipe_window if isinstance(recipe_window, int)
                       else window)
-    scenario = _build_scenario(size, seed, days)
+    scenario = build_scenario(size, seed, days)
 
     try:
         if args.resume:
@@ -182,36 +164,36 @@ def _serve_run(args: argparse.Namespace) -> int:
     hours_done = 0
     exit_code = 0
     try:
-        for cols in scenario.stream(start_hour, end_hour):
+        for columns in scenario.aggregated_hours(start_hour, end_hour):
             if stop_requested:
                 name = signal.Signals(stop_requested[0]).name
                 print(f"serve: {name} received — draining and "
                       "checkpointing before exit")
                 break
-            daemon.ingest_hour(cols.hour, scenario.agg_records_for(cols))
+            daemon.ingest_hour(columns.hour, columns.to_records())
             hours_done += 1
-            if args.queries > 0 and cols.hour >= 24:
+            if args.queries > 0 and columns.hour >= 24:
                 # serving starts at the first day-boundary retrain; the
                 # warm-up hours before it have no trained models to ask
                 contexts = scenario.flow_contexts[:args.queries]
                 if contexts:
                     daemon.predict_batch(contexts)
-            hour_count = cols.hour + 1
+            hour_count = columns.hour + 1
             if (args.status_every > 0
                     and hour_count % args.status_every == 0):
                 print(daemon.status().format_text())
             if (checkpoint_dir is not None and args.checkpoint_every > 0
                     and hour_count % args.checkpoint_every == 0):
                 daemon.checkpoint(checkpoint_dir)
-                _write_recipe(checkpoint_dir, args)
-                print(f"serve: checkpointed hour {cols.hour} "
+                _write_recipe(checkpoint_dir, size, seed, days, window)
+                print(f"serve: checkpointed hour {columns.hour} "
                       f"-> {checkpoint_dir}")
             if args.hour_delay > 0:
                 time.sleep(args.hour_delay)
         daemon.drain()
         if checkpoint_dir is not None:
             daemon.checkpoint(checkpoint_dir)
-            _write_recipe(checkpoint_dir, args)
+            _write_recipe(checkpoint_dir, size, seed, days, window)
             print(f"serve: final checkpoint -> {checkpoint_dir}")
         print(daemon.status().format_text())
         print(f"serve: ingested {hours_done} hours, shutting down "

@@ -7,7 +7,8 @@ telemetry stream goes in, sharded by feature-key hash
 hot-swappable :class:`~repro.serve.shard.HotSwapShard`; batched
 ``predict_batch``/``what_if`` queries scatter to the owning shards and
 gather back in the caller's order.  Two worker modes share every other
-code path:
+code path, the shard server (:class:`~repro.serve.worker.ShardServer`)
+included:
 
 * ``process`` (the deployment shape) — one OS process per shard, talking
   over a pipe (:mod:`repro.serve.worker`); per-shard retrains run in
@@ -38,12 +39,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, AbstractSet, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, Iterable, List,
+                    Optional, Protocol, Sequence, Tuple, Union)
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
@@ -51,11 +51,10 @@ from ..core.service import (ServiceConfig, group_flows, spill_from_groups)
 from ..obs import runtime as obs
 from ..pipeline.records import AggRecord, FlowContext
 from ..topology.wan import CloudWAN
-from .health import DaemonStatus, ShardHealth, export_status_gauges
-from .shard import HotSwapShard
+from .health import DaemonStatus, export_status_gauges
 from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_indices,
                        split_records)
-from .worker import shard_worker_main
+from .worker import ShardServer, shard_worker_main
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -100,103 +99,38 @@ class DaemonConfig:
 # -- shard handles ------------------------------------------------------------
 
 
-class _InlineShard:
-    """A shard in this process: own ingest queue + thread, direct calls."""
+class _ShardHandle(Protocol):
+    """What the daemon needs of a shard, whichever side of a pipe it is
+    on.  ``begin`` sends one op, ``finish`` reads its ``(status,
+    result)`` reply; every ``begin`` is paired with exactly one
+    ``finish`` (:meth:`ServeDaemon._gather` is the only caller)."""
 
-    #: how long stop() waits for the ingest thread to exit before
-    #: declaring the shard stuck (class attr so tests can shrink it)
-    _STOP_JOIN_TIMEOUT = 30.0
+    shard_id: int
 
-    def __init__(self, shard_id: int, wan: CloudWAN, config: ServiceConfig,
-                 restore_dir: Optional[str] = None):
-        if restore_dir is not None:
-            self.shard = HotSwapShard.restore(restore_dir, shard_id, wan)
-        else:
-            self.shard = HotSwapShard(shard_id, wan, config)
-        self.shard_id = shard_id
-        self._queue: "queue.Queue[Optional[Tuple[int, List[AggRecord]]]]" = (
-            queue.Queue())
-        self._errors: List[str] = []
-        self._pending: Optional[Tuple[str, object]] = None
-        self._thread = threading.Thread(
-            target=self._ingest_loop, name=f"serve-inline-{shard_id}",
-            daemon=True)
-        self._thread.start()
+    def ingest(self, hour: int, records: List[AggRecord]) -> None: ...
 
-    def _ingest_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                hour, records = item
-                try:
-                    self.shard.ingest_hour(hour, records)
-                except Exception as error:
-                    self._errors.append(
-                        f"shard {self.shard_id} hour {hour}: {error!r}")
-            finally:
-                self._queue.task_done()
+    def begin(self, op: str, *payload: object) -> None: ...
 
-    def _drain(self) -> None:
-        self._queue.join()
-        if self._errors:
-            raise ShardError("; ".join(self._errors))
+    def finish(self) -> Tuple[str, object]: ...
 
-    def ingest(self, hour: int, records: List[AggRecord]) -> None:
-        self._queue.put((hour, records))
+    def stop(self, drain: bool) -> None: ...
+
+
+class _InlineShard(ShardServer):
+    """A shard served in this process: the worker's server, minus the pipe."""
+
+    _reply: Tuple[str, object] = ("error", "finish() without begin()")
 
     def begin(self, op: str, *payload: object) -> None:
-        try:
-            if op == "predict":
-                contexts, k, unavailable = payload
-                result: object = self.shard.predict_batch(
-                    contexts, k, unavailable)  # type: ignore[arg-type]
-            elif op == "wpredict":
-                contexts, k, withdrawn = payload
-                result = self.shard.withdrawal_predictions(
-                    contexts, k, withdrawn)  # type: ignore[arg-type]
-            elif op == "drain":
-                self._drain()
-                result = self.shard.last_hour
-            elif op == "status":
-                result = (self.shard.health(
-                    ingest_queue_depth=self._queue.qsize()), None)
-            elif op == "checkpoint":
-                self._drain()
-                self.shard.snapshot(str(payload[0]))
-                result = None
-            else:  # pragma: no cover - daemon only sends known ops
-                raise ShardError(f"unknown op {op!r}")
-        except ShardError:
-            raise
-        except Exception as error:
-            raise ShardError(
-                f"shard {self.shard_id} {op}: {error!r}") from error
-        self._pending = (op, result)
+        self._reply = self.handle(op, *payload)
 
-    def finish(self) -> object:
-        assert self._pending is not None, "finish() without begin()"
-        _op, result = self._pending
-        self._pending = None
-        return result
+    def finish(self) -> Tuple[str, object]:
+        return self._reply
 
     def stop(self, drain: bool) -> None:
-        if drain:
-            self._drain()
-        else:
-            while True:
-                try:
-                    self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                self._queue.task_done()
-        self._queue.put(None)
-        self._thread.join(timeout=self._STOP_JOIN_TIMEOUT)
-        if self._thread.is_alive():
-            raise ShardError(
-                f"shard {self.shard_id}: ingest thread still alive "
-                f"{self._STOP_JOIN_TIMEOUT}s after stop")
+        status, result = self.handle("stop", drain)
+        if status != "ok":
+            raise ShardError(str(result))
 
 
 class _ProcessShard:
@@ -226,8 +160,12 @@ class _ProcessShard:
         child_conn.close()
 
     def _send(self, message: Tuple[object, ...]) -> None:
-        with self._send_lock:
-            self._conn.send(message)
+        try:
+            with self._send_lock:
+                self._conn.send(message)
+        except OSError as error:
+            raise ShardError(
+                f"shard {self.shard_id} worker died: {error!r}") from error
 
     def ingest(self, hour: int, records: List[AggRecord]) -> None:
         self._send(("ingest", hour, records))
@@ -235,15 +173,12 @@ class _ProcessShard:
     def begin(self, op: str, *payload: object) -> None:
         self._send((op,) + payload)
 
-    def finish(self) -> object:
+    def finish(self) -> Tuple[str, object]:
         try:
-            status, result = self._conn.recv()
+            reply: Tuple[str, object] = self._conn.recv()
         except (EOFError, OSError) as error:
-            raise ShardError(
-                f"shard {self.shard_id} worker died: {error!r}") from error
-        if status != "ok":
-            raise ShardError(str(result))
-        return result
+            return "error", f"shard {self.shard_id} worker died: {error!r}"
+        return reply
 
     def stop(self, drain: bool) -> None:
         """Stop the worker, escalating terminate -> kill if it wedges.
@@ -259,7 +194,9 @@ class _ProcessShard:
         error: Optional[BaseException] = None
         try:
             self.begin("stop", drain)
-            self.finish()
+            status, result = self.finish()
+            if status != "ok":
+                raise ShardError(str(result))
         except BaseException as exc:
             error = exc
         self.process.join(timeout=self._STOP_JOIN_TIMEOUT)
@@ -292,7 +229,7 @@ class ServeDaemon:
     def __init__(self, wan: CloudWAN, config: Optional[DaemonConfig] = None):
         self.wan = wan
         self.config = config or DaemonConfig()
-        self._handles: List[object] = []
+        self._handles: List[_ShardHandle] = []
         # serializes scatter-gather conversations (queries, status,
         # checkpoints) across caller threads; ingest does not take it,
         # so feeding the stream never waits on a query and vice versa
@@ -320,17 +257,14 @@ class ServeDaemon:
                           for i in range(self.config.n_shards)]
             last = manifest.get("last_hour")
             self._last_hour = last if isinstance(last, int) else None
-        obs_enabled = obs.enabled()
-        for shard_id in range(self.config.n_shards):
+        for shard_id, shard_dir in enumerate(shard_dirs):
             if self.config.workers == "process":
-                handle: object = _ProcessShard(
-                    shard_id, self.wan, self.config.service,
-                    restore_dir=shard_dirs[shard_id],
-                    obs_enabled=obs_enabled)
+                handle: _ShardHandle = _ProcessShard(
+                    shard_id, self.wan, self.config.service, shard_dir,
+                    obs_enabled=obs.enabled())
             else:
                 handle = _InlineShard(
-                    shard_id, self.wan, self.config.service,
-                    restore_dir=shard_dirs[shard_id])
+                    shard_id, self.wan, self.config.service, shard_dir)
             self._handles.append(handle)
         self._started = True
         return self
@@ -367,7 +301,7 @@ class ServeDaemon:
         with self._query_lock:
             for handle in self._handles:
                 try:
-                    handle.stop(drain)  # type: ignore[attr-defined]
+                    handle.stop(drain)
                 except ShardError as error:
                     failures.append(str(error))
         if failures:
@@ -386,7 +320,7 @@ class ServeDaemon:
         self._check_serving()
         shards = split_records(records, self.config.n_shards)
         for handle, shard_records in zip(self._handles, shards):
-            handle.ingest(hour, shard_records)  # type: ignore[attr-defined]
+            handle.ingest(hour, shard_records)
         self._last_hour = hour
         if obs.enabled():
             obs.count("serve.ingest.hours")
@@ -396,7 +330,7 @@ class ServeDaemon:
         """Block until every queued hour is applied on every shard."""
         self._check_serving()
         with self._query_lock:
-            self._scatter_all("drain")
+            self._gather("drain")
 
     @property
     def last_hour(self) -> Optional[int]:
@@ -415,21 +349,9 @@ class ServeDaemon:
         :meth:`TipsyService.predict_batch` on the same trained stream.
         """
         self._check_serving()
-        prior = frozenset(unavailable)
-        indices = split_indices(contexts, self.config.n_shards)
-        out: List[Optional[List[Prediction]]] = [None] * len(contexts)
-        with obs.timed("serve.predict_batch"), self._query_lock:
-            busy = [(shard_id, shard_positions)
-                    for shard_id, shard_positions in enumerate(indices)
-                    if shard_positions]
-            for shard_id, shard_positions in busy:
-                self._handles[shard_id].begin(  # type: ignore[attr-defined]
-                    "predict",
-                    [contexts[i] for i in shard_positions], k, prior)
-            for shard_id, shard_positions in busy:
-                answers = self._handles[shard_id].finish()  # type: ignore[attr-defined]
-                for position, answer in zip(shard_positions, answers):  # type: ignore[call-overload]
-                    out[position] = answer
+        with obs.timed("serve.predict_batch"):
+            out = self._by_owner("predict", contexts, k,
+                                 frozenset(unavailable))
         if obs.enabled():
             obs.count("serve.predict.batches")
             obs.count("serve.predict.flows", float(len(contexts)))
@@ -462,23 +384,8 @@ class ServeDaemon:
                 lambda context: grain.key(context), flows)
             if not group_contexts:
                 return {}
-            prior = frozenset(withdrawn)
-            indices = split_indices(group_contexts, self.config.n_shards)
-            answers: List[Optional[Tuple[Prediction, ...]]] = (
-                [None] * len(group_contexts))
-            with self._query_lock:
-                busy = [(shard_id, shard_positions)
-                        for shard_id, shard_positions in enumerate(indices)
-                        if shard_positions]
-                for shard_id, shard_positions in busy:
-                    self._handles[shard_id].begin(  # type: ignore[attr-defined]
-                        "wpredict",
-                        [group_contexts[i] for i in shard_positions],
-                        k, prior)
-                for shard_id, shard_positions in busy:
-                    got = self._handles[shard_id].finish()  # type: ignore[attr-defined]
-                    for position, answer in zip(shard_positions, got):  # type: ignore[call-overload]
-                        answers[position] = answer
+            answers = self._by_owner("wpredict", group_contexts, k,
+                                     frozenset(withdrawn))
             groups = [(answer if answer is not None else (), bytes_)
                       for answer, bytes_ in zip(answers, group_bytes)]
             spill = spill_from_groups(groups)
@@ -492,16 +399,14 @@ class ServeDaemon:
     def status(self) -> DaemonStatus:
         """Gather per-shard health, merge worker metrics, export gauges."""
         self._check_serving()
-        healths: List[ShardHealth] = []
         with self._query_lock:
-            replies = self._scatter_all("status")
-        for reply in replies:
-            health, delta = reply  # type: ignore[misc]
-            healths.append(health)
+            replies = self._gather("status")
+        for _health, delta in replies:
             if delta is not None and obs.enabled():
                 obs.registry().merge(delta)
         status = DaemonStatus.from_shards(
-            tuple(healths), workers=self.config.workers)
+            tuple(health for health, _delta in replies),
+            workers=self.config.workers)
         export_status_gauges(status)
         return status
 
@@ -523,14 +428,10 @@ class ServeDaemon:
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         with obs.timed("serve.checkpoint"), self._query_lock:
-            self._scatter_all("drain")
-            busy = [(shard_id, str(root / f"shard-{shard_id:02d}"))
-                    for shard_id in range(self.config.n_shards)]
-            for shard_id, shard_dir in busy:
-                self._handles[shard_id].begin(  # type: ignore[attr-defined]
-                    "checkpoint", shard_dir)
-            for shard_id, _shard_dir in busy:
-                self._handles[shard_id].finish()  # type: ignore[attr-defined]
+            self._gather("drain")
+            self._gather("checkpoint", (
+                (shard_id, (str(root / f"shard-{shard_id:02d}"),))
+                for shard_id in range(self.config.n_shards)))
             manifest_path = write_manifest(
                 root, n_shards=self.config.n_shards,
                 service=self.config.service, last_hour=self._last_hour)
@@ -546,15 +447,56 @@ class ServeDaemon:
         if self._stopped:
             raise RuntimeError("daemon already shut down")
 
-    def _scatter_all(self, op: str, *payload: object) -> List[object]:
-        """Send one op to every shard, gather replies in shard order.
+    def _gather(self, op: str, requests: Optional[
+            Iterable[Tuple[int, Tuple[object, ...]]]] = None) -> List[Any]:
+        """The one scatter/gather: send ``op`` to the addressed shards
+        (every shard, no payload, by default), read every reply, and
+        only then raise the first failure.
 
-        Caller must hold ``_query_lock``.
+        Caller must hold ``_query_lock``.  Every shard whose request was
+        sent has its reply read before this returns or raises, whatever
+        any shard answered — an unread reply would be taken for the next
+        conversation's answer.  ``requests`` is consumed lazily, so a
+        shard works on its slice while the next one's is being built.
         """
-        for handle in self._handles:
-            handle.begin(op, *payload)  # type: ignore[attr-defined]
-        return [handle.finish()  # type: ignore[attr-defined]
-                for handle in self._handles]
+        if requests is None:
+            requests = ((i, ()) for i in range(self.config.n_shards))
+        failures: List[str] = []
+        sent: List[_ShardHandle] = []
+        for shard_id, payload in requests:
+            handle = self._handles[shard_id]
+            try:
+                handle.begin(op, *payload)
+            except ShardError as error:
+                failures.append(str(error))
+            else:
+                sent.append(handle)
+        results: List[Any] = []
+        for handle in sent:
+            status, result = handle.finish()
+            if status != "ok":
+                failures.append(str(result))
+            results.append(result)
+        if failures:
+            raise ShardError(failures[0])
+        return results
+
+    def _by_owner(self, op: str, contexts: Sequence[FlowContext],
+                  k: Optional[int], prior: AbstractSet[int]) -> List[Any]:
+        """Per-context answers to ``op``, each from its owning shard, in
+        the caller's order (``None`` where a shard returned short)."""
+        indices = split_indices(contexts, self.config.n_shards)
+        busy = [(shard_id, positions)
+                for shard_id, positions in enumerate(indices) if positions]
+        with self._query_lock:
+            replies = self._gather(op, (
+                (shard_id, ([contexts[i] for i in positions], k, prior))
+                for shard_id, positions in busy))
+        out: List[Any] = [None] * len(contexts)
+        for (_shard_id, positions), answers in zip(busy, replies):
+            for position, answer in zip(positions, answers):
+                out[position] = answer
+        return out
 
 
 # -- checkpoint manifest ------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Shard worker process: ingest thread + query loop over a pipe.
+"""The shard server: ingest thread + op dispatch, and its pipe loop.
 
-Each worker owns one :class:`~repro.serve.shard.HotSwapShard` and talks
-to the daemon parent over a duplex :mod:`multiprocessing` connection.
-The message protocol is small tuples, first element the op:
+:class:`ShardServer` owns one :class:`~repro.serve.shard.HotSwapShard`
+and is the only implementation of a shard both worker modes have: a
+worker process (:func:`shard_worker_main`) feeds it from a duplex
+:mod:`multiprocessing` connection, the daemon's inline handle calls it
+directly.  The message protocol is small tuples, first element the op:
 
 ========== ============================== ==============================
 op         payload                        reply
@@ -23,10 +25,12 @@ against the shard's offline replica, so the loop keeps answering
 the never-block-on-retrain guarantee (the shard's double buffer is the
 state-level half).
 
-Errors inside an op come back as ``("error", message)`` and raise
-:class:`~repro.serve.daemon.ShardError` in the parent; an ingest-thread
-error is deferred to the next ``drain``/``stop`` reply (ingest itself
-has no reply to carry it).
+Errors inside an op come back as ``("error", message)`` — in both
+modes, so both fail at the same point — and raise
+:class:`~repro.serve.daemon.ShardError` in the daemon once every reply
+of the conversation is read; an ingest-thread error is deferred to the
+next ``drain``/``checkpoint``/``stop`` reply (ingest itself has no
+reply to carry it).
 
 Observability: when the parent runs instrumented, each worker enables a
 fresh registry (a forked child inherits the parent's copy-on-write and
@@ -39,12 +43,13 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import (TYPE_CHECKING, AbstractSet, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.service import ServiceConfig
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
-from ..pipeline.records import AggRecord
+from ..pipeline.records import AggRecord, FlowContext
 from ..topology.wan import CloudWAN
 from .shard import HotSwapShard
 
@@ -52,16 +57,113 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 
-def _obs_delta(previous: Optional[MetricsSnapshot]
-               ) -> Tuple[Optional[MetricsSnapshot],
-                          Optional[MetricsSnapshot]]:
-    """(delta since ``previous``, new cumulative snapshot)."""
-    if not obs.enabled():
-        return None, previous
-    current = obs.snapshot()
-    if previous is None:
-        return current, current
-    return current.diff(previous), current
+class ShardServer:
+    """One shard's state and everything that serves it: the ingest
+    queue and thread, the deferred ingest errors, and the op table above.
+
+    ``ship_metrics`` is set where the server has an obs registry of its
+    own (a worker process) whose deltas ride back on ``status`` replies.
+    """
+
+    #: how long ``stop`` waits for the ingest thread before reporting the
+    #: shard stuck (class attr so tests can shrink it)
+    _STOP_JOIN_TIMEOUT = 30.0
+
+    def __init__(self, shard_id: int, wan: CloudWAN, config: ServiceConfig,
+                 restore_dir: Optional[str] = None,
+                 ship_metrics: bool = False):
+        if restore_dir is not None:
+            self.shard = HotSwapShard.restore(restore_dir, shard_id, wan)
+        else:
+            self.shard = HotSwapShard(shard_id, wan, config)
+        self.shard_id = shard_id
+        self._ship_metrics = ship_metrics
+        self._last_shipped = MetricsSnapshot({}, {}, {})
+        self._queue: "queue.Queue[Optional[Tuple[int, List[AggRecord]]]]" = (
+            queue.Queue())
+        self._errors: List[str] = []
+        self._thread = threading.Thread(
+            target=self._ingest_loop, name=f"serve-ingest-{shard_id}",
+            daemon=True)
+        self._thread.start()
+
+    def _ingest_loop(self) -> None:
+        while True:
+            item = self._queue.get()
+            try:
+                if item is None:
+                    return
+                hour, records = item
+                try:
+                    self.shard.ingest_hour(hour, records)
+                except Exception as error:  # surfaced at the next drain
+                    self._errors.append(
+                        f"shard {self.shard_id} hour {hour}: {error!r}")
+            finally:
+                self._queue.task_done()
+
+    def ingest(self, hour: int, records: List[AggRecord]) -> None:
+        """Enqueue one hour; fire-and-forget, errors wait for a drain."""
+        self._queue.put((hour, records))
+
+    def handle(self, op: str, *payload: object) -> Tuple[str, object]:
+        """Run one op; ``("ok", result)`` or ``("error", message)``."""
+        try:
+            return "ok", getattr(self, "_op_" + op)(*payload)
+        except Exception as error:
+            return "error", f"shard {self.shard_id} {op}: {error!r}"
+
+    def _drain(self) -> None:
+        self._queue.join()
+        if self._errors:
+            raise RuntimeError("; ".join(self._errors))
+
+    def _op_predict(self, contexts: Sequence[FlowContext], k: Optional[int],
+                    unavailable: AbstractSet[int]) -> object:
+        return self.shard.predict_batch(contexts, k, unavailable)
+
+    def _op_wpredict(self, contexts: Sequence[FlowContext], k: Optional[int],
+                     withdrawn: AbstractSet[int]) -> object:
+        return self.shard.withdrawal_predictions(contexts, k, withdrawn)
+
+    def _op_drain(self) -> Optional[int]:
+        self._drain()
+        return self.shard.last_hour
+
+    def _op_status(self) -> object:
+        delta = None
+        if self._ship_metrics and obs.enabled():
+            current = obs.snapshot()
+            delta = current.diff(self._last_shipped)
+            self._last_shipped = current
+        return self.shard.health(
+            ingest_queue_depth=self._queue.qsize()), delta
+
+    def _op_checkpoint(self, directory: str) -> None:
+        self._drain()
+        self.shard.snapshot(directory)
+
+    def _op_stop(self, drain: bool) -> Optional[int]:
+        try:
+            if drain:
+                self._drain()
+        finally:
+            # abortive stop, or a drain that failed: discard queued
+            # hours (the last checkpoint, not the queue, is the recovery
+            # source) so the sentinel preempts them
+            while True:
+                try:
+                    self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                self._queue.task_done()
+            self._queue.put(None)
+            self._thread.join(timeout=self._STOP_JOIN_TIMEOUT)
+        if self._thread.is_alive():
+            raise RuntimeError(
+                f"ingest thread still alive {self._STOP_JOIN_TIMEOUT}s "
+                "after stop")
+        return self.shard.last_hour
 
 
 def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,
@@ -71,100 +173,17 @@ def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,
     """Run one shard worker until a ``stop`` message arrives."""
     if obs_enabled:
         obs.enable(fresh=True)
-    if restore_dir is not None:
-        shard = HotSwapShard.restore(restore_dir, shard_id, wan)
-    else:
-        shard = HotSwapShard(shard_id, wan, config)
-
-    ingest_queue: "queue.Queue[Optional[Tuple[int, List[AggRecord]]]]" = (
-        queue.Queue())
-    ingest_errors: List[str] = []
-
-    def ingest_loop() -> None:
-        while True:
-            item = ingest_queue.get()
-            try:
-                if item is None:
-                    return
-                hour, records = item
-                try:
-                    shard.ingest_hour(hour, records)
-                except Exception as error:  # surfaced at the next drain
-                    ingest_errors.append(
-                        f"shard {shard_id} hour {hour}: {error!r}")
-            finally:
-                ingest_queue.task_done()
-
-    ingest_thread = threading.Thread(
-        target=ingest_loop, name=f"serve-ingest-{shard_id}", daemon=True)
-    ingest_thread.start()
-    last_shipped: Optional[MetricsSnapshot] = None
-
-    def drain() -> Optional[str]:
-        ingest_queue.join()
-        if ingest_errors:
-            return "; ".join(ingest_errors)
-        return None
-
+    server = ShardServer(shard_id, wan, config, restore_dir,
+                         ship_metrics=obs_enabled)
     try:
         while True:
-            message = conn.recv()
-            op = message[0]
+            op, *payload = conn.recv()
             if op == "ingest":
-                ingest_queue.put((message[1], message[2]))
+                server.ingest(*payload)
                 continue
-            try:
-                if op == "predict":
-                    contexts, k, unavailable = message[1:]
-                    conn.send(("ok", shard.predict_batch(
-                        contexts, k, unavailable)))
-                elif op == "wpredict":
-                    contexts, k, withdrawn = message[1:]
-                    conn.send(("ok", shard.withdrawal_predictions(
-                        contexts, k, withdrawn)))
-                elif op == "drain":
-                    failure = drain()
-                    if failure is not None:
-                        conn.send(("error", failure))
-                    else:
-                        conn.send(("ok", shard.last_hour))
-                elif op == "status":
-                    delta, last_shipped = _obs_delta(last_shipped)
-                    health = shard.health(
-                        ingest_queue_depth=ingest_queue.qsize())
-                    conn.send(("ok", (health, delta)))
-                elif op == "checkpoint":
-                    failure = drain()
-                    if failure is not None:
-                        conn.send(("error", failure))
-                    else:
-                        shard.snapshot(message[1])
-                        conn.send(("ok", None))
-                elif op == "stop":
-                    if message[1]:
-                        failure = drain()
-                    else:
-                        # abortive stop: discard queued hours (the last
-                        # checkpoint, not the queue, is the recovery
-                        # source) so the sentinel preempts them
-                        failure = None
-                        while True:
-                            try:
-                                ingest_queue.get_nowait()
-                            except queue.Empty:
-                                break
-                            ingest_queue.task_done()
-                    ingest_queue.put(None)
-                    ingest_thread.join()
-                    if failure is not None:
-                        conn.send(("error", failure))
-                    else:
-                        conn.send(("ok", shard.last_hour))
-                    return
-                else:
-                    conn.send(("error", f"unknown op {op!r}"))
-            except Exception as error:
-                conn.send(("error", f"shard {shard_id} {op}: {error!r}"))
+            conn.send(server.handle(op, *payload))
+            if op == "stop":
+                return
     except EOFError:
         # parent went away without a stop: exit quietly, nothing to
         # reply to (the checkpointed state on disk is the recovery path)

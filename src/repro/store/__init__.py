@@ -12,9 +12,10 @@ instead of refusing to start.
 
 This package is deliberately model-agnostic: it knows about named
 ``int64``/``float64`` columns and ragged float rows, nothing about flow
-tuples or rankings.  The model-aware encode/decode lives in
-:mod:`repro.core.persistence`, and the service-level snapshot/restore
-orchestration in :mod:`repro.core.service` — see ``docs/storage.md``
+tuples or rankings.  The model-aware encode/decode is the
+``to_arrays``/``from_arrays`` pair on those two classes, and the
+service-level snapshot/restore orchestration lives in
+:mod:`repro.core.service` — see ``docs/storage.md``
 for the file layout and the full contract.
 """
 

@@ -65,7 +65,8 @@ def add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
                              "and retrain from the day segments")
 
 
-def _build_scenario(size: str, seed: int, days: int) -> "Scenario":
+def build_scenario(size: str, seed: int, days: int) -> "Scenario":
+    """The world a recipe names (shared with ``repro serve``)."""
     # function-scope import: keeps the store layer free of core deps at
     # module scope (layer contract RA601); the CLI is glue
     from ..experiments.scenario import Scenario, ScenarioParams
@@ -74,17 +75,17 @@ def _build_scenario(size: str, seed: int, days: int) -> "Scenario":
         params = ScenarioParams.medium(seed=seed)
     else:
         params = ScenarioParams.small(seed=seed, horizon_days=days)
-    if days * 24 > params.horizon_days * 24:
+    if days > params.horizon_days:
         raise SystemExit(
-            f"repro snapshot: --days {days} exceeds the {size} scenario "
+            f"repro: --days {days} exceeds the {size} scenario "
             f"horizon ({params.horizon_days} days)")
     return Scenario(params)
 
 
 def _ingest(service: "TipsyService", scenario: "Scenario",
             days: int) -> None:
-    for cols in scenario.stream(0, days * 24):
-        service.ingest_hour(cols.hour, scenario.agg_records_for(cols))
+    for columns in scenario.aggregated_hours(0, days * 24):
+        service.ingest_hour(columns.hour, columns.to_records())
 
 
 def _recipe_from(store: SegmentStore
@@ -101,7 +102,7 @@ def _recipe_from(store: SegmentStore
 def _snapshot_save(args: argparse.Namespace) -> int:
     from ..core.service import ServiceConfig, TipsyService
 
-    scenario = _build_scenario(args.size, args.seed, args.days)
+    scenario = build_scenario(args.size, args.seed, args.days)
     config = ServiceConfig(training_window_days=args.window)
     service = TipsyService(scenario.wan, config)
     _ingest(service, scenario, args.days)
@@ -131,7 +132,7 @@ def _snapshot_load(args: argparse.Namespace) -> int:
               "(snapshots written by `repro snapshot save` record one)",
               file=sys.stderr)
         return 1
-    scenario = _build_scenario(*recipe[:3])
+    scenario = build_scenario(*recipe[:3])
     try:
         service = TipsyService.restore(
             args.dir, wan=scenario.wan,

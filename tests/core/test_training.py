@@ -33,16 +33,6 @@ class TestAccumulation:
         acc.add(ctx(1), 5, -3.0)
         assert len(acc) == 0
 
-    def test_merge(self):
-        a = CountsAccumulator()
-        b = CountsAccumulator()
-        a.add(ctx(1), 5, 10.0)
-        b.add(ctx(1), 5, 2.0)
-        b.add(ctx(2), 7, 1.0)
-        a.merge(b)
-        assert a.counts[(ctx(1), 5)] == 12.0
-        assert a.counts[(ctx(2), 7)] == 1.0
-
     def test_fit_trains_and_finalizes(self):
         acc = CountsAccumulator()
         acc.add(ctx(1), 5, 10.0)
@@ -74,132 +64,6 @@ class TestAccumulation:
         acc.add(ctx(1), 9, 10.0)
         acc.add(ctx(1), 5, 10.0)
         assert acc.top1_links()[ctx(1)] == 5
-
-
-class TestColumnarAccumulation:
-    """add_columns/drain must equal the per-record walk exactly."""
-
-    @staticmethod
-    def columns(hour, rows):
-        import numpy as np
-        from repro.pipeline import AggColumns
-
-        link, asn, prefix, loc, region, service, bytes_ = zip(*rows)
-        return AggColumns(
-            hour,
-            np.array(link, dtype=np.int64), np.array(asn, dtype=np.int64),
-            np.array(prefix, dtype=np.int64), np.array(loc, dtype=np.int64),
-            np.array(region, dtype=np.int64),
-            np.array(service, dtype=np.int64), np.array(bytes_))
-
-    def test_matches_consume_hour(self):
-        hours = {
-            0: [(5, 1, 1, 0, 0, 0, 10.0), (5, 1, 1, 0, 0, 0, 5.0),
-                (7, 1, 2, 0, 1, 0, 2.5)],
-            1: [(5, 1, 1, 0, 0, 0, 5.0), (9, 2, 3, 1, 0, 1, 1.25)],
-        }
-        columnar = CountsAccumulator()
-        reference = CountsAccumulator()
-        for hour, rows in hours.items():
-            cols = self.columns(hour, rows)
-            columnar.add_columns(cols)
-            reference.consume_hour(hour, cols.to_records())
-        columnar.drain()
-        assert columnar.counts == reference.counts
-
-    def test_consumers_auto_drain(self):
-        acc = CountsAccumulator()
-        acc.add_columns(self.columns(0, [(5, 1, 1, 0, 0, 0, 10.0)]))
-        assert len(acc) == 1          # __len__ drains
-        acc.add_columns(self.columns(1, [(5, 1, 1, 0, 0, 0, 2.0)]))
-        assert acc.total_bytes() == 12.0
-        assert acc.top1_links() == {ctx(1): 5}
-
-    def test_drain_is_idempotent_and_merges_with_add(self):
-        acc = CountsAccumulator()
-        acc.add(ctx(1), 5, 1.0)
-        acc.add_columns(self.columns(0, [(5, 1, 1, 0, 0, 0, 2.0)]))
-        acc.drain()
-        acc.drain()
-        assert acc.counts == {(ctx(1), 5): 3.0}
-
-    def test_empty_columns_ignored(self):
-        import numpy as np
-        from repro.pipeline import AggColumns
-
-        empty_i = np.empty(0, dtype=np.int64)
-        acc = CountsAccumulator()
-        acc.add_columns(AggColumns(0, empty_i, empty_i, empty_i, empty_i,
-                                   empty_i, empty_i, np.empty(0)))
-        acc.drain()
-        assert len(acc) == 0
-
-
-class TestSubtractAndRemove:
-    def test_subtract_inverts_merge_for_integer_bytes(self):
-        base = CountsAccumulator()
-        base.add(ctx(1), 5, 10.0)
-        day = CountsAccumulator()
-        day.add(ctx(1), 5, 3.0)
-        day.add(ctx(2), 7, 4.0)
-        base.merge(day)
-        base.subtract(day)
-        assert base.counts == {(ctx(1), 5): 10.0}
-
-    def test_subtract_drops_keys_reaching_zero(self):
-        base = CountsAccumulator()
-        day = CountsAccumulator()
-        day.add(ctx(1), 5, 2.0)
-        base.merge(day)
-        base.subtract(day)
-        assert len(base) == 0
-
-    def test_subtract_unknown_key_raises(self):
-        import pytest
-
-        base = CountsAccumulator()
-        base.add(ctx(1), 5, 1.0)
-        other = CountsAccumulator()
-        other.add(ctx(9), 5, 1.0)
-        with pytest.raises(KeyError):
-            base.subtract(other)
-
-    def test_subtract_with_refold_is_bit_identical(self):
-        """Refolding survivors matches merging them from scratch."""
-        days = []
-        for day_index in range(4):
-            day = CountsAccumulator()
-            # non-integral bytes: plain -= would round differently
-            day.add(ctx(1), 5, 0.1 + day_index * 1.7)
-            day.add(ctx(2), 7, 0.3 / (day_index + 1))
-            days.append(day)
-        window = CountsAccumulator()
-        for day in days:
-            window.merge(day)
-        window.subtract(days[0], refold=days[1:])
-        expected = CountsAccumulator()
-        for day in days[1:]:
-            expected.merge(day)
-        assert window.counts == expected.counts
-
-    def test_subtract_with_refold_drops_vanished_keys(self):
-        only_day0 = CountsAccumulator()
-        only_day0.add(ctx(3), 9, 2.5)
-        day1 = CountsAccumulator()
-        day1.add(ctx(1), 5, 1.0)
-        window = CountsAccumulator()
-        window.merge(only_day0)
-        window.merge(day1)
-        window.subtract(only_day0, refold=[day1])
-        assert window.counts == {(ctx(1), 5): 1.0}
-
-    def test_remove_pops_one_key(self):
-        acc = CountsAccumulator()
-        acc.add(ctx(1), 5, 10.0)
-        acc.add(ctx(1), 7, 2.0)
-        assert acc.remove(ctx(1), 5) == 10.0
-        assert acc.remove(ctx(1), 5) == 0.0   # already gone
-        assert acc.counts == {(ctx(1), 7): 2.0}
 
 
 class TestProjection:

@@ -96,7 +96,7 @@ class TestRecordViews:
     def test_agg_records_merge_contexts(self, small_scenario):
         sc = small_scenario
         cols = next(iter(sc.stream(0, 1)))
-        aggs = sc.agg_records_for(cols)
+        aggs = next(iter(sc.aggregated_hours(0, 1))).to_records()
         keys = [(a.context, a.link_id) for a in aggs]
         assert len(keys) == len(set(keys))
         assert sum(a.bytes for a in aggs) == pytest.approx(
@@ -121,7 +121,6 @@ class TestRecordViews:
         """The masked, ``tolist`` views are the old element-by-element
         loops: same entries, same order, same python types."""
         from repro.cms.mitigation import TrafficEntry
-        from repro.pipeline.records import AggRecord
         from repro.telemetry.ipfix import IpfixRecord
 
         sc = small_scenario
@@ -130,7 +129,6 @@ class TestRecordViews:
         assert (values <= 0.0).any() or not use_sampled
         flows, contexts = sc.traffic.flows, sc.flow_contexts
         ipfix, entries, risk = [], [], []
-        sums = {}
         for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
             if bytes_ <= 0.0:
                 continue
@@ -142,12 +140,6 @@ class TestRecordViews:
                 link_id=int(link_id), dest_prefix_id=flow.dest_prefix_id,
                 context=contexts[row], bytes=float(bytes_)))
             risk.append((int(link_id), contexts[row], float(bytes_)))
-            key = (contexts[row], int(link_id))
-            sums[key] = sums.get(key, 0.0) + float(bytes_)
-        aggs = [AggRecord(cols.hour, link_id, ctx.src_asn, ctx.src_prefix,
-                          ctx.src_loc, ctx.dest_region, ctx.dest_service,
-                          bytes_)
-                for (ctx, link_id), bytes_ in sums.items()]
 
         def typed(records):
             return [[(type(v), v) for v in (r if isinstance(r, tuple)
@@ -156,9 +148,8 @@ class TestRecordViews:
 
         got = (sc.ipfix_records_for(cols, use_sampled),
                sc.traffic_entries_for(cols, use_sampled),
-               sc.risk_entries_for(cols, use_sampled),
-               sc.agg_records_for(cols, use_sampled))
-        for mine, reference in zip(got, (ipfix, entries, risk, aggs)):
+               sc.risk_entries_for(cols, use_sampled))
+        for mine, reference in zip(got, (ipfix, entries, risk)):
             assert reference and typed(mine) == typed(reference)
 
 

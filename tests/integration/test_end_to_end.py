@@ -5,47 +5,32 @@ columnar fast path, the full evaluation, and the paper's qualitative
 claims on the shared small scenario.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import CountsAccumulator
-from repro.pipeline import HourlyAggregator, LinkByteTracker, OutageInference
-from repro.telemetry import MetadataStore
+from repro.pipeline import HourlyAggregator, OutageInference
 
 
 class TestRecordPathMatchesColumnarPath:
     def test_agg_records_match_fast_path(self, small_scenario):
-        """The faithful IPFIX -> aggregator path and the columnar fast
-        path must agree byte-for-byte."""
+        """The one feed equals the record reference (IPFIX records ->
+        ``aggregate_hour``) exactly: same records, same order, same
+        floats, hour by hour."""
         sc = small_scenario
-        aggregator = HourlyAggregator(MetadataStore(sc.wan, sc.geoip))
-        cols = next(iter(sc.stream(5, 6)))
-        ipfix = sc.ipfix_records_for(cols)
-        via_pipeline = aggregator.aggregate_hour(5, ipfix)
-        via_fast = sc.agg_records_for(cols)
-
-        def total(records):
-            return sum(r.bytes for r in records)
-
-        assert total(via_pipeline) == pytest.approx(total(via_fast))
-        # keyed totals agree up to encoder code assignment: compare by
-        # (link, src_prefix) which is encoder-independent
-        def keyed(records):
-            out = {}
-            for r in records:
-                key = (r.link_id, r.src_prefix)
-                out[key] = out.get(key, 0.0) + r.bytes
-            return out
-
-        left, right = keyed(via_pipeline), keyed(via_fast)
-        assert set(left) == set(right)
-        for key in left:
-            assert left[key] == pytest.approx(right[key])
+        reference = HourlyAggregator(sc.metadata, encoders=sc.encoders)
+        feed = list(sc.aggregated_hours(0, 30))
+        assert [columns.hour for columns in feed] == list(range(30))
+        for cols in sc.stream(0, 30):
+            assert feed[cols.hour].to_records() == reference.aggregate_hour(
+                cols.hour, sc.ipfix_records_for(cols))
+        assert feed[5].n_records > 0
 
     def test_counts_accumulator_consumes_agg_records(self, small_scenario):
         sc = small_scenario
         acc = CountsAccumulator()
-        for cols in sc.stream(0, 12):
-            acc.consume_hour(cols.hour, sc.agg_records_for(cols))
+        for columns in sc.aggregated_hours(0, 12):
+            acc.consume_hour(columns.hour, columns.to_records())
         assert len(acc) > 50
         assert acc.total_bytes() > 0
 
@@ -54,15 +39,17 @@ class TestOutageInferenceOnRealStream:
     def test_scheduled_outages_are_inferred(self, small_scenario):
         sc = small_scenario
         n_hours = 7 * 24
-        tracker = LinkByteTracker(sc.wan.link_ids, n_hours)
+        row_of = {link_id: i for i, link_id in enumerate(sc.wan.link_ids)}
+        matrix = np.zeros((len(row_of), n_hours), dtype=np.float64)
         for cols in sc.stream(0, n_hours):
-            tracker.add_bulk(cols.hour, cols.link_ids, cols.sampled_bytes)
-        inference = OutageInference(sc.wan.link_ids, tracker.matrix)
+            rows = [row_of[link_id] for link_id in cols.link_ids.tolist()]
+            np.add.at(matrix[:, cols.hour], rows, cols.sampled_bytes)
+        inference = OutageInference(sc.wan.link_ids, matrix)
         # every scheduled outage on a traffic-carrying link shows up
         carrying = {
             sc.wan.link_ids[i]
             for i in range(len(sc.wan.link_ids))
-            if tracker.matrix[i].sum() > 0
+            if matrix[i].sum() > 0
         }
         missed = []
         for outage in sc.outage_schedule:

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp import AdvertisementState
 from repro.cms import CMSConfig, CongestionMitigationSystem
 from repro.core import ServiceConfig, TipsyService
+from repro.pipeline import HourlyAggregator
 
 
 class TestServiceDrivesCms:
@@ -17,9 +18,13 @@ class TestServiceDrivesCms:
         cms = CongestionMitigationSystem(sc.wan, CMSConfig(),
                                          predictor=service)
         state = AdvertisementState(sc.wan)
+        # the CMS mutates `state` between hours, so this loop owns the
+        # stream and aggregates each hour itself (the feed's two steps)
+        aggregator = HourlyAggregator(sc.metadata, encoders=sc.encoders)
         acted = False
         for cols in sc.stream(0, 7 * 24, state=state):
-            service.ingest_hour(cols.hour, sc.agg_records_for(cols))
+            service.ingest_hour(cols.hour, aggregator.aggregate_hour_columns(
+                cols.hour, *sc.ipfix_columns_for(cols)).to_records())
             if not service.ready:
                 continue
             entries = sc.traffic_entries_for(cols)
@@ -38,8 +43,8 @@ class TestServiceDrivesCms:
         """what_if() answers the exact question CMS's spill check asks."""
         sc = small_scenario
         service = TipsyService(sc.wan, ServiceConfig(training_window_days=5))
-        for cols in sc.stream(0, 3 * 24):
-            service.ingest_hour(cols.hour, sc.agg_records_for(cols))
+        for columns in sc.aggregated_hours(0, 3 * 24):
+            service.ingest_hour(columns.hour, columns.to_records())
         service.ingest_hour(3 * 24, [])  # roll the day: train on days 0-2
         assert service.ready
 

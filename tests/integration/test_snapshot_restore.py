@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.features import FEATURES_A, FEATURES_AL, FEATURES_AP
-from repro.core.persistence import train_models_from_store
 from repro.core.service import (
     ServiceConfig,
     SnapshotError,
@@ -32,8 +30,8 @@ TOTAL_DAYS = 10
 def world():
     scenario = Scenario(ScenarioParams.small(seed=23,
                                              horizon_days=TOTAL_DAYS))
-    hours = [(cols.hour, scenario.agg_records_for(cols))
-             for cols in scenario.stream(0, TOTAL_DAYS * 24)]
+    hours = [(columns.hour, columns.to_records())
+             for columns in scenario.aggregated_hours(0, TOTAL_DAYS * 24)]
     return scenario, hours
 
 
@@ -154,29 +152,3 @@ class TestDegradedRestore:
         scenario, _hours = world
         with pytest.raises(SnapshotError):
             TipsyService.restore(tmp_path / "nothing", scenario.wan)
-
-
-class TestOutOfCoreTraining:
-    def test_matches_in_memory_models(self, world, snapshot_dir):
-        """Streaming day segments one at a time reproduces the served
-        base models exactly (same counts, same rankings)."""
-        scenario, _hours = world
-        reference = _service_fed_to(world, SNAP_DAYS * 24)
-        models, used, lost = train_models_from_store(
-            SegmentStore(snapshot_dir),
-            (FEATURES_AP, FEATURES_AL, FEATURES_A),
-            days=reference.trained_days)
-        assert lost == ()
-        assert used == reference.trained_days
-        for model in models:
-            served = reference._models[f"Hist_{model.feature_set.name}"]
-            assert model._counts == served._counts
-            assert model.rankings() == served.rankings()
-
-    def test_skips_corrupt_days(self, world, snapshot_dir):
-        (snapshot_dir / "day-000002.npz").write_bytes(b"junk")
-        models, used, lost = train_models_from_store(
-            SegmentStore(snapshot_dir), (FEATURES_AP,))
-        assert lost == (2,)
-        assert 2 not in used
-        assert models[0].size() > 0

@@ -24,9 +24,8 @@ def ingested_service(small_scenario):
     obs.enable(fresh=True)
     service = TipsyService(small_scenario.wan,
                            ServiceConfig(training_window_days=2))
-    for cols in small_scenario.stream(0, 3 * 24):
-        service.ingest_hour(cols.hour,
-                            small_scenario.agg_records_for(cols))
+    for columns in small_scenario.aggregated_hours(0, 3 * 24):
+        service.ingest_hour(columns.hour, columns.to_records())
     return service
 
 
@@ -61,9 +60,8 @@ class TestServiceCounters:
         obs.reset()
         service = TipsyService(small_scenario.wan,
                                ServiceConfig(training_window_days=2))
-        for cols in small_scenario.stream(0, 24):
-            service.ingest_hour(cols.hour,
-                                small_scenario.agg_records_for(cols))
+        for columns in small_scenario.aggregated_hours(0, 24):
+            service.ingest_hour(columns.hour, columns.to_records())
         assert obs.snapshot().empty
 
 
@@ -96,11 +94,13 @@ class TestParallelMerge:
             self, small_scenario):
         with ParallelPipelineRunner(scenario=small_scenario,
                                     n_workers=1) as runner:
-            plain = list(runner.iter_hours(0, 6, parallel=False))
+            plain = [c.to_records() for c in
+                     runner.iter_hour_columns(0, 6, parallel=False)]
         obs.enable(fresh=True)
         with ParallelPipelineRunner(scenario=small_scenario,
                                     n_workers=1) as runner:
-            instrumented = list(runner.iter_hours(0, 6, parallel=False))
+            instrumented = [c.to_records() for c in
+                            runner.iter_hour_columns(0, 6, parallel=False)]
         assert plain == instrumented
 
 
@@ -119,6 +119,17 @@ class TestObsCli:
         trace = json.loads(trace_path.read_text())
         names = [span["name"] for span in trace["spans"]]
         assert "obs.example_run" in names
+
+    def test_reports_the_pipeline_it_ran(self, capsys):
+        """The example workload ingests through the aggregation feed, so
+        the ``pipeline.aggregate.*`` rows of docs/observability.md are in
+        what ``repro obs`` emits."""
+        assert obs_main(["--days", "2", "--format", "json"]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["counters"]["pipeline.aggregate.hours"] == 48
+        assert snapshot["counters"]["pipeline.aggregate.records_in"] > 0
+        assert snapshot["histograms"][
+            "pipeline.aggregate_hour.seconds"]["count"] == 48
 
     def test_prometheus_to_stdout(self, capsys):
         rc = obs_main(["--days", "2", "--format", "prometheus"])

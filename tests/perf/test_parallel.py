@@ -70,19 +70,18 @@ class TestEquivalence:
                 assert np.array_equal(s[i], p[i])
 
     def test_agg_records_identical(self, pipeline):
-        serial = dict(pipeline.iter_hours(0, WINDOW_HOURS, parallel=False))
-        parallel = dict(pipeline.iter_hours(0, WINDOW_HOURS, parallel=True))
+        serial, parallel = (
+            {c.hour: c.to_records() for c in pipeline.iter_hour_columns(
+                0, WINDOW_HOURS, parallel=mode)} for mode in (False, True))
         assert serial == parallel  # full AggRecord equality, order included
 
     def test_counts_and_trained_models_identical(self, pipeline):
-        par = pipeline.collect_counts(0, WINDOW_HOURS, parallel=True)
-        ser = pipeline.collect_counts(0, WINDOW_HOURS, parallel=False)
-        # reference: per-record dict accumulation over the serial stream
-        ref = CountsAccumulator()
-        for hour, records in pipeline.iter_hours(0, WINDOW_HOURS,
-                                                 parallel=False):
-            ref.consume_hour(hour, records)
-        assert par.counts == ser.counts == ref.counts  # bit-identical floats
+        par, ser = CountsAccumulator(), CountsAccumulator()
+        for counts, mode in ((par, True), (ser, False)):
+            for columns in pipeline.iter_hour_columns(0, WINDOW_HOURS,
+                                                      parallel=mode):
+                counts.consume_hour(columns.hour, columns.to_records())
+        assert par.counts == ser.counts  # bit-identical floats
 
         models = {}
         for label, counts in (("par", par), ("ser", ser)):

@@ -63,8 +63,8 @@ def trained_daemon(request, serve_world):
 @pytest.fixture(scope="session")
 def serve_world() -> ServeWorld:
     scenario = Scenario(ScenarioParams.small(seed=3, horizon_days=6))
-    hourly = [scenario.agg_records_for(cols)
-              for cols in scenario.stream(0, HOURS)]
+    hourly = [columns.to_records()
+              for columns in scenario.aggregated_hours(0, HOURS)]
     config = ServiceConfig(training_window_days=WINDOW)
     reference = TipsyService(scenario.wan, config)
     for hour, records in enumerate(hourly):

@@ -1,6 +1,9 @@
 """Tests for the ``repro serve`` CLI."""
 
+import json
+
 from repro.__main__ import main
+from repro.serve.cli import RECIPE_NAME
 from repro.serve.daemon import MANIFEST_NAME
 
 
@@ -34,6 +37,23 @@ class TestServeRun:
         out = capsys.readouterr().out
         assert "resumed 2 shards" in out
         assert "streaming hours 24..47" in out
+
+    def test_resume_keeps_the_recipe_it_adopted(self, tmp_path, capsys):
+        """A resumed run records the checkpoint's seed/size/window, not
+        the command line's defaults, so it can be resumed again."""
+        target = tmp_path / "ck"
+        assert main(["serve", "run", "--size", "small", "--seed", "9",
+                     "--days", "1", "--window", "1", "--shards", "2",
+                     "--workers", "inline", "--dir", str(target)]) == 0
+        first = json.loads((target / RECIPE_NAME).read_text())
+        assert (first["seed"], first["window"]) == (9, 1)
+        for days in ("2", "3"):
+            assert main(["serve", "run", "--days", days, "--workers",
+                         "inline", "--resume", "--dir", str(target)]) == 0
+            again = json.loads((target / RECIPE_NAME).read_text())
+            assert {key: again[key] for key in ("size", "seed", "window")} \
+                == {key: first[key] for key in ("size", "seed", "window")}
+        assert "streaming hours 48..71" in capsys.readouterr().out
 
 
 class TestServeStatus:

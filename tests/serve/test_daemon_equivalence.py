@@ -10,6 +10,7 @@ the same hourly stream into a 3-shard daemon and into one
 import pytest
 
 from repro.serve import DaemonConfig, ServeDaemon, ShardError
+from repro.serve.daemon import WORKER_MODES
 
 
 class TestDaemonEquivalence:
@@ -82,15 +83,16 @@ class TestDaemonBasics:
             daemon.predict_batch(serve_world.contexts[:1])
 
     def test_worker_error_surfaces_as_shard_error(self, serve_world):
-        daemon = ServeDaemon(serve_world.scenario.wan, DaemonConfig(
-            n_shards=2, workers="inline",
-            service=serve_world.config)).start()
-        try:
-            daemon.ingest_hour(5, serve_world.hourly[5])
-            with pytest.raises(ShardError):
+        for workers in WORKER_MODES:
+            daemon = ServeDaemon(serve_world.scenario.wan, DaemonConfig(
+                n_shards=2, workers=workers,
+                service=serve_world.config)).start()
+            try:
+                daemon.ingest_hour(5, serve_world.hourly[5])
                 # hours must be monotonic; the ingest thread records the
                 # failure and the next drain reports it
                 daemon.ingest_hour(3, serve_world.hourly[3])
-                daemon.drain()
-        finally:
-            daemon.shutdown(drain=False)
+                with pytest.raises(ShardError, match="hour 3"):
+                    daemon.drain()
+            finally:
+                daemon.shutdown(drain=False)
