@@ -187,6 +187,28 @@ class HistoricalModel(TrainableModel):
                     ranked[key] = ranking
         self._dirty.clear()
 
+    def fork(self) -> "HistoricalModel":
+        """A private copy to train while the original keeps serving.
+
+        Counts, partials and rankings are copied in their insertion
+        order, so the same updates applied to the fork and in place end
+        in equal :meth:`to_arrays` columns; nothing done to the fork
+        reaches the original.
+        """
+        twin = HistoricalModel(self.feature_set, self.name, self.keep_top,
+                               self.exact)
+        twin._counts = {key: dict(links)
+                        for key, links in self._counts.items()}
+        if self._partials is not None:
+            twin._partials = {
+                key: {link_id: list(partials)
+                      for link_id, partials in plinks.items()}
+                for key, plinks in self._partials.items()}
+        if self._ranked is not None:
+            twin._ranked = dict(self._ranked)
+        twin._dirty = set(self._dirty)
+        return twin
+
     # -- prediction -----------------------------------------------------------
 
     def _ranking_for(self, context: FlowContext) -> Tuple[Prediction, ...]:

@@ -20,6 +20,14 @@ is bit-identical to one rebuilt from scratch; ``retrain(strict_rebuild=
 True)`` performs that from-scratch rebuild as an escape hatch and as the
 reference the equivalence tests compare against.
 
+Retraining is also *atomic* to a reader: the deltas are applied to a
+private ``HistoricalModel.fork()`` of the suite, and the finished models,
+the days they were trained on and a fresh memo are published together
+as one :class:`PublishedSuite` by a single assignment.  A query reads
+that reference once, so a thread querying during a retrain gets the old
+suite or the new one, never a half-updated model (``repro.serve`` relies
+on this to answer while a shard retrains).
+
 Serving is *batched*: queries group flows by the answering model's
 feature key and answer each distinct key once (the paper's tuple space
 is far smaller than its flow space), through a bounded LRU memo that is
@@ -41,7 +49,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
-                    Optional, Sequence, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -49,6 +57,7 @@ from ..obs import runtime as obs
 from ..pipeline.records import AggRecord, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
+from ..util.cache import LruDict
 from .base import NO_LINKS, IngressModel, Prediction
 from .ensemble import SequentialEnsemble
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
@@ -179,43 +188,21 @@ class ServiceConfig:
     memo_size: int = 65536
 
 
-class PredictionMemo:
-    """Bounded LRU memo of prediction answers with hit/miss counters."""
+#: memo of (model, feature key, k, availability) -> answer
+Memo = LruDict[Tuple[object, ...], Tuple[Prediction, ...]]
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Tuple[object, ...], Tuple[Prediction, ...]]" \
-            = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
-    def get(self, key: Tuple[object, ...]
-            ) -> Optional[Tuple[Prediction, ...]]:
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
+class PublishedSuite(NamedTuple):
+    """Everything a query reads, replaced as one reference per retrain.
 
-    def put(self, key: Tuple[object, ...],
-            value: Tuple[Prediction, ...]) -> None:
-        if self.maxsize <= 0:
-            return
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
+    The models are final (fully ranked, never touched again) and the
+    memo holds only their answers, so a query that reads the suite once
+    can never pair one retrain's memo with another's models.
+    """
 
-    def clear(self) -> None:
-        """Drop every memoized answer (counters are kept)."""
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
+    models: Dict[str, IngressModel]
+    trained_on: Tuple[int, ...]
+    memo: Memo
 
 
 class TipsyService:
@@ -235,12 +222,14 @@ class TipsyService:
         self._current_day: Optional[int] = None
         self._last_hour: Optional[int] = None
         # base models in _GRAINS order (AP, AL, A); exact accumulation so
-        # window subtraction is bit-exact
+        # window subtraction is bit-exact.  The same objects the
+        # published suite serves: forked and snapshotted, never mutated
         self._base: Optional[Tuple[HistoricalModel, ...]] = None
-        self._models: Dict[str, IngressModel] = {}
-        self._trained_on: Tuple[int, ...] = ()
         self.retrain_count = 0
-        self._memo = PredictionMemo(self.config.memo_size)
+        # what queries read; replaced whole, by one assignment, at the
+        # end of every retrain (see PublishedSuite)
+        self._published = PublishedSuite(
+            {}, (), LruDict(self.config.memo_size))
         #: set by :meth:`restore`; None on a service built from scratch
         self.restore_report: Optional[RestoreReport] = None
 
@@ -304,11 +293,12 @@ class TipsyService:
 
         The default path is incremental: only the days that entered or
         left the window since the last retrain are applied, as exact
-        deltas, and rankings re-freeze lazily per touched tuple.
-        ``strict_rebuild=True`` discards the suite and rebuilds it from
-        the per-day counts from scratch — the escape hatch, and the
-        reference that incremental maintenance is provably (bit-for-bit)
-        equivalent to.
+        deltas, to a fork of the served suite, and only the touched
+        tuples are re-ranked.  ``strict_rebuild=True`` rebuilds the
+        suite from the per-day counts from scratch — the escape hatch,
+        and the reference that incremental maintenance is provably
+        (bit-for-bit) equivalent to.  Either way the result replaces
+        the served suite in one step (:class:`PublishedSuite`).
         """
         with obs.timed("service.retrain"):
             self._retrain(strict_rebuild)
@@ -323,37 +313,42 @@ class TipsyService:
         if strict_rebuild or self._base is None:
             base = tuple(
                 HistoricalModel(fs, exact=True) for fs in self._GRAINS)
-            for day in target:
-                projections = self._project_day(day, fresh=strict_rebuild)
-                for model, projection in zip(base, projections):
-                    self._apply_projection(model, projection, +1)
-            for model in base:
-                model.finalize()
-            self._base = base
-            self._install_models(base)
+            entering, leaving = list(target), []
         else:
-            trained = set(self._trained_on)
-            wanted = set(target)
-            for day in sorted(wanted - trained):
-                projections = self._project_day(day)
-                for model, projection in zip(self._base, projections):
-                    self._apply_projection(model, projection, +1)
-            for day in sorted(trained - wanted):
-                projections = self._projections[day]
-                for model, projection in zip(self._base, projections):
-                    self._apply_projection(model, projection, -1)
-            # wrapper models hold references to the base suite, so the
-            # served dict needs no rebuild on the incremental path
+            # the served suite is never touched: the deltas land on a
+            # private fork that becomes the next suite
+            base = tuple(model.fork() for model in self._base)
+            trained, wanted = set(self._published.trained_on), set(target)
+            entering = sorted(wanted - trained)
+            leaving = sorted(trained - wanted)
+        for day in entering:
+            projections = self._project_day(day, fresh=strict_rebuild)
+            for model, projection in zip(base, projections):
+                self._apply_projection(model, projection, +1)
+        for day in leaving:
+            for model, projection in zip(base, self._projections[day]):
+                self._apply_projection(model, projection, -1)
+        for model in base:
+            model.finalize()
         for day in [d for d in self._projections if d not in self._days]:
             del self._projections[day]
-        self._trained_on = target
+        self._publish(base, target)
         self.retrain_count += 1
-        self._memo.clear()
 
-    def _install_models(self, base: Tuple[HistoricalModel, ...]) -> None:
-        """Build the served model dict around a base suite (AP, AL, A)."""
+    def _publish(self, base: Tuple[HistoricalModel, ...],
+                 trained_on: Tuple[int, ...]) -> None:
+        """Serve a finalized base suite (AP, AL, A) from the next query on.
+
+        The memo starts empty — its answers were the previous suite's —
+        and carries the cumulative counters :meth:`cache_stats` reports.
+        """
         ap, al, a = base
-        self._models = {
+        retired = self._published.memo
+        memo: Memo = LruDict(self.config.memo_size)
+        memo.hits, memo.misses, memo.evictions = (
+            retired.hits, retired.misses, retired.evictions)
+        self._base = base
+        self._published = PublishedSuite({
             "Hist_AP": ap,
             "Hist_AL": al,
             "Hist_A": a,
@@ -361,21 +356,30 @@ class TipsyService:
                                            name="Hist_AL+G"),
             "Hist_AP/AL/A": SequentialEnsemble([ap, al, a],
                                                name="Hist_AP/AL/A"),
-        }
+        }, trained_on, memo)
 
     @property
     def trained_days(self) -> Tuple[int, ...]:
         """Days of data behind the currently-served models."""
-        return self._trained_on
+        return self._published.trained_on
 
     @property
     def ready(self) -> bool:
-        return bool(self._trained_on)
+        return bool(self._published.trained_on)
+
+    @property
+    def last_hour(self) -> Optional[int]:
+        """Newest hour handed to :meth:`ingest_hour` (or restored)."""
+        return self._last_hour
+
+    @staticmethod
+    def _model_of(suite: PublishedSuite, name: str) -> IngressModel:
+        if not suite.models:
+            raise RuntimeError("service has no trained models yet")
+        return suite.models[name]
 
     def model(self, name: str) -> IngressModel:
-        if not self._models:
-            raise RuntimeError("service has no trained models yet")
-        return self._models[name]
+        return self._model_of(self._published, name)
 
     # -- snapshot / restore -------------------------------------------------------
 
@@ -412,7 +416,7 @@ class TipsyService:
                 "state": json.dumps({
                     "current_day": self._current_day,
                     "last_hour": self._last_hour,
-                    "trained_on": list(self._trained_on),
+                    "trained_on": list(self._published.trained_on),
                     "retrain_count": self.retrain_count,
                     "has_models": self._base is not None,
                 }, sort_keys=True),
@@ -502,9 +506,7 @@ class TipsyService:
                 base = cls._load_base(store)
             models_rebuilt = False
             if base is not None:
-                service._base = base
-                service._install_models(base)
-                service._trained_on = trained_on
+                service._publish(base, trained_on)
                 # projections back future evictions; recomputing them
                 # from the restored counts reproduces the originals
                 # exactly (same dicts, same iteration order)
@@ -527,31 +529,42 @@ class TipsyService:
 
     # -- queries ------------------------------------------------------------------
 
-    def _query_model(self, unavailable: FrozenSet[int]
-                     ) -> Tuple[str, IngressModel]:
-        name = (self.config.withdrawal_model if unavailable
-                else self.config.primary_model)
-        return name, self.model(name)
-
-    def _predict_grouped(self, name: str, model: IngressModel,
+    def _predict_grouped(self, memo: Memo, name: str, model: IngressModel,
                          group_key: object, context: FlowContext, k: int,
                          unavailable: FrozenSet[int]
                          ) -> Tuple[Prediction, ...]:
+        """One group's answer; ``memo`` and ``model`` of the same suite."""
         memo_key = (name, group_key, k, unavailable)
-        cached = self._memo.get(memo_key)
+        cached = memo.get(memo_key)
         if cached is None:
             cached = tuple(model.predict(context, k, unavailable))
-            self._memo.put(memo_key, cached)
+            # memo_size <= 0 means no memo (to LruDict it means unbounded)
+            if self.config.memo_size > 0:
+                memo.put(memo_key, cached)
         return cached
+
+    def _answer(self, suite: PublishedSuite, name: str,
+                contexts: Sequence[FlowContext], k: Optional[int],
+                prior: FrozenSet[int]) -> List[Tuple[Prediction, ...]]:
+        """Per-context answers of model ``name``, one suite throughout."""
+        k = k or self.config.prediction_k
+        model = self._model_of(suite, name)
+        group_key = model.group_key
+        memo = suite.memo
+        return [self._predict_grouped(memo, name, model, group_key(context),
+                                      context, k, prior)
+                for context in contexts]
+
+    def _query_model(self, unavailable: FrozenSet[int]) -> str:
+        return (self.config.withdrawal_model if unavailable
+                else self.config.primary_model)
 
     def predict(self, context: FlowContext, k: Optional[int] = None,
                 unavailable: AbstractSet[int] = NO_LINKS) -> List[Prediction]:
         """Top-k ingress prediction for one flow."""
-        k = k or self.config.prediction_k
         prior = frozenset(unavailable)
-        name, model = self._query_model(prior)
-        return list(self._predict_grouped(
-            name, model, model.group_key(context), context, k, prior))
+        return list(self._answer(self._published, self._query_model(prior),
+                                 (context,), k, prior)[0])
 
     def predict_batch(self, contexts: Sequence[FlowContext],
                       k: Optional[int] = None,
@@ -566,8 +579,11 @@ class TipsyService:
         """
         k = k or self.config.prediction_k
         prior = frozenset(unavailable)
-        name, model = self._query_model(prior)
+        suite = self._published
+        name = self._query_model(prior)
+        model = self._model_of(suite, name)
         group_key = model.group_key
+        memo = suite.memo
         answers: Dict[object, Tuple[Prediction, ...]] = {}
         out: List[List[Prediction]] = []
         with obs.timed("service.predict_batch"):
@@ -576,7 +592,7 @@ class TipsyService:
                 cached = answers.get(key)
                 if cached is None:
                     cached = self._predict_grouped(
-                        name, model, key, context, k, prior)
+                        memo, name, model, key, context, k, prior)
                     answers[key] = cached
                 out.append(list(cached))
         if obs.enabled():
@@ -609,13 +625,14 @@ class TipsyService:
             obs.count("service.what_if.calls")
             obs.count("service.what_if.flows", float(len(flows)))
         with obs.timed("service.what_if"):
-            model = self.model(self.config.withdrawal_model)
+            suite = self._published
+            name = self.config.withdrawal_model
             _keys, group_contexts, group_bytes = group_flows(
-                model.group_key, flows)
+                self._model_of(suite, name).group_key, flows)
             if not group_contexts:
                 return {}
-            predictions = self.withdrawal_predictions(
-                group_contexts, k, withdrawn)
+            predictions = self._answer(suite, name, group_contexts, k,
+                                       frozenset(withdrawn))
             return spill_from_groups(zip(predictions, group_bytes))
 
     def withdrawal_predictions(
@@ -631,14 +648,8 @@ class TipsyService:
         :func:`spill_from_groups` accumulation, so a sharded ``what_if``
         is bit-identical to the single-process one.
         """
-        k = k or self.config.prediction_k
-        prior = frozenset(withdrawn)
-        name = self.config.withdrawal_model
-        model = self.model(name)
-        group_key = model.group_key
-        return [self._predict_grouped(name, model, group_key(context),
-                                      context, k, prior)
-                for context in contexts]
+        return self._answer(self._published, self.config.withdrawal_model,
+                            contexts, k, frozenset(withdrawn))
 
     def what_if_per_flow(
         self,
@@ -666,11 +677,12 @@ class TipsyService:
 
     def cache_stats(self) -> Dict[str, int]:
         """Serving-cache occupancy and efficiency, for logs and gauges."""
+        memo = self._published.memo
         return {
-            "memo_entries": len(self._memo),
-            "memo_hits": self._memo.hits,
-            "memo_misses": self._memo.misses,
-            "memo_evictions": self._memo.evictions,
+            "memo_entries": len(memo),
+            "memo_hits": memo.hits,
+            "memo_misses": memo.misses,
+            "memo_evictions": memo.evictions,
         }
 
     def export_gauges(self) -> None:
@@ -685,5 +697,5 @@ class TipsyService:
         obs.set_gauges({key: float(value)
                         for key, value in self.cache_stats().items()},
                        prefix="service.")
-        obs.gauge_set("service.trained_days", float(len(self._trained_on)))
+        obs.gauge_set("service.trained_days", float(len(self.trained_days)))
         obs.gauge_set("service.retrain_count", float(self.retrain_count))

@@ -1,10 +1,10 @@
-"""Long-running serving daemon with sharded, hot-swappable model state.
+"""Long-running serving daemon with sharded model state.
 
 The deployment form of :class:`~repro.core.service.TipsyService`
 (``docs/operations.md``): an hourly telemetry stream is sharded by
 feature-key hash across worker processes, each worker retrains its
-slice incrementally behind a double-buffered
-:class:`~repro.serve.shard.HotSwapShard`, and batched queries
+slice incrementally and publishes the result atomically
+(:class:`~repro.serve.shard.HotSwapShard`), and batched queries
 scatter-gather through :class:`~repro.serve.daemon.ServeDaemon` with
 answers bit-identical to the single-process service.  ``repro serve
 run`` drives it from the CLI; the ``serve_live`` workload of

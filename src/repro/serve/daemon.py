@@ -4,7 +4,7 @@
 :class:`~repro.core.service.TipsyService`: an hourly
 telemetry stream goes in, sharded by feature-key hash
 (:mod:`repro.serve.sharding`) across workers that each hold one
-hot-swappable :class:`~repro.serve.shard.HotSwapShard`; batched
+:class:`~repro.serve.shard.HotSwapShard`; batched
 ``predict_batch``/``what_if`` queries scatter to the owning shards and
 gather back in the caller's order.  Two worker modes share every other
 code path, the shard server (:class:`~repro.serve.worker.ShardServer`)
@@ -24,9 +24,10 @@ service's counts for the same keys, and ``what_if`` re-runs the exact
 :func:`~repro.core.service.spill_from_groups` accumulation parent-side
 over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
 
-**Lifecycle.**  ``checkpoint`` drains in-flight ingest, snapshots every
-shard into ``<dir>/shard-NN/`` (``docs/storage.md``), then commits a
-``serve.json`` manifest by atomic rename — a checkpoint without a
+**Lifecycle.**  ``checkpoint`` holds back the feed, drains in-flight
+ingest, snapshots every shard into ``<dir>/shard-NN/``
+(``docs/storage.md``), then commits a ``serve.json`` manifest naming
+the hour the snapshots hold by atomic rename — a checkpoint without a
 manifest is invisible, so a crash mid-checkpoint leaves the previous
 one intact.  ``resume`` restores each shard from its segments and
 continues ingesting at ``last_hour + 1`` with bit-identical answers.
@@ -234,6 +235,9 @@ class ServeDaemon:
         # checkpoints) across caller threads; ingest does not take it,
         # so feeding the stream never waits on a query and vice versa
         self._query_lock = threading.Lock()
+        # feed vs checkpoint: an hour is on every shard or on none when
+        # a snapshot is cut.  Taken before _query_lock, never by a query
+        self._feed_lock = threading.Lock()
         self._last_hour: Optional[int] = None
         self._started = False
         self._stopped = False
@@ -319,8 +323,9 @@ class ServeDaemon:
         """
         self._check_serving()
         shards = split_records(records, self.config.n_shards)
-        for handle, shard_records in zip(self._handles, shards):
-            handle.ingest(hour, shard_records)
+        with self._feed_lock:
+            for handle, shard_records in zip(self._handles, shards):
+                handle.ingest(hour, shard_records)
         self._last_hour = hour
         if obs.enabled():
             obs.count("serve.ingest.hours")
@@ -410,11 +415,6 @@ class ServeDaemon:
         export_status_gauges(status)
         return status
 
-    @property
-    def ready(self) -> bool:
-        """Every shard has a trained window behind its live replica."""
-        return self.status().ready
-
     # -- checkpoint -----------------------------------------------------------
 
     def checkpoint(self, directory: Union[str, Path]) -> Path:
@@ -422,19 +422,25 @@ class ServeDaemon:
 
         Returns the manifest path.  The manifest is written last and
         renamed into place atomically: a reader (or a resume) either
-        sees the complete new checkpoint or none of it.
+        sees the complete new checkpoint or none of it.  A concurrent
+        :meth:`ingest_hour` waits for the manifest, whose ``last_hour``
+        is the hour the snapshots report (nothing commits if they differ).
         """
         self._check_serving()
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        with obs.timed("serve.checkpoint"), self._query_lock:
+        with obs.timed("serve.checkpoint"), self._feed_lock, self._query_lock:
             self._gather("drain")
-            self._gather("checkpoint", (
+            hours = self._gather("checkpoint", (
                 (shard_id, (str(root / f"shard-{shard_id:02d}"),))
                 for shard_id in range(self.config.n_shards)))
+            if len(set(hours)) != 1:
+                raise ShardError(
+                    f"shards snapshotted different hours {hours}; "
+                    "checkpoint not committed")
             manifest_path = write_manifest(
                 root, n_shards=self.config.n_shards,
-                service=self.config.service, last_hour=self._last_hour)
+                service=self.config.service, last_hour=hours[0])
         if obs.enabled():
             obs.count("serve.checkpoints")
         return manifest_path

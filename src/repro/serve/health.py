@@ -16,8 +16,8 @@ staleness means retrains are not keeping up with ingest.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..obs import runtime as obs
 
@@ -38,9 +38,6 @@ class ShardHealth:
     memo_entries: int
     memo_hits: int
     memo_misses: int
-
-    def to_json(self) -> Dict[str, object]:
-        return dict(asdict(self))
 
 
 def staleness_hours(last_hour: Optional[int],
@@ -81,11 +78,6 @@ class DaemonStatus:
             ingest_backlog=sum(s.ingest_queue_depth for s in shards),
             shards=shards,
         )
-
-    def to_json(self) -> Dict[str, object]:
-        payload = dict(asdict(self))
-        payload["shards"] = [s.to_json() for s in self.shards]
-        return payload
 
     def format_text(self) -> str:
         """A compact status block for logs and the CLI."""

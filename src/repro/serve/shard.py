@@ -1,32 +1,24 @@
-"""One shard of hot-swappable model state.
+"""One shard of model state that retrains while it serves.
 
 A shard owns the rolling-window service state for the feature keys that
-hash to it (:mod:`repro.serve.sharding`).  The serving requirement is
-that queries never block on — and never observe — a retrain in
-progress, while the retrain itself stays *incremental* (the service
-mutates its exact model suite in place, so a reader holding the same
-objects mid-retrain would see a half-updated model).
+hash to it (:mod:`repro.serve.sharding`).  Queries must never block on —
+or observe — a retrain in progress, and :class:`HotSwapShard` gets that
+from the one :class:`~repro.core.service.TipsyService` it holds: an
+ordinary hour touches only the day's counts, which no query reads, and a
+day-boundary retrain builds the next suite on a private fork and
+publishes models, trained days and a fresh memo by one assignment that
+each query reads once.  A query that read the suite before the
+assignment finishes on the *old* models, which nothing mutates any
+more; one arriving after it sees the *new* ones; none sees a
+half-retrained model (``tests/serve/test_hotswap.py`` parks a retrain
+mid-delta to show it).  The cost is one transient copy of the suite per
+retrain; ``swap_count`` counts the suites published.
 
-:class:`HotSwapShard` resolves that with a double buffer: two replicas
-of the same :class:`~repro.core.service.TipsyService`, fed the same
-per-shard stream in the same order (so they are bit-identical at every
-quiescent point).  Each ingested hour is applied to the *offline*
-replica first — including any day-boundary retrain — then one atomic
-pointer assignment swaps it live, and finally the same hour is applied
-to the now-offline ex-live replica.  Readers take the live pointer and
-hold that replica's lock for the duration of one query:
-
-* a reader that grabbed the pointer before a swap finishes its query on
-  the *old* state (the writer waits for the replica lock before
-  mutating it);
-* a reader arriving after the swap sees the *new* state;
-* no interleaving exposes a half-retrained model — the old-or-new
-  guarantee the lifecycle tests assert under a concurrent reader.
-
-The price is double ingest work per shard, but the incremental retrain
-is O(one day's delta) (``docs/architecture.md``), and shards divide the
-window N ways — the daemon's total state is ~2x a single service's,
-spread across worker processes.
+Two locks, never held together.  The *writer* lock orders ``ingest_hour``
+against ``snapshot`` (a checkpoint must not see half an hour).  The
+*reader* lock orders queries among themselves, because a memo hit
+reorders the memo's LRU list; no writer takes it, so a retrain never
+delays a query.
 """
 
 from __future__ import annotations
@@ -36,49 +28,42 @@ from pathlib import Path
 from typing import (AbstractSet, List, Optional, Sequence, Tuple, Union)
 
 from ..core.base import NO_LINKS, Prediction
-from ..core.service import RestoreReport, ServiceConfig, TipsyService
+from ..core.service import ServiceConfig, TipsyService
 from ..pipeline.records import AggRecord, FlowContext
 from ..topology.wan import CloudWAN
 from .health import ShardHealth, staleness_hours
 
 
 class HotSwapShard:
-    """Double-buffered per-shard service state with atomic read swaps."""
+    """Per-shard service state: one writer, readers on published suites."""
 
     def __init__(self, shard_id: int, wan: CloudWAN,
-                 config: Optional[ServiceConfig] = None):
+                 config: Optional[ServiceConfig] = None,
+                 service: Optional[TipsyService] = None):
         self.shard_id = shard_id
-        config = config or ServiceConfig()
-        self._replicas: Tuple[TipsyService, TipsyService] = (
-            TipsyService(wan, config), TipsyService(wan, config))
-        self._locks: Tuple[threading.Lock, threading.Lock] = (
-            threading.Lock(), threading.Lock())
-        # index of the reader-visible replica; plain attribute reads and
-        # writes are atomic, which is all the swap needs
-        self._live = 0
-        self.swap_count = 0
-        self.last_hour: Optional[int] = None
+        self._service = service or TipsyService(wan, config)
+        self._write_lock = threading.Lock()
+        self._read_lock = threading.Lock()
+        # suites published before this shard existed (a restored
+        # service's retrain_count is cumulative) are not its swaps
+        self._retrains_before = self._service.retrain_count
 
     # -- ingest (writer side) -------------------------------------------------
 
     def ingest_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
-        """Apply one hour to both replicas with a swap in between.
+        """Apply one hour, retraining and publishing at a day boundary."""
+        with self._write_lock:
+            self._service.ingest_hour(hour, records)
 
-        The offline replica absorbs the hour (and any day-boundary
-        retrain) first, under its own lock — readers are on the live
-        replica and never wait.  The pointer swap is one atomic
-        assignment; the trailing application brings the ex-live replica
-        up to date so the next hour finds it ready to become live.
-        """
-        offline = 1 - self._live
-        with self._locks[offline]:
-            self._replicas[offline].ingest_hour(hour, records)
-        self._live = offline
-        self.swap_count += 1
-        trailing = 1 - offline
-        with self._locks[trailing]:
-            self._replicas[trailing].ingest_hour(hour, records)
-        self.last_hour = hour
+    @property
+    def last_hour(self) -> Optional[int]:
+        """Newest hour handed to the service (or restored)."""
+        return self._service.last_hour
+
+    @property
+    def swap_count(self) -> int:
+        """Suites this shard has published: one per retrain."""
+        return self._service.retrain_count - self._retrains_before
 
     # -- queries (reader side) ------------------------------------------------
 
@@ -86,11 +71,9 @@ class HotSwapShard:
                       k: Optional[int] = None,
                       unavailable: AbstractSet[int] = NO_LINKS,
                       ) -> List[List[Prediction]]:
-        """Batched predictions from the live replica (old-or-new only)."""
-        live = self._live
-        with self._locks[live]:
-            return self._replicas[live].predict_batch(
-                contexts, k, unavailable)
+        """Batched predictions from one published suite (old-or-new only)."""
+        with self._read_lock:
+            return self._service.predict_batch(contexts, k, unavailable)
 
     def withdrawal_predictions(
         self,
@@ -98,56 +81,40 @@ class HotSwapShard:
         k: Optional[int] = None,
         withdrawn: AbstractSet[int] = NO_LINKS,
     ) -> List[Tuple[Prediction, ...]]:
-        """Per-context withdrawal-model answers from the live replica."""
-        live = self._live
-        with self._locks[live]:
-            return self._replicas[live].withdrawal_predictions(
+        """Per-context withdrawal-model answers from one published suite."""
+        with self._read_lock:
+            return self._service.withdrawal_predictions(
                 contexts, k, withdrawn)
 
     # -- lifecycle ------------------------------------------------------------
 
-    def snapshot(self, directory: Union[str, Path]) -> None:
-        """Checkpoint the live replica's state (``docs/storage.md``)."""
-        live = self._live
-        with self._locks[live]:
-            self._replicas[live].snapshot(directory)
+    def snapshot(self, directory: Union[str, Path]) -> Optional[int]:
+        """Checkpoint the shard's state (``docs/storage.md``); returns
+        the newest hour the snapshot holds."""
+        with self._write_lock:
+            self._service.snapshot(directory)
+            return self.last_hour
 
     @classmethod
     def restore(cls, directory: Union[str, Path], shard_id: int,
                 wan: CloudWAN) -> "HotSwapShard":
-        """Resume a shard from a checkpoint directory.
-
-        Both replicas are restored independently from the same segments;
-        restore is deterministic, so they come back bit-identical — the
-        same quiescent state an uninterrupted shard would hold.
-        """
-        first = TipsyService.restore(directory, wan)
-        second = TipsyService.restore(directory, wan)
-        shard = cls(shard_id, wan, first.config)
-        shard._replicas = (first, second)
-        if first._last_hour is not None:
-            shard.last_hour = first._last_hour
-        return shard
-
-    @property
-    def restore_report(self) -> Optional[RestoreReport]:
-        """The live replica's restore report (None unless restored)."""
-        return self._replicas[self._live].restore_report
+        """Resume a shard from a checkpoint directory."""
+        return cls(shard_id, wan,
+                   service=TipsyService.restore(directory, wan))
 
     def health(self, ingest_queue_depth: int = 0) -> ShardHealth:
-        """A point-in-time health sample of the live replica."""
-        live = self._live
-        with self._locks[live]:
-            service = self._replicas[live]
-            trained = service.trained_days
-            stats = service.cache_stats()
+        """A point-in-time health sample of the served suite."""
+        service = self._service
+        trained = service.trained_days
+        stats = service.cache_stats()
         latest = max(trained) if trained else None
+        last_hour = self.last_hour
         return ShardHealth(
             shard_id=self.shard_id,
-            last_hour=self.last_hour,
+            last_hour=last_hour,
             trained_days=len(trained),
             latest_trained_day=latest,
-            staleness_hours=staleness_hours(self.last_hour, latest),
+            staleness_hours=staleness_hours(last_hour, latest),
             swap_count=self.swap_count,
             retrain_count=service.retrain_count,
             ready=bool(trained),

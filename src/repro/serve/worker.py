@@ -12,18 +12,18 @@ op         payload                        reply
 ingest     (hour, records)                *none* — enqueued, fire-and-forget
 predict    (contexts, k, unavailable)     ("ok", [[Prediction, ...], ...])
 wpredict   (contexts, k, withdrawn)       ("ok", [(Prediction, ...), ...])
-drain      ()                             ("ok", last_hour) once queue empty
+drain      ()                             ("ok", None) once queue empty
 status     ()                             ("ok", (ShardHealth, obs delta))
-checkpoint (directory,)                   ("ok", None) after snapshot
-stop       (drain,)                       ("ok", last_hour); worker exits
+checkpoint (directory,)                   ("ok", last_hour the snapshot holds)
+stop       (drain,)                       ("ok", None); worker exits
 ========== ============================== ==============================
 
 Ingest is decoupled from the query loop by an internal queue and a
 dedicated ingest thread: a day-boundary retrain runs on that thread
-against the shard's offline replica, so the loop keeps answering
-``predict`` from the live replica throughout — the worker-level half of
-the never-block-on-retrain guarantee (the shard's double buffer is the
-state-level half).
+against a private fork of the model suite, so the loop keeps answering
+``predict`` from the published suite throughout — the worker-level half
+of the never-block-on-retrain guarantee (the service's atomic
+publication is the state-level half).
 
 Errors inside an op come back as ``("error", message)`` — in both
 modes, so both fail at the same point — and raise
@@ -113,11 +113,6 @@ class ShardServer:
         except Exception as error:
             return "error", f"shard {self.shard_id} {op}: {error!r}"
 
-    def _drain(self) -> None:
-        self._queue.join()
-        if self._errors:
-            raise RuntimeError("; ".join(self._errors))
-
     def _op_predict(self, contexts: Sequence[FlowContext], k: Optional[int],
                     unavailable: AbstractSet[int]) -> object:
         return self.shard.predict_batch(contexts, k, unavailable)
@@ -126,9 +121,10 @@ class ShardServer:
                      withdrawn: AbstractSet[int]) -> object:
         return self.shard.withdrawal_predictions(contexts, k, withdrawn)
 
-    def _op_drain(self) -> Optional[int]:
-        self._drain()
-        return self.shard.last_hour
+    def _op_drain(self) -> None:
+        self._queue.join()
+        if self._errors:
+            raise RuntimeError("; ".join(self._errors))
 
     def _op_status(self) -> object:
         delta = None
@@ -139,14 +135,14 @@ class ShardServer:
         return self.shard.health(
             ingest_queue_depth=self._queue.qsize()), delta
 
-    def _op_checkpoint(self, directory: str) -> None:
-        self._drain()
-        self.shard.snapshot(directory)
+    def _op_checkpoint(self, directory: str) -> Optional[int]:
+        self._op_drain()
+        return self.shard.snapshot(directory)
 
-    def _op_stop(self, drain: bool) -> Optional[int]:
+    def _op_stop(self, drain: bool) -> None:
         try:
             if drain:
-                self._drain()
+                self._op_drain()
         finally:
             # abortive stop, or a drain that failed: discard queued
             # hours (the last checkpoint, not the queue, is the recovery
@@ -163,7 +159,6 @@ class ShardServer:
             raise RuntimeError(
                 f"ingest thread still alive {self._STOP_JOIN_TIMEOUT}s "
                 "after stop")
-        return self.shard.last_hour
 
 
 def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,

@@ -266,3 +266,23 @@ class TestPredictionMemo:
                 == service.what_if_per_flow(flows, withdrawn={0}))
         batch = service.predict_batch([ctx(1)], unavailable={0})
         assert batch[0] == service.predict(ctx(1), unavailable=frozenset({0}))
+
+    def test_counters_outlive_the_suite_they_counted(self, service):
+        self._train(service)
+        service.predict(ctx(1))
+        service.predict(ctx(1))
+        before = service.cache_stats()
+        service.ingest_hour(48, [])    # retrain publishes a fresh memo
+        after = service.cache_stats()
+        assert after["memo_entries"] == 0
+        assert (after["memo_hits"], after["memo_misses"]) == (
+            before["memo_hits"], before["memo_misses"]) == (1, 1)
+
+    def test_memo_size_zero_means_no_memo(self, wan):
+        service = TipsyService(
+            wan, ServiceConfig(training_window_days=3, memo_size=0))
+        self._train(service)
+        assert service.predict(ctx(1)) == service.predict(ctx(1))
+        stats = service.cache_stats()
+        assert stats["memo_entries"] == 0
+        assert (stats["memo_hits"], stats["memo_misses"]) == (0, 2)

@@ -45,8 +45,8 @@ def trained_daemon(request, serve_world):
     """A fully-ingested 3-shard daemon, one per worker mode.
 
     Session-scoped like the reference service it mirrors: tests only
-    query it, and spinning up (and double-ingesting) a daemon per test
-    would dominate the suite's runtime.
+    query it, and spinning up (and feeding) a daemon per test would
+    dominate the suite's runtime.
     """
     from repro.serve import DaemonConfig, ServeDaemon
 

@@ -1,6 +1,9 @@
 """HotSwapShard: equivalence, swap accounting, and the old-or-new
-invariant under a concurrent reader while a retrain is in flight."""
+invariant — with a retrain parked mid-delta, and under a concurrent
+reader while retrains are in flight."""
 
+import dataclasses
+import sys
 import threading
 
 from repro.core.service import TipsyService
@@ -19,13 +22,17 @@ class TestHotSwapEquivalence:
         assert (shard.predict_batch(contexts)
                 == serve_world.reference.predict_batch(contexts))
 
-    def test_swap_per_ingested_hour(self, serve_world):
+    def test_swap_per_published_suite(self, serve_world):
+        """One swap per retrain the stream crossed, none per hour."""
         shard = HotSwapShard(0, serve_world.scenario.wan,
                              serve_world.config)
         for hour in range(30):
             shard.ingest_hour(hour, serve_world.hourly[hour])
-        assert shard.swap_count == 30
+        assert shard.swap_count == 2  # hour 0 (empty suite) and hour 24
         assert shard.last_hour == 29
+        for hour in range(30, 49):
+            shard.ingest_hour(hour, serve_world.hourly[hour])
+        assert shard.swap_count == 3 == shard.health().retrain_count
 
     def test_health_reflects_training_state(self, serve_world):
         shard = HotSwapShard(0, serve_world.scenario.wan,
@@ -40,7 +47,75 @@ class TestHotSwapEquivalence:
         assert health.staleness_hours == 1  # hour 24 awaits day 1's retrain
 
 
+#: hour 72 starts day 3, so its retrain brings day 2 into the models
+BOUNDARY = 72
+
+
+def _shard_before(serve_world, boundary):
+    """A shard fed up to ``boundary``, a batch, and the batch's answers
+    just before and just after the hour ``boundary`` is ingested."""
+    wan = serve_world.scenario.wan
+    before = TipsyService(wan, serve_world.config)
+    after = TipsyService(wan, serve_world.config)
+    shard = HotSwapShard(0, wan, serve_world.config)
+    for hour in range(boundary):
+        before.ingest_hour(hour, serve_world.hourly[hour])
+        after.ingest_hour(hour, serve_world.hourly[hour])
+        shard.ingest_hour(hour, serve_world.hourly[hour])
+    after.ingest_hour(boundary, serve_world.hourly[boundary])
+    batch = serve_world.contexts[:40]
+    old_answer = before.predict_batch(batch)
+    new_answer = after.predict_batch(batch)
+    assert old_answer != new_answer  # otherwise the tests are vacuous
+    return shard, batch, old_answer, new_answer
+
+
 class TestOldOrNewInvariant:
+    def test_parked_retrain_serves_old_then_new(self, serve_world):
+        """A retrain stopped half-way through its deltas changes nothing
+        a query can see, and delays no query; its end changes everything.
+
+        The retrain is parked on an event right after the first of its
+        three deltas has landed, so the next suite is provably
+        half-built while the shard is asked.
+        """
+        shard, batch, old_answer, new_answer = _shard_before(
+            serve_world, BOUNDARY)
+
+        parked, release = threading.Event(), threading.Event()
+        apply_delta = TipsyService._apply_projection
+
+        def park_after_first_delta(model, projection, sign):
+            apply_delta(model, projection, sign)
+            if not parked.is_set():
+                parked.set()
+                assert release.wait(30)
+
+        shard._service._apply_projection = park_after_first_delta
+        swaps = shard.swap_count
+        writer = threading.Thread(
+            target=shard.ingest_hour,
+            args=(BOUNDARY, serve_world.hourly[BOUNDARY]))
+        writer.start()
+        try:
+            assert parked.wait(30)
+            answers = []
+            reader = threading.Thread(
+                target=lambda: answers.append(shard.predict_batch(batch)))
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive(), "a query waited on the retrain"
+            assert answers == [old_answer]  # memo-cold: read off the models
+            assert shard.swap_count == swaps
+            assert shard.health().latest_trained_day == 1
+        finally:
+            release.set()
+            writer.join(30)
+        assert not writer.is_alive()
+        assert shard.predict_batch(batch) == new_answer
+        assert shard.swap_count == swaps + 1
+        assert shard.health().latest_trained_day == 2
+
     def test_concurrent_reader_never_sees_half_retrained_state(
             self, serve_world):
         """Queries racing a day-boundary retrain see old-or-new only.
@@ -51,21 +126,8 @@ class TestOldOrNewInvariant:
         the post-ingest state's — anything else is a torn read of a
         half-retrained model.
         """
-        wan = serve_world.scenario.wan
-        boundary = 72
-        before = TipsyService(wan, serve_world.config)
-        after = TipsyService(wan, serve_world.config)
-        shard = HotSwapShard(0, wan, serve_world.config)
-        for hour in range(boundary):
-            before.ingest_hour(hour, serve_world.hourly[hour])
-            after.ingest_hour(hour, serve_world.hourly[hour])
-            shard.ingest_hour(hour, serve_world.hourly[hour])
-        after.ingest_hour(boundary, serve_world.hourly[boundary])
-
-        batch = serve_world.contexts[:40]
-        old_answer = before.predict_batch(batch)
-        new_answer = after.predict_batch(batch)
-        assert old_answer != new_answer  # otherwise the test is vacuous
+        shard, batch, old_answer, new_answer = _shard_before(
+            serve_world, BOUNDARY)
 
         observed = []
         stop = threading.Event()
@@ -77,7 +139,7 @@ class TestOldOrNewInvariant:
         reader = threading.Thread(target=read_loop)
         reader.start()
         try:
-            shard.ingest_hour(boundary, serve_world.hourly[boundary])
+            shard.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
         finally:
             stop.set()
             reader.join()
@@ -85,8 +147,54 @@ class TestOldOrNewInvariant:
         assert observed
         for answer in observed:
             assert answer in (old_answer, new_answer)
-        # quiescent state is the new one on both replicas
+        # quiescent state is the new one
         assert shard.predict_batch(batch) == new_answer
+
+    def test_many_readers_on_a_tiny_memo_across_retrains(self, serve_world):
+        """More readers than cores, a memo that evicts on every batch, a
+        short switch interval: every answer is still some published
+        suite's, and the memo keeps its bound."""
+        config = dataclasses.replace(serve_world.config, memo_size=30)
+        wan = serve_world.scenario.wan
+        shard = HotSwapShard(0, wan, config)
+        oracle = TipsyService(wan, config)
+        batch = serve_world.contexts[:40]
+        warm = 25
+        valid = []
+        for hour in range(HOURS):
+            oracle.ingest_hour(hour, serve_world.hourly[hour])
+            if hour < warm:
+                shard.ingest_hour(hour, serve_world.hourly[hour])
+            if hour >= 24 and hour % 24 == 0:  # a suite was published
+                valid.append(oracle.predict_batch(batch))
+        observed, failures = [], []
+        stop = threading.Event()
+
+        def read_loop():
+            try:
+                while not stop.is_set():
+                    observed.append(shard.predict_batch(batch))
+            except Exception as error:  # pragma: no cover - on failure
+                failures.append(error)
+
+        readers = [threading.Thread(target=read_loop) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for hour in range(warm, HOURS):
+                shard.ingest_hour(hour, serve_world.hourly[hour])
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not failures
+        assert observed and all(answer in valid for answer in observed)
+        assert shard.predict_batch(batch) == valid[-1]
+        assert shard.health().memo_entries <= 30
 
     def test_full_stream_with_concurrent_reader_ends_identical(
             self, serve_world):

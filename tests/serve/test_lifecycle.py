@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.core.service import ServiceConfig
+from repro.core.service import ServiceConfig, TipsyService
+from repro.obs import runtime as obs
 from repro.serve import DaemonConfig, ServeDaemon, ShardError
 from repro.serve import daemon as daemon_mod
 from repro.serve.daemon import MANIFEST_NAME, read_manifest
@@ -98,6 +99,114 @@ class TestRestartRecovery:
         assert manifest["last_hour"] == 25
         assert (tmp_path / "shard-00").is_dir()
         assert (tmp_path / "shard-01").is_dir()
+
+
+class TestConcurrentCheckpoint:
+    """docs/operations.md: the feed and a checkpoint may run at once."""
+
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_hour_fed_mid_checkpoint_lands_on_all_shards_or_none(
+            self, serve_world, tmp_path, workers):
+        """A feeder thread offers hour 30 between the two shards'
+        snapshots.  The checkpoint must not hold it on one shard only:
+        the resumed daemon, fed on from the hour the manifest names,
+        answers every context as the uninterrupted service does."""
+        daemon = _daemon(serve_world, workers=workers, n_shards=2)
+        for hour in range(30):
+            daemon.ingest_hour(hour, serve_world.hourly[hour])
+        feeder = threading.Thread(
+            target=daemon.ingest_hour, args=(30, serve_world.hourly[30]))
+        second = daemon._handles[1]
+        begin = second.begin
+
+        def begin_after_feeder_tried(op, *payload):
+            if op == "checkpoint":  # shard 0's snapshot is cut or queued
+                feeder.start()
+                feeder.join(0.5)  # fed by now, or waiting for the manifest
+            begin(op, *payload)
+
+        second.begin = begin_after_feeder_tried
+        try:
+            daemon.checkpoint(tmp_path)
+            feeder.join(30)
+            assert not feeder.is_alive()
+        finally:
+            daemon.shutdown(drain=True)
+
+        resumed = ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
+                                     workers=workers)
+        try:
+            assert resumed.last_hour == read_manifest(tmp_path)["last_hour"]
+            for hour in range(resumed.last_hour + 1, HOURS):
+                resumed.ingest_hour(hour, serve_world.hourly[hour])
+            resumed.drain()
+            contexts = serve_world.contexts
+            assert (resumed.predict_batch(contexts)
+                    == serve_world.reference.predict_batch(contexts))
+        finally:
+            resumed.shutdown()
+
+    def test_shards_at_different_hours_commit_no_manifest(
+            self, serve_world, tmp_path):
+        daemon = _daemon(serve_world, n_shards=2)
+        try:
+            daemon.ingest_hour(0, serve_world.hourly[0])
+            daemon.drain()
+            daemon._handles[1].shard.ingest_hour(1, [])  # behind the feed
+            with pytest.raises(ShardError, match="different hours"):
+                daemon.checkpoint(tmp_path)
+            assert not (tmp_path / MANIFEST_NAME).exists()
+        finally:
+            daemon.shutdown()
+
+
+class TestOneServicePerShard:
+    """Each shard hour is ingested once and each checkpoint restored
+    once, and the service-side counters say so."""
+
+    def test_one_ingest_and_one_restore_per_shard(
+            self, serve_world, tmp_path, monkeypatch):
+        calls = {"ingest": 0, "restore": 0}
+        ingest, restore = TipsyService.ingest_hour, TipsyService.restore
+
+        def counted_ingest(self, hour, records):
+            calls["ingest"] += 1
+            ingest(self, hour, records)
+
+        def counted_restore(directory, wan, rebuild_models=False):
+            calls["restore"] += 1
+            return restore(directory, wan, rebuild_models)
+
+        monkeypatch.setattr(TipsyService, "ingest_hour", counted_ingest)
+        monkeypatch.setattr(TipsyService, "restore", counted_restore)
+        daemon = _daemon(serve_world, n_shards=3)
+        for hour in range(26):
+            daemon.ingest_hour(hour, serve_world.hourly[hour])
+        daemon.checkpoint(tmp_path)
+        daemon.shutdown()
+        assert calls == {"ingest": 26 * 3, "restore": 0}
+        ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
+                           workers="inline").shutdown()
+        assert calls == {"ingest": 26 * 3, "restore": 3}
+
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_service_counters_match_the_daemons(self, serve_world, workers):
+        obs.enable(fresh=True)
+        daemon = _daemon(serve_world, workers=workers, n_shards=2)
+        try:
+            for hour in range(50):
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+            daemon.drain()
+            daemon.status()  # merges the workers' deltas in process mode
+        finally:
+            daemon.shutdown()
+        counters = obs.snapshot().counters
+        assert counters["serve.ingest.records"] > 0
+        assert (counters["service.ingest.records"]
+                == counters["serve.ingest.records"])
+        assert counters["service.ingest.hours"] == 2 * 50
+        # day boundaries at hours 0, 24 and 48, on each of two shards
+        assert counters["service.retrain.incremental"] == 2 * 3
 
 
 def _wedged_worker(conn, shard_id, wan, config, restore_dir=None,
