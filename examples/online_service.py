@@ -22,7 +22,7 @@ def main() -> None:
 
     print("streaming 12 days of telemetry into the service ...")
     for columns in scenario.aggregated_hours(0, 12 * 24):
-        service.ingest_hour(columns.hour, columns.to_records())
+        service.ingest_hour(columns.hour, columns)
         if columns.hour % 24 == 0 and service.ready:
             day = columns.hour // 24
             window = service.trained_days

@@ -2,8 +2,11 @@
 
 "We designed TIPSY to run online as a prediction service and to retrain
 its models daily" over a rolling training window (3 weeks in §5).  The
-service ingests the hourly aggregated stream, keeps per-day counts, and
-serves the two queries the CMS needs:
+service ingests the hourly aggregated stream as columns
+(``AggColumns``; a list of ``AggRecord`` is transposed at the door),
+keeps each window day as one keyed columnar table
+(:class:`~repro.core.training.DayCounts` — the form the day is
+snapshotted in), and serves the two queries the CMS needs:
 
 * ``predict`` / ``predict_batch`` — top-k ingress links under an
   availability prior, answered by the best general-purpose model (the
@@ -54,7 +57,7 @@ from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
 import numpy as np
 
 from ..obs import runtime as obs
-from ..pipeline.records import AggRecord, FlowContext
+from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
 from ..util.cache import LruDict
@@ -63,10 +66,7 @@ from .ensemble import SequentialEnsemble
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
 from .geo_augment import GeoAugmentedModel
 from .historical import HistoricalModel
-from .training import CountsAccumulator
-
-#: one day's counts projected onto a feature grain: key -> link -> bytes
-GrainProjection = Dict[Tuple[object, ...], Dict[int, float]]
+from .training import DayCounts, GrainProjection
 
 #: flow-group answer: the group's predictions plus its summed bytes
 GroupAnswer = Tuple[Tuple[Prediction, ...], float]
@@ -215,7 +215,7 @@ class TipsyService:
         self.wan = wan
         self.config = config or ServiceConfig()
         # day -> that day's finest-grain counts
-        self._days: "OrderedDict[int, CountsAccumulator]" = OrderedDict()
+        self._days: "OrderedDict[int, DayCounts]" = OrderedDict()
         # day -> its counts projected onto each base model's grain,
         # computed once when the day completes and reused at eviction
         self._projections: Dict[int, Tuple[GrainProjection, ...]] = {}
@@ -235,27 +235,30 @@ class TipsyService:
 
     # -- ingestion ------------------------------------------------------------
 
-    def ingest_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
+    def ingest_hour(self, hour: int, records: AggHour) -> None:
         """Feed one hour of the aggregated telemetry stream.
 
-        Hours must arrive in time order (equal hours may repeat, e.g.
-        several telemetry batches of the same hour).  Crossing into a
-        new day triggers a retrain over the rolling window (the paper
-        retrains daily).
+        ``records`` is the aggregator's ``AggColumns`` (read, never
+        written to) or any sequence of ``AggRecord``; either way every
+        row must be labelled ``hour``.  Hours must arrive in time order
+        (equal hours may repeat, e.g. several telemetry batches of the
+        same hour).  Crossing into a new day triggers a retrain over the
+        rolling window (the paper retrains daily).
         """
+        columns = AggColumns.of(hour, records)
         if self._last_hour is not None and hour < self._last_hour:
             raise ValueError("telemetry must be ingested in time order")
         self._last_hour = hour
         day = hour // 24
         if day != self._current_day:
             self._current_day = day
-            self._days.setdefault(day, CountsAccumulator())
+            self._days.setdefault(day, DayCounts())
             self._evict_old(day)
             self.retrain()
-        self._days[day].consume_hour(hour, records)
+        self._days[day].add_hour(columns)
         if obs.enabled():
             obs.count("service.ingest.hours")
-            obs.count("service.ingest.records", float(len(records)))
+            obs.count("service.ingest.records", float(columns.n_records))
 
     def _evict_old(self, today: int) -> None:
         horizon = today - self.config.training_window_days
@@ -386,10 +389,10 @@ class TipsyService:
     def snapshot(self, directory: Union[str, Path]) -> SegmentStore:
         """Persist the full rolling-window state as a columnar store.
 
-        Writes one ``day_counts`` segment per window day (finest-grain
-        counts, accumulation order preserved) and one ``model_grain``
-        segment per base model (counts *plus* the exact Shewchuk
-        partials), under a checksummed manifest carrying the service
+        Writes one ``day_counts`` segment per window day (the day's
+        table as held in memory, first-seen row order) and one
+        ``model_grain`` segment per base model (counts *plus* the exact
+        Shewchuk partials), under a checksummed manifest carrying the service
         config and scalars.  Everything a fresh process needs to resume
         the window exactly where it left off — :meth:`restore` of an
         intact snapshot is bit-identical to never having restarted.
@@ -490,7 +493,7 @@ class TipsyService:
                     days_lost.append(day)
                     continue
                 try:
-                    counts = CountsAccumulator.from_arrays(arrays)
+                    counts = DayCounts.from_arrays(arrays)
                 except (KeyError, ValueError):
                     days_lost.append(day)
                     continue
@@ -508,8 +511,8 @@ class TipsyService:
             if base is not None:
                 service._publish(base, trained_on)
                 # projections back future evictions; recomputing them
-                # from the restored counts reproduces the originals
-                # exactly (same dicts, same iteration order)
+                # from the restored tables reproduces the originals
+                # exactly (same rows in the same order)
                 for day in trained_on:
                     if day in service._days:
                         service._project_day(day)

@@ -352,8 +352,8 @@ class Scenario:
 
         The one production route from the world to an aggregated hour
         (paper §4.2): every service, CLI and pipeline worker consumes
-        this generator, as ``ingest_hour(c.hour, c.to_records())`` where
-        records are wanted.  ``aggregator`` lets a caller keep one
+        this generator, as ``ingest_hour(c.hour, c)`` — the columns go
+        in as they are.  ``aggregator`` lets a caller keep one
         aggregator (its join caches, stats and strictness) across calls;
         the default joins against the scenario's own pre-seeded encoders,
         so feature codes match :attr:`flow_contexts`.

@@ -59,7 +59,7 @@ def run_example_workload(seed: int, days: int) -> MetricsSnapshot:
             training_window_days=max(1, days - 1)))
         with obs.timed("obs.ingest"):
             for columns in scenario.aggregated_hours(0, days * 24):
-                service.ingest_hour(columns.hour, columns.to_records())
+                service.ingest_hour(columns.hour, columns)
         with obs.timed("obs.serve"):
             contexts = scenario.flow_contexts
             service.predict_batch(contexts)

@@ -172,10 +172,10 @@ class HourlyAggregator:
         Semantics match :meth:`aggregate_hour` exactly, including the
         order encoders assign codes in and the order of the returned
         rows (first-seen key order), so the two paths are
-        interchangeable mid-stream — ``.to_records()`` on the result
-        equals the serial output record for record.  ``hours`` is
-        optional; columnar producers that emit one hour at a time may
-        omit it.
+        interchangeable mid-stream — the result read as records
+        (``to_records``) equals the serial output record for record.
+        ``hours`` is optional; columnar producers that emit one hour at
+        a time may omit it.
         """
         if hours is not None:
             mismatched = np.nonzero(np.asarray(hours) != hour)[0]
@@ -191,9 +191,7 @@ class HourlyAggregator:
         n = len(bytes_)
         if n == 0:
             self._observe_hour(0, 0, 0)
-            empty = np.empty(0, dtype=np.int64)
-            return AggColumns(hour, empty, empty, empty, empty, empty,
-                              empty, np.empty(0, dtype=np.float64))
+            return AggColumns.of(hour, [])
         columns = (link_ids, src_prefix_ids, src_asns, dest_prefix_ids,
                    bytes_)
 
@@ -250,24 +248,34 @@ class HourlyAggregator:
             dest_region[inv_dest][valid_good],
             dest_service[inv_dest][valid_good],
         )
-        combined = _combine_group_codes(key_columns)
-        _, first_key, inv_key = np.unique(
-            combined, return_index=True, return_inverse=True)
-        # bincount accumulates weights in input order — bit-identical to
-        # the serial walk's per-key running sums
-        sums = np.bincount(inv_key.ravel(), weights=bytes_[valid_rows],
-                           minlength=len(first_key))
-        order = np.argsort(first_key, kind="stable")
-        rep = first_key[order]  # representative rows carry the key values
-        out = AggColumns(hour, key_columns[0][rep], key_columns[1][rep],
-                         key_columns[2][rep], key_columns[3][rep],
-                         key_columns[4][rep], key_columns[5][rep],
-                         sums[order])
+        rep, sums = first_seen_sums(key_columns, bytes_[valid_rows])
+        out = AggColumns(hour, *(column[rep] for column in key_columns),
+                         sums)
         self.stats.records_in += n
         self.stats.records_out += out.n_records
         self.stats.records_dropped += dropped
         self._observe_hour(n, out.n_records, dropped)
         return out
+
+
+def first_seen_sums(key_columns: Sequence[np.ndarray], weights: np.ndarray,
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by key, summing ``weights`` per key in row order.
+
+    Returns ``(rep, sums)`` with one entry per distinct key, in
+    first-seen order: ``rep`` is the row each key first appears on (it
+    carries the key's values) and ``sums`` its total.  ``bincount`` adds
+    in input order, so each total is bit-identical to a serial walk's
+    running ``sums.get(key, 0.0) + weight`` — the property the record
+    path equivalences (here and in ``core.training``) rest on.
+    """
+    _, first_key, inv_key = np.unique(
+        _combine_group_codes(key_columns), return_index=True,
+        return_inverse=True)
+    sums = np.bincount(inv_key.ravel(), weights=weights,
+                       minlength=len(first_key))
+    order = np.argsort(first_key, kind="stable")
+    return first_key[order], sums[order]
 
 
 def _combine_group_codes(columns: Sequence[np.ndarray]) -> np.ndarray:

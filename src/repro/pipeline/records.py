@@ -6,12 +6,19 @@ aggregated into hour-long chunks, indexed by only the features TIPSY uses
 encoded to ints by the aggregation stage; ``FlowContext`` carries the same
 feature fields without the hour/link/bytes, and is what models receive at
 prediction time.
+
+An aggregated hour travels as ``AggColumns`` — one array per field —
+from the aggregator into the service's window table and down the
+daemon's shard pipes; no stage builds row objects.  ``AggColumns.of`` is
+the one edge where an ``AggRecord`` list becomes columns, and
+``to_records`` the one view back: a sequence of real ``AggRecord``
+that keeps its columns, so ``ingest_hour`` takes it at no cost.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, NamedTuple
+from typing import Iterator, NamedTuple, Sequence, Union, overload
 
 import numpy as np
 
@@ -51,10 +58,10 @@ class AggColumns(NamedTuple):
     """One aggregated hour in columnar form (aligned numpy arrays).
 
     The columnar twin of a ``List[AggRecord]``: same rows, same order,
-    one array per field.  This is what the vectorised aggregation path
-    produces and what the parallel pipeline ships between processes —
+    one ``int64`` array per key field and ``float64`` bytes.  This is
+    what the vectorised aggregation path produces, what every
+    ``ingest_hour`` trains from and what crosses process boundaries —
     arrays serialise orders of magnitude faster than per-record objects.
-    ``to_records()`` converts losslessly to the record-level view.
     """
 
     hour: int
@@ -70,12 +77,76 @@ class AggColumns(NamedTuple):
     def n_records(self) -> int:
         return len(self.bytes)
 
-    def to_records(self) -> List[AggRecord]:
-        """The equivalent ``AggRecord`` list, in the same row order."""
+    @classmethod
+    def of(cls, hour: int, records: "AggHour") -> "AggColumns":
+        """The columns of ``hour``'s records, whichever form they come in.
+
+        Columns (or a :meth:`to_records` view of them) pass through; any
+        other sequence of ``AggRecord`` is transposed once.  Raises
+        ``ValueError`` when a record is labelled with another hour — it
+        would otherwise silently train the wrong day.
+        """
+        if isinstance(records, AggRecords):
+            records = records.columns
+        if not isinstance(records, AggColumns):
+            fields = list(zip(*records)) or [()] * len(AggRecord._fields)
+            hours = np.array(fields[0], dtype=np.int64)
+            strays = hours[hours != hour]
+            records = cls(int(strays[0]) if strays.size else hour,
+                          *(np.array(field, dtype=np.int64)
+                            for field in fields[1:-1]),
+                          np.array(fields[-1], dtype=np.float64))
+        if records.hour != hour:
+            raise ValueError(f"records of hour {records.hour} handed in as "
+                             f"hour {hour}")
+        return records
+
+    def to_records(self) -> "AggRecords":
+        """The same rows as a sequence of ``AggRecord``, in row order."""
+        return AggRecords(self)
+
+
+#: one aggregated hour, in either form ``ingest_hour`` accepts
+AggHour = Union[AggColumns, Sequence[AggRecord]]
+
+
+class AggRecords(Sequence[AggRecord]):
+    """An :class:`AggColumns` read as a ``Sequence[AggRecord]``.
+
+    Rows become ``AggRecord`` objects only when asked for (indexing,
+    iteration, ``==`` against a list); a slice is again a view.  The
+    columns stay attached, which is what ``AggColumns.of`` reads.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: AggColumns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.columns.n_records
+
+    def __iter__(self) -> Iterator[AggRecord]:
+        hour, *columns = self.columns
         # tuple.__new__ avoids the per-record Python constructor frame
-        return list(map(tuple.__new__, itertools.repeat(AggRecord), zip(
-            itertools.repeat(self.hour),
-            self.link_ids.tolist(), self.src_asns.tolist(),
-            self.src_prefixes.tolist(), self.src_locs.tolist(),
-            self.dest_regions.tolist(), self.dest_services.tolist(),
-            self.bytes.tolist())))
+        return map(tuple.__new__, itertools.repeat(AggRecord), zip(
+            itertools.repeat(hour), *(column.tolist() for column in columns)))
+
+    @overload
+    def __getitem__(self, index: int) -> AggRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "AggRecords": ...
+
+    def __getitem__(self, index: Union[int, slice],
+                    ) -> Union[AggRecord, "AggRecords"]:
+        hour, *columns = self.columns
+        if isinstance(index, slice):
+            return AggRecords(AggColumns(
+                hour, *(column[index] for column in columns)))
+        return AggRecord(hour, *(column[index].item() for column in columns))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (AggRecords, list)):
+            return list(self) == list(other)
+        return NotImplemented

@@ -14,11 +14,11 @@ run`` drives it from the CLI; the ``serve_live`` workload of
 from .daemon import DaemonConfig, ServeDaemon, ShardError
 from .health import DaemonStatus, ShardHealth
 from .shard import HotSwapShard
-from .sharding import shard_of, split_indices, split_records
+from .sharding import shard_of, split_columns, split_indices
 
 __all__ = [
     "DaemonConfig", "ServeDaemon", "ShardError",
     "DaemonStatus", "ShardHealth",
     "HotSwapShard",
-    "shard_of", "split_indices", "split_records",
+    "shard_of", "split_columns", "split_indices",
 ]

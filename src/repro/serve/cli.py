@@ -170,7 +170,7 @@ def _serve_run(args: argparse.Namespace) -> int:
                 print(f"serve: {name} received — draining and "
                       "checkpointing before exit")
                 break
-            daemon.ingest_hour(columns.hour, columns.to_records())
+            daemon.ingest_hour(columns.hour, columns)
             hours_done += 1
             if args.queries > 0 and columns.hour >= 24:
                 # serving starts at the first day-boundary retrain; the

@@ -50,11 +50,11 @@ from ..core.base import NO_LINKS, Prediction
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from ..core.service import (ServiceConfig, group_flows, spill_from_groups)
 from ..obs import runtime as obs
-from ..pipeline.records import AggRecord, FlowContext
+from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN
 from .health import DaemonStatus, export_status_gauges
-from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_indices,
-                       split_records)
+from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_columns,
+                       split_indices)
 from .worker import ShardServer, shard_worker_main
 
 if TYPE_CHECKING:
@@ -108,7 +108,7 @@ class _ShardHandle(Protocol):
 
     shard_id: int
 
-    def ingest(self, hour: int, records: List[AggRecord]) -> None: ...
+    def ingest(self, hour: int, columns: AggColumns) -> None: ...
 
     def begin(self, op: str, *payload: object) -> None: ...
 
@@ -168,8 +168,8 @@ class _ProcessShard:
             raise ShardError(
                 f"shard {self.shard_id} worker died: {error!r}") from error
 
-    def ingest(self, hour: int, records: List[AggRecord]) -> None:
-        self._send(("ingest", hour, records))
+    def ingest(self, hour: int, columns: AggColumns) -> None:
+        self._send(("ingest", hour, columns))
 
     def begin(self, op: str, *payload: object) -> None:
         self._send((op,) + payload)
@@ -313,23 +313,25 @@ class ServeDaemon:
 
     # -- ingest ---------------------------------------------------------------
 
-    def ingest_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
+    def ingest_hour(self, hour: int, records: AggHour) -> None:
         """Feed one hour of telemetry; returns without waiting.
 
-        Every shard receives its slice — including an empty one — so
-        day crossings (and with them retrains and window evictions)
-        happen at the same hours on every shard as they would in the
-        single-process service.
+        Every shard receives its slice of the columns — including an
+        empty one — so day crossings (and with them retrains and window
+        evictions) happen at the same hours on every shard as they would
+        in the single-process service.  Rows labelled with another hour
+        raise ``ValueError`` before any shard is sent anything.
         """
         self._check_serving()
-        shards = split_records(records, self.config.n_shards)
+        columns = AggColumns.of(hour, records)
+        shards = split_columns(columns, self.config.n_shards)
         with self._feed_lock:
-            for handle, shard_records in zip(self._handles, shards):
-                handle.ingest(hour, shard_records)
+            for handle, shard_columns in zip(self._handles, shards):
+                handle.ingest(hour, shard_columns)
         self._last_hour = hour
         if obs.enabled():
             obs.count("serve.ingest.hours")
-            obs.count("serve.ingest.records", float(len(records)))
+            obs.count("serve.ingest.records", float(columns.n_records))
 
     def drain(self) -> None:
         """Block until every queued hour is applied on every shard."""

@@ -29,7 +29,7 @@ from typing import (AbstractSet, List, Optional, Sequence, Tuple, Union)
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.service import ServiceConfig, TipsyService
-from ..pipeline.records import AggRecord, FlowContext
+from ..pipeline.records import AggHour, FlowContext
 from ..topology.wan import CloudWAN
 from .health import ShardHealth, staleness_hours
 
@@ -50,7 +50,7 @@ class HotSwapShard:
 
     # -- ingest (writer side) -------------------------------------------------
 
-    def ingest_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
+    def ingest_hour(self, hour: int, records: AggHour) -> None:
         """Apply one hour, retraining and publishing at a day boundary."""
         with self._write_lock:
             self._service.ingest_hour(hour, records)

@@ -7,6 +7,10 @@ state on one shard: the counts a shard accumulates are exactly the
 counts the single-process service would consult for the same flow, and
 a sharded prediction is bit-identical to an unsharded one.
 
+Ingest is split on the ``src_asn`` *column* (:func:`split_columns`): each
+shard is sent the rows a boolean mask keeps, as seven arrays, never a
+list of record objects.
+
 The hash is :func:`repro.util.hashing.mix64` — stable across processes,
 runs and platforms (Python's builtin ``hash`` is salted per process and
 must never decide shard placement).  The seed and layout version are
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..pipeline.records import AggRecord, FlowContext
+import numpy as np
+
+from ..pipeline.records import AggColumns, FlowContext
 from ..util.hashing import mix64
 
 #: fixed hash seed — part of the checkpoint format, never change casually
@@ -38,18 +44,22 @@ def shard_of(src_asn: int, n_shards: int) -> int:
     return mix64(src_asn, seed=SHARD_HASH_SEED) % n_shards
 
 
-def split_records(records: Sequence[AggRecord],
-                  n_shards: int) -> List[List[AggRecord]]:
-    """Partition one hour's records by owning shard, order-preserving.
+def split_columns(columns: AggColumns, n_shards: int) -> List[AggColumns]:
+    """Partition one hour's rows by owning shard, order-preserving.
 
-    Every shard gets a list (possibly empty) so each worker still sees
-    every hour — day crossings, and therefore retrains and window
-    evictions, stay aligned with the single-process service.
+    :func:`shard_of` runs once per distinct ``src_asn``; each shard's
+    slice is a boolean mask over the columns.  Every shard gets a slice
+    (possibly empty) so each worker still sees every hour — day
+    crossings, and therefore retrains and window evictions, stay aligned
+    with the single-process service.
     """
-    shards: List[List[AggRecord]] = [[] for _ in range(n_shards)]
-    for record in records:
-        shards[shard_of(record.src_asn, n_shards)].append(record)
-    return shards
+    asns, inverse = np.unique(columns.src_asns, return_inverse=True)
+    owners = np.array([shard_of(asn, n_shards) for asn in asns.tolist()],
+                      dtype=np.int64)[inverse.ravel()]
+    masks = (owners == shard_id for shard_id in range(n_shards))
+    return [AggColumns(columns.hour, *(column[mask]
+                                       for column in columns[1:]))
+            for mask in masks]
 
 
 def split_indices(contexts: Sequence[FlowContext],

@@ -9,7 +9,7 @@ directly.  The message protocol is small tuples, first element the op:
 ========== ============================== ==============================
 op         payload                        reply
 ========== ============================== ==============================
-ingest     (hour, records)                *none* — enqueued, fire-and-forget
+ingest     (hour, AggColumns)             *none* — enqueued, fire-and-forget
 predict    (contexts, k, unavailable)     ("ok", [[Prediction, ...], ...])
 wpredict   (contexts, k, withdrawn)       ("ok", [(Prediction, ...), ...])
 drain      ()                             ("ok", None) once queue empty
@@ -49,7 +49,7 @@ from typing import (TYPE_CHECKING, AbstractSet, List, Optional, Sequence,
 from ..core.service import ServiceConfig
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
-from ..pipeline.records import AggRecord, FlowContext
+from ..pipeline.records import AggColumns, FlowContext
 from ..topology.wan import CloudWAN
 from .shard import HotSwapShard
 
@@ -79,7 +79,7 @@ class ShardServer:
         self.shard_id = shard_id
         self._ship_metrics = ship_metrics
         self._last_shipped = MetricsSnapshot({}, {}, {})
-        self._queue: "queue.Queue[Optional[Tuple[int, List[AggRecord]]]]" = (
+        self._queue: "queue.Queue[Optional[Tuple[int, AggColumns]]]" = (
             queue.Queue())
         self._errors: List[str] = []
         self._thread = threading.Thread(
@@ -93,18 +93,18 @@ class ShardServer:
             try:
                 if item is None:
                     return
-                hour, records = item
+                hour, columns = item
                 try:
-                    self.shard.ingest_hour(hour, records)
+                    self.shard.ingest_hour(hour, columns)
                 except Exception as error:  # surfaced at the next drain
                     self._errors.append(
                         f"shard {self.shard_id} hour {hour}: {error!r}")
             finally:
                 self._queue.task_done()
 
-    def ingest(self, hour: int, records: List[AggRecord]) -> None:
+    def ingest(self, hour: int, columns: AggColumns) -> None:
         """Enqueue one hour; fire-and-forget, errors wait for a drain."""
-        self._queue.put((hour, records))
+        self._queue.put((hour, columns))
 
     def handle(self, op: str, *payload: object) -> Tuple[str, object]:
         """Run one op; ``("ok", result)`` or ``("error", message)``."""

@@ -1,6 +1,6 @@
 """``repro.store`` — persistent columnar storage for model state.
 
-The storage boundary behind :class:`repro.core.training.CountsAccumulator`
+The storage boundary behind :class:`repro.core.training.DayCounts`
 and :class:`repro.core.historical.HistoricalModel` (ROADMAP item 5):
 day/hour-keyed state is serialised into memory-mappable, uncompressed
 ``.npz`` columnar segments under a checksummed JSON manifest, written

@@ -85,7 +85,7 @@ def build_scenario(size: str, seed: int, days: int) -> "Scenario":
 def _ingest(service: "TipsyService", scenario: "Scenario",
             days: int) -> None:
     for columns in scenario.aggregated_hours(0, days * 24):
-        service.ingest_hour(columns.hour, columns.to_records())
+        service.ingest_hour(columns.hour, columns)
 
 
 def _recipe_from(store: SegmentStore

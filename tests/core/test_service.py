@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.service import ServiceConfig, TipsyService
-from repro.pipeline import AggRecord, FlowContext
+from repro.pipeline import AggColumns, AggRecord, FlowContext
 from repro.topology import (
     CloudWAN,
     DestPrefix,
@@ -59,6 +59,20 @@ class TestIngestionAndRetraining:
         service.ingest_hour(30, [])
         with pytest.raises(ValueError):
             service.ingest_hour(2, [])
+
+    def test_records_of_another_hour_are_rejected(self, service):
+        """Rows labelled hour 30 handed in as hour 2 would silently train
+        day 0 with day 1's traffic; both input shapes refuse, naming both
+        hours, before any state moves."""
+        stray = [rec(2, 0, 1), rec(30, 0, 1)]
+        for records in (stray, AggColumns.of(30, stray[1:]),
+                        AggColumns.of(30, stray[1:]).to_records()):
+            with pytest.raises(ValueError, match="hour 30 .* hour 2"):
+                service.ingest_hour(2, records)
+        assert service.last_hour is None and service.retrain_count == 0
+        service.ingest_hour(2, stray[:1])
+        service.ingest_hour(30, AggColumns.of(30, stray[1:]))
+        assert service.trained_days == (0,)
 
     def test_current_day_excluded_from_training(self, service):
         service.ingest_hour(0, [rec(0, 0, 1)])

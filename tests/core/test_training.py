@@ -1,5 +1,7 @@
-"""Tests for the counts accumulator and model fitting."""
+"""Tests for the counts accumulator, the day table and model fitting."""
 
+import numpy as np
+import pytest
 
 from repro.core import (
     FEATURES_A,
@@ -7,7 +9,8 @@ from repro.core import (
     CountsAccumulator,
     HistoricalModel,
 )
-from repro.pipeline import AggRecord, FlowContext
+from repro.core.training import DayCounts
+from repro.pipeline import AggColumns, AggRecord, FlowContext
 
 
 def ctx(prefix, asn=1):
@@ -93,3 +96,42 @@ class TestProjection:
                 via_projection.observe_aggregate(key, link_id, bytes_)
         via_projection.finalize()
         assert via_projection.rankings() == reference.rankings()
+
+
+class TestDayCounts:
+    """Hand cases; tests/properties/test_prop_daycounts.py is the
+    differential against ``CountsAccumulator``."""
+
+    def _table(self):
+        table = DayCounts()
+        table.add_hour(AggColumns.of(0, [
+            rec(0, 5, 2, 10.0), rec(0, 4, 1, 1.0), rec(0, 5, 2, 5.0)]))
+        table.add_hour(AggColumns.of(1, []))
+        table.add_hour(AggColumns.of(1, [
+            rec(1, 4, 1, 2.0), rec(1, 6, 2, 4.0, asn=3)]))
+        return table
+
+    def test_folds_to_distinct_keys_in_first_seen_order(self):
+        arrays = self._table().to_arrays()
+        assert list(arrays) == ["k0", "k1", "k2", "k3", "k4", "k5", "value"]
+        assert arrays["k1"].tolist() == [2, 1, 2]      # src_prefix
+        assert arrays["k5"].tolist() == [5, 4, 6]      # link
+        assert arrays["value"].tolist() == [15.0, 3.0, 4.0]
+
+    def test_projects_onto_a_feature_grain(self):
+        projection = self._table().project(FEATURES_A)
+        assert list(projection.items()) == [
+            ((1, 0, 0), {5: 15.0, 4: 3.0}), ((3, 0, 0), {6: 4.0})]
+        assert DayCounts().project(FEATURES_AP) == {}
+
+    def test_round_trips_and_keeps_folding(self):
+        restored = DayCounts.from_arrays(self._table().to_arrays())
+        restored.add_hour(AggColumns.of(2, [rec(2, 4, 1, 0.5)]))
+        assert restored.to_arrays()["value"].tolist() == [15.0, 3.5, 4.0]
+
+    def test_float_key_columns_are_refused_not_floored(self):
+        hour = AggColumns.of(0, [rec(0, 5, 2, 10.0)])
+        with pytest.raises(TypeError):
+            DayCounts().add_hour(hour._replace(
+                src_prefixes=np.array([2.5])))
+

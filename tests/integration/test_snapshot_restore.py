@@ -11,6 +11,7 @@ shrinks the window and says so in the restore report.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.service import (
@@ -30,7 +31,7 @@ TOTAL_DAYS = 10
 def world():
     scenario = Scenario(ScenarioParams.small(seed=23,
                                              horizon_days=TOTAL_DAYS))
-    hours = [(columns.hour, columns.to_records())
+    hours = [(columns.hour, columns)
              for columns in scenario.aggregated_hours(0, TOTAL_DAYS * 24)]
     return scenario, hours
 
@@ -79,11 +80,13 @@ class TestBitIdenticalRestore:
         assert restored.retrain_count == reference.retrain_count
         assert sorted(restored._days) == sorted(reference._days)
         for day, counts in reference._days.items():
-            # dict equality is order-insensitive; the bit-identical
-            # guarantee also needs iteration order, checked explicitly
-            restored_counts = restored._days[day].counts
-            assert list(restored_counts.items()) == \
-                list(counts.counts.items())
+            # the bit-identical guarantee needs the same rows in the
+            # same order with the same dtypes: compare the stored form
+            restored_arrays = restored._days[day].to_arrays()
+            assert list(restored_arrays) == list(counts.to_arrays())
+            for name, column in counts.to_arrays().items():
+                assert restored_arrays[name].dtype == column.dtype
+                assert restored_arrays[name].tobytes() == column.tobytes()
 
     def test_continued_ingest_stays_identical(self, world, snapshot_dir):
         """The restored window keeps rolling exactly: further days bring
@@ -136,6 +139,39 @@ class TestDegradedRestore:
         assert lost_day not in restored.trained_days
         assert report.models_rebuilt  # resumption needs every day
         assert not report.clean
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda a: a.pop("k3"), id="missing-key-column"),
+        pytest.param(lambda a: a.update(k5=a["k5"][:-1]),
+                     id="misaligned-lengths"),
+        pytest.param(lambda a: a.update(
+            {name: column.reshape(-1, 1) for name, column in a.items()}),
+            id="not-one-dimensional"),
+        pytest.param(lambda a: a.update(k1=a["k1"].astype(np.float64)),
+                     id="float-key-column"),
+        pytest.param(lambda a: a["value"].__setitem__(0, np.inf),
+                     id="non-finite-value"),
+        pytest.param(lambda a: a["value"].__setitem__(-1, 0.0),
+                     id="non-positive-value"),
+    ])
+    def test_malformed_day_segment_is_a_lost_day(self, world, snapshot_dir,
+                                                 damage):
+        """A day segment that passes its checksum but is not a counts
+        table costs that day and a rebuild — never a crash, never
+        counts restored wrong."""
+        scenario, _hours = world
+        store = SegmentStore(snapshot_dir)
+        day = SNAP_DAYS - 2
+        arrays = store.read(f"day-{day:06d}")
+        damage(arrays)
+        store.write(f"day-{day:06d}", arrays, kind="day_counts",
+                    rows=len(arrays["value"]), meta={"day": str(day)})
+        restored = TipsyService.restore(snapshot_dir, scenario.wan)
+        report = restored.restore_report
+        assert report.days_lost == (day,)
+        assert report.models_rebuilt
+        assert day not in restored.trained_days
+        assert day not in restored._days
 
     def test_rebuild_models_flag_forces_retrain(self, world,
                                                 snapshot_dir):

@@ -1,0 +1,164 @@
+"""Differential property test: the columnar window table vs the dict path.
+
+``TipsyService`` keeps each window day as a ``DayCounts`` — seven
+columns folded with numpy group-bys.  The reference is the form it
+replaced: the same service with every day held by a
+``CountsAccumulator`` fed ``AggRecord`` lists one record at a time
+(``consume_hour`` + ``project`` + ``to_arrays``).  Whatever the stream —
+keys recurring across hours in any order, several batches of one hour,
+bursts of one key, empty hours, day gaps that evict the window, a
+snapshot -> restore cut anywhere including mid-day — the two must agree
+to the bit: stored tables, all three grain projections down to dict
+order, answers, and the snapshot directories byte for byte.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import service as service_module
+from repro.core.service import ServiceConfig, TipsyService
+from repro.core.training import CountsAccumulator
+from repro.pipeline import AggColumns, AggRecord, FlowContext
+from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
+                            Region)
+
+WINDOW_DAYS = 2
+
+#: (src_asn, src_prefix, src_loc, dest_region, dest_service, link): few
+#: enough feature values that every grain folds a dozen keys into one
+KEYS = [(1 + p % 2, p, p % 3 - 1, 0, p % 5 // 4, link)
+        for p in range(24) for link in (2, 0, 1)]
+CONTEXTS = [FlowContext(*key[:5]) for key in KEYS[::3]] + [
+    FlowContext(9, 99, 0, 0, 0)]
+
+#: one batch: how far the clock moves (0 = another batch of the same
+#: hour; 24+ skips days, so the window evicts), which keys it carries,
+#: and how often the batch repeats them (a burst gives one key more
+#: addends in a single fold than pairwise summation handles in order)
+batches = st.lists(
+    st.tuples(st.sampled_from([0, 0, 1, 1, 1, 1, 7, 24, 30, 80]),
+              st.lists(st.integers(0, len(KEYS) - 1), max_size=30),
+              st.sampled_from([1, 1, 1, 9])),
+    min_size=3, max_size=24)
+
+
+def wan() -> CloudWAN:
+    links = [PeeringLink(i, 100 + i, metro, f"{metro}-er1", 100.0)
+             for i, metro in enumerate(("iad", "nyc", "atl"))]
+    return CloudWAN(8075, links, [Region("r", "iad")],
+                    [DestPrefix(0, "100.64.0.0/24", "r", "web")],
+                    MetroCatalog())
+
+
+def stream_of(sequence, seed):
+    """``[(hour, AggRecord list)]`` with byte counts of mixed magnitude,
+    so sums taken in any other order round differently."""
+    rng = np.random.default_rng(seed)
+    hour, out = 0, []
+    for advance, picks, repeat in sequence:
+        hour += advance
+        picks = picks * repeat
+        sizes = np.exp(rng.uniform(-3.0, 21.0, size=len(picks))).tolist()
+        out.append((hour, [
+            AggRecord(hour, KEYS[pick][5], *KEYS[pick][:5], size)
+            for pick, size in zip(picks, sizes)]))
+    return out
+
+
+class RecordPathDay:
+    """A window day on the dict path: what ``DayCounts`` replaced."""
+
+    def __init__(self):
+        self.counts = CountsAccumulator()
+        self.project = self.counts.project
+        self.to_arrays = self.counts.to_arrays
+
+    def add_hour(self, columns):
+        self.counts.consume_hour(columns.hour, list(columns.to_records()))
+
+
+def new_service():
+    return TipsyService(wan(), ServiceConfig(
+        training_window_days=WINDOW_DAYS))
+
+
+def files_of(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(directory).iterdir())}
+
+
+def nested_items(projection):
+    return [(key, list(links.items())) for key, links in projection.items()]
+
+
+def assert_same(service, reference):
+    assert list(service._days) == list(reference._days)
+    assert service.trained_days == reference.trained_days
+    for day, table in service._days.items():
+        got, want = table.to_arrays(), reference._days[day].to_arrays()
+        assert list(got) == list(want)
+        for name, column in want.items():
+            assert got[name].dtype == column.dtype
+            assert got[name].tobytes() == column.tobytes(), (day, name)
+        for grain in TipsyService._GRAINS:
+            assert (nested_items(table.project(grain))
+                    == nested_items(reference._days[day].project(grain)))
+    assert (service.predict_batch(CONTEXTS)
+            == reference.predict_batch(CONTEXTS))
+    flows = [(context, 1000.0 + i) for i, context in enumerate(CONTEXTS)]
+    for withdrawn in ({0}, {1, 2}):
+        assert (service.what_if(flows, withdrawn)
+                == reference.what_if(flows, withdrawn))
+
+
+class TestDayCounts:
+    @given(batches, st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_record_path(self, sequence, seed, data):
+        stream = stream_of(sequence, seed)
+        cut = data.draw(st.integers(1, len(stream)), label="cut")
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            # the reference: every day a CountsAccumulator, fed lists
+            with mock.patch.object(service_module, "DayCounts",
+                                   RecordPathDay):
+                reference = new_service()
+                for index, (hour, records) in enumerate(stream):
+                    if index == cut:
+                        reference.snapshot(scratch / "reference-cut")
+                    reference.ingest_hour(hour, records)
+                reference.snapshot(scratch / "reference-end")
+
+            # under test: one columns object per batch, handed to both an
+            # uninterrupted service and one restarted at the cut
+            hours = [AggColumns.of(hour, records)
+                     for hour, records in stream]
+            handed_in = [[column.tobytes() for column in columns[1:]]
+                         for columns in hours]
+            steady, restarted = new_service(), new_service()
+            for index, columns in enumerate(hours):
+                if index == cut:
+                    restarted.snapshot(scratch / "cut")
+                    assert (files_of(scratch / "cut")
+                            == files_of(scratch / "reference-cut"))
+                    restarted = TipsyService.restore(
+                        scratch / "cut", restarted.wan)
+                    assert restarted.restore_report.clean
+                steady.ingest_hour(columns.hour, columns)
+                restarted.ingest_hour(columns.hour, columns.to_records())
+            for name, service in (("steady", steady),
+                                  ("restarted", restarted)):
+                assert_same(service, reference)
+                assert service.retrain_count == reference.retrain_count
+                service.snapshot(scratch / name)
+                assert (files_of(scratch / name)
+                        == files_of(scratch / "reference-end"))
+            # nothing handed in was written to
+            assert handed_in == [
+                [column.tobytes() for column in columns[1:]]
+                for columns in hours]

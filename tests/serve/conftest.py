@@ -16,7 +16,7 @@ import pytest
 from repro.core.service import ServiceConfig, TipsyService
 from repro.experiments import Scenario, ScenarioParams
 from repro.obs import runtime as obs
-from repro.pipeline.records import AggRecord, FlowContext
+from repro.pipeline.records import AggRecords, FlowContext
 
 #: 4 streamed days — enough for several day-boundary retrains and a
 #: window eviction — over a 3-day rolling window
@@ -26,7 +26,7 @@ WINDOW = 3
 
 class ServeWorld(NamedTuple):
     scenario: Scenario
-    hourly: List[List[AggRecord]]
+    hourly: List[AggRecords]     # each hour's rows, columns attached
     reference: TipsyService
     contexts: List[FlowContext]
     config: ServiceConfig

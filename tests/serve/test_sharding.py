@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.serve.sharding import (SHARD_HASH_SEED, shard_of, split_indices,
-                                  split_records)
+from repro.serve import DaemonConfig, ServeDaemon
+from repro.serve.sharding import (SHARD_HASH_SEED, shard_of, split_columns,
+                                  split_indices)
 from repro.util.hashing import mix64
 
 
@@ -33,19 +34,41 @@ class TestShardOf:
 
 
 class TestSplitRecords:
+    """The ingest split: one boolean mask per shard over an hour's columns."""
+
     def test_every_shard_gets_a_list(self, serve_world):
-        shards = split_records(serve_world.hourly[12], 5)
-        assert len(shards) == 5  # empty lists included: hours align
+        shards = split_columns(serve_world.hourly[12].columns, 5)
+        assert len(shards) == 5  # empty slices included: hours align
+        assert all(shard.hour == 12 for shard in shards)
 
     def test_partition_is_total_and_order_preserving(self, serve_world):
-        records = serve_world.hourly[12]
-        shards = split_records(records, 4)
-        assert sum(len(s) for s in shards) == len(records)
-        for shard_id, shard_records in enumerate(shards):
-            assert all(shard_of(r.src_asn, 4) == shard_id
-                       for r in shard_records)
-            positions = [records.index(r) for r in shard_records]
-            assert positions == sorted(positions)
+        records = list(serve_world.hourly[12])
+        shards = split_columns(serve_world.hourly[12].columns, 4)
+        assert sum(shard.n_records for shard in shards) == len(records)
+        for shard_id, shard_columns in enumerate(shards):
+            # the same rows, in the same order, as shard_of row by row
+            assert shard_columns.to_records() == [
+                r for r in records if shard_of(r.src_asn, 4) == shard_id]
+            assert all(column.dtype == original.dtype for column, original
+                       in zip(shard_columns[1:],
+                              serve_world.hourly[12].columns[1:]))
+
+
+class TestIngestEdge:
+    def test_mislabelled_hour_reaches_no_shard(self, serve_world):
+        daemon = ServeDaemon(serve_world.scenario.wan, DaemonConfig(
+            n_shards=2, workers="inline", service=serve_world.config)).start()
+        try:
+            for records in (serve_world.hourly[4],
+                            list(serve_world.hourly[4])):
+                with pytest.raises(ValueError, match="hour 4 .* hour 5"):
+                    daemon.ingest_hour(5, records)
+            daemon.drain()
+            assert daemon.last_hour is None
+            assert [shard.last_hour for shard in daemon.status().shards] \
+                == [None, None]
+        finally:
+            daemon.shutdown()
 
 
 class TestSplitIndices:

@@ -105,3 +105,20 @@ def test_product_modules_do_not_import_the_linter():
             for name in _imported_modules(path, package)
             if (name + ".").startswith("repro.analysis.")]
     assert not offenders, offenders
+
+
+def test_no_product_module_builds_record_objects_from_columns():
+    """An aggregated hour stays columns from the aggregator into the
+    window table and down the shard pipes (ROADMAP 3(a)); only
+    ``pipeline/records.py``, which defines the view, may name
+    ``.to_records()``.  Tests, examples and the benchmark may call it."""
+    root = REPO_ROOT / "src" / "repro"
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "pipeline" / "records.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_records"]
+    assert not offenders, offenders
