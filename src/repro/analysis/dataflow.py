@@ -1,8 +1,8 @@
 """Interprocedural determinism & numeric-safety dataflow (RA700-RA704).
 
 The repo's load-bearing claims are *bit-identical equivalences*:
-parallel aggregation equals serial, incremental retrain equals strict
-rebuild, snapshot/restore equals an uninterrupted service.  Each holds
+parallel aggregation equals serial, a long-running window equals a
+fresh one, snapshot/restore equals an uninterrupted service.  Each holds
 only while every function on the contract path is free of order- and
 platform-dependence.  This module makes those paths explicit and
 checkable:

@@ -14,21 +14,22 @@ snapshotted in), and serves the two queries the CMS needs:
 * ``what_if`` — given flows and a hypothetical withdrawal set, the
   predicted byte spill per link (paper §4.4's safety question).
 
-Retraining is *incremental*: each completed day is projected once onto
-every model's feature grain, and the daily retrain adds the day that
-entered the window and exactly subtracts the day that left — O(one day's
-delta) instead of O(window).  The models use exact (order-free,
-correctly-rounded) accumulation, so the incrementally-maintained suite
-is bit-identical to one rebuilt from scratch; ``retrain(strict_rebuild=
-True)`` performs that from-scratch rebuild as an escape hatch and as the
-reference the equivalence tests compare against.
+Retraining is a *rebuild*: the served suite is a pure function of the
+window's completed days.  Each completed day is projected once onto
+every model's feature grain (keyed columns, kept until the day leaves
+the window), and the daily retrain folds the window's projections, in
+day order, into fresh models — one grouped sum per grain, the same
+counting pass the offline trainer makes record by record.  A day's
+delta touches most of the model's tuples (78-100 % on the benchmark's
+world), so maintaining the previous suite in place would save nothing;
+building anew means a model is never written to after it is served and
+what a service answers does not depend on how long it has been running.
 
-Retraining is also *atomic* to a reader: the deltas are applied to a
-private ``HistoricalModel.fork()`` of the suite, and the finished models,
-the days they were trained on and a fresh memo are published together
-as one :class:`PublishedSuite` by a single assignment.  A query reads
-that reference once, so a thread querying during a retrain gets the old
-suite or the new one, never a half-updated model (``repro.serve`` relies
+Retraining is also *atomic* to a reader: the new models, the days they
+were trained on and a fresh memo are published together as one
+:class:`PublishedSuite` by a single assignment.  A query reads that
+reference once, so a thread querying during a retrain gets the old
+suite or the new one, never a half-built model (``repro.serve`` relies
 on this to answer while a shard retrains).
 
 Serving is *batched*: queries group flows by the answering model's
@@ -36,13 +37,14 @@ feature key and answer each distinct key once (the paper's tuple space
 is far smaller than its flow space), through a bounded LRU memo that is
 invalidated on every retrain.
 
-State is *persistent*: :meth:`TipsyService.snapshot` writes the whole
-rolling window — per-day counts and the exact base-model state — as
-columnar segments (``repro.store``), and :meth:`TipsyService.restore`
-resumes from them in a fresh process with bit-identical answers and
-bit-identical future retrains.  Corrupt or missing segments degrade to
-a rebuild from whatever survives (``docs/storage.md``); restarting a
-daemon costs a segment load, not a window recomputation.
+State is *persistent*: :meth:`TipsyService.snapshot` writes the rolling
+window's per-day counts as columnar segments (``repro.store``) — the
+models are derived state and are not stored — and
+:meth:`TipsyService.restore` loads them in a fresh process and rebuilds,
+with bit-identical answers and bit-identical future retrains.  A corrupt
+or missing day segment costs that day, reported, and nothing else
+(``docs/storage.md``); restarting a daemon costs a segment load plus one
+window fold.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .ensemble import SequentialEnsemble
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
 from .geo_augment import GeoAugmentedModel
 from .historical import HistoricalModel
-from .training import DayCounts, GrainProjection
+from .training import DayCounts, KeyedTable, fold_keyed
 
 #: flow-group answer: the group's predictions plus its summed bytes
 GroupAnswer = Tuple[Tuple[Prediction, ...], float]
@@ -151,26 +153,23 @@ class SnapshotError(RuntimeError):
 
 @dataclass(frozen=True)
 class RestoreReport:
-    """What a snapshot restore recovered, lost, and had to rebuild.
+    """What a snapshot restore recovered and what it lost.
 
     ``days_lost`` lists day segments that failed the store's integrity
     checks (missing file, bad checksum, version skew, undecodable
     columns) — the caller can replay exactly those days from the
-    pipeline.  ``models_rebuilt`` is True when the trained model
-    segments could not be used (corrupt, absent, or referencing a lost
-    day) and the suite was rebuilt from the surviving day counts
-    instead.
+    pipeline; until then the models are trained on the days that
+    survived.
     """
 
     days_restored: Tuple[int, ...]
     days_lost: Tuple[int, ...]
-    models_rebuilt: bool
     degraded: Tuple[Tuple[str, str], ...]
 
     @property
     def clean(self) -> bool:
-        """True when nothing was lost and nothing had to be rebuilt."""
-        return not self.days_lost and not self.models_rebuilt
+        """True when every day of the snapshot came back."""
+        return not self.days_lost
 
 
 @dataclass
@@ -216,15 +215,12 @@ class TipsyService:
         self.config = config or ServiceConfig()
         # day -> that day's finest-grain counts
         self._days: "OrderedDict[int, DayCounts]" = OrderedDict()
-        # day -> its counts projected onto each base model's grain,
-        # computed once when the day completes and reused at eviction
-        self._projections: Dict[int, Tuple[GrainProjection, ...]] = {}
+        # completed window day -> its counts projected onto each base
+        # model's grain (_GRAINS order), computed once when the day
+        # completes and folded into every retrain until it is evicted
+        self._projections: Dict[int, Tuple[KeyedTable, ...]] = {}
         self._current_day: Optional[int] = None
         self._last_hour: Optional[int] = None
-        # base models in _GRAINS order (AP, AL, A); exact accumulation so
-        # window subtraction is bit-exact.  The same objects the
-        # published suite serves: forked and snapshotted, never mutated
-        self._base: Optional[Tuple[HistoricalModel, ...]] = None
         self.retrain_count = 0
         # what queries read; replaced whole, by one assignment, at the
         # end of every retrain (see PublishedSuite)
@@ -253,94 +249,58 @@ class TipsyService:
         if day != self._current_day:
             self._current_day = day
             self._days.setdefault(day, DayCounts())
-            self._evict_old(day)
+            self._evict_old()
             self.retrain()
         self._days[day].add_hour(columns)
         if obs.enabled():
             obs.count("service.ingest.hours")
             obs.count("service.ingest.records", float(columns.n_records))
 
-    def _evict_old(self, today: int) -> None:
-        horizon = today - self.config.training_window_days
-        for day in list(self._days):
-            if day < horizon:
-                del self._days[day]
+    def _evicted(self, day: int) -> bool:
+        """Whether ``day`` is older than the window ending today."""
+        return (self._current_day is not None and day
+                < self._current_day - self.config.training_window_days)
+
+    def _evict_old(self) -> None:
+        for day in [d for d in self._days if self._evicted(d)]:
+            del self._days[day]
 
     # -- training ---------------------------------------------------------------
 
-    def _project_day(self, day: int, fresh: bool = False
-                     ) -> Tuple[GrainProjection, ...]:
-        """The day's counts at each base grain (computed once, cached)."""
-        projections = None if fresh else self._projections.get(day)
-        if projections is None:
-            counts = self._days[day]
-            projections = tuple(counts.project(fs) for fs in self._GRAINS)
-            self._projections[day] = projections
-        return projections
+    def retrain(self) -> None:
+        """Rebuild the model suite from the rolling window and publish it.
 
-    @staticmethod
-    def _apply_projection(model: HistoricalModel,
-                          projection: GrainProjection,
-                          sign: int) -> None:
-        if sign > 0:
-            for key, links in projection.items():
-                for link_id, bytes_ in links.items():
-                    model.observe_aggregate(key, link_id, bytes_)
-        else:
-            for key, links in projection.items():
-                for link_id, bytes_ in links.items():
-                    model.unobserve_aggregate(key, link_id, bytes_)
-
-    def retrain(self, strict_rebuild: bool = False) -> None:
-        """Bring the model suite up to date with the rolling window.
-
-        The default path is incremental: only the days that entered or
-        left the window since the last retrain are applied, as exact
-        deltas, to a fork of the served suite, and only the touched
-        tuples are re-ranked.  ``strict_rebuild=True`` rebuilds the
-        suite from the per-day counts from scratch — the escape hatch,
-        and the reference that incremental maintenance is provably
-        (bit-for-bit) equivalent to.  Either way the result replaces
-        the served suite in one step (:class:`PublishedSuite`).
+        Every completed window day's grain projections are folded, in
+        day order, into fresh models that replace the served suite in
+        one step (:class:`PublishedSuite`).  Called at every day
+        boundary; calling it again in between rebuilds the same suite.
         """
         with obs.timed("service.retrain"):
-            self._retrain(strict_rebuild)
+            self._retrain()
+        self.retrain_count += 1
         if obs.enabled():
-            obs.count("service.retrain.strict" if strict_rebuild
-                      else "service.retrain.incremental")
+            obs.count("service.retrain.count")
             self.export_gauges()
 
-    def _retrain(self, strict_rebuild: bool) -> None:
-        target = tuple(sorted(
+    def _retrain(self) -> None:
+        trained_on = tuple(sorted(
             day for day in self._days if day != self._current_day))
-        if strict_rebuild or self._base is None:
-            base = tuple(
-                HistoricalModel(fs, exact=True) for fs in self._GRAINS)
-            entering, leaving = list(target), []
-        else:
-            # the served suite is never touched: the deltas land on a
-            # private fork that becomes the next suite
-            base = tuple(model.fork() for model in self._base)
-            trained, wanted = set(self._published.trained_on), set(target)
-            entering = sorted(wanted - trained)
-            leaving = sorted(trained - wanted)
-        for day in entering:
-            projections = self._project_day(day, fresh=strict_rebuild)
-            for model, projection in zip(base, projections):
-                self._apply_projection(model, projection, +1)
-        for day in leaving:
-            for model, projection in zip(base, self._projections[day]):
-                self._apply_projection(model, projection, -1)
-        for model in base:
-            model.finalize()
         for day in [d for d in self._projections if d not in self._days]:
             del self._projections[day]
-        self._publish(base, target)
-        self.retrain_count += 1
+        for day in trained_on:
+            if day not in self._projections:
+                self._projections[day] = tuple(
+                    self._days[day].project(fs) for fs in self._GRAINS)
+        base = []
+        for grain, fs in enumerate(self._GRAINS):
+            window = [self._projections[day][grain] for day in trained_on]
+            base.append(HistoricalModel.from_arrays(
+                fold_keyed(window, len(fs.fields) + 1), fs))
+        self._publish(tuple(base), trained_on)
 
     def _publish(self, base: Tuple[HistoricalModel, ...],
                  trained_on: Tuple[int, ...]) -> None:
-        """Serve a finalized base suite (AP, AL, A) from the next query on.
+        """Serve a trained base suite (AP, AL, A) from the next query on.
 
         The memo starts empty — its answers were the previous suite's —
         and carries the cumulative counters :meth:`cache_stats` reports.
@@ -350,7 +310,6 @@ class TipsyService:
         memo: Memo = LruDict(self.config.memo_size)
         memo.hits, memo.misses, memo.evictions = (
             retired.hits, retired.misses, retired.evictions)
-        self._base = base
         self._published = PublishedSuite({
             "Hist_AP": ap,
             "Hist_AL": al,
@@ -387,15 +346,14 @@ class TipsyService:
     # -- snapshot / restore -------------------------------------------------------
 
     def snapshot(self, directory: Union[str, Path]) -> SegmentStore:
-        """Persist the full rolling-window state as a columnar store.
+        """Persist the rolling window as a columnar store.
 
         Writes one ``day_counts`` segment per window day (the day's
-        table as held in memory, first-seen row order) and one
-        ``model_grain`` segment per base model (counts *plus* the exact
-        Shewchuk partials), under a checksummed manifest carrying the service
-        config and scalars.  Everything a fresh process needs to resume
-        the window exactly where it left off — :meth:`restore` of an
-        intact snapshot is bit-identical to never having restarted.
+        table as held in memory, first-seen row order) under a
+        checksummed manifest carrying the service config and scalars.
+        The models are a function of those days, so none is written:
+        :meth:`restore` of an intact snapshot rebuilds them and is
+        bit-identical to never having restarted.
 
         Returns the written :class:`~repro.store.SegmentStore`.
         """
@@ -406,22 +364,13 @@ class TipsyService:
                 store.write(f"day-{day:06d}", arrays, kind="day_counts",
                             rows=len(arrays["value"]),
                             meta={"day": str(day)})
-            if self._base is not None:
-                for model in self._base:
-                    arrays = model.to_arrays()
-                    store.write(f"model-{model.feature_set.name}", arrays,
-                                kind="model_grain",
-                                rows=len(arrays["value"]),
-                                meta={"features": model.feature_set.name})
             store.set_meta({
                 "snapshot_format": str(SNAPSHOT_FORMAT),
                 "config": json.dumps(asdict(self.config), sort_keys=True),
                 "state": json.dumps({
                     "current_day": self._current_day,
                     "last_hour": self._last_hour,
-                    "trained_on": list(self._published.trained_on),
                     "retrain_count": self.retrain_count,
-                    "has_models": self._base is not None,
                 }, sort_keys=True),
             })
         if obs.enabled():
@@ -431,36 +380,23 @@ class TipsyService:
         return store
 
     @classmethod
-    def _load_base(cls, store: SegmentStore,
-                   ) -> Optional[Tuple[HistoricalModel, ...]]:
-        """The snapshotted base suite, or None if any grain is degraded."""
-        models: List[HistoricalModel] = []
-        for fs in cls._GRAINS:
-            arrays = store.read(f"model-{fs.name}")
-            if arrays is None:
-                return None
-            try:
-                model = HistoricalModel.from_arrays(arrays, fs, exact=True)
-            except (KeyError, ValueError):
-                return None
-            models.append(model)
-        return tuple(models)
-
-    @classmethod
-    def restore(cls, directory: Union[str, Path], wan: CloudWAN,
-                rebuild_models: bool = False) -> "TipsyService":
+    def restore(cls, directory: Union[str, Path],
+                wan: CloudWAN) -> "TipsyService":
         """Resume a service from a :meth:`snapshot` directory.
 
-        An intact snapshot restores bit-identically: the returned
-        service answers ``predict_batch``/``what_if`` byte-equal to the
+        Loads the day tables and rebuilds the models from them, so an
+        intact snapshot restores bit-identically: the returned service
+        answers ``predict_batch``/``what_if`` byte-equal to the
         uninterrupted original *and* keeps doing so as ingestion
-        continues (the exact partials make future window evictions
-        invert precisely).  Per-segment corruption degrades instead of
-        erroring: lost days are dropped (and reported), a damaged model
-        segment triggers a rebuild from the surviving day counts —
-        ``rebuild_models=True`` forces that path.  Check
-        ``service.restore_report`` for what happened; only an unusable
-        manifest raises :class:`SnapshotError`.
+        continues.  Per-segment corruption degrades instead of erroring:
+        a lost day is dropped from the window and reported (a lost
+        *current* day restarts empty, so its remaining hours still
+        land).  Check ``service.restore_report`` for what happened; only
+        an unusable manifest raises :class:`SnapshotError`.  Segments
+        and state keys this reader does not know — an older writer's
+        stored models — are ignored, and so are day segments older than
+        the window, which an earlier snapshot into the same directory
+        leaves behind.
         """
         with obs.timed("service.restore"):
             store = SegmentStore(directory)
@@ -480,6 +416,9 @@ class TipsyService:
                     f"{directory}: snapshot metadata unusable "
                     f"({error})") from None
             service = cls(wan, config)
+            service._current_day = state.get("current_day")
+            service._last_hour = state.get("last_hour")
+            service.retrain_count = int(state.get("retrain_count", 0))
             days_restored: List[int] = []
             days_lost: List[int] = []
             day_infos = sorted(
@@ -488,6 +427,10 @@ class TipsyService:
                 key=lambda info: int(info.meta.get("day", "-1")))
             for info in day_infos:
                 day = int(info.meta.get("day", "-1"))
+                if service._evicted(day):
+                    # left by an earlier snapshot into this directory;
+                    # the day was out of the window when this one was cut
+                    continue
                 arrays = store.read(info.name)
                 if arrays is None:
                     days_lost.append(day)
@@ -499,31 +442,14 @@ class TipsyService:
                     continue
                 service._days[day] = counts
                 days_restored.append(day)
-            service._current_day = state.get("current_day")
-            service._last_hour = state.get("last_hour")
-            trained_on = tuple(int(day)
-                               for day in state.get("trained_on", []))
-            base = None
-            if (not rebuild_models and state.get("has_models")
-                    and not set(days_lost).intersection(trained_on)):
-                base = cls._load_base(store)
-            models_rebuilt = False
-            if base is not None:
-                service._publish(base, trained_on)
-                # projections back future evictions; recomputing them
-                # from the restored tables reproduces the originals
-                # exactly (same rows in the same order)
-                for day in trained_on:
-                    if day in service._days:
-                        service._project_day(day)
-            elif service._days:
-                models_rebuilt = True
-                service.retrain()
-            service.retrain_count = int(state.get("retrain_count", 0))
+            if service._current_day is not None:
+                # ingest_hour adds to the current day's table without
+                # looking: a lost one starts over empty
+                service._days.setdefault(service._current_day, DayCounts())
+                service._retrain()
             service.restore_report = RestoreReport(
                 days_restored=tuple(days_restored),
                 days_lost=tuple(days_lost),
-                models_rebuilt=models_rebuilt,
                 degraded=tuple(store.degraded))
         if obs.enabled():
             obs.count("service.restore.count")

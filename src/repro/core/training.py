@@ -8,7 +8,9 @@ one streaming pass plus cheap in-memory fits.
 
 :class:`DayCounts` holds them for the serving path — one keyed columnar
 table per rolling-window day, fed ``AggColumns`` and folded, projected,
-snapshotted and restored without per-row Python.
+snapshotted and restored without per-row Python; :func:`fold_keyed` is
+the one group-and-sum every step of that path is made of, the window
+fold behind each retrain included.
 :class:`CountsAccumulator` is the dict form the offline paper-table
 runner and ``counts_from_trace`` fit from; its ``consume_hour`` +
 ``project`` + ``to_arrays`` are the record-path reference ``DayCounts``
@@ -30,11 +32,41 @@ from .base import TrainableModel
 if TYPE_CHECKING:  # avoids the pipeline <-> core import cycle at runtime
     from .features import FeatureSet
 
+#: a keyed table as ``store.codec`` lays it out: ``k0..k<n-1>`` (int64)
+#: and ``value`` (float64), aligned, one row per distinct key
+KeyedTable = Dict[str, np.ndarray]
+
 #: one day's counts projected onto a feature grain: key -> link -> bytes
 GrainProjection = Dict[Tuple[object, ...], Dict[int, float]]
 
-#: columns of the keyed table: the 5 FlowContext fields + link id
+#: columns of the day table: the 5 FlowContext fields + link id
 _KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
+
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+
+
+def fold_keyed(tables: Sequence[Mapping[str, np.ndarray]],
+               width: int) -> KeyedTable:
+    """Stack ``width``-key tables in order and sum each distinct key.
+
+    Rows come out in first-seen order and every sum is taken in row
+    order (:func:`first_seen_sums`), exactly as a serial
+    ``sums.get(key, 0.0) + value`` walk over the stacked rows would — so
+    folding one already-folded table changes nothing, and folding the
+    window's per-day tables in day order equals ``observe_aggregate``-ing
+    them day by day.  No table handed in is written to; none gives an
+    empty table.
+    """
+    names = key_column_names(width)
+    keys = [np.concatenate([_NO_KEYS, *(table[name] for table in tables)],
+                           dtype=np.int64) for name in names]
+    rep, sums = first_seen_sums(keys, np.concatenate(
+        [_NO_VALUES, *(table["value"] for table in tables)],
+        dtype=np.float64))
+    folded = {name: column[rep] for name, column in zip(names, keys)}
+    folded["value"] = sums
+    return folded
 
 
 class DayCounts:
@@ -44,58 +76,51 @@ class DayCounts:
     link id (``int64``), ``value`` the bytes (``float64``) — one row per
     distinct key in first-seen order: a snapshot's ``day_counts``
     segment, held in memory as it is stored.  Each hour is folded in as
-    it arrives (:func:`first_seen_sums` over the table's rows followed
-    by the hour's), so a key's sum grows in arrival order exactly as
+    it arrives (:func:`fold_keyed` over the table's rows followed by the
+    hour's), so a key's sum grows in arrival order exactly as
     ``counts.get(key, 0.0) + bytes`` would, and folding a folded (or
     restored) table changes nothing.  Arrays handed in are only read.
     """
 
     def __init__(self) -> None:
-        self._keys: Tuple[np.ndarray, ...] = tuple(
-            np.empty(0, dtype=np.int64) for _ in _KEY_NAMES)
-        self._values = np.empty(0, dtype=np.float64)
+        self._table: KeyedTable = fold_keyed((), len(_KEY_NAMES))
 
     def add_hour(self, columns: AggColumns) -> None:
         """Fold one aggregated hour into the table."""
         if not columns.n_records:
             return
-        keys = [np.concatenate(pair, dtype=np.int64) for pair in zip(
-            self._keys, (*columns[2:7], columns.link_ids))]
-        rep, self._values = first_seen_sums(keys, np.concatenate(
-            (self._values, columns.bytes), dtype=np.float64))
-        self._keys = tuple(column[rep] for column in keys)
+        hour = dict(zip(_KEY_NAMES, (*columns[2:7], columns.link_ids)),
+                    value=columns.bytes)
+        self._table = fold_keyed((self._table, hour), len(_KEY_NAMES))
 
-    def project(self, feature_set: "FeatureSet") -> GrainProjection:
-        """The table summed onto a model's feature grain.
+    def project(self, feature_set: "FeatureSet") -> KeyedTable:
+        """The table summed onto a model's feature grain, as columns.
 
-        ``{feature key: {link_id: bytes}}`` with keys, links and the
-        order bytes are added in all following row order — the dict
-        :meth:`CountsAccumulator.project` builds from the same rows.
-        Rolling-window trainers project each day once and feed models
-        via ``observe_aggregate``, so a daily delta costs one pass over
-        the day instead of one over the window.
+        ``k0..k<n-1>`` the grain's fields, ``k<n>`` the link id and
+        ``value`` the bytes, one row per distinct (feature key, link) in
+        first-seen order with bytes added in row order — the sums, keys
+        and per-key link order :meth:`CountsAccumulator.project` holds
+        as a nested dict.  The rolling-window service projects each
+        completed day once and folds the window's projections into
+        every retrain.
         """
-        grain = [self._keys[FlowContext._fields.index(name)]
-                 for name in feature_set.fields]
-        links = self._keys[-1]
-        rep, sums = first_seen_sums((*grain, links), self._values)
-        out: GrainProjection = {}
-        for key, link_id, bytes_ in zip(
-                zip(*(column[rep].tolist() for column in grain)),
-                links[rep].tolist(), sums.tolist()):
-            out.setdefault(key, {})[link_id] = bytes_
-        return out
+        columns = [self._table[_KEY_NAMES[FlowContext._fields.index(name)]]
+                   for name in feature_set.fields]
+        columns.append(self._table[_KEY_NAMES[-1]])
+        grain = dict(zip(key_column_names(len(columns)), columns),
+                     value=self._table["value"])
+        return fold_keyed((grain,), len(columns))
 
     # -- columnar persistence ----------------------------------------------
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
+    def to_arrays(self) -> KeyedTable:
         """The table as stored (``repro.store``): ``k0..k5``, ``value``.
 
         Row order is part of the format — :meth:`project` and every
         later fold follow it, so a restored table must keep it to behave
         bit-identically.
         """
-        return {**dict(zip(_KEY_NAMES, self._keys)), "value": self._values}
+        return dict(self._table)
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "DayCounts":
@@ -103,9 +128,9 @@ class DayCounts:
 
         Raises ``KeyError``/``ValueError`` on a column set that could not
         have come from it — snapshot readers treat that as corruption
-        and degrade to a rebuild.
+        and report the day lost.
         """
-        keys = tuple(arrays[name] for name in _KEY_NAMES)
+        keys = [arrays[name] for name in _KEY_NAMES]
         values = arrays["value"]
         if values.ndim != 1 or values.dtype != np.float64 or any(
                 column.shape != values.shape or column.dtype != np.int64
@@ -114,7 +139,7 @@ class DayCounts:
         if not (np.isfinite(values) & (values > 0.0)).all():
             raise ValueError("byte counts must be finite and positive")
         table = cls()
-        table._keys, table._values = keys, values
+        table._table = dict(zip(_KEY_NAMES, keys), value=values)
         return table
 
 
@@ -177,10 +202,10 @@ class CountsAccumulator:
 
         Returns ``{feature key: {link_id: bytes}}``, folding contexts in
         accumulation order — a deterministic function of this
-        accumulator's contents.  Rolling-window trainers project each
-        day once and feed models via ``observe_aggregate``, so a daily
-        delta costs one pass over the day instead of one over the
-        window.
+        accumulator's contents.  The offline form of
+        :meth:`DayCounts.project`: feeding a window's projections to
+        ``observe_aggregate`` day by day trains the models the serving
+        path folds from columns.
         """
         key_of = feature_set.key
         out: GrainProjection = {}

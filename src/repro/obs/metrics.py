@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: default histogram layout for latencies in seconds: sub-millisecond
-#: batched queries up through multi-second strict rebuilds
+#: batched queries up through multi-second window rebuilds
 DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,

@@ -275,7 +275,8 @@ def first_seen_sums(key_columns: Sequence[np.ndarray], weights: np.ndarray,
     sums = np.bincount(inv_key.ravel(), weights=weights,
                        minlength=len(first_key))
     order = np.argsort(first_key, kind="stable")
-    return first_key[order], sums[order]
+    # bincount of no rows is int64 whatever the weights; sums are float64
+    return first_key[order], sums[order].astype(np.float64, copy=False)
 
 
 def _combine_group_codes(columns: Sequence[np.ndarray]) -> np.ndarray:

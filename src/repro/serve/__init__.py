@@ -2,8 +2,8 @@
 
 The deployment form of :class:`~repro.core.service.TipsyService`
 (``docs/operations.md``): an hourly telemetry stream is sharded by
-feature-key hash across worker processes, each worker retrains its
-slice incrementally and publishes the result atomically
+feature-key hash across worker processes, each worker rebuilds its
+slice's models daily and publishes the result atomically
 (:class:`~repro.serve.shard.HotSwapShard`), and batched queries
 scatter-gather through :class:`~repro.serve.daemon.ServeDaemon` with
 answers bit-identical to the single-process service.  ``repro serve

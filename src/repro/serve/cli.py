@@ -240,11 +240,9 @@ def _serve_status(args: argparse.Namespace) -> int:
             worst = 1
             continue
         store = SegmentStore(shard_dir)
-        segments = store.segments()
-        days = sum(1 for i in segments if i.kind == "day_counts")
-        models = sum(1 for i in segments if i.kind == "model_grain")
+        days = sum(1 for i in store.segments() if i.kind == "day_counts")
         print(f"  shard {shard_id:02d}: {days} day segments, "
-              f"{models} model segments, {store.total_bytes()} bytes")
+              f"{store.total_bytes()} bytes")
     return worst
 
 

@@ -2,7 +2,8 @@
 
 Built on :mod:`repro.obs`: every :meth:`ServeDaemon.status` call gathers
 one :class:`ShardHealth` per shard (trained window, swap counter,
-staleness, ingest backlog, memo efficiency), folds them into a
+staleness, ingest backlog, memo efficiency, days a resume could not
+read back), folds them into a
 :class:`DaemonStatus`, and publishes the numbers as ``serve.*`` gauges
 when instrumentation is enabled — so the same figures feed the CLI's
 status lines and the Prometheus exporter.
@@ -38,6 +39,9 @@ class ShardHealth:
     memo_entries: int
     memo_hits: int
     memo_misses: int
+    #: window days whose checkpoint segment was unreadable at resume:
+    #: the shard serves without them until they age out of the window
+    days_lost: Tuple[int, ...] = ()
 
 
 def staleness_hours(last_hour: Optional[int],
@@ -94,7 +98,8 @@ class DaemonStatus:
                 f"(latest {s.latest_trained_day}), "
                 f"swaps={s.swap_count}, stale={s.staleness_hours}h, "
                 f"queue={s.ingest_queue_depth}, "
-                f"memo={s.memo_entries} ({s.memo_hits} hits)")
+                f"memo={s.memo_entries} ({s.memo_hits} hits)"
+                + (f", LOST days {list(s.days_lost)}" if s.days_lost else ""))
         return "\n".join(lines)
 
 
@@ -116,4 +121,5 @@ def export_status_gauges(status: DaemonStatus) -> None:
             "trained_days": float(s.trained_days),
             "ingest_queue_depth": float(s.ingest_queue_depth),
             "memo_entries": float(s.memo_entries),
+            "days_lost": float(len(s.days_lost)),
         }, prefix=f"serve.shard{s.shard_id:02d}.")

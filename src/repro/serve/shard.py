@@ -5,14 +5,14 @@ hash to it (:mod:`repro.serve.sharding`).  Queries must never block on —
 or observe — a retrain in progress, and :class:`HotSwapShard` gets that
 from the one :class:`~repro.core.service.TipsyService` it holds: an
 ordinary hour touches only the day's counts, which no query reads, and a
-day-boundary retrain builds the next suite on a private fork and
-publishes models, trained days and a fresh memo by one assignment that
-each query reads once.  A query that read the suite before the
-assignment finishes on the *old* models, which nothing mutates any
-more; one arriving after it sees the *new* ones; none sees a
-half-retrained model (``tests/serve/test_hotswap.py`` parks a retrain
-mid-delta to show it).  The cost is one transient copy of the suite per
-retrain; ``swap_count`` counts the suites published.
+day-boundary retrain builds the next suite from the window's columns,
+beside the served one, and publishes models, trained days and a fresh
+memo by one assignment that each query reads once.  A query that read
+the suite before the assignment finishes on the *old* models, which
+nothing ever writes to; one arriving after it sees the *new* ones; none
+sees a half-built model (``tests/serve/test_hotswap.py`` parks a
+retrain mid-build to show it).  The cost is a second suite in memory
+while a retrain runs; ``swap_count`` counts the suites published.
 
 Two locks, never held together.  The *writer* lock orders ``ingest_hour``
 against ``snapshot`` (a checkpoint must not see half an hour).  The
@@ -109,6 +109,7 @@ class HotSwapShard:
         stats = service.cache_stats()
         latest = max(trained) if trained else None
         last_hour = self.last_hour
+        report = service.restore_report
         return ShardHealth(
             shard_id=self.shard_id,
             last_hour=last_hour,
@@ -122,4 +123,5 @@ class HotSwapShard:
             memo_entries=stats["memo_entries"],
             memo_hits=stats["memo_hits"],
             memo_misses=stats["memo_misses"],
+            days_lost=report.days_lost if report is not None else (),
         )

@@ -19,9 +19,9 @@ stop       (drain,)                       ("ok", None); worker exits
 ========== ============================== ==============================
 
 Ingest is decoupled from the query loop by an internal queue and a
-dedicated ingest thread: a day-boundary retrain runs on that thread
-against a private fork of the model suite, so the loop keeps answering
-``predict`` from the published suite throughout — the worker-level half
+dedicated ingest thread: a day-boundary retrain builds the next suite on
+that thread, so the loop keeps answering ``predict`` from the published
+suite throughout — the worker-level half
 of the never-block-on-retrain guarantee (the service's atomic
 publication is the state-level half).
 

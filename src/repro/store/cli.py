@@ -9,7 +9,7 @@ long-lived deployment:
   (size, seed, days) is recorded in the manifest so a later ``load
   --verify`` can rebuild the exact reference.
 * ``load`` restores a service from a snapshot directory and reports
-  what survived (days restored/lost, models resumed or rebuilt).  With
+  what survived (days restored/lost).  With
   ``--verify`` it also rebuilds an uninterrupted reference service from
   the recorded recipe and asserts the restored service's predictions
   are byte-identical — the restart guarantee, checked for real.
@@ -17,8 +17,8 @@ long-lived deployment:
   format version) and prints a per-segment status table.
 
 Corrupt or missing segments never abort a ``load``; they surface in the
-restore report as lost days or a model rebuild, per the store's
-degrade-to-rebuild contract (``docs/storage.md``).
+restore report as lost days, per the store's degrade-and-report
+contract (``docs/storage.md``).
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ def add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
                         help="after `load`, rebuild the uninterrupted "
                              "reference and check predictions are "
                              "byte-identical")
-    parser.add_argument("--rebuild-models", action="store_true",
-                        help="on `load`, ignore persisted model segments "
-                             "and retrain from the day segments")
 
 
 def build_scenario(size: str, seed: int, days: int) -> "Scenario":
@@ -114,9 +111,8 @@ def _snapshot_save(args: argparse.Namespace) -> int:
         "scenario_window": str(args.window),
     })
     n_days = sum(1 for i in store.segments() if i.kind == "day_counts")
-    n_models = sum(1 for i in store.segments() if i.kind == "model_grain")
     print(f"saved {args.dir}: {n_days} day segments, "
-          f"{n_models} model segments, {store.total_bytes()} bytes")
+          f"{store.total_bytes()} bytes")
     return 0
 
 
@@ -134,9 +130,7 @@ def _snapshot_load(args: argparse.Namespace) -> int:
         return 1
     scenario = build_scenario(*recipe[:3])
     try:
-        service = TipsyService.restore(
-            args.dir, wan=scenario.wan,
-            rebuild_models=args.rebuild_models)
+        service = TipsyService.restore(args.dir, wan=scenario.wan)
     except SnapshotError as error:
         print(f"repro snapshot: {error}", file=sys.stderr)
         return 1
@@ -144,7 +138,7 @@ def _snapshot_load(args: argparse.Namespace) -> int:
     assert report is not None
     print(f"restored {args.dir}: days {list(report.days_restored)}, "
           f"lost {list(report.days_lost)}, "
-          f"models {'rebuilt' if report.models_rebuilt else 'resumed'}")
+          f"trained on {list(service.trained_days)}")
     for name, reason in report.degraded:
         print(f"  degraded: {name}: {reason}")
     if not args.verify:

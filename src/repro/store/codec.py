@@ -5,11 +5,10 @@ Everything TIPSY persists is, at heart, one of two shapes:
 * a *keyed table* — ``{(int, ...): float}`` with a fixed key width
   (flow-context counts, feature-grain model counts), stored as one
   ``int64`` column per key field plus one ``float64`` value column;
-* a *ragged column* — a list of variable-length rows (the exact
-  Shewchuk partials behind each model sum, a routing table's ranked
-  next-hops), stored as a flat value array (dtype pinned per column:
-  ``float64`` partials, ``int64`` next-hops) plus an ``int64`` offsets
-  array (CSR-style: ``values[offsets[i]:offsets[i + 1]]`` is row ``i``).
+* a *ragged column* — a list of variable-length rows (a routing
+  table's ranked next-hops), stored as a flat value array (dtype pinned
+  per column: ``int64`` next-hops) plus an ``int64`` offsets array
+  (CSR-style: ``values[offsets[i]:offsets[i + 1]]`` is row ``i``).
 
 Both encodings are lossless for the types the pipeline produces:
 key fields are ordinal-encoded ints (``int64``-representable by

@@ -3,17 +3,14 @@
 The leaf of the dependency tree: imports nothing from ``repro``, is
 imported by everything.  Hosts ``mix64`` — the stateless seeded mixer
 that replaces global RNG state everywhere (lint rules RA001–RA003) —
-and the Shewchuk-exact accumulators (``exactsum``) that make the
-incremental rolling-window retrain bit-identical to a from-scratch
-rebuild.
+the bounded ``LruDict`` and ``exactsum.exact_total``, the order-free sum
+the RA702 autofix routes unordered float accumulation through.
 """
 
 from .cache import LruDict
-from .exactsum import exact_add, exact_is_zero, exact_sub, exact_value
 from .hashing import geometric_day, mix64, pick, rotation, unit
 
 __all__ = [
     "LruDict",
-    "exact_add", "exact_is_zero", "exact_sub", "exact_value",
     "geometric_day", "mix64", "pick", "rotation", "unit",
 ]

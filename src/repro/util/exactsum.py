@@ -1,30 +1,20 @@
-"""Exactly-rounded, order-free floating-point accumulation.
+"""Order-free floating-point summation.
 
-Incremental model maintenance (add the day that entered the training
-window, subtract the day that left) can only be *bit-identical* to
-retraining from scratch if the accumulated sums do not depend on the
-order or grouping of the additions — plain ``a + b + c`` folds are
-neither associative nor invertible in IEEE-754.  This module keeps each
-running sum as a list of non-overlapping *partials* (Shewchuk's
-grow-expansion, the algorithm behind :func:`math.fsum`): the partials
-represent the exact real-valued sum, so adding and later subtracting the
-same value restores the previous state exactly, regardless of what was
-added in between, and the rounded view is the correctly-rounded float of
-the exact sum.
-
-A non-empty partials list whose exact sum is zero compacts to ``[0.0]``:
-non-overlapping non-zero floats cannot cancel, so ``value() == 0.0``
-holds iff the exact sum is zero — the property delta-training uses to
-decide that a (tuple, link) pair has genuinely left the window.
+Plain ``a + b + c`` folds are not associative in IEEE-754, so a sum
+taken over an unordered collection (a set, a dict built in arrival
+order, per-shard partial results) can differ in its last bits from run
+to run.  :func:`exact_total` is the one answer this tree gives to that:
+the correctly-rounded float of the exact real-valued sum, whatever the
+order.  Sums whose order *is* fixed — the per-key byte counts, folded in
+row order by ``np.bincount`` — do not need it and do not use it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
-__all__ = ["exact_add", "exact_sub", "exact_value", "exact_is_zero",
-           "exact_total"]
+__all__ = ["exact_total"]
 
 
 def exact_total(values: Iterable[float]) -> float:
@@ -45,44 +35,3 @@ def exact_total(values: Iterable[float]) -> float:
     parameter; fold a non-zero start in as one more summand.
     """
     return math.fsum(values)
-
-
-def exact_add(partials: List[float], value: float) -> List[float]:
-    """Fold ``value`` into ``partials`` in place; returns ``partials``.
-
-    ``partials`` must be a list previously produced by this function (or
-    empty).  After the call it again holds non-overlapping floats whose
-    mathematical sum is exactly the old sum plus ``value``.
-    """
-    x = value
-    count = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        high = x + y
-        low = y - (high - x)
-        if low != 0.0:
-            partials[count] = low
-            count += 1
-        x = high
-    partials[count:] = [x]
-    return partials
-
-
-def exact_sub(partials: List[float], value: float) -> List[float]:
-    """Fold ``-value`` into ``partials`` in place; returns ``partials``.
-
-    Subtracting a value that was previously added restores the exact
-    prior sum no matter how many other additions happened in between.
-    """
-    return exact_add(partials, -value)
-
-
-def exact_value(partials: Sequence[float]) -> float:
-    """The correctly-rounded float of the exact sum held in ``partials``."""
-    return math.fsum(partials)
-
-
-def exact_is_zero(partials: Sequence[float]) -> bool:
-    """Whether the exact sum is exactly zero (not merely rounding to it)."""
-    return not any(partials)

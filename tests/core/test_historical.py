@@ -119,86 +119,11 @@ class TestIntrospection:
         assert HistoricalModel(FEATURES_AP, name="X").name == "X"
 
 
-class TestExactMode:
-    def test_unobserve_requires_exact(self):
-        model = HistoricalModel(FEATURES_AP)
-        model.observe(ctx(), 5, 100.0)
-        with pytest.raises(RuntimeError):
-            model.unobserve(ctx(), 5, 100.0)
-
-    def test_unobserve_inverts_observe(self):
-        model = HistoricalModel(FEATURES_AP, exact=True)
-        model.observe(ctx(), 5, 0.1)
-        model.observe(ctx(), 5, 0.7)
-        model.observe(ctx(), 7, 0.3)
-        model.unobserve(ctx(), 5, 0.7)
-        reference = HistoricalModel(FEATURES_AP, exact=True)
-        reference.observe(ctx(), 5, 0.1)
-        reference.observe(ctx(), 7, 0.3)
-        assert model.bytes_for(ctx()) == reference.bytes_for(ctx())
-        assert model.rankings() == reference.rankings()
-
-    def test_fully_unobserved_pair_vanishes(self):
-        model = HistoricalModel(FEATURES_AP, exact=True)
-        model.observe(ctx(), 5, 0.1)
-        model.observe(ctx(), 5, 1e16)   # naive -= would not recover 0.1
-        model.observe(ctx(), 7, 2.0)
-        model.unobserve(ctx(), 5, 1e16)
-        model.unobserve(ctx(), 5, 0.1)
-        assert model.bytes_for(ctx()) == {7: 2.0}
-        assert [p.link_id for p in model.predict(ctx(), 3)] == [7]
-
-    def test_fully_unobserved_tuple_vanishes(self):
-        model = HistoricalModel(FEATURES_AP, exact=True)
-        model.observe(ctx(), 5, 3.5)
-        model.finalize()
-        model.unobserve(ctx(), 5, 3.5)
-        assert model.size() == 0
-        assert model.predict(ctx(), 1) == []
-        assert not model.has_prediction(ctx())
-
-    def test_exact_mode_order_free(self):
-        """Same observations, any order: bit-identical rankings."""
-        observations = [(5, 0.1), (7, 1e9), (5, 2.2), (9, 0.333), (7, 0.1)]
-        forward = HistoricalModel(FEATURES_AP, exact=True)
-        backward = HistoricalModel(FEATURES_AP, exact=True)
-        for link, bytes_ in observations:
-            forward.observe(ctx(), link, bytes_)
-        for link, bytes_ in reversed(observations):
-            backward.observe(ctx(), link, bytes_)
-        assert forward.bytes_for(ctx()) == backward.bytes_for(ctx())
-        assert forward.rankings() == backward.rankings()
-
-
 class TestLazyReranking:
-    def test_observe_dirties_only_touched_tuple(self):
-        model = HistoricalModel(FEATURES_AP)
-        model.observe(ctx(prefix=1), 5, 10.0)
-        model.observe(ctx(prefix=2), 7, 10.0)
-        model.finalize()
-        model.observe(ctx(prefix=1), 9, 50.0)
-        # the full ranking table survives; only the touched key is stale
-        assert model._ranked is not None
-        assert model._dirty == {model.feature_set.key(ctx(prefix=1))}
-        assert model.predict(ctx(prefix=1), 1)[0].link_id == 9
-        assert model._dirty == set()
-
-    def test_finalize_reranks_only_dirty(self):
-        model = HistoricalModel(FEATURES_AP)
-        model.observe(ctx(prefix=1), 5, 10.0)
-        model.observe(ctx(prefix=2), 7, 10.0)
-        model.finalize()
-        stale_ranking = model._ranked[model.feature_set.key(ctx(prefix=2))]
-        model.observe(ctx(prefix=1), 9, 50.0)
-        model.finalize()
-        # untouched tuple's ranking object was not rebuilt
-        assert model._ranked[
-            model.feature_set.key(ctx(prefix=2))] is stale_ranking
-
     def test_no_ranking_work_before_first_query(self):
         model = HistoricalModel(FEATURES_AP)
         model.observe(ctx(), 5, 10.0)
-        assert model._ranked is None and model._dirty == set()
+        assert model._ranked is None
 
     def test_group_key_is_feature_key(self):
         model = HistoricalModel(FEATURES_AP)

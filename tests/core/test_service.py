@@ -161,26 +161,21 @@ class TestWindowAndOrdering:
         assert 3 not in service.trained_days   # current day never trains
 
 
-class TestStrictRebuild:
-    def _feed(self, service, days=5):
-        for day in range(days):
+class TestManualRetrain:
+    def test_retrain_between_boundaries_rebuilds_the_same_suite(
+            self, service):
+        for day in range(5):
             for link in (0, 1):
                 service.ingest_hour(
                     day * 24, [rec(day * 24, link, 1, 10.0 + link)])
-
-    def test_strict_rebuild_preserves_answers(self, service):
-        self._feed(service)
         before = service.predict(ctx(1))
-        count = service.retrain_count
-        service.retrain(strict_rebuild=True)
+        counts = service.model("Hist_AP").bytes_for(ctx(1))
+        served, count = service.model("Hist_AP"), service.retrain_count
+        service.retrain()
         assert service.retrain_count == count + 1
+        assert service.model("Hist_AP") is not served  # a fresh build
         assert service.predict(ctx(1)) == before
-
-    def test_strict_rebuild_matches_incremental_counts(self, service):
-        self._feed(service)
-        incremental = service.model("Hist_AP").bytes_for(ctx(1))
-        service.retrain(strict_rebuild=True)
-        assert service.model("Hist_AP").bytes_for(ctx(1)) == incremental
+        assert service.model("Hist_AP").bytes_for(ctx(1)) == counts
 
 
 class TestBatchedQueries:

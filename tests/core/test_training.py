@@ -9,7 +9,7 @@ from repro.core import (
     CountsAccumulator,
     HistoricalModel,
 )
-from repro.core.training import DayCounts
+from repro.core.training import DayCounts, fold_keyed
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 
 
@@ -98,6 +98,37 @@ class TestProjection:
         assert via_projection.rankings() == reference.rankings()
 
 
+class TestFoldKeyed:
+    @staticmethod
+    def _table(k0, k1, value):
+        return {"k0": np.array(k0, dtype=np.int64),
+                "k1": np.array(k1, dtype=np.int64),
+                "value": np.array(value, dtype=np.float64)}
+
+    def test_stacks_in_order_and_sums_in_row_order(self):
+        first = self._table([7, 3, 7], [1, 1, 2], [1e16, 2.0, 4.0])
+        second = self._table([3, 7, 9], [1, 1, 1], [0.5, 1.0, 8.0])
+        third = self._table([7], [1], [-1e16])
+        handed_in = [column.tobytes() for table in (first, second, third)
+                     for column in table.values()]
+        folded = fold_keyed([first, second, third], 2)
+        assert list(folded) == ["k0", "k1", "value"]
+        assert folded["k0"].tolist() == [7, 3, 7, 9]     # first-seen order
+        assert folded["k1"].tolist() == [1, 1, 2, 1]
+        # (1e16 + 1.0) - 1e16 in that order is 0.0, not the exact 1.0
+        assert folded["value"].tolist() == [0.0, 2.5, 4.0, 8.0]
+        assert handed_in == [column.tobytes()
+                             for table in (first, second, third)
+                             for column in table.values()]
+
+    def test_no_tables_fold_to_an_empty_table(self):
+        folded = fold_keyed((), 3)
+        assert list(folded) == ["k0", "k1", "k2", "value"]
+        assert [column.dtype for column in folded.values()] == [
+            np.int64, np.int64, np.int64, np.float64]
+        assert all(len(column) == 0 for column in folded.values())
+
+
 class TestDayCounts:
     """Hand cases; tests/properties/test_prop_daycounts.py is the
     differential against ``CountsAccumulator``."""
@@ -120,9 +151,14 @@ class TestDayCounts:
 
     def test_projects_onto_a_feature_grain(self):
         projection = self._table().project(FEATURES_A)
-        assert list(projection.items()) == [
-            ((1, 0, 0), {5: 15.0, 4: 3.0}), ((3, 0, 0), {6: 4.0})]
-        assert DayCounts().project(FEATURES_AP) == {}
+        assert {name: column.tolist()
+                for name, column in projection.items()} == {
+            "k0": [1, 1, 3], "k1": [0, 0, 0], "k2": [0, 0, 0],  # the A key
+            "k3": [5, 4, 6],                                    # link
+            "value": [15.0, 3.0, 4.0]}
+        empty = DayCounts().project(FEATURES_AP)
+        assert list(empty) == ["k0", "k1", "k2", "k3", "k4", "value"]
+        assert all(len(column) == 0 for column in empty.values())
 
     def test_round_trips_and_keeps_folding(self):
         restored = DayCounts.from_arrays(self._table().to_arrays())

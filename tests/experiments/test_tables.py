@@ -36,6 +36,32 @@ class TestAccuracyRows:
         assert len(block.splitlines()) == 2 + len(rows)
 
 
+class TestAccuracyPins:
+    """The offline runner's accuracy on the small world, to the bit.
+
+    ``small_result`` is seed 7, 10 training days, 4 test days, default
+    model suite.  The values are what the tree produced before the
+    serving path stopped sharing ``HistoricalModel``'s exact mode (PR
+    18); batch-mode training must not move with the serving path.
+    """
+
+    PINS = {
+        ("overall", "Hist_AP/AL/A"): (0.7878574509719852, 0.969238475611348),
+        ("overall", "Hist_AL+G"): (0.6925320616574493, 0.9459689262101661),
+        ("outages_all", "Hist_AP/AL/A"): (0.6039661320850774,
+                                          0.8550740498510188),
+        ("outages_all", "Hist_AL+G"): (0.5214763107638134,
+                                       0.7590170056965548),
+    }
+
+    def test_small_world_top1_top3_are_pinned(self, small_result):
+        measured = {
+            (block, model): (getattr(small_result, block).get(model, 1),
+                             getattr(small_result, block).get(model, 3))
+            for block, model in self.PINS}
+        assert measured == self.PINS
+
+
 class TestRiskRows:
     def test_risk_row_rendering(self, small_scenario):
         wan = small_scenario.wan

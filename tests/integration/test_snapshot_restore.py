@@ -5,8 +5,8 @@ mid-window snapshot into a fresh process and the service is
 *indistinguishable* from one that never stopped — same predictions,
 same what-if answers, and, after further ingest across retrains and
 window evictions, still the same.  Damage downgrades, never corrupts:
-a lost model segment rebuilds from the day segments; a lost day
-shrinks the window and says so in the restore report.
+a lost day shrinks the window and says so in the restore report, and
+the models are rebuilt from the days that survive.
 """
 
 from __future__ import annotations
@@ -113,23 +113,33 @@ class TestBitIdenticalRestore:
             assert again.info(info.name).sha256 == info.sha256
 
 
-class TestDegradedRestore:
-    def test_corrupt_model_segment_rebuilds(self, world, snapshot_dir):
-        scenario, _hours = world
-        path = snapshot_dir / "model-AL.npz"
-        path.write_bytes(path.read_bytes()[:100])
-        restored = TipsyService.restore(snapshot_dir, scenario.wan)
-        report = restored.restore_report
-        assert report.models_rebuilt
-        assert report.days_lost == ()
-        # a rebuild from intact day segments is still exact
+    def test_resnapshot_into_a_used_directory_restores_only_the_window(
+            self, world, snapshot_dir):
+        """A checkpoint directory is written to daily, and a store keeps
+        the segments of days that have since left the window.  They are
+        not part of the later snapshot: not trained on, not reported."""
+        scenario, hours = world
         reference = _service_fed_to(world, SNAP_DAYS * 24)
+        for hour, records in hours[SNAP_DAYS * 24:(SNAP_DAYS + 2) * 24]:
+            reference.ingest_hour(hour, records)
+        reference.snapshot(snapshot_dir)      # days 1, 2 are now stale
+        stale = snapshot_dir / "day-000002.npz"
+        assert stale.exists() and 2 not in reference._days
+        stale.write_bytes(stale.read_bytes()[:100])     # and one is torn
+        restored = TipsyService.restore(snapshot_dir, scenario.wan)
+        assert restored.restore_report.clean
+        assert sorted(restored._days) == sorted(reference._days)
+        assert restored.restore_report.days_restored == tuple(
+            sorted(reference._days))
+        assert restored.trained_days == reference.trained_days
         assert _predictions(restored, scenario) == \
             _predictions(reference, scenario)
 
+
+class TestDegradedRestore:
     def test_lost_day_is_reported_and_window_shrinks(self, world,
                                                      snapshot_dir):
-        scenario, _hours = world
+        scenario, hours = world
         lost_day = min(TipsyService.restore(snapshot_dir,
                                             scenario.wan).trained_days)
         (snapshot_dir / f"day-{lost_day:06d}.npz").unlink()
@@ -137,8 +147,38 @@ class TestDegradedRestore:
         report = restored.restore_report
         assert report.days_lost == (lost_day,)
         assert lost_day not in restored.trained_days
-        assert report.models_rebuilt  # resumption needs every day
         assert not report.clean
+        # what is served is exactly what the surviving days train
+        survivors = TipsyService(
+            scenario.wan, ServiceConfig(training_window_days=WINDOW_DAYS))
+        for hour, records in hours[:SNAP_DAYS * 24]:
+            if hour // 24 != lost_day:
+                survivors.ingest_hour(hour, records)
+        assert restored.trained_days == survivors.trained_days
+        assert _predictions(restored, scenario) == \
+            _predictions(survivors, scenario)
+
+    def test_lost_current_day_restarts_empty_and_keeps_ingesting(
+            self, world, tmp_path):
+        """The day being ingested at the snapshot is lost: its remaining
+        hours must still land (the parent raised ``KeyError(day)`` on
+        the next one), and the report names the day."""
+        scenario, hours = world
+        cut = 2 * 24 + 6                      # six hours into day 2
+        _service_fed_to(world, cut).snapshot(tmp_path / "snap")
+        path = tmp_path / "snap" / "day-000002.npz"
+        path.write_bytes(path.read_bytes()[:100])
+        restored = TipsyService.restore(tmp_path / "snap", scenario.wan)
+        assert restored.restore_report.days_lost == (2,)
+        assert restored.trained_days == (0, 1)
+        # the rest of day 2 and all of day 3 arrive as usual
+        survivors = _service_fed_to(world, 2 * 24)
+        for hour, records in hours[cut:4 * 24]:
+            restored.ingest_hour(hour, records)
+            survivors.ingest_hour(hour, records)
+        assert restored.trained_days == (0, 1, 2)
+        assert _predictions(restored, scenario) == \
+            _predictions(survivors, scenario)
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda a: a.pop("k3"), id="missing-key-column"),
@@ -157,8 +197,8 @@ class TestDegradedRestore:
     def test_malformed_day_segment_is_a_lost_day(self, world, snapshot_dir,
                                                  damage):
         """A day segment that passes its checksum but is not a counts
-        table costs that day and a rebuild — never a crash, never
-        counts restored wrong."""
+        table costs that day — never a crash, never counts restored
+        wrong."""
         scenario, _hours = world
         store = SegmentStore(snapshot_dir)
         day = SNAP_DAYS - 2
@@ -169,19 +209,8 @@ class TestDegradedRestore:
         restored = TipsyService.restore(snapshot_dir, scenario.wan)
         report = restored.restore_report
         assert report.days_lost == (day,)
-        assert report.models_rebuilt
         assert day not in restored.trained_days
         assert day not in restored._days
-
-    def test_rebuild_models_flag_forces_retrain(self, world,
-                                                snapshot_dir):
-        scenario, _hours = world
-        reference = _service_fed_to(world, SNAP_DAYS * 24)
-        restored = TipsyService.restore(snapshot_dir, scenario.wan,
-                                        rebuild_models=True)
-        assert restored.restore_report.models_rebuilt
-        assert _predictions(restored, scenario) == \
-            _predictions(reference, scenario)
 
     def test_empty_directory_raises_snapshot_error(self, world,
                                                    tmp_path):

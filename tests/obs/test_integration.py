@@ -34,8 +34,8 @@ class TestServiceCounters:
         snap = obs.snapshot()
         assert snap.counters["service.ingest.hours"] == 3 * 24
         assert snap.counters["service.ingest.records"] > 0
-        # three day boundaries crossed -> incremental retrains happened
-        assert snap.counters["service.retrain.incremental"] >= 2
+        # three day boundaries crossed -> one retrain each
+        assert snap.counters["service.retrain.count"] == 3
         assert snap.histograms["service.retrain.seconds"].count >= 2
 
     def test_serving_counters(self, small_scenario, ingested_service):

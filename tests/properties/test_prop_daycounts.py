@@ -8,8 +8,9 @@ replaced: the same service with every day held by a
 keys recurring across hours in any order, several batches of one hour,
 bursts of one key, empty hours, day gaps that evict the window, a
 snapshot -> restore cut anywhere including mid-day — the two must agree
-to the bit: stored tables, all three grain projections down to dict
-order, answers, and the snapshot directories byte for byte.
+to the bit: stored tables, all three grain projections down to key and
+link order, the models folded from them, answers, and the snapshot
+directories byte for byte.
 """
 
 import tempfile
@@ -24,6 +25,7 @@ from repro.core import service as service_module
 from repro.core.service import ServiceConfig, TipsyService
 from repro.core.training import CountsAccumulator
 from repro.pipeline import AggColumns, AggRecord, FlowContext
+from repro.store.codec import decode_keyed_table, encode_keyed_table
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
                             Region)
 
@@ -75,11 +77,18 @@ class RecordPathDay:
 
     def __init__(self):
         self.counts = CountsAccumulator()
-        self.project = self.counts.project
         self.to_arrays = self.counts.to_arrays
 
     def add_hour(self, columns):
         self.counts.consume_hour(columns.hour, list(columns.to_records()))
+
+    def project(self, feature_set):
+        """The dict projection, laid out as the columns a retrain folds."""
+        nested = self.counts.project(feature_set)
+        return encode_keyed_table(
+            {(*key, link): bytes_ for key, links in nested.items()
+             for link, bytes_ in links.items()},
+            len(feature_set.fields) + 1)
 
 
 def new_service():
@@ -92,8 +101,13 @@ def files_of(directory):
             for path in sorted(Path(directory).iterdir())}
 
 
-def nested_items(projection):
-    return [(key, list(links.items())) for key, links in projection.items()]
+def nested_items(projection, feature_set):
+    """Keys in first-seen order, each with its links in first-seen order."""
+    nested = {}
+    for (*key, link), bytes_ in decode_keyed_table(
+            projection, len(feature_set.fields) + 1):
+        nested.setdefault(tuple(key), []).append((link, bytes_))
+    return list(nested.items())
 
 
 def assert_same(service, reference):
@@ -106,8 +120,16 @@ def assert_same(service, reference):
             assert got[name].dtype == column.dtype
             assert got[name].tobytes() == column.tobytes(), (day, name)
         for grain in TipsyService._GRAINS:
-            assert (nested_items(table.project(grain))
-                    == nested_items(reference._days[day].project(grain)))
+            assert (nested_items(table.project(grain), grain)
+                    == nested_items(reference._days[day].project(grain),
+                                    grain))
+    for name in ("Hist_AP", "Hist_AL", "Hist_A"):
+        got, want = service.model(name), reference.model(name)
+        assert ({column: values.tolist()
+                 for column, values in got.to_arrays().items()}
+                == {column: values.tolist()
+                    for column, values in want.to_arrays().items()}), name
+        assert got.rankings() == want.rankings(), name
     assert (service.predict_batch(CONTEXTS)
             == reference.predict_batch(CONTEXTS))
     flows = [(context, 1000.0 + i) for i, context in enumerate(CONTEXTS)]

@@ -120,60 +120,3 @@ class TestHistoricalEmpiricalDistribution:
             small = model.predict(context, k)
             large = model.predict(context, k + 1)
             assert large[:len(small)] == small
-
-
-fork_updates = st.lists(
-    st.one_of(observations.map(lambda obs: obs[0]),   # observe one more
-              st.integers(min_value=0, max_value=59)),  # unobserve a live one
-    max_size=40,
-)
-
-
-def arrays_equal(left, right):
-    return (list(left) == list(right)      # same columns, same order
-            and all(left[name].dtype == right[name].dtype
-                    and left[name].tolist() == right[name].tolist()
-                    for name in left))
-
-
-class TestHistoricalFork:
-    """``fork()`` is what lets a retrain run beside queries: updates to
-    the fork never reach the original, and they leave the fork exactly
-    where the same updates in place would have."""
-
-    @given(observations, fork_updates)
-    @settings(max_examples=60, deadline=None)
-    def test_fork_is_private_and_equals_in_place(self, obs, updates):
-        def key_of(context):
-            return FEATURES_AP.key(FlowContext(*context))
-
-        def trained():
-            model = HistoricalModel(FEATURES_AP, exact=True)
-            for *context, link, bytes_ in obs:
-                model.observe_aggregate(key_of(context), link, bytes_)
-            model.finalize()
-            return model
-
-        original, in_place = trained(), trained()
-        arrays_before = original.to_arrays()
-        rankings_before = original.rankings()
-        fork = original.fork()
-
-        live = list(obs)
-        for update in updates:
-            if isinstance(update, tuple):
-                live.append(update)
-                method = "observe_aggregate"
-            elif live:
-                update = live.pop(update % len(live))
-                method = "unobserve_aggregate"
-            else:
-                continue
-            *context, link, bytes_ = update
-            for model in (fork, in_place):
-                getattr(model, method)(key_of(context), link, bytes_)
-
-        assert arrays_equal(fork.to_arrays(), in_place.to_arrays())
-        assert fork.rankings() == in_place.rankings()  # re-ranks the fork
-        assert arrays_equal(original.to_arrays(), arrays_before)
-        assert original.rankings() == rankings_before

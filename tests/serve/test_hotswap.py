@@ -1,11 +1,12 @@
 """HotSwapShard: equivalence, swap accounting, and the old-or-new
-invariant — with a retrain parked mid-delta, and under a concurrent
+invariant — with a retrain parked mid-build, and under a concurrent
 reader while retrains are in flight."""
 
 import dataclasses
 import sys
 import threading
 
+from repro.core.historical import HistoricalModel
 from repro.core.service import TipsyService
 from repro.serve.shard import HotSwapShard
 
@@ -71,27 +72,30 @@ def _shard_before(serve_world, boundary):
 
 
 class TestOldOrNewInvariant:
-    def test_parked_retrain_serves_old_then_new(self, serve_world):
-        """A retrain stopped half-way through its deltas changes nothing
+    def test_parked_retrain_serves_old_then_new(self, serve_world,
+                                                monkeypatch):
+        """A retrain stopped half-way through its build changes nothing
         a query can see, and delays no query; its end changes everything.
 
         The retrain is parked on an event right after the first of its
-        three deltas has landed, so the next suite is provably
+        three grain models has been built, so the next suite is provably
         half-built while the shard is asked.
         """
         shard, batch, old_answer, new_answer = _shard_before(
             serve_world, BOUNDARY)
 
         parked, release = threading.Event(), threading.Event()
-        apply_delta = TipsyService._apply_projection
+        build_model = HistoricalModel.from_arrays
 
-        def park_after_first_delta(model, projection, sign):
-            apply_delta(model, projection, sign)
+        def park_after_first_model(arrays, feature_set):
+            model = build_model(arrays, feature_set)
             if not parked.is_set():
                 parked.set()
                 assert release.wait(30)
+            return model
 
-        shard._service._apply_projection = park_after_first_delta
+        monkeypatch.setattr(HistoricalModel, "from_arrays",
+                            park_after_first_model)
         swaps = shard.swap_count
         writer = threading.Thread(
             target=shard.ingest_hour,

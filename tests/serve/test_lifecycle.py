@@ -13,6 +13,7 @@ from repro.obs import runtime as obs
 from repro.serve import DaemonConfig, ServeDaemon, ShardError
 from repro.serve import daemon as daemon_mod
 from repro.serve.daemon import MANIFEST_NAME, read_manifest
+from repro.serve.sharding import shard_of
 
 from .conftest import HOURS
 
@@ -82,6 +83,59 @@ class TestRestartRecovery:
             contexts = serve_world.contexts[:300]
             assert (resumed.predict_batch(contexts)
                     == serve_world.reference.predict_batch(contexts))
+        finally:
+            resumed.shutdown()
+
+    @pytest.mark.parametrize("workers", ["inline", "process"])
+    def test_degraded_resume_is_visible_and_exact_on_what_survived(
+            self, serve_world, tmp_path, workers):
+        """A byte flipped in one shard's day segment between checkpoint
+        and resume: status names the shard and the day, the other shard
+        answers as if nothing happened, and the damaged one answers
+        exactly as a service that never saw the lost day."""
+        cut, lost_day = 60, 1
+        first = _daemon(serve_world, workers=workers, n_shards=2)
+        for hour in range(cut):
+            first.ingest_hour(hour, serve_world.hourly[hour])
+        first.checkpoint(tmp_path)
+        first.shutdown(drain=True)
+        segment = tmp_path / "shard-01" / f"day-{lost_day:06d}.npz"
+        damaged = bytearray(segment.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x01
+        segment.write_bytes(bytes(damaged))
+
+        wan = serve_world.scenario.wan
+        survivors = TipsyService(wan, serve_world.config)
+        for hour in range(cut):
+            if hour // 24 != lost_day:
+                survivors.ingest_hour(hour, serve_world.hourly[hour])
+        whole = TipsyService(wan, serve_world.config)
+        for hour in range(cut):
+            whole.ingest_hour(hour, serve_world.hourly[hour])
+
+        obs.enable(fresh=True)
+        resumed = ServeDaemon.resume(tmp_path, wan, workers=workers)
+        try:
+            status = resumed.status()
+            assert [s.days_lost for s in status.shards] == [(), (lost_day,)]
+            lines = status.format_text().splitlines()
+            assert "LOST" not in lines[1]
+            assert lines[2].endswith(f"LOST days [{lost_day}]")
+            gauges = obs.snapshot().gauges
+            assert gauges["serve.shard00.days_lost"] == 0.0
+            assert gauges["serve.shard01.days_lost"] == 1.0
+            owners = [shard_of(context.src_asn, 2)
+                      for context in serve_world.contexts]
+            assert {0, 1} <= set(owners)
+            answers = resumed.predict_batch(serve_world.contexts)
+            for oracle, shard_id in ((whole, 0), (survivors, 1)):
+                mine = [context for context, owner
+                        in zip(serve_world.contexts, owners)
+                        if owner == shard_id]
+                assert ([answer for answer, owner in zip(answers, owners)
+                         if owner == shard_id]
+                        == oracle.predict_batch(mine))
+            assert whole.predict_batch(serve_world.contexts) != answers
         finally:
             resumed.shutdown()
 
@@ -173,9 +227,9 @@ class TestOneServicePerShard:
             calls["ingest"] += 1
             ingest(self, hour, records)
 
-        def counted_restore(directory, wan, rebuild_models=False):
+        def counted_restore(directory, wan):
             calls["restore"] += 1
-            return restore(directory, wan, rebuild_models)
+            return restore(directory, wan)
 
         monkeypatch.setattr(TipsyService, "ingest_hour", counted_ingest)
         monkeypatch.setattr(TipsyService, "restore", counted_restore)
@@ -206,7 +260,7 @@ class TestOneServicePerShard:
                 == counters["serve.ingest.records"])
         assert counters["service.ingest.hours"] == 2 * 50
         # day boundaries at hours 0, 24 and 48, on each of two shards
-        assert counters["service.retrain.incremental"] == 2 * 3
+        assert counters["service.retrain.count"] == 2 * 3
 
 
 def _wedged_worker(conn, shard_id, wan, config, restore_dir=None,

@@ -59,16 +59,17 @@ class TestSnapshotCommand:
                      "--days", "5", "--window", "3"]) == 0
         out = capsys.readouterr().out
         assert "day segments" in out
+        assert "model" not in out
 
         assert main(["snapshot", "inspect", "--dir", target]) == 0
         out = capsys.readouterr().out
         assert "day_counts" in out
-        assert "model_grain" in out
+        assert "model_grain" not in out     # models are not persisted
         assert "ok" in out
 
         assert main(["snapshot", "load", "--dir", target, "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "models resumed" in out
+        assert "lost [], trained on [1, 2, 3]" in out
         assert "verify OK" in out
 
     def test_load_degrades_on_corruption(self, capsys, tmp_path):
@@ -80,10 +81,12 @@ class TestSnapshotCommand:
         segment.write_bytes(segment.read_bytes()[:50])
         assert main(["snapshot", "inspect", "--dir", str(target)]) == 1
         assert "checksum mismatch" in capsys.readouterr().out
-        # load still succeeds: the lost day is reported, models rebuild
+        # load still succeeds: the lost day is reported and not trained on
         assert main(["snapshot", "load", "--dir", str(target)]) == 0
         out = capsys.readouterr().out
-        assert "models rebuilt" in out
+        lost = int(segment.stem.split("-")[1])
+        assert f"lost [{lost}]" in out
+        assert str(lost) not in out.split("trained on")[1].splitlines()[0]
         assert "degraded" in out
 
     def test_load_without_recipe_fails_cleanly(self, capsys, tmp_path):

@@ -1,73 +1,32 @@
-"""Tests for the exact-summation primitives behind incremental training."""
+"""Tests for ``exact_total``, the order-free sum RA702 rewrites to."""
 
 import math
 
 import numpy as np
 
-from repro.util import exact_add, exact_is_zero, exact_sub, exact_value
+from repro.util.exactsum import exact_total
 
 
 class TestExactAccumulation:
     def test_matches_fsum(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(1e-6, 1e9, size=500).tolist()
-        partials = []
-        for v in values:
-            exact_add(partials, v)
-        assert exact_value(partials) == math.fsum(values)
+        assert exact_total(values) == math.fsum(values)
 
     def test_order_free(self):
-        """The partials' value is independent of accumulation order."""
+        """The total is independent of accumulation order."""
         rng = np.random.default_rng(11)
         values = rng.uniform(0.1, 1e6, size=200).tolist()
-        forward, backward = [], []
-        for v in values:
-            exact_add(forward, v)
-        for v in reversed(values):
-            exact_add(backward, v)
-        assert exact_value(forward) == exact_value(backward)
-
-    def test_subtract_inverts_add(self):
-        rng = np.random.default_rng(13)
-        values = rng.uniform(0.1, 1e6, size=100).tolist()
-        partials = []
-        for v in values:
-            exact_add(partials, v)
-        # remove in a scrambled order: still exact
-        for v in sorted(values):
-            exact_sub(partials, v)
-        assert exact_value(partials) == 0.0
-        assert exact_is_zero(partials)
-
-    def test_partial_removal_is_exact(self):
-        """Removing a subset leaves exactly the other subset's sum."""
-        rng = np.random.default_rng(17)
-        keep = rng.uniform(0.1, 1e6, size=50).tolist()
-        drop = rng.uniform(0.1, 1e6, size=50).tolist()
-        partials = []
-        for v in keep + drop:
-            exact_add(partials, v)
-        for v in drop:
-            exact_sub(partials, v)
-        assert exact_value(partials) == math.fsum(keep)
+        assert exact_total(values) == exact_total(reversed(values))
+        assert exact_total(values) == exact_total(sorted(values))
 
     def test_cancellation_visible_to_naive_sum(self):
-        """The classic case where plain += / -= loses: big + tiny."""
-        naive = 0.0
-        partials = []
-        for v in (1e16, 1.0, -1e16):
-            naive += v
-            exact_add(partials, v)
-        assert naive != 1.0              # float + is lossy here
-        assert exact_value(partials) == 1.0
+        """The classic case where plain += loses: big + tiny."""
+        values = (1e16, 1.0, -1e16)
+        assert sum(values) != 1.0        # float + is lossy here
+        assert exact_total(values) == 1.0
 
-    def test_zero_value_means_all_zero_partials(self):
-        """exact sum 0.0 <=> empty contribution (used for key eviction)."""
-        partials = []
-        exact_add(partials, 3.5)
-        exact_add(partials, 1e-30)
-        exact_sub(partials, 3.5)
-        assert not exact_is_zero(partials)
-        exact_sub(partials, 1e-30)
-        assert exact_is_zero(partials)
-        assert exact_value(partials) == 0.0
+    def test_always_float(self):
+        assert exact_total([2, 3]) == 5.0
+        assert isinstance(exact_total([2, 3]), float)
+        assert exact_total([]) == 0.0
