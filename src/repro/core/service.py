@@ -26,11 +26,12 @@ building anew means a model is never written to after it is served and
 what a service answers does not depend on how long it has been running.
 
 Retraining is also *atomic* to a reader: the new models, the days they
-were trained on and a fresh memo are published together as one
-:class:`PublishedSuite` by a single assignment.  A query reads that
-reference once, so a thread querying during a retrain gets the old
-suite or the new one, never a half-built model (``repro.serve`` relies
-on this to answer while a shard retrains).
+were trained on, a fresh memo and the day of publication are published
+together as one :class:`PublishedSuite` by a single assignment.  A query
+reads that reference once, so a thread querying during a retrain gets
+the old suite or the new one, never a half-built model (``repro.serve``
+relies on this to answer while a shard retrains, and on the day tag to
+know which of the two an answer came from).
 
 Serving is *batched*: queries group flows by the answering model's
 feature key and answer each distinct key once (the paper's tuple space
@@ -202,6 +203,9 @@ class PublishedSuite(NamedTuple):
     models: Dict[str, IngressModel]
     trained_on: Tuple[int, ...]
     memo: Memo
+    #: the day being collected when the suite was published — the tag
+    #: :meth:`TipsyService.answers` returns beside a suite's answers
+    day: Optional[int] = None
 
 
 class TipsyService:
@@ -318,7 +322,7 @@ class TipsyService:
                                            name="Hist_AL+G"),
             "Hist_AP/AL/A": SequentialEnsemble([ap, al, a],
                                                name="Hist_AP/AL/A"),
-        }, trained_on, memo)
+        }, trained_on, memo, self._current_day)
 
     @property
     def trained_days(self) -> Tuple[int, ...]:
@@ -350,7 +354,8 @@ class TipsyService:
 
         Writes one ``day_counts`` segment per window day (the day's
         table as held in memory, first-seen row order) under a
-        checksummed manifest carrying the service config and scalars.
+        checksummed manifest carrying the service config and scalars,
+        and removes the segments of days no longer in the window.
         The models are a function of those days, so none is written:
         :meth:`restore` of an intact snapshot rebuilds them and is
         bit-identical to never having restarted.
@@ -364,6 +369,12 @@ class TipsyService:
                 store.write(f"day-{day:06d}", arrays, kind="day_counts",
                             rows=len(arrays["value"]),
                             meta={"day": str(day)})
+            for info in store.segments():
+                # an earlier snapshot into this directory wrote days
+                # that have since left the window
+                if (info.kind == "day_counts"
+                        and self._evicted(int(info.meta.get("day", "-1")))):
+                    store.remove(info.name)
             store.set_meta({
                 "snapshot_format": str(SNAPSHOT_FORMAT),
                 "config": json.dumps(asdict(self.config), sort_keys=True),
@@ -395,8 +406,7 @@ class TipsyService:
         an unusable manifest raises :class:`SnapshotError`.  Segments
         and state keys this reader does not know — an older writer's
         stored models — are ignored, and so are day segments older than
-        the window, which an earlier snapshot into the same directory
-        leaves behind.
+        the window, which a writer that did not prune left behind.
         """
         with obs.timed("service.restore"):
             store = SegmentStore(directory)
@@ -428,8 +438,8 @@ class TipsyService:
             for info in day_infos:
                 day = int(info.meta.get("day", "-1"))
                 if service._evicted(day):
-                    # left by an earlier snapshot into this directory;
-                    # the day was out of the window when this one was cut
+                    # left by a writer that did not prune: the day was
+                    # out of the window when this snapshot was cut
                     continue
                 arrays = store.read(info.name)
                 if arrays is None:
@@ -564,21 +574,22 @@ class TipsyService:
                                        frozenset(withdrawn))
             return spill_from_groups(zip(predictions, group_bytes))
 
-    def withdrawal_predictions(
-        self,
-        contexts: Sequence[FlowContext],
-        k: Optional[int] = None,
-        withdrawn: AbstractSet[int] = NO_LINKS,
-    ) -> List[Tuple[Prediction, ...]]:
-        """Per-context predictions of the withdrawal model, memoized.
+    def answers(
+        self, name: str, contexts: Sequence[FlowContext],
+        k: Optional[int], prior: AbstractSet[int],
+    ) -> Tuple[Optional[int], List[Tuple[Prediction, ...]]]:
+        """Model ``name``'s per-context answers, memoized, tagged with
+        the day of the suite that gave them — both from one read.
 
         The building block the sharded daemon scatters: each shard
-        answers its own contexts and the parent re-runs the exact
-        :func:`spill_from_groups` accumulation, so a sharded ``what_if``
-        is bit-identical to the single-process one.
+        answers its own contexts (the parent re-runs the exact
+        :func:`spill_from_groups` accumulation for ``what_if``), and
+        the tag lets the daemon keep an answer for exactly as long as
+        the suite that gave it is the one a shard must be serving.
         """
-        return self._answer(self._published, self.config.withdrawal_model,
-                            contexts, k, frozenset(withdrawn))
+        suite = self._published
+        return suite.day, self._answer(suite, name, contexts, k,
+                                       frozenset(prior))
 
     def what_if_per_flow(
         self,

@@ -5,10 +5,10 @@
 telemetry stream goes in, sharded by feature-key hash
 (:mod:`repro.serve.sharding`) across workers that each hold one
 :class:`~repro.serve.shard.HotSwapShard`; batched
-``predict_batch``/``what_if`` queries scatter to the owning shards and
-gather back in the caller's order.  Two worker modes share every other
-code path, the shard server (:class:`~repro.serve.worker.ShardServer`)
-included:
+``predict_batch``/``what_if`` queries are answered from the daemon's
+memo, or scatter to the owning shards and gather back in the caller's
+order.  Two worker modes share every other code path, the shard server
+(:class:`~repro.serve.worker.ShardServer`) included:
 
 * ``process`` (the deployment shape) — one OS process per shard, talking
   over a pipe (:mod:`repro.serve.worker`); per-shard retrains run in
@@ -23,6 +23,23 @@ service's counts for the same keys, and ``what_if`` re-runs the exact
 :func:`~repro.core.service.group_flows` /
 :func:`~repro.core.service.spill_from_groups` accumulation parent-side
 over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
+
+**Warm reads.**  Callers repeat their questions, so the daemon keeps
+the answers its shards have given (:class:`_AnswerMemo`) and only the
+contexts it does not hold cross a pipe.  A memo is valid for one
+publication of the shards' suites: each ``answer`` reply is tagged with
+the day of the suite that gave it, the daemon's *day* is that of the
+newest hour it has fed, and a reply is stored only if its tag is the day
+the query read when it began — into the memo it read then, which
+``ingest_hour`` replaces, by one assignment, *before* any shard is sent
+the first hour of a new day.  The invariant: an entry of day *D* was
+answered by its owning shard's suite *D*, and while the daemon's day is
+*D* no shard has been sent an hour of a later day, so none can have
+published past *D* — a hit is bit-identical to what the hop would return
+now.  A shard still retraining (tag = yesterday) is not cached and keeps
+being asked.  A hit takes no daemon lock and contacts no shard: a dead
+worker is noticed by the next miss, feed, ``status`` or ``checkpoint``,
+and any :class:`ShardError` empties the memo (``docs/operations.md``).
 
 **Lifecycle.**  ``checkpoint`` holds back the feed, drains in-flight
 ingest, snapshots every shard into ``<dir>/shard-NN/``
@@ -41,10 +58,12 @@ import json
 import multiprocessing
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, Iterable, List,
-                    Optional, Protocol, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
+                    Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
+                    cast)
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
@@ -52,7 +71,7 @@ from ..core.service import (ServiceConfig, group_flows, spill_from_groups)
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN
-from .health import DaemonStatus, export_status_gauges
+from .health import DaemonStatus, FrontMemoStats, export_status_gauges
 from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_columns,
                        split_indices)
 from .worker import ShardServer, shard_worker_main
@@ -221,6 +240,69 @@ class _ProcessShard:
                 f"shard {self.shard_id} stop: {error!r}") from error
 
 
+# -- the front memo -----------------------------------------------------------
+
+_Answer = Tuple[Prediction, ...]
+#: a question's shape: (answering model, k, unavailable links)
+_Shape = Tuple[str, int, FrozenSet[int]]
+
+
+class _AnswerMemo:
+    """The shards' answers under one publication, ``day`` ("Warm reads"
+    above): shape -> context -> answer, so a shape never asked costs one
+    miss.  At most ``size`` answers, whole least-recently-asked shapes
+    evicted first — nothing fits in ``size <= 0``, ``memo_size``'s "no
+    memo".  The lock is held around dictionary work only."""
+
+    def __init__(self, day: Optional[int], size: int,
+                 retired: Optional["_AnswerMemo"] = None):
+        self.day = day
+        self._size = max(size, 0)
+        self._lock = threading.Lock()
+        self._shapes: "OrderedDict[_Shape, Dict[FlowContext, _Answer]]" = (
+            OrderedDict())
+        # counters are cumulative: they carry over from the retired memo
+        self._entries, self._hits, self._misses, self._hop_free = (
+            retired.stats()._replace(entries=0) if retired else (0, 0, 0, 0))
+
+    def lookup(self, shape: _Shape, contexts: Sequence[FlowContext]
+               ) -> Tuple[List[Optional[_Answer]], int]:
+        """Each context's answer (``None`` where none is held) and how
+        many are missing; counted once per query, not per context."""
+        with self._lock:
+            known = self._shapes.get(shape)
+            if known is None:
+                found: List[Optional[_Answer]] = [None] * len(contexts)
+            else:
+                self._shapes.move_to_end(shape)
+                found = list(map(known.get, contexts))
+            missing = found.count(None)
+            self._hits += len(found) - missing
+            self._misses += missing
+            self._hop_free += not missing
+        return found, missing
+
+    def store(self, shape: _Shape,
+              answers: Dict[FlowContext, _Answer]) -> None:
+        with self._lock:
+            known = self._shapes.setdefault(shape, {})
+            self._entries -= len(known)
+            known.update(answers)
+            self._entries += len(known)
+            while self._entries > self._size:
+                self._entries -= len(self._shapes.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        with self._lock:
+            self._shapes.clear()
+            self._entries = 0
+
+    def stats(self) -> FrontMemoStats:
+        with self._lock:
+            return FrontMemoStats(self._entries, self._hits, self._misses,
+                                  self._hop_free)
+
+
 # -- the daemon ---------------------------------------------------------------
 
 
@@ -239,6 +321,9 @@ class ServeDaemon:
         # a snapshot is cut.  Taken before _query_lock, never by a query
         self._feed_lock = threading.Lock()
         self._last_hour: Optional[int] = None
+        # _last_hour's day and the shards' answers under it: read once
+        # by a query, replaced whole at each day crossing
+        self._memo = _AnswerMemo(None, self.config.service.memo_size)
         self._started = False
         self._stopped = False
 
@@ -260,7 +345,8 @@ class ServeDaemon:
             shard_dirs = [str(Path(resume_dir) / f"shard-{i:02d}")
                           for i in range(self.config.n_shards)]
             last = manifest.get("last_hour")
-            self._last_hour = last if isinstance(last, int) else None
+            if isinstance(last, int):
+                self._admit_locked(last)  # not yet shared: no lock to hold
         for shard_id, shard_dir in enumerate(shard_dirs):
             if self.config.workers == "process":
                 handle: _ShardHandle = _ProcessShard(
@@ -319,19 +405,37 @@ class ServeDaemon:
         Every shard receives its slice of the columns — including an
         empty one — so day crossings (and with them retrains and window
         evictions) happen at the same hours on every shard as they would
-        in the single-process service.  Rows labelled with another hour
+        in the single-process service.  Rows labelled with another hour,
+        or an hour older than the last one fed (equal hours may repeat),
         raise ``ValueError`` before any shard is sent anything.
         """
         self._check_serving()
         columns = AggColumns.of(hour, records)
         shards = split_columns(columns, self.config.n_shards)
-        with self._feed_lock:
-            for handle, shard_columns in zip(self._handles, shards):
-                handle.ingest(hour, shard_columns)
-        self._last_hour = hour
+        try:
+            with self._feed_lock:
+                self._admit_locked(hour)
+                for handle, shard_columns in zip(self._handles, shards):
+                    handle.ingest(hour, shard_columns)
+        except ShardError:
+            self._memo.clear()
+            raise
         if obs.enabled():
             obs.count("serve.ingest.hours")
             obs.count("serve.ingest.records", float(columns.n_records))
+
+    def _admit_locked(self, hour: int) -> None:
+        """Refuse an hour out of time order; else make it the last fed
+        and, if it starts a day, retire the memo — before any shard
+        hears of the new day (caller holds ``_feed_lock``)."""
+        if self._last_hour is not None and hour < self._last_hour:
+            raise ValueError(
+                f"hour {hour} is older than hour {self._last_hour}, the last "
+                "one fed: telemetry must be ingested in time order")
+        self._last_hour = hour
+        if hour // 24 != self._memo.day:
+            self._memo = _AnswerMemo(
+                hour // 24, self.config.service.memo_size, self._memo)
 
     def drain(self) -> None:
         """Block until every queued hour is applied on every shard."""
@@ -352,17 +456,21 @@ class ServeDaemon:
                       ) -> List[List[Prediction]]:
         """Top-k predictions for many flows, in the caller's order.
 
-        Scatter by owning shard, gather, reassemble — bit-identical to
-        :meth:`TipsyService.predict_batch` on the same trained stream.
+        From the memo, else scatter by owning shard, gather, reassemble
+        — bit-identical to :meth:`TipsyService.predict_batch` on the
+        same trained stream.
         """
         self._check_serving()
+        service = self.config.service
+        prior = frozenset(unavailable)
         with obs.timed("serve.predict_batch"):
-            out = self._by_owner("predict", contexts, k,
-                                 frozenset(unavailable))
+            out = self._by_owner(
+                service.withdrawal_model if prior else service.primary_model,
+                contexts, k, prior)
         if obs.enabled():
             obs.count("serve.predict.batches")
             obs.count("serve.predict.flows", float(len(contexts)))
-        return [answer if answer is not None else [] for answer in out]
+        return [list(answer) for answer in out]
 
     def what_if(
         self,
@@ -391,11 +499,9 @@ class ServeDaemon:
                 lambda context: grain.key(context), flows)
             if not group_contexts:
                 return {}
-            answers = self._by_owner("wpredict", group_contexts, k,
-                                     frozenset(withdrawn))
-            groups = [(answer if answer is not None else (), bytes_)
-                      for answer, bytes_ in zip(answers, group_bytes)]
-            spill = spill_from_groups(groups)
+            answers = self._by_owner(self.config.service.withdrawal_model,
+                                     group_contexts, k, frozenset(withdrawn))
+            spill = spill_from_groups(zip(answers, group_bytes))
         if obs.enabled():
             obs.count("serve.what_if.calls")
             obs.count("serve.what_if.flows", float(len(flows)))
@@ -413,7 +519,7 @@ class ServeDaemon:
                 obs.registry().merge(delta)
         status = DaemonStatus.from_shards(
             tuple(health for health, _delta in replies),
-            workers=self.config.workers)
+            workers=self.config.workers, front=self._memo.stats())
         export_status_gauges(status)
         return status
 
@@ -486,25 +592,37 @@ class ServeDaemon:
                 failures.append(str(result))
             results.append(result)
         if failures:
+            self._memo.clear()
             raise ShardError(failures[0])
         return results
 
-    def _by_owner(self, op: str, contexts: Sequence[FlowContext],
-                  k: Optional[int], prior: AbstractSet[int]) -> List[Any]:
-        """Per-context answers to ``op``, each from its owning shard, in
-        the caller's order (``None`` where a shard returned short)."""
-        indices = split_indices(contexts, self.config.n_shards)
-        busy = [(shard_id, positions)
+    def _by_owner(self, name: str, contexts: Sequence[FlowContext],
+                  k: Optional[int], prior: FrozenSet[int]) -> List[_Answer]:
+        """Model ``name``'s per-context answers in the caller's order:
+        the memo's, else the owning shard's — each distinct missing
+        context asked once, ``()`` where a shard returned short."""
+        memo = self._memo  # read once: its day is this query's day
+        shape = (name, k or self.config.service.prediction_k, prior)
+        found, n_missing = memo.lookup(shape, contexts)
+        if not n_missing:
+            return cast(List[_Answer], found)
+        missing = list(dict.fromkeys(
+            c for c, answer in zip(contexts, found) if answer is None))
+        indices = split_indices(missing, self.config.n_shards)
+        busy = [(shard_id, [missing[i] for i in positions])
                 for shard_id, positions in enumerate(indices) if positions]
         with self._query_lock:
-            replies = self._gather(op, (
-                (shard_id, ([contexts[i] for i in positions], k, prior))
-                for shard_id, positions in busy))
-        out: List[Any] = [None] * len(contexts)
-        for (_shard_id, positions), answers in zip(busy, replies):
-            for position, answer in zip(positions, answers):
-                out[position] = answer
-        return out
+            replies = self._gather("answer", (
+                (shard_id, (name, asked, k, prior))
+                for shard_id, asked in busy))
+        fresh: Dict[FlowContext, _Answer] = {}
+        for (_shard_id, asked), (day, answers) in zip(busy, replies):
+            learnt = dict(zip(asked, answers))
+            fresh.update(learnt)
+            if day == memo.day:
+                memo.store(shape, learnt)
+        return [fresh.get(context, ()) if answer is None else answer
+                for context, answer in zip(contexts, found)]
 
 
 # -- checkpoint manifest ------------------------------------------------------

@@ -3,10 +3,10 @@
 Built on :mod:`repro.obs`: every :meth:`ServeDaemon.status` call gathers
 one :class:`ShardHealth` per shard (trained window, swap counter,
 staleness, ingest backlog, memo efficiency, days a resume could not
-read back), folds them into a
-:class:`DaemonStatus`, and publishes the numbers as ``serve.*`` gauges
-when instrumentation is enabled — so the same figures feed the CLI's
-status lines and the Prometheus exporter.
+read back), folds them and the front process's own answer-memo counters
+into a :class:`DaemonStatus`, and publishes the numbers as ``serve.*``
+gauges when instrumentation is enabled — so the same figures feed the
+CLI's status lines and the Prometheus exporter.
 
 *Staleness* is the operator's freshness number: how many ingested hours
 are newer than the newest day behind the served models.  A healthy
@@ -18,7 +18,7 @@ staleness means retrains are not keeping up with ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..obs import runtime as obs
 
@@ -54,6 +54,17 @@ def staleness_hours(last_hour: Optional[int],
     return max(0, last_hour - 24 * (latest_trained_day + 1) + 1)
 
 
+class FrontMemoStats(NamedTuple):
+    """The front process's answer memo (``serve/daemon.py``): answers
+    held now; since start, contexts found in it and not (per context)
+    and queries answered without asking a shard."""
+
+    entries: int
+    hits: int
+    misses: int
+    hop_free: int
+
+
 @dataclass(frozen=True)
 class DaemonStatus:
     """The whole daemon's health: per-shard detail plus aggregates."""
@@ -66,10 +77,11 @@ class DaemonStatus:
     max_staleness_hours: int
     ingest_backlog: int
     shards: Tuple[ShardHealth, ...]
+    front: FrontMemoStats
 
     @classmethod
-    def from_shards(cls, shards: Tuple[ShardHealth, ...],
-                    workers: str) -> "DaemonStatus":
+    def from_shards(cls, shards: Tuple[ShardHealth, ...], workers: str,
+                    front: FrontMemoStats) -> "DaemonStatus":
         last_hours = [s.last_hour for s in shards if s.last_hour is not None]
         return cls(
             n_shards=len(shards),
@@ -81,6 +93,7 @@ class DaemonStatus:
                 (s.staleness_hours for s in shards), default=0),
             ingest_backlog=sum(s.ingest_queue_depth for s in shards),
             shards=shards,
+            front=front,
         )
 
     def format_text(self) -> str:
@@ -90,7 +103,10 @@ class DaemonStatus:
                 f"{'ready' if self.ready else 'warming'}, "
                 f"swaps={self.total_swaps}, "
                 f"staleness<={self.max_staleness_hours}h, "
-                f"backlog={self.ingest_backlog}")
+                f"backlog={self.ingest_backlog}, "
+                f"front memo={self.front.entries} ({self.front.hits} hits, "
+                f"{self.front.misses} misses, "
+                f"{self.front.hop_free} queries without a hop)")
         lines = [head]
         for s in self.shards:
             lines.append(
@@ -114,6 +130,9 @@ def export_status_gauges(status: DaemonStatus) -> None:
         "max_staleness_hours": float(status.max_staleness_hours),
         "ingest_backlog": float(status.ingest_backlog),
     }, prefix="serve.")
+    obs.set_gauges({key: float(value) for key, value
+                    in status.front._asdict().items()},
+                   prefix="serve.front.")
     for s in status.shards:
         obs.set_gauges({
             "swap_count": float(s.swap_count),

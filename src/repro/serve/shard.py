@@ -75,16 +75,14 @@ class HotSwapShard:
         with self._read_lock:
             return self._service.predict_batch(contexts, k, unavailable)
 
-    def withdrawal_predictions(
-        self,
-        contexts: Sequence[FlowContext],
-        k: Optional[int] = None,
-        withdrawn: AbstractSet[int] = NO_LINKS,
-    ) -> List[Tuple[Prediction, ...]]:
-        """Per-context withdrawal-model answers from one published suite."""
+    def answers(
+        self, name: str, contexts: Sequence[FlowContext],
+        k: Optional[int], prior: AbstractSet[int],
+    ) -> Tuple[Optional[int], List[Tuple[Prediction, ...]]]:
+        """Model ``name``'s per-context answers and the day of the one
+        published suite that gave them (the daemon's memo tag)."""
         with self._read_lock:
-            return self._service.withdrawal_predictions(
-                contexts, k, withdrawn)
+            return self._service.answers(name, contexts, k, prior)
 
     # -- lifecycle ------------------------------------------------------------
 

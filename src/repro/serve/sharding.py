@@ -21,6 +21,7 @@ bumping :data:`SHARD_LAYOUT_VERSION`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ SHARD_HASH_SEED = 0xB10C5EED
 SHARD_LAYOUT_VERSION = 1
 
 
+@lru_cache(maxsize=1 << 16)  # queries ask about the same few thousand sources
 def shard_of(src_asn: int, n_shards: int) -> int:
     """The shard index owning all model state keyed by ``src_asn``."""
     if n_shards <= 0:

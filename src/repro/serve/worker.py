@@ -6,24 +6,25 @@ worker process (:func:`shard_worker_main`) feeds it from a duplex
 :mod:`multiprocessing` connection, the daemon's inline handle calls it
 directly.  The message protocol is small tuples, first element the op:
 
-========== ============================== ==============================
-op         payload                        reply
-========== ============================== ==============================
-ingest     (hour, AggColumns)             *none* — enqueued, fire-and-forget
-predict    (contexts, k, unavailable)     ("ok", [[Prediction, ...], ...])
-wpredict   (contexts, k, withdrawn)       ("ok", [(Prediction, ...), ...])
-drain      ()                             ("ok", None) once queue empty
-status     ()                             ("ok", (ShardHealth, obs delta))
-checkpoint (directory,)                   ("ok", last_hour the snapshot holds)
-stop       (drain,)                       ("ok", None); worker exits
-========== ============================== ==============================
+========== ============================ ==================================
+op         payload                      reply
+========== ============================ ==================================
+ingest     (hour, AggColumns)           *none* — enqueued, fire-and-forget
+answer     (model, contexts, k, prior)  ("ok", (day, [(Prediction, ...), ...]))
+drain      ()                           ("ok", None) once queue empty
+status     ()                           ("ok", (ShardHealth, obs delta))
+checkpoint (directory,)                 ("ok", last_hour the snapshot holds)
+stop       (drain,)                     ("ok", None); worker exits
+========== ============================ ==================================
+
+``answer`` is the one query op; ``day`` is that of the published suite
+that gave the answers, the tag the daemon's memo keeps them under.
 
 Ingest is decoupled from the query loop by an internal queue and a
 dedicated ingest thread: a day-boundary retrain builds the next suite on
-that thread, so the loop keeps answering ``predict`` from the published
-suite throughout — the worker-level half
-of the never-block-on-retrain guarantee (the service's atomic
-publication is the state-level half).
+that thread, so the loop keeps answering from the published suite
+throughout — the worker-level half of the never-block-on-retrain
+guarantee (the service's atomic publication is the state-level half).
 
 Errors inside an op come back as ``("error", message)`` — in both
 modes, so both fail at the same point — and raise
@@ -113,13 +114,9 @@ class ShardServer:
         except Exception as error:
             return "error", f"shard {self.shard_id} {op}: {error!r}"
 
-    def _op_predict(self, contexts: Sequence[FlowContext], k: Optional[int],
-                    unavailable: AbstractSet[int]) -> object:
-        return self.shard.predict_batch(contexts, k, unavailable)
-
-    def _op_wpredict(self, contexts: Sequence[FlowContext], k: Optional[int],
-                     withdrawn: AbstractSet[int]) -> object:
-        return self.shard.withdrawal_predictions(contexts, k, withdrawn)
+    def _op_answer(self, name: str, contexts: Sequence[FlowContext],
+                   k: Optional[int], prior: AbstractSet[int]) -> object:
+        return self.shard.answers(name, contexts, k, prior)
 
     def _op_drain(self) -> None:
         self._queue.join()

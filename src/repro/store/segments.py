@@ -247,6 +247,18 @@ class SegmentStore:
             obs.count("store.write.bytes", float(nbytes))
         return info
 
+    def remove(self, name: str) -> None:
+        """Forget a segment: its manifest entry first, committed like
+        every manifest write, then its file.  A crash between the two
+        leaves an orphan no manifest vouches for — no read sees it and
+        the next ``write`` of that name overwrites it."""
+        info = self._segments.pop(name, None)
+        if info is None:
+            return
+        self._verified.pop(name, None)
+        self._save_manifest()
+        (self.root / info.filename).unlink(missing_ok=True)
+
     # -- reads --------------------------------------------------------------
 
     def segments(self) -> Tuple[SegmentInfo, ...]:

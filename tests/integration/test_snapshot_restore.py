@@ -113,11 +113,47 @@ class TestBitIdenticalRestore:
             assert again.info(info.name).sha256 == info.sha256
 
 
-    def test_resnapshot_into_a_used_directory_restores_only_the_window(
+    def test_daily_snapshots_into_one_directory_keep_only_the_window(
+            self, world, tmp_path):
+        """A checkpoint directory is written to daily and must not grow
+        for ever: each snapshot removes the days that left the window."""
+        scenario, hours = world
+        service = _service_fed_to(world, 0)
+        for day in range(WINDOW_DAYS + 3):
+            for hour, records in hours[day * 24:(day + 1) * 24]:
+                service.ingest_hour(hour, records)
+            store = service.snapshot(tmp_path)
+            assert sorted(tmp_path.glob("day-*.npz")) == [
+                tmp_path / f"day-{kept:06d}.npz" for kept in service._days]
+            assert [info.name for info in store.segments()] == [
+                f"day-{kept:06d}" for kept in service._days]
+        assert len(service._days) == WINDOW_DAYS + 1 < day + 1
+        restored = TipsyService.restore(tmp_path, scenario.wan)
+        assert restored.restore_report.clean
+        assert restored.restore_report.days_restored == tuple(service._days)
+        assert _predictions(restored, scenario) == \
+            _predictions(service, scenario)
+
+    def test_orphaned_day_file_is_no_part_of_the_snapshot(
             self, world, snapshot_dir):
-        """A checkpoint directory is written to daily, and a store keeps
-        the segments of days that have since left the window.  They are
-        not part of the later snapshot: not trained on, not reported."""
+        """A crash between ``remove``'s manifest commit and its unlink
+        leaves a file no manifest vouches for."""
+        scenario, _hours = world
+        orphan = snapshot_dir / "day-000000.npz"
+        orphan.write_bytes((snapshot_dir / "day-000003.npz").read_bytes())
+        restored = TipsyService.restore(snapshot_dir, scenario.wan)
+        assert restored.restore_report.clean
+        assert 0 not in restored._days
+        assert _predictions(restored, scenario) == _predictions(
+            _service_fed_to(world, SNAP_DAYS * 24), scenario)
+
+    def test_resnapshot_into_a_used_directory_restores_only_the_window(
+            self, world, snapshot_dir, monkeypatch):
+        """A store written to daily by an older writer, which did not
+        prune, keeps the segments of days that have since left the
+        window.  They are not part of the later snapshot: not trained
+        on, not reported."""
+        monkeypatch.setattr(SegmentStore, "remove", lambda self, name: None)
         scenario, hours = world
         reference = _service_fed_to(world, SNAP_DAYS * 24)
         for hour, records in hours[SNAP_DAYS * 24:(SNAP_DAYS + 2) * 24]:

@@ -89,9 +89,10 @@ class TestDaemonBasics:
                 service=serve_world.config)).start()
             try:
                 daemon.ingest_hour(5, serve_world.hourly[5])
-                # hours must be monotonic; the ingest thread records the
-                # failure and the next drain reports it
-                daemon.ingest_hour(3, serve_world.hourly[3])
+                # hours must be monotonic, and the daemon's door says so
+                # itself; handed to a shard behind it, the ingest thread
+                # records the failure and the next drain reports it
+                daemon._handles[0].ingest(3, serve_world.hourly[3].columns)
                 with pytest.raises(ShardError, match="hour 3"):
                     daemon.drain()
             finally:

@@ -77,3 +77,39 @@ def test_dead_worker_is_a_shard_error_everywhere(serve_world, oracle):
         with pytest.raises(ShardError, match="shard 1"):
             daemon.shutdown(drain=False)
     assert not any(process.is_alive() for process in processes)
+
+
+def test_dead_worker_under_a_warm_memo(serve_world, oracle):
+    """A hit contacts no shard, so it outlives its worker until the next
+    miss (or feed, status, checkpoint) notices the death; from then on
+    the dead shard's keys raise and the survivors' are learnt again."""
+    daemon = _daemon(serve_world, "process", n_shards=3)
+    processes = [handle.process for handle in daemon._handles]
+    contexts = serve_world.contexts[:90]
+    owned = split_indices(contexts, 3)
+    warm = [contexts[i] for i in owned[1][:-1]]
+    cold = [contexts[owned[1][-1]]]
+    alive = [contexts[i] for i in owned[0] + owned[2]]
+    assert warm and cold[0] not in warm and alive
+    try:
+        for hour in range(HOURS_FED):
+            daemon.ingest_hour(hour, serve_world.hourly[hour])
+        daemon.drain()
+        assert daemon.predict_batch(warm + alive) == oracle.predict_batch(
+            warm + alive)
+        os.kill(processes[1].pid, signal.SIGKILL)
+        processes[1].join(10)
+        assert not processes[1].is_alive()
+
+        assert daemon.predict_batch(warm) == oracle.predict_batch(warm)
+        with pytest.raises(ShardError, match="shard 1 worker died"):
+            daemon.predict_batch(warm + cold)
+        with pytest.raises(ShardError, match="shard 1 worker died"):
+            daemon.predict_batch(warm)
+        for _ in range(2):
+            assert daemon.predict_batch(alive) == oracle.predict_batch(alive)
+        assert daemon._memo.stats().entries == len(set(alive))
+    finally:
+        with pytest.raises(ShardError, match="shard 1"):
+            daemon.shutdown(drain=False)
+    assert not any(process.is_alive() for process in processes)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.service import TipsyService
 from repro.serve import DaemonConfig, ServeDaemon
+from repro.serve.daemon import WORKER_MODES
 from repro.serve.sharding import (SHARD_HASH_SEED, shard_of, split_columns,
                                   split_indices)
 from repro.util.hashing import mix64
@@ -69,6 +71,35 @@ class TestIngestEdge:
                 == [None, None]
         finally:
             daemon.shutdown()
+
+
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_older_hour_reaches_no_shard(self, serve_world, workers,
+                                         tmp_path):
+        """Sent on, it would fail on every shard's ingest thread and
+        that deferred error would fail every later drain/checkpoint."""
+        wan = serve_world.scenario.wan
+        daemon = ServeDaemon(wan, DaemonConfig(
+            n_shards=2, workers=workers, service=serve_world.config)).start()
+        oracle = TipsyService(wan, serve_world.config)
+        try:
+            for hour in range(30):
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+                oracle.ingest_hour(hour, serve_world.hourly[hour])
+            with pytest.raises(ValueError, match="older than hour 29"):
+                daemon.ingest_hour(5, serve_world.hourly[5])
+            assert daemon.last_hour == 29
+            daemon.drain()
+            daemon.checkpoint(tmp_path)
+            # equal hours may repeat (a second batch of the same hour)
+            daemon.ingest_hour(29, serve_world.hourly[29])
+            oracle.ingest_hour(29, serve_world.hourly[29])
+            daemon.drain()
+            contexts = serve_world.contexts[:200]
+            assert (daemon.predict_batch(contexts)
+                    == oracle.predict_batch(contexts))
+        finally:
+            daemon.shutdown(drain=False)
 
 
 class TestSplitIndices:

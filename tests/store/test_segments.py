@@ -85,6 +85,39 @@ class TestRoundTrip:
         assert leftovers == []
 
 
+class TestRemove:
+    def test_remove_forgets_entry_and_file(self, store, tmp_path):
+        store.write("seg-a", _arrays(), kind="day_counts", rows=8)
+        store.write("seg-b", _arrays(4), kind="day_counts", rows=4)
+        store.remove("seg-a")
+        store.remove("never-written")  # nothing to forget: a no-op
+        for view in (store, SegmentStore(tmp_path)):
+            assert [i.name for i in view.segments()] == ["seg-b"]
+            assert view.read("seg-a") is None
+            assert view.total_bytes() == view.info("seg-b").nbytes
+            assert view.degraded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_NAME, "seg-b.npz"]
+
+    def test_orphan_of_a_crashed_remove_is_invisible_then_overwritten(
+            self, store, tmp_path, monkeypatch):
+        store.write("seg-a", _arrays(), kind="day_counts", rows=8)
+        store.write("seg-b", _arrays(4), kind="day_counts", rows=4)
+        with monkeypatch.context() as patch:  # crash before the unlink
+            patch.setattr("pathlib.Path.unlink", lambda *a, **k: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                store.remove("seg-a")
+        assert (tmp_path / "seg-a.npz").exists()
+        reopened = SegmentStore(tmp_path)
+        assert reopened.read("seg-a") is None and reopened.degraded == []
+        assert [i.name for i, _ in reopened.inspect()] == ["seg-b"]
+        assert reopened.total_bytes() == reopened.info("seg-b").nbytes
+        reopened.write("seg-a", _arrays(offset=5), kind="day_counts", rows=8)
+        np.testing.assert_array_equal(
+            SegmentStore(tmp_path).read("seg-a")["k0"],
+            _arrays(offset=5)["k0"])
+
+
 class TestDegradation:
     def test_never_written_is_none(self, store):
         assert store.read("ghost") is None
