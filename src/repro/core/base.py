@@ -9,7 +9,7 @@ with the predicted fraction of the flow's bytes on each.
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, List, NamedTuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..pipeline.records import FlowContext
 
@@ -61,6 +61,16 @@ class IngressModel(abc.ABC):
         default is the full context.
         """
         return context
+
+    @property
+    def key_fields(self) -> Optional[Tuple[str, ...]]:
+        """The ``FlowContext`` fields :meth:`group_key` projects onto, if
+        the key is exactly that projection and :meth:`predict` reads
+        nothing else of the context (an ensemble keys such components
+        jointly by the union of their fields); ``None``, the default,
+        promises nothing.  Whoever overrides ``group_key`` or ``predict``
+        restates this."""
+        return None
 
 
 class TrainableModel(IngressModel):

@@ -9,10 +9,16 @@ transfer learning only where needed.  ``Hist_AP/AL/A`` and
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Callable, FrozenSet, List, Optional, Sequence
 
 from ..pipeline.records import FlowContext
 from .base import NO_LINKS, IngressModel, Prediction
+from .features import FeatureSet
+
+
+def _itself(context: FlowContext) -> object:
+    """The projection onto every field."""
+    return context
 
 
 class SequentialEnsemble(IngressModel):
@@ -23,6 +29,15 @@ class SequentialEnsemble(IngressModel):
             raise ValueError("an ensemble needs at least one model")
         self.models = tuple(models)
         self.name = name or "/".join(m.name for m in self.models)
+        # components that state their ``key_fields`` are jointly keyed by
+        # the union of those fields: one projection, no tuple per model
+        self._union: Optional[Callable[[FlowContext], object]] = None
+        stated = [m.key_fields for m in self.models]
+        if None not in stated:
+            named = {f for key_fields in stated for f in key_fields or ()}
+            fields = tuple(f for f in FlowContext._fields if f in named)
+            self._union = (_itself if fields == FlowContext._fields
+                           else FeatureSet("union", fields).key)
 
     def predict(self, context: FlowContext, k: int,
                 unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
@@ -38,7 +53,9 @@ class SequentialEnsemble(IngressModel):
 
     def group_key(self, context: FlowContext) -> object:
         """Component keys jointly determine the first model that answers."""
-        return tuple(m.group_key(context) for m in self.models)
+        if self._union is None:
+            return tuple(m.group_key(context) for m in self.models)
+        return self._union(context)
 
     def answering_model(self, context: FlowContext,
                         unavailable: FrozenSet[int] = NO_LINKS) -> Optional[str]:

@@ -134,6 +134,10 @@ class HistoricalModel(TrainableModel):
         """Predictions are constant per feature tuple (batching key)."""
         return self.feature_set.key(context)
 
+    @property
+    def key_fields(self) -> Tuple[str, ...]:
+        return self.feature_set.fields
+
     # -- columnar persistence --------------------------------------------------
 
     def to_arrays(self) -> Dict[str, np.ndarray]:

@@ -152,6 +152,10 @@ class NaiveBayesModel(TrainableModel):
         """Scores depend only on the projected feature tuple."""
         return self.feature_set.key(context)
 
+    @property
+    def key_fields(self) -> Tuple[str, ...]:
+        return self.feature_set.fields
+
     # -- introspection ----------------------------------------------------------
 
     def size(self) -> int:

@@ -33,10 +33,11 @@ the old suite or the new one, never a half-built model (``repro.serve``
 relies on this to answer while a shard retrains, and on the day tag to
 know which of the two an answer came from).
 
-Serving is *batched*: queries group flows by the answering model's
-feature key and answer each distinct key once (the paper's tuple space
-is far smaller than its flow space), through a bounded LRU memo that is
-invalidated on every retrain.
+Serving is *remembered*: a query reads the suite's bounded
+:class:`~repro.util.cache.AnswerMemo` first, and only the flows it does
+not hold reach the model, grouped by its feature key so each distinct
+key is predicted once (the paper's tuple space is far smaller than its
+flow space).  A retrain publishes an empty memo.
 
 State is *persistent*: :meth:`TipsyService.snapshot` writes the rolling
 window's per-day counts as columnar segments (``repro.store``) — the
@@ -55,7 +56,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Tuple, Union, cast)
 
 import numpy as np
 
@@ -63,7 +64,7 @@ from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
-from ..util.cache import LruDict
+from ..util.cache import AnswerMemo
 from .base import NO_LINKS, IngressModel, Prediction
 from .ensemble import SequentialEnsemble
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
@@ -71,24 +72,25 @@ from .geo_augment import GeoAugmentedModel
 from .historical import HistoricalModel
 from .training import DayCounts, KeyedTable, fold_keyed
 
+#: one flow's (or flow group's) answer, as the memo keeps it
+Answer = Tuple[Prediction, ...]
 #: flow-group answer: the group's predictions plus its summed bytes
-GroupAnswer = Tuple[Tuple[Prediction, ...], float]
+GroupAnswer = Tuple[Answer, float]
 
 
 def group_flows(
     group_key: Callable[[FlowContext], object],
     flows: Sequence[Tuple[FlowContext, float]],
-) -> Tuple[List[object], List[FlowContext], List[float]]:
+) -> Tuple[List[FlowContext], List[float]]:
     """Group byte-weighted flows by a model's feature key.
 
-    Returns aligned (keys, representative contexts, summed bytes) in
+    Returns aligned (representative contexts, summed bytes) in
     first-occurrence order.  Both the single-process ``what_if`` and the
     sharded daemon (:mod:`repro.serve`) group through this one function,
     so their byte accumulation order — and therefore their float sums —
     are identical by construction.
     """
     group_index: Dict[object, int] = {}
-    group_keys: List[object] = []
     group_contexts: List[FlowContext] = []
     group_bytes: List[float] = []
     for context, bytes_ in flows:
@@ -96,12 +98,11 @@ def group_flows(
         index = group_index.get(key)
         if index is None:
             group_index[key] = len(group_contexts)
-            group_keys.append(key)
             group_contexts.append(context)
             group_bytes.append(bytes_)
         else:
             group_bytes[index] += bytes_
-    return group_keys, group_contexts, group_bytes
+    return group_contexts, group_bytes
 
 
 def spill_from_groups(groups: Iterable[GroupAnswer]) -> Dict[int, float]:
@@ -183,13 +184,12 @@ class ServiceConfig:
     primary_model: str = "Hist_AP/AL/A"
     # model answering availability-constrained (withdrawal) questions
     withdrawal_model: str = "Hist_AL+G"
-    # bounded LRU memo of (model, feature key, availability, k) answers;
-    # invalidated on retrain
+    # answers kept per published suite (<= 0: none); see AnswerMemo
     memo_size: int = 65536
 
 
-#: memo of (model, feature key, k, availability) -> answer
-Memo = LruDict[Tuple[object, ...], Tuple[Prediction, ...]]
+#: (answering model, k, unavailable links) -> flow context -> answer
+Memo = AnswerMemo[Tuple[str, int, FrozenSet[int]], FlowContext, Answer]
 
 
 class PublishedSuite(NamedTuple):
@@ -202,10 +202,9 @@ class PublishedSuite(NamedTuple):
 
     models: Dict[str, IngressModel]
     trained_on: Tuple[int, ...]
+    #: tagged with the day being collected when the suite was published,
+    #: which :meth:`TipsyService.answers` returns beside its answers
     memo: Memo
-    #: the day being collected when the suite was published — the tag
-    #: :meth:`TipsyService.answers` returns beside a suite's answers
-    day: Optional[int] = None
 
 
 class TipsyService:
@@ -229,7 +228,7 @@ class TipsyService:
         # what queries read; replaced whole, by one assignment, at the
         # end of every retrain (see PublishedSuite)
         self._published = PublishedSuite(
-            {}, (), LruDict(self.config.memo_size))
+            {}, (), AnswerMemo(self.config.memo_size))
         #: set by :meth:`restore`; None on a service built from scratch
         self.restore_report: Optional[RestoreReport] = None
 
@@ -310,10 +309,6 @@ class TipsyService:
         and carries the cumulative counters :meth:`cache_stats` reports.
         """
         ap, al, a = base
-        retired = self._published.memo
-        memo: Memo = LruDict(self.config.memo_size)
-        memo.hits, memo.misses, memo.evictions = (
-            retired.hits, retired.misses, retired.evictions)
         self._published = PublishedSuite({
             "Hist_AP": ap,
             "Hist_AL": al,
@@ -322,7 +317,8 @@ class TipsyService:
                                            name="Hist_AL+G"),
             "Hist_AP/AL/A": SequentialEnsemble([ap, al, a],
                                                name="Hist_AP/AL/A"),
-        }, trained_on, memo, self._current_day)
+        }, trained_on, AnswerMemo(self.config.memo_size, self._current_day,
+                                  self._published.memo))
 
     @property
     def trained_days(self) -> Tuple[int, ...]:
@@ -468,31 +464,34 @@ class TipsyService:
 
     # -- queries ------------------------------------------------------------------
 
-    def _predict_grouped(self, memo: Memo, name: str, model: IngressModel,
-                         group_key: object, context: FlowContext, k: int,
-                         unavailable: FrozenSet[int]
-                         ) -> Tuple[Prediction, ...]:
-        """One group's answer; ``memo`` and ``model`` of the same suite."""
-        memo_key = (name, group_key, k, unavailable)
-        cached = memo.get(memo_key)
-        if cached is None:
-            cached = tuple(model.predict(context, k, unavailable))
-            # memo_size <= 0 means no memo (to LruDict it means unbounded)
-            if self.config.memo_size > 0:
-                memo.put(memo_key, cached)
-        return cached
-
     def _answer(self, suite: PublishedSuite, name: str,
                 contexts: Sequence[FlowContext], k: Optional[int],
-                prior: FrozenSet[int]) -> List[Tuple[Prediction, ...]]:
-        """Per-context answers of model ``name``, one suite throughout."""
+                prior: FrozenSet[int]) -> List[Answer]:
+        """Per-context answers of model ``name``, one suite throughout:
+        the memo's, else the model's — each distinct group key among
+        the contexts the memo does not hold predicted once."""
         k = k or self.config.prediction_k
         model = self._model_of(suite, name)
+        shape = (name, k, prior)
+        found, n_missing = suite.memo.lookup(shape, contexts)
+        if not n_missing:
+            return cast(List[Answer], found)
         group_key = model.group_key
-        memo = suite.memo
-        return [self._predict_grouped(memo, name, model, group_key(context),
-                                      context, k, prior)
-                for context in contexts]
+        by_group: Dict[object, Answer] = {}
+        fresh: Dict[FlowContext, Answer] = {}
+        for context, held in zip(contexts, found):
+            if held is None and context not in fresh:
+                key = group_key(context)
+                answer = by_group.get(key)
+                if answer is None:
+                    answer = by_group[key] = tuple(
+                        model.predict(context, k, prior))
+                fresh[context] = answer
+        suite.memo.store(shape, fresh)
+        if obs.enabled():
+            obs.count("service.predict.groups", float(len(by_group)))
+        return [fresh[context] if held is None else held
+                for context, held in zip(contexts, found)]
 
     def _query_model(self, unavailable: FrozenSet[int]) -> str:
         return (self.config.withdrawal_model if unavailable
@@ -511,33 +510,19 @@ class TipsyService:
                       ) -> List[List[Prediction]]:
         """Top-k predictions for many flows at once.
 
-        Flows are grouped by the answering model's feature key and each
-        distinct key is answered once — with the memo warm, a batch of a
-        million flows over a few thousand tuples costs a few thousand
-        model lookups plus fan-out.
+        A remembered flow costs one dictionary look-up; the rest are
+        grouped by the answering model's feature key, each distinct key
+        predicted once: a million flows over a few thousand tuples cost
+        a few thousand model lookups plus fan-out.
         """
-        k = k or self.config.prediction_k
         prior = frozenset(unavailable)
-        suite = self._published
-        name = self._query_model(prior)
-        model = self._model_of(suite, name)
-        group_key = model.group_key
-        memo = suite.memo
-        answers: Dict[object, Tuple[Prediction, ...]] = {}
-        out: List[List[Prediction]] = []
         with obs.timed("service.predict_batch"):
-            for context in contexts:
-                key = group_key(context)
-                cached = answers.get(key)
-                if cached is None:
-                    cached = self._predict_grouped(
-                        memo, name, model, key, context, k, prior)
-                    answers[key] = cached
-                out.append(list(cached))
+            out = [list(answer) for answer in self._answer(
+                self._published, self._query_model(prior), contexts, k,
+                prior)]
         if obs.enabled():
             obs.count("service.predict.batches")
             obs.count("service.predict.flows", float(len(out)))
-            obs.count("service.predict.groups", float(len(answers)))
         return out
 
     def what_if(
@@ -566,7 +551,7 @@ class TipsyService:
         with obs.timed("service.what_if"):
             suite = self._published
             name = self.config.withdrawal_model
-            _keys, group_contexts, group_bytes = group_flows(
+            group_contexts, group_bytes = group_flows(
                 self._model_of(suite, name).group_key, flows)
             if not group_contexts:
                 return {}
@@ -577,7 +562,7 @@ class TipsyService:
     def answers(
         self, name: str, contexts: Sequence[FlowContext],
         k: Optional[int], prior: AbstractSet[int],
-    ) -> Tuple[Optional[int], List[Tuple[Prediction, ...]]]:
+    ) -> Tuple[Optional[int], List[Answer]]:
         """Model ``name``'s per-context answers, memoized, tagged with
         the day of the suite that gave them — both from one read.
 
@@ -588,8 +573,8 @@ class TipsyService:
         the suite that gave it is the one a shard must be serving.
         """
         suite = self._published
-        return suite.day, self._answer(suite, name, contexts, k,
-                                       frozenset(prior))
+        return suite.memo.day, self._answer(suite, name, contexts, k,
+                                            frozenset(prior))
 
     def what_if_per_flow(
         self,
@@ -618,10 +603,11 @@ class TipsyService:
     def cache_stats(self) -> Dict[str, int]:
         """Serving-cache occupancy and efficiency, for logs and gauges."""
         memo = self._published.memo
+        stats = memo.stats()
         return {
-            "memo_entries": len(memo),
-            "memo_hits": memo.hits,
-            "memo_misses": memo.misses,
+            "memo_entries": stats.entries,
+            "memo_hits": stats.hits,
+            "memo_misses": stats.misses,
             "memo_evictions": memo.evictions,
         }
 

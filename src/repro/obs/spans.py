@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NOOP_SPAN"]
 
@@ -93,6 +92,31 @@ class _ThreadStack(threading.local):
         self.stack: List[Span] = []
 
 
+class _OpenSpan:
+    """What ``Tracer.span`` returns.  A class, not a ``@contextmanager``
+    generator, reading the clock first on the way in and last on the way
+    out, so a span's own cost falls inside the interval it times and a
+    caller timing the same region itself (the benchmark's traced pass)
+    sees ~1 us a span less go missing.  Yields ``None`` for a span
+    dropped past the cap (which still costs its one clock read)."""
+
+    __slots__ = ("_tracer", "_name", "_node")
+
+    def __init__(self, tracer: "Tracer", name: str):
+        self._tracer = tracer
+        self._name = name
+        self._node: Optional[Span] = None
+
+    def __enter__(self) -> Optional[Span]:
+        tracer = self._tracer
+        node = self._node = tracer._open(self._name, tracer._clock())
+        return node
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._node is not None:
+            self._tracer._close(self._node)
+
+
 class Tracer:
     """Collects spans into a per-run forest of timing trees."""
 
@@ -112,20 +136,17 @@ class Tracer:
         with self._lock:
             return self._dropped
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[Optional[Span]]:
+    def span(self, name: str) -> "_OpenSpan":
         """Open a named span; nests under the thread's innermost span."""
+        return _OpenSpan(self, name)
+
+    def _open(self, name: str, start: float) -> Optional[Span]:
         with self._lock:
             if self._recorded >= self._max_spans:
                 self._dropped += 1
-                keep = False
-            else:
-                self._recorded += 1
-                keep = True
-        if not keep:
-            yield None
-            return
-        node = Span(name, self._clock())
+                return None
+            self._recorded += 1
+        node = Span(name, start)
         stack = self._local.stack
         if stack:
             stack[-1].children.append(node)
@@ -133,13 +154,14 @@ class Tracer:
             with self._lock:
                 self._roots.append(node)
         stack.append(node)
-        try:
-            yield node
-        finally:
-            node.end = self._clock()
-            # unwind to (and past) this node even if a child leaked open
-            while stack and stack.pop() is not node:
-                pass
+        return node
+
+    def _close(self, node: Span) -> None:
+        stack = self._local.stack
+        # unwind to (and past) this node even if a child leaked open
+        while stack and stack.pop() is not node:
+            pass
+        node.end = self._clock()
 
     def roots(self) -> List[Span]:
         """The finished forest (top-level spans in start order)."""

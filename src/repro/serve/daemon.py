@@ -25,9 +25,11 @@ service's counts for the same keys, and ``what_if`` re-runs the exact
 over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
 
 **Warm reads.**  Callers repeat their questions, so the daemon keeps
-the answers its shards have given (:class:`_AnswerMemo`) and only the
-contexts it does not hold cross a pipe.  A memo is valid for one
-publication of the shards' suites: each ``answer`` reply is tagged with
+the answers its shards have given (an
+:class:`~repro.util.cache.AnswerMemo`, the class each shard's service
+remembers its own in) and only the contexts it does not hold cross a
+pipe.  A memo is valid for one publication of the shards' suites: each
+``answer`` reply is tagged with
 the day of the suite that gave it, the daemon's *day* is that of the
 newest hour it has fed, and a reply is stored only if its tag is the day
 the query read when it began — into the memo it read then, which
@@ -58,7 +60,6 @@ import json
 import multiprocessing
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
@@ -67,11 +68,13 @@ from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
-from ..core.service import (ServiceConfig, group_flows, spill_from_groups)
+from ..core.service import (Answer, Memo, ServiceConfig, group_flows,
+                            spill_from_groups)
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN
-from .health import DaemonStatus, FrontMemoStats, export_status_gauges
+from ..util.cache import AnswerMemo
+from .health import DaemonStatus, export_status_gauges
 from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_columns,
                        split_indices)
 from .worker import ShardServer, shard_worker_main
@@ -240,69 +243,6 @@ class _ProcessShard:
                 f"shard {self.shard_id} stop: {error!r}") from error
 
 
-# -- the front memo -----------------------------------------------------------
-
-_Answer = Tuple[Prediction, ...]
-#: a question's shape: (answering model, k, unavailable links)
-_Shape = Tuple[str, int, FrozenSet[int]]
-
-
-class _AnswerMemo:
-    """The shards' answers under one publication, ``day`` ("Warm reads"
-    above): shape -> context -> answer, so a shape never asked costs one
-    miss.  At most ``size`` answers, whole least-recently-asked shapes
-    evicted first — nothing fits in ``size <= 0``, ``memo_size``'s "no
-    memo".  The lock is held around dictionary work only."""
-
-    def __init__(self, day: Optional[int], size: int,
-                 retired: Optional["_AnswerMemo"] = None):
-        self.day = day
-        self._size = max(size, 0)
-        self._lock = threading.Lock()
-        self._shapes: "OrderedDict[_Shape, Dict[FlowContext, _Answer]]" = (
-            OrderedDict())
-        # counters are cumulative: they carry over from the retired memo
-        self._entries, self._hits, self._misses, self._hop_free = (
-            retired.stats()._replace(entries=0) if retired else (0, 0, 0, 0))
-
-    def lookup(self, shape: _Shape, contexts: Sequence[FlowContext]
-               ) -> Tuple[List[Optional[_Answer]], int]:
-        """Each context's answer (``None`` where none is held) and how
-        many are missing; counted once per query, not per context."""
-        with self._lock:
-            known = self._shapes.get(shape)
-            if known is None:
-                found: List[Optional[_Answer]] = [None] * len(contexts)
-            else:
-                self._shapes.move_to_end(shape)
-                found = list(map(known.get, contexts))
-            missing = found.count(None)
-            self._hits += len(found) - missing
-            self._misses += missing
-            self._hop_free += not missing
-        return found, missing
-
-    def store(self, shape: _Shape,
-              answers: Dict[FlowContext, _Answer]) -> None:
-        with self._lock:
-            known = self._shapes.setdefault(shape, {})
-            self._entries -= len(known)
-            known.update(answers)
-            self._entries += len(known)
-            while self._entries > self._size:
-                self._entries -= len(self._shapes.popitem(last=False)[1])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._shapes.clear()
-            self._entries = 0
-
-    def stats(self) -> FrontMemoStats:
-        with self._lock:
-            return FrontMemoStats(self._entries, self._hits, self._misses,
-                                  self._hop_free)
-
-
 # -- the daemon ---------------------------------------------------------------
 
 
@@ -323,7 +263,7 @@ class ServeDaemon:
         self._last_hour: Optional[int] = None
         # _last_hour's day and the shards' answers under it: read once
         # by a query, replaced whole at each day crossing
-        self._memo = _AnswerMemo(None, self.config.service.memo_size)
+        self._memo: Memo = AnswerMemo(self.config.service.memo_size)
         self._started = False
         self._stopped = False
 
@@ -434,8 +374,8 @@ class ServeDaemon:
                 "one fed: telemetry must be ingested in time order")
         self._last_hour = hour
         if hour // 24 != self._memo.day:
-            self._memo = _AnswerMemo(
-                hour // 24, self.config.service.memo_size, self._memo)
+            self._memo = AnswerMemo(
+                self.config.service.memo_size, hour // 24, self._memo)
 
     def drain(self) -> None:
         """Block until every queued hour is applied on every shard."""
@@ -495,8 +435,7 @@ class ServeDaemon:
                 f"feature grain, got "
                 f"{self.config.service.withdrawal_model!r}")
         with obs.timed("serve.what_if"):
-            _keys, group_contexts, group_bytes = group_flows(
-                lambda context: grain.key(context), flows)
+            group_contexts, group_bytes = group_flows(grain.key, flows)
             if not group_contexts:
                 return {}
             answers = self._by_owner(self.config.service.withdrawal_model,
@@ -597,7 +536,7 @@ class ServeDaemon:
         return results
 
     def _by_owner(self, name: str, contexts: Sequence[FlowContext],
-                  k: Optional[int], prior: FrozenSet[int]) -> List[_Answer]:
+                  k: Optional[int], prior: FrozenSet[int]) -> List[Answer]:
         """Model ``name``'s per-context answers in the caller's order:
         the memo's, else the owning shard's — each distinct missing
         context asked once, ``()`` where a shard returned short."""
@@ -605,7 +544,7 @@ class ServeDaemon:
         shape = (name, k or self.config.service.prediction_k, prior)
         found, n_missing = memo.lookup(shape, contexts)
         if not n_missing:
-            return cast(List[_Answer], found)
+            return cast(List[Answer], found)
         missing = list(dict.fromkeys(
             c for c, answer in zip(contexts, found) if answer is None))
         indices = split_indices(missing, self.config.n_shards)
@@ -615,7 +554,7 @@ class ServeDaemon:
             replies = self._gather("answer", (
                 (shard_id, (name, asked, k, prior))
                 for shard_id, asked in busy))
-        fresh: Dict[FlowContext, _Answer] = {}
+        fresh: Dict[FlowContext, Answer] = {}
         for (_shard_id, asked), (day, answers) in zip(busy, replies):
             learnt = dict(zip(asked, answers))
             fresh.update(learnt)

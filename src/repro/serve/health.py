@@ -18,9 +18,10 @@ staleness means retrains are not keeping up with ingest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs import runtime as obs
+from ..util.cache import MemoStats
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,6 @@ def staleness_hours(last_hour: Optional[int],
     return max(0, last_hour - 24 * (latest_trained_day + 1) + 1)
 
 
-class FrontMemoStats(NamedTuple):
-    """The front process's answer memo (``serve/daemon.py``): answers
-    held now; since start, contexts found in it and not (per context)
-    and queries answered without asking a shard."""
-
-    entries: int
-    hits: int
-    misses: int
-    hop_free: int
-
-
 @dataclass(frozen=True)
 class DaemonStatus:
     """The whole daemon's health: per-shard detail plus aggregates."""
@@ -77,11 +67,11 @@ class DaemonStatus:
     max_staleness_hours: int
     ingest_backlog: int
     shards: Tuple[ShardHealth, ...]
-    front: FrontMemoStats
+    front: MemoStats
 
     @classmethod
     def from_shards(cls, shards: Tuple[ShardHealth, ...], workers: str,
-                    front: FrontMemoStats) -> "DaemonStatus":
+                    front: MemoStats) -> "DaemonStatus":
         last_hours = [s.last_hour for s in shards if s.last_hour is not None]
         return cls(
             n_shards=len(shards),

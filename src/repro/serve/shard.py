@@ -14,11 +14,10 @@ sees a half-built model (``tests/serve/test_hotswap.py`` parks a
 retrain mid-build to show it).  The cost is a second suite in memory
 while a retrain runs; ``swap_count`` counts the suites published.
 
-Two locks, never held together.  The *writer* lock orders ``ingest_hour``
-against ``snapshot`` (a checkpoint must not see half an hour).  The
-*reader* lock orders queries among themselves, because a memo hit
-reorders the memo's LRU list; no writer takes it, so a retrain never
-delays a query.
+One lock: the *writer* lock orders ``ingest_hour`` against ``snapshot``
+(a checkpoint must not see half an hour).  Queries take none — the
+suite's memo locks its own dictionary work — so neither a retrain nor
+another reader delays a query.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ class HotSwapShard:
         self.shard_id = shard_id
         self._service = service or TipsyService(wan, config)
         self._write_lock = threading.Lock()
-        self._read_lock = threading.Lock()
         # suites published before this shard existed (a restored
         # service's retrain_count is cumulative) are not its swaps
         self._retrains_before = self._service.retrain_count
@@ -72,8 +70,7 @@ class HotSwapShard:
                       unavailable: AbstractSet[int] = NO_LINKS,
                       ) -> List[List[Prediction]]:
         """Batched predictions from one published suite (old-or-new only)."""
-        with self._read_lock:
-            return self._service.predict_batch(contexts, k, unavailable)
+        return self._service.predict_batch(contexts, k, unavailable)
 
     def answers(
         self, name: str, contexts: Sequence[FlowContext],
@@ -81,8 +78,7 @@ class HotSwapShard:
     ) -> Tuple[Optional[int], List[Tuple[Prediction, ...]]]:
         """Model ``name``'s per-context answers and the day of the one
         published suite that gave them (the daemon's memo tag)."""
-        with self._read_lock:
-            return self._service.answers(name, contexts, k, prior)
+        return self._service.answers(name, contexts, k, prior)
 
     # -- lifecycle ------------------------------------------------------------
 

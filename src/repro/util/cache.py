@@ -1,4 +1,4 @@
-"""Bounded LRU mapping with hit/miss/eviction counters.
+"""Bounded mappings with hit/miss/eviction counters.
 
 Week-long simulations resolve millions of (flow, removal-key, drift)
 combinations; the caches that make them fast must not also make them
@@ -9,16 +9,21 @@ cheap enough to read on every export (``repro.obs`` gauges).
 
 ``capacity <= 0`` means unbounded — the same mapping, the same
 counters, no eviction — so callers can expose a single knob that turns
-bounding off for short-lived runs.
+bounding off for short-lived runs.  :class:`AnswerMemo` is the one memo
+of model answers (``TipsyService`` and ``ServeDaemon`` each hold one).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Generic, Optional, TypeVar
+from itertools import islice
+from typing import (Dict, Generic, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar)
 
 K = TypeVar("K")
 V = TypeVar("V")
+S = TypeVar("S", bound=Hashable)
 
 
 class LruDict(Generic[K, V]):
@@ -79,3 +84,89 @@ class LruDict(Generic[K, V]):
         if total == 0:
             return 0.0
         return self.hits / total
+
+
+class MemoStats(NamedTuple):
+    """An :class:`AnswerMemo`'s counters: answers held now; since the
+    first memo of its ``retired`` chain, keys found and not (per key),
+    and lookups that found every key, so that their caller went nowhere
+    else for an answer (the daemon's queries without a hop)."""
+
+    entries: int
+    hits: int
+    misses: int
+    hop_free: int
+
+
+class AnswerMemo(Generic[S, K, V]):
+    """Answers valid under one publication, ``day``: shape -> key ->
+    answer, a shape being whatever else the answer depends on (answering
+    model, ``k``, unavailable links), so a batch of one shape is one
+    ``map`` over one dictionary and a shape never asked costs one miss.
+
+    At most ``size`` answers (``<= 0``: none): a store that overflows
+    evicts whole other shapes, least recently asked first, then sheds
+    the stored shape's own oldest answers.  An answer may not be
+    ``None``.  The lock is held around dictionary work only.
+    """
+
+    def __init__(self, size: int, day: Optional[int] = None,
+                 retired: Optional["AnswerMemo[S, K, V]"] = None):
+        self.day = day
+        self._size = max(size, 0)
+        self._lock = threading.Lock()
+        self._shapes: "OrderedDict[S, Dict[K, V]]" = OrderedDict()
+        # counters are cumulative: they carry over from the retired memo
+        self._entries, self._hits, self._misses, self._hop_free = (
+            retired.stats()._replace(entries=0) if retired else (0, 0, 0, 0))
+        #: answers shed by the bound (cumulative too)
+        self.evictions = retired.evictions if retired else 0
+
+    def lookup(self, shape: S, keys: Sequence[K]
+               ) -> Tuple[List[Optional[V]], int]:
+        """Each key's answer (``None`` if not held); how many are not."""
+        with self._lock:
+            known = self._shapes.get(shape)
+            if known is None:
+                found: List[Optional[V]] = [None] * len(keys)
+            else:
+                self._shapes.move_to_end(shape)
+                found = list(map(known.get, keys))
+            missing = found.count(None)
+            self._hits += len(found) - missing
+            self._misses += missing
+            self._hop_free += not missing
+        return found, missing
+
+    def store(self, shape: S, answers: Dict[K, V]) -> None:
+        """Keep ``answers`` (the newest ``size`` of them) under ``shape``."""
+        if not self._size:
+            return
+        with self._lock:
+            known = self._shapes.setdefault(shape, {})
+            self._shapes.move_to_end(shape)
+            self._entries -= len(known)
+            known.update(answers)
+            self._entries += len(known)
+            excess = self._entries - self._size
+            while excess > 0 and len(self._shapes) > 1:
+                shed = len(self._shapes.popitem(last=False)[1])
+                self._entries -= shed
+                self.evictions += shed
+                excess -= shed
+            if excess > 0:
+                for key in list(islice(known, excess)):
+                    del known[key]
+                self._entries -= excess
+                self.evictions += excess
+
+    def clear(self) -> None:
+        """Drop every answer (counters are kept)."""
+        with self._lock:
+            self._shapes.clear()
+            self._entries = 0
+
+    def stats(self) -> MemoStats:
+        with self._lock:
+            return MemoStats(self._entries, self._hits, self._misses,
+                             self._hop_free)

@@ -6,6 +6,7 @@ from repro.core import (
     FEATURES_A,
     FEATURES_AL,
     FEATURES_AP,
+    GeoAugmentedModel,
     HistoricalModel,
     SequentialEnsemble,
 )
@@ -85,3 +86,78 @@ class TestEnsembleAPI:
         ap, al, a = suite
         ensemble = SequentialEnsemble([ap, al, a])
         assert ensemble.size() == ap.size() + al.size() + a.size()
+
+
+class TestGroupKey:
+    """One projection onto the union of the components' fields stands
+    for the tuple of component keys: it splits flows the same way."""
+
+    @pytest.mark.parametrize("order", [
+        (FEATURES_AP, FEATURES_AL, FEATURES_A),
+        (FEATURES_AL, FEATURES_AP, FEATURES_A),
+        (FEATURES_AL, FEATURES_A),
+    ])
+    def test_union_key_partitions_flows_as_component_keys_do(
+            self, small_scenario, order):
+        models = [HistoricalModel(fs) for fs in order]
+        ensemble = SequentialEnsemble(models)
+        contexts = list(small_scenario.flow_contexts)
+        contexts += [c._replace(src_prefix=c.src_prefix + 1)
+                     for c in contexts[:200]]
+        pairs = {(ensemble.group_key(c),
+                  tuple(m.group_key(c) for m in models)) for c in contexts}
+        assert len(pairs) > 100
+        # a bijection between the two keys over every flow seen
+        assert (len({union for union, _ in pairs}) == len(pairs)
+                == len({components for _, components in pairs}))
+
+    def test_every_field_in_the_union_means_the_context_itself(self):
+        ensemble = SequentialEnsemble(
+            [HistoricalModel(fs)
+             for fs in (FEATURES_AP, FEATURES_AL, FEATURES_A)])
+        flow = ctx(prefix=11, loc=3)
+        assert ensemble.group_key(flow) is flow
+
+    def test_narrower_union_projects(self):
+        ensemble = SequentialEnsemble(
+            [HistoricalModel(FEATURES_AL), HistoricalModel(FEATURES_A)])
+        assert ensemble.group_key(ctx(prefix=10, loc=3)) == (1, 3, 0, 0)
+        assert (ensemble.group_key(ctx(prefix=10))
+                == ensemble.group_key(ctx(prefix=11)))
+
+    def test_component_without_a_feature_set_keeps_the_tuple_of_keys(
+            self, suite, small_scenario):
+        ap, al, a = suite
+        geo = GeoAugmentedModel(al, small_scenario.wan)
+        nested = SequentialEnsemble([al, a])
+        for models in ([ap, geo, a], [ap, nested]):
+            ensemble = SequentialEnsemble(models)
+            flow = ctx(prefix=11, loc=3)
+            assert ensemble.group_key(flow) == tuple(
+                m.group_key(flow) for m in models)
+            assert ensemble.group_key(flow) != flow
+
+    def test_a_feature_set_alone_does_not_state_the_key(self, suite):
+        """Only ``key_fields`` opts a component into the union key: a
+        model that keys more finely than the ``feature_set`` it carries
+        (and says so by stating no ``key_fields``) keeps its own key."""
+
+        class PerPrefix(HistoricalModel):
+            def group_key(self, context):
+                return (context.src_prefix, *super().group_key(context))
+
+            key_fields = None
+
+        _ap, al, a = suite
+        finer = PerPrefix(FEATURES_AL)
+        assert finer.feature_set is FEATURES_AL
+        ensemble = SequentialEnsemble([finer, a])
+        flow = ctx(prefix=10, loc=3)
+        assert ensemble.group_key(flow) == (
+            finer.group_key(flow), a.group_key(flow))
+        assert (ensemble.group_key(flow)
+                != ensemble.group_key(ctx(prefix=11, loc=3)))
+        # the same fields, stated: the projection onto AL (prefix ignored)
+        assert (SequentialEnsemble([al, a]).group_key(flow)
+                == SequentialEnsemble([al, a]).group_key(ctx(prefix=11, loc=3)))
+

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.base import NO_LINKS, IngressModel
 from repro.core.service import ServiceConfig, TipsyService
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 from repro.topology import (
@@ -295,3 +296,115 @@ class TestPredictionMemo:
         stats = service.cache_stats()
         assert stats["memo_entries"] == 0
         assert (stats["memo_hits"], stats["memo_misses"]) == (0, 2)
+
+
+class SpyModel(IngressModel):
+    """Counts what a query costs the model it wraps."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.predicted = []
+        self.keyed = 0
+
+    def predict(self, context, k, unavailable=NO_LINKS):
+        self.predicted.append(context)
+        return self.inner.predict(context, k, unavailable)
+
+    def group_key(self, context):
+        self.keyed += 1
+        return self.inner.group_key(context)
+
+
+class TestReadPathCounts:
+    """What a read costs, in calls: counts repeat exactly where timings
+    do not.  A flow asked again under the same suite and shape reaches
+    no model; a cold batch predicts each distinct group key once."""
+
+    #: prefixes 1 and 2 share an (AS, location) group; 99 is unknown
+    BATCH = [ctx(1), ctx(2), ctx(1), ctx(3), ctx(99), ctx(2)]
+
+    @pytest.fixture()
+    def spied(self, service):
+        service.ingest_hour(0, [rec(0, 0, 1, 100.0), rec(0, 1, 1, 30.0),
+                                rec(0, 0, 2, 50.0), rec(0, 2, 3, 10.0)])
+        service.ingest_hour(24, [])
+        models = service._published.models
+        spies = {}
+        for role in ("primary_model", "withdrawal_model"):
+            name = getattr(service.config, role)
+            spies[role] = models[name] = SpyModel(models[name])
+        return service, spies["primary_model"], spies["withdrawal_model"]
+
+    @staticmethod
+    def _asked(service):
+        stats = service.cache_stats()
+        return stats["memo_hits"] + stats["memo_misses"]
+
+    def test_cold_batch_predicts_each_distinct_group_once(self, spied):
+        service, primary, withdrawal = spied
+        plain = service.predict_batch(self.BATCH)
+        # AP/AL/A keys on every field: four distinct contexts, four groups
+        assert primary.predicted == [ctx(1), ctx(2), ctx(3), ctx(99)]
+        assert primary.keyed == 4
+        constrained = service.predict_batch(self.BATCH, unavailable={0})
+        # AL+G keys on (AS, location, destination): one group for all
+        assert withdrawal.predicted == [ctx(1)] and withdrawal.keyed == 4
+        assert len(set(map(tuple, constrained))) == 1
+        assert self._asked(service) == 2 * len(self.BATCH)
+        assert service.cache_stats()["memo_misses"] == 2 * len(self.BATCH)
+        assert plain == [primary.inner.predict(c, 3) for c in self.BATCH]
+
+    def test_repeated_batch_reaches_no_model(self, spied):
+        service, primary, withdrawal = spied
+        first = (service.predict_batch(self.BATCH),
+                 service.predict_batch(self.BATCH, 2, {0}))
+        for spy in (primary, withdrawal):
+            spy.predicted.clear()
+            spy.keyed = 0
+        misses = service.cache_stats()["memo_misses"]
+        asked = self._asked(service)
+        for _ in range(3):
+            assert (service.predict_batch(self.BATCH),
+                    service.predict_batch(self.BATCH[::-1], 2, {0})[::-1],
+                    ) == first
+            assert service.predict(ctx(3)) == first[0][3]
+        assert primary.predicted == withdrawal.predicted == []
+        assert primary.keyed == withdrawal.keyed == 0
+        assert service.cache_stats()["memo_misses"] == misses
+        assert self._asked(service) == asked + 3 * (2 * len(self.BATCH) + 1)
+
+    def test_partly_warm_batch_predicts_only_what_is_new(self, spied):
+        service, primary, _ = spied
+        service.predict_batch(self.BATCH[:3])
+        primary.predicted.clear()
+        assert service.predict_batch(self.BATCH) == [
+            primary.inner.predict(c, 3) for c in self.BATCH]
+        assert primary.predicted == [ctx(3), ctx(99)]
+
+    def test_repeated_what_if_predicts_nothing(self, spied):
+        service, _, withdrawal = spied
+        flows = [(c, 10.0 + i) for i, c in enumerate(self.BATCH)]
+        first = service.what_if(flows, {0})
+        # one group: one prediction; every flow keyed once to sum its
+        # group's bytes, the group's context once more on the miss
+        assert withdrawal.predicted == [ctx(1)]
+        assert withdrawal.keyed == len(flows) + 1
+        assert first == service.what_if_per_flow(flows, {0})
+        withdrawal.predicted.clear()
+        withdrawal.keyed = 0
+        asked = self._asked(service)
+        assert service.what_if(flows, {0}) == first
+        assert withdrawal.predicted == []
+        assert withdrawal.keyed == len(flows)  # the byte sums, no more
+        assert self._asked(service) == asked + 1  # one group asked
+
+    def test_a_retrain_forgets_every_answer(self, spied):
+        service, primary, _ = spied
+        service.predict_batch(self.BATCH)
+        service.ingest_hour(48, [])  # publishes fresh, unspied models
+        assert service.cache_stats()["memo_entries"] == 0
+        assert service.predict_batch(self.BATCH) == [
+            service.model(service.config.primary_model).predict(c, 3)
+            for c in self.BATCH]
+        assert len(primary.predicted) == 4  # nothing new since the retrain

@@ -51,6 +51,22 @@ class TestNesting:
         assert inner.duration == pytest.approx(1.0)
         assert outer.duration == pytest.approx(3.0)  # end=3
 
+    def test_a_span_times_its_own_bookkeeping(self):
+        """The clock is read before the span is pushed and after it is
+        popped, so an outside clock around the ``with`` sees almost
+        nothing the span does not (the benchmark's traced pass adds
+        self times up to such a wall)."""
+        depths = []
+        tracer = Tracer(clock=lambda: float(
+            depths.append(len(tracer._local.stack)) or len(depths)))
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert depths == [0, 1, 1, 0]
+        outer, = tracer.roots()
+        assert (outer.start, outer.children[0].start,
+                outer.children[0].end, outer.end) == (1.0, 2.0, 3.0, 4.0)
+
 
 class TestExceptionSafety:
     def test_span_closes_on_exception(self):
@@ -79,8 +95,8 @@ class TestCap:
     def test_spans_past_cap_dropped_and_counted(self):
         tracer = Tracer(clock=FakeClock(), max_spans=2)
         for name in ("a", "b", "c", "d"):
-            with tracer.span(name):
-                pass
+            with tracer.span(name) as node:
+                assert (node is None) == (name in "cd")
         assert [root.name for root in tracer.roots()] == ["a", "b"]
         assert tracer.dropped == 2
         assert tracer.to_json()["dropped"] == 2

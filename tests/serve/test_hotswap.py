@@ -120,6 +120,80 @@ class TestOldOrNewInvariant:
         assert shard.swap_count == swaps + 1
         assert shard.health().latest_trained_day == 2
 
+    def test_unlocked_readers_never_mix_suites_within_a_call(
+            self, serve_world):
+        """Readers take no shard lock: several of them race one
+        publication under a short switch interval, on questions of three
+        shapes whose answers together overflow the memo — so every call
+        finds part of its answer remembered and stores the rest.  Each
+        call's answers are all the old suite's or all the new one's, and
+        a reader that has seen the new suite is never again answered by
+        the retired one (an old answer stored in the new memo would be)."""
+        wan = serve_world.scenario.wan
+        shard = HotSwapShard(0, wan, dataclasses.replace(
+            serve_world.config, memo_size=60))
+        oracle = TipsyService(wan, serve_world.config)
+        for hour in range(BOUNDARY):
+            shard.ingest_hour(hour, serve_world.hourly[hour])
+            oracle.ingest_hour(hour, serve_world.hourly[hour])
+        batch = serve_world.contexts[:40]
+        links = sorted(link.link_id for link in wan.links)[:2]
+        questions = [(batch[:25], None, frozenset()),
+                     (batch, None, frozenset()),
+                     (batch[10:], 2, frozenset(links))]
+        old = [oracle.predict_batch(*q) for q in questions]
+        oracle.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
+        new = [oracle.predict_batch(*q) for q in questions]
+        assert all(o != n for o, n in zip(old, new))
+
+        n_readers = 4
+        observed = [[] for _ in range(n_readers)]
+        failures = []
+        warmed = threading.Barrier(n_readers + 1)
+        stop = threading.Event()
+
+        def read_loop(reader):
+            def ask(which):
+                observed[reader].append(
+                    (which, shard.predict_batch(*questions[which])))
+
+            try:
+                for which in range(len(questions)):
+                    ask(which)  # the old suite's
+                warmed.wait(30)
+                turn = reader
+                while not stop.is_set():
+                    ask(turn % len(questions))
+                    turn += 1
+                for which in range(len(questions)):
+                    ask(which)  # after the publication
+            except Exception as error:  # pragma: no cover - on failure
+                failures.append(error)
+
+        readers = [threading.Thread(target=read_loop, args=(reader,))
+                   for reader in range(n_readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            warmed.wait(30)
+            shard.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(30)
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert not any(reader.is_alive() for reader in readers)
+        for answers in observed:
+            suites = []
+            for which, answer in answers:
+                assert answer in (old[which], new[which])
+                suites.append(answer == new[which])
+            assert suites == sorted(suites)  # old ... old, new ... new
+            assert not suites[0] and suites[-1]
+
     def test_concurrent_reader_never_sees_half_retrained_state(
             self, serve_world):
         """Queries racing a day-boundary retrain see old-or-new only.

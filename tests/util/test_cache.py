@@ -1,6 +1,8 @@
-"""Tests for the bounded LRU mapping behind the simulator caches."""
+"""Tests for the bounded LRU mapping behind the simulator caches and
+the answer memo behind the service and the daemon."""
 
 from repro.util import LruDict
+from repro.util.cache import AnswerMemo
 
 
 class TestLruDict:
@@ -73,3 +75,58 @@ class TestLruDict:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (1, 1)
+
+
+class TestAnswerMemo:
+    def test_lookup_counts_per_key_and_whole_lookups(self):
+        memo: AnswerMemo[str, int, str] = AnswerMemo(size=8)
+        assert memo.lookup("s", [1, 2, 2]) == ([None, None, None], 3)
+        memo.store("s", {1: "one", 2: "two"})
+        assert memo.lookup("s", [2, 1, 3, 2]) == (
+            ["two", "one", None, "two"], 1)
+        assert memo.lookup("s", [1]) == (["one"], 0)
+        assert memo.lookup("s", []) == ([], 0)
+        assert memo.lookup("other shape", [1]) == ([None], 1)
+        assert memo.stats() == (2, 4, 5, 2)
+        assert memo.evictions == 0
+
+    def test_one_shape_over_the_bound_keeps_its_newest_answers(self):
+        memo: AnswerMemo[str, int, int] = AnswerMemo(size=3)
+        memo.store("s", {key: key for key in range(5)})
+        assert memo.lookup("s", range(5))[0] == [None, None, 2, 3, 4]
+        memo.store("s", {0: 0, 3: 33})  # 3 is overwritten where it stands
+        assert memo.lookup("s", range(5))[0] == [0, None, None, 33, 4]
+        assert (memo.stats().entries, memo.evictions) == (3, 3)
+
+    def test_other_shapes_go_first_least_recently_asked_first(self):
+        memo: AnswerMemo[str, int, int] = AnswerMemo(size=4)
+        memo.store("a", {1: 1, 2: 2})
+        memo.store("b", {1: 1})
+        memo.lookup("a", [1])  # "b" is now the least recently asked
+        memo.store("c", {1: 1, 2: 2})
+        assert memo.lookup("b", [1]) == ([None], 1)
+        assert memo.lookup("a", [1, 2])[1] == 0
+        memo.store("d", {key: key for key in range(6)})
+        assert [memo.lookup(shape, [1])[1] for shape in "abc"] == [1, 1, 1]
+        assert memo.lookup("d", range(6))[0] == [None, None, 2, 3, 4, 5]
+        assert (memo.stats().entries, memo.evictions) == (4, 1 + 4 + 2)
+
+    def test_size_zero_keeps_nothing_and_counts_the_questions(self):
+        for size in (0, -1):
+            memo: AnswerMemo[str, int, int] = AnswerMemo(size)
+            memo.store("s", {1: 1})
+            assert memo.lookup("s", [1]) == ([None], 1)
+            assert memo.stats() == (0, 0, 1, 0)
+
+    def test_successor_starts_empty_with_the_counters_so_far(self):
+        first: AnswerMemo[str, int, int] = AnswerMemo(size=1, day=4)
+        first.store("s", {1: 1, 2: 2})
+        first.lookup("s", [1, 2])
+        second = AnswerMemo(1, 5, first)
+        assert (first.day, second.day) == (4, 5)
+        assert first.stats() == (1, 1, 1, 0)
+        assert second.stats() == (0, 1, 1, 0)
+        assert first.evictions == second.evictions == 1
+        assert second.lookup("s", [2]) == ([None], 1)
+        first.clear()
+        assert first.stats() == (0, 1, 1, 0)
