@@ -36,11 +36,13 @@ degrade, paper Table 7).  Geography still constrains the outcome, which
 is why the AL+G completion recovers much of the loss.
 
 Results are cached per (flow, removal-key, drift-state) together with
-their *footprint* — the ASes whose table rows and links the walk read —
-and a result computed under one removal set is reused under another
-whenever the change touches no footprint AS (:meth:`touched_asns`);
-routing tables are cached per seeded-neighbor set, so week-long
-simulations stay fast.  The hot caches are bounded LRU maps
+what they read — their *footprint*, the ASes whose table rows and links
+the walk read, and their *pools*, the links of every candidate pool it
+ranked — and a result computed under one removal set is reused under
+another whenever the change reaches neither (:meth:`touched`: a restored
+link or a changed route reaches its AS, a removed link only the pools
+that held it); routing tables are cached per seeded-neighbor set, so
+week-long simulations stay fast.  The hot caches are bounded LRU maps
 (``SimulatorParams`` capacities) so those simulations also stay bounded
 in memory; table-cache misses are repaired by dirty-set recomputation
 from a pinned full-availability table
@@ -50,7 +52,8 @@ from a pinned full-availability table
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..obs import runtime as obs
 from ..topology.asgraph import ASGraph, Pocket
@@ -64,9 +67,17 @@ from .state import AdvertisementState
 #: (link_id, fraction) pairs, descending fraction; fractions sum to 1.0
 ShareVector = Tuple[Tuple[int, float], ...]
 
-#: a cached resolution: its shares, its footprint (every AS whose table
-#: row or links the walk read) and the removal set it was computed under
-_Resolution = Tuple[ShareVector, Tuple[int, ...], FrozenSet[int]]
+
+class Resolution(NamedTuple):
+    """A flow's shares with what says when they stand (:meth:`touched`)."""
+
+    shares: ShareVector
+    #: every AS whose table row or links the walk read
+    footprint: Tuple[int, ...]
+    #: the links of every candidate pool the walk ranked
+    pools: Tuple[int, ...]
+    #: the removal set it was computed under
+    removed: FrozenSet[int]
 
 
 @dataclass
@@ -137,13 +148,14 @@ class IngressSimulator:
             LruDict(p.table_cache_size)
         # (flow key, removal set) -> resolution, plus flow key -> the
         # flow's latest full resolution (what the footprint rule tries)
-        self._share_cache: LruDict[Tuple[Any, ...], _Resolution] = \
+        self._share_cache: LruDict[Tuple[Any, ...], Resolution] = \
             LruDict(p.share_cache_size)
         self._link_share_cache: LruDict[Tuple[Any, ...], ShareVector] = \
             LruDict(p.share_cache_size)
         self._entry_cache: Dict[Tuple[int, str], str] = {}
-        self._touched_cache: LruDict[Tuple[FrozenSet[int], FrozenSet[int]],
-                                     FrozenSet[int]] = \
+        self._touched_cache: LruDict[
+            Tuple[FrozenSet[int], FrozenSet[int]],
+            Tuple[FrozenSet[int], FrozenSet[int]]] = \
             LruDict(p.table_cache_size)
         self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self._ranked_cache: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
@@ -217,19 +229,27 @@ class IngressSimulator:
         self._table_by_seeded[seeded] = table
         self._table_by_removed[removed] = table
 
-    def touched_asns(self, before: FrozenSet[int],
-                     after: FrozenSet[int]) -> FrozenSet[int]:
-        """ASes a change of removal set can make resolve differently: the
-        owners of the links that differ, and every AS whose route differs
-        between the two routing tables.  A resolution whose footprint is
-        disjoint from this set is the same under both (cached)."""
+    def touched(self, before: FrozenSet[int], after: FrozenSet[int]
+                ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """The footprint rule, as (ASes, links): a resolution made under
+        ``before`` stands under ``after`` unless its footprint meets the
+        ASes or its pools meet the links (cached).
+
+        The ASes are those whose route differs between the two tables
+        and the owners of the *restored* links: any pool of the owner may
+        admit a link that comes back.  The links are the *removed* ones:
+        a link outside a pool ranks after every member or beyond the
+        radius, so deleting it reorders nothing before it; the nearest
+        link is always in the pool (pocket-filtered and TE-ranked alike),
+        so no link list empties without a pool member going; and a peer
+        losing its last link changes the tables."""
         key = (before, after)
         touched = self._touched_cache.get(key)
         if touched is None:
-            touched = frozenset(
-                self.wan.link(l).peer_asn for l in before ^ after
+            touched = (frozenset(
+                self.wan.link(l).peer_asn for l in before - after
             ) | self.routing_table(before).changed_asns(
-                self.routing_table(after))
+                self.routing_table(after)), after - before)
             self._touched_cache[key] = touched
         return touched
 
@@ -280,8 +300,8 @@ class IngressSimulator:
         Returns an empty tuple if the flow has no route to the WAN (all
         candidate paths withdrawn) — callers account those bytes as lost.
         """
-        return self._resolution(src_asn, src_metro, src_prefix, dest_prefix,
-                                state, day)[0]
+        return self.resolution(src_asn, src_metro, src_prefix, dest_prefix,
+                               state, day).shares
 
     def footprint(
         self,
@@ -292,15 +312,16 @@ class IngressSimulator:
         state: AdvertisementState,
         day: Optional[int] = None,
     ) -> Tuple[int, ...]:
-        """The ASes :meth:`resolve_shares` read for this flow and state:
-        as long as a state change touches none of them
-        (:meth:`touched_asns`), the flow's shares cannot change."""
-        return self._resolution(src_asn, src_metro, src_prefix, dest_prefix,
-                                state, day, count=False)[1]
+        """The ASes :meth:`resolve_shares` read for this flow and state."""
+        return self.resolution(src_asn, src_metro, src_prefix, dest_prefix,
+                               state, day, count=False).footprint
 
-    def _resolution(self, src_asn: int, src_metro: str, src_prefix: int,
-                    dest_prefix: int, state: AdvertisementState,
-                    day: Optional[int], count: bool = True) -> _Resolution:
+    def resolution(self, src_asn: int, src_metro: str, src_prefix: int,
+                   dest_prefix: int, state: AdvertisementState,
+                   day: Optional[int] = None, count: bool = True
+                   ) -> Resolution:
+        """:meth:`resolve_shares` with the footprint and pools it read
+        (``count=False``: a look-up the hit counters do not see)."""
         removed = state.removal_key(dest_prefix)
         prepends = state.prepend_key(dest_prefix)
         minor, major = self.drift_state(src_asn, src_prefix, dest_prefix, day)
@@ -310,10 +331,14 @@ class IngressSimulator:
         if found is None:
             # the footprint rule: the flow's latest full resolution, made
             # under another removal set, stands if the change from that
-            # set to this one touches no AS the walk read
+            # set to this one reaches nothing the walk read
             found = self._share_cache.get(flow, count=False)
-            if found is None or not self.touched_asns(
-                    found[2], removed).isdisjoint(found[1]):
+            if found is not None:
+                asns, links = self.touched(found.removed, removed)
+                if not (asns.isdisjoint(found.footprint)
+                        and links.isdisjoint(found.pools)):
+                    found = None
+            if found is None:
                 found = self._resolve(src_asn, src_metro, src_prefix,
                                       dest_prefix, removed, minor, major,
                                       dict(prepends) or None)
@@ -331,22 +356,24 @@ class IngressSimulator:
         minor: bool,
         major: bool,
         prepends: Optional[Dict[int, int]] = None,
-    ) -> _Resolution:
+    ) -> Resolution:
         if src_asn == self.wan.asn:
             raise ValueError("internal WAN traffic has no ingress link")
         if src_asn not in self.graph:
-            return (), (), removed
+            return Resolution((), (), (), removed)
         table = self.routing_table(removed)
         node = self.graph.node(src_asn)
         rotate_extra = (1 if minor else 0) + (2 if major else 0)
         accum: Dict[int, float] = {}
         visited: List[int] = [src_asn]
+        pools: List[int] = []
 
         def add(links: Sequence[PeeringLink], entry: str, weight: float) -> None:
-            for link_id, frac in self._link_shares(
+            pool, shares = self._link_shares(
                 links, entry, src_prefix, dest_prefix, rotate_extra,
-                prepends=prepends,
-            ):
+                prepends=prepends)
+            pools.extend(pool)
+            for link_id, frac in shares:
                 accum[link_id] = accum.get(link_id, 0.0) + frac * weight
 
         pocket = node.pocket_for(src_metro)
@@ -360,7 +387,7 @@ class IngressSimulator:
         else:
             candidates = self._origin_candidates(src_asn, pocket, table)
             if not candidates:
-                return (), tuple(visited), removed
+                return Resolution((), tuple(visited), (), removed)
             # keyed by the candidate set: a change in the viable next-hops
             # re-draws the choice among the survivors
             rot = rotation(len(candidates), src_asn, src_prefix, dest_prefix, 3,
@@ -384,12 +411,12 @@ class IngressSimulator:
                 add(links, d_metro, w)
                 delivered_weight += w
             if delivered_weight <= 0.0:
-                return (), tuple(visited), removed
+                return Resolution((), tuple(visited), (), removed)
             if delivered_weight < 1.0:
                 accum = {k: v / delivered_weight for k, v in accum.items()}
 
         shares = tuple(sorted(accum.items(), key=lambda kv: (-kv[1], kv[0])))
-        return shares, tuple(visited), removed
+        return Resolution(shares, tuple(visited), tuple(pools), removed)
 
     def _origin_candidates(self, src_asn: int, pocket: Optional[Pocket],
                            table: RoutingTable) -> List[int]:
@@ -453,8 +480,9 @@ class IngressSimulator:
         dest_prefix: int,
         rotate_extra: int,
         prepends: Optional[Dict[int, int]] = None,
-    ) -> ShareVector:
-        """Hot-potato byte-share split over a delivering AS's links.
+    ) -> Tuple[Tuple[int, ...], ShareVector]:
+        """Hot-potato byte-share split over a delivering AS's links, as
+        (the candidate pool, the shares).
 
         The nearest ``candidate_pool_size`` links within
         ``reroute_radius_km`` of the closest exit form the candidate pool.
@@ -508,12 +536,12 @@ class IngressSimulator:
             if not prepends:
                 self._ranked_cache[rank_key] = pool
         # past the pool the split is a pure function of this key: a flow
-        # re-resolved under a change that left its pool alone (the usual
-        # case, a removed link is rarely among its nearest) stops here
+        # re-resolved under a change that left its pool alone (a restored
+        # link or a drifted route is rarely among its nearest) stops here
         memo_key = (pool, src_prefix, dest_prefix, rotate_extra)
         shares = self._link_share_cache.get(memo_key)
         if shares is not None:
-            return shares
+            return pool, shares
         # fold the pool membership into one hash base so each member draw
         # is a single extra mixing round
         pool_base = mix64(17, *pool, seed=self.seed)
@@ -545,7 +573,7 @@ class IngressSimulator:
         shares = tuple((link_id, w / total)
                        for link_id, w in zip(take, weights))
         self._link_share_cache[memo_key] = shares
-        return shares
+        return pool, shares
 
     # -- statistics -----------------------------------------------------------
 

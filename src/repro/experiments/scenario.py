@@ -49,6 +49,8 @@ _EXPANSION_SLOTS = 8
 #: (removal key, prepend key))
 _Content = Tuple[int, Tuple[Tuple[FrozenSet[int],
                                   Tuple[Tuple[int, int], ...]], ...]]
+#: destination prefixes by the (old, new) removal sets they moved between
+_Moved = Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]]
 
 
 class HourColumns(NamedTuple):
@@ -63,16 +65,28 @@ class HourColumns(NamedTuple):
 
 class _Expansion(NamedTuple):
     """Every flow's link shares under one (day, advertisement content),
-    as aligned arrays, plus the footprints that say what can change them."""
+    as aligned arrays, plus what its resolutions read, which says what
+    can change them (``IngressSimulator.touched``)."""
 
-    #: None only for the empty expansion the first one derives from
-    content: Optional[_Content]
+    content: _Content
     rows: np.ndarray
     links: np.ndarray
     fracs: np.ndarray
     # (flow row, AS) pairs: the row's resolution read that AS
     footprint_rows: np.ndarray
     footprint_asns: np.ndarray
+    # (flow row, link) pairs: a candidate pool of the row held that link
+    pool_rows: np.ndarray
+    pool_links: np.ndarray
+    #: rows per AS read and per pool link: what ``_estimate`` sums
+    rows_reading: Dict[int, int]
+    rows_pooling: Dict[int, int]
+
+
+def _rows_per(values: np.ndarray) -> Dict[int, int]:
+    """How many of an expansion's (row, value) pairs hold each value."""
+    found, counts = np.unique(values, return_counts=True)
+    return dict(zip(found.tolist(), counts.tolist()))
 
 
 @dataclass
@@ -155,12 +169,12 @@ class Scenario:
             self._starts.setdefault(outage.start_hour, []).append(outage.link_id)
             self._ends.setdefault(outage.end_hour, []).append(outage.link_id)
         # expansions for the fast path, by content; a miss is derived
-        # from the latest one
+        # from the cheapest one to start from (none yet: from `_empty`)
         self._expansions: LruDict[_Content, _Expansion] = \
             LruDict(_EXPANSION_SLOTS)
         none = np.empty(0, dtype=np.int64)
-        self._latest = _Expansion(
-            None, none, none, np.empty(0, dtype=np.float64), none, none)
+        self._empty = _Expansion((0, ()), none, none, none.astype(np.float64),
+                                 none, none, none, none, {}, {})
         flows = self.traffic.flows
         self._dest_prefixes = sorted({f.dest_prefix_id for f in flows})
         # per-flow identifier columns (the columnar IPFIX path, the
@@ -228,16 +242,19 @@ class Scenario:
 
         Keyed by what the shares depend on, not by the state object: the
         state a probe restores and the next hour's unchanged state are
-        hits.  A miss re-resolves only the rows the change from the
-        latest expansion can reach and splices them into its arrays.
+        hits.  A miss re-resolves only the rows the change from a cached
+        expansion can reach and splices them into its arrays: from the
+        one ``_estimate`` ranks cheapest, ties to the most recently used.
         """
         content = (day, tuple((state.removal_key(p), state.prepend_key(p))
                               for p in self._dest_prefixes))
         found = self._expansions.get(content)
         if found is None:
-            found = self._derive(self._latest, content, state)
+            base = min(reversed(self._expansions.values()),
+                       key=lambda e: self._estimate(e, content),
+                       default=self._empty)
+            found = self._derive(base, content, state)
             self._expansions[content] = found
-        self._latest = found
         return found.rows, found.links, found.fracs
 
     def _derive(self, base: _Expansion, content: _Content,
@@ -251,6 +268,8 @@ class Scenario:
         fracs: List[float] = []
         walked_rows: List[int] = []
         walked_asns: List[int] = []
+        pool_rows: List[int] = []
+        pool_links: List[int] = []
         for i in np.flatnonzero(stale).tolist():
             flow = flows[i]
             args = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
@@ -260,9 +279,11 @@ class Scenario:
                 rows.append(i)
                 links.append(link_id)
                 fracs.append(frac)
-            for asn in self.simulator.footprint(*args):
-                walked_rows.append(i)
-                walked_asns.append(asn)
+            read = self.simulator.resolution(*args, count=False)
+            walked_rows += [i] * len(read.footprint)
+            walked_asns += read.footprint
+            pool_rows += [i] * len(read.pools)
+            pool_links += read.pools
 
         def splice(old: np.ndarray, keep: np.ndarray,
                    new: Sequence[float]) -> np.ndarray:
@@ -274,38 +295,73 @@ class Scenario:
         # restores the from-scratch order
         order = np.argsort(merged, kind="stable")
         keep_walk = ~stale[base.footprint_rows]
+        keep_pool = ~stale[base.pool_rows]
+        asns = splice(base.footprint_asns, keep_walk, walked_asns)
+        pooled = splice(base.pool_links, keep_pool, pool_links)
         return _Expansion(
             content, merged[order],
             splice(base.links, keep, links)[order],
             splice(base.fracs, keep, fracs)[order],
-            splice(base.footprint_rows, keep_walk, walked_rows),
-            splice(base.footprint_asns, keep_walk, walked_asns))
+            splice(base.footprint_rows, keep_walk, walked_rows), asns,
+            splice(base.pool_rows, keep_pool, pool_rows), pooled,
+            _rows_per(asns), _rows_per(pooled))
+
+    def _changes(self, base: _Expansion, content: _Content
+                 ) -> Tuple[np.ndarray, _Moved]:
+        """What differs between ``base`` and ``content``: the mask of the
+        rows that are stale whatever they read (a drift flag flips between
+        the two days, or the prefix's prepends changed), and the prefixes
+        whose removal set moved."""
+        (old_day, old_parts), (day, parts) = base.content, content
+        shifts = self._shift_days
+        stale = (np.zeros(len(shifts), dtype=np.bool_) if old_day == day
+                 else ((old_day >= shifts) != (day >= shifts)).any(axis=1))
+        prepended: List[int] = []
+        moved: _Moved = {}
+        for prefix, old, new in zip(self._dest_prefixes, old_parts, parts):
+            if old[1] != new[1]:
+                prepended.append(prefix)
+            elif old[0] != new[0]:
+                moved.setdefault((old[0], new[0]), []).append(prefix)
+        if prepended:
+            stale |= np.isin(self._flow_columns[2], prepended)
+        return stale, moved
 
     def _stale_rows(self, base: _Expansion, content: _Content
                     ) -> np.ndarray:
         """Mask of the flow rows whose shares under ``content`` may differ
         from ``base``'s: a drift flag flips between the two days, the
         prefix's prepends changed, or the change of the prefix's removal
-        set touches an AS in the row's footprint."""
+        set reaches the row's footprint or pools
+        (``IngressSimulator.touched``)."""
         dest = self._flow_columns[2]
-        if base.content is None:
+        if base is self._empty:
             return np.ones(len(dest), dtype=np.bool_)
-        (old_day, old_parts), (day, parts) = base.content, content
-        stale = ((old_day >= self._shift_days)
-                 != (day >= self._shift_days)).any(axis=1)
-        moved: Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]] = {}
-        for prefix, old, new in zip(self._dest_prefixes, old_parts, parts):
-            if old[1] != new[1]:
-                stale |= dest == prefix
-            elif old[0] != new[0]:
-                moved.setdefault((old[0], new[0]), []).append(prefix)
-        walked_dest = dest[base.footprint_rows]
+        stale, moved = self._changes(base, content)
         for (before, after), prefixes in moved.items():
-            touched = self.simulator.touched_asns(before, after)
-            hit = (np.isin(base.footprint_asns, list(touched))
-                   & np.isin(walked_dest, prefixes))
-            stale[base.footprint_rows[hit]] = True
+            moving = np.isin(dest, prefixes)
+            for reached, rows, read in zip(
+                    self.simulator.touched(before, after),
+                    (base.footprint_rows, base.pool_rows),
+                    (base.footprint_asns, base.pool_links)):
+                hit = np.isin(read, list(reached)) & moving[rows]
+                stale[rows[hit]] = True
         return stale
+
+    def _estimate(self, base: _Expansion, content: _Content) -> float:
+        """A guess at how many rows ``_stale_rows`` would mark, to order
+        the candidate bases by and nothing else: per removal-set change
+        the rows whose pool held a removed link plus the rows that read
+        a restored link's owner, weighted by the share of the prefixes
+        that change covers (no routing table is consulted)."""
+        stale, moved = self._changes(base, content)
+        owner = self.wan.link
+        reached = sum(len(prefixes) * (
+            sum(base.rows_pooling.get(l, 0) for l in after - before)
+            + sum(base.rows_reading.get(asn, 0) for asn in
+                  {owner(l).peer_asn for l in before - after}))
+            for (before, after), prefixes in moved.items())
+        return float(stale.sum() + reached / len(self._dest_prefixes))
 
     def stream(
         self,
@@ -326,11 +382,12 @@ class Scenario:
             state = self.state_at(start_hour) if apply_outages else (
                 AdvertisementState(self.wan))
         elif apply_outages:
-            # bring the caller's state up to the window start
-            for outage in self.outage_schedule:
-                if outage.active_at(start_hour):
-                    if outage.link_id not in state.link_outages:
-                        state.set_link_down(outage.link_id)
+            # bring the caller's state up to the window start: an outage
+            # that ends exactly here is lifted (the caller's previous
+            # window stopped short of it), the active ones are down
+            self.apply_outage_transitions(state, start_hour)
+            for link_id in self.scheduled_down_at(start_hour):
+                state.set_link_down(link_id)
         for hour in range(start_hour, end_hour):
             if apply_outages and hour != start_hour:
                 self.apply_outage_transitions(state, hour)
@@ -418,14 +475,9 @@ class Scenario:
         """One hour of columns as CMS :class:`TrafficEntry` objects."""
         from ..cms.mitigation import TrafficEntry
 
-        flows = self.traffic.flows
-        contexts = self.flow_contexts
-        return [
-            TrafficEntry(link_id=link_id,
-                         dest_prefix_id=flows[row].dest_prefix_id,
-                         context=contexts[row], bytes=bytes_)
-            for row, link_id, bytes_ in self._positive(cols, use_sampled)
-        ]
+        contexts, dest = self.flow_contexts, self._flow_columns[2].tolist()
+        return [TrafficEntry(link_id, dest[row], contexts[row], bytes_)
+                for row, link_id, bytes_ in self._positive(cols, use_sampled)]
 
     def risk_entries_for(self, cols: HourColumns,
                          use_sampled: bool = True) -> List[Tuple[int, FlowContext, float]]:

@@ -19,7 +19,7 @@ import threading
 from collections import OrderedDict
 from itertools import islice
 from typing import (Dict, Generic, Hashable, List, NamedTuple, Optional,
-                    Sequence, Tuple, TypeVar)
+                    Sequence, Tuple, TypeVar, ValuesView)
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -72,6 +72,10 @@ class LruDict(Generic[K, V]):
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def values(self) -> ValuesView[V]:
+        """The values, stalest first; reading them refreshes nothing."""
+        return self._data.values()
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -17,7 +17,7 @@ from repro.topology import (
 )
 
 
-def build_world():
+def build_world(pocket_metros=("sin",)):
     """Small deterministic world: tier1, transit, CDN with a pocket,
     stub; WAN with links to tier1, transit and CDN."""
     metros = MetroCatalog()
@@ -25,7 +25,7 @@ def build_world():
     g.add_as(ASNode(1, ASRole.TIER1, ("sea", "lon", "sin", "nyc")))
     g.add_as(ASNode(2, ASRole.TRANSIT, ("sea", "nyc")))
     g.add_as(ASNode(3, ASRole.CDN, ("sea", "lon", "sin"),
-                    pockets=(Pocket(frozenset({"sin"}), (1,)),)))
+                    pockets=(Pocket(frozenset(pocket_metros), (1,)),)))
     g.add_as(ASNode(4, ASRole.STUB, ("nyc",)))
     g.add_link(2, 1, Relationship.PROVIDER)
     g.add_link(3, 1, Relationship.PROVIDER)
@@ -254,6 +254,46 @@ class TestFootprintRule:
         assert moved == self.fresh(wan, {0, 3})
         assert sim.cache_stats()["touched_entries"] >= 3
 
+    def test_a_removed_link_reaches_only_the_pools_that_held_it(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        read = sim.resolution(*self.STUB, state)
+        # transit 2 delivers at nyc; its sea link is beyond the radius
+        assert read.footprint == (4, 2) and set(read.pools) == {3, 6}
+        state.set_link_down(2)            # the deliverer's, in no pool
+        assert sim.resolution(*self.STUB, state) is read
+        assert read.shares == self.fresh(wan, {2})
+        state.set_link_down(3)            # a pool member
+        moved = sim.resolution(*self.STUB, state)
+        assert moved is not read and moved.pools == (6,)
+        assert moved.shares == self.fresh(wan, {2, 3})
+
+    def test_a_restored_link_reaches_every_pool_of_its_owner(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        state.set_link_down(2)
+        read = sim.resolution(*self.STUB, state)
+        assert 2 not in read.pools        # no pool names the link, and yet
+        state.set_link_up(2)
+        again = sim.resolution(*self.STUB, state)
+        assert again is not read and again == read._replace(
+            removed=frozenset())
+        assert again.shares == self.fresh(wan, set())
+
+    def test_a_pocket_pools_only_its_own_metros_links(self):
+        """The CDN's sea link is its own but outside the pocket: it is in
+        no pool of a flow from the pocket, whoever delivers."""
+        for metros, pools in (({"sin"}, {0, 1}), ({"sin", "lon"}, {5})):
+            graph, wan = build_world(metros)
+            sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
+            state = AdvertisementState(wan)
+            read = sim.resolution(*self.POCKET, state)
+            assert set(read.pools) == pools
+            state.set_link_down(4)
+            assert sim.resolution(*self.POCKET, state) is read
+            assert read[:3] == sim._resolve(
+                *self.POCKET, frozenset({4}), False, False)[:3]
+
     def test_last_link_of_a_peer(self, world):
         """Removing a peer's last link changes the tables, and with them
         the rows of the ASes behind it."""
@@ -263,13 +303,15 @@ class TestFootprintRule:
             state.set_link_down(link)
         before = sim.resolve_shares(*self.STUB, state)
         assert [l for l, _f in before] == [6]
-        # same tables so far: only the owner of the links is touched
-        assert sim.touched_asns(frozenset(), frozenset({2, 3})) == {2}
+        # same tables so far: no AS is touched, only pools of the links
+        assert sim.touched(frozenset(), frozenset({2, 3})) == (set(), {2, 3})
+        # ... and bringing them back touches their owner, whatever its pools
+        assert sim.touched(frozenset({2, 3}), frozenset()) == ({2}, set())
         state.set_link_down(6)            # transit 2 is no longer a peer
         assert sim.routing_table(frozenset({2, 3, 6})) is not \
             sim.routing_table(frozenset({2, 3}))
-        assert {2, 4} <= sim.touched_asns(frozenset({2, 3}),
-                                          frozenset({2, 3, 6}))
+        assert {2, 4} <= sim.touched(frozenset({2, 3}),
+                                     frozenset({2, 3, 6}))[0]
         after = sim.resolve_shares(*self.STUB, state)
         assert {wan.link(l).peer_asn for l, _f in after} == {1}
         assert after == self.fresh(wan, {2, 3, 6})

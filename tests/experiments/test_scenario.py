@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bgp import AdvertisementState
+from repro.bgp import AdvertisementState, IngressSimulator
 from repro.experiments import Scenario, ScenarioParams
 
 
@@ -80,6 +80,33 @@ class TestStreaming:
             state.withdraw(prefix.prefix_id, hot_link)
         cols = next(iter(sc.stream(0, 1, state=state)))
         assert cols.true_bytes[cols.link_ids == hot_link].sum() == 0.0
+
+
+    def test_back_to_back_windows_equal_one_window(self):
+        """``stream(a, b, state)`` then ``stream(b, c, state)`` leaves the
+        caller's state as ``stream(a, c, state)`` does — also when an
+        outage ends exactly at ``b`` (it used to stay down for good)."""
+        sc = Scenario(ScenarioParams.small(seed=9, horizon_days=7))
+        last = sc.horizon_hours
+        cuts = sorted({o.end_hour for o in sc.outage_schedule
+                       if 0 < o.end_hour < last})
+        assert len(cuts) >= 5
+        whole = AdvertisementState(sc.wan)
+        for _ in sc.stream(0, last, whole):
+            pass
+        for cut in cuts:
+            state = AdvertisementState(sc.wan)
+            for _ in sc.stream(0, cut, state):
+                pass
+            for cols in sc.stream(cut, last, state):
+                if cols.hour == cut:
+                    assert state.link_outages == sc.scheduled_down_at(cut)
+            assert state.link_outages == whole.link_outages, cut
+        # for the state of the hour itself, catching up changes nothing
+        at = sc.state_at(cuts[0])
+        version = at.version
+        next(iter(sc.stream(cuts[0], cuts[0] + 1, at)))
+        assert at.version == version
 
 
 class TestRecordViews:
@@ -184,10 +211,120 @@ class TestExpansionBounds:
             again = next(iter(sc.stream(hour, hour + 1, state,
                                         apply_outages=False)))
             assert again.flow_rows is base.flow_rows  # a content hit
-            contents.add(sc._latest.content)
+            contents.update(e.content for e in sc._expansions.values())
             assert len(sc._expansions) <= _EXPANSION_SLOTS
         stats = sc.simulator.cache_stats()
         assert len(contents) > _EXPANSION_SLOTS
         assert stats["share_entries"] <= bound
         assert stats["link_share_entries"] <= bound
         assert stats["share_evictions"] > 0
+
+
+class TestCountedWork:
+    """What a missed expansion re-resolves, counted call by call: counts
+    repeat exactly where timings do not."""
+
+    HOUR = 30
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """The flows ``resolve_shares`` is asked for, in order."""
+        asked = []
+        resolve = IngressSimulator.resolve_shares
+
+        def counting(simulator, *args):
+            asked.append(args[:4])
+            return resolve(simulator, *args)
+
+        monkeypatch.setattr(IngressSimulator, "resolve_shares", counting)
+        return asked
+
+    def world(self):
+        """A scenario that has streamed S, S's columns and state, and S's
+        two busiest links."""
+        sc = Scenario(ScenarioParams.small(seed=9, horizon_days=7))
+        state = sc.state_at(self.HOUR)
+        base = self.streamed(sc, state)
+        busiest = np.argsort(-np.bincount(base.link_ids,
+                                          weights=base.true_bytes))
+        return sc, state, base, [int(link) for link in busiest[:2]]
+
+    def streamed(self, sc, state):
+        return next(iter(sc.stream(self.HOUR, self.HOUR + 1, state,
+                                   apply_outages=False)))
+
+    def probe(self, sc, state, link):
+        state.set_link_down(link)
+        try:
+            return self.streamed(sc, state)
+        finally:
+            state.set_link_up(link)
+
+    def test_a_probe_costs_the_same_after_another_probe(self, calls):
+        sc, state, _base, (first, second) = self.world()
+        del calls[:]
+        alone = self.probe(sc, state, second)
+        after_s = list(calls)
+        assert 0 < len(after_s) < len(sc.traffic) / 4
+
+        sc, state, _base, _links = self.world()
+        self.probe(sc, state, first)
+        del calls[:]
+        # the latest expansion is the first probe's; S is the cheaper base
+        chained = self.probe(sc, state, second)
+        assert calls == after_s
+        for mine, theirs in zip(chained[1:], alone[1:]):
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("withdrawn", [False, True])
+    def test_what_is_counted_read_the_change(self, calls, withdrawn):
+        """Exactly the flows whose footprint or pools the change reaches
+        are resolved again — under a withdrawal, of that prefix only."""
+        sc, state, base, (_first, link) = self.world()
+        sim, flows = sc.simulator, sc.traffic.flows
+        on_link = base.flow_rows[base.link_ids == link]
+        prefix = flows[int(on_link[0])].dest_prefix_id
+        before = state.removal_key(prefix)
+        asns, links = sim.touched(before, before | {link})
+        assert links == {link}
+        expected = []
+        for flow in flows:
+            if withdrawn and flow.dest_prefix_id != prefix:
+                continue
+            key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
+                   flow.dest_prefix_id)
+            read = sim._resolve(*key, before, *sim.drift_state(
+                flow.src_asn, flow.src_prefix_id, flow.dest_prefix_id,
+                self.HOUR // 24))
+            if link in read.pools or not asns.isdisjoint(read.footprint):
+                expected.append(key)
+        del calls[:]
+        if withdrawn:
+            state.withdraw(prefix, link)
+            self.streamed(sc, state)
+        else:
+            self.probe(sc, state, link)
+        assert expected and calls == expected
+        if withdrawn:
+            assert len(calls) < (on_link.size + len(flows)) / 2
+
+    def test_a_worse_base_changes_the_count_not_the_arrays(self, calls,
+                                                           monkeypatch):
+        sc, state, _base, (first, second) = self.world()
+        self.probe(sc, state, first)
+        del calls[:]
+        cheapest = self.probe(sc, state, second)
+        n_cheapest = len(calls)
+
+        estimate = Scenario._estimate
+        monkeypatch.setattr(
+            Scenario, "_estimate",
+            lambda self, base, content: -estimate(self, base, content))
+        sc, state, _base, _links = self.world()
+        self.probe(sc, state, first)
+        del calls[:]
+        dearest = self.probe(sc, state, second)
+        assert len(calls) > n_cheapest
+        for mine, theirs in zip(dearest[1:], cheapest[1:]):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)

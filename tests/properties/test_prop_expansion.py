@@ -1,10 +1,11 @@
 """Differential property test: delta share expansion vs. from scratch.
 
 ``Scenario._expansion`` keeps a few expansions by content and derives a
-miss from the latest one, re-resolving only the rows the change can
-reach.  Whatever sequence of state changes and day steps led there, the
-arrays must equal — dtype and value — what a scenario that has never
-streamed computes flow by flow.
+miss from the cached one it estimates cheapest, re-resolving only the
+rows the change can reach.  Whatever sequence of state changes and day
+steps led there, the arrays must equal — dtype and value — what a
+scenario that has never streamed computes flow by flow, and what each
+row is recorded to have read must equal a direct ``_resolve``.
 """
 
 from dataclasses import replace
@@ -71,6 +72,78 @@ def apply(step, state, wan):
         state.prepend(prefix, link, times)
     else:
         getattr(state, name)(prefix, link)
+
+
+def pairs(rows, values):
+    """(row, value) pairs as one sorted (n, 2) array."""
+    both = np.array([rows, values], dtype=np.int64).reshape(2, -1)
+    return both[:, np.lexsort(both[::-1])].T
+
+
+def read_from_scratch(scenario, day, state):
+    """The (row, AS) and (row, link) pairs a direct ``_resolve`` of every
+    flow reads: what an expansion must hold, no more and no less."""
+    simulator = scenario.simulator
+    walked, pooled = [], []
+    for i, flow in enumerate(scenario.traffic.flows):
+        prefix = flow.dest_prefix_id
+        full = simulator._resolve(
+            flow.src_asn, flow.src_metro, flow.src_prefix_id, prefix,
+            state.removal_key(prefix),
+            *simulator.drift_state(flow.src_asn, flow.src_prefix_id, prefix,
+                                   day),
+            state.prepends_for(prefix) or None)
+        walked += [(i, asn) for asn in full.footprint]
+        pooled += [(i, link) for link in full.pools]
+    return pairs(*zip(*walked)), pairs(*zip(*pooled))
+
+
+#: a probe: take a link down, or withdraw one prefix at it
+probes = st.lists(
+    st.tuples(st.sampled_from(["set_link_down", "withdraw"]),
+              st.integers(0, 23), st.integers(0, 60), st.just(1)),
+    min_size=2, max_size=4, unique_by=lambda probe: probe[2])
+
+
+class TestRevisitedStates:
+    """S -> S+L1 -> S+L2 -> S+L1 -> day step -> S ...: a state asked for
+    again after others, so that a derive starts from a base that is not
+    the latest expansion (or is a hit)."""
+
+    @given(st.lists(st.integers(0, 60), max_size=3), probes,
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, DAYS - 1)),
+                    min_size=5, max_size=9))
+    @settings(max_examples=12, deadline=None)
+    def test_equals_a_fresh_scenarios_loop(self, scenario, down, probes,
+                                           visits):
+        reference = build()
+        state = AdvertisementState(scenario.wan)
+        mirror = AdvertisementState(reference.wan)
+        for link in down:
+            for each in (state, mirror):
+                apply(("set_link_down", 0, link, 1), each, each.wan)
+        undo = {"set_link_down": "set_link_up", "withdraw": "announce"}
+        for which, day in visits:
+            # visit 0 is S itself; the others S plus one probe
+            probe = probes[which - 1] if 0 < which <= len(probes) else None
+            if probe is not None:
+                apply(probe, state, scenario.wan)
+                apply(probe, mirror, reference.wan)
+            got = scenario._expansion(day, state)
+            want = from_scratch(reference, day, mirror)
+            for mine, theirs in zip(got, want):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs), (which, day)
+            held = list(scenario._expansions.values())[-1]
+            assert held.rows is got[0]
+            walked, pooled = read_from_scratch(reference, day, mirror)
+            assert np.array_equal(
+                pairs(held.footprint_rows, held.footprint_asns), walked)
+            assert np.array_equal(
+                pairs(held.pool_rows, held.pool_links), pooled)
+            if probe is not None and probe[2] not in down:
+                for each in (state, mirror):
+                    apply((undo[probe[0]],) + probe[1:], each, each.wan)
 
 
 class TestDeltaExpansion:

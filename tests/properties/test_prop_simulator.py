@@ -112,3 +112,38 @@ class TestResolutionInvariants:
         assert primary not in {l for l, _f in check()}
         state.set_link_up(primary)
         assert check() == base
+
+    @given(flow_indices,
+           st.lists(st.tuples(link_subsets,
+                              st.lists(st.integers(0, 30), max_size=3)),
+                    min_size=2, max_size=4),
+           st.lists(st.integers(0, 3), min_size=4, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_revisited_removal_sets_equal_full_resolution(
+            self, world, idx, subsets, visits):
+        """Removal sets asked for in any order, again and again — any
+        links, and links of the ASes the flow's walk reads: links go and
+        come back between any two, and whatever cached resolution the
+        rule starts from, the shares, the footprint and the pools are
+        those of a full resolve."""
+        scenario = world
+        simulator, wan = scenario.simulator, scenario.wan
+        flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
+        key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
+               flow.dest_prefix_id)
+        walked = simulator.footprint(*key, AdvertisementState(wan))
+        near = [link.link_id for asn in walked if asn in wan.peer_asns
+                for link in wan.links_of_peer(asn)]
+        for visit in visits:
+            anywhere, nearby = subsets[visit % len(subsets)]
+            state = AdvertisementState(wan)
+            for link in anywhere:
+                if wan.has_link(link):
+                    state.set_link_down(link)
+            for nth in nearby if near else ():
+                state.set_link_down(near[nth % len(near)])
+            removed = state.removal_key(flow.dest_prefix_id)
+            found = simulator.resolution(*key, state)
+            assert found[:3] == simulator._resolve(
+                *key, removed, False, False)[:3]
+            assert simulator.resolve_shares(*key, state) is found.shares
