@@ -9,8 +9,9 @@ one streaming pass plus cheap in-memory fits.
 :class:`DayCounts` holds them for the serving path — one keyed columnar
 table per rolling-window day, fed ``AggColumns`` and folded, projected,
 snapshotted and restored without per-row Python; :func:`fold_keyed` is
-the one group-and-sum every step of that path is made of, the window
-fold behind each retrain included.
+the group-and-sum a projection and the window fold behind each retrain
+are made of, and what an arriving hour's fold equals: the day table finds
+the rows an hour's keys already have by binary search (``SortedTable``).
 :class:`CountsAccumulator` is the dict form the offline paper-table
 runner and ``counts_from_trace`` fit from; its ``consume_hour`` +
 ``project`` + ``to_arrays`` are the record-path reference ``DayCounts``
@@ -20,11 +21,12 @@ is tested bit for bit against, as ``aggregate_hour`` is for
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from ..pipeline.aggregation import first_seen_sums
+from ..pipeline.aggregation import SortedTable, first_seen_sums
 from ..pipeline.records import AggColumns, AggRecord, FlowContext
 from ..store.codec import encode_keyed_table, key_column_names
 from .base import TrainableModel
@@ -44,6 +46,7 @@ _KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
 
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_RANGES = ((0, 0),) * len(_KEY_NAMES)
 
 
 def fold_keyed(tables: Sequence[Mapping[str, np.ndarray]],
@@ -76,22 +79,76 @@ class DayCounts:
     link id (``int64``), ``value`` the bytes (``float64``) — one row per
     distinct key in first-seen order: a snapshot's ``day_counts``
     segment, held in memory as it is stored.  Each hour is folded in as
-    it arrives (:func:`fold_keyed` over the table's rows followed by the
-    hour's), so a key's sum grows in arrival order exactly as
-    ``counts.get(key, 0.0) + bytes`` would, and folding a folded (or
-    restored) table changes nothing.  Arrays handed in are only read.
+    it arrives, to the table :func:`fold_keyed` over the table's rows
+    followed by the hour's would give, so a key's sum grows in arrival
+    order exactly as ``counts.get(key, 0.0) + bytes`` would, and folding
+    a folded (or restored) table changes nothing.  Arrays handed in or
+    out are only read.
     """
 
     def __init__(self) -> None:
         self._table: KeyedTable = fold_keyed((), len(_KEY_NAMES))
+        # row code -> row number; a code is mixed-radix over one fixed
+        # (low, radix) range per key column, and radix 0 holds no value
+        self._index = SortedTable()
+        self._ranges = _NO_RANGES
+
+    def _codes(self, keys: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """One int64 per row over ``_ranges``; None if a value is outside."""
+        codes = np.zeros(len(keys[0]), dtype=np.int64)
+        for key, (low, radix) in zip(keys, self._ranges):
+            digit = key - low
+            if digit.min() < 0 or digit.max() >= radix:
+                return None
+            codes = codes * radix + digit
+        return codes
+
+    def _reindex(self, keys: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """Index the table's rows over ranges three times what it and an
+        hour's ``keys`` span; the hour's codes, or None (and no ranges)
+        when such ranges do not fit 62 bits."""
+        both = [np.concatenate([self._table[name], key])
+                for name, key in zip(_KEY_NAMES, keys)]
+        self._ranges, room = [], 2 ** 62
+        for column in both:
+            low, high = int(column.min()), int(column.max())
+            span = high - low + 1
+            self._ranges.append((max(low - span, -2 ** 63), 3 * span))
+            room //= 3 * span
+        if not room:
+            self._ranges = _NO_RANGES
+            return None
+        codes, held = self._codes(both), len(self._table["value"])
+        self._index = SortedTable()
+        self._index.add(codes[:held], np.arange(held, dtype=np.int64))
+        return codes[held:]
 
     def add_hour(self, columns: AggColumns) -> None:
-        """Fold one aggregated hour into the table."""
+        """Fold one aggregated hour into the table: rows whose key it
+        holds are added onto their sums in row order, the rest grouped
+        and appended.  Columns are rebuilt, never written in place."""
         if not columns.n_records:
             return
-        hour = dict(zip(_KEY_NAMES, (*columns[2:7], columns.link_ids)),
-                    value=columns.bytes)
-        self._table = fold_keyed((self._table, hour), len(_KEY_NAMES))
+        keys = [column.astype(np.int64, casting="same_kind", copy=False)
+                for column in (*columns[2:7], columns.link_ids)]
+        codes = self._codes(keys)
+        if codes is None:       # first hour, or a value outgrew a range
+            codes = self._reindex(keys)
+        if codes is None:
+            hour = dict(zip(_KEY_NAMES, keys), value=columns.bytes)
+            self._table = fold_keyed((self._table, hour), len(_KEY_NAMES))
+            return
+        held, rows = self._index.find(codes)
+        new = np.flatnonzero(~held)
+        rep, sums = first_seen_sums([codes[new]], columns.bytes[new])
+        new = new[rep]
+        self._index.add(codes[new], len(self._table["value"]) + np.arange(
+            len(new), dtype=np.int64))
+        table = {name: np.concatenate([self._table[name], key[new]])
+                 for name, key in zip(_KEY_NAMES, keys)}
+        table["value"] = np.concatenate([self._table["value"], sums])
+        np.add.at(table["value"], rows[held], columns.bytes[held])
+        self._table = table
 
     def project(self, feature_set: "FeatureSet") -> KeyedTable:
         """The table summed onto a model's feature grain, as columns.

@@ -10,13 +10,16 @@ Two execution paths produce identical output: :meth:`aggregate_hour`
 walks records one at a time (the reference implementation), while
 :meth:`aggregate_hour_columns` vectorises the group-by with numpy —
 same records, same order, bit-identical byte sums (both accumulate per
-key in input order), same strict/lenient drop accounting.
+key in input order), same strict/lenient drop accounting.  Across hours
+the columnar path joins by :class:`SortedTable` look-up and walks only
+prefixes it has not joined before, in the serial walk's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -63,6 +66,8 @@ class HourlyAggregator:
         # caches: ids -> encoded feature values
         self._dest_cache: Dict[int, Tuple[int, int]] = {}
         self._loc_cache: Dict[int, int] = {}
+        self._dest_table = SortedTable(2)   # the same joins for a column
+        self._loc_table = SortedTable()     # of ids, filled from the caches
 
     def _dest_features(self, dest_prefix_id: int) -> Tuple[int, int]:
         cached = self._dest_cache.get(dest_prefix_id)
@@ -157,6 +162,34 @@ class HourlyAggregator:
                 f"cannot aggregate record {record!r}: {exc}") from exc
         raise AssertionError(f"row {row} flagged invalid but re-validates")
 
+    @staticmethod
+    def _join(table: "SortedTable", ids: np.ndarray,
+              lookup: Callable[[int], object],
+              fail: Optional[Callable[[int], None]] = None,
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(joined, codes)`` per id, by look-up in ``table``.
+
+        Ids it does not hold are walked through ``lookup`` first, in
+        first-occurrence order (the serial walk's, so encoders assign
+        the same codes); one that cannot be joined goes to ``fail`` with
+        its position (strict) or stays out, unjoined (lenient).
+        """
+        joined, codes = table.find(ids)
+        if joined.all():
+            return joined, codes
+        missing = np.flatnonzero(~joined)
+        new_ids, first = np.unique(ids[missing], return_index=True)
+        found: Dict[int, object] = {}
+        for ui in np.argsort(first, kind="stable").tolist():
+            try:
+                found[int(new_ids[ui])] = lookup(int(new_ids[ui]))
+            except (KeyError, ValueError):
+                if fail is not None:
+                    fail(int(missing[first[ui]]))
+        table.add(np.array(list(found), dtype=np.int64),
+                  np.array(list(found.values()), dtype=np.int64))
+        return table.find(ids)
+
     def aggregate_hour_columns(
         self,
         hour: int,
@@ -205,49 +238,22 @@ class HourlyAggregator:
         good[limit:] = False
         good_rows = np.nonzero(good)[0]
 
-        # destination join, per unique prefix, in first-occurrence order
-        # (encoder codes are assigned first-seen, like the serial walk)
-        uniq_dest, first_dest, inv_dest = np.unique(
-            dest_prefix_ids[good_rows], return_index=True,
-            return_inverse=True)
-        dest_region = np.full(len(uniq_dest), -1, dtype=np.int64)
-        dest_service = np.full(len(uniq_dest), -1, dtype=np.int64)
-        dest_known = np.zeros(len(uniq_dest), dtype=bool)
-        for ui in np.argsort(first_dest, kind="stable"):
-            try:
-                region, service = self._dest_features(int(uniq_dest[ui]))
-            except (KeyError, ValueError):
-                if self.strict:
-                    self._raise_for_row(hour, *columns,
-                                        row=int(good_rows[first_dest[ui]]))
-                continue
-            dest_region[ui] = region
-            dest_service[ui] = service
-            dest_known[ui] = True
+        def fail(at: int) -> None:
+            self._raise_for_row(hour, *columns, row=int(good_rows[at]))
+
+        joined, dest_codes = self._join(
+            self._dest_table, dest_prefix_ids[good_rows],
+            self._dest_features, fail if self.strict else None)
         if self.strict and limit < n:
             self._raise_for_row(hour, *columns, row=limit)
-
-        valid_good = dest_known[inv_dest]
-        valid_rows = good_rows[valid_good]
+        valid_rows = good_rows[joined]
         dropped = n - len(valid_rows)
-
-        # source-location join, per unique prefix, first-occurrence order
-        uniq_src, first_src, inv_src = np.unique(
-            src_prefix_ids[valid_rows], return_index=True,
-            return_inverse=True)
-        src_loc = np.empty(len(uniq_src), dtype=np.int64)
-        for ui in np.argsort(first_src, kind="stable"):
-            src_loc[ui] = self._location(int(uniq_src[ui]))
+        src = src_prefix_ids[valid_rows]
+        _, src_loc = self._join(self._loc_table, src, self._location)
 
         # group-by over the full encoded feature tuple
-        key_columns = (
-            link_ids[valid_rows],
-            src_asns[valid_rows],
-            src_prefix_ids[valid_rows],
-            src_loc[inv_src],
-            dest_region[inv_dest][valid_good],
-            dest_service[inv_dest][valid_good],
-        )
+        key_columns = (link_ids[valid_rows], src_asns[valid_rows], src,
+                       src_loc, dest_codes[joined, 0], dest_codes[joined, 1])
         rep, sums = first_seen_sums(key_columns, bytes_[valid_rows])
         out = AggColumns(hour, *(column[rep] for column in key_columns),
                          sums)
@@ -256,6 +262,36 @@ class HourlyAggregator:
         self.stats.records_dropped += dropped
         self._observe_hour(n, out.n_records, dropped)
         return out
+
+
+class SortedTable:
+    """Distinct int64 keys, kept sorted, each with an int64 payload.
+
+    The look-up of both halves of the hourly write path: the joins here
+    (prefix id -> feature codes) and ``core.training.DayCounts``'s row
+    index.  ``width`` is a payload's shape (none: one int a key).
+    """
+
+    def __init__(self, *width: int) -> None:
+        self._keys = np.empty(0, dtype=np.int64)
+        self._payload = np.empty((0, *width), dtype=np.int64)
+
+    def find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(held, payload)`` per key; payload is arbitrary where not held."""
+        if not len(self._keys):
+            return (np.zeros(len(keys), dtype=bool), np.zeros(
+                (len(keys), *self._payload.shape[1:]), dtype=np.int64))
+        at = np.searchsorted(self._keys, keys)
+        at[at == len(self._keys)] = 0
+        return self._keys[at] == keys, self._payload[at]
+
+    def add(self, keys: np.ndarray, payload: np.ndarray) -> None:
+        """Merge in distinct keys the table does not hold yet."""
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(self._keys, keys[order])
+        self._payload = np.insert(self._payload, at, payload.reshape(
+            len(keys), *self._payload.shape[1:])[order], axis=0)
+        self._keys = np.insert(self._keys, at, keys[order])
 
 
 def first_seen_sums(key_columns: Sequence[np.ndarray], weights: np.ndarray,
@@ -272,11 +308,14 @@ def first_seen_sums(key_columns: Sequence[np.ndarray], weights: np.ndarray,
     _, first_key, inv_key = np.unique(
         _combine_group_codes(key_columns), return_index=True,
         return_inverse=True)
-    sums = np.bincount(inv_key.ravel(), weights=weights,
+    # np.unique numbers the groups in key order: renumber by first row
+    first = np.zeros(len(weights), dtype=bool)
+    first[first_key] = True
+    rank = np.cumsum(first, dtype=np.int64)[first_key] - 1
+    sums = np.bincount(rank[inv_key.ravel()], weights=weights,
                        minlength=len(first_key))
-    order = np.argsort(first_key, kind="stable")
     # bincount of no rows is int64 whatever the weights; sums are float64
-    return first_key[order], sums[order].astype(np.float64, copy=False)
+    return np.flatnonzero(first), sums.astype(np.float64, copy=False)
 
 
 def _combine_group_codes(columns: Sequence[np.ndarray]) -> np.ndarray:

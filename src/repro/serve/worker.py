@@ -42,6 +42,7 @@ snapshot-delta discipline as :mod:`repro.perf.parallel`.
 
 from __future__ import annotations
 
+import gc
 import queue
 import threading
 from typing import (TYPE_CHECKING, AbstractSet, List, Optional, Sequence,
@@ -163,6 +164,9 @@ def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,
                       restore_dir: Optional[str] = None,
                       obs_enabled: bool = False) -> None:
     """Run one shard worker until a ``stop`` message arrives."""
+    # what a fork inherits is the front's heap, not this worker's garbage:
+    # no collection here should walk it (docs/operations.md, Shard layout)
+    gc.freeze()
     if obs_enabled:
         obs.enable(fresh=True)
     server = ShardServer(shard_id, wan, config, restore_dir,

@@ -171,3 +171,62 @@ class TestDayCounts:
             DayCounts().add_hour(hour._replace(
                 src_prefixes=np.array([2.5])))
 
+    def test_float_keys_are_refused_on_the_indexed_path_too(self):
+        table = self._table()            # has an index by now
+        hour = AggColumns.of(2, [rec(2, 5, 2, 10.0)])
+        with pytest.raises(TypeError):
+            table.add_hour(hour._replace(link_ids=np.array([5.0])))
+        assert table.to_arrays()["value"].tolist() == [15.0, 3.0, 4.0]
+
+    def test_tables_handed_out_do_not_change_under_a_later_hour(self):
+        table = self._table()
+        handed_out = {"arrays": table.to_arrays(),
+                      "grain": table.project(FEATURES_A)}
+        before = {name: {column: (values.dtype, values.tobytes())
+                         for column, values in columns.items()}
+                  for name, columns in handed_out.items()}
+        # one key the table holds (twice), one it does not
+        table.add_hour(AggColumns.of(2, [
+            rec(2, 5, 2, 1.0), rec(2, 9, 7, 2.0), rec(2, 5, 2, 0.25)]))
+        assert table.to_arrays()["value"].tolist() == [16.25, 3.0, 4.0, 2.0]
+        assert before == {name: {column: (values.dtype, values.tobytes())
+                                 for column, values in columns.items()}
+                          for name, columns in handed_out.items()}
+
+    def test_read_only_arrays_are_adopted_and_still_take_hours(self):
+        arrays = {name: column.copy()
+                  for name, column in self._table().to_arrays().items()}
+        for column in arrays.values():
+            column.setflags(write=False)
+        kept = {name: column.tobytes() for name, column in arrays.items()}
+        restored = DayCounts.from_arrays(arrays)
+        restored.add_hour(AggColumns.of(2, [
+            rec(2, 4, 1, 0.5), rec(2, 8, 3, 6.0), rec(2, 4, 1, 0.5)]))
+        assert restored.to_arrays()["value"].tolist() == [15.0, 4.0, 4.0, 6.0]
+        assert restored.to_arrays()["k5"].tolist() == [5, 4, 6, 8]
+        assert kept == {name: column.tobytes()
+                        for name, column in arrays.items()}
+
+    def test_outgrown_and_too_wide_ranges_equal_a_whole_fold(self):
+        """Hour 1 lies outside the ranges hour 0 fixed (a re-index);
+        hour 2's magnitudes cannot share 62 bits (whole folds from then
+        on); the table is the fold of the stacked hours throughout."""
+        hours = [
+            [rec(0, 5, 2, 10.0), rec(0, 4, 3, 1.0)],
+            [rec(1, 5, 2, 2.0), rec(1, 900, 40000, 3.0), rec(1, 5, 2, 4.0)],
+            [rec(2, 4, 3, 8.0), rec(2, 5, 2**40, 1.0, asn=2**32 - 2)],
+            [rec(3, 5, 2**40, 0.5, asn=2**32 - 2), rec(3, 4, 3, 0.125)],
+        ]
+        table, stacked = DayCounts(), []
+        for hour, records in enumerate(hours):
+            columns = AggColumns.of(hour, records)
+            table.add_hour(columns)
+            stacked.append(dict(zip(
+                ("k0", "k1", "k2", "k3", "k4", "k5", "value"),
+                (*columns[2:7], columns.link_ids, columns.bytes))))
+            want = fold_keyed(stacked, 6)
+            assert {name: column.tolist() for name, column
+                    in table.to_arrays().items()} == {
+                name: column.tolist() for name, column in want.items()}
+        assert table.to_arrays()["value"].tolist() == [
+            16.0, 9.125, 3.0, 1.5]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.obs import runtime as obs
 from repro.pipeline import HourlyAggregator, UNKNOWN_LOCATION
+from repro.pipeline.encoding import OrdinalEncoder
 from repro.telemetry import GeoIPDatabase, IpfixRecord, MetadataStore
 from repro.topology import (
     MetroCatalog,
@@ -242,3 +243,99 @@ class TestBatchAggregation:
         stats = CompressionStats()
         assert stats.records_in == 0
         assert stats.ratio == 1.0  # no input: nothing was compressed
+
+
+class SpyMetadata(MetadataStore):
+    """A ``MetadataStore`` that logs every join it is asked for."""
+
+    def __init__(self, wan, geoip):
+        super().__init__(wan, geoip)
+        self.calls = []
+
+    def destination_features(self, dest_prefix_id):
+        self.calls.append(("dest", dest_prefix_id))
+        return super().destination_features(dest_prefix_id)
+
+    def source_location(self, src_prefix_id):
+        self.calls.append(("src", src_prefix_id))
+        return super().source_location(src_prefix_id)
+
+
+class TestCountedJoinWork:
+    """The columnar path joins by table look-up: a prefix is walked
+    through the dict-cached join (and the metadata store, and an
+    encoder) in the hour it first appears and never again."""
+
+    @pytest.fixture()
+    def spied(self, aggregator, monkeypatch):
+        agg, wan, universe = aggregator
+        agg = HourlyAggregator(SpyMetadata(wan, agg.metadata.geoip))
+        walks, encodes = [], []
+        for name in ("_dest_features", "_location"):
+            def walk(prefix_id, name=name, inner=getattr(agg, name)):
+                walks.append((name, prefix_id))
+                return inner(prefix_id)
+            monkeypatch.setattr(agg, name, walk)
+        encode = OrdinalEncoder.encode
+        monkeypatch.setattr(
+            OrdinalEncoder, "encode",
+            lambda self, value: encodes.append(value) or encode(self, value))
+        return agg, wan, universe, walks, encodes
+
+    def test_an_hour_of_joined_prefixes_walks_nothing(self, spied):
+        agg, wan, universe, walks, encodes = spied
+        records = [record(universe, wan, link=l, prefix_idx=p, dest=d)
+                   for l in range(2) for p in range(5) for d in range(4)]
+        agg.aggregate_hour_columns(0, **columns_of(records))
+        assert len(walks) == 5 + 4
+        del walks[:], encodes[:], agg.metadata.calls[:]
+        later = [record(universe, wan, hour=1, link=1, prefix_idx=p, dest=d)
+                 for p in (4, 0, 2) for d in (3, 1)]
+        out = agg.aggregate_hour_columns(1, **columns_of(later))
+        assert walks == []
+        assert agg.metadata.calls == [] and encodes == []
+        assert out.n_records == 6
+
+    def test_a_new_prefix_is_looked_up_once_in_its_hour(self, spied):
+        agg, wan, universe, walks, _encodes = spied
+        late_src = universe.prefix(7).prefix_id
+        for hour, prefixes, dests in ((0, (0, 1), (0,)),
+                                      (1, (1, 7, 0, 7), (0, 5, 5)),
+                                      (2, (7, 0), (5, 0))):
+            del walks[:], agg.metadata.calls[:]
+            agg.aggregate_hour_columns(hour, **columns_of([
+                record(universe, wan, hour=hour, prefix_idx=p, dest=d)
+                for p in prefixes for d in dests]))
+            if hour == 1:
+                assert agg.metadata.calls == [("dest", 5), ("src", late_src)]
+                assert walks == [("_dest_features", 5),
+                                 ("_location", late_src)]
+            elif hour == 2:
+                assert agg.metadata.calls == [] and walks == []
+
+    def test_record_path_joins_fill_the_table_without_a_lookup(self, spied):
+        agg, wan, universe, walks, _encodes = spied
+        agg.aggregate_hour(0, [record(universe, wan, prefix_idx=3, dest=2)])
+        del agg.metadata.calls[:]
+        agg.aggregate_hour_columns(1, **columns_of(
+            [record(universe, wan, hour=1, prefix_idx=3, dest=2)]))
+        assert agg.metadata.calls == []      # the dict caches answered
+        del walks[:]
+        agg.aggregate_hour_columns(2, **columns_of(
+            [record(universe, wan, hour=2, prefix_idx=3, dest=2)]))
+        assert walks == []
+
+    def test_lenient_unknown_destination_dropped_every_hour(self, spied):
+        agg, wan, universe, _walks, _encodes = spied
+        agg.strict = False
+        rogue_src = universe.prefix(9)
+        for hour in range(3):
+            rows = [record(universe, wan, hour=hour),
+                    IpfixRecord(hour, 0, rogue_src.prefix_id, rogue_src.asn,
+                                10**9, 1e6),
+                    record(universe, wan, hour=hour, link=1)]
+            out = agg.aggregate_hour_columns(hour, **columns_of(rows))
+            assert out.n_records == 2
+            assert agg.stats.records_dropped == hour + 1
+        # a dropped row's source prefix is never joined
+        assert ("src", rogue_src.prefix_id) not in agg.metadata.calls

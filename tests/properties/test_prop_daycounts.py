@@ -11,6 +11,22 @@ snapshot -> restore cut anywhere including mid-day — the two must agree
 to the bit: stored tables, all three grain projections down to key and
 link order, the models folded from them, answers, and the snapshot
 directories byte for byte.
+
+``DayCounts.add_hour`` finds the rows an hour's keys already have
+through a sorted index of mixed-radix codes over fixed per-column
+ranges, and each path that adds runs here: a key twice in one hour (the
+bursts), an hour whose values lie outside the ranges the first hour
+fixed (prefixes first seen late: a re-index), a restored table's first
+hour (the index is built over adopted arrays), and — in the second key
+universe, ASNs near 2^32 and prefix ids near 2^40 — ranges too wide for
+62 bits, where the table falls back to a whole fold, often mid-day.
+Hand mutants of ``add_hour`` this suite kills (each applied, seen to
+fail here, and reverted): ``value[rows] += bytes`` in place of
+``np.add.at`` (a key twice in an hour loses an addend); the index not
+extended after new keys are appended (their next hour appends them
+again).  A third — the sums added in place onto the held value column,
+so a table handed out earlier changes under its reader — survives here
+and dies in ``tests/core/test_training.py::TestDayCounts``.
 """
 
 import tempfile
@@ -35,8 +51,10 @@ WINDOW_DAYS = 2
 #: enough feature values that every grain folds a dozen keys into one
 KEYS = [(1 + p % 2, p, p % 3 - 1, 0, p % 5 // 4, link)
         for p in range(24) for link in (2, 0, 1)]
-CONTEXTS = [FlowContext(*key[:5]) for key in KEYS[::3]] + [
-    FlowContext(9, 99, 0, 0, 0)]
+#: the same shape at magnitudes whose ranges cannot share 62 bits
+WIDE_KEYS = [((1, 2**32 - 2)[p % 2], (p + 1) << 36, p % 3 - 1, 0, p % 5 // 4,
+              link)
+             for p in range(16) for link in (2, 0, 1)]
 
 #: one batch: how far the clock moves (0 = another batch of the same
 #: hour; 24+ skips days, so the window evicts), which keys it carries,
@@ -57,19 +75,24 @@ def wan() -> CloudWAN:
                     MetroCatalog())
 
 
-def stream_of(sequence, seed):
+def stream_of(sequence, seed, keys):
     """``[(hour, AggRecord list)]`` with byte counts of mixed magnitude,
     so sums taken in any other order round differently."""
     rng = np.random.default_rng(seed)
     hour, out = 0, []
     for advance, picks, repeat in sequence:
         hour += advance
-        picks = picks * repeat
+        picks = [pick % len(keys) for pick in picks] * repeat
         sizes = np.exp(rng.uniform(-3.0, 21.0, size=len(picks))).tolist()
         out.append((hour, [
-            AggRecord(hour, KEYS[pick][5], *KEYS[pick][:5], size)
+            AggRecord(hour, keys[pick][5], *keys[pick][:5], size)
             for pick, size in zip(picks, sizes)]))
     return out
+
+
+def contexts_of(keys):
+    return [FlowContext(*key[:5]) for key in keys[::3]] + [
+        FlowContext(9, 99, 0, 0, 0)]
 
 
 class RecordPathDay:
@@ -110,7 +133,7 @@ def nested_items(projection, feature_set):
     return list(nested.items())
 
 
-def assert_same(service, reference):
+def assert_same(service, reference, contexts):
     assert list(service._days) == list(reference._days)
     assert service.trained_days == reference.trained_days
     for day, table in service._days.items():
@@ -130,19 +153,20 @@ def assert_same(service, reference):
                 == {column: values.tolist()
                     for column, values in want.to_arrays().items()}), name
         assert got.rankings() == want.rankings(), name
-    assert (service.predict_batch(CONTEXTS)
-            == reference.predict_batch(CONTEXTS))
-    flows = [(context, 1000.0 + i) for i, context in enumerate(CONTEXTS)]
+    assert (service.predict_batch(contexts)
+            == reference.predict_batch(contexts))
+    flows = [(context, 1000.0 + i) for i, context in enumerate(contexts)]
     for withdrawn in ({0}, {1, 2}):
         assert (service.what_if(flows, withdrawn)
                 == reference.what_if(flows, withdrawn))
 
 
 class TestDayCounts:
-    @given(batches, st.integers(0, 2**32 - 1), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_equals_the_record_path(self, sequence, seed, data):
-        stream = stream_of(sequence, seed)
+    @given(batches, st.integers(0, 2**32 - 1), st.sampled_from(
+        [KEYS, WIDE_KEYS]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_record_path(self, sequence, seed, keys, data):
+        stream = stream_of(sequence, seed, keys)
         cut = data.draw(st.integers(1, len(stream)), label="cut")
         with tempfile.TemporaryDirectory() as scratch:
             scratch = Path(scratch)
@@ -175,7 +199,7 @@ class TestDayCounts:
                 restarted.ingest_hour(columns.hour, columns.to_records())
             for name, service in (("steady", steady),
                                   ("restarted", restarted)):
-                assert_same(service, reference)
+                assert_same(service, reference, contexts_of(keys))
                 assert service.retrain_count == reference.retrain_count
                 service.snapshot(scratch / name)
                 assert (files_of(scratch / name)

@@ -1,10 +1,12 @@
 """Daemon lifecycle: drain, checkpoint, restart-from-snapshot recovery."""
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.service import ServiceConfig, TipsyService
 from repro.obs import runtime as obs
 from repro.serve import DaemonConfig, ServeDaemon, ShardError
 from repro.serve import daemon as daemon_mod
+from repro.serve import worker as worker_mod
 from repro.serve.daemon import MANIFEST_NAME, read_manifest
 from repro.serve.sharding import shard_of
 
@@ -341,6 +344,31 @@ class TestShutdownEscalation:
             shard.stop(drain=False)
         release.set()  # let the (daemon) thread run to the sentinel
         shard._thread.join(5)
+
+
+class TestWorkerFreezesInheritedHeap:
+    def test_freezes_before_building_its_server(self, serve_world,
+                                                monkeypatch):
+        """A forked worker's heap is the front's objects, not garbage of
+        its own: ``gc.freeze()`` comes first, so no full collection
+        walks them inside a serving window (ROADMAP 1(i))."""
+        calls = []
+        fake_gc = mock.Mock()
+        fake_gc.freeze.side_effect = lambda: calls.append("freeze")
+        real_server = worker_mod.ShardServer
+
+        def server(*args, **kwargs):
+            calls.append("server")
+            return real_server(*args, **kwargs)
+
+        monkeypatch.setattr(worker_mod, "gc", fake_gc)
+        monkeypatch.setattr(worker_mod, "ShardServer", server)
+        front, back = multiprocessing.Pipe()
+        front.send(("stop", False))
+        worker_mod.shard_worker_main(
+            back, 0, serve_world.scenario.wan, serve_world.config)
+        assert front.recv() == ("ok", None)
+        assert calls == ["freeze", "server"]
 
 
 class TestManifestValidation:
