@@ -1,7 +1,7 @@
 """Interprocedural determinism & numeric-safety dataflow (RA700-RA704).
 
 The repo's load-bearing claims are *bit-identical equivalences*:
-parallel aggregation equals serial, a long-running window equals a
+a sharded daemon equals one service, a long-running window equals a
 fresh one, snapshot/restore equals an uninterrupted service.  Each holds
 only while every function on the contract path is free of order- and
 platform-dependence.  This module makes those paths explicit and
@@ -14,7 +14,7 @@ checkable:
        [tool.repro.determinism]
        exempt = ["repro.obs"]          # instrumentation, not results
        [tool.repro.determinism.contracts]
-       parallel-pipeline = ["repro.perf.parallel._aggregate_shard"]
+       sharded-serving   = ["repro.serve.worker.shard_worker_main"]
        snapshot-restore  = ["repro.store"]
 
 2. :func:`extract_det_sites` scans each module once for *sites* —

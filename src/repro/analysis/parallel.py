@@ -3,17 +3,15 @@
 Everything handed to a ``ProcessPoolExecutor`` (or ``multiprocessing``
 pool) crosses a pickle boundary.  Lambdas and functions defined inside
 another function are not picklable, so dispatching one does not fail at
-review time — it fails at runtime, and only on the parallel path, which
-is exactly the path the serial/parallel equivalence tests exist to
-protect.  These rules make the failure a lint error instead:
+review time — it fails at runtime, and only on the parallel path.
+These rules make the failure a lint error instead:
 
 * RA101 — a ``lambda`` passed as the callable of a pool dispatch
   (``submit``/``map``/``apply_async`` …) or as an ``initializer=``;
 * RA102 — a *locally defined* function (a closure) passed the same way.
 
-``ParallelPipelineRunner`` obeys the same contract internally: its
-worker entry points (``_aggregate_shard``, ``_collect_shard``,
-``_init_worker``) are module-level by construction.
+The shard workers of ``repro.serve`` obey the same contract: their
+process target (``shard_worker_main``) is module-level by construction.
 
 Heuristics: ``submit``/``apply``/``apply_async``/``imap*``/``starmap*``
 calls are always checked; bare ``.map(...)`` is only checked when the

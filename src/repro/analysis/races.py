@@ -1,13 +1,13 @@
 """RA501: shared-state races reachable from process-pool dispatches.
 
-The paper-scale pipeline leans on ``ParallelPipelineRunner`` shipping
-hour shards to worker processes and proving the merge equals the serial
-run.  That proof silently assumes no shard function — nor anything it
+Work shipped to worker processes is proved equal to the in-process run
+(as the shard workers of ``repro.serve`` are to its thread mode).  That
+proof silently assumes no worker function — nor anything it
 transitively calls — mutates module- or class-level state that the
 parent later reads: under ``fork`` such writes vanish into the child,
 under ``spawn`` they hit re-imported fresh modules, and under threads
-they race outright.  Either way the serial/parallel equivalence breaks
-in a fashion no unit test of the function in isolation can catch.
+they race outright.  Either way the equivalence breaks in a fashion no
+unit test of the function in isolation can catch.
 
 This rule walks the conservative call graph built by
 :mod:`callgraph`:
@@ -26,8 +26,10 @@ The violation is reported **at the write site** (that is the line to
 fix or annotate), with the dispatch root named in the message so the
 reader can trace the path.  Worker-local state that is mutated *by
 design* (per-process caches re-initialised by the pool initializer)
-is annotated ``# repro: noqa[RA501]`` with a why-comment — see
-``repro/perf/parallel.py`` for the idiom.
+is annotated ``# repro: noqa[RA501]`` with a why-comment; what the
+parent must see comes back in the return value, as the shard workers
+of ``repro.serve`` ship their metrics as snapshot deltas
+(``repro/serve/worker.py``).
 """
 
 from __future__ import annotations

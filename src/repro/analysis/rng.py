@@ -1,8 +1,9 @@
 """RNG-discipline checkers (RA001-RA003).
 
-The serial/parallel equivalence guarantee of
-:class:`repro.perf.parallel.ParallelPipelineRunner` holds only while
-every stochastic quantity is a pure function of ``(seed, inputs)``.
+The equivalence guarantees of the sharded daemon and of a resumed
+feed (:meth:`repro.experiments.scenario.Scenario.aggregated_hours` begun
+at any hour, in any process) hold only while every stochastic quantity
+is a pure function of ``(seed, inputs)``.
 Three things break it:
 
 * ``random.random()`` / ``random.choice(...)`` … — the stdlib's

@@ -146,7 +146,7 @@ class RoutingTable:
         d = int(self._dist[row])
         return d if d >= 0 else None
 
-    # -- columnar access (equivalence tests, persistence, pools) ----------
+    # -- columnar access (equivalence tests, persistence) -----------------
 
     @property
     def topology(self) -> DenseTopology:

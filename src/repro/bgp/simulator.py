@@ -214,21 +214,6 @@ class IngressSimulator:
         self._table_by_removed[removed] = table
         return table
 
-    def install_table(self, removed: FrozenSet[int],
-                      table: RoutingTable) -> None:
-        """Adopt a routing table computed elsewhere (e.g. by a worker
-        process via ``perf.parallel`` table precomputation).
-
-        Raises ``ValueError`` if the table's seeded set does not match
-        what this simulator would compute for ``removed``.
-        """
-        seeded = self.seeded_for(removed)
-        if table.seeded != seeded:
-            raise ValueError(
-                f"table seeded set does not match removal key {sorted(removed)}")
-        self._table_by_seeded[seeded] = table
-        self._table_by_removed[removed] = table
-
     def touched(self, before: FrozenSet[int], after: FrozenSet[int]
                 ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """The footprint rule, as (ASes, links): a resolution made under

@@ -17,8 +17,7 @@ Reproduces the paper's methodology end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,13 +29,10 @@ from ..core.geo_augment import GeoAugmentedModel
 from ..core.historical import HistoricalModel
 from ..core.naive_bayes import NaiveBayesModel
 from ..core.oracle import OracleModel
-from ..core.training import CountsAccumulator
+from ..core.training import CountsAccumulator, KeyedTable, fold_keyed
 from ..pipeline.outages import OutageInference
 from ..pipeline.records import FlowContext
 from .scenario import HourColumns, Scenario
-
-if TYPE_CHECKING:
-    from ..perf.parallel import ParallelPipelineRunner
 
 NO_LINKS: FrozenSet[int] = frozenset()
 
@@ -61,16 +57,19 @@ class WindowSpec:
 
 
 class _StreamAccumulator:
-    """Accumulates streamed columns into (flow row, link) byte dicts,
-    flushing per expansion epoch so the availability context is known."""
+    """Accumulates streamed columns into keyed (flow row, link) -> bytes
+    tables (``k0`` flow row, ``k1`` link, ``value``), one for the window
+    and one per down-set; an expansion epoch's hours are summed first, so
+    the availability context of every row is known."""
 
     def __init__(self, n_links: int, n_hours: int, hour_offset: int):
         self.n_links = n_links
         self.hour_offset = hour_offset
         self.link_matrix = np.zeros((n_links, n_hours), dtype=np.float64)
-        # per (down-set) accumulated (row, link) -> bytes
-        self.by_downset: Dict[FrozenSet[int], Dict[Tuple[int, int], float]] = {}
-        self.total: Dict[Tuple[int, int], float] = {}
+        self.by_downset: Dict[FrozenSet[int], KeyedTable] = {}
+        self.total: KeyedTable = fold_keyed((), 2)
+        # closed epochs in stream order: (down-set, non-zero rows)
+        self._epochs: List[Tuple[FrozenSet[int], KeyedTable]] = []
         self._epoch_rows: Optional[np.ndarray] = None
         self._epoch_links: Optional[np.ndarray] = None
         self._epoch_sum: Optional[np.ndarray] = None
@@ -79,7 +78,7 @@ class _StreamAccumulator:
     def add_hour(self, cols: HourColumns, down: FrozenSet[int]) -> None:
         if (self._epoch_rows is not cols.flow_rows
                 or down != self._epoch_down):
-            self.flush()
+            self._close_epoch()
             self._epoch_rows = cols.flow_rows
             self._epoch_links = cols.link_ids
             self._epoch_sum = np.zeros(len(cols.flow_rows))
@@ -89,21 +88,28 @@ class _StreamAccumulator:
         self.link_matrix[:, hour_idx] = np.bincount(
             cols.link_ids, weights=cols.sampled_bytes, minlength=self.n_links)
 
-    def flush(self) -> None:
-        if self._epoch_sum is None:
+    def _close_epoch(self) -> None:
+        rows, links, sums = (self._epoch_rows, self._epoch_links,
+                             self._epoch_sum)
+        if rows is None or links is None or sums is None:
             return
-        rows = self._epoch_rows
-        links = self._epoch_links
-        sums = self._epoch_sum
-        bucket = self.by_downset.setdefault(self._epoch_down, {})
-        total = self.total
-        nz = np.nonzero(sums > 0.0)[0]
-        for i in nz:
-            key = (int(rows[i]), int(links[i]))
-            value = float(sums[i])
-            bucket[key] = bucket.get(key, 0.0) + value
-            total[key] = total.get(key, 0.0) + value
+        nz = sums > 0.0
+        self._epochs.append((self._epoch_down, {
+            "k0": rows[nz], "k1": links[nz], "value": sums[nz]}))
         self._epoch_sum = None
+
+    def finish(self) -> None:
+        """Fold the epochs into ``total`` and ``by_downset``: each key's
+        bytes summed in stream order, keys (and down-sets) first seen
+        first, as a ``sums.get(key, 0.0) + value`` walk would leave them."""
+        self._close_epoch()
+        self.total = fold_keyed([table for _, table in self._epochs], 2)
+        epochs_of: Dict[FrozenSet[int], List[KeyedTable]] = {}
+        for down, table in self._epochs:
+            epochs_of.setdefault(down, []).append(table)
+        self.by_downset = {down: fold_keyed(tables, 2)
+                           for down, tables in epochs_of.items()}
+        self._epochs = []
 
 
 @dataclass
@@ -141,16 +147,8 @@ class EvaluationResult:
 class EvaluationRunner:
     """Runs the full §5 methodology over one scenario."""
 
-    def __init__(self, scenario: Scenario,
-                 pipeline: "Optional[ParallelPipelineRunner]" = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        #: optional :class:`repro.perf.ParallelPipelineRunner`; when set,
-        #: window collection fans out over its process pool
-        self.pipeline = pipeline
-        if pipeline is not None and pipeline.params is not scenario.params:
-            if pipeline.params != scenario.params:
-                raise ValueError(
-                    "pipeline and runner scenarios must match")
         self._n_links = len(self.scenario.wan.links)
         # scenarios are deterministic and read-only, so window collections
         # can be reused across runs (Appendix B sweeps share windows)
@@ -192,7 +190,7 @@ class EvaluationRunner:
 
     def collect_window(self, start_hour: int,
                        end_hour: int) -> _StreamAccumulator:
-        """Stream a window into per-downset (row, link) byte accumulations.
+        """Stream a window into per-downset (row, link) byte tables.
 
         Cached per (start, end): the scenario is deterministic, so
         repeated windows (Appendix B sweeps) are free after the first
@@ -201,16 +199,12 @@ class EvaluationRunner:
         cached = self._window_cache.get((start_hour, end_hour))
         if cached is not None:
             return cached
-        if self.pipeline is not None:
-            acc = self.pipeline.collect_window(start_hour, end_hour)
-        else:
-            acc = _StreamAccumulator(self._n_links, end_hour - start_hour,
-                                     start_hour)
-            scenario = self.scenario
-            for cols in scenario.stream(start_hour, end_hour):
-                down = scenario.scheduled_down_at(cols.hour)
-                acc.add_hour(cols, down)
-            acc.flush()
+        acc = _StreamAccumulator(self._n_links, end_hour - start_hour,
+                                 start_hour)
+        scenario = self.scenario
+        for cols in scenario.stream(start_hour, end_hour):
+            acc.add_hour(cols, scenario.scheduled_down_at(cols.hour))
+        acc.finish()
         self._window_cache[(start_hour, end_hour)] = acc
         return acc
 
@@ -219,7 +213,10 @@ class EvaluationRunner:
         contexts = self.scenario.flow_contexts
         counts = CountsAccumulator()
         table = counts.counts
-        for (row, link), bytes_ in acc.total.items():
+        total = acc.total
+        for row, link, bytes_ in zip(total["k0"].tolist(),
+                                     total["k1"].tolist(),
+                                     total["value"].tolist()):
             key = (contexts[row], link)
             table[key] = table.get(key, 0.0) + bytes_
         return counts
@@ -227,14 +224,17 @@ class EvaluationRunner:
     # -- actuals shaping -----------------------------------------------------------
 
     def _actuals_from_pairs(
-        self, pairs: Mapping[Tuple[int, int], float],
+        self, pairs: KeyedTable,
         row_filter: Optional[np.ndarray] = None,
     ) -> Dict[FlowContext, Dict[int, float]]:
         contexts = self.scenario.flow_contexts
+        rows, links, values = pairs["k0"], pairs["k1"], pairs["value"]
+        if row_filter is not None:
+            keep = row_filter[rows]
+            rows, links, values = rows[keep], links[keep], values[keep]
         out: Dict[FlowContext, Dict[int, float]] = {}
-        for (row, link), bytes_ in pairs.items():
-            if row_filter is not None and not row_filter[row]:
-                continue
+        for row, link, bytes_ in zip(rows.tolist(), links.tolist(),
+                                     values.tolist()):
             by_link = out.setdefault(contexts[row], {})
             by_link[link] = by_link.get(link, 0.0) + bytes_
         return out
@@ -334,7 +334,7 @@ class EvaluationRunner:
         for down, pairs in test_acc.by_downset.items():
             if not down:
                 continue
-            down_array = np.array(sorted(down))
+            down_array = np.array(sorted(down), dtype=np.int64)
             affected = np.isin(top1_by_row, down_array)
             if not affected.any():
                 continue
@@ -344,7 +344,7 @@ class EvaluationRunner:
             all_slices.append((actuals, down))
             seen_mask = affected & np.isin(
                 top1_by_row, np.array(sorted(seen_links), dtype=np.int64)
-                if seen_links else np.array([-2]))
+                if seen_links else np.array([-2], dtype=np.int64))
             unseen_mask = affected & ~seen_mask
             seen_actuals = self._actuals_from_pairs(pairs, row_filter=seen_mask)
             unseen_actuals = self._actuals_from_pairs(pairs,

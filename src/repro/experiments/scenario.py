@@ -359,7 +359,7 @@ class Scenario:
         reached = sum(len(prefixes) * (
             sum(base.rows_pooling.get(l, 0) for l in after - before)
             + sum(base.rows_reading.get(asn, 0) for asn in
-                  {owner(l).peer_asn for l in before - after}))
+                  sorted({owner(l).peer_asn for l in before - after})))
             for (before, after), prefixes in moved.items())
         return float(stale.sum() + reached / len(self._dest_prefixes))
 

@@ -8,11 +8,11 @@ manager, ``count``/``observe``/``gauge_set`` return without touching
 the registry).  ``repro obs`` and tests call :func:`enable`; library
 code never does.
 
-One registry and one tracer per process.  Worker processes in a pool
-each enable their own fresh state (see
-``repro.perf.parallel._init_worker``) and ship snapshot deltas back to
-the parent, which merges them — so a parallel run's counters read the
-same as the serial run's.
+One registry and one tracer per process.  The shard workers of
+``repro.serve`` each enable their own fresh state (see
+``repro.serve.worker.shard_worker_main``) and ship snapshot deltas back
+to the daemon, which merges them — so a process-mode run's counters
+read the same as a thread-mode run's.
 """
 
 from __future__ import annotations
@@ -45,22 +45,14 @@ def enable(clock: Optional[Callable[[], float]] = None,
 
     ``clock`` injects a deterministic tick source into the tracer (for
     tests); ``fresh=True`` discards any previously accumulated state
-    first (a forked pool worker inherits the parent's registry
+    first (a forked shard worker inherits the parent's registry
     copy-on-write and must not double-report it).
     """
     global _ENABLED, _REGISTRY, _TRACER
-    # RA501 (all three writes below): these globals are per-process by
-    # design.  The rule fires because enable() is reachable from the
-    # pool initializer `repro.perf.parallel._init_worker`, but a forked
-    # worker calling enable(fresh=True) *wants* its own registry/tracer
-    # — worker-side counters are shipped back as snapshot deltas and
-    # merged by the parent (perf/parallel.py, serve/worker.py), so no
-    # write is ever lost to copy-on-write.  Each marker suppresses a
-    # live finding; drop one and `repro lint --project` fires again.
     if fresh or clock is not None:
-        _REGISTRY = MetricsRegistry()  # repro: noqa[RA501]
-        _TRACER = Tracer(clock=clock)  # repro: noqa[RA501]
-    _ENABLED = True  # repro: noqa[RA501]
+        _REGISTRY = MetricsRegistry()
+        _TRACER = Tracer(clock=clock)
+    _ENABLED = True
     return _REGISTRY
 
 

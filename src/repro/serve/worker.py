@@ -36,8 +36,7 @@ reply to carry it).
 Observability: when the parent runs instrumented, each worker enables a
 fresh registry (a forked child inherits the parent's copy-on-write and
 must not double-report it) and every ``status`` reply ships the metrics
-delta since the previous one for the parent to merge — the same
-snapshot-delta discipline as :mod:`repro.perf.parallel`.
+delta since the previous one for the parent to merge.
 """
 
 from __future__ import annotations

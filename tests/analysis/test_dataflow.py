@@ -46,7 +46,7 @@ def test_repo_determinism_table_loads():
     config = read_determinism_table(REPO_ROOT / "pyproject.toml")
     assert config is not None
     assert set(config.contracts) == {
-        "parallel-pipeline", "rolling-window", "snapshot-restore",
+        "scenario-feed", "rolling-window", "snapshot-restore",
         "bgp-equivalence", "sharded-serving"}
     assert config.exempt == ("repro.obs",)
     assert config.is_exempt("repro.obs.metrics")

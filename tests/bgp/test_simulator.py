@@ -469,15 +469,6 @@ class TestBoundedCaches:
         assert again is not first
         assert again.columns_equal(first)
 
-    def test_install_table_validates_seeded_set(self):
-        graph, wan = build_world()
-        sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
-        table = sim.routing_table(frozenset({0, 1}))  # deseeds peer 1
-        with pytest.raises(ValueError):
-            sim.install_table(frozenset({2}), table)
-        sim.install_table(frozenset({0, 1}), table)
-        assert sim.routing_table(frozenset({0, 1})) is table
-
     def test_export_gauges_includes_rates(self):
         from repro.obs import runtime as obs
 

@@ -1,5 +1,6 @@
 """Tests for the evaluation runner (the §5 methodology)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import EvaluationRunner, WindowSpec
@@ -81,6 +82,59 @@ class TestRunnerMechanics:
         a = runner.collect_window(0, 24)
         b = runner.collect_window(0, 24)
         assert a is b
+
+    def test_window_tables_equal_the_dict_walk(self, small_scenario):
+        """The folded window is the serial walk, bit for bit.
+
+        The oracle is the per-(row, link) walk ``collect_window`` used to
+        be: an epoch (same expansion, same down-set) summed hour by hour,
+        then its non-zero rows added key by key, in stream order.  Hours
+        0-96 of this world change expansion with and without a down-set
+        change (hour 48 is a day boundary only) and return to down-sets
+        seen before ({} at 17 and 77, {0} at 76).
+        """
+        lo, hi = 0, 96
+        scenario = small_scenario
+        n_links = len(scenario.wan.links)
+        total, by_downset = {}, {}
+        matrix = np.zeros((n_links, hi - lo))
+        epochs = []
+        for cols in scenario.stream(lo, hi):
+            down = scenario.scheduled_down_at(cols.hour)
+            if (not epochs or epochs[-1][0] is not cols.flow_rows
+                    or epochs[-1][3] != down):
+                epochs.append((cols.flow_rows, cols.link_ids,
+                               np.zeros(len(cols.flow_rows)), down))
+            epochs[-1][2][:] += cols.sampled_bytes
+            for link, bytes_ in zip(cols.link_ids.tolist(),
+                                    cols.sampled_bytes.tolist()):
+                matrix[link, cols.hour - lo] += bytes_
+        for rows, links, sums, down in epochs:
+            bucket = by_downset.setdefault(down, {})
+            for row, link, value in zip(rows.tolist(), links.tolist(),
+                                        sums.tolist()):
+                if value > 0.0:
+                    key = (row, link)
+                    bucket[key] = bucket.get(key, 0.0) + value
+                    total[key] = total.get(key, 0.0) + value
+        assert len({id(e[0]) for e in epochs}) > 2 and len(by_downset) > 2
+        assert len(epochs) > len(by_downset)
+
+        def pairs(table):
+            assert table["k0"].dtype == table["k1"].dtype == np.int64
+            assert table["value"].dtype == np.float64
+            return list(zip(zip(table["k0"].tolist(), table["k1"].tolist()),
+                            table["value"].tolist()))
+
+        runner = EvaluationRunner(scenario)
+        acc = runner.collect_window(lo, hi)
+        # lists, not dicts: key order is part of what is pinned
+        assert pairs(acc.total) == list(total.items())
+        assert list(acc.by_downset) == list(by_downset)
+        for down, bucket in by_downset.items():
+            assert pairs(acc.by_downset[down]) == list(bucket.items())
+        assert np.array_equal(acc.link_matrix, matrix)
+        assert runner.collect_window(lo, hi) is acc
 
     def test_naive_bayes_opt_in(self, small_scenario):
         runner = EvaluationRunner(small_scenario)

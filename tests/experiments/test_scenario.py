@@ -81,6 +81,24 @@ class TestStreaming:
         cols = next(iter(sc.stream(0, 1, state=state)))
         assert cols.true_bytes[cols.link_ids == hot_link].sum() == 0.0
 
+    def test_feed_resumed_in_a_fresh_scenario_is_bit_identical(
+            self, small_scenario):
+        """A new ``Scenario`` fed from hour ``a`` gives the ``AggColumns``
+        of hours ``a..b`` of a feed begun at 0, all seven arrays to the
+        bit: what ``repro serve run --resume`` relies on in a new
+        process (the feed is a pure function of seed and hour; the
+        encoders are seeded at construction, not by what was seen)."""
+        a, b = 30, 44  # mid-day, across a day boundary and outages
+        fresh = Scenario(small_scenario.params)
+        resumed = list(fresh.aggregated_hours(a, b))
+        whole = list(small_scenario.aggregated_hours(0, b))[a:]
+        assert [c.hour for c in resumed] == list(range(a, b))
+        for got, want in zip(resumed, whole):
+            assert got.hour == want.hour
+            assert len(got) == 8
+            for i in range(1, 8):
+                assert got[i].dtype == want[i].dtype
+                assert np.array_equal(got[i], want[i])
 
     def test_back_to_back_windows_equal_one_window(self):
         """``stream(a, b, state)`` then ``stream(b, c, state)`` leaves the

@@ -1,8 +1,10 @@
 """Instrumentation wired through the real system.
 
 The contracts under test: the service and pipeline report what they
-actually did; a parallel run's merged worker metrics read the same as
-the serial run's; and the `repro obs` CLI exports in every format.
+actually did; the feed yields the same records instrumented or not; and
+the `repro obs` CLI exports in every format.  (Merging worker deltas
+across processes is checked in tests/serve/test_lifecycle.py and
+tests/obs/test_metrics.py.)
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import pytest
 from repro.core.service import ServiceConfig, TipsyService
 from repro.obs import runtime as obs
 from repro.obs.cli import main as obs_main
-from repro.perf.parallel import ParallelPipelineRunner
-
-HOURS = 12
 
 
 @pytest.fixture()
@@ -66,41 +65,15 @@ class TestServiceCounters:
 
 
 class TestParallelMerge:
-    def test_worker_metrics_merge_equals_serial(self, small_scenario):
-        obs.enable(fresh=True)
-        with ParallelPipelineRunner(scenario=small_scenario, n_workers=2,
-                                    shard_hours=6) as runner:
-            list(runner.iter_hour_columns(0, HOURS, parallel=True))
-        parallel_snap = obs.snapshot()
-
-        obs.enable(fresh=True)
-        with ParallelPipelineRunner(scenario=small_scenario,
-                                    n_workers=1) as runner:
-            list(runner.iter_hour_columns(0, HOURS, parallel=False))
-        serial_snap = obs.snapshot()
-
-        for name in ("pipeline.aggregate.hours",
-                     "pipeline.aggregate.records_in",
-                     "pipeline.aggregate.records_out"):
-            assert parallel_snap.counters.get(name) == \
-                serial_snap.counters.get(name), name
-        assert parallel_snap.counters["pipeline.aggregate.hours"] == HOURS
-        assert parallel_snap.counters["pipeline.shards_dispatched"] >= 2
-        # per-hour timing histograms merged back from the workers
-        assert parallel_snap.histograms[
-            "pipeline.aggregate_hour.seconds"].count == HOURS
-
     def test_parallel_results_unchanged_by_instrumentation(
             self, small_scenario):
-        with ParallelPipelineRunner(scenario=small_scenario,
-                                    n_workers=1) as runner:
-            plain = [c.to_records() for c in
-                     runner.iter_hour_columns(0, 6, parallel=False)]
+        """The feed yields the same records with the switch on as off."""
+        plain = [c.to_records()
+                 for c in small_scenario.aggregated_hours(0, 6)]
         obs.enable(fresh=True)
-        with ParallelPipelineRunner(scenario=small_scenario,
-                                    n_workers=1) as runner:
-            instrumented = [c.to_records() for c in
-                            runner.iter_hour_columns(0, 6, parallel=False)]
+        instrumented = [c.to_records()
+                        for c in small_scenario.aggregated_hours(0, 6)]
+        assert obs.snapshot().counters["pipeline.aggregate.hours"] == 6
         assert plain == instrumented
 
 

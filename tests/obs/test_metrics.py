@@ -156,7 +156,7 @@ def _shard_registry(counter_incs, observed):
 
 class TestMergeAcrossWorkers:
     """Merging per-worker snapshots must equal doing the work serially —
-    the property `ParallelPipelineRunner` relies on when it folds shard
+    the property `ServeDaemon` relies on when it folds its shard workers'
     deltas back into the parent registry."""
 
     @given(st.lists(st.tuples(

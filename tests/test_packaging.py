@@ -9,6 +9,7 @@ installed package into a no-op.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 import tarfile
@@ -19,6 +20,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_MARKER = REPO_ROOT / "src" / "repro" / "py.typed"
+#: the process-pool package deleted under ROADMAP 3(c)
+GONE = "perf"
 
 
 def _build(kind, out_dir):
@@ -53,6 +56,7 @@ def test_sdist_includes_py_typed(tmp_path):
     with tarfile.open(artifact) as tar:
         names = tar.getnames()
     assert any(n.endswith("src/repro/py.typed") for n in names), names
+    assert not any(f"repro/{GONE}" in n for n in names), names
 
 
 def test_wheel_includes_py_typed(tmp_path):
@@ -72,6 +76,12 @@ def test_wheel_includes_py_typed(tmp_path):
     with zipfile.ZipFile(artifact) as wheel:
         names = wheel.namelist()
     assert "repro/py.typed" in names, names
+    assert not any(f"repro/{GONE}" in n for n in names), names
+
+
+def test_the_process_pool_package_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module(f"repro.{GONE}")
 
 
 def _imported_modules(path, package):
