@@ -89,7 +89,7 @@ class RoutingTable:
     """
 
     __slots__ = ("seeded", "_topo", "_dist", "_direct", "_nh_offsets",
-                 "_nh_values", "_infos", "_n_reachable")
+                 "_nh_values", "_infos", "_n_reachable", "_nh_matrix")
 
     def __init__(self, topo: DenseTopology, dist: np.ndarray,
                  direct: np.ndarray, nh_values: np.ndarray,
@@ -104,6 +104,7 @@ class RoutingTable:
         self._infos: Dict[int, Optional[RouteInfo]] = (
             {} if infos is None else infos)
         self._n_reachable: Optional[int] = None
+        self._nh_matrix: Optional[np.ndarray] = None
 
     # -- dict-style accessors (the simulator's hot path) -------------------
 
@@ -189,13 +190,22 @@ class RoutingTable:
         )
 
     def _nexthop_matrix(self) -> np.ndarray:
-        """Ranked next-hops as an ``(n, MAX_NEXTHOPS)`` matrix, -1 padded."""
+        """Ranked next-hops as an ``(n, MAX_NEXTHOPS)`` matrix, -1 padded
+        (read-only: :meth:`_nexthops` hands it to every later caller)."""
         counts = np.diff(self._nh_offsets)
         matrix = np.full((len(counts), MAX_NEXTHOPS), -1, dtype=np.int64)
         for k in range(MAX_NEXTHOPS):
             rows = np.flatnonzero(counts > k)
             matrix[rows, k] = self._nh_values[self._nh_offsets[rows] + k]
+        matrix.flags.writeable = False
         return matrix
+
+    def _nexthops(self) -> np.ndarray:
+        """:meth:`_nexthop_matrix`, built on first use: a table never
+        changes once built."""
+        if self._nh_matrix is None:
+            self._nh_matrix = self._nexthop_matrix()
+        return self._nh_matrix
 
     def changed_asns(self, other: "RoutingTable") -> FrozenSet[int]:
         """ASNs whose :class:`RouteInfo` differs between two tables over
@@ -203,8 +213,7 @@ class RoutingTable:
         if other is self:
             return frozenset()
         differ = (self._dist != other._dist) | (self._direct != other._direct)
-        differ |= (self._nexthop_matrix()
-                   != other._nexthop_matrix()).any(axis=1)
+        differ |= (self._nexthops() != other._nexthops()).any(axis=1)
         return frozenset(self._topo.asns[differ].tolist())
 
     def columns_equal(self, other: "RoutingTable") -> bool:

@@ -140,6 +140,10 @@ class IngressSimulator:
         self._links_by_peer: Dict[int, Tuple[PeeringLink, ...]] = {
             asn: wan.links_of_peer(asn) for asn in wan.peer_asns
         }
+        self._link_ids_by_peer: Dict[int, Tuple[int, ...]] = {
+            asn: tuple(l.link_id for l in links)
+            for asn, links in self._links_by_peer.items()
+        }
         self._peer_asns = frozenset(a for a in wan.peer_asns if a in graph)
         p = self.params
         self._table_by_removed: LruDict[FrozenSet[int], RoutingTable] = \
@@ -353,22 +357,24 @@ class IngressSimulator:
         visited: List[int] = [src_asn]
         pools: List[int] = []
 
-        def add(links: Sequence[PeeringLink], entry: str, weight: float) -> None:
+        def add(links: Sequence[PeeringLink], ids: Tuple[int, ...],
+                entry: str, weight: float) -> None:
             pool, shares = self._link_shares(
-                links, entry, src_prefix, dest_prefix, rotate_extra,
+                links, ids, entry, src_prefix, dest_prefix, rotate_extra,
                 prepends=prepends)
             pools.extend(pool)
             for link_id, frac in shares:
                 accum[link_id] = accum.get(link_id, 0.0) + frac * weight
 
         pocket = node.pocket_for(src_metro)
-        own = [l for l in self._links_by_peer.get(src_asn, ()) if l.link_id not in removed]
+        own, own_ids = self._usable(src_asn, removed)
         if pocket is not None:
             own = [l for l in own if l.metro in pocket.metros]
+            own_ids = tuple(l.link_id for l in own)
             visited.extend(pocket.providers)
 
         if own:
-            add(own, src_metro, 1.0)
+            add(own, own_ids, src_metro, 1.0)
         else:
             candidates = self._origin_candidates(src_asn, pocket, table)
             if not candidates:
@@ -392,8 +398,8 @@ class IngressSimulator:
                                      removed, table, visited)
                 if outcome is None:
                     continue
-                d_metro, links = outcome
-                add(links, d_metro, w)
+                d_metro, links, ids = outcome
+                add(links, ids, d_metro, w)
                 delivered_weight += w
             if delivered_weight <= 0.0:
                 return Resolution((), tuple(visited), (), removed)
@@ -424,18 +430,18 @@ class IngressSimulator:
         removed: FrozenSet[int],
         table: RoutingTable,
         visited: List[int],
-    ) -> Optional[Tuple[str, List[PeeringLink]]]:
-        """Follow the AS-level route until an AS with usable links delivers."""
+    ) -> Optional[Tuple[str, Sequence[PeeringLink], Tuple[int, ...]]]:
+        """Follow the AS-level route until an AS with usable links
+        delivers: its entry metro, usable links and their ids."""
         for _ in range(self.params.max_walk_depth):
             visited.append(asn)
             info = table.get(asn)
             if info is None:
                 return None
             if info.direct:
-                links = [l for l in self._links_by_peer.get(asn, ())
-                         if l.link_id not in removed]
+                links, ids = self._usable(asn, removed)
                 if links:
-                    return entry_metro, links
+                    return entry_metro, links, ids
                 return None
             if not info.nexthops:
                 return None
@@ -446,6 +452,17 @@ class IngressSimulator:
             entry_metro = self._entry_metro(nh, entry_metro)
             asn = nh
         return None
+
+    def _usable(self, asn: int, removed: FrozenSet[int]
+                ) -> Tuple[Sequence[PeeringLink], Tuple[int, ...]]:
+        """A peer's links not in ``removed``, and their ids: the
+        precomputed pair when ``removed`` misses them all."""
+        links = self._links_by_peer.get(asn, ())
+        ids = self._link_ids_by_peer.get(asn, ())
+        if removed.isdisjoint(ids):
+            return links, ids
+        kept = [l for l in links if l.link_id not in removed]
+        return kept, tuple(l.link_id for l in kept)
 
     def _entry_metro(self, asn: int, from_metro: str) -> str:
         """Where traffic coming from ``from_metro`` enters AS ``asn``."""
@@ -460,14 +477,16 @@ class IngressSimulator:
     def _link_shares(
         self,
         links: Sequence[PeeringLink],
+        ids: Tuple[int, ...],
         entry_metro: str,
         src_prefix: int,
         dest_prefix: int,
         rotate_extra: int,
         prepends: Optional[Dict[int, int]] = None,
     ) -> Tuple[Tuple[int, ...], ShareVector]:
-        """Hot-potato byte-share split over a delivering AS's links, as
-        (the candidate pool, the shares).
+        """Hot-potato byte-share split over a delivering AS's links
+        (``ids`` their link ids, in order), as (the candidate pool, the
+        shares).
 
         The nearest ``candidate_pool_size`` links within
         ``reroute_radius_km`` of the closest exit form the candidate pool.
@@ -500,7 +519,7 @@ class IngressSimulator:
         # the pool cache is only valid without TE state: compliance is
         # per-flow, so prepended rankings are computed fresh (TE prefixes
         # are rare — 0.7% in the paper's network)
-        rank_key = (entry_metro, tuple(l.link_id for l in links))
+        rank_key = (entry_metro, ids)
         pool = None if prepends else self._ranked_cache.get(rank_key)
         if not prepends:
             if pool is None:

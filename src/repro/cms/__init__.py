@@ -17,7 +17,7 @@ from .mitigation import (
     CMSConfig,
     CongestionMitigationSystem,
     MitigationAction,
-    TrafficEntry,
+    TrafficSample,
 )
 from .risk import GroupRiskAnalyzer, GroupRiskFinding, RiskAnalyzer, RiskFinding
 from .depeering import DepeeringAnalyzer, DepeeringAssessment
@@ -26,7 +26,7 @@ __all__ = [
     "CongestionEvent", "SECONDS_PER_HOUR", "UtilizationMonitor",
     "bytes_to_utilization",
     "CMSConfig", "CongestionMitigationSystem", "MitigationAction",
-    "TrafficEntry",
+    "TrafficSample",
     "GroupRiskAnalyzer", "GroupRiskFinding", "RiskAnalyzer", "RiskFinding",
     "DepeeringAnalyzer", "DepeeringAssessment",
 ]

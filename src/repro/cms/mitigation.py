@@ -20,23 +20,42 @@ exactly the §2 incident, reproduced in ``examples/cascade_incident.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
+
+import numpy as np
 
 from ..bgp.state import AdvertisementState
 from ..core.base import IngressModel
+from ..pipeline.aggregation import first_seen_sums
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
 from .monitor import CongestionEvent, UtilizationMonitor
 
 
-@dataclass(frozen=True)
-class TrafficEntry:
-    """One observed flow aggregate for CMS decision making."""
+class TrafficSample(NamedTuple):
+    """One sample of observed traffic for CMS decision making, as aligned
+    columns: row ``i`` is ``bytes[i]`` of the flow ``contexts[flow_rows[i]]``
+    toward ``dest_prefix_ids[i]``, observed on ``link_ids[i]``."""
 
-    link_id: int
-    dest_prefix_id: int
-    context: FlowContext
-    bytes: float
+    link_ids: np.ndarray         # int64
+    dest_prefix_ids: np.ndarray  # int64
+    flow_rows: np.ndarray        # int64, index into contexts
+    bytes: np.ndarray            # float64
+    contexts: Sequence[FlowContext]
+
+
+#: a congested link's flows of one prefix, as (context, bytes) in
+#: sample order: what a spill prediction is asked about
+_Flows = Sequence[Tuple[FlowContext, float]]
+
+
+def _totals(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]:
+    """Per-key sums of ``weights``, keys in first-seen order: bit for bit
+    the running ``totals.get(key, 0.0) + weight`` of a walk in row order
+    (``first_seen_sums`` adds with ``bincount``, in row order)."""
+    rep, sums = first_seen_sums([keys], weights)
+    return dict(zip(keys[rep].tolist(), sums.tolist()))
 
 
 @dataclass(frozen=True)
@@ -102,25 +121,20 @@ class CongestionMitigationSystem:
         self,
         sample_index: int,
         state: AdvertisementState,
-        entries: Sequence[TrafficEntry],
+        sample: TrafficSample,
     ) -> List[MitigationAction]:
         """Process one sample of traffic; possibly mutate ``state``.
 
         Returns the actions taken this sample (also appended to
         :attr:`actions`).
         """
-        link_bytes: Dict[int, float] = {}
-        prefix_bytes: Dict[int, float] = {}
-        for entry in entries:
-            link_bytes[entry.link_id] = (
-                link_bytes.get(entry.link_id, 0.0) + entry.bytes)
-            prefix_bytes[entry.dest_prefix_id] = (
-                prefix_bytes.get(entry.dest_prefix_id, 0.0) + entry.bytes)
+        link_bytes = _totals(sample.link_ids, sample.bytes)
+        prefix_bytes = _totals(sample.dest_prefix_ids, sample.bytes)
 
         taken: List[MitigationAction] = []
         taken.extend(self._maybe_reannounce(sample_index, state, prefix_bytes))
         for event in self.monitor.observe(sample_index, link_bytes):
-            taken.extend(self._mitigate(sample_index, state, entries,
+            taken.extend(self._mitigate(sample_index, state, sample,
                                         link_bytes, prefix_bytes, event))
         self.actions.extend(taken)
         return taken
@@ -131,7 +145,7 @@ class CongestionMitigationSystem:
         self,
         sample_index: int,
         state: AdvertisementState,
-        entries: Sequence[TrafficEntry],
+        sample: TrafficSample,
         link_bytes: Mapping[int, float],
         prefix_bytes: Mapping[int, float],
         event: CongestionEvent,
@@ -143,34 +157,24 @@ class CongestionMitigationSystem:
         if excess <= 0.0:
             return []
 
-        # largest prefixes at the congested link first: fewest withdrawals
-        by_prefix: Dict[int, List[TrafficEntry]] = {}
-        for entry in entries:
-            if entry.link_id == link_id:
-                by_prefix.setdefault(entry.dest_prefix_id, []).append(entry)
-        candidates = sorted(
-            by_prefix.items(),
-            key=lambda kv: -sum(e.bytes for e in kv[1]))
-
         taken: List[MitigationAction] = []
         shifted = 0.0
         withdrawals = 0
-        for prefix_id, prefix_entries in candidates:
+        for prefix_id, flows in self._candidates(sample, link_id):
             if shifted >= excess:
                 break
             if withdrawals >= self.config.max_withdrawals_per_event:
                 break
             if not state.is_available(prefix_id, link_id):
                 continue
-            volume = sum(e.bytes for e in prefix_entries)
-            spill = self._predict_spill(state, prefix_id, link_id,
-                                        prefix_entries)
+            volume = sum(bytes_ for _, bytes_ in flows)
+            spill = self._predict_spill(state, prefix_id, link_id, flows)
             if spill is not None and not self._spill_is_safe(
                     spill, link_bytes):
                 plan = None
                 if self.config.coordinated:
                     plan = self._plan_coordinated(
-                        state, prefix_id, link_id, prefix_entries, link_bytes)
+                        state, prefix_id, link_id, flows, link_bytes)
                 if plan is None:
                     taken.append(MitigationAction(
                         sample_index, "skip-unsafe", link_id, prefix_id,
@@ -198,12 +202,29 @@ class CongestionMitigationSystem:
                 note=f"shift {volume:.3g}B of {excess:.3g}B excess"))
         return taken
 
+    @staticmethod
+    def _candidates(sample: TrafficSample, link_id: int
+                    ) -> List[Tuple[int, _Flows]]:
+        """The prefixes seen at ``link_id`` with their flows there, the
+        largest total first (fewest withdrawals), ties in first-seen
+        order.  Only the link's rows become python objects."""
+        at_link = sample.link_ids == link_id
+        contexts = sample.contexts
+        by_prefix: Dict[int, List[Tuple[FlowContext, float]]] = {}
+        for prefix_id, row, bytes_ in zip(
+                sample.dest_prefix_ids[at_link].tolist(),
+                sample.flow_rows[at_link].tolist(),
+                sample.bytes[at_link].tolist()):
+            by_prefix.setdefault(prefix_id, []).append((contexts[row], bytes_))
+        return sorted(by_prefix.items(),
+                      key=lambda kv: -sum(bytes_ for _, bytes_ in kv[1]))
+
     def _plan_coordinated(
         self,
         state: AdvertisementState,
         prefix_id: int,
         link_id: int,
-        prefix_entries: Sequence[TrafficEntry],
+        flows: _Flows,
         link_bytes: Mapping[int, float],
     ) -> Optional[Set[int]]:
         """Grow the withdrawal set until the predicted spill is safe.
@@ -222,15 +243,15 @@ class CongestionMitigationSystem:
             unavailable = frozenset(
                 plan | state.link_outages | state.withdrawn_links(prefix_id))
             spill: Dict[int, float] = {}
-            for entry in prefix_entries:
+            for context, bytes_ in flows:
                 predictions = self.predictor.predict(
-                    entry.context, self.config.prediction_k, unavailable)
+                    context, self.config.prediction_k, unavailable)
                 total_score = sum(p.score for p in predictions)
                 if total_score <= 0.0:
                     continue
                 for p in predictions:
                     spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                        entry.bytes * p.score / total_score)
+                        bytes_ * p.score / total_score)
             overloaded = []
             for target, extra in spill.items():
                 capacity = self.monitor.capacities.get(target)
@@ -252,7 +273,7 @@ class CongestionMitigationSystem:
         state: AdvertisementState,
         prefix_id: int,
         link_id: int,
-        prefix_entries: Sequence[TrafficEntry],
+        flows: _Flows,
     ) -> Optional[Dict[int, float]]:
         """Predicted per-link byte spill if a prefix is withdrawn at a link.
 
@@ -263,9 +284,9 @@ class CongestionMitigationSystem:
         unavailable = frozenset(
             {link_id} | state.link_outages | state.withdrawn_links(prefix_id))
         spill: Dict[int, float] = {}
-        for entry in prefix_entries:
+        for context, bytes_ in flows:
             predictions = self.predictor.predict(
-                entry.context, self.config.prediction_k, unavailable)
+                context, self.config.prediction_k, unavailable)
             if not predictions:
                 continue
             total_score = sum(p.score for p in predictions)
@@ -273,7 +294,7 @@ class CongestionMitigationSystem:
                 continue
             for p in predictions:
                 spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                    entry.bytes * p.score / total_score)
+                    bytes_ * p.score / total_score)
         return spill
 
     def _spill_is_safe(self, spill: Mapping[int, float],

@@ -20,7 +20,7 @@ cascade) and TIPSY-guided (coordinated withdrawal, no cascade).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..cms.mitigation import (
     CMSConfig,
     CongestionMitigationSystem,
     MitigationAction,
-    TrafficEntry,
+    TrafficSample,
 )
 from ..core.features import FEATURES_AL
 from ..core.geo_augment import GeoAugmentedModel
@@ -84,20 +84,36 @@ class IncidentWorld:
         return float(demand)
 
     def entries_for_hour(self, hour: int,
-                         state: AdvertisementState) -> List[TrafficEntry]:
-        """Per-flow traffic entries (post-routing) for one hour."""
+                         state: AdvertisementState) -> TrafficSample:
+        """Per-flow traffic (post-routing) for one hour."""
         total_bytes = self.demand_gbps(hour) * 1e9 / 8.0 * 3600.0
         per_flow = total_bytes / len(self.flows)
         day = hour // 24
-        entries: List[TrafficEntry] = []
-        for context, src_prefix, src_metro, dest_prefix, src_asn in self.flows:
-            shares = self.simulator.resolve_shares(
-                src_asn, src_metro, src_prefix, dest_prefix, state, day)
-            for link_id, frac in shares:
-                entries.append(TrafficEntry(
-                    link_id=link_id, dest_prefix_id=dest_prefix,
-                    context=context, bytes=per_flow * frac))
-        return entries
+        return sample_flows(self.simulator, self.flows, per_flow, state, day)
+
+
+def sample_flows(simulator: IngressSimulator,
+                 flows: Sequence[Tuple[FlowContext, int, str, int, int]],
+                 per_flow: float, state: AdvertisementState,
+                 day: int) -> TrafficSample:
+    """Every flow's ``per_flow`` bytes spread over its resolved shares,
+    as a CMS sample over the flows' contexts."""
+    links: List[int] = []
+    dests: List[int] = []
+    rows: List[int] = []
+    bytes_: List[float] = []
+    for row, (_, src_prefix, src_metro, dest_prefix, src_asn) in enumerate(
+            flows):
+        for link_id, frac in simulator.resolve_shares(
+                src_asn, src_metro, src_prefix, dest_prefix, state, day):
+            links.append(link_id)
+            dests.append(dest_prefix)
+            rows.append(row)
+            bytes_.append(per_flow * frac)
+    return TrafficSample(
+        np.array(links, dtype=np.int64), np.array(dests, dtype=np.int64),
+        np.array(rows, dtype=np.int64), np.array(bytes_, dtype=np.float64),
+        [flow[0] for flow in flows])
 
 
 def build_incident_world(seed: int = 0, n_flows: int = 140) -> IncidentWorld:
@@ -191,15 +207,22 @@ def train_incident_model(world: IncidentWorld,
     state = AdvertisementState(world.wan)
     counts = CountsAccumulator()
     for hour in range(train_hours):
-        entries = world.entries_for_hour(hour, state)
-        true_bytes = np.array([e.bytes for e in entries])
-        sampled = world.exporter.sample_bytes(true_bytes, hour)
-        for entry, est in zip(entries, sampled):
-            if est > 0.0:
-                counts.add(entry.context, entry.link_id, float(est))
+        sample = world.entries_for_hour(hour, state)
+        count_sampled(counts, world.exporter, hour, sample)
     hist_al = HistoricalModel(FEATURES_AL)
     counts.fit([hist_al])
     return GeoAugmentedModel(hist_al, world.wan, name="Hist_AL+G")
+
+
+def count_sampled(counts: CountsAccumulator, exporter: IpfixExporter,
+                  hour: int, sample: TrafficSample) -> None:
+    """Add an hour's IPFIX-sampled estimate of ``sample`` to ``counts``."""
+    sampled = exporter.sample_bytes(sample.bytes, hour)
+    contexts = sample.contexts
+    for row, link_id, est in zip(sample.flow_rows.tolist(),
+                                 sample.link_ids.tolist(), sampled.tolist()):
+        if est > 0.0:
+            counts.add(contexts[row], link_id, est)
 
 
 def replay_incident(world: IncidentWorld, with_tipsy: bool,
@@ -222,11 +245,11 @@ def replay_incident(world: IncidentWorld, with_tipsy: bool,
     timeline: Dict[int, List[Tuple[int, float]]] = {
         world.i1: [], world.i2: [], world.i3: [], world.i4: []}
     for hour in range(world.surge_start_hour - 2, horizon_hours):
-        entries = world.entries_for_hour(hour, state)
+        sample = world.entries_for_hour(hour, state)
         link_bytes: Dict[int, float] = {}
-        for entry in entries:
-            link_bytes[entry.link_id] = (
-                link_bytes.get(entry.link_id, 0.0) + entry.bytes)
+        for link_id, bytes_ in zip(sample.link_ids.tolist(),
+                                   sample.bytes.tolist()):
+            link_bytes[link_id] = link_bytes.get(link_id, 0.0) + bytes_
         for link_id, bytes_ in link_bytes.items():
             util = cms.monitor.utilization(link_id, bytes_)
             max_util[link_id] = max(max_util.get(link_id, 0.0), util)
@@ -234,7 +257,7 @@ def replay_incident(world: IncidentWorld, with_tipsy: bool,
                 congested_link_hours += 1
             if link_id in timeline:
                 timeline[link_id].append((hour, util))
-        cms.handle_sample(hour, state, entries)
+        cms.handle_sample(hour, state, sample)
     return IncidentReport(
         with_tipsy=with_tipsy,
         actions=list(cms.actions),

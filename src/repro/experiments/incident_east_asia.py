@@ -27,7 +27,7 @@ from ..cms.mitigation import (
     CMSConfig,
     CongestionMitigationSystem,
     MitigationAction,
-    TrafficEntry,
+    TrafficSample,
 )
 from ..core.features import FEATURES_AL
 from ..core.geo_augment import GeoAugmentedModel
@@ -39,6 +39,7 @@ from ..topology.asgraph import ASGraph, ASNode, ASRole
 from ..topology.geography import MetroCatalog
 from ..topology.relationships import Relationship
 from ..topology.wan import CloudWAN, DestPrefix, PeeringLink, Region
+from .incident import count_sampled, sample_flows
 
 CLOUD_ASN = 8075
 AS_P = 65020       # first transit provider (owns the hot link)
@@ -75,19 +76,11 @@ class EastAsiaWorld:
         return float(demand)
 
     def entries_for_hour(self, hour: int,
-                         state: AdvertisementState) -> List[TrafficEntry]:
+                         state: AdvertisementState) -> TrafficSample:
         total_bytes = self.demand_gbps(hour) * 1e9 / 8.0 * 3600.0
         per_flow = total_bytes / len(self.flows)
-        entries: List[TrafficEntry] = []
-        for context, src_prefix, src_metro, dest_prefix, src_asn in self.flows:
-            shares = self.simulator.resolve_shares(
-                src_asn, src_metro, src_prefix, dest_prefix, state,
-                hour // 24)
-            for link_id, frac in shares:
-                entries.append(TrafficEntry(
-                    link_id=link_id, dest_prefix_id=dest_prefix,
-                    context=context, bytes=per_flow * frac))
-        return entries
+        return sample_flows(self.simulator, self.flows, per_flow, state,
+                            hour // 24)
 
 
 def build_east_asia_world(seed: int = 0,
@@ -178,12 +171,8 @@ def replay_east_asia(world: EastAsiaWorld,
     state = AdvertisementState(world.wan)
     counts = CountsAccumulator()
     for hour in range(train_hours):
-        entries = world.entries_for_hour(hour, state)
-        sampled = world.exporter.sample_bytes(
-            np.array([e.bytes for e in entries]), hour)
-        for entry, est in zip(entries, sampled):
-            if est > 0.0:
-                counts.add(entry.context, entry.link_id, float(est))
+        count_sampled(counts, world.exporter, hour,
+                      world.entries_for_hour(hour, state))
     hist_al = HistoricalModel(FEATURES_AL)
     counts.fit([hist_al])
     predictor = GeoAugmentedModel(hist_al, world.wan, name="Hist_AL+G")
@@ -209,8 +198,8 @@ def replay_east_asia(world: EastAsiaWorld,
     max_alt_util = 0.0
     horizon = world.surge_start_hour + world.surge_hours + 6
     for hour in range(world.surge_start_hour - 2, horizon):
-        entries = world.entries_for_hour(hour, run_state)
-        actions = cms.handle_sample(hour, run_state, entries)
+        sample = world.entries_for_hour(hour, run_state)
+        actions = cms.handle_sample(hour, run_state, sample)
         for action in actions:
             if action.kind.startswith("withdraw"):
                 withdrawal_hour = withdrawal_hour or hour
@@ -218,13 +207,12 @@ def replay_east_asia(world: EastAsiaWorld,
             elif action.kind == "reannounce" and reannounce_hour is None:
                 reannounce_hour = hour
         if withdrawal_hour is not None and hour > withdrawal_hour - 1:
-            for entry in entries:
-                if (entry.dest_prefix_id in withdrawn
-                        and entry.link_id != world.hot):
-                    shift_links.add(entry.link_id)
+            links = sample.link_ids
+            shifted = np.isin(sample.dest_prefix_ids,
+                              sorted(withdrawn)) & (links != world.hot)
+            shift_links.update(links[shifted].tolist())
             for link_id in shift_links:
-                link_bytes = sum(e.bytes for e in entries
-                                 if e.link_id == link_id)
+                link_bytes = sum(sample.bytes[links == link_id].tolist())
                 max_alt_util = max(max_alt_util, cms.monitor.utilization(
                     link_id, link_bytes))
     return EastAsiaReport(

@@ -15,13 +15,14 @@ data as :class:`AggRecord` streams when fidelity matters more than speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..bgp.simulator import IngressSimulator, SimulatorParams
 from ..bgp.state import AdvertisementState
+from ..cms.mitigation import TrafficSample
 from ..obs import runtime as obs
 from ..pipeline.aggregation import HourlyAggregator
 from ..pipeline.encoding import EncoderSet
@@ -37,9 +38,6 @@ from ..topology.wan import WANParams, generate_wan
 from ..traffic.generator import TrafficGenerator, TrafficParams
 from ..traffic.prefixes import PrefixUniverse
 from ..util.cache import LruDict
-
-if TYPE_CHECKING:
-    from ..cms.mitigation import TrafficEntry
 
 #: expansions kept, by content: a CMS probe alternates between the live
 #: state and one with a link down, an hour boundary adds one or two more
@@ -87,6 +85,22 @@ def _rows_per(values: np.ndarray) -> Dict[int, int]:
     """How many of an expansion's (row, value) pairs hold each value."""
     found, counts = np.unique(values, return_counts=True)
     return dict(zip(found.tolist(), counts.tolist()))
+
+
+def _recount(counts: Dict[int, int], dropped: np.ndarray,
+             added: Sequence[int]) -> Dict[int, int]:
+    """``_rows_per`` of a derived expansion from its base's: ``counts``
+    less the stale pairs' values plus the new ones, zero counts dropped."""
+    out = dict(counts)
+    for value, n in _rows_per(np.array(added, dtype=np.int64)).items():
+        out[value] = out.get(value, 0) + n
+    for value, n in _rows_per(dropped).items():
+        left = out[value] - n
+        if left:
+            out[value] = left
+        else:
+            del out[value]
+    return out
 
 
 @dataclass
@@ -296,15 +310,18 @@ class Scenario:
         order = np.argsort(merged, kind="stable")
         keep_walk = ~stale[base.footprint_rows]
         keep_pool = ~stale[base.pool_rows]
-        asns = splice(base.footprint_asns, keep_walk, walked_asns)
-        pooled = splice(base.pool_links, keep_pool, pool_links)
         return _Expansion(
             content, merged[order],
             splice(base.links, keep, links)[order],
             splice(base.fracs, keep, fracs)[order],
-            splice(base.footprint_rows, keep_walk, walked_rows), asns,
-            splice(base.pool_rows, keep_pool, pool_rows), pooled,
-            _rows_per(asns), _rows_per(pooled))
+            splice(base.footprint_rows, keep_walk, walked_rows),
+            splice(base.footprint_asns, keep_walk, walked_asns),
+            splice(base.pool_rows, keep_pool, pool_rows),
+            splice(base.pool_links, keep_pool, pool_links),
+            _recount(base.rows_reading, base.footprint_asns[~keep_walk],
+                     walked_asns),
+            _recount(base.rows_pooling, base.pool_links[~keep_pool],
+                     pool_links))
 
     def _changes(self, base: _Expansion, content: _Content
                  ) -> Tuple[np.ndarray, _Moved]:
@@ -338,14 +355,21 @@ class Scenario:
         if base is self._empty:
             return np.ones(len(dest), dtype=np.bool_)
         stale, moved = self._changes(base, content)
+        # one scan per distinct reached set: a prefix withdrawn on its
+        # own has a removal set of its own and so moves as its own
+        # group, but a probe reaches every such group alike
+        by_reach: Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]] = {}
         for (before, after), prefixes in moved.items():
+            by_reach.setdefault(self.simulator.touched(before, after),
+                                []).extend(prefixes)
+        for touched, prefixes in by_reach.items():
             moving = np.isin(dest, prefixes)
             for reached, rows, read in zip(
-                    self.simulator.touched(before, after),
-                    (base.footprint_rows, base.pool_rows),
+                    touched, (base.footprint_rows, base.pool_rows),
                     (base.footprint_asns, base.pool_links)):
-                hit = np.isin(read, list(reached)) & moving[rows]
-                stale[rows[hit]] = True
+                if reached:
+                    hit = np.isin(read, list(reached)) & moving[rows]
+                    stale[rows[hit]] = True
         return stale
 
     def _estimate(self, base: _Expansion, content: _Content) -> float:
@@ -440,14 +464,23 @@ class Scenario:
         return records
 
     @staticmethod
-    def _positive(cols: HourColumns, use_sampled: bool
-                  ) -> Iterator[Tuple[int, int, float]]:
-        """(flow row, link id, bytes) of the entries with bytes > 0, as
-        python ``int``/``int``/``float`` in column order."""
+    def _positive_columns(cols: HourColumns, use_sampled: bool
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flow rows, link ids, bytes) of the entries with bytes > 0, in
+        column order, as ``int64``/``int64``/``float64`` arrays."""
         values = cols.sampled_bytes if use_sampled else cols.true_bytes
         keep = values > 0.0
-        return zip(cols.flow_rows[keep].tolist(), cols.link_ids[keep].tolist(),
-                   values[keep].astype(np.float64, copy=False).tolist())
+        return (cols.flow_rows[keep].astype(np.int64, copy=False),
+                cols.link_ids[keep].astype(np.int64, copy=False),
+                values[keep].astype(np.float64, copy=False))
+
+    @classmethod
+    def _positive(cls, cols: HourColumns, use_sampled: bool
+                  ) -> Iterator[Tuple[int, int, float]]:
+        """:meth:`_positive_columns` as python ``int``/``int``/``float``
+        triples."""
+        rows, links, values = cls._positive_columns(cols, use_sampled)
+        return zip(rows.tolist(), links.tolist(), values.tolist())
 
     def ipfix_columns_for(self, cols: HourColumns,
                           use_sampled: bool = True
@@ -462,22 +495,18 @@ class Scenario:
         :meth:`repro.pipeline.HourlyAggregator.aggregate_hour_columns`.
         """
         src_prefixes, src_asns, dest_prefixes = self._flow_columns
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
-        keep = values > 0.0
-        rows = cols.flow_rows[keep]
-        return (cols.link_ids[keep].astype(np.int64, copy=False),
-                src_prefixes[rows], src_asns[rows], dest_prefixes[rows],
-                values[keep].astype(np.float64, copy=False))
+        rows, links, values = self._positive_columns(cols, use_sampled)
+        return (links, src_prefixes[rows], src_asns[rows],
+                dest_prefixes[rows], values)
 
     def traffic_entries_for(self, cols: HourColumns,
-                            use_sampled: bool = True
-                            ) -> "List[TrafficEntry]":
-        """One hour of columns as CMS :class:`TrafficEntry` objects."""
-        from ..cms.mitigation import TrafficEntry
-
-        contexts, dest = self.flow_contexts, self._flow_columns[2].tolist()
-        return [TrafficEntry(link_id, dest[row], contexts[row], bytes_)
-                for row, link_id, bytes_ in self._positive(cols, use_sampled)]
+                            use_sampled: bool = True) -> TrafficSample:
+        """One hour of columns as a CMS :class:`TrafficSample`: the
+        entries with bytes > 0, in column order, over
+        :attr:`flow_contexts`."""
+        rows, links, values = self._positive_columns(cols, use_sampled)
+        return TrafficSample(links, self._flow_columns[2][rows], rows,
+                             values, self.flow_contexts)
 
     def risk_entries_for(self, cols: HourColumns,
                          use_sampled: bool = True) -> List[Tuple[int, FlowContext, float]]:

@@ -118,6 +118,9 @@ class TrafficGenerator:
         self.params = params or TrafficParams()
         self.seed = seed
         self._rng = random.Random(seed ^ 0x7AF1C)
+        # the hour last drawn and its volumes: a CMS loop streams one
+        # hour for the live state, again after acting and once per probe
+        self._last_volumes: Optional[Tuple[int, np.ndarray]] = None
         flows = self._build_flows(distance_of)
         self.flows: Tuple[FlowSpec, ...] = tuple(
             self._scale_to_utilization(flows))
@@ -266,8 +269,12 @@ class TrafficGenerator:
         """Bytes sent by each flow during an absolute hour index.
 
         Deterministic for a given (generator seed, hour).  Inactive flows
-        (outside their lifetime) produce zero.
+        (outside their lifetime) produce zero.  The array is read-only:
+        the last hour drawn is handed to every caller asking for it again.
         """
+        last = self._last_volumes
+        if last is not None and last[0] == hour:
+            return last[1]
         day = hour // 24
         active = (self._start_day <= day) & (day <= self._end_day)
         if day < self._active_day.shape[0]:
@@ -279,7 +286,10 @@ class TrafficGenerator:
         rng = np.random.default_rng(mix64(hour, seed=self.seed))
         noise = rng.lognormal(mean=0.0, sigma=self.params.noise_sigma,
                               size=len(self.flows))
-        return self._base_bytes_hour * factors * noise * active
+        volumes = self._base_bytes_hour * factors * noise * active
+        volumes.flags.writeable = False
+        self._last_volumes = (hour, volumes)
+        return volumes
 
     def flows_active_on(self, day: int) -> List[FlowSpec]:
         """Flows whose lifetime covers a given day."""

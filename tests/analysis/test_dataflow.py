@@ -47,7 +47,7 @@ def test_repo_determinism_table_loads():
     assert config is not None
     assert set(config.contracts) == {
         "scenario-feed", "rolling-window", "snapshot-restore",
-        "bgp-equivalence", "sharded-serving"}
+        "bgp-equivalence", "cms-loop", "sharded-serving"}
     assert config.exempt == ("repro.obs",)
     assert config.is_exempt("repro.obs.metrics")
     assert not config.is_exempt("repro.observatory")

@@ -113,6 +113,20 @@ class TestRoutePropagation:
         assert 99 not in table
 
 
+class TestNexthopMatrix:
+    def test_cached_matrix_is_read_only(self, chain_graph):
+        """``changed_asns`` hands one table's matrix to every later
+        comparison: writing into it would corrupt each later answer."""
+        table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
+        other = compute_routing_table(chain_graph, frozenset({2}), no_bias)
+        assert table.changed_asns(other) == {1, 2, 3, 4}
+        matrix = table._nexthops()
+        assert matrix is table._nexthops()
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 7
+        assert table.changed_asns(other) == {1, 2, 3, 4}
+
+
 class TestTableSnapshot:
     """to_arrays/from_arrays: the columnar persistence boundary."""
 

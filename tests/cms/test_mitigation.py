@@ -1,9 +1,10 @@
 """Tests for the congestion mitigation system."""
 
+import numpy as np
 import pytest
 
 from repro.bgp import AdvertisementState
-from repro.cms import CMSConfig, CongestionMitigationSystem, TrafficEntry
+from repro.cms import CMSConfig, CongestionMitigationSystem, TrafficSample
 from repro.core import FEATURES_AP, HistoricalModel
 from repro.pipeline import FlowContext
 from repro.topology import (
@@ -12,6 +13,15 @@ from repro.topology import (
     MetroCatalog,
     PeeringLink,
     Region,
+)
+
+from tests.cms.entry_oracle import (
+    candidates_by_entry,
+    entries_of,
+    hexed,
+    hexed_candidates,
+    observed_totals,
+    totals_by_entry,
 )
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
@@ -36,16 +46,25 @@ def wan():
 
 
 def entries_at(link, volume_gbps, prefix_id=0, n=4):
+    """(link, prefix, context, bytes) rows: ``n`` flows sharing a volume."""
     per = volume_gbps * GBPS_HOUR / n
-    return [TrafficEntry(link, prefix_id, ctx(100 + i), per)
-            for i in range(n)]
+    return [(link, prefix_id, ctx(100 + i), per) for i in range(n)]
+
+
+def sample(entries):
+    """Rows as a :class:`TrafficSample`, one context per row."""
+    links, prefixes, contexts, bytes_ = zip(*entries)
+    return TrafficSample(
+        np.array(links, dtype=np.int64), np.array(prefixes, dtype=np.int64),
+        np.arange(len(entries), dtype=np.int64),
+        np.array(bytes_, dtype=np.float64), contexts)
 
 
 class TestBlindCMS:
     def test_withdraws_on_congestion(self, wan):
         cms = CongestionMitigationSystem(wan, CMSConfig(coordinated=False))
         state = AdvertisementState(wan)
-        actions = cms.handle_sample(0, state, entries_at(0, 0.9))
+        actions = cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
         kinds = [a.kind for a in actions]
         assert "withdraw" in kinds
         assert not state.is_available(0, 0)
@@ -53,14 +72,14 @@ class TestBlindCMS:
     def test_no_action_below_threshold(self, wan):
         cms = CongestionMitigationSystem(wan)
         state = AdvertisementState(wan)
-        assert cms.handle_sample(0, state, entries_at(0, 0.5)) == []
+        assert cms.handle_sample(0, state, sample(entries_at(0, 0.5))) == []
 
     def test_fewest_prefixes_largest_first(self, wan):
         cms = CongestionMitigationSystem(wan, CMSConfig(coordinated=False))
         state = AdvertisementState(wan)
         entries = entries_at(0, 0.7, prefix_id=0) + entries_at(
             0, 0.25, prefix_id=1)
-        cms.handle_sample(0, state, entries)
+        cms.handle_sample(0, state, sample(entries))
         # withdrawing the big prefix alone brings 0.95 under target 0.70
         assert not state.is_available(0, 0)
         assert state.is_available(1, 0)
@@ -72,7 +91,7 @@ class TestBlindCMS:
         state = AdvertisementState(wan)
         entries = entries_at(0, 0.5, prefix_id=0) + entries_at(
             0, 0.45, prefix_id=1)
-        cms.handle_sample(0, state, entries)
+        cms.handle_sample(0, state, sample(entries))
         withdrawn = [p for p in (0, 1) if not state.is_available(p, 0)]
         assert len(withdrawn) == 1
 
@@ -94,7 +113,7 @@ class TestTipsyGuidedCMS:
         state = AdvertisementState(wan)
         entries = entries_at(0, 0.9, prefix_id=0) + entries_at(
             1, 0.8, prefix_id=1)
-        actions = cms.handle_sample(0, state, entries)
+        actions = cms.handle_sample(0, state, sample(entries))
         kinds = [a.kind for a in actions]
         assert "skip-unsafe" in kinds
         assert state.is_available(0, 0)
@@ -105,7 +124,7 @@ class TestTipsyGuidedCMS:
             wan, CMSConfig(coordinated=False),
             predictor=self._predictor(target_links=(2, 3)))
         state = AdvertisementState(wan)
-        actions = cms.handle_sample(0, state, entries_at(0, 0.9))
+        actions = cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
         assert any(a.kind == "withdraw" for a in actions)
         assert not state.is_available(0, 0)
 
@@ -114,7 +133,7 @@ class TestTipsyGuidedCMS:
             wan, CMSConfig(coordinated=False),
             predictor=self._predictor(target_links=(2, 3)))
         state = AdvertisementState(wan)
-        actions = cms.handle_sample(0, state, entries_at(0, 0.9))
+        actions = cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
         withdraw = next(a for a in actions if a.kind == "withdraw")
         spilled_links = [l for l, _b in withdraw.predicted_spill]
         assert 2 in spilled_links
@@ -124,10 +143,10 @@ class TestReannouncement:
     def test_reannounce_after_volume_drops(self, wan):
         cms = CongestionMitigationSystem(wan, CMSConfig(coordinated=False))
         state = AdvertisementState(wan)
-        cms.handle_sample(0, state, entries_at(0, 0.9))
+        cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
         assert cms.pending_reannouncements
         # next sample: the prefix's demand collapsed
-        actions = cms.handle_sample(1, state, entries_at(1, 0.1))
+        actions = cms.handle_sample(1, state, sample(entries_at(1, 0.1)))
         assert any(a.kind == "reannounce" for a in actions)
         assert state.is_available(0, 0)
         assert not cms.pending_reannouncements
@@ -135,9 +154,9 @@ class TestReannouncement:
     def test_no_reannounce_while_volume_high(self, wan):
         cms = CongestionMitigationSystem(wan, CMSConfig(coordinated=False))
         state = AdvertisementState(wan)
-        cms.handle_sample(0, state, entries_at(0, 0.9))
+        cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
         # demand persists (shifted to link 1)
-        actions = cms.handle_sample(1, state, entries_at(1, 0.82))
+        actions = cms.handle_sample(1, state, sample(entries_at(1, 0.82)))
         assert not any(a.kind == "reannounce" for a in actions)
         assert not state.is_available(0, 0)
 
@@ -158,10 +177,70 @@ class TestCoordinated:
         state = AdvertisementState(wan)
         entries = entries_at(0, 0.9, prefix_id=0) + entries_at(
             1, 0.5, prefix_id=1)
-        actions = cms.handle_sample(0, state, entries)
+        actions = cms.handle_sample(0, state, sample(entries))
         coordinated = [a for a in actions if a.kind == "withdraw-coordinated"]
         assert coordinated
         withdrawn_links = {a.link_id for a in coordinated}
         assert 0 in withdrawn_links and 1 in withdrawn_links
         for link in withdrawn_links:
             assert not state.is_available(0, link)
+
+
+#: nine byte counts whose running sum is 2.5 * 2**30 exactly, while
+#: numpy's pairwise summation (``np.sum``, ``np.add.reduceat``) lands one
+#: ulp above it
+PAIRWISE_TRAP = [2.0 ** 30] + [2.0 ** -23] * 5 + [2.0 ** 29] * 3
+
+
+class TestColumnarSample:
+    """``handle_sample`` over columns acts on exactly what the per-entry
+    walk it replaced computed (``tests/cms/entry_oracle.py``)."""
+
+    def trap(self):
+        """A sample whose first-seen key order is not sorted order and
+        whose link 0 / prefix 0 totals fall into the pairwise trap."""
+        rows = [(3, 1, ctx(1), 5.0)]
+        rows += [(0, 0, ctx(10 + i), b) for i, b in enumerate(PAIRWISE_TRAP)]
+        rows += [(2, 1, ctx(2), 0.25), (3, 0, ctx(3), 1.5)]
+        return sample(rows)
+
+    def test_the_trap_separates_running_from_pairwise_sums(self):
+        trap = np.array(PAIRWISE_TRAP)
+        running = 0.0
+        for b in PAIRWISE_TRAP:
+            running += b
+        assert float(np.sum(trap)) != running
+        assert float(np.add.reduceat(trap, [0])[0]) != running
+        assert float(np.bincount(np.zeros(len(trap), dtype=np.int64),
+                                 weights=trap)[0]) == running
+
+    def test_totals_equal_the_entry_walk_bit_for_bit(self, wan):
+        traffic = self.trap()
+        links, prefixes = observed_totals(
+            CongestionMitigationSystem(wan), AdvertisementState(wan), traffic)
+        want_links, want_prefixes = totals_by_entry(entries_of(traffic))
+        assert list(links) == [3, 0, 2]
+        assert hexed(links) == hexed(want_links)
+        assert hexed(prefixes) == hexed(want_prefixes)
+
+    def test_candidates_equal_the_entry_walk(self, wan):
+        rows = entries_at(0, 0.3, prefix_id=1) + entries_at(
+            1, 0.5, prefix_id=0) + entries_at(0, 0.3, prefix_id=0, n=3)
+        rows += [(0, 1, ctx(7), 2.0 ** -20)]
+        traffic = sample(rows)
+        cms = CongestionMitigationSystem(wan)
+        for link in (0, 1, 2):
+            got = cms._candidates(traffic, link)
+            want = candidates_by_entry(entries_of(traffic), link)
+            assert hexed_candidates(got) == hexed_candidates(want)
+        # equal totals keep their first-seen order; the tiny extra flow
+        # puts prefix 1 ahead
+        assert [p for p, _ in cms._candidates(traffic, 0)] == [1, 0]
+
+    def test_an_empty_sample_acts_on_nothing(self, wan):
+        cms = CongestionMitigationSystem(wan)
+        empty = TrafficSample(*(np.empty(0, dtype=np.int64),) * 3,
+                              np.empty(0, dtype=np.float64), ())
+        links, prefixes = observed_totals(cms, AdvertisementState(wan), empty)
+        assert links == {} and prefixes == {}
+        assert cms.actions == []

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bgp import AdvertisementState
-from repro.experiments import build_incident_world, replay_incident
+from repro.experiments import build_incident_world, incident, replay_incident
+
+from tests.cms.entry_oracle import EntryCMS
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +34,8 @@ class TestWorld:
 
     def test_pre_incident_traffic_on_l1_pair(self, world):
         state = AdvertisementState(world.wan)
-        entries = world.entries_for_hour(12, state)
-        links = {e.link_id for e in entries}
-        assert links == {world.i1, world.i2}
+        sample = world.entries_for_hour(12, state)
+        assert set(sample.link_ids.tolist()) == {world.i1, world.i2}
 
     def test_surge_raises_demand(self, world):
         before = world.demand_gbps(world.surge_start_hour - 1)
@@ -79,3 +80,15 @@ class TestGuidedMitigation:
 
     def test_fewer_congested_hours_than_blind(self, guided, blind):
         assert guided.congested_link_hours < blind.congested_link_hours
+
+
+class TestColumnarSample:
+    @pytest.mark.parametrize("with_tipsy", [False, True])
+    def test_replay_equals_the_entry_walk(self, world, blind, guided,
+                                          monkeypatch, with_tipsy):
+        """The replay over columnar samples reports what one whose CMS
+        walks each sample entry by entry reports: the same actions, and
+        the same utilizations behind the printed tables."""
+        monkeypatch.setattr(incident, "CongestionMitigationSystem", EntryCMS)
+        walked = replay_incident(world, with_tipsy=with_tipsy)
+        assert walked == (guided if with_tipsy else blind)

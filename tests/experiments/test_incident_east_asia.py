@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.experiments import build_east_asia_world, replay_east_asia
+from repro.experiments import (build_east_asia_world, incident_east_asia,
+                               replay_east_asia)
+
+from tests.cms.entry_oracle import EntryCMS
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +66,12 @@ class TestEastAsiaIncident:
         withdraw_hours = {a.sample_index for a in report.actions
                           if a.kind.startswith("withdraw")}
         assert len(withdraw_hours) == 1
+
+
+class TestColumnarSample:
+    def test_replay_equals_the_entry_walk(self, world, report, monkeypatch):
+        """The replay over columnar samples reports what one whose CMS
+        walks each sample entry by entry reports, action for action."""
+        monkeypatch.setattr(incident_east_asia, "CongestionMitigationSystem",
+                            EntryCMS)
+        assert replay_east_asia(world) == report

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bgp import AdvertisementState, IngressSimulator
+from repro.bgp import AdvertisementState, IngressSimulator, RoutingTable
 from repro.experiments import Scenario, ScenarioParams
 
 
@@ -150,9 +150,13 @@ class TestRecordViews:
     def test_traffic_entries_view(self, small_scenario):
         sc = small_scenario
         cols = next(iter(sc.stream(0, 1)))
-        entries = sc.traffic_entries_for(cols)
-        assert sum(e.bytes for e in entries) == pytest.approx(
-            cols.sampled_bytes.sum())
+        sample = sc.traffic_entries_for(cols)
+        assert sample.bytes.sum() == pytest.approx(cols.sampled_bytes.sum())
+        assert (sample.bytes > 0.0).all()
+        n = len(sample.bytes)
+        assert n == len(sample.link_ids) == len(sample.flow_rows)
+        assert n == len(sample.dest_prefix_ids)
+        assert sample.contexts is sc.flow_contexts
 
     def test_risk_entries_view(self, small_scenario):
         sc = small_scenario
@@ -163,9 +167,10 @@ class TestRecordViews:
     @pytest.mark.parametrize("use_sampled", [True, False])
     def test_views_equal_the_row_by_row_loops(self, small_scenario,
                                               use_sampled):
-        """The masked, ``tolist`` views are the old element-by-element
-        loops: same entries, same order, same python types."""
-        from repro.cms.mitigation import TrafficEntry
+        """The masked views are the old element-by-element loops: the
+        record views the same entries, in the same order, with the same
+        python types; the CMS sample the same rows, in the same order, as
+        ``int64`` / ``float64`` columns over the flow contexts."""
         from repro.telemetry.ipfix import IpfixRecord
 
         sc = small_scenario
@@ -181,9 +186,8 @@ class TestRecordViews:
             ipfix.append(IpfixRecord(cols.hour, int(link_id),
                                      flow.src_prefix_id, flow.src_asn,
                                      flow.dest_prefix_id, float(bytes_)))
-            entries.append(TrafficEntry(
-                link_id=int(link_id), dest_prefix_id=flow.dest_prefix_id,
-                context=contexts[row], bytes=float(bytes_)))
+            entries.append((int(link_id), flow.dest_prefix_id, int(row),
+                            float(bytes_)))
             risk.append((int(link_id), contexts[row], float(bytes_)))
 
         def typed(records):
@@ -192,10 +196,20 @@ class TestRecordViews:
                     for r in records]
 
         got = (sc.ipfix_records_for(cols, use_sampled),
-               sc.traffic_entries_for(cols, use_sampled),
                sc.risk_entries_for(cols, use_sampled))
-        for mine, reference in zip(got, (ipfix, entries, risk)):
+        for mine, reference in zip(got, (ipfix, risk)):
             assert reference and typed(mine) == typed(reference)
+        sample = sc.traffic_entries_for(cols, use_sampled)
+        columns = (sample.link_ids, sample.dest_prefix_ids,
+                   sample.flow_rows, sample.bytes)
+        for column, dtype, want in zip(
+                columns, (np.int64, np.int64, np.int64, np.float64),
+                zip(*entries)):
+            assert column.dtype == dtype
+            assert column.tolist() == list(want)
+        assert [b.hex() for b in sample.bytes.tolist()] == [
+            b.hex() for *_, b in entries]
+        assert sample.contexts is contexts
 
 
 class TestExpansionBounds:
@@ -346,3 +360,70 @@ class TestCountedWork:
         for mine, theirs in zip(dearest[1:], cheapest[1:]):
             assert mine.dtype == theirs.dtype
             assert np.array_equal(mine, theirs)
+
+    def test_one_scan_per_reached_set(self, monkeypatch):
+        """Prefixes withdrawn one by one each form their own moved
+        group; a probe after them reaches every group alike, and the
+        footprint and pool arrays are scanned once per distinct reached
+        set, not once per group."""
+        sc, state, _base, (_first, link) = self.world()
+        others = [l for l in sc.wan.link_ids
+                  if l != link and l not in state.link_outages]
+        for prefix, other in zip(sc._dest_prefixes[:6], others[::7]):
+            state.withdraw(prefix, other)
+        self.streamed(sc, state)
+
+        derived = []
+        stale_rows = Scenario._stale_rows
+
+        def recorded(scenario, base, content):
+            derived.append((base, content))
+            return stale_rows(scenario, base, content)
+
+        scanned = []
+        isin = np.isin
+
+        def counted(element, *args, **kwargs):
+            scanned.append(element)
+            return isin(element, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "_stale_rows", recorded)
+        monkeypatch.setattr(np, "isin", counted)
+        self.probe(sc, state, link)
+        monkeypatch.undo()
+
+        (base, content), = derived
+        _stale, moved = sc._changes(base, content)
+        reached = {sc.simulator.touched(*change) for change in moved}
+        assert len(moved) >= 6 > len(reached)
+        dest = sc._flow_columns[2]
+        assert sum(array is dest for array in scanned) == len(reached)
+        assert sum(array is base.footprint_asns for array in scanned) == sum(
+            bool(asns) for asns, _links in reached)
+        assert sum(array is base.pool_links for array in scanned) == sum(
+            bool(links) for _asns, links in reached)
+
+    def test_nexthop_matrix_built_once_per_table(self, monkeypatch):
+        """Tables never change once built, and neither does the matrix
+        ``changed_asns`` compares them by."""
+        built = []
+        build = RoutingTable._nexthop_matrix
+
+        def counted(table):
+            built.append(table)
+            return build(table)
+
+        monkeypatch.setattr(RoutingTable, "_nexthop_matrix", counted)
+        sc = Scenario(ScenarioParams.small(seed=9, horizon_days=7))
+        sim, wan = sc.simulator, sc.wan
+        # each peer losing every link: tables that really differ
+        tables = [sim.routing_table(frozenset())] + [
+            sim.routing_table(frozenset(
+                l.link_id for l in wan.links_of_peer(peer)))
+            for peer in sorted(wan.peer_asns)[:4]]
+        assert len({id(table) for table in tables}) == len(tables)
+        for _ in range(3):
+            for table in tables:
+                for other in tables:
+                    table.changed_asns(other)
+        assert sorted(map(id, built)) == sorted(map(id, tables))

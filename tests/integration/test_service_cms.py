@@ -27,8 +27,8 @@ class TestServiceDrivesCms:
                 cols.hour, *sc.ipfix_columns_for(cols)).to_records())
             if not service.ready:
                 continue
-            entries = sc.traffic_entries_for(cols)
-            actions = cms.handle_sample(cols.hour, state, entries)
+            sample = sc.traffic_entries_for(cols)
+            actions = cms.handle_sample(cols.hour, state, sample)
             acted = acted or bool(actions)
         # the service retrained as days rolled over
         assert service.retrain_count >= 5
@@ -49,13 +49,16 @@ class TestServiceDrivesCms:
         assert service.ready
 
         cols = next(iter(sc.stream(3 * 24, 3 * 24 + 1)))
-        entries = sc.traffic_entries_for(cols)
+        sample = sc.traffic_entries_for(cols)
         # pick the busiest link and ask where its flows would go
         by_link = {}
-        for entry in entries:
-            by_link.setdefault(entry.link_id, []).append(entry)
-        hot = max(by_link, key=lambda l: sum(e.bytes for e in by_link[l]))
-        flows = [(e.context, e.bytes) for e in by_link[hot]]
+        for link, row, bytes_ in zip(sample.link_ids.tolist(),
+                                     sample.flow_rows.tolist(),
+                                     sample.bytes.tolist()):
+            by_link.setdefault(link, []).append(
+                (sample.contexts[row], bytes_))
+        hot = max(by_link, key=lambda l: sum(b for _c, b in by_link[l]))
+        flows = by_link[hot]
         spill = service.what_if(flows, withdrawn=frozenset({hot}))
         total = sum(b for _c, b in flows)
         assert sum(spill.values()) == pytest.approx(total)

@@ -5,7 +5,9 @@ miss from the cached one it estimates cheapest, re-resolving only the
 rows the change can reach.  Whatever sequence of state changes and day
 steps led there, the arrays must equal — dtype and value — what a
 scenario that has never streamed computes flow by flow, and what each
-row is recorded to have read must equal a direct ``_resolve``.
+row is recorded to have read must equal a direct ``_resolve``, and the
+rows it counts per AS read and per pool link — kept by delta from the
+base — must equal a count over those pairs.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import AdvertisementState, SimulatorParams
 from repro.experiments import Scenario, ScenarioParams
-from repro.experiments.scenario import _EXPANSION_SLOTS
+from repro.experiments.scenario import _EXPANSION_SLOTS, _rows_per
 
 DAYS = 7
 
@@ -72,6 +74,13 @@ def apply(step, state, wan):
         state.prepend(prefix, link, times)
     else:
         getattr(state, name)(prefix, link)
+
+
+def assert_counts(held):
+    """The per-AS and per-link row counts a derive carried over from its
+    base equal a fresh count of the expansion's own pairs."""
+    assert held.rows_reading == _rows_per(held.footprint_asns)
+    assert held.rows_pooling == _rows_per(held.pool_links)
 
 
 def pairs(rows, values):
@@ -141,6 +150,7 @@ class TestRevisitedStates:
                 pairs(held.footprint_rows, held.footprint_asns), walked)
             assert np.array_equal(
                 pairs(held.pool_rows, held.pool_links), pooled)
+            assert_counts(held)
             if probe is not None and probe[2] not in down:
                 for each in (state, mirror):
                     apply((undo[probe[0]],) + probe[1:], each, each.wan)
@@ -165,6 +175,9 @@ class TestDeltaExpansion:
             for mine, theirs in zip(got, want):
                 assert mine.dtype == theirs.dtype
                 assert np.array_equal(mine, theirs), step
+            held = list(scenario._expansions.values())[-1]
+            assert held.rows is got[0]
+            assert_counts(held)
             assert len(scenario._expansions) <= _EXPANSION_SLOTS
         # hit or miss, the caller's arrays are the cached ones
         assert scenario._expansion(day, state)[0] is got[0]

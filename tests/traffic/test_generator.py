@@ -102,6 +102,21 @@ class TestVolumes:
         v1 = gen.volumes_for_hour(5)
         v2 = gen.volumes_for_hour(5)
         assert np.array_equal(v1, v2)
+        # a different hour in between: the remembered hour moves on, and
+        # hour 5 comes back with the same values
+        v6 = gen.volumes_for_hour(6)
+        assert not np.array_equal(v6, v1)
+        assert np.array_equal(gen.volumes_for_hour(5), v1)
+        assert np.array_equal(gen.volumes_for_hour(6), v6)
+
+    def test_remembered_volumes_are_read_only(self, world):
+        """Every later caller of an hour gets the same array: writing
+        into it would corrupt each later stream of that hour."""
+        *_rest, gen = world
+        vols = gen.volumes_for_hour(7)
+        assert gen.volumes_for_hour(7) is vols
+        with pytest.raises(ValueError):
+            vols[0] = 1.0
 
     def test_inactive_flows_zero(self, world):
         *_rest, gen = world
