@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.base import IngressModel
+from ..core.base import SpillPredictor
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-
-SECONDS_PER_HOUR = 3600.0
+from .monitor import capacity_bytes
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class DepeeringAssessment:
 class DepeeringAnalyzer:
     """What-if analysis of removing whole peers."""
 
-    def __init__(self, wan: CloudWAN, model: IngressModel,
+    def __init__(self, wan: CloudWAN, model: SpillPredictor,
                  safety_threshold: float = 0.85, prediction_k: int = 3):
         self.wan = wan
         self.model = model
@@ -81,25 +80,13 @@ class DepeeringAnalyzer:
                 carried += bytes_
                 affected.append((context, bytes_))
 
-        spill: Dict[int, float] = {}
-        unplaceable = 0.0
-        for context, bytes_ in affected:
-            predictions = self.model.predict(context, self.prediction_k,
-                                             peer_links)
-            score_total = sum(p.score for p in predictions)
-            if score_total <= 0.0:
-                unplaceable += bytes_
-                continue
-            for p in predictions:
-                spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                    bytes_ * p.score / score_total)
+        spill = self.model.what_if(affected, peer_links, self.prediction_k)
+        unplaceable = spill.pop(-1, 0.0)
 
         overloaded = []
         for link_id, extra in spill.items():
-            link = self.wan.link(link_id)
-            capacity_bytes = (link.capacity_gbps * 1e9 / 8.0
-                              * SECONDS_PER_HOUR * hours)
-            projected = (base_load.get(link_id, 0.0) + extra) / capacity_bytes
+            full = capacity_bytes(self.wan.link(link_id).capacity_gbps) * hours
+            projected = (base_load.get(link_id, 0.0) + extra) / full
             if projected > self.safety_threshold:
                 overloaded.append(link_id)
 

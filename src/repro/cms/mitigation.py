@@ -4,8 +4,11 @@ When the monitor flags a congested ingress link, CMS:
 
 1. identifies the fewest destination prefixes (largest first) at the link
    whose shift would bring utilization back under the target,
-2. asks TIPSY where each prefix's flows would land if withdrawn
-   (availability prior = the congested link plus anything already down),
+2. asks TIPSY where each prefix's flows would land if withdrawn — one
+   ``what_if(flows, withdrawn, k)`` call, withdrawn = the congested link
+   plus anything already down, answered alike by a bare model, a
+   :class:`~repro.core.service.TipsyService` or a sharded
+   :class:`~repro.serve.daemon.ServeDaemon`,
 3. withdraws only prefixes whose predicted spill keeps every other link
    under the safety threshold — the whole point of TIPSY: "only inject
    such withdrawal messages when, with high probability, the mitigated
@@ -26,11 +29,11 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
 import numpy as np
 
 from ..bgp.state import AdvertisementState
-from ..core.base import IngressModel
+from ..core.base import SpillPredictor
 from ..pipeline.aggregation import first_seen_sums
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-from .monitor import CongestionEvent, UtilizationMonitor
+from .monitor import CongestionEvent, UtilizationMonitor, capacity_bytes
 
 
 class TrafficSample(NamedTuple):
@@ -66,6 +69,9 @@ class MitigationAction:
     kind: str                 # "withdraw" | "reannounce" | "skip-unsafe"
     link_id: int
     dest_prefix_id: int
+    #: the predicted ``what_if`` spill, by link; bytes no link would take
+    #: appear under link ``-1``, which the safety check ignores (it has
+    #: no capacity)
     predicted_spill: Tuple[Tuple[int, float], ...] = ()
     note: str = ""
 
@@ -98,7 +104,7 @@ class CongestionMitigationSystem:
         self,
         wan: CloudWAN,
         config: Optional[CMSConfig] = None,
-        predictor: Optional[IngressModel] = None,
+        predictor: Optional[SpillPredictor] = None,
         period_seconds: float = 3600.0,
     ):
         self.wan = wan
@@ -151,9 +157,9 @@ class CongestionMitigationSystem:
         event: CongestionEvent,
     ) -> List[MitigationAction]:
         link_id = event.link_id
-        capacity_bytes = self.monitor.capacities[link_id] * 1e9 / 8.0 * (
-            self.monitor.period_seconds)
-        excess = link_bytes.get(link_id, 0.0) - self.config.target * capacity_bytes
+        excess = link_bytes.get(link_id, 0.0) - self.config.target * (
+            capacity_bytes(self.monitor.capacities[link_id],
+                           self.monitor.period_seconds))
         if excess <= 0.0:
             return []
 
@@ -169,8 +175,7 @@ class CongestionMitigationSystem:
                 continue
             volume = sum(bytes_ for _, bytes_ in flows)
             spill = self._predict_spill(state, prefix_id, link_id, flows)
-            if spill is not None and not self._spill_is_safe(
-                    spill, link_bytes):
+            if spill is not None and self._overloaded(spill, link_bytes):
                 plan = None
                 if self.config.coordinated:
                     plan = self._plan_coordinated(
@@ -238,29 +243,13 @@ class CongestionMitigationSystem:
         if self.predictor is None:
             return None
         plan: Set[int] = {link_id}
-        period = self.monitor.period_seconds
         for _ in range(self.config.max_coordinated_links):
-            unavailable = frozenset(
+            unavailable = (
                 plan | state.link_outages | state.withdrawn_links(prefix_id))
-            spill: Dict[int, float] = {}
-            for context, bytes_ in flows:
-                predictions = self.predictor.predict(
-                    context, self.config.prediction_k, unavailable)
-                total_score = sum(p.score for p in predictions)
-                if total_score <= 0.0:
-                    continue
-                for p in predictions:
-                    spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                        bytes_ * p.score / total_score)
-            overloaded = []
-            for target, extra in spill.items():
-                capacity = self.monitor.capacities.get(target)
-                if capacity is None:
-                    continue
-                capacity_bytes = capacity * 1e9 / 8.0 * period
-                projected = (link_bytes.get(target, 0.0) + extra) / capacity_bytes
-                if projected > self.config.safety:
-                    overloaded.append(target)
+            overloaded = self._overloaded(
+                self.predictor.what_if(flows, unavailable,
+                                       self.config.prediction_k),
+                link_bytes)
             if not overloaded:
                 return plan
             plan.update(overloaded)
@@ -281,34 +270,21 @@ class CongestionMitigationSystem:
         """
         if self.predictor is None:
             return None
-        unavailable = frozenset(
-            {link_id} | state.link_outages | state.withdrawn_links(prefix_id))
-        spill: Dict[int, float] = {}
-        for context, bytes_ in flows:
-            predictions = self.predictor.predict(
-                context, self.config.prediction_k, unavailable)
-            if not predictions:
-                continue
-            total_score = sum(p.score for p in predictions)
-            if total_score <= 0.0:
-                continue
-            for p in predictions:
-                spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                    bytes_ * p.score / total_score)
-        return spill
+        return self.predictor.what_if(
+            flows,
+            {link_id} | state.link_outages | state.withdrawn_links(prefix_id),
+            self.config.prediction_k)
 
-    def _spill_is_safe(self, spill: Mapping[int, float],
-                       link_bytes: Mapping[int, float]) -> bool:
-        period = self.monitor.period_seconds
-        for link_id, extra in spill.items():
-            capacity = self.monitor.capacities.get(link_id)
-            if capacity is None:
-                continue
-            capacity_bytes = capacity * 1e9 / 8.0 * period
-            projected = (link_bytes.get(link_id, 0.0) + extra) / capacity_bytes
-            if projected > self.config.safety:
-                return False
-        return True
+    def _overloaded(self, spill: Mapping[int, float],
+                    link_bytes: Mapping[int, float]) -> List[int]:
+        """The links ``spill`` would push over the safety threshold, in
+        spill order; links without a capacity (link ``-1``) are skipped."""
+        capacities = self.monitor.capacities
+        return [target for target, extra in spill.items()
+                if target in capacities
+                and self.monitor.utilization(
+                    target, link_bytes.get(target, 0.0) + extra)
+                > self.config.safety]
 
     # -- re-announcement ----------------------------------------------------------------
 

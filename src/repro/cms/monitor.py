@@ -15,13 +15,19 @@ from typing import Dict, List, Mapping, Optional
 SECONDS_PER_HOUR = 3600.0
 
 
+def capacity_bytes(capacity_gbps: float,
+                   period_seconds: float = SECONDS_PER_HOUR) -> float:
+    """Bytes a link of ``capacity_gbps`` carries at full rate over a
+    sample period."""
+    return capacity_gbps * 1e9 / 8.0 * period_seconds
+
+
 def bytes_to_utilization(bytes_: float, capacity_gbps: float,
                          period_seconds: float = SECONDS_PER_HOUR) -> float:
     """Average utilization fraction over a sample period."""
     if capacity_gbps <= 0.0:
         raise ValueError("capacity must be positive")
-    capacity_bytes = capacity_gbps * 1e9 / 8.0 * period_seconds
-    return bytes_ / capacity_bytes
+    return bytes_ / capacity_bytes(capacity_gbps, period_seconds)
 
 
 @dataclass(frozen=True)

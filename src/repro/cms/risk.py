@@ -36,7 +36,14 @@ class RiskFinding:
 
 
 class RiskAnalyzer:
-    """Runs Algorithm 1 over per-hour traffic observations."""
+    """Runs Algorithm 1 over per-hour traffic observations.
+
+    The one spill sum outside :func:`~repro.core.base.spill_from_groups`,
+    on purpose: ``_pred_cache`` keeps each (context, outage)'s normalised
+    weights across all the hours analysed, where an uncached
+    ``what_if`` per hour would predict them again — the same findings,
+    2-4x slower on the medium world.
+    """
 
     def __init__(
         self,
@@ -167,7 +174,8 @@ class GroupRiskAnalyzer:
 
     Instead of failing one link at a time, fails every link sharing a
     router, metro, or peer — the "single router or single site outages"
-    the paper says the same machinery analyzes.
+    the paper says the same machinery analyzes.  Keeps its own cached
+    spill sum for the reason :class:`RiskAnalyzer` does.
     """
 
     GROUPINGS = ("router", "metro", "peer")

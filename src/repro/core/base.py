@@ -4,12 +4,19 @@ All TIPSY models share one interface: given a flow context, a budget of
 ``k`` links, and a prior of currently-unavailable links (the withdrawal /
 outage being evaluated, paper §5.3.1), return up to ``k`` ranked links
 with the predicted fraction of the flow's bytes on each.
+
+Every model also answers the CMS's safety question (paper §4.4),
+``what_if(flows, withdrawn, k)``, through the package's one spill sum,
+:func:`spill_from_groups`, which the service and the daemon share.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
+                    NamedTuple, Optional, Protocol, Sequence, Tuple)
+
+import numpy as np
 
 from ..pipeline.records import FlowContext
 
@@ -21,6 +28,83 @@ class Prediction(NamedTuple):
 
     link_id: int
     score: float
+
+
+def group_flows(
+    group_key: Callable[[FlowContext], object],
+    flows: Sequence[Tuple[FlowContext, float]],
+) -> Tuple[List[FlowContext], List[float]]:
+    """Group byte-weighted flows by a model's feature key.
+
+    Returns aligned (representative contexts, summed bytes) in
+    first-occurrence order.  Every ``what_if`` — a model's, the
+    service's and the sharded daemon's (:mod:`repro.serve`) — groups
+    through this one function, so their byte accumulation order, and
+    therefore their float sums, are identical by construction.
+    """
+    group_index: Dict[object, int] = {}
+    group_contexts: List[FlowContext] = []
+    group_bytes: List[float] = []
+    for context, bytes_ in flows:
+        key = group_key(context)
+        index = group_index.get(key)
+        if index is None:
+            group_index[key] = len(group_contexts)
+            group_contexts.append(context)
+            group_bytes.append(bytes_)
+        else:
+            group_bytes[index] += bytes_
+    return group_contexts, group_bytes
+
+
+def spill_from_groups(
+    groups: Iterable[Tuple[Sequence[Prediction], float]],
+) -> Dict[int, float]:
+    """Per-link byte spill from grouped predictions.
+
+    The accumulation half of ``what_if``: byte-weight each group's
+    predictions by score, sum per link with numpy, and report bytes with
+    no prediction under link id ``-1``.  The one spill sum of the
+    package: every ``what_if`` ends here, so all of them produce
+    bit-identical spill for the same groups in the same order.
+    """
+    link_ids: List[int] = []
+    link_weights: List[float] = []
+    unplaceable = 0.0
+    for predictions, bytes_ in groups:
+        total = sum(p.score for p in predictions)
+        if total <= 0.0:
+            unplaceable += bytes_
+            continue
+        for p in predictions:
+            link_ids.append(p.link_id)
+            link_weights.append(bytes_ * p.score / total)
+    spill: Dict[int, float] = {}
+    if link_ids:
+        links = np.asarray(link_ids, dtype=np.int64)
+        unique, inverse = np.unique(links, return_inverse=True)
+        sums = np.bincount(inverse.ravel(),
+                           weights=np.asarray(link_weights,
+                                              dtype=np.float64),
+                           minlength=len(unique))
+        spill = {int(link): float(total_)
+                 for link, total_
+                 in zip(unique.tolist(), sums.tolist())}
+    if unplaceable > 0.0:
+        spill[-1] = spill.get(-1, 0.0) + unplaceable
+    return spill
+
+
+class SpillPredictor(Protocol):
+    """Whatever answers the CMS's safety question: every
+    :class:`IngressModel`, :class:`~repro.core.service.TipsyService` and
+    :class:`~repro.serve.daemon.ServeDaemon`."""
+
+    def what_if(self, flows: Sequence[Tuple[FlowContext, float]],
+                withdrawn: AbstractSet[int], k: int) -> Dict[int, float]:
+        """Predicted per-link byte spill if ``withdrawn`` links go away;
+        bytes with no prediction under link id ``-1``."""
+        ...
 
 
 class IngressModel(abc.ABC):
@@ -48,6 +132,21 @@ class IngressModel(abc.ABC):
                        unavailable: FrozenSet[int] = NO_LINKS) -> bool:
         """Whether :meth:`predict` would return at least one link."""
         return bool(self.predict(context, 1, unavailable))
+
+    def what_if(self, flows: Sequence[Tuple[FlowContext, float]],
+                withdrawn: AbstractSet[int], k: int) -> Dict[int, float]:
+        """Predicted per-link byte spill of ``flows`` if ``withdrawn``
+        links go away (paper §4.4), byte-weighted by prediction scores;
+        bytes with no prediction are returned under link id ``-1``.
+
+        Each distinct :meth:`group_key` among the flows is predicted
+        once, with ``withdrawn`` as the availability prior.
+        """
+        prior = frozenset(withdrawn)
+        group_contexts, group_bytes = group_flows(self.group_key, flows)
+        return spill_from_groups(
+            (self.predict(context, k, prior), bytes_)
+            for context, bytes_ in zip(group_contexts, group_bytes))
 
     def group_key(self, context: FlowContext) -> object:
         """A hashable key under which this model's predictions are constant.

@@ -55,17 +55,16 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union, cast)
-
-import numpy as np
+from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union, cast)
 
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
 from ..util.cache import AnswerMemo
-from .base import NO_LINKS, IngressModel, Prediction
+from .base import (NO_LINKS, IngressModel, Prediction, group_flows,
+                   spill_from_groups)
 from .ensemble import SequentialEnsemble
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
 from .geo_augment import GeoAugmentedModel
@@ -74,71 +73,6 @@ from .training import DayCounts, KeyedTable, fold_keyed
 
 #: one flow's (or flow group's) answer, as the memo keeps it
 Answer = Tuple[Prediction, ...]
-#: flow-group answer: the group's predictions plus its summed bytes
-GroupAnswer = Tuple[Answer, float]
-
-
-def group_flows(
-    group_key: Callable[[FlowContext], object],
-    flows: Sequence[Tuple[FlowContext, float]],
-) -> Tuple[List[FlowContext], List[float]]:
-    """Group byte-weighted flows by a model's feature key.
-
-    Returns aligned (representative contexts, summed bytes) in
-    first-occurrence order.  Both the single-process ``what_if`` and the
-    sharded daemon (:mod:`repro.serve`) group through this one function,
-    so their byte accumulation order — and therefore their float sums —
-    are identical by construction.
-    """
-    group_index: Dict[object, int] = {}
-    group_contexts: List[FlowContext] = []
-    group_bytes: List[float] = []
-    for context, bytes_ in flows:
-        key = group_key(context)
-        index = group_index.get(key)
-        if index is None:
-            group_index[key] = len(group_contexts)
-            group_contexts.append(context)
-            group_bytes.append(bytes_)
-        else:
-            group_bytes[index] += bytes_
-    return group_contexts, group_bytes
-
-
-def spill_from_groups(groups: Iterable[GroupAnswer]) -> Dict[int, float]:
-    """Per-link byte spill from grouped predictions.
-
-    The accumulation half of ``what_if``: byte-weight each group's
-    predictions by score, sum per link with numpy, and report bytes with
-    no prediction under link id ``-1``.  Shared by
-    :meth:`TipsyService.what_if` and the sharded daemon so both paths
-    produce bit-identical spill for the same groups in the same order.
-    """
-    link_ids: List[int] = []
-    link_weights: List[float] = []
-    unplaceable = 0.0
-    for predictions, bytes_ in groups:
-        total = sum(p.score for p in predictions)
-        if total <= 0.0:
-            unplaceable += bytes_
-            continue
-        for p in predictions:
-            link_ids.append(p.link_id)
-            link_weights.append(bytes_ * p.score / total)
-    spill: Dict[int, float] = {}
-    if link_ids:
-        links = np.asarray(link_ids, dtype=np.int64)
-        unique, inverse = np.unique(links, return_inverse=True)
-        sums = np.bincount(inverse.ravel(),
-                           weights=np.asarray(link_weights,
-                                              dtype=np.float64),
-                           minlength=len(unique))
-        spill = {int(link): float(total_)
-                 for link, total_
-                 in zip(unique.tolist(), sums.tolist())}
-    if unplaceable > 0.0:
-        spill[-1] = spill.get(-1, 0.0) + unplaceable
-    return spill
 
 #: snapshot layout version, stamped into the store manifest meta; bump
 #: on any change to segment naming, column sets, or the state dict
@@ -540,10 +474,9 @@ class TipsyService:
         (unplaceable).
 
         Flows are grouped by the withdrawal model's feature key: each
-        distinct key is predicted once and the spill is accumulated with
-        numpy over the grouped byte totals.  See
-        :meth:`what_if_per_flow` for the walk-one-flow-at-a-time
-        reference implementation this is tested against.
+        distinct key is answered once (from the memo, else the model)
+        and the spill is accumulated by :func:`spill_from_groups` — bit
+        for bit the withdrawal model's own :meth:`IngressModel.what_if`.
         """
         if obs.enabled():
             obs.count("service.what_if.calls")
@@ -575,28 +508,6 @@ class TipsyService:
         suite = self._published
         return suite.memo.day, self._answer(suite, name, contexts, k,
                                             frozenset(prior))
-
-    def what_if_per_flow(
-        self,
-        flows: Sequence[Tuple[FlowContext, float]],
-        withdrawn: AbstractSet[int],
-        k: Optional[int] = None,
-    ) -> Dict[int, float]:
-        """Reference ``what_if``: one model walk per flow, no batching."""
-        k = k or self.config.prediction_k
-        prior = frozenset(withdrawn)
-        model = self.model(self.config.withdrawal_model)
-        spill: Dict[int, float] = {}
-        for context, bytes_ in flows:
-            predictions = model.predict(context, k, prior)
-            total = sum(p.score for p in predictions)
-            if total <= 0.0:
-                spill[-1] = spill.get(-1, 0.0) + bytes_
-                continue
-            for p in predictions:
-                spill[p.link_id] = spill.get(p.link_id, 0.0) + (
-                    bytes_ * p.score / total)
-        return spill
 
     # -- observability -------------------------------------------------------------
 

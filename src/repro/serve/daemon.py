@@ -20,8 +20,8 @@ order.  Two worker modes share every other code path, the shard server
 single-process service fed the same stream: every model grain keys on
 ``src_asn``, so a shard's counts for its keys equal the unsharded
 service's counts for the same keys, and ``what_if`` re-runs the exact
-:func:`~repro.core.service.group_flows` /
-:func:`~repro.core.service.spill_from_groups` accumulation parent-side
+:func:`~repro.core.base.group_flows` /
+:func:`~repro.core.base.spill_from_groups` accumulation parent-side
 over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
 
 **Warm reads.**  Callers repeat their questions, so the daemon keeps
@@ -66,10 +66,10 @@ from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
                     Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
                     cast)
 
-from ..core.base import NO_LINKS, Prediction
+from ..core.base import (NO_LINKS, Prediction, group_flows,
+                         spill_from_groups)
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
-from ..core.service import (Answer, Memo, ServiceConfig, group_flows,
-                            spill_from_groups)
+from ..core.service import Answer, Memo, ServiceConfig
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN

@@ -138,6 +138,24 @@ class TestTipsyGuidedCMS:
         spilled_links = [l for l, _b in withdraw.predicted_spill]
         assert 2 in spilled_links
 
+    def test_unplaceable_bytes_recorded_under_link_minus_one(self, wan):
+        # flows 102 and 103 were only ever seen at the congested link:
+        # withdrawn there, no link would take them
+        model = HistoricalModel(FEATURES_AP)
+        for i in range(4):
+            model.observe(ctx(100 + i), 0, 100.0)
+        for i in range(2):
+            model.observe(ctx(100 + i), 2, 10.0)
+        cms = CongestionMitigationSystem(
+            wan, CMSConfig(coordinated=False), predictor=model)
+        state = AdvertisementState(wan)
+        actions = cms.handle_sample(0, state, sample(entries_at(0, 0.9)))
+        withdraw = next(a for a in actions if a.kind == "withdraw")
+        half = 0.9 * GBPS_HOUR / 2
+        assert dict(withdraw.predicted_spill) == {
+            -1: pytest.approx(half), 2: pytest.approx(half)}
+        assert not state.is_available(0, 0)
+
 
 class TestReannouncement:
     def test_reannounce_after_volume_drops(self, wan):

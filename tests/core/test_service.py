@@ -13,6 +13,8 @@ from repro.topology import (
     Region,
 )
 
+from tests.core.spill_reference import what_if_per_flow
+
 
 def rec(hour, link, prefix, bytes_=100.0):
     return AggRecord(hour, link, 1, prefix, 0, 0, 0, bytes_)
@@ -20,6 +22,12 @@ def rec(hour, link, prefix, bytes_=100.0):
 
 def ctx(prefix):
     return FlowContext(1, prefix, 0, 0, 0)
+
+
+def per_flow(service, flows, withdrawn):
+    """The per-flow reference over the service's withdrawal model."""
+    return what_if_per_flow(service.model(service.config.withdrawal_model),
+                            flows, withdrawn, service.config.prediction_k)
 
 
 @pytest.fixture()
@@ -204,7 +212,7 @@ class TestBatchedQueries:
                  (ctx(1), 125.0)]
         withdrawn = frozenset({0})
         batched = service.what_if(flows, withdrawn)
-        reference = service.what_if_per_flow(flows, withdrawn)
+        reference = per_flow(service, flows, withdrawn)
         assert set(batched) == set(reference)
         for link, bytes_ in reference.items():
             assert batched[link] == pytest.approx(bytes_)
@@ -221,9 +229,9 @@ class TestBatchedQueries:
             [(ctx(9), 100.0), (ctx(9), 11.0), (ctx(8), 5.0)],
             withdrawn=frozenset(wan.link_ids))
         assert spill == {-1: 116.0}
-        assert service.what_if_per_flow(
-            [(ctx(9), 100.0), (ctx(9), 11.0), (ctx(8), 5.0)],
-            withdrawn=frozenset(wan.link_ids)) == {-1: 116.0}
+        assert per_flow(
+            service, [(ctx(9), 100.0), (ctx(9), 11.0), (ctx(8), 5.0)],
+            frozenset(wan.link_ids)) == {-1: 116.0}
 
 
 class TestPredictionMemo:
@@ -273,7 +281,7 @@ class TestPredictionMemo:
                 == service.predict(ctx(1), unavailable=frozenset({0})))
         flows = [(ctx(1), 50.0)]
         assert (service.what_if(flows, withdrawn={0})
-                == service.what_if_per_flow(flows, withdrawn={0}))
+                == per_flow(service, flows, {0}))
         batch = service.predict_batch([ctx(1)], unavailable={0})
         assert batch[0] == service.predict(ctx(1), unavailable=frozenset({0}))
 
@@ -390,7 +398,7 @@ class TestReadPathCounts:
         # group's bytes, the group's context once more on the miss
         assert withdrawal.predicted == [ctx(1)]
         assert withdrawal.keyed == len(flows) + 1
-        assert first == service.what_if_per_flow(flows, {0})
+        assert first == per_flow(service, flows, {0})
         withdrawal.predicted.clear()
         withdrawal.keyed = 0
         asked = self._asked(service)
@@ -408,3 +416,55 @@ class TestReadPathCounts:
             service.model(service.config.primary_model).predict(c, 3)
             for c in self.BATCH]
         assert len(primary.predicted) == 4  # nothing new since the retrain
+
+
+SERVED_MODELS = ("Hist_AP", "Hist_AL", "Hist_A", "Hist_AL+G", "Hist_AP/AL/A")
+
+
+@pytest.fixture(scope="module")
+def scenario_week(small_scenario):
+    """Three days of aggregated hours plus the flows of hour 72."""
+    sc = small_scenario
+    hours = list(sc.aggregated_hours(0, 3 * 24))
+    sample = sc.traffic_entries_for(next(iter(sc.stream(3 * 24, 3 * 24 + 1))))
+    flows = [(sample.contexts[row], bytes_)
+             for row, bytes_ in zip(sample.flow_rows.tolist(),
+                                    sample.bytes.tolist())]
+    return sc, hours, flows
+
+
+def trained_on(scenario_week, withdrawal_model):
+    sc, hours, _flows = scenario_week
+    service = TipsyService(sc.wan, ServiceConfig(
+        training_window_days=5, withdrawal_model=withdrawal_model))
+    for columns in hours:
+        service.ingest_hour(columns.hour, columns)
+    service.ingest_hour(3 * 24, [])
+    assert service.ready
+    return service
+
+
+class TestModelWhatIf:
+    """Every served model answers ``what_if`` itself: bit for bit the
+    service's answer when it is the withdrawal model, and the per-flow
+    reference's to rounding."""
+
+    @pytest.mark.parametrize("name", SERVED_MODELS)
+    def test_model_what_if_is_the_service_what_if(self, scenario_week,
+                                                   name):
+        sc, _hours, flows = scenario_week
+        service = trained_on(scenario_week, name)
+        model = service.model(name)
+        k = service.config.prediction_k
+        links = sorted(sc.wan.link_ids)
+        for withdrawn in (frozenset(), frozenset(links[:3]),
+                          frozenset(links)):
+            spill = model.what_if(flows, withdrawn, k)
+            assert spill == service.what_if(flows, withdrawn, k)
+            reference = what_if_per_flow(model, flows, withdrawn, k)
+            assert set(spill) == set(reference)
+            for link, bytes_ in reference.items():
+                assert spill[link] == pytest.approx(bytes_, rel=1e-12)
+        assert model.what_if(flows, frozenset(links), k) == {
+            -1: pytest.approx(sum(bytes_ for _c, bytes_ in flows))}
+        assert model.what_if([], frozenset(links[:1]), k) == {}

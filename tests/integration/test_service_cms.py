@@ -1,4 +1,9 @@
-"""Integration: the TipsyService plugged into the CMS, end to end."""
+"""Integration: the TipsyService plugged into the CMS, end to end.
+
+CMS asks its predictor one question, ``what_if(flows, withdrawn, k)``;
+a bare model, the service and the sharded daemon all answer it, and a
+CMS loop driven by any of them records the same decisions.
+"""
 
 import pytest
 
@@ -6,11 +11,15 @@ from repro.bgp import AdvertisementState
 from repro.cms import CMSConfig, CongestionMitigationSystem
 from repro.core import ServiceConfig, TipsyService
 from repro.pipeline import HourlyAggregator
+from repro.serve import DaemonConfig, ServeDaemon
+
+#: the CMS loop runs live over days 3-5, after three training days
+LIVE = (3 * 24, 6 * 24)
 
 
 class TestServiceDrivesCms:
     def test_service_as_cms_predictor(self, small_scenario):
-        """The service satisfies the CMS's predictor interface: the
+        """The service answers the CMS's ``what_if``: the
         whole §4 loop — ingest, retrain daily, answer safety queries —
         composes without glue code."""
         sc = small_scenario
@@ -63,3 +72,58 @@ class TestServiceDrivesCms:
         total = sum(b for _c, b in flows)
         assert sum(spill.values()) == pytest.approx(total)
         assert hot not in spill
+
+
+def trained(scenario, predictor):
+    """Feed ``predictor`` (a service or a daemon) the training days."""
+    for columns in scenario.aggregated_hours(0, LIVE[0]):
+        predictor.ingest_hour(columns.hour, columns)
+    return predictor
+
+
+def cms_loop(scenario, predictor, feed=None):
+    """The CMS's actions over the live hours; ``feed``, if given, is
+    handed each live hour's aggregate before the CMS acts on it."""
+    cms = CongestionMitigationSystem(scenario.wan, CMSConfig(),
+                                     predictor=predictor)
+    state = AdvertisementState(scenario.wan)
+    aggregator = HourlyAggregator(scenario.metadata,
+                                  encoders=scenario.encoders)
+    for cols in scenario.stream(*LIVE, state=state):
+        if feed is not None:
+            feed(cols.hour, aggregator.aggregate_hour_columns(
+                cols.hour, *scenario.ipfix_columns_for(cols)))
+        cms.handle_sample(cols.hour, state,
+                          scenario.traffic_entries_for(cols))
+    return cms.actions
+
+
+class TestOnePredictorQuestion:
+    def test_daemon_drives_cms_like_the_service(self, small_scenario):
+        """72 live hours through a 2-shard daemon and through the one
+        service it is bit-identical to: the same actions, spill and all."""
+        sc = small_scenario
+        config = ServiceConfig(training_window_days=5)
+        service = trained(sc, TipsyService(sc.wan, config))
+        expected = cms_loop(sc, service, service.ingest_hour)
+        assert any(a.kind != "reannounce" for a in expected)
+        with ServeDaemon(sc.wan, DaemonConfig(
+                n_shards=2, workers="inline", service=config)) as daemon:
+            trained(sc, daemon)
+
+            def feed(hour, columns):
+                daemon.ingest_hour(hour, columns)
+                daemon.drain()
+
+            assert cms_loop(sc, daemon, feed) == expected
+
+    def test_service_and_its_withdrawal_model_decide_alike(
+            self, small_scenario):
+        sc = small_scenario
+        service = trained(sc, TipsyService(
+            sc.wan, ServiceConfig(training_window_days=5)))
+        service.ingest_hour(LIVE[0], [])   # roll the day: train on 0-2
+        model = service.model(service.config.withdrawal_model)
+        actions = cms_loop(sc, service)
+        assert any(a.predicted_spill for a in actions)
+        assert cms_loop(sc, model) == actions
