@@ -55,10 +55,8 @@ def test_aggregation_compression(paper_scenario, benchmark):
 def test_single_pass_training(paper_train_counts, benchmark):
     """Training the three historical models is one pass over counts."""
     def train_suite():
-        models = [HistoricalModel(FEATURES_A), HistoricalModel(FEATURES_AP),
-                  HistoricalModel(FEATURES_AL)]
-        paper_train_counts.fit(models)
-        return models
+        return [HistoricalModel.from_arrays(paper_train_counts.project(fs), fs)
+                for fs in (FEATURES_A, FEATURES_AP, FEATURES_AL)]
 
     models = benchmark.pedantic(train_suite, rounds=1, iterations=1)
     sizes = {m.name: m.size() for m in models}

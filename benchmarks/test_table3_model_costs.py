@@ -7,6 +7,7 @@ historical model's size.  This benchmark measures all of it on the
 full-size training set and checks the orderings.
 """
 
+import itertools
 import time
 
 from repro.core import (
@@ -21,10 +22,20 @@ from repro.experiments import tables
 from repro.experiments.benchlib import print_block
 
 
-def _train(model, counts):
+def _train_historical(feature_set, counts):
     start = time.perf_counter()
-    counts.fit([model])
-    return time.perf_counter() - start
+    model = HistoricalModel.from_arrays(counts.project(feature_set),
+                                        feature_set)
+    return model, time.perf_counter() - start
+
+
+def _train_naive_bayes(feature_set, counts):
+    start = time.perf_counter()
+    model = NaiveBayesModel(feature_set)
+    for context, link_id, bytes_ in counts.rows():
+        model.observe(context, link_id, bytes_)
+    model.finalize()
+    return model, time.perf_counter() - start
 
 
 def _predict_micros(model, contexts, k=3):
@@ -36,23 +47,20 @@ def _predict_micros(model, contexts, k=3):
 
 def test_table3_and_11_model_costs(paper_train_counts, benchmark):
     counts = paper_train_counts
-    contexts = [context for (context, _link) in
-                list(counts.counts)[:2000]]
+    contexts = [context for context, _link, _bytes in
+                itertools.islice(counts.rows(), 2000)]
 
-    hist_models = {
-        "Hist_A": HistoricalModel(FEATURES_A),
-        "Hist_AP": HistoricalModel(FEATURES_AP),
-        "Hist_AL": HistoricalModel(FEATURES_AL),
-    }
-    nb_models = {
-        "NB_A": NaiveBayesModel(FEATURES_A),
-        "NB_AL": NaiveBayesModel(FEATURES_AL),
-    }
+    models = {}
     rows = []
-    for name, model in {**hist_models, **nb_models}.items():
-        train_s = _train(model, counts)
+    for train, feature_set in (
+            (_train_historical, FEATURES_A), (_train_historical, FEATURES_AP),
+            (_train_historical, FEATURES_AL), (_train_naive_bayes, FEATURES_A),
+            (_train_naive_bayes, FEATURES_AL)):
+        model, train_s = train(feature_set, counts)
+        models[model.name] = model
         predict_us = _predict_micros(model, contexts)
-        rows.append(tables.CostRow(name, train_s, predict_us, model.size()))
+        rows.append(tables.CostRow(model.name, train_s, predict_us,
+                                   model.size()))
     print_block(tables.format_block(
         "Tables 3/11 — measured model costs", rows, tables.COST_HEADER))
 
@@ -67,6 +75,6 @@ def test_table3_and_11_model_costs(paper_train_counts, benchmark):
             < by_name["NB_AL"].predict_micros)
 
     # benchmark the O(1) lookup itself
-    hist_ap = hist_models["Hist_AP"]
+    hist_ap = models["Hist_AP"]
     sample = contexts[0]
     benchmark(hist_ap.predict, sample, 3)

@@ -38,14 +38,13 @@ def main() -> None:
     # --- the offline training path ------------------------------------------
     print("training from the trace (no simulator in sight) ...")
     counts = counts_from_trace(trace_path, scenario.metadata)
-    hist_ap = HistoricalModel(FEATURES_AP)
-    hist_al = HistoricalModel(FEATURES_AL)
-    counts.fit([hist_ap, hist_al])
+    hist_ap, hist_al = (HistoricalModel.from_arrays(counts.project(fs), fs)
+                        for fs in (FEATURES_AP, FEATURES_AL))
     print(f"  {len(counts)} (flow, link) observations -> "
           f"Hist_AP: {hist_ap.size()} tuples, Hist_AL: {hist_al.size()}")
 
     # --- query and persist ----------------------------------------------------
-    context = next(iter(counts.actuals()))
+    context, _link, _bytes = next(counts.rows())
     predictions = hist_ap.predict(context, 3)
     print(f"\nprediction for {context}:")
     for p in predictions:

@@ -36,7 +36,7 @@ def main() -> None:
                       for m in models[:3]))
 
     # -- make a prediction for one real flow ---------------------------------
-    context = next(iter(train_counts.actuals()))
+    context, _link, _bytes = next(train_counts.rows())
     model = by_name["Hist_AP/AL/A"]
     print(f"\nflow {context}:")
     predictions = model.predict(context, k=3)

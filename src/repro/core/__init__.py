@@ -32,7 +32,6 @@ from .accuracy import (
     total_bytes,
     volume_matched_bytes,
 )
-from .training import CountsAccumulator
 from .anomaly import (
     AnomalyDetectorConfig,
     AnomalyVerdict,
@@ -50,5 +49,4 @@ __all__ = [
     "GeoAugmentedModel", "OracleModel",
     "ActualsMap", "accuracy_table", "evaluate_accuracy", "matched_bytes",
     "merge_actuals", "total_bytes", "volume_matched_bytes",
-    "CountsAccumulator",
 ]

@@ -17,7 +17,7 @@ Two variants:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 from ..pipeline.records import FlowContext
 from .base import NO_LINKS, IngressModel, Prediction
@@ -42,6 +42,26 @@ def volume_matched_bytes(actual_by_link: Mapping[int, float],
     )
 
 
+def score_bytes(actuals: ActualsMap, model: IngressModel, k: int,
+                unavailable: FrozenSet[int] = NO_LINKS,
+                strict_volumes: bool = False) -> Tuple[float, float]:
+    """``(matched bytes, total bytes)`` behind :func:`evaluate_accuracy`:
+    the one scoring loop, which the evaluation runner also sums across
+    an outage partition's slices before dividing."""
+    matcher = volume_matched_bytes if strict_volumes else matched_bytes
+    total = 0.0
+    matched = 0.0
+    for context, by_link in actuals.items():
+        flow_bytes = sum(by_link.values())
+        if flow_bytes <= 0.0:
+            continue
+        total += flow_bytes
+        predictions = model.predict(context, k, unavailable)
+        if predictions:
+            matched += matcher(by_link, predictions)
+    return matched, total
+
+
 def evaluate_accuracy(
     actuals: ActualsMap,
     model: IngressModel,
@@ -62,17 +82,8 @@ def evaluate_accuracy(
     Returns:
         Matched bytes / total bytes, in [0, 1].  0.0 if there are no bytes.
     """
-    matcher = volume_matched_bytes if strict_volumes else matched_bytes
-    total = 0.0
-    matched = 0.0
-    for context, by_link in actuals.items():
-        flow_bytes = sum(by_link.values())
-        if flow_bytes <= 0.0:
-            continue
-        total += flow_bytes
-        predictions = model.predict(context, k, unavailable)
-        if predictions:
-            matched += matcher(by_link, predictions)
+    matched, total = score_bytes(actuals, model, k, unavailable,
+                                 strict_volumes)
     if total <= 0.0:
         return 0.0
     return matched / total

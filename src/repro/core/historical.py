@@ -11,12 +11,14 @@ the ensembles of :mod:`repro.core.ensemble` exist.
 
 There is one training discipline: ``observe`` everything (plain float
 accumulation, in the order given), ``finalize`` once, then only read.
-The offline runner trains that way record by record; the rolling-window
-service folds its window into columns and hands them to
-:meth:`HistoricalModel.from_arrays`, which is the same build without the
-per-observation calls.  Nothing is ever taken back out of a model: a
-retrain is a new model, so a trained one is never written to again and
-is safe to serve from while its successor is built.
+Every model the tree builds — served by the rolling-window service or
+scored by the offline paper tables — comes from a ``DayCounts``
+projection handed to :meth:`HistoricalModel.from_arrays`, which is the
+same build without the per-observation calls; ``observe`` stays as the
+``TrainableModel`` interface Naive Bayes shares and the record-path
+build the tests compare against.  Nothing is ever taken back out of a
+model: a retrain is a new model, so a trained one is never written to
+again and is safe to serve from while its successor is built.
 """
 
 from __future__ import annotations

@@ -6,40 +6,39 @@ collected at the finest granularity once; each model then trains from
 the projection onto its own feature set, so a whole model suite costs
 one streaming pass plus cheap in-memory fits.
 
-:class:`DayCounts` holds them for the serving path — one keyed columnar
-table per rolling-window day, fed ``AggColumns`` and folded, projected,
-snapshotted and restored without per-row Python; :func:`fold_keyed` is
-the group-and-sum a projection and the window fold behind each retrain
-are made of, and what an arriving hour's fold equals: the day table finds
-the rows an hour's keys already have by binary search (``SortedTable``).
-:class:`CountsAccumulator` is the dict form the offline paper-table
-runner and ``counts_from_trace`` fit from; its ``consume_hour`` +
-``project`` + ``to_arrays`` are the record-path reference ``DayCounts``
-is tested bit for bit against, as ``aggregate_hour`` is for
+:class:`DayCounts` is the one finest-grain counts type: a keyed columnar
+table fed ``AggColumns`` and folded, projected, snapshotted and restored
+without per-row Python — one per rolling-window day in the service, one
+per train window, test slice or trace in the offline paper tables, and
+every historical model trains from its projection through
+``HistoricalModel.from_arrays``.  :func:`fold_keyed` is the group-and-sum
+a projection and the window fold behind each retrain are made of, and
+what an arriving hour's fold equals: the day table finds the rows an
+hour's keys already have by binary search (``SortedTable``).  The dict
+form it replaced is the record-path reference it is tested bit for bit
+against (``tests/core/counts_oracle.py``), as ``aggregate_hour`` is for
 ``aggregate_hour_columns``.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, Mapping, Optional,
+from typing import (TYPE_CHECKING, Dict, Iterator, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
 from ..pipeline.aggregation import SortedTable, first_seen_sums
-from ..pipeline.records import AggColumns, AggRecord, FlowContext
-from ..store.codec import encode_keyed_table, key_column_names
-from .base import TrainableModel
+from ..pipeline.records import AggColumns, FlowContext
+from ..store.codec import key_column_names
 
 if TYPE_CHECKING:  # avoids the pipeline <-> core import cycle at runtime
+    from numpy.typing import ArrayLike
+
     from .features import FeatureSet
 
 #: a keyed table as ``store.codec`` lays it out: ``k0..k<n-1>`` (int64)
 #: and ``value`` (float64), aligned, one row per distinct key
 KeyedTable = Dict[str, np.ndarray]
-
-#: one day's counts projected onto a feature grain: key -> link -> bytes
-GrainProjection = Dict[Tuple[object, ...], Dict[int, float]]
 
 #: columns of the day table: the 5 FlowContext fields + link id
 _KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
@@ -155,11 +154,10 @@ class DayCounts:
 
         ``k0..k<n-1>`` the grain's fields, ``k<n>`` the link id and
         ``value`` the bytes, one row per distinct (feature key, link) in
-        first-seen order with bytes added in row order — the sums, keys
-        and per-key link order :meth:`CountsAccumulator.project` holds
-        as a nested dict.  The rolling-window service projects each
-        completed day once and folds the window's projections into
-        every retrain.
+        first-seen order with bytes added in row order — what
+        ``HistoricalModel.from_arrays`` builds a model from.  The
+        rolling-window service projects each completed day once and
+        folds the window's projections into every retrain.
         """
         columns = [self._table[_KEY_NAMES[FlowContext._fields.index(name)]]
                    for name in feature_set.fields]
@@ -167,6 +165,30 @@ class DayCounts:
         grain = dict(zip(key_column_names(len(columns)), columns),
                      value=self._table["value"])
         return fold_keyed((grain,), len(columns))
+
+    def __len__(self) -> int:
+        """Distinct (flow context, link) keys held."""
+        return len(self._table["value"])
+
+    def rows(self) -> Iterator[Tuple[FlowContext, int, float]]:
+        """``(flow context, link id, bytes)`` per row, in row order."""
+        *fields, links = (self._table[name].tolist() for name in _KEY_NAMES)
+        return zip(map(FlowContext._make, zip(*fields)), links,
+                   self._table["value"].tolist())
+
+    def top1_links(self) -> Dict[FlowContext, int]:
+        """Each flow context's byte-dominant link (the §5.3 partitioning
+        key), equal bytes going to the lower link id: with the rows
+        ranked by bytes down and link up, each context's first row."""
+        *contexts, links = (self._table[name] for name in _KEY_NAMES)
+        values = self._table["value"]
+        order = np.lexsort((links, -values))
+        rep, _ = first_seen_sums([column[order] for column in contexts],
+                                 values[order])
+        best = order[rep]
+        return dict(zip(map(FlowContext._make, zip(*(
+            column[best].tolist() for column in contexts))),
+            links[best].tolist()))
 
     # -- columnar persistence ----------------------------------------------
 
@@ -199,92 +221,17 @@ class DayCounts:
         table._table = dict(zip(_KEY_NAMES, keys), value=values)
         return table
 
-
-class CountsAccumulator:
-    """Finest-grain (flow context, link) -> bytes accumulator.
-
-    Sits directly on the aggregated hourly stream: one
-    :meth:`consume_hour` per hour of :class:`AggRecord`, per-key sums
-    accumulated in input order.
-    """
-
-    def __init__(self):
-        self.counts: Dict[Tuple[FlowContext, int], float] = {}
-
-    def consume_hour(self, hour: int, records: Sequence[AggRecord]) -> None:
-        counts = self.counts
-        for record in records:
-            key = (record.context, record.link_id)
-            counts[key] = counts.get(key, 0.0) + record.bytes
-
-    def add(self, context: FlowContext, link_id: int, bytes_: float) -> None:
-        if bytes_ <= 0.0:
-            return
-        key = (context, link_id)
-        self.counts[key] = self.counts.get(key, 0.0) + bytes_
-
-    # -- columnar persistence ----------------------------------------------
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The accumulated counts as :meth:`DayCounts.to_arrays` columns.
-
-        One row per (flow context, link) key, in accumulation order:
-        ``k0..k4`` are the context fields, ``k5`` the link id, ``value``
-        the byte count.
-        """
-        flat: Dict[Tuple[int, ...], float] = {
-            (*context, link_id): bytes_
-            for (context, link_id), bytes_ in self.counts.items()}
-        return encode_keyed_table(flat, len(_KEY_NAMES))
-
-    def total_bytes(self) -> float:
-        return sum(self.counts.values())
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    # -- consumers -------------------------------------------------------------
-
-    def fit(self, models: Iterable[TrainableModel]) -> None:
-        """Train models from the accumulated counts (single pass each)."""
-        models = list(models)
-        for (context, link_id), bytes_ in self.counts.items():
-            for model in models:
-                model.observe(context, link_id, bytes_)
-        for model in models:
-            model.finalize()
-
-    def project(self, feature_set: "FeatureSet") -> GrainProjection:
-        """Aggregate the counts onto a model's feature grain.
-
-        Returns ``{feature key: {link_id: bytes}}``, folding contexts in
-        accumulation order — a deterministic function of this
-        accumulator's contents.  The offline form of
-        :meth:`DayCounts.project`: feeding a window's projections to
-        ``observe_aggregate`` day by day trains the models the serving
-        path folds from columns.
-        """
-        key_of = feature_set.key
-        out: GrainProjection = {}
-        for (context, link_id), bytes_ in self.counts.items():
-            links = out.setdefault(key_of(context), {})
-            links[link_id] = links.get(link_id, 0.0) + bytes_
-        return out
-
-    def actuals(self) -> Dict[FlowContext, Dict[int, float]]:
-        """Reshape into the evaluation :data:`ActualsMap` layout."""
-        out: Dict[FlowContext, Dict[int, float]] = {}
-        for (context, link_id), bytes_ in self.counts.items():
-            # (context, link) keys are unique, so a straight assignment
-            # into the per-context dict suffices — no re-lookup needed
-            out.setdefault(context, {})[link_id] = bytes_
-        return out
-
-    def top1_links(self) -> Dict[FlowContext, int]:
-        """Each flow's byte-dominant link (partitioning key in §5.3)."""
-        best: Dict[FlowContext, Tuple[float, int]] = {}
-        for (context, link_id), bytes_ in self.counts.items():
-            current = best.get(context)
-            if current is None or (bytes_, -link_id) > (current[0], -current[1]):
-                best[context] = (bytes_, link_id)
-        return {context: link for context, (_b, link) in best.items()}
+    @classmethod
+    def fold(cls, contexts: "ArrayLike", link_ids: "ArrayLike",
+             values: "ArrayLike") -> "DayCounts":
+        """The table of aligned (flow context, link id, bytes) rows —
+        ``contexts`` one row of the five fields each — folded as
+        :func:`fold_keyed` folds: keys in first-seen order, each summed
+        in row order.  Bytes must be positive, as :meth:`from_arrays`
+        requires."""
+        fields = np.asarray(contexts, dtype=np.int64).reshape(
+            -1, len(FlowContext._fields))
+        keys = (*fields.T, np.asarray(link_ids, dtype=np.int64))
+        table = dict(zip(_KEY_NAMES, keys),
+                     value=np.asarray(values, dtype=np.float64))
+        return cls.from_arrays(fold_keyed((table,), len(_KEY_NAMES)))

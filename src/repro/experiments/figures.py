@@ -21,10 +21,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ActualsMap
+from ..core.accuracy import ActualsMap, evaluate_accuracy
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
-from ..core.oracle import OracleModel
-from ..core.training import CountsAccumulator
+from ..core.oracle import oracle_models
 from ..pipeline.outages import (
     Outage,
     OutageParams,
@@ -126,26 +125,9 @@ def fig5_oracle_accuracy_vs_k(
     The unrestricted oracle reaches 100%; the curves show how much of
     the traffic is theoretically predictable at each link budget.
     """
-    counts = CountsAccumulator()
-    for context, by_link in actuals.items():
-        for link, bytes_ in by_link.items():
-            counts.add(context, link, bytes_)
-    oracles = [OracleModel(fs) for fs in feature_sets]
-    counts.fit(oracles)
-
-    curves: Dict[str, List[Tuple[int, float]]] = {}
-    total = sum(sum(v.values()) for v in actuals.values())
-    for oracle in oracles:
-        points: List[Tuple[int, float]] = []
-        for k in ks:
-            matched = 0.0
-            for context, by_link in actuals.items():
-                predictions = oracle.predict(context, k)
-                matched += sum(by_link.get(p.link_id, 0.0)
-                               for p in predictions)
-            points.append((k, matched / total if total else 0.0))
-        curves[oracle.name] = points
-    return curves
+    return {oracle.name: [(k, evaluate_accuracy(actuals, oracle, k))
+                          for k in ks]
+            for oracle in oracle_models([actuals], feature_sets)}
 
 
 # -- Figures 6 and 7 ----------------------------------------------------------

@@ -20,7 +20,7 @@ cascade) and TIPSY-guided (coordinated withdrawal, no cascade).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,13 +35,16 @@ from ..cms.mitigation import (
 from ..core.features import FEATURES_AL
 from ..core.geo_augment import GeoAugmentedModel
 from ..core.historical import HistoricalModel
-from ..core.training import CountsAccumulator
-from ..pipeline.records import FlowContext
+from ..core.training import DayCounts
+from ..pipeline.records import AggColumns, FlowContext
 from ..telemetry.ipfix import IpfixExporter
 from ..topology.asgraph import ASGraph, ASNode, ASRole
 from ..topology.geography import MetroCatalog
 from ..topology.relationships import Relationship
 from ..topology.wan import CloudWAN, DestPrefix, PeeringLink, Region
+
+if TYPE_CHECKING:  # the §6 replay trains through this module
+    from .incident_east_asia import EastAsiaWorld
 
 #: metro codes for the incident's two locations
 L1, L2 = "iad", "atl"
@@ -201,28 +204,24 @@ class IncidentReport:
                     if a.kind.startswith("withdraw")})
 
 
-def train_incident_model(world: IncidentWorld,
+def train_incident_model(world: Union[IncidentWorld, EastAsiaWorld],
                          train_hours: int) -> GeoAugmentedModel:
-    """Train Hist_AL+G on the pre-incident window (paper: 3 weeks)."""
+    """Train Hist_AL+G on an incident world's pre-incident window
+    (paper: 3 weeks): each hour's IPFIX-sampled estimate, its entries of
+    positive bytes in sample order, folded into one ``DayCounts``."""
     state = AdvertisementState(world.wan)
-    counts = CountsAccumulator()
+    contexts = np.array([flow[0] for flow in world.flows], dtype=np.int64)
+    counts = DayCounts()
     for hour in range(train_hours):
         sample = world.entries_for_hour(hour, state)
-        count_sampled(counts, world.exporter, hour, sample)
-    hist_al = HistoricalModel(FEATURES_AL)
-    counts.fit([hist_al])
+        sampled = world.exporter.sample_bytes(sample.bytes, hour)
+        kept = sampled > 0.0
+        counts.add_hour(AggColumns(
+            hour, sample.link_ids[kept],
+            *contexts[sample.flow_rows[kept]].T, sampled[kept]))
+    hist_al = HistoricalModel.from_arrays(counts.project(FEATURES_AL),
+                                          FEATURES_AL)
     return GeoAugmentedModel(hist_al, world.wan, name="Hist_AL+G")
-
-
-def count_sampled(counts: CountsAccumulator, exporter: IpfixExporter,
-                  hour: int, sample: TrafficSample) -> None:
-    """Add an hour's IPFIX-sampled estimate of ``sample`` to ``counts``."""
-    sampled = exporter.sample_bytes(sample.bytes, hour)
-    contexts = sample.contexts
-    for row, link_id, est in zip(sample.flow_rows.tolist(),
-                                 sample.link_ids.tolist(), sampled.tolist()):
-        if est > 0.0:
-            counts.add(contexts[row], link_id, est)
 
 
 def replay_incident(world: IncidentWorld, with_tipsy: bool,

@@ -29,17 +29,13 @@ from ..cms.mitigation import (
     MitigationAction,
     TrafficSample,
 )
-from ..core.features import FEATURES_AL
-from ..core.geo_augment import GeoAugmentedModel
-from ..core.historical import HistoricalModel
-from ..core.training import CountsAccumulator
 from ..pipeline.records import FlowContext
 from ..telemetry.ipfix import IpfixExporter
 from ..topology.asgraph import ASGraph, ASNode, ASRole
 from ..topology.geography import MetroCatalog
 from ..topology.relationships import Relationship
 from ..topology.wan import CloudWAN, DestPrefix, PeeringLink, Region
-from .incident import count_sampled, sample_flows
+from .incident import sample_flows, train_incident_model
 
 CLOUD_ASN = 8075
 AS_P = 65020       # first transit provider (owns the hot link)
@@ -166,16 +162,8 @@ class EastAsiaReport:
 def replay_east_asia(world: EastAsiaWorld,
                      train_hours: Optional[int] = None) -> EastAsiaReport:
     """Run the §6 incident through the TIPSY-guided CMS."""
-    train_hours = train_hours or world.surge_start_hour
-    # train Hist_AL+G on the pre-incident window
-    state = AdvertisementState(world.wan)
-    counts = CountsAccumulator()
-    for hour in range(train_hours):
-        count_sampled(counts, world.exporter, hour,
-                      world.entries_for_hour(hour, state))
-    hist_al = HistoricalModel(FEATURES_AL)
-    counts.fit([hist_al])
-    predictor = GeoAugmentedModel(hist_al, world.wan, name="Hist_AL+G")
+    predictor = train_incident_model(
+        world, train_hours or world.surge_start_hour)
 
     # TIPSY's pre-incident answer: across the affected flow population,
     # where would the hot link's traffic go?  (the paper queries TIPSY

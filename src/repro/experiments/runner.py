@@ -12,6 +12,9 @@ Reproduces the paper's methodology end to end:
 * score every model with the byte-weighted top-k metric, handing it the
   availability prior for the hours being scored,
 * build the matching k-restricted oracles per feature set.
+
+Every historical model and oracle is built the way ``TipsyService``
+builds what it serves: ``from_arrays`` over a ``DayCounts`` projection.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ActualsMap, matched_bytes
+from ..core.accuracy import ActualsMap, score_bytes
 from ..core.base import IngressModel
 from ..core.ensemble import SequentialEnsemble
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP
 from ..core.geo_augment import GeoAugmentedModel
 from ..core.historical import HistoricalModel
 from ..core.naive_bayes import NaiveBayesModel
-from ..core.oracle import OracleModel
-from ..core.training import CountsAccumulator, KeyedTable, fold_keyed
+from ..core.oracle import oracle_models
+from ..core.training import DayCounts, KeyedTable, fold_keyed
 from ..pipeline.outages import OutageInference
 from ..pipeline.records import FlowContext
 from .scenario import HourColumns, Scenario
@@ -156,21 +159,14 @@ class EvaluationRunner:
 
     # -- model suite -----------------------------------------------------------
 
-    def build_models(self, train_counts: CountsAccumulator,
+    def build_models(self, train_counts: DayCounts,
                      include_naive_bayes: bool = False,
                      keep_top: Optional[int] = None) -> List[IngressModel]:
         """Train the paper's model suite (Table 2, plus Appendix A on demand)."""
-        hist_a = HistoricalModel(FEATURES_A, keep_top=keep_top)
-        hist_ap = HistoricalModel(FEATURES_AP, keep_top=keep_top)
-        hist_al = HistoricalModel(FEATURES_AL, keep_top=keep_top)
-        trainables = [hist_a, hist_ap, hist_al]
-        nb_a = nb_al = None
-        if include_naive_bayes:
-            nb_a = NaiveBayesModel(FEATURES_A)
-            nb_al = NaiveBayesModel(FEATURES_AL)
-            trainables += [nb_a, nb_al]
-        train_counts.fit(trainables)
-
+        hist_a, hist_ap, hist_al = (
+            HistoricalModel.from_arrays(train_counts.project(fs), fs,
+                                        keep_top=keep_top)
+            for fs in (FEATURES_A, FEATURES_AP, FEATURES_AL))
         models: List[IngressModel] = [
             hist_a, hist_ap, hist_al,
             GeoAugmentedModel(hist_al, self.scenario.wan, name="Hist_AL+G"),
@@ -180,6 +176,15 @@ class EvaluationRunner:
                                name="Hist_AL/AP/A"),
         ]
         if include_naive_bayes:
+            # Appendix A: not served and with no columnar build, so it
+            # observes the table's rows in row order
+            nb_a = NaiveBayesModel(FEATURES_A)
+            nb_al = NaiveBayesModel(FEATURES_AL)
+            for context, link_id, bytes_ in train_counts.rows():
+                nb_a.observe(context, link_id, bytes_)
+                nb_al.observe(context, link_id, bytes_)
+            nb_a.finalize()
+            nb_al.finalize()
             models += [
                 nb_a, nb_al,
                 SequentialEnsemble([hist_al, nb_al], name="Hist_AL/NB_AL"),
@@ -208,18 +213,16 @@ class EvaluationRunner:
         self._window_cache[(start_hour, end_hour)] = acc
         return acc
 
-    def counts_from(self, acc: _StreamAccumulator) -> CountsAccumulator:
-        """Finest-grain training counts from a window accumulation."""
-        contexts = self.scenario.flow_contexts
-        counts = CountsAccumulator()
-        table = counts.counts
+    def counts_from(self, acc: _StreamAccumulator) -> DayCounts:
+        """Finest-grain training counts from a window accumulation: the
+        window's (flow row, link) table with each row mapped to its
+        flow's context, folded onto (context, link) — contexts repeat
+        across flow rows, and a projection must not see them apart."""
         total = acc.total
-        for row, link, bytes_ in zip(total["k0"].tolist(),
-                                     total["k1"].tolist(),
-                                     total["value"].tolist()):
-            key = (contexts[row], link)
-            table[key] = table.get(key, 0.0) + bytes_
-        return counts
+        contexts = np.array(self.scenario.flow_contexts, dtype=np.int64
+                            ).reshape(-1, len(FlowContext._fields))
+        return DayCounts.fold(contexts[total["k0"]], total["k1"],
+                              total["value"])
 
     # -- actuals shaping -----------------------------------------------------------
 
@@ -241,42 +244,29 @@ class EvaluationRunner:
 
     # -- scoring --------------------------------------------------------------------
 
-    @staticmethod
-    def _score(actuals: ActualsMap, model: IngressModel, k: int,
-               unavailable: FrozenSet[int]) -> Tuple[float, float]:
-        """(matched bytes, total bytes) for one model on one actuals slice."""
-        matched = 0.0
-        total = 0.0
-        for context, by_link in actuals.items():
-            flow_bytes = sum(by_link.values())
-            if flow_bytes <= 0.0:
-                continue
-            total += flow_bytes
-            predictions = model.predict(context, k, unavailable)
-            if predictions:
-                matched += matched_bytes(by_link, predictions)
-        return matched, total
-
     def _block(
         self,
         slices: Sequence[Tuple[ActualsMap, FrozenSet[int]]],
         models: Sequence[IngressModel],
         ks: Sequence[int],
     ) -> AccuracyBlock:
-        """Accuracy across several (actuals, availability-prior) slices."""
+        """Accuracy across several (actuals, availability-prior) slices:
+        first of the slices' own oracles (perfect test knowledge,
+        k-restricted), then of ``models``."""
         block = AccuracyBlock()
         block.total_bytes = sum(
             sum(by_link.values())
             for actuals, _unavailable in slices
             for by_link in actuals.values()
         )
-        for model in models:
+        oracles = oracle_models(actuals for actuals, _unavailable in slices)
+        for model in [*oracles, *models]:
             per_k: Dict[int, float] = {}
             for k in ks:
                 matched = 0.0
                 total = 0.0
                 for actuals, unavailable in slices:
-                    m, t = self._score(actuals, model, k, unavailable)
+                    m, t = score_bytes(actuals, model, k, unavailable)
                     matched += m
                     total += t
                 per_k[k] = matched / total if total > 0.0 else 0.0
@@ -325,7 +315,6 @@ class EvaluationRunner:
 
         # 5. slices
         overall_actuals = self._actuals_from_pairs(test_acc.total)
-        overall_block_slices = [(overall_actuals, NO_LINKS)]
 
         all_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
         seen_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
@@ -357,31 +346,13 @@ class EvaluationRunner:
                 unseen_bytes += sum(
                     sum(v.values()) for v in unseen_actuals.values())
 
-        # 6. oracles per partition (perfect test knowledge, k-restricted)
-        def oracles_for(
-                slices: Sequence[Tuple[ActualsMap, FrozenSet[int]]],
-        ) -> List[IngressModel]:
-            oracle_counts = CountsAccumulator()
-            for actuals, _down in slices:
-                for context, by_link in actuals.items():
-                    for link, bytes_ in by_link.items():
-                        oracle_counts.add(context, link, bytes_)
-            oracle_models = [OracleModel(FEATURES_A), OracleModel(FEATURES_AP),
-                             OracleModel(FEATURES_AL)]
-            oracle_counts.fit(oracle_models)
-            return oracle_models
-
+        # 6. score each partition beside its own oracles
         result = EvaluationResult(
             window=window,
-            overall=self._block(
-                overall_block_slices,
-                oracles_for(overall_block_slices) + models, ks),
-            outages_all=self._block(
-                all_slices, oracles_for(all_slices) + models, ks),
-            outages_seen=self._block(
-                seen_slices, oracles_for(seen_slices) + models, ks),
-            outages_unseen=self._block(
-                unseen_slices, oracles_for(unseen_slices) + models, ks),
+            overall=self._block([(overall_actuals, NO_LINKS)], models, ks),
+            outages_all=self._block(all_slices, models, ks),
+            outages_seen=self._block(seen_slices, models, ks),
+            outages_unseen=self._block(unseen_slices, models, ks),
             overall_actuals=overall_actuals,
         )
         result.stats = self._stats(overall_actuals, seen_bytes, unseen_bytes,
@@ -391,7 +362,7 @@ class EvaluationRunner:
     @staticmethod
     def _stats(overall_actuals: ActualsMap, seen_bytes: float,
                unseen_bytes: float, seen_links: FrozenSet[int],
-               train_counts: CountsAccumulator) -> Dict[str, float]:
+               train_counts: DayCounts) -> Dict[str, float]:
         total_outage_bytes = seen_bytes + unseen_bytes
         return {
             "total_bytes": sum(sum(v.values())
@@ -435,15 +406,6 @@ class EvaluationRunner:
                 break
             day_acc = self.collect_window(day_lo, day_hi)
             actuals = self._actuals_from_pairs(day_acc.total)
-            slices = [(actuals, NO_LINKS)]
-            oracle_counts = CountsAccumulator()
-            for context, by_link in actuals.items():
-                for link, bytes_ in by_link.items():
-                    oracle_counts.add(context, link, bytes_)
-            oracles: List[IngressModel] = [
-                OracleModel(FEATURES_A), OracleModel(FEATURES_AP),
-                OracleModel(FEATURES_AL)]
-            oracle_counts.fit(oracles)
-            block = self._block(slices, list(oracles) + list(models), ks)
+            block = self._block([(actuals, NO_LINKS)], models, ks)
             out[offset] = block.rows
         return out

@@ -105,7 +105,10 @@ class HourlyAggregator:
 
         Records with an hour differing from ``hour`` are rejected — the
         pipeline's hour-chunking is strict (paper §5.1.1 builds everything
-        on hour windows).
+        on hour windows).  The record-path reference: no production path
+        calls it; :meth:`aggregate_hour_columns` is tested against it, and
+        the end-to-end benchmark's replay workload runs it as its in-run
+        oracle.
         """
         sums: Dict[Tuple[int, int, int, int, int, int], float] = {}
         count_in = 0

@@ -8,7 +8,8 @@ training counts — the complete "bring your own data" path:
 
     write_trace("week.csv", records)
     counts = counts_from_trace("week.csv", metadata)
-    models = runner.build_models(counts)
+    hist_ap = HistoricalModel.from_arrays(counts.project(FEATURES_AP),
+                                          FEATURES_AP)
 
 Format: a header line then one record per line,
 ``hour,link_id,src_prefix_id,src_asn,dest_prefix_id,bytes``.
@@ -21,12 +22,14 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
                     Optional, Union)
 
+import numpy as np
+
 from ..telemetry.ipfix import IpfixRecord
 from ..telemetry.metadata import MetadataStore
 from .aggregation import HourlyAggregator
 
 if TYPE_CHECKING:
-    from ..core.training import CountsAccumulator
+    from ..core.training import DayCounts
 
 FIELDS = ("hour", "link_id", "src_prefix_id", "src_asn",
           "dest_prefix_id", "bytes")
@@ -77,8 +80,9 @@ def counts_from_trace(
     aggregator: Optional[HourlyAggregator] = None,
     start_hour: Optional[int] = None,
     end_hour: Optional[int] = None,
-) -> "CountsAccumulator":
-    """Replay a trace through aggregation into training counts.
+) -> "DayCounts":
+    """Replay a trace through aggregation into training counts: each
+    hour's records aggregated as columns and folded into one table.
 
     Args:
         path: trace file.
@@ -88,15 +92,15 @@ def counts_from_trace(
         start_hour / end_hour: optional [start, end) window filter.
 
     Returns:
-        Finest-grain counts ready for ``CountsAccumulator.fit`` /
-        ``EvaluationRunner.build_models``.
+        Finest-grain counts ready for ``EvaluationRunner.build_models``
+        or ``HistoricalModel.from_arrays(counts.project(fs), fs)``.
     """
     # lazy import: the layer map (RA601) points core -> pipeline, and
     # this convenience loader is the one spot pipeline needs core back
-    from ..core.training import CountsAccumulator
+    from ..core.training import DayCounts
 
     aggregator = aggregator or HourlyAggregator(metadata)
-    counts = CountsAccumulator()
+    counts = DayCounts()
     by_hour: Dict[int, List[IpfixRecord]] = {}
     for record in read_trace(path):
         if start_hour is not None and record.hour < start_hour:
@@ -105,6 +109,9 @@ def counts_from_trace(
             continue
         by_hour.setdefault(record.hour, []).append(record)
     for hour in sorted(by_hour):
-        counts.consume_hour(
-            hour, aggregator.aggregate_hour(hour, by_hour[hour]))
+        records = by_hour[hour]
+        # the fields after the hour are aggregate_hour_columns' columns
+        counts.add_hour(aggregator.aggregate_hour_columns(hour, *(
+            np.array([getattr(record, name) for record in records])
+            for name in FIELDS[1:])))
     return counts

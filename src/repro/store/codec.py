@@ -20,9 +20,9 @@ hypothesis suite in ``tests/store/test_codec.py`` hammers.
 Dict iteration order is part of the contract: rows are emitted in the
 source dict's insertion order and decoded back in row order, so a
 restored dict iterates exactly like the one that was saved.  Downstream
-folds (``CountsAccumulator.project``, ranking totals) iterate those
-dicts, which makes order preservation necessary for bit-identical
-restores, not a nicety.
+folds (``DayCounts.project``, the window fold, ranking totals) follow
+that row order, which makes order preservation necessary for
+bit-identical restores, not a nicety.
 """
 
 from __future__ import annotations

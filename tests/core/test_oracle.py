@@ -41,3 +41,15 @@ class TestOracle:
 
     def test_name(self):
         assert OracleModel(FEATURES_AP).name == "Oracle_AP"
+
+    def test_from_arrays_keeps_the_oracle_name_and_keep_top(self):
+        """The columnar build inherited from ``HistoricalModel`` passes
+        ``keep_top`` through to the oracle's constructor."""
+        observed = self._oracle(self._actuals())
+        built = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP)
+        assert type(built) is OracleModel and built.name == "Oracle_AP"
+        assert built.rankings() == observed.rankings()
+        top2 = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP,
+                                       name="top2", keep_top=2)
+        assert top2.name == "top2"
+        assert [p.link_id for p in top2.predict(ctx(1), 3)] == [5, 7]

@@ -1,16 +1,12 @@
-"""Tests for the counts accumulator, the day table and model fitting."""
+"""Tests for the day table, its fold, and the record-path counts oracle."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    FEATURES_A,
-    FEATURES_AP,
-    CountsAccumulator,
-    HistoricalModel,
-)
+from repro.core import FEATURES_A, FEATURES_AP, HistoricalModel
 from repro.core.training import DayCounts, fold_keyed
 from repro.pipeline import AggColumns, AggRecord, FlowContext
+from tests.core.counts_oracle import CountsAccumulator
 
 
 def ctx(prefix, asn=1):
@@ -22,6 +18,8 @@ def rec(hour, link, prefix, bytes_, asn=1):
 
 
 class TestAccumulation:
+    """The oracle itself (``tests/core/counts_oracle.py``)."""
+
     def test_consume_hour(self):
         acc = CountsAccumulator()
         acc.consume_hour(0, [rec(0, 5, 1, 10.0), rec(0, 5, 1, 5.0)])
@@ -148,6 +146,34 @@ class TestDayCounts:
         assert arrays["k1"].tolist() == [2, 1, 2]      # src_prefix
         assert arrays["k5"].tolist() == [5, 4, 6]      # link
         assert arrays["value"].tolist() == [15.0, 3.0, 4.0]
+
+    def test_rows_read_the_table_in_row_order(self):
+        table = self._table()
+        assert len(table) == 3 and len(DayCounts()) == 0
+        assert list(table.rows()) == [
+            (ctx(2), 5, 15.0), (ctx(1), 4, 3.0), (ctx(2, asn=3), 6, 4.0)]
+        assert all(type(context) is FlowContext
+                   for context, _link, _bytes in table.rows())
+
+    def test_top1_links_ties_go_to_the_lower_link(self):
+        table = DayCounts()
+        table.add_hour(AggColumns.of(0, [
+            rec(0, 9, 1, 10.0), rec(0, 7, 1, 3.0), rec(0, 5, 1, 10.0),
+            rec(0, 4, 2, 1.0), rec(0, 2, 2, 1.0), rec(0, 6, 2, 1.0),
+            rec(0, 8, 3, 2.0), rec(0, 1, 3, 1.0)]))
+        assert table.top1_links() == {ctx(1): 5, ctx(2): 2, ctx(3): 8}
+        assert self._table().top1_links() == {
+            ctx(2): 5, ctx(1): 4, ctx(2, asn=3): 6}
+        assert DayCounts().top1_links() == {}
+
+    def test_fold_sums_each_key_in_row_order(self):
+        contexts = [ctx(2), ctx(1), ctx(2), ctx(2, asn=3)]
+        folded = DayCounts.fold(contexts, [5, 4, 5, 6], [10.0, 1.0, 5.0, 4.0])
+        assert list(folded.rows()) == [
+            (ctx(2), 5, 15.0), (ctx(1), 4, 1.0), (ctx(2, asn=3), 6, 4.0)]
+        assert len(DayCounts.fold([], [], [])) == 0
+        with pytest.raises(ValueError):
+            DayCounts.fold([ctx(1)], [5], [0.0])
 
     def test_projects_onto_a_feature_grain(self):
         projection = self._table().project(FEATURES_A)

@@ -35,7 +35,7 @@ class TestRunnerOptions:
         runner = EvaluationRunner(small_scenario)
         models = runner.build_models(trained_counts, keep_top=2)
         hist_ap = next(m for m in models if m.name == "Hist_AP")
-        context = next(iter(trained_counts.actuals()))
+        context, _link, _bytes = next(trained_counts.rows())
         assert len(hist_ap.predict(context, 10)) <= 2
 
     def test_no_nb_by_default(self, small_scenario, trained_counts):

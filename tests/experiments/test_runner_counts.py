@@ -1,0 +1,169 @@
+"""The paper tables' models against the record-path trainer, to the bit.
+
+``EvaluationRunner`` trains on a ``DayCounts`` table and builds every
+historical model and oracle as ``TipsyService`` builds what it serves —
+``from_arrays`` over the table's projection — and Naive Bayes by walking
+the table's rows.  The reference is the trainer those builds replaced:
+``CountsAccumulator`` (``tests/core/counts_oracle.py``) filled by ``add``
+and handed to ``fit``.  Models must agree in their counts (keys, link
+order and bytes) and in every ranking, scores compared as ``float.hex``.
+
+Hand mutants these tests kill (each applied, seen to fail here, and
+reverted): the training rows projected without first folding them onto
+(context, link); each slice projected before the slices are folded;
+contexts grouped in sorted rather than first-seen order.
+``tests/core/test_training.py`` kills ``DayCounts.top1_links`` ranking
+equal bytes by the higher link.
+"""
+
+from unittest import mock
+
+import pytest
+
+from repro.core import (FEATURES_A, FEATURES_AL, FEATURES_AP,
+                        HistoricalModel, NaiveBayesModel, OracleModel)
+from repro.core.oracle import oracle_models
+from repro.experiments import EvaluationRunner, WindowSpec
+from repro.experiments import runner as runner_module
+from repro.pipeline import FlowContext
+from tests.core.counts_oracle import CountsAccumulator
+
+GRAINS = (FEATURES_A, FEATURES_AP, FEATURES_AL)
+
+
+@pytest.fixture(scope="module")
+def window(small_scenario):
+    """A runner and its 10-day training window on the small world."""
+    runner = EvaluationRunner(small_scenario)
+    return runner, runner.collect_window(0, 10 * 24)
+
+
+def walked_counts(runner, acc):
+    """``counts_from`` as it was: the window's (flow row, link) table
+    added key by key into the dict."""
+    contexts = runner.scenario.flow_contexts
+    counts = CountsAccumulator()
+    for row, link, bytes_ in zip(acc.total["k0"].tolist(),
+                                 acc.total["k1"].tolist(),
+                                 acc.total["value"].tolist()):
+        counts.add(contexts[row], link, bytes_)
+    return counts
+
+
+def fitted_oracles(actuals_maps, feature_sets=GRAINS):
+    """The oracles as they were: every map added in turn, then ``fit``."""
+    counts = CountsAccumulator()
+    for actuals in actuals_maps:
+        for context, by_link in actuals.items():
+            for link, bytes_ in by_link.items():
+                counts.add(context, link, bytes_)
+    oracles = [OracleModel(fs) for fs in feature_sets]
+    counts.fit(oracles)
+    return oracles
+
+
+def hexed(model):
+    return [(key, [(p.link_id, p.score.hex()) for p in ranking])
+            for key, ranking in model.rankings().items()]
+
+
+def assert_same_model(got, want):
+    assert (type(got), got.name) == (type(want), want.name)
+    got_arrays, want_arrays = got.to_arrays(), want.to_arrays()
+    assert list(got_arrays) == list(want_arrays)
+    for column, values in want_arrays.items():
+        assert got_arrays[column].tobytes() == values.tobytes(), (
+            want.name, column)
+    assert hexed(got) == hexed(want), want.name
+
+
+def assert_same_tables(got, want):
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype
+        assert got[name].tobytes() == column.tobytes(), name
+
+
+class TestTraining:
+    def test_counts_are_the_dict_walk(self, window):
+        runner, acc = window
+        counts = runner.counts_from(acc)
+        assert_same_tables(counts.to_arrays(),
+                           walked_counts(runner, acc).to_arrays())
+        # flows share contexts, so (row, link) keys merge in the fold
+        assert len(counts) < len(acc.total["value"])
+
+    @pytest.mark.parametrize("keep_top", [None, 2])
+    def test_build_models_equal_fit(self, window, keep_top):
+        runner, acc = window
+        built = {model.name: model for model in runner.build_models(
+            runner.counts_from(acc), include_naive_bayes=True,
+            keep_top=keep_top)}
+        reference = walked_counts(runner, acc)
+        hists = [HistoricalModel(fs, keep_top=keep_top) for fs in GRAINS]
+        nbs = [NaiveBayesModel(FEATURES_A), NaiveBayesModel(FEATURES_AL)]
+        reference.fit(hists + nbs)
+        for want in hists:
+            assert_same_model(built[want.name], want)
+        contexts = list(reference.actuals()) + [FlowContext(1, 2, 3, 4, 5)]
+        down = frozenset(runner.scenario.wan.link_ids[:3])
+        for want in nbs:
+            got = built[want.name]
+            for context in contexts:
+                for unavailable in (frozenset(), down):
+                    assert ([(p.link_id, p.score.hex()) for p in
+                             got.predict(context, 5, unavailable)]
+                            == [(p.link_id, p.score.hex()) for p in
+                                want.predict(context, 5, unavailable)])
+
+    def test_top1_links_is_the_dict_walk(self, window):
+        runner, acc = window
+        assert (runner.counts_from(acc).top1_links()
+                == walked_counts(runner, acc).top1_links())
+
+
+class TestOracles:
+    def test_each_blocks_oracles_equal_fit(self, small_scenario):
+        """Every block ``run`` and ``run_staleness`` score: its oracles
+        are the ones ``fit`` trains on that block's slices."""
+        runner = EvaluationRunner(small_scenario)
+        blocks = []
+
+        def recording(actuals_maps):
+            maps = list(actuals_maps)
+            blocks.append((maps, oracle_models(maps)))
+            return blocks[-1][1]
+
+        with mock.patch.object(runner_module, "oracle_models", recording):
+            runner.run(WindowSpec(0, 10, 4))
+            runner.run_staleness(0, 8, 2)
+        assert len(blocks) == 4 + 2
+        assert max(len(maps) for maps, _ in blocks) > 1
+        for maps, oracles in blocks:
+            want = fitted_oracles(maps)
+            assert len(oracles) == len(want)
+            for got, expected in zip(oracles, want):
+                assert_same_model(got, expected)
+
+    def test_sums_associate_as_the_walk_across_slices(self):
+        """Three contexts on one AP key (they differ only in location)
+        across two slices, with bytes chosen so each other association
+        of the link-5 sum rounds differently: 1 + 2^53 rounds to 2^53,
+        so the exact walk's (1 + 2^53) + 1 + 1 stays 2^53 while any
+        order that adds two of the 1.0s first does not."""
+        c_a, c_b, c_c = (FlowContext(1, 7, loc, 0, 0) for loc in (2, 0, 1))
+        slices = [{c_a: {9: 1.0, 5: 1.0}, c_b: {5: 1.0}},
+                  {c_c: {5: 1.0}, c_a: {5: 2.0 ** 53}}]
+        got = oracle_models(slices)
+        for built, want in zip(got, fitted_oracles(slices)):
+            assert_same_model(built, want)
+        ap = got[GRAINS.index(FEATURES_AP)]
+        assert ap.bytes_for(c_b) == {9: 1.0, 5: 2.0 ** 53}
+
+    def test_feature_sets_and_empty_maps(self):
+        context = FlowContext(1, 7, 0, 0, 0)
+        only_al = oracle_models([{}, {context: {3: 4.0}}], (FEATURES_AL,))
+        assert [m.name for m in only_al] == ["Oracle_AL"]
+        assert only_al[0].predict(context, 1)[0].link_id == 3
+        assert all(m.size() == 0 for m in oracle_models([]))
+

@@ -1,7 +1,7 @@
 """Tests for table row formatting."""
 
 from repro.cms import RiskFinding
-from repro.experiments import tables
+from repro.experiments import EvaluationRunner, WindowSpec, tables
 
 
 class TestAccuracyRows:
@@ -54,12 +54,32 @@ class TestAccuracyPins:
                                        0.7590170056965548),
     }
 
+    #: the same window with Appendix A's models: Naive Bayes trains by
+    #: walking the counts table's rows, the rest from its projections
+    NB_PINS = {
+        ("overall", "NB_AL"): (0.6625365158383527, 0.9265279467077412),
+        ("overall", "Hist_AL/NB_AL"): (0.6962997817220428,
+                                       0.9507740725919391),
+        ("overall", "Oracle_AL"): (0.7319468014092069, 0.963039839360003),
+        ("outages_all", "NB_AL"): (0.4671844982347409, 0.6750684458746632),
+        ("outages_all", "Oracle_AL"): (0.7633178853407865,
+                                       0.9594777882272856),
+    }
+
+    @staticmethod
+    def _measure(result, pins):
+        return {(block, model): (getattr(result, block).get(model, 1),
+                                 getattr(result, block).get(model, 3))
+                for block, model in pins}
+
     def test_small_world_top1_top3_are_pinned(self, small_result):
-        measured = {
-            (block, model): (getattr(small_result, block).get(model, 1),
-                             getattr(small_result, block).get(model, 3))
-            for block, model in self.PINS}
-        assert measured == self.PINS
+        assert self._measure(small_result, self.PINS) == self.PINS
+
+    def test_naive_bayes_run_is_pinned(self, small_scenario):
+        result = EvaluationRunner(small_scenario).run(
+            WindowSpec(0, 10, 4), include_naive_bayes=True)
+        assert self._measure(result, self.NB_PINS) == self.NB_PINS
+        assert result.stats["train_tuples"] == 3573.0
 
 
 class TestRiskRows:

@@ -8,8 +8,8 @@ claims on the shared small scenario.
 import numpy as np
 import pytest
 
-from repro.core import CountsAccumulator
 from repro.pipeline import HourlyAggregator, OutageInference
+from tests.core.counts_oracle import CountsAccumulator
 
 
 class TestRecordPathMatchesColumnarPath:
@@ -94,9 +94,7 @@ class TestPaperQualitativeClaims:
     def test_training_tuples_scale_with_features(self, trained_counts):
         from repro.core import (FEATURES_A, FEATURES_AL, FEATURES_AP,
                                 HistoricalModel)
-        a = HistoricalModel(FEATURES_A)
-        ap = HistoricalModel(FEATURES_AP)
-        al = HistoricalModel(FEATURES_AL)
-        trained_counts.fit([a, ap, al])
+        a, ap, al = (HistoricalModel.from_arrays(trained_counts.project(fs), fs)
+                     for fs in (FEATURES_A, FEATURES_AP, FEATURES_AL))
         # Table 1's ordering: |A| <= |AL| <= |AP|
         assert a.size() <= al.size() <= ap.size()

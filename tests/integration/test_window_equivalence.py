@@ -12,8 +12,9 @@ days — and proves two things at several checkpoints, bit for bit
 * *online equals offline* — those models are the ones the offline
   trainer builds record by record from the same days
   (``CountsAccumulator.consume_hour`` -> ``project`` ->
-  ``observe_aggregate`` in day order -> ``finalize``), the independent
-  reference for the columnar fold.
+  ``observe_aggregate`` in day order -> ``finalize``; the record-path
+  oracle in ``tests/core/counts_oracle.py``), the independent reference
+  for the columnar fold.
 
 Byte values are deliberately non-integral and span 10 orders of
 magnitude, so a sum taken in any other order or grouping rounds
@@ -25,7 +26,6 @@ import pytest
 
 from repro.core.historical import HistoricalModel
 from repro.core.service import ServiceConfig, TipsyService
-from repro.core.training import CountsAccumulator
 from repro.pipeline import AggRecord
 from repro.topology import (
     CloudWAN,
@@ -34,6 +34,7 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+from tests.core.counts_oracle import CountsAccumulator
 
 BASE_MODELS = ("Hist_AP", "Hist_AL", "Hist_A")
 N_DAYS = 30
@@ -93,7 +94,7 @@ def fresh_service_over_window(service, fed):
 
 
 def offline_models(fed, trained_days):
-    """The base suite trained the offline runner's way, day by day."""
+    """The base suite trained record by record, day by day."""
     models = [HistoricalModel(fs) for fs in TipsyService._GRAINS]
     for day in trained_days:
         counts = CountsAccumulator()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.pipeline import counts_from_trace, read_trace, write_trace
+from repro.pipeline import (HourlyAggregator, counts_from_trace,
+                            read_trace, write_trace)
 from repro.telemetry import GeoIPDatabase, IpfixRecord, MetadataStore
 from repro.topology import (
     MetroCatalog,
@@ -12,6 +13,7 @@ from repro.topology import (
     generate_wan,
 )
 from repro.traffic import PrefixUniverse
+from tests.core.counts_oracle import CountsAccumulator
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ class TestTraining:
         original = records(universe, n=30)
         write_trace(path, original)
         counts = counts_from_trace(path, meta)
-        assert counts.total_bytes() == pytest.approx(
+        assert counts.to_arrays()["value"].sum() == pytest.approx(
             sum(r.bytes for r in original))
         assert len(counts) > 0
 
@@ -92,7 +94,27 @@ class TestTraining:
         write_trace(path, original)
         counts = counts_from_trace(path, meta, start_hour=1, end_hour=2)
         expected = sum(r.bytes for r in original if r.hour == 1)
-        assert counts.total_bytes() == pytest.approx(expected)
+        assert counts.to_arrays()["value"].sum() == pytest.approx(expected)
+
+    def test_equals_the_record_path(self, world, tmp_path):
+        """Columns aggregated and folded hour by hour are the record
+        walk (``aggregate_hour`` -> ``consume_hour``) to the bit, rows in
+        the same order; an hour recurs out of order in the file."""
+        _wan, universe, meta = world
+        path = tmp_path / "trace.csv"
+        original = records(universe, n=30)
+        write_trace(path, original[10:] + original[:10])
+        reference = CountsAccumulator()
+        aggregator = HourlyAggregator(meta)
+        for hour in (0, 1, 2):
+            reference.consume_hour(hour, aggregator.aggregate_hour(
+                hour, [r for r in original[10:] + original[:10]
+                       if r.hour == hour]))
+        got = counts_from_trace(path, meta).to_arrays()
+        want = reference.to_arrays()
+        assert list(got) == list(want)
+        assert all(got[name].tobytes() == want[name].tobytes()
+                   for name in want)
 
     def test_trained_model_predicts(self, world, tmp_path):
         from repro.core import FEATURES_AP, HistoricalModel
@@ -101,14 +123,12 @@ class TestTraining:
         path = tmp_path / "trace.csv"
         write_trace(path, records(universe, n=30))
         counts = counts_from_trace(path, meta)
-        model = HistoricalModel(FEATURES_AP)
-        counts.fit([model])
-        context = next(iter(counts.actuals()))
+        model = HistoricalModel.from_arrays(counts.project(FEATURES_AP),
+                                            FEATURES_AP)
+        context, _link, _bytes = next(counts.rows())
         assert model.predict(context, 3)
 
     def test_shared_aggregator_keeps_encodings(self, world, tmp_path):
-        from repro.pipeline import HourlyAggregator
-
         _wan, universe, meta = world
         aggregator = HourlyAggregator(meta)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -117,4 +137,5 @@ class TestTraining:
         c1 = counts_from_trace(p1, meta, aggregator=aggregator)
         c2 = counts_from_trace(p2, meta, aggregator=aggregator)
         # identical traces through one aggregator yield identical keys
-        assert set(c1.counts) == set(c2.counts)
+        assert ({(context, link) for context, link, _ in c1.rows()}
+                == {(context, link) for context, link, _ in c2.rows()})

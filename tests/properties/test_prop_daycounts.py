@@ -3,8 +3,9 @@
 ``TipsyService`` keeps each window day as a ``DayCounts`` — seven
 columns folded with numpy group-bys.  The reference is the form it
 replaced: the same service with every day held by a
-``CountsAccumulator`` fed ``AggRecord`` lists one record at a time
-(``consume_hour`` + ``project`` + ``to_arrays``).  Whatever the stream —
+``CountsAccumulator`` (``tests/core/counts_oracle.py``) fed
+``AggRecord`` lists one record at a time (``consume_hour`` + ``project``
++ ``to_arrays``).  Whatever the stream —
 keys recurring across hours in any order, several batches of one hour,
 bursts of one key, empty hours, day gaps that evict the window, a
 snapshot -> restore cut anywhere including mid-day — the two must agree
@@ -39,11 +40,11 @@ from hypothesis import strategies as st
 
 from repro.core import service as service_module
 from repro.core.service import ServiceConfig, TipsyService
-from repro.core.training import CountsAccumulator
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 from repro.store.codec import decode_keyed_table, encode_keyed_table
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
                             Region)
+from tests.core.counts_oracle import CountsAccumulator
 
 WINDOW_DAYS = 2
 
