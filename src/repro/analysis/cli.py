@@ -208,15 +208,3 @@ def run_lint(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             _render(report, args.format, handle)
     return 0 if report.clean else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="determinism & parallel-safety static checks")
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,9 @@
-"""BGP substrate: messages, RIBs, policy, propagation, ingress simulation.
+"""BGP substrate: advertisement state, propagation, ingress simulation.
 
 This package plays the role of "the Internet" in the reproduction:
-Gao–Rexford route selection and export policies, route propagation over
-the AS graph, and the :class:`~repro.bgp.simulator.IngressSimulator`,
+which (prefix, link) pairs the WAN advertises, Gao–Rexford route
+propagation over the AS graph, and the
+:class:`~repro.bgp.simulator.IngressSimulator`,
 which decides — as ground truth — which WAN link each flow actually
 enters through, including hot-potato shifts after withdrawals and
 outages.  The policies here stand in for other ASes' confidential
@@ -11,9 +12,6 @@ routing configuration and are deliberately invisible to the models in
 ``docs/architecture.md``).
 """
 
-from .messages import Announcement, Message, Origin, Route, Withdrawal
-from .policy import best_route, best_routes, compare, sort_key
-from .rib import AdjRibIn, EdgeRouter, LocRib
 from .state import AdvertisementState
 from .propagation import (
     MAX_NEXTHOPS,
@@ -28,9 +26,6 @@ from .propagation import (
 from .simulator import IngressSimulator, ShareVector, SimulatorParams
 
 __all__ = [
-    "Announcement", "Message", "Origin", "Route", "Withdrawal",
-    "best_route", "best_routes", "compare", "sort_key",
-    "AdjRibIn", "EdgeRouter", "LocRib",
     "AdvertisementState",
     "MAX_NEXTHOPS", "RouteInfo", "RoutingTable", "SPRAY_TOLERANCE",
     "UNREACHABLE", "compute_routing_table", "default_bias",

@@ -21,10 +21,10 @@ Two scaling decisions let this run at paper-scale graphs (ROADMAP item 2):
 * **Columnar state.**  A :class:`RoutingTable` is three numpy columns
   over the graph's dense row index (``topology.asgraph.DenseTopology``):
   ``dist`` (``int32``, ``-1`` unreachable), ``direct`` (``bool_``) and
-  CSR-packed ranked next-hops (``int64`` values + offsets, the same
-  ragged layout ``repro.store.codec`` snapshots), so tables pickle
-  across process pools and persist through ``SegmentStore`` like model
-  state.  :class:`RouteInfo` objects are materialised lazily per row.
+  CSR-packed ranked next-hops (``int64`` values + offsets, built by
+  ``repro.store.codec.encode_ragged``), so comparing two tables is a
+  column comparison.  :class:`RouteInfo` objects are materialised lazily
+  per row.
 * **Dirty-set recomputation.**  :func:`update_routing_table` derives the
   table for a changed seeded-neighbor set from a previously computed
   one: BFS from the changed seeds through the provider→customer cone
@@ -147,47 +147,11 @@ class RoutingTable:
         d = int(self._dist[row])
         return d if d >= 0 else None
 
-    # -- columnar access (equivalence tests, persistence) -----------------
+    # -- columnar access (probe diffs, equivalence tests) ------------------
 
     @property
     def topology(self) -> DenseTopology:
         return self._topo
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Snapshot columns (``SegmentStore``-ready, codec CSR layout).
-
-        ``asn`` records the row order so :meth:`from_arrays` can verify
-        alignment against the live graph; ``seeded`` round-trips the
-        seeded-neighbor set the table was computed for.
-        """
-        return {
-            "asn": self._topo.asns.copy(),
-            "dist": self._dist.copy(),
-            "direct": self._direct.astype(np.uint8),
-            "nh_values": self._nh_values.copy(),
-            "nh_offsets": self._nh_offsets.copy(),
-            "seeded": np.array(sorted(self.seeded), dtype=np.int64),
-        }
-
-    @classmethod
-    def from_arrays(cls, graph: ASGraph,
-                    arrays: Dict[str, np.ndarray]) -> "RoutingTable":
-        """Rebuild a table from :meth:`to_arrays` output.
-
-        Raises ``ValueError`` if the arrays were produced against a
-        different AS row order than ``graph``'s current dense view.
-        """
-        topo = graph.dense()
-        if not np.array_equal(arrays["asn"], topo.asns):
-            raise ValueError("routing-table arrays do not match the graph")
-        return cls(
-            topo,
-            np.ascontiguousarray(arrays["dist"], dtype=np.int32),
-            arrays["direct"].astype(np.bool_),
-            np.ascontiguousarray(arrays["nh_values"], dtype=np.int64),
-            np.ascontiguousarray(arrays["nh_offsets"], dtype=np.int64),
-            frozenset(int(a) for a in arrays["seeded"]),
-        )
 
     def _nexthop_matrix(self) -> np.ndarray:
         """Ranked next-hops as an ``(n, MAX_NEXTHOPS)`` matrix, -1 padded

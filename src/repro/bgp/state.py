@@ -15,9 +15,9 @@ simulator can cache routing outcomes across hours that share a state.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
-from ..topology.wan import CloudWAN, PeeringLink
+from ..topology.wan import CloudWAN
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -158,8 +158,3 @@ class AdvertisementState:
                 key = frozenset(self._outages)
             self._key_cache[prefix_id] = key
         return key
-
-    def available_links(self, prefix_id: int, links: Iterable[PeeringLink]) -> List[PeeringLink]:
-        """Filter a link collection down to those usable for a prefix."""
-        removed = self.removal_key(prefix_id)
-        return [l for l in links if l.link_id not in removed]

@@ -25,11 +25,8 @@ from .geo_augment import GeoAugmentedModel
 from .oracle import OracleModel
 from .accuracy import (
     ActualsMap,
-    accuracy_table,
     evaluate_accuracy,
     matched_bytes,
-    merge_actuals,
-    total_bytes,
     volume_matched_bytes,
 )
 from .anomaly import (
@@ -47,6 +44,6 @@ __all__ = [
     "NO_LINKS", "IngressModel", "Prediction", "TrainableModel",
     "HistoricalModel", "NaiveBayesModel", "SequentialEnsemble",
     "GeoAugmentedModel", "OracleModel",
-    "ActualsMap", "accuracy_table", "evaluate_accuracy", "matched_bytes",
-    "merge_actuals", "total_bytes", "volume_matched_bytes",
+    "ActualsMap", "evaluate_accuracy", "matched_bytes",
+    "volume_matched_bytes",
 ]

@@ -17,7 +17,7 @@ Two variants:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import FrozenSet, Mapping, Sequence, Tuple
 
 from ..pipeline.records import FlowContext
 from .base import NO_LINKS, IngressModel, Prediction
@@ -87,34 +87,3 @@ def evaluate_accuracy(
     if total <= 0.0:
         return 0.0
     return matched / total
-
-
-def accuracy_table(
-    actuals: ActualsMap,
-    models: Sequence[IngressModel],
-    ks: Sequence[int] = (1, 2, 3),
-    unavailable: FrozenSet[int] = NO_LINKS,
-) -> Dict[str, Dict[int, float]]:
-    """Accuracy of several models at several k (one paper-table block)."""
-    return {
-        model.name: {
-            k: evaluate_accuracy(actuals, model, k, unavailable) for k in ks
-        }
-        for model in models
-    }
-
-
-def merge_actuals(parts: Iterable[ActualsMap]) -> Dict[FlowContext, Dict[int, float]]:
-    """Merge several actuals maps by summing bytes."""
-    merged: Dict[FlowContext, Dict[int, float]] = {}
-    for part in parts:
-        for context, by_link in part.items():
-            target = merged.setdefault(context, {})
-            for link, bytes_ in by_link.items():
-                target[link] = target.get(link, 0.0) + bytes_
-    return merged
-
-
-def total_bytes(actuals: ActualsMap) -> float:
-    """Total bytes in an actuals map."""
-    return sum(sum(v.values()) for v in actuals.values())

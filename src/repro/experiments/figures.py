@@ -25,7 +25,6 @@ from ..core.accuracy import ActualsMap, evaluate_accuracy
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from ..core.oracle import oracle_models
 from ..pipeline.outages import (
-    Outage,
     OutageParams,
     first_outage_days,
     last_outage_days_before,
@@ -211,30 +210,6 @@ def fig9_training_window_sweep(
             points.append(WindowSweepPoint(
                 length, sum(accs) / len(accs), min(accs), max(accs)))
     return points
-
-
-# -- Figure 10: model staleness ---------------------------------------------------
-
-def fig10_staleness_curve(
-    scenario: Scenario,
-    train_days: int = 14,
-    horizon_days: Optional[int] = None,
-    model_name: str = "Hist_AL/AP/A",
-    ks: Sequence[int] = (1, 2, 3),
-) -> Dict[int, Dict[int, float]]:
-    """Accuracy on each single day after training ends (paper Figure 10).
-
-    Returns {day offset: {k: accuracy}}.  Trains once; evaluates each
-    later day separately, so the decay of a stale model is visible.
-    """
-    runner = EvaluationRunner(scenario)
-    horizon_days = horizon_days or scenario.params.horizon_days
-    per_day = runner.run_staleness(
-        train_start_day=0, train_days=train_days,
-        max_offset_days=horizon_days - train_days, ks=ks)
-    return {
-        offset: dict(rows[model_name]) for offset, rows in per_day.items()
-    }
 
 
 @dataclass(frozen=True)

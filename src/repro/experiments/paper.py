@@ -11,7 +11,7 @@ and 10 are the October 2020 Naive Bayes comparison (Appendix A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 AccuracyRef = Dict[str, Dict[int, float]]
 
@@ -120,22 +120,6 @@ PAPER_FACTS = {
     # headline claim: top-3 accuracy after BGP withdrawals
     "headline_withdrawal_top3": 0.76,
 }
-
-
-def comparison_rows(
-    measured: Mapping[str, Mapping[int, float]],
-    reference: AccuracyRef,
-    ks: Tuple[int, ...] = (1, 2, 3),
-) -> List[Tuple[str, int, float, float, float]]:
-    """(model, k, measured, paper, delta) rows for side-by-side output."""
-    rows = []
-    for model, ref_ks in reference.items():
-        got = measured.get(model)
-        if got is None:
-            continue
-        for k in ks:
-            rows.append((model, k, got[k], ref_ks[k], got[k] - ref_ks[k]))
-    return rows
 
 
 def format_comparison(measured: Mapping[str, Mapping[int, float]],

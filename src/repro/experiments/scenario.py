@@ -222,9 +222,6 @@ class Scenario:
                 dest_service=enc.service.encode(flow.dest_service),
             )
 
-    def link_capacities(self) -> Dict[int, float]:
-        return {l.link_id: l.capacity_gbps for l in self.wan.links}
-
     # -- state management --------------------------------------------------------
 
     def state_at(self, hour: int) -> AdvertisementState:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, TextIO
+from typing import TextIO
 
 from . import runtime as obs
 from .export import FORMATS, render_json, render_prometheus, render_text
@@ -97,15 +97,3 @@ def run_obs(args: argparse.Namespace) -> int:
             stream.write("\n")
         print(f"wrote trace to {args.trace_out}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro obs",
-        description="run an instrumented example and export its metrics")
-    add_obs_arguments(parser)
-    return run_obs(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,7 @@ accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 
 class OrdinalEncoder:
@@ -28,10 +28,6 @@ class OrdinalEncoder:
             self._to_code[value] = code
             self._to_value.append(value)
         return code
-
-    def encode_if_known(self, value: Hashable) -> Optional[int]:
-        """Code for a value, or None if never seen (no assignment)."""
-        return self._to_code.get(value)
 
     def decode(self, code: int) -> Hashable:
         """Value for a code; raises ``IndexError`` for unknown codes."""
@@ -56,10 +52,3 @@ class EncoderSet:
         self.location = OrdinalEncoder("source_location")
         self.region = OrdinalEncoder("dest_region")
         self.service = OrdinalEncoder("dest_service")
-
-    def sizes(self) -> Dict[str, int]:
-        return {
-            "source_location": len(self.location),
-            "dest_region": len(self.region),
-            "dest_service": len(self.service),
-        }

@@ -250,15 +250,3 @@ def run_serve(args: argparse.Namespace) -> int:
     if args.action == "run":
         return _serve_run(args)
     return _serve_status(args)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="run and inspect the sharded serving daemon")
-    add_serve_arguments(parser)
-    return run_serve(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

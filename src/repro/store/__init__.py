@@ -2,7 +2,7 @@
 
 The storage boundary behind :class:`repro.core.training.DayCounts`
 and :class:`repro.core.historical.HistoricalModel` (ROADMAP item 5):
-day/hour-keyed state is serialised into memory-mappable, uncompressed
+day/hour-keyed state is serialised into uncompressed
 ``.npz`` columnar segments under a checksummed JSON manifest, written
 atomically (temp file + rename) and read under a strict
 corrupt-state-degrades-to-rebuild contract — a truncated segment, a bad
@@ -21,7 +21,6 @@ for the file layout and the full contract.
 
 from .codec import (
     decode_keyed_table,
-    decode_ragged,
     encode_keyed_table,
     encode_ragged,
     key_column_names,
@@ -31,7 +30,6 @@ from .segments import (
     STORE_FORMAT,
     SegmentInfo,
     SegmentStore,
-    open_memmap_column,
 )
 
 __all__ = [
@@ -39,10 +37,8 @@ __all__ = [
     "STORE_FORMAT",
     "SegmentInfo",
     "SegmentStore",
-    "open_memmap_column",
     "encode_keyed_table",
     "decode_keyed_table",
     "encode_ragged",
-    "decode_ragged",
     "key_column_names",
 ]

@@ -191,15 +191,3 @@ def run_snapshot(args: argparse.Namespace) -> int:
     if args.action == "load":
         return _snapshot_load(args)
     return _snapshot_inspect(args)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro snapshot",
-        description="save, load and inspect service state snapshots")
-    add_snapshot_arguments(parser)
-    return run_snapshot(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,7 +27,7 @@ bit-identical restores, not a nicety.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "encode_keyed_table",
     "decode_keyed_table",
     "encode_ragged",
-    "decode_ragged",
     "key_column_names",
 ]
 
@@ -103,11 +102,3 @@ def encode_ragged(rows: Sequence[Sequence[float]],
     for i, row in enumerate(rows):
         values[int(offsets[i]):int(offsets[i + 1])] = row
     return values, offsets
-
-
-def decode_ragged(values: np.ndarray,
-                  offsets: np.ndarray) -> List[List[float]]:
-    """Invert :func:`encode_ragged` (plain Python float lists back)."""
-    flat = values.tolist()
-    bounds = offsets.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -18,11 +18,9 @@ corrupt-entry-is-a-miss convention):
   :attr:`SegmentStore.degraded`.  Callers treat ``None`` as "this state
   never existed" and rebuild from the pipeline.
 
-Segments are written by :func:`numpy.savez` *uncompressed*, so each
-column is a raw ``.npy`` member at a fixed offset inside the zip —
-:func:`open_memmap_column` maps a single column straight off disk
-without reading the segment into memory, which is what lets training
-windows exceed RAM (``docs/storage.md``).
+Segments are written by :func:`numpy.savez` *uncompressed*: a read
+loads every column of a segment, and the whole file's checksum is
+verified once per store session first (``docs/storage.md``).
 
 Store activity is observable: ``store.write.segments`` /
 ``store.write.bytes`` / ``store.read.segments`` / ``store.read.bytes``
@@ -36,7 +34,6 @@ import hashlib
 import json
 import os
 import re
-import struct
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +48,6 @@ __all__ = [
     "STORE_FORMAT",
     "SegmentInfo",
     "SegmentStore",
-    "open_memmap_column",
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -316,26 +312,6 @@ class SegmentStore:
             obs.count("store.read.bytes", float(info.nbytes))
         return arrays
 
-    def mmap_column(self, name: str, column: str) -> Optional[np.ndarray]:
-        """Memory-map one column of a segment (``None`` if degraded).
-
-        The first access verifies the whole segment's checksum (one
-        sequential read); after that, columns map straight off disk and
-        the OS pages them in on demand.
-        """
-        info = self._segments.get(name)
-        if info is None or not self._verify(info):
-            return None
-        try:
-            out = open_memmap_column(self.root / info.filename, column)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            self._degrade(name, f"column {column!r} unmappable")
-            return None
-        if obs.enabled():
-            obs.count("store.read.segments")
-            obs.count("store.read.bytes", float(out.nbytes))
-        return out
-
     def total_bytes(self) -> int:
         """Sum of all manifest-recorded segment sizes."""
         return sum(info.nbytes for info in self._segments.values())
@@ -349,55 +325,3 @@ class SegmentStore:
                 if len(self.degraded) > before else "previously degraded"
             out.append((info, status))
         return out
-
-
-# -- zero-copy column access ------------------------------------------------
-
-
-def _local_header_data_offset(path: Path, member: str) -> int:
-    """Absolute file offset of a STORED zip member's first data byte."""
-    with zipfile.ZipFile(path) as archive:
-        zinfo = archive.getinfo(member)
-        if zinfo.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(
-                f"{member!r} is compressed; memory-mapping requires "
-                "uncompressed (STORED) members")
-        header_offset = zinfo.header_offset
-    with open(path, "rb") as handle:
-        handle.seek(header_offset)
-        header = handle.read(30)
-        if len(header) != 30 or header[:4] != b"PK\x03\x04":
-            raise ValueError(f"bad local file header for {member!r}")
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        return header_offset + 30 + name_len + extra_len
-
-
-def open_memmap_column(path: Union[str, Path],
-                       column: str) -> np.ndarray:
-    """Memory-map one array out of an uncompressed ``.npz`` file.
-
-    ``np.load(mmap_mode=...)`` silently ignores mmap for npz archives;
-    this helper does what it cannot: locate the raw ``.npy`` member
-    inside the (STORED, hence contiguous) zip, parse its header, and
-    hand back a read-only :class:`numpy.memmap` onto the data bytes.
-    """
-    path = Path(path)
-    member = column + ".npy"
-    start = _local_header_data_offset(path, member)
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            shape, fortran, dtype = \
-                np.lib.format.read_array_header_1_0(handle)
-        elif version == (2, 0):
-            shape, fortran, dtype = \
-                np.lib.format.read_array_header_2_0(handle)
-        else:
-            raise ValueError(f"unsupported npy version {version}")
-        if dtype.hasobject:
-            raise ValueError("object arrays cannot be memory-mapped")
-        data_offset = handle.tell()
-    return np.memmap(path, dtype=dtype, mode="r",
-                     offset=data_offset, shape=shape,
-                     order="F" if fortran else "C")

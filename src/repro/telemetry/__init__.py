@@ -10,8 +10,8 @@ ground truth — only what survives sampling here and aggregation in
 
 from .ipfix import DEFAULT_PACKET_BYTES, DEFAULT_SAMPLING_RATE, IpfixExporter, IpfixRecord
 from .geoip import GeoIPDatabase
-from .bmp import BmpFeed, BmpMessage
-from .metadata import LinkMetadata, MetadataStore
+from .bmp import BmpFeed, BmpMessage, Route
+from .metadata import MetadataStore
 from .snmp import (
     InferenceQuality,
     SnmpParams,
@@ -23,7 +23,7 @@ from .snmp import (
 
 __all__ = [
     "DEFAULT_PACKET_BYTES", "DEFAULT_SAMPLING_RATE", "IpfixExporter", "IpfixRecord",
-    "GeoIPDatabase", "BmpFeed", "BmpMessage", "LinkMetadata", "MetadataStore",
+    "GeoIPDatabase", "BmpFeed", "BmpMessage", "Route", "MetadataStore",
     "InferenceQuality", "SnmpParams", "SnmpPoller", "SnmpReading",
     "compare_inference", "infer_outages_from_snmp",
 ]

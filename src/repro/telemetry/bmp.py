@@ -8,6 +8,10 @@ advertise for the source prefixes in its customer cone, and offers an
 AS-distance inference over the observed AS paths (the "shortest
 valley-free route in the AS-level graph inferred from our BMP data" used
 in Figure 2).
+
+:class:`Route`, the route a message carries, lives here because the
+feed is its one user; the ground-truth routing in :mod:`repro.bgp` is
+columnar and has no per-route objects.
 """
 
 from __future__ import annotations
@@ -16,10 +20,24 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..bgp.messages import Route
 from ..topology.asgraph import ASGraph
 from ..topology.wan import CloudWAN
 from ..traffic.prefixes import PrefixUniverse
+
+
+@dataclass(frozen=True)
+class Route:
+    """A BGP route as monitored: prefix, AS path and next hop.
+
+    Attributes:
+        prefix: destination prefix in CIDR notation.
+        as_path: AS path, nearest AS first; the origin AS is last.
+        next_hop: opaque next-hop identifier (router name or peer name).
+    """
+
+    prefix: str
+    as_path: Tuple[int, ...]
+    next_hop: str
 
 
 @dataclass(frozen=True)

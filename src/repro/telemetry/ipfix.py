@@ -12,7 +12,6 @@ inference) consume only these sampled records, never ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,29 +67,3 @@ class IpfixExporter:
         # standard, cheap approximation and is exact in distribution limit.
         sampled = rng.poisson(packets / self.sampling_rate)
         return sampled * self.sampling_rate * self.packet_bytes
-
-    def export_hour(
-        self,
-        hour: int,
-        entries: Sequence[Tuple[int, int, int, int, float]],
-    ) -> List[IpfixRecord]:
-        """Export one hour of true (link, flow) byte counts.
-
-        Args:
-            hour: absolute hour index.
-            entries: tuples of (link_id, src_prefix_id, src_asn,
-                dest_prefix_id, true_bytes).
-
-        Returns:
-            Records with non-zero sampled bytes.
-        """
-        if not entries:
-            return []
-        true = np.array([e[4] for e in entries], dtype=float)
-        sampled = self.sample_bytes(true, hour)
-        records = []
-        for (link_id, src_prefix, src_asn, dest_prefix, _), est in zip(entries, sampled):
-            if est > 0.0:
-                records.append(IpfixRecord(hour, link_id, src_prefix,
-                                           src_asn, dest_prefix, float(est)))
-        return records

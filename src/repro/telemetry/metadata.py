@@ -3,29 +3,17 @@
 The Azure pipeline augments IPFIX with: which cloud service and metro
 region a destination belongs to, where the external source prefix
 originates (Geo-IP), and which peer/geography a collecting link belongs
-to.  ``MetadataStore`` bundles those lookups so the aggregation stage can
-do a single join.
+to.  ``MetadataStore`` bundles the destination and source lookups so the
+aggregation stage can do a single join; a link's peer and metro are read
+straight off :meth:`~repro.topology.wan.CloudWAN.link`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..topology.wan import CloudWAN
 from .geoip import GeoIPDatabase
-
-
-@dataclass(frozen=True)
-class LinkMetadata:
-    """Who and where a peering link is."""
-
-    link_id: int
-    peer_asn: int
-    metro: str
-    router: str
-    capacity_gbps: float
-    kind: str
 
 
 class MetadataStore:
@@ -34,11 +22,6 @@ class MetadataStore:
     def __init__(self, wan: CloudWAN, geoip: GeoIPDatabase):
         self.wan = wan
         self.geoip = geoip
-
-    def link_metadata(self, link_id: int) -> LinkMetadata:
-        link = self.wan.link(link_id)
-        return LinkMetadata(link.link_id, link.peer_asn, link.metro,
-                            link.router, link.capacity_gbps, link.kind)
 
     def destination_features(self, dest_prefix_id: int) -> Tuple[str, str]:
         """(region, service type) for a destination prefix."""

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .geography import MetroCatalog
@@ -172,21 +171,6 @@ class ASGraph:
             self._dense = DenseTopology(self)
             self._dense_version = self._version
         return self._dense
-
-    def to_networkx(self) -> nx.Graph:
-        """Export to an undirected networkx graph (for analysis/plots)."""
-        graph = nx.Graph()
-        for node in self._nodes.values():
-            graph.add_node(node.asn, role=node.role.value, footprint=node.footprint)
-        seen = set()
-        for a, nbrs in self._adj.items():
-            for b, rel in nbrs.items():
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                graph.add_edge(a, b, relationship=self._adj[key[0]][key[1]].value)
-        return graph
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""

@@ -163,10 +163,6 @@ class MetroCatalog:
             raise ValueError("nearest() requires at least one candidate")
         return best[1]
 
-    def rank_by_distance(self, origin: str, candidates: Iterable[str]) -> List[str]:
-        """Candidates sorted by distance from ``origin`` (ties by name)."""
-        return sorted(candidates, key=lambda name: (self.distance_km(origin, name), name))
-
     def in_continent(self, continent: str) -> List[Metro]:
         """All metros on a given continent code."""
         return [m for m in self._metros if m.continent == continent]

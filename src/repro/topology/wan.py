@@ -118,11 +118,6 @@ class CloudWAN:
     def dest_prefix(self, prefix_id: int) -> DestPrefix:
         return self._prefix_by_id[prefix_id]
 
-    def link_distance_km(self, a: int, b: int) -> float:
-        """Geographic distance between two peering links, by link id."""
-        la, lb = self._link_by_id[a], self._link_by_id[b]
-        return self.metros.distance_km(la.metro, lb.metro)
-
     def services(self) -> Tuple[str, ...]:
         return tuple(sorted({p.service for p in self.dest_prefixes}))
 

@@ -290,7 +290,3 @@ class TrafficGenerator:
         volumes.flags.writeable = False
         self._last_volumes = (hour, volumes)
         return volumes
-
-    def flows_active_on(self, day: int) -> List[FlowSpec]:
-        """Flows whose lifetime covers a given day."""
-        return [f for f in self.flows if f.start_day <= day <= f.end_day]

@@ -94,7 +94,3 @@ class PrefixUniverse:
 
     def asns(self) -> Tuple[int, ...]:
         return tuple(self._by_as)
-
-    def location_of(self, prefix_id: int) -> str:
-        """Ground-truth metro of a prefix (the Geo-IP DB may distort it)."""
-        return self._prefixes[prefix_id].metro

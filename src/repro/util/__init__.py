@@ -9,9 +9,9 @@ unordered float accumulation through.
 """
 
 from .cache import AnswerMemo, LruDict
-from .hashing import geometric_day, mix64, pick, rotation, unit
+from .hashing import geometric_day, mix64, rotation, unit
 
 __all__ = [
     "AnswerMemo", "LruDict",
-    "geometric_day", "mix64", "pick", "rotation", "unit",
+    "geometric_day", "mix64", "rotation", "unit",
 ]

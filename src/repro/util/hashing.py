@@ -10,10 +10,8 @@ distributed, and reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
-from typing import Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
-_T = TypeVar("_T")
 
 
 def mix64(*values: int, seed: int = 0) -> int:
@@ -32,13 +30,6 @@ def mix64(*values: int, seed: int = 0) -> int:
 def unit(*values: int, seed: int = 0) -> float:
     """Deterministic uniform float in [0, 1) derived from the inputs."""
     return mix64(*values, seed=seed) / float(1 << 64)
-
-
-def pick(items: Sequence[_T], *values: int, seed: int = 0) -> _T:
-    """Deterministically pick one item from a non-empty sequence."""
-    if not items:
-        raise ValueError("cannot pick from an empty sequence")
-    return items[mix64(*values, seed=seed) % len(items)]
 
 
 def rotation(n: int, *values: int, seed: int = 0) -> int:

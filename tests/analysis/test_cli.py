@@ -8,10 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main as lint_main
+from repro.__main__ import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def lint_main(argv):
+    return main(["lint", *argv])
 
 
 def test_exit_zero_on_clean_tree(capsys):

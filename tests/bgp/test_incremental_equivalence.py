@@ -11,7 +11,6 @@ where each table derives from the previous incremental result (so repair
 errors would compound if they existed).
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,8 +120,8 @@ class TestIncrementalEquivalence:
                 assert repaired.distance(asn) is None
 
     def test_snapshot_columns_identical_after_repair(self):
-        # to_arrays is the persistence boundary: repaired and scratch
-        # tables must serialise to byte-identical columns
+        # a repaired table is the scratch table column for column, for
+        # the same seeded-neighbor set
         graph = _small_graph(2)
         bias = default_bias(graph, 2)
         asns = sorted(graph.asns)
@@ -131,8 +130,5 @@ class TestIncrementalEquivalence:
         seeded = peers - {asns[4], asns[7]}
         repaired = update_routing_table(graph, base, seeded, bias)
         scratch = compute_routing_table(graph, seeded, bias)
-        left, right = repaired.to_arrays(), scratch.to_arrays()
-        assert sorted(left) == sorted(right)
-        for name in left:
-            assert left[name].dtype == right[name].dtype, name
-            assert np.array_equal(left[name], right[name]), name
+        assert repaired.columns_equal(scratch)
+        assert repaired.seeded == scratch.seeded == seeded

@@ -1,9 +1,8 @@
 """Tests for valley-free route propagation to the WAN."""
 
-import numpy as np
 import pytest
 
-from repro.bgp import RoutingTable, compute_routing_table
+from repro.bgp import compute_routing_table
 from repro.topology import ASGraph, ASNode, ASRole, MetroCatalog, Relationship
 
 
@@ -125,49 +124,3 @@ class TestNexthopMatrix:
         with pytest.raises(ValueError):
             matrix[0, 0] = 7
         assert table.changed_asns(other) == {1, 2, 3, 4}
-
-
-class TestTableSnapshot:
-    """to_arrays/from_arrays: the columnar persistence boundary."""
-
-    def test_array_roundtrip_bit_identical(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset({1, 2}), no_bias)
-        arrays = table.to_arrays()
-        restored = RoutingTable.from_arrays(chain_graph, arrays)
-        assert restored.columns_equal(table)
-        assert restored.seeded == table.seeded
-        for asn in table.reachable_asns():
-            assert restored.get(asn) == table.get(asn)
-            assert restored.distance(asn) == table.distance(asn)
-
-    def test_arrays_pin_dtypes(self, chain_graph):
-        arrays = compute_routing_table(
-            chain_graph, frozenset({1}), no_bias).to_arrays()
-        assert arrays["asn"].dtype == np.int64
-        assert arrays["dist"].dtype == np.int32
-        assert arrays["direct"].dtype == np.uint8
-        assert arrays["nh_values"].dtype == np.int64
-        assert arrays["nh_offsets"].dtype == np.int64
-        assert arrays["seeded"].dtype == np.int64
-
-    def test_from_arrays_rejects_foreign_graph(self, chain_graph):
-        arrays = compute_routing_table(
-            chain_graph, frozenset({1}), no_bias).to_arrays()
-        metros = MetroCatalog()
-        other = ASGraph(metros)
-        other.add_as(ASNode(9, ASRole.TIER1, ("sea",)))
-        with pytest.raises(ValueError):
-            RoutingTable.from_arrays(other, arrays)
-
-    def test_segment_store_roundtrip(self, chain_graph, tmp_path):
-        from repro.store import SegmentStore
-
-        table = compute_routing_table(chain_graph, frozenset({1, 2}), no_bias)
-        arrays = table.to_arrays()
-        store = SegmentStore(tmp_path / "snap", create=True)
-        store.write("routing_base", arrays, kind="routing_table",
-                    rows=len(arrays["asn"]))
-        loaded = SegmentStore(tmp_path / "snap").read("routing_base")
-        assert loaded is not None
-        restored = RoutingTable.from_arrays(chain_graph, loaded)
-        assert restored.columns_equal(table)

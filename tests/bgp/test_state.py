@@ -126,10 +126,3 @@ class TestOutages:
         a = AdvertisementState(wan)
         b = AdvertisementState(wan)
         assert a.uid != b.uid
-
-    def test_available_links_filter(self, wan):
-        state = AdvertisementState(wan)
-        state.set_link_down(0)
-        state.withdraw(0, 1)
-        available = state.available_links(0, wan.links)
-        assert [l.link_id for l in available] == [2, 3]

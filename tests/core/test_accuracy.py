@@ -7,11 +7,8 @@ from repro.core import (
     HistoricalModel,
     OracleModel,
     Prediction,
-    accuracy_table,
     evaluate_accuracy,
     matched_bytes,
-    merge_actuals,
-    total_bytes,
     volume_matched_bytes,
 )
 from repro.pipeline import FlowContext
@@ -89,22 +86,3 @@ class TestEvaluateAccuracy:
         strict = evaluate_accuracy(actuals, model, 2, strict_volumes=True)
         assert loose == pytest.approx(1.0)
         assert strict == pytest.approx(0.5)
-
-
-class TestHelpers:
-    def test_accuracy_table_shape(self):
-        actuals = {ctx(1): {5: 100.0}}
-        model = HistoricalModel(FEATURES_AP, name="m")
-        model.observe(ctx(1), 5, 1.0)
-        table = accuracy_table(actuals, [model], ks=(1, 3))
-        assert table == {"m": {1: 1.0, 3: 1.0}}
-
-    def test_merge_actuals(self):
-        a = {ctx(1): {5: 10.0}}
-        b = {ctx(1): {5: 5.0, 7: 1.0}, ctx(2): {9: 2.0}}
-        merged = merge_actuals([a, b])
-        assert merged[ctx(1)] == {5: 15.0, 7: 1.0}
-        assert merged[ctx(2)] == {9: 2.0}
-
-    def test_total_bytes(self):
-        assert total_bytes({ctx(1): {5: 10.0, 7: 2.0}}) == 12.0

@@ -5,8 +5,6 @@ from repro.experiments import (
     EvaluationRunner,
     Scenario,
     ScenarioParams,
-    WindowSpec,
-    figures,
     tables,
 )
 from repro.experiments.incident import build_incident_world, train_incident_model
@@ -42,15 +40,6 @@ class TestRunnerOptions:
         runner = EvaluationRunner(small_scenario)
         names = {m.name for m in runner.build_models(trained_counts)}
         assert not any(n.startswith("NB") for n in names)
-
-
-class TestFigureHelpers:
-    def test_fig10_helper_wraps_runner(self, small_scenario):
-        curve = figures.fig10_staleness_curve(
-            small_scenario, train_days=10, horizon_days=13)
-        assert set(curve) == {0, 1, 2}
-        for per_k in curve.values():
-            assert set(per_k) == {1, 2, 3}
 
 
 class TestTableFormatting:

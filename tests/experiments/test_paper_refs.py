@@ -37,14 +37,6 @@ class TestReferenceData:
 
 
 class TestComparisonHelpers:
-    def test_comparison_rows(self):
-        measured = {"Hist_AP": {1: 0.8, 2: 0.9, 3: 0.95}}
-        rows = paper.comparison_rows(measured, paper.PAPER_TABLE4)
-        assert len(rows) == 3
-        model, k, got, ref, delta = rows[2]
-        assert model == "Hist_AP" and k == 3
-        assert delta == pytest.approx(got - ref)
-
     def test_format_comparison(self):
         measured = {"Hist_AP": {1: 0.8, 2: 0.9, 3: 0.95}}
         text = paper.format_comparison(measured, paper.PAPER_TABLE4,
@@ -53,5 +45,5 @@ class TestComparisonHelpers:
         assert "paper" in text
 
     def test_missing_models_skipped(self):
-        rows = paper.comparison_rows({}, paper.PAPER_TABLE4)
-        assert rows == []
+        text = paper.format_comparison({}, paper.PAPER_TABLE4, "Table 4")
+        assert len(text.splitlines()) == 2  # title and header only

@@ -13,9 +13,13 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.core.service import ServiceConfig, TipsyService
 from repro.obs import runtime as obs
-from repro.obs.cli import main as obs_main
+
+
+def obs_main(argv):
+    return main(["obs", *argv])
 
 
 @pytest.fixture()
@@ -113,4 +117,3 @@ class TestObsCli:
     def test_rejects_too_few_days(self):
         with pytest.raises(SystemExit):
             obs_main(["--days", "1"])
-

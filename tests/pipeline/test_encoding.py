@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline import EncoderSet, OrdinalEncoder
+from repro.pipeline import OrdinalEncoder
 
 
 class TestOrdinalEncoder:
@@ -27,12 +27,6 @@ class TestOrdinalEncoder:
         with pytest.raises(IndexError):
             enc.decode(-1)
 
-    def test_encode_if_known(self):
-        enc = OrdinalEncoder()
-        assert enc.encode_if_known("x") is None
-        enc.encode("x")
-        assert enc.encode_if_known("x") == 0
-
     def test_len_and_contains(self):
         enc = OrdinalEncoder()
         enc.encode("a")
@@ -46,15 +40,3 @@ class TestOrdinalEncoder:
         enc.encode("a")
         enc.encode("b")
         assert enc.values() == ("a", "b")
-
-
-class TestEncoderSet:
-    def test_sizes(self):
-        encoders = EncoderSet()
-        encoders.location.encode("sea")
-        encoders.region.encode("sea-region")
-        encoders.region.encode("lon-region")
-        sizes = encoders.sizes()
-        assert sizes["source_location"] == 1
-        assert sizes["dest_region"] == 2
-        assert sizes["dest_service"] == 0

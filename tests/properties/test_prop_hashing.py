@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import geometric_day, mix64, pick, rotation, unit
+from repro.util import geometric_day, mix64, rotation, unit
 
 ints = st.integers(min_value=0, max_value=2**62)
 int_lists = st.lists(ints, min_size=1, max_size=8)
@@ -30,16 +30,6 @@ class TestUnitProperties:
     def test_in_unit_interval(self, values, seed):
         u = unit(*values, seed=seed)
         assert 0.0 <= u < 1.0
-
-
-class TestPickProperties:
-    @given(st.lists(st.integers(), min_size=1, max_size=20), ints)
-    def test_picks_member(self, items, key):
-        assert pick(items, key) in items
-
-    @given(st.lists(st.integers(), min_size=1, max_size=20), ints)
-    def test_stable(self, items, key):
-        assert pick(items, key) == pick(items, key)
 
 
 class TestRotationProperties:

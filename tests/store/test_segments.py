@@ -19,7 +19,6 @@ from repro.store import (
     STORE_FORMAT,
     SegmentInfo,
     SegmentStore,
-    open_memmap_column,
 )
 
 
@@ -196,26 +195,6 @@ class TestDegradation:
         status = dict((i.name, s) for i, s in fresh.inspect())
         assert status["good"] == "ok"
         assert status["bad"] == "segment file missing"
-
-
-class TestMemmap:
-    def test_mmap_column_matches_read(self, store):
-        arrays = _arrays(64)
-        store.write("seg-a", arrays, kind="day_counts", rows=64)
-        mapped = store.mmap_column("seg-a", "value")
-        assert isinstance(mapped, np.memmap)
-        np.testing.assert_array_equal(np.asarray(mapped), arrays["value"])
-
-    def test_mmap_unknown_column_degrades(self, store):
-        store.write("seg-a", _arrays(), kind="day_counts", rows=8)
-        assert store.mmap_column("seg-a", "nope") is None
-        assert any(name == "seg-a" for name, _ in store.degraded)
-
-    def test_open_memmap_column_is_read_only(self, store, tmp_path):
-        info = store.write("seg-a", _arrays(), kind="day_counts", rows=8)
-        mapped = open_memmap_column(tmp_path / info.filename, "k0")
-        with pytest.raises((ValueError, TypeError)):
-            mapped[0] = 99
 
 
 class TestObservability:

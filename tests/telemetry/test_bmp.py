@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import BmpFeed
+from repro.telemetry import BmpFeed, Route
 from repro.topology import (
     ASGraph,
     ASNode,
@@ -36,6 +36,13 @@ def world():
                    [DestPrefix(0, "100.64.0.0/24", "sea-region", "web")],
                    metros)
     return g, wan
+
+
+class TestRoute:
+    def test_frozen(self):
+        route = Route("10.0.0.0/24", (7,), "r1")
+        with pytest.raises(AttributeError):
+            route.next_hop = "r2"
 
 
 class TestAdvertisementPaths:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.telemetry import IpfixExporter, IpfixRecord
+from repro.telemetry import IpfixExporter
 
 
 class TestSampling:
@@ -49,29 +49,3 @@ class TestSampling:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             IpfixExporter(sampling_rate=0)
-
-
-class TestExportHour:
-    def test_zero_estimates_dropped(self):
-        exporter = IpfixExporter(seed=5)
-        entries = [(0, 1, 100, 2, 1000.0)] * 50  # tiny flows
-        records = exporter.export_hour(3, entries)
-        assert len(records) < 50
-
-    def test_fields_preserved(self):
-        exporter = IpfixExporter(sampling_rate=1)
-        entries = [(7, 11, 100, 3, 5e6)]
-        records = exporter.export_hour(4, entries)
-        assert len(records) == 1
-        record = records[0]
-        assert record == IpfixRecord(4, 7, 11, 100, 3, 5e6)
-
-    def test_empty_input(self):
-        assert IpfixExporter().export_hour(0, []) == []
-
-    def test_hour_mismatch_not_checked_here(self):
-        # export_hour stamps the given hour; chunking is the aggregator's
-        # job, which *does* validate (see pipeline tests)
-        exporter = IpfixExporter(sampling_rate=1)
-        records = exporter.export_hour(9, [(0, 1, 2, 3, 1e7)])
-        assert records[0].hour == 9

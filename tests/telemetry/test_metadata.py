@@ -20,14 +20,6 @@ def store():
 
 
 class TestMetadataStore:
-    def test_link_metadata(self, store):
-        meta, wan, _u = store
-        link = wan.links[0]
-        lm = meta.link_metadata(link.link_id)
-        assert lm.peer_asn == link.peer_asn
-        assert lm.metro == link.metro
-        assert lm.capacity_gbps == link.capacity_gbps
-
     def test_destination_features(self, store):
         meta, wan, _u = store
         dest = wan.dest_prefixes[0]
@@ -43,8 +35,3 @@ class TestMetadataStore:
     def test_unknown_source_location(self, store):
         meta, _wan, _u = store
         assert meta.source_location(10**9) is None
-
-    def test_unknown_link_raises(self, store):
-        meta, _wan, _u = store
-        with pytest.raises(KeyError):
-            meta.link_metadata(10**9)

@@ -1,5 +1,6 @@
-"""Packaging checks: the ``py.typed`` marker must actually ship, and
-the linter must stay off the product's import graph.
+"""Packaging checks: the ``py.typed`` marker must actually ship, the
+linter must stay off the product's import graph, and numpy is the one
+runtime dependency.
 
 ``pyproject.toml`` references the marker via ``[tool.setuptools.package-data]``;
 these tests catch the classic failure where the file exists in the repo
@@ -10,6 +11,7 @@ installed package into a no-op.
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 import tarfile
@@ -82,6 +84,34 @@ def test_wheel_includes_py_typed(tmp_path):
 def test_the_process_pool_package_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module(f"repro.{GONE}")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing every product module pulls in no networkx, and
+    ``[project].dependencies`` declares numpy alone.  Run in a fresh
+    interpreter so modules other tests imported cannot hide an import."""
+    code = (
+        "import importlib, pathlib, sys\n"
+        "root = pathlib.Path(sys.argv[1])\n"
+        "for path in sorted(root.joinpath('repro').rglob('*.py')):\n"
+        "    parts = path.relative_to(root).with_suffix('').parts\n"
+        "    if parts[1:2] == ('analysis',):\n"
+        "        continue\n"
+        "    if parts[-1] == '__init__':\n"
+        "        parts = parts[:-1]\n"
+        "    importlib.import_module('.'.join(parts))\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    src = REPO_ROOT / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src)], cwd=REPO_ROOT,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert project["project"]["dependencies"] == ["numpy"]
 
 
 def _imported_modules(path, package):

@@ -137,13 +137,6 @@ class TestGeneratedGraph:
     def test_validate_passes(self, graph):
         graph.validate()
 
-    def test_to_networkx_roundtrip(self, graph):
-        nxg = graph.to_networkx()
-        assert nxg.number_of_nodes() == len(graph)
-        # relationship annotations present on every edge
-        for _a, _b, data in nxg.edges(data=True):
-            assert data["relationship"] in {"customer", "peer", "provider"}
-
     def test_validate_detects_empty_footprint(self):
         metros = MetroCatalog()
         g = ASGraph(metros)

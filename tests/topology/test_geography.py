@@ -83,13 +83,6 @@ class TestMetroCatalog:
         catalog = MetroCatalog()
         assert catalog.nearest("sea", ["sea"]) == "sea"
 
-    def test_rank_by_distance_sorted(self):
-        catalog = MetroCatalog()
-        ranked = catalog.rank_by_distance("sea", ["lon", "yvr", "nyc"])
-        distances = [catalog.distance_km("sea", m) for m in ranked]
-        assert distances == sorted(distances)
-        assert ranked[0] == "yvr"
-
     def test_in_continent(self):
         catalog = MetroCatalog()
         europe = catalog.in_continent("eu")

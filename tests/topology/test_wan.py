@@ -46,11 +46,6 @@ class TestCloudWAN:
         assert wan.region("sea-region").metro == "sea"
         assert wan.dest_prefix(0).service == "storage"
 
-    def test_link_distance(self):
-        wan = self._tiny()
-        assert wan.link_distance_km(0, 2) == 0.0  # same metro
-        assert wan.link_distance_km(0, 1) > 7000  # Seattle-London
-
     def test_duplicate_link_id_rejected(self):
         metros = MetroCatalog()
         links = [PeeringLink(0, 100, "sea", "r", 10.0)] * 2

@@ -142,12 +142,6 @@ class TestVolumes:
         series = [gen.volumes_for_hour(h)[flow.flow_id] for h in range(24)]
         assert max(series) > 1.5 * min(v for v in series if v > 0)
 
-    def test_flows_active_on(self, world):
-        *_rest, gen = world
-        active = gen.flows_active_on(5)
-        assert all(f.start_day <= 5 <= f.end_day for f in active)
-        assert len(active) <= len(gen.flows)
-
 
 class TestWorkloadCoverage:
     def test_all_default_services_have_profiles(self, world):

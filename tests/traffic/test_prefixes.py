@@ -74,7 +74,3 @@ class TestPrefixUniverse:
         assert p.cidr.endswith(".0/24")
         parts = p.cidr.split("/")[0].split(".")
         assert len(parts) == 4
-
-    def test_location_of(self, universe):
-        _graph, uni = universe
-        assert uni.location_of(3) == uni.prefix(3).metro

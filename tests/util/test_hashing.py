@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util import geometric_day, mix64, pick, rotation, unit
+from repro.util import geometric_day, mix64, rotation, unit
 
 
 class TestMix64:
@@ -33,20 +33,6 @@ class TestUnit:
         n = 20_000
         mean = sum(unit(i) for i in range(n)) / n
         assert 0.48 < mean < 0.52
-
-
-class TestPick:
-    def test_picks_member(self):
-        items = ["a", "b", "c"]
-        assert pick(items, 5, 9) in items
-
-    def test_deterministic(self):
-        items = list(range(10))
-        assert pick(items, 3) == pick(items, 3)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            pick([], 1)
 
 
 class TestRotation:
