@@ -23,12 +23,12 @@ from .propagation import (
     default_bias,
     update_routing_table,
 )
-from .simulator import IngressSimulator, ShareVector, SimulatorParams
+from .simulator import IngressSimulator, SimulatorParams
 
 __all__ = [
     "AdvertisementState",
     "MAX_NEXTHOPS", "RouteInfo", "RoutingTable", "SPRAY_TOLERANCE",
     "UNREACHABLE", "compute_routing_table", "default_bias",
     "update_routing_table",
-    "IngressSimulator", "ShareVector", "SimulatorParams",
+    "IngressSimulator", "SimulatorParams",
 ]

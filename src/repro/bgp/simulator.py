@@ -1,10 +1,10 @@
 """Ground-truth ingress resolution for the synthetic Internet.
 
-Given a flow (source AS, source metro, source /24, destination prefix) and
-the current advertisement state, the simulator computes the distribution of
-the flow's bytes over the WAN's peering links.  This plays the role the
-real Internet played for Azure: the TIPSY predictor never calls it — it
-only sees IPFIX-style telemetry derived from its output.
+Given flows (source AS, source metro, source /24, destination prefix) and
+the current advertisement state, the simulator computes the distribution
+of each flow's bytes over the WAN's peering links.  This plays the role
+the real Internet played for Azure: the TIPSY predictor never calls it —
+it only sees IPFIX-style telemetry derived from its output.
 
 The resolution pipeline per flow:
 
@@ -35,50 +35,36 @@ unknowable from pre-withdrawal history alone (models that never saw it
 degrade, paper Table 7).  Geography still constrains the outcome, which
 is why the AL+G completion recovers much of the loss.
 
-Results are cached per (flow, removal-key, drift-state) together with
-what they read — their *footprint*, the ASes whose table rows and links
-the walk read, and their *pools*, the links of every candidate pool it
-ranked — and a result computed under one removal set is reused under
-another whenever the change reaches neither (:meth:`touched`: a restored
-link or a changed route reaches its AS, a removed link only the pools
-that held it); routing tables are cached per seeded-neighbor set, so
-week-long simulations stay fast.  The hot caches are bounded LRU maps
-(``SimulatorParams`` capacities) so those simulations also stay bounded
-in memory; table-cache misses are repaired by dirty-set recomputation
-from a pinned full-availability table
-(``propagation.update_routing_table``) instead of full rebuilds.
+:meth:`IngressSimulator.resolve_shares` resolves a set of flows in one
+call, as columns: every walk advances one AS hop per step, choosing by
+column hashes (``util.hashing``).  Each flow also reports what it read —
+its *footprint* (the ASes whose rows and links the walk read) and its
+*pools* (the links of every candidate pool it ranked) — so a caller can
+tell which flows a change of removal set reaches (:meth:`touched`); the
+flow-by-flow walk it replaced is the test oracle
+(``tests/bgp/resolve_oracle.py``).  Routing tables are cached per
+seeded-neighbor set and a miss is repaired by dirty-set recomputation
+from a pinned full-availability table (``update_routing_table``); the
+one per-flow memo left, the split past the candidate pool, is bounded by
+``SimulatorParams.share_cache_size``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs import runtime as obs
 from ..topology.asgraph import ASGraph, Pocket
 from ..topology.wan import CloudWAN, PeeringLink
 from ..util.cache import LruDict
-from ..util.hashing import geometric_day, mix64, rotation, unit
-from .propagation import (RoutingTable, compute_routing_table, default_bias,
-                          update_routing_table)
+from ..util.hashing import (geometric_day, mix64_columns, rotation_columns,
+                            unit, unit_columns)
+from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
+                          default_bias, update_routing_table)
 from .state import AdvertisementState
-
-#: (link_id, fraction) pairs, descending fraction; fractions sum to 1.0
-ShareVector = Tuple[Tuple[int, float], ...]
-
-
-class Resolution(NamedTuple):
-    """A flow's shares with what says when they stand (:meth:`touched`)."""
-
-    shares: ShareVector
-    #: every AS whose table row or links the walk read
-    footprint: Tuple[int, ...]
-    #: the links of every candidate pool the walk ranked
-    pools: Tuple[int, ...]
-    #: the removal set it was computed under
-    removed: FrozenSet[int]
-
 
 @dataclass
 class SimulatorParams:
@@ -115,7 +101,7 @@ class SimulatorParams:
     te_prepend_km: float = 1200.0
     te_compliance: float = 0.85
     # bounded-cache capacities (<= 0 = unbounded).  Week-long runs touch
-    # millions of (flow, removal-key, drift) share keys and an open-ended
+    # millions of (candidate pool, flow, drift) splits and an open-ended
     # set of removal keys; these caps turn that into bounded memory with
     # LRU recency doing the keeping (docs/architecture.md, cache table)
     share_cache_size: int = 262144
@@ -150,13 +136,11 @@ class IngressSimulator:
             LruDict(p.table_cache_size)
         self._table_by_seeded: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
-        # (flow key, removal set) -> resolution, plus flow key -> the
-        # flow's latest full resolution (what the footprint rule tries)
-        self._share_cache: LruDict[Tuple[Any, ...], Resolution] = \
+        # (candidate pool, src prefix, dest prefix, rotation) -> the split
+        # as six float64 bytes: three links, then their fractions (-1 and
+        # 0.0 past the pool's size), so a call's splits are one buffer
+        self._split_memo: LruDict[Tuple[Any, ...], bytes] = \
             LruDict(p.share_cache_size)
-        self._link_share_cache: LruDict[Tuple[Any, ...], ShareVector] = \
-            LruDict(p.share_cache_size)
-        self._entry_cache: Dict[Tuple[int, str], str] = {}
         self._touched_cache: LruDict[
             Tuple[FrozenSet[int], FrozenSet[int]],
             Tuple[FrozenSet[int], FrozenSet[int]]] = \
@@ -174,6 +158,26 @@ class IngressSimulator:
         self._ranked_misses = 0
         self._table_full_rebuilds = 0
         self._table_incremental_updates = 0
+        # the walk's frame: dense AS rows (those of every routing table),
+        # metro codes, each (AS row, metro)'s pocket (the AS's first that
+        # holds the metro, -1: none) and entry metro (-1 until first used)
+        self._topo = topo = graph.dense()
+        self._asn_order = np.argsort(topo.asns, kind="stable")
+        self._asns_sorted = topo.asns[self._asn_order]
+        self._metro_names = graph.metros.names
+        self._metro_code = {m: i for i, m in enumerate(self._metro_names)}
+        self._pockets: List[Pocket] = []
+        self._pocket_of = np.full((topo.n, len(self._metro_names)), -1,
+                                  dtype=np.int64)
+        for node in graph.nodes():
+            for pocket in reversed(node.pockets):
+                self._pocket_of[topo.index[node.asn], [
+                    self._metro_code[m] for m in sorted(pocket.metros)]] = \
+                    len(self._pockets)
+                self._pockets.append(pocket)
+        self._width = max([MAX_NEXTHOPS] + [len(p.providers)
+                                            for p in self._pockets])
+        self._entry_of = np.full(self._pocket_of.shape, -1, dtype=np.int64)
 
     # -- routing tables -----------------------------------------------------
 
@@ -277,181 +281,301 @@ class IngressSimulator:
 
     def resolve_shares(
         self,
-        src_asn: int,
-        src_metro: str,
-        src_prefix: int,
-        dest_prefix: int,
+        src_asn: np.ndarray,
+        src_metro: Sequence[str],
+        src_prefix: np.ndarray,
+        dest_prefix: np.ndarray,
         state: AdvertisementState,
         day: Optional[int] = None,
-    ) -> ShareVector:
-        """Distribution of a flow's bytes over peering links (cached).
-
-        Returns an empty tuple if the flow has no route to the WAN (all
-        candidate paths withdrawn) — callers account those bytes as lost.
-        """
-        return self.resolution(src_asn, src_metro, src_prefix, dest_prefix,
-                               state, day).shares
-
-    def footprint(
-        self,
-        src_asn: int,
-        src_metro: str,
-        src_prefix: int,
-        dest_prefix: int,
-        state: AdvertisementState,
-        day: Optional[int] = None,
-    ) -> Tuple[int, ...]:
-        """The ASes :meth:`resolve_shares` read for this flow and state."""
-        return self.resolution(src_asn, src_metro, src_prefix, dest_prefix,
-                               state, day, count=False).footprint
-
-    def resolution(self, src_asn: int, src_metro: str, src_prefix: int,
-                   dest_prefix: int, state: AdvertisementState,
-                   day: Optional[int] = None, count: bool = True
-                   ) -> Resolution:
-        """:meth:`resolve_shares` with the footprint and pools it read
-        (``count=False``: a look-up the hit counters do not see)."""
-        removed = state.removal_key(dest_prefix)
-        prepends = state.prepend_key(dest_prefix)
-        minor, major = self.drift_state(src_asn, src_prefix, dest_prefix, day)
-        flow = (src_asn, src_metro, src_prefix, dest_prefix, prepends,
-                minor, major)
-        found = self._share_cache.get((flow, removed), count=count)
-        if found is None:
-            # the footprint rule: the flow's latest full resolution, made
-            # under another removal set, stands if the change from that
-            # set to this one reaches nothing the walk read
-            found = self._share_cache.get(flow, count=False)
-            if found is not None:
-                asns, links = self.touched(found.removed, removed)
-                if not (asns.isdisjoint(found.footprint)
-                        and links.isdisjoint(found.pools)):
-                    found = None
-            if found is None:
-                found = self._resolve(src_asn, src_metro, src_prefix,
-                                      dest_prefix, removed, minor, major,
-                                      dict(prepends) or None)
-                self._share_cache[flow] = found
-            self._share_cache[(flow, removed)] = found
-        return found
-
-    def _resolve(
-        self,
-        src_asn: int,
-        src_metro: str,
-        src_prefix: int,
-        dest_prefix: int,
-        removed: FrozenSet[int],
-        minor: bool,
-        major: bool,
-        prepends: Optional[Dict[int, int]] = None,
-    ) -> Resolution:
-        if src_asn == self.wan.asn:
+    ) -> Tuple[np.ndarray, ...]:
+        """Each flow's bytes over peering links, flows given as aligned
+        columns; a *row* is a position in them.  Seven arrays, aligned in
+        three groups: ``(rows, links, fracs)`` the shares, rows ascending,
+        a row's by descending fraction then link (none for a row with no
+        route: its bytes are lost); ``(footprint_rows, footprint_asns)``
+        every AS a row's walk read, in walk order, repeats kept;
+        ``(pool_rows, pool_links)`` the links of every pool it ranked.
+        Raises ``ValueError`` for a flow from the WAN's own AS."""
+        src_asn = np.asarray(src_asn, dtype=np.int64)
+        src_prefix = np.asarray(src_prefix, dtype=np.int64)
+        dest_prefix = np.asarray(dest_prefix, dtype=np.int64)
+        if (src_asn == self.wan.asn).any():
             raise ValueError("internal WAN traffic has no ingress link")
-        if src_asn not in self.graph:
-            return Resolution((), (), (), removed)
-        table = self.routing_table(removed)
-        node = self.graph.node(src_asn)
-        rotate_extra = (1 if minor else 0) + (2 if major else 0)
-        accum: Dict[int, float] = {}
-        visited: List[int] = [src_asn]
-        pools: List[int] = []
+        metro = np.array([self._metro_code[m] for m in src_metro],
+                         dtype=np.int64)
+        n = len(src_asn)
+        if not n:
+            none = np.zeros(0, dtype=np.int64)
+            return (none, none, np.zeros(0, dtype=np.float64)) + (none,) * 4
 
-        def add(links: Sequence[PeeringLink], ids: Tuple[int, ...],
-                entry: str, weight: float) -> None:
-            pool, shares = self._link_shares(
-                links, ids, entry, src_prefix, dest_prefix, rotate_extra,
-                prepends=prepends)
-            pools.extend(pool)
-            for link_id, frac in shares:
-                accum[link_id] = accum.get(link_id, 0.0) + frac * weight
+        # one routing table per removal key, stacked: a lane carries its
+        # table's index
+        prefixes, prefix_at = np.unique(dest_prefix, return_inverse=True)
+        keys = [state.removal_key(prefix) for prefix in prefixes.tolist()]
+        removals = list(dict.fromkeys(keys))
+        tix = np.array([removals.index(key) for key in keys],
+                       dtype=np.int64)[prefix_at]
+        prepends = {i: dict(state.prepend_key(prefix))
+                    for i, prefix in enumerate(prefixes.tolist())
+                    if state.prepend_key(prefix)}
+        tables = [self.routing_table(removed) for removed in removals]
+        if any(table.topology is not self._topo for table in tables):
+            raise RuntimeError("the AS graph changed after the simulator "
+                               "was built")
+        # an AS without a route has no next-hops; a direct AS has a route
+        direct = np.stack([table._direct for table in tables])
+        hops = np.stack([table._nexthops() for table in tables])
+        n_hops = (hops >= 0).sum(axis=2, dtype=np.int64)
 
-        pocket = node.pocket_for(src_metro)
-        own, own_ids = self._usable(src_asn, removed)
-        if pocket is not None:
-            own = [l for l in own if l.metro in pocket.metros]
-            own_ids = tuple(l.link_id for l in own)
-            visited.extend(pocket.providers)
+        major = np.zeros(n, dtype=np.bool_)
+        rotate = np.zeros(n, dtype=np.int64)
+        if day is not None:
+            shifts = np.array(list(map(
+                self.drift_days, src_asn.tolist(), src_prefix.tolist(),
+                dest_prefix.tolist())), dtype=np.int64).reshape(n, 2)
+            major = day >= shifts[:, 1]
+            rotate = (day >= shifts[:, 0]) + 2 * major.astype(np.int64)
 
-        if own:
-            add(own, own_ids, src_metro, 1.0)
-        else:
-            candidates = self._origin_candidates(src_asn, pocket, table)
-            if not candidates:
-                return Resolution((), tuple(visited), (), removed)
-            # keyed by the candidate set: a change in the viable next-hops
-            # re-draws the choice among the survivors
-            rot = rotation(len(candidates), src_asn, src_prefix, dest_prefix, 3,
-                           *candidates, seed=self.seed)
-            ordered = candidates[rot:] + candidates[:rot]
-            if major and len(ordered) > 1:
-                ordered = ordered[1:] + ordered[:1]
-            picks = ordered[:2]
-            if len(picks) == 1:
-                weights = [1.0]
-            else:
-                weights = [1.0 - self.params.origin_split, self.params.origin_split]
-            delivered_weight = 0.0
-            for nh, w in zip(picks, weights):
-                entry = self._entry_metro(nh, src_metro)
-                outcome = self._walk(nh, entry, src_prefix, dest_prefix,
-                                     removed, table, visited)
-                if outcome is None:
-                    continue
-                d_metro, links, ids = outcome
-                add(links, ids, d_metro, w)
-                delivered_weight += w
-            if delivered_weight <= 0.0:
-                return Resolution((), tuple(visited), (), removed)
-            if delivered_weight < 1.0:
-                accum = {k: v / delivered_weight for k, v in accum.items()}
+        # -- origins: a source with usable links of its own delivers on
+        # them; one without hands over to its ranked next-hops
+        srow = self._rows(src_asn)
+        known = np.flatnonzero(srow >= 0)
+        t_k, s_k = tix[known], srow[known]
+        own = np.zeros(n, dtype=np.bool_)
+        own[known] = direct[t_k, s_k]
+        cands = np.full((n, self._width), -1, dtype=np.int64)
+        cands[known, :MAX_NEXTHOPS] = hops[t_k, s_k]
+        # a pocketed source reads its pocket's providers too, delivers
+        # only on the pocket's links, else via its providers with a route
+        # (decided once per pocket and removal key)
+        in_pocket = np.full(n, -1, dtype=np.int64)
+        in_pocket[known] = self._pocket_of[s_k, metro[known]]
+        pocketed = np.flatnonzero(in_pocket >= 0)
+        _, first_at, which = np.unique(
+            in_pocket[pocketed] * len(tables) + tix[pocketed],
+            return_index=True, return_inverse=True)
+        decided = np.full((len(first_at), 1 + 2 * self._width), -1,
+                          dtype=np.int64)
+        for j, i in enumerate(pocketed[first_at].tolist()):
+            pocket, table = self._pockets[in_pocket[i]], tables[tix[i]]
+            links, _ids = self._usable(int(src_asn[i]), removals[tix[i]])
+            decided[j, 0] = any(l.metro in pocket.metros for l in links)
+            chosen = [q for q in pocket.providers if q in table] or [
+                q for q in cands[i].tolist() if q >= 0]
+            decided[j, 1:1 + len(chosen)] = chosen
+            decided[j, 1 + self._width:][:len(pocket.providers)] = \
+                pocket.providers
+        decided = decided[which]
+        own[pocketed] = decided[:, 0] == 1
+        cands[pocketed] = decided[:, 1:1 + self._width]
+        provided = decided[:, 1 + self._width:]
+        # (row, AS) reads keyed row * 3 + 0 (source), 1 + slot (a lane)
+        read_keys = [3 * known, 3 * np.broadcast_to(
+            pocketed[:, None], provided.shape)[provided >= 0]]
+        read_asns = [src_asn[known], provided[provided >= 0]]
 
-        shares = tuple(sorted(accum.items(), key=lambda kv: (-kv[1], kv[0])))
-        return Resolution(shares, tuple(visited), tuple(pools), removed)
+        # -- lanes, row-major: an own row's delivery at its source, a
+        # walking row's one or two picks (a major shift moves the first
+        # pick one further round)
+        n_cands = (cands >= 0).sum(axis=1)
+        walk = np.flatnonzero(~own & (n_cands > 0))
+        c = n_cands[walk]
+        two = c > 1
+        first = rotation_columns(c, np.column_stack((
+            src_asn[walk], src_prefix[walk], dest_prefix[walk],
+            np.full(len(walk), 3, dtype=np.int64), cands[walk])),
+            self.seed, lengths=4 + c) + (major[walk] & two)
+        split = self.params.origin_split
+        owners = np.flatnonzero(own)
+        lane_row = np.concatenate((owners, walk, walk[two]))
+        lane_slot = np.repeat(np.array([0, 0, 1], dtype=np.int64),
+                              [len(owners), len(walk), int(two.sum())])
+        lane_asn = np.concatenate((src_asn[owners], cands[walk, first % c],
+                                   cands[walk, (first + 1) % c][two]))
+        lane_weight = np.concatenate((
+            np.ones(len(owners), dtype=np.float64),
+            np.where(two, 1.0 - split, 1.0),
+            np.full(int(two.sum()), split, dtype=np.float64)))
+        order = np.lexsort((lane_slot, lane_row))
+        lane_row, lane_slot = lane_row[order], lane_slot[order]
+        lane_weight, lane_tix = lane_weight[order], tix[lane_row]
+        at = self._rows(lane_asn[order])
+        active = np.flatnonzero(~own[lane_row])
+        stops = [np.flatnonzero(own[lane_row])]
+        entry = metro[lane_row]
+        entry[active] = self._entries(at[active], entry[active])
 
-    def _origin_candidates(self, src_asn: int, pocket: Optional[Pocket],
-                           table: RoutingTable) -> List[int]:
-        """Ranked next-hop ASNs for an origin that cannot deliver itself."""
-        if pocket is not None:
-            candidates = [p for p in pocket.providers if p in table]
-            if candidates:
-                return candidates
-        info = table.get(src_asn)
-        if info is None:
-            return []
-        return list(info.nexthops)
-
-    def _walk(
-        self,
-        asn: int,
-        entry_metro: str,
-        src_prefix: int,
-        dest_prefix: int,
-        removed: FrozenSet[int],
-        table: RoutingTable,
-        visited: List[int],
-    ) -> Optional[Tuple[str, Sequence[PeeringLink], Tuple[int, ...]]]:
-        """Follow the AS-level route until an AS with usable links
-        delivers: its entry metro, usable links and their ids."""
+        # -- the walk: every live lane one AS hop per step
         for _ in range(self.params.max_walk_depth):
-            visited.append(asn)
-            info = table.get(asn)
-            if info is None:
-                return None
-            if info.direct:
-                links, ids = self._usable(asn, removed)
-                if links:
-                    return entry_metro, links, ids
-                return None
-            if not info.nexthops:
-                return None
-            nexthops = info.nexthops
-            idx = rotation(len(nexthops), asn, src_prefix, dest_prefix, 5,
-                           *nexthops, seed=self.seed)
-            nh = nexthops[idx]
-            entry_metro = self._entry_metro(nh, entry_metro)
-            asn = nh
-        return None
+            if not active.size:
+                break
+            a, t = at[active], lane_tix[active]
+            read_keys.append(3 * lane_row[active] + 1 + lane_slot[active])
+            read_asns.append(self._topo.asns[a])
+            here = direct[t, a]
+            stops.append(active[here])
+            on = ~here & (n_hops[t, a] > 0)
+            active, a, t = active[on], a[on], t[on]
+            if active.size:
+                r, k = lane_row[active], n_hops[t, a]
+                pick = rotation_columns(k, np.column_stack((
+                    self._topo.asns[a], src_prefix[r], dest_prefix[r],
+                    np.full(len(r), 5, dtype=np.int64), hops[t, a])),
+                    self.seed, lengths=4 + k)
+                at[active] = self._rows(hops[t, a, pick])
+                entry[active] = self._entries(at[active], entry[active])
+
+        # -- deliveries, in lane order; a row that delivered no weight
+        # delivered nothing
+        done = np.sort(np.concatenate(stops))
+        delivered = np.bincount(lane_row[done], weights=lane_weight[done],
+                                minlength=n)
+        done = done[delivered[lane_row[done]] > 0.0]
+        d_row, d_weight = lane_row[done], lane_weight[done]
+        d_as, d_entry = at[done], entry[done]
+        d_pocket = np.where(own[d_row], in_pocket[d_row], -1)
+        # a pool is ranked once per (removal key, AS, entry metro,
+        # pocket), and per row under TE, whose compliance is per flow
+        te = np.isin(prefix_at[d_row], np.array(list(prepends),
+                                                dtype=np.int64))
+        _, first_at, pool_of = np.unique(np.where(te, d_row, -1) + (n + 1) * (
+            ((tix[d_row] * self._topo.n + d_as) * len(self._metro_names)
+             + d_entry) * (len(self._pockets) + 1) + d_pocket + 1),
+            return_index=True, return_inverse=True)
+        pools: List[Tuple[int, ...]] = []
+        for row, asn, code, pocket in zip(
+                d_row[first_at].tolist(), d_as[first_at].tolist(),
+                d_entry[first_at].tolist(), d_pocket[first_at].tolist()):
+            links, ids = self._usable(int(self._topo.asns[asn]),
+                                      removals[tix[row]])
+            if pocket >= 0:
+                metros = self._pockets[pocket].metros
+                links = [l for l in links if l.metro in metros]
+                ids = tuple(l.link_id for l in links)
+            pools.append(self._pool(
+                links, ids, self._metro_names[code], int(src_prefix[row]),
+                int(dest_prefix[row]), prepends.get(prefix_at[row])))
+        splits = self._splits(pools, pool_of, src_prefix[d_row],
+                              dest_prefix[d_row], rotate[d_row])
+
+        # -- shares: per (row, link), summed in lane order
+        links3 = splits[:, :3].astype(np.int64)
+        held = links3 >= 0
+        s_rows = np.broadcast_to(d_row[:, None], held.shape)[held]
+        s_links = links3[held]
+        _, first_at, group = np.unique(
+            s_rows * (int(s_links.max(initial=0)) + 1) + s_links,
+            return_index=True, return_inverse=True)
+        # bincount adds in input order: each sum is the dict walk's
+        sums = np.bincount(group, minlength=len(first_at),
+                           weights=(splits[:, 3:] * d_weight[:, None])[held])
+        s_rows, s_links = s_rows[first_at], s_links[first_at]
+        scale = delivered[s_rows]
+        s_fracs = np.where(scale < 1.0, sums / scale, sums)
+        by_share = np.lexsort((s_links, -s_fracs, s_rows))
+
+        reads = np.concatenate(read_keys)
+        by_read = np.argsort(reads, kind="stable")
+        width = self.params.candidate_pool_size
+        pooled = np.array([pool + (-1,) * (width - len(pool))
+                           for pool in pools], dtype=np.int64).reshape(
+            -1, width)[pool_of]
+        return (s_rows[by_share], s_links[by_share], s_fracs[by_share],
+                reads[by_read] // 3, np.concatenate(read_asns)[by_read],
+                np.broadcast_to(d_row[:, None], pooled.shape)[pooled >= 0],
+                pooled[pooled >= 0])
+
+    def _rows(self, asns: np.ndarray) -> np.ndarray:
+        """Dense graph rows of ``asns`` (-1: not in the graph)."""
+        at = np.minimum(np.searchsorted(self._asns_sorted, asns),
+                        len(self._asns_sorted) - 1)
+        return np.where(self._asns_sorted[at] == asns,
+                        self._asn_order[at], -1).astype(np.int64)
+
+    def _entries(self, rows: np.ndarray, metros: np.ndarray) -> np.ndarray:
+        """The metro code where traffic from metro ``metros`` enters AS
+        row ``rows``: the nearest of its footprint, ties by name."""
+        found = self._entry_of[rows, metros]
+        missing = np.flatnonzero(found < 0)
+        for row, code in dict.fromkeys(zip(rows[missing].tolist(),
+                                           metros[missing].tolist())):
+            footprint = self.graph.node(int(self._topo.asns[row])).footprint
+            self._entry_of[row, code] = self._metro_code[
+                self.graph.metros.nearest(self._metro_names[code], footprint)]
+        return self._entry_of[rows, metros] if missing.size else found
+
+    def _splits(self, pools: List[Tuple[int, ...]], pool_of: np.ndarray,
+                src_prefix: np.ndarray, dest_prefix: np.ndarray,
+                rotate: np.ndarray) -> np.ndarray:
+        """Each delivery's hot-potato split, an ``(n, 6)`` array (see
+        ``_split_memo``), from the memo or computed.  A weighted shuffle
+        (Efraimidis-Spirakis, geometric weights by distance rank) orders
+        the pool per flow, biased toward the nearest exit, and the shares
+        [p, (1-p)w, (1-p)(1-w)] go to the first three links.  The draws
+        are keyed by the pool's membership: withdrawing a member re-draws
+        the whole assignment among the survivors, deterministic yet
+        uncorrelated with the ranking before.  The key ``u ** (1/weight)``
+        and p stay python floats: ``np.power`` may round differently."""
+        keys = list(zip(map(pools.__getitem__, pool_of.tolist()),
+                        src_prefix.tolist(), dest_prefix.tolist(),
+                        rotate.tolist()))
+        found = self._split_memo.get_many(keys)
+        # a key missed twice in one call is computed once
+        todo = list(dict.fromkeys(key for key, split in zip(keys, found)
+                                  if split is None))
+        if todo:
+            sizes = np.array([len(key[0]) for key in todo], dtype=np.int64)
+            member_of = np.repeat(np.arange(len(todo), dtype=np.int64),
+                                  sizes)
+            starts = np.cumsum(sizes) - sizes
+            rank = np.arange(len(member_of), dtype=np.int64) - starts[
+                member_of]
+            links = np.array([link for key in todo for link in key[0]],
+                             dtype=np.int64)
+            # a pool's membership folds into one hash base, and each
+            # member's draw is one mixing round more
+            base = np.full((len(todo), 1 + int(sizes.max())), 17,
+                           dtype=np.int64)
+            base[member_of, 1 + rank] = links
+            flows = np.array([key[1:] for key in todo], dtype=np.int64)
+            draws = unit_columns(
+                np.column_stack((flows[member_of, :2], links)),
+                mix64_columns(base, self.seed, 1 + sizes)[member_of])
+            params = self.params
+            shuffle = np.array(
+                [-(max(u, 1e-12) ** (1.0 / params.locality ** r))
+                 for u, r in zip(draws.tolist(), rank.tolist())],
+                dtype=np.float64)
+            ordered = links[np.lexsort((links, shuffle, member_of))]
+            # the first three once a drifted flow's order is rotated
+            first = np.arange(3, dtype=np.int64)
+            held = first < sizes[:, None]
+            take = ordered[starts[:, None]
+                           + (first + flows[:, 2:]) % sizes[:, None]]
+            for flow in (key[1:3] for key in todo):
+                if flow not in self._p_cache:
+                    u = unit(*flow, 19, seed=self.seed)
+                    self._p_cache[flow] = params.primary_share_lo + (
+                        params.primary_share_hi - params.primary_share_lo
+                    ) * (1.0 - u ** params.primary_share_skew)
+            p = np.array([self._p_cache[key[1:3]] for key in todo],
+                         dtype=np.float64)
+            sw = params.secondary_weight
+            raw = np.column_stack((p, (1.0 - p) * sw,
+                                   (1.0 - p) * (1.0 - sw)))
+            # the taken weights summed in order, as a python ``sum``
+            total = p + np.where(held[:, 1], raw[:, 1], 0.0) + np.where(
+                held[:, 2], raw[:, 2], 0.0)
+            blob = np.column_stack((np.where(held, take, -1), np.where(
+                held, raw / total[:, None], 0.0))).tobytes()
+            computed = {key: blob[at:at + 48]
+                        for key, at in zip(todo, range(0, len(blob), 48))}
+            for key, split in computed.items():
+                self._split_memo[key] = split
+            found = [computed[key] if split is None else split
+                     for key, split in zip(keys, found)]
+        return np.frombuffer(b"".join(found), dtype=np.float64).reshape(
+            len(keys), 6)
 
     def _usable(self, asn: int, removed: FrozenSet[int]
                 ) -> Tuple[Sequence[PeeringLink], Tuple[int, ...]]:
@@ -464,43 +588,18 @@ class IngressSimulator:
         kept = [l for l in links if l.link_id not in removed]
         return kept, tuple(l.link_id for l in kept)
 
-    def _entry_metro(self, asn: int, from_metro: str) -> str:
-        """Where traffic coming from ``from_metro`` enters AS ``asn``."""
-        key = (asn, from_metro)
-        entry = self._entry_cache.get(key)
-        if entry is None:
-            footprint = self.graph.node(asn).footprint
-            entry = self.graph.metros.nearest(from_metro, footprint)
-            self._entry_cache[key] = entry
-        return entry
-
-    def _link_shares(
+    def _pool(
         self,
         links: Sequence[PeeringLink],
         ids: Tuple[int, ...],
         entry_metro: str,
         src_prefix: int,
         dest_prefix: int,
-        rotate_extra: int,
         prepends: Optional[Dict[int, int]] = None,
-    ) -> Tuple[Tuple[int, ...], ShareVector]:
-        """Hot-potato byte-share split over a delivering AS's links
-        (``ids`` their link ids, in order), as (the candidate pool, the
-        shares).
-
-        The nearest ``candidate_pool_size`` links within
-        ``reroute_radius_km`` of the closest exit form the candidate pool.
-        A deterministic weighted shuffle (Efraimidis-Spirakis with
-        geometric weights by distance rank) orders the pool per flow —
-        biased toward the nearest exit but not slavishly — and the byte
-        shares [p, (1-p)w, (1-p)(1-w)] go to the first three links.
-
-        The shuffle keys include the pool's membership, so withdrawing a
-        pool member re-draws the whole assignment among the survivors:
-        deterministic (repeats identically, hence learnable once seen)
-        but uncorrelated with the pre-withdrawal ranking (hence opaque to
-        pure history).
-        """
+    ) -> Tuple[int, ...]:
+        """The candidate pool of a delivering AS's links (``ids`` their
+        link ids, in order): the nearest ``candidate_pool_size`` within
+        ``reroute_radius_km`` of the closest exit, nearest first."""
         metros = self.graph.metros
 
         def effective_distance(link: PeeringLink) -> float:
@@ -539,65 +638,25 @@ class IngressSimulator:
             )
             if not prepends:
                 self._ranked_cache[rank_key] = pool
-        # past the pool the split is a pure function of this key: a flow
-        # re-resolved under a change that left its pool alone (a restored
-        # link or a drifted route is rarely among its nearest) stops here
-        memo_key = (pool, src_prefix, dest_prefix, rotate_extra)
-        shares = self._link_share_cache.get(memo_key)
-        if shares is not None:
-            return pool, shares
-        # fold the pool membership into one hash base so each member draw
-        # is a single extra mixing round
-        pool_base = mix64(17, *pool, seed=self.seed)
-        locality = self.params.locality
-        keyed = []
-        for rank, link_id in enumerate(pool):
-            weight = locality ** rank
-            u = unit(src_prefix, dest_prefix, link_id, seed=pool_base)
-            keyed.append((-(max(u, 1e-12) ** (1.0 / weight)), link_id))
-        keyed.sort()
-        ordered = [link_id for _key, link_id in keyed]
-        if rotate_extra and len(ordered) > 1:
-            shift = rotate_extra % len(ordered)
-            ordered = ordered[shift:] + ordered[:shift]
-
-        p_key = (src_prefix, dest_prefix)
-        p = self._p_cache.get(p_key)
-        if p is None:
-            u = unit(src_prefix, dest_prefix, 19, seed=self.seed)
-            p = self.params.primary_share_lo + (
-                self.params.primary_share_hi - self.params.primary_share_lo
-            ) * (1.0 - u ** self.params.primary_share_skew)
-            self._p_cache[p_key] = p
-        sw = self.params.secondary_weight
-        raw = [p, (1.0 - p) * sw, (1.0 - p) * (1.0 - sw)]
-        take = ordered[:3]
-        weights = raw[: len(take)]
-        total = sum(weights)
-        shares = tuple((link_id, w / total)
-                       for link_id, w in zip(take, weights))
-        self._link_share_cache[memo_key] = shares
-        return pool, shares
+        return pool
 
     # -- statistics -----------------------------------------------------------
 
     def cache_stats(self) -> Dict[str, int]:
-        """Occupancy of every cache plus hot-path hit/miss counters."""
+        """Occupancy of every cache plus hot-path hit/miss counters
+        (``share_*``: the split memo)."""
         return {
-            "share_entries": len(self._share_cache),
-            "link_share_entries": len(self._link_share_cache),
-            "entry_metro_entries": len(self._entry_cache),
+            "share_entries": len(self._split_memo),
+            "entry_metro_entries": int(np.count_nonzero(self._entry_of >= 0)),
             "touched_entries": len(self._touched_cache),
             "drift_entries": len(self._drift_cache),
             "ranked_pool_entries": len(self._ranked_cache),
             "primary_share_entries": len(self._p_cache),
             "tables_by_removed": len(self._table_by_removed),
             "tables_by_seeded": len(self._table_by_seeded),
-            "share_hits": self._share_cache.hits,
-            "share_misses": self._share_cache.misses,
-            "share_evictions": self._share_cache.evictions,
-            "link_share_hits": self._link_share_cache.hits,
-            "link_share_misses": self._link_share_cache.misses,
+            "share_hits": self._split_memo.hits,
+            "share_misses": self._split_memo.misses,
+            "share_evictions": self._split_memo.evictions,
             "table_hits": self._table_by_removed.hits,
             "table_misses": self._table_by_removed.misses,
             "table_seeded_hits": self._table_by_seeded.hits,
@@ -623,7 +682,6 @@ class IngressSimulator:
             return
         gauges = {key: float(value)
                   for key, value in self.cache_stats().items()}
-        gauges["share_hit_rate"] = self._share_cache.hit_rate
-        gauges["link_share_hit_rate"] = self._link_share_cache.hit_rate
+        gauges["share_hit_rate"] = self._split_memo.hit_rate
         gauges["table_hit_rate"] = self._table_by_removed.hit_rate
         obs.set_gauges(gauges, prefix="bgp.simulator.")

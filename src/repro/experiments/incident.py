@@ -101,22 +101,14 @@ def sample_flows(simulator: IngressSimulator,
                  day: int) -> TrafficSample:
     """Every flow's ``per_flow`` bytes spread over its resolved shares,
     as a CMS sample over the flows' contexts."""
-    links: List[int] = []
-    dests: List[int] = []
-    rows: List[int] = []
-    bytes_: List[float] = []
-    for row, (_, src_prefix, src_metro, dest_prefix, src_asn) in enumerate(
-            flows):
-        for link_id, frac in simulator.resolve_shares(
-                src_asn, src_metro, src_prefix, dest_prefix, state, day):
-            links.append(link_id)
-            dests.append(dest_prefix)
-            rows.append(row)
-            bytes_.append(per_flow * frac)
-    return TrafficSample(
-        np.array(links, dtype=np.int64), np.array(dests, dtype=np.int64),
-        np.array(rows, dtype=np.int64), np.array(bytes_, dtype=np.float64),
-        [flow[0] for flow in flows])
+    dests = np.array([flow[3] for flow in flows], dtype=np.int64)
+    rows, links, fracs, *_read = simulator.resolve_shares(
+        np.array([flow[4] for flow in flows], dtype=np.int64),
+        [flow[2] for flow in flows],
+        np.array([flow[1] for flow in flows], dtype=np.int64), dests,
+        state, day)
+    return TrafficSample(links, dests[rows], rows, per_flow * fracs,
+                         [flow[0] for flow in flows])
 
 
 def build_incident_world(seed: int = 0, n_flows: int = 140) -> IncidentWorld:

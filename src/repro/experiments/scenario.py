@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 import numpy as np
 
@@ -88,11 +88,11 @@ def _rows_per(values: np.ndarray) -> Dict[int, int]:
 
 
 def _recount(counts: Dict[int, int], dropped: np.ndarray,
-             added: Sequence[int]) -> Dict[int, int]:
+             added: np.ndarray) -> Dict[int, int]:
     """``_rows_per`` of a derived expansion from its base's: ``counts``
     less the stale pairs' values plus the new ones, zero counts dropped."""
     out = dict(counts)
-    for value, n in _rows_per(np.array(added, dtype=np.int64)).items():
+    for value, n in _rows_per(added).items():
         out[value] = out.get(value, 0) + n
     for value, n in _rows_per(dropped).items():
         left = out[value] - n
@@ -198,6 +198,7 @@ class Scenario:
             np.array([f.src_asn for f in flows], dtype=np.int64),
             np.array([f.dest_prefix_id for f in flows], dtype=np.int64),
         )
+        self._src_metros = np.array([f.src_metro for f in flows], dtype=str)
         self._shift_days = np.array(
             [self.simulator.drift_days(f.src_asn, f.src_prefix_id,
                                        f.dest_prefix_id) for f in flows],
@@ -272,36 +273,19 @@ class Scenario:
                 state: AdvertisementState) -> _Expansion:
         """``base`` with its stale rows resolved again under ``state``."""
         stale = self._stale_rows(base, content)
-        flows = self.traffic.flows
-        day = content[0]
-        rows: List[int] = []
-        links: List[int] = []
-        fracs: List[float] = []
-        walked_rows: List[int] = []
-        walked_asns: List[int] = []
-        pool_rows: List[int] = []
-        pool_links: List[int] = []
-        for i in np.flatnonzero(stale).tolist():
-            flow = flows[i]
-            args = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
-                    flow.dest_prefix_id, state, day)
-            # looked up per call: the benchmark's tracer wraps it
-            for link_id, frac in self.simulator.resolve_shares(*args):
-                rows.append(i)
-                links.append(link_id)
-                fracs.append(frac)
-            read = self.simulator.resolution(*args, count=False)
-            walked_rows += [i] * len(read.footprint)
-            walked_asns += read.footprint
-            pool_rows += [i] * len(read.pools)
-            pool_links += read.pools
-
-        def splice(old: np.ndarray, keep: np.ndarray,
-                   new: Sequence[float]) -> np.ndarray:
-            return np.concatenate((old[keep], np.array(new, dtype=old.dtype)))
-
+        again = np.flatnonzero(stale)
+        src_prefixes, src_asns, dest_prefixes = self._flow_columns
+        # looked up per call: the benchmark's tracer wraps it
+        rows, links, fracs, walked_rows, walked_asns, pool_rows, \
+            pool_links = self.simulator.resolve_shares(
+                src_asns[again], self._src_metros[again],
+                src_prefixes[again], dest_prefixes[again], state,
+                content[0])
+        # the simulator numbers the rows it was given: back to flow rows
+        rows, walked_rows, pool_rows = (again[rows], again[walked_rows],
+                                        again[pool_rows])
         keep = ~stale[base.rows]
-        merged = splice(base.rows, keep, rows)
+        merged = np.concatenate((base.rows[keep], rows))
         # a row's shares all come from one side, so a stable sort by row
         # restores the from-scratch order
         order = np.argsort(merged, kind="stable")
@@ -309,12 +293,12 @@ class Scenario:
         keep_pool = ~stale[base.pool_rows]
         return _Expansion(
             content, merged[order],
-            splice(base.links, keep, links)[order],
-            splice(base.fracs, keep, fracs)[order],
-            splice(base.footprint_rows, keep_walk, walked_rows),
-            splice(base.footprint_asns, keep_walk, walked_asns),
-            splice(base.pool_rows, keep_pool, pool_rows),
-            splice(base.pool_links, keep_pool, pool_links),
+            np.concatenate((base.links[keep], links))[order],
+            np.concatenate((base.fracs[keep], fracs))[order],
+            np.concatenate((base.footprint_rows[keep_walk], walked_rows)),
+            np.concatenate((base.footprint_asns[keep_walk], walked_asns)),
+            np.concatenate((base.pool_rows[keep_pool], pool_rows)),
+            np.concatenate((base.pool_links[keep_pool], pool_links)),
             _recount(base.rows_reading, base.footprint_asns[~keep_walk],
                      walked_asns),
             _recount(base.rows_pooling, base.pool_links[~keep_pool],

@@ -241,14 +241,17 @@ class HourlyAggregator:
         good[limit:] = False
         good_rows = np.nonzero(good)[0]
 
-        def fail(at: int) -> None:
-            self._raise_for_row(hour, *columns, row=int(good_rows[at]))
+        def fail(row: int) -> None:
+            # the serial walk encoded, in order, every location before the
+            # row it fails on: so must this path
+            self._join(self._loc_table, src_prefix_ids[:row], self._location)
+            self._raise_for_row(hour, *columns, row=row)
 
         joined, dest_codes = self._join(
-            self._dest_table, dest_prefix_ids[good_rows],
-            self._dest_features, fail if self.strict else None)
+            self._dest_table, dest_prefix_ids[good_rows], self._dest_features,
+            (lambda at: fail(int(good_rows[at]))) if self.strict else None)
         if self.strict and limit < n:
-            self._raise_for_row(hour, *columns, row=limit)
+            fail(limit)
         valid_rows = good_rows[joined]
         dropped = n - len(valid_rows)
         src = src_prefix_ids[valid_rows]

@@ -5,13 +5,22 @@ simulator needs a *stable* pseudo-random decision (per-prefix ECMP
 spraying, policy biases, drift schedules) goes through these mixers
 instead.  The mixer is a splitmix64-style finalizer: fast, well
 distributed, and reproducible across runs and platforms.
+
+:func:`mix64_columns`, :func:`unit_columns`, :func:`rotation_columns`:
+their column twins, each matrix row hashed as the scalar hashes it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Union
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# numpy scalars, so that no operand of a column fold is a python int
+_GOLDEN, _MUL1, _MUL2, _S27, _S30, _S31 = (np.uint64(v) for v in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
 
 
 def mix64(*values: int, seed: int = 0) -> int:
@@ -37,6 +46,47 @@ def rotation(n: int, *values: int, seed: int = 0) -> int:
     if n <= 0:
         raise ValueError("rotation needs n >= 1")
     return mix64(*values, seed=seed) % n
+
+
+def mix64_columns(values: np.ndarray, seed: Union[int, np.ndarray] = 0,
+                  lengths: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`mix64` of each row of an ``(n, k)`` integer matrix, as
+    ``uint64``: row ``i`` folds its first ``lengths[i]`` values (all by
+    default); ``seed`` is one int or one per row.  Values and seeds are
+    taken mod 2**64, as :func:`mix64` takes them."""
+    h = (seed.astype(np.uint64) ^ _GOLDEN if isinstance(seed, np.ndarray)
+         else np.full(len(values), (seed ^ int(_GOLDEN)) & _MASK64,
+                      dtype=np.uint64))
+    columns = values.astype(np.uint64)
+    # the values every row folds need no mask
+    unmasked = (columns.shape[1] if lengths is None or not len(h)
+                else int(lengths.min()))
+    for j in range(columns.shape[1]):
+        x = h + columns[:, j]
+        x ^= x >> _S30
+        x *= _MUL1
+        x ^= x >> _S27
+        x *= _MUL2
+        x ^= x >> _S31
+        h = x if j < unmasked else np.where(j < lengths, x, h)
+    return h
+
+
+def unit_columns(values: np.ndarray, seed: Union[int, np.ndarray] = 0,
+                 lengths: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`unit` per row (see :func:`mix64_columns`): ``uint64 ->
+    float64`` rounds to nearest even, as python's ``int / float`` does."""
+    return mix64_columns(values, seed, lengths).astype(np.float64) / 2.0**64
+
+
+def rotation_columns(n: np.ndarray, values: np.ndarray,
+                     seed: Union[int, np.ndarray] = 0,
+                     lengths: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`rotation` per row, row ``i`` in ``[0, n[i])``, as int64."""
+    if (n <= 0).any():
+        raise ValueError("rotation needs n >= 1")
+    return (mix64_columns(values, seed, lengths)
+            % n.astype(np.uint64)).astype(np.int64)
 
 
 def geometric_day(p: float, *values: int, seed: int = 0, cap: int = 10_000) -> int:

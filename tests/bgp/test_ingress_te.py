@@ -10,6 +10,7 @@ import pytest
 
 from repro.bgp import AdvertisementState, IngressSimulator, SimulatorParams
 
+from .resolve_oracle import resolve_one
 from .test_simulator import build_world
 
 
@@ -65,23 +66,24 @@ class TestRoutingEffect:
         # find the favourite nyc link across flows, then prepend it away
         mass = {}
         for prefix in range(100):
-            for link, frac in sim.resolve_shares(4, "nyc", prefix, 0, clean):
+            for link, frac in resolve_one(sim, 4, "nyc", prefix, 0,
+                                          clean).shares:
                 mass[link] = mass.get(link, 0.0) + frac
         favourite = max(mass, key=mass.get)
         shifted.prepend(0, favourite, times=4)
         mass_after = {}
         for prefix in range(100):
-            for link, frac in sim.resolve_shares(4, "nyc", prefix, 0,
-                                                 shifted):
+            for link, frac in resolve_one(sim, 4, "nyc", prefix, 0,
+                                          shifted).shares:
                 mass_after[link] = mass_after.get(link, 0.0) + frac
         assert mass_after.get(favourite, 0.0) < mass[favourite] * 0.5
 
     def test_prepending_scoped_to_prefix(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 50, 1, state)
+        base = resolve_one(sim, 4, "nyc", 50, 1, state).shares
         state.prepend(0, base[0][0], times=4)  # TE on prefix 0 only
-        assert sim.resolve_shares(4, "nyc", 50, 1, state) == base
+        assert resolve_one(sim, 4, "nyc", 50, 1, state).shares == base
 
     def test_prepending_is_soft_unlike_withdrawal(self, world):
         """A fully-prepended-everywhere prefix still gets delivered —
@@ -90,7 +92,7 @@ class TestRoutingEffect:
         state = AdvertisementState(wan)
         for link in wan.link_ids:
             state.prepend(0, link, times=4)
-        shares = sim.resolve_shares(4, "nyc", 60, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 60, 0, state).shares
         assert shares  # traffic still arrives somewhere
         assert sum(f for _l, f in shares) == pytest.approx(1.0)
 
@@ -100,27 +102,27 @@ class TestRoutingEffect:
                                SimulatorParams(te_compliance=0.0), seed=1)
         clean = AdvertisementState(wan)
         te = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 70, 0, clean)
+        base = resolve_one(sim, 4, "nyc", 70, 0, clean).shares
         te.prepend(0, base[0][0], times=4)
-        assert sim.resolve_shares(4, "nyc", 70, 0, te) == base
+        assert resolve_one(sim, 4, "nyc", 70, 0, te).shares == base
 
     def test_clearing_prepend_restores_baseline(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 80, 0, state)
+        base = resolve_one(sim, 4, "nyc", 80, 0, state).shares
         state.prepend(0, base[0][0], times=4)
-        assert sim.resolve_shares(4, "nyc", 80, 0, state) != base
+        assert resolve_one(sim, 4, "nyc", 80, 0, state).shares != base
         state.clear_prepend(0, base[0][0])
-        assert sim.resolve_shares(4, "nyc", 80, 0, state) == base
+        assert resolve_one(sim, 4, "nyc", 80, 0, state).shares == base
 
     def test_prepend_combines_with_withdrawal(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 90, 0, state)
+        base = resolve_one(sim, 4, "nyc", 90, 0, state).shares
         primary = base[0][0]
         state.prepend(0, primary, times=4)
         state.set_link_down(primary)
-        shares = sim.resolve_shares(4, "nyc", 90, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 90, 0, state).shares
         assert shares
         assert primary not in {l for l, _f in shares}
 
@@ -131,11 +133,11 @@ class TestRoutingEffect:
         clean = AdvertisementState(wan)
         moved = kept = 0
         for prefix in range(200):
-            base = sim.resolve_shares(4, "nyc", prefix, 0, clean)
+            base = resolve_one(sim, 4, "nyc", prefix, 0, clean).shares
             primary = base[0][0]
             te_state = AdvertisementState(wan)
             te_state.prepend(0, primary, times=4)
-            after = sim.resolve_shares(4, "nyc", prefix, 0, te_state)
+            after = resolve_one(sim, 4, "nyc", prefix, 0, te_state).shares
             if after[0][0] == primary:
                 kept += 1
             else:

@@ -1,5 +1,6 @@
 """Tests for the ingress simulator: the ground-truth routing engine."""
 
+import numpy as np
 import pytest
 
 from repro.bgp import AdvertisementState, IngressSimulator, SimulatorParams
@@ -15,6 +16,8 @@ from repro.topology import (
     Region,
     Relationship,
 )
+
+from .resolve_oracle import ResolveOracle, resolve_one
 
 
 def build_world(pocket_metros=("sin",)):
@@ -58,14 +61,14 @@ class TestShareVector:
     def test_shares_sum_to_one(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        shares = sim.resolve_shares(4, "nyc", 100, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         assert shares
         assert sum(f for _l, f in shares) == pytest.approx(1.0)
 
     def test_sorted_descending(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        shares = sim.resolve_shares(4, "nyc", 100, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         fracs = [f for _l, f in shares]
         assert fracs == sorted(fracs, reverse=True)
 
@@ -76,8 +79,8 @@ class TestShareVector:
         state1 = AdvertisementState(wan)
         state2 = AdvertisementState(wan)
         for prefix in range(20):
-            assert (sim.resolve_shares(4, "nyc", prefix, 0, state1)
-                    == sim2.resolve_shares(4, "nyc", prefix, 0, state2))
+            assert (resolve_one(sim, 4, "nyc", prefix, 0, state1).shares
+                    == resolve_one(sim2, 4, "nyc", prefix, 0, state2).shares)
 
     def test_seed_changes_outcomes(self):
         graph, wan = build_world()
@@ -85,8 +88,8 @@ class TestShareVector:
         sim_b = IngressSimulator(graph, wan, seed=2)
         state = AdvertisementState(wan)
         differs = any(
-            sim_a.resolve_shares(4, "nyc", p, 0, state)
-            != sim_b.resolve_shares(4, "nyc", p, 0, state)
+            resolve_one(sim_a, 4, "nyc", p, 0, state).shares
+            != resolve_one(sim_b, 4, "nyc", p, 0, state).shares
             for p in range(30)
         )
         assert differs
@@ -95,12 +98,53 @@ class TestShareVector:
         _g, wan, sim = world
         state = AdvertisementState(wan)
         with pytest.raises(ValueError):
-            sim.resolve_shares(wan.asn, "sea", 1, 0, state)
+            resolve_one(sim, wan.asn, "sea", 1, 0, state)
 
     def test_unknown_source_as_empty(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        assert sim.resolve_shares(999, "sea", 1, 0, state) == ()
+        assert resolve_one(sim, 999, "sea", 1, 0, state).shares == ()
+
+
+class TestColumns:
+    """``resolve_shares`` takes flows as columns and numbers its answer
+    by their position."""
+
+    FLOWS = [(4, "nyc", 100, 0), (999, "sea", 1, 0), (3, "sin", 600, 1),
+             (3, "sea", 500, 0), (4, "nyc", 100, 0)]
+
+    def test_a_batch_is_its_rows_alone(self, world):
+        _g, wan, sim = world
+        state = AdvertisementState(wan)
+        state.set_link_down(3)
+        asns, metros, sources, dests = zip(*self.FLOWS)
+        got = sim.resolve_shares(np.array(asns, dtype=np.int64), metros,
+                                 np.array(sources, dtype=np.int64),
+                                 np.array(dests, dtype=np.int64), state, 2)
+        for array, dtype in zip(got, [np.int64, np.int64, np.float64]
+                                + [np.int64] * 4):
+            assert array.dtype == dtype
+        rows, links, fracs, walked, read, pooled, pools = got
+        assert np.all(np.diff(rows) >= 0)
+        for i, flow in enumerate(self.FLOWS):
+            alone = resolve_one(sim, *flow, state, day=2)
+            assert tuple(zip(links[rows == i].tolist(),
+                             fracs[rows == i].tolist())) == alone.shares
+            assert tuple(read[walked == i].tolist()) == alone.footprint
+            assert tuple(pools[pooled == i].tolist()) == alone.pools
+
+    def test_no_rows(self, world):
+        _g, wan, sim = world
+        none = np.zeros(0, dtype=np.int64)
+        got = sim.resolve_shares(none, [], none, none,
+                                 AdvertisementState(wan))
+        assert [array.size for array in got] == [0] * 7
+        assert got[2].dtype == np.float64
+
+    def test_unknown_metro_raises(self, world):
+        _g, wan, sim = world
+        with pytest.raises(KeyError):
+            resolve_one(sim, 4, "atlantis", 100, 0, AdvertisementState(wan))
 
 
 class TestDirectDelivery:
@@ -108,7 +152,7 @@ class TestDirectDelivery:
         _g, wan, sim = world
         state = AdvertisementState(wan)
         # stub 4 -> transit 2 (direct peer): delivers on 2's links
-        shares = sim.resolve_shares(4, "nyc", 100, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         peers = {wan.link(l).peer_asn for l, _f in shares}
         assert peers == {2}
 
@@ -120,14 +164,15 @@ class TestDirectDelivery:
         from collections import Counter
         mass = Counter()
         for prefix in range(200):
-            for link, frac in sim.resolve_shares(4, "nyc", prefix, 0, state):
+            for link, frac in resolve_one(sim, 4, "nyc", prefix, 0,
+                                          state).shares:
                 mass[link] += frac
         assert mass[3] + mass[6] > mass[2]  # nyc links beat sea link
 
     def test_cdn_delivers_on_own_links(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        shares = sim.resolve_shares(3, "sea", 500, 0, state)
+        shares = resolve_one(sim, 3, "sea", 500, 0, state).shares
         peers = {wan.link(l).peer_asn for l, _f in shares}
         assert peers == {3}
 
@@ -138,7 +183,7 @@ class TestPockets:
         state = AdvertisementState(wan)
         # CDN 3's sin metro is a pocket with provider tier-1: traffic from
         # sin cannot use the CDN's sea/lon links and goes via AS 1
-        shares = sim.resolve_shares(3, "sin", 600, 0, state)
+        shares = resolve_one(sim, 3, "sin", 600, 0, state).shares
         peers = {wan.link(l).peer_asn for l, _f in shares}
         assert peers == {1}
 
@@ -147,28 +192,28 @@ class TestWithdrawalsAndOutages:
     def test_withdrawn_link_not_used(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 100, 0, state)
+        base = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         primary = base[0][0]
         state.withdraw(0, primary)
-        shifted = sim.resolve_shares(4, "nyc", 100, 0, state)
+        shifted = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         assert shifted
         assert primary not in {l for l, _f in shifted}
 
     def test_withdrawal_scoped_to_prefix(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 100, 1, state)
+        base = resolve_one(sim, 4, "nyc", 100, 1, state).shares
         state.withdraw(0, base[0][0])  # withdraw prefix 0 only
-        unaffected = sim.resolve_shares(4, "nyc", 100, 1, state)
+        unaffected = resolve_one(sim, 4, "nyc", 100, 1, state).shares
         assert unaffected == base
 
     def test_outage_affects_all_prefixes(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base0 = sim.resolve_shares(4, "nyc", 100, 0, state)
+        base0 = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         state.set_link_down(base0[0][0])
         for dest in (0, 1):
-            shares = sim.resolve_shares(4, "nyc", 100, dest, state)
+            shares = resolve_one(sim, 4, "nyc", 100, dest, state).shares
             assert base0[0][0] not in {l for l, _f in shares}
 
     def test_full_peer_withdrawal_reroutes_as_level(self, world):
@@ -178,7 +223,7 @@ class TestWithdrawalsAndOutages:
         # tier-1 and arrives on AS 1's links instead of being lost
         for link in wan.links_of_peer(2):
             state.set_link_down(link.link_id)
-        shares = sim.resolve_shares(4, "nyc", 100, 0, state)
+        shares = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         assert shares
         peers = {wan.link(l).peer_asn for l, _f in shares}
         assert peers == {1}
@@ -188,34 +233,35 @@ class TestWithdrawalsAndOutages:
         state = AdvertisementState(wan)
         for link in wan.link_ids:
             state.set_link_down(link)
-        assert sim.resolve_shares(4, "nyc", 100, 0, state) == ()
+        assert resolve_one(sim, 4, "nyc", 100, 0, state).shares == ()
 
     def test_shortcut_unrelated_removal_is_identity(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 100, 0, state)
+        base = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         # take down a CDN link the stub's traffic never touches
         state.set_link_down(5)
-        assert sim.resolve_shares(4, "nyc", 100, 0, state) == base
+        assert resolve_one(sim, 4, "nyc", 100, 0, state).shares == base
 
     def test_same_removal_same_outcome(self, world):
         """Withdrawal outcomes are deterministic: the seen-outage
         learnability property (DESIGN.md choice 1)."""
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(4, "nyc", 100, 0, state)
+        base = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         primary = base[0][0]
         state.set_link_down(primary)
-        first = sim.resolve_shares(4, "nyc", 100, 0, state)
+        first = resolve_one(sim, 4, "nyc", 100, 0, state).shares
         state.set_link_up(primary)
-        assert sim.resolve_shares(4, "nyc", 100, 0, state) == base
+        assert resolve_one(sim, 4, "nyc", 100, 0, state).shares == base
         state.set_link_down(primary)
-        assert sim.resolve_shares(4, "nyc", 100, 0, state) == first
+        assert resolve_one(sim, 4, "nyc", 100, 0, state).shares == first
 
 
 class TestFootprintRule:
-    """A cached resolution is reused under another removal set exactly
-    when the change touches no AS its walk read."""
+    """A resolution made under one removal set stands under another
+    exactly when the change (``IngressSimulator.touched``) reaches
+    neither an AS its walk read nor a link of a pool it ranked."""
 
     STUB = (4, "nyc", 100, 0)
     POCKET = (3, "sin", 600, 0)
@@ -227,57 +273,72 @@ class TestFootprintRule:
         state = AdvertisementState(wan)
         for link in removed:
             state.set_link_down(link)
-        return IngressSimulator(graph, wan, SimulatorParams(),
-                                seed=1).resolve_shares(
-            *TestFootprintRule.STUB, state)
+        return resolve_one(IngressSimulator(graph, wan, SimulatorParams(),
+                                            seed=1),
+                           *TestFootprintRule.STUB, state).shares
+
+    @staticmethod
+    def stands(sim, read, after):
+        """The change from ``read``'s removal set to ``after`` misses
+        its footprint and its pools."""
+        asns, links = sim.touched(read.removed, after)
+        return asns.isdisjoint(read.footprint) and links.isdisjoint(
+            read.pools)
 
     def test_footprint_is_the_walked_ases(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        assert sim.footprint(*self.STUB, state) == (4, 2)
+        assert resolve_one(sim, *self.STUB, state).footprint == (4, 2)
         # a pocket's providers are read even when the walk ends early
-        assert set(sim.footprint(*self.POCKET, state)) == {3, 1}
+        assert set(resolve_one(sim, *self.POCKET, state).footprint) == {3, 1}
 
     def test_reuse_from_a_non_empty_removal_set(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
         state.set_link_down(5)            # CDN link, off the stub's walk
-        first = sim.resolve_shares(*self.STUB, state)
+        first = resolve_one(sim, *self.STUB, state)
         state.set_link_down(0)            # tier-1 link, still off it
-        assert sim.resolve_shares(*self.STUB, state) is first
+        second = resolve_one(sim, *self.STUB, state)
+        assert self.stands(sim, first, second.removed)
+        assert second[:3] == first[:3]
         state.set_link_up(5)              # {5, 0} -> {0}
-        assert sim.resolve_shares(*self.STUB, state) is first
-        assert first == self.fresh(wan, {0})
+        third = resolve_one(sim, *self.STUB, state)
+        assert self.stands(sim, second, third.removed)
+        assert third[:3] == first[:3]
+        assert first.shares == self.fresh(wan, {0})
         state.set_link_down(3)            # a link of the delivering AS
-        moved = sim.resolve_shares(*self.STUB, state)
-        assert moved is not first
-        assert moved == self.fresh(wan, {0, 3})
+        moved = resolve_one(sim, *self.STUB, state)
+        assert not self.stands(sim, third, moved.removed)
+        assert moved.shares == self.fresh(wan, {0, 3})
         assert sim.cache_stats()["touched_entries"] >= 3
 
     def test_a_removed_link_reaches_only_the_pools_that_held_it(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        read = sim.resolution(*self.STUB, state)
+        read = resolve_one(sim, *self.STUB, state)
         # transit 2 delivers at nyc; its sea link is beyond the radius
         assert read.footprint == (4, 2) and set(read.pools) == {3, 6}
         state.set_link_down(2)            # the deliverer's, in no pool
-        assert sim.resolution(*self.STUB, state) is read
+        again = resolve_one(sim, *self.STUB, state)
+        assert self.stands(sim, read, again.removed)
+        assert again[:3] == read[:3]
         assert read.shares == self.fresh(wan, {2})
         state.set_link_down(3)            # a pool member
-        moved = sim.resolution(*self.STUB, state)
-        assert moved is not read and moved.pools == (6,)
+        moved = resolve_one(sim, *self.STUB, state)
+        assert not self.stands(sim, again, moved.removed)
+        assert moved.pools == (6,)
         assert moved.shares == self.fresh(wan, {2, 3})
 
     def test_a_restored_link_reaches_every_pool_of_its_owner(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
         state.set_link_down(2)
-        read = sim.resolution(*self.STUB, state)
+        read = resolve_one(sim, *self.STUB, state)
         assert 2 not in read.pools        # no pool names the link, and yet
         state.set_link_up(2)
-        again = sim.resolution(*self.STUB, state)
-        assert again is not read and again == read._replace(
-            removed=frozenset())
+        again = resolve_one(sim, *self.STUB, state)
+        assert not self.stands(sim, read, again.removed)
+        assert again == read._replace(removed=frozenset())
         assert again.shares == self.fresh(wan, set())
 
     def test_a_pocket_pools_only_its_own_metros_links(self):
@@ -287,11 +348,13 @@ class TestFootprintRule:
             graph, wan = build_world(metros)
             sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
             state = AdvertisementState(wan)
-            read = sim.resolution(*self.POCKET, state)
+            read = resolve_one(sim, *self.POCKET, state)
             assert set(read.pools) == pools
             state.set_link_down(4)
-            assert sim.resolution(*self.POCKET, state) is read
-            assert read[:3] == sim._resolve(
+            again = resolve_one(sim, *self.POCKET, state)
+            assert self.stands(sim, read, again.removed)
+            assert again[:3] == read[:3]
+            assert read[:3] == ResolveOracle(sim)._resolve(
                 *self.POCKET, frozenset({4}), False, False)[:3]
 
     def test_last_link_of_a_peer(self, world):
@@ -301,8 +364,8 @@ class TestFootprintRule:
         state = AdvertisementState(wan)
         for link in (2, 3):
             state.set_link_down(link)
-        before = sim.resolve_shares(*self.STUB, state)
-        assert [l for l, _f in before] == [6]
+        before = resolve_one(sim, *self.STUB, state)
+        assert [l for l, _f in before.shares] == [6]
         # same tables so far: no AS is touched, only pools of the links
         assert sim.touched(frozenset(), frozenset({2, 3})) == (set(), {2, 3})
         # ... and bringing them back touches their owner, whatever its pools
@@ -312,27 +375,29 @@ class TestFootprintRule:
             sim.routing_table(frozenset({2, 3}))
         assert {2, 4} <= sim.touched(frozenset({2, 3}),
                                      frozenset({2, 3, 6}))[0]
-        after = sim.resolve_shares(*self.STUB, state)
+        after = resolve_one(sim, *self.STUB, state).shares
         assert {wan.link(l).peer_asn for l, _f in after} == {1}
         assert after == self.fresh(wan, {2, 3, 6})
         state.set_link_up(6)
-        assert sim.resolve_shares(*self.STUB, state) is before
+        back = resolve_one(sim, *self.STUB, state)
+        assert self.stands(sim, before, back.removed)
+        assert back[:3] == before[:3]
 
     def test_walked_as_loses_every_link_and_gets_them_back(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        base = sim.resolve_shares(*self.POCKET, state)
+        base = resolve_one(sim, *self.POCKET, state).shares
         assert {wan.link(l).peer_asn for l, _f in base} == {1}
         for link in wan.links_of_peer(1):
             state.set_link_down(link.link_id)
         # the pocket can only leave through tier-1, which has no route
-        assert sim.resolve_shares(*self.POCKET, state) == ()
-        state.set_link_down(4)            # unrelated: the () is reused
-        assert sim.resolve_shares(*self.POCKET, state) == ()
+        assert resolve_one(sim, *self.POCKET, state).shares == ()
+        state.set_link_down(4)            # unrelated: still no route
+        assert resolve_one(sim, *self.POCKET, state).shares == ()
         state.set_link_up(4)
         for link in wan.links_of_peer(1):
             state.set_link_up(link.link_id)
-        assert sim.resolve_shares(*self.POCKET, state) == base
+        assert resolve_one(sim, *self.POCKET, state).shares == base
 
     def test_seeded_for_equals_the_exhaustive_scan(self, world):
         _g, wan, sim = world
@@ -381,8 +446,8 @@ class TestDrift:
         state = AdvertisementState(wan)
         changed = 0
         for p in range(50):
-            before = sim.resolve_shares(4, "nyc", p, 0, state, day=0)
-            after = sim.resolve_shares(4, "nyc", p, 0, state, day=27)
+            before = resolve_one(sim, 4, "nyc", p, 0, state, day=0).shares
+            after = resolve_one(sim, 4, "nyc", p, 0, state, day=27).shares
             if before != after:
                 changed += 1
         assert changed > 0
@@ -399,7 +464,7 @@ class TestRoutingTableAPI:
     def test_cache_stats_populate(self, world):
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        sim.resolve_shares(4, "nyc", 100, 0, state)
+        resolve_one(sim, 4, "nyc", 100, 0, state)
         stats = sim.cache_stats()
         assert stats["share_entries"] >= 1
         assert stats["tables_by_seeded"] >= 1
@@ -409,8 +474,7 @@ class TestCacheStats:
     def test_all_caches_reported(self, world):
         _g, wan, sim = world
         stats = sim.cache_stats()
-        for key in ("share_entries", "link_share_entries",
-                    "entry_metro_entries", "touched_entries",
+        for key in ("share_entries", "entry_metro_entries", "touched_entries",
                     "drift_entries", "ranked_pool_entries",
                     "primary_share_entries", "tables_by_removed",
                     "tables_by_seeded", "share_hits", "share_misses",
@@ -420,19 +484,21 @@ class TestCacheStats:
             assert stats[key] == 0
 
     def test_hit_miss_counters(self, world):
+        """``share_*`` count the split memo: one look-up per delivering
+        lane, the stub's one provider being one lane."""
         _g, wan, sim = world
         state = AdvertisementState(wan)
-        sim.resolve_shares(4, "nyc", 100, 0, state, day=0)
+        resolve_one(sim, 4, "nyc", 100, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_misses"] == 1
         assert stats["share_hits"] == 0
         assert stats["drift_entries"] == 1
-        sim.resolve_shares(4, "nyc", 100, 0, state, day=0)
+        resolve_one(sim, 4, "nyc", 100, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_hits"] == 1
         assert stats["share_misses"] == 1
-        # a different flow re-uses the routing table but not the shares
-        sim.resolve_shares(4, "nyc", 101, 0, state, day=0)
+        # a different flow re-uses the routing table but not the split
+        resolve_one(sim, 4, "nyc", 101, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_misses"] == 2
         assert stats["table_hits"] >= 1
@@ -482,7 +548,6 @@ class TestBoundedCaches:
             gauges = obs.snapshot().gauges
             assert gauges["bgp.simulator.table_hit_rate"] == 0.5
             assert "bgp.simulator.share_hit_rate" in gauges
-            assert "bgp.simulator.link_share_hit_rate" in gauges
             assert "bgp.simulator.table_full_rebuilds" in gauges
         finally:
             obs.disable()

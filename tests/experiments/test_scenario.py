@@ -5,6 +5,7 @@ import pytest
 
 from repro.bgp import AdvertisementState, IngressSimulator, RoutingTable
 from repro.experiments import Scenario, ScenarioParams
+from tests.bgp.resolve_oracle import ResolveOracle
 
 
 class TestAssembly:
@@ -215,8 +216,8 @@ class TestRecordViews:
 class TestExpansionBounds:
     def test_caches_stay_bounded_over_a_week_of_churn(self):
         """A week of scheduled outages with a probe per hour: the
-        expansion LRU and the simulator's share and link-share memos
-        never outgrow their bounds, and evicted contents come back."""
+        expansion LRU and the simulator's split memo never outgrow their
+        bounds, and evicted contents come back."""
         from dataclasses import replace
 
         from repro.bgp import SimulatorParams
@@ -248,7 +249,6 @@ class TestExpansionBounds:
         stats = sc.simulator.cache_stats()
         assert len(contents) > _EXPANSION_SLOTS
         assert stats["share_entries"] <= bound
-        assert stats["link_share_entries"] <= bound
         assert stats["share_evictions"] > 0
 
 
@@ -260,12 +260,13 @@ class TestCountedWork:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """The flows ``resolve_shares`` is asked for, in order."""
+        """The flows ``resolve_shares`` is handed, in order."""
         asked = []
         resolve = IngressSimulator.resolve_shares
 
         def counting(simulator, *args):
-            asked.append(args[:4])
+            asked.extend(zip(*(np.asarray(column).tolist()
+                               for column in args[:4])))
             return resolve(simulator, *args)
 
         monkeypatch.setattr(IngressSimulator, "resolve_shares", counting)
@@ -314,6 +315,7 @@ class TestCountedWork:
         are resolved again — under a withdrawal, of that prefix only."""
         sc, state, base, (_first, link) = self.world()
         sim, flows = sc.simulator, sc.traffic.flows
+        oracle = ResolveOracle(sim)
         on_link = base.flow_rows[base.link_ids == link]
         prefix = flows[int(on_link[0])].dest_prefix_id
         before = state.removal_key(prefix)
@@ -325,7 +327,7 @@ class TestCountedWork:
                 continue
             key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
                    flow.dest_prefix_id)
-            read = sim._resolve(*key, before, *sim.drift_state(
+            read = oracle._resolve(*key, before, *sim.drift_state(
                 flow.src_asn, flow.src_prefix_id, flow.dest_prefix_id,
                 self.HOUR // 24))
             if link in read.pools or not asns.isdisjoint(read.footprint):

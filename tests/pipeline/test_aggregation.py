@@ -216,6 +216,44 @@ class TestBatchAggregation:
                 batch_agg.aggregate_hour_columns(0, **columns_of(records))
             assert str(batch_exc.value) == str(serial_exc.value)
 
+    @pytest.mark.parametrize("failure", ["unknown destination",
+                                         "non-positive bytes"])
+    def test_a_strict_failure_leaves_the_record_paths_encoders(self,
+                                                               failure):
+        """Past the same strict-mode error the two paths hold the same
+        encoders, codes in the same order: what the record walk encoded
+        before the bad row, the columns encode too (the location
+        encoder used to stay empty), so the paths stay interchangeable
+        mid-stream."""
+        from repro.experiments import Scenario, ScenarioParams
+        from repro.pipeline.encoding import EncoderSet
+
+        sc = Scenario(ScenarioParams.small(seed=3))
+        links, sources, asns, dests, bytes_ = sc.ipfix_columns_for(
+            next(iter(sc.stream(0, 1))))
+        row = len(bytes_) // 2
+        if failure == "unknown destination":
+            dests = dests.copy()
+            dests[row] = 10**9
+        else:
+            bytes_ = bytes_.copy()
+            bytes_[row] = 0.0
+        records = [IpfixRecord(0, *fields) for fields in zip(
+            links.tolist(), sources.tolist(), asns.tolist(), dests.tolist(),
+            bytes_.tolist())]
+        serial, batch = (HourlyAggregator(sc.metadata, encoders=EncoderSet())
+                         for _ in range(2))
+        with pytest.raises(ValueError) as serial_exc:
+            serial.aggregate_hour(0, records)
+        with pytest.raises(ValueError) as batch_exc:
+            batch.aggregate_hour_columns(0, links, sources, asns, dests,
+                                         bytes_)
+        assert str(batch_exc.value) == str(serial_exc.value)
+        for name in ("location", "region", "service"):
+            mine = getattr(batch.encoders, name).values()
+            assert mine == getattr(serial.encoders, name).values(), name
+        assert len(batch.encoders.location) > 0
+
     def test_batch_lenient_drops_and_counts(self, aggregator):
         agg, wan, universe = aggregator
         agg.strict = False

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.bgp import AdvertisementState, SimulatorParams
 from repro.experiments import Scenario, ScenarioParams
 from repro.experiments.scenario import _EXPANSION_SLOTS, _rows_per
+from tests.bgp.resolve_oracle import ResolveOracle
 
 DAYS = 7
 
@@ -38,10 +39,10 @@ def scenario():
     return build()
 
 
-def from_scratch(scenario, day, state):
+def from_scratch(scenario, oracle, day, state):
     rows, links, fracs = [], [], []
     for i, flow in enumerate(scenario.traffic.flows):
-        for link_id, frac in scenario.simulator.resolve_shares(
+        for link_id, frac in oracle.resolve_shares(
                 flow.src_asn, flow.src_metro, flow.src_prefix_id,
                 flow.dest_prefix_id, state, day):
             rows.append(i)
@@ -89,14 +90,14 @@ def pairs(rows, values):
     return both[:, np.lexsort(both[::-1])].T
 
 
-def read_from_scratch(scenario, day, state):
+def read_from_scratch(scenario, oracle, day, state):
     """The (row, AS) and (row, link) pairs a direct ``_resolve`` of every
     flow reads: what an expansion must hold, no more and no less."""
     simulator = scenario.simulator
     walked, pooled = [], []
     for i, flow in enumerate(scenario.traffic.flows):
         prefix = flow.dest_prefix_id
-        full = simulator._resolve(
+        full = oracle._resolve(
             flow.src_asn, flow.src_metro, flow.src_prefix_id, prefix,
             state.removal_key(prefix),
             *simulator.drift_state(flow.src_asn, flow.src_prefix_id, prefix,
@@ -126,6 +127,7 @@ class TestRevisitedStates:
     def test_equals_a_fresh_scenarios_loop(self, scenario, down, probes,
                                            visits):
         reference = build()
+        oracle = ResolveOracle(reference.simulator)
         state = AdvertisementState(scenario.wan)
         mirror = AdvertisementState(reference.wan)
         for link in down:
@@ -139,13 +141,14 @@ class TestRevisitedStates:
                 apply(probe, state, scenario.wan)
                 apply(probe, mirror, reference.wan)
             got = scenario._expansion(day, state)
-            want = from_scratch(reference, day, mirror)
+            want = from_scratch(reference, oracle, day, mirror)
             for mine, theirs in zip(got, want):
                 assert mine.dtype == theirs.dtype
                 assert np.array_equal(mine, theirs), (which, day)
             held = list(scenario._expansions.values())[-1]
             assert held.rows is got[0]
-            walked, pooled = read_from_scratch(reference, day, mirror)
+            walked, pooled = read_from_scratch(reference, oracle, day,
+                                               mirror)
             assert np.array_equal(
                 pairs(held.footprint_rows, held.footprint_asns), walked)
             assert np.array_equal(
@@ -161,6 +164,7 @@ class TestDeltaExpansion:
     @settings(max_examples=12, deadline=None)
     def test_equals_a_fresh_scenarios_loop(self, scenario, sequence):
         reference = build()
+        oracle = ResolveOracle(reference.simulator)
         state = AdvertisementState(scenario.wan)
         mirror = AdvertisementState(reference.wan)
         day = 0
@@ -171,7 +175,7 @@ class TestDeltaExpansion:
                 apply(step, state, scenario.wan)
                 apply(step, mirror, reference.wan)
             got = scenario._expansion(day, state)
-            want = from_scratch(reference, day, mirror)
+            want = from_scratch(reference, oracle, day, mirror)
             for mine, theirs in zip(got, want):
                 assert mine.dtype == theirs.dtype
                 assert np.array_equal(mine, theirs), step

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import AdvertisementState
 from repro.experiments import Scenario, ScenarioParams
+from tests.bgp.resolve_oracle import ResolveOracle, resolve_one
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +28,9 @@ class TestResolutionInvariants:
         scenario = world
         flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
         state = AdvertisementState(scenario.wan)
-        shares = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state, day)
+        shares = resolve_one(
+            scenario.simulator, flow.src_asn, flow.src_metro,
+            flow.src_prefix_id, flow.dest_prefix_id, state, day).shares
         if shares:
             total = sum(f for _l, f in shares)
             assert total == pytest.approx(1.0)
@@ -48,9 +49,9 @@ class TestResolutionInvariants:
         valid = [l for l in removed_links if scenario.wan.has_link(l)]
         for link in valid:
             state.set_link_down(link)
-        shares = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
+        shares = resolve_one(
+            scenario.simulator, flow.src_asn, flow.src_metro,
+            flow.src_prefix_id, flow.dest_prefix_id, state).shares
         assert not ({l for l, _f in shares} & set(valid))
 
     @given(flow_indices, link_subsets)
@@ -62,20 +63,20 @@ class TestResolutionInvariants:
         scenario = world
         flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
         state = AdvertisementState(scenario.wan)
-        base = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
+        base = resolve_one(
+            scenario.simulator, flow.src_asn, flow.src_metro,
+            flow.src_prefix_id, flow.dest_prefix_id, state).shares
         valid = [l for l in removed_links if scenario.wan.has_link(l)]
         for link in valid:
             state.set_link_down(link)
-        scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
+        resolve_one(
+            scenario.simulator, flow.src_asn, flow.src_metro,
+            flow.src_prefix_id, flow.dest_prefix_id, state)
         for link in valid:
             state.set_link_up(link)
-        after = scenario.simulator.resolve_shares(
-            flow.src_asn, flow.src_metro, flow.src_prefix_id,
-            flow.dest_prefix_id, state)
+        after = resolve_one(
+            scenario.simulator, flow.src_asn, flow.src_metro,
+            flow.src_prefix_id, flow.dest_prefix_id, state).shares
         assert after == base
 
     @given(flow_indices, link_subsets)
@@ -83,10 +84,12 @@ class TestResolutionInvariants:
     def test_shortcut_equals_full_resolution(self, world, idx,
                                              removed_links):
         """The footprint rule must be semantically invisible: whichever
-        removal set a cached resolution is reused from — empty or not,
-        R -> R + {L} and back — the answer equals a full resolve."""
+        removal set the oracle reuses a resolution from — empty or not,
+        R -> R + {L} and back — the answer equals a full resolve, and the
+        columns, which resolve every flow afresh, equal both."""
         scenario = world
         simulator = scenario.simulator
+        oracle = ResolveOracle(simulator)
         flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
         key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
                flow.dest_prefix_id)
@@ -94,11 +97,11 @@ class TestResolutionInvariants:
 
         def check():
             removed = state.removal_key(flow.dest_prefix_id)
-            shares = simulator.resolve_shares(*key, state)
-            full = simulator._resolve(*key, removed, False, False)
-            assert shares == full[0]
-            assert simulator.footprint(*key, state) == full[1]
-            return shares
+            found = oracle.resolution(*key, state)
+            full = oracle._resolve(*key, removed, False, False)
+            assert found[:3] == full[:3]
+            assert resolve_one(simulator, *key, state)[:3] == full[:3]
+            return found.shares
 
         check()
         for link in removed_links:
@@ -124,14 +127,16 @@ class TestResolutionInvariants:
         """Removal sets asked for in any order, again and again — any
         links, and links of the ASes the flow's walk reads: links go and
         come back between any two, and whatever cached resolution the
-        rule starts from, the shares, the footprint and the pools are
-        those of a full resolve."""
+        oracle's footprint rule starts from, the shares, the footprint
+        and the pools are those of a full resolve and of the columns."""
         scenario = world
         simulator, wan = scenario.simulator, scenario.wan
+        oracle = ResolveOracle(simulator)
         flow = scenario.traffic.flows[idx % len(scenario.traffic.flows)]
         key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
                flow.dest_prefix_id)
-        walked = simulator.footprint(*key, AdvertisementState(wan))
+        walked = resolve_one(simulator, *key,
+                             AdvertisementState(wan)).footprint
         near = [link.link_id for asn in walked if asn in wan.peer_asns
                 for link in wan.links_of_peer(asn)]
         for visit in visits:
@@ -143,7 +148,7 @@ class TestResolutionInvariants:
             for nth in nearby if near else ():
                 state.set_link_down(near[nth % len(near)])
             removed = state.removal_key(flow.dest_prefix_id)
-            found = simulator.resolution(*key, state)
-            assert found[:3] == simulator._resolve(
+            found = oracle.resolution(*key, state)
+            assert found[:3] == oracle._resolve(
                 *key, removed, False, False)[:3]
-            assert simulator.resolve_shares(*key, state) is found.shares
+            assert resolve_one(simulator, *key, state)[:3] == found[:3]

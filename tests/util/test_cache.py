@@ -31,6 +31,21 @@ class TestLruDict:
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.hit_rate == 0.0
 
+    def test_get_many_is_get_of_every_key(self):
+        """Values in order, every look-up counted, hits refreshed in the
+        order asked, a falsy value a hit."""
+        many: LruDict[int, tuple] = LruDict(capacity=3)
+        one: LruDict[int, tuple] = LruDict(capacity=3)
+        for cache in (many, one):
+            for key in (1, 2, 3):
+                cache.put(key, (key,) * (key - 1))
+        keys = [2, 9, 1, 2]
+        assert many.get_many(keys) == [one.get(key) for key in keys]
+        assert (many.hits, many.misses) == (one.hits, one.misses) == (3, 1)
+        for cache in (many, one):
+            cache.put(4, ())             # evicts 3, now the stalest
+        assert list(many.values()) == list(one.values()) == [(), (2,), ()]
+
     def test_evicts_least_recently_used(self):
         cache: LruDict[int, int] = LruDict(capacity=3)
         for key in (1, 2, 3):
@@ -53,8 +68,7 @@ class TestLruDict:
         assert cache.get(2) is None
 
     def test_falsy_values_still_hit(self):
-        # the simulator caches empty ShareVectors; a falsy value must not
-        # read as a miss
+        # a falsy value (an empty tuple, say) must not read as a miss
         cache: LruDict[str, tuple] = LruDict(capacity=2)
         cache.put("empty", ())
         assert cache.get("empty") == ()
