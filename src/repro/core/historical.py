@@ -9,29 +9,31 @@ learning: a link never observed for a tuple can never be predicted for
 it, and a tuple never observed yields no prediction at all — which is why
 the ensembles of :mod:`repro.core.ensemble` exist.
 
-There is one training discipline: ``observe`` everything (plain float
-accumulation, in the order given), ``finalize`` once, then only read.
-Every model the tree builds — served by the rolling-window service or
-scored by the offline paper tables — comes from a ``DayCounts``
-projection handed to :meth:`HistoricalModel.from_arrays`, which is the
-same build without the per-observation calls; ``observe`` stays as the
-``TrainableModel`` interface Naive Bayes shares and the record-path
-build the tests compare against.  Nothing is ever taken back out of a
-model: a retrain is a new model, so a trained one is never written to
-again and is safe to serve from while its successor is built.
+A trained model is a sorted table: :meth:`HistoricalModel.from_arrays`
+numbers a ``DayCounts`` projection's tuples in first-seen order and
+sorts its rows once by (tuple, -bytes, link), so a tuple's ranking is a
+slice of link and share columns (bytes over the tuple's ``math.fsum``
+total) found through one tuple -> group dict.  Its ``Prediction``s are
+built when it is first asked and kept in its slot: the one write a built
+model sees, and idempotent, so racing readers get equal answers.  Every
+model in the tree comes through this build; ``observe`` collects rows
+that ``finalize`` folds onto the counts in order and builds again.  A
+retrain is a new model, safe to serve from while its successor is built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, cast
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..pipeline.aggregation import first_seen_groups, sorted_rows
 from ..pipeline.records import FlowContext
-from ..store.codec import encode_keyed_table, key_column_names
+from ..store.codec import key_column_names
 from .base import NO_LINKS, Prediction, TrainableModel
 from .features import FeatureSet
+from .training import fold_keyed
 
 #: a model key: the projection of a flow context onto a feature set
 TupleKey = Tuple[object, ...]
@@ -50,21 +52,20 @@ class HistoricalModel(TrainableModel):
             feature_set: which features form the flow tuple.
             name: display name; defaults to ``Hist_<features>``.
             keep_top: optionally truncate each tuple's ranking to its top
-                entries at finalize time (the paper keeps "only the top k
-                links" in the trained model to bound size).
+                entries (the paper keeps "only the top k links" in the
+                trained model to bound size).
         """
         self.feature_set = feature_set
         self.name = name or f"Hist_{feature_set.name}"
         self.keep_top = keep_top
-        self._counts: Dict[TupleKey, Dict[int, float]] = {}
-        # None until ranked; any later observation drops it again
-        self._ranked: Optional[Rankings] = None
+        # observed (key..., link) rows and bytes the table does not hold
+        self._observed: List[Tuple[object, ...]] = []
+        self._observed_bytes: List[float] = []
+        self._build(fold_keyed((), len(feature_set.fields) + 1))
 
     # -- training -------------------------------------------------------------
 
     def observe(self, context: FlowContext, link_id: int, bytes_: float) -> None:
-        if bytes_ <= 0.0:
-            return
         self.observe_aggregate(self.feature_set.key(context), link_id, bytes_)
 
     def observe_aggregate(self, key: TupleKey, link_id: int,
@@ -74,43 +75,63 @@ class HistoricalModel(TrainableModel):
         Trainers that pre-aggregate observations at this model's feature
         grain call this directly, skipping the per-record projection.
         """
-        if bytes_ <= 0.0:
-            return
-        links = self._counts.get(key)
-        if links is None:
-            links = {}
-            self._counts[key] = links
-        links[link_id] = links.get(link_id, 0.0) + bytes_
-        self._ranked = None
-
-    def _rank_all(self) -> Rankings:
-        ranked: Rankings = {}
-        for key, links in self._counts.items():
-            # fsum: the per-tuple total must not depend on link insertion
-            # order, or two trainers of the same counts would disagree
-            total = math.fsum(links.values())
-            if total <= 0.0:
-                continue
-            ordered = sorted(links.items(), key=lambda kv: (-kv[1], kv[0]))
-            if self.keep_top is not None:
-                ordered = ordered[: self.keep_top]
-            ranked[key] = tuple(
-                Prediction(link, b / total) for link, b in ordered)
-        self._ranked = ranked
-        return ranked
+        if bytes_ > 0.0:
+            self._observed.append((*key, link_id))
+            self._observed_bytes.append(bytes_)
 
     def finalize(self) -> None:
-        """Rank every tuple by the observed counts (no-op if current)."""
-        if self._ranked is None:
-            self._rank_all()
+        """Fold rows observed since the last build onto the counts, in order."""
+        if self._observed:
+            width = len(self.feature_set.fields) + 1
+            observed = dict(zip(key_column_names(width), np.array(
+                self._observed, dtype=np.int64).reshape(-1, width).T),
+                value=np.array(self._observed_bytes, dtype=np.float64))
+            self._observed, self._observed_bytes = [], []
+            self._build(fold_keyed((self.to_arrays(), observed), width))
+
+    def _build(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Make ``to_arrays``-shaped distinct rows the table: one sort."""
+        *fields, links = (np.asarray(arrays[column], dtype=np.int64) for column
+                          in key_column_names(len(self.feature_set.fields) + 1))
+        values = np.asarray(arrays["value"], dtype=np.float64)
+        if any(column.shape != values.shape for column in (*fields, links)):
+            raise ValueError("misaligned model columns")
+        if not (np.isfinite(values) & (values > 0.0)).all():
+            raise ValueError("byte counts must be finite and positive")
+        rep, group = first_seen_groups(fields)
+        down = np.unique(-values, return_inverse=True)[1].ravel()
+        # rank order; ``_seen`` keeps each row's place in ``arrays``
+        self._seen = order = sorted_rows((group, down, links))
+        self._bytes, counts = values[order], np.bincount(group, minlength=len(rep))
+        self._starts: List[int] = [0, *np.cumsum(counts).tolist()]
+        # fsum totals: one rounded addition is the fsum of two links
+        totals, starts = np.add.reduceat(self._bytes, self._starts[:-1]), self._starts
+        for g in np.flatnonzero(counts > 2).tolist():
+            totals[g] = math.fsum(self._bytes[starts[g]:starts[g + 1]].tolist())
+        self._links: List[int] = links[order].tolist()
+        self._shares: List[float] = (self._bytes / np.repeat(totals, counts)).tolist()
+        self._index: Dict[TupleKey, int] = dict(zip(
+            zip(*(field[rep].tolist() for field in fields)), range(len(rep))))
+        self._slots: List[Optional[Tuple[Prediction, ...]]] = [None] * len(rep)
 
     # -- prediction -----------------------------------------------------------
 
+    def _rank(self, group: int) -> Tuple[Prediction, ...]:
+        """Fill one tuple's slot (``keep_top`` cuts after the total)."""
+        start, end = self._starts[group], self._starts[group + 1]
+        if self.keep_top is not None:
+            end = min(end, start + self.keep_top)
+        ranking = self._slots[group] = tuple(map(
+            Prediction, self._links[start:end], self._shares[start:end]))
+        return ranking
+
     def _ranking_for(self, context: FlowContext) -> Tuple[Prediction, ...]:
-        ranked = self._ranked
-        if ranked is None:
-            ranked = self._rank_all()
-        return ranked.get(self.feature_set.key(context), ())
+        if self._observed:
+            self.finalize()
+        group = self._index.get(self.feature_set.key(context))
+        if group is None:
+            return ()
+        return self._slots[group] or self._rank(group)
 
     def predict(self, context: FlowContext, k: int,
                 unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
@@ -143,58 +164,57 @@ class HistoricalModel(TrainableModel):
     # -- columnar persistence --------------------------------------------------
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The trained counts as aligned columns (``repro.store``).
-
-        One row per (tuple, link) pair in training order: ``k0..k<n-1>``
-        are the feature-key fields, ``k<n>`` the link id, ``value`` the
-        byte count.
-        """
-        flat: Dict[Tuple[int, ...], float] = {}
-        for key, links in self._counts.items():
-            for link_id, bytes_ in links.items():
-                flat[cast("Tuple[int, ...]", (*key, link_id))] = bytes_
-        return encode_keyed_table(flat, len(self.feature_set.fields) + 1)
+        """The trained counts as aligned columns (``repro.store``), tuples
+        and each one's links in first-seen order: ``k0..k<n-1>`` the key
+        fields, ``k<n>`` the link id, ``value`` the byte count."""
+        self.finalize()
+        group = np.repeat(np.arange(len(self._slots), dtype=np.int64),
+                          np.diff(self._starts))
+        rows, width = sorted_rows((group, self._seen)), len(self.feature_set.fields)
+        keys = np.array(list(self._index), dtype=np.int64).reshape(-1, width)
+        columns = dict(zip(key_column_names(width + 1), (
+            *np.ascontiguousarray(keys[group[rows]].T, dtype=np.int64),
+            np.array(self._links, dtype=np.int64)[rows])))
+        columns["value"] = self._bytes[rows]
+        return columns
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray],
                     feature_set: FeatureSet, name: Optional[str] = None,
                     keep_top: Optional[int] = None) -> "HistoricalModel":
-        """Build a model from :meth:`to_arrays`-shaped columns, ranked.
+        """Build a model from :meth:`to_arrays`-shaped columns.
 
         Rows must be distinct (tuple, link) pairs; tuples and each
-        tuple's links keep their first-row order.  Raises
-        ``KeyError``/``ValueError`` on a column set that does not match.
+        tuple's links keep their first-row order.  Raises ``KeyError`` /
+        ``ValueError`` on a column set that does not match, or on a byte
+        count that is not finite and positive (``observe`` drops those).
         """
         model = cls(feature_set, name=name, keep_top=keep_top)
-        *fields, link_ids = (
-            arrays[column].tolist()
-            for column in key_column_names(len(feature_set.fields) + 1))
-        values = arrays["value"].tolist()
-        if any(len(column) != len(values) for column in (*fields, link_ids)):
-            raise ValueError("misaligned model columns")
-        counts = model._counts
-        for key, link_id, bytes_ in zip(zip(*fields), link_ids, values):
-            links = counts.get(key)
-            if links is None:
-                links = counts[key] = {}
-            links[link_id] = bytes_
-        model.finalize()
+        model._build(arrays)
         return model
 
     # -- introspection ----------------------------------------------------------
 
     def size(self) -> int:
         """Number of stored flow tuples (model size, paper Table 3)."""
-        return len(self._counts)
+        self.finalize()
+        return len(self._slots)
 
     def tuples(self) -> Tuple[TupleKey, ...]:
-        return tuple(self._counts)
+        self.finalize()
+        return tuple(self._index)
 
     def bytes_for(self, context: FlowContext) -> Dict[int, float]:
         """Raw training byte counts per link for a flow (for analysis)."""
-        return dict(self._counts.get(self.feature_set.key(context), {}))
+        self.finalize()
+        group = self._index.get(self.feature_set.key(context))
+        if group is None:
+            return {}
+        start, end = self._starts[group], self._starts[group + 1]
+        return dict(zip(self._links[start:end], self._bytes[start:end].tolist()))
 
     def rankings(self) -> Rankings:
-        """Every tuple's full ranking, ranked first if stale (a copy)."""
-        ranked = self._ranked
-        return dict(ranked if ranked is not None else self._rank_all())
+        """Every tuple's full ranking, in first-seen order (a copy)."""
+        self.finalize()
+        return {key: self._slots[group] or self._rank(group)
+                for key, group in self._index.items()}

@@ -18,12 +18,12 @@ Retraining is a *rebuild*: the served suite is a pure function of the
 window's completed days.  Each completed day is projected once onto
 every model's feature grain (keyed columns, kept until the day leaves
 the window), and the daily retrain folds the window's projections, in
-day order, into fresh models — one grouped sum per grain, the same
-counting pass the offline trainer makes record by record.  A day's
-delta touches most of the model's tuples (78-100 % on the benchmark's
-world), so maintaining the previous suite in place would save nothing;
-building anew means a model is never written to after it is served and
-what a service answers does not depend on how long it has been running.
+day order, into fresh models — one grouped sum and one sort per grain
+(a model is a sorted table that ranks a tuple when first asked).  A
+day's delta touches most of a model's tuples (78-100 % on the
+benchmark's world), so keeping the previous suite up in place would save
+nothing; building anew means a model's counts never change once served
+and what a service answers does not depend on how long it has run.
 
 Retraining is also *atomic* to a reader: the new models, the days they
 were trained on, a fresh memo and the day of publication are published
@@ -129,9 +129,9 @@ Memo = AnswerMemo[Tuple[str, int, FrozenSet[int]], FlowContext, Answer]
 class PublishedSuite(NamedTuple):
     """Everything a query reads, replaced as one reference per retrain.
 
-    The models are final (fully ranked, never touched again) and the
-    memo holds only their answers, so a query that reads the suite once
-    can never pair one retrain's memo with another's models.
+    The models' counts are final (only idempotent per-tuple rankings fill
+    in) and the memo holds only their answers, so a query reading the
+    suite once can never pair one retrain's memo with another's models.
     """
 
     models: Dict[str, IngressModel]

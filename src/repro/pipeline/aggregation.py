@@ -311,17 +311,34 @@ def first_seen_sums(key_columns: Sequence[np.ndarray], weights: np.ndarray,
     running ``sums.get(key, 0.0) + weight`` — the property the record
     path equivalences (here and in ``core.training``) rest on.
     """
+    rep, group = first_seen_groups(key_columns)
+    sums = np.bincount(group, weights=weights, minlength=len(rep))
+    # bincount of no rows is int64 whatever the weights; sums are float64
+    return rep, sums.astype(np.float64, copy=False)
+
+
+def first_seen_groups(key_columns: Sequence[np.ndarray],
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Number rows by key, keys in first-seen order.
+
+    Returns ``(rep, group)``: ``rep`` the row each distinct key first
+    appears on, ``group`` each row's key number (``rep``'s index).
+    """
     _, first_key, inv_key = np.unique(
         _combine_group_codes(key_columns), return_index=True,
         return_inverse=True)
     # np.unique numbers the groups in key order: renumber by first row
-    first = np.zeros(len(weights), dtype=bool)
+    first = np.zeros(len(key_columns[0]), dtype=bool)
     first[first_key] = True
     rank = np.cumsum(first, dtype=np.int64)[first_key] - 1
-    sums = np.bincount(rank[inv_key.ravel()], weights=weights,
-                       minlength=len(first_key))
-    # bincount of no rows is int64 whatever the weights; sums are float64
-    return np.flatnonzero(first), sums.astype(np.float64, copy=False)
+    return np.flatnonzero(first), rank[inv_key.ravel()]
+
+
+def sorted_rows(key_columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable order of rows sorted by integer key columns, the first
+    column most significant: ``np.lexsort(key_columns[::-1])``, from one
+    sort of the rows' mixed-radix codes."""
+    return np.argsort(_combine_group_codes(key_columns), kind="stable")
 
 
 def _combine_group_codes(columns: Sequence[np.ndarray]) -> np.ndarray:

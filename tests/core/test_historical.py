@@ -1,5 +1,8 @@
 """Tests for the historical model."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import FEATURES_A, FEATURES_AP, HistoricalModel
@@ -63,6 +66,28 @@ class TestTraining:
         assert model.predict(ctx(), 1)[0].link_id == 3
 
 
+class TestFromArrays:
+    @pytest.mark.parametrize("second", [0.0, math.nan, -40.0])
+    def test_refuses_bytes_observe_would_drop(self, second):
+        """``observe`` drops a count that is not positive, so a column
+        build must not rank one either: zero, NaN and negative bytes
+        are refused, not scored 0.0, nan or -0.667."""
+        arrays = {"k0": np.array([1, 1]), "k1": np.array([0, 0]),
+                  "k2": np.array([0, 0]), "k3": np.array([5, 7]),
+                  "value": np.array([100.0, second])}
+        with pytest.raises(ValueError, match="finite and positive"):
+            HistoricalModel.from_arrays(arrays, FEATURES_A)
+
+    def test_keeps_first_seen_order(self):
+        arrays = {"k0": np.array([2, 1, 2]), "k1": np.array([0, 0, 0]),
+                  "k2": np.array([0, 0, 0]), "k3": np.array([7, 5, 5]),
+                  "value": np.array([1.0, 4.0, 3.0])}
+        model = HistoricalModel.from_arrays(arrays, FEATURES_A)
+        assert model.tuples() == ((2, 0, 0), (1, 0, 0))
+        assert model.to_arrays()["k3"].tolist() == [7, 5, 5]
+        assert model.predict(ctx(asn=2), 2) == [(5, 0.75), (7, 0.25)]
+
+
 class TestNoTransferLearning:
     def test_unseen_tuple_no_prediction(self):
         """The defining limitation of the historical model (§3.3.1)."""
@@ -121,9 +146,16 @@ class TestIntrospection:
 
 class TestLazyReranking:
     def test_no_ranking_work_before_first_query(self):
+        """A query ranks what has been observed so far; an observation
+        after it is ranked by the next query, unasked for."""
         model = HistoricalModel(FEATURES_AP)
         model.observe(ctx(), 5, 10.0)
-        assert model._ranked is None
+        assert model.predict(ctx(), 2) == [(5, 1.0)]
+        model.observe(ctx(), 7, 30.0)
+        assert model.predict(ctx(), 2) == [(7, 0.75), (5, 0.25)]
+        assert model.size() == 1
+        model.observe(ctx(prefix=11), 7, 1.0)
+        assert model.rankings()[(1, 11, 0, 0)] == ((7, 1.0),)
 
     def test_group_key_is_feature_key(self):
         model = HistoricalModel(FEATURES_AP)

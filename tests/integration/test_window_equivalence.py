@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.historical import HistoricalModel
 from repro.core.service import ServiceConfig, TipsyService
-from repro.pipeline import AggRecord
+from repro.pipeline import AggRecord, FlowContext
 from repro.topology import (
     CloudWAN,
     DestPrefix,
@@ -84,6 +84,15 @@ def assert_models_identical(left, right, name):
     assert left.rankings() == right.rankings(), name
 
 
+def context_of(feature_set):
+    """A flow context carrying a feature key (other fields 0)."""
+    def build(key):
+        fields = dict(zip(feature_set.fields, key))
+        return FlowContext._make(fields.get(name, 0)
+                                 for name in FlowContext._fields)
+    return build
+
+
 def fresh_service_over_window(service, fed):
     """A new service fed only the days ``service`` still holds."""
     fresh = TipsyService(service.wan, service.config)
@@ -117,7 +126,11 @@ def assert_window_is_all_that_matters(service, fed):
     for name, batch_model in zip(BASE_MODELS, offline):
         assert_models_identical(service.model(name), fresh.model(name), name)
         assert_models_identical(service.model(name), batch_model, name)
-        assert service.model(name)._counts == batch_model._counts, name
+        served = service.model(name)
+        assert served.tuples() == batch_model.tuples(), name
+        for context in map(context_of(served.feature_set), served.tuples()):
+            assert (served.bytes_for(context)
+                    == batch_model.bytes_for(context)), name
 
 
 class TestWindowEquivalence:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.obs import runtime as obs
 from repro.pipeline import HourlyAggregator, UNKNOWN_LOCATION
+from repro.pipeline.aggregation import first_seen_groups, sorted_rows
 from repro.pipeline.encoding import OrdinalEncoder
 from repro.telemetry import GeoIPDatabase, IpfixRecord, MetadataStore
 from repro.topology import (
@@ -377,3 +378,26 @@ class TestCountedJoinWork:
             assert agg.stats.records_dropped == hour + 1
         # a dropped row's source prefix is never joined
         assert ("src", rogue_src.prefix_id) not in agg.metadata.calls
+
+
+class TestRowGrouping:
+    """``first_seen_groups`` and ``sorted_rows`` against plain Python."""
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40])
+    def test_sorted_rows_is_the_stable_lexsort(self, scale):
+        # at 2**40 three columns cannot share 62 bits of mixed radix, so
+        # the codes are densified on the way
+        rng = np.random.default_rng(5)
+        columns = [rng.integers(-3, 4, size=500) * scale for _ in range(3)]
+        assert (sorted_rows(columns).tolist()
+                == np.lexsort(columns[::-1]).tolist())
+
+    def test_first_seen_groups_numbers_keys_by_first_row(self):
+        columns = [np.array([4, 2, 4, 9, 2]), np.array([0, 1, 0, 0, 1])]
+        rep, group = first_seen_groups(columns)
+        numbers = {}
+        for key in zip(*(column.tolist() for column in columns)):
+            numbers.setdefault(key, len(numbers))
+        assert rep.tolist() == [0, 1, 3]
+        assert group.tolist() == [numbers[key] for key in zip(
+            *(column.tolist() for column in columns))] == [0, 1, 0, 2, 1]
