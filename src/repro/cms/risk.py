@@ -42,7 +42,8 @@ class RiskAnalyzer:
     on purpose: ``_pred_cache`` keeps each (context, outage)'s normalised
     weights across all the hours analysed, where an uncached
     ``what_if`` per hour would predict them again — the same findings,
-    2-4x slower on the medium world.
+    1.7x (Hist_AL) to 2.3x (AL+G) slower on the medium world's 72 test
+    hours (best of three, 2-vCPU VM).
     """
 
     def __init__(

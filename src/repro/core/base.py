@@ -7,7 +7,9 @@ with the predicted fraction of the flow's bytes on each.
 
 Every model also answers the CMS's safety question (paper §4.4),
 ``what_if(flows, withdrawn, k)``, through the package's one spill sum,
-:func:`spill_from_groups`, which the service and the daemon share.
+:func:`spill_from_groups`, which the service and the daemon share: one
+``dict`` pass over the few hundred weights a call carries, no numpy.
+A ``k`` below 1 is a ``ValueError``, never an empty or clipped answer.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import abc
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Protocol, Sequence, Tuple)
-
-import numpy as np
 
 from ..pipeline.records import FlowContext
 
@@ -63,33 +63,23 @@ def spill_from_groups(
     """Per-link byte spill from grouped predictions.
 
     The accumulation half of ``what_if``: byte-weight each group's
-    predictions by score, sum per link with numpy, and report bytes with
-    no prediction under link id ``-1``.  The one spill sum of the
-    package: every ``what_if`` ends here, so all of them produce
-    bit-identical spill for the same groups in the same order.
+    predictions by score and add them onto a per-link total from 0.0 in
+    input order; links come out ascending, and bytes with no prediction
+    last, under link id ``-1``.
+    The one spill sum of the package: every ``what_if`` ends here, so
+    all of them produce bit-identical spill for the same groups in the
+    same order.
     """
-    link_ids: List[int] = []
-    link_weights: List[float] = []
+    sums: Dict[int, float] = {}
     unplaceable = 0.0
     for predictions, bytes_ in groups:
         total = sum(p.score for p in predictions)
         if total <= 0.0:
             unplaceable += bytes_
             continue
-        for p in predictions:
-            link_ids.append(p.link_id)
-            link_weights.append(bytes_ * p.score / total)
-    spill: Dict[int, float] = {}
-    if link_ids:
-        links = np.asarray(link_ids, dtype=np.int64)
-        unique, inverse = np.unique(links, return_inverse=True)
-        sums = np.bincount(inverse.ravel(),
-                           weights=np.asarray(link_weights,
-                                              dtype=np.float64),
-                           minlength=len(unique))
-        spill = {int(link): float(total_)
-                 for link, total_
-                 in zip(unique.tolist(), sums.tolist())}
+        for link, score in predictions:
+            sums[link] = sums.get(link, 0.0) + bytes_ * score / total
+    spill = {link: sums[link] for link in sorted(sums)}
     if unplaceable > 0.0:
         spill[-1] = spill.get(-1, 0.0) + unplaceable
     return spill
@@ -119,7 +109,7 @@ class IngressModel(abc.ABC):
 
         Args:
             context: the flow's full feature tuple.
-            k: maximum number of links to return.
+            k: maximum number of links to return, at least 1.
             unavailable: links known to be out of service (withdrawn or in
                 outage); never returned.
 

@@ -27,13 +27,14 @@ class FeatureSet:
         for f in self.fields:
             if f not in valid:
                 raise ValueError(f"unknown feature field {f!r}")
-        # attrgetter with multiple names returns a tuple directly
-        object.__setattr__(self, "_getter", attrgetter(*self.fields))
+        # attrgetter with several names returns the key tuple itself, so
+        # it is the key: one C call, no method frame around it
+        if len(self.fields) > 1:
+            object.__setattr__(self, "key", attrgetter(*self.fields))
 
     def key(self, context: FlowContext) -> Tuple[object, ...]:
         """Extract this feature set's key tuple from a flow context."""
-        got = self._getter(context)
-        return got if isinstance(got, tuple) else (got,)
+        return tuple(getattr(context, f) for f in self.fields)
 
 
 #: AS + destination region + destination type

@@ -8,7 +8,10 @@ top link still anchors the geography), reads off its peer AS and metro,
 and appends that AS's other peering links ranked by geographic distance —
 hot-potato routing says the nearest surviving link of the same peer is
 where traffic most likely lands (paper §5.3: "hot potato routing is not
-uncommon for outages").
+uncommon for outages").  The ranking is the WAN's nearest-first order
+of the anchor's peer (:meth:`CloudWAN.nearest_peer_links`), sorted once
+per link and kept: a completion walks it, skipping the links already
+ranked or unavailable, and sorts nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ class GeoAugmentedModel(IngressModel):
         self.base = base
         self.wan = wan
         self.name = name or f"{base.name}+G"
+        if type(self).group_key is GeoAugmentedModel.group_key:
+            # the base's key itself, no method frame; an override keeps its key
+            setattr(self, "group_key", base.group_key)
 
     def predict(self, context: FlowContext, k: int,
                 unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
@@ -37,21 +43,16 @@ class GeoAugmentedModel(IngressModel):
         anchor = self.base.predict(context, 1)
         if not anchor:
             return predictions
-        anchor_link = self.wan.link(anchor[0].link_id)
         have = {p.link_id for p in predictions}
-        candidates = [
-            link for link in self.wan.links_of_peer(anchor_link.peer_asn)
-            if link.link_id not in have and link.link_id not in unavailable
-        ]
-        candidates.sort(key=lambda l: (
-            self.wan.metros.distance_km(anchor_link.metro, l.metro),
-            l.link_id,
-        ))
         # score appended links below the base ranking's tail
         tail = predictions[-1].score if predictions else anchor[0].score
-        for i, link in enumerate(candidates[: k - len(predictions)]):
-            predictions.append(Prediction(link.link_id,
-                                          tail * 0.5 ** (i + 1)))
+        i = 0
+        for link in self.wan.nearest_peer_links(anchor[0].link_id):
+            if link not in have and link not in unavailable:
+                i += 1
+                predictions.append(Prediction(link, tail * 0.5 ** i))
+                if len(predictions) == k:
+                    break
         return predictions
 
     def has_prediction(self, context: FlowContext,

@@ -62,6 +62,9 @@ class HistoricalModel(TrainableModel):
         self._observed: List[Tuple[object, ...]] = []
         self._observed_bytes: List[float] = []
         self._build(fold_keyed((), len(feature_set.fields) + 1))
+        if type(self).group_key is HistoricalModel.group_key:
+            # the projection itself, no method frame; an override keeps its key
+            setattr(self, "group_key", feature_set.key)
 
     # -- training -------------------------------------------------------------
 
@@ -135,6 +138,8 @@ class HistoricalModel(TrainableModel):
 
     def predict(self, context: FlowContext, k: int,
                 unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         ranking = self._ranking_for(context)
         if not unavailable:
             return list(ranking[:k])

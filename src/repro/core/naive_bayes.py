@@ -113,6 +113,8 @@ class NaiveBayesModel(TrainableModel):
 
     def predict(self, context: FlowContext, k: int,
                 unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         log_p, any_known = self._scores(context)
         if log_p.size == 0 or not any_known:
             return []

@@ -433,7 +433,8 @@ class TipsyService:
 
     def predict(self, context: FlowContext, k: Optional[int] = None,
                 unavailable: AbstractSet[int] = NO_LINKS) -> List[Prediction]:
-        """Top-k ingress prediction for one flow."""
+        """Top-k ingress prediction for one flow; ``k`` of ``None`` or 0
+        means ``config.prediction_k``, a negative one is a ``ValueError``."""
         prior = frozenset(unavailable)
         return list(self._answer(self._published, self._query_model(prior),
                                  (context,), k, prior)[0])
@@ -442,7 +443,8 @@ class TipsyService:
                       k: Optional[int] = None,
                       unavailable: AbstractSet[int] = NO_LINKS,
                       ) -> List[List[Prediction]]:
-        """Top-k predictions for many flows at once.
+        """Top-k predictions for many flows at once (``k`` as in
+        :meth:`predict`).
 
         A remembered flow costs one dictionary look-up; the rest are
         grouped by the answering model's feature key, each distinct key
@@ -471,7 +473,7 @@ class TipsyService:
         wants to move and the links it would withdraw from; the answer
         is where those bytes land, byte-weighted by prediction scores.
         Bytes with no prediction are returned under link id ``-1``
-        (unplaceable).
+        (unplaceable).  ``k`` is as in :meth:`predict`.
 
         Flows are grouped by the withdrawal model's feature key: each
         distinct key is answered once (from the memo, else the model)

@@ -90,6 +90,8 @@ class CloudWAN:
                 raise ValueError(f"duplicate link id {link.link_id}")
             self._link_by_id[link.link_id] = link
             self._links_by_peer.setdefault(link.peer_asn, []).append(link)
+        # link id -> its peer's link ids, nearest first; filled when asked
+        self._nearest: Dict[int, Tuple[int, ...]] = {}
         self._region_by_name = {r.name: r for r in self.regions}
         self._prefix_by_id = {p.prefix_id: p for p in self.dest_prefixes}
 
@@ -103,6 +105,22 @@ class CloudWAN:
 
     def links_of_peer(self, peer_asn: int) -> Tuple[PeeringLink, ...]:
         return tuple(self._links_by_peer.get(peer_asn, ()))
+
+    def nearest_peer_links(self, link_id: int) -> Tuple[int, ...]:
+        """Every link id of ``link_id``'s peer, itself included, sorted by
+        ``(distance from its metro, link id)``.
+
+        The geography never changes, so each order is sorted once, the
+        first time it is asked, and kept: an idempotent fill whose one
+        dict store is atomic, so racing readers get equal tuples.
+        """
+        order = self._nearest.get(link_id)
+        if order is None:
+            anchor, distance = self._link_by_id[link_id], self.metros.distance_km
+            order = self._nearest[link_id] = tuple(l.link_id for l in sorted(
+                self._links_by_peer[anchor.peer_asn],
+                key=lambda l: (distance(anchor.metro, l.metro), l.link_id)))
+        return order
 
     @property
     def peer_asns(self) -> Tuple[int, ...]:

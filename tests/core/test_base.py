@@ -2,9 +2,15 @@
 
 from typing import FrozenSet, List
 
-from repro.core import IngressModel, Prediction
+import pytest
+
+from repro.core import (FEATURES_A, FEATURES_AL, GeoAugmentedModel,
+                        HistoricalModel, IngressModel, NaiveBayesModel,
+                        OracleModel, Prediction, SequentialEnsemble)
 from repro.core.base import NO_LINKS
 from repro.pipeline import FlowContext
+from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
+                            Region)
 
 
 class _Fixed(IngressModel):
@@ -49,3 +55,37 @@ class TestDefaults:
             pass
         else:  # pragma: no cover
             raise AssertionError("IngressModel should be abstract")
+
+
+def _k_world():
+    """One AL tuple seen on links 5/7/9 with 100/50/25 bytes, in every
+    model that answers a ``k``: the historical and Naive Bayes models,
+    the oracle, AL+G and an ensemble."""
+    metros = MetroCatalog()
+    wan = CloudWAN(8075, [PeeringLink(link, 100, "iad", "iad-er1", 100.0)
+                          for link in (5, 7, 9)],
+                   [Region("r", "iad")],
+                   [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
+    hist, oracle = HistoricalModel(FEATURES_AL), OracleModel(FEATURES_AL)
+    bayes = NaiveBayesModel(FEATURES_AL)
+    for link, bytes_ in ((5, 100.0), (7, 50.0), (9, 25.0)):
+        for model in (hist, oracle, bayes):
+            model.observe(CTX, link, bytes_)
+    return {"Hist_AL": hist, "NB_AL": bayes, "Oracle_AL": oracle,
+            "Hist_AL+G": GeoAugmentedModel(hist, wan),
+            "Hist_AL/A": SequentialEnsemble([hist, HistoricalModel(FEATURES_A)])}
+
+
+class TestKBelowOne:
+    """``k`` below 1 is a caller's error in every model, not an empty
+    answer, a clipped one, or a bad ``argpartition``."""
+
+    @pytest.mark.parametrize("name", ["Hist_AL", "NB_AL", "Oracle_AL",
+                                      "Hist_AL+G", "Hist_AL/A"])
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("prior", [NO_LINKS, frozenset({7})])
+    def test_predict_refuses_k_below_one(self, name, k, prior):
+        model = _k_world()[name]
+        assert [p.link_id for p in model.predict(CTX, 1, prior)] == [5]
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            model.predict(CTX, k, prior)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import GeoAugmentedModel
 from repro.core.base import NO_LINKS, IngressModel
 from repro.core.service import ServiceConfig, TipsyService
 from repro.pipeline import AggColumns, AggRecord, FlowContext
@@ -468,3 +469,51 @@ class TestModelWhatIf:
         assert model.what_if(flows, frozenset(links), k) == {
             -1: pytest.approx(sum(bytes_ for _c, bytes_ in flows))}
         assert model.what_if([], frozenset(links[:1]), k) == {}
+
+
+class PerPrefixGeo(GeoAugmentedModel):
+    """AL+G keyed per source prefix, more finely than its base's AL
+    key, and recording every context it predicts."""
+
+    def __init__(self, base, wan):
+        super().__init__(base, wan, name="Hist_AL+G")
+        self.predicted = []
+
+    def predict(self, context, k, unavailable=NO_LINKS):
+        self.predicted.append(context)
+        return super().predict(context, k, unavailable)
+
+    def group_key(self, context):
+        return (context.src_prefix, *super().group_key(context))
+
+
+class TestOverriddenGroupKey:
+    """AL+G reaches its base's key without a method frame; a subclass
+    that overrides ``group_key`` is still grouped by its own key."""
+
+    @pytest.fixture()
+    def trained(self, service):
+        service.ingest_hour(0, [rec(0, 0, 1, 100.0), rec(0, 1, 2, 30.0)])
+        service.ingest_hour(24, [])
+        return service
+
+    def test_plain_al_g_groups_by_the_base_key_itself(self, trained):
+        geo = trained.model(trained.config.withdrawal_model)
+        assert geo.group_key is geo.base.group_key
+        assert geo.group_key(ctx(1)) == geo.group_key(ctx(2))
+
+    def test_subclass_key_groups_what_if_and_predict_batch(self, trained):
+        name = trained.config.withdrawal_model
+        plain = trained.model(name)
+        finer = trained._published.models[name] = PerPrefixGeo(
+            plain.base, plain.wan)
+        flows = [(ctx(1), 10.0), (ctx(2), 20.0), (ctx(1), 5.0)]
+        # the AL key alone would ask once, for prefix 1 only
+        finer.what_if(flows, {0}, 3)
+        assert finer.predicted == [ctx(1), ctx(2)]
+        for ask in (lambda: trained.predict_batch(
+                        [ctx(1), ctx(2), ctx(1)], unavailable={1}),
+                    lambda: trained.what_if(flows, {2})):
+            finer.predicted.clear()
+            ask()
+            assert finer.predicted == [ctx(1), ctx(2)]
