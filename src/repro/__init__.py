@@ -12,7 +12,7 @@ package reproduces the full system around a synthetic Internet:
 * :mod:`repro.core` — the TIPSY models and accuracy metric
 * :mod:`repro.cms` — congestion mitigation and risk analysis
 * :mod:`repro.experiments` — scenarios and the paper's evaluation
-* :mod:`repro.analysis` — ``repro lint`` determinism static checks
+* :mod:`repro.analysis` — ``repro lint`` determinism & concurrency checks
 * :mod:`repro.obs` — metrics, trace spans, ``repro obs`` export
 * :mod:`repro.util` — deterministic hashing, exact sums
 

@@ -8,7 +8,7 @@ Commands:
   TIPSY-guided.
 * ``risk`` — run Appendix C's Algorithm 1 and print the links-at-risk
   table.
-* ``lint`` — run the determinism & parallel-safety static checks
+* ``lint`` — run the determinism & concurrency static checks
   (``docs/static-analysis.md``).
 * ``obs`` — run an instrumented example workload and export its metrics
   snapshot (text / JSON / Prometheus) and span trace
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_lint = sub.add_parser(
-        "lint", help="determinism & parallel-safety static checks")
+        "lint", help="determinism & concurrency static checks")
     from .analysis.cli import add_lint_arguments
     add_lint_arguments(p_lint)
     p_lint.set_defaults(func=cmd_lint)

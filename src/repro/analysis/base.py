@@ -30,21 +30,12 @@ RULES: Dict[str, Tuple[str, str]] = {
               "unseeded generator state)"),
     "RA003": ("unseeded-rng",
               "RNG constructed without an explicit seed expression"),
-    "RA101": ("pool-lambda",
-              "lambda handed across a process-pool boundary (not "
-              "picklable)"),
-    "RA102": ("pool-closure",
-              "locally-defined function handed across a process-pool "
-              "boundary (not picklable)"),
     "RA201": ("wall-clock-hot-path",
               "wall-clock read inside a determinism-critical package"),
     "RA301": ("mutable-default-arg",
               "mutable default argument value shared across calls"),
     "RA401": ("missing-module-docstring",
               "public module does not open with a docstring"),
-    "RA501": ("shared-state-race",
-              "module- or class-level state written by a function "
-              "reachable from a process-pool dispatch"),
     "RA502": ("lock-discipline",
               "lock-guarded attribute read or written outside a "
               "`with self._lock:` block"),
@@ -91,17 +82,14 @@ RULES: Dict[str, Tuple[str, str]] = {
 #: rules that need whole-program context: they only run under
 #: ``repro lint --project`` (see ``project.py``)
 PROJECT_RULES: FrozenSet[str] = frozenset({
-    "RA501", "RA502", "RA601",
+    "RA502", "RA601",
     "RA700", "RA701", "RA702", "RA703", "RA704",
     "RA800", "RA801", "RA802", "RA803", "RA804", "RA805",
 })
 
-#: RA7xx rules with an autofix: ``repro lint --fix`` can rewrite these
-FIXABLE_RULES: FrozenSet[str] = frozenset({"RA701", "RA702", "RA703"})
-
 #: package directories whose hourly code must be a pure function of
 #: (seed, hour) — wall-clock reads are banned inside them (RA201).
-DEFAULT_HOT_PACKAGES: FrozenSet[str] = frozenset(
+HOT_PACKAGES: FrozenSet[str] = frozenset(
     {"pipeline", "core", "traffic"})
 
 _NOQA_RE = re.compile(
@@ -148,7 +136,6 @@ class FunctionUnit:
     qualname: str                   # "f", "C.m", or "<module>"
     owner_class: Optional[str]
     body: Sequence[ast.stmt]
-    node: Optional[ast.AST] = None  # the def itself; None for "<module>"
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -165,7 +152,7 @@ def _function_units(tree: ast.Module) -> List[FunctionUnit]:
     ``if`` blocks at module level are transparent (their defs and
     statements count as top-level) except ``if TYPE_CHECKING:``, which
     is skipped: nothing in it runs.  The remaining module-level
-    statements form ``<module>``, so top-level dispatch sites (scripts,
+    statements form ``<module>``, so top-level calls (scripts,
     examples) still seed reachability.
     """
     units: List[FunctionUnit] = []
@@ -178,7 +165,7 @@ def _function_units(tree: ast.Module) -> List[FunctionUnit]:
                 qualname = (node.name if owner_class is None
                             else f"{owner_class}.{node.name}")
                 units.append(FunctionUnit(qualname, owner_class,
-                                          node.body, node))
+                                          node.body))
             elif owner_class is not None:
                 continue  # only the methods of a class body are units
             elif isinstance(node, ast.ClassDef):
@@ -208,7 +195,6 @@ class ModuleContext:
     path: Path
     source: str
     tree: ast.Module
-    hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES
     display_path: str = ""
 
     def __post_init__(self) -> None:
@@ -218,7 +204,7 @@ class ModuleContext:
     @property
     def is_hot_path(self) -> bool:
         """True when the file lives under a determinism-critical package."""
-        return bool(self.hot_packages.intersection(self.path.parts))
+        return bool(HOT_PACKAGES.intersection(self.path.parts))
 
     @cached_property
     def imports(self) -> "ImportMap":
@@ -357,9 +343,7 @@ def checker_classes() -> List[Type[Checker]]:
     """All registered checker classes (imported lazily to avoid cycles)."""
     from .docstrings import ModuleDocstringChecker
     from .hygiene import HotPathClockChecker, MutableDefaultChecker
-    from .parallel import PoolBoundaryChecker
     from .rng import RngDisciplineChecker
 
-    return [RngDisciplineChecker, PoolBoundaryChecker,
-            HotPathClockChecker, MutableDefaultChecker,
-            ModuleDocstringChecker]
+    return [RngDisciplineChecker, HotPathClockChecker,
+            MutableDefaultChecker, ModuleDocstringChecker]

@@ -1,7 +1,8 @@
-"""``repro lint`` — the determinism & parallel-safety gate.
+"""``repro lint`` — the determinism & concurrency gate.
 
 Exit codes: 0 clean, 1 violations found (including files that failed to
-parse, reported as RA000), 2 on contradictory flags.
+parse, reported as RA000), 2 on a usage error: an unknown rule code, a
+missing path, or a project-only code selected without ``--project``.
 
 Two analysis modes:
 
@@ -12,10 +13,7 @@ Two analysis modes:
   Selecting one of those codes without ``--project`` is a usage error
   (exit 2), never a silent "clean".
 
-``--fix`` (project mode) applies the safe RA7xx rewrites in place and
-re-lints; ``--fix --check`` previews them as a unified diff without
-writing, for CI.  ``--format sarif`` emits SARIF 2.1.0 for GitHub code
-scanning.
+``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ import sys
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, TextIO
 
-from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, RULES
+from .base import PROJECT_RULES, RULES
 from .engine import AnalysisReport, analyze_paths
-from .fixer import apply_fixes, render_diffs
 from .project import analyze_project
 
 
@@ -39,16 +36,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--project", action="store_true",
         help="whole-program mode: adds the cross-module rules "
-             "RA501/RA502/RA601, the RA7xx determinism dataflow, and "
+             "RA502/RA601, the RA7xx determinism dataflow, and "
              "the RA8xx lifecycle/durability wave")
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply the safe RA7xx autofixes in place and re-lint "
-             "(requires --project)")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="with --fix: print pending fixes as a unified diff "
-             "without writing anything (CI mode)")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (json/sarif are machine-readable; sarif "
@@ -56,11 +45,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule codes to enable (default: all)")
-    parser.add_argument(
-        "--hot-path", default=",".join(sorted(DEFAULT_HOT_PACKAGES)),
-        metavar="PKGS",
-        help="comma-separated package dirs treated as determinism-"
-             "critical for RA201")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule registry and exit")
@@ -72,12 +56,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def _parse_codes(spec: Optional[str]) -> Optional[FrozenSet[str]]:
     if spec is None:
         return None
-    codes = frozenset(c.strip().upper() for c in spec.split(",") if c.strip())
-    unknown = codes.difference(RULES)
-    if unknown:
-        raise SystemExit(
-            f"repro lint: unknown rule code(s): {', '.join(sorted(unknown))}")
-    return codes
+    return frozenset(c.strip().upper() for c in spec.split(",") if c.strip())
 
 
 def _render_text(report: AnalysisReport, stream: TextIO) -> None:
@@ -155,25 +134,19 @@ def run_lint(args: argparse.Namespace) -> int:
         print("\n(* = needs whole-program context: runs only under "
               "--project)")
         return 0
-    if args.check and not args.fix:
-        print("repro lint: --check only makes sense with --fix",
-              file=sys.stderr)
-        return 2
-    if args.fix and not args.project:
-        print("repro lint: --fix requires --project (the RA7xx "
-              "autofixes come from the whole-program dataflow rules)",
-              file=sys.stderr)
-        return 2
     raw_paths: List[str] = args.paths or ["src"]
     paths = [Path(p) for p in raw_paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print("repro lint: no such path: "
               + ", ".join(str(p) for p in missing), file=sys.stderr)
-        return 1
-    hot = frozenset(
-        p.strip() for p in args.hot_path.split(",") if p.strip())
+        return 2
     select = _parse_codes(args.select)
+    unknown = sorted(select.difference(RULES)) if select else []
+    if unknown:
+        print(f"repro lint: unknown rule code(s): {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
 
     if select is not None and not args.project:
         needs_project = sorted(select & PROJECT_RULES)
@@ -183,26 +156,10 @@ def run_lint(args: argparse.Namespace) -> int:
                   "per-file mode)", file=sys.stderr)
             return 2
 
-    def analyze() -> AnalysisReport:
-        if args.project:
-            return analyze_project(paths, hot_packages=hot,
-                                   select=select, root=Path.cwd())
-        return analyze_paths(paths, hot_packages=hot, select=select,
-                             root=Path.cwd())
-
-    report = analyze()
-    if args.fix and report.fixes:
-        results = apply_fixes(report.fixes, write=not args.check)
-        if results:
-            # diffs go to stderr so --format json/sarif stdout stays
-            # machine-parseable
-            sys.stderr.write(render_diffs(results))
-            applied = sum(len(r.applied) for r in results)
-            verb = "pending (not written)" if args.check else "applied"
-            print(f"repro lint --fix: {applied} fix(es) {verb} in "
-                  f"{len(results)} file(s)", file=sys.stderr)
-            if not args.check:
-                report = analyze()  # re-lint the rewritten tree
+    if args.project:
+        report = analyze_project(paths, select=select, root=Path.cwd())
+    else:
+        report = analyze_paths(paths, select=select, root=Path.cwd())
     _render(report, args.format, sys.stdout)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

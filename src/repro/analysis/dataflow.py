@@ -32,24 +32,23 @@ The rules:
 
 * **RA701** iteration over an unordered collection (``set``, ``dict``
   views of sets, ``os.listdir``/``glob``/``Path.iterdir`` results)
-  feeding accumulation or emitted output — fix: ``sorted(...)``;
+  feeding accumulation or emitted output — remedy: ``sorted(...)``;
 * **RA702** order-sensitive float accumulation (``sum()`` or a ``+=``
-  loop) over an unordered collection — fix:
+  loop) over an unordered collection — remedy:
   :func:`repro.util.exactsum.exact_total` (order-independent,
   correctly rounded) or sorted iteration.  Integer sums are exact and
-  hence order-free, so provably-integer literals are skipped; the
-  autofix applies only to a bare single-argument ``sum(...)`` (a
-  ``start`` argument is reported but left alone) and always yields a
-  ``float`` — the remedy text calls that out for int inputs;
+  hence order-free, so provably-integer literals are skipped;
+  ``exact_total`` takes one iterable and always yields a ``float``, so
+  a ``sum(xs, start)`` message says it rules that remedy out;
 * **RA703** numpy arrays built without a platform-stable dtype
   (``dtype=int`` is the C ``long``: 64-bit on Linux, 32-bit on
-  Windows) — fix: pin ``int64``/``float64`` explicitly;
+  Windows) — remedy: pin ``int64``/``float64`` explicitly; the message
+  names the dtype wherever the call's arguments decide it;
 * **RA704** ambient process state (wall clock, ``os.environ``,
-  ``uuid``, global RNG, ``id()``-keyed lookups) — report-only, the
-  value must be threaded in explicitly.
+  ``uuid``, global RNG, ``id()``-keyed lookups) — the value must be
+  threaded in explicitly.
 
-Sites are conservative and carry their own autofix recipe where one is
-safe (see ``fixer.py``); everything honours ``# repro: noqa[RAxxx]``.
+Sites are conservative; everything honours ``# repro: noqa[RAxxx]``.
 """
 
 from __future__ import annotations
@@ -116,20 +115,6 @@ def determinism_from_table(raw: Mapping[str, object],
 
 # -- sites --------------------------------------------------------------------
 
-#: autofix recipes a site may carry (applied by ``fixer.py``)
-FIX_KINDS: FrozenSet[str] = frozenset({
-    "wrap-sorted",     # insert sorted( ... ) around the span; a payload
-                       # becomes an extra sorted() argument (scandir key)
-    "exact-total",     # replace the span (the `sum` name) with exact_total
-    "dtype-replace",   # replace the span (a dtype value) with the payload
-    "dtype-add",       # insert the payload at the span start (zero-width)
-})
-
-#: sort key for scandir-derived iterables: ``os.DirEntry`` defines no
-#: ``<``, so a bare ``sorted(...)`` over one raises TypeError
-_SCANDIR_SORT_KEY = "key=lambda e: e.name"
-
-
 @dataclass(frozen=True)
 class DetSite:
     """One potential determinism hazard inside one function.
@@ -144,11 +129,6 @@ class DetSite:
     lineno: int
     col: int             # 1-based, like Violation
     detail: str          # message fragment describing the hazard
-    fix_kind: Optional[str] = None
-    #: (lineno, col_offset, end_lineno, end_col_offset) — AST positions,
-    #: 0-based columns; the region the fix edits (zero-width for inserts)
-    span: Optional[Tuple[int, int, int, int]] = None
-    payload: str = ""
 
 
 # -- extraction ---------------------------------------------------------------
@@ -182,7 +162,7 @@ _NUMPY_CTORS: FrozenSet[str] = frozenset({
     "full", "arange",
 })
 
-#: dtype spellings that mean "the platform C long" (RA703, fixable)
+#: dtype spellings that mean "the platform C long" (RA703)
 _PLATFORM_INT_DTYPES: FrozenSet[str] = frozenset({
     "numpy.int_", "numpy.intp", "numpy.intc", "numpy.long",
 })
@@ -206,20 +186,13 @@ _AMBIENT_RANDOM: FrozenSet[str] = frozenset({
 _COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.DictComp)
 
 
-def _span_of(node: ast.expr) -> Optional[Tuple[int, int, int, int]]:
-    end_lineno = getattr(node, "end_lineno", None)
-    end_col = getattr(node, "end_col_offset", None)
-    if end_lineno is None or end_col is None:  # pragma: no cover
-        return None
-    return (node.lineno, node.col_offset, end_lineno, end_col)
-
-
 def _int_only_set_literal(node: ast.expr) -> bool:
     """``{1, 2, 3}``: integer summation is exact, hence order-free.
 
     The one case where the RA702 detector can *prove* the summands are
-    ints — where ``exact_total`` (always float) would change the result
-    type — is a set literal of integer constants, so it is skipped.
+    ints — where the ``exact_total`` remedy (always float) would change
+    the result type — is a set literal of integer constants, so it is
+    skipped.
     """
     return isinstance(node, ast.Set) and bool(node.elts) and all(
         isinstance(elt, ast.Constant) and isinstance(elt.value, int)
@@ -249,24 +222,15 @@ class _FunctionDetScanner:
         self.imports = imports
         self.sites = sites
         self.unordered: Set[str] = set()
-        #: names currently bound to scandir results (DirEntry streams)
-        self.scandir: Set[str] = set()
         #: comprehension nodes already claimed by an order-free consumer
         self.consumed: Set[int] = set()
 
     # -- recording ----------------------------------------------------------
 
-    def _site(self, node: ast.expr, code: str, detail: str,
-              fix_kind: Optional[str] = None,
-              span: Optional[Tuple[int, int, int, int]] = None,
-              payload: str = "") -> None:
-        if fix_kind is not None and span is None:
-            fix_kind = None  # no span, no safe edit: report-only
+    def _site(self, node: ast.expr, code: str, detail: str) -> None:
         self.sites.append(DetSite(
             function=self.qualname, code=code,
-            lineno=node.lineno, col=node.col_offset + 1,
-            detail=detail, fix_kind=fix_kind, span=span,
-            payload=payload))
+            lineno=node.lineno, col=node.col_offset + 1, detail=detail))
 
     # -- value-kind inference ------------------------------------------------
 
@@ -304,34 +268,6 @@ class _FunctionDetScanner:
                     return True
         return False
 
-    def is_scandir(self, node: ast.expr) -> bool:
-        """Does this expression yield ``os.DirEntry`` objects?
-
-        DirEntry does not support ``<``, so the wrap-sorted fix for a
-        scandir-derived iterable must sort by ``e.name`` instead of the
-        elements themselves.
-        """
-        if isinstance(node, ast.Name):
-            return node.id in self.scandir
-        if isinstance(node, ast.IfExp):
-            return (self.is_scandir(node.body)
-                    or self.is_scandir(node.orelse))
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Name) and node.args
-                    and func.id in ("set", "frozenset", "list",
-                                    "tuple", "iter", "reversed")):
-                return self.is_scandir(node.args[0])
-            if self._dotted(func) == "os.scandir":
-                return True
-            if isinstance(func, ast.Attribute) and func.attr == "scandir":
-                return True
-        return False
-
-    def _sorted_payload(self, node: ast.expr) -> str:
-        """Extra ``sorted()`` argument the wrap-sorted fix needs, if any."""
-        return _SCANDIR_SORT_KEY if self.is_scandir(node) else ""
-
     def _genexp_iter_unordered(self,
                                node: ast.expr) -> Optional[ast.expr]:
         """First unordered generator iterable of a comprehension arg."""
@@ -348,17 +284,12 @@ class _FunctionDetScanner:
         for stmt in body:
             self._stmt(stmt)
 
-    def _bind(self, target: ast.expr, unordered: bool,
-              scandir: bool = False) -> None:
+    def _bind(self, target: ast.expr, unordered: bool) -> None:
         if isinstance(target, ast.Name):
             if unordered:
                 self.unordered.add(target.id)
             else:
                 self.unordered.discard(target.id)
-            if scandir:
-                self.scandir.add(target.id)
-            else:
-                self.scandir.discard(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._bind(element, False)
@@ -369,16 +300,14 @@ class _FunctionDetScanner:
         if isinstance(stmt, ast.Assign):
             self._expr(stmt.value)
             unordered = self.is_unordered(stmt.value)
-            scandir = self.is_scandir(stmt.value)
             for target in stmt.targets:
                 if not isinstance(target, ast.Name):
                     self._expr(target)
-                self._bind(target, unordered, scandir)
+                self._bind(target, unordered)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 self._expr(stmt.value)
-                self._bind(stmt.target, self.is_unordered(stmt.value),
-                           self.is_scandir(stmt.value))
+                self._bind(stmt.target, self.is_unordered(stmt.value))
             if not isinstance(stmt.target, ast.Name):
                 self._expr(stmt.target)
         elif isinstance(stmt, ast.AugAssign):
@@ -437,9 +366,7 @@ class _FunctionDetScanner:
                 self._site(
                     stmt.iter, code,
                     detail=(f"loop over unordered `{_snippet(stmt.iter)}` "
-                            f"feeds {noun}"),
-                    fix_kind="wrap-sorted", span=_span_of(stmt.iter),
-                    payload=self._sorted_payload(stmt.iter))
+                            f"feeds {noun}"))
         self._bind(stmt.target, False)
         self.scan(stmt.body)
         self.scan(stmt.orelse)
@@ -497,9 +424,7 @@ class _FunctionDetScanner:
             self._site(
                 arg, code,
                 detail=(f"`{consumer}` consumes unordered "
-                        f"`{_snippet(arg)}`"),
-                fix_kind="wrap-sorted", span=_span_of(arg),
-                payload=self._sorted_payload(arg))
+                        f"`{_snippet(arg)}`"))
             return True
         gen_iter = self._genexp_iter_unordered(arg)
         if gen_iter is not None:
@@ -507,9 +432,7 @@ class _FunctionDetScanner:
             self._site(
                 gen_iter, code,
                 detail=(f"`{consumer}` consumes a generator over "
-                        f"unordered `{_snippet(gen_iter)}`"),
-                fix_kind="wrap-sorted", span=_span_of(gen_iter),
-                payload=self._sorted_payload(gen_iter))
+                        f"unordered `{_snippet(gen_iter)}`"))
             return True
         return False
 
@@ -523,10 +446,9 @@ class _FunctionDetScanner:
                         or self._genexp_iter_unordered(arg) is not None)
                         and not _int_only_set_literal(arg)):
                     self._claim(arg)
-                    # exact_total takes exactly one iterable, so the
-                    # rewrite is only safe for a bare sum(iterable);
-                    # sum(xs, start) would become a TypeError — and a
-                    # non-numeric start (list concatenation) is not
+                    # exact_total takes exactly one iterable: for
+                    # sum(xs, start) the remedy is sorted iteration — and
+                    # a non-numeric start (list concatenation) is not
                     # float accumulation at all
                     bare = len(node.args) == 1 and not node.keywords
                     self._site(
@@ -534,11 +456,8 @@ class _FunctionDetScanner:
                         detail=(f"`sum({_snippet(arg)})` accumulates "
                                 "floats in arbitrary order"
                                 + ("" if bare else
-                                   "; the start argument rules out the "
-                                   "exact_total rewrite")),
-                        fix_kind="exact-total" if bare else None,
-                        span=_span_of(func) if bare else None,
-                        payload="exact_total" if bare else "")
+                                   "; the start argument rules out "
+                                   "exact_total")))
             elif func.id in ("list", "tuple"):
                 self._flag_unordered_arg(node.args[0], "RA701", func.id)
             elif func.id in _ORDER_FREE_CONSUMERS:
@@ -562,9 +481,7 @@ class _FunctionDetScanner:
                 self._site(
                     gen.iter, "RA701",
                     detail=(f"{kind} comprehension iterates unordered "
-                            f"`{_snippet(gen.iter)}`"),
-                    fix_kind="wrap-sorted", span=_span_of(gen.iter),
-                    payload=self._sorted_payload(gen.iter))
+                            f"`{_snippet(gen.iter)}`"))
                 return
 
     def _subscript(self, node: ast.Subscript) -> None:
@@ -581,34 +498,19 @@ class _FunctionDetScanner:
 
     # -- RA703: numpy dtype stability ---------------------------------------
 
-    def _numpy_alias(self, func: ast.expr) -> Optional[str]:
-        """Textual module expression for fixes, e.g. ``np``.
-
-        ``np.zeros`` -> ``np``; ``from numpy import zeros`` -> whatever
-        local name binds the numpy module, or None (report-only fix).
-        """
-        if isinstance(func, ast.Attribute):
-            return _snippet(func.value, limit=120)
-        for local, target in self.imports.modules.items():
-            if target == "numpy":
-                return local
-        return None
-
     def _numpy(self, node: ast.Call, dotted: str) -> None:
         tail = dotted[len("numpy."):]
         if tail not in _NUMPY_CTORS:
             return
-        alias = self._numpy_alias(node.func)
         dtype_kw = next(
             (kw for kw in node.keywords if kw.arg == "dtype"), None)
         if dtype_kw is not None:
-            self._numpy_dtype_value(node, tail, alias, dtype_kw.value)
+            self._numpy_dtype_value(node, tail, dtype_kw.value)
             return
         if tail in ("zeros", "ones", "empty"):
-            self._numpy_add_dtype(node, tail, alias, "float64",
-                                  "defaults to float64 but leaves the "
-                                  "dtype unpinned in a persisted/hashed "
-                                  "buffer")
+            self._numpy_pin(node, tail, "float64",
+                            "defaults to float64 but leaves the dtype "
+                            "unpinned in a persisted/hashed buffer")
         elif tail == "arange":
             consts = [a.value for a in node.args
                       if isinstance(a, ast.Constant)]
@@ -617,8 +519,8 @@ class _FunctionDetScanner:
                     for v in consts):
                 wanted = ("float64" if any(
                     isinstance(v, float) for v in consts) else "int64")
-                self._numpy_add_dtype(
-                    node, tail, alias, wanted,
+                self._numpy_pin(
+                    node, tail, wanted,
                     "infers the platform default int (C long) from "
                     "integer bounds" if wanted == "int64" else
                     "leaves the dtype unpinned")
@@ -633,8 +535,8 @@ class _FunctionDetScanner:
                     fill.value, bool):
                 wanted = ("int64" if isinstance(fill.value, int)
                           else "float64")
-                self._numpy_add_dtype(
-                    node, tail, alias, wanted,
+                self._numpy_pin(
+                    node, tail, wanted,
                     "infers its dtype from the fill value (ints become "
                     "the platform C long)")
             else:
@@ -649,7 +551,6 @@ class _FunctionDetScanner:
                         "long (64-bit Linux, 32-bit Windows)"))
 
     def _numpy_dtype_value(self, node: ast.Call, tail: str,
-                           alias: Optional[str],
                            value: ast.expr) -> None:
         dotted = self._dotted(value)
         is_platform_int = (
@@ -657,14 +558,11 @@ class _FunctionDetScanner:
             or (isinstance(value, ast.Constant) and value.value == "int")
             or dotted in _PLATFORM_INT_DTYPES)
         if is_platform_int:
-            span = _span_of(value)
-            payload = f"{alias}.int64" if alias else ""
             self._site(
                 node, "RA703",
                 detail=(f"`{tail}(..., dtype={_snippet(value)})` is the "
-                        "platform C long (64-bit Linux, 32-bit Windows)"),
-                fix_kind="dtype-replace" if payload else None,
-                span=span, payload=payload)
+                        "platform C long (64-bit Linux, 32-bit Windows); "
+                        "pin dtype=int64"))
         elif (dotted == "numpy.float32"
                 or (isinstance(value, ast.Constant)
                     and value.value == "float32")):
@@ -675,34 +573,10 @@ class _FunctionDetScanner:
                         "contract-path arrays float64 or isolate the "
                         "cast"))
 
-    def _numpy_add_dtype(self, node: ast.Call, tail: str,
-                         alias: Optional[str], wanted: str,
-                         why: str) -> None:
-        insert_after = self._last_arg_end(node)
-        payload = f", dtype={alias}.{wanted}" if alias else ""
-        self._site(
-            node, "RA703",
-            detail=f"`{tail}(...)` {why}",
-            fix_kind="dtype-add" if payload and insert_after else None,
-            span=(None if insert_after is None else
-                  (insert_after[0], insert_after[1],
-                   insert_after[0], insert_after[1])),
-            payload=payload)
-
-    @staticmethod
-    def _last_arg_end(node: ast.Call) -> Optional[Tuple[int, int]]:
-        """Position just after the last argument (insertion point)."""
-        best: Optional[Tuple[int, int]] = None
-        candidates: List[ast.expr] = list(node.args)
-        candidates.extend(kw.value for kw in node.keywords)
-        for arg in candidates:
-            end_lineno = getattr(arg, "end_lineno", None)
-            end_col = getattr(arg, "end_col_offset", None)
-            if end_lineno is None or end_col is None:  # pragma: no cover
-                return None
-            if best is None or (end_lineno, end_col) > best:
-                best = (end_lineno, end_col)
-        return best
+    def _numpy_pin(self, node: ast.Call, tail: str, wanted: str,
+                   why: str) -> None:
+        self._site(node, "RA703",
+                   detail=f"`{tail}(...)` {why}; pin dtype={wanted}")
 
     # -- RA704: ambient state ------------------------------------------------
 
@@ -800,14 +674,9 @@ def check_determinism(
     graph: ProjectGraph,
     sites_by_module: Mapping[str, Sequence[DetSite]],
     config: DeterminismConfig,
-) -> Tuple[List[Violation], List[Tuple[str, DetSite]]]:
-    """Report sites reachable from contract entry points.
-
-    Returns ``(violations, fixable)`` where ``fixable`` pairs each
-    reported auto-fixable site with its display path, in report order.
-    """
+) -> List[Violation]:
+    """Report sites reachable from contract entry points."""
     violations: List[Violation] = []
-    fixable: List[Tuple[str, DetSite]] = []
     roots: Dict[FunctionKey, Tuple[str, str]] = {}
     for contract in sorted(config.contracts):
         for entry in config.contracts[contract]:
@@ -834,14 +703,10 @@ def check_determinism(
             if facts.is_suppressed(site.lineno, site.code):
                 continue
             contract, entry = roots[root]
-            fix_note = (" (auto-fixable with --fix)"
-                        if site.fix_kind is not None else "")
             violations.append(Violation(
                 path=facts.display_path, line=site.lineno,
                 col=site.col, code=site.code,
                 message=(f"{site.detail} — on determinism contract "
                          f"`{contract}` (reachable from `{entry}`); "
-                         f"{_REMEDIES[site.code]}{fix_note}")))
-            if site.fix_kind is not None and site.span is not None:
-                fixable.append((facts.display_path, site))
-    return violations, fixable
+                         f"{_REMEDIES[site.code]}")))
+    return violations

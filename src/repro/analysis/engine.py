@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
-from .base import (DEFAULT_HOT_PACKAGES, ModuleContext, Violation,
-                   apply_suppressions, checker_classes)
-from .fixer import Fix
+from .base import (ModuleContext, Violation, apply_suppressions,
+                   checker_classes)
 
 #: directory names never worth scanning
 _SKIP_DIRS: FrozenSet[str] = frozenset({
@@ -29,9 +28,6 @@ class AnalysisReport:
 
     violations: List[Violation] = field(default_factory=list)
     files_scanned: int = 0
-    #: applicable autofixes for the reported RA7xx findings (project
-    #: mode only); ``repro lint --fix`` consumes these
-    fixes: List[Fix] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -50,7 +46,6 @@ class AnalysisReport:
             "violation_count": len(self.violations),
             "counts_by_code": self.counts_by_code(),
             "violations": [v.to_json() for v in self.violations],
-            "fixable_count": len(self.fixes),
         }
 
 
@@ -71,8 +66,7 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def parse_module(source: str, path: Path, hot_packages: FrozenSet[str],
-                 display: str) -> ModuleContext:
+def parse_module(source: str, path: Path, display: str) -> ModuleContext:
     """Parse one file into the context every rule consumes.
 
     Raises :class:`SyntaxError`; :func:`parse_error` renders it as the
@@ -80,7 +74,7 @@ def parse_module(source: str, path: Path, hot_packages: FrozenSet[str],
     """
     return ModuleContext(path=path, source=source,
                          tree=ast.parse(source, filename=str(path)),
-                         hot_packages=hot_packages, display_path=display)
+                         display_path=display)
 
 
 def parse_error(exc: SyntaxError, display: str) -> Violation:
@@ -99,12 +93,11 @@ def analyze_module(context: ModuleContext) -> List[Violation]:
 
 
 def analyze_source(source: str, path: Path,
-                   hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
                    display_path: Optional[str] = None) -> List[Violation]:
     """Run every checker over one module's source text."""
     display = display_path if display_path is not None else str(path)
     try:
-        context = parse_module(source, path, hot_packages, display)
+        context = parse_module(source, path, display)
     except SyntaxError as exc:
         return [parse_error(exc, display)]
     return analyze_module(context)
@@ -121,7 +114,6 @@ def display_for(file_path: Path, root: Optional[Path]) -> Optional[str]:
 
 
 def analyze_paths(paths: Sequence[Path],
-                  hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
                   select: Optional[FrozenSet[str]] = None,
                   root: Optional[Path] = None) -> AnalysisReport:
     """Lint every Python file under ``paths``.
@@ -133,9 +125,7 @@ def analyze_paths(paths: Sequence[Path],
     for file_path in iter_python_files(paths):
         display = display_for(file_path, root)
         source = file_path.read_text(encoding="utf-8")
-        found = analyze_source(source, file_path,
-                               hot_packages=hot_packages,
-                               display_path=display)
+        found = analyze_source(source, file_path, display_path=display)
         report.files_scanned += 1
         if select is not None:
             found = [v for v in found if v.code in select]

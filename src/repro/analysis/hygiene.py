@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import FrozenSet, List, Tuple
 
-from .base import Checker, Violation
+from .base import HOT_PACKAGES, Checker, Violation
 
 #: dotted call paths that read the wall clock
 _WALL_CLOCK: FrozenSet[str] = frozenset({
@@ -53,7 +53,7 @@ class HotPathClockChecker(Checker):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = self.context.imports.resolve_attribute(node.func)
         if dotted in _WALL_CLOCK:
-            packages = ", ".join(sorted(self.context.hot_packages))
+            packages = ", ".join(sorted(HOT_PACKAGES))
             self.report(
                 node, "RA201",
                 f"`{dotted}` reads the wall clock inside a "

@@ -29,7 +29,7 @@ call graph:
   ``join()`` without ``timeout=`` inside a shutdown-path function
   (``stop``/``shutdown``/``close``/…) — the exact hang the serve
   daemon's escalation ladder exists to prevent.
-* **RA805** (report-only, no autofix) unclosed resources: an
+* **RA805** (report-only) unclosed resources: an
   ``open``/``os.open``/``NamedTemporaryFile``/``Pipe`` result bound to
   a local that never escapes the function and is never closed.
 

@@ -11,14 +11,13 @@ checks to semantic, cross-module rules:
    determinism / lifecycle / durability site scanners,
 2. the facts are linked into a
    :class:`~repro.analysis.callgraph.ProjectGraph`,
-3. the project rules run over the graph — RA501 (shared-state races
-   reachable from pool dispatches), RA502 (lock discipline), RA601
-   (the ``[tool.repro.layers]`` architecture contract), RA7xx
+3. the project rules run over the graph — RA502 (lock discipline),
+   RA601 (the ``[tool.repro.layers]`` architecture contract), RA7xx
    (determinism dataflow) and RA8xx (lifecycle and durability).
 
 Nothing is cached between runs: the whole of ``src`` lints cold in
-about two seconds, a quarter of it interpreter start-up, which is less
-than an on-disk format and its invalidation rules cost to keep right.
+under two seconds, interpreter start-up included, which is less than
+an on-disk format and its invalidation rules cost to keep right.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .base import DEFAULT_HOT_PACKAGES, PROJECT_RULES, Violation
+from .base import PROJECT_RULES, Violation
 from .callgraph import ModuleFacts, ProjectGraph, extract_facts, \
     module_name_for
 from .dataflow import DetSite, DeterminismConfig, check_determinism, \
@@ -35,11 +34,9 @@ from .durability import DuraSite, DurabilityConfig, check_durability, \
     durability_from_table, extract_dura_sites
 from .engine import AnalysisReport, analyze_module, display_for, \
     iter_python_files, parse_error, parse_module
-from .fixer import fix_for_site
 from .layers import LayerConfig, check_layers, layers_from_table
 from .lifecycle import LifeSite, check_lifecycle, extract_life_sites
 from .locks import check_locks
-from .races import check_races
 from .tables import find_table
 
 
@@ -81,7 +78,6 @@ def _scope_warnings(files: Sequence[Tuple[Path, str]], table: str,
 
 
 def analyze_project(paths: Sequence[Path],
-                    hot_packages: FrozenSet[str] = DEFAULT_HOT_PACKAGES,
                     select: Optional[FrozenSet[str]] = None,
                     root: Optional[Path] = None,
                     layer_config: Optional[LayerConfig] = None,
@@ -113,7 +109,6 @@ def analyze_project(paths: Sequence[Path],
     internal_roots = frozenset(name.split(".")[0]
                                for name in module_names.values())
 
-    report = AnalysisReport(files_scanned=len(files))
     violations: List[Violation] = []
     modules: List[ModuleFacts] = []
     det_sites: Dict[str, List[DetSite]] = {}
@@ -122,8 +117,7 @@ def analyze_project(paths: Sequence[Path],
     for file_path, display in files:
         source = file_path.read_text(encoding="utf-8")
         try:
-            context = parse_module(source, file_path, hot_packages,
-                                   display)
+            context = parse_module(source, file_path, display)
         except SyntaxError as exc:
             violations.append(parse_error(exc, display))
             continue
@@ -141,7 +135,6 @@ def analyze_project(paths: Sequence[Path],
             extract_dura_sites(context))
 
     graph = ProjectGraph.link(modules)
-    violations.extend(check_races(graph))
     violations.extend(check_lifecycle(graph, life_sites))
 
     first = files[0][0] if files else None
@@ -160,20 +153,7 @@ def analyze_project(paths: Sequence[Path],
                 files, "determinism", "RA700", "contracts",
                 determinism.source))
     if determinism is not None:
-        det_violations, fixable = check_determinism(
-            graph, det_sites, determinism)
-        violations.extend(det_violations)
-        path_for_display = {display: str(path)
-                            for path, display in files}
-        for display, site in fixable:
-            if select is not None and site.code not in select:
-                continue
-            real = path_for_display.get(display)
-            if real is None:
-                continue
-            fix = fix_for_site(real, display, site)
-            if fix is not None:
-                report.fixes.append(fix)
+        violations.extend(check_determinism(graph, det_sites, determinism))
 
     if durability is None and first is not None:
         found = find_table(first, "durability")
@@ -188,8 +168,8 @@ def analyze_project(paths: Sequence[Path],
 
     if select is not None:
         violations = [v for v in violations if v.code in select]
-    report.violations = sorted(violations)
-    return report
+    return AnalysisReport(violations=sorted(violations),
+                          files_scanned=len(files))
 
 
 #: re-exported so callers can reason about which codes need --project

@@ -21,7 +21,7 @@ def exact_total(values: Iterable[float]) -> float:
     """Order-independent, correctly-rounded sum of ``values``.
 
     Drop-in replacement for a bare single-argument ``sum(...)`` on
-    determinism-contract paths (the target of the RA702 autofix):
+    determinism-contract paths (the remedy RA702's message names):
     ``math.fsum`` accumulates exact partials, so the result is the
     correctly-rounded float of the true real-valued sum — identical no
     matter how the input is ordered, grouped, sharded, or which

@@ -1,8 +1,8 @@
-"""Auto-fixable fixture: every site here has a safe rewrite.
+"""Remedy fixture: every site here has a mechanical remedy.
 
-The fixer tests import this module, record its outputs, run ``--fix``
-on a copy, re-import, and compare — the rewrites must not change what
-the functions compute (only make the order explicit).
+Each message names it — ``sorted(...)`` for RA701, ``exact_total`` for
+RA702, the dtype to pin for RA703 — so it can be applied by hand
+without changing what the functions compute.
 """
 
 import numpy as np
@@ -10,19 +10,19 @@ import numpy as np
 
 def total_mass(values):
     distinct = set(values)
-    return sum(distinct)
+    return sum(distinct)  # expect: RA702
 
 
 def ordered_names(names):
     out = []
-    for name in {n.lower() for n in names}:
+    for name in {n.lower() for n in names}:  # expect: RA701
         out.append(name)
     return out
 
 
 def zero_grid(n):
-    return np.zeros(n)
+    return np.zeros(n)  # expect: RA703
 
 
 def link_index(links):
-    return np.array(links, dtype=np.int_)
+    return np.array(links, dtype=np.int_)  # expect: RA703

@@ -158,9 +158,77 @@ def test_message_names_contract_entry_and_remedy():
     assert "`shard-equivalence`" in ra701.message
     assert "reachable from `agg.merge_shards`" in ra701.message
     assert "sorted(...)" in ra701.message
-    assert "(auto-fixable with --fix)" in ra701.message
-    ra704 = next(v for v in report.violations if v.code == "RA704")
-    assert "auto-fixable" not in ra704.message  # report-only rule
+
+
+def test_messages_name_the_remedy():
+    # the remedy lives in the message: what to wrap, what to call, and
+    # for RA703 which dtype to pin when the call's arguments decide it
+    report = _analyze(FIXTURES / "fixable")
+    by_line = {v.line: v for v in report.violations}
+    assert "sorted(...)" in by_line[18].message
+    assert "exact_total" in by_line[13].message
+    assert "pin dtype=float64" in by_line[24].message   # np.zeros(n)
+    assert "pin dtype=int64" in by_line[28].message     # dtype=np.int_
+
+
+def _contract_sites(tmp_path, expr):
+    # one function on a contract, returning `expr`: what does it report?
+    tmp_path.mkdir(exist_ok=True)
+    _write_pyproject(tmp_path, (
+        "[tool.repro.determinism]\n"
+        'c = ["mod.run"]\n'))
+    (tmp_path / "mod.py").write_text(
+        '"""Doc."""\n\nimport glob\nimport os\nfrom pathlib import Path\n\n'
+        "import numpy as np\n\n\n"
+        f"def run(d, xs, ys, n):\n    return {expr}\n")
+    return _analyze(tmp_path).violations
+
+
+@pytest.mark.parametrize("producer", [
+    "os.listdir(d)", "os.scandir(d)", "glob.glob(d)", "glob.iglob(d)",
+    "Path(d).iterdir()", "Path(d).glob('*')", "Path(d).rglob('*')",
+    "set(xs)", "frozenset(xs)", "{x for x in xs}", "set(xs) | ys",
+    "set(xs).union(ys)",
+])
+def test_unordered_producers_feed_ra701_until_sorted(producer, tmp_path):
+    listed = _contract_sites(tmp_path / "listed", f"list({producer})")
+    assert [v.code for v in listed] == ["RA701"]
+    assert "sorted(...)" in listed[0].message
+    assert _contract_sites(tmp_path / "sorted",
+                           f"sorted({producer})") == []
+
+
+@pytest.mark.parametrize("call, dtype", [
+    ("np.zeros(n)", "float64"),
+    ("np.ones(n)", "float64"),
+    ("np.empty(n)", "float64"),
+    ("np.arange(3)", "int64"),
+    ("np.arange(0, 1.5, 0.5)", "float64"),
+    ("np.full(n, 7)", "int64"),
+    ("np.full(n, 0.5)", "float64"),
+    ("np.array(xs, dtype=int)", "int64"),
+    ("np.asarray(xs, dtype=np.intp)", "int64"),
+    ("np.array(xs)", None),
+    ("np.arange(n)", None),
+])
+def test_ra703_message_names_the_dtype_to_pin(call, dtype, tmp_path):
+    # the dtype is named wherever the call's arguments decide it; data-
+    # dependent inference only says a platform-stable dtype is needed
+    found = _contract_sites(tmp_path, call)
+    assert [v.code for v in found] == ["RA703"]
+    message = found[0].message
+    assert "pin an explicit platform-stable dtype" in message
+    if dtype is None:
+        assert "pin dtype=" not in message
+    else:
+        assert f"pin dtype={dtype}" in message
+
+
+def test_pinned_dtypes_are_silent(tmp_path):
+    assert _contract_sites(
+        tmp_path, "(np.zeros(n, dtype=np.float64), "
+                  "np.array(xs, dtype=np.int64), "
+                  "np.arange(n, dtype='int64'))") == []
 
 
 def test_module_entry_covers_module_level_statements():
@@ -197,9 +265,9 @@ def test_entry_resolves_through_package_reexport(tmp_path):
     assert "impl.py" in report.violations[0].path
 
 
-def test_sum_with_start_argument_is_report_only(tmp_path):
-    # exact_total takes exactly one iterable: sum(xs, start) must be
-    # reported but never rewritten (the rewrite would TypeError)
+def test_sum_with_start_argument_rules_out_exact_total(tmp_path):
+    # exact_total takes exactly one iterable: sum(xs, start) is reported
+    # with a message saying that remedy does not apply
     _write_pyproject(tmp_path, (
         "[tool.repro.determinism]\n"
         'c = ["mod.total"]\n'))
@@ -209,20 +277,18 @@ def test_sum_with_start_argument_is_report_only(tmp_path):
     report = _analyze(tmp_path)
     assert [v.code for v in report.violations] == ["RA702"]
     assert "start argument" in report.violations[0].message
-    assert "auto-fixable" not in report.violations[0].message
-    assert report.fixes == []
 
 
 def test_int_literal_set_sum_is_not_flagged(tmp_path):
-    # integer summation is exact and order-free; rewriting it to the
-    # always-float exact_total would change the result type for nothing
+    # integer summation is exact and order-free; the always-float
+    # exact_total remedy would change the result type for nothing
     _write_pyproject(tmp_path, (
         "[tool.repro.determinism]\n"
         'c = ["mod.total"]\n'))
     (tmp_path / "mod.py").write_text(
         '"""Doc."""\n\n\ndef total():\n    return sum({3, 1, 2})\n')
     report = _analyze(tmp_path)
-    assert report.violations == [] and report.fixes == []
+    assert report.violations == []
 
 
 def test_foreign_pyproject_root_draws_a_scope_warning(tmp_path):

@@ -47,14 +47,16 @@ def test_suppressed_lines_parser():
 
 
 # Multi-line statements: a suppression attaches to the *physical line
-# the violation is reported at* — the lambda's own line for a wrapped
-# dispatch call, the default value's line inside a decorated def's
+# the violation is reported at* — the inner call's own line for a
+# wrapped call, the default value's line inside a decorated def's
 # signature — never to the statement's opening line as a whole.
 
 _WRAPPED_CALL = ('"""Doc."""\n'
-                 "def go(pool):\n"
-                 "    return pool.submit(\n"
-                 "        lambda x: x,{noqa}\n"
+                 "import random\n"
+                 "def go(floor):\n"
+                 "    return max(\n"
+                 "        random.random(),{noqa}\n"
+                 "        floor,\n"
                  "    )\n")
 
 _DECORATED_DEF = ('"""Doc."""\n'
@@ -67,19 +69,19 @@ _DECORATED_DEF = ('"""Doc."""\n'
                   "    return x\n")
 
 
-def test_wrapped_call_reports_and_suppresses_on_the_lambda_line():
+def test_wrapped_call_reports_and_suppresses_on_the_inner_call_line():
     bare = _WRAPPED_CALL.format(noqa="")
     violations = analyze_source(bare, Path("mod.py"))
-    assert [(v.line, v.code) for v in violations] == [(4, "RA101")]
-    on_reported = _WRAPPED_CALL.format(noqa="  # repro: noqa[RA101]")
+    assert [(v.line, v.code) for v in violations] == [(5, "RA001")]
+    on_reported = _WRAPPED_CALL.format(noqa="  # repro: noqa[RA001]")
     assert analyze_source(on_reported, Path("mod.py")) == []
 
 
 def test_noqa_on_a_wrapped_calls_opening_line_does_not_leak_down():
     opening = _WRAPPED_CALL.format(noqa="").replace(
-        "pool.submit(", "pool.submit(  # repro: noqa[RA101]")
+        "max(", "max(  # repro: noqa[RA001]")
     violations = analyze_source(opening, Path("mod.py"))
-    assert [(v.line, v.code) for v in violations] == [(4, "RA101")]
+    assert [(v.line, v.code) for v in violations] == [(5, "RA001")]
 
 
 def test_decorated_def_reports_and_suppresses_on_the_default_line():

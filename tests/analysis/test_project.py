@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (DEFAULT_HOT_PACKAGES, PROJECT_RULES,
-                            analyze_project, find_table, read_table)
+from repro.analysis import (PROJECT_RULES, analyze_project, find_table,
+                            read_table)
 from repro.analysis.callgraph import (ProjectGraph, extract_facts,
                                       module_name_for)
 from repro.analysis.engine import parse_module
@@ -51,9 +51,8 @@ def run_scenario(name):
     return report
 
 
-@pytest.mark.parametrize("name", ["races", "locks", "layers",
-                                  "determinism", "lifecycle",
-                                  "durability"])
+@pytest.mark.parametrize("name", ["locks", "layers", "determinism",
+                                  "fixable", "lifecycle", "durability"])
 def test_scenario_fires_exactly_the_marked_rules(name):
     report = run_scenario(name)
     got = Counter((v.path, v.line, v.code) for v in report.violations)
@@ -61,17 +60,6 @@ def test_scenario_fires_exactly_the_marked_rules(name):
     assert got == want, (
         f"{name}: expected {sorted(want.elements())}, "
         f"got {sorted(got.elements())}")
-
-
-def test_race_report_names_the_dispatch_site():
-    report = run_scenario("races")
-    transitive = [v for v in report.violations
-                  if "helpers.py" in v.path]
-    assert transitive, "expected the transitive RA501 finding"
-    message = transitive[0].message
-    assert "reachable from pool-dispatched `worker.process_shard`" \
-        in message
-    assert ".submit(...)" in message
 
 
 def test_lock_report_names_guard_and_remedy():
@@ -214,7 +202,7 @@ def _facts_for(tmp_path, rel, source, roots):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    context = parse_module(source, path, DEFAULT_HOT_PACKAGES, rel)
+    context = parse_module(source, path, rel)
     return extract_facts(context, module_name_for(path), frozenset(roots))
 
 
@@ -228,12 +216,12 @@ def test_call_graph_follows_package_reexports(tmp_path):
                       {"pkg"})
     main = _facts_for(
         tmp_path, "main.py",
-        "import pkg\n\n\ndef go(pool):\n    pool.submit(pkg.run)\n",
+        "import pkg\n\n\ndef go():\n    pkg.run()\n",
         {"pkg"})
     graph = ProjectGraph.link([init, impl, main])
     assert graph.resolve_callable("pkg.run") == ("pkg.impl", "run")
-    roots = graph.dispatch_roots()
-    assert [key for key, _m, _d in roots] == [("pkg.impl", "run")]
+    origin = graph.reachable_from([("main", "go")])
+    assert set(origin) == {("main", "go"), ("pkg.impl", "run")}
 
 
 def test_call_graph_resolves_class_instantiation_to_init(tmp_path):
@@ -258,19 +246,6 @@ def test_unresolvable_calls_add_no_edges(tmp_path):
     graph = ProjectGraph.link([facts])
     origin = graph.reachable_from([("mod", "go")])
     assert set(origin) == {("mod", "go")}
-
-
-def test_pool_map_needs_poolish_receiver(tmp_path):
-    source = (
-        "def shard(x):\n    return x\n\n"
-        "def a(pool, items):\n    return pool.map(shard, items)\n\n"
-        "def b(items):\n    return map(str, items)\n\n"
-        "def c(executor, items):\n    return executor.map(shard, items)\n"
-    )
-    facts = _facts_for(tmp_path, "mod.py", source, {"mod"})
-    dispatches = [d for fn in facts.functions.values()
-                  for d in fn.dispatches]
-    assert len(dispatches) == 2  # pool.map and executor.map, not map()
 
 
 # -- layer configuration ------------------------------------------------------
