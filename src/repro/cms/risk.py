@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-
 from ..core.base import IngressModel
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-
-SECONDS_PER_HOUR = 3600.0
+from .monitor import capacity_bytes
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ class RiskAnalyzer:
         self.threshold = threshold
         self.prediction_k = prediction_k
         self._capacity_bytes: Dict[int, float] = {
-            l.link_id: l.capacity_gbps * 1e9 / 8.0 * SECONDS_PER_HOUR
+            l.link_id: capacity_bytes(l.capacity_gbps)
             for l in wan.links
         }
         # prediction cache: (context, outaged link) -> ((link, weight), ...)
@@ -188,7 +186,7 @@ class GroupRiskAnalyzer:
         self.threshold = threshold
         self.prediction_k = prediction_k
         self._capacity_bytes = {
-            l.link_id: l.capacity_gbps * 1e9 / 8.0 * SECONDS_PER_HOUR
+            l.link_id: capacity_bytes(l.capacity_gbps)
             for l in wan.links
         }
         self._pred_cache: Dict[Tuple[FlowContext, FrozenSet[int]],

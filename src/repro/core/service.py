@@ -28,10 +28,10 @@ and what a service answers does not depend on how long it has run.
 Retraining is also *atomic* to a reader: the new models, the days they
 were trained on, a fresh memo and the day of publication are published
 together as one :class:`PublishedSuite` by a single assignment.  A query
-reads that reference once, so a thread querying during a retrain gets
-the old suite or the new one, never a half-built model (``repro.serve``
-relies on this to answer while a shard retrains, and on the day tag to
-know which of the two an answer came from).
+reads it once, lock-free, so one asked mid-retrain gets the old suite
+or the new one, never a half-built model (``tests/serve/test_hotswap.py``),
+at the cost of a second suite in memory while a retrain runs; the day
+tag tells ``repro.serve`` which of the two gave an answer.
 
 Serving is *remembered*: a query reads the suite's bounded
 :class:`~repro.util.cache.AnswerMemo` first, and only the flows it does
@@ -55,8 +55,8 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union, cast)
+from typing import (AbstractSet, ClassVar, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union, cast)
 
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
@@ -66,7 +66,7 @@ from ..util.cache import AnswerMemo
 from .base import (NO_LINKS, IngressModel, Prediction, group_flows,
                    spill_from_groups)
 from .ensemble import SequentialEnsemble
-from .features import FEATURES_A, FEATURES_AL, FEATURES_AP
+from .features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from .geo_augment import GeoAugmentedModel
 from .historical import HistoricalModel
 from .training import DayCounts, KeyedTable, fold_keyed
@@ -112,14 +112,29 @@ class RestoreReport:
 class ServiceConfig:
     """Rolling-window, retraining and serving policy."""
 
+    # the fixed model roles (§4), and the grain AL+G takes from its AL base
+    primary_model: ClassVar[str] = "Hist_AP/AL/A"
+    withdrawal_model: ClassVar[str] = "Hist_AL+G"
+    withdrawal_grain: ClassVar[FeatureSet] = FEATURES_AL
+
     training_window_days: int = 21
     prediction_k: int = 3
-    # model answering plain predictions
-    primary_model: str = "Hist_AP/AL/A"
-    # model answering availability-constrained (withdrawal) questions
-    withdrawal_model: str = "Hist_AL+G"
     # answers kept per published suite (<= 0: none); see AnswerMemo
     memo_size: int = 65536
+
+    def stored(self) -> Dict[str, object]:
+        """The config as a snapshot or checkpoint manifest records it."""
+        return dict(asdict(self), primary_model=self.primary_model,
+                    withdrawal_model=self.withdrawal_model)
+
+    @classmethod
+    def load(cls, stored: Dict[str, object]) -> "ServiceConfig":
+        """Read :meth:`stored` back (``TypeError``/``ValueError`` if unfit)."""
+        fields = dict(stored)
+        for role in ("primary_model", "withdrawal_model"):
+            if fields.pop(role, getattr(cls, role)) != getattr(cls, role):
+                raise ValueError(f"{role} {stored[role]!r} is not served")
+        return cls(**fields)
 
 
 #: (answering model, k, unavailable links) -> flow context -> answer
@@ -307,7 +322,7 @@ class TipsyService:
                     store.remove(info.name)
             store.set_meta({
                 "snapshot_format": str(SNAPSHOT_FORMAT),
-                "config": json.dumps(asdict(self.config), sort_keys=True),
+                "config": json.dumps(self.config.stored(), sort_keys=True),
                 "state": json.dumps({
                     "current_day": self._current_day,
                     "last_hour": self._last_hour,
@@ -348,7 +363,7 @@ class TipsyService:
                     f"corrupt, or version-skewed)")
             config_raw = store.meta.get("config")
             try:
-                config = (ServiceConfig(**json.loads(config_raw))
+                config = (ServiceConfig.load(json.loads(config_raw))
                           if config_raw else None)
                 state = json.loads(state_raw)
             except (TypeError, ValueError) as error:

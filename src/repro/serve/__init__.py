@@ -2,23 +2,22 @@
 
 The deployment form of :class:`~repro.core.service.TipsyService`
 (``docs/operations.md``): an hourly telemetry stream is sharded by
-feature-key hash across worker processes, each worker rebuilds its
-slice's models daily and publishes the result atomically
-(:class:`~repro.serve.shard.HotSwapShard`), and batched queries
-scatter-gather through :class:`~repro.serve.daemon.ServeDaemon` with
-answers bit-identical to the single-process service.  ``repro serve
+feature-key hash across worker processes, each worker's shard server
+(:class:`~repro.serve.worker.ShardServer`) holds one ``TipsyService``
+that rebuilds its slice's models daily and publishes them atomically,
+and batched queries scatter-gather through
+:class:`~repro.serve.daemon.ServeDaemon` with answers bit-identical to
+the single-process service.  ``repro serve
 run`` drives it from the CLI; the ``serve_live`` workload of
 ``benchmarks/e2e`` measures it under sustained concurrent ingest.
 """
 
 from .daemon import DaemonConfig, ServeDaemon, ShardError
 from .health import DaemonStatus, ShardHealth
-from .shard import HotSwapShard
 from .sharding import shard_of, split_columns, split_indices
 
 __all__ = [
     "DaemonConfig", "ServeDaemon", "ShardError",
     "DaemonStatus", "ShardHealth",
-    "HotSwapShard",
     "shard_of", "split_columns", "split_indices",
 ]

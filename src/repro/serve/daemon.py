@@ -3,12 +3,13 @@
 :class:`ServeDaemon` is the long-running form of
 :class:`~repro.core.service.TipsyService`: an hourly
 telemetry stream goes in, sharded by feature-key hash
-(:mod:`repro.serve.sharding`) across workers that each hold one
-:class:`~repro.serve.shard.HotSwapShard`; batched
+(:mod:`repro.serve.sharding`) across shard servers
+(:class:`~repro.serve.worker.ShardServer`) that each hold one
+:class:`~repro.core.service.TipsyService`; batched
 ``predict_batch``/``what_if`` queries are answered from the daemon's
 memo, or scatter to the owning shards and gather back in the caller's
 order.  Two worker modes share every other code path, the shard server
-(:class:`~repro.serve.worker.ShardServer`) included:
+included:
 
 * ``process`` (the deployment shape) — one OS process per shard, talking
   over a pipe (:mod:`repro.serve.worker`); per-shard retrains run in
@@ -60,7 +61,7 @@ import json
 import multiprocessing
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
                     Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
@@ -68,7 +69,6 @@ from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
 
 from ..core.base import (NO_LINKS, Prediction, group_flows,
                          spill_from_groups)
-from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from ..core.service import Answer, Memo, ServiceConfig
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
@@ -85,16 +85,6 @@ if TYPE_CHECKING:
 #: checkpoint manifest file, committed last (atomic rename) so a
 #: checkpoint is either complete or invisible
 MANIFEST_NAME = "serve.json"
-
-#: withdrawal-model name -> the feature grain its group key projects to;
-#: the daemon groups what_if flows parent-side at this grain, exactly as
-#: the model's own group_key would
-_WITHDRAWAL_GRAINS: Dict[str, FeatureSet] = {
-    "Hist_AP": FEATURES_AP,
-    "Hist_AL": FEATURES_AL,
-    "Hist_A": FEATURES_A,
-    "Hist_AL+G": FEATURES_AL,
-}
 
 WORKER_MODES = ("process", "inline")
 
@@ -307,9 +297,13 @@ class ServeDaemon:
         n_shards = manifest["n_shards"]
         service = manifest["service"]
         assert isinstance(n_shards, int) and isinstance(service, dict)
-        config = DaemonConfig(
-            n_shards=n_shards, workers=workers,
-            service=ServiceConfig(**service))
+        try:
+            loaded = ServiceConfig.load(service)
+        except (TypeError, ValueError) as error:
+            raise ShardError(f"{Path(directory) / MANIFEST_NAME}: service "
+                             f"config unusable ({error})") from None
+        config = DaemonConfig(n_shards=n_shards, workers=workers,
+                              service=loaded)
         daemon = cls(wan, config)
         return daemon.start(resume_dir=directory)
 
@@ -401,12 +395,11 @@ class ServeDaemon:
         same trained stream.
         """
         self._check_serving()
-        service = self.config.service
         prior = frozenset(unavailable)
         with obs.timed("serve.predict_batch"):
             out = self._by_owner(
-                service.withdrawal_model if prior else service.primary_model,
-                contexts, k, prior)
+                ServiceConfig.withdrawal_model if prior
+                else ServiceConfig.primary_model, contexts, k, prior)
         if obs.enabled():
             obs.count("serve.predict.batches")
             obs.count("serve.predict.flows", float(len(contexts)))
@@ -428,17 +421,12 @@ class ServeDaemon:
         to the unsharded ``what_if``, not merely close.
         """
         self._check_serving()
-        grain = _WITHDRAWAL_GRAINS.get(self.config.service.withdrawal_model)
-        if grain is None:
-            raise ShardError(
-                f"sharded what_if needs a withdrawal model with a known "
-                f"feature grain, got "
-                f"{self.config.service.withdrawal_model!r}")
         with obs.timed("serve.what_if"):
-            group_contexts, group_bytes = group_flows(grain.key, flows)
+            group_contexts, group_bytes = group_flows(
+                ServiceConfig.withdrawal_grain.key, flows)
             if not group_contexts:
                 return {}
-            answers = self._by_owner(self.config.service.withdrawal_model,
+            answers = self._by_owner(ServiceConfig.withdrawal_model,
                                      group_contexts, k, frozenset(withdrawn))
             spill = spill_from_groups(zip(answers, group_bytes))
         if obs.enabled():
@@ -577,7 +565,7 @@ def write_manifest(directory: Union[str, Path], n_shards: int,
         "hash_seed": SHARD_HASH_SEED,
         "n_shards": n_shards,
         "last_hour": last_hour,
-        "service": asdict(service),
+        "service": service.stored(),
     }
     path = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")

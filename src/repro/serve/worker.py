@@ -1,8 +1,11 @@
-"""The shard server: ingest thread + op dispatch, and its pipe loop.
+"""The shard server: one service, its ingest thread, op dispatch, and
+its pipe loop.
 
-:class:`ShardServer` owns one :class:`~repro.serve.shard.HotSwapShard`
-and is the only implementation of a shard both worker modes have: a
-worker process (:func:`shard_worker_main`) feeds it from a duplex
+:class:`ShardServer` holds the one
+:class:`~repro.core.service.TipsyService` of the feature keys that hash
+to its shard (:mod:`repro.serve.sharding`) and is the only
+implementation of a shard both worker modes have: a worker process
+(:func:`shard_worker_main`) feeds it from a duplex
 :mod:`multiprocessing` connection, the daemon's inline handle calls it
 directly.  The message protocol is small tuples, first element the op:
 
@@ -24,7 +27,10 @@ Ingest is decoupled from the query loop by an internal queue and a
 dedicated ingest thread: a day-boundary retrain builds the next suite on
 that thread, so the loop keeps answering from the published suite
 throughout — the worker-level half of the never-block-on-retrain
-guarantee (the service's atomic publication is the state-level half).
+guarantee (the service's atomic publication, old suite or new, is the
+state-level half).  Answers take no lock; the one writer lock orders an
+hour's ingest against a snapshot, so a checkpoint never holds half an
+hour.
 
 Errors inside an op come back as ``("error", message)`` — in both
 modes, so both fail at the same point — and raise
@@ -47,20 +53,21 @@ import threading
 from typing import (TYPE_CHECKING, AbstractSet, List, Optional, Sequence,
                     Tuple)
 
-from ..core.service import ServiceConfig
+from ..core.service import ServiceConfig, TipsyService
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
 from ..pipeline.records import AggColumns, FlowContext
 from ..topology.wan import CloudWAN
-from .shard import HotSwapShard
+from .health import ShardHealth, staleness_hours
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
 
 class ShardServer:
-    """One shard's state and everything that serves it: the ingest
-    queue and thread, the deferred ingest errors, and the op table above.
+    """One shard's service and everything that serves it: the writer
+    lock, the ingest queue and thread, the deferred ingest errors, and
+    the op table above.
 
     ``ship_metrics`` is set where the server has an obs registry of its
     own (a worker process) whose deltas ride back on ``status`` replies.
@@ -73,11 +80,13 @@ class ShardServer:
     def __init__(self, shard_id: int, wan: CloudWAN, config: ServiceConfig,
                  restore_dir: Optional[str] = None,
                  ship_metrics: bool = False):
-        if restore_dir is not None:
-            self.shard = HotSwapShard.restore(restore_dir, shard_id, wan)
-        else:
-            self.shard = HotSwapShard(shard_id, wan, config)
+        self.service = (TipsyService(wan, config) if restore_dir is None
+                        else TipsyService.restore(restore_dir, wan))
         self.shard_id = shard_id
+        self._write_lock = threading.Lock()
+        # suites a restored service published before this server existed
+        # (its retrain_count is cumulative) are not this shard's swaps
+        self._retrains_before = self.service.retrain_count
         self._ship_metrics = ship_metrics
         self._last_shipped = MetricsSnapshot({}, {}, {})
         self._queue: "queue.Queue[Optional[Tuple[int, AggColumns]]]" = (
@@ -96,7 +105,8 @@ class ShardServer:
                     return
                 hour, columns = item
                 try:
-                    self.shard.ingest_hour(hour, columns)
+                    with self._write_lock:
+                        self.service.ingest_hour(hour, columns)
                 except Exception as error:  # surfaced at the next drain
                     self._errors.append(
                         f"shard {self.shard_id} hour {hour}: {error!r}")
@@ -116,7 +126,7 @@ class ShardServer:
 
     def _op_answer(self, name: str, contexts: Sequence[FlowContext],
                    k: Optional[int], prior: AbstractSet[int]) -> object:
-        return self.shard.answers(name, contexts, k, prior)
+        return self.service.answers(name, contexts, k, prior)
 
     def _op_drain(self) -> None:
         self._queue.join()
@@ -129,12 +139,31 @@ class ShardServer:
             current = obs.snapshot()
             delta = current.diff(self._last_shipped)
             self._last_shipped = current
-        return self.shard.health(
-            ingest_queue_depth=self._queue.qsize()), delta
+        service = self.service
+        trained, stats = service.trained_days, service.cache_stats()
+        latest = max(trained) if trained else None
+        last_hour, report = service.last_hour, service.restore_report
+        return ShardHealth(
+            shard_id=self.shard_id,
+            last_hour=last_hour,
+            trained_days=len(trained),
+            latest_trained_day=latest,
+            staleness_hours=staleness_hours(last_hour, latest),
+            swap_count=service.retrain_count - self._retrains_before,
+            retrain_count=service.retrain_count,
+            ready=bool(trained),
+            ingest_queue_depth=self._queue.qsize(),
+            memo_entries=stats["memo_entries"],
+            memo_hits=stats["memo_hits"],
+            memo_misses=stats["memo_misses"],
+            days_lost=report.days_lost if report is not None else (),
+        ), delta
 
     def _op_checkpoint(self, directory: str) -> Optional[int]:
         self._op_drain()
-        return self.shard.snapshot(directory)
+        with self._write_lock:
+            self.service.snapshot(directory)
+            return self.service.last_hour
 
     def _op_stop(self, drain: bool) -> None:
         try:

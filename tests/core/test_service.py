@@ -1,9 +1,12 @@
 """Tests for the online prediction service (§4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import GeoAugmentedModel
 from repro.core.base import NO_LINKS, IngressModel
+from repro.core.features import FEATURES_AL
 from repro.core.service import ServiceConfig, TipsyService
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 from repro.topology import (
@@ -434,10 +437,10 @@ def scenario_week(small_scenario):
     return sc, hours, flows
 
 
-def trained_on(scenario_week, withdrawal_model):
+@pytest.fixture(scope="module")
+def trained_week(scenario_week):
     sc, hours, _flows = scenario_week
-    service = TipsyService(sc.wan, ServiceConfig(
-        training_window_days=5, withdrawal_model=withdrawal_model))
+    service = TipsyService(sc.wan, ServiceConfig(training_window_days=5))
     for columns in hours:
         service.ingest_hour(columns.hour, columns)
     service.ingest_hour(3 * 24, [])
@@ -446,22 +449,23 @@ def trained_on(scenario_week, withdrawal_model):
 
 
 class TestModelWhatIf:
-    """Every served model answers ``what_if`` itself: bit for bit the
-    service's answer when it is the withdrawal model, and the per-flow
-    reference's to rounding."""
+    """Every served model answers ``what_if`` itself, the per-flow
+    reference's answer to rounding — and the withdrawal model (AL+G,
+    the one the service asks) bit for bit the service's answer."""
 
     @pytest.mark.parametrize("name", SERVED_MODELS)
     def test_model_what_if_is_the_service_what_if(self, scenario_week,
-                                                   name):
+                                                   trained_week, name):
         sc, _hours, flows = scenario_week
-        service = trained_on(scenario_week, name)
+        service = trained_week
         model = service.model(name)
         k = service.config.prediction_k
         links = sorted(sc.wan.link_ids)
         for withdrawn in (frozenset(), frozenset(links[:3]),
                           frozenset(links)):
             spill = model.what_if(flows, withdrawn, k)
-            assert spill == service.what_if(flows, withdrawn, k)
+            if name == service.config.withdrawal_model:
+                assert spill == service.what_if(flows, withdrawn, k)
             reference = what_if_per_flow(model, flows, withdrawn, k)
             assert set(spill) == set(reference)
             for link, bytes_ in reference.items():
@@ -469,6 +473,31 @@ class TestModelWhatIf:
         assert model.what_if(flows, frozenset(links), k) == {
             -1: pytest.approx(sum(bytes_ for _c, bytes_ in flows))}
         assert model.what_if([], frozenset(links[:1]), k) == {}
+
+
+class TestFixedModelRoles:
+    """The model roles are constants of the service, not settings."""
+
+    @pytest.mark.parametrize("role", ["primary_model", "withdrawal_model"])
+    def test_config_refuses_a_role(self, role):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{role: "Hist_AP"})
+
+    def test_roles_and_the_withdrawal_grain(self):
+        config = ServiceConfig()
+        assert (config.primary_model, config.withdrawal_model) == (
+            "Hist_AP/AL/A", "Hist_AL+G")
+        assert config.withdrawal_grain is FEATURES_AL
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "training_window_days", "prediction_k", "memo_size"]
+
+    @pytest.mark.parametrize("stored", [
+        {"withdrawal_model": "Hist_AP"},
+        {"primary_model": "Hist_A"},
+    ])
+    def test_load_refuses_another_model_in_a_role(self, stored):
+        with pytest.raises(ValueError, match="is not served"):
+            ServiceConfig.load(stored)
 
 
 class PerPrefixGeo(GeoAugmentedModel):
@@ -501,6 +530,9 @@ class TestOverriddenGroupKey:
         geo = trained.model(trained.config.withdrawal_model)
         assert geo.group_key is geo.base.group_key
         assert geo.group_key(ctx(1)) == geo.group_key(ctx(2))
+        # the grain the sharded daemon groups what_if flows at
+        assert geo.group_key(ctx(1)) == ServiceConfig.withdrawal_grain.key(
+            ctx(1))
 
     def test_subclass_key_groups_what_if_and_predict_batch(self, trained):
         name = trained.config.withdrawal_model

@@ -11,6 +11,8 @@ the models are rebuilt from the days that survive.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ from repro.store import SegmentStore
 WINDOW_DAYS = 5
 SNAP_DAYS = 7
 TOTAL_DAYS = 10
+
+
+#: the service config as every snapshot manifest holds it: the settable
+#: fields beside the two role keys, which name the fixed models
+STORED_CONFIG = {"memo_size": 65536, "prediction_k": 3,
+                 "primary_model": "Hist_AP/AL/A",
+                 "training_window_days": WINDOW_DAYS,
+                 "withdrawal_model": "Hist_AL+G"}
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +263,27 @@ class TestDegradedRestore:
         scenario, _hours = world
         with pytest.raises(SnapshotError):
             TipsyService.restore(tmp_path / "nothing", scenario.wan)
+
+
+class TestStoredConfig:
+    def test_role_keys_restore_bit_identically(self, world, snapshot_dir):
+        scenario, _hours = world
+        assert SegmentStore(snapshot_dir).meta["config"] == json.dumps(
+            STORED_CONFIG, sort_keys=True)
+        restored = TipsyService.restore(snapshot_dir, scenario.wan)
+        assert restored.config == ServiceConfig(
+            training_window_days=WINDOW_DAYS)
+        assert _predictions(restored, scenario) == \
+            _predictions(_service_fed_to(world, SNAP_DAYS * 24), scenario)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"withdrawal_model": "Hist_AP"}, "'Hist_AP' is not served"),
+        ({"bogus": 1}, "bogus"),
+    ])
+    def test_unfit_config_is_a_snapshot_error(self, world, snapshot_dir,
+                                              change, match):
+        scenario, _hours = world
+        SegmentStore(snapshot_dir).set_meta(
+            {"config": json.dumps({**STORED_CONFIG, **change})})
+        with pytest.raises(SnapshotError, match=match):
+            TipsyService.restore(snapshot_dir, scenario.wan)

@@ -1,74 +1,117 @@
-"""HotSwapShard: equivalence, swap accounting, and the old-or-new
-invariant — with a retrain parked mid-build, and under a concurrent
-reader while retrains are in flight."""
+"""A shard server's service: equivalence, swap accounting, and the
+old-or-new invariant — with a retrain parked mid-build, and under
+concurrent readers while retrains are in flight.
 
+The invariant is the service's (its atomic ``PublishedSuite``), so the
+races run on :class:`TipsyService` itself; what the shard server adds —
+its ingest thread, swap count and health — runs on an inline
+:class:`ShardServer`."""
+
+import contextlib
 import dataclasses
 import sys
 import threading
 
 from repro.core.historical import HistoricalModel
 from repro.core.service import TipsyService
-from repro.serve.shard import HotSwapShard
+from repro.serve.worker import ShardServer
 
 from .conftest import HOURS
 
 
+@contextlib.contextmanager
+def _server(serve_world):
+    server = ShardServer(0, serve_world.scenario.wan, serve_world.config)
+    try:
+        yield server
+    finally:
+        assert server.handle("stop", False) == ("ok", None)
+
+
+def _fed(server, serve_world, hours):
+    for hour in hours:
+        server.ingest(hour, serve_world.hourly[hour])
+    assert server.handle("drain") == ("ok", None)
+
+
+def _health(server):
+    status, (health, _delta) = server.handle("status")
+    assert status == "ok"
+    return health
+
+
 class TestHotSwapEquivalence:
     def test_matches_single_service_after_full_stream(self, serve_world):
-        shard = HotSwapShard(0, serve_world.scenario.wan,
-                             serve_world.config)
-        for hour, records in enumerate(serve_world.hourly):
-            shard.ingest_hour(hour, records)
         contexts = serve_world.contexts[:300]
-        assert (shard.predict_batch(contexts)
+        with _server(serve_world) as server:
+            _fed(server, serve_world, range(HOURS))
+            status, (_day, answers) = server.handle(
+                "answer", server.service.config.primary_model, contexts, None,
+                frozenset())
+        assert status == "ok"
+        assert ([list(answer) for answer in answers]
                 == serve_world.reference.predict_batch(contexts))
 
     def test_swap_per_published_suite(self, serve_world):
         """One swap per retrain the stream crossed, none per hour."""
-        shard = HotSwapShard(0, serve_world.scenario.wan,
-                             serve_world.config)
-        for hour in range(30):
-            shard.ingest_hour(hour, serve_world.hourly[hour])
-        assert shard.swap_count == 2  # hour 0 (empty suite) and hour 24
-        assert shard.last_hour == 29
-        for hour in range(30, 49):
-            shard.ingest_hour(hour, serve_world.hourly[hour])
-        assert shard.swap_count == 3 == shard.health().retrain_count
+        with _server(serve_world) as server:
+            _fed(server, serve_world, range(30))
+            health = _health(server)
+            assert health.swap_count == 2  # hour 0 (empty suite), hour 24
+            assert health.last_hour == 29
+            _fed(server, serve_world, range(30, 49))
+            health = _health(server)
+            assert health.swap_count == 3 == health.retrain_count
 
     def test_health_reflects_training_state(self, serve_world):
-        shard = HotSwapShard(0, serve_world.scenario.wan,
-                             serve_world.config)
-        health = shard.health()
-        assert not health.ready and health.trained_days == 0
-        for hour in range(25):
-            shard.ingest_hour(hour, serve_world.hourly[hour])
-        health = shard.health()
+        with _server(serve_world) as server:
+            health = _health(server)
+            assert not health.ready and health.trained_days == 0
+            _fed(server, serve_world, range(25))
+            health = _health(server)
         assert health.ready
         assert health.latest_trained_day == 0
         assert health.staleness_hours == 1  # hour 24 awaits day 1's retrain
+
+    def test_restored_server_counts_only_its_own_swaps(self, serve_world,
+                                                       tmp_path):
+        with _server(serve_world) as server:
+            _fed(server, serve_world, range(30))
+            assert server.handle("checkpoint", str(tmp_path)) == ("ok", 29)
+        restored = ShardServer(0, serve_world.scenario.wan,
+                               serve_world.config, str(tmp_path))
+        try:
+            health = _health(restored)
+            # the snapshot's two retrains are the service's, not its swaps
+            assert (health.swap_count, health.retrain_count) == (0, 2)
+            _fed(restored, serve_world, range(30, 49))
+            health = _health(restored)
+            assert (health.swap_count, health.retrain_count) == (1, 3)
+        finally:
+            assert restored.handle("stop", True) == ("ok", None)
 
 
 #: hour 72 starts day 3, so its retrain brings day 2 into the models
 BOUNDARY = 72
 
 
-def _shard_before(serve_world, boundary):
-    """A shard fed up to ``boundary``, a batch, and the batch's answers
+def _service_before(serve_world, boundary):
+    """A service fed up to ``boundary``, a batch, and the batch's answers
     just before and just after the hour ``boundary`` is ingested."""
     wan = serve_world.scenario.wan
     before = TipsyService(wan, serve_world.config)
     after = TipsyService(wan, serve_world.config)
-    shard = HotSwapShard(0, wan, serve_world.config)
+    service = TipsyService(wan, serve_world.config)
     for hour in range(boundary):
         before.ingest_hour(hour, serve_world.hourly[hour])
         after.ingest_hour(hour, serve_world.hourly[hour])
-        shard.ingest_hour(hour, serve_world.hourly[hour])
+        service.ingest_hour(hour, serve_world.hourly[hour])
     after.ingest_hour(boundary, serve_world.hourly[boundary])
     batch = serve_world.contexts[:40]
     old_answer = before.predict_batch(batch)
     new_answer = after.predict_batch(batch)
     assert old_answer != new_answer  # otherwise the tests are vacuous
-    return shard, batch, old_answer, new_answer
+    return service, batch, old_answer, new_answer
 
 
 class TestOldOrNewInvariant:
@@ -79,9 +122,9 @@ class TestOldOrNewInvariant:
 
         The retrain is parked on an event right after the first of its
         three grain models has been built, so the next suite is provably
-        half-built while the shard is asked.
+        half-built while the service is asked.
         """
-        shard, batch, old_answer, new_answer = _shard_before(
+        service, batch, old_answer, new_answer = _service_before(
             serve_world, BOUNDARY)
 
         parked, release = threading.Event(), threading.Event()
@@ -96,33 +139,33 @@ class TestOldOrNewInvariant:
 
         monkeypatch.setattr(HistoricalModel, "from_arrays",
                             park_after_first_model)
-        swaps = shard.swap_count
+        swaps = service.retrain_count
         writer = threading.Thread(
-            target=shard.ingest_hour,
+            target=service.ingest_hour,
             args=(BOUNDARY, serve_world.hourly[BOUNDARY]))
         writer.start()
         try:
             assert parked.wait(30)
             answers = []
             reader = threading.Thread(
-                target=lambda: answers.append(shard.predict_batch(batch)))
+                target=lambda: answers.append(service.predict_batch(batch)))
             reader.start()
             reader.join(10)
             assert not reader.is_alive(), "a query waited on the retrain"
             assert answers == [old_answer]  # memo-cold: read off the models
-            assert shard.swap_count == swaps
-            assert shard.health().latest_trained_day == 1
+            assert service.retrain_count == swaps
+            assert max(service.trained_days) == 1
         finally:
             release.set()
             writer.join(30)
         assert not writer.is_alive()
-        assert shard.predict_batch(batch) == new_answer
-        assert shard.swap_count == swaps + 1
-        assert shard.health().latest_trained_day == 2
+        assert service.predict_batch(batch) == new_answer
+        assert service.retrain_count == swaps + 1
+        assert max(service.trained_days) == 2
 
     def test_unlocked_readers_never_mix_suites_within_a_call(
             self, serve_world):
-        """Readers take no shard lock: several of them race one
+        """Readers take no lock: several of them race one
         publication under a short switch interval, on questions of three
         shapes whose answers together overflow the memo — so every call
         finds part of its answer remembered and stores the rest.  Each
@@ -130,11 +173,11 @@ class TestOldOrNewInvariant:
         a reader that has seen the new suite is never again answered by
         the retired one (an old answer stored in the new memo would be)."""
         wan = serve_world.scenario.wan
-        shard = HotSwapShard(0, wan, dataclasses.replace(
+        service = TipsyService(wan, dataclasses.replace(
             serve_world.config, memo_size=60))
         oracle = TipsyService(wan, serve_world.config)
         for hour in range(BOUNDARY):
-            shard.ingest_hour(hour, serve_world.hourly[hour])
+            service.ingest_hour(hour, serve_world.hourly[hour])
             oracle.ingest_hour(hour, serve_world.hourly[hour])
         batch = serve_world.contexts[:40]
         links = sorted(link.link_id for link in wan.links)[:2]
@@ -155,7 +198,7 @@ class TestOldOrNewInvariant:
         def read_loop(reader):
             def ask(which):
                 observed[reader].append(
-                    (which, shard.predict_batch(*questions[which])))
+                    (which, service.predict_batch(*questions[which])))
 
             try:
                 for which in range(len(questions)):
@@ -178,7 +221,7 @@ class TestOldOrNewInvariant:
             for reader in readers:
                 reader.start()
             warmed.wait(30)
-            shard.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
+            service.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
         finally:
             stop.set()
             for reader in readers:
@@ -199,12 +242,12 @@ class TestOldOrNewInvariant:
         """Queries racing a day-boundary retrain see old-or-new only.
 
         Hour 72 carries an eviction + incremental retrain (3-day window,
-        day 3 starting).  A reader hammers the shard throughout that
+        day 3 starting).  A reader hammers the service throughout that
         ingest; every answer must equal either the pre-ingest state's or
         the post-ingest state's — anything else is a torn read of a
         half-retrained model.
         """
-        shard, batch, old_answer, new_answer = _shard_before(
+        service, batch, old_answer, new_answer = _service_before(
             serve_world, BOUNDARY)
 
         observed = []
@@ -212,12 +255,12 @@ class TestOldOrNewInvariant:
 
         def read_loop():
             while not stop.is_set():
-                observed.append(shard.predict_batch(batch))
+                observed.append(service.predict_batch(batch))
 
         reader = threading.Thread(target=read_loop)
         reader.start()
         try:
-            shard.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
+            service.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
         finally:
             stop.set()
             reader.join()
@@ -226,7 +269,7 @@ class TestOldOrNewInvariant:
         for answer in observed:
             assert answer in (old_answer, new_answer)
         # quiescent state is the new one
-        assert shard.predict_batch(batch) == new_answer
+        assert service.predict_batch(batch) == new_answer
 
     def test_many_readers_on_a_tiny_memo_across_retrains(self, serve_world):
         """More readers than cores, a memo that evicts on every batch, a
@@ -234,7 +277,7 @@ class TestOldOrNewInvariant:
         suite's, and the memo keeps its bound."""
         config = dataclasses.replace(serve_world.config, memo_size=30)
         wan = serve_world.scenario.wan
-        shard = HotSwapShard(0, wan, config)
+        service = TipsyService(wan, config)
         oracle = TipsyService(wan, config)
         batch = serve_world.contexts[:40]
         warm = 25
@@ -242,7 +285,7 @@ class TestOldOrNewInvariant:
         for hour in range(HOURS):
             oracle.ingest_hour(hour, serve_world.hourly[hour])
             if hour < warm:
-                shard.ingest_hour(hour, serve_world.hourly[hour])
+                service.ingest_hour(hour, serve_world.hourly[hour])
             if hour >= 24 and hour % 24 == 0:  # a suite was published
                 valid.append(oracle.predict_batch(batch))
         observed, failures = [], []
@@ -251,7 +294,7 @@ class TestOldOrNewInvariant:
         def read_loop():
             try:
                 while not stop.is_set():
-                    observed.append(shard.predict_batch(batch))
+                    observed.append(service.predict_batch(batch))
             except Exception as error:  # pragma: no cover - on failure
                 failures.append(error)
 
@@ -262,7 +305,7 @@ class TestOldOrNewInvariant:
             for reader in readers:
                 reader.start()
             for hour in range(warm, HOURS):
-                shard.ingest_hour(hour, serve_world.hourly[hour])
+                service.ingest_hour(hour, serve_world.hourly[hour])
         finally:
             stop.set()
             for reader in readers:
@@ -271,17 +314,16 @@ class TestOldOrNewInvariant:
         assert not any(reader.is_alive() for reader in readers)
         assert not failures
         assert observed and all(answer in valid for answer in observed)
-        assert shard.predict_batch(batch) == valid[-1]
-        assert shard.health().memo_entries <= 30
+        assert service.predict_batch(batch) == valid[-1]
+        assert service.cache_stats()["memo_entries"] <= 30
 
     def test_full_stream_with_concurrent_reader_ends_identical(
             self, serve_world):
         """Old-or-new holds across every hour, not just one boundary."""
-        shard = HotSwapShard(0, serve_world.scenario.wan,
-                             serve_world.config)
-        warm = 25  # past the first retrain, so the shard is serving
+        service = TipsyService(serve_world.scenario.wan, serve_world.config)
+        warm = 25  # past the first retrain, so the service is serving
         for hour in range(warm):
-            shard.ingest_hour(hour, serve_world.hourly[hour])
+            service.ingest_hour(hour, serve_world.hourly[hour])
         batch = serve_world.contexts[:20]
         failures = []
         stop = threading.Event()
@@ -289,7 +331,7 @@ class TestOldOrNewInvariant:
         def read_loop():
             while not stop.is_set():
                 try:
-                    shard.predict_batch(batch)
+                    service.predict_batch(batch)
                 except Exception as error:  # pragma: no cover - on failure
                     failures.append(error)
                     return
@@ -298,10 +340,10 @@ class TestOldOrNewInvariant:
         reader.start()
         try:
             for hour in range(warm, HOURS):
-                shard.ingest_hour(hour, serve_world.hourly[hour])
+                service.ingest_hour(hour, serve_world.hourly[hour])
         finally:
             stop.set()
             reader.join()
         assert not failures
-        assert (shard.predict_batch(batch)
+        assert (service.predict_batch(batch)
                 == serve_world.reference.predict_batch(batch))

@@ -209,7 +209,7 @@ class TestConcurrentCheckpoint:
         try:
             daemon.ingest_hour(0, serve_world.hourly[0])
             daemon.drain()
-            daemon._handles[1].shard.ingest_hour(1, [])  # behind the feed
+            daemon._handles[1].service.ingest_hour(1, [])  # behind the feed
             with pytest.raises(ShardError, match="different hours"):
                 daemon.checkpoint(tmp_path)
             assert not (tmp_path / MANIFEST_NAME).exists()
@@ -337,7 +337,7 @@ class TestShutdownEscalation:
             entered.set()
             release.wait()
 
-        monkeypatch.setattr(shard.shard, "ingest_hour", wedged_ingest)
+        monkeypatch.setattr(shard.service, "ingest_hour", wedged_ingest)
         shard.ingest(0, [])
         assert entered.wait(5)  # the thread is inside the slow ingest
         with pytest.raises(ShardError, match="ingest thread"):
@@ -405,6 +405,57 @@ class TestManifestValidation:
         with pytest.raises(ShardError, match="layout"):
             ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
                                workers="inline")
+
+    def test_manifest_role_keys_resume_bit_identically(self, serve_world,
+                                                       tmp_path):
+        daemon = _daemon(serve_world, n_shards=2)
+        try:
+            for hour in range(30):
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+            daemon.checkpoint(tmp_path)
+        finally:
+            daemon.shutdown()
+        assert read_manifest(tmp_path)["service"] == {
+            "memo_size": 65536, "prediction_k": 3,
+            "primary_model": "Hist_AP/AL/A", "training_window_days": 3,
+            "withdrawal_model": "Hist_AL+G"}
+        resumed = ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
+                                     workers="inline")
+        try:
+            for hour in range(30, HOURS):
+                resumed.ingest_hour(hour, serve_world.hourly[hour])
+            resumed.drain()
+            contexts, reference = serve_world.contexts, serve_world.reference
+            flows = [(c, 1000.0 + i) for i, c in enumerate(contexts)]
+            withdrawn = {reference.predict(contexts[0])[0].link_id}
+            assert (resumed.predict_batch(contexts, unavailable=withdrawn)
+                    == reference.predict_batch(contexts,
+                                               unavailable=withdrawn))
+            assert (resumed.what_if(flows, withdrawn)
+                    == reference.what_if(flows, withdrawn))
+        finally:
+            resumed.shutdown()
+
+    @pytest.mark.parametrize("change, match", [
+        ({"withdrawal_model": "Hist_AP"}, "'Hist_AP' is not served"),
+        ({"bogus": 1}, "bogus"),
+    ])
+    def test_resume_refuses_an_unfit_service_config(
+            self, serve_world, tmp_path, change, match):
+        daemon = _daemon(serve_world, n_shards=2)
+        try:
+            daemon.ingest_hour(0, serve_world.hourly[0])
+            daemon.checkpoint(tmp_path)
+        finally:
+            daemon.shutdown()
+        manifest_path = tmp_path / MANIFEST_NAME
+        payload = json.loads(manifest_path.read_text())
+        payload["service"].update(change)
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(ShardError, match=match) as raised:
+            ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
+                               workers="inline")
+        assert str(manifest_path) in str(raised.value)
 
     def test_config_rejects_bad_shapes(self, serve_world):
         with pytest.raises(ValueError):
