@@ -8,7 +8,7 @@ exercise each on the headline scenario.
 
 import random
 
-from repro.cms import DepeeringAnalyzer, GroupRiskAnalyzer
+from repro.cms import DepeeringAnalyzer, RiskAnalyzer
 from repro.core import IngressAnomalyDetector
 
 from repro.experiments.benchlib import PAPER_WINDOW, print_block
@@ -63,10 +63,10 @@ def test_depeering_analysis(paper_scenario, paper_runner,
     analyzer = DepeeringAnalyzer(paper_scenario.wan, models["Hist_AL+G"])
     test_lo, _ = PAPER_WINDOW.test_hours
     cols = next(iter(paper_scenario.stream(test_lo + 14, test_lo + 15)))
-    entries = paper_scenario.risk_entries_for(cols)
+    sample = paper_scenario.traffic_entries_for(cols)
 
     candidates = benchmark.pedantic(
-        analyzer.rank_candidates, args=(entries,),
+        analyzer.rank_candidates, args=(sample,),
         kwargs={"max_carried_fraction": 0.005}, rounds=1, iterations=1)
     print_block("== §8 de-peering analysis ==\n"
                 f"{len(candidates)} of {len(paper_scenario.wan.peer_asns)} "
@@ -82,15 +82,14 @@ def test_depeering_analysis(paper_scenario, paper_runner,
 def test_group_risk_router_outages(paper_scenario, paper_runner,
                                    paper_train_counts, benchmark):
     models = _models(paper_runner, paper_train_counts)
-    analyzer = GroupRiskAnalyzer(paper_scenario.wan, models["Hist_AL"],
-                                 threshold=0.70)
+    analyzer = RiskAnalyzer(paper_scenario.wan, models["Hist_AL"],
+                            threshold=0.70)
     test_lo, _ = PAPER_WINDOW.test_hours
 
     def run():
-        def hours():
-            for cols in paper_scenario.stream(test_lo, test_lo + 24):
-                yield cols.hour, paper_scenario.risk_entries_for(cols)
-        return analyzer.analyze(hours(), group_by="router",
+        samples = (paper_scenario.traffic_entries_for(cols)
+                   for cols in paper_scenario.stream(test_lo, test_lo + 24))
+        return analyzer.analyze(samples, group_by="router",
                                 min_extra_hours=2)
 
     findings = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -23,11 +23,9 @@ def _analyze(paper_scenario, paper_runner):
     analyzer = RiskAnalyzer(paper_scenario.wan, models["Hist_AL"],
                             threshold=0.70)
 
-    def hours():
-        for cols in paper_scenario.stream(test_lo, test_hi):
-            yield cols.hour, paper_scenario.risk_entries_for(cols)
-
-    return analyzer.analyze(hours(), min_extra_hours=2)
+    samples = (paper_scenario.traffic_entries_for(cols)
+               for cols in paper_scenario.stream(test_lo, test_hi))
+    return analyzer.analyze(samples, min_extra_hours=2)
 
 
 def test_table12_links_at_risk(paper_scenario, paper_runner, benchmark):
@@ -47,8 +45,9 @@ def test_table12_links_at_risk(paper_scenario, paper_runner, benchmark):
     top = findings[0]
     assert top.predicted_extra_high_hours > top.typical_high_hours
     # at least one operationally-surprising (cross-peer) dependency
+    wan = paper_scenario.wan
     surprising = [f for f in findings
-                  if f.peer_asn != f.affecting_peer_asn]
+                  if f.peer_asn != wan.link(f.affecting_group).peer_asn]
     print_block(f"{len(surprising)} of {len(findings)} findings involve a "
                 "different peer (operationally surprising)")
     assert surprising

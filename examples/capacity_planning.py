@@ -34,11 +34,9 @@ def main() -> None:
           "(what-if outage of every link, every hour) ...")
     analyzer = RiskAnalyzer(scenario.wan, model, threshold=0.70)
 
-    def hours():
-        for cols in scenario.stream(7 * 24, 10 * 24):
-            yield cols.hour, scenario.risk_entries_for(cols)
-
-    findings = analyzer.analyze(hours(), min_extra_hours=2)
+    samples = (scenario.traffic_entries_for(cols)
+               for cols in scenario.stream(7 * 24, 10 * 24))
+    findings = analyzer.analyze(samples, min_extra_hours=2)
     print(f"\n{len(findings)} at-risk (link, affecting-link) pairs found; "
           "top findings:\n")
     print(RISK_HEADER)
@@ -47,7 +45,7 @@ def main() -> None:
 
     surprising = [
         f for f in findings
-        if f.peer_asn != f.affecting_peer_asn
+        if f.peer_asn != scenario.wan.link(f.affecting_group).peer_asn
     ]
     print(f"\n{len(surprising)} findings are 'operationally surprising' — "
           "the affecting link belongs to a different peer, so the "

@@ -26,9 +26,9 @@ def main() -> None:
 
     # use a peak-hour snapshot, as the CMS does (paper §4)
     cols = next(iter(scenario.stream(10 * 24 + 14, 10 * 24 + 15)))
-    entries = scenario.risk_entries_for(cols)
+    sample = scenario.traffic_entries_for(cols)
 
-    candidates = analyzer.rank_candidates(entries,
+    candidates = analyzer.rank_candidates(sample,
                                           max_carried_fraction=0.01)
     print(f"\n{len(candidates)} of {len(scenario.wan.peer_asns)} peers are "
           "low-value AND safely removable:\n")
@@ -44,7 +44,7 @@ def main() -> None:
     # contrast: a big peer is NOT removable
     biggest = max(scenario.wan.peer_asns,
                   key=lambda a: len(scenario.wan.links_of_peer(a)))
-    assessment = analyzer.assess(biggest, entries)
+    assessment = analyzer.assess(biggest, sample)
     print(f"\ncontrast — AS{biggest} ({assessment.n_links} links, "
           f"{assessment.carried_fraction:.1%} of traffic): "
           f"{'safe' if assessment.safe else 'NOT safe'} to remove"

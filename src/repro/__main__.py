@@ -25,11 +25,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
     from .experiments import Scenario
-    from .pipeline.records import FlowContext
+
+
+class UsageError(Exception):
+    """A command line the world cannot serve: reported, exit status 2."""
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
@@ -47,6 +50,10 @@ def _build_scenario(args: argparse.Namespace) -> "Scenario":
         params = ScenarioParams.medium(seed=args.seed)
     else:
         params = ScenarioParams(seed=args.seed)
+    days = args.train_days + args.test_days
+    if days > params.horizon_days:
+        raise UsageError(f"--train-days + --test-days = {days} days is past the "
+                         f"{params.horizon_days}-day horizon of the {args.size} world")
     return Scenario(params)
 
 
@@ -119,12 +126,9 @@ def cmd_risk(args: argparse.Namespace) -> int:
     models = {m.name: m for m in runner.build_models(counts)}
     analyzer = RiskAnalyzer(scenario.wan, models["Hist_AL"], threshold=0.70)
 
-    def hours() -> "Iterator[Tuple[int, List[Tuple[int, FlowContext, float]]]]":
-        for cols in scenario.stream(train_hours,
-                                    train_hours + args.test_days * 24):
-            yield cols.hour, scenario.risk_entries_for(cols)
-
-    findings = analyzer.analyze(hours(), min_extra_hours=2)
+    samples = (scenario.traffic_entries_for(cols) for cols in scenario.stream(
+        train_hours, train_hours + args.test_days * 24))
+    findings = analyzer.analyze(samples, min_extra_hours=2)
     rows = tables.risk_rows(findings, scenario.wan, limit=args.limit)
     print(tables.format_block(
         f"Links at risk ({len(findings)} findings)", rows,
@@ -240,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 The consumer of TIPSY's predictions: a utilization monitor that spots
 congested peering links, a safe-withdrawal CMS that asks ``what_if``
 before acting (so one withdrawal does not cascade into the §2
-incident), Appendix C's Algorithm-1 links-at-risk analysis at link,
-router, and site granularity, and the §8 de-peering study.
+incident), Appendix C's Algorithm-1 links-at-risk analysis under link,
+router, metro and peer outages, and the §8 de-peering study.  All of
+them read an hour of traffic as one columnar :class:`TrafficSample`.
 """
 
 from .monitor import (
@@ -19,7 +20,7 @@ from .mitigation import (
     MitigationAction,
     TrafficSample,
 )
-from .risk import GroupRiskAnalyzer, GroupRiskFinding, RiskAnalyzer, RiskFinding
+from .risk import RiskAnalyzer, RiskFinding
 from .depeering import DepeeringAnalyzer, DepeeringAssessment
 
 __all__ = [
@@ -27,6 +28,6 @@ __all__ = [
     "bytes_to_utilization",
     "CMSConfig", "CongestionMitigationSystem", "MitigationAction",
     "TrafficSample",
-    "GroupRiskAnalyzer", "GroupRiskFinding", "RiskAnalyzer", "RiskFinding",
+    "RiskAnalyzer", "RiskFinding",
     "DepeeringAnalyzer", "DepeeringAssessment",
 ]

@@ -5,18 +5,26 @@ de-peering to reduce cost and operational overhead with peers that add
 low value."  This analysis quantifies the question for each peer: how
 many bytes does its peering carry, and if the peer were removed
 entirely, could the remaining links absorb the traffic TIPSY predicts
-would shift to them?
+would shift to them?  The traffic is one CMS
+:class:`~repro.cms.mitigation.TrafficSample`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from ..core.base import SpillPredictor
-from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
+from .mitigation import TrafficSample, first_seen_totals
 from .monitor import capacity_bytes
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, to the bit (not pairwise)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -53,32 +61,28 @@ class DepeeringAnalyzer:
     def assess(
         self,
         peer_asn: int,
-        entries: Sequence[Tuple[int, FlowContext, float]],
+        sample: TrafficSample,
         hours: float = 1.0,
     ) -> DepeeringAssessment:
-        """Assess removing one peer, given (link, flow, bytes) traffic.
+        """Assess removing one peer, given observed traffic.
 
         Args:
             peer_asn: the peer to hypothetically remove.
-            entries: observed traffic (typically one peak hour, as the
+            sample: observed traffic (typically one peak hour, as the
                 CMS uses — paper §4).
-            hours: duration the entries span, for utilization math.
+            hours: duration the sample spans, for utilization math.
         """
         peer_links = frozenset(
             l.link_id for l in self.wan.links_of_peer(peer_asn))
         if not peer_links:
             raise KeyError(f"AS{peer_asn} does not peer with the WAN")
 
-        total = 0.0
-        carried = 0.0
-        base_load: Dict[int, float] = {}
-        affected: List[Tuple[FlowContext, float]] = []
-        for link_id, context, bytes_ in entries:
-            total += bytes_
-            base_load[link_id] = base_load.get(link_id, 0.0) + bytes_
-            if link_id in peer_links:
-                carried += bytes_
-                affected.append((context, bytes_))
+        base_load = first_seen_totals(sample.link_ids, sample.bytes)
+        on_peer = np.isin(sample.link_ids, sorted(peer_links))
+        peer_bytes = sample.bytes[on_peer]
+        total, carried = _running_sum(sample.bytes), _running_sum(peer_bytes)
+        affected = [(sample.contexts[row], bytes_) for row, bytes_ in zip(
+            sample.flow_rows[on_peer].tolist(), peer_bytes.tolist())]
 
         spill = self.model.what_if(affected, peer_links, self.prediction_k)
         unplaceable = spill.pop(-1, 0.0)
@@ -103,7 +107,7 @@ class DepeeringAnalyzer:
 
     def rank_candidates(
         self,
-        entries: Sequence[Tuple[int, FlowContext, float]],
+        sample: TrafficSample,
         max_carried_fraction: float = 0.02,
         hours: float = 1.0,
     ) -> List[DepeeringAssessment]:
@@ -114,7 +118,7 @@ class DepeeringAnalyzer:
         """
         candidates = []
         for peer_asn in self.wan.peer_asns:
-            assessment = self.assess(peer_asn, entries, hours)
+            assessment = self.assess(peer_asn, sample, hours)
             if (assessment.carried_fraction <= max_carried_fraction
                     and assessment.safe):
                 candidates.append(assessment)

@@ -53,7 +53,7 @@ class TrafficSample(NamedTuple):
 _Flows = Sequence[Tuple[FlowContext, float]]
 
 
-def _totals(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]:
+def first_seen_totals(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]:
     """Per-key sums of ``weights``, keys in first-seen order: bit for bit
     the running ``totals.get(key, 0.0) + weight`` of a walk in row order
     (``first_seen_sums`` adds with ``bincount``, in row order)."""
@@ -134,8 +134,8 @@ class CongestionMitigationSystem:
         Returns the actions taken this sample (also appended to
         :attr:`actions`).
         """
-        link_bytes = _totals(sample.link_ids, sample.bytes)
-        prefix_bytes = _totals(sample.dest_prefix_ids, sample.bytes)
+        link_bytes = first_seen_totals(sample.link_ids, sample.bytes)
+        prefix_bytes = first_seen_totals(sample.dest_prefix_ids, sample.bytes)
 
         taken: List[MitigationAction] = []
         taken.extend(self._maybe_reannounce(sample_index, state, prefix_bytes))

@@ -1,183 +1,54 @@
-"""Peering links at risk under single-link outages (paper Appendix C).
+"""Peering links at risk under outages (paper Appendix C).
 
 Implements the paper's Algorithm 1: for every hour of a test window and
-every peering link A, predict where the flows that ingressed on A would
-land if A had an outage; add that induced load to each link's actual
-load; report links whose predicted utilization crosses the threshold in
-hours where it otherwise would not have — the operationally-surprising
-rows of paper Tables 12 and 15.
+every failure group — a single peering link, as the paper runs it, or
+every link on one router, in one metro, or of one peer, the "single
+router or single site outages" it says the same machinery analyzes —
+predict where the group's flows would land if it were down; add that
+induced load to each surviving link's actual load; report links whose
+predicted utilization crosses the threshold in hours where it otherwise
+would not have — the operationally-surprising rows of paper Tables 12
+and 15.  An hour is the CMS's :class:`~repro.cms.mitigation.TrafficSample`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 
 from ..core.base import IngressModel
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
+from .mitigation import TrafficSample, first_seen_totals
 from .monitor import capacity_bytes
+
+#: a failure group: a link id, or a router, metro or ``AS<peer>`` name
+Group = Union[int, str]
 
 
 @dataclass(frozen=True)
 class RiskFinding:
-    """One at-risk link under one affecting link's outage (a table row)."""
+    """One at-risk link under one group's outage (a table row)."""
 
     link_id: int
     peer_asn: int
     capacity_gbps: float
     typical_high_hours: int       # hours actually over threshold
     predicted_extra_high_hours: int  # extra over-threshold hours if outage
-    affecting_link_id: int
-    affecting_peer_asn: int
-    affecting_capacity_gbps: float
+    #: the failed group: the affecting link's id under ``group_by="link"``
+    affecting_group: Group
 
 
 class RiskAnalyzer:
-    """Runs Algorithm 1 over per-hour traffic observations.
+    """Runs Algorithm 1 over hourly traffic samples.
 
     The one spill sum outside :func:`~repro.core.base.spill_from_groups`,
-    on purpose: ``_pred_cache`` keeps each (context, outage)'s normalised
-    weights across all the hours analysed, where an uncached
+    on purpose: ``_pred_cache`` keeps each (context, failed links)'s
+    normalised weights across all the hours analysed, where an uncached
     ``what_if`` per hour would predict them again — the same findings,
     1.7x (Hist_AL) to 2.3x (AL+G) slower on the medium world's 72 test
     hours (best of three, 2-vCPU VM).
     """
-
-    def __init__(
-        self,
-        wan: CloudWAN,
-        model: IngressModel,
-        threshold: float = 0.70,
-        prediction_k: int = 3,
-    ):
-        self.wan = wan
-        self.model = model
-        self.threshold = threshold
-        self.prediction_k = prediction_k
-        self._capacity_bytes: Dict[int, float] = {
-            l.link_id: capacity_bytes(l.capacity_gbps)
-            for l in wan.links
-        }
-        # prediction cache: (context, outaged link) -> ((link, weight), ...)
-        self._pred_cache: Dict[Tuple[FlowContext, int],
-                               Tuple[Tuple[int, float], ...]] = {}
-
-    def _shift_distribution(
-        self, context: FlowContext, outaged: int,
-    ) -> Tuple[Tuple[int, float], ...]:
-        key = (context, outaged)
-        cached = self._pred_cache.get(key)
-        if cached is None:
-            predictions = self.model.predict(
-                context, self.prediction_k, frozenset((outaged,)))
-            total = sum(p.score for p in predictions)
-            if total <= 0.0:
-                cached = ()
-            else:
-                cached = tuple((p.link_id, p.score / total)
-                               for p in predictions)
-            self._pred_cache[key] = cached
-        return cached
-
-    def analyze(
-        self,
-        hours: Iterable[Tuple[int, Sequence[Tuple[int, FlowContext, float]]]],
-        min_extra_hours: int = 1,
-    ) -> List[RiskFinding]:
-        """Run Algorithm 1.
-
-        Args:
-            hours: iterable of (hour, entries) where each entry is
-                (link_id, flow context, bytes) for that hour.
-            min_extra_hours: drop findings with fewer predicted extra
-                over-threshold hours.
-
-        Returns:
-            Findings sorted by predicted extra hours, descending (the
-            paper sorts its table the same way).
-        """
-        threshold = self.threshold
-        capacity = self._capacity_bytes
-        # per (affected link, affecting link): count of extra high hours
-        extra_hours: Dict[Tuple[int, int], int] = {}
-        typical_hours: Dict[int, int] = {}
-
-        for _hour, entries in hours:
-            actual: Dict[int, float] = {}
-            by_link: Dict[int, List[Tuple[FlowContext, float]]] = {}
-            for link_id, context, bytes_ in entries:
-                actual[link_id] = actual.get(link_id, 0.0) + bytes_
-                by_link.setdefault(link_id, []).append((context, bytes_))
-
-            over_actual = {
-                link for link, bytes_ in actual.items()
-                if bytes_ / capacity[link] >= threshold
-            }
-            for link in over_actual:
-                typical_hours[link] = typical_hours.get(link, 0) + 1
-
-            # what-if: each link A with traffic goes down for this hour
-            for a_link, flows in by_link.items():
-                induced: Dict[int, float] = {}
-                for context, bytes_ in flows:
-                    for target, weight in self._shift_distribution(
-                            context, a_link):
-                        induced[target] = induced.get(target, 0.0) + (
-                            bytes_ * weight)
-                for b_link, extra in induced.items():
-                    if b_link == a_link or b_link in over_actual:
-                        continue
-                    base = actual.get(b_link, 0.0)
-                    cap = capacity.get(b_link)
-                    if cap is None:
-                        continue
-                    if (base + extra) / cap >= threshold:
-                        key = (b_link, a_link)
-                        extra_hours[key] = extra_hours.get(key, 0) + 1
-
-        findings: List[RiskFinding] = []
-        for (b_link, a_link), count in extra_hours.items():
-            if count < min_extra_hours:
-                continue
-            b = self.wan.link(b_link)
-            a = self.wan.link(a_link)
-            findings.append(RiskFinding(
-                link_id=b_link,
-                peer_asn=b.peer_asn,
-                capacity_gbps=b.capacity_gbps,
-                typical_high_hours=typical_hours.get(b_link, 0),
-                predicted_extra_high_hours=count,
-                affecting_link_id=a_link,
-                affecting_peer_asn=a.peer_asn,
-                affecting_capacity_gbps=a.capacity_gbps,
-            ))
-        findings.sort(key=lambda f: (-f.predicted_extra_high_hours,
-                                     f.link_id, f.affecting_link_id))
-        return findings
-
-
-@dataclass(frozen=True)
-class GroupRiskFinding:
-    """An at-risk link under a whole router/site/peer outage."""
-
-    link_id: int
-    peer_asn: int
-    capacity_gbps: float
-    predicted_extra_high_hours: int
-    affecting_group: str
-
-
-class GroupRiskAnalyzer:
-    """Appendix C's extension: risk under router or whole-site outages.
-
-    Instead of failing one link at a time, fails every link sharing a
-    router, metro, or peer — the "single router or single site outages"
-    the paper says the same machinery analyzes.  Keeps its own cached
-    spill sum for the reason :class:`RiskAnalyzer` does.
-    """
-
-    GROUPINGS = ("router", "metro", "peer")
 
     def __init__(self, wan: CloudWAN, model: IngressModel,
                  threshold: float = 0.70, prediction_k: int = 3):
@@ -185,15 +56,16 @@ class GroupRiskAnalyzer:
         self.model = model
         self.threshold = threshold
         self.prediction_k = prediction_k
-        self._capacity_bytes = {
-            l.link_id: capacity_bytes(l.capacity_gbps)
-            for l in wan.links
-        }
+        self._capacity_bytes: Dict[int, float] = {
+            l.link_id: capacity_bytes(l.capacity_gbps) for l in wan.links}
+        # prediction cache: (context, failed links) -> ((link, weight), ...)
         self._pred_cache: Dict[Tuple[FlowContext, FrozenSet[int]],
                                Tuple[Tuple[int, float], ...]] = {}
 
-    def group_of(self, link_id: int, group_by: str) -> str:
+    def group_of(self, link_id: int, group_by: str) -> Group:
         link = self.wan.link(link_id)
+        if group_by == "link":
+            return link_id
         if group_by == "router":
             return link.router
         if group_by == "metro":
@@ -201,13 +73,6 @@ class GroupRiskAnalyzer:
         if group_by == "peer":
             return f"AS{link.peer_asn}"
         raise ValueError(f"unknown grouping {group_by!r}")
-
-    def _groups(self, group_by: str) -> Dict[str, FrozenSet[int]]:
-        groups: Dict[str, Set[int]] = {}
-        for link in self.wan.links:
-            groups.setdefault(self.group_of(link.link_id, group_by),
-                              set()).add(link.link_id)
-        return {name: frozenset(ids) for name, ids in groups.items()}
 
     def _shift(self, context: FlowContext,
                down: FrozenSet[int]) -> Tuple[Tuple[int, float], ...]:
@@ -225,30 +90,53 @@ class GroupRiskAnalyzer:
 
     def analyze(
         self,
-        hours: Iterable[Tuple[int, Sequence[Tuple[int, FlowContext, float]]]],
-        group_by: str = "router",
+        samples: Iterable[TrafficSample],
+        group_by: str = "link",
         min_extra_hours: int = 1,
-    ) -> List[GroupRiskFinding]:
-        """Algorithm 1 with whole-group outages."""
-        groups = self._groups(group_by)
+    ) -> List[RiskFinding]:
+        """Run Algorithm 1, failing each group of ``group_by`` in turn.
+
+        Args:
+            samples: one :class:`TrafficSample` per hour analysed.
+            group_by: ``link`` (the paper's single-link outages),
+                ``router``, ``metro`` or ``peer``.
+            min_extra_hours: drop findings with fewer predicted extra
+                over-threshold hours.
+
+        Returns:
+            Findings sorted by predicted extra hours, descending (the
+            paper sorts its table the same way), then by link and group.
+        """
+        group_of = {l.link_id: self.group_of(l.link_id, group_by)
+                    for l in self.wan.links}
+        down_of: Dict[Group, FrozenSet[int]] = {}
+        for link_id, group in group_of.items():
+            down_of[group] = down_of.get(group, frozenset()) | {link_id}
         threshold = self.threshold
         capacity = self._capacity_bytes
-        extra: Dict[Tuple[int, str], int] = {}
+        # per (affected link, failed group): count of extra high hours
+        extra_hours: Dict[Tuple[int, Group], int] = {}
+        typical_hours: Dict[int, int] = {}
 
-        for _hour, entries in hours:
-            actual: Dict[int, float] = {}
-            by_group: Dict[str, List[Tuple[FlowContext, float]]] = {}
-            for link_id, context, bytes_ in entries:
-                actual[link_id] = actual.get(link_id, 0.0) + bytes_
-                by_group.setdefault(
-                    self.group_of(link_id, group_by), []).append(
-                        (context, bytes_))
-            over_actual = {
-                link for link, b in actual.items()
-                if b / capacity[link] >= threshold
-            }
-            for group_name, flows in by_group.items():
-                down = groups[group_name]
+        for sample in samples:
+            actual = first_seen_totals(sample.link_ids, sample.bytes)
+            over_actual: Set[int] = set()
+            for link, bytes_ in actual.items():
+                if bytes_ / capacity[link] >= threshold:
+                    over_actual.add(link)
+                    typical_hours[link] = typical_hours.get(link, 0) + 1
+
+            contexts = sample.contexts
+            by_group: Dict[Group, List[Tuple[FlowContext, float]]] = {}
+            for link, row, bytes_ in zip(sample.link_ids.tolist(),
+                                         sample.flow_rows.tolist(),
+                                         sample.bytes.tolist()):
+                by_group.setdefault(group_of[link], []).append(
+                    (contexts[row], bytes_))
+
+            # what-if: each group with traffic goes down for this hour
+            for group, flows in by_group.items():
+                down = down_of[group]
                 induced: Dict[int, float] = {}
                 for context, bytes_ in flows:
                     for target, weight in self._shift(context, down):
@@ -258,19 +146,15 @@ class GroupRiskAnalyzer:
                     if b_link in down or b_link in over_actual:
                         continue
                     if (actual.get(b_link, 0.0) + add) / capacity[b_link] >= threshold:
-                        key = (b_link, group_name)
-                        extra[key] = extra.get(key, 0) + 1
+                        key = (b_link, group)
+                        extra_hours[key] = extra_hours.get(key, 0) + 1
 
-        findings = []
-        for (b_link, group_name), count in extra.items():
-            if count < min_extra_hours:
-                continue
-            link = self.wan.link(b_link)
-            findings.append(GroupRiskFinding(
-                link_id=b_link, peer_asn=link.peer_asn,
-                capacity_gbps=link.capacity_gbps,
-                predicted_extra_high_hours=count,
-                affecting_group=group_name))
+        findings = [
+            RiskFinding(b_link, self.wan.link(b_link).peer_asn,
+                        self.wan.link(b_link).capacity_gbps,
+                        typical_hours.get(b_link, 0), count, group)
+            for (b_link, group), count in extra_hours.items()
+            if count >= min_extra_hours]
         findings.sort(key=lambda f: (-f.predicted_extra_high_hours,
                                      f.link_id, f.affecting_group))
         return findings

@@ -31,6 +31,7 @@ from ..cms.mitigation import (
     CongestionMitigationSystem,
     MitigationAction,
     TrafficSample,
+    first_seen_totals,
 )
 from ..core.features import FEATURES_AL
 from ..core.geo_augment import GeoAugmentedModel
@@ -237,10 +238,7 @@ def replay_incident(world: IncidentWorld, with_tipsy: bool,
         world.i1: [], world.i2: [], world.i3: [], world.i4: []}
     for hour in range(world.surge_start_hour - 2, horizon_hours):
         sample = world.entries_for_hour(hour, state)
-        link_bytes: Dict[int, float] = {}
-        for link_id, bytes_ in zip(sample.link_ids.tolist(),
-                                   sample.bytes.tolist()):
-            link_bytes[link_id] = link_bytes.get(link_id, 0.0) + bytes_
+        link_bytes = first_seen_totals(sample.link_ids, sample.bytes)
         for link_id, bytes_ in link_bytes.items():
             util = cms.monitor.utilization(link_id, bytes_)
             max_util[link_id] = max(max_util.get(link_id, 0.0), util)

@@ -28,6 +28,7 @@ from ..cms.mitigation import (
     CongestionMitigationSystem,
     MitigationAction,
     TrafficSample,
+    first_seen_totals,
 )
 from ..pipeline.records import FlowContext
 from ..telemetry.ipfix import IpfixExporter
@@ -199,10 +200,10 @@ def replay_east_asia(world: EastAsiaWorld,
             shifted = np.isin(sample.dest_prefix_ids,
                               sorted(withdrawn)) & (links != world.hot)
             shift_links.update(links[shifted].tolist())
+            link_bytes = first_seen_totals(links, sample.bytes)
             for link_id in shift_links:
-                link_bytes = sum(sample.bytes[links == link_id].tolist())
                 max_alt_util = max(max_alt_util, cms.monitor.utilization(
-                    link_id, link_bytes))
+                    link_id, link_bytes.get(link_id, 0.0)))
     return EastAsiaReport(
         withdrawn_prefixes=tuple(sorted(withdrawn)),
         withdrawal_hour=withdrawal_hour,

@@ -437,7 +437,8 @@ class Scenario:
         """Convert an hour of columns into IPFIX records."""
         flows = self.traffic.flows
         records = []
-        for row, link_id, bytes_ in self._positive(cols, use_sampled):
+        rows, links, values = self._positive_columns(cols, use_sampled)
+        for row, link_id, bytes_ in zip(rows.tolist(), links.tolist(), values.tolist()):
             flow = flows[row]
             records.append(IpfixRecord(cols.hour, link_id,
                                        flow.src_prefix_id, flow.src_asn,
@@ -454,14 +455,6 @@ class Scenario:
         return (cols.flow_rows[keep].astype(np.int64, copy=False),
                 cols.link_ids[keep].astype(np.int64, copy=False),
                 values[keep].astype(np.float64, copy=False))
-
-    @classmethod
-    def _positive(cls, cols: HourColumns, use_sampled: bool
-                  ) -> Iterator[Tuple[int, int, float]]:
-        """:meth:`_positive_columns` as python ``int``/``int``/``float``
-        triples."""
-        rows, links, values = cls._positive_columns(cols, use_sampled)
-        return zip(rows.tolist(), links.tolist(), values.tolist())
 
     def ipfix_columns_for(self, cols: HourColumns,
                           use_sampled: bool = True
@@ -484,16 +477,8 @@ class Scenario:
                             use_sampled: bool = True) -> TrafficSample:
         """One hour of columns as a CMS :class:`TrafficSample`: the
         entries with bytes > 0, in column order, over
-        :attr:`flow_contexts`."""
+        :attr:`flow_contexts` — the hour the CMS, the risk analysis
+        and the de-peering study all read."""
         rows, links, values = self._positive_columns(cols, use_sampled)
         return TrafficSample(links, self._flow_columns[2][rows], rows,
                              values, self.flow_contexts)
-
-    def risk_entries_for(self, cols: HourColumns,
-                         use_sampled: bool = True) -> List[Tuple[int, FlowContext, float]]:
-        """One hour of columns as (link, context, bytes) for RiskAnalyzer."""
-        contexts = self.flow_contexts
-        return [
-            (link_id, contexts[row], bytes_)
-            for row, link_id, bytes_ in self._positive(cols, use_sampled)
-        ]

@@ -120,11 +120,11 @@ def _bw(capacity_gbps: float) -> str:
 
 def risk_rows(findings: Sequence[RiskFinding], wan: CloudWAN,
               limit: Optional[int] = None) -> List[RiskRow]:
-    """Tables 12/15 rows from risk-analysis findings."""
+    """Tables 12/15 rows from single-link risk-analysis findings."""
     rows: List[RiskRow] = []
     for finding in findings[:limit]:
         link = wan.link(finding.link_id)
-        affecting = wan.link(finding.affecting_link_id)
+        affecting = wan.link(finding.affecting_group)
         rows.append(RiskRow(
             router=link.router,
             peer=f"AS{finding.peer_asn}",
@@ -132,8 +132,8 @@ def risk_rows(findings: Sequence[RiskFinding], wan: CloudWAN,
             typical_high_hours=finding.typical_high_hours,
             predicted_high_hours=finding.predicted_extra_high_hours,
             affecting_router=affecting.router,
-            affecting_peer=f"AS{finding.affecting_peer_asn}",
-            affecting_bandwidth=_bw(finding.affecting_capacity_gbps),
+            affecting_peer=f"AS{affecting.peer_asn}",
+            affecting_bandwidth=_bw(affecting.capacity_gbps),
         ))
     return rows
 

@@ -8,7 +8,9 @@ way.  The functions here walk a sample's rows one at a time exactly like
 that; :class:`EntryCMS` is the CMS with both steps done by them.
 """
 
-from repro.cms import CongestionMitigationSystem
+import numpy as np
+
+from repro.cms import CongestionMitigationSystem, TrafficSample
 
 
 def entries_of(sample):
@@ -18,6 +20,16 @@ def entries_of(sample):
             for link, prefix, row, bytes_ in zip(
                 sample.link_ids.tolist(), sample.dest_prefix_ids.tolist(),
                 sample.flow_rows.tolist(), sample.bytes.tolist())]
+
+
+def sample_of_entries(entries):
+    """(link, prefix, context, bytes) rows as a :class:`TrafficSample`,
+    one context per row: the inverse of :func:`entries_of`."""
+    links, prefixes, contexts, bytes_ = zip(*entries)
+    return TrafficSample(
+        np.array(links, dtype=np.int64), np.array(prefixes, dtype=np.int64),
+        np.arange(len(entries), dtype=np.int64),
+        np.array(bytes_, dtype=np.float64), contexts)
 
 
 def totals_by_entry(entries):

@@ -13,6 +13,8 @@ from repro.topology import (
     Region,
 )
 
+from tests.cms.entry_oracle import sample_of_entries
+
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
 
@@ -44,12 +46,12 @@ def world():
 
 
 def entries(volume_small=0.1):
-    return [
-        (0, ctx(3), 5.0 * GBPS_HOUR),
-        (1, ctx(3), 1.0 * GBPS_HOUR),
-        (2, ctx(1), volume_small * GBPS_HOUR),
-        (3, ctx(2), volume_small * GBPS_HOUR),
-    ]
+    return sample_of_entries([
+        (0, 0, ctx(3), 5.0 * GBPS_HOUR),
+        (1, 0, ctx(3), 1.0 * GBPS_HOUR),
+        (2, 0, ctx(1), volume_small * GBPS_HOUR),
+        (3, 0, ctx(2), volume_small * GBPS_HOUR),
+    ])
 
 
 class TestAssessment:
@@ -74,10 +76,10 @@ class TestAssessment:
         wan, model = world
         analyzer = DepeeringAnalyzer(wan, model, safety_threshold=0.85)
         # crank the small peer's traffic so the spill overloads link 0
-        heavy = [
-            (0, ctx(3), 9.0 * GBPS_HOUR),
-            (2, ctx(1), 3.0 * GBPS_HOUR),
-        ]
+        heavy = sample_of_entries([
+            (0, 0, ctx(3), 9.0 * GBPS_HOUR),
+            (2, 0, ctx(1), 3.0 * GBPS_HOUR),
+        ])
         assessment = analyzer.assess(200, heavy)
         assert assessment.overloaded_links == (0,)
         assert not assessment.safe

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cms import GroupRiskAnalyzer
+from repro.cms import RiskAnalyzer
 from repro.core import FEATURES_AP, HistoricalModel
 from repro.pipeline import FlowContext
 from repro.topology import (
@@ -12,6 +12,8 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+
+from tests.cms.entry_oracle import sample_of_entries
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
@@ -40,13 +42,15 @@ def world():
 
 
 def hour(volume=0.6):
-    return [(0, ctx(1), volume * GBPS_HOUR), (1, ctx(2), volume * GBPS_HOUR)]
+    return sample_of_entries([(0, 0, ctx(1), volume * GBPS_HOUR),
+                              (1, 0, ctx(2), volume * GBPS_HOUR)])
 
 
 class TestGrouping:
     def test_group_of(self, world):
         wan, model = world
-        analyzer = GroupRiskAnalyzer(wan, model)
+        analyzer = RiskAnalyzer(wan, model)
+        assert analyzer.group_of(0, "link") == 0
         assert analyzer.group_of(0, "router") == "iad-er1"
         assert analyzer.group_of(0, "metro") == "iad"
         assert analyzer.group_of(0, "peer") == "AS100"
@@ -57,8 +61,8 @@ class TestGrouping:
 class TestRouterOutage:
     def test_router_failure_overloads_survivor(self, world):
         wan, model = world
-        analyzer = GroupRiskAnalyzer(wan, model, threshold=0.7)
-        findings = analyzer.analyze([(h, hour()) for h in range(3)],
+        analyzer = RiskAnalyzer(wan, model, threshold=0.7)
+        findings = analyzer.analyze([hour() for _ in range(3)],
                                     group_by="router")
         assert findings
         top = findings[0]
@@ -72,11 +76,10 @@ class TestRouterOutage:
         """The contrast that makes group analysis worthwhile: each link
         alone shifts 0.6G (< 0.7 threshold), only the joint router
         failure overloads the survivor."""
-        from repro.cms import RiskAnalyzer
-
         wan, model = world
         single = RiskAnalyzer(wan, model, threshold=0.7)
-        findings = single.analyze([(h, hour()) for h in range(3)])
+        findings = single.analyze([hour() for _ in range(3)],
+                                  group_by="link")
         assert all(f.link_id != 2 for f in findings)
 
     def test_metro_outage_pushes_out_of_metro(self, world):
@@ -85,8 +88,8 @@ class TestRouterOutage:
         # somewhere to go
         model.observe(ctx(1), 3, 10.0)
         model.observe(ctx(2), 3, 10.0)
-        analyzer = GroupRiskAnalyzer(wan, model, threshold=0.7)
-        findings = analyzer.analyze([(h, hour(0.8)) for h in range(2)],
+        analyzer = RiskAnalyzer(wan, model, threshold=0.7)
+        findings = analyzer.analyze([hour(0.8) for _ in range(2)],
                                     group_by="metro")
         assert findings
         assert all(f.affecting_group == "iad" for f in findings)
@@ -94,7 +97,7 @@ class TestRouterOutage:
 
     def test_min_extra_hours(self, world):
         wan, model = world
-        analyzer = GroupRiskAnalyzer(wan, model, threshold=0.7)
-        findings = analyzer.analyze([(0, hour())], group_by="router",
+        analyzer = RiskAnalyzer(wan, model, threshold=0.7)
+        findings = analyzer.analyze([hour()], group_by="router",
                                     min_extra_hours=2)
         assert findings == []

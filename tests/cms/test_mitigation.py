@@ -21,6 +21,7 @@ from tests.cms.entry_oracle import (
     hexed,
     hexed_candidates,
     observed_totals,
+    sample_of_entries as sample,
     totals_by_entry,
 )
 
@@ -49,15 +50,6 @@ def entries_at(link, volume_gbps, prefix_id=0, n=4):
     """(link, prefix, context, bytes) rows: ``n`` flows sharing a volume."""
     per = volume_gbps * GBPS_HOUR / n
     return [(link, prefix_id, ctx(100 + i), per) for i in range(n)]
-
-
-def sample(entries):
-    """Rows as a :class:`TrafficSample`, one context per row."""
-    links, prefixes, contexts, bytes_ = zip(*entries)
-    return TrafficSample(
-        np.array(links, dtype=np.int64), np.array(prefixes, dtype=np.int64),
-        np.arange(len(entries), dtype=np.int64),
-        np.array(bytes_, dtype=np.float64), contexts)
 
 
 class TestBlindCMS:

@@ -13,6 +13,8 @@ from repro.topology import (
     Region,
 )
 
+from tests.cms.entry_oracle import sample_of_entries as sample
+
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
 
@@ -39,27 +41,28 @@ def world():
 
 
 def hour_entries(volume_gbps, link=0, n=4):
+    """(link, prefix, context, bytes) rows: ``n`` flows sharing a volume."""
     per = volume_gbps * GBPS_HOUR / n
-    return [(link, ctx(i), per) for i in range(n)]
+    return [(link, 0, ctx(i), per) for i in range(n)]
 
 
 class TestRiskAnalyzer:
     def test_detects_at_risk_pair(self, world):
         wan, model = world
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
-        hours = [(h, hour_entries(0.8)) for h in range(5)]
+        hours = [sample(hour_entries(0.8)) for _ in range(5)]
         findings = analyzer.analyze(hours)
         assert findings
         top = findings[0]
         assert top.link_id == 1          # link 1 is at risk...
-        assert top.affecting_link_id == 0  # ...if link 0 fails
+        assert top.affecting_group == 0  # ...if link 0 fails
         assert top.predicted_extra_high_hours == 5
         assert top.typical_high_hours == 0
 
     def test_no_finding_when_load_low(self, world):
         wan, model = world
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
-        hours = [(h, hour_entries(0.3)) for h in range(5)]
+        hours = [sample(hour_entries(0.3)) for _ in range(5)]
         assert analyzer.analyze(hours) == []
 
     def test_already_high_links_not_reported(self, world):
@@ -67,15 +70,15 @@ class TestRiskAnalyzer:
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
         # link 1 is ALREADY above threshold every hour: the what-if adds
         # nothing new, so it is excluded (the paper reports *extra* hours)
-        hours = [(h, hour_entries(0.8, link=0) + hour_entries(0.9, link=1))
-                 for h in range(3)]
+        hours = [sample(hour_entries(0.8, link=0)
+                        + hour_entries(0.9, link=1)) for _ in range(3)]
         findings = analyzer.analyze(hours)
         assert all(f.link_id != 1 for f in findings)
 
     def test_min_extra_hours_filter(self, world):
         wan, model = world
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
-        hours = [(0, hour_entries(0.8))]
+        hours = [sample(hour_entries(0.8))]
         assert analyzer.analyze(hours, min_extra_hours=2) == []
         assert analyzer.analyze(hours, min_extra_hours=1)
 
@@ -86,8 +89,8 @@ class TestRiskAnalyzer:
         model.observe(ctx(100), 0, 10.0)
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
         hours = [
-            (h, hour_entries(0.8) + [(2, ctx(100), 0.8 * GBPS_HOUR)])
-            for h in range(4)
+            sample(hour_entries(0.8) + [(2, 0, ctx(100), 0.8 * GBPS_HOUR)])
+            for _ in range(4)
         ]
         findings = analyzer.analyze(hours)
         extras = [f.predicted_extra_high_hours for f in findings]
@@ -96,8 +99,8 @@ class TestRiskAnalyzer:
     def test_finding_metadata(self, world):
         wan, model = world
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
-        findings = analyzer.analyze([(0, hour_entries(0.8))])
+        findings = analyzer.analyze([sample(hour_entries(0.8))])
         top = findings[0]
         assert top.peer_asn == 100
         assert top.capacity_gbps == 1.0
-        assert top.affecting_peer_asn == 100
+        assert wan.link(top.affecting_group).peer_asn == 100

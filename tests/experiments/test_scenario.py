@@ -159,17 +159,11 @@ class TestRecordViews:
         assert n == len(sample.dest_prefix_ids)
         assert sample.contexts is sc.flow_contexts
 
-    def test_risk_entries_view(self, small_scenario):
-        sc = small_scenario
-        cols = next(iter(sc.stream(0, 1)))
-        entries = sc.risk_entries_for(cols)
-        assert all(b > 0 for _l, _c, b in entries)
-
     @pytest.mark.parametrize("use_sampled", [True, False])
     def test_views_equal_the_row_by_row_loops(self, small_scenario,
                                               use_sampled):
         """The masked views are the old element-by-element loops: the
-        record views the same entries, in the same order, with the same
+        record view the same entries, in the same order, with the same
         python types; the CMS sample the same rows, in the same order, as
         ``int64`` / ``float64`` columns over the flow contexts."""
         from repro.telemetry.ipfix import IpfixRecord
@@ -179,7 +173,7 @@ class TestRecordViews:
         values = cols.sampled_bytes if use_sampled else cols.true_bytes
         assert (values <= 0.0).any() or not use_sampled
         flows, contexts = sc.traffic.flows, sc.flow_contexts
-        ipfix, entries, risk = [], [], []
+        ipfix, entries = [], []
         for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
             if bytes_ <= 0.0:
                 continue
@@ -189,17 +183,13 @@ class TestRecordViews:
                                      flow.dest_prefix_id, float(bytes_)))
             entries.append((int(link_id), flow.dest_prefix_id, int(row),
                             float(bytes_)))
-            risk.append((int(link_id), contexts[row], float(bytes_)))
 
         def typed(records):
-            return [[(type(v), v) for v in (r if isinstance(r, tuple)
-                                            else vars(r).values())]
+            return [[(type(v), v) for v in vars(r).values()]
                     for r in records]
 
-        got = (sc.ipfix_records_for(cols, use_sampled),
-               sc.risk_entries_for(cols, use_sampled))
-        for mine, reference in zip(got, (ipfix, risk)):
-            assert reference and typed(mine) == typed(reference)
+        mine = sc.ipfix_records_for(cols, use_sampled)
+        assert ipfix and typed(mine) == typed(ipfix)
         sample = sc.traffic_entries_for(cols, use_sampled)
         columns = (sample.link_ids, sample.dest_prefix_ids,
                    sample.flow_rows, sample.bytes)

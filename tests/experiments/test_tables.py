@@ -91,9 +91,7 @@ class TestRiskRows:
             link_id=link.link_id, peer_asn=link.peer_asn,
             capacity_gbps=link.capacity_gbps, typical_high_hours=1,
             predicted_extra_high_hours=7,
-            affecting_link_id=affecting.link_id,
-            affecting_peer_asn=affecting.peer_asn,
-            affecting_capacity_gbps=affecting.capacity_gbps)
+            affecting_group=affecting.link_id)
         rows = tables.risk_rows([finding], wan)
         assert len(rows) == 1
         line = rows[0].formatted()
@@ -104,6 +102,5 @@ class TestRiskRows:
         wan = small_scenario.wan
         link = wan.links[0]
         finding = RiskFinding(link.link_id, link.peer_asn,
-                              link.capacity_gbps, 0, 1, link.link_id,
-                              link.peer_asn, link.capacity_gbps)
+                              link.capacity_gbps, 0, 1, link.link_id)
         assert len(tables.risk_rows([finding] * 5, wan, limit=2)) == 2

@@ -15,14 +15,24 @@ TIPSY-guided.  Hand mutants this suite kills: ``np.add.reduceat`` over
 key-sorted rows, or ``np.sum`` per key, in place of ``bincount``; keys
 emitted in sorted rather than first-seen order; a sort that is not
 stable among equal prefix totals.
+
+The risk analysis (Appendix C's Algorithm 1) reads the same samples:
+over random multi-hour samples, at every grouping, ``RiskAnalyzer``
+must find what the two entry-walk loops it replaced find
+(``tests/cms/risk_oracle.py``) — every field, in order.  Hand mutants
+this suite kills: ``np.sum`` per link in place of the first-seen total;
+skipping only the failed link rather than its whole group; dropping the
+already-over-threshold exclusion; single-link findings sorted by
+``str`` of the link.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import AdvertisementState
-from repro.cms import CMSConfig, CongestionMitigationSystem, TrafficSample
+from repro.cms import (CMSConfig, CongestionMitigationSystem, RiskAnalyzer,
+                       TrafficSample)
 from repro.core import FEATURES_AP, HistoricalModel
 from repro.pipeline import FlowContext
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
@@ -31,6 +41,7 @@ from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
 from tests.cms.entry_oracle import (EntryCMS, candidates_by_entry,
                                     entries_of, hexed, hexed_candidates,
                                     observed_totals, totals_by_entry)
+from tests.cms.risk_oracle import oracle_findings, stated
 
 LINKS = 4
 PREFIXES = 3
@@ -101,3 +112,77 @@ def test_columns_equal_the_entry_walk(samples, guided):
         assert columnar.actions == walked.actions, index
         for prefix in range(PREFIXES):
             assert state.removal_key(prefix) == mirror.removal_key(prefix)
+
+
+#: the risk analysis's WAN: link ids on both sides of 9, so an order by
+#: ``str`` differs from one by number, and routers, metros and peers
+#: that each group the links differently
+RISK_LINKS = ((2, 100, "iad", "iad-er1"), (9, 100, "iad", "iad-er2"),
+              (10, 200, "iad", "iad-er2"), (11, 300, "chi", "chi-er1"))
+RISK_IDS = tuple(link_id for link_id, *_ in RISK_LINKS)
+
+#: the pairwise trap at a link-hour scale: four full link-hours and five
+#: of 2**-53 run to exactly 4.0 of a link's capacity; numpy's pairwise
+#: sum is one ulp above — the threshold that tells them apart
+TRAP = (1.0,) * 4 + (2.0 ** -53,) * 5
+TRAP_THRESHOLD = float(np.sum(np.array(TRAP) * FULL)) / FULL
+
+
+class OutageBlind(HistoricalModel):
+    """A model that has not heard of the outage: it predicts as if every
+    link were up, so a failed link can come back as a target."""
+
+    def predict(self, context, k, unavailable=frozenset()):
+        return super().predict(context, k)
+
+
+def risk_wan():
+    links = [PeeringLink(link_id, peer, metro, router, 1.0)
+             for link_id, peer, metro, router in RISK_LINKS]
+    dests = [DestPrefix(p, f"100.64.{p}.0/24", "r", "web")
+             for p in range(PREFIXES)]
+    return CloudWAN(8075, links, [Region("r", "iad")], dests, MetroCatalog())
+
+
+def risk_model(honours_outages):
+    model = (HistoricalModel if honours_outages else OutageBlind)(FEATURES_AP)
+    for i, context in enumerate(CONTEXTS):
+        for j, link_id in enumerate(RISK_IDS):
+            model.observe(context, link_id, 100.0 / (1 + (i + j) % 4))
+    return model
+
+
+def risk_sample(drawn):
+    return sample_of([(RISK_IDS[link], prefix, flow, bytes_)
+                      for link, prefix, flow, bytes_ in drawn])
+
+
+#: link 2 at exactly 4.0 of its capacity by a running sum, and a flow on
+#: link 9 that fails over onto it
+TRAP_HOUR = ([(0, 0, 0, b * FULL) for b in TRAP]
+             + [(1, 0, 1, 0.5 * FULL)])
+#: links 2, 9 and 10 at half load: failing 9 or 10 pushes link 2 over,
+#: a tie between affecting links that an order by ``str`` turns round
+TIE_HOUR = [(link, 0, 0, 0.5 * FULL) for link in range(3)]
+#: link 9 already over the threshold when link 2's flow fails over to it
+OVER_HOUR = [(1, 0, 0, 0.8 * FULL), (0, 0, 1, 0.5 * FULL)]
+
+
+@given(st.lists(rows, min_size=1, max_size=4), st.booleans(),
+       st.sampled_from([0.7, TRAP_THRESHOLD]), st.integers(1, 2))
+@example([TRAP_HOUR], True, TRAP_THRESHOLD, 1)
+@example([TIE_HOUR], True, 0.7, 1)
+@example([OVER_HOUR], True, 0.7, 1)
+@example([TIE_HOUR], False, 0.7, 1)
+@settings(max_examples=60, deadline=None)
+def test_risk_analyzer_equals_the_entry_loops(hours, honours_outages,
+                                              threshold, min_extra_hours):
+    network = risk_wan()
+    model = risk_model(honours_outages)
+    samples = [risk_sample(drawn) for drawn in hours]
+    analyzer = RiskAnalyzer(network, model, threshold)
+    for group_by in ("link", "router", "metro", "peer"):
+        found = analyzer.analyze(iter(samples), group_by, min_extra_hours)
+        assert stated(found) == oracle_findings(
+            network, model, samples, group_by, threshold,
+            min_extra_hours), group_by

@@ -30,6 +30,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Links at risk" in out
 
+    @pytest.mark.parametrize("command", ["risk", "evaluate", "report"])
+    def test_window_past_the_horizon_is_a_usage_error(self, command,
+                                                      capsys):
+        """Rejected before the world is built or a day is streamed: exit
+        2 with a message naming the horizon, not a traceback."""
+        assert main([command, "--size", "small", "--train-days", "27",
+                     "--test-days", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}:" in err
+        assert "30 days is past the 28-day horizon" in err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
