@@ -18,33 +18,31 @@ the confidential local policies the paper highlights (§2, challenge 1/3).
 
 Two scaling decisions let this run at paper-scale graphs (ROADMAP item 2):
 
-* **Columnar state.**  A :class:`RoutingTable` is three numpy columns
-  over the graph's dense row index (``topology.asgraph.DenseTopology``):
-  ``dist`` (``int32``, ``-1`` unreachable), ``direct`` (``bool_``) and
-  CSR-packed ranked next-hops (``int64`` values + offsets, built by
-  ``repro.store.codec.encode_ragged``), so comparing two tables is a
-  column comparison.  :class:`RouteInfo` objects are materialised lazily
-  per row.
+* **Columnar state.**  A :class:`RoutingTable` is three read-only numpy
+  columns over the graph's dense row index
+  (``topology.asgraph.DenseTopology``): ``dist`` (``int32``, ``-1``
+  unreachable), ``direct`` (``bool_``) and ``nexthops``, the ranked
+  next-hops as an ``(n, MAX_NEXTHOPS)`` ``int64`` matrix padded with
+  ``-1``, so comparing two tables is a column comparison.
+  :meth:`RoutingTable.get` builds a :class:`RouteInfo` from one row.
 * **Dirty-set recomputation.**  :func:`update_routing_table` derives the
   table for a changed seeded-neighbor set from a previously computed
   one: BFS from the changed seeds through the provider→customer cone
   bounds the rows whose distance *could* move, a vectorised
   Bellman-Ford pass over that cone settles their new distances against
   the frozen outside boundary, and only rows whose distance (or whose
-  providers' distance) actually changed are re-decided.  Everything
-  else — arrays and already-materialised ``RouteInfo`` rows — is
-  structurally shared.  The result is bit-identical to
+  providers' distance) actually changed are re-decided, in a copy of
+  the base table's next-hop matrix.  The result is bit-identical to
   :func:`compute_routing_table` from scratch (enforced by
   ``tests/bgp/test_incremental_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..store.codec import encode_ragged
 from ..topology.asgraph import ASGraph, DenseTopology
 from ..util.hashing import unit
 
@@ -80,113 +78,73 @@ class RouteInfo(NamedTuple):
 class RoutingTable:
     """Columnar per-AS routing state for one seeded-neighbor set.
 
-    Backed by dense columns over the graph's row index: ``dist``
+    Three read-only columns over the graph's row index: ``dist``
     (``int32``, ``UNREACHABLE`` = no route), ``direct`` (``bool_``) and
-    the ranked next-hops as a CSR pair (``int64`` ASN values + ``int64``
-    offsets).  The dict-style accessors (:meth:`get`, ``in``,
-    :meth:`distance`) materialise frozen :class:`RouteInfo` rows lazily
-    and share them with tables derived by :func:`update_routing_table`.
+    ``nexthops``, the ranked next-hops as an ``(n, MAX_NEXTHOPS)``
+    ``int64`` matrix padded with ``-1``.  The dict-style accessors
+    (:meth:`get`, ``in``, :meth:`distance`) read single rows.
     """
 
-    __slots__ = ("seeded", "_topo", "_dist", "_direct", "_nh_offsets",
-                 "_nh_values", "_infos", "_n_reachable", "_nh_matrix")
+    __slots__ = ("seeded", "_topo", "dist", "direct", "nexthops")
 
     def __init__(self, topo: DenseTopology, dist: np.ndarray,
-                 direct: np.ndarray, nh_values: np.ndarray,
-                 nh_offsets: np.ndarray, seeded: FrozenSet[int],
-                 infos: Optional[Dict[int, Optional[RouteInfo]]] = None):
+                 direct: np.ndarray, nexthops: np.ndarray,
+                 seeded: FrozenSet[int]):
+        for column in (dist, direct, nexthops):
+            column.flags.writeable = False
         self.seeded = seeded
         self._topo = topo
-        self._dist = dist
-        self._direct = direct
-        self._nh_values = nh_values
-        self._nh_offsets = nh_offsets
-        self._infos: Dict[int, Optional[RouteInfo]] = (
-            {} if infos is None else infos)
-        self._n_reachable: Optional[int] = None
-        self._nh_matrix: Optional[np.ndarray] = None
+        self.dist = dist
+        self.direct = direct
+        self.nexthops = nexthops
 
-    # -- dict-style accessors (the simulator's hot path) -------------------
+    # -- dict-style accessors ----------------------------------------------
 
     def get(self, asn: int) -> Optional[RouteInfo]:
         row = self._topo.index.get(asn)
-        if row is None:
+        if row is None or self.dist[row] < 0:
             return None
-        info = self._infos.get(row)
-        if info is None and row not in self._infos:
-            info = self._materialise(row)
-            self._infos[row] = info
-        return info
-
-    def _materialise(self, row: int) -> Optional[RouteInfo]:
-        d = int(self._dist[row])
-        if d < 0:
-            return None
-        lo = int(self._nh_offsets[row])
-        hi = int(self._nh_offsets[row + 1])
-        nexthops = tuple(int(v) for v in self._nh_values[lo:hi])
-        return RouteInfo(bool(self._direct[row]), d, nexthops)
+        hops = self.nexthops[row]
+        return RouteInfo(bool(self.direct[row]), int(self.dist[row]),
+                         tuple(hops[hops >= 0].tolist()))
 
     def __contains__(self, asn: int) -> bool:
-        row = self._topo.index.get(asn)
-        return row is not None and int(self._dist[row]) >= 0
+        return self.distance(asn) is not None
 
     def __len__(self) -> int:
-        if self._n_reachable is None:
-            self._n_reachable = int(np.count_nonzero(self._dist >= 0))
-        return self._n_reachable
+        return int(np.count_nonzero(self.dist >= 0))
 
     def reachable_asns(self) -> Tuple[int, ...]:
         """ASNs with a route, in graph row order."""
-        return tuple(int(a) for a in self._topo.asns[self._dist >= 0])
+        return tuple(int(a) for a in self._topo.asns[self.dist >= 0])
 
     def distance(self, asn: int) -> Optional[int]:
         row = self._topo.index.get(asn)
-        if row is None:
+        if row is None or self.dist[row] < 0:
             return None
-        d = int(self._dist[row])
-        return d if d >= 0 else None
+        return int(self.dist[row])
 
-    # -- columnar access (probe diffs, equivalence tests) ------------------
+    # -- columnar comparison (probe diffs, equivalence tests) --------------
 
     @property
     def topology(self) -> DenseTopology:
         return self._topo
-
-    def _nexthop_matrix(self) -> np.ndarray:
-        """Ranked next-hops as an ``(n, MAX_NEXTHOPS)`` matrix, -1 padded
-        (read-only: :meth:`_nexthops` hands it to every later caller)."""
-        counts = np.diff(self._nh_offsets)
-        matrix = np.full((len(counts), MAX_NEXTHOPS), -1, dtype=np.int64)
-        for k in range(MAX_NEXTHOPS):
-            rows = np.flatnonzero(counts > k)
-            matrix[rows, k] = self._nh_values[self._nh_offsets[rows] + k]
-        matrix.flags.writeable = False
-        return matrix
-
-    def _nexthops(self) -> np.ndarray:
-        """:meth:`_nexthop_matrix`, built on first use: a table never
-        changes once built."""
-        if self._nh_matrix is None:
-            self._nh_matrix = self._nexthop_matrix()
-        return self._nh_matrix
 
     def changed_asns(self, other: "RoutingTable") -> FrozenSet[int]:
         """ASNs whose :class:`RouteInfo` differs between two tables over
         the same graph (one column comparison, no rows materialised)."""
         if other is self:
             return frozenset()
-        differ = (self._dist != other._dist) | (self._direct != other._direct)
-        differ |= (self._nexthops() != other._nexthops()).any(axis=1)
+        differ = (self.dist != other.dist) | (self.direct != other.direct)
+        differ |= (self.nexthops != other.nexthops).any(axis=1)
         return frozenset(self._topo.asns[differ].tolist())
 
     def columns_equal(self, other: "RoutingTable") -> bool:
         """Bit-identical column comparison (the equivalence-test check)."""
         return (
-            np.array_equal(self._dist, other._dist)
-            and np.array_equal(self._direct, other._direct)
-            and np.array_equal(self._nh_values, other._nh_values)
-            and np.array_equal(self._nh_offsets, other._nh_offsets)
+            np.array_equal(self.dist, other.dist)
+            and np.array_equal(self.direct, other.direct)
+            and np.array_equal(self.nexthops, other.nexthops)
         )
 
 
@@ -230,6 +188,17 @@ def _bfs_distances(topo: DenseTopology, seed_rows: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _decide_rows(topo: DenseTopology, dist: np.ndarray, rows: np.ndarray,
+                 bias: Callable[[int, int], float],
+                 nexthops: np.ndarray) -> None:
+    """Write the ranked next-hops of each of ``rows`` that has a route
+    into ``nexthops``, whose rows arrive ``-1`` padded."""
+    for row in rows[dist[rows] >= 0].tolist():
+        hops = _decide_nexthops(int(topo.asns[row]), dist,
+                                topo.providers_of(row), topo.asns, bias)
+        nexthops[row, :len(hops)] = hops
+
+
 def compute_routing_table(
     graph: ASGraph,
     seeded: FrozenSet[int],
@@ -257,13 +226,10 @@ def compute_routing_table(
     direct = np.zeros(topo.n, dtype=np.bool_)
     direct[seed_rows] = True
 
-    nh_rows: List[Tuple[int, ...]] = [()] * topo.n
-    for row in np.flatnonzero(dist >= 0).tolist():
-        nh_rows[row] = _decide_nexthops(
-            int(topo.asns[row]), dist, topo.providers_of(row), topo.asns,
-            bias)
-    nh_values, nh_offsets = encode_ragged(nh_rows, dtype=np.int64)
-    return RoutingTable(topo, dist, direct, nh_values, nh_offsets, seeded)
+    nexthops = np.full((topo.n, MAX_NEXTHOPS), -1, dtype=np.int64)
+    _decide_rows(topo, dist, np.arange(topo.n, dtype=np.int64), bias,
+                 nexthops)
+    return RoutingTable(topo, dist, direct, nexthops, seeded)
 
 
 def _dirty_cone(topo: DenseTopology, changed_rows: np.ndarray) -> np.ndarray:
@@ -331,8 +297,8 @@ def update_routing_table(
     """Derive the table for ``seeded`` from a previously computed one.
 
     Identifies the dirty set — rows whose distance or ranked next-hops
-    could depend on the seeded-set delta — re-decides just those rows,
-    and structurally shares the rest.  Bit-identical to
+    could depend on the seeded-set delta — and re-decides just those
+    rows in a copy of ``table``'s next-hop matrix.  Bit-identical to
     :func:`compute_routing_table` ``(graph, seeded, bias)``; falls back
     to it outright when the graph mutated since ``table`` was built.
     """
@@ -342,7 +308,7 @@ def update_routing_table(
     if seeded == table.seeded:
         return table
 
-    old_dist = table._dist
+    old_dist = table.dist
     added_rows = np.array(
         sorted(topo.index[a] for a in seeded - table.seeded
                if a in topo.index), dtype=np.int32)
@@ -352,73 +318,32 @@ def update_routing_table(
     changed_seed_rows = np.concatenate((added_rows, removed_rows))
     if changed_seed_rows.size == 0:
         # the sets differ only in ASNs outside the graph: same columns
-        return RoutingTable(topo, old_dist, table._direct,
-                            table._nh_values, table._nh_offsets, seeded,
-                            dict(table._infos))
+        return RoutingTable(topo, old_dist, table.direct, table.nexthops,
+                            seeded)
 
-    seeded_mask = np.zeros(topo.n, dtype=np.bool_)
-    in_graph_rows = np.array(
-        sorted(topo.index[a] for a in seeded if a in topo.index),
-        dtype=np.int32)
-    seeded_mask[in_graph_rows] = True
+    # the direct column is the in-graph seeded set as a row mask
+    new_direct = table.direct.copy()
+    new_direct[removed_rows] = False
+    new_direct[added_rows] = True
 
     # 1. dirty cone + settle distances against the frozen boundary
     cone = _dirty_cone(topo, changed_seed_rows)
-    new_dist = _settle_cone(topo, old_dist, cone, seeded_mask)
+    new_dist = _settle_cone(topo, old_dist, cone, new_direct)
 
     # 2. rows to re-decide: changed distance, changed direct flag, or a
     # customer of a changed-distance row (their provider ranking moved)
     changed_dist = np.flatnonzero(new_dist != old_dist).astype(np.int32)
-    new_direct = table._direct.copy()
-    new_direct[removed_rows] = False
-    new_direct[added_rows] = True
     dirty = np.zeros(topo.n, dtype=np.bool_)
     dirty[changed_dist] = True
     dirty[changed_seed_rows] = True
-    if changed_dist.size:
-        dirty[topo.customers_of_rows(changed_dist)] = True
-    dirty_rows = np.flatnonzero(dirty).astype(np.int32)
+    dirty[topo.customers_of_rows(changed_dist)] = True
+    dirty_rows = np.flatnonzero(dirty)
 
-    # 3. splice the next-hop CSR: re-decide dirty rows, gather-copy the
-    # clean ones; already-materialised RouteInfo rows outside the dirty
-    # set carry over to the derived table untouched
-    decided: Dict[int, Tuple[int, ...]] = {}
-    for row in dirty_rows.tolist():
-        if new_dist[row] >= 0:
-            decided[row] = _decide_nexthops(
-                int(topo.asns[row]), new_dist, topo.providers_of(row),
-                topo.asns, bias)
-        else:
-            decided[row] = ()
-
-    old_offsets = table._nh_offsets
-    old_values = table._nh_values
-    counts = np.diff(old_offsets)
-    new_counts = counts.copy()
-    for row in sorted(decided):
-        new_counts[row] = len(decided[row])
-    new_offsets = np.zeros(topo.n + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=new_offsets[1:])
-    new_values = np.empty(int(new_offsets[-1]), dtype=np.int64)
-    clean = ~dirty
-    clean_rows = np.flatnonzero(clean & (counts > 0)).astype(np.int64)
-    if clean_rows.size:
-        c = counts[clean_rows]
-        total = int(c.sum())
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(c) - c, c)
-        src = np.repeat(old_offsets[clean_rows], c) + within
-        dst = np.repeat(new_offsets[clean_rows], c) + within
-        new_values[dst] = old_values[src]
-    for row in sorted(decided):
-        hops = decided[row]
-        if hops:
-            new_values[int(new_offsets[row]):int(new_offsets[row + 1])] = hops
-
-    infos = {row: info for row, info in table._infos.items()
-             if not dirty[row]}
-    return RoutingTable(topo, new_dist, new_direct, new_values, new_offsets,
-                        seeded, infos)
+    # 3. copy the matrix, reset and re-decide just the dirty rows
+    nexthops = table.nexthops.copy()
+    nexthops[dirty_rows] = -1
+    _decide_rows(topo, new_dist, dirty_rows, bias, nexthops)
+    return RoutingTable(topo, new_dist, new_direct, nexthops, seeded)
 
 
 def default_bias(graph: ASGraph, seed: int) -> Callable[[int, int], float]:

@@ -43,10 +43,11 @@ its *footprint* (the ASes whose rows and links the walk read) and its
 tell which flows a change of removal set reaches (:meth:`touched`); the
 flow-by-flow walk it replaced is the test oracle
 (``tests/bgp/resolve_oracle.py``).  Routing tables are cached per
-seeded-neighbor set and a miss is repaired by dirty-set recomputation
-from a pinned full-availability table (``update_routing_table``); the
-one per-flow memo left, the split past the candidate pool, is bounded by
-``SimulatorParams.share_cache_size``.
+seeded-neighbor set, a miss derived from a pinned full-availability
+table by dirty-set recomputation (``update_routing_table``); the walk
+reads their ``direct`` and ``nexthops`` columns, stacked one table per
+removal key.  The one per-flow memo left, the split past the candidate
+pool, is bounded by ``SimulatorParams.share_cache_size``.
 """
 
 from __future__ import annotations
@@ -323,8 +324,8 @@ class IngressSimulator:
             raise RuntimeError("the AS graph changed after the simulator "
                                "was built")
         # an AS without a route has no next-hops; a direct AS has a route
-        direct = np.stack([table._direct for table in tables])
-        hops = np.stack([table._nexthops() for table in tables])
+        direct = np.stack([table.direct for table in tables])
+        hops = np.stack([table.nexthops for table in tables])
         n_hops = (hops >= 0).sum(axis=2, dtype=np.int64)
 
         major = np.zeros(n, dtype=np.bool_)

@@ -25,8 +25,6 @@ _EMPTY: FrozenSet[int] = frozenset()
 class AdvertisementState:
     """Mutable advertisement/outage state over a WAN's peering links."""
 
-    _next_uid = 0
-
     def __init__(self, wan: CloudWAN):
         self.wan = wan
         self._withdrawn: Dict[int, Set[int]] = {}  # prefix_id -> {link_id}
@@ -36,9 +34,6 @@ class AdvertisementState:
         self._version = 0
         self._key_cache: Dict[int, FrozenSet[int]] = {}
         self._key_cache_version = -1
-        # process-unique id (unlike id(), never reused) for cache layers
-        AdvertisementState._next_uid += 1
-        self.uid = AdvertisementState._next_uid
 
     # -- mutation ----------------------------------------------------------
 

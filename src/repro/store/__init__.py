@@ -11,8 +11,8 @@ so a restarting service falls back to recomputing from the pipeline
 instead of refusing to start.
 
 This package is deliberately model-agnostic: it knows about named
-``int64``/``float64`` columns and ragged float rows, nothing about flow
-tuples or rankings.  The model-aware encode/decode is the
+``int64``/``float64`` columns, nothing about flow tuples or
+rankings.  The model-aware encode/decode is the
 ``to_arrays``/``from_arrays`` pair on those two classes, and the
 service-level snapshot/restore orchestration lives in
 :mod:`repro.core.service` — see ``docs/storage.md``
@@ -22,7 +22,6 @@ for the file layout and the full contract.
 from .codec import (
     decode_keyed_table,
     encode_keyed_table,
-    encode_ragged,
     key_column_names,
 )
 from .segments import (
@@ -39,6 +38,5 @@ __all__ = [
     "SegmentStore",
     "encode_keyed_table",
     "decode_keyed_table",
-    "encode_ragged",
     "key_column_names",
 ]

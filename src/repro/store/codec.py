@@ -1,16 +1,11 @@
 """Columnar codec: tuple-keyed byte counts <-> aligned numpy arrays.
 
-Everything TIPSY persists is, at heart, one of two shapes:
+Everything TIPSY persists is, at heart, a *keyed table* —
+``{(int, ...): float}`` with a fixed key width (flow-context counts,
+feature-grain model counts), stored as one ``int64`` column per key
+field plus one ``float64`` value column.
 
-* a *keyed table* — ``{(int, ...): float}`` with a fixed key width
-  (flow-context counts, feature-grain model counts), stored as one
-  ``int64`` column per key field plus one ``float64`` value column;
-* a *ragged column* — a list of variable-length rows (a routing
-  table's ranked next-hops), stored as a flat value array (dtype pinned
-  per column: ``int64`` next-hops) plus an ``int64`` offsets array
-  (CSR-style: ``values[offsets[i]:offsets[i + 1]]`` is row ``i``).
-
-Both encodings are lossless for the types the pipeline produces:
+The encoding is lossless for the types the pipeline produces:
 key fields are ordinal-encoded ints (``int64``-representable by
 construction) and byte counts are ``float64`` already, so a round trip
 restores *the same floats in the same order* — the property the
@@ -27,14 +22,13 @@ bit-identical restores, not a nicety.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
 __all__ = [
     "encode_keyed_table",
     "decode_keyed_table",
-    "encode_ragged",
     "key_column_names",
 ]
 
@@ -83,22 +77,3 @@ def decode_keyed_table(columns: Mapping[str, np.ndarray], width: int,
     values = columns["value"].tolist()
     for row in zip(*fields, values):
         yield tuple(row[:-1]), row[-1]
-
-
-def encode_ragged(rows: Sequence[Sequence[float]],
-                  dtype: type = np.float64,
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Encode variable-length rows as ``(values, offsets)``.
-
-    ``offsets`` has ``len(rows) + 1`` entries; row ``i`` is
-    ``values[offsets[i]:offsets[i + 1]]``.  ``dtype`` pins the value
-    column (``float64`` for byte counts, ``int64`` for routing
-    next-hops); it must represent every row element losslessly.
-    """
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        offsets[i + 1] = offsets[i] + len(row)
-    values = np.empty(int(offsets[-1]), dtype=dtype)
-    for i, row in enumerate(rows):
-        values[int(offsets[i]):int(offsets[i + 1])] = row
-    return values, offsets

@@ -26,7 +26,7 @@ def _small_graph(seed: int):
 
 
 def _tables_identical(left, right) -> bool:
-    """Columnar equality plus the per-AS view (lazy RouteInfo path)."""
+    """Columnar equality plus the per-AS view (``get``'s RouteInfo)."""
     if not left.columns_equal(right):
         return False
     asns = set(left.reachable_asns())

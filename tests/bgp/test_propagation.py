@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp import compute_routing_table
+from repro.bgp import compute_routing_table, update_routing_table
 from repro.topology import ASGraph, ASNode, ASRole, MetroCatalog, Relationship
 
 
@@ -114,13 +114,21 @@ class TestRoutePropagation:
 
 class TestNexthopMatrix:
     def test_cached_matrix_is_read_only(self, chain_graph):
-        """``changed_asns`` hands one table's matrix to every later
-        comparison: writing into it would corrupt each later answer."""
+        """Tables hand their columns to every later comparison and to the
+        tables derived from them: writing into one would corrupt each
+        later answer."""
         table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
         other = compute_routing_table(chain_graph, frozenset({2}), no_bias)
         assert table.changed_asns(other) == {1, 2, 3, 4}
-        matrix = table._nexthops()
-        assert matrix is table._nexthops()
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 7
+        matrix = table.nexthops
+        columns = (table.dist, table.direct, table.nexthops)
+        kept = [column.tobytes() for column in columns]
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[0] = 7
+        derived = update_routing_table(chain_graph, table, frozenset({2}),
+                                       no_bias)
+        assert derived.columns_equal(other)
+        assert matrix is table.nexthops
+        assert [column.tobytes() for column in columns] == kept
         assert table.changed_asns(other) == {1, 2, 3, 4}

@@ -121,8 +121,3 @@ class TestOutages:
         version = state.version
         state.clear()                 # already clear
         assert state.version == version
-
-    def test_uids_unique(self, wan):
-        a = AdvertisementState(wan)
-        b = AdvertisementState(wan)
-        assert a.uid != b.uid

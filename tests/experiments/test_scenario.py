@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bgp import AdvertisementState, IngressSimulator, RoutingTable
+from repro.bgp import (AdvertisementState, IngressSimulator,
+                       compute_routing_table, update_routing_table)
+from repro.bgp import propagation
+from repro.bgp.propagation import default_bias
 from repro.experiments import Scenario, ScenarioParams
 from tests.bgp.resolve_oracle import ResolveOracle
 
@@ -397,15 +400,8 @@ class TestCountedWork:
 
     def test_nexthop_matrix_built_once_per_table(self, monkeypatch):
         """Tables never change once built, and neither does the matrix
-        ``changed_asns`` compares them by."""
-        built = []
-        build = RoutingTable._nexthop_matrix
-
-        def counted(table):
-            built.append(table)
-            return build(table)
-
-        monkeypatch.setattr(RoutingTable, "_nexthop_matrix", counted)
+        ``changed_asns`` compares them by: it reads each table's own
+        columns and builds no matrix and decides no row."""
         sc = Scenario(ScenarioParams.small(seed=9, horizon_days=7))
         sim, wan = sc.simulator, sc.wan
         # each peer losing every link: tables that really differ
@@ -414,8 +410,62 @@ class TestCountedWork:
                 l.link_id for l in wan.links_of_peer(peer)))
             for peer in sorted(wan.peer_asns)[:4]]
         assert len({id(table) for table in tables}) == len(tables)
+        matrices = [table.nexthops for table in tables]
+        built = []
+
+        def counting(function):
+            def counted(*args, **kwargs):
+                built.append(args)
+                return function(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np, "full", counting(np.full))
+        monkeypatch.setattr(propagation, "_decide_nexthops",
+                            counting(propagation._decide_nexthops))
         for _ in range(3):
             for table in tables:
                 for other in tables:
                     table.changed_asns(other)
-        assert sorted(map(id, built)) == sorted(map(id, tables))
+        monkeypatch.undo()
+        assert built == []
+        assert all(table.nexthops is matrix
+                   for table, matrix in zip(tables, matrices))
+
+    def test_a_derive_decides_only_its_dirty_rows(self, small_scenario,
+                                                  monkeypatch):
+        """A one-peer derive re-decides the next-hops of each dirty row
+        that has a route exactly once -- a row whose distance moved, the
+        peer whose direct flag flipped, a customer of a moved row -- and
+        so fewer rows than a scratch build decides."""
+        sc = small_scenario
+        topo = sc.graph.dense()
+        bias = default_bias(sc.graph, sc.simulator.seed)
+        peers = frozenset(a for a in sc.wan.peer_asns if a in topo.index)
+        base = compute_routing_table(sc.graph, peers, bias)
+        decided = []
+        decide = propagation._decide_nexthops
+
+        def counted(asn, *args):
+            decided.append(asn)
+            return decide(asn, *args)
+
+        monkeypatch.setattr(propagation, "_decide_nexthops", counted)
+        moved_any = False
+        for peer in sorted(peers)[:8]:
+            seeded = peers - {peer}
+            del decided[:]
+            derived = update_routing_table(sc.graph, base, seeded, bias)
+            repaired = sorted(decided)
+            moved = np.flatnonzero(derived.dist != base.dist)
+            moved_any |= moved.size > 0
+            dirty = np.zeros(topo.n, dtype=np.bool_)
+            dirty[moved] = True
+            dirty[topo.index[peer]] = True
+            dirty[topo.customers_of_rows(moved)] = True
+            assert repaired == sorted(
+                topo.asns[dirty & (derived.dist >= 0)].tolist())
+            del decided[:]
+            assert compute_routing_table(sc.graph, seeded,
+                                         bias).columns_equal(derived)
+            assert len(repaired) < len(decided)
+        assert moved_any

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.serve.cli import RECIPE_NAME
 from repro.serve.daemon import MANIFEST_NAME
@@ -21,6 +23,16 @@ class TestServeRun:
         assert "ingested 48 hours" in out
         assert (target / MANIFEST_NAME).is_file()
         assert (target / "shard-00").is_dir()
+
+    @pytest.mark.parametrize("flag", ["--shards", "--days"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "run", "--workers", "inline", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be at least 1, got {value}" in err
 
     def test_resume_requires_dir(self, capsys):
         assert main(["serve", "run", "--resume"]) == 1

@@ -1,7 +1,7 @@
 """Codec round-trip properties: same floats, same order, every time.
 
-The snapshot bit-identical guarantee reduces to these two encoders
-being lossless and order-preserving, so hypothesis drives them with
+The snapshot bit-identical guarantee reduces to the keyed-table codec
+being lossless and order-preserving, so hypothesis drives it with
 arbitrary int64 keys and float64 values (including the awkward ones:
 subnormals, huge magnitudes, negative zero).
 """
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.store.codec import (
     decode_keyed_table,
     encode_keyed_table,
-    encode_ragged,
     key_column_names,
 )
 
@@ -71,30 +70,3 @@ class TestKeyedTableProperties:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
             encode_keyed_table({}, 0)
-
-
-class TestRaggedProperties:
-    @given(st.lists(st.lists(_FLOATS, max_size=12), max_size=30))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, rows):
-        values, offsets = encode_ragged(rows)
-        decoded = [values[lo:hi].tolist()
-                   for lo, hi in zip(offsets[:-1], offsets[1:])]
-        assert len(decoded) == len(rows)
-        for got, expected in zip(decoded, rows):
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert math.isnan(g) if math.isnan(e) else g == e
-
-    @given(st.lists(st.lists(_FLOATS, max_size=8), max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_offsets_are_csr(self, rows):
-        values, offsets = encode_ragged(rows)
-        assert offsets[0] == 0
-        assert offsets[-1] == len(values)
-        assert (np.diff(offsets) >= 0).all()
-
-    def test_empty(self):
-        values, offsets = encode_ragged([])
-        assert values.size == 0
-        assert offsets.tolist() == [0]
