@@ -14,11 +14,12 @@ import sys
 
 import pytest
 
-# make the suite importable no matter where pytest was started from
+# make the suite (and the test references some benchmarks rerun at
+# paper scale) importable no matter where pytest was started from
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SRC = os.path.join(_REPO_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_REPO_ROOT, "src"), _REPO_ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.experiments import (  # noqa: E402
     EvaluationRunner,
@@ -60,5 +61,5 @@ def medium_scenario() -> Scenario:
 @pytest.fixture(scope="session")
 def paper_train_counts(paper_runner):
     lo, hi = PAPER_WINDOW.train_hours
-    return paper_runner.counts_from(paper_runner.collect_window(lo, hi))
+    return paper_runner.feed_window(lo, hi).counts
 

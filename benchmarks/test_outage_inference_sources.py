@@ -24,10 +24,9 @@ def test_ipfix_vs_snmp_outage_inference(paper_scenario, paper_runner,
     truth = [o for o in scenario.outage_schedule
              if o.start_hour < test_hi and o.end_hour > test_lo]
 
-    # IPFIX path: the paper's rule over sampled link bytes
-    acc = paper_runner.collect_window(test_lo, test_hi)
-    ipfix_inference = OutageInference(scenario.wan.link_ids,
-                                      acc.link_matrix)
+    # IPFIX path: the paper's rule over the feed's sampled link bytes
+    link_bytes = paper_runner.feed_window(test_lo, test_hi).link_bytes
+    ipfix_inference = OutageInference(scenario.wan.link_ids, link_bytes)
     ipfix_intervals = [
         type(o)(o.link_id, o.start_hour + test_lo, o.end_hour + test_lo)
         for o in ipfix_inference.intervals()
@@ -37,7 +36,7 @@ def test_ipfix_vs_snmp_outage_inference(paper_scenario, paper_runner,
     carrying = {
         scenario.wan.link_ids[i]
         for i in range(len(scenario.wan.link_ids))
-        if acc.link_matrix[i].sum() > 0
+        if link_bytes[i].sum() > 0
     }
     truth_carrying = [o for o in truth if o.link_id in carrying]
 

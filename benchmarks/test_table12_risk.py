@@ -17,8 +17,7 @@ from repro.experiments.benchlib import PAPER_WINDOW, print_block
 def _analyze(paper_scenario, paper_runner):
     train_lo, train_hi = PAPER_WINDOW.train_hours
     test_lo, test_hi = PAPER_WINDOW.test_hours
-    counts = paper_runner.counts_from(
-        paper_runner.collect_window(train_lo, train_hi))
+    counts = paper_runner.feed_window(train_lo, train_hi).counts
     models = {m.name: m for m in paper_runner.build_models(counts)}
     analyzer = RiskAnalyzer(paper_scenario.wan, models["Hist_AL"],
                             threshold=0.70)

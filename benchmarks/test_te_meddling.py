@@ -38,7 +38,7 @@ def _actuals_for_prefix(scenario, state, lo, hi, dest_prefix_id):
 def test_te_meddling_hurts_prediction(benchmark):
     scenario = Scenario(ScenarioParams.small(seed=31, horizon_days=28))
     runner = EvaluationRunner(scenario)
-    counts = runner.counts_from(runner.collect_window(0, TRAIN_DAYS * 24))
+    counts = runner.feed_window(0, TRAIN_DAYS * 24).counts
     models = {m.name: m for m in runner.build_models(counts)}
     model = models["Hist_AP/AL/A"]
     lo, hi = TRAIN_DAYS * 24, (TRAIN_DAYS + TEST_DAYS) * 24

@@ -25,8 +25,7 @@ def main() -> None:
     runner = EvaluationRunner(scenario)
 
     print("training Hist_AL+G on days 0-9 ...")
-    train_acc = runner.collect_window(0, 10 * 24)
-    train_counts = runner.counts_from(train_acc)
+    train_counts = runner.feed_window(0, 10 * 24).counts
     models = {m.name: m for m in runner.build_models(train_counts)}
     detector = IngressAnomalyDetector(models["Hist_AL+G"], scenario.wan)
 

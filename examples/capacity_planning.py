@@ -25,8 +25,7 @@ def main() -> None:
     runner = EvaluationRunner(scenario)
 
     print("training Hist_AL on days 0-6 ...")
-    train_acc = runner.collect_window(0, 7 * 24)
-    train_counts = runner.counts_from(train_acc)
+    train_counts = runner.feed_window(0, 7 * 24).counts
     models = {m.name: m for m in runner.build_models(train_counts)}
     model = models["Hist_AL"]
 

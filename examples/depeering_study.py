@@ -20,7 +20,7 @@ def main() -> None:
     runner = EvaluationRunner(scenario)
 
     print("training Hist_AL+G on days 0-9 ...")
-    counts = runner.counts_from(runner.collect_window(0, 10 * 24))
+    counts = runner.feed_window(0, 10 * 24).counts
     models = {m.name: m for m in runner.build_models(counts)}
     analyzer = DepeeringAnalyzer(scenario.wan, models["Hist_AL+G"])
 

@@ -27,8 +27,7 @@ def main() -> None:
 
     # -- train the model suite on 10 days of telemetry -----------------------
     print("\ntraining on days 0-9 ...")
-    train_acc = runner.collect_window(0, 10 * 24)
-    train_counts = runner.counts_from(train_acc)
+    train_counts = runner.feed_window(0, 10 * 24).counts
     models = runner.build_models(train_counts)
     by_name = {m.name: m for m in models}
     print(f"  {len(train_counts)} (flow, link) observations; model sizes: "

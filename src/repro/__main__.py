@@ -122,7 +122,7 @@ def cmd_risk(args: argparse.Namespace) -> int:
     scenario = _build_scenario(args)
     runner = EvaluationRunner(scenario)
     train_hours = args.train_days * 24
-    counts = runner.counts_from(runner.collect_window(0, train_hours))
+    counts = runner.feed_window(0, train_hours).counts
     models = {m.name: m for m in runner.build_models(counts)}
     analyzer = RiskAnalyzer(scenario.wan, models["Hist_AL"], threshold=0.70)
 
@@ -183,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="TIPSY reproduction — predict where traffic will "
                     "ingress a WAN (SIGCOMM 2022)")
     sub = parser.add_subparsers(dest="command", required=True)
+    from .store.cli import at_least_one
 
     p_eval = sub.add_parser("evaluate", help="run the §5 evaluation")
     _add_world_args(p_eval)
-    p_eval.add_argument("--train-days", type=int, default=21)
-    p_eval.add_argument("--test-days", type=int, default=7)
+    p_eval.add_argument("--train-days", type=at_least_one, default=21)
+    p_eval.add_argument("--test-days", type=at_least_one, default=7)
     p_eval.add_argument("--naive-bayes", action="store_true",
                         help="include the Appendix A Naive Bayes models")
     p_eval.add_argument("--compare", action="store_true",
@@ -200,16 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_risk = sub.add_parser("risk", help="links-at-risk analysis (App. C)")
     _add_world_args(p_risk)
-    p_risk.add_argument("--train-days", type=int, default=10)
-    p_risk.add_argument("--test-days", type=int, default=3)
+    p_risk.add_argument("--train-days", type=at_least_one, default=10)
+    p_risk.add_argument("--test-days", type=at_least_one, default=3)
     p_risk.add_argument("--limit", type=int, default=12)
     p_risk.set_defaults(func=cmd_risk)
 
     p_report = sub.add_parser(
         "report", help="write a full markdown evaluation report")
     _add_world_args(p_report)
-    p_report.add_argument("--train-days", type=int, default=21)
-    p_report.add_argument("--test-days", type=int, default=7)
+    p_report.add_argument("--train-days", type=at_least_one, default=21)
+    p_report.add_argument("--test-days", type=at_least_one, default=7)
     p_report.add_argument("--naive-bayes", action="store_true")
     p_report.add_argument("-o", "--output", default="report.md")
     p_report.set_defaults(func=cmd_report)

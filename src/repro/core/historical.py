@@ -45,19 +45,14 @@ Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
 class HistoricalModel(TrainableModel):
     """Byte-weighted empirical link distribution per feature tuple."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None,
-                 keep_top: Optional[int] = None):
+    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
         """
         Args:
             feature_set: which features form the flow tuple.
             name: display name; defaults to ``Hist_<features>``.
-            keep_top: optionally truncate each tuple's ranking to its top
-                entries (the paper keeps "only the top k links" in the
-                trained model to bound size).
         """
         self.feature_set = feature_set
         self.name = name or f"Hist_{feature_set.name}"
-        self.keep_top = keep_top
         # observed (key..., link) rows and bytes the table does not hold
         self._observed: List[Tuple[object, ...]] = []
         self._observed_bytes: List[float] = []
@@ -120,10 +115,8 @@ class HistoricalModel(TrainableModel):
     # -- prediction -----------------------------------------------------------
 
     def _rank(self, group: int) -> Tuple[Prediction, ...]:
-        """Fill one tuple's slot (``keep_top`` cuts after the total)."""
+        """Fill one tuple's slot."""
         start, end = self._starts[group], self._starts[group + 1]
-        if self.keep_top is not None:
-            end = min(end, start + self.keep_top)
         ranking = self._slots[group] = tuple(map(
             Prediction, self._links[start:end], self._shares[start:end]))
         return ranking
@@ -185,8 +178,8 @@ class HistoricalModel(TrainableModel):
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray],
-                    feature_set: FeatureSet, name: Optional[str] = None,
-                    keep_top: Optional[int] = None) -> "HistoricalModel":
+                    feature_set: FeatureSet,
+                    name: Optional[str] = None) -> "HistoricalModel":
         """Build a model from :meth:`to_arrays`-shaped columns.
 
         Rows must be distinct (tuple, link) pairs; tuples and each
@@ -194,7 +187,7 @@ class HistoricalModel(TrainableModel):
         ``ValueError`` on a column set that does not match, or on a byte
         count that is not finite and positive (``observe`` drops those).
         """
-        model = cls(feature_set, name=name, keep_top=keep_top)
+        model = cls(feature_set, name=name)
         model._build(arrays)
         return model
 

@@ -26,10 +26,8 @@ from .training import DayCounts
 class OracleModel(HistoricalModel):
     """A k-restricted perfect-knowledge predictor over test data."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None,
-                 keep_top: Optional[int] = None):
-        super().__init__(feature_set, name=name or f"Oracle_{feature_set.name}",
-                         keep_top=keep_top)
+    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
+        super().__init__(feature_set, name=name or f"Oracle_{feature_set.name}")
 
 
 def oracle_models(

@@ -122,6 +122,11 @@ class ServiceConfig:
     # answers kept per published suite (<= 0: none); see AnswerMemo
     memo_size: int = 65536
 
+    def __post_init__(self) -> None:
+        if self.training_window_days < 1 or self.prediction_k < 1:
+            raise ValueError("training_window_days and prediction_k must "
+                             f"be at least 1: {self}")
+
     def stored(self) -> Dict[str, object]:
         """The config as a snapshot or checkpoint manifest records it."""
         return dict(asdict(self), primary_model=self.primary_model,

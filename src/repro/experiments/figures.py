@@ -200,11 +200,11 @@ def fig9_training_window_sweep(
     for length in train_lengths:
         accs: List[float] = []
         for start in test_starts:
-            window = WindowSpec(train_start_day=start - length,
-                                train_days=length, test_days=test_days)
-            if window.train_start_day < 0:
+            if start < length:
                 continue
-            result = runner.run(window)
+            result = runner.run(WindowSpec(train_start_day=start - length,
+                                           train_days=length,
+                                           test_days=test_days))
             accs.append(result.overall.get(model_name, k))
         if accs:
             points.append(WindowSweepPoint(

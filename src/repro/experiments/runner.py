@@ -13,8 +13,11 @@ Reproduces the paper's methodology end to end:
   availability prior for the hours being scored,
 * build the matching k-restricted oracles per feature set.
 
-Every historical model and oracle is built the way ``TipsyService``
-builds what it serves: ``from_arrays`` over a ``DayCounts`` projection.
+Training reads the feed the service trains on: ``feed_window`` folds
+``Scenario.aggregated_hours`` through ``DayCounts.add_hour``, so every
+historical model (``from_arrays`` over a projection) is byte-equal to
+the one ``TipsyService`` serves over the same days.  Testing reads the
+streamed ground truth (``collect_window``), per scheduled down-set.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ class WindowSpec:
     train_days: int = 21
     test_days: int = 7
 
+    def __post_init__(self) -> None:
+        if min(self.train_days, self.test_days) < 1 or self.train_start_day < 0:
+            raise ValueError(f"not whole train and test days from day 0: {self}")
+
     @property
     def train_hours(self) -> Tuple[int, int]:
         start = self.train_start_day * 24
@@ -65,10 +72,7 @@ class _StreamAccumulator:
     and one per down-set; an expansion epoch's hours are summed first, so
     the availability context of every row is known."""
 
-    def __init__(self, n_links: int, n_hours: int, hour_offset: int):
-        self.n_links = n_links
-        self.hour_offset = hour_offset
-        self.link_matrix = np.zeros((n_links, n_hours), dtype=np.float64)
+    def __init__(self) -> None:
         self.by_downset: Dict[FrozenSet[int], KeyedTable] = {}
         self.total: KeyedTable = fold_keyed((), 2)
         # closed epochs in stream order: (down-set, non-zero rows)
@@ -87,9 +91,6 @@ class _StreamAccumulator:
             self._epoch_sum = np.zeros(len(cols.flow_rows))
             self._epoch_down = down
         self._epoch_sum += cols.sampled_bytes
-        hour_idx = cols.hour - self.hour_offset
-        self.link_matrix[:, hour_idx] = np.bincount(
-            cols.link_ids, weights=cols.sampled_bytes, minlength=self.n_links)
 
     def _close_epoch(self) -> None:
         rows, links, sums = (self._epoch_rows, self._epoch_links,
@@ -113,6 +114,15 @@ class _StreamAccumulator:
         self.by_downset = {down: fold_keyed(tables, 2)
                            for down, tables in epochs_of.items()}
         self._epochs = []
+
+
+@dataclass(frozen=True)
+class FeedWindow:
+    """A window of the feed: its counts, and the (n_links, n_hours) bytes
+    per link and hour that ``OutageInference`` reads."""
+
+    counts: DayCounts
+    link_bytes: np.ndarray
 
 
 @dataclass
@@ -156,16 +166,15 @@ class EvaluationRunner:
         # scenarios are deterministic and read-only, so window collections
         # can be reused across runs (Appendix B sweeps share windows)
         self._window_cache: Dict[Tuple[int, int], _StreamAccumulator] = {}
+        self._feed_cache: Dict[Tuple[int, int], FeedWindow] = {}
 
     # -- model suite -----------------------------------------------------------
 
     def build_models(self, train_counts: DayCounts,
-                     include_naive_bayes: bool = False,
-                     keep_top: Optional[int] = None) -> List[IngressModel]:
+                     include_naive_bayes: bool = False) -> List[IngressModel]:
         """Train the paper's model suite (Table 2, plus Appendix A on demand)."""
         hist_a, hist_ap, hist_al = (
-            HistoricalModel.from_arrays(train_counts.project(fs), fs,
-                                        keep_top=keep_top)
+            HistoricalModel.from_arrays(train_counts.project(fs), fs)
             for fs in (FEATURES_A, FEATURES_AP, FEATURES_AL))
         models: List[IngressModel] = [
             hist_a, hist_ap, hist_al,
@@ -191,11 +200,29 @@ class EvaluationRunner:
             ]
         return models
 
-    # -- streaming passes --------------------------------------------------------
+    # -- windows ---------------------------------------------------------------------
+
+    def feed_window(self, start_hour: int, end_hour: int) -> FeedWindow:
+        """The feed's hours ``[start_hour, end_hour)`` folded into one
+        ``DayCounts`` as ``TipsyService.ingest_hour`` folds a day's;
+        cached and read-only, as :meth:`collect_window`'s windows are."""
+        cached = self._feed_cache.get((start_hour, end_hour))
+        if cached is not None:
+            return cached
+        window = FeedWindow(DayCounts(), np.zeros(
+            (self._n_links, end_hour - start_hour), dtype=np.float64))
+        for columns in self.scenario.aggregated_hours(start_hour, end_hour):
+            window.counts.add_hour(columns)
+            window.link_bytes[:, columns.hour - start_hour] = np.bincount(
+                columns.link_ids, weights=columns.bytes,
+                minlength=self._n_links)
+        self._feed_cache[(start_hour, end_hour)] = window
+        return window
 
     def collect_window(self, start_hour: int,
                        end_hour: int) -> _StreamAccumulator:
-        """Stream a window into per-downset (row, link) byte tables.
+        """Stream a window into per-downset (row, link) byte tables: the
+        test side's ground truth.
 
         Cached per (start, end): the scenario is deterministic, so
         repeated windows (Appendix B sweeps) are free after the first
@@ -204,8 +231,7 @@ class EvaluationRunner:
         cached = self._window_cache.get((start_hour, end_hour))
         if cached is not None:
             return cached
-        acc = _StreamAccumulator(self._n_links, end_hour - start_hour,
-                                 start_hour)
+        acc = _StreamAccumulator()
         scenario = self.scenario
         for cols in scenario.stream(start_hour, end_hour):
             acc.add_hour(cols, scenario.scheduled_down_at(cols.hour))
@@ -213,23 +239,11 @@ class EvaluationRunner:
         self._window_cache[(start_hour, end_hour)] = acc
         return acc
 
-    def counts_from(self, acc: _StreamAccumulator) -> DayCounts:
-        """Finest-grain training counts from a window accumulation: the
-        window's (flow row, link) table with each row mapped to its
-        flow's context, folded onto (context, link) — contexts repeat
-        across flow rows, and a projection must not see them apart."""
-        total = acc.total
-        contexts = np.array(self.scenario.flow_contexts, dtype=np.int64
-                            ).reshape(-1, len(FlowContext._fields))
-        return DayCounts.fold(contexts[total["k0"]], total["k1"],
-                              total["value"])
-
     # -- actuals shaping -----------------------------------------------------------
 
-    def _actuals_from_pairs(
-        self, pairs: KeyedTable,
-        row_filter: Optional[np.ndarray] = None,
-    ) -> Dict[FlowContext, Dict[int, float]]:
+    def _actuals_from_pairs(self, pairs: KeyedTable,
+                            row_filter: Optional[np.ndarray] = None
+                            ) -> Dict[FlowContext, Dict[int, float]]:
         contexts = self.scenario.flow_contexts
         rows, links, values = pairs["k0"], pairs["k1"], pairs["value"]
         if row_filter is not None:
@@ -292,23 +306,22 @@ class EvaluationRunner:
         if test_hi > scenario.horizon_hours:
             raise ValueError("window extends past the scenario horizon")
 
-        # 1. training pass
-        train_acc = self.collect_window(train_lo, train_hi)
-        train_counts = self.counts_from(train_acc)
-        models = self.build_models(train_counts, include_naive_bayes)
+        # 1. training pass: the feed the service trains on
+        train = self.feed_window(train_lo, train_hi)
+        models = self.build_models(train.counts, include_naive_bayes)
 
         # 2. availability history: links with a qualifying inferred outage
         #    during training are "seen"
-        train_inference = OutageInference(
-            scenario.wan.link_ids, train_acc.link_matrix)
+        train_inference = OutageInference(scenario.wan.link_ids,
+                                          train.link_bytes)
         seen_links = train_inference.links_with_outage(
             0, train_hi - train_lo, outage_min_hours, outage_max_hours)
 
         # 3. per-flow byte-dominant training link (partitioning key)
-        top1 = train_counts.top1_links()
-        top1_by_row = np.full(len(contexts), -1, dtype=np.int64)
-        for i, context in enumerate(contexts):
-            top1_by_row[i] = top1.get(context, -1)
+        top1 = train.counts.top1_links()
+        top1_by_row = np.array([top1.get(context, -1) for context in contexts],
+                               dtype=np.int64)
+        seen_array = np.array(sorted(seen_links), dtype=np.int64)
 
         # 4. test pass
         test_acc = self.collect_window(test_lo, test_hi)
@@ -319,7 +332,6 @@ class EvaluationRunner:
         all_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
         seen_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
         unseen_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
-        seen_bytes = unseen_bytes = 0.0
         for down, pairs in test_acc.by_downset.items():
             if not down:
                 continue
@@ -331,20 +343,12 @@ class EvaluationRunner:
             if not actuals:
                 continue
             all_slices.append((actuals, down))
-            seen_mask = affected & np.isin(
-                top1_by_row, np.array(sorted(seen_links), dtype=np.int64)
-                if seen_links else np.array([-2], dtype=np.int64))
-            unseen_mask = affected & ~seen_mask
-            seen_actuals = self._actuals_from_pairs(pairs, row_filter=seen_mask)
-            unseen_actuals = self._actuals_from_pairs(pairs,
-                                                      row_filter=unseen_mask)
-            if seen_actuals:
-                seen_slices.append((seen_actuals, down))
-                seen_bytes += sum(sum(v.values()) for v in seen_actuals.values())
-            if unseen_actuals:
-                unseen_slices.append((unseen_actuals, down))
-                unseen_bytes += sum(
-                    sum(v.values()) for v in unseen_actuals.values())
+            seen_mask = affected & np.isin(top1_by_row, seen_array)
+            for mask, slices in ((seen_mask, seen_slices),
+                                 (affected & ~seen_mask, unseen_slices)):
+                part = self._actuals_from_pairs(pairs, row_filter=mask)
+                if part:
+                    slices.append((part, down))
 
         # 6. score each partition beside its own oracles
         result = EvaluationResult(
@@ -355,18 +359,17 @@ class EvaluationRunner:
             outages_unseen=self._block(unseen_slices, models, ks),
             overall_actuals=overall_actuals,
         )
-        result.stats = self._stats(overall_actuals, seen_bytes, unseen_bytes,
-                                   seen_links, train_counts)
+        result.stats = self._stats(result, seen_links, train.counts)
         return result
 
     @staticmethod
-    def _stats(overall_actuals: ActualsMap, seen_bytes: float,
-               unseen_bytes: float, seen_links: FrozenSet[int],
+    def _stats(result: EvaluationResult, seen_links: FrozenSet[int],
                train_counts: DayCounts) -> Dict[str, float]:
+        seen_bytes = result.outages_seen.total_bytes
+        unseen_bytes = result.outages_unseen.total_bytes
         total_outage_bytes = seen_bytes + unseen_bytes
         return {
-            "total_bytes": sum(sum(v.values())
-                               for v in overall_actuals.values()),
+            "total_bytes": result.overall.total_bytes,
             "outage_bytes": total_outage_bytes,
             "seen_bytes": seen_bytes,
             "unseen_bytes": unseen_bytes,
@@ -391,21 +394,18 @@ class EvaluationRunner:
         Returns ``{day offset: {model name: {k: accuracy}}}``.  Day
         offset 0 is the first day after training ends.
         """
-        scenario = self.scenario
-        train_lo = train_start_day * 24
-        train_hi = train_lo + train_days * 24
-        train_acc = self.collect_window(train_lo, train_hi)
-        train_counts = self.counts_from(train_acc)
-        models = self.build_models(train_counts, include_naive_bayes)
+        train_hi = (train_start_day + train_days) * 24
+        models = self.build_models(
+            self.feed_window(train_start_day * 24, train_hi).counts,
+            include_naive_bayes)
 
         out: Dict[int, Dict[str, Dict[int, float]]] = {}
         for offset in range(max_offset_days):
             day_lo = train_hi + offset * 24
             day_hi = day_lo + 24
-            if day_hi > scenario.horizon_hours:
+            if day_hi > self.scenario.horizon_hours:
                 break
-            day_acc = self.collect_window(day_lo, day_hi)
-            actuals = self._actuals_from_pairs(day_acc.total)
-            block = self._block([(actuals, NO_LINKS)], models, ks)
-            out[offset] = block.rows
+            actuals = self._actuals_from_pairs(
+                self.collect_window(day_lo, day_hi).total)
+            out[offset] = self._block([(actuals, NO_LINKS)], models, ks).rows
         return out

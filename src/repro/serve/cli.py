@@ -28,20 +28,13 @@ from pathlib import Path
 from types import FrameType
 from typing import Dict, List, Optional
 
-from ..store.cli import build_scenario
+from ..store.cli import at_least_one, build_scenario
 from .daemon import (MANIFEST_NAME, DaemonConfig, ServeDaemon, ShardError,
                      read_manifest)
 
 ACTIONS = ("run", "status")
 
 RECIPE_NAME = "scenario.json"
-
-
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -53,11 +46,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="scenario scale for `run` (default: small)")
     parser.add_argument("--seed", type=int, default=0,
                         help="scenario seed (default: 0)")
-    parser.add_argument("--days", type=_at_least_one, default=9,
+    parser.add_argument("--days", type=at_least_one, default=9,
                         help="days of telemetry to stream (default: 9)")
-    parser.add_argument("--window", type=int, default=7,
+    parser.add_argument("--window", type=at_least_one, default=7,
                         help="rolling training window in days (default: 7)")
-    parser.add_argument("--shards", type=_at_least_one, default=4,
+    parser.add_argument("--shards", type=at_least_one, default=4,
                         help="number of model-state shards (default: 4)")
     parser.add_argument("--workers", choices=("process", "inline"),
                         default="process",

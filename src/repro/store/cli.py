@@ -40,6 +40,15 @@ _RECIPE_KEYS = ("scenario_size", "scenario_seed", "scenario_days",
                 "scenario_window")
 
 
+def at_least_one(text: str) -> int:
+    """An ``argparse`` type for a count of at least 1 (less is a usage
+    error, exit 2); the CLI's window, day and shard flags share it."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("action", choices=ACTIONS,
                         help="save a new snapshot, load (and optionally "
@@ -54,7 +63,7 @@ def add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days", type=int, default=9,
                         help="days of telemetry to ingest before "
                              "snapshotting (default: 9)")
-    parser.add_argument("--window", type=int, default=7,
+    parser.add_argument("--window", type=at_least_one, default=7,
                         help="rolling training window in days (default: 7)")
     parser.add_argument("--verify", action="store_true",
                         help="after `load`, rebuild the uninterrupted "

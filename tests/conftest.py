@@ -31,5 +31,4 @@ def small_result(small_scenario):
 def trained_counts(small_scenario):
     """Training counts over the first 10 days of the small scenario."""
     runner = EvaluationRunner(small_scenario)
-    acc = runner.collect_window(0, 10 * 24)
-    return runner.counts_from(acc)
+    return runner.feed_window(0, 10 * 24).counts

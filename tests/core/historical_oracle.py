@@ -3,9 +3,9 @@
 ``DictHistoricalModel`` is ``repro.core.historical.HistoricalModel`` as
 it was before it became a columnar ranked table: ``from_arrays`` fills a
 ``Dict[tuple, Dict[link, float]]`` row by row, and ``_rank_all`` ranks
-every tuple at once — a ``math.fsum`` total, a ``(-bytes, link)`` sort,
-``keep_top`` after the total and one ``Prediction`` per kept link.  The
-class body is unchanged but for its name.
+every tuple at once — a ``math.fsum`` total, a ``(-bytes, link)`` sort
+and one ``Prediction`` per link.  The class body is unchanged but for
+its name and the ranking cut it no longer takes.
 ``tests/properties/test_prop_historical.py`` compares the table against
 it to the bit, as ``tests/core/counts_oracle.py`` is for ``DayCounts``.
 """
@@ -32,19 +32,14 @@ Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
 class DictHistoricalModel(TrainableModel):
     """Byte-weighted empirical link distribution per feature tuple."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None,
-                 keep_top: Optional[int] = None):
+    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
         """
         Args:
             feature_set: which features form the flow tuple.
             name: display name; defaults to ``Hist_<features>``.
-            keep_top: optionally truncate each tuple's ranking to its top
-                entries at finalize time (the paper keeps "only the top k
-                links" in the trained model to bound size).
         """
         self.feature_set = feature_set
         self.name = name or f"Hist_{feature_set.name}"
-        self.keep_top = keep_top
         self._counts: Dict[TupleKey, Dict[int, float]] = {}
         # None until ranked; any later observation drops it again
         self._ranked: Optional[Rankings] = None
@@ -81,8 +76,6 @@ class DictHistoricalModel(TrainableModel):
             if total <= 0.0:
                 continue
             ordered = sorted(links.items(), key=lambda kv: (-kv[1], kv[0]))
-            if self.keep_top is not None:
-                ordered = ordered[: self.keep_top]
             ranked[key] = tuple(
                 Prediction(link, b / total) for link, b in ordered)
         self._ranked = ranked
@@ -146,15 +139,15 @@ class DictHistoricalModel(TrainableModel):
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray],
-                    feature_set: FeatureSet, name: Optional[str] = None,
-                    keep_top: Optional[int] = None) -> "DictHistoricalModel":
+                    feature_set: FeatureSet,
+                    name: Optional[str] = None) -> "DictHistoricalModel":
         """Build a model from :meth:`to_arrays`-shaped columns, ranked.
 
         Rows must be distinct (tuple, link) pairs; tuples and each
         tuple's links keep their first-row order.  Raises
         ``KeyError``/``ValueError`` on a column set that does not match.
         """
-        model = cls(feature_set, name=name, keep_top=keep_top)
+        model = cls(feature_set, name=name)
         *fields, link_ids = (
             arrays[column].tolist()
             for column in key_column_names(len(feature_set.fields) + 1))

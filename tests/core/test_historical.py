@@ -52,13 +52,6 @@ class TestTraining:
         model.observe(ctx(), 7, 500.0)
         assert model.predict(ctx(), 1)[0].link_id == 7
 
-    def test_keep_top_truncates(self):
-        model = HistoricalModel(FEATURES_AP, keep_top=2)
-        for link, b in ((1, 100.0), (2, 80.0), (3, 60.0)):
-            model.observe(ctx(), link, b)
-        model.finalize()
-        assert len(model.predict(ctx(), 5)) == 2
-
     def test_deterministic_tie_break(self):
         model = HistoricalModel(FEATURES_AP)
         model.observe(ctx(), 9, 100.0)

@@ -42,14 +42,14 @@ class TestOracle:
     def test_name(self):
         assert OracleModel(FEATURES_AP).name == "Oracle_AP"
 
-    def test_from_arrays_keeps_the_oracle_name_and_keep_top(self):
-        """The columnar build inherited from ``HistoricalModel`` passes
-        ``keep_top`` through to the oracle's constructor."""
+    def test_from_arrays_keeps_the_oracle_name(self):
+        """The columnar build inherited from ``HistoricalModel`` builds an
+        oracle, under its default name or the one given."""
         observed = self._oracle(self._actuals())
         built = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP)
         assert type(built) is OracleModel and built.name == "Oracle_AP"
         assert built.rankings() == observed.rankings()
-        top2 = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP,
-                                       name="top2", keep_top=2)
-        assert top2.name == "top2"
-        assert [p.link_id for p in top2.predict(ctx(1), 3)] == [5, 7]
+        named = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP,
+                                        name="top2")
+        assert named.name == "top2"
+        assert named.rankings() == observed.rankings()

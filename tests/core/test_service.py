@@ -491,6 +491,15 @@ class TestFixedModelRoles:
         assert [f.name for f in dataclasses.fields(config)] == [
             "training_window_days", "prediction_k", "memo_size"]
 
+    @pytest.mark.parametrize("field", ["training_window_days",
+                                       "prediction_k"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_refuses_fewer_than_one(self, field, value):
+        """A zero window never trains and a negative one fails every
+        hour; a zero k answers nothing."""
+        with pytest.raises(ValueError, match="at least 1"):
+            ServiceConfig(**{field: value})
+
     @pytest.mark.parametrize("stored", [
         {"withdrawal_model": "Hist_AP"},
         {"primary_model": "Hist_A"},

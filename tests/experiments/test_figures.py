@@ -118,11 +118,13 @@ class TestTukeySummary:
 class TestAppendixSweeps:
     def test_fig9_window_sweep(self, small_scenario):
         points = figures.fig9_training_window_sweep(
-            small_scenario, train_lengths=(2, 6), test_starts=(8, 10),
+            small_scenario, train_lengths=(2, 6, 9), test_starts=(8, 10),
             test_days=2)
-        assert len(points) == 2
+        assert [point.train_days for point in points] == [2, 6, 9]
         for point in points:
             assert 0.0 <= point.min <= point.mean <= point.max <= 1.0
+        # 9 days cannot end at day 8: only the window ending at day 10 ran
+        assert points[-1].min == points[-1].max
 
     def test_fig11_sensitivity(self, small_scenario):
         out = figures.fig11_outage_sensitivity(small_scenario, n_windows=3,

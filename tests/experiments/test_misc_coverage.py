@@ -28,14 +28,6 @@ class TestScenarioPresets:
 
 
 class TestRunnerOptions:
-    def test_keep_top_truncates_models(self, small_scenario,
-                                       trained_counts):
-        runner = EvaluationRunner(small_scenario)
-        models = runner.build_models(trained_counts, keep_top=2)
-        hist_ap = next(m for m in models if m.name == "Hist_AP")
-        context, _link, _bytes = next(trained_counts.rows())
-        assert len(hist_ap.predict(context, 10)) <= 2
-
     def test_no_nb_by_default(self, small_scenario, trained_counts):
         runner = EvaluationRunner(small_scenario)
         names = {m.name for m in runner.build_models(trained_counts)}

@@ -1,19 +1,26 @@
-"""The paper tables' models against the record-path trainer, to the bit.
+"""The paper tables' models against the served ones and the record-path
+trainer, to the bit.
 
-``EvaluationRunner`` trains on a ``DayCounts`` table and builds every
-historical model and oracle as ``TipsyService`` builds what it serves —
-``from_arrays`` over the table's projection — and Naive Bayes by walking
-the table's rows.  The reference is the trainer those builds replaced:
-``CountsAccumulator`` (``tests/core/counts_oracle.py``) filled by ``add``
-and handed to ``fit``.  Models must agree in their counts (keys, link
-order and bytes) and in every ranking, scores compared as ``float.hex``.
+``EvaluationRunner`` trains on the feed the service trains on
+(``feed_window``: ``Scenario.aggregated_hours`` folded by
+``DayCounts.add_hour``) and builds every historical model and oracle as
+``TipsyService`` builds what it serves — ``from_arrays`` over the
+table's projection — and Naive Bayes by walking the table's rows.  Three
+references hold it (``tests/experiments/feed_reference.py``): the
+streamed window walked key by key into a dict (the path the tables
+trained on before); ``CountsAccumulator`` (``tests/core/counts_oracle.py``)
+filled by ``consume_hour`` over the feed's records and handed to
+``fit``; and a ``TipsyService`` fed the same hours.  Models must agree in
+their counts (keys, link order and bytes) and in every ranking, scores
+compared as ``float.hex``.
 
 Hand mutants these tests kill (each applied, seen to fail here, and
-reverted): the training rows projected without first folding them onto
-(context, link); each slice projected before the slices are folded;
-contexts grouped in sorted rather than first-seen order.
-``tests/core/test_training.py`` kills ``DayCounts.top1_links`` ranking
-equal bytes by the higher link.
+reverted): the feed window dropping its last hour; the feed window
+folding true rather than sampled bytes; the training rows projected
+without first folding them onto (context, link); each slice projected
+before the slices are folded; contexts grouped in sorted rather than
+first-seen order.  ``tests/core/test_training.py`` kills
+``DayCounts.top1_links`` ranking equal bytes by the higher link.
 """
 
 from unittest import mock
@@ -27,27 +34,17 @@ from repro.experiments import EvaluationRunner, WindowSpec
 from repro.experiments import runner as runner_module
 from repro.pipeline import FlowContext
 from tests.core.counts_oracle import CountsAccumulator
+from tests.experiments.feed_reference import (
+    assert_feed_is_the_walk, assert_same_tables,
+    assert_scores_the_served_models, hexed)
 
 GRAINS = (FEATURES_A, FEATURES_AP, FEATURES_AL)
+TRAIN_HOURS = 10 * 24
 
 
 @pytest.fixture(scope="module")
-def window(small_scenario):
-    """A runner and its 10-day training window on the small world."""
-    runner = EvaluationRunner(small_scenario)
-    return runner, runner.collect_window(0, 10 * 24)
-
-
-def walked_counts(runner, acc):
-    """``counts_from`` as it was: the window's (flow row, link) table
-    added key by key into the dict."""
-    contexts = runner.scenario.flow_contexts
-    counts = CountsAccumulator()
-    for row, link, bytes_ in zip(acc.total["k0"].tolist(),
-                                 acc.total["k1"].tolist(),
-                                 acc.total["value"].tolist()):
-        counts.add(contexts[row], link, bytes_)
-    return counts
+def runner(small_scenario):
+    return EvaluationRunner(small_scenario)
 
 
 def fitted_oracles(actuals_maps, feature_sets=GRAINS):
@@ -62,45 +59,34 @@ def fitted_oracles(actuals_maps, feature_sets=GRAINS):
     return oracles
 
 
-def hexed(model):
-    return [(key, [(p.link_id, p.score.hex()) for p in ranking])
-            for key, ranking in model.rankings().items()]
+def hexed_rankings(model):
+    return [(key, hexed(ranking)) for key, ranking in model.rankings().items()]
 
 
 def assert_same_model(got, want):
     assert (type(got), got.name) == (type(want), want.name)
-    got_arrays, want_arrays = got.to_arrays(), want.to_arrays()
-    assert list(got_arrays) == list(want_arrays)
-    for column, values in want_arrays.items():
-        assert got_arrays[column].tobytes() == values.tobytes(), (
-            want.name, column)
-    assert hexed(got) == hexed(want), want.name
-
-
-def assert_same_tables(got, want):
-    assert list(got) == list(want)
-    for name, column in want.items():
-        assert got[name].dtype == column.dtype
-        assert got[name].tobytes() == column.tobytes(), name
+    assert_same_tables(got.to_arrays(), want.to_arrays())
+    assert hexed_rankings(got) == hexed_rankings(want), want.name
 
 
 class TestTraining:
-    def test_counts_are_the_dict_walk(self, window):
-        runner, acc = window
-        counts = runner.counts_from(acc)
-        assert_same_tables(counts.to_arrays(),
-                           walked_counts(runner, acc).to_arrays())
+    def test_feed_counts_are_the_streamed_walk(self, runner):
+        """Same keys, same bytes, same byte-dominant links; row order is
+        not compared, because the feed's hour is grouped by (context,
+        link) and the stream's by flow row (see ``feed_reference``)."""
+        counts, _walked = assert_feed_is_the_walk(runner, 0, TRAIN_HOURS)
         # flows share contexts, so (row, link) keys merge in the fold
-        assert len(counts) < len(acc.total["value"])
+        total = runner.collect_window(0, TRAIN_HOURS).total
+        assert len(counts) < len(total["value"])
 
-    @pytest.mark.parametrize("keep_top", [None, 2])
-    def test_build_models_equal_fit(self, window, keep_top):
-        runner, acc = window
+    def test_build_models_equal_fit(self, runner):
         built = {model.name: model for model in runner.build_models(
-            runner.counts_from(acc), include_naive_bayes=True,
-            keep_top=keep_top)}
-        reference = walked_counts(runner, acc)
-        hists = [HistoricalModel(fs, keep_top=keep_top) for fs in GRAINS]
+            runner.feed_window(0, TRAIN_HOURS).counts,
+            include_naive_bayes=True)}
+        reference = CountsAccumulator()
+        for columns in runner.scenario.aggregated_hours(0, TRAIN_HOURS):
+            reference.consume_hour(columns.hour, columns.to_records())
+        hists = [HistoricalModel(fs) for fs in GRAINS]
         nbs = [NaiveBayesModel(FEATURES_A), NaiveBayesModel(FEATURES_AL)]
         reference.fit(hists + nbs)
         for want in hists:
@@ -111,15 +97,12 @@ class TestTraining:
             got = built[want.name]
             for context in contexts:
                 for unavailable in (frozenset(), down):
-                    assert ([(p.link_id, p.score.hex()) for p in
-                             got.predict(context, 5, unavailable)]
-                            == [(p.link_id, p.score.hex()) for p in
-                                want.predict(context, 5, unavailable)])
+                    assert (hexed(got.predict(context, 5, unavailable))
+                            == hexed(want.predict(context, 5, unavailable)))
 
-    def test_top1_links_is_the_dict_walk(self, window):
-        runner, acc = window
-        assert (runner.counts_from(acc).top1_links()
-                == walked_counts(runner, acc).top1_links())
+    @pytest.mark.parametrize("start_day", [0, 3])
+    def test_scores_the_served_models(self, runner, start_day):
+        assert_scores_the_served_models(runner, start_day, 7)
 
 
 class TestOracles:

@@ -18,7 +18,7 @@ def scenario():
 def models(scenario):
     """The offline models trained on the first 72 hours."""
     runner = EvaluationRunner(scenario)
-    train = runner.counts_from(runner.collect_window(0, 72))
+    train = runner.feed_window(0, 72).counts
     return {m.name: m for m in runner.build_models(train)}
 
 

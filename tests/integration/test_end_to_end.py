@@ -63,10 +63,16 @@ class TestOutageInferenceOnRealStream:
 
 class TestPaperQualitativeClaims:
     def test_ensemble_beats_components_overall(self, small_result):
-        """§5.2: the AP-led ensemble is the best overall model."""
+        """§5.2: the AP-led ensemble is the best overall model — at every
+        k, against every model that is not an oracle (its lead over the
+        runner-up is 0.003 / 0.008 / 0.010 at k = 1 / 2 / 3 here)."""
         rows = small_result.overall.rows
-        assert rows["Hist_AP/AL/A"][3] >= rows["Hist_AP"][3] - 1e-9
-        assert rows["Hist_AP/AL/A"][3] >= rows["Hist_A"][3]
+        others = [name for name in rows if not name.startswith("Oracle")
+                  and name != "Hist_AP/AL/A"]
+        assert len(others) == 5
+        for k in (1, 2, 3):
+            for name in others:
+                assert rows["Hist_AP/AL/A"][k] >= rows[name][k], (name, k)
 
     def test_geo_completion_never_hurts(self, small_result):
         for block in (small_result.overall, small_result.outages_all,

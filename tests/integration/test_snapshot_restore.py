@@ -279,6 +279,8 @@ class TestStoredConfig:
     @pytest.mark.parametrize("change, match", [
         ({"withdrawal_model": "Hist_AP"}, "'Hist_AP' is not served"),
         ({"bogus": 1}, "bogus"),
+        ({"training_window_days": 0}, "at least 1"),
+        ({"prediction_k": -1}, "at least 1"),
     ])
     def test_unfit_config_is_a_snapshot_error(self, world, snapshot_dir,
                                               change, match):

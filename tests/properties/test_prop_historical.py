@@ -4,21 +4,19 @@
 (tuple, -bytes, link) at build, fsum totals and shares as columns, and a
 tuple's ``Prediction``s built the first time it is asked.  The reference
 is the dict build it replaced (``tests/core/historical_oracle.py``):
-every tuple ranked at once with ``math.fsum``, a keyed ``sorted`` and
-``keep_top`` cut after the total.  Whatever the keyed table — tuples of
-one, two or many links, tied bytes, byte counts whose running sum is not
-their fsum (``1.0, 2**53, 1.0``), rows of several tuples interleaved,
-any ``keep_top`` — and whatever is asked first, both must agree to the
-bit: ``rankings()`` in key order, link order and ``float.hex``,
+every tuple ranked at once with ``math.fsum`` and a keyed ``sorted``.
+Whatever the keyed table — tuples of one, two or many links, tied bytes,
+byte counts whose running sum is not their fsum (``1.0, 2**53, 1.0``),
+rows of several tuples interleaved — and whatever is asked first, both
+must agree to the bit: ``rankings()`` in key order, link order and ``float.hex``,
 ``predict`` / ``has_prediction`` under any ``k`` and ``unavailable``
 set, and ``to_arrays()`` byte for byte.
 
 Hand mutants this suite kills (each applied in a scratch copy, seen to
 fail here, and reverted): ``math.fsum`` replaced by ``sum``, and the
 fsum of a tuple of three or more links replaced by ``np.add.reduceat``;
-equal bytes ranked by the higher link first; ``keep_top`` applied before
-the total; tuples numbered in key order rather than first-seen order;
-one slot list shared by every model, whatever its ``keep_top``.
+equal bytes ranked by the higher link first; tuples numbered in key
+order rather than first-seen order.
 """
 
 import sys
@@ -32,7 +30,6 @@ from repro.pipeline import FlowContext
 from repro.store.codec import encode_keyed_table
 from tests.core.historical_oracle import DictHistoricalModel
 
-KEEP_TOPS = (None, 1, 2, 5)
 WIDTH = len(FEATURES_AP.fields) + 1
 
 #: (src_asn, src_prefix, dest_region, dest_service): few enough values
@@ -105,47 +102,41 @@ def test_table_equals_the_dict_build(table, data):
     else:
         rows = rows_of(table, data)
     arrays = encode_keyed_table(dict(rows), WIDTH)
-    models = {keep_top: (
-        HistoricalModel.from_arrays(arrays, FEATURES_AP, keep_top=keep_top),
-        DictHistoricalModel.from_arrays(arrays, FEATURES_AP,
-                                        keep_top=keep_top))
-        for keep_top in KEEP_TOPS}
+    got = HistoricalModel.from_arrays(arrays, FEATURES_AP)
+    want = DictHistoricalModel.from_arrays(arrays, FEATURES_AP)
     contexts = [context_of(key) for key in table] + [
         context_of((9, 9, 0, 0))]
-    # ask some tuples first, of every keep_top in turn, so slots fill in
-    # an order the full comparison below does not choose
+    # ask some tuples first, so slots fill in an order the full
+    # comparison below does not choose
     asks = (data.draw(st.lists(st.tuples(
-        st.sampled_from(contexts), st.sampled_from(KEEP_TOPS),
-        st.integers(1, 5), unavailable_sets), max_size=20), label="asks")
-        if data is not None else [])
-    for context, keep_top, k, unavailable in asks:
-        got, want = models[keep_top]
+        st.sampled_from(contexts), st.integers(1, 5), unavailable_sets),
+        max_size=20), label="asks") if data is not None else [])
+    for context, k, unavailable in asks:
         assert (hexed(got.predict(context, k, unavailable))
                 == hexed(want.predict(context, k, unavailable)))
         assert (got.has_prediction(context, unavailable)
                 == want.has_prediction(context, unavailable))
-    for got, want in models.values():
-        assert_same_model(got, want, contexts)
-        for context in contexts:
-            for k in range(1, 6):
-                for unavailable in (frozenset(), frozenset({5, 7}),
-                                    frozenset(range(10))):
-                    assert (hexed(got.predict(context, k, unavailable))
-                            == hexed(want.predict(context, k, unavailable)))
-                    assert (got.has_prediction(context, unavailable)
-                            == want.has_prediction(context, unavailable))
+    assert_same_model(got, want, contexts)
+    for context in contexts:
+        for k in range(1, 6):
+            for unavailable in (frozenset(), frozenset({5, 7}),
+                                frozenset(range(10))):
+                assert (hexed(got.predict(context, k, unavailable))
+                        == hexed(want.predict(context, k, unavailable)))
+                assert (got.has_prediction(context, unavailable)
+                        == want.has_prediction(context, unavailable))
 
 
 @given(st.lists(st.tuples(keys, st.integers(0, 9), byte_counts),
                 max_size=40),
-       st.integers(0, 40), st.sampled_from(KEEP_TOPS))
+       st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
-def test_observe_path_equals_the_dict_observe(observations, cut, keep_top):
+def test_observe_path_equals_the_dict_observe(observations, cut):
     """``observe`` -> ``finalize`` folds rows in the order given onto the
     counts so far, a query in the middle included: the running sums of
     ``links.get(link, 0.0) + bytes`` to the bit."""
-    got = HistoricalModel(FEATURES_AP, keep_top=keep_top)
-    want = DictHistoricalModel(FEATURES_AP, keep_top=keep_top)
+    got = HistoricalModel(FEATURES_AP)
+    want = DictHistoricalModel(FEATURES_AP)
     contexts = [context_of(key) for key, _, _ in observations]
     for index, (key, link, bytes_) in enumerate(observations):
         if index == cut:

@@ -24,7 +24,7 @@ class TestServeRun:
         assert (target / MANIFEST_NAME).is_file()
         assert (target / "shard-00").is_dir()
 
-    @pytest.mark.parametrize("flag", ["--shards", "--days"])
+    @pytest.mark.parametrize("flag", ["--shards", "--days", "--window"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_counts_below_one_are_usage_errors(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exited:

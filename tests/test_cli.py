@@ -41,6 +41,22 @@ class TestCli:
         assert f"repro {command}:" in err
         assert "30 days is past the 28-day horizon" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--train-days"], ["evaluate", "--test-days"],
+        ["risk", "--train-days"], ["risk", "--test-days"],
+        ["report", "--train-days"], ["report", "--test-days"],
+        ["snapshot", "save", "--dir", "unused", "--window"]])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_days_below_one_are_usage_errors(self, argv, value, capsys):
+        """Not all-zero tables, a service that never trains or a numpy
+        traceback: exit 2 with usage, before a world is built."""
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {argv[-1]}: must be at least 1, got {value}" in err
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
