@@ -31,10 +31,7 @@ def _train_historical(feature_set, counts):
 
 def _train_naive_bayes(feature_set, counts):
     start = time.perf_counter()
-    model = NaiveBayesModel(feature_set)
-    for context, link_id, bytes_ in counts.rows():
-        model.observe(context, link_id, bytes_)
-    model.finalize()
+    model = NaiveBayesModel.from_arrays(counts.to_arrays(), feature_set)
     return model, time.perf_counter() - start
 
 

@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_world_args(p_risk)
     p_risk.add_argument("--train-days", type=at_least_one, default=10)
     p_risk.add_argument("--test-days", type=at_least_one, default=3)
-    p_risk.add_argument("--limit", type=int, default=12)
+    p_risk.add_argument("--limit", type=at_least_one, default=12)
     p_risk.set_defaults(func=cmd_risk)
 
     p_report = sub.add_parser(

@@ -34,12 +34,12 @@ The rules:
   views of sets, ``os.listdir``/``glob``/``Path.iterdir`` results)
   feeding accumulation or emitted output — remedy: ``sorted(...)``;
 * **RA702** order-sensitive float accumulation (``sum()`` or a ``+=``
-  loop) over an unordered collection — remedy:
-  :func:`repro.util.exactsum.exact_total` (order-independent,
-  correctly rounded) or sorted iteration.  Integer sums are exact and
-  hence order-free, so provably-integer literals are skipped;
-  ``exact_total`` takes one iterable and always yields a ``float``, so
-  a ``sum(xs, start)`` message says it rules that remedy out;
+  loop) over an unordered collection — remedy: :func:`math.fsum`
+  (order-independent, correctly rounded) or sorted iteration.  Integer
+  sums are exact and hence order-free, so provably-integer literals are
+  skipped; ``math.fsum`` takes one iterable and always yields a
+  ``float``, so a ``sum(xs, start)`` message says it rules that remedy
+  out;
 * **RA703** numpy arrays built without a platform-stable dtype
   (``dtype=int`` is the C ``long``: 64-bit on Linux, 32-bit on
   Windows) — remedy: pin ``int64``/``float64`` explicitly; the message
@@ -190,7 +190,7 @@ def _int_only_set_literal(node: ast.expr) -> bool:
     """``{1, 2, 3}``: integer summation is exact, hence order-free.
 
     The one case where the RA702 detector can *prove* the summands are
-    ints — where the ``exact_total`` remedy (always float) would change
+    ints — where the ``math.fsum`` remedy (always float) would change
     the result type — is a set literal of integer constants, so it is
     skipped.
     """
@@ -446,7 +446,7 @@ class _FunctionDetScanner:
                         or self._genexp_iter_unordered(arg) is not None)
                         and not _int_only_set_literal(arg)):
                     self._claim(arg)
-                    # exact_total takes exactly one iterable: for
+                    # math.fsum takes exactly one iterable: for
                     # sum(xs, start) the remedy is sorted iteration — and
                     # a non-numeric start (list concatenation) is not
                     # float accumulation at all
@@ -457,7 +457,7 @@ class _FunctionDetScanner:
                                 "floats in arbitrary order"
                                 + ("" if bare else
                                    "; the start argument rules out "
-                                   "exact_total")))
+                                   "math.fsum")))
             elif func.id in ("list", "tuple"):
                 self._flag_unordered_arg(node.args[0], "RA701", func.id)
             elif func.id in _ORDER_FREE_CONSUMERS:
@@ -661,7 +661,7 @@ def _resolve_entry(graph: ProjectGraph, entry: str,
 
 _REMEDIES: Dict[str, str] = {
     "RA701": "wrap the iterable in `sorted(...)`",
-    "RA702": ("accumulate with `repro.util.exactsum.exact_total` "
+    "RA702": ("accumulate with `math.fsum` "
               "(order-independent, correctly rounded; returns float "
               "even for int inputs) or iterate in sorted order"),
     "RA703": "pin an explicit platform-stable dtype",

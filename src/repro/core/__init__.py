@@ -5,8 +5,9 @@ Hist_AP / Hist_AL), specific-to-general ensembles, the geographic
 AL+G completion for never-seen withdrawals, Naive Bayes baselines and
 the oracle, all scored by byte-weighted top-k accuracy (§5.1.2).  Also
 home to :class:`~repro.core.service.TipsyService`, the online §4
-surface: rolling-window ingestion, incremental daily retraining, and
-batched ``predict_batch`` / ``what_if`` serving with a bounded memo.
+surface: rolling-window ingestion, a daily retrain that rebuilds every
+model from the window's counts, and batched ``predict_batch`` /
+``what_if`` serving with a bounded memo.
 """
 
 from .features import (
@@ -17,7 +18,7 @@ from .features import (
     FEATURES_APL,
     FeatureSet,
 )
-from .base import NO_LINKS, IngressModel, Prediction, TrainableModel
+from .base import NO_LINKS, IngressModel, Prediction
 from .historical import HistoricalModel
 from .naive_bayes import NaiveBayesModel
 from .ensemble import SequentialEnsemble
@@ -41,7 +42,7 @@ __all__ = [
     "ServiceConfig", "TipsyService",
     "ALL_FEATURE_SETS", "FEATURES_A", "FEATURES_AL", "FEATURES_AP",
     "FEATURES_APL", "FeatureSet",
-    "NO_LINKS", "IngressModel", "Prediction", "TrainableModel",
+    "NO_LINKS", "IngressModel", "Prediction",
     "HistoricalModel", "NaiveBayesModel", "SequentialEnsemble",
     "GeoAugmentedModel", "OracleModel",
     "ActualsMap", "evaluate_accuracy", "matched_bytes",

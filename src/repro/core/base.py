@@ -118,11 +118,6 @@ class IngressModel(abc.ABC):
             the model has nothing to say for this flow.
         """
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        """Whether :meth:`predict` would return at least one link."""
-        return bool(self.predict(context, 1, unavailable))
-
     def what_if(self, flows: Sequence[Tuple[FlowContext, float]],
                 withdrawn: AbstractSet[int], k: int) -> Dict[int, float]:
         """Predicted per-link byte spill of ``flows`` if ``withdrawn``
@@ -160,19 +155,6 @@ class IngressModel(abc.ABC):
         promises nothing.  Whoever overrides ``group_key`` or ``predict``
         restates this."""
         return None
-
-
-class TrainableModel(IngressModel):
-    """A model trained by single-pass, byte-weighted observation."""
-
-    @abc.abstractmethod
-    def observe(self, context: FlowContext, link_id: int,
-                bytes_: float) -> None:
-        """Accumulate one byte-weighted (flow, link) observation."""
-
-    @abc.abstractmethod
-    def finalize(self) -> None:
-        """Freeze accumulated observations into the queryable model."""
 
     def size(self) -> int:
         """Number of stored entries (Table 3 / Table 11 model size)."""

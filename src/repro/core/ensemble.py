@@ -47,24 +47,12 @@ class SequentialEnsemble(IngressModel):
                 return predictions
         return []
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        return any(m.has_prediction(context, unavailable) for m in self.models)
-
     def group_key(self, context: FlowContext) -> object:
         """Component keys jointly determine the first model that answers."""
         if self._union is None:
             return tuple(m.group_key(context) for m in self.models)
         return self._union(context)
 
-    def answering_model(self, context: FlowContext,
-                        unavailable: FrozenSet[int] = NO_LINKS) -> Optional[str]:
-        """Which component would answer this flow (for explainability)."""
-        for model in self.models:
-            if model.has_prediction(context, unavailable):
-                return model.name
-        return None
-
     def size(self) -> int:
         """Sum of component sizes (paper §4.3: ensemble cost is the sum)."""
-        return sum(getattr(m, "size", lambda: 0)() for m in self.models)
+        return sum(m.size() for m in self.models)

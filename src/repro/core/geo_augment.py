@@ -55,15 +55,9 @@ class GeoAugmentedModel(IngressModel):
                     break
         return predictions
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        if self.base.has_prediction(context, unavailable):
-            return True
-        return bool(self.predict(context, 1, unavailable))
-
     def group_key(self, context: FlowContext) -> object:
         """The completion is a pure function of the base model's answers."""
         return self.base.group_key(context)
 
     def size(self) -> int:
-        return getattr(self.base, "size", lambda: 0)()
+        return self.base.size()

@@ -16,9 +16,9 @@ slice of link and share columns (bytes over the tuple's ``math.fsum``
 total) found through one tuple -> group dict.  Its ``Prediction``s are
 built when it is first asked and kept in its slot: the one write a built
 model sees, and idempotent, so racing readers get equal answers.  Every
-model in the tree comes through this build; ``observe`` collects rows
-that ``finalize`` folds onto the counts in order and builds again.  A
-retrain is a new model, safe to serve from while its successor is built.
+model in the tree comes through this build, and nothing changes its
+counts after it: a retrain is a new model, built from the window's
+folded counts, safe to serve from while its successor is built.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import numpy as np
 from ..pipeline.aggregation import first_seen_groups, sorted_rows
 from ..pipeline.records import FlowContext
 from ..store.codec import key_column_names
-from .base import NO_LINKS, Prediction, TrainableModel
+from .base import NO_LINKS, IngressModel, Prediction
 from .features import FeatureSet
-from .training import fold_keyed
 
 #: a model key: the projection of a flow context onto a feature set
 TupleKey = Tuple[object, ...]
@@ -42,55 +41,26 @@ TupleKey = Tuple[object, ...]
 Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
 
 
-class HistoricalModel(TrainableModel):
+class HistoricalModel(IngressModel):
     """Byte-weighted empirical link distribution per feature tuple."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
-        """
+    #: a model is ``<name_prefix>_<features>`` unless given a name
+    name_prefix = "Hist"
+
+    def __init__(self, arrays: Mapping[str, np.ndarray],
+                 feature_set: FeatureSet, name: Optional[str] = None):
+        """Make ``to_arrays``-shaped distinct rows the table: one sort.
+
         Args:
+            arrays: ``k0..k<n>`` the tuple's fields and the link id,
+                ``value`` the byte count, as :meth:`to_arrays` gives.
             feature_set: which features form the flow tuple.
-            name: display name; defaults to ``Hist_<features>``.
+            name: display name; defaults to ``<name_prefix>_<features>``.
         """
         self.feature_set = feature_set
-        self.name = name or f"Hist_{feature_set.name}"
-        # observed (key..., link) rows and bytes the table does not hold
-        self._observed: List[Tuple[object, ...]] = []
-        self._observed_bytes: List[float] = []
-        self._build(fold_keyed((), len(feature_set.fields) + 1))
-        if type(self).group_key is HistoricalModel.group_key:
-            # the projection itself, no method frame; an override keeps its key
-            setattr(self, "group_key", feature_set.key)
-
-    # -- training -------------------------------------------------------------
-
-    def observe(self, context: FlowContext, link_id: int, bytes_: float) -> None:
-        self.observe_aggregate(self.feature_set.key(context), link_id, bytes_)
-
-    def observe_aggregate(self, key: TupleKey, link_id: int,
-                          bytes_: float) -> None:
-        """Accumulate bytes for an already-projected tuple key.
-
-        Trainers that pre-aggregate observations at this model's feature
-        grain call this directly, skipping the per-record projection.
-        """
-        if bytes_ > 0.0:
-            self._observed.append((*key, link_id))
-            self._observed_bytes.append(bytes_)
-
-    def finalize(self) -> None:
-        """Fold rows observed since the last build onto the counts, in order."""
-        if self._observed:
-            width = len(self.feature_set.fields) + 1
-            observed = dict(zip(key_column_names(width), np.array(
-                self._observed, dtype=np.int64).reshape(-1, width).T),
-                value=np.array(self._observed_bytes, dtype=np.float64))
-            self._observed, self._observed_bytes = [], []
-            self._build(fold_keyed((self.to_arrays(), observed), width))
-
-    def _build(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Make ``to_arrays``-shaped distinct rows the table: one sort."""
+        self.name = name or f"{self.name_prefix}_{feature_set.name}"
         *fields, links = (np.asarray(arrays[column], dtype=np.int64) for column
-                          in key_column_names(len(self.feature_set.fields) + 1))
+                          in key_column_names(len(feature_set.fields) + 1))
         values = np.asarray(arrays["value"], dtype=np.float64)
         if any(column.shape != values.shape for column in (*fields, links)):
             raise ValueError("misaligned model columns")
@@ -111,6 +81,22 @@ class HistoricalModel(TrainableModel):
         self._index: Dict[TupleKey, int] = dict(zip(
             zip(*(field[rep].tolist() for field in fields)), range(len(rep))))
         self._slots: List[Optional[Tuple[Prediction, ...]]] = [None] * len(rep)
+        if type(self).group_key is HistoricalModel.group_key:
+            # the projection itself, no method frame; an override keeps its key
+            setattr(self, "group_key", feature_set.key)
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray],
+                    feature_set: FeatureSet,
+                    name: Optional[str] = None) -> "HistoricalModel":
+        """Build a model from :meth:`to_arrays`-shaped columns.
+
+        Rows must be distinct (tuple, link) pairs; tuples and each
+        tuple's links keep their first-row order.  Raises ``KeyError`` /
+        ``ValueError`` on a column set that does not match, or on a byte
+        count that is not finite and positive.
+        """
+        return cls(arrays, feature_set, name)
 
     # -- prediction -----------------------------------------------------------
 
@@ -122,8 +108,6 @@ class HistoricalModel(TrainableModel):
         return ranking
 
     def _ranking_for(self, context: FlowContext) -> Tuple[Prediction, ...]:
-        if self._observed:
-            self.finalize()
         group = self._index.get(self.feature_set.key(context))
         if group is None:
             return ()
@@ -144,13 +128,6 @@ class HistoricalModel(TrainableModel):
                     break
         return out
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        ranking = self._ranking_for(context)
-        if not unavailable:
-            return bool(ranking)
-        return any(p.link_id not in unavailable for p in ranking)
-
     def group_key(self, context: FlowContext) -> TupleKey:
         """Predictions are constant per feature tuple (batching key)."""
         return self.feature_set.key(context)
@@ -165,7 +142,6 @@ class HistoricalModel(TrainableModel):
         """The trained counts as aligned columns (``repro.store``), tuples
         and each one's links in first-seen order: ``k0..k<n-1>`` the key
         fields, ``k<n>`` the link id, ``value`` the byte count."""
-        self.finalize()
         group = np.repeat(np.arange(len(self._slots), dtype=np.int64),
                           np.diff(self._starts))
         rows, width = sorted_rows((group, self._seen)), len(self.feature_set.fields)
@@ -176,35 +152,17 @@ class HistoricalModel(TrainableModel):
         columns["value"] = self._bytes[rows]
         return columns
 
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray],
-                    feature_set: FeatureSet,
-                    name: Optional[str] = None) -> "HistoricalModel":
-        """Build a model from :meth:`to_arrays`-shaped columns.
-
-        Rows must be distinct (tuple, link) pairs; tuples and each
-        tuple's links keep their first-row order.  Raises ``KeyError`` /
-        ``ValueError`` on a column set that does not match, or on a byte
-        count that is not finite and positive (``observe`` drops those).
-        """
-        model = cls(feature_set, name=name)
-        model._build(arrays)
-        return model
-
     # -- introspection ----------------------------------------------------------
 
     def size(self) -> int:
         """Number of stored flow tuples (model size, paper Table 3)."""
-        self.finalize()
         return len(self._slots)
 
     def tuples(self) -> Tuple[TupleKey, ...]:
-        self.finalize()
         return tuple(self._index)
 
     def bytes_for(self, context: FlowContext) -> Dict[int, float]:
         """Raw training byte counts per link for a flow (for analysis)."""
-        self.finalize()
         group = self._index.get(self.feature_set.key(context))
         if group is None:
             return {}
@@ -213,6 +171,5 @@ class HistoricalModel(TrainableModel):
 
     def rankings(self) -> Rankings:
         """Every tuple's full ranking, in first-seen order (a copy)."""
-        self.finalize()
         return {key: self._slots[group] or self._rank(group)
                 for key, group in self._index.items()}

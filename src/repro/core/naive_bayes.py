@@ -12,91 +12,84 @@ that a prediction is a handful of array adds plus a top-k selection.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..pipeline.records import FlowContext
-from .base import NO_LINKS, Prediction, TrainableModel
+from ..store.codec import key_column_names
+from .base import NO_LINKS, IngressModel, Prediction
 from .features import FeatureSet
 
+#: Laplace smoothing: every (feature value, link) count starts at one byte
+ALPHA = 1.0
 
-class NaiveBayesModel(TrainableModel):
+#: the columns of a finest-grain table: the 5 FlowContext fields + link id
+_KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
+
+
+class NaiveBayesModel(IngressModel):
     """Byte-weighted multinomial Naive Bayes over the feature set."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None,
-                 alpha: float = 1.0):
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+    def __init__(self, arrays: Mapping[str, np.ndarray],
+                 feature_set: FeatureSet, name: Optional[str] = None):
+        """Build the log tables from a ``DayCounts.to_arrays`` table.
+
+        Bytes are summed per link and per (feature value, link) in row
+        order (``np.bincount``) and the total is a running sum over the
+        rows: the sums a walk of the table row by row takes.
+
+        Args:
+            arrays: ``k0..k4`` the flow context, ``k5`` the link id and
+                ``value`` the bytes, positive, one row per distinct key.
+            feature_set: which features the conditionals are over.
+            name: display name; defaults to ``NB_<features>``.
+        """
         self.feature_set = feature_set
         self.name = name or f"NB_{feature_set.name}"
-        self.alpha = alpha
-        # training accumulators
-        self._link_bytes: Dict[int, float] = {}
-        self._feature_bytes: Tuple[Dict[Tuple[int, int], float], ...] = tuple(
-            {} for _ in feature_set.fields)  # (value, link) -> bytes
-        self._total = 0.0
-        # frozen state
-        self._links: Optional[Tuple[int, ...]] = None
-        self._link_index: Dict[int, int] = {}
-        self._log_prior: Optional[np.ndarray] = None
-        self._log_cond: Tuple[Dict[int, np.ndarray], ...] = ()
-        self._log_default: Tuple[np.ndarray, ...] = ()
-
-    # -- training -------------------------------------------------------------
-
-    def observe(self, context: FlowContext, link_id: int, bytes_: float) -> None:
-        if bytes_ <= 0.0:
-            return
-        self._links = None
-        self._link_bytes[link_id] = self._link_bytes.get(link_id, 0.0) + bytes_
-        self._total += bytes_
-        key = self.feature_set.key(context)
-        for i, value in enumerate(key):
-            table = self._feature_bytes[i]
-            fk = (value, link_id)
-            table[fk] = table.get(fk, 0.0) + bytes_
-
-    def finalize(self) -> None:
-        links = tuple(sorted(self._link_bytes))
-        self._links = links
-        self._link_index = {l: i for i, l in enumerate(links)}
+        *fields, link_ids = (np.asarray(arrays[column], dtype=np.int64)
+                             for column in _KEY_NAMES)
+        values = np.asarray(arrays["value"], dtype=np.float64)
+        if any(column.shape != values.shape for column in (*fields, link_ids)):
+            raise ValueError("misaligned model columns")
+        if not (np.isfinite(values) & (values > 0.0)).all():
+            raise ValueError("byte counts must be finite and positive")
+        links, link_of = np.unique(link_ids, return_inverse=True)
         n = len(links)
-        if n == 0:
-            self._log_prior = np.zeros(0, dtype=np.float64)
-            self._log_cond = tuple({} for _ in self.feature_set.fields)
-            self._log_default = tuple(np.zeros(0, dtype=np.float64) for _ in self.feature_set.fields)
-            return
-        totals = np.array([self._link_bytes[l] for l in links],
-                          dtype=np.float64)
-        self._log_prior = np.log(totals / self._total)
-
+        self._links: Tuple[int, ...] = tuple(links.tolist())
+        self._size = n
+        totals = np.bincount(link_of, weights=values, minlength=n)
+        # over the running total (``np.sum`` is pairwise); none if no rows
+        self._log_prior = np.log(totals / np.cumsum(values)[-1:])
         conds: List[Dict[int, np.ndarray]] = []
         defaults: List[np.ndarray] = []
-        for i, field in enumerate(self.feature_set.fields):
-            table = self._feature_bytes[i]
-            values = sorted({v for (v, _l) in table})
-            cardinality = max(len(values), 1)
-            denom = totals + self.alpha * cardinality
-            per_value: Dict[int, np.ndarray] = {}
-            for value in values:
-                numer = np.full(n, self.alpha, dtype=np.float64)
-                for j, link in enumerate(links):
-                    b = table.get((value, link))
-                    if b:
-                        numer[j] += b
-                per_value[value] = np.log(numer / denom)
-            conds.append(per_value)
-            defaults.append(np.log(self.alpha / denom))
-        self._log_cond = tuple(conds)
-        self._log_default = tuple(defaults)
+        for field in feature_set.fields:
+            seen, value_of = np.unique(
+                fields[FlowContext._fields.index(field)], return_inverse=True)
+            cells = np.bincount(value_of * n + link_of, weights=values,
+                                minlength=len(seen) * n)
+            self._size += int(np.count_nonzero(cells))
+            denom = totals + ALPHA * len(seen)
+            conds.append(dict(zip(seen.tolist(), map(
+                np.log, (ALPHA + cells).reshape(len(seen), n) / denom))))
+            defaults.append(np.log(ALPHA / denom))
+        self._log_cond: Tuple[Dict[int, np.ndarray], ...] = tuple(conds)
+        self._log_default: Tuple[np.ndarray, ...] = tuple(defaults)
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray],
+                    feature_set: FeatureSet,
+                    name: Optional[str] = None) -> "NaiveBayesModel":
+        """Build a model from a finest-grain ``DayCounts.to_arrays``
+        table; no rows is a model that predicts nothing.  Raises
+        ``KeyError`` / ``ValueError`` on a column set that does not
+        match, or on a byte count that is not finite and positive."""
+        return cls(arrays, feature_set, name)
 
     # -- prediction -----------------------------------------------------------
 
     def _scores(self, context: FlowContext) -> Tuple[np.ndarray, bool]:
         """Per-link log scores and whether any feature value was known."""
-        if self._links is None:
-            self.finalize()
         if not self._links:
             return np.zeros(0, dtype=np.float64), False
         log_p = self._log_prior.copy()
@@ -141,15 +134,6 @@ class NaiveBayesModel(TrainableModel):
         top = top[np.argsort(-probs[top], kind="stable")]
         return [Prediction(self._links[i], float(probs[i])) for i in top]
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        log_p, any_known = self._scores(context)
-        if log_p.size == 0 or not any_known:
-            return False
-        if unavailable:
-            return any(l not in unavailable for l in self._links)
-        return True
-
     def group_key(self, context: FlowContext) -> object:
         """Scores depend only on the projected feature tuple."""
         return self.feature_set.key(context)
@@ -162,5 +146,4 @@ class NaiveBayesModel(TrainableModel):
 
     def size(self) -> int:
         """Stored (feature value, link) entries + priors (Table 11 size)."""
-        return len(self._link_bytes) + sum(
-            len(t) for t in self._feature_bytes)
+        return self._size

@@ -15,7 +15,7 @@ the test actuals into a ``DayCounts`` and hands each projection to
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .accuracy import ActualsMap
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
@@ -26,8 +26,7 @@ from .training import DayCounts
 class OracleModel(HistoricalModel):
     """A k-restricted perfect-knowledge predictor over test data."""
 
-    def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
-        super().__init__(feature_set, name=name or f"Oracle_{feature_set.name}")
+    name_prefix = "Oracle"
 
 
 def oracle_models(

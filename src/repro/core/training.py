@@ -56,9 +56,8 @@ def fold_keyed(tables: Sequence[Mapping[str, np.ndarray]],
     order (:func:`first_seen_sums`), exactly as a serial
     ``sums.get(key, 0.0) + value`` walk over the stacked rows would — so
     folding one already-folded table changes nothing, and folding the
-    window's per-day tables in day order equals ``observe_aggregate``-ing
-    them day by day.  No table handed in is written to; none gives an
-    empty table.
+    window's per-day tables in day order equals walking them day by day.
+    No table handed in is written to; none gives an empty table.
     """
     names = key_column_names(width)
     keys = [np.concatenate([_NO_KEYS, *(table[name] for table in tables)],

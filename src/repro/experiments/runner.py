@@ -185,15 +185,10 @@ class EvaluationRunner:
                                name="Hist_AL/AP/A"),
         ]
         if include_naive_bayes:
-            # Appendix A: not served and with no columnar build, so it
-            # observes the table's rows in row order
-            nb_a = NaiveBayesModel(FEATURES_A)
-            nb_al = NaiveBayesModel(FEATURES_AL)
-            for context, link_id, bytes_ in train_counts.rows():
-                nb_a.observe(context, link_id, bytes_)
-                nb_al.observe(context, link_id, bytes_)
-            nb_a.finalize()
-            nb_al.finalize()
+            # Appendix A: not served; built from the finest-grain table
+            table = train_counts.to_arrays()
+            nb_a, nb_al = (NaiveBayesModel.from_arrays(table, fs)
+                           for fs in (FEATURES_A, FEATURES_AL))
             models += [
                 nb_a, nb_al,
                 SequentialEnsemble([hist_al, nb_al], name="Hist_AL/NB_AL"),

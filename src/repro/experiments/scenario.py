@@ -403,28 +403,19 @@ class Scenario:
             sampled = self.exporter.sample_bytes(true_bytes, hour)
             yield HourColumns(hour, rows, links, true_bytes, sampled)
 
-    def aggregated_hours(
-        self,
-        start_hour: int,
-        end_hour: int,
-        aggregator: Optional[HourlyAggregator] = None,
-        use_sampled: bool = True,
-    ) -> Iterator[AggColumns]:
+    def aggregated_hours(self, start_hour: int,
+                         end_hour: int) -> Iterator[AggColumns]:
         """The feed: stream, join and aggregate ``[start_hour, end_hour)``.
 
         The one production route from the world to an aggregated hour
         (paper §4.2): every service, CLI and pipeline worker consumes
         this generator, as ``ingest_hour(c.hour, c)`` — the columns go
-        in as they are.  ``aggregator`` lets a caller keep one
-        aggregator (its join caches, stats and strictness) across calls;
-        the default joins against the scenario's own pre-seeded encoders,
-        so feature codes match :attr:`flow_contexts`.
+        in as they are.  The join is against the scenario's own
+        pre-seeded encoders, so feature codes match :attr:`flow_contexts`.
         """
-        if aggregator is None:
-            aggregator = HourlyAggregator(self.metadata,
-                                          encoders=self.encoders)
+        aggregator = HourlyAggregator(self.metadata, encoders=self.encoders)
         for cols in self.stream(start_hour, end_hour):
-            arrays = self.ipfix_columns_for(cols, use_sampled=use_sampled)
+            arrays = self.ipfix_columns_for(cols)
             with obs.timed("pipeline.aggregate_hour"):
                 columns = aggregator.aggregate_hour_columns(cols.hour,
                                                             *arrays)
@@ -432,12 +423,11 @@ class Scenario:
 
     # -- record-level view (pipeline-faithful path) -----------------------------------
 
-    def ipfix_records_for(self, cols: HourColumns,
-                          use_sampled: bool = True) -> List[IpfixRecord]:
+    def ipfix_records_for(self, cols: HourColumns) -> List[IpfixRecord]:
         """Convert an hour of columns into IPFIX records."""
         flows = self.traffic.flows
         records = []
-        rows, links, values = self._positive_columns(cols, use_sampled)
+        rows, links, values = self._positive_columns(cols)
         for row, link_id, bytes_ in zip(rows.tolist(), links.tolist(), values.tolist()):
             flow = flows[row]
             records.append(IpfixRecord(cols.hour, link_id,
@@ -446,18 +436,17 @@ class Scenario:
         return records
 
     @staticmethod
-    def _positive_columns(cols: HourColumns, use_sampled: bool
+    def _positive_columns(cols: HourColumns
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flow rows, link ids, bytes) of the entries with bytes > 0, in
-        column order, as ``int64``/``int64``/``float64`` arrays."""
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
-        keep = values > 0.0
+        """(flow rows, link ids, sampled bytes) of the entries with
+        sampled bytes > 0, in column order, as ``int64``/``int64``/
+        ``float64`` arrays."""
+        keep = cols.sampled_bytes > 0.0
         return (cols.flow_rows[keep].astype(np.int64, copy=False),
                 cols.link_ids[keep].astype(np.int64, copy=False),
-                values[keep].astype(np.float64, copy=False))
+                cols.sampled_bytes[keep].astype(np.float64, copy=False))
 
-    def ipfix_columns_for(self, cols: HourColumns,
-                          use_sampled: bool = True
+    def ipfix_columns_for(self, cols: HourColumns
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray, np.ndarray]:
         """One hour of columns as aligned IPFIX identifier arrays.
@@ -469,16 +458,15 @@ class Scenario:
         :meth:`repro.pipeline.HourlyAggregator.aggregate_hour_columns`.
         """
         src_prefixes, src_asns, dest_prefixes = self._flow_columns
-        rows, links, values = self._positive_columns(cols, use_sampled)
+        rows, links, values = self._positive_columns(cols)
         return (links, src_prefixes[rows], src_asns[rows],
                 dest_prefixes[rows], values)
 
-    def traffic_entries_for(self, cols: HourColumns,
-                            use_sampled: bool = True) -> TrafficSample:
+    def traffic_entries_for(self, cols: HourColumns) -> TrafficSample:
         """One hour of columns as a CMS :class:`TrafficSample`: the
         entries with bytes > 0, in column order, over
         :attr:`flow_contexts` — the hour the CMS, the risk analysis
         and the de-peering study all read."""
-        rows, links, values = self._positive_columns(cols, use_sampled)
+        rows, links, values = self._positive_columns(cols)
         return TrafficSample(links, self._flow_columns[2][rows], rows,
                              values, self.flow_contexts)

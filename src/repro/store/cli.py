@@ -42,7 +42,8 @@ _RECIPE_KEYS = ("scenario_size", "scenario_seed", "scenario_days",
 
 def at_least_one(text: str) -> int:
     """An ``argparse`` type for a count of at least 1 (less is a usage
-    error, exit 2); the CLI's window, day and shard flags share it."""
+    error, exit 2); the CLI's window, day, shard and limit flags share
+    it."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")

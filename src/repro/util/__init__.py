@@ -1,11 +1,9 @@
-"""Shared utilities (deterministic hashing, exact sums, small helpers).
+"""Shared utilities (deterministic hashing, small helpers).
 
 The leaf of the dependency tree: imports nothing from ``repro``, is
 imported by everything.  Hosts ``mix64`` — the stateless seeded mixer
 that replaces global RNG state everywhere (lint rules RA001–RA003) —
-the bounded ``LruDict`` and ``AnswerMemo``, and
-``exactsum.exact_total``, the order-free sum RA702's message names for
-unordered float accumulation.
+and the bounded ``LruDict`` and ``AnswerMemo``.
 """
 
 from .cache import AnswerMemo, LruDict

@@ -1,6 +1,6 @@
 """Remedy fixture: every site here has a mechanical remedy.
 
-Each message names it — ``sorted(...)`` for RA701, ``exact_total`` for
+Each message names it — ``sorted(...)`` for RA701, ``math.fsum`` for
 RA702, the dtype to pin for RA703 — so it can be applied by hand
 without changing what the functions compute.
 """

@@ -166,7 +166,7 @@ def test_messages_name_the_remedy():
     report = _analyze(FIXTURES / "fixable")
     by_line = {v.line: v for v in report.violations}
     assert "sorted(...)" in by_line[18].message
-    assert "exact_total" in by_line[13].message
+    assert "math.fsum" in by_line[13].message
     assert "pin dtype=float64" in by_line[24].message   # np.zeros(n)
     assert "pin dtype=int64" in by_line[28].message     # dtype=np.int_
 
@@ -265,8 +265,8 @@ def test_entry_resolves_through_package_reexport(tmp_path):
     assert "impl.py" in report.violations[0].path
 
 
-def test_sum_with_start_argument_rules_out_exact_total(tmp_path):
-    # exact_total takes exactly one iterable: sum(xs, start) is reported
+def test_sum_with_start_argument_rules_out_fsum(tmp_path):
+    # math.fsum takes exactly one iterable: sum(xs, start) is reported
     # with a message saying that remedy does not apply
     _write_pyproject(tmp_path, (
         "[tool.repro.determinism]\n"
@@ -281,7 +281,7 @@ def test_sum_with_start_argument_rules_out_exact_total(tmp_path):
 
 def test_int_literal_set_sum_is_not_flagged(tmp_path):
     # integer summation is exact and order-free; the always-float
-    # exact_total remedy would change the result type for nothing
+    # math.fsum remedy would change the result type for nothing
     _write_pyproject(tmp_path, (
         "[tool.repro.determinism]\n"
         'c = ["mod.total"]\n'))

@@ -14,6 +14,7 @@ from repro.topology import (
 )
 
 from tests.cms.entry_oracle import sample_of_entries
+from tests.core.builders import from_rows
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
@@ -33,15 +34,13 @@ def world():
     ]
     wan = CloudWAN(8075, links, [Region("r", "iad")],
                    [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
-    model = HistoricalModel(FEATURES_AP)
-    # peer 200's flows have history on peer 100's links too
-    model.observe(ctx(1), 2, 100.0)
-    model.observe(ctx(1), 0, 20.0)
-    # peer 300's flow has never been seen anywhere else
-    model.observe(ctx(2), 3, 100.0)
-    # background flows on peer 100
-    model.observe(ctx(3), 0, 500.0)
-    model.observe(ctx(3), 1, 100.0)
+    model = from_rows(HistoricalModel, FEATURES_AP, [
+        # peer 200's flows have history on peer 100's links too
+        (ctx(1), 2, 100.0), (ctx(1), 0, 20.0),
+        # peer 300's flow has never been seen anywhere else
+        (ctx(2), 3, 100.0),
+        # background flows on peer 100
+        (ctx(3), 0, 500.0), (ctx(3), 1, 100.0)])
     return wan, model
 
 

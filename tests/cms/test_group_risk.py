@@ -14,12 +14,18 @@ from repro.topology import (
 )
 
 from tests.cms.entry_oracle import sample_of_entries
+from tests.core.builders import from_rows
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
 
 def ctx(prefix):
     return FlowContext(1, prefix, 0, 0, 0)
+
+
+#: two flows on the iad-er1 pair, with iad-er2 as their alternative
+HISTORY = [row for p, link in ((1, 0), (2, 1))
+           for row in ((ctx(p), link, 100.0), (ctx(p), 2, 20.0))]
 
 
 @pytest.fixture()
@@ -33,12 +39,7 @@ def world():
     ]
     wan = CloudWAN(8075, links, [Region("r", "iad")],
                    [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
-    model = HistoricalModel(FEATURES_AP)
-    # two flows on the iad-er1 pair, with iad-er2 as their alternative
-    for p, link in ((1, 0), (2, 1)):
-        model.observe(ctx(p), link, 100.0)
-        model.observe(ctx(p), 2, 20.0)
-    return wan, model
+    return wan, from_rows(HistoricalModel, FEATURES_AP, HISTORY)
 
 
 def hour(volume=0.6):
@@ -83,11 +84,11 @@ class TestRouterOutage:
         assert all(f.link_id != 2 for f in findings)
 
     def test_metro_outage_pushes_out_of_metro(self, world):
-        wan, model = world
+        wan, _model = world
         # give the flows a nyc alternative so a metro-wide failure has
         # somewhere to go
-        model.observe(ctx(1), 3, 10.0)
-        model.observe(ctx(2), 3, 10.0)
+        model = from_rows(HistoricalModel, FEATURES_AP, HISTORY + [
+            (ctx(1), 3, 10.0), (ctx(2), 3, 10.0)])
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
         findings = analyzer.analyze([hour(0.8) for _ in range(2)],
                                     group_by="metro")

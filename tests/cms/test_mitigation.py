@@ -24,6 +24,7 @@ from tests.cms.entry_oracle import (
     sample_of_entries as sample,
     totals_by_entry,
 )
+from tests.core.builders import from_rows
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
@@ -90,12 +91,10 @@ class TestBlindCMS:
 
 class TestTipsyGuidedCMS:
     def _predictor(self, target_links):
-        model = HistoricalModel(FEATURES_AP)
-        for i in range(4):
-            model.observe(ctx(100 + i), 0, 100.0)
-            for target in target_links:
-                model.observe(ctx(100 + i), target, 10.0)
-        return model
+        return from_rows(HistoricalModel, FEATURES_AP, [
+            row for i in range(4) for row in (
+                (ctx(100 + i), 0, 100.0),
+                *((ctx(100 + i), target, 10.0) for target in target_links))])
 
     def test_unsafe_withdrawal_skipped(self, wan):
         # prediction says everything lands on link 1, which is already hot
@@ -133,11 +132,9 @@ class TestTipsyGuidedCMS:
     def test_unplaceable_bytes_recorded_under_link_minus_one(self, wan):
         # flows 102 and 103 were only ever seen at the congested link:
         # withdrawn there, no link would take them
-        model = HistoricalModel(FEATURES_AP)
-        for i in range(4):
-            model.observe(ctx(100 + i), 0, 100.0)
-        for i in range(2):
-            model.observe(ctx(100 + i), 2, 10.0)
+        model = from_rows(HistoricalModel, FEATURES_AP, [
+            *((ctx(100 + i), 0, 100.0) for i in range(4)),
+            *((ctx(100 + i), 2, 10.0) for i in range(2))])
         cms = CongestionMitigationSystem(
             wan, CMSConfig(coordinated=False), predictor=model)
         state = AdvertisementState(wan)
@@ -176,12 +173,9 @@ class TestCoordinated:
         # history: traffic on link 0 primarily, link 1 secondary; links
         # 2, 3 known with small mass — the planner should discover that
         # withdrawing at 0 pushes to 1 (unsafe) and settle on {0, 1}
-        model = HistoricalModel(FEATURES_AP)
-        for i in range(4):
-            model.observe(ctx(100 + i), 0, 100.0)
-            model.observe(ctx(100 + i), 1, 10.0)
-            model.observe(ctx(100 + i), 2, 1.0)
-            model.observe(ctx(100 + i), 3, 1.0)
+        model = from_rows(HistoricalModel, FEATURES_AP, [
+            (ctx(100 + i), link, bytes_) for i in range(4)
+            for link, bytes_ in ((0, 100.0), (1, 10.0), (2, 1.0), (3, 1.0))])
         cms = CongestionMitigationSystem(
             wan, CMSConfig(coordinated=True), predictor=model)
         state = AdvertisementState(wan)

@@ -14,12 +14,18 @@ from repro.topology import (
 )
 
 from tests.cms.entry_oracle import sample_of_entries as sample
+from tests.core.builders import from_rows
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
 
 def ctx(prefix):
     return FlowContext(1, prefix, 0, 0, 0)
+
+
+#: flows historically on link 0 with link 1 as the alternative
+HISTORY = [(ctx(i), link, bytes_) for i in range(4)
+           for link, bytes_ in ((0, 100.0), (1, 10.0))]
 
 
 @pytest.fixture()
@@ -32,12 +38,7 @@ def world():
     ]
     wan = CloudWAN(8075, links, [Region("r", "iad")],
                    [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
-    model = HistoricalModel(FEATURES_AP)
-    # flows historically on link 0 with link 1 as the alternative
-    for i in range(4):
-        model.observe(ctx(i), 0, 100.0)
-        model.observe(ctx(i), 1, 10.0)
-    return wan, model
+    return wan, from_rows(HistoricalModel, FEATURES_AP, HISTORY)
 
 
 def hour_entries(volume_gbps, link=0, n=4):
@@ -83,10 +84,10 @@ class TestRiskAnalyzer:
         assert analyzer.analyze(hours, min_extra_hours=1)
 
     def test_sorted_by_extra_hours(self, world):
-        wan, model = world
+        wan, _model = world
         # add a second flow family on link 2 that would shift to link 0
-        model.observe(ctx(100), 2, 100.0)
-        model.observe(ctx(100), 0, 10.0)
+        model = from_rows(HistoricalModel, FEATURES_AP, HISTORY + [
+            (ctx(100), 2, 100.0), (ctx(100), 0, 10.0)])
         analyzer = RiskAnalyzer(wan, model, threshold=0.7)
         hours = [
             sample(hour_entries(0.8) + [(2, 0, ctx(100), 0.8 * GBPS_HOUR)])

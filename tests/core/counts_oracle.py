@@ -3,8 +3,10 @@
 ``CountsAccumulator`` is the ``Dict[(FlowContext, link), float]`` form
 every model in the tree once trained from: ``add`` / ``consume_hour``
 walk observations one at a time with a running ``counts.get(key, 0.0) +
-bytes`` sum, and ``fit`` hands each key to ``observe`` in insertion
-order.  ``repro.core.training.DayCounts`` and the offline evaluation's
+bytes`` sum, and ``fit`` hands each key in insertion order to the
+dict oracles' ``observe`` (``tests/core/historical_oracle.py``,
+``tests/core/naive_bayes_oracle.py``), so the reference shares no code
+with the table builds.  ``repro.core.training.DayCounts`` and the offline evaluation's
 ``HistoricalModel.from_arrays(counts.project(fs), fs)`` builds replaced
 it; the property, window-equivalence and differential suites compare
 them against it bit for bit, as ``tests/core/spill_reference.py`` is
@@ -14,13 +16,14 @@ columnar CMS sample.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import TrainableModel
 from repro.pipeline.records import AggRecord, FlowContext
 from repro.store.codec import encode_keyed_table
+from tests.core.historical_oracle import DictHistoricalModel
+from tests.core.naive_bayes_oracle import DictNaiveBayesModel
 
 if TYPE_CHECKING:
     from repro.core.features import FeatureSet
@@ -77,8 +80,9 @@ class CountsAccumulator:
 
     # -- consumers -------------------------------------------------------------
 
-    def fit(self, models: Iterable[TrainableModel]) -> None:
-        """Train models from the accumulated counts (single pass each)."""
+    def fit(self, models: Iterable[Union[DictHistoricalModel,
+                                         DictNaiveBayesModel]]) -> None:
+        """Train dict oracles from the accumulated counts (one pass)."""
         models = list(models)
         for (context, link_id), bytes_ in self.counts.items():
             for model in models:
@@ -93,8 +97,8 @@ class CountsAccumulator:
         accumulation order — a deterministic function of this
         accumulator's contents.  The offline form of
         :meth:`DayCounts.project`: feeding a window's projections to
-        ``observe_aggregate`` day by day trains the models the serving
-        path folds from columns.
+        ``DictHistoricalModel.observe_aggregate`` day by day trains the
+        models the serving path folds from columns.
         """
         key_of = feature_set.key
         out: GrainProjection = {}

@@ -5,7 +5,9 @@ it was before it became a columnar ranked table: ``from_arrays`` fills a
 ``Dict[tuple, Dict[link, float]]`` row by row, and ``_rank_all`` ranks
 every tuple at once — a ``math.fsum`` total, a ``(-bytes, link)`` sort
 and one ``Prediction`` per link.  The class body is unchanged but for
-its name and the ranking cut it no longer takes.
+its name, the ranking cut it no longer takes and the availability
+check it no longer answers; its ``observe`` is the row-by-row trainer
+``CountsAccumulator.fit`` and the window-equivalence suite train it by.
 ``tests/properties/test_prop_historical.py`` compares the table against
 it to the bit, as ``tests/core/counts_oracle.py`` is for ``DayCounts``.
 """
@@ -17,7 +19,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, cast
 
 import numpy as np
 
-from repro.core.base import NO_LINKS, Prediction, TrainableModel
+from repro.core.base import NO_LINKS, IngressModel, Prediction
 from repro.core.features import FeatureSet
 from repro.pipeline.records import FlowContext
 from repro.store.codec import encode_keyed_table, key_column_names
@@ -29,7 +31,7 @@ TupleKey = Tuple[object, ...]
 Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
 
 
-class DictHistoricalModel(TrainableModel):
+class DictHistoricalModel(IngressModel):
     """Byte-weighted empirical link distribution per feature tuple."""
 
     def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):
@@ -106,13 +108,6 @@ class DictHistoricalModel(TrainableModel):
                 if len(out) == k:
                     break
         return out
-
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        ranking = self._ranking_for(context)
-        if not unavailable:
-            return bool(ranking)
-        return any(p.link_id not in unavailable for p in ranking)
 
     def group_key(self, context: FlowContext) -> TupleKey:
         """Predictions are constant per feature tuple (batching key)."""

@@ -12,6 +12,7 @@ from repro.core import (
     volume_matched_bytes,
 )
 from repro.pipeline import FlowContext
+from tests.core.builders import from_rows
 
 
 def ctx(prefix):
@@ -40,32 +41,31 @@ class TestEvaluateAccuracy:
             ctx(2): {9: 100.0},
         }
 
+    def _oracle(self, actuals):
+        return from_rows(OracleModel, FEATURES_AP, (
+            (context, link, b) for context, by_link in actuals.items()
+            for link, b in by_link.items()))
+
     def test_oracle_unrestricted_is_perfect(self):
         actuals = self._actuals()
-        oracle = OracleModel(FEATURES_AP)
-        for context, by_link in actuals.items():
-            for link, b in by_link.items():
-                oracle.observe(context, link, b)
+        oracle = self._oracle(actuals)
         assert evaluate_accuracy(actuals, oracle, k=10) == pytest.approx(1.0)
 
     def test_top1_oracle_matches_dominant_mass(self):
         actuals = self._actuals()
-        oracle = OracleModel(FEATURES_AP)
-        for context, by_link in actuals.items():
-            for link, b in by_link.items():
-                oracle.observe(context, link, b)
+        oracle = self._oracle(actuals)
         # top-1: 80 of flow 1 + 100 of flow 2 = 180/200
         assert evaluate_accuracy(actuals, oracle, k=1) == pytest.approx(0.9)
 
     def test_empty_actuals(self):
-        model = HistoricalModel(FEATURES_AP)
+        model = from_rows(HistoricalModel, FEATURES_AP, ())
         assert evaluate_accuracy({}, model, 3) == 0.0
 
     def test_unavailable_prior_passed_through(self):
         actuals = {ctx(1): {7: 100.0}}
-        model = HistoricalModel(FEATURES_AP)
-        model.observe(ctx(1), 5, 100.0)  # predicts the dead link
-        model.observe(ctx(1), 7, 10.0)
+        model = from_rows(HistoricalModel, FEATURES_AP, (
+            (ctx(1), 5, 100.0),  # predicts the dead link
+            (ctx(1), 7, 10.0)))
         without = evaluate_accuracy(actuals, model, 1)
         with_prior = evaluate_accuracy(actuals, model, 1,
                                        unavailable=frozenset({5}))
@@ -74,14 +74,13 @@ class TestEvaluateAccuracy:
 
     def test_model_with_no_prediction_scores_zero(self):
         actuals = {ctx(1): {5: 100.0}}
-        model = HistoricalModel(FEATURES_AP)
+        model = from_rows(HistoricalModel, FEATURES_AP, ())
         assert evaluate_accuracy(actuals, model, 3) == 0.0
 
     def test_strict_volume_variant(self):
         actuals = {ctx(1): {5: 100.0}}
-        model = HistoricalModel(FEATURES_AP)
-        model.observe(ctx(1), 5, 50.0)
-        model.observe(ctx(1), 7, 50.0)  # model thinks 50/50
+        model = from_rows(HistoricalModel, FEATURES_AP, (
+            (ctx(1), 5, 50.0), (ctx(1), 7, 50.0)))  # model thinks 50/50
         loose = evaluate_accuracy(actuals, model, 2)
         strict = evaluate_accuracy(actuals, model, 2, strict_volumes=True)
         assert loose == pytest.approx(1.0)

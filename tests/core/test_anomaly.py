@@ -16,6 +16,7 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+from tests.core.builders import from_rows
 
 
 def ctx(prefix=1):
@@ -33,8 +34,8 @@ def detector():
     ]
     wan = CloudWAN(8075, links, [Region("r", "iad")],
                    [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
-    model = HistoricalModel(FEATURES_AP)
-    model.observe(ctx(), 0, 1000.0)  # flow lives on the iad link
+    # flow lives on the iad link
+    model = from_rows(HistoricalModel, FEATURES_AP, [(ctx(), 0, 1000.0)])
     return IngressAnomalyDetector(model, wan)
 
 

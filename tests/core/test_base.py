@@ -11,6 +11,7 @@ from repro.core.base import NO_LINKS
 from repro.pipeline import FlowContext
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
                             Region)
+from tests.core.builders import from_rows
 
 
 class _Fixed(IngressModel):
@@ -33,13 +34,14 @@ CTX = FlowContext(1, 2, 3, 4, 5)
 
 
 class TestDefaults:
-    def test_has_prediction_default_uses_predict(self):
-        assert _Fixed([1, 2]).has_prediction(CTX)
-        assert not _Fixed([]).has_prediction(CTX)
-
-    def test_has_prediction_respects_unavailable(self):
-        model = _Fixed([1])
-        assert not model.has_prediction(CTX, frozenset({1}))
+    def test_size_defaults_to_zero_inside_compositions(self):
+        """Every model has a size, so an ensemble or a completion sums
+        its components' without asking whether they have one."""
+        world, fixed = _k_world(), _Fixed([1])
+        hist = world["Hist_AL"]
+        assert fixed.size() == 0
+        assert SequentialEnsemble([fixed, hist]).size() == hist.size() == 1
+        assert GeoAugmentedModel(fixed, world["Hist_AL+G"].wan).size() == 0
 
     def test_prediction_namedtuple_fields(self):
         p = Prediction(7, 0.5)
@@ -66,14 +68,14 @@ def _k_world():
                           for link in (5, 7, 9)],
                    [Region("r", "iad")],
                    [DestPrefix(0, "100.64.0.0/24", "r", "web")], metros)
-    hist, oracle = HistoricalModel(FEATURES_AL), OracleModel(FEATURES_AL)
-    bayes = NaiveBayesModel(FEATURES_AL)
-    for link, bytes_ in ((5, 100.0), (7, 50.0), (9, 25.0)):
-        for model in (hist, oracle, bayes):
-            model.observe(CTX, link, bytes_)
+    rows = [(CTX, link, bytes_)
+            for link, bytes_ in ((5, 100.0), (7, 50.0), (9, 25.0))]
+    hist, oracle, bayes = (from_rows(cls, FEATURES_AL, rows) for cls in (
+        HistoricalModel, OracleModel, NaiveBayesModel))
+    a = from_rows(HistoricalModel, FEATURES_A, ())
     return {"Hist_AL": hist, "NB_AL": bayes, "Oracle_AL": oracle,
             "Hist_AL+G": GeoAugmentedModel(hist, wan),
-            "Hist_AL/A": SequentialEnsemble([hist, HistoricalModel(FEATURES_A)])}
+            "Hist_AL/A": SequentialEnsemble([hist, a])}
 
 
 class TestKBelowOne:
@@ -89,3 +91,16 @@ class TestKBelowOne:
         assert [p.link_id for p in model.predict(CTX, 1, prior)] == [5]
         with pytest.raises(ValueError, match="k must be at least 1"):
             model.predict(CTX, k, prior)
+
+
+class TestAllLinksWithdrawn:
+    """A model answers only with links that are up: with every link it
+    knows withdrawn, each answers nothing, and with one left, that one."""
+
+    @pytest.mark.parametrize("name", ["Hist_AL", "NB_AL", "Oracle_AL",
+                                      "Hist_AL+G", "Hist_AL/A"])
+    def test_answers_only_with_links_that_are_up(self, name):
+        model = _k_world()[name]
+        assert model.predict(CTX, 3, frozenset({5, 7, 9})) == []
+        assert [p.link_id for p in model.predict(
+            CTX, 3, frozenset({5, 7}))] == [9]

@@ -11,6 +11,7 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+from tests.core.builders import from_rows
 
 
 def ctx(asn=1, prefix=10, loc=0, region=0, service=0):
@@ -35,8 +36,8 @@ def wan():
 
 @pytest.fixture()
 def model(wan):
-    base = HistoricalModel(FEATURES_AL)
-    base.observe(ctx(), 0, 100.0)  # only one link ever seen
+    # only one link ever seen
+    base = from_rows(HistoricalModel, FEATURES_AL, [(ctx(), 0, 100.0)])
     return GeoAugmentedModel(base, wan)
 
 
@@ -58,15 +59,13 @@ class TestCompletion:
         assert [p.link_id for p in preds] == [0, 1, 2, 3]
 
     def test_no_completion_needed(self, wan):
-        base = HistoricalModel(FEATURES_AL)
-        for link, b in ((0, 100.0), (1, 50.0), (2, 25.0)):
-            base.observe(ctx(), link, b)
+        base = from_rows(HistoricalModel, FEATURES_AL, [
+            (ctx(), link, b) for link, b in ((0, 100.0), (1, 50.0), (2, 25.0))])
         model = GeoAugmentedModel(base, wan)
         assert model.predict(ctx(), 3) == base.predict(ctx(), 3)
 
     def test_unknown_flow_no_anchor(self, model):
         assert model.predict(ctx(asn=9), 3) == []
-        assert not model.has_prediction(ctx(asn=9))
 
 
 class TestWithdrawnAnchor:
@@ -76,12 +75,14 @@ class TestWithdrawnAnchor:
         preds = model.predict(ctx(), 3, unavailable=frozenset({0}))
         assert [p.link_id for p in preds] == [1, 2, 3]
 
-    def test_has_prediction_with_unavailable(self, model):
-        assert model.has_prediction(ctx(), frozenset({0}))
-
     def test_unavailable_excluded_from_completion(self, model):
         preds = model.predict(ctx(), 3, unavailable=frozenset({0, 1}))
         assert [p.link_id for p in preds] == [2, 3]
+
+    def test_no_answer_when_every_peer_link_is_withdrawn(self, model):
+        """The anchor's peer has no link left: no other peer's link is
+        offered in its place."""
+        assert model.predict(ctx(), 3, frozenset({0, 1, 2, 3})) == []
 
 
 class TestNaming:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FEATURES_AP, OracleModel, evaluate_accuracy
 from repro.pipeline import FlowContext
+from tests.core.builders import from_rows
 
 
 def ctx(prefix):
@@ -18,12 +19,9 @@ class TestOracle:
         }
 
     def _oracle(self, actuals):
-        oracle = OracleModel(FEATURES_AP)
-        for context, by_link in actuals.items():
-            for link, bytes_ in by_link.items():
-                oracle.observe(context, link, bytes_)
-        oracle.finalize()
-        return oracle
+        return from_rows(OracleModel, FEATURES_AP, (
+            (context, link, bytes_) for context, by_link in actuals.items()
+            for link, bytes_ in by_link.items()))
 
     def test_is_a_historical_model_over_test_data(self):
         actuals = self._actuals()
@@ -40,12 +38,13 @@ class TestOracle:
         assert acc3 == pytest.approx(1.0)
 
     def test_name(self):
-        assert OracleModel(FEATURES_AP).name == "Oracle_AP"
+        assert self._oracle({}).name == "Oracle_AP"
 
     def test_from_arrays_keeps_the_oracle_name(self):
         """The columnar build inherited from ``HistoricalModel`` builds an
         oracle, under its default name or the one given."""
         observed = self._oracle(self._actuals())
+        assert type(observed) is OracleModel
         built = OracleModel.from_arrays(observed.to_arrays(), FEATURES_AP)
         assert type(built) is OracleModel and built.name == "Oracle_AP"
         assert built.rankings() == observed.rankings()

@@ -7,6 +7,7 @@ from repro.core import FEATURES_A, FEATURES_AP, HistoricalModel
 from repro.core.training import DayCounts, fold_keyed
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 from tests.core.counts_oracle import CountsAccumulator
+from tests.core.historical_oracle import DictHistoricalModel
 
 
 def ctx(prefix, asn=1):
@@ -38,8 +39,8 @@ class TestAccumulation:
         acc = CountsAccumulator()
         acc.add(ctx(1), 5, 10.0)
         acc.add(ctx(1), 7, 30.0)
-        ap = HistoricalModel(FEATURES_AP)
-        a = HistoricalModel(FEATURES_A)
+        ap = DictHistoricalModel(FEATURES_AP)
+        a = DictHistoricalModel(FEATURES_A)
         acc.fit([ap, a])
         assert ap.predict(ctx(1), 1)[0].link_id == 7
         assert a.predict(ctx(99), 1)[0].link_id == 7  # pooled at A grain
@@ -81,18 +82,17 @@ class TestProjection:
         }
 
     def test_project_matches_observe_path(self):
-        """Feeding a projection reproduces per-record observe() exactly."""
+        """A model built from the table's projection ranks as the dict
+        oracle trained record by record does, to the bit."""
         acc = CountsAccumulator()
         acc.add(ctx(1), 5, 0.7)
         acc.add(ctx(2), 5, 1.9)
         acc.add(ctx(3), 7, 2.2)
-        reference = HistoricalModel(FEATURES_A)
+        reference = DictHistoricalModel(FEATURES_A)
         acc.fit([reference])
-        via_projection = HistoricalModel(FEATURES_A)
-        for key, links in acc.project(FEATURES_A).items():
-            for link_id, bytes_ in links.items():
-                via_projection.observe_aggregate(key, link_id, bytes_)
-        via_projection.finalize()
+        table = DayCounts.from_arrays(acc.to_arrays())
+        via_projection = HistoricalModel.from_arrays(
+            table.project(FEATURES_A), FEATURES_A)
         assert via_projection.rankings() == reference.rankings()
 
 

@@ -7,7 +7,8 @@ then ``np.unique`` / ``np.bincount`` per link.  ``OracleGeoAugmentedModel``
 is ``repro.core.geo_augment.GeoAugmentedModel`` as it was before the WAN
 kept a nearest-first order per link: every completion rebuilds the
 anchor peer's links and sorts them by ``(distance_km, link_id)``.  Both
-bodies are unchanged but for the class name.
+bodies are unchanged but for the class name and the availability check
+the package no longer answers.
 ``tests/properties/test_prop_what_if.py`` compares the package against
 them to the bit, as ``tests/core/historical_oracle.py`` is for the
 sorted-table model.
@@ -96,15 +97,9 @@ class OracleGeoAugmentedModel(IngressModel):
                                           tail * 0.5 ** (i + 1)))
         return predictions
 
-    def has_prediction(self, context: FlowContext,
-                       unavailable: FrozenSet[int] = NO_LINKS) -> bool:
-        if self.base.has_prediction(context, unavailable):
-            return True
-        return bool(self.predict(context, 1, unavailable))
-
     def group_key(self, context: FlowContext) -> object:
         """The completion is a pure function of the base model's answers."""
         return self.base.group_key(context)
 
     def size(self) -> int:
-        return getattr(self.base, "size", lambda: 0)()
+        return self.base.size()

@@ -27,13 +27,14 @@ from unittest import mock
 
 import pytest
 
-from repro.core import (FEATURES_A, FEATURES_AL, FEATURES_AP,
-                        HistoricalModel, NaiveBayesModel, OracleModel)
+from repro.core import FEATURES_A, FEATURES_AL, FEATURES_AP
 from repro.core.oracle import oracle_models
 from repro.experiments import EvaluationRunner, WindowSpec
 from repro.experiments import runner as runner_module
 from repro.pipeline import FlowContext
 from tests.core.counts_oracle import CountsAccumulator
+from tests.core.historical_oracle import DictHistoricalModel
+from tests.core.naive_bayes_oracle import DictNaiveBayesModel
 from tests.experiments.feed_reference import (
     assert_feed_is_the_walk, assert_same_tables,
     assert_scores_the_served_models, hexed)
@@ -54,7 +55,8 @@ def fitted_oracles(actuals_maps, feature_sets=GRAINS):
         for context, by_link in actuals.items():
             for link, bytes_ in by_link.items():
                 counts.add(context, link, bytes_)
-    oracles = [OracleModel(fs) for fs in feature_sets]
+    oracles = [DictHistoricalModel(fs, name=f"Oracle_{fs.name}")
+               for fs in feature_sets]
     counts.fit(oracles)
     return oracles
 
@@ -64,7 +66,7 @@ def hexed_rankings(model):
 
 
 def assert_same_model(got, want):
-    assert (type(got), got.name) == (type(want), want.name)
+    assert got.name == want.name
     assert_same_tables(got.to_arrays(), want.to_arrays())
     assert hexed_rankings(got) == hexed_rankings(want), want.name
 
@@ -86,8 +88,9 @@ class TestTraining:
         reference = CountsAccumulator()
         for columns in runner.scenario.aggregated_hours(0, TRAIN_HOURS):
             reference.consume_hour(columns.hour, columns.to_records())
-        hists = [HistoricalModel(fs) for fs in GRAINS]
-        nbs = [NaiveBayesModel(FEATURES_A), NaiveBayesModel(FEATURES_AL)]
+        hists = [DictHistoricalModel(fs) for fs in GRAINS]
+        nbs = [DictNaiveBayesModel(FEATURES_A),
+               DictNaiveBayesModel(FEATURES_AL)]
         reference.fit(hists + nbs)
         for want in hists:
             assert_same_model(built[want.name], want)

@@ -162,9 +162,7 @@ class TestRecordViews:
         assert n == len(sample.dest_prefix_ids)
         assert sample.contexts is sc.flow_contexts
 
-    @pytest.mark.parametrize("use_sampled", [True, False])
-    def test_views_equal_the_row_by_row_loops(self, small_scenario,
-                                              use_sampled):
+    def test_views_equal_the_row_by_row_loops(self, small_scenario):
         """The masked views are the old element-by-element loops: the
         record view the same entries, in the same order, with the same
         python types; the CMS sample the same rows, in the same order, as
@@ -173,8 +171,8 @@ class TestRecordViews:
 
         sc = small_scenario
         cols = next(iter(sc.stream(30, 31)))
-        values = cols.sampled_bytes if use_sampled else cols.true_bytes
-        assert (values <= 0.0).any() or not use_sampled
+        values = cols.sampled_bytes
+        assert (values <= 0.0).any()
         flows, contexts = sc.traffic.flows, sc.flow_contexts
         ipfix, entries = [], []
         for row, link_id, bytes_ in zip(cols.flow_rows, cols.link_ids, values):
@@ -191,9 +189,9 @@ class TestRecordViews:
             return [[(type(v), v) for v in vars(r).values()]
                     for r in records]
 
-        mine = sc.ipfix_records_for(cols, use_sampled)
+        mine = sc.ipfix_records_for(cols)
         assert ipfix and typed(mine) == typed(ipfix)
-        sample = sc.traffic_entries_for(cols, use_sampled)
+        sample = sc.traffic_entries_for(cols)
         columns = (sample.link_ids, sample.dest_prefix_ids,
                    sample.flow_rows, sample.bytes)
         for column, dtype, want in zip(

@@ -12,9 +12,11 @@ days — and proves two things at several checkpoints, bit for bit
 * *online equals offline* — those models are the ones the offline
   trainer builds record by record from the same days
   (``CountsAccumulator.consume_hour`` -> ``project`` ->
-  ``observe_aggregate`` in day order -> ``finalize``; the record-path
-  oracle in ``tests/core/counts_oracle.py``), the independent reference
-  for the columnar fold.
+  ``DictHistoricalModel.observe_aggregate`` in day order ->
+  ``finalize``; the record-path and dict oracles in
+  ``tests/core/counts_oracle.py`` and ``tests/core/historical_oracle.py``),
+  the independent reference for the columnar fold, sharing no code with
+  it.
 
 Byte values are deliberately non-integral and span 10 orders of
 magnitude, so a sum taken in any other order or grouping rounds
@@ -24,7 +26,6 @@ differently and fails the gate.
 import numpy as np
 import pytest
 
-from repro.core.historical import HistoricalModel
 from repro.core.service import ServiceConfig, TipsyService
 from repro.pipeline import AggRecord, FlowContext
 from repro.topology import (
@@ -35,6 +36,7 @@ from repro.topology import (
     Region,
 )
 from tests.core.counts_oracle import CountsAccumulator
+from tests.core.historical_oracle import DictHistoricalModel
 
 BASE_MODELS = ("Hist_AP", "Hist_AL", "Hist_A")
 N_DAYS = 30
@@ -104,7 +106,7 @@ def fresh_service_over_window(service, fed):
 
 def offline_models(fed, trained_days):
     """The base suite trained record by record, day by day."""
-    models = [HistoricalModel(fs) for fs in TipsyService._GRAINS]
+    models = [DictHistoricalModel(fs) for fs in TipsyService._GRAINS]
     for day in trained_days:
         counts = CountsAccumulator()
         for hour, records in fed:

@@ -13,6 +13,7 @@ from repro.core import (
     Prediction,
 )
 from repro.pipeline import FlowContext
+from tests.core.builders import from_rows
 
 
 actuals_strategy = st.dictionaries(
@@ -27,12 +28,9 @@ actuals_strategy = st.dictionaries(
 
 
 def oracle_for(actuals):
-    oracle = OracleModel(FEATURES_AP)
-    for context, by_link in actuals.items():
-        for link, b in by_link.items():
-            oracle.observe(context, link, b)
-    oracle.finalize()
-    return oracle
+    return from_rows(OracleModel, FEATURES_AP, (
+        (context, link, b) for context, by_link in actuals.items()
+        for link, b in by_link.items()))
 
 
 class TestMetricProperties:
@@ -69,7 +67,7 @@ class TestMetricProperties:
     @given(actuals_strategy)
     @settings(max_examples=40)
     def test_untrained_model_scores_zero(self, actuals):
-        empty = HistoricalModel(FEATURES_AP)
+        empty = from_rows(HistoricalModel, FEATURES_AP, ())
         assert evaluate_accuracy(actuals, empty, 3) == 0.0
 
 

@@ -42,6 +42,7 @@ from tests.cms.entry_oracle import (EntryCMS, candidates_by_entry,
                                     entries_of, hexed, hexed_candidates,
                                     observed_totals, totals_by_entry)
 from tests.cms.risk_oracle import oracle_findings, stated
+from tests.core.builders import from_rows
 
 LINKS = 4
 PREFIXES = 3
@@ -73,11 +74,9 @@ def wan():
 
 
 def predictor():
-    model = HistoricalModel(FEATURES_AP)
-    for i, context in enumerate(CONTEXTS):
-        model.observe(context, i % LINKS, 100.0)
-        model.observe(context, (i + 1) % LINKS, 10.0)
-    return model
+    return from_rows(HistoricalModel, FEATURES_AP, [
+        row for i, context in enumerate(CONTEXTS) for row in (
+            (context, i % LINKS, 100.0), (context, (i + 1) % LINKS, 10.0))])
 
 
 def sample_of(drawn):
@@ -145,11 +144,11 @@ def risk_wan():
 
 
 def risk_model(honours_outages):
-    model = (HistoricalModel if honours_outages else OutageBlind)(FEATURES_AP)
-    for i, context in enumerate(CONTEXTS):
-        for j, link_id in enumerate(RISK_IDS):
-            model.observe(context, link_id, 100.0 / (1 + (i + j) % 4))
-    return model
+    return from_rows(
+        HistoricalModel if honours_outages else OutageBlind, FEATURES_AP,
+        [(context, link_id, 100.0 / (1 + (i + j) % 4))
+         for i, context in enumerate(CONTEXTS)
+         for j, link_id in enumerate(RISK_IDS)])
 
 
 def risk_sample(drawn):

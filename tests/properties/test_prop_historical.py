@@ -9,8 +9,8 @@ Whatever the keyed table — tuples of one, two or many links, tied bytes,
 byte counts whose running sum is not their fsum (``1.0, 2**53, 1.0``),
 rows of several tuples interleaved — and whatever is asked first, both
 must agree to the bit: ``rankings()`` in key order, link order and ``float.hex``,
-``predict`` / ``has_prediction`` under any ``k`` and ``unavailable``
-set, and ``to_arrays()`` byte for byte.
+``predict`` under any ``k`` and ``unavailable`` set, and ``to_arrays()``
+byte for byte.
 
 Hand mutants this suite kills (each applied in a scratch copy, seen to
 fail here, and reverted): ``math.fsum`` replaced by ``sum``, and the
@@ -114,8 +114,6 @@ def test_table_equals_the_dict_build(table, data):
     for context, k, unavailable in asks:
         assert (hexed(got.predict(context, k, unavailable))
                 == hexed(want.predict(context, k, unavailable)))
-        assert (got.has_prediction(context, unavailable)
-                == want.has_prediction(context, unavailable))
     assert_same_model(got, want, contexts)
     for context in contexts:
         for k in range(1, 6):
@@ -123,29 +121,6 @@ def test_table_equals_the_dict_build(table, data):
                                 frozenset(range(10))):
                 assert (hexed(got.predict(context, k, unavailable))
                         == hexed(want.predict(context, k, unavailable)))
-                assert (got.has_prediction(context, unavailable)
-                        == want.has_prediction(context, unavailable))
-
-
-@given(st.lists(st.tuples(keys, st.integers(0, 9), byte_counts),
-                max_size=40),
-       st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_observe_path_equals_the_dict_observe(observations, cut):
-    """``observe`` -> ``finalize`` folds rows in the order given onto the
-    counts so far, a query in the middle included: the running sums of
-    ``links.get(link, 0.0) + bytes`` to the bit."""
-    got = HistoricalModel(FEATURES_AP)
-    want = DictHistoricalModel(FEATURES_AP)
-    contexts = [context_of(key) for key, _, _ in observations]
-    for index, (key, link, bytes_) in enumerate(observations):
-        if index == cut:
-            assert_same_model(got, want, contexts)
-        got.observe(context_of(key), link, bytes_)
-        want.observe(context_of(key), link, bytes_)
-    got.finalize()
-    want.finalize()
-    assert_same_model(got, want, contexts)
 
 
 def test_threads_asking_a_fresh_model_get_one_answer():

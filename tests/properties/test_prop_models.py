@@ -17,6 +17,7 @@ from repro.core import (
     SequentialEnsemble,
 )
 from repro.pipeline import FlowContext
+from tests.core.builders import from_rows
 
 # a compact universe keeps collision (same-tuple) cases frequent
 observations = st.lists(
@@ -45,19 +46,17 @@ unavailable_sets = st.frozensets(st.integers(min_value=0, max_value=9),
 ks = st.integers(min_value=1, max_value=6)
 
 
-def train(model, obs):
-    for asn, prefix, loc, region, service, link, bytes_ in obs:
-        model.observe(FlowContext(asn, prefix, loc, region, service),
-                      link, bytes_)
-    model.finalize()
-    return model
+def train(cls, feature_set, obs):
+    return from_rows(cls, feature_set, (
+        (FlowContext(asn, prefix, loc, region, service), link, bytes_)
+        for asn, prefix, loc, region, service, link, bytes_ in obs))
 
 
 class TestModelContract:
     @given(observations, queries, ks, unavailable_sets)
     @settings(max_examples=60)
     def test_historical_contract(self, obs, query, k, unavailable):
-        model = train(HistoricalModel(FEATURES_AP), obs)
+        model = train(HistoricalModel, FEATURES_AP, obs)
         preds = model.predict(FlowContext(*query), k, unavailable)
         assert len(preds) <= k
         links = [p.link_id for p in preds]
@@ -70,7 +69,7 @@ class TestModelContract:
     @given(observations, queries, ks, unavailable_sets)
     @settings(max_examples=40)
     def test_naive_bayes_contract(self, obs, query, k, unavailable):
-        model = train(NaiveBayesModel(FEATURES_A), obs)
+        model = train(NaiveBayesModel, FEATURES_A, obs)
         preds = model.predict(FlowContext(*query), k, unavailable)
         assert len(preds) <= k
         links = [p.link_id for p in preds]
@@ -82,12 +81,12 @@ class TestModelContract:
     @given(observations, queries, ks)
     @settings(max_examples=40)
     def test_ensemble_answers_iff_some_component_does(self, obs, query, k):
-        ap = train(HistoricalModel(FEATURES_AP), obs)
-        a = train(HistoricalModel(FEATURES_A), obs)
+        ap = train(HistoricalModel, FEATURES_AP, obs)
+        a = train(HistoricalModel, FEATURES_A, obs)
         ensemble = SequentialEnsemble([ap, a])
         context = FlowContext(*query)
         preds = ensemble.predict(context, k)
-        component_any = ap.has_prediction(context) or a.has_prediction(context)
+        component_any = any(m.predict(context, 1) for m in (ap, a))
         assert bool(preds) == component_any
 
 
@@ -95,7 +94,7 @@ class TestHistoricalEmpiricalDistribution:
     @given(observations)
     @settings(max_examples=60)
     def test_scores_match_byte_fractions(self, obs):
-        model = train(HistoricalModel(FEATURES_AP), obs)
+        model = train(HistoricalModel, FEATURES_AP, obs)
         # recompute the empirical distribution independently
         table = {}
         for asn, prefix, loc, region, service, link, bytes_ in obs:
@@ -114,7 +113,7 @@ class TestHistoricalEmpiricalDistribution:
     @settings(max_examples=40)
     def test_prediction_prefix_consistency(self, obs, k):
         """predict(k) is always a prefix of predict(k+1)."""
-        model = train(HistoricalModel(FEATURES_AP), obs)
+        model = train(HistoricalModel, FEATURES_AP, obs)
         for asn, prefix, loc, region, service, _l, _b in obs[:10]:
             context = FlowContext(asn, prefix, loc, region, service)
             small = model.predict(context, k)

@@ -43,13 +43,15 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--train-days"], ["evaluate", "--test-days"],
-        ["risk", "--train-days"], ["risk", "--test-days"],
+        ["risk", "--train-days"], ["risk", "--test-days"], ["risk", "--limit"],
         ["report", "--train-days"], ["report", "--test-days"],
         ["snapshot", "save", "--dir", "unused", "--window"]])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_days_below_one_are_usage_errors(self, argv, value, capsys):
-        """Not all-zero tables, a service that never trains or a numpy
-        traceback: exit 2 with usage, before a world is built."""
+        """Not all-zero tables, a service that never trains, a numpy
+        traceback or a risk table short of its last findings (a negative
+        ``--limit`` slices them off the end): exit 2 with usage, before
+        a world is built."""
         with pytest.raises(SystemExit) as exited:
             main([*argv, value])
         assert exited.value.code == 2

@@ -15,6 +15,7 @@ from repro.topology import (
     generate_as_graph,
     generate_wan,
 )
+from tests.core.builders import from_rows
 
 
 class TestUnknownLocationSemantics:
@@ -22,11 +23,10 @@ class TestUnknownLocationSemantics:
         """Flows without a Geo-IP hit still train and predict at AL
         grain: UNKNOWN_LOCATION acts as one more location value, never
         as a wildcard."""
-        model = HistoricalModel(FEATURES_AL)
         known = FlowContext(1, 10, 3, 0, 0)
         unknown = FlowContext(1, 11, UNKNOWN_LOCATION, 0, 0)
-        model.observe(known, 5, 100.0)
-        model.observe(unknown, 7, 100.0)
+        model = from_rows(HistoricalModel, FEATURES_AL, [
+            (known, 5, 100.0), (unknown, 7, 100.0)])
         assert model.predict(known, 1)[0].link_id == 5
         assert model.predict(unknown, 1)[0].link_id == 7
         # a third location matches neither bucket
