@@ -14,7 +14,8 @@ every historical model trains from its projection through
 ``HistoricalModel.from_arrays``.  :func:`fold_keyed` is the group-and-sum
 a projection and the window fold behind each retrain are made of, and
 what an arriving hour's fold equals: the day table finds the rows an
-hour's keys already have by binary search (``SortedTable``).  The dict
+hour's keys already have by binary search (``SortedTable``), and an
+hour that brings no new keys rebuilds only the value column.  The dict
 form it replaced is the record-path reference it is tested bit for bit
 against (``tests/core/counts_oracle.py``), as ``aggregate_hour`` is for
 ``aggregate_hour_columns``.
@@ -124,7 +125,9 @@ class DayCounts:
     def add_hour(self, columns: AggColumns) -> None:
         """Fold one aggregated hour into the table: rows whose key it
         holds are added onto their sums in row order, the rest grouped
-        and appended.  Columns are rebuilt, never written in place."""
+        and appended.  Only what changes is rebuilt, never written in
+        place: an hour with no new keys adds onto a copy of the value
+        column and keeps the key columns and the row index."""
         if not columns.n_records:
             return
         keys = [column.astype(np.int64, casting="same_kind", copy=False)
@@ -137,14 +140,17 @@ class DayCounts:
             self._table = fold_keyed((self._table, hour), len(_KEY_NAMES))
             return
         held, rows = self._index.find(codes)
-        new = np.flatnonzero(~held)
-        rep, sums = first_seen_sums([codes[new]], columns.bytes[new])
-        new = new[rep]
-        self._index.add(codes[new], len(self._table["value"]) + np.arange(
-            len(new), dtype=np.int64))
-        table = {name: np.concatenate([self._table[name], key[new]])
-                 for name, key in zip(_KEY_NAMES, keys)}
-        table["value"] = np.concatenate([self._table["value"], sums])
+        if held.all():          # no new keys: only the sums move
+            table = dict(self._table, value=self._table["value"].copy())
+        else:
+            new = np.flatnonzero(~held)
+            rep, sums = first_seen_sums([codes[new]], columns.bytes[new])
+            new = new[rep]
+            self._index.add(codes[new], len(self) + np.arange(
+                len(new), dtype=np.int64))
+            table = {name: np.concatenate([self._table[name], key[new]])
+                     for name, key in zip(_KEY_NAMES, keys)}
+            table["value"] = np.concatenate([self._table["value"], sums])
         np.add.at(table["value"], rows[held], columns.bytes[held])
         self._table = table
 

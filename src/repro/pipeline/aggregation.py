@@ -11,8 +11,9 @@ walks records one at a time (the reference implementation), while
 :meth:`aggregate_hour_columns` vectorises the group-by with numpy —
 same records, same order, bit-identical byte sums (both accumulate per
 key in input order), same strict/lenient drop accounting.  Across hours
-the columnar path joins by :class:`SortedTable` look-up and walks only
-prefixes it has not joined before, in the serial walk's order.
+the columnar path joins by indexing a :class:`PrefixJoin` array with the
+prefix ids and walks only prefixes it has not joined before, in the
+serial walk's order.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ class HourlyAggregator:
         # caches: ids -> encoded feature values
         self._dest_cache: Dict[int, Tuple[int, int]] = {}
         self._loc_cache: Dict[int, int] = {}
-        self._dest_table = SortedTable(2)   # the same joins for a column
-        self._loc_table = SortedTable()     # of ids, filled from the caches
+        # the same joins for a column of ids, filled from the caches
+        dest_ids, src_ids = metadata.id_ranges()
+        self._dest_join = PrefixJoin(dest_ids, 2)   # region, service
+        self._loc_join = PrefixJoin(src_ids, 1)
 
     def _dest_features(self, dest_prefix_id: int) -> Tuple[int, int]:
         cached = self._dest_cache.get(dest_prefix_id)
@@ -165,34 +168,6 @@ class HourlyAggregator:
                 f"cannot aggregate record {record!r}: {exc}") from exc
         raise AssertionError(f"row {row} flagged invalid but re-validates")
 
-    @staticmethod
-    def _join(table: "SortedTable", ids: np.ndarray,
-              lookup: Callable[[int], object],
-              fail: Optional[Callable[[int], None]] = None,
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(joined, codes)`` per id, by look-up in ``table``.
-
-        Ids it does not hold are walked through ``lookup`` first, in
-        first-occurrence order (the serial walk's, so encoders assign
-        the same codes); one that cannot be joined goes to ``fail`` with
-        its position (strict) or stays out, unjoined (lenient).
-        """
-        joined, codes = table.find(ids)
-        if joined.all():
-            return joined, codes
-        missing = np.flatnonzero(~joined)
-        new_ids, first = np.unique(ids[missing], return_index=True)
-        found: Dict[int, object] = {}
-        for ui in np.argsort(first, kind="stable").tolist():
-            try:
-                found[int(new_ids[ui])] = lookup(int(new_ids[ui]))
-            except (KeyError, ValueError):
-                if fail is not None:
-                    fail(int(missing[first[ui]]))
-        table.add(np.array(list(found), dtype=np.int64),
-                  np.array(list(found.values()), dtype=np.int64))
-        return table.find(ids)
-
     def aggregate_hour_columns(
         self,
         hour: int,
@@ -231,36 +206,45 @@ class HourlyAggregator:
         columns = (link_ids, src_prefix_ids, src_asns, dest_prefix_ids,
                    bytes_)
 
-        bad_bytes = bytes_ <= 0.0
+        bad = bytes_ <= 0.0
         # The strict path must fail on the same record the serial walk
         # fails on: nothing past the first bad-bytes row may be encoded.
         limit = n
-        if self.strict and bad_bytes.any():
-            limit = int(np.argmax(bad_bytes))
-        good = ~bad_bytes
-        good[limit:] = False
-        good_rows = np.nonzero(good)[0]
+        if self.strict and bad.any():
+            limit = int(np.argmax(bad))
+            bad[limit:] = True
 
         def fail(row: int) -> None:
             # the serial walk encoded, in order, every location before the
             # row it fails on: so must this path
-            self._join(self._loc_table, src_prefix_ids[:row], self._location)
+            self._loc_join.join(src_prefix_ids[:row], self._location)
             self._raise_for_row(hour, *columns, row=row)
 
-        joined, dest_codes = self._join(
-            self._dest_table, dest_prefix_ids[good_rows], self._dest_features,
-            (lambda at: fail(int(good_rows[at]))) if self.strict else None)
-        if self.strict and limit < n:
+        dest_slots = self._dest_join.slots(dest_prefix_ids)
+        region, service = self._dest_join.find(dest_slots)
+        unjoined = region == UNJOINED
+        if unjoined.any():
+            walk = np.flatnonzero(unjoined & ~bad)
+            self._dest_join.walk(
+                dest_prefix_ids[walk], dest_slots[walk], self._dest_features,
+                (lambda at: fail(int(walk[at]))) if self.strict else None)
+            region, service = self._dest_join.find(dest_slots)
+            unjoined = region == UNJOINED
+        if limit < n:
             fail(limit)
-        valid_rows = good_rows[joined]
-        dropped = n - len(valid_rows)
-        src = src_prefix_ids[valid_rows]
-        _, src_loc = self._join(self._loc_table, src, self._location)
+        # gather the valid rows only when a row was dropped
+        keep = [link_ids, src_asns, src_prefix_ids, region, service, bytes_]
+        invalid = bad | unjoined
+        dropped = int(np.count_nonzero(invalid))
+        if dropped:
+            rows = np.flatnonzero(~invalid)
+            keep = [column[rows] for column in keep]
+        link, asn, src, region, service, weights = keep
+        src_loc = self._loc_join.join(src, self._location)
 
         # group-by over the full encoded feature tuple
-        key_columns = (link_ids[valid_rows], src_asns[valid_rows], src,
-                       src_loc, dest_codes[joined, 0], dest_codes[joined, 1])
-        rep, sums = first_seen_sums(key_columns, bytes_[valid_rows])
+        key_columns = (link, asn, src, src_loc, region, service)
+        rep, sums = first_seen_sums(key_columns, weights)
         out = AggColumns(hour, *(column[rep] for column in key_columns),
                          sums)
         self.stats.records_in += n
@@ -270,23 +254,89 @@ class HourlyAggregator:
         return out
 
 
+#: a join slot's codes until its id is walked
+UNJOINED = np.iinfo(np.int64).min
+
+
+class PrefixJoin:
+    """Prefix id -> int64 feature codes, as arrays indexed by id.
+
+    The columnar twin of an aggregator's dict-cached join: ``width``
+    arrays (one per feature), with a slot per id in ``ids`` (the range a
+    ``MetadataStore`` knows, so the arrays are sized by the store, never
+    by the ids a trace carries) and one spare last slot that every id
+    outside the range shares.  A slot stays :data:`UNJOINED` until its
+    id is walked, and an id that cannot be joined leaves it so.  The
+    spare slot is walked like any other: its first id joins to what
+    every id the store cannot know joins to (no location for a source,
+    a miss for a destination).
+    """
+
+    def __init__(self, ids: range, width: int) -> None:
+        self._ids = ids
+        self.codes = tuple(np.full(len(ids) + 1, UNJOINED, dtype=np.int64)
+                           for _ in range(width))
+
+    def slots(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's slot, the spare one outside the range: an id below
+        it wraps past its end as uint64, so one clip catches both ends."""
+        offsets = (ids - self._ids.start).view(np.uint64)
+        return np.minimum(offsets, len(self._ids)).view(np.int64)
+
+    def find(self, slots: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Each feature's codes at ``slots``."""
+        return tuple(column.take(slots) for column in self.codes)
+
+    def walk(self, ids: np.ndarray, slots: np.ndarray,
+             lookup: Callable[[int], Sequence[int]],
+             fail: Optional[Callable[[int], None]] = None) -> None:
+        """Fill the slots at ``slots`` with ``lookup`` of their ``ids``.
+
+        Ids go in first-occurrence order (the serial walk's, so encoders
+        assign the same codes); one that cannot be joined goes to
+        ``fail`` with its position (strict) or stays unjoined (lenient).
+        """
+        _, first = np.unique(slots, return_index=True)
+        for at in np.sort(first).tolist():
+            try:
+                codes = lookup(int(ids[at]))
+            except (KeyError, ValueError):
+                if fail is not None:
+                    fail(at)
+                continue
+            for column, code in zip(self.codes, codes):
+                column[slots[at]] = code
+
+    def join(self, ids: np.ndarray,
+             lookup: Callable[[int], int]) -> np.ndarray:
+        """Each id's code (one feature), walking the ids not joined yet
+        through ``lookup``, which must join every id it is given."""
+        slots = self.slots(ids)
+        codes, = self.find(slots)
+        walk = np.flatnonzero(codes == UNJOINED)
+        if walk.size:
+            self.walk(ids[walk], slots[walk],
+                      lambda prefix_id: (lookup(prefix_id),))
+            codes, = self.find(slots)
+        return codes
+
+
 class SortedTable:
     """Distinct int64 keys, kept sorted, each with an int64 payload.
 
-    The look-up of both halves of the hourly write path: the joins here
-    (prefix id -> feature codes) and ``core.training.DayCounts``'s row
-    index.  ``width`` is a payload's shape (none: one int a key).
+    ``core.training.DayCounts``'s row index: a row's mixed-radix key
+    code -> its row number, found by binary search.
     """
 
-    def __init__(self, *width: int) -> None:
+    def __init__(self) -> None:
         self._keys = np.empty(0, dtype=np.int64)
-        self._payload = np.empty((0, *width), dtype=np.int64)
+        self._payload = np.empty(0, dtype=np.int64)
 
     def find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(held, payload)`` per key; payload is arbitrary where not held."""
         if not len(self._keys):
-            return (np.zeros(len(keys), dtype=bool), np.zeros(
-                (len(keys), *self._payload.shape[1:]), dtype=np.int64))
+            return (np.zeros(len(keys), dtype=bool),
+                    np.zeros(len(keys), dtype=np.int64))
         at = np.searchsorted(self._keys, keys)
         at[at == len(self._keys)] = 0
         return self._keys[at] == keys, self._payload[at]
@@ -295,8 +345,7 @@ class SortedTable:
         """Merge in distinct keys the table does not hold yet."""
         order = np.argsort(keys, kind="stable")
         at = np.searchsorted(self._keys, keys[order])
-        self._payload = np.insert(self._payload, at, payload.reshape(
-            len(keys), *self._payload.shape[1:])[order], axis=0)
+        self._payload = np.insert(self._payload, at, payload[order])
         self._keys = np.insert(self._keys, at, keys[order])
 
 

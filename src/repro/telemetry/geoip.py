@@ -11,7 +11,7 @@ one exists, otherwise anywhere — mimicking real Geo-IP failure modes.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from ..topology.geography import MetroCatalog
 from ..traffic.prefixes import PrefixUniverse
@@ -50,6 +50,10 @@ class GeoIPDatabase:
 
     def __len__(self) -> int:
         return len(self._table)
+
+    def __iter__(self) -> Iterator[int]:
+        """The prefix ids the database holds a metro for."""
+        return iter(self._table)
 
     def error_count(self, universe: PrefixUniverse) -> int:
         """How many entries disagree with ground truth (for tests)."""

@@ -10,7 +10,7 @@ straight off :meth:`~repro.topology.wan.CloudWAN.link`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..topology.wan import CloudWAN
 from .geoip import GeoIPDatabase
@@ -31,3 +31,18 @@ class MetadataStore:
     def source_location(self, src_prefix_id: int) -> Optional[str]:
         """Geo-IP metro of the source /24 (may be imprecise or missing)."""
         return self.geoip.lookup(src_prefix_id)
+
+    def id_ranges(self) -> Tuple[range, range]:
+        """The destination and source prefix ids the store may know.
+
+        No id outside its range has destination features or a source
+        location, so a join indexed by id needs no more room than this.
+        """
+        return (_span(p.prefix_id for p in self.wan.dest_prefixes),
+                _span(self.geoip))
+
+
+def _span(ids: Iterable[int]) -> range:
+    """The smallest range holding every id (empty for none)."""
+    ids = list(ids)
+    return range(min(ids), max(ids) + 1) if ids else range(0)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import Scenario, ScenarioParams, figures
+
+
+def weighted_median(points):
+    """The smallest spread at or past half the bytes of a CDF."""
+    for spread, cum in points:
+        if cum >= 0.5:
+            return spread
+    return points[-1][0]
 
 
 class TestCdfPoints:
@@ -46,14 +54,36 @@ class TestFig3:
         """Paper Figure 3's surprise: closer ASes spray over more links."""
         groups = figures.fig3_link_spread(small_scenario, 0, 72)
 
-        def weighted_median(points):
-            for spread, cum in points:
-                if cum >= 0.5:
-                    return spread
-            return points[-1][0]
-
         if 1 in groups and 3 in groups:
             assert weighted_median(groups[1]) >= weighted_median(groups[3])
+
+
+@pytest.fixture(scope="module", params=range(4), ids=lambda s: f"seed{s}")
+def small_world(request):
+    return Scenario(ScenarioParams.small(seed=request.param))
+
+
+class TestFigs2And3Bands:
+    """The paper-scale Figure 2 and 3 bands (``benchmarks/``) on the
+    small world, seeds 0-3, over its day 3 (Fig. 2) and days 3-5
+    (Fig. 3).  Measured: a 1-hop byte share of 0.49-0.59, at least 0.976
+    of the bytes within 3 hops, and a 1-hop median link spread of 13-20
+    against 4-8 at two hops; the 3-hop median ties the 1-hop one on seed
+    0 (13 vs 13), so it is reported, not ordered.  Orderings on a
+    synthetic substrate, not the paper's absolute values."""
+
+    def test_bytes_come_from_nearby_ases(self, small_world):
+        dist = figures.fig2_bytes_by_distance(small_world, 72, 96)
+        assert sum(dist.values()) == pytest.approx(1.0)
+        assert 0.40 < dist.get(1, 0.0) < 0.80
+        assert sum(v for d, v in dist.items() if d <= 3) > 0.93
+
+    def test_direct_peers_spray_widest(self, small_world):
+        medians = {d: weighted_median(points) for d, points in
+                   figures.fig3_link_spread(small_world, 72, 144).items()}
+        print(f"median link spread by AS distance: {medians}")
+        assert medians[1] >= medians[2]
+        assert medians[1] >= 4
 
 
 class TestFig5:

@@ -379,6 +379,25 @@ class TestCountedJoinWork:
         # a dropped row's source prefix is never joined
         assert ("src", rogue_src.prefix_id) not in agg.metadata.calls
 
+    def test_a_source_outside_the_store_needs_no_room(self, spied):
+        agg, wan, universe, walks, _encodes = spied
+        _dest_ids, src_ids = agg.metadata.id_ranges()
+        prefix = universe.prefix(0)
+        rows = [IpfixRecord(0, 0, 2 ** 40, prefix.asn, 0, 1e6),
+                IpfixRecord(0, 0, -1, prefix.asn, 0, 1e6),
+                record(universe, wan)]
+        out = agg.aggregate_hour_columns(0, **columns_of(rows))
+        # the ids outside the range share the one spare slot: the first
+        # is walked, the other reads what it joined to
+        assert [w for w in walks if w[0] == "_location"] == [
+            ("_location", 2 ** 40), ("_location", prefix.prefix_id)]
+        assert out.src_locs.tolist() == [UNKNOWN_LOCATION, UNKNOWN_LOCATION,
+                                         agg._location(prefix.prefix_id)]
+        # the array spans only the ids the store can know, plus that slot
+        assert [len(column) for column in agg._loc_join.codes] == [
+            len(src_ids) + 1]
+        assert len(src_ids) == len(universe)
+
 
 class TestRowGrouping:
     """``first_seen_groups`` and ``sorted_rows`` against plain Python."""

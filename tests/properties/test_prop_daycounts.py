@@ -16,7 +16,8 @@ directories byte for byte.
 ``DayCounts.add_hour`` finds the rows an hour's keys already have
 through a sorted index of mixed-radix codes over fixed per-column
 ranges, and each path that adds runs here: a key twice in one hour (the
-bursts), an hour whose values lie outside the ranges the first hour
+bursts), an hour whose keys the table all holds (only the value column
+is rebuilt), an hour whose values lie outside the ranges the first hour
 fixed (prefixes first seen late: a re-index), a restored table's first
 hour (the index is built over adopted arrays), and — in the second key
 universe, ASNs near 2^32 and prefix ids near 2^40 — ranges too wide for
@@ -25,9 +26,10 @@ Hand mutants of ``add_hour`` this suite kills (each applied, seen to
 fail here, and reverted): ``value[rows] += bytes`` in place of
 ``np.add.at`` (a key twice in an hour loses an addend); the index not
 extended after new keys are appended (their next hour appends them
-again).  A third — the sums added in place onto the held value column,
-so a table handed out earlier changes under its reader — survives here
-and dies in ``tests/core/test_training.py::TestDayCounts``.
+again); the sums of an hour with no new keys added in place onto the
+held value column (``dict(self._table)`` for the copy), so a table or
+projection handed out earlier changes under its reader
+(``TestHandedOut``).
 """
 
 import tempfile
@@ -40,6 +42,7 @@ from hypothesis import strategies as st
 
 from repro.core import service as service_module
 from repro.core.service import ServiceConfig, TipsyService
+from repro.core.training import DayCounts
 from repro.pipeline import AggColumns, AggRecord, FlowContext
 from repro.store.codec import decode_keyed_table, encode_keyed_table
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
@@ -209,3 +212,40 @@ class TestDayCounts:
             assert handed_in == [
                 [column.tobytes() for column in columns[1:]]
                 for columns in hours]
+
+
+def snapshot_of(table):
+    """Every column of a keyed table, as bytes."""
+    return {name: column.tobytes() for name, column in table.items()}
+
+
+class TestHandedOut:
+    @given(batches, st.integers(0, 2**32 - 1), st.sampled_from(
+        [KEYS, WIDE_KEYS]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_an_hour_with_no_new_keys_leaves_them_alone(
+            self, sequence, seed, keys, data):
+        """``to_arrays()`` and ``project(...)`` taken before an hour that
+        brings no new keys read the same after it: the hour's sums go
+        onto a copy of the value column, not the one handed out."""
+        hours = [AggColumns.of(hour, records)
+                 for hour, records in stream_of(sequence, seed, keys)
+                 if records]
+        if not hours:
+            return
+        table = DayCounts()
+        for columns in hours:
+            table.add_hour(columns)
+        again = data.draw(st.sampled_from(hours), label="again")
+        arrays = table.to_arrays()
+        projections = [table.project(grain)
+                       for grain in TipsyService._GRAINS]
+        before = [snapshot_of(arrays),
+                  *(snapshot_of(p) for p in projections)]
+        held = len(table)
+        table.add_hour(again)
+        assert len(table) == held           # no new keys
+        assert [snapshot_of(arrays),
+                *(snapshot_of(p) for p in projections)] == before
+        assert (table.to_arrays()["value"].tobytes()
+                != arrays["value"].tobytes())

@@ -35,3 +35,12 @@ class TestMetadataStore:
     def test_unknown_source_location(self, store):
         meta, _wan, _u = store
         assert meta.source_location(10**9) is None
+
+    def test_id_ranges_hold_every_known_id(self, store):
+        meta, wan, universe = store
+        dest_ids, src_ids = meta.id_ranges()
+        assert {p.prefix_id for p in wan.dest_prefixes} <= set(dest_ids)
+        assert {p.prefix_id for p in universe} <= set(src_ids)
+        assert meta.source_location(src_ids.stop) is None
+        with pytest.raises(KeyError):
+            meta.destination_features(dest_ids.stop)
