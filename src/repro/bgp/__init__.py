@@ -21,7 +21,6 @@ from .propagation import (
     UNREACHABLE,
     compute_routing_table,
     default_bias,
-    update_routing_table,
 )
 from .simulator import IngressSimulator, SimulatorParams
 
@@ -29,6 +28,5 @@ __all__ = [
     "AdvertisementState",
     "MAX_NEXTHOPS", "RouteInfo", "RoutingTable", "SPRAY_TOLERANCE",
     "UNREACHABLE", "compute_routing_table", "default_bias",
-    "update_routing_table",
     "IngressSimulator", "SimulatorParams",
 ]

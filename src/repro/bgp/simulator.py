@@ -43,11 +43,11 @@ its *footprint* (the ASes whose rows and links the walk read) and its
 tell which flows a change of removal set reaches (:meth:`touched`); the
 flow-by-flow walk it replaced is the test oracle
 (``tests/bgp/resolve_oracle.py``).  Routing tables are cached per
-seeded-neighbor set, a miss derived from a pinned full-availability
-table by dirty-set recomputation (``update_routing_table``); the walk
-reads their ``direct`` and ``nexthops`` columns, stacked one table per
-removal key.  The one per-flow memo left, the split past the candidate
-pool, is bounded by ``SimulatorParams.share_cache_size``.
+removal key and per seeded-neighbor set, a miss of both computed from
+scratch (``compute_routing_table``, over a policy-bias column built
+once); the walk reads their ``direct`` and ``nexthops`` columns, stacked
+one table per removal key.  The one per-flow memo left, the split past
+the candidate pool, is bounded by ``SimulatorParams.share_cache_size``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from ..util.cache import LruDict
 from ..util.hashing import (geometric_day, mix64_columns, rotation_columns,
                             unit, unit_columns)
 from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
-                          default_bias, update_routing_table)
+                          default_bias)
 from .state import AdvertisementState
 
 @dataclass
@@ -149,16 +149,11 @@ class IngressSimulator:
         self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         self._ranked_cache: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
         self._p_cache: Dict[Tuple[int, int], float] = {}
-        # the full-availability table every incremental update derives
-        # from; pinned outside the LRU so eviction can never force a
-        # second full rebuild
-        self._base_table_pin: Optional[RoutingTable] = None
         # hit/miss counters for the ranked candidate pools (the LRU
-        # caches carry their own counters)
+        # caches carry their own counters), and the tables computed
         self._ranked_hits = 0
         self._ranked_misses = 0
         self._table_full_rebuilds = 0
-        self._table_incremental_updates = 0
         # the walk's frame: dense AS rows (those of every routing table),
         # metro codes, each (AS row, metro)'s pocket (the AS's first that
         # holds the metro, -1: none) and entry metro (-1 until first used)
@@ -190,35 +185,22 @@ class IngressSimulator:
                             for l in removed if wan.has_link(l)}
             if all(l.link_id in removed for l in self._links_by_peer[asn])}
 
-    def _base_table(self) -> RoutingTable:
-        """Full-availability table (computed once, pinned forever)."""
-        if self._base_table_pin is None:
-            self._table_full_rebuilds += 1
-            self._base_table_pin = compute_routing_table(
-                self.graph, self._peer_asns, self._bias)
-        return self._base_table_pin
-
     def routing_table(self, removed: FrozenSet[int]) -> RoutingTable:
-        """AS-level routing table for a set of removed links (cached).
-
-        Cache misses no longer pay a full rebuild: the table for a new
-        seeded-neighbor set is derived from the pinned full-availability
-        table by dirty-set recomputation (``update_routing_table``),
-        bit-identical to a from-scratch compute.
-        """
+        """AS-level routing table for a set of removed links (cached per
+        removal key and per seeded-neighbor set; a miss of both computes
+        the table).  Raises ``RuntimeError`` once the AS graph has
+        changed after the simulator was built."""
+        if self.graph.dense() is not self._topo:
+            raise RuntimeError("the AS graph changed after the simulator "
+                               "was built")
         table = self._table_by_removed.get(removed)
         if table is not None:
             return table
         seeded = self.seeded_for(removed)
         table = self._table_by_seeded.get(seeded)
         if table is None:
-            base = self._base_table()
-            if seeded == base.seeded:
-                table = base
-            else:
-                self._table_incremental_updates += 1
-                table = update_routing_table(self.graph, base, seeded,
-                                             self._bias)
+            self._table_full_rebuilds += 1
+            table = compute_routing_table(self.graph, seeded, self._bias)
             self._table_by_seeded[seeded] = table
         self._table_by_removed[removed] = table
         return table
@@ -320,9 +302,6 @@ class IngressSimulator:
                     for i, prefix in enumerate(prefixes.tolist())
                     if state.prepend_key(prefix)}
         tables = [self.routing_table(removed) for removed in removals]
-        if any(table.topology is not self._topo for table in tables):
-            raise RuntimeError("the AS graph changed after the simulator "
-                               "was built")
         # an AS without a route has no next-hops; a direct AS has a route
         direct = np.stack([table.direct for table in tables])
         hops = np.stack([table.nexthops for table in tables])
@@ -665,7 +644,9 @@ class IngressSimulator:
             "table_evictions": (self._table_by_removed.evictions
                                 + self._table_by_seeded.evictions),
             "table_full_rebuilds": self._table_full_rebuilds,
-            "table_incremental_updates": self._table_incremental_updates,
+            # no table is repaired; the benchmark's churn workload still
+            # reads this key (benchmarks/e2e/tipsybench/churn.py)
+            "table_incremental_updates": 0,
             "ranked_pool_hits": self._ranked_hits,
             "ranked_pool_misses": self._ranked_misses,
         }

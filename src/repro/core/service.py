@@ -127,6 +127,13 @@ class ServiceConfig:
             raise ValueError("training_window_days and prediction_k must "
                              f"be at least 1: {self}")
 
+    def query_k(self, k: Optional[int]) -> int:
+        """The ``k`` a query asks for: ``None`` or 0 is ``prediction_k``,
+        a negative one is a ``ValueError``."""
+        if k is not None and k < 0:
+            raise ValueError(f"k must be at least 1, got {k}")
+        return k or self.prediction_k
+
     def stored(self) -> Dict[str, object]:
         """The config as a snapshot or checkpoint manifest records it."""
         return dict(asdict(self), primary_model=self.primary_model,
@@ -424,7 +431,7 @@ class TipsyService:
         """Per-context answers of model ``name``, one suite throughout:
         the memo's, else the model's — each distinct group key among
         the contexts the memo does not hold predicted once."""
-        k = k or self.config.prediction_k
+        k = self.config.query_k(k)
         model = self._model_of(suite, name)
         shape = (name, k, prior)
         found, n_missing = suite.memo.lookup(shape, contexts)

@@ -25,9 +25,18 @@ from .export import FORMATS, render_json, render_prometheus, render_text
 from .metrics import MetricsSnapshot
 
 
+def _at_least_two(text: str) -> int:
+    """An ``argparse`` type for ``--days``: a run needs one day to train
+    on and one to serve (less is a usage error, exit 2)."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--days", type=int, default=3,
+    parser.add_argument("--days", type=_at_least_two, default=3,
                         help="days of telemetry to ingest (default 3)")
     parser.add_argument("--format", choices=FORMATS, default="text",
                         help="snapshot format (default: text)")
@@ -50,7 +59,7 @@ def run_example_workload(seed: int, days: int) -> MetricsSnapshot:
     from ..experiments.scenario import Scenario, ScenarioParams
 
     if days < 2:
-        raise SystemExit("repro obs: --days must be at least 2")
+        raise ValueError(f"days must be at least 2, got {days}")
     with obs.timed("obs.example_run"):
         with obs.timed("obs.build_world"):
             scenario = Scenario(ScenarioParams.small(

@@ -527,9 +527,10 @@ class ServeDaemon:
                   k: Optional[int], prior: FrozenSet[int]) -> List[Answer]:
         """Model ``name``'s per-context answers in the caller's order:
         the memo's, else the owning shard's — each distinct missing
-        context asked once, ``()`` where a shard returned short."""
+        context asked once, ``()`` where a shard returned short.  A bad
+        ``k`` is a ``ValueError`` before the memo or any shard is read."""
+        shape = (name, self.config.service.query_k(k), prior)
         memo = self._memo  # read once: its day is this query's day
-        shape = (name, k or self.config.service.prediction_k, prior)
         found, n_missing = memo.lookup(shape, contexts)
         if not n_missing:
             return cast(List[Answer], found)

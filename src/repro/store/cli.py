@@ -61,7 +61,7 @@ def add_snapshot_arguments(parser: argparse.ArgumentParser) -> None:
                         help="scenario scale for `save` (default: small)")
     parser.add_argument("--seed", type=int, default=0,
                         help="scenario seed for `save` (default: 0)")
-    parser.add_argument("--days", type=int, default=9,
+    parser.add_argument("--days", type=at_least_one, default=9,
                         help="days of telemetry to ingest before "
                              "snapshotting (default: 9)")
     parser.add_argument("--window", type=at_least_one, default=7,

@@ -1,13 +1,15 @@
 """Tests for valley-free route propagation to the WAN."""
 
+import numpy as np
 import pytest
 
-from repro.bgp import compute_routing_table, update_routing_table
+from repro.bgp import compute_routing_table, default_bias
 from repro.topology import ASGraph, ASNode, ASRole, MetroCatalog, Relationship
 
 
-def no_bias(asn, provider):
-    return 0.0
+def no_bias(graph):
+    """A zero policy bias on every provider edge."""
+    return np.zeros(graph.dense().prov_indices.size, dtype=np.float64)
 
 
 @pytest.fixture()
@@ -28,12 +30,14 @@ def chain_graph():
 
 class TestRoutePropagation:
     def test_seeded_as_is_direct(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({1}),
+                                      no_bias(chain_graph))
         assert table.get(1).direct
         assert table.get(1).dist == 1
 
     def test_routes_flow_down_customer_cone(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({1}),
+                                      no_bias(chain_graph))
         assert table.get(2).dist == 2
         assert table.get(3).dist == 3
         assert table.get(4).dist == 4
@@ -41,7 +45,8 @@ class TestRoutePropagation:
 
     def test_routes_do_not_flow_up(self, chain_graph):
         # only the stub's access provider peers: nothing above it learns
-        table = compute_routing_table(chain_graph, frozenset({3}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({3}),
+                                      no_bias(chain_graph))
         assert table.get(4) is not None        # customer of 3: learns
         assert table.get(2) is None            # provider of 3: valley-free
         assert table.get(1) is None
@@ -52,14 +57,14 @@ class TestRoutePropagation:
         g.add_as(ASNode(1, ASRole.TRANSIT, ("sea",)))
         g.add_as(ASNode(2, ASRole.TRANSIT, ("sea",)))
         g.add_link(1, 2, Relationship.PEER)
-        table = compute_routing_table(g, frozenset({1}), no_bias)
+        table = compute_routing_table(g, frozenset({1}), no_bias(g))
         # AS 2 peers with AS 1, but AS 1's (peer-learned) WAN route is not
         # exported to peers: AS 2 has no route
         assert table.get(2) is None
 
     def test_multiple_seeds_shortest_wins(self, chain_graph):
         table = compute_routing_table(chain_graph, frozenset({1, 3}),
-                                      no_bias)
+                                      no_bias(chain_graph))
         # stub reaches via its access provider (direct), dist 2
         assert table.get(4).dist == 2
         # transit reaches via tier-1, not via its customer's route
@@ -67,11 +72,13 @@ class TestRoutePropagation:
         assert table.get(2).nexthops == (1,)
 
     def test_empty_seed_empty_table(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset(), no_bias)
+        table = compute_routing_table(chain_graph, frozenset(),
+                                      no_bias(chain_graph))
         assert len(table) == 0
 
     def test_seed_not_in_graph_ignored(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset({99}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({99}),
+                                      no_bias(chain_graph))
         assert len(table) == 0
 
     def test_nexthops_ranked_by_bias(self):
@@ -83,8 +90,10 @@ class TestRoutePropagation:
         g.add_link(3, 1, Relationship.PROVIDER)
         g.add_link(3, 2, Relationship.PROVIDER)
 
-        def bias(asn, provider):
-            return 0.2 if provider == 1 else 0.0
+        # AS 3's provider edges, in insertion order: 1, then 2
+        topo = g.dense()
+        assert topo.asns[topo.providers_of(topo.index[3])].tolist() == [1, 2]
+        bias = np.array([0.2, 0.0])
 
         table = compute_routing_table(g, frozenset({1, 2}), bias)
         # both providers at dist 1, but provider 2 has lower bias
@@ -99,12 +108,13 @@ class TestRoutePropagation:
         g.add_link(2, 1, Relationship.PROVIDER)
         g.add_link(3, 1, Relationship.PROVIDER)
         g.add_link(3, 2, Relationship.PROVIDER)
-        table = compute_routing_table(g, frozenset({1}), no_bias)
+        table = compute_routing_table(g, frozenset({1}), no_bias(g))
         # provider 1 at dist 1, provider 2 at dist 2: only 1 sprayable
         assert table.get(3).nexthops == (1,)
 
     def test_reachable_and_distance_api(self, chain_graph):
-        table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({1}),
+                                      no_bias(chain_graph))
         assert set(table.reachable_asns()) == {1, 2, 3, 4}
         assert table.distance(4) == 4
         assert table.distance(99) is None
@@ -114,11 +124,13 @@ class TestRoutePropagation:
 
 class TestNexthopMatrix:
     def test_cached_matrix_is_read_only(self, chain_graph):
-        """Tables hand their columns to every later comparison and to the
-        tables derived from them: writing into one would corrupt each
+        """Tables hand their columns to every later comparison and to
+        every walk that stacks them: writing into one would corrupt each
         later answer."""
-        table = compute_routing_table(chain_graph, frozenset({1}), no_bias)
-        other = compute_routing_table(chain_graph, frozenset({2}), no_bias)
+        table = compute_routing_table(chain_graph, frozenset({1}),
+                                      no_bias(chain_graph))
+        other = compute_routing_table(chain_graph, frozenset({2}),
+                                      no_bias(chain_graph))
         assert table.changed_asns(other) == {1, 2, 3, 4}
         matrix = table.nexthops
         columns = (table.dist, table.direct, table.nexthops)
@@ -126,9 +138,27 @@ class TestNexthopMatrix:
         for column in columns:
             with pytest.raises(ValueError):
                 column[0] = 7
-        derived = update_routing_table(chain_graph, table, frozenset({2}),
-                                       no_bias)
-        assert derived.columns_equal(other)
+        again = compute_routing_table(chain_graph, frozenset({2}),
+                                      no_bias(chain_graph))
+        assert again.columns_equal(other)
         assert matrix is table.nexthops
         assert [column.tobytes() for column in columns] == kept
         assert table.changed_asns(other) == {1, 2, 3, 4}
+
+
+class TestBiasColumn:
+    def test_bias_must_cover_every_provider_edge(self, chain_graph):
+        bias = no_bias(chain_graph)
+        for wrong in (bias[:-1], np.zeros(bias.size + 1)):
+            with pytest.raises(ValueError, match="provider edges"):
+                compute_routing_table(chain_graph, frozenset({1}), wrong)
+
+    def test_a_stale_column_is_refused_after_the_graph_grows(
+            self, chain_graph):
+        bias = default_bias(chain_graph, 0)
+        chain_graph.add_link(4, 2, Relationship.PROVIDER)
+        with pytest.raises(ValueError, match="provider edges"):
+            compute_routing_table(chain_graph, frozenset({1}), bias)
+        table = compute_routing_table(chain_graph, frozenset({1}),
+                                      default_bias(chain_graph, 0))
+        assert table.get(4).dist == 3

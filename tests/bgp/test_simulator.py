@@ -469,6 +469,20 @@ class TestRoutingTableAPI:
         assert stats["share_entries"] >= 1
         assert stats["tables_by_seeded"] >= 1
 
+    def test_a_graph_mutated_after_build_is_refused(self, world):
+        """The bias column and the walk's frame are built once, over the
+        graph as it was: a table for a changed graph, cached or not, is
+        refused rather than computed over a stale frame."""
+        graph, wan, sim = world
+        sim.routing_table(frozenset())
+        graph.add_link(4, 1, Relationship.PROVIDER)
+        for removed in (frozenset(), frozenset({0, 1})):
+            with pytest.raises(RuntimeError, match="graph changed"):
+                sim.routing_table(removed)
+        with pytest.raises(RuntimeError, match="graph changed"):
+            resolve_one(sim, 4, "nyc", 100, 0, AdvertisementState(wan))
+        assert sim.cache_stats()["table_full_rebuilds"] == 1
+
 
 class TestCacheStats:
     def test_all_caches_reported(self, world):
@@ -511,19 +525,32 @@ class TestBoundedCaches:
         sim = IngressSimulator(graph, wan, SimulatorParams(table_cache_size=2),
                                seed=1)
         # every key deseeds at least one peer (all its links removed), so
-        # each distinct seeded set needs its own derived table
+        # each needs a table of its own
         keys = [frozenset({0, 1}), frozenset({4, 5}), frozenset({2, 3, 6}),
                 frozenset({0, 1, 4, 5}), frozenset({0, 1, 2, 3, 6})]
+        assert len({sim.seeded_for(key) for key in keys}) == len(keys)
         for key in keys:
             sim.routing_table(key)
         stats = sim.cache_stats()
         assert stats["tables_by_removed"] <= 2
         assert stats["tables_by_seeded"] <= 2
         assert stats["table_evictions"] > 0
-        # the pinned base is outside the LRU: churn paid exactly one
-        # full rebuild, the rest were incremental repairs
-        assert stats["table_full_rebuilds"] == 1
-        assert stats["table_incremental_updates"] >= len(keys) - 1
+        # one compute per distinct seeded set missed, none repaired
+        assert stats["table_full_rebuilds"] == len(keys)
+        assert stats["table_incremental_updates"] == 0
+        # a hit computes nothing
+        table = sim.routing_table(keys[-1])
+        assert sim.cache_stats()["table_full_rebuilds"] == len(keys)
+        # removal keys that keep every peer seeded: the first computes
+        # the full-availability table, the others miss the removal cache
+        # only and take that table from the seeded cache
+        partial = [frozenset({0}), frozenset({2, 3}), frozenset({0, 4})]
+        full = {sim.routing_table(key) for key in partial}
+        assert len(full) == 1 and table not in full
+        stats = sim.cache_stats()
+        assert stats["table_misses"] == len(keys) + len(partial)
+        assert stats["table_seeded_misses"] == len(keys) + 1
+        assert stats["table_full_rebuilds"] == len(keys) + 1
 
     def test_evicted_table_recomputed_identically(self):
         graph, wan = build_world()

@@ -115,5 +115,6 @@ class TestObsCli:
         assert "# TYPE repro_service_ingest_hours counter" in out
 
     def test_rejects_too_few_days(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exited:
             obs_main(["--days", "1"])
+        assert exited.value.code == 2

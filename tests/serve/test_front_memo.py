@@ -107,6 +107,45 @@ def test_repeated_questions_equal_the_oracle_across_boundaries(
         daemon.shutdown(drain=False)
 
 
+@pytest.mark.parametrize("workers", WORKER_MODES)
+def test_a_bad_k_is_refused_before_the_memo_and_the_shards(
+        serve_world, workers):
+    """A negative ``k`` is the single service's ``ValueError``, raised
+    before any shard is asked: the memo keeps every answer it held, and
+    the next good question is answered from it without a hop."""
+    daemon = _daemon(serve_world, workers)
+    oracle = _oracle(serve_world, 30)
+    batch = serve_world.contexts[:50]
+    flows = [(context, 10.0) for context in batch]
+    try:
+        _feed(serve_world, 0, 30, daemon)
+        daemon.drain()
+        assert daemon.predict_batch(batch) == oracle.predict_batch(batch)
+        held = daemon.status().front
+        assert held.entries > 0
+        asked = []
+        gather = daemon._gather
+
+        def counted(op, *args):
+            asked.append(op)
+            return gather(op, *args)
+
+        daemon._gather = counted
+        for target in (daemon, oracle):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                target.predict_batch(batch, k=-1)
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                target.what_if(flows, frozenset(), k=-2)
+        assert asked == []
+        del daemon._gather
+        front = daemon.status().front
+        assert front == held
+        assert daemon.predict_batch(batch) == oracle.predict_batch(batch)
+        assert daemon.status().front.hop_free == held.hop_free + 1
+    finally:
+        daemon.shutdown(drain=False)
+
+
 #: hour 72 starts day 3, so its retrain brings day 2 into the models
 BOUNDARY = 72
 

@@ -45,19 +45,24 @@ class TestCli:
         ["evaluate", "--train-days"], ["evaluate", "--test-days"],
         ["risk", "--train-days"], ["risk", "--test-days"], ["risk", "--limit"],
         ["report", "--train-days"], ["report", "--test-days"],
-        ["snapshot", "save", "--dir", "unused", "--window"]])
+        ["snapshot", "save", "--dir", "unused", "--window"],
+        ["snapshot", "save", "--dir", "unused", "--days"],
+        ["obs", "--days"]])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_days_below_one_are_usage_errors(self, argv, value, capsys):
         """Not all-zero tables, a service that never trains, a numpy
         traceback or a risk table short of its last findings (a negative
         ``--limit`` slices them off the end): exit 2 with usage, before
-        a world is built."""
+        a world is built.  ``repro obs`` needs a day to train on and one
+        to serve."""
+        low = 2 if argv[0] == "obs" else 1
         with pytest.raises(SystemExit) as exited:
             main([*argv, value])
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert f"argument {argv[-1]}: must be at least 1, got {value}" in err
+        assert (f"argument {argv[-1]}: must be at least {low}, got {value}"
+                in err)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
