@@ -14,10 +14,11 @@ every historical model trains from its projection through
 ``HistoricalModel.from_arrays``.  :func:`fold_keyed` is the group-and-sum
 a projection and the window fold behind each retrain are made of, and
 what an arriving hour's fold equals: the day table finds the rows an
-hour's keys already have by binary search (``SortedTable``), and an
-hour that brings no new keys rebuilds only the value column.  The dict
-form it replaced is the record-path reference it is tested bit for bit
-against (``tests/core/counts_oracle.py``), as ``aggregate_hour`` is for
+hour's keys already have by binary search of the sorted codes
+(``SortedTable``), and an hour that brings no new keys rebuilds only
+the value column.  The dict form it replaced is the record-path
+reference it is tested bit for bit against
+(``tests/core/counts_oracle.py``), as ``aggregate_hour`` is for
 ``aggregate_hour_columns``.
 """
 

@@ -14,6 +14,14 @@ key in input order), same strict/lenient drop accounting.  Across hours
 the columnar path joins by indexing a :class:`PrefixJoin` array with the
 prefix ids and walks only prefixes it has not joined before, in the
 serial walk's order.
+
+Every group-by on the write path — an hour's, a day table's new keys,
+``core.training.fold_keyed``, a model build, the CMS totals — is
+:func:`first_seen_groups`, and a model's ranking order is
+:func:`sorted_rows`: both sort each row's mixed-radix key code with the
+row in its low bits, so numpy's unstable (SIMD) sort yields the stable
+order without a stable sort.  :class:`SortedTable`, a day table's row
+index, searches for its needles in ascending order.
 """
 
 from __future__ import annotations
@@ -296,8 +304,7 @@ class PrefixJoin:
         assign the same codes); one that cannot be joined goes to
         ``fail`` with its position (strict) or stays unjoined (lenient).
         """
-        _, first = np.unique(slots, return_index=True)
-        for at in np.sort(first).tolist():
+        for at in first_seen_groups((slots,))[0].tolist():
             try:
                 codes = lookup(int(ids[at]))
             except (KeyError, ValueError):
@@ -325,7 +332,10 @@ class SortedTable:
     """Distinct int64 keys, kept sorted, each with an int64 payload.
 
     ``core.training.DayCounts``'s row index: a row's mixed-radix key
-    code -> its row number, found by binary search.
+    code -> its row number.  Keys are looked up a batch at a time: the
+    batch is sorted and binary-searched in ascending order (each search
+    starts where the last one ended, so the table is read front to
+    back), then put back in the order it came in.
     """
 
     def __init__(self) -> None:
@@ -337,13 +347,15 @@ class SortedTable:
         if not len(self._keys):
             return (np.zeros(len(keys), dtype=bool),
                     np.zeros(len(keys), dtype=np.int64))
-        at = np.searchsorted(self._keys, keys)
+        order = np.argsort(keys)
+        at = np.empty(len(keys), dtype=np.int64)
+        at[order] = np.searchsorted(self._keys, keys[order])
         at[at == len(self._keys)] = 0
         return self._keys[at] == keys, self._payload[at]
 
     def add(self, keys: np.ndarray, payload: np.ndarray) -> None:
         """Merge in distinct keys the table does not hold yet."""
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         at = np.searchsorted(self._keys, keys[order])
         self._payload = np.insert(self._payload, at, payload[order])
         self._keys = np.insert(self._keys, at, keys[order])
@@ -371,23 +383,49 @@ def first_seen_groups(key_columns: Sequence[np.ndarray],
     """Number rows by key, keys in first-seen order.
 
     Returns ``(rep, group)``: ``rep`` the row each distinct key first
-    appears on, ``group`` each row's key number (``rep``'s index).
+    appears on, ``group`` each row's key number (``rep``'s index).  In
+    the stable key order (:func:`_stable_order`) each run of equal codes
+    starts on its key's first row; marked, those rows read in row order
+    are ``rep``, and their running count numbers the keys.
     """
-    _, first_key, inv_key = np.unique(
-        _combine_group_codes(key_columns), return_index=True,
-        return_inverse=True)
-    # np.unique numbers the groups in key order: renumber by first row
-    first = np.zeros(len(key_columns[0]), dtype=bool)
-    first[first_key] = True
-    rank = np.cumsum(first, dtype=np.int64)[first_key] - 1
-    return np.flatnonzero(first), rank[inv_key.ravel()]
+    codes = _combine_group_codes(key_columns)
+    n = len(codes)
+    order, runs = _stable_order(codes)
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(runs[1:], runs[:-1], out=starts[1:])
+    first = order[starts]
+    seen = np.zeros(n, dtype=bool)
+    seen[first] = True
+    number = np.cumsum(seen, dtype=np.int64) - 1
+    group = np.empty(n, dtype=np.int64)
+    group[order] = number[first][np.cumsum(starts, dtype=np.int64) - 1]
+    return np.flatnonzero(seen), group
 
 
 def sorted_rows(key_columns: Sequence[np.ndarray]) -> np.ndarray:
     """The stable order of rows sorted by integer key columns, the first
     column most significant: ``np.lexsort(key_columns[::-1])``, from one
     sort of the rows' mixed-radix codes."""
-    return np.argsort(_combine_group_codes(key_columns), kind="stable")
+    return _stable_order(_combine_group_codes(key_columns))[0]
+
+
+def _stable_order(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(codes, kind="stable")`` for non-negative int64
+    codes, and the codes (or their dense ranks) in that order.
+
+    ``code << bits | row``, with ``bits`` enough to hold any row, is
+    distinct per row, so numpy's unstable (SIMD) sort of it is the
+    stable order: the low bits are the row, the high bits the code.
+    Codes too wide to sit beside the row are ranked densely first (a
+    ``np.unique`` that returns no first rows sorts unstably).
+    """
+    n = len(codes)
+    bits = max(n - 1, 0).bit_length()
+    if int(codes.max(initial=0)) >> (63 - bits):
+        codes = np.unique(codes, return_inverse=True)[1].ravel()
+    ranked = np.sort(codes << bits | np.arange(n, dtype=np.int64))
+    return ranked & ((1 << bits) - 1), ranked >> bits
 
 
 def _combine_group_codes(columns: Sequence[np.ndarray]) -> np.ndarray:

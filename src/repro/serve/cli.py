@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -28,7 +29,7 @@ from pathlib import Path
 from types import FrameType
 from typing import Dict, List, Optional
 
-from ..store.cli import at_least_one, build_scenario
+from ..store.cli import at_least_one, at_least_zero, build_scenario
 from .daemon import (MANIFEST_NAME, DaemonConfig, ServeDaemon, ShardError,
                      read_manifest)
 
@@ -59,24 +60,35 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dir", metavar="DIR", default=None,
                         help="checkpoint directory (required for `status`, "
                              "enables checkpoints for `run`)")
-    parser.add_argument("--checkpoint-every", type=int, default=24,
+    parser.add_argument("--checkpoint-every", type=at_least_zero, default=24,
                         metavar="HOURS",
                         help="checkpoint cadence in ingested hours "
                              "(default: 24; 0 disables periodic ones)")
-    parser.add_argument("--status-every", type=int, default=24,
+    parser.add_argument("--status-every", type=at_least_zero, default=24,
                         metavar="HOURS",
                         help="status-line cadence in ingested hours "
                              "(default: 24; 0 = only the final one)")
     parser.add_argument("--resume", action="store_true",
                         help="restore the checkpoint in --dir and continue "
                              "the stream where it left off")
-    parser.add_argument("--queries", type=int, default=0, metavar="N",
+    parser.add_argument("--queries", type=at_least_zero, default=0,
+                        metavar="N",
                         help="sample predictions to serve per ingested "
                              "hour (exercises the query path; default: 0)")
-    parser.add_argument("--hour-delay", type=float, default=0.0,
+    parser.add_argument("--hour-delay", type=_seconds, default=0.0,
                         metavar="SECONDS",
                         help="sleep between hours to emulate a live feed "
                              "(default: 0, full speed)")
+
+
+def _seconds(text: str) -> float:
+    """An ``argparse`` type for a delay: a finite number of seconds of
+    at least 0 (anything else is a usage error, exit 2)."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 0, got {text}")
+    return value
 
 
 def _write_recipe(directory: Path, size: str, seed: int, days: int,

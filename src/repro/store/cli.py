@@ -44,9 +44,20 @@ def at_least_one(text: str) -> int:
     """An ``argparse`` type for a count of at least 1 (less is a usage
     error, exit 2); the CLI's window, day, shard and limit flags share
     it."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return _at_least(1, int(text))
+
+
+def at_least_zero(text: str) -> int:
+    """An ``argparse`` type for a count or cadence where 0 means "off"
+    (less is a usage error, exit 2): ``repro serve``'s checkpoint,
+    status and query flags."""
+    return _at_least(0, int(text))
+
+
+def _at_least(low: int, value: int) -> int:
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {low}, got {value}")
     return value
 
 
@@ -95,6 +106,17 @@ def _ingest(service: "TipsyService", scenario: "Scenario",
         service.ingest_hour(columns.hour, columns)
 
 
+def _open_snapshot(directory: str) -> Optional[SegmentStore]:
+    """The store at ``directory``; None, reported, if it holds no
+    manifest (a store opened there would read as empty)."""
+    store = SegmentStore(directory)
+    if not store.manifest_path.is_file():
+        print(f"repro snapshot: {directory}: no snapshot manifest",
+              file=sys.stderr)
+        return None
+    return store
+
+
 def _recipe_from(store: SegmentStore
                  ) -> Optional[Tuple[str, int, int, int]]:
     try:
@@ -129,7 +151,9 @@ def _snapshot_save(args: argparse.Namespace) -> int:
 def _snapshot_load(args: argparse.Namespace) -> int:
     from ..core.service import ServiceConfig, SnapshotError, TipsyService
 
-    probe = SegmentStore(args.dir)
+    probe = _open_snapshot(args.dir)
+    if probe is None:
+        return 1
     recipe = _recipe_from(probe)
     if recipe is None:
         # the WAN is topology, not model state: restoring needs the
@@ -172,7 +196,9 @@ def _snapshot_load(args: argparse.Namespace) -> int:
 
 
 def _snapshot_inspect(args: argparse.Namespace) -> int:
-    store = SegmentStore(args.dir)
+    store = _open_snapshot(args.dir)
+    if store is None:
+        return 1
     rows: List[Tuple[str, str, str, str, str]] = [
         ("segment", "kind", "rows", "bytes", "status")]
     worst = 0

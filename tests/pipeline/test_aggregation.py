@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.training import DayCounts
 from repro.obs import runtime as obs
 from repro.pipeline import HourlyAggregator, UNKNOWN_LOCATION
 from repro.pipeline.aggregation import first_seen_groups, sorted_rows
@@ -420,3 +421,53 @@ class TestRowGrouping:
         assert rep.tolist() == [0, 1, 3]
         assert group.tolist() == [numbers[key] for key in zip(
             *(column.tolist() for column in columns))] == [0, 1, 0, 2, 1]
+
+
+class TestCountedSorts:
+    """An aggregated hour and a day table's ``add_hour`` make no stable
+    sort (the stable order is an unstable sort of codes made distinct by
+    their row) and binary-search only ascending needles."""
+
+    @pytest.fixture()
+    def sorts(self, monkeypatch):
+        """Each spied numpy call as ``(name, flagged)``: flagged if it
+        sorts stably, or searches for needles out of order."""
+        calls = []
+
+        def spy(name, flags):
+            real = getattr(np, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, flags(*args, **kwargs)))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np, name, call)
+
+        def stable(a, axis=-1, kind=None, order=None, *, stable=None):
+            return kind in ("stable", "mergesort") or bool(stable)
+
+        spy("argsort", stable)
+        spy("sort", stable)
+        spy("lexsort", lambda *args, **kwargs: True)
+        # np.unique finds first rows with a stable argsort
+        spy("unique", lambda ar, return_index=False, *args, **kwargs:
+            return_index)
+        spy("searchsorted", lambda a, v, *args, **kwargs:
+            bool((np.diff(v) < 0).any()))
+        return calls
+
+    def test_an_hour_and_its_fold_sort_unstably(self, aggregator, sorts):
+        agg, wan, universe = aggregator
+        day = DayCounts()
+        for hour, prefixes in ((0, range(8)), (1, range(4, 12))):
+            # prefixes descending, each key twice: unsorted codes, and
+            # rows for the group-by to sum
+            records = [record(universe, wan, hour=hour, link=l,
+                              prefix_idx=p, dest=d, bytes_=1e5 * (1 + p))
+                       for p in prefixes[::-1] for d in (3, 0, 2)
+                       for l in (1, 0)] * 2
+            columns = agg.aggregate_hour_columns(hour, **columns_of(records))
+            day.add_hour(columns)
+        assert len(day) == 12 * 3 * 2
+        assert [name for name, flagged in sorts if flagged] == []
+        assert {"sort", "argsort", "searchsorted"} <= {
+            name for name, _ in sorts}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.store import SegmentStore
 
 
 class TestCli:
@@ -63,6 +64,28 @@ class TestCli:
         assert err.startswith("usage:")
         assert (f"argument {argv[-1]}: must be at least {low}, got {value}"
                 in err)
+
+    @pytest.mark.parametrize("flag", ["--checkpoint-every",
+                                      "--status-every", "--queries"])
+    def test_negative_serve_cadences_are_usage_errors(self, flag, capsys):
+        """0 turns a cadence off; below it is a usage error (exit 2),
+        not a silent "off", before a world is built."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "run", "--workers", "inline", flag, "-3"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: must be at least 0, got -3" in err
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+    def test_a_negative_or_non_finite_hour_delay_is_a_usage_error(
+            self, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "run", "--workers", "inline", "--hour-delay",
+                  value])
+        assert exited.value.code == 2
+        assert (f"argument --hour-delay: must be a finite number of at "
+                f"least 0, got {value}") in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -125,9 +148,24 @@ class TestSnapshotCommand:
 
     def test_load_without_recipe_fails_cleanly(self, capsys, tmp_path):
         empty = tmp_path / "empty"
-        empty.mkdir()
+        SegmentStore(empty, create=True).set_meta({})
         assert main(["snapshot", "load", "--dir", str(empty)]) == 1
         assert "recipe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["load", "inspect"])
+    @pytest.mark.parametrize("made", [False, True])
+    def test_a_directory_without_a_manifest_is_reported(self, action, made,
+                                                        capsys, tmp_path):
+        """Not an empty store (exit 0) or a missing recipe: the directory,
+        there or not, holds no snapshot, as ``repro serve status`` says
+        of a checkpoint directory."""
+        target = tmp_path / "nowhere"
+        if made:
+            target.mkdir()
+        assert main(["snapshot", action, "--dir", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"repro snapshot: {target}: no snapshot manifest\n")
+        assert target.exists() == made
 
     def test_rejects_unknown_action(self, tmp_path):
         with pytest.raises(SystemExit):
