@@ -11,9 +11,12 @@ the meddled prefix's flows drops sharply versus the same flows left
 alone — the paper's reason to exclude the 0.7% of TE prefixes.
 """
 
+import numpy as np
 
 from repro.core.accuracy import evaluate_accuracy
+from repro.core.training import DayCounts
 from repro.experiments import EvaluationRunner, Scenario, ScenarioParams
+from repro.pipeline import FlowContext
 
 from repro.experiments.benchlib import print_block
 
@@ -22,17 +25,21 @@ TEST_DAYS = 5
 
 
 def _actuals_for_prefix(scenario, state, lo, hi, dest_prefix_id):
-    actuals = {}
-    flows = scenario.traffic.flows
-    contexts = scenario.flow_contexts
+    """The prefix's streamed bytes as a keyed table (``k0..k4`` the flow
+    context, ``k5`` the link), each (context, link) summed in stream
+    order."""
+    dests = np.array([flow.dest_prefix_id for flow in scenario.traffic.flows])
+    rows, links, values = [], [], []
     for cols in scenario.stream(lo, hi, state=state):
-        for row, link, bytes_ in zip(cols.flow_rows, cols.link_ids,
-                                     cols.sampled_bytes):
-            if bytes_ <= 0 or flows[row].dest_prefix_id != dest_prefix_id:
-                continue
-            by_link = actuals.setdefault(contexts[row], {})
-            by_link[int(link)] = by_link.get(int(link), 0.0) + float(bytes_)
-    return actuals
+        keep = (cols.sampled_bytes > 0) & (dests[cols.flow_rows]
+                                           == dest_prefix_id)
+        rows.append(cols.flow_rows[keep])
+        links.append(cols.link_ids[keep])
+        values.append(cols.sampled_bytes[keep])
+    contexts = np.array(scenario.flow_contexts, dtype=np.int64)
+    return DayCounts.fold(contexts[np.concatenate(rows)],
+                          np.concatenate(links),
+                          np.concatenate(values)).to_arrays()
 
 
 def test_te_meddling_hurts_prediction(benchmark):
@@ -70,12 +77,14 @@ def test_te_meddling_hurts_prediction(benchmark):
 
     # focus on the flows the meddling actually targets: those whose
     # byte-dominant prediction is the prepended link
-    def targeted(actuals):
-        return {
-            context: by_link for context, by_link in actuals.items()
-            if (preds := model.predict(context, 1))
-            and preds[0].link_id == hot_link
-        }
+    def targeted(table):
+        contexts = map(FlowContext._make, zip(
+            *(table[f"k{i}"].tolist() for i in range(5))))
+        keep = np.array([
+            bool(preds := model.predict(context, 1))
+            and preds[0].link_id == hot_link for context in contexts],
+            dtype=bool)
+        return {name: column[keep] for name, column in table.items()}
 
     clean, meddled = targeted(clean), targeted(meddled)
     acc = {k: (evaluate_accuracy(clean, model, k),

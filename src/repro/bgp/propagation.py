@@ -17,7 +17,7 @@ true distance with the AS's opaque ``policy_bias``, which stands in for
 the confidential local policies the paper highlights (§2, challenge 1/3).
 
 A table is computed, never repaired: every seeded-neighbor set is one
-from-scratch build, all of it numpy (ROADMAP item 2).
+from-scratch build, all of it numpy.
 
 * **Columnar state.**  A :class:`RoutingTable` is three read-only numpy
   columns over the graph's dense row index

@@ -24,12 +24,7 @@ from .naive_bayes import NaiveBayesModel
 from .ensemble import SequentialEnsemble
 from .geo_augment import GeoAugmentedModel
 from .oracle import OracleModel
-from .accuracy import (
-    ActualsMap,
-    evaluate_accuracy,
-    matched_bytes,
-    volume_matched_bytes,
-)
+from .accuracy import ActualsTable, evaluate_accuracy
 from .anomaly import (
     AnomalyDetectorConfig,
     AnomalyVerdict,
@@ -45,6 +40,5 @@ __all__ = [
     "NO_LINKS", "IngressModel", "Prediction",
     "HistoricalModel", "NaiveBayesModel", "SequentialEnsemble",
     "GeoAugmentedModel", "OracleModel",
-    "ActualsMap", "evaluate_accuracy", "matched_bytes",
-    "volume_matched_bytes",
+    "ActualsTable", "evaluate_accuracy",
 ]

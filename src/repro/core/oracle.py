@@ -9,18 +9,17 @@ captures.
 
 Mechanically it is a historical model trained on the evaluation records
 themselves, built as every served model is: :func:`oracle_models` folds
-the test actuals into a ``DayCounts`` and hands each projection to
-``OracleModel.from_arrays``.
+the test slices' keyed tables into a ``DayCounts`` and hands each
+projection to ``OracleModel.from_arrays``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from .accuracy import ActualsMap
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from .historical import HistoricalModel
-from .training import DayCounts
+from .training import KEY_NAMES, DayCounts, KeyedTable, fold_keyed
 
 
 class OracleModel(HistoricalModel):
@@ -30,20 +29,18 @@ class OracleModel(HistoricalModel):
 
 
 def oracle_models(
-    actuals_maps: Iterable[ActualsMap],
+    tables: Iterable[KeyedTable],
     feature_sets: Sequence[FeatureSet] = (FEATURES_A, FEATURES_AP,
                                           FEATURES_AL),
 ) -> List[OracleModel]:
-    """One oracle per feature set over several test slices' actuals.
+    """One oracle per feature set over several test slices' keyed tables
+    (``k0..k4`` the flow context, ``k5`` the link, ``value`` the bytes).
 
-    Entries are folded in each map's own order, maps in the order given,
-    so every sum associates as an entry-by-entry walk would: a (context,
-    link) across the maps first, then contexts onto a feature key in
-    first-seen order.  Entries of no bytes are skipped.
+    The tables are folded in the order given (``fold_keyed``), so every
+    sum associates as a row-by-row walk would: a (context, link) across
+    the tables first, then contexts onto a feature key in first-seen
+    order.
     """
-    entries = [(context, link, bytes_) for actuals in actuals_maps
-               for context, by_link in actuals.items()
-               for link, bytes_ in by_link.items() if bytes_ > 0.0]
-    counts = DayCounts.fold(*zip(*entries)) if entries else DayCounts()
+    counts = DayCounts.from_arrays(fold_keyed(list(tables), len(KEY_NAMES)))
     return [OracleModel.from_arrays(counts.project(fs), fs)
             for fs in feature_sets]

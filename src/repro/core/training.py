@@ -42,12 +42,13 @@ if TYPE_CHECKING:  # avoids the pipeline <-> core import cycle at runtime
 #: and ``value`` (float64), aligned, one row per distinct key
 KeyedTable = Dict[str, np.ndarray]
 
-#: columns of the day table: the 5 FlowContext fields + link id
-_KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
+#: key columns of the day table, and of every (flow context, link) table
+#: read beside it: ``k0..k4`` the FlowContext fields, ``k5`` the link id
+KEY_NAMES = key_column_names(len(FlowContext._fields) + 1)
 
 _NO_KEYS = np.empty(0, dtype=np.int64)
 _NO_VALUES = np.empty(0, dtype=np.float64)
-_NO_RANGES = ((0, 0),) * len(_KEY_NAMES)
+_NO_RANGES = ((0, 0),) * len(KEY_NAMES)
 
 
 def fold_keyed(tables: Sequence[Mapping[str, np.ndarray]],
@@ -87,7 +88,7 @@ class DayCounts:
     """
 
     def __init__(self) -> None:
-        self._table: KeyedTable = fold_keyed((), len(_KEY_NAMES))
+        self._table: KeyedTable = fold_keyed((), len(KEY_NAMES))
         # row code -> row number; a code is mixed-radix over one fixed
         # (low, radix) range per key column, and radix 0 holds no value
         self._index = SortedTable()
@@ -108,7 +109,7 @@ class DayCounts:
         hour's ``keys`` span; the hour's codes, or None (and no ranges)
         when such ranges do not fit 62 bits."""
         both = [np.concatenate([self._table[name], key])
-                for name, key in zip(_KEY_NAMES, keys)]
+                for name, key in zip(KEY_NAMES, keys)]
         self._ranges, room = [], 2 ** 62
         for column in both:
             low, high = int(column.min()), int(column.max())
@@ -137,8 +138,8 @@ class DayCounts:
         if codes is None:       # first hour, or a value outgrew a range
             codes = self._reindex(keys)
         if codes is None:
-            hour = dict(zip(_KEY_NAMES, keys), value=columns.bytes)
-            self._table = fold_keyed((self._table, hour), len(_KEY_NAMES))
+            hour = dict(zip(KEY_NAMES, keys), value=columns.bytes)
+            self._table = fold_keyed((self._table, hour), len(KEY_NAMES))
             return
         held, rows = self._index.find(codes)
         if held.all():          # no new keys: only the sums move
@@ -150,7 +151,7 @@ class DayCounts:
             self._index.add(codes[new], len(self) + np.arange(
                 len(new), dtype=np.int64))
             table = {name: np.concatenate([self._table[name], key[new]])
-                     for name, key in zip(_KEY_NAMES, keys)}
+                     for name, key in zip(KEY_NAMES, keys)}
             table["value"] = np.concatenate([self._table["value"], sums])
         np.add.at(table["value"], rows[held], columns.bytes[held])
         self._table = table
@@ -165,9 +166,9 @@ class DayCounts:
         rolling-window service projects each completed day once and
         folds the window's projections into every retrain.
         """
-        columns = [self._table[_KEY_NAMES[FlowContext._fields.index(name)]]
+        columns = [self._table[KEY_NAMES[FlowContext._fields.index(name)]]
                    for name in feature_set.fields]
-        columns.append(self._table[_KEY_NAMES[-1]])
+        columns.append(self._table[KEY_NAMES[-1]])
         grain = dict(zip(key_column_names(len(columns)), columns),
                      value=self._table["value"])
         return fold_keyed((grain,), len(columns))
@@ -178,7 +179,7 @@ class DayCounts:
 
     def rows(self) -> Iterator[Tuple[FlowContext, int, float]]:
         """``(flow context, link id, bytes)`` per row, in row order."""
-        *fields, links = (self._table[name].tolist() for name in _KEY_NAMES)
+        *fields, links = (self._table[name].tolist() for name in KEY_NAMES)
         return zip(map(FlowContext._make, zip(*fields)), links,
                    self._table["value"].tolist())
 
@@ -186,7 +187,7 @@ class DayCounts:
         """Each flow context's byte-dominant link (the §5.3 partitioning
         key), equal bytes going to the lower link id: with the rows
         ranked by bytes down and link up, each context's first row."""
-        *contexts, links = (self._table[name] for name in _KEY_NAMES)
+        *contexts, links = (self._table[name] for name in KEY_NAMES)
         values = self._table["value"]
         order = np.lexsort((links, -values))
         rep, _ = first_seen_sums([column[order] for column in contexts],
@@ -215,7 +216,7 @@ class DayCounts:
         have come from it — snapshot readers treat that as corruption
         and report the day lost.
         """
-        keys = [arrays[name] for name in _KEY_NAMES]
+        keys = [arrays[name] for name in KEY_NAMES]
         values = arrays["value"]
         if values.ndim != 1 or values.dtype != np.float64 or any(
                 column.shape != values.shape or column.dtype != np.int64
@@ -224,7 +225,7 @@ class DayCounts:
         if not (np.isfinite(values) & (values > 0.0)).all():
             raise ValueError("byte counts must be finite and positive")
         table = cls()
-        table._table = dict(zip(_KEY_NAMES, keys), value=values)
+        table._table = dict(zip(KEY_NAMES, keys), value=values)
         return table
 
     @classmethod
@@ -238,6 +239,6 @@ class DayCounts:
         fields = np.asarray(contexts, dtype=np.int64).reshape(
             -1, len(FlowContext._fields))
         keys = (*fields.T, np.asarray(link_ids, dtype=np.int64))
-        table = dict(zip(_KEY_NAMES, keys),
+        table = dict(zip(KEY_NAMES, keys),
                      value=np.asarray(values, dtype=np.float64))
-        return cls.from_arrays(fold_keyed((table,), len(_KEY_NAMES)))
+        return cls.from_arrays(fold_keyed((table,), len(KEY_NAMES)))

@@ -21,9 +21,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ActualsMap, evaluate_accuracy
+from ..core.accuracy import evaluate_accuracy
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from ..core.oracle import oracle_models
+from ..core.training import KeyedTable
 from ..pipeline.outages import (
     OutageParams,
     first_outage_days,
@@ -114,12 +115,13 @@ def fig3_link_spread(scenario: Scenario, start_hour: int, end_hour: int,
 # -- Figure 5 -----------------------------------------------------------------
 
 def fig5_oracle_accuracy_vs_k(
-    actuals: ActualsMap,
+    actuals: KeyedTable,
     ks: Sequence[int] = (1, 2, 3, 4, 5, 7, 10, 15, 25, 50),
     feature_sets: Sequence[FeatureSet] = (FEATURES_A, FEATURES_AP,
                                           FEATURES_AL),
 ) -> Dict[str, List[Tuple[int, float]]]:
-    """Oracle accuracy as a function of k (paper Figure 5).
+    """Oracle accuracy as a function of k (paper Figure 5), over a test
+    window's keyed table (``EvaluationResult.overall_actuals``).
 
     The unrestricted oracle reaches 100%; the curves show how much of
     the traffic is theoretically predictable at each link budget.

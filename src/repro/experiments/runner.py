@@ -17,7 +17,8 @@ Training reads the feed the service trains on: ``feed_window`` folds
 ``Scenario.aggregated_hours`` through ``DayCounts.add_hour``, so every
 historical model (``from_arrays`` over a projection) is byte-equal to
 the one ``TipsyService`` serves over the same days.  Testing reads the
-streamed ground truth (``collect_window``), per scheduled down-set.
+same feed, whole and per scheduled down-set (``actuals_window``), and
+scores it as columns (``core.accuracy.ActualsTable``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.accuracy import ActualsMap, score_bytes
+from ..core.accuracy import ActualsTable, Slice
 from ..core.base import IngressModel
 from ..core.ensemble import SequentialEnsemble
 from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP
@@ -35,10 +36,11 @@ from ..core.geo_augment import GeoAugmentedModel
 from ..core.historical import HistoricalModel
 from ..core.naive_bayes import NaiveBayesModel
 from ..core.oracle import oracle_models
-from ..core.training import DayCounts, KeyedTable, fold_keyed
+from ..core.training import KEY_NAMES, DayCounts, KeyedTable, fold_keyed
+from ..pipeline.aggregation import first_seen_groups
 from ..pipeline.outages import OutageInference
 from ..pipeline.records import FlowContext
-from .scenario import HourColumns, Scenario
+from .scenario import Scenario
 
 NO_LINKS: FrozenSet[int] = frozenset()
 
@@ -66,56 +68,6 @@ class WindowSpec:
         return start, start + self.test_days * 24
 
 
-class _StreamAccumulator:
-    """Accumulates streamed columns into keyed (flow row, link) -> bytes
-    tables (``k0`` flow row, ``k1`` link, ``value``), one for the window
-    and one per down-set; an expansion epoch's hours are summed first, so
-    the availability context of every row is known."""
-
-    def __init__(self) -> None:
-        self.by_downset: Dict[FrozenSet[int], KeyedTable] = {}
-        self.total: KeyedTable = fold_keyed((), 2)
-        # closed epochs in stream order: (down-set, non-zero rows)
-        self._epochs: List[Tuple[FrozenSet[int], KeyedTable]] = []
-        self._epoch_rows: Optional[np.ndarray] = None
-        self._epoch_links: Optional[np.ndarray] = None
-        self._epoch_sum: Optional[np.ndarray] = None
-        self._epoch_down: FrozenSet[int] = NO_LINKS
-
-    def add_hour(self, cols: HourColumns, down: FrozenSet[int]) -> None:
-        if (self._epoch_rows is not cols.flow_rows
-                or down != self._epoch_down):
-            self._close_epoch()
-            self._epoch_rows = cols.flow_rows
-            self._epoch_links = cols.link_ids
-            self._epoch_sum = np.zeros(len(cols.flow_rows))
-            self._epoch_down = down
-        self._epoch_sum += cols.sampled_bytes
-
-    def _close_epoch(self) -> None:
-        rows, links, sums = (self._epoch_rows, self._epoch_links,
-                             self._epoch_sum)
-        if rows is None or links is None or sums is None:
-            return
-        nz = sums > 0.0
-        self._epochs.append((self._epoch_down, {
-            "k0": rows[nz], "k1": links[nz], "value": sums[nz]}))
-        self._epoch_sum = None
-
-    def finish(self) -> None:
-        """Fold the epochs into ``total`` and ``by_downset``: each key's
-        bytes summed in stream order, keys (and down-sets) first seen
-        first, as a ``sums.get(key, 0.0) + value`` walk would leave them."""
-        self._close_epoch()
-        self.total = fold_keyed([table for _, table in self._epochs], 2)
-        epochs_of: Dict[FrozenSet[int], List[KeyedTable]] = {}
-        for down, table in self._epochs:
-            epochs_of.setdefault(down, []).append(table)
-        self.by_downset = {down: fold_keyed(tables, 2)
-                           for down, tables in epochs_of.items()}
-        self._epochs = []
-
-
 @dataclass(frozen=True)
 class FeedWindow:
     """A window of the feed: its counts, and the (n_links, n_hours) bytes
@@ -123,6 +75,16 @@ class FeedWindow:
 
     counts: DayCounts
     link_bytes: np.ndarray
+
+
+@dataclass(frozen=True)
+class ActualsWindow:
+    """A window of the feed as test actuals: its keyed table (``k0..k4``
+    the flow context, ``k5`` the link, ``value`` the bytes), and one per
+    scheduled down-set over the hours that set was down."""
+
+    total: KeyedTable
+    by_downset: Dict[FrozenSet[int], KeyedTable]
 
 
 @dataclass
@@ -152,8 +114,9 @@ class EvaluationResult:
     outages_all: AccuracyBlock
     outages_seen: AccuracyBlock
     outages_unseen: AccuracyBlock
-    # actuals for figure-level analyses (e.g. oracle-vs-k, Figure 5)
-    overall_actuals: Dict[FlowContext, Dict[int, float]]
+    # the test window's keyed table, for figure-level analyses (e.g.
+    # oracle-vs-k, Figure 5)
+    overall_actuals: KeyedTable
     stats: Dict[str, float] = field(default_factory=dict)
 
 
@@ -163,10 +126,10 @@ class EvaluationRunner:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._n_links = len(self.scenario.wan.links)
-        # scenarios are deterministic and read-only, so window collections
-        # can be reused across runs (Appendix B sweeps share windows)
-        self._window_cache: Dict[Tuple[int, int], _StreamAccumulator] = {}
+        # scenarios are deterministic and read-only, so windows can be
+        # reused across runs (Appendix B sweeps share windows)
         self._feed_cache: Dict[Tuple[int, int], FeedWindow] = {}
+        self._actuals_cache: Dict[Tuple[int, int], ActualsWindow] = {}
 
     # -- model suite -----------------------------------------------------------
 
@@ -200,7 +163,7 @@ class EvaluationRunner:
     def feed_window(self, start_hour: int, end_hour: int) -> FeedWindow:
         """The feed's hours ``[start_hour, end_hour)`` folded into one
         ``DayCounts`` as ``TipsyService.ingest_hour`` folds a day's;
-        cached and read-only, as :meth:`collect_window`'s windows are."""
+        cached and read-only, as :meth:`actuals_window`'s windows are."""
         cached = self._feed_cache.get((start_hour, end_hour))
         if cached is not None:
             return cached
@@ -214,73 +177,64 @@ class EvaluationRunner:
         self._feed_cache[(start_hour, end_hour)] = window
         return window
 
-    def collect_window(self, start_hour: int,
-                       end_hour: int) -> _StreamAccumulator:
-        """Stream a window into per-downset (row, link) byte tables: the
-        test side's ground truth.
-
-        Cached per (start, end): the scenario is deterministic, so
-        repeated windows (Appendix B sweeps) are free after the first
-        pass.  Callers must treat the result as read-only.
-        """
-        cached = self._window_cache.get((start_hour, end_hour))
+    def actuals_window(self, start_hour: int,
+                       end_hour: int) -> ActualsWindow:
+        """The feed's hours ``[start_hour, end_hour)`` folded as
+        :meth:`feed_window` folds them, once whole and once per down-set
+        of ``Scenario.scheduled_down_at``: the test side's ground truth,
+        cached and read-only as :meth:`feed_window`'s windows are."""
+        cached = self._actuals_cache.get((start_hour, end_hour))
         if cached is not None:
             return cached
-        acc = _StreamAccumulator()
         scenario = self.scenario
-        for cols in scenario.stream(start_hour, end_hour):
-            acc.add_hour(cols, scenario.scheduled_down_at(cols.hour))
-        acc.finish()
-        self._window_cache[(start_hour, end_hour)] = acc
-        return acc
-
-    # -- actuals shaping -----------------------------------------------------------
-
-    def _actuals_from_pairs(self, pairs: KeyedTable,
-                            row_filter: Optional[np.ndarray] = None
-                            ) -> Dict[FlowContext, Dict[int, float]]:
-        contexts = self.scenario.flow_contexts
-        rows, links, values = pairs["k0"], pairs["k1"], pairs["value"]
-        if row_filter is not None:
-            keep = row_filter[rows]
-            rows, links, values = rows[keep], links[keep], values[keep]
-        out: Dict[FlowContext, Dict[int, float]] = {}
-        for row, link, bytes_ in zip(rows.tolist(), links.tolist(),
-                                     values.tolist()):
-            by_link = out.setdefault(contexts[row], {})
-            by_link[link] = by_link.get(link, 0.0) + bytes_
-        return out
+        total = DayCounts()
+        hours_of: Dict[FrozenSet[int], List[KeyedTable]] = {}
+        for columns in scenario.aggregated_hours(start_hour, end_hour):
+            total.add_hour(columns)
+            hours_of.setdefault(scenario.scheduled_down_at(columns.hour),
+                                []).append(dict(zip(KEY_NAMES, (
+                                    *columns[2:7], columns.link_ids)),
+                                    value=columns.bytes))
+        window = ActualsWindow(total.to_arrays(), {
+            down: fold_keyed(hours, len(KEY_NAMES))
+            for down, hours in hours_of.items()})
+        self._actuals_cache[(start_hour, end_hour)] = window
+        return window
 
     # -- scoring --------------------------------------------------------------------
 
-    def _block(
-        self,
-        slices: Sequence[Tuple[ActualsMap, FrozenSet[int]]],
-        models: Sequence[IngressModel],
-        ks: Sequence[int],
-    ) -> AccuracyBlock:
-        """Accuracy across several (actuals, availability-prior) slices:
-        first of the slices' own oracles (perfect test knowledge,
-        k-restricted), then of ``models``."""
-        block = AccuracyBlock()
-        block.total_bytes = sum(
-            sum(by_link.values())
-            for actuals, _unavailable in slices
-            for by_link in actuals.values()
-        )
-        oracles = oracle_models(actuals for actuals, _unavailable in slices)
-        for model in [*oracles, *models]:
-            per_k: Dict[int, float] = {}
-            for k in ks:
-                matched = 0.0
-                total = 0.0
-                for actuals, unavailable in slices:
-                    m, t = score_bytes(actuals, model, k, unavailable)
-                    matched += m
-                    total += t
-                per_k[k] = matched / total if total > 0.0 else 0.0
-            block.rows[model.name] = per_k
-        return block
+    @staticmethod
+    def _blocks(actuals: ActualsTable, parts: Sequence[np.ndarray],
+                models: Sequence[IngressModel],
+                ks: Sequence[int]) -> List[AccuracyBlock]:
+        """One accuracy block per part of ``actuals`` (a row mask): first
+        of the part's own oracles (perfect test knowledge, k-restricted),
+        then of ``models``, which are asked once for every part."""
+        values = actuals.columns["value"]
+        shared = [(model, [actuals.hits(model, k) for k in ks])
+                  for model in models]
+        blocks: List[AccuracyBlock] = []
+        for rows in parts:
+            total = float(values[rows].sum())
+            block = AccuracyBlock(total_bytes=total)
+            scored: List[Tuple[IngressModel, List[np.ndarray]]] = [
+                (oracle, [actuals.hits(oracle, k, rows) for k in ks])
+                for oracle in oracle_models([{
+                    name: column[rows]
+                    for name, column in actuals.columns.items()}])]
+            for model, hits in scored + shared:
+                block.rows[model.name] = {
+                    k: float(values[hit & rows].sum()) / total
+                    if total > 0.0 else 0.0 for k, hit in zip(ks, hits)}
+            blocks.append(block)
+        return blocks
+
+    def _overall(self, table: KeyedTable, models: Sequence[IngressModel],
+                 ks: Sequence[int]) -> AccuracyBlock:
+        """Every row of ``table`` scored with no link known down."""
+        every = np.ones(len(table["value"]), dtype=bool)
+        return self._blocks(ActualsTable([(table, NO_LINKS)]), [every],
+                            models, ks)[0]
 
     # -- the full methodology ----------------------------------------------------------
 
@@ -295,7 +249,6 @@ class EvaluationRunner:
         """Train, test, partition, and score — one full evaluation."""
         window = window or WindowSpec()
         scenario = self.scenario
-        contexts = scenario.flow_contexts
         train_lo, train_hi = window.train_hours
         test_lo, test_hi = window.test_hours
         if test_hi > scenario.horizon_hours:
@@ -314,45 +267,47 @@ class EvaluationRunner:
 
         # 3. per-flow byte-dominant training link (partitioning key)
         top1 = train.counts.top1_links()
-        top1_by_row = np.array([top1.get(context, -1) for context in contexts],
-                               dtype=np.int64)
+        trained = np.array(list(top1), dtype=np.int64).reshape(
+            -1, len(FlowContext._fields)).T
+        top1_links = np.array([*top1.values(), -1], dtype=np.int64)
         seen_array = np.array(sorted(seen_links), dtype=np.int64)
 
-        # 4. test pass
-        test_acc = self.collect_window(test_lo, test_hi)
+        # 4. test pass: the feed's test hours, whole and per down-set
+        test = self.actuals_window(test_lo, test_hi)
 
-        # 5. slices
-        overall_actuals = self._actuals_from_pairs(test_acc.total)
-
-        all_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
-        seen_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
-        unseen_slices: List[Tuple[ActualsMap, FrozenSet[int]]] = []
-        for down, pairs in test_acc.by_downset.items():
+        # 5. outage slices: each down-set's rows whose byte-dominant link
+        #    is down, under that prior; "seen" if it failed in training too
+        slices: List[Slice] = []
+        seen_parts = [np.zeros(0, dtype=bool)]
+        for down, table in test.by_downset.items():
             if not down:
                 continue
-            down_array = np.array(sorted(down), dtype=np.int64)
-            affected = np.isin(top1_by_row, down_array)
-            if not affected.any():
-                continue
-            actuals = self._actuals_from_pairs(pairs, row_filter=affected)
-            if not actuals:
-                continue
-            all_slices.append((actuals, down))
-            seen_mask = affected & np.isin(top1_by_row, seen_array)
-            for mask, slices in ((seen_mask, seen_slices),
-                                 (affected & ~seen_mask, unseen_slices)):
-                part = self._actuals_from_pairs(pairs, row_filter=mask)
-                if part:
-                    slices.append((part, down))
+            # trained contexts first: a row's group is its context's
+            # place in ``top1``, or past it when its context never trained
+            _rep, group = first_seen_groups([
+                np.concatenate([known, table[name]])
+                for known, name in zip(trained, KEY_NAMES[:-1])])
+            dominant = top1_links[np.minimum(group[len(top1):], len(top1))]
+            affected = np.isin(dominant, np.array(sorted(down),
+                                                  dtype=np.int64))
+            if affected.any():
+                slices.append(({name: column[affected]
+                                for name, column in table.items()}, down))
+                seen_parts.append(np.isin(dominant[affected], seen_array))
+        seen = np.concatenate(seen_parts)
 
-        # 6. score each partition beside its own oracles
+        # 6. score each partition beside its own oracles; the outage
+        #    partitions share the models' answers
+        outages_all, outages_seen, outages_unseen = self._blocks(
+            ActualsTable(slices), [np.ones(len(seen), dtype=bool), seen, ~seen],
+            models, ks)
         result = EvaluationResult(
             window=window,
-            overall=self._block([(overall_actuals, NO_LINKS)], models, ks),
-            outages_all=self._block(all_slices, models, ks),
-            outages_seen=self._block(seen_slices, models, ks),
-            outages_unseen=self._block(unseen_slices, models, ks),
-            overall_actuals=overall_actuals,
+            overall=self._overall(test.total, models, ks),
+            outages_all=outages_all,
+            outages_seen=outages_seen,
+            outages_unseen=outages_unseen,
+            overall_actuals=test.total,
         )
         result.stats = self._stats(result, seen_links, train.counts)
         return result
@@ -387,12 +342,15 @@ class EvaluationRunner:
         """Train once; score each later day separately (paper Figure 10).
 
         Returns ``{day offset: {model name: {k: accuracy}}}``.  Day
-        offset 0 is the first day after training ends.
+        offset 0 is the first day after training ends.  The arguments
+        are a :class:`WindowSpec`'s, ``max_offset_days`` its test days,
+        and raise its ``ValueError`` on less than a day or a start before
+        day 0.
         """
-        train_hi = (train_start_day + train_days) * 24
-        models = self.build_models(
-            self.feed_window(train_start_day * 24, train_hi).counts,
-            include_naive_bayes)
+        train_lo, train_hi = WindowSpec(train_start_day, train_days,
+                                        max_offset_days).train_hours
+        models = self.build_models(self.feed_window(train_lo, train_hi).counts,
+                                   include_naive_bayes)
 
         out: Dict[int, Dict[str, Dict[int, float]]] = {}
         for offset in range(max_offset_days):
@@ -400,7 +358,6 @@ class EvaluationRunner:
             day_hi = day_lo + 24
             if day_hi > self.scenario.horizon_hours:
                 break
-            actuals = self._actuals_from_pairs(
-                self.collect_window(day_lo, day_hi).total)
-            out[offset] = self._block([(actuals, NO_LINKS)], models, ks).rows
+            out[offset] = self._overall(
+                self.actuals_window(day_lo, day_hi).total, models, ks).rows
         return out

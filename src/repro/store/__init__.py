@@ -1,7 +1,7 @@
 """``repro.store`` — persistent columnar storage for model state.
 
 The storage boundary behind :class:`repro.core.training.DayCounts`
-and :class:`repro.core.historical.HistoricalModel` (ROADMAP item 5):
+and :class:`repro.core.historical.HistoricalModel`:
 day/hour-keyed state is serialised into uncompressed
 ``.npz`` columnar segments under a checksummed JSON manifest, written
 atomically (temp file + rename) and read under a strict

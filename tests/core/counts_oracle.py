@@ -108,7 +108,8 @@ class CountsAccumulator:
         return out
 
     def actuals(self) -> Dict[FlowContext, Dict[int, float]]:
-        """Reshape into the evaluation :data:`ActualsMap` layout."""
+        """Reshape into the dict scorer's :data:`ActualsMap` layout
+        (``tests/core/accuracy_oracle.py``)."""
         out: Dict[FlowContext, Dict[int, float]] = {}
         for (context, link_id), bytes_ in self.counts.items():
             # (context, link) keys are unique, so a straight assignment

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import FEATURES_AP, OracleModel, evaluate_accuracy
 from repro.pipeline import FlowContext
-from tests.core.builders import from_rows
+from tests.core.builders import actuals_table, from_rows
 
 
 def ctx(prefix):
@@ -32,8 +32,8 @@ class TestOracle:
     def test_restriction_to_k_loses_tail_bytes(self):
         actuals = self._actuals()
         oracle = self._oracle(actuals)
-        acc1 = evaluate_accuracy(actuals, oracle, 1)
-        acc3 = evaluate_accuracy(actuals, oracle, 3)
+        acc1 = evaluate_accuracy(actuals_table(actuals), oracle, 1)
+        acc3 = evaluate_accuracy(actuals_table(actuals), oracle, 3)
         assert acc1 == pytest.approx(170.0 / 200.0)
         assert acc3 == pytest.approx(1.0)
 

@@ -5,7 +5,8 @@
 ``TipsyService.ingest_hour`` folds each day's.  Two references hold it:
 
 * :func:`assert_feed_is_the_walk` — the streamed ground truth
-  (``collect_window``'s (flow row, link) table) mapped to flow contexts
+  (``collect_window``'s (flow row, link) table, kept in
+  ``tests/experiments/stream_oracle.py``) mapped to flow contexts
   and added key by key into a dict, the path the tables trained on
   before.  The two agree as a key -> value mapping; only their row
   order differs, since the feed groups an hour's rows by the join's
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.core import ServiceConfig, TipsyService
 from tests.core.counts_oracle import CountsAccumulator
+from tests.experiments.stream_oracle import StreamWindows
 
 #: the window total below which float64 sums of multiples of 2**15 are exact
 EXACT_BELOW = 2.0 ** 68
@@ -61,7 +63,8 @@ def assert_feed_is_the_walk(runner, lo, hi):
     """The feed window's counts equal the streamed walk as a mapping."""
     scenario = runner.scenario
     counts = runner.feed_window(lo, hi).counts
-    walked = walked_counts(runner, runner.collect_window(lo, hi))
+    walked = walked_counts(
+        runner, StreamWindows(scenario).collect_window(lo, hi))
     values = counts.to_arrays()["value"]
     quantum = scenario.params.sampling_rate * scenario.exporter.packet_bytes
     assert not np.fmod(values, quantum).any()

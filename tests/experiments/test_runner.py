@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import EvaluationRunner, WindowSpec
+from tests.experiments.stream_oracle import StreamWindows
 
 
 class TestWindowSpec:
@@ -79,7 +80,13 @@ class TestEvaluationResult:
         assert stats["total_bytes"] > 0
 
     def test_overall_actuals_populated(self, small_result):
-        assert len(small_result.overall_actuals) > 100
+        """The test window's keyed table: context, link and bytes columns
+        over more than a hundred contexts."""
+        table = small_result.overall_actuals
+        assert list(table) == ["k0", "k1", "k2", "k3", "k4", "k5", "value"]
+        contexts = set(zip(*(table[f"k{i}"].tolist() for i in range(5))))
+        assert len(contexts) > 100
+        assert table["value"].sum() == small_result.stats["total_bytes"]
 
     def test_best_model_helper(self, small_result):
         best = small_result.overall.best_model(3)
@@ -92,17 +99,18 @@ class TestRunnerMechanics:
         with pytest.raises(ValueError):
             runner.run(WindowSpec(0, 21, 7))  # horizon is 14 days
 
-    def test_collect_window_cached(self, small_scenario):
+    def test_actuals_window_cached(self, small_scenario):
         runner = EvaluationRunner(small_scenario)
-        a = runner.collect_window(0, 24)
-        b = runner.collect_window(0, 24)
+        a = runner.actuals_window(0, 24)
+        b = runner.actuals_window(0, 24)
         assert a is b
 
     def test_window_tables_equal_the_dict_walk(self, small_scenario):
         """The folded window is the serial walk, bit for bit.
 
-        The oracle is the per-(row, link) walk ``collect_window`` used to
-        be: an epoch (same expansion, same down-set) summed hour by hour,
+        ``collect_window`` (``tests/experiments/stream_oracle.py``, the
+        streamed ground truth the test side read before the feed) against
+        the per-(row, link) walk it replaced: an epoch (same expansion, same down-set) summed hour by hour,
         then its non-zero rows added key by key, in stream order.  Hours
         0-96 of this world change expansion with and without a down-set
         change (hour 48 is a day boundary only) and return to down-sets
@@ -136,14 +144,46 @@ class TestRunnerMechanics:
             return list(zip(zip(table["k0"].tolist(), table["k1"].tolist()),
                             table["value"].tolist()))
 
-        runner = EvaluationRunner(scenario)
-        acc = runner.collect_window(lo, hi)
+        streamed = StreamWindows(scenario)
+        acc = streamed.collect_window(lo, hi)
         # lists, not dicts: key order is part of what is pinned
         assert pairs(acc.total) == list(total.items())
         assert list(acc.by_downset) == list(by_downset)
         for down, bucket in by_downset.items():
             assert pairs(acc.by_downset[down]) == list(bucket.items())
-        assert runner.collect_window(lo, hi) is acc
+        assert streamed.collect_window(lo, hi) is acc
+
+    def test_actuals_window_is_the_streamed_ground_truth(
+            self, small_scenario):
+        """The feed's test window, whole and per down-set, against the
+        streamed oracle mapped to contexts: the same (context, link) keys
+        and the same bytes as ``float.hex``, and the same down-sets in
+        the same order.  Row order differs (the feed groups an hour by
+        (context, link), the stream by flow row); the sums do not,
+        because every sampled byte count is a multiple of 2**15.  Hours
+        240-336 are ``small_result``'s test window."""
+        lo, hi = 240, 336
+        streamed = StreamWindows(small_scenario)
+        acc = streamed.collect_window(lo, hi)
+        window = EvaluationRunner(small_scenario).actuals_window(lo, hi)
+
+        def hexed(table):
+            *fields, links = (table[f"k{i}"].tolist() for i in range(6))
+            assert len(set(zip(*fields, links))) == len(links)
+            return {(context, link): bytes_.hex() for context, link, bytes_
+                    in zip(zip(*fields), links, table["value"].tolist())}
+
+        def walked(pairs):
+            return {(context, link): bytes_.hex()
+                    for context, by_link in
+                    streamed._actuals_from_pairs(pairs).items()
+                    for link, bytes_ in by_link.items()}
+
+        assert hexed(window.total) == walked(acc.total)
+        assert list(window.by_downset) == list(acc.by_downset)
+        assert sum(1 for down in acc.by_downset if down) > 10
+        for down, pairs in acc.by_downset.items():
+            assert hexed(window.by_downset[down]) == walked(pairs), down
 
     def test_feed_window_link_bytes_are_the_streamed_bytes(
             self, small_scenario):
@@ -167,6 +207,16 @@ class TestRunnerMechanics:
         assert "NB_A" in result.overall.rows
         assert "NB_AL" in result.overall.rows
         assert "Hist_AL/NB_AL" in result.overall.rows
+
+    @pytest.mark.parametrize("args", [(0, 0, 1), (0, 3, 0), (-1, 3, 1),
+                                      (0, -2, 1)])
+    def test_run_staleness_rejects_what_window_spec_rejects(
+            self, small_scenario, args):
+        """No training day (every historical model would score 0.0 beside
+        oracles near 1), no day to score, or a start before day 0: the
+        ``WindowSpec`` error, before anything is trained."""
+        with pytest.raises(ValueError, match="not whole train and test days"):
+            EvaluationRunner(small_scenario).run_staleness(*args)
 
     def test_run_staleness_shape(self, small_scenario):
         runner = EvaluationRunner(small_scenario)

@@ -29,15 +29,18 @@ import pytest
 
 from repro.core import FEATURES_A, FEATURES_AL, FEATURES_AP
 from repro.core.oracle import oracle_models
+from repro.core.training import DayCounts
 from repro.experiments import EvaluationRunner, WindowSpec
 from repro.experiments import runner as runner_module
 from repro.pipeline import FlowContext
 from tests.core.counts_oracle import CountsAccumulator
 from tests.core.historical_oracle import DictHistoricalModel
+from tests.core.builders import actuals_table
 from tests.core.naive_bayes_oracle import DictNaiveBayesModel
 from tests.experiments.feed_reference import (
     assert_feed_is_the_walk, assert_same_tables,
     assert_scores_the_served_models, hexed)
+from tests.experiments.stream_oracle import StreamWindows
 
 GRAINS = (FEATURES_A, FEATURES_AP, FEATURES_AL)
 TRAIN_HOURS = 10 * 24
@@ -48,13 +51,13 @@ def runner(small_scenario):
     return EvaluationRunner(small_scenario)
 
 
-def fitted_oracles(actuals_maps, feature_sets=GRAINS):
-    """The oracles as they were: every map added in turn, then ``fit``."""
+def fitted_oracles(tables, feature_sets=GRAINS):
+    """The oracles as they were: every slice's rows added in turn, then
+    ``fit``."""
     counts = CountsAccumulator()
-    for actuals in actuals_maps:
-        for context, by_link in actuals.items():
-            for link, bytes_ in by_link.items():
-                counts.add(context, link, bytes_)
+    for table in tables:
+        for context, link, bytes_ in DayCounts.from_arrays(table).rows():
+            counts.add(context, link, bytes_)
     oracles = [DictHistoricalModel(fs, name=f"Oracle_{fs.name}")
                for fs in feature_sets]
     counts.fit(oracles)
@@ -78,7 +81,8 @@ class TestTraining:
         link) and the stream's by flow row (see ``feed_reference``)."""
         counts, _walked = assert_feed_is_the_walk(runner, 0, TRAIN_HOURS)
         # flows share contexts, so (row, link) keys merge in the fold
-        total = runner.collect_window(0, TRAIN_HOURS).total
+        total = StreamWindows(runner.scenario).collect_window(
+            0, TRAIN_HOURS).total
         assert len(counts) < len(total["value"])
 
     def test_build_models_equal_fit(self, runner):
@@ -115,18 +119,22 @@ class TestOracles:
         runner = EvaluationRunner(small_scenario)
         blocks = []
 
-        def recording(actuals_maps):
-            maps = list(actuals_maps)
-            blocks.append((maps, oracle_models(maps)))
+        def recording(tables):
+            tables = list(tables)
+            blocks.append((tables, oracle_models(tables)))
             return blocks[-1][1]
 
         with mock.patch.object(runner_module, "oracle_models", recording):
             runner.run(WindowSpec(0, 10, 4))
             runner.run_staleness(0, 8, 2)
         assert len(blocks) == 4 + 2
-        assert max(len(maps) for maps, _ in blocks) > 1
-        for maps, oracles in blocks:
-            want = fitted_oracles(maps)
+        # a block's rows stack its down-sets: some (context, link) keys
+        # recur, so the oracles' fold adds across down-sets
+        stacked = [list(zip(*(table[f"k{i}"].tolist() for i in range(6))))
+                   for tables, _ in blocks for table in tables]
+        assert max(len(keys) - len(set(keys)) for keys in stacked) > 0
+        for tables, oracles in blocks:
+            want = fitted_oracles(tables)
             assert len(oracles) == len(want)
             for got, expected in zip(oracles, want):
                 assert_same_model(got, expected)
@@ -138,8 +146,9 @@ class TestOracles:
         so the exact walk's (1 + 2^53) + 1 + 1 stays 2^53 while any
         order that adds two of the 1.0s first does not."""
         c_a, c_b, c_c = (FlowContext(1, 7, loc, 0, 0) for loc in (2, 0, 1))
-        slices = [{c_a: {9: 1.0, 5: 1.0}, c_b: {5: 1.0}},
-                  {c_c: {5: 1.0}, c_a: {5: 2.0 ** 53}}]
+        slices = [actuals_table(actuals) for actuals in (
+            {c_a: {9: 1.0, 5: 1.0}, c_b: {5: 1.0}},
+            {c_c: {5: 1.0}, c_a: {5: 2.0 ** 53}})]
         got = oracle_models(slices)
         for built, want in zip(got, fitted_oracles(slices)):
             assert_same_model(built, want)
@@ -148,7 +157,9 @@ class TestOracles:
 
     def test_feature_sets_and_empty_maps(self):
         context = FlowContext(1, 7, 0, 0, 0)
-        only_al = oracle_models([{}, {context: {3: 4.0}}], (FEATURES_AL,))
+        only_al = oracle_models([actuals_table({}),
+                                 actuals_table({context: {3: 4.0}})],
+                                (FEATURES_AL,))
         assert [m.name for m in only_al] == ["Oracle_AL"]
         assert only_al[0].predict(context, 1)[0].link_id == 3
         assert all(m.size() == 0 for m in oracle_models([]))
