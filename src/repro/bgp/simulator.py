@@ -42,18 +42,24 @@ its *footprint* (the ASes whose rows and links the walk read) and its
 *pools* (the links of every candidate pool it ranked) — so a caller can
 tell which flows a change of removal set reaches (:meth:`touched`); the
 flow-by-flow walk it replaced is the test oracle
-(``tests/bgp/resolve_oracle.py``).  Routing tables are cached per
-removal key and per seeded-neighbor set, a miss of both computed from
-scratch (``compute_routing_table``, over a policy-bias column built
-once); the walk reads their ``direct`` and ``nexthops`` columns, stacked
-one table per removal key.  The one per-flow memo left, the split past
-the candidate pool, is bounded by ``SimulatorParams.share_cache_size``.
+(``tests/bgp/resolve_oracle.py``).  A flow's drift comes in as a column
+(``drifted``: past its minor and major shift days, :meth:`shift_days`),
+not as a lookup per row.  Routing tables are cached per removal key and
+per seeded-neighbor set, a miss of both computed from scratch
+(``compute_routing_table``, over a policy-bias column built once); the
+walk reads their ``direct`` and ``nexthops`` columns, stacked one table
+per removal key and kept per removal-key set (``_STACK_SLOTS``).  A
+candidate pool without TE is kept per (AS, entry metro, pocket, the
+AS's removed links), ``_POOL_SLOTS`` of them.  The one per-flow memo left, the split past the
+candidate pool, is bounded by ``SimulatorParams.share_cache_size``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -66,6 +72,23 @@ from ..util.hashing import (geometric_day, mix64_columns, rotation_columns,
 from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
                           default_bias)
 from .state import AdvertisementState
+
+#: stacked table sets kept: a probe's removal-key set recurs when the
+#: same link is probed again on a later hour
+_STACK_SLOTS = 64
+#: candidate pools kept by (AS, entry metro, pocket, its removed links)
+_POOL_SLOTS = 1 << 16
+
+
+class _Stack(NamedTuple):
+    """One routing table per removal key, their columns stacked: a
+    walk's lane reads row ``[table index, AS row]``."""
+
+    tables: Tuple[RoutingTable, ...]
+    direct: np.ndarray
+    nexthops: np.ndarray
+    n_hops: np.ndarray
+
 
 @dataclass
 class SimulatorParams:
@@ -142,17 +165,19 @@ class IngressSimulator:
         # 0.0 past the pool's size), so a call's splits are one buffer
         self._split_memo: LruDict[Tuple[Any, ...], bytes] = \
             LruDict(p.share_cache_size)
+        self._stacks: LruDict[Tuple[FrozenSet[int], ...], _Stack] = \
+            LruDict(_STACK_SLOTS)
         self._touched_cache: LruDict[
             Tuple[FrozenSet[int], FrozenSet[int]],
             Tuple[FrozenSet[int], FrozenSet[int]]] = \
             LruDict(p.table_cache_size)
         self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-        self._ranked_cache: Dict[Tuple[Any, ...], Tuple[int, ...]] = {}
+        # (AS row, entry metro code, pocket, the AS's removed links) ->
+        # the candidate pool without TE
+        self._ranked_pools: LruDict[Tuple[int, int, int, FrozenSet[int]],
+                                    Tuple[int, ...]] = LruDict(_POOL_SLOTS)
         self._p_cache: Dict[Tuple[int, int], float] = {}
-        # hit/miss counters for the ranked candidate pools (the LRU
-        # caches carry their own counters), and the tables computed
-        self._ranked_hits = 0
-        self._ranked_misses = 0
+        # the tables computed (the LRU caches carry their own counters)
         self._table_full_rebuilds = 0
         # the walk's frame: dense AS rows (those of every routing table),
         # metro codes, each (AS row, metro)'s pocket (the AS's first that
@@ -162,6 +187,10 @@ class IngressSimulator:
         self._asns_sorted = topo.asns[self._asn_order]
         self._metro_names = graph.metros.names
         self._metro_code = {m: i for i, m in enumerate(self._metro_names)}
+        self._metro_order = np.argsort(np.array(self._metro_names, dtype=str),
+                                       kind="stable")
+        self._metros_sorted = np.array(self._metro_names,
+                                       dtype=str)[self._metro_order]
         self._pockets: List[Pocket] = []
         self._pocket_of = np.full((topo.n, len(self._metro_names)), -1,
                                   dtype=np.int64)
@@ -185,14 +214,17 @@ class IngressSimulator:
                             for l in removed if wan.has_link(l)}
             if all(l.link_id in removed for l in self._links_by_peer[asn])}
 
+    def _check_graph(self) -> None:
+        if self.graph.dense() is not self._topo:
+            raise RuntimeError("the AS graph changed after the simulator "
+                               "was built")
+
     def routing_table(self, removed: FrozenSet[int]) -> RoutingTable:
         """AS-level routing table for a set of removed links (cached per
         removal key and per seeded-neighbor set; a miss of both computes
         the table).  Raises ``RuntimeError`` once the AS graph has
         changed after the simulator was built."""
-        if self.graph.dense() is not self._topo:
-            raise RuntimeError("the AS graph changed after the simulator "
-                               "was built")
+        self._check_graph()
         table = self._table_by_removed.get(removed)
         if table is not None:
             return table
@@ -229,11 +261,39 @@ class IngressSimulator:
             self._touched_cache[key] = touched
         return touched
 
+    def _stacked(self, removals: Tuple[FrozenSet[int], ...]) -> _Stack:
+        """The tables of ``removals`` and their stacked columns (cached
+        per removal-key tuple)."""
+        self._check_graph()
+        stack = self._stacks.get(removals)
+        if stack is None:
+            stack = self._stack(removals)
+            self._stacks[removals] = stack
+        return stack
+
+    def _stack(self, removals: Tuple[FrozenSet[int], ...]) -> _Stack:
+        """One routing table per removal key, its ``direct`` and
+        ``nexthops`` stacked, and each (table, AS)'s next-hop count."""
+        tables = tuple(self.routing_table(removed) for removed in removals)
+        hops = np.stack([table.nexthops for table in tables])
+        return _Stack(tables, np.stack([table.direct for table in tables]),
+                      hops, (hops >= 0).sum(axis=2, dtype=np.int64))
+
     def as_distance(self, asn: int) -> Optional[int]:
         """AS-hop distance to the WAN under full availability (Figure 2)."""
         return self.routing_table(frozenset()).distance(asn)
 
     # -- drift ----------------------------------------------------------------
+
+    def shift_days(self, src_asn: np.ndarray, src_prefix: np.ndarray,
+                   dest_prefix: np.ndarray) -> np.ndarray:
+        """:meth:`drift_days` of flows given as aligned columns, an
+        ``(n, 2)`` ``int64`` array; ``day >= shift_days(...)`` is the
+        ``drifted`` column :meth:`resolve_shares` takes."""
+        return np.array(list(map(self.drift_days, *(
+            np.asarray(column, dtype=np.int64).tolist()
+            for column in (src_asn, src_prefix, dest_prefix)))),
+            dtype=np.int64).reshape(-1, 2)
 
     def drift_days(self, src_asn: int, src_prefix: int,
                    dest_prefix: int) -> Tuple[int, int]:
@@ -269,23 +329,25 @@ class IngressSimulator:
         src_prefix: np.ndarray,
         dest_prefix: np.ndarray,
         state: AdvertisementState,
-        day: Optional[int] = None,
+        drifted: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, ...]:
         """Each flow's bytes over peering links, flows given as aligned
-        columns; a *row* is a position in them.  Seven arrays, aligned in
-        three groups: ``(rows, links, fracs)`` the shares, rows ascending,
-        a row's by descending fraction then link (none for a row with no
-        route: its bytes are lost); ``(footprint_rows, footprint_asns)``
-        every AS a row's walk read, in walk order, repeats kept;
-        ``(pool_rows, pool_links)`` the links of every pool it ranked.
-        Raises ``ValueError`` for a flow from the WAN's own AS."""
+        columns; a *row* is a position in them.  ``drifted`` is each
+        row's (minor, major) drift on the day resolved, an ``(n, 2)``
+        bool column (``day >= shift_days``, :meth:`shift_days`); None
+        resolves without drift.  Seven arrays, aligned in three groups:
+        ``(rows, links, fracs)`` the shares, rows ascending, a row's by
+        descending fraction then link (none for a row with no route: its
+        bytes are lost); ``(footprint_rows, footprint_asns)`` every AS a
+        row's walk read, in walk order, repeats kept; ``(pool_rows,
+        pool_links)`` the links of every pool it ranked.  Raises
+        ``ValueError`` for a flow from the WAN's own AS."""
         src_asn = np.asarray(src_asn, dtype=np.int64)
         src_prefix = np.asarray(src_prefix, dtype=np.int64)
         dest_prefix = np.asarray(dest_prefix, dtype=np.int64)
         if (src_asn == self.wan.asn).any():
             raise ValueError("internal WAN traffic has no ingress link")
-        metro = np.array([self._metro_code[m] for m in src_metro],
-                         dtype=np.int64)
+        metro = self._metro_codes(src_metro)
         n = len(src_asn)
         if not n:
             none = np.zeros(0, dtype=np.int64)
@@ -295,26 +357,20 @@ class IngressSimulator:
         # table's index
         prefixes, prefix_at = np.unique(dest_prefix, return_inverse=True)
         keys = [state.removal_key(prefix) for prefix in prefixes.tolist()]
-        removals = list(dict.fromkeys(keys))
+        removals = tuple(dict.fromkeys(keys))
         tix = np.array([removals.index(key) for key in keys],
                        dtype=np.int64)[prefix_at]
         prepends = {i: dict(state.prepend_key(prefix))
                     for i, prefix in enumerate(prefixes.tolist())
                     if state.prepend_key(prefix)}
-        tables = [self.routing_table(removed) for removed in removals]
         # an AS without a route has no next-hops; a direct AS has a route
-        direct = np.stack([table.direct for table in tables])
-        hops = np.stack([table.nexthops for table in tables])
-        n_hops = (hops >= 0).sum(axis=2, dtype=np.int64)
+        tables, direct, hops, n_hops = self._stacked(removals)
 
         major = np.zeros(n, dtype=np.bool_)
         rotate = np.zeros(n, dtype=np.int64)
-        if day is not None:
-            shifts = np.array(list(map(
-                self.drift_days, src_asn.tolist(), src_prefix.tolist(),
-                dest_prefix.tolist())), dtype=np.int64).reshape(n, 2)
-            major = day >= shifts[:, 1]
-            rotate = (day >= shifts[:, 0]) + 2 * major.astype(np.int64)
+        if drifted is not None:
+            major = drifted[:, 1]
+            rotate = drifted[:, 0] + 2 * major.astype(np.int64)
 
         # -- origins: a source with usable links of its own delivers on
         # them; one without hands over to its ranked next-hops
@@ -376,7 +432,8 @@ class IngressSimulator:
             np.ones(len(owners), dtype=np.float64),
             np.where(two, 1.0 - split, 1.0),
             np.full(int(two.sum()), split, dtype=np.float64)))
-        order = np.lexsort((lane_slot, lane_row))
+        # a row has one lane per slot: the keys are distinct
+        order = np.argsort(2 * lane_row + lane_slot)
         lane_row, lane_slot = lane_row[order], lane_slot[order]
         lane_weight, lane_tix = lane_weight[order], tix[lane_row]
         at = self._rows(lane_asn[order])
@@ -416,8 +473,9 @@ class IngressSimulator:
         d_pocket = np.where(own[d_row], in_pocket[d_row], -1)
         # a pool is ranked once per (removal key, AS, entry metro,
         # pocket), and per row under TE, whose compliance is per flow
-        te = np.isin(prefix_at[d_row], np.array(list(prepends),
-                                                dtype=np.int64))
+        te = np.zeros(len(prefixes), dtype=np.bool_)
+        te[list(prepends)] = True
+        te = te[prefix_at[d_row]]
         _, first_at, pool_of = np.unique(np.where(te, d_row, -1) + (n + 1) * (
             ((tix[d_row] * self._topo.n + d_as) * len(self._metro_names)
              + d_entry) * (len(self._pockets) + 1) + d_pocket + 1),
@@ -426,15 +484,26 @@ class IngressSimulator:
         for row, asn, code, pocket in zip(
                 d_row[first_at].tolist(), d_as[first_at].tolist(),
                 d_entry[first_at].tolist(), d_pocket[first_at].tolist()):
-            links, ids = self._usable(int(self._topo.asns[asn]),
-                                      removals[tix[row]])
-            if pocket >= 0:
-                metros = self._pockets[pocket].metros
-                links = [l for l in links if l.metro in metros]
-                ids = tuple(l.link_id for l in links)
-            pools.append(self._pool(
-                links, ids, self._metro_names[code], int(src_prefix[row]),
-                int(dest_prefix[row]), prepends.get(prefix_at[row])))
+            peer = int(self._topo.asns[asn])
+            removed, te_hint = removals[tix[row]], prepends.get(prefix_at[row])
+            # without TE a pool is fixed by the AS, the entry metro, the
+            # pocket and which of the AS's links are removed
+            key = (asn, code, pocket, removed.intersection(
+                self._link_ids_by_peer.get(peer, ())))
+            # (TE compliance is per flow: a prepended pool is ranked
+            # afresh; TE prefixes are rare, 0.7 % in the paper's network)
+            pool = None if te_hint else self._ranked_pools.get(key)
+            if pool is None:
+                links, _ids = self._usable(peer, removed)
+                if pocket >= 0:
+                    metros = self._pockets[pocket].metros
+                    links = [l for l in links if l.metro in metros]
+                pool = self._pool(links, self._metro_names[code],
+                                  int(src_prefix[row]),
+                                  int(dest_prefix[row]), te_hint)
+                if not te_hint:
+                    self._ranked_pools[key] = pool
+            pools.append(pool)
         splits = self._splits(pools, pool_of, src_prefix[d_row],
                               dest_prefix[d_row], rotate[d_row])
 
@@ -452,7 +521,11 @@ class IngressSimulator:
         s_rows, s_links = s_rows[first_at], s_links[first_at]
         scale = delivered[s_rows]
         s_fracs = np.where(scale < 1.0, sums / scale, sums)
-        by_share = np.lexsort((s_links, -s_fracs, s_rows))
+        # by row, then descending fraction, then link: the shares come
+        # by (row, link), so fraction ranks make one distinct int key
+        _, rank = np.unique(-s_fracs, return_inverse=True)
+        by_share = np.argsort((s_rows * (len(s_fracs) + 1) + rank)
+                              * (int(s_links.max(initial=0)) + 1) + s_links)
 
         reads = np.concatenate(read_keys)
         by_read = np.argsort(reads, kind="stable")
@@ -464,6 +537,16 @@ class IngressSimulator:
                 reads[by_read] // 3, np.concatenate(read_asns)[by_read],
                 np.broadcast_to(d_row[:, None], pooled.shape)[pooled >= 0],
                 pooled[pooled >= 0])
+
+    def _metro_codes(self, names: Sequence[str]) -> np.ndarray:
+        """Codes of metro names; raises ``KeyError`` for an unknown one."""
+        names = np.asarray(names, dtype=str)
+        at = np.minimum(np.searchsorted(self._metros_sorted, names),
+                        len(self._metros_sorted) - 1)
+        unknown = self._metros_sorted[at] != names
+        if unknown.any():
+            raise KeyError(str(names[unknown][0]))
+        return self._metro_order[at]
 
     def _rows(self, asns: np.ndarray) -> np.ndarray:
         """Dense graph rows of ``asns`` (-1: not in the graph)."""
@@ -504,50 +587,7 @@ class IngressSimulator:
         todo = list(dict.fromkeys(key for key, split in zip(keys, found)
                                   if split is None))
         if todo:
-            sizes = np.array([len(key[0]) for key in todo], dtype=np.int64)
-            member_of = np.repeat(np.arange(len(todo), dtype=np.int64),
-                                  sizes)
-            starts = np.cumsum(sizes) - sizes
-            rank = np.arange(len(member_of), dtype=np.int64) - starts[
-                member_of]
-            links = np.array([link for key in todo for link in key[0]],
-                             dtype=np.int64)
-            # a pool's membership folds into one hash base, and each
-            # member's draw is one mixing round more
-            base = np.full((len(todo), 1 + int(sizes.max())), 17,
-                           dtype=np.int64)
-            base[member_of, 1 + rank] = links
-            flows = np.array([key[1:] for key in todo], dtype=np.int64)
-            draws = unit_columns(
-                np.column_stack((flows[member_of, :2], links)),
-                mix64_columns(base, self.seed, 1 + sizes)[member_of])
-            params = self.params
-            shuffle = np.array(
-                [-(max(u, 1e-12) ** (1.0 / params.locality ** r))
-                 for u, r in zip(draws.tolist(), rank.tolist())],
-                dtype=np.float64)
-            ordered = links[np.lexsort((links, shuffle, member_of))]
-            # the first three once a drifted flow's order is rotated
-            first = np.arange(3, dtype=np.int64)
-            held = first < sizes[:, None]
-            take = ordered[starts[:, None]
-                           + (first + flows[:, 2:]) % sizes[:, None]]
-            for flow in (key[1:3] for key in todo):
-                if flow not in self._p_cache:
-                    u = unit(*flow, 19, seed=self.seed)
-                    self._p_cache[flow] = params.primary_share_lo + (
-                        params.primary_share_hi - params.primary_share_lo
-                    ) * (1.0 - u ** params.primary_share_skew)
-            p = np.array([self._p_cache[key[1:3]] for key in todo],
-                         dtype=np.float64)
-            sw = params.secondary_weight
-            raw = np.column_stack((p, (1.0 - p) * sw,
-                                   (1.0 - p) * (1.0 - sw)))
-            # the taken weights summed in order, as a python ``sum``
-            total = p + np.where(held[:, 1], raw[:, 1], 0.0) + np.where(
-                held[:, 2], raw[:, 2], 0.0)
-            blob = np.column_stack((np.where(held, take, -1), np.where(
-                held, raw / total[:, None], 0.0))).tobytes()
+            blob = self._draw_splits(todo)
             computed = {key: blob[at:at + 48]
                         for key, at in zip(todo, range(0, len(blob), 48))}
             for key, split in computed.items():
@@ -556,6 +596,67 @@ class IngressSimulator:
                      for key, split in zip(keys, found)]
         return np.frombuffer(b"".join(found), dtype=np.float64).reshape(
             len(keys), 6)
+
+    def _draw_splits(self, todo: List[Tuple[Any, ...]]) -> bytes:
+        """The splits of ``todo``'s ``_split_memo`` keys, 48 bytes each,
+        in order (see :meth:`_splits`)."""
+        sizes = np.array([len(key[0]) for key in todo], dtype=np.int64)
+        member_of = np.repeat(np.arange(len(todo), dtype=np.int64),
+                              sizes)
+        starts = np.cumsum(sizes) - sizes
+        rank = np.arange(len(member_of), dtype=np.int64) - starts[
+            member_of]
+        links = np.array([link for key in todo for link in key[0]],
+                         dtype=np.int64)
+        # a pool's membership folds into one hash base, and each
+        # member's draw is one mixing round more
+        base = np.full((len(todo), 1 + int(sizes.max())), 17,
+                       dtype=np.int64)
+        base[member_of, 1 + rank] = links
+        flows = np.array([key[1:] for key in todo], dtype=np.int64)
+        draws = unit_columns(
+            np.column_stack((flows[member_of, :2], links)),
+            mix64_columns(base, self.seed, 1 + sizes)[member_of])
+        params = self.params
+        exponent = np.array([1.0 / params.locality ** r
+                             for r in range(int(sizes.max()))],
+                            dtype=np.float64)
+        shuffle = -np.array(list(map(
+            pow, np.maximum(draws, 1e-12).tolist(),
+            exponent[rank].tolist())), dtype=np.float64)
+        # by pool, then shuffle key, then link: shuffle ranks make one
+        # distinct int key
+        _, place = np.unique(shuffle, return_inverse=True)
+        ordered = links[np.argsort(
+            (member_of * (len(shuffle) + 1) + place)
+            * (int(links.max()) + 1) + links)]
+        # the first three once a drifted flow's order is rotated
+        first = np.arange(3, dtype=np.int64)
+        held = first < sizes[:, None]
+        take = ordered[starts[:, None]
+                       + (first + flows[:, 2:]) % sizes[:, None]]
+        new = [flow for flow in dict.fromkeys(key[1:3] for key in todo)
+               if flow not in self._p_cache]
+        if new:
+            u = unit_columns(np.column_stack((
+                np.array(new, dtype=np.int64).reshape(-1, 2),
+                np.full(len(new), 19, dtype=np.int64))), self.seed)
+            self._p_cache.update(zip(new, (
+                params.primary_share_lo
+                + (params.primary_share_hi - params.primary_share_lo)
+                * (1.0 - np.array(list(map(pow, u.tolist(), repeat(
+                    params.primary_share_skew, len(new)))),
+                    dtype=np.float64))).tolist()))
+        p = np.array([self._p_cache[key[1:3]] for key in todo],
+                     dtype=np.float64)
+        sw = params.secondary_weight
+        raw = np.column_stack((p, (1.0 - p) * sw,
+                               (1.0 - p) * (1.0 - sw)))
+        # the taken weights summed in order, as a python ``sum``
+        total = p + np.where(held[:, 1], raw[:, 1], 0.0) + np.where(
+            held[:, 2], raw[:, 2], 0.0)
+        return np.column_stack((np.where(held, take, -1), np.where(
+            held, raw / total[:, None], 0.0))).tobytes()
 
     def _usable(self, asn: int, removed: FrozenSet[int]
                 ) -> Tuple[Sequence[PeeringLink], Tuple[int, ...]]:
@@ -571,15 +672,14 @@ class IngressSimulator:
     def _pool(
         self,
         links: Sequence[PeeringLink],
-        ids: Tuple[int, ...],
         entry_metro: str,
         src_prefix: int,
         dest_prefix: int,
         prepends: Optional[Dict[int, int]] = None,
     ) -> Tuple[int, ...]:
-        """The candidate pool of a delivering AS's links (``ids`` their
-        link ids, in order): the nearest ``candidate_pool_size`` within
-        ``reroute_radius_km`` of the closest exit, nearest first."""
+        """The candidate pool of a delivering AS's links: the nearest
+        ``candidate_pool_size`` within ``reroute_radius_km`` of the
+        closest exit, nearest first."""
         metros = self.graph.metros
 
         def effective_distance(link: PeeringLink) -> float:
@@ -595,30 +695,16 @@ class IngressSimulator:
                         distance += times * self.params.te_prepend_km
             return distance
 
-        # the pool cache is only valid without TE state: compliance is
-        # per-flow, so prepended rankings are computed fresh (TE prefixes
-        # are rare — 0.7% in the paper's network)
-        rank_key = (entry_metro, ids)
-        pool = None if prepends else self._ranked_cache.get(rank_key)
-        if not prepends:
-            if pool is None:
-                self._ranked_misses += 1
-            else:
-                self._ranked_hits += 1
-        if pool is None:
-            ranked = sorted(
-                links,
-                key=lambda l: (effective_distance(l), l.link_id),
-            )
-            d0 = effective_distance(ranked[0])
-            radius = d0 + self.params.reroute_radius_km
-            pool = tuple(
-                l.link_id for l in ranked[: self.params.candidate_pool_size]
-                if effective_distance(l) <= radius
-            )
-            if not prepends:
-                self._ranked_cache[rank_key] = pool
-        return pool
+        ranked = sorted(
+            links,
+            key=lambda l: (effective_distance(l), l.link_id),
+        )
+        d0 = effective_distance(ranked[0])
+        radius = d0 + self.params.reroute_radius_km
+        return tuple(
+            l.link_id for l in ranked[: self.params.candidate_pool_size]
+            if effective_distance(l) <= radius
+        )
 
     # -- statistics -----------------------------------------------------------
 
@@ -630,10 +716,11 @@ class IngressSimulator:
             "entry_metro_entries": int(np.count_nonzero(self._entry_of >= 0)),
             "touched_entries": len(self._touched_cache),
             "drift_entries": len(self._drift_cache),
-            "ranked_pool_entries": len(self._ranked_cache),
+            "ranked_pool_entries": len(self._ranked_pools),
             "primary_share_entries": len(self._p_cache),
             "tables_by_removed": len(self._table_by_removed),
             "tables_by_seeded": len(self._table_by_seeded),
+            "stack_entries": len(self._stacks),
             "share_hits": self._split_memo.hits,
             "share_misses": self._split_memo.misses,
             "share_evictions": self._split_memo.evictions,
@@ -644,11 +731,13 @@ class IngressSimulator:
             "table_evictions": (self._table_by_removed.evictions
                                 + self._table_by_seeded.evictions),
             "table_full_rebuilds": self._table_full_rebuilds,
+            "stack_hits": self._stacks.hits,
+            "stack_misses": self._stacks.misses,
             # no table is repaired; the benchmark's churn workload still
             # reads this key (benchmarks/e2e/tipsybench/churn.py)
             "table_incremental_updates": 0,
-            "ranked_pool_hits": self._ranked_hits,
-            "ranked_pool_misses": self._ranked_misses,
+            "ranked_pool_hits": self._ranked_pools.hits,
+            "ranked_pool_misses": self._ranked_pools.misses,
         }
 
     def export_gauges(self) -> None:
@@ -666,4 +755,5 @@ class IngressSimulator:
                   for key, value in self.cache_stats().items()}
         gauges["share_hit_rate"] = self._split_memo.hit_rate
         gauges["table_hit_rate"] = self._table_by_removed.hit_rate
+        gauges["stack_hit_rate"] = self._stacks.hit_rate
         obs.set_gauges(gauges, prefix="bgp.simulator.")

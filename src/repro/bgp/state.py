@@ -126,6 +126,11 @@ class AdvertisementState:
     def link_outages(self) -> FrozenSet[int]:
         return frozenset(self._outages)
 
+    def touched_prefixes(self) -> FrozenSet[int]:
+        """Prefixes with a withdrawal or a prepend: every other prefix's
+        removal key is :attr:`link_outages` and its prepend key empty."""
+        return frozenset(self._withdrawn.keys() | self._prepends.keys())
+
     def withdrawn_links(self, prefix_id: int) -> FrozenSet[int]:
         return frozenset(self._withdrawn.get(prefix_id, _EMPTY))
 

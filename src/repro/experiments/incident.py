@@ -103,11 +103,11 @@ def sample_flows(simulator: IngressSimulator,
     """Every flow's ``per_flow`` bytes spread over its resolved shares,
     as a CMS sample over the flows' contexts."""
     dests = np.array([flow[3] for flow in flows], dtype=np.int64)
+    asns = np.array([flow[4] for flow in flows], dtype=np.int64)
+    sources = np.array([flow[1] for flow in flows], dtype=np.int64)
     rows, links, fracs, *_read = simulator.resolve_shares(
-        np.array([flow[4] for flow in flows], dtype=np.int64),
-        [flow[2] for flow in flows],
-        np.array([flow[1] for flow in flows], dtype=np.int64), dests,
-        state, day)
+        asns, [flow[2] for flow in flows], sources, dests, state,
+        day >= simulator.shift_days(asns, sources, dests))
     return TrafficSample(links, dests[rows], rows, per_flow * fracs,
                          [flow[0] for flow in flows])
 

@@ -40,7 +40,14 @@ from ..core.training import KEY_NAMES, DayCounts, KeyedTable, fold_keyed
 from ..pipeline.aggregation import first_seen_groups
 from ..pipeline.outages import OutageInference
 from ..pipeline.records import FlowContext
+from ..util.cache import LruDict
 from .scenario import Scenario
+
+#: windows kept per kind (feed, actuals): a run asks for one training
+#: and one test window and asks for each again when the same runner runs
+#: again (the paper tables' Tables 4-7 and Table 9 runs), and a sweep
+#: asks for each of its windows once
+_WINDOW_SLOTS = 2
 
 NO_LINKS: FrozenSet[int] = frozenset()
 
@@ -127,9 +134,11 @@ class EvaluationRunner:
         self.scenario = scenario
         self._n_links = len(self.scenario.wan.links)
         # scenarios are deterministic and read-only, so windows can be
-        # reused across runs (Appendix B sweeps share windows)
-        self._feed_cache: Dict[Tuple[int, int], FeedWindow] = {}
-        self._actuals_cache: Dict[Tuple[int, int], ActualsWindow] = {}
+        # reused across runs (the paper tables run one window twice)
+        self._feed_cache: LruDict[Tuple[int, int], FeedWindow] = \
+            LruDict(_WINDOW_SLOTS)
+        self._actuals_cache: LruDict[Tuple[int, int], ActualsWindow] = \
+            LruDict(_WINDOW_SLOTS)
 
     # -- model suite -----------------------------------------------------------
 

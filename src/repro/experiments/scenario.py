@@ -6,10 +6,20 @@ streams hour-by-hour telemetry columns.  It is the single entry point the
 examples, the evaluation runner and the benchmarks all share.
 
 The streaming fast path is columnar: per hour it produces aligned numpy
-arrays (flow row, link id, true bytes, sampled bytes).  This is the
-scaled-down stand-in for the paper's Spark aggregation pipeline (§4.2-4.3);
-the record-level pipeline classes in :mod:`repro.pipeline` expose the same
-data as :class:`AggRecord` streams when fidelity matters more than speed.
+arrays (flow row, link id, true bytes, sampled bytes), the samples drawn
+when first read, so an hour only the ground truth reads (a CMS probe's)
+draws none.  This is the scaled-down stand-in for the paper's Spark
+aggregation pipeline (§4.2-4.3); the record-level pipeline classes in
+:mod:`repro.pipeline` expose the same data as :class:`AggRecord` streams
+when fidelity matters more than speed.
+
+Every flow's link shares under one (day, advertisement content) are an
+*expansion*, kept by content in a small LRU.  The content holds the
+links down apart from the prefixes a withdrawal or a prepend touched,
+so a miss compares contents over the touched prefixes only, ranks the
+cached expansions by count arrays, and re-resolves only the rows the
+change can reach, with the drift shift days the scenario holds as a
+column.
 """
 
 from __future__ import annotations
@@ -43,22 +53,44 @@ from ..util.cache import LruDict
 #: state and one with a link down, an hour boundary adds one or two more
 _EXPANSION_SLOTS = 8
 
-#: what an expansion depends on: (day, per destination prefix
-#: (removal key, prepend key))
-_Content = Tuple[int, Tuple[Tuple[FrozenSet[int],
-                                  Tuple[Tuple[int, int], ...]], ...]]
+#: what an expansion depends on: (day, the links down, and per prefix a
+#: withdrawal or a prepend touched, ascending, (prefix, removal key,
+#: prepend key)); every other prefix's removal key is the links down
+_Touched = Tuple[Tuple[int, FrozenSet[int], Tuple[Tuple[int, int], ...]],
+                 ...]
+_Content = Tuple[int, FrozenSet[int], _Touched]
 #: destination prefixes by the (old, new) removal sets they moved between
 _Moved = Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]]
 
 
-class HourColumns(NamedTuple):
-    """One hour of telemetry in columnar form (aligned arrays)."""
+class HourColumns:
+    """One hour of telemetry in columnar form (aligned arrays).
 
-    hour: int
-    flow_rows: np.ndarray     # index into scenario.traffic.flows
-    link_ids: np.ndarray
-    true_bytes: np.ndarray    # ground truth (never shown to TIPSY)
-    sampled_bytes: np.ndarray  # IPFIX-sampled, scaled-up estimate
+    ``sampled_bytes`` is drawn on first read and kept: the exporter's
+    draw is seeded by (seed, hour) and runs over ``true_bytes``, so it
+    is the same whenever it is read, and an hour only the ground truth
+    reads (a CMS probe's) draws nothing."""
+
+    __slots__ = ("hour", "flow_rows", "link_ids", "true_bytes",
+                 "_exporter", "_sampled")
+
+    def __init__(self, hour: int, flow_rows: np.ndarray,
+                 link_ids: np.ndarray, true_bytes: np.ndarray,
+                 exporter: IpfixExporter):
+        self.hour = hour
+        self.flow_rows = flow_rows    # index into scenario.traffic.flows
+        self.link_ids = link_ids
+        self.true_bytes = true_bytes  # ground truth (never shown to TIPSY)
+        self._exporter = exporter
+        self._sampled: Optional[np.ndarray] = None
+
+    @property
+    def sampled_bytes(self) -> np.ndarray:
+        """IPFIX-sampled, scaled-up estimate of ``true_bytes``."""
+        if self._sampled is None:
+            self._sampled = self._exporter.sample_bytes(self.true_bytes,
+                                                        self.hour)
+        return self._sampled
 
 
 class _Expansion(NamedTuple):
@@ -70,37 +102,41 @@ class _Expansion(NamedTuple):
     rows: np.ndarray
     links: np.ndarray
     fracs: np.ndarray
-    # (flow row, AS) pairs: the row's resolution read that AS
+    # (flow row, AS) pairs: the row's resolution read that AS, and its
+    # AS code (``Scenario._as_codes``)
     footprint_rows: np.ndarray
     footprint_asns: np.ndarray
+    footprint_codes: np.ndarray
     # (flow row, link) pairs: a candidate pool of the row held that link
     pool_rows: np.ndarray
     pool_links: np.ndarray
-    #: rows per AS read and per pool link: what ``_estimate`` sums
-    rows_reading: Dict[int, int]
-    rows_pooling: Dict[int, int]
+    #: rows per AS code read and per pool link id: what ``_estimate``
+    #: sums (``_rows_per``)
+    rows_reading: np.ndarray
+    rows_pooling: np.ndarray
 
 
-def _rows_per(values: np.ndarray) -> Dict[int, int]:
-    """How many of an expansion's (row, value) pairs hold each value."""
-    found, counts = np.unique(values, return_counts=True)
-    return dict(zip(found.tolist(), counts.tolist()))
+def _rows_per(codes: np.ndarray, n: int) -> np.ndarray:
+    """How many of an expansion's (row, value) pairs hold each of the
+    ``n`` value codes."""
+    return np.bincount(codes, minlength=n)
 
 
-def _recount(counts: Dict[int, int], dropped: np.ndarray,
-             added: np.ndarray) -> Dict[int, int]:
+def _marked(values: np.ndarray, wanted: List[int], size: int) -> np.ndarray:
+    """Which ``values`` (ints in ``[0, size)``) are ``wanted``: an
+    ``np.isin`` by lookup table, without its fixed cost."""
+    table = np.zeros(size, dtype=np.bool_)
+    table[wanted] = True
+    return table[values]
+
+
+def _recount(counts: np.ndarray, dropped: np.ndarray,
+             added: np.ndarray) -> np.ndarray:
     """``_rows_per`` of a derived expansion from its base's: ``counts``
-    less the stale pairs' values plus the new ones, zero counts dropped."""
-    out = dict(counts)
-    for value, n in _rows_per(added).items():
-        out[value] = out.get(value, 0) + n
-    for value, n in _rows_per(dropped).items():
-        left = out[value] - n
-        if left:
-            out[value] = left
-        else:
-            del out[value]
-    return out
+    less the stale pairs' codes plus the new ones."""
+    n = len(counts)
+    return (counts - np.bincount(dropped, minlength=n)
+            + np.bincount(added, minlength=n))
 
 
 @dataclass
@@ -186,11 +222,24 @@ class Scenario:
         # from the cheapest one to start from (none yet: from `_empty`)
         self._expansions: LruDict[_Content, _Expansion] = \
             LruDict(_EXPANSION_SLOTS)
+        # AS codes (positions among the sorted graph ASes) and each
+        # link's owner's; an owner outside the graph has the code past
+        # them, which no row reads
+        self._asns = np.sort(self.graph.dense().asns)
+        self._code_of = {asn: code
+                         for code, asn in enumerate(self._asns.tolist())}
+        self._owner_of = {link.link_id: self._code_of.get(link.peer_asn,
+                                                          len(self._asns))
+                          for link in self.wan.links}
         none = np.empty(0, dtype=np.int64)
-        self._empty = _Expansion((0, ()), none, none, none.astype(np.float64),
-                                 none, none, none, none, {}, {})
+        self._empty = _Expansion(
+            (0, frozenset(), ()), none, none, none.astype(np.float64),
+            none, none, none, none, none,
+            np.zeros(len(self._asns) + 1, dtype=np.int64),
+            np.zeros(max(self.wan.link_ids) + 1, dtype=np.int64))
         flows = self.traffic.flows
         self._dest_prefixes = sorted({f.dest_prefix_id for f in flows})
+        self._dest_set = frozenset(self._dest_prefixes)
         # per-flow identifier columns (the columnar IPFIX path, the
         # expansion's per-prefix selection) and drift shift days
         self._flow_columns = (
@@ -199,10 +248,9 @@ class Scenario:
             np.array([f.dest_prefix_id for f in flows], dtype=np.int64),
         )
         self._src_metros = np.array([f.src_metro for f in flows], dtype=str)
-        self._shift_days = np.array(
-            [self.simulator.drift_days(f.src_asn, f.src_prefix_id,
-                                       f.dest_prefix_id) for f in flows],
-            dtype=np.int64).reshape(-1, 2)
+        src_prefixes, src_asns, dest_prefixes = self._flow_columns
+        self._shift_days = self.simulator.shift_days(src_asns, src_prefixes,
+                                                     dest_prefixes)
 
     # -- derived properties ----------------------------------------------------
 
@@ -248,6 +296,10 @@ class Scenario:
 
     # -- streaming -----------------------------------------------------------------
 
+    def _as_codes(self, asns: np.ndarray) -> np.ndarray:
+        """Codes of graph ASes (``rows_reading``'s index)."""
+        return np.searchsorted(self._asns, asns)
+
     def _expansion(self, day: int, state: AdvertisementState
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(flow row, link id, fraction) arrays for every flow's shares.
@@ -258,8 +310,9 @@ class Scenario:
         expansion can reach and splices them into its arrays: from the
         one ``_estimate`` ranks cheapest, ties to the most recently used.
         """
-        content = (day, tuple((state.removal_key(p), state.prepend_key(p))
-                              for p in self._dest_prefixes))
+        content = (day, state.link_outages, tuple(
+            (prefix, state.removal_key(prefix), state.prepend_key(prefix))
+            for prefix in sorted(self._dest_set & state.touched_prefixes())))
         found = self._expansions.get(content)
         if found is None:
             base = min(reversed(self._expansions.values()),
@@ -280,7 +333,7 @@ class Scenario:
             pool_links = self.simulator.resolve_shares(
                 src_asns[again], self._src_metros[again],
                 src_prefixes[again], dest_prefixes[again], state,
-                content[0])
+                content[0] >= self._shift_days[again])
         # the simulator numbers the rows it was given: back to flow rows
         rows, walked_rows, pool_rows = (again[rows], again[walked_rows],
                                         again[pool_rows])
@@ -291,16 +344,18 @@ class Scenario:
         order = np.argsort(merged, kind="stable")
         keep_walk = ~stale[base.footprint_rows]
         keep_pool = ~stale[base.pool_rows]
+        walked_codes = self._as_codes(walked_asns)
         return _Expansion(
             content, merged[order],
             np.concatenate((base.links[keep], links))[order],
             np.concatenate((base.fracs[keep], fracs))[order],
             np.concatenate((base.footprint_rows[keep_walk], walked_rows)),
             np.concatenate((base.footprint_asns[keep_walk], walked_asns)),
+            np.concatenate((base.footprint_codes[keep_walk], walked_codes)),
             np.concatenate((base.pool_rows[keep_pool], pool_rows)),
             np.concatenate((base.pool_links[keep_pool], pool_links)),
-            _recount(base.rows_reading, base.footprint_asns[~keep_walk],
-                     walked_asns),
+            _recount(base.rows_reading, base.footprint_codes[~keep_walk],
+                     walked_codes),
             _recount(base.rows_pooling, base.pool_links[~keep_pool],
                      pool_links))
 
@@ -309,22 +364,35 @@ class Scenario:
         """What differs between ``base`` and ``content``: the mask of the
         rows that are stale whatever they read (a drift flag flips between
         the two days, or the prefix's prepends changed), and the prefixes
-        whose removal set moved."""
-        (old_day, old_parts), (day, parts) = base.content, content
+        whose removal set moved.  Only the prefixes a withdrawal or a
+        prepend touched in either content are walked one by one; the
+        others move together, from one set of links down to the other."""
+        (old_day, old_down, old_parts), (day, down, parts) = (base.content,
+                                                              content)
         shifts = self._shift_days
         stale = (np.zeros(len(shifts), dtype=np.bool_) if old_day == day
                  else ((old_day >= shifts) != (day >= shifts)).any(axis=1))
+        old_of = {prefix: (key, te) for prefix, key, te in old_parts}
+        new_of = {prefix: (key, te) for prefix, key, te in parts}
+        touched = old_of.keys() | new_of.keys()
         prepended: List[int] = []
         moved: _Moved = {}
-        for prefix, old, new in zip(self._dest_prefixes, old_parts, parts):
-            if old[1] != new[1]:
+        for prefix in sorted(touched):
+            before, was_prepended = old_of.get(prefix, (old_down, ()))
+            after, now_prepended = new_of.get(prefix, (down, ()))
+            if was_prepended != now_prepended:
                 prepended.append(prefix)
-            elif old[0] != new[0]:
-                moved.setdefault((old[0], new[0]), []).append(prefix)
+            elif before != after:
+                moved.setdefault((before, after), []).append(prefix)
+        if old_down != down:
+            rest = [prefix for prefix in self._dest_prefixes
+                    if prefix not in touched]
+            if rest:
+                moved.setdefault((old_down, down), []).extend(rest)
         if prepended:
-            stale |= np.isin(self._flow_columns[2], prepended)
+            stale |= _marked(self._flow_columns[2], prepended,
+                             self._dest_prefixes[-1] + 1)
         return stale, moved
-
     def _stale_rows(self, base: _Expansion, content: _Content
                     ) -> np.ndarray:
         """Mask of the flow rows whose shares under ``content`` may differ
@@ -343,13 +411,17 @@ class Scenario:
         for (before, after), prefixes in moved.items():
             by_reach.setdefault(self.simulator.touched(before, after),
                                 []).extend(prefixes)
-        for touched, prefixes in by_reach.items():
-            moving = np.isin(dest, prefixes)
-            for reached, rows, read in zip(
-                    touched, (base.footprint_rows, base.pool_rows),
-                    (base.footprint_asns, base.pool_links)):
+        for (asns, links), prefixes in by_reach.items():
+            moving = _marked(dest, prefixes, self._dest_prefixes[-1] + 1)
+            codes = [self._code_of[asn] for asn in asns
+                     if asn in self._code_of]
+            for reached, rows, read, size in (
+                    (codes, base.footprint_rows, base.footprint_codes,
+                     len(base.rows_reading)),
+                    (list(links), base.pool_rows, base.pool_links,
+                     len(base.rows_pooling))):
                 if reached:
-                    hit = np.isin(read, list(reached)) & moving[rows]
+                    hit = _marked(read, reached, size) & moving[rows]
                     stale[rows[hit]] = True
         return stale
 
@@ -360,12 +432,17 @@ class Scenario:
         a restored link's owner, weighted by the share of the prefixes
         that change covers (no routing table is consulted)."""
         stale, moved = self._changes(base, content)
-        owner = self.wan.link
-        reached = sum(len(prefixes) * (
-            sum(base.rows_pooling.get(l, 0) for l in after - before)
-            + sum(base.rows_reading.get(asn, 0) for asn in
-                  sorted({owner(l).peer_asn for l in before - after})))
-            for (before, after), prefixes in moved.items())
+        # prefixes by the links a change removes and restores: the
+        # changes of one probe mostly share them
+        weights: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
+        for (before, after), prefixes in moved.items():
+            change = (after - before, before - after)
+            weights[change] = weights.get(change, 0) + len(prefixes)
+        reached = 0
+        for (removed, restored), weight in weights.items():
+            owners = sorted({self._owner_of[link] for link in restored})
+            reached += weight * int(base.rows_pooling[list(removed)].sum()
+                                    + base.rows_reading[owners].sum())
         return float(stale.sum() + reached / len(self._dest_prefixes))
 
     def stream(
@@ -399,9 +476,8 @@ class Scenario:
             day = hour // 24
             rows, links, fracs = self._expansion(day, state)
             vols = self.traffic.volumes_for_hour(hour)
-            true_bytes = vols[rows] * fracs
-            sampled = self.exporter.sample_bytes(true_bytes, hour)
-            yield HourColumns(hour, rows, links, true_bytes, sampled)
+            yield HourColumns(hour, rows, links, vols[rows] * fracs,
+                              self.exporter)
 
     def aggregated_hours(self, start_hour: int,
                          end_hour: int) -> Iterator[AggColumns]:

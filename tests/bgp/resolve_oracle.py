@@ -12,6 +12,8 @@ tables, ``touched``, drift days and a peer's usable links.
 
 :func:`resolve_one` is the other direction: one flow through the
 columnar ``resolve_shares``, read back as a :class:`Resolution`.
+:func:`drifted_on` is the per-row drift lookup ``resolve_shares`` made
+before it took a ``drifted`` column.
 """
 
 from __future__ import annotations
@@ -42,6 +44,20 @@ class Resolution(NamedTuple):
     removed: FrozenSet[int]
 
 
+def drifted_on(simulator: IngressSimulator, src_asn: Sequence[int],
+               src_prefix: Sequence[int], dest_prefix: Sequence[int],
+               day: Optional[int]) -> Optional[np.ndarray]:
+    """Each flow's ``drift_state`` on ``day``, asked row by row, as the
+    ``drifted`` column ``resolve_shares`` takes (None without a day)."""
+    if day is None:
+        return None
+    return np.array([simulator.drift_state(int(asn), int(source),
+                                           int(dest), day)
+                     for asn, source, dest in zip(src_asn, src_prefix,
+                                                  dest_prefix)],
+                    dtype=np.bool_).reshape(-1, 2)
+
+
 def resolve_one(simulator: IngressSimulator, src_asn: int, src_metro: str,
                 src_prefix: int, dest_prefix: int,
                 state: AdvertisementState,
@@ -51,7 +67,8 @@ def resolve_one(simulator: IngressSimulator, src_asn: int, src_metro: str,
      pools) = simulator.resolve_shares(
         np.array([src_asn], dtype=np.int64), [src_metro],
         np.array([src_prefix], dtype=np.int64),
-        np.array([dest_prefix], dtype=np.int64), state, day)
+        np.array([dest_prefix], dtype=np.int64), state,
+        drifted_on(simulator, [src_asn], [src_prefix], [dest_prefix], day))
     return Resolution(tuple(zip(links.tolist(), fracs.tolist())),
                       tuple(asns.tolist()), tuple(pools.tolist()),
                       state.removal_key(dest_prefix))

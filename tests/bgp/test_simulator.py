@@ -17,7 +17,7 @@ from repro.topology import (
     Relationship,
 )
 
-from .resolve_oracle import ResolveOracle, resolve_one
+from .resolve_oracle import ResolveOracle, drifted_on, resolve_one
 
 
 def build_world(pocket_metros=("sin",)):
@@ -120,7 +120,8 @@ class TestColumns:
         asns, metros, sources, dests = zip(*self.FLOWS)
         got = sim.resolve_shares(np.array(asns, dtype=np.int64), metros,
                                  np.array(sources, dtype=np.int64),
-                                 np.array(dests, dtype=np.int64), state, 2)
+                                 np.array(dests, dtype=np.int64), state,
+                                 drifted_on(sim, asns, sources, dests, 2))
         for array, dtype in zip(got, [np.int64, np.int64, np.float64]
                                 + [np.int64] * 4):
             assert array.dtype == dtype
@@ -493,7 +494,8 @@ class TestCacheStats:
                     "primary_share_entries", "tables_by_removed",
                     "tables_by_seeded", "share_hits", "share_misses",
                     "table_hits", "table_misses", "ranked_pool_hits",
-                    "ranked_pool_misses"):
+                    "ranked_pool_misses", "stack_entries", "stack_hits",
+                    "stack_misses"):
             assert key in stats, key
             assert stats[key] == 0
 
@@ -511,11 +513,12 @@ class TestCacheStats:
         stats = sim.cache_stats()
         assert stats["share_hits"] == 1
         assert stats["share_misses"] == 1
-        # a different flow re-uses the routing table but not the split
+        # a different flow re-uses the routing table (its stack) but not
+        # the split
         resolve_one(sim, 4, "nyc", 101, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_misses"] == 2
-        assert stats["table_hits"] >= 1
+        assert stats["stack_hits"] >= 1
         assert stats["table_misses"] >= 1
 
 
@@ -576,5 +579,30 @@ class TestBoundedCaches:
             assert gauges["bgp.simulator.table_hit_rate"] == 0.5
             assert "bgp.simulator.share_hit_rate" in gauges
             assert "bgp.simulator.table_full_rebuilds" in gauges
+        finally:
+            obs.disable()
+
+    def test_stacked_tables_are_cached_and_exported(self):
+        """One removal-key set resolved three times: its tables are
+        fetched and stacked once, then read from the stack cache."""
+        from repro.obs import runtime as obs
+
+        graph, wan = build_world()
+        sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
+        state = AdvertisementState(wan)
+        state.set_link_down(3)
+        for _ in range(3):
+            resolve_one(sim, 4, "nyc", 100, 0, state)
+        stats = sim.cache_stats()
+        assert (stats["stack_entries"], stats["stack_hits"],
+                stats["stack_misses"]) == (1, 2, 1)
+        assert stats["table_hits"] + stats["table_misses"] == 1
+        obs.enable(fresh=True)
+        try:
+            sim.export_gauges()
+            gauges = obs.snapshot().gauges
+            assert gauges["bgp.simulator.stack_entries"] == 1
+            assert gauges["bgp.simulator.stack_hits"] == 2
+            assert gauges["bgp.simulator.stack_hit_rate"] == 2 / 3
         finally:
             obs.disable()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import EvaluationRunner, WindowSpec
+from repro.experiments.runner import _WINDOW_SLOTS
 from tests.experiments.stream_oracle import StreamWindows
 
 
@@ -104,6 +105,23 @@ class TestRunnerMechanics:
         a = runner.actuals_window(0, 24)
         b = runner.actuals_window(0, 24)
         assert a is b
+
+    def test_window_caches_keep_at_most_their_slots(self, small_scenario):
+        """More distinct windows than the caches hold: each keeps the
+        latest ``_WINDOW_SLOTS``, and a window asked for again while
+        held is the same object."""
+        runner = EvaluationRunner(small_scenario)
+        spans = [(2 * i, 2 * i + 2) for i in range(_WINDOW_SLOTS + 2)]
+        for lo, hi in spans:
+            runner.feed_window(lo, hi)
+            runner.actuals_window(lo, hi)
+            assert len(runner._feed_cache) <= _WINDOW_SLOTS
+            assert len(runner._actuals_cache) <= _WINDOW_SLOTS
+        assert len(runner._feed_cache) == _WINDOW_SLOTS
+        latest = spans[-1]
+        assert runner.feed_window(*latest) is runner.feed_window(*latest)
+        assert runner._feed_cache.evictions == len(spans) - _WINDOW_SLOTS
+        assert runner._actuals_cache.evictions == len(spans) - _WINDOW_SLOTS
 
     def test_window_tables_equal_the_dict_walk(self, small_scenario):
         """The folded window is the serial walk, bit for bit.

@@ -6,7 +6,15 @@ import pytest
 from repro.bgp import AdvertisementState, IngressSimulator
 from repro.bgp import simulator as bgp_simulator
 from repro.experiments import Scenario, ScenarioParams
+from repro.experiments import scenario as scenario_module
+from repro.telemetry.ipfix import IpfixExporter
 from tests.bgp.resolve_oracle import ResolveOracle
+
+
+def arrays(cols):
+    """An hour's four aligned columns, samples drawn."""
+    return (cols.flow_rows, cols.link_ids, cols.true_bytes,
+            cols.sampled_bytes)
 
 
 class TestAssembly:
@@ -295,7 +303,7 @@ class TestCountedWork:
         # the latest expansion is the first probe's; S is the cheaper base
         chained = self.probe(sc, state, second)
         assert calls == after_s
-        for mine, theirs in zip(chained[1:], alone[1:]):
+        for mine, theirs in zip(arrays(chained), arrays(alone)):
             assert np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("withdrawn", [False, True])
@@ -348,7 +356,7 @@ class TestCountedWork:
         del calls[:]
         dearest = self.probe(sc, state, second)
         assert len(calls) > n_cheapest
-        for mine, theirs in zip(dearest[1:], cheapest[1:]):
+        for mine, theirs in zip(arrays(dearest), arrays(cheapest)):
             assert mine.dtype == theirs.dtype
             assert np.array_equal(mine, theirs)
 
@@ -372,14 +380,14 @@ class TestCountedWork:
             return stale_rows(scenario, base, content)
 
         scanned = []
-        isin = np.isin
+        marked = scenario_module._marked
 
-        def counted(element, *args, **kwargs):
-            scanned.append(element)
-            return isin(element, *args, **kwargs)
+        def counted(values, *args):
+            scanned.append(values)
+            return marked(values, *args)
 
         monkeypatch.setattr(Scenario, "_stale_rows", recorded)
-        monkeypatch.setattr(np, "isin", counted)
+        monkeypatch.setattr(scenario_module, "_marked", counted)
         self.probe(sc, state, link)
         monkeypatch.undo()
 
@@ -389,7 +397,7 @@ class TestCountedWork:
         assert len(moved) >= 6 > len(reached)
         dest = sc._flow_columns[2]
         assert sum(array is dest for array in scanned) == len(reached)
-        assert sum(array is base.footprint_asns for array in scanned) == sum(
+        assert sum(array is base.footprint_codes for array in scanned) == sum(
             bool(asns) for asns, _links in reached)
         assert sum(array is base.pool_links for array in scanned) == sum(
             bool(links) for _asns, links in reached)
@@ -429,3 +437,89 @@ class TestCountedWork:
         assert built == []
         assert all(table.nexthops is matrix
                    for table, matrix in zip(tables, matrices))
+
+
+class TestCountedProbeWork:
+    """What a probe's stream pays for, counted call by call: no IPFIX
+    draw that nothing reads, no per-row drift lookup in a derive, and
+    one stack of routing tables per removal-key set."""
+
+    HOUR = 30
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        """Each spied call's argument, by what was called; ``spy`` adds
+        one more."""
+        calls = {}
+
+        def spy(owner, name, record):
+            real = getattr(owner, name)
+            calls[name] = []
+
+            def call(self, *args):
+                calls[name].append(record(*args))
+                return real(self, *args)
+            monkeypatch.setattr(owner, name, call)
+
+        spy(IpfixExporter, "sample_bytes", lambda _bytes, hour: hour)
+        spy(IngressSimulator, "drift_days", lambda *flow: flow)
+        calls["spy"] = spy
+        return calls
+
+    def world(self, spied):
+        """A scenario, its state at ``HOUR``, S's columns and S's two
+        busiest links; the spies cleared of the build's calls."""
+        sc = Scenario(ScenarioParams.small(seed=9, horizon_days=7))
+        state = sc.state_at(self.HOUR)
+        base = self.streamed(sc, state, self.HOUR)
+        busiest = np.argsort(-np.bincount(base.link_ids,
+                                          weights=base.true_bytes))
+        for made in spied.values():
+            if isinstance(made, list):
+                del made[:]
+        return sc, state, base, [int(link) for link in busiest[:2]]
+
+    @staticmethod
+    def streamed(sc, state, hour):
+        return next(iter(sc.stream(hour, hour + 1, state,
+                                   apply_outages=False)))
+
+    def probe(self, sc, state, link, hour):
+        state.set_link_down(link)
+        try:
+            return self.streamed(sc, state, hour)
+        finally:
+            state.set_link_up(link)
+
+    def test_an_unread_probe_draws_nothing(self, spied):
+        sc, state, base, (first, second) = self.world(spied)
+        downs = [self.probe(sc, state, link, self.HOUR)
+                 for link in (first, second)]
+        assert spied["sample_bytes"] == []
+        for down in downs:
+            assert down.true_bytes.size
+        assert base.sampled_bytes is base.sampled_bytes
+        assert spied["sample_bytes"] == [self.HOUR]
+        assert np.array_equal(base.sampled_bytes, sc.exporter.sample_bytes(
+            base.true_bytes, self.HOUR))
+
+    def test_a_derive_asks_no_drift_days(self, spied):
+        sc, state, _base, links = self.world(spied)
+        # a later day: every row whose drift flag flips is resolved again
+        for hour in (self.HOUR, self.HOUR + 24, self.HOUR + 72):
+            self.streamed(sc, state, hour)
+            for link in links:
+                self.probe(sc, state, link, hour)
+        assert spied["drift_days"] == []
+        assert sc.simulator.cache_stats()["stack_misses"] > 0
+
+    def test_each_removal_key_set_is_stacked_once(self, spied):
+        spied["spy"](IngressSimulator, "_stack", lambda removals: removals)
+        sc, state, _base, links = self.world(spied)
+        for hour in (self.HOUR, self.HOUR + 24, self.HOUR + 72):
+            for link in links:
+                self.probe(sc, state, link, hour)
+        stacked = spied["_stack"]
+        assert len(stacked) == len(set(stacked)) > 0
+        # the probes of later days ask for the same sets again
+        assert sc.simulator.cache_stats()["stack_hits"] > 0

@@ -6,8 +6,10 @@ rows the change can reach.  Whatever sequence of state changes and day
 steps led there, the arrays must equal — dtype and value — what a
 scenario that has never streamed computes flow by flow, and what each
 row is recorded to have read must equal a direct ``_resolve``, and the
-rows it counts per AS read and per pool link — kept by delta from the
-base — must equal a count over those pairs.
+rows it counts per AS read and per pool link — count arrays kept by
+delta from the base — must equal a count over those pairs.  An hour's
+IPFIX samples are drawn when first read: read late, out of order, twice
+or never, each read equals an eager draw.
 """
 
 from dataclasses import replace
@@ -77,11 +79,13 @@ def apply(step, state, wan):
         getattr(state, name)(prefix, link)
 
 
-def assert_counts(held):
+def assert_counts(scenario, held):
     """The per-AS and per-link row counts a derive carried over from its
     base equal a fresh count of the expansion's own pairs."""
-    assert held.rows_reading == _rows_per(held.footprint_asns)
-    assert held.rows_pooling == _rows_per(held.pool_links)
+    assert np.array_equal(held.rows_reading, _rows_per(
+        scenario._as_codes(held.footprint_asns), len(held.rows_reading)))
+    assert np.array_equal(held.rows_pooling, _rows_per(
+        held.pool_links, len(held.rows_pooling)))
 
 
 def pairs(rows, values):
@@ -153,7 +157,7 @@ class TestRevisitedStates:
                 pairs(held.footprint_rows, held.footprint_asns), walked)
             assert np.array_equal(
                 pairs(held.pool_rows, held.pool_links), pooled)
-            assert_counts(held)
+            assert_counts(scenario, held)
             if probe is not None and probe[2] not in down:
                 for each in (state, mirror):
                     apply((undo[probe[0]],) + probe[1:], each, each.wan)
@@ -181,7 +185,7 @@ class TestDeltaExpansion:
                 assert np.array_equal(mine, theirs), step
             held = list(scenario._expansions.values())[-1]
             assert held.rows is got[0]
-            assert_counts(held)
+            assert_counts(scenario, held)
             assert len(scenario._expansions) <= _EXPANSION_SLOTS
         # hit or miss, the caller's arrays are the cached ones
         assert scenario._expansion(day, state)[0] is got[0]
@@ -190,3 +194,34 @@ class TestDeltaExpansion:
         """The world above does exercise the drift part of the rule."""
         shifts = scenario._shift_days
         assert ((shifts > 0) & (shifts < DAYS)).any(axis=0).all()
+
+
+class TestLazySamples:
+    """``HourColumns.sampled_bytes`` is drawn on first read: read late,
+    out of order, twice or never, each read equals an eager draw over
+    the hour's ``true_bytes``."""
+
+    @given(st.lists(st.tuples(st.integers(0, DAYS * 24 - 1),
+                              st.integers(-1, 60)),
+                    min_size=1, max_size=6), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_any_read_order_equals_an_eager_draw(self, scenario, hours,
+                                                 data):
+        state = AdvertisementState(scenario.wan)
+        streamed = []
+        for hour, link in hours:
+            # -1: the hour as it is, else with one link down (a probe)
+            down = scenario.wan.link_ids[link % len(scenario.wan.link_ids)]
+            if link >= 0:
+                state.set_link_down(down)
+            streamed.append(next(iter(scenario.stream(
+                hour, hour + 1, state, apply_outages=False))))
+            if link >= 0:
+                state.set_link_up(down)
+        reads = data.draw(st.lists(st.integers(0, len(streamed) - 1),
+                                   max_size=2 * len(streamed)))
+        for at in reads:
+            cols = streamed[at]
+            assert np.array_equal(cols.sampled_bytes,
+                                  scenario.exporter.sample_bytes(
+                                      cols.true_bytes, cols.hour))

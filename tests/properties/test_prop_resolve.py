@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import AdvertisementState, SimulatorParams
 from repro.experiments import Scenario, ScenarioParams
-from tests.bgp.resolve_oracle import ResolveOracle
+from tests.bgp.resolve_oracle import ResolveOracle, drifted_on
 
 DAYS = 7
 #: enough drift that shift days fall inside the horizon
@@ -124,9 +124,11 @@ class TestColumnsEqualTheOracle:
     def test_every_row_equals_the_oracles_resolution(
             self, world, removal, te, picks, when):
         state, asked, day = build(world, removal, te, picks, when)
+        asns, metros, sources, dests = columns(asked)
         (rows_, links, fracs, walked, read, pooled,
          pools) = world.scenario.simulator.resolve_shares(
-            *columns(asked), state, day)
+            asns, metros, sources, dests, state,
+            drifted_on(world.scenario.simulator, asns, sources, dests, day))
         assert [a.dtype for a in (rows_, links, fracs, walked, read, pooled,
                                   pools)] == [np.int64] * 2 + [
             np.float64] + [np.int64] * 4
