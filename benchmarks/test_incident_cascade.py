@@ -18,7 +18,7 @@ def test_incident_cascade(benchmark):
     guided = benchmark.pedantic(
         replay_incident, args=(world, True), rounds=1, iterations=1)
 
-    names = {world.i1: "I1", world.i2: "I2", world.i3: "I3", world.i4: "I4"}
+    names = {link: name for name, link in world.links.items()}
     lines = ["mode      rounds  congested-link-hours  withdrawal order"]
     for report, mode in ((blind, "blind"), (guided, "tipsy")):
         order = [names.get(a.link_id, str(a.link_id))
@@ -28,15 +28,16 @@ def test_incident_cascade(benchmark):
     print_block("== §2 incident replay ==\n" + "\n".join(lines))
 
     # blind CMS reproduces the paper's cascade: I1, then I2, then I3+I4
+    i1, i2, i3, i4 = (world.links[name] for name in ("I1", "I2", "I3", "I4"))
     withdraws = [a.link_id for a in blind.actions if a.kind == "withdraw"]
-    assert withdraws[0] == world.i1
-    assert withdraws[1] == world.i2
-    assert set(withdraws[2:4]) == {world.i3, world.i4}
+    assert withdraws[0] == i1
+    assert withdraws[1] == i2
+    assert set(withdraws[2:4]) == {i3, i4}
     assert blind.withdrawal_rounds == 3
 
     # guided CMS collapses it into one coordinated round
     assert guided.withdrawal_rounds == 1
     coordinated = {a.link_id for a in guided.actions
                    if a.kind == "withdraw-coordinated"}
-    assert coordinated == {world.i1, world.i2, world.i3, world.i4}
+    assert coordinated == {i1, i2, i3, i4}
     assert guided.congested_link_hours < blind.congested_link_hours

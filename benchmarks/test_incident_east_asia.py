@@ -16,9 +16,7 @@ def test_incident_east_asia(benchmark):
     report = benchmark.pedantic(replay_east_asia, args=(world,),
                                 rounds=1, iterations=1)
 
-    names = {world.hot: "hot(hkg,P)", world.alt_same_peer: "hkg,P",
-             world.alt_other_peer: "hkg,Q",
-             world.alt_other_country: "tpe,P"}
+    names = {link: name for name, link in world.links.items()}
     shift = [names.get(l, str(l)) for l in report.actual_shift_links]
     print_block(
         "== §6 East Asia incident ==\n"
@@ -33,7 +31,7 @@ def test_incident_east_asia(benchmark):
 
     assert len(report.withdrawn_prefixes) == 2
     assert set(report.actual_shift_links) == {
-        world.alt_same_peer, world.alt_other_peer, world.alt_other_country}
+        world.links[name] for name in ("hkg,P", "hkg,Q", "tpe,P")}
     assert set(report.actual_shift_links) <= set(report.predicted_links)
     assert report.max_alt_utilization < 0.85
     assert report.hours_until_reannounce == 2

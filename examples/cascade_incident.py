@@ -22,7 +22,7 @@ from repro.experiments import build_incident_world, replay_incident
 def describe(report, world) -> None:
     mode = "TIPSY-guided" if report.with_tipsy else "blind (pre-TIPSY)"
     print(f"\n=== {mode} ===")
-    names = {world.i1: "I1", world.i2: "I2", world.i3: "I3", world.i4: "I4"}
+    names = {link: name for name, link in world.links.items()}
     for action in report.actions:
         if not action.kind.startswith("withdraw") and action.kind != "reannounce":
             continue

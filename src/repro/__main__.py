@@ -100,7 +100,7 @@ def cmd_incident(args: argparse.Namespace) -> int:
     from .experiments import build_incident_world, replay_incident
 
     world = build_incident_world(seed=args.seed)
-    names = {world.i1: "I1", world.i2: "I2", world.i3: "I3", world.i4: "I4"}
+    names = {link: name for name, link in world.links.items()}
     for with_tipsy in (False, True):
         report = replay_incident(world, with_tipsy=with_tipsy)
         mode = "TIPSY-guided" if with_tipsy else "blind"

@@ -155,10 +155,16 @@ class IngressSimulator:
             for asn, links in self._links_by_peer.items()
         }
         self._peer_asns = frozenset(a for a in wan.peer_asns if a in graph)
+        # link id -> its peer, for the peers of the AS graph
+        self._peer_of_link = {
+            link_id: asn for asn, ids in self._link_ids_by_peer.items()
+            if asn in self._peer_asns for link_id in ids}
         p = self.params
         self._table_by_removed: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
-        self._table_by_seeded: LruDict[FrozenSet[int], RoutingTable] = \
+        # keyed by the peers that go dark (lose every link): the seeded
+        # set is the rest, so each key names one seeded set
+        self._table_by_dark: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
         # (candidate pool, src prefix, dest prefix, rotation) -> the split
         # as six float64 bytes: three links, then their fractions (-1 and
@@ -208,11 +214,20 @@ class IngressSimulator:
 
     def seeded_for(self, removed: FrozenSet[int]) -> FrozenSet[int]:
         """Peers that keep >= 1 available link once ``removed`` is gone."""
-        wan = self.wan
-        return self._peer_asns - {
-            asn for asn in {wan.link(l).peer_asn
-                            for l in removed if wan.has_link(l)}
-            if all(l.link_id in removed for l in self._links_by_peer[asn])}
+        return self._peer_asns - self._dark_peers(removed)
+
+    def _dark_peers(self, removed: FrozenSet[int]) -> FrozenSet[int]:
+        """Peers (of the AS graph) that lose every link once ``removed``
+        is gone; ids the WAN does not have are ignored."""
+        peer_of = self._peer_of_link
+        removed_of: Dict[int, int] = {}
+        for link_id in removed:
+            asn = peer_of.get(link_id)
+            if asn is not None:
+                removed_of[asn] = removed_of.get(asn, 0) + 1
+        ids_of = self._link_ids_by_peer
+        return frozenset(asn for asn, n in removed_of.items()
+                         if n == len(ids_of[asn]))
 
     def _check_graph(self) -> None:
         if self.graph.dense() is not self._topo:
@@ -221,19 +236,21 @@ class IngressSimulator:
 
     def routing_table(self, removed: FrozenSet[int]) -> RoutingTable:
         """AS-level routing table for a set of removed links (cached per
-        removal key and per seeded-neighbor set; a miss of both computes
-        the table).  Raises ``RuntimeError`` once the AS graph has
-        changed after the simulator was built."""
+        removal key and per seeded-neighbor set, the latter keyed by the
+        peers that go dark; a miss of both computes the table).  Raises
+        ``RuntimeError`` once the AS graph has changed after the
+        simulator was built."""
         self._check_graph()
         table = self._table_by_removed.get(removed)
         if table is not None:
             return table
-        seeded = self.seeded_for(removed)
-        table = self._table_by_seeded.get(seeded)
+        dark = self._dark_peers(removed)
+        table = self._table_by_dark.get(dark)
         if table is None:
             self._table_full_rebuilds += 1
-            table = compute_routing_table(self.graph, seeded, self._bias)
-            self._table_by_seeded[seeded] = table
+            table = compute_routing_table(
+                self.graph, self._peer_asns - dark, self._bias)
+            self._table_by_dark[dark] = table
         self._table_by_removed[removed] = table
         return table
 
@@ -719,17 +736,17 @@ class IngressSimulator:
             "ranked_pool_entries": len(self._ranked_pools),
             "primary_share_entries": len(self._p_cache),
             "tables_by_removed": len(self._table_by_removed),
-            "tables_by_seeded": len(self._table_by_seeded),
+            "tables_by_seeded": len(self._table_by_dark),
             "stack_entries": len(self._stacks),
             "share_hits": self._split_memo.hits,
             "share_misses": self._split_memo.misses,
             "share_evictions": self._split_memo.evictions,
             "table_hits": self._table_by_removed.hits,
             "table_misses": self._table_by_removed.misses,
-            "table_seeded_hits": self._table_by_seeded.hits,
-            "table_seeded_misses": self._table_by_seeded.misses,
+            "table_seeded_hits": self._table_by_dark.hits,
+            "table_seeded_misses": self._table_by_dark.misses,
             "table_evictions": (self._table_by_removed.evictions
-                                + self._table_by_seeded.evictions),
+                                + self._table_by_dark.evictions),
             "table_full_rebuilds": self._table_full_rebuilds,
             "stack_hits": self._stacks.hits,
             "stack_misses": self._stacks.misses,

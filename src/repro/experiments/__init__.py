@@ -21,11 +21,9 @@ from .incident import (
     IncidentWorld,
     build_incident_world,
     replay_incident,
-    train_incident_model,
 )
 from .incident_east_asia import (
     EastAsiaReport,
-    EastAsiaWorld,
     build_east_asia_world,
     replay_east_asia,
 )
@@ -36,8 +34,8 @@ __all__ = [
     "HourColumns", "Scenario", "ScenarioParams",
     "AccuracyBlock", "EvaluationResult", "EvaluationRunner", "WindowSpec",
     "IncidentReport", "IncidentWorld", "build_incident_world",
-    "replay_incident", "train_incident_model",
-    "EastAsiaReport", "EastAsiaWorld", "build_east_asia_world",
+    "replay_incident",
+    "EastAsiaReport", "build_east_asia_world",
     "replay_east_asia",
     "figures", "paper", "tables",
     "ReportOptions", "build_report",

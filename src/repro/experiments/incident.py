@@ -14,13 +14,18 @@ This module builds that world by hand — a peer AS B with exactly that
 link layout, an enterprise customer AS A behind it, a surge of VPN
 traffic toward one anycast destination prefix — and replays the incident
 through the real CMS twice: blind (pre-TIPSY behaviour, producing the
-cascade) and TIPSY-guided (coordinated withdrawal, no cascade).
+cascade) and TIPSY-guided, where CMS asks a :class:`TipsyService` fed
+the pre-incident hours (coordinated withdrawal, no cascade).
+
+:class:`IncidentWorld` is the world of both incident replays, this one
+and §6's (``incident_east_asia``): the same demand curve, hourly traffic
+and service, and one hour loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -33,19 +38,13 @@ from ..cms.mitigation import (
     TrafficSample,
     first_seen_totals,
 )
-from ..core.features import FEATURES_AL
-from ..core.geo_augment import GeoAugmentedModel
-from ..core.historical import HistoricalModel
-from ..core.training import DayCounts
+from ..core.service import TipsyService
 from ..pipeline.records import AggColumns, FlowContext
 from ..telemetry.ipfix import IpfixExporter
 from ..topology.asgraph import ASGraph, ASNode, ASRole
 from ..topology.geography import MetroCatalog
 from ..topology.relationships import Relationship
 from ..topology.wan import CloudWAN, DestPrefix, PeeringLink, Region
-
-if TYPE_CHECKING:  # the §6 replay trains through this module
-    from .incident_east_asia import EastAsiaWorld
 
 #: metro codes for the incident's two locations
 L1, L2 = "iad", "atl"
@@ -59,57 +58,80 @@ AS_A = 65100      # the enterprise source AS
 
 @dataclass
 class IncidentWorld:
-    """The hand-built topology and traffic of the §2 incident."""
+    """A hand-built incident: the WAN and its ground-truth routing, the
+    flows toward it as aligned columns (a flow's context carries its
+    source AS and prefix), and their demand — a diurnal baseline peaking
+    at ``peak_hour`` plus a surge of ``surge_hours``."""
 
-    graph: ASGraph
     wan: CloudWAN
     simulator: IngressSimulator
-    flows: List[Tuple[FlowContext, int, str, int, int]]
-    """(context, src_prefix, src_metro, dest_prefix, src_asn) per flow."""
-    exporter: IpfixExporter
-    # link ids of the named incident links
-    i1: int
-    i2: int
-    i3: int
-    i4: int
+    contexts: List[FlowContext]
+    src_metros: List[str]
+    dest_prefixes: np.ndarray
+    #: link id of each named incident link
+    links: Dict[str, int]
+    base_gbps: float
+    surge_gbps: float
+    surge_start_hour: int
+    surge_hours: int
+    diurnal_swing: float
+    peak_hour: int
 
-    # traffic model: a diurnal baseline plus an incident surge
-    base_gbps: float = 210.0
-    surge_gbps: float = 345.0
-    surge_start_hour: int = 21 * 24 + 21   # "04 January, around 21:00"
-    surge_hours: int = 10
+    def __post_init__(self) -> None:
+        # the contexts as an (n, 5) array, the flows' (minor, major)
+        # drift shift days (no replay moves them) and the IPFIX sampler
+        self.columns = np.array(self.contexts, dtype=np.int64)
+        self.shift_days = self.simulator.shift_days(
+            self.columns[:, 0], self.columns[:, 1], self.dest_prefixes)
+        self.exporter = IpfixExporter(seed=self.simulator.seed)
 
     def demand_gbps(self, hour: int) -> float:
         local = hour % 24
-        diurnal = 1.0 + 0.35 * np.cos(2 * np.pi * (local - 14) / 24.0)
+        diurnal = 1.0 + self.diurnal_swing * np.cos(
+            2 * np.pi * (local - self.peak_hour) / 24.0)
         demand = self.base_gbps * diurnal
-        if self.surge_start_hour <= hour < self.surge_start_hour + self.surge_hours:
+        if 0 <= hour - self.surge_start_hour < self.surge_hours:
             demand += self.surge_gbps
         return float(demand)
 
     def entries_for_hour(self, hour: int,
                          state: AdvertisementState) -> TrafficSample:
-        """Per-flow traffic (post-routing) for one hour."""
+        """Per-flow traffic (post-routing) for one hour: each flow's even
+        share of the demand spread over its resolved links."""
         total_bytes = self.demand_gbps(hour) * 1e9 / 8.0 * 3600.0
-        per_flow = total_bytes / len(self.flows)
-        day = hour // 24
-        return sample_flows(self.simulator, self.flows, per_flow, state, day)
+        per_flow = total_bytes / len(self.contexts)
+        rows, links, fracs, *_read = self.simulator.resolve_shares(
+            self.columns[:, 0], self.src_metros, self.columns[:, 1],
+            self.dest_prefixes, state, hour // 24 >= self.shift_days)
+        return TrafficSample(links, self.dest_prefixes[rows], rows,
+                             per_flow * fracs, self.contexts)
 
+    def service(self, hours: int) -> TipsyService:
+        """A :class:`TipsyService` fed the world's first ``hours`` hours
+        (paper: the preceding weeks) as IPFIX-sampled aggregates under
+        full availability; it serves the days those hours complete."""
+        service = TipsyService(self.wan)
+        state = AdvertisementState(self.wan)
+        for hour in range(hours):
+            sample = self.entries_for_hour(hour, state)
+            sampled = self.exporter.sample_bytes(sample.bytes, hour)
+            kept = sampled > 0.0
+            service.ingest_hour(hour, AggColumns(
+                hour, sample.link_ids[kept],
+                *self.columns[sample.flow_rows[kept]].T, sampled[kept]))
+        return service
 
-def sample_flows(simulator: IngressSimulator,
-                 flows: Sequence[Tuple[FlowContext, int, str, int, int]],
-                 per_flow: float, state: AdvertisementState,
-                 day: int) -> TrafficSample:
-    """Every flow's ``per_flow`` bytes spread over its resolved shares,
-    as a CMS sample over the flows' contexts."""
-    dests = np.array([flow[3] for flow in flows], dtype=np.int64)
-    asns = np.array([flow[4] for flow in flows], dtype=np.int64)
-    sources = np.array([flow[1] for flow in flows], dtype=np.int64)
-    rows, links, fracs, *_read = simulator.resolve_shares(
-        asns, [flow[2] for flow in flows], sources, dests, state,
-        day >= simulator.shift_days(asns, sources, dests))
-    return TrafficSample(links, dests[rows], rows, per_flow * fracs,
-                         [flow[0] for flow in flows])
+    def replay_hours(self, cms: CongestionMitigationSystem
+                     ) -> Iterator[Tuple[int, TrafficSample,
+                                         List[MitigationAction]]]:
+        """Two hours before the surge to six after it, each hour's
+        sample and the actions CMS took on it (over one advertisement
+        state, which CMS changes)."""
+        state = AdvertisementState(self.wan)
+        for hour in range(self.surge_start_hour - 2,
+                          self.surge_start_hour + self.surge_hours + 6):
+            sample = self.entries_for_hour(hour, state)
+            yield hour, sample, cms.handle_sample(hour, state, sample)
 
 
 def build_incident_world(seed: int = 0, n_flows: int = 140) -> IncidentWorld:
@@ -168,16 +190,18 @@ def build_incident_world(seed: int = 0, n_flows: int = 140) -> IncidentWorld:
         major_drift_daily=0.0,
     ), seed=seed)
 
-    flows = []
-    for i in range(n_flows):
-        src_prefix = 10_000 + i
-        context = FlowContext(src_asn=AS_A, src_prefix=src_prefix,
-                              src_loc=0, dest_region=0, dest_service=0)
-        flows.append((context, src_prefix, "nyc", 0, AS_A))
-    exporter = IpfixExporter(seed=seed)
-    return IncidentWorld(graph=graph, wan=wan, simulator=simulator,
-                         flows=flows, exporter=exporter,
-                         i1=0, i2=1, i3=2, i4=3)
+    # every flow: AS A from nyc toward the VPN /10
+    contexts = [FlowContext(src_asn=AS_A, src_prefix=10_000 + i, src_loc=0,
+                            dest_region=0, dest_service=0)
+                for i in range(n_flows)]
+    return IncidentWorld(
+        wan=wan, simulator=simulator, contexts=contexts,
+        src_metros=["nyc"] * n_flows,
+        dest_prefixes=np.zeros(n_flows, dtype=np.int64),
+        links={"I1": 0, "I2": 1, "I3": 2, "I4": 3},
+        base_gbps=210.0, surge_gbps=345.0,
+        surge_start_hour=21 * 24 + 21,   # "04 January, around 21:00"
+        surge_hours=10, diurnal_swing=0.35, peak_hour=14)
 
 
 @dataclass
@@ -197,47 +221,16 @@ class IncidentReport:
                     if a.kind.startswith("withdraw")})
 
 
-def train_incident_model(world: Union[IncidentWorld, EastAsiaWorld],
-                         train_hours: int) -> GeoAugmentedModel:
-    """Train Hist_AL+G on an incident world's pre-incident window
-    (paper: 3 weeks): each hour's IPFIX-sampled estimate, its entries of
-    positive bytes in sample order, folded into one ``DayCounts``."""
-    state = AdvertisementState(world.wan)
-    contexts = np.array([flow[0] for flow in world.flows], dtype=np.int64)
-    counts = DayCounts()
-    for hour in range(train_hours):
-        sample = world.entries_for_hour(hour, state)
-        sampled = world.exporter.sample_bytes(sample.bytes, hour)
-        kept = sampled > 0.0
-        counts.add_hour(AggColumns(
-            hour, sample.link_ids[kept],
-            *contexts[sample.flow_rows[kept]].T, sampled[kept]))
-    hist_al = HistoricalModel.from_arrays(counts.project(FEATURES_AL),
-                                          FEATURES_AL)
-    return GeoAugmentedModel(hist_al, world.wan, name="Hist_AL+G")
-
-
-def replay_incident(world: IncidentWorld, with_tipsy: bool,
-                    train_hours: Optional[int] = None,
-                    horizon_hours: Optional[int] = None) -> IncidentReport:
+def replay_incident(world: IncidentWorld, with_tipsy: bool) -> IncidentReport:
     """Run the incident through CMS, blind or TIPSY-guided."""
-    train_hours = train_hours or world.surge_start_hour
-    horizon_hours = horizon_hours or (
-        world.surge_start_hour + world.surge_hours + 6)
-    predictor = train_incident_model(world, train_hours) if with_tipsy else None
+    service = world.service(world.surge_start_hour) if with_tipsy else None
     cms = CongestionMitigationSystem(
-        world.wan,
-        CMSConfig(coordinated=with_tipsy),
-        predictor=predictor,
-    )
-    state = AdvertisementState(world.wan)
-
+        world.wan, CMSConfig(coordinated=with_tipsy), predictor=service)
     congested_link_hours = 0
     max_util: Dict[int, float] = {}
     timeline: Dict[int, List[Tuple[int, float]]] = {
-        world.i1: [], world.i2: [], world.i3: [], world.i4: []}
-    for hour in range(world.surge_start_hour - 2, horizon_hours):
-        sample = world.entries_for_hour(hour, state)
+        link_id: [] for link_id in world.links.values()}
+    for hour, sample, _taken in world.replay_hours(cms):
         link_bytes = first_seen_totals(sample.link_ids, sample.bytes)
         for link_id, bytes_ in link_bytes.items():
             util = cms.monitor.utilization(link_id, bytes_)
@@ -246,7 +239,6 @@ def replay_incident(world: IncidentWorld, with_tipsy: bool,
                 congested_link_hours += 1
             if link_id in timeline:
                 timeline[link_id].append((hour, util))
-        cms.handle_sample(hour, state, sample)
     return IncidentReport(
         with_tipsy=with_tipsy,
         actions=list(cms.actions),

@@ -11,7 +11,8 @@ sufficiently that the prefixes were re-announced by CMS."
 The world: a hot peering link in Hong Kong with transit provider P,
 alternates with P and a second transit Q in the same metro, and a
 P link in Taipei (different country).  Two destination /24s carry the
-surge; the replay checks each sentence of the paper's account.
+surge; the replay checks each sentence of the paper's account.  CMS
+asks a ``TipsyService`` fed the 14 completed pre-incident days.
 """
 
 from __future__ import annotations
@@ -22,21 +23,18 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from ..bgp.simulator import IngressSimulator, SimulatorParams
-from ..bgp.state import AdvertisementState
 from ..cms.mitigation import (
     CMSConfig,
     CongestionMitigationSystem,
     MitigationAction,
-    TrafficSample,
     first_seen_totals,
 )
 from ..pipeline.records import FlowContext
-from ..telemetry.ipfix import IpfixExporter
 from ..topology.asgraph import ASGraph, ASNode, ASRole
 from ..topology.geography import MetroCatalog
 from ..topology.relationships import Relationship
 from ..topology.wan import CloudWAN, DestPrefix, PeeringLink, Region
-from .incident import sample_flows, train_incident_model
+from .incident import IncidentWorld
 
 CLOUD_ASN = 8075
 AS_P = 65020       # first transit provider (owns the hot link)
@@ -45,43 +43,8 @@ AS_SRC = 65120     # enterprise source, single-homed behind P
 AS_DUAL = 65121    # enterprise source, dual-homed behind P and Q
 
 
-@dataclass
-class EastAsiaWorld:
-    """The §6 topology: HKG hot link + three predicted alternates."""
-
-    graph: ASGraph
-    wan: CloudWAN
-    simulator: IngressSimulator
-    flows: List[Tuple[FlowContext, int, str, int, int]]
-    exporter: IpfixExporter
-    hot: int          # the congested link (AS P, hkg)
-    alt_same_peer: int    # AS P, hkg — same metro
-    alt_other_peer: int   # AS Q, hkg — same metro, other transit
-    alt_other_country: int  # AS P, tpe — different country
-
-    base_gbps: float = 66.0
-    surge_gbps: float = 120.0
-    surge_start_hour: int = 14 * 24 + 13
-    surge_hours: int = 2   # the paper's surge calms after ~2 hours
-
-    def demand_gbps(self, hour: int) -> float:
-        local = hour % 24
-        diurnal = 1.0 + 0.30 * np.cos(2 * np.pi * (local - 13) / 24.0)
-        demand = self.base_gbps * diurnal
-        if self.surge_start_hour <= hour < self.surge_start_hour + self.surge_hours:
-            demand += self.surge_gbps
-        return float(demand)
-
-    def entries_for_hour(self, hour: int,
-                         state: AdvertisementState) -> TrafficSample:
-        total_bytes = self.demand_gbps(hour) * 1e9 / 8.0 * 3600.0
-        per_flow = total_bytes / len(self.flows)
-        return sample_flows(self.simulator, self.flows, per_flow, state,
-                            hour // 24)
-
-
 def build_east_asia_world(seed: int = 0,
-                          n_flows: int = 120) -> EastAsiaWorld:
+                          n_flows: int = 120) -> IncidentWorld:
     """The §6 world: hot HKG link, alternates in HKG and Taipei."""
     metros = MetroCatalog()
     graph = ASGraph(metros)
@@ -126,19 +89,19 @@ def build_east_asia_world(seed: int = 0,
         major_drift_daily=0.0,
     ), seed=seed)
 
-    flows = []
-    for i in range(n_flows):
-        src_prefix = 20_000 + i
-        dest = i % 4
-        # 70% of flows sit behind P alone, 30% are dual-homed — the
-        # mixed-provider population whose alternates span two transits
-        asn = AS_SRC if i % 10 < 7 else AS_DUAL
-        flows.append((FlowContext(asn, src_prefix, 0, 0, dest % 2),
-                      src_prefix, "hkg", dest, asn))
-    return EastAsiaWorld(
-        graph=graph, wan=wan, simulator=simulator, flows=flows,
-        exporter=IpfixExporter(seed=seed),
-        hot=0, alt_same_peer=1, alt_other_peer=2, alt_other_country=3)
+    # flow i toward /24 i % 4 (service alternating); 70% of flows sit
+    # behind P alone, 30% are dual-homed — the mixed-provider population
+    # whose alternates span two transits
+    contexts = [FlowContext(AS_SRC if i % 10 < 7 else AS_DUAL, 20_000 + i,
+                            0, 0, i % 2) for i in range(n_flows)]
+    return IncidentWorld(
+        wan=wan, simulator=simulator, contexts=contexts,
+        src_metros=["hkg"] * n_flows,
+        dest_prefixes=np.arange(n_flows, dtype=np.int64) % 4,
+        links={"hot": 0, "hkg,P": 1, "hkg,Q": 2, "tpe,P": 3},
+        base_gbps=66.0, surge_gbps=120.0, surge_start_hour=14 * 24 + 13,
+        surge_hours=2,   # the paper's surge calms after ~2 hours
+        diurnal_swing=0.30, peak_hour=13)
 
 
 @dataclass
@@ -160,45 +123,37 @@ class EastAsiaReport:
         return self.reannounce_hour - self.withdrawal_hour
 
 
-def replay_east_asia(world: EastAsiaWorld,
-                     train_hours: Optional[int] = None) -> EastAsiaReport:
+def replay_east_asia(world: IncidentWorld) -> EastAsiaReport:
     """Run the §6 incident through the TIPSY-guided CMS."""
-    predictor = train_incident_model(
-        world, train_hours or world.surge_start_hour)
+    service = world.service(world.surge_start_hour)
+    hot = world.links["hot"]
 
     # TIPSY's pre-incident answer: across the affected flow population,
     # where would the hot link's traffic go?  (the paper queries TIPSY
     # for all the flows that arrived on the hot link)
-    predicted_set = set()
-    for context, _p, _m, _d, _a in world.flows[:40]:
-        for p in predictor.predict(context, 3,
-                                   unavailable=frozenset({world.hot})):
-            predicted_set.add(p.link_id)
-    predicted = tuple(sorted(predicted_set))
+    predicted = tuple(sorted({
+        p.link_id for answer in service.predict_batch(
+            world.contexts[:40], 3, {hot}) for p in answer}))
 
     # operators shift well below the trigger (§2's mitigation dropped a
     # 90%-hot link to ~18%); a 55% target needs both top /24s moved
     cms = CongestionMitigationSystem(world.wan, CMSConfig(target=0.55),
-                                     predictor=predictor)
-    run_state = AdvertisementState(world.wan)
+                                     predictor=service)
     withdrawal_hour = reannounce_hour = None
     withdrawn: Set[int] = set()
     shift_links: Set[int] = set()
     max_alt_util = 0.0
-    horizon = world.surge_start_hour + world.surge_hours + 6
-    for hour in range(world.surge_start_hour - 2, horizon):
-        sample = world.entries_for_hour(hour, run_state)
-        actions = cms.handle_sample(hour, run_state, sample)
+    for hour, sample, actions in world.replay_hours(cms):
         for action in actions:
             if action.kind.startswith("withdraw"):
                 withdrawal_hour = withdrawal_hour or hour
                 withdrawn.add(action.dest_prefix_id)
             elif action.kind == "reannounce" and reannounce_hour is None:
                 reannounce_hour = hour
-        if withdrawal_hour is not None and hour > withdrawal_hour - 1:
+        if withdrawal_hour is not None:
             links = sample.link_ids
             shifted = np.isin(sample.dest_prefix_ids,
-                              sorted(withdrawn)) & (links != world.hot)
+                              sorted(withdrawn)) & (links != hot)
             shift_links.update(links[shifted].tolist())
             link_bytes = first_seen_totals(links, sample.bytes)
             for link_id in shift_links:

@@ -6,6 +6,7 @@ from repro.experiments import (build_east_asia_world, incident_east_asia,
                                replay_east_asia)
 
 from tests.cms.entry_oracle import EntryCMS
+from tests.experiments.incident_oracle import oracle_service
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +29,8 @@ class TestEastAsiaIncident:
         """'TIPSY identified three links that the traffic would shift
         to' — and it actually did."""
         assert set(report.actual_shift_links) == {
-            world.alt_same_peer, world.alt_other_peer,
-            world.alt_other_country}
+            world.links["hkg,P"], world.links["hkg,Q"],
+            world.links["tpe,P"]}
 
     def test_shift_spans_two_transit_providers(self, report, world):
         peers = {world.wan.link(l).peer_asn
@@ -75,3 +76,15 @@ class TestColumnarSample:
         monkeypatch.setattr(incident_east_asia, "CongestionMitigationSystem",
                             EntryCMS)
         assert replay_east_asia(world) == report
+
+
+class TestServiceEqualsOracle:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_replay_equals_the_hand_trained_model(self, seed, monkeypatch):
+        """The replay whose CMS asks the service equals the one whose
+        CMS asks Hist_AL+G folded by hand over the completed
+        pre-incident days, action for action, spills bit for bit."""
+        world = build_east_asia_world(seed=seed)
+        served = replay_east_asia(world)
+        monkeypatch.setattr(world, "service", oracle_service(world))
+        assert replay_east_asia(world) == served

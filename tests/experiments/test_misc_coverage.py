@@ -7,7 +7,7 @@ from repro.experiments import (
     ScenarioParams,
     tables,
 )
-from repro.experiments.incident import build_incident_world, train_incident_model
+from repro.experiments.incident import build_incident_world
 
 
 class TestScenarioPresets:
@@ -49,13 +49,14 @@ class TestTableFormatting:
 
 
 class TestIncidentTraining:
-    def test_train_incident_model_learns_l1_pair(self):
+    def test_incident_service_learns_l1_pair(self):
         world = build_incident_world(seed=0, n_flows=40)
-        model = train_incident_model(world, train_hours=48)
-        context = world.flows[0][0]
-        preds = model.predict(context, 2)
-        assert {p.link_id for p in preds} <= {world.i1, world.i2}
+        service = world.service(48)
+        links = world.links
+        context = world.contexts[0]
+        preds = service.predict(context, 2)
+        assert {p.link_id for p in preds} <= {links["I1"], links["I2"]}
         # and with both L1 links withdrawn, geography completes to L2
-        shifted = model.predict(context, 2,
-                                unavailable=frozenset({world.i1, world.i2}))
-        assert {p.link_id for p in shifted} <= {world.i3, world.i4}
+        shifted = service.predict(context, 2,
+                                  unavailable={links["I1"], links["I2"]})
+        assert {p.link_id for p in shifted} <= {links["I3"], links["I4"]}
