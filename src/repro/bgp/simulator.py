@@ -44,21 +44,38 @@ tell which flows a change of removal set reaches (:meth:`touched`); the
 flow-by-flow walk it replaced is the test oracle
 (``tests/bgp/resolve_oracle.py``).  A flow's drift comes in as a column
 (``drifted``: past its minor and major shift days, :meth:`shift_days`),
-not as a lookup per row.  Routing tables are cached per removal key and
-per seeded-neighbor set, a miss of both computed from scratch
-(``compute_routing_table``, over a policy-bias column built once); the
-walk reads their ``direct`` and ``nexthops`` columns, stacked one table
-per removal key and kept per removal-key set (``_STACK_SLOTS``).  A
-candidate pool without TE is kept per (AS, entry metro, pocket, the
-AS's removed links), ``_POOL_SLOTS`` of them.  The one per-flow memo left, the split past the
-candidate pool, is bounded by ``SimulatorParams.share_cache_size``.
+not as a lookup per row.
+
+A call pays per row, not per call, for what it can keep:
+
+- Routing tables are cached per removal key and per set of peers that
+  go dark, a miss of both computed from scratch
+  (``compute_routing_table``, over a policy-bias column built once); a
+  removal-key set's tables are kept too (``_STACK_SLOTS``).  The walk
+  reads each table's ``direct`` and ``nexthops`` columns from one frame
+  that holds every table once (``_FRAME_SLOTS``), not a stack built per
+  call.
+- A pocket's decision is kept per (pocket, removal key)
+  (``_DECISION_SLOTS``), and a candidate pool without TE per (AS, entry
+  metro, pocket, the AS's removed links) (``_POOL_SLOTS``), as the id of
+  the pool, interned.
+- The split past the candidate pool, the one per-flow memo, is keyed by
+  one int per delivering lane, packed from (pool id, src prefix, dest
+  prefix, rotation) at widths fixed here (``_POOL_BITS`` ...; an id past
+  its width is refused), and its hits are gathered as one float array
+  (``util.cache.ArrayLru``, bounded by
+  ``SimulatorParams.share_cache_size``).
+- Groupings of keys that span a small range (destination prefixes,
+  pocket x table) are lookup tables, not ``np.unique``; the hashes
+  that fold an AS first start from a seed folded once per AS.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+from typing import (Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -66,28 +83,52 @@ import numpy as np
 from ..obs import runtime as obs
 from ..topology.asgraph import ASGraph, Pocket
 from ..topology.wan import CloudWAN, PeeringLink
-from ..util.cache import LruDict
-from ..util.hashing import (geometric_day, mix64_columns, rotation_columns,
-                            unit, unit_columns)
+from ..util.cache import ArrayLru, LruDict
+from ..util.hashing import (folded_seed, geometric_day, mix64_columns,
+                            rotation_columns, unit, unit_columns)
 from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
                           default_bias)
 from .state import AdvertisementState
 
-#: stacked table sets kept: a probe's removal-key set recurs when the
+#: removal-key sets whose tables are kept: a probe's set recurs when the
 #: same link is probed again on a later hour
 _STACK_SLOTS = 64
+#: routing tables the walk's frame holds at once
+_FRAME_SLOTS = 256
 #: candidate pools kept by (AS, entry metro, pocket, its removed links)
 _POOL_SLOTS = 1 << 16
+#: pocket decisions kept by (pocket, removal key)
+_DECISION_SLOTS = 1 << 14
+#: the split memo's key is one int, its fields high to low: interned
+#: pool id, src prefix, dest prefix, rotation; an id past its field's
+#: width is refused (``ValueError``)
+_POOL_BITS, _SRC_BITS, _DEST_BITS, _ROTATION_BITS = 20, 27, 14, 2
 
 
-class _Stack(NamedTuple):
-    """One routing table per removal key, their columns stacked: a
-    walk's lane reads row ``[table index, AS row]``."""
+def _grouped(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of ints in ``[0,
+    size)``, by lookup table: the distinct codes ascending, and each
+    code's place among them."""
+    present = np.zeros(size, dtype=np.bool_)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    place = np.empty(size, dtype=np.int64)
+    place[distinct] = np.arange(len(distinct), dtype=np.int64)
+    return distinct, place[codes]
 
-    tables: Tuple[RoutingTable, ...]
-    direct: np.ndarray
-    nexthops: np.ndarray
-    n_hops: np.ndarray
+
+def _unique_index(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)[1:]``:
+    where each distinct key first occurs, by ascending key, and each
+    key's place among the distinct ones."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=np.bool_)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    place = np.empty(len(keys), dtype=np.int64)
+    place[order] = np.cumsum(new) - 1
+    return order[new], place
 
 
 @dataclass
@@ -166,12 +207,19 @@ class IngressSimulator:
         # set is the rest, so each key names one seeded set
         self._table_by_dark: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
-        # (candidate pool, src prefix, dest prefix, rotation) -> the split
-        # as six float64 bytes: three links, then their fractions (-1 and
-        # 0.0 past the pool's size), so a call's splits are one buffer
-        self._split_memo: LruDict[Tuple[Any, ...], bytes] = \
-            LruDict(p.share_cache_size)
-        self._stacks: LruDict[Tuple[FrozenSet[int], ...], _Stack] = \
+        # the split memo: (pool id, src prefix, dest prefix, rotation),
+        # packed into one int (``_POOL_BITS`` ...), -> the split as six
+        # floats: three links, then their fractions (-1 and 0.0 past the
+        # pool's size), so a call's splits are one look-up and one gather
+        self._split_memo = ArrayLru(p.share_cache_size, 6)
+        # interned candidate pools: pool -> id, and by id its links (-1
+        # past its size) and its size
+        self._pool_ids: Dict[Tuple[int, ...], int] = {}
+        self._pool_links = np.full((0, p.candidate_pool_size), -1,
+                                   dtype=np.int64)
+        self._pool_sizes = np.zeros(0, dtype=np.int64)
+        self._stacks: LruDict[Tuple[FrozenSet[int], ...],
+                              Tuple[RoutingTable, ...]] = \
             LruDict(_STACK_SLOTS)
         self._touched_cache: LruDict[
             Tuple[FrozenSet[int], FrozenSet[int]],
@@ -179,9 +227,15 @@ class IngressSimulator:
             LruDict(p.table_cache_size)
         self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         # (AS row, entry metro code, pocket, the AS's removed links) ->
-        # the candidate pool without TE
+        # the id of the candidate pool without TE
         self._ranked_pools: LruDict[Tuple[int, int, int, FrozenSet[int]],
-                                    Tuple[int, ...]] = LruDict(_POOL_SLOTS)
+                                    int] = LruDict(_POOL_SLOTS)
+        # (pocket, removal key) -> the pocket's decision: delivers on its
+        # own links (1/0), the providers it hands over to, its providers
+        # (each -1 padded to the walk's width)
+        self._decisions: LruDict[Tuple[int, FrozenSet[int]],
+                                 Tuple[int, ...]] = \
+            LruDict(_DECISION_SLOTS)
         self._p_cache: Dict[Tuple[int, int], float] = {}
         # the tables computed (the LRU caches carry their own counters)
         self._table_full_rebuilds = 0
@@ -189,6 +243,9 @@ class IngressSimulator:
         # metro codes, each (AS row, metro)'s pocket (the AS's first that
         # holds the metro, -1: none) and entry metro (-1 until first used)
         self._topo = topo = graph.dense()
+        # each AS row's hash seed once its ASN is folded: the walk's
+        # hashes all fold an AS first
+        self._as_seed = folded_seed(topo.asns[:, None], seed)
         self._asn_order = np.argsort(topo.asns, kind="stable")
         self._asns_sorted = topo.asns[self._asn_order]
         self._metro_names = graph.metros.names
@@ -200,15 +257,32 @@ class IngressSimulator:
         self._pockets: List[Pocket] = []
         self._pocket_of = np.full((topo.n, len(self._metro_names)), -1,
                                   dtype=np.int64)
+        # per pocket: its AS's row, the ids of the AS's links in the
+        # pocket's metros, and its providers' rows (-1: not in the graph)
+        self._pocket_facts: List[Tuple[int, FrozenSet[int],
+                                       np.ndarray]] = []
         for node in graph.nodes():
             for pocket in reversed(node.pockets):
                 self._pocket_of[topo.index[node.asn], [
                     self._metro_code[m] for m in sorted(pocket.metros)]] = \
                     len(self._pockets)
                 self._pockets.append(pocket)
+                self._pocket_facts.append((
+                    topo.index[node.asn],
+                    frozenset(l.link_id for l in self._links_by_peer.get(
+                        node.asn, ()) if l.metro in pocket.metros),
+                    np.array([topo.index.get(q, -1)
+                              for q in pocket.providers], dtype=np.int64)))
         self._width = max([MAX_NEXTHOPS] + [len(p.providers)
                                             for p in self._pockets])
         self._entry_of = np.full(self._pocket_of.shape, -1, dtype=np.int64)
+        # the walk's frame: per routing table (seeded set -> frame row)
+        # its ``direct`` and ``nexthops`` columns and each AS's count of
+        # next-hops; a lane reads row ``[frame row, AS row]``
+        self._frame: Dict[FrozenSet[int], int] = {}
+        self._direct = np.zeros((0, topo.n), dtype=np.bool_)
+        self._hops = np.zeros((0, topo.n, MAX_NEXTHOPS), dtype=np.int64)
+        self._n_hops = np.zeros((0, topo.n), dtype=np.int64)
 
     # -- routing tables -----------------------------------------------------
 
@@ -219,15 +293,11 @@ class IngressSimulator:
     def _dark_peers(self, removed: FrozenSet[int]) -> FrozenSet[int]:
         """Peers (of the AS graph) that lose every link once ``removed``
         is gone; ids the WAN does not have are ignored."""
-        peer_of = self._peer_of_link
-        removed_of: Dict[int, int] = {}
-        for link_id in removed:
-            asn = peer_of.get(link_id)
-            if asn is not None:
-                removed_of[asn] = removed_of.get(asn, 0) + 1
         ids_of = self._link_ids_by_peer
-        return frozenset(asn for asn, n in removed_of.items()
-                         if n == len(ids_of[asn]))
+        return frozenset(
+            asn for asn, n in Counter(map(self._peer_of_link.get,
+                                          removed)).items()
+            if asn is not None and n == len(ids_of[asn]))
 
     def _check_graph(self) -> None:
         if self.graph.dense() is not self._topo:
@@ -278,9 +348,9 @@ class IngressSimulator:
             self._touched_cache[key] = touched
         return touched
 
-    def _stacked(self, removals: Tuple[FrozenSet[int], ...]) -> _Stack:
-        """The tables of ``removals`` and their stacked columns (cached
-        per removal-key tuple)."""
+    def _stacked(self, removals: Tuple[FrozenSet[int], ...]
+                 ) -> Tuple[RoutingTable, ...]:
+        """The tables of ``removals`` (cached per removal-key tuple)."""
         self._check_graph()
         stack = self._stacks.get(removals)
         if stack is None:
@@ -288,13 +358,39 @@ class IngressSimulator:
             self._stacks[removals] = stack
         return stack
 
-    def _stack(self, removals: Tuple[FrozenSet[int], ...]) -> _Stack:
-        """One routing table per removal key, its ``direct`` and
-        ``nexthops`` stacked, and each (table, AS)'s next-hop count."""
-        tables = tuple(self.routing_table(removed) for removed in removals)
-        hops = np.stack([table.nexthops for table in tables])
-        return _Stack(tables, np.stack([table.direct for table in tables]),
-                      hops, (hops >= 0).sum(axis=2, dtype=np.int64))
+    def _stack(self, removals: Tuple[FrozenSet[int], ...]
+               ) -> Tuple[RoutingTable, ...]:
+        """One routing table per removal key."""
+        return tuple(map(self.routing_table, removals))
+
+    def _framed(self, tables: Tuple[RoutingTable, ...]) -> np.ndarray:
+        """Each table's row of the walk's frame (``_direct``, ``_hops``,
+        ``_n_hops``), its columns copied in on first use.  A frame that
+        cannot take a call's new tables starts afresh: it holds at most
+        ``_FRAME_SLOTS`` tables, or one call's."""
+        frame = self._frame
+        rows = list(map(frame.get, [table.seeded for table in tables]))
+        if None in rows:
+            new = {table.seeded: table for table in tables
+                   if table.seeded not in frame}
+            if len(frame) + len(new) > _FRAME_SLOTS:
+                frame.clear()
+                new = {table.seeded: table for table in tables}
+            if len(frame) + len(new) > len(self._n_hops):
+                size = max(len(frame) + len(new), 2 * len(self._n_hops))
+                for name in ("_direct", "_hops", "_n_hops"):
+                    old = getattr(self, name)
+                    grown = np.zeros((size,) + old.shape[1:],
+                                     dtype=old.dtype)
+                    grown[:len(old)] = old
+                    setattr(self, name, grown)
+            for seeded, table in new.items():
+                row = frame[seeded] = len(frame)
+                self._direct[row] = table.direct
+                self._hops[row] = table.nexthops
+                self._n_hops[row] = (table.nexthops >= 0).sum(axis=1)
+            rows = [frame[table.seeded] for table in tables]
+        return np.array(rows, dtype=np.int64)
 
     def as_distance(self, asn: int) -> Optional[int]:
         """AS-hop distance to the WAN under full availability (Figure 2)."""
@@ -369,19 +465,35 @@ class IngressSimulator:
         if not n:
             none = np.zeros(0, dtype=np.int64)
             return (none, none, np.zeros(0, dtype=np.float64)) + (none,) * 4
+        # (a negative id has high bits set too)
+        if ((src_prefix >> _SRC_BITS) | (dest_prefix >> _DEST_BITS)).any():
+            raise ValueError(f"src / dest prefix ids must lie in [0, "
+                             f"2**{_SRC_BITS}) / [0, 2**{_DEST_BITS})")
 
-        # one routing table per removal key, stacked: a lane carries its
-        # table's index
-        prefixes, prefix_at = np.unique(dest_prefix, return_inverse=True)
-        keys = [state.removal_key(prefix) for prefix in prefixes.tolist()]
-        removals = tuple(dict.fromkeys(keys))
-        tix = np.array([removals.index(key) for key in keys],
-                       dtype=np.int64)[prefix_at]
-        prepends = {i: dict(state.prepend_key(prefix))
-                    for i, prefix in enumerate(prefixes.tolist())
-                    if state.prepend_key(prefix)}
+        # one routing table per removal key: a row carries its table's
+        # index and the table's row of the frame.  A prefix no withdrawal
+        # or prepend touched has the links down as its removal key, and
+        # no prepends
+        prefixes, prefix_at = _grouped(dest_prefix,
+                                       int(dest_prefix.max()) + 1)
+        outages, touched = state.link_outages, state.touched_prefixes()
+        index: Dict[FrozenSet[int], int] = {}
+        at_prefix: List[int] = []
+        prepends: Dict[int, Dict[int, int]] = {}
+        for i, prefix in enumerate(prefixes.tolist()):
+            key = outages
+            if prefix in touched:
+                key = state.removal_key(prefix)
+                te_key = state.prepend_key(prefix)
+                if te_key:
+                    prepends[i] = dict(te_key)
+            at_prefix.append(index.setdefault(key, len(index)))
+        removals = tuple(index)
+        tix = np.array(at_prefix, dtype=np.int64)[prefix_at]
+        tables = self._stacked(removals)
+        row_of = self._framed(tables)[tix]
         # an AS without a route has no next-hops; a direct AS has a route
-        tables, direct, hops, n_hops = self._stacked(removals)
+        direct, hops, n_hops = self._direct, self._hops, self._n_hops
 
         major = np.zeros(n, dtype=np.bool_)
         rotate = np.zeros(n, dtype=np.int64)
@@ -393,32 +505,25 @@ class IngressSimulator:
         # them; one without hands over to its ranked next-hops
         srow = self._rows(src_asn)
         known = np.flatnonzero(srow >= 0)
-        t_k, s_k = tix[known], srow[known]
+        t_k, s_k = row_of[known], srow[known]
         own = np.zeros(n, dtype=np.bool_)
         own[known] = direct[t_k, s_k]
         cands = np.full((n, self._width), -1, dtype=np.int64)
         cands[known, :MAX_NEXTHOPS] = hops[t_k, s_k]
         # a pocketed source reads its pocket's providers too, delivers
         # only on the pocket's links, else via its providers with a route
-        # (decided once per pocket and removal key)
+        # (decided once per pocket and removal key, ``_decided``)
         in_pocket = np.full(n, -1, dtype=np.int64)
         in_pocket[known] = self._pocket_of[s_k, metro[known]]
         pocketed = np.flatnonzero(in_pocket >= 0)
-        _, first_at, which = np.unique(
+        groups, which = _grouped(
             in_pocket[pocketed] * len(tables) + tix[pocketed],
-            return_index=True, return_inverse=True)
-        decided = np.full((len(first_at), 1 + 2 * self._width), -1,
-                          dtype=np.int64)
-        for j, i in enumerate(pocketed[first_at].tolist()):
-            pocket, table = self._pockets[in_pocket[i]], tables[tix[i]]
-            links, _ids = self._usable(int(src_asn[i]), removals[tix[i]])
-            decided[j, 0] = any(l.metro in pocket.metros for l in links)
-            chosen = [q for q in pocket.providers if q in table] or [
-                q for q in cands[i].tolist() if q >= 0]
-            decided[j, 1:1 + len(chosen)] = chosen
-            decided[j, 1 + self._width:][:len(pocket.providers)] = \
-                pocket.providers
-        decided = decided[which]
+            len(self._pockets) * len(tables))
+        decided = np.array(
+            [self._decided(pocket, removals[t], tables[t])
+             for pocket, t in map(divmod, groups.tolist(),
+                                  repeat(len(tables)))],
+            dtype=np.int64).reshape(-1, 1 + 2 * self._width)[which]
         own[pocketed] = decided[:, 0] == 1
         cands[pocketed] = decided[:, 1:1 + self._width]
         provided = decided[:, 1 + self._width:]
@@ -435,9 +540,9 @@ class IngressSimulator:
         c = n_cands[walk]
         two = c > 1
         first = rotation_columns(c, np.column_stack((
-            src_asn[walk], src_prefix[walk], dest_prefix[walk],
+            src_prefix[walk], dest_prefix[walk],
             np.full(len(walk), 3, dtype=np.int64), cands[walk])),
-            self.seed, lengths=4 + c) + (major[walk] & two)
+            self._as_seed[srow[walk]], lengths=3 + c) + (major[walk] & two)
         split = self.params.origin_split
         owners = np.flatnonzero(own)
         lane_row = np.concatenate((owners, walk, walk[two]))
@@ -452,7 +557,7 @@ class IngressSimulator:
         # a row has one lane per slot: the keys are distinct
         order = np.argsort(2 * lane_row + lane_slot)
         lane_row, lane_slot = lane_row[order], lane_slot[order]
-        lane_weight, lane_tix = lane_weight[order], tix[lane_row]
+        lane_weight, lane_tix = lane_weight[order], row_of[lane_row]
         at = self._rows(lane_asn[order])
         active = np.flatnonzero(~own[lane_row])
         stops = [np.flatnonzero(own[lane_row])]
@@ -473,9 +578,9 @@ class IngressSimulator:
             if active.size:
                 r, k = lane_row[active], n_hops[t, a]
                 pick = rotation_columns(k, np.column_stack((
-                    self._topo.asns[a], src_prefix[r], dest_prefix[r],
+                    src_prefix[r], dest_prefix[r],
                     np.full(len(r), 5, dtype=np.int64), hops[t, a])),
-                    self.seed, lengths=4 + k)
+                    self._as_seed[a], lengths=3 + k)
                 at[active] = self._rows(hops[t, a, pick])
                 entry[active] = self._entries(at[active], entry[active])
 
@@ -493,35 +598,36 @@ class IngressSimulator:
         te = np.zeros(len(prefixes), dtype=np.bool_)
         te[list(prepends)] = True
         te = te[prefix_at[d_row]]
-        _, first_at, pool_of = np.unique(np.where(te, d_row, -1) + (n + 1) * (
+        first_at, pool_of = _unique_index(np.where(te, d_row, -1) + (n + 1) * (
             ((tix[d_row] * self._topo.n + d_as) * len(self._metro_names)
-             + d_entry) * (len(self._pockets) + 1) + d_pocket + 1),
-            return_index=True, return_inverse=True)
-        pools: List[Tuple[int, ...]] = []
-        for row, asn, code, pocket in zip(
+             + d_entry) * (len(self._pockets) + 1) + d_pocket + 1))
+        pool_ids: List[int] = []
+        for row, as_row, peer, code, pocket in zip(
                 d_row[first_at].tolist(), d_as[first_at].tolist(),
+                self._topo.asns[d_as[first_at]].tolist(),
                 d_entry[first_at].tolist(), d_pocket[first_at].tolist()):
-            peer = int(self._topo.asns[asn])
             removed, te_hint = removals[tix[row]], prepends.get(prefix_at[row])
             # without TE a pool is fixed by the AS, the entry metro, the
             # pocket and which of the AS's links are removed
-            key = (asn, code, pocket, removed.intersection(
+            key = (as_row, code, pocket, removed.intersection(
                 self._link_ids_by_peer.get(peer, ())))
             # (TE compliance is per flow: a prepended pool is ranked
             # afresh; TE prefixes are rare, 0.7 % in the paper's network)
-            pool = None if te_hint else self._ranked_pools.get(key)
-            if pool is None:
-                links, _ids = self._usable(peer, removed)
+            pool_id = None if te_hint else self._ranked_pools.get(key)
+            if pool_id is None:
+                links = [l for l in self._links_by_peer.get(peer, ())
+                         if l.link_id not in removed]
                 if pocket >= 0:
                     metros = self._pockets[pocket].metros
                     links = [l for l in links if l.metro in metros]
-                pool = self._pool(links, self._metro_names[code],
-                                  int(src_prefix[row]),
-                                  int(dest_prefix[row]), te_hint)
+                pool_id = self._interned(self._pool(
+                    links, self._metro_names[code], int(src_prefix[row]),
+                    int(dest_prefix[row]), te_hint))
                 if not te_hint:
-                    self._ranked_pools[key] = pool
-            pools.append(pool)
-        splits = self._splits(pools, pool_of, src_prefix[d_row],
+                    self._ranked_pools[key] = pool_id
+            pool_ids.append(pool_id)
+        by_pool = np.array(pool_ids, dtype=np.int64)[pool_of]
+        splits = self._splits(by_pool, src_prefix[d_row],
                               dest_prefix[d_row], rotate[d_row])
 
         # -- shares: per (row, link), summed in lane order
@@ -529,31 +635,51 @@ class IngressSimulator:
         held = links3 >= 0
         s_rows = np.broadcast_to(d_row[:, None], held.shape)[held]
         s_links = links3[held]
-        _, first_at, group = np.unique(
-            s_rows * (int(s_links.max(initial=0)) + 1) + s_links,
-            return_index=True, return_inverse=True)
+        first_at, group = _unique_index(
+            s_rows * (int(s_links.max(initial=0)) + 1) + s_links)
         # bincount adds in input order: each sum is the dict walk's
         sums = np.bincount(group, minlength=len(first_at),
                            weights=(splits[:, 3:] * d_weight[:, None])[held])
         s_rows, s_links = s_rows[first_at], s_links[first_at]
         scale = delivered[s_rows]
         s_fracs = np.where(scale < 1.0, sums / scale, sums)
-        # by row, then descending fraction, then link: the shares come
-        # by (row, link), so fraction ranks make one distinct int key
-        _, rank = np.unique(-s_fracs, return_inverse=True)
-        by_share = np.argsort((s_rows * (len(s_fracs) + 1) + rank)
-                              * (int(s_links.max(initial=0)) + 1) + s_links)
+        # by row, then descending fraction, then link
+        by_share = np.lexsort((s_links, -s_fracs, s_rows))
 
         reads = np.concatenate(read_keys)
         by_read = np.argsort(reads, kind="stable")
-        width = self.params.candidate_pool_size
-        pooled = np.array([pool + (-1,) * (width - len(pool))
-                           for pool in pools], dtype=np.int64).reshape(
-            -1, width)[pool_of]
+        pooled = self._pool_links[by_pool]
         return (s_rows[by_share], s_links[by_share], s_fracs[by_share],
                 reads[by_read] // 3, np.concatenate(read_asns)[by_read],
                 np.broadcast_to(d_row[:, None], pooled.shape)[pooled >= 0],
                 pooled[pooled >= 0])
+
+    def _decided(self, pocket: int, removed: FrozenSet[int],
+                 table: RoutingTable) -> Tuple[int, ...]:
+        """:meth:`_decide`, cached per (pocket, removal key)."""
+        key = (pocket, removed)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decisions[key] = self._decide(pocket, removed,
+                                                           table)
+        return decision
+
+    def _decide(self, pocket: int, removed: FrozenSet[int],
+                table: RoutingTable) -> Tuple[int, ...]:
+        """A pocket's decision under removal key ``removed`` (whose table
+        is ``table``): 1 if it delivers on its own links (those in its
+        metros), else 0; the providers it hands over to (those with a
+        route, else the AS's own next-hops); its providers (both -1
+        padded to the walk's width)."""
+        providers = self._pockets[pocket].providers
+        row, links, rows = self._pocket_facts[pocket]
+        routed = ((rows >= 0) & (table.dist[rows] >= 0)).tolist()
+        chosen = [q for q, ok in zip(providers, routed) if ok] or [
+            q for q in table.nexthops[row].tolist() if q >= 0]
+        width = self._width
+        return ((int(not links <= removed),)
+                + tuple(chosen) + (-1,) * (width - len(chosen))
+                + tuple(providers) + (-1,) * (width - len(providers)))
 
     def _metro_codes(self, names: Sequence[str]) -> np.ndarray:
         """Codes of metro names; raises ``KeyError`` for an unknown one."""
@@ -584,9 +710,29 @@ class IngressSimulator:
                 self.graph.metros.nearest(self._metro_names[code], footprint)]
         return self._entry_of[rows, metros] if missing.size else found
 
-    def _splits(self, pools: List[Tuple[int, ...]], pool_of: np.ndarray,
-                src_prefix: np.ndarray, dest_prefix: np.ndarray,
-                rotate: np.ndarray) -> np.ndarray:
+    def _interned(self, pool: Tuple[int, ...]) -> int:
+        """The id of candidate pool ``pool``, ids counted up from 0; a
+        ``ValueError`` past the split key's pool field."""
+        pool_id = self._pool_ids.get(pool)
+        if pool_id is None:
+            pool_id = len(self._pool_ids)
+            if pool_id >> _POOL_BITS:
+                raise ValueError(f"more than 2**{_POOL_BITS} candidate "
+                                 "pools")
+            if pool_id == len(self._pool_sizes):
+                grown = np.full((max(64, 2 * pool_id),
+                                 self._pool_links.shape[1]), -1,
+                                dtype=np.int64)
+                grown[:pool_id] = self._pool_links
+                self._pool_links = grown
+                self._pool_sizes = np.resize(self._pool_sizes, len(grown))
+            self._pool_links[pool_id, :len(pool)] = pool
+            self._pool_sizes[pool_id] = len(pool)
+            self._pool_ids[pool] = pool_id
+        return pool_id
+
+    def _splits(self, pool_ids: np.ndarray, src_prefix: np.ndarray,
+                dest_prefix: np.ndarray, rotate: np.ndarray) -> np.ndarray:
         """Each delivery's hot-potato split, an ``(n, 6)`` array (see
         ``_split_memo``), from the memo or computed.  A weighted shuffle
         (Efraimidis-Spirakis, geometric weights by distance rank) orders
@@ -596,48 +742,46 @@ class IngressSimulator:
         the whole assignment among the survivors, deterministic yet
         uncorrelated with the ranking before.  The key ``u ** (1/weight)``
         and p stay python floats: ``np.power`` may round differently."""
-        keys = list(zip(map(pools.__getitem__, pool_of.tolist()),
-                        src_prefix.tolist(), dest_prefix.tolist(),
-                        rotate.tolist()))
-        found = self._split_memo.get_many(keys)
-        # a key missed twice in one call is computed once
-        todo = list(dict.fromkeys(key for key, split in zip(keys, found)
-                                  if split is None))
-        if todo:
-            blob = self._draw_splits(todo)
-            computed = {key: blob[at:at + 48]
-                        for key, at in zip(todo, range(0, len(blob), 48))}
-            for key, split in computed.items():
-                self._split_memo[key] = split
-            found = [computed[key] if split is None else split
-                     for key, split in zip(keys, found)]
-        return np.frombuffer(b"".join(found), dtype=np.float64).reshape(
-            len(keys), 6)
+        keys = (((pool_ids << _SRC_BITS | src_prefix) << _DEST_BITS
+                 | dest_prefix) << _ROTATION_BITS) | rotate
+        splits, held = self._split_memo.get_many(keys)
+        missed = np.flatnonzero(~held)
+        if missed.size:
+            # a key missed twice in one call is computed once
+            at, again = _unique_index(keys[missed])
+            todo = keys[missed[np.sort(at)]]
+            drawn = self._draw_splits(todo)
+            self._split_memo.put_many(todo, drawn)
+            splits[missed] = drawn[np.argsort(np.argsort(at))[again]]
+        return splits
 
-    def _draw_splits(self, todo: List[Tuple[Any, ...]]) -> bytes:
-        """The splits of ``todo``'s ``_split_memo`` keys, 48 bytes each,
-        in order (see :meth:`_splits`)."""
-        sizes = np.array([len(key[0]) for key in todo], dtype=np.int64)
-        member_of = np.repeat(np.arange(len(todo), dtype=np.int64),
-                              sizes)
+    def _draw_splits(self, todo: np.ndarray) -> np.ndarray:
+        """The splits of ``todo``'s ``_split_memo`` keys, an ``(n, 6)``
+        array in order (see :meth:`_splits`)."""
+        rotate = todo & ((1 << _ROTATION_BITS) - 1)
+        todo = todo >> _ROTATION_BITS
+        dest = todo & ((1 << _DEST_BITS) - 1)
+        todo = todo >> _DEST_BITS
+        src = todo & ((1 << _SRC_BITS) - 1)
+        pool_ids = todo >> _SRC_BITS
+        sizes = self._pool_sizes[pool_ids]
+        member_of = np.repeat(np.arange(len(todo), dtype=np.int64), sizes)
         starts = np.cumsum(sizes) - sizes
         rank = np.arange(len(member_of), dtype=np.int64) - starts[
             member_of]
-        links = np.array([link for key in todo for link in key[0]],
-                         dtype=np.int64)
+        pooled = self._pool_links[pool_ids]
+        links = pooled[pooled >= 0]
         # a pool's membership folds into one hash base, and each
         # member's draw is one mixing round more
-        base = np.full((len(todo), 1 + int(sizes.max())), 17,
-                       dtype=np.int64)
-        base[member_of, 1 + rank] = links
-        flows = np.array([key[1:] for key in todo], dtype=np.int64)
+        widest = int(sizes.max())
+        base = np.full((len(todo), 1 + widest), 17, dtype=np.int64)
+        base[:, 1:] = pooled[:, :widest]
         draws = unit_columns(
-            np.column_stack((flows[member_of, :2], links)),
+            np.column_stack((src[member_of], dest[member_of], links)),
             mix64_columns(base, self.seed, 1 + sizes)[member_of])
         params = self.params
         exponent = np.array([1.0 / params.locality ** r
-                             for r in range(int(sizes.max()))],
-                            dtype=np.float64)
+                             for r in range(widest)], dtype=np.float64)
         shuffle = -np.array(list(map(
             pow, np.maximum(draws, 1e-12).tolist(),
             exponent[rank].tolist())), dtype=np.float64)
@@ -651,8 +795,9 @@ class IngressSimulator:
         first = np.arange(3, dtype=np.int64)
         held = first < sizes[:, None]
         take = ordered[starts[:, None]
-                       + (first + flows[:, 2:]) % sizes[:, None]]
-        new = [flow for flow in dict.fromkeys(key[1:3] for key in todo)
+                       + (first + rotate[:, None]) % sizes[:, None]]
+        flows = list(zip(src.tolist(), dest.tolist()))
+        new = [flow for flow in dict.fromkeys(flows)
                if flow not in self._p_cache]
         if new:
             u = unit_columns(np.column_stack((
@@ -664,7 +809,7 @@ class IngressSimulator:
                 * (1.0 - np.array(list(map(pow, u.tolist(), repeat(
                     params.primary_share_skew, len(new)))),
                     dtype=np.float64))).tolist()))
-        p = np.array([self._p_cache[key[1:3]] for key in todo],
+        p = np.array(list(map(self._p_cache.__getitem__, flows)),
                      dtype=np.float64)
         sw = params.secondary_weight
         raw = np.column_stack((p, (1.0 - p) * sw,
@@ -673,18 +818,7 @@ class IngressSimulator:
         total = p + np.where(held[:, 1], raw[:, 1], 0.0) + np.where(
             held[:, 2], raw[:, 2], 0.0)
         return np.column_stack((np.where(held, take, -1), np.where(
-            held, raw / total[:, None], 0.0))).tobytes()
-
-    def _usable(self, asn: int, removed: FrozenSet[int]
-                ) -> Tuple[Sequence[PeeringLink], Tuple[int, ...]]:
-        """A peer's links not in ``removed``, and their ids: the
-        precomputed pair when ``removed`` misses them all."""
-        links = self._links_by_peer.get(asn, ())
-        ids = self._link_ids_by_peer.get(asn, ())
-        if removed.isdisjoint(ids):
-            return links, ids
-        kept = [l for l in links if l.link_id not in removed]
-        return kept, tuple(l.link_id for l in kept)
+            held, raw / total[:, None], 0.0)))
 
     def _pool(
         self,
@@ -696,32 +830,23 @@ class IngressSimulator:
     ) -> Tuple[int, ...]:
         """The candidate pool of a delivering AS's links: the nearest
         ``candidate_pool_size`` within ``reroute_radius_km`` of the
-        closest exit, nearest first."""
-        metros = self.graph.metros
-
-        def effective_distance(link: PeeringLink) -> float:
+        closest exit, nearest first (ties by link id)."""
+        metros, params = self.graph.metros, self.params
+        ranked = []
+        for link in links:
             distance = metros.distance_km(entry_metro, link.metro)
-            if prepends:
-                times = prepends.get(link.link_id)
-                if times:
-                    # the hint is honoured per (delivering link, flow)
-                    # only with te_compliance probability
-                    honoured = unit(link.link_id, src_prefix, dest_prefix,
-                                    23, seed=self.seed)
-                    if honoured < self.params.te_compliance:
-                        distance += times * self.params.te_prepend_km
-            return distance
-
-        ranked = sorted(
-            links,
-            key=lambda l: (effective_distance(l), l.link_id),
-        )
-        d0 = effective_distance(ranked[0])
-        radius = d0 + self.params.reroute_radius_km
-        return tuple(
-            l.link_id for l in ranked[: self.params.candidate_pool_size]
-            if effective_distance(l) <= radius
-        )
+            times = prepends.get(link.link_id) if prepends else None
+            # the hint is honoured per (delivering link, flow) only with
+            # te_compliance probability
+            if times and unit(link.link_id, src_prefix, dest_prefix, 23,
+                              seed=self.seed) < params.te_compliance:
+                distance += times * params.te_prepend_km
+            ranked.append((distance, link.link_id))
+        ranked.sort()
+        radius = ranked[0][0] + params.reroute_radius_km
+        return tuple(link_id for distance, link_id
+                     in ranked[:params.candidate_pool_size]
+                     if distance <= radius)
 
     # -- statistics -----------------------------------------------------------
 
@@ -755,6 +880,11 @@ class IngressSimulator:
             "table_incremental_updates": 0,
             "ranked_pool_hits": self._ranked_pools.hits,
             "ranked_pool_misses": self._ranked_pools.misses,
+            "interned_pools": len(self._pool_ids),
+            "frame_tables": len(self._frame),
+            "decision_entries": len(self._decisions),
+            "decision_hits": self._decisions.hits,
+            "decision_misses": self._decisions.misses,
         }
 
     def export_gauges(self) -> None:

@@ -16,10 +16,13 @@ when fidelity matters more than speed.
 Every flow's link shares under one (day, advertisement content) are an
 *expansion*, kept by content in a small LRU.  The content holds the
 links down apart from the prefixes a withdrawal or a prepend touched,
-so a miss compares contents over the touched prefixes only, ranks the
-cached expansions by count arrays, and re-resolves only the rows the
-change can reach, with the drift shift days the scenario holds as a
-column.
+so a miss compares contents over the touched prefixes only, once per
+cached expansion (``_changes``), and ranks the cached expansions by
+counts alone (``_estimate``: count arrays, and the rows whose drift
+flag flips kept per day pair).  It re-resolves only the rows the
+change from the cheapest can reach (``_stale_rows``, reusing that
+comparison), with the drift shift days the scenario holds as a column,
+and interleaves them with the rows kept by ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from ..topology.geography import MetroCatalog
 from ..topology.wan import WANParams, generate_wan
 from ..traffic.generator import TrafficGenerator, TrafficParams
 from ..traffic.prefixes import PrefixUniverse
-from ..util.cache import LruDict
+from ..util.cache import LruDict, interleaved, spliced
 
 #: expansions kept, by content: a CMS probe alternates between the live
 #: state and one with a link down, an hour boundary adds one or two more
@@ -61,6 +64,26 @@ _Touched = Tuple[Tuple[int, FrozenSet[int], Tuple[Tuple[int, int], ...]],
 _Content = Tuple[int, FrozenSet[int], _Touched]
 #: destination prefixes by the (old, new) removal sets they moved between
 _Moved = Dict[Tuple[FrozenSet[int], FrozenSet[int]], List[int]]
+#: day pairs whose drift flips are counted: a run crosses a day at a time
+_FLIP_SLOTS = 16
+
+
+class _Changes(NamedTuple):
+    """What differs between an expansion and a content (``_changes``):
+    everything ``_estimate`` counts and ``_stale_rows`` marks."""
+
+    #: (the expansion's day, the content's day)
+    days: Tuple[int, int]
+    #: prefixes whose prepends changed
+    prepended: List[int]
+    #: prefixes either content touched, by the removal sets they moved
+    #: between (in ascending prefix order of each set's first prefix)
+    moved: _Moved
+    #: prefixes either content touched
+    touched: FrozenSet[int]
+    #: (old, new) links down when they changed, else None: every prefix
+    #: neither content touched moved between them
+    untouched: Optional[Tuple[FrozenSet[int], FrozenSet[int]]]
 
 
 class HourColumns:
@@ -102,10 +125,9 @@ class _Expansion(NamedTuple):
     rows: np.ndarray
     links: np.ndarray
     fracs: np.ndarray
-    # (flow row, AS) pairs: the row's resolution read that AS, and its
-    # AS code (``Scenario._as_codes``)
+    # (flow row, AS code) pairs: the row's resolution read that AS
+    # (``Scenario._as_codes``; the AS is ``Scenario._asns[code]``)
     footprint_rows: np.ndarray
-    footprint_asns: np.ndarray
     footprint_codes: np.ndarray
     # (flow row, link) pairs: a candidate pool of the row held that link
     pool_rows: np.ndarray
@@ -234,7 +256,7 @@ class Scenario:
         none = np.empty(0, dtype=np.int64)
         self._empty = _Expansion(
             (0, frozenset(), ()), none, none, none.astype(np.float64),
-            none, none, none, none, none,
+            none, none, none, none,
             np.zeros(len(self._asns) + 1, dtype=np.int64),
             np.zeros(max(self.wan.link_ids) + 1, dtype=np.int64))
         flows = self.traffic.flows
@@ -251,6 +273,13 @@ class Scenario:
         src_prefixes, src_asns, dest_prefixes = self._flow_columns
         self._shift_days = self.simulator.shift_days(src_asns, src_prefixes,
                                                      dest_prefixes)
+        # rows per destination prefix, and per (old day, day) the rows
+        # whose drift flag flips between them, per destination prefix
+        self._rows_per_dest = np.bincount(dest_prefixes,
+                                          minlength=self._dest_prefixes[-1]
+                                          + 1)
+        self._flips: LruDict[Tuple[int, int], np.ndarray] = \
+            LruDict(_FLIP_SLOTS)
 
     # -- derived properties ----------------------------------------------------
 
@@ -315,17 +344,22 @@ class Scenario:
             for prefix in sorted(self._dest_set & state.touched_prefixes())))
         found = self._expansions.get(content)
         if found is None:
-            base = min(reversed(self._expansions.values()),
-                       key=lambda e: self._estimate(e, content),
-                       default=self._empty)
-            found = self._derive(base, content, state)
+            base, changes = min(
+                ((cached, self._changes(cached, content))
+                 for cached in reversed(self._expansions.values())),
+                key=lambda pair: self._estimate(*pair),
+                default=(self._empty, None))
+            found = self._derive(base, content, state, changes)
             self._expansions[content] = found
         return found.rows, found.links, found.fracs
 
     def _derive(self, base: _Expansion, content: _Content,
-                state: AdvertisementState) -> _Expansion:
-        """``base`` with its stale rows resolved again under ``state``."""
-        stale = self._stale_rows(base, content)
+                state: AdvertisementState,
+                changes: Optional[_Changes]) -> _Expansion:
+        """``base`` with its stale rows resolved again under ``state``
+        (``changes``: from ``base`` to ``content``, None from
+        ``_empty``)."""
+        stale = self._stale_rows(base, changes)
         again = np.flatnonzero(stale)
         src_prefixes, src_asns, dest_prefixes = self._flow_columns
         # looked up per call: the benchmark's tracer wraps it
@@ -338,40 +372,35 @@ class Scenario:
         rows, walked_rows, pool_rows = (again[rows], again[walked_rows],
                                         again[pool_rows])
         keep = ~stale[base.rows]
-        merged = np.concatenate((base.rows[keep], rows))
-        # a row's shares all come from one side, so a stable sort by row
-        # restores the from-scratch order
-        order = np.argsort(merged, kind="stable")
-        keep_walk = ~stale[base.footprint_rows]
-        keep_pool = ~stale[base.pool_rows]
+        kept = base.rows[keep]
+        # a row's shares all come from one side, both sides ascending:
+        # interleaved, they take the from-scratch order
+        places = interleaved(kept, rows)
+        walk_stale = stale[base.footprint_rows]
+        pool_stale = stale[base.pool_rows]
+        keep_walk, keep_pool = ~walk_stale, ~pool_stale
         walked_codes = self._as_codes(walked_asns)
         return _Expansion(
-            content, merged[order],
-            np.concatenate((base.links[keep], links))[order],
-            np.concatenate((base.fracs[keep], fracs))[order],
+            content, spliced(kept, rows, *places),
+            spliced(base.links[keep], links, *places),
+            spliced(base.fracs[keep], fracs, *places),
             np.concatenate((base.footprint_rows[keep_walk], walked_rows)),
-            np.concatenate((base.footprint_asns[keep_walk], walked_asns)),
             np.concatenate((base.footprint_codes[keep_walk], walked_codes)),
             np.concatenate((base.pool_rows[keep_pool], pool_rows)),
             np.concatenate((base.pool_links[keep_pool], pool_links)),
-            _recount(base.rows_reading, base.footprint_codes[~keep_walk],
+            _recount(base.rows_reading, base.footprint_codes[walk_stale],
                      walked_codes),
-            _recount(base.rows_pooling, base.pool_links[~keep_pool],
+            _recount(base.rows_pooling, base.pool_links[pool_stale],
                      pool_links))
 
-    def _changes(self, base: _Expansion, content: _Content
-                 ) -> Tuple[np.ndarray, _Moved]:
-        """What differs between ``base`` and ``content``: the mask of the
-        rows that are stale whatever they read (a drift flag flips between
-        the two days, or the prefix's prepends changed), and the prefixes
-        whose removal set moved.  Only the prefixes a withdrawal or a
-        prepend touched in either content are walked one by one; the
-        others move together, from one set of links down to the other."""
+    def _changes(self, base: _Expansion, content: _Content) -> _Changes:
+        """What differs between ``base`` and ``content``: the two days,
+        the prefixes whose prepends changed, and the prefixes whose
+        removal set moved.  Only the prefixes a withdrawal or a prepend
+        touched in either content are walked one by one; the others move
+        together, from one set of links down to the other."""
         (old_day, old_down, old_parts), (day, down, parts) = (base.content,
                                                               content)
-        shifts = self._shift_days
-        stale = (np.zeros(len(shifts), dtype=np.bool_) if old_day == day
-                 else ((old_day >= shifts) != (day >= shifts)).any(axis=1))
         old_of = {prefix: (key, te) for prefix, key, te in old_parts}
         new_of = {prefix: (key, te) for prefix, key, te in parts}
         touched = old_of.keys() | new_of.keys()
@@ -384,26 +413,48 @@ class Scenario:
                 prepended.append(prefix)
             elif before != after:
                 moved.setdefault((before, after), []).append(prefix)
-        if old_down != down:
-            rest = [prefix for prefix in self._dest_prefixes
-                    if prefix not in touched]
-            if rest:
-                moved.setdefault((old_down, down), []).extend(rest)
-        if prepended:
-            stale |= _marked(self._flow_columns[2], prepended,
-                             self._dest_prefixes[-1] + 1)
-        return stale, moved
-    def _stale_rows(self, base: _Expansion, content: _Content
+        return _Changes((old_day, day), prepended, moved, frozenset(touched),
+                        None if old_down == down else (old_down, down))
+
+    def _flipped(self, old_day: int, day: int) -> np.ndarray:
+        """Rows per destination prefix whose drift flag flips between the
+        two days (cached per day pair)."""
+        counts = self._flips.get((old_day, day))
+        if counts is None:
+            counts = np.bincount(
+                self._flow_columns[2][self._flip_mask(old_day, day)],
+                minlength=len(self._rows_per_dest))
+            self._flips[(old_day, day)] = counts
+        return counts
+
+    def _flip_mask(self, old_day: int, day: int) -> np.ndarray:
+        """Mask of the rows whose drift flag flips between the days."""
+        shifts = self._shift_days
+        return ((old_day >= shifts) != (day >= shifts)).any(axis=1)
+
+    def _stale_rows(self, base: _Expansion, changes: Optional[_Changes]
                     ) -> np.ndarray:
-        """Mask of the flow rows whose shares under ``content`` may differ
-        from ``base``'s: a drift flag flips between the two days, the
-        prefix's prepends changed, or the change of the prefix's removal
-        set reaches the row's footprint or pools
-        (``IngressSimulator.touched``)."""
+        """Mask of the flow rows whose shares may differ from ``base``'s
+        (``changes``: from ``base``, None from ``_empty``): a drift flag
+        flips between the two days, the prefix's prepends changed, or the
+        change of the prefix's removal set reaches the row's footprint or
+        pools (``IngressSimulator.touched``)."""
         dest = self._flow_columns[2]
-        if base is self._empty:
+        if changes is None:
             return np.ones(len(dest), dtype=np.bool_)
-        stale, moved = self._changes(base, content)
+        old_day, day = changes.days
+        stale = (np.zeros(len(dest), dtype=np.bool_) if old_day == day
+                 else self._flip_mask(old_day, day))
+        if changes.prepended:
+            stale |= _marked(dest, changes.prepended,
+                             len(self._rows_per_dest))
+        moved = dict(changes.moved)
+        if changes.untouched is not None:
+            rest = [prefix for prefix in self._dest_prefixes
+                    if prefix not in changes.touched]
+            if rest:
+                moved[changes.untouched] = moved.get(changes.untouched,
+                                                     []) + rest
         # one scan per distinct reached set: a prefix withdrawn on its
         # own has a removal set of its own and so moves as its own
         # group, but a probe reaches every such group alike
@@ -412,7 +463,7 @@ class Scenario:
             by_reach.setdefault(self.simulator.touched(before, after),
                                 []).extend(prefixes)
         for (asns, links), prefixes in by_reach.items():
-            moving = _marked(dest, prefixes, self._dest_prefixes[-1] + 1)
+            moving = _marked(dest, prefixes, len(self._rows_per_dest))
             codes = [self._code_of[asn] for asn in asns
                      if asn in self._code_of]
             for reached, rows, read, size in (
@@ -421,29 +472,41 @@ class Scenario:
                     (list(links), base.pool_rows, base.pool_links,
                      len(base.rows_pooling))):
                 if reached:
-                    hit = _marked(read, reached, size) & moving[rows]
-                    stale[rows[hit]] = True
+                    hit = rows[_marked(read, reached, size)]
+                    stale[hit[moving[hit]]] = True
         return stale
 
-    def _estimate(self, base: _Expansion, content: _Content) -> float:
+    def _estimate(self, base: _Expansion, changes: _Changes) -> float:
         """A guess at how many rows ``_stale_rows`` would mark, to order
-        the candidate bases by and nothing else: per removal-set change
-        the rows whose pool held a removed link plus the rows that read
-        a restored link's owner, weighted by the share of the prefixes
-        that change covers (no routing table is consulted)."""
-        stale, moved = self._changes(base, content)
+        the candidate bases by and nothing else: the rows whose drift flag
+        flips or whose prefix's prepends changed, plus per removal-set
+        change the rows whose pool held a removed link plus the rows that
+        read a restored link's owner, weighted by the share of the
+        prefixes that change covers (no routing table is consulted)."""
+        (old_day, day), prepended = changes.days, changes.prepended
+        stale = 0
+        if old_day != day:
+            flipped = self._flipped(old_day, day)
+            stale = int(flipped.sum()) - int(flipped[prepended].sum())
+        if prepended:
+            stale += int(self._rows_per_dest[prepended].sum())
         # prefixes by the links a change removes and restores: the
         # changes of one probe mostly share them
         weights: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
-        for (before, after), prefixes in moved.items():
+        for (before, after), prefixes in changes.moved.items():
             change = (after - before, before - after)
             weights[change] = weights.get(change, 0) + len(prefixes)
+        if changes.untouched is not None:
+            before, after = changes.untouched
+            change = (after - before, before - after)
+            weights[change] = weights.get(change, 0) + len(
+                self._dest_prefixes) - len(changes.touched)
         reached = 0
+        pooling, reading = base.rows_pooling.item, base.rows_reading.item
         for (removed, restored), weight in weights.items():
-            owners = sorted({self._owner_of[link] for link in restored})
-            reached += weight * int(base.rows_pooling[list(removed)].sum()
-                                    + base.rows_reading[owners].sum())
-        return float(stale.sum() + reached / len(self._dest_prefixes))
+            reached += weight * (sum(map(pooling, removed)) + sum(map(
+                reading, {self._owner_of[link] for link in restored})))
+        return float(stale + reached / len(self._dest_prefixes))
 
     def stream(
         self,

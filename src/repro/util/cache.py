@@ -9,18 +9,23 @@ cheap enough to read on every export (``repro.obs`` gauges).
 
 ``capacity <= 0`` means unbounded — the same mapping, the same
 counters, no eviction — so callers can expose a single knob that turns
-bounding off for short-lived runs.  :class:`AnswerMemo` is the one memo
-of model answers (``TipsyService`` and ``ServeDaemon`` each hold one).
+bounding off for short-lived runs.  :class:`ArrayLru` is its twin for a
+batch of ``int64`` keys at a time, holding fixed-width float rows (the
+simulator's split memo); :func:`interleaved` and :func:`spliced` merge
+two ascending columns by ``np.searchsorted``.  :class:`AnswerMemo` is
+the one memo of model answers (``TipsyService`` and ``ServeDaemon``
+each hold one).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
-from itertools import compress, islice, repeat
-from operator import is_not
+from collections import OrderedDict
+from itertools import islice
 from typing import (Dict, Generic, Hashable, List, NamedTuple, Optional,
                     Sequence, Tuple, TypeVar, ValuesView)
+
+import numpy as np
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -56,17 +61,6 @@ class LruDict(Generic[K, V]):
         self._data.move_to_end(key)
         return value
 
-    def get_many(self, keys: Sequence[K]) -> List[Optional[V]]:
-        """:meth:`get` of every key, in one pass rather than a call each."""
-        data = self._data
-        found = list(map(data.get, keys))
-        missed = found.count(None)
-        self.misses += missed
-        self.hits += len(found) - missed
-        held = map(is_not, found, repeat(None))
-        deque(map(data.move_to_end, compress(keys, held)), maxlen=0)
-        return found
-
     def put(self, key: K, value: V) -> None:
         """Insert/overwrite ``key``, evicting the stalest entry if full."""
         self._data[key] = value
@@ -100,6 +94,140 @@ class LruDict(Generic[K, V]):
         if total == 0:
             return 0.0
         return self.hits / total
+
+
+def interleaved(kept: np.ndarray, new: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Where two ascending columns land once merged in order, each
+    side's order kept, when no value is on both sides (a value may
+    repeat within a side): a mask of the kept places and the new ones'
+    places, what a stable argsort of ``kept`` then ``new`` orders them
+    to, by ``np.searchsorted`` instead of a sort."""
+    new_at = np.searchsorted(kept, new) + np.arange(len(new), dtype=np.int64)
+    kept_at = np.ones(len(kept) + len(new), dtype=np.bool_)
+    kept_at[new_at] = False
+    return kept_at, new_at
+
+
+def spliced(kept: np.ndarray, new: np.ndarray, kept_at: np.ndarray,
+            new_at: np.ndarray) -> np.ndarray:
+    """``kept`` and ``new`` merged at the places :func:`interleaved`
+    gave (of ``kept``'s dtype)."""
+    merged = np.empty(len(kept_at), dtype=kept.dtype)
+    merged[kept_at] = kept
+    merged[new_at] = new
+    return merged
+
+
+class ArrayLru:
+    """Least-recently-used bounded memo of ``int64`` keys to fixed-width
+    ``float64`` rows, looked up and stored a batch of keys at a time, as
+    arrays.
+
+    Driven as :meth:`get_many` of a batch, then :meth:`put_many` of the
+    keys it missed (first-seen order), its counters, contents and
+    recency equal an :class:`LruDict`'s driven key by key: ``get`` of
+    every key in order, then ``put`` of each missed key.  The live keys
+    are one sorted array (a look-up is one ``np.searchsorted``), each
+    with a row of ``rows`` and the clock of its latest use; an eviction
+    drops the smallest clocks and frees their rows for later puts.
+    ``capacity <= 0`` means unbounded.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._keys = np.zeros(0, dtype=np.int64)   # sorted
+        self._slots = np.zeros(0, dtype=np.int64)  # each key's row
+        self._rows = np.zeros((0, width), dtype=np.float64)
+        self._clock = np.zeros(0, dtype=np.int64)  # per row: latest use
+        self._free = np.zeros(0, dtype=np.int64)
+        self._used = 0
+        self._now = 0
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of looked-up keys that hit (0.0 when unused)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def _find(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Which ``keys`` are held, and their rows (-1: not held)."""
+        if not len(self._keys):
+            return (np.zeros(len(keys), dtype=np.bool_),
+                    np.full(len(keys), -1, dtype=np.int64))
+        at = np.minimum(np.searchsorted(self._keys, keys),
+                        len(self._keys) - 1)
+        held = self._keys[at] == keys
+        return held, np.where(held, self._slots[at], -1)
+
+    def get_many(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each key's row (zeros if not held) and whether it was held;
+        every key counts a hit or a miss, and a held key's use is
+        refreshed in the order asked."""
+        held, slots = self._find(keys)
+        found = np.flatnonzero(held)
+        self.hits += len(found)
+        self.misses += len(keys) - len(found)
+        np.maximum.at(self._clock, slots[found], self._now + found)
+        self._now += len(keys)
+        rows = np.zeros((len(keys), self._rows.shape[1]),
+                        dtype=self._rows.dtype)
+        rows[found] = self._rows[slots[found]]
+        return rows, held
+
+    def put_many(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        """Store distinct keys none of which is held, with their rows,
+        in order; the stalest keys go once ``capacity`` is exceeded.
+        Raises ``ValueError`` for a key that is held or repeated."""
+        ranked = np.sort(keys)
+        if (ranked[1:] == ranked[:-1]).any() or self._find(ranked)[0].any():
+            raise ValueError("put_many takes distinct keys not held")
+        over = (len(self._keys) + len(keys) - self.capacity
+                if self.capacity > 0 else 0)
+        # a put evicts the stalest held key, then the earliest put ones
+        drop = min(max(over, 0), len(self._keys))
+        if drop:
+            stalest = np.argpartition(self._clock[self._slots],
+                                      drop - 1)[:drop]
+            self._free = np.concatenate((self._free, self._slots[stalest]))
+            kept = np.ones(len(self._keys), dtype=np.bool_)
+            kept[stalest] = False
+            self._keys, self._slots = self._keys[kept], self._slots[kept]
+        self.evictions += max(over, 0)
+        slots = self._claimed(len(keys))
+        self._rows[slots] = rows
+        self._clock[slots] = self._now + np.arange(len(keys), dtype=np.int64)
+        self._now += len(keys)
+        lost = max(over - drop, 0)
+        self._free = np.concatenate((self._free, slots[:lost]))
+        keys, slots = keys[lost:], slots[lost:]
+        order = np.argsort(keys)
+        places = interleaved(self._keys, keys[order])
+        self._keys = spliced(self._keys, keys[order], *places)
+        self._slots = spliced(self._slots, slots[order], *places)
+
+    def _claimed(self, n: int) -> np.ndarray:
+        """``n`` free rows: freed ones first, then new ones (the row
+        table grows by doubling)."""
+        reused, self._free = self._free[:n], self._free[n:]
+        begin = self._used
+        self._used += n - len(reused)
+        if self._used > len(self._rows):
+            size = max(self._used, 2 * len(self._rows))
+            rows = np.zeros((size,) + self._rows.shape[1:],
+                            dtype=self._rows.dtype)
+            rows[:begin] = self._rows[:begin]
+            clock = np.zeros(size, dtype=np.int64)
+            clock[:begin] = self._clock[:begin]
+            self._rows, self._clock = rows, clock
+        return np.concatenate((reused, np.arange(begin, self._used,
+                                                 dtype=np.int64)))
 
 
 class MemoStats(NamedTuple):

@@ -7,7 +7,8 @@ instead.  The mixer is a splitmix64-style finalizer: fast, well
 distributed, and reproducible across runs and platforms.
 
 :func:`mix64_columns`, :func:`unit_columns`, :func:`rotation_columns`:
-their column twins, each matrix row hashed as the scalar hashes it.
+their column twins, each matrix row hashed as the scalar hashes it;
+:func:`folded_seed` carries a fold's first columns over as a seed.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def mix64_columns(values: np.ndarray, seed: Union[int, np.ndarray] = 0,
         x ^= x >> _S31
         h = x if j < unmasked else np.where(j < lengths, x, h)
     return h
+
+
+def folded_seed(values: np.ndarray, seed: Union[int, np.ndarray] = 0
+                ) -> np.ndarray:
+    """The per-row seed that goes on from ``values``' fold:
+    ``mix64_columns(np.column_stack((values, rest)), seed, lengths)``
+    equals ``mix64_columns(rest, folded_seed(values, seed), lengths -
+    values.shape[1])``, so a fold's common first columns can be folded
+    once."""
+    return mix64_columns(values, seed) ^ _GOLDEN
 
 
 def unit_columns(values: np.ndarray, seed: Union[int, np.ndarray] = 0,

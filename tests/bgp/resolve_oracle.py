@@ -8,7 +8,7 @@ flow's latest full resolution is reused under another removal set when
 the change reaches nothing the walk read (``IngressSimulator.touched``).
 
 It asks the simulator only for what both paths share by design: routing
-tables, ``touched``, drift days and a peer's usable links.
+tables, ``touched``, drift days and a peer's links.
 
 :func:`resolve_one` is the other direction: one flow through the
 columnar ``resolve_shares``, read back as a :class:`Resolution`.
@@ -124,6 +124,13 @@ class ResolveOracle:
             self._share_cache[(flow, removed)] = found
         return found
 
+    def _usable(self, asn: int, removed: FrozenSet[int]
+                ) -> Tuple[Sequence[PeeringLink], Tuple[int, ...]]:
+        """A peer's links not in ``removed``, and their ids."""
+        kept = [l for l in self.sim._links_by_peer.get(asn, ())
+                if l.link_id not in removed]
+        return kept, tuple(l.link_id for l in kept)
+
     def _resolve(
         self,
         src_asn: int,
@@ -156,7 +163,7 @@ class ResolveOracle:
                 accum[link_id] = accum.get(link_id, 0.0) + frac * weight
 
         pocket = node.pocket_for(src_metro)
-        own, own_ids = self.sim._usable(src_asn, removed)
+        own, own_ids = self._usable(src_asn, removed)
         if pocket is not None:
             own = [l for l in own if l.metro in pocket.metros]
             own_ids = tuple(l.link_id for l in own)
@@ -229,7 +236,7 @@ class ResolveOracle:
             if info is None:
                 return None
             if info.direct:
-                links, ids = self.sim._usable(asn, removed)
+                links, ids = self._usable(asn, removed)
                 if links:
                     return entry_metro, links, ids
                 return None

@@ -565,6 +565,39 @@ class TestBoundedCaches:
         assert again is not first
         assert again.columns_equal(first)
 
+    def test_a_full_frame_starts_afresh(self, monkeypatch):
+        """With room for two tables, a call that needs another starts
+        the walk's frame afresh with all of its tables; every answer
+        equals a fresh simulator's."""
+        from repro.bgp import simulator as bgp_simulator
+
+        monkeypatch.setattr(bgp_simulator, "_FRAME_SLOTS", 2)
+        graph, wan = build_world()
+        sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
+        asns, metros, sources, dests = zip(*TestColumns.FLOWS)
+        columns = (np.array(asns, dtype=np.int64), metros,
+                   np.array(sources, dtype=np.int64),
+                   np.array(dests, dtype=np.int64))
+        sizes = []
+        # links down, then per prefix 1 withdrawn links: each set
+        # deseeds a peer, and the last call reads the first call's
+        # table and a new one
+        for down, withdrawn in (([4, 5], []), ([2, 3, 6], []),
+                                ([4, 5], [0, 1])):
+            state = AdvertisementState(wan)
+            for link in down:
+                state.set_link_down(link)
+            for link in withdrawn:
+                state.withdraw(1, link)
+            drifted = drifted_on(sim, asns, sources, dests, 2)
+            fresh = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
+            for mine, theirs in zip(
+                    sim.resolve_shares(*columns, state, drifted),
+                    fresh.resolve_shares(*columns, state, drifted)):
+                assert np.array_equal(mine, theirs)
+            sizes.append(sim.cache_stats()["frame_tables"])
+        assert sizes == [1, 2, 2]
+
     def test_export_gauges_includes_rates(self):
         from repro.obs import runtime as obs
 

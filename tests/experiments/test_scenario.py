@@ -8,6 +8,7 @@ from repro.bgp import simulator as bgp_simulator
 from repro.experiments import Scenario, ScenarioParams
 from repro.experiments import scenario as scenario_module
 from repro.telemetry.ipfix import IpfixExporter
+from repro.util.cache import ArrayLru
 from tests.bgp.resolve_oracle import ResolveOracle
 
 
@@ -350,7 +351,7 @@ class TestCountedWork:
         estimate = Scenario._estimate
         monkeypatch.setattr(
             Scenario, "_estimate",
-            lambda self, base, content: -estimate(self, base, content))
+            lambda self, base, changes: -estimate(self, base, changes))
         sc, state, _base, _links = self.world()
         self.probe(sc, state, first)
         del calls[:]
@@ -375,9 +376,9 @@ class TestCountedWork:
         derived = []
         stale_rows = Scenario._stale_rows
 
-        def recorded(scenario, base, content):
-            derived.append((base, content))
-            return stale_rows(scenario, base, content)
+        def recorded(scenario, base, changes):
+            derived.append((base, changes))
+            return stale_rows(scenario, base, changes)
 
         scanned = []
         marked = scenario_module._marked
@@ -391,8 +392,12 @@ class TestCountedWork:
         self.probe(sc, state, link)
         monkeypatch.undo()
 
-        (base, content), = derived
-        _stale, moved = sc._changes(base, content)
+        (base, changes), = derived
+        # the prefixes neither content touched move as one more group
+        moved = dict(changes.moved)
+        if (changes.untouched is not None
+                and len(changes.touched) < len(sc._dest_prefixes)):
+            moved.setdefault(changes.untouched, [])
         reached = {sc.simulator.touched(*change) for change in moved}
         assert len(moved) >= 6 > len(reached)
         dest = sc._flow_columns[2]
@@ -441,8 +446,10 @@ class TestCountedWork:
 
 class TestCountedProbeWork:
     """What a probe's stream pays for, counted call by call: no IPFIX
-    draw that nothing reads, no per-row drift lookup in a derive, and
-    one stack of routing tables per removal-key set."""
+    draw that nothing reads, no per-row drift lookup in a derive, one
+    stack of routing tables per removal-key set, one decision per
+    pocket and removal key, split look-ups by int key, and one
+    comparison of each cached expansion with the content asked for."""
 
     HOUR = 30
 
@@ -523,3 +530,62 @@ class TestCountedProbeWork:
         assert len(stacked) == len(set(stacked)) > 0
         # the probes of later days ask for the same sets again
         assert sc.simulator.cache_stats()["stack_hits"] > 0
+
+    def test_a_pocket_decision_is_made_once_per_removal_key(self, spied):
+        spied["spy"](IngressSimulator, "_decide",
+                     lambda pocket, removed, table: (pocket, removed))
+        sc, state, _base, links = self.world(spied)
+        held = sc._expansions._data
+        (streamed,) = held
+        for link in links:
+            self.probe(sc, state, link, self.HOUR)
+        made = list(spied["_decide"])
+        hits = sc.simulator.cache_stats()["decision_hits"]
+        # the probes derived again from S, asking the same pockets under
+        # the same removal keys: every decision is read, none made
+        for content in [key for key in held if key != streamed]:
+            del held[content]
+        for link in links:
+            self.probe(sc, state, link, self.HOUR)
+        assert len(made) == len(set(made)) > 0
+        assert spied["_decide"] == made
+        assert sc.simulator.cache_stats()["decision_hits"] - hits >= len(
+            made)
+
+    def test_a_split_hit_builds_no_per_lane_tuple(self, spied):
+        """The split memo is asked one int64 array, a key per lane, and a
+        repeat of the same rows finds every split."""
+        spied["spy"](ArrayLru, "get_many", lambda keys: keys)
+        spied["spy"](IngressSimulator, "_draw_splits", lambda todo: todo)
+        sc, state, _base, _links = self.world(spied)
+        sim = sc.simulator
+        columns = (sc._flow_columns[1][:200], sc._src_metros[:200],
+                   sc._flow_columns[0][:200], sc._flow_columns[2][:200],
+                   state)
+        sim.resolve_shares(*columns)
+        del spied["get_many"][:], spied["_draw_splits"][:]
+        hits = sim.cache_stats()["share_hits"]
+        sim.resolve_shares(*columns)
+        (keys,), drawn = spied["get_many"], spied["_draw_splits"]
+        assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+        assert drawn == []
+        assert sim.cache_stats()["share_hits"] - hits == len(keys) > 0
+
+    def test_changes_run_once_per_cached_expansion(self, spied):
+        """A miss compares the content with each cached expansion once;
+        the base it derives from reuses its comparison."""
+        spied["spy"](Scenario, "_changes", lambda base, content: base)
+        spied["spy"](Scenario, "_stale_rows",
+                     lambda base, changes: (base, changes))
+        sc, state, _base, links = self.world(spied)
+        self.probe(sc, state, links[0], self.HOUR)
+        del spied["_changes"][:], spied["_stale_rows"][:]
+        cached = list(sc._expansions.values())
+        self.probe(sc, state, links[1], self.HOUR)
+        compared = spied["_changes"]
+        assert len(cached) >= 2
+        assert sorted(map(id, compared)) == sorted(map(id, cached))
+        ((base, changes),) = spied["_stale_rows"]
+        assert any(base is each for each in cached)
+        assert changes.days == (base.content[0], self.HOUR // 24)
+

@@ -83,7 +83,7 @@ def assert_counts(scenario, held):
     """The per-AS and per-link row counts a derive carried over from its
     base equal a fresh count of the expansion's own pairs."""
     assert np.array_equal(held.rows_reading, _rows_per(
-        scenario._as_codes(held.footprint_asns), len(held.rows_reading)))
+        held.footprint_codes, len(held.rows_reading)))
     assert np.array_equal(held.rows_pooling, _rows_per(
         held.pool_links, len(held.rows_pooling)))
 
@@ -154,7 +154,8 @@ class TestRevisitedStates:
             walked, pooled = read_from_scratch(reference, oracle, day,
                                                mirror)
             assert np.array_equal(
-                pairs(held.footprint_rows, held.footprint_asns), walked)
+                pairs(held.footprint_rows,
+                      scenario._asns[held.footprint_codes]), walked)
             assert np.array_equal(
                 pairs(held.pool_rows, held.pool_links), pooled)
             assert_counts(scenario, held)

@@ -4,7 +4,8 @@
 row of an integer matrix as ``mix64``, ``unit`` and ``rotation`` hash its
 values: taken mod 2**64 (int64 negatives, uint64 values from 2**63), with
 one seed or one per row, and a row's trailing values masked off by its
-length.  ``unit``'s ``uint64 -> float64`` rounding is pinned exactly on
+length; a row's first values folded into a seed (``folded_seed``) and
+the rest hashed from it hash as the whole row.  ``unit``'s ``uint64 -> float64`` rounding is pinned exactly on
 the half-way cases, reached through the public function by inverting
 the finalizer.
 """
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.hashing import (mix64, mix64_columns, rotation,
+from repro.util.hashing import (folded_seed, mix64, mix64_columns, rotation,
                                 rotation_columns, unit, unit_columns)
 
 MASK = (1 << 64) - 1
@@ -99,6 +100,18 @@ class TestColumnTwins:
         full = np.full(len(values), values.shape[1], dtype=np.int64)
         assert np.array_equal(mix64_columns(values, seed),
                               mix64_columns(values, seed, full))
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_a_folded_seed_goes_on_from_the_first_values(self, case):
+        """Folding the first values once, as a seed per row, and the
+        rest from it hashes as folding the whole row."""
+        values, lengths, seed = case
+        assert np.array_equal(
+            mix64_columns(values[:, HEAD:],
+                          folded_seed(values[:, :HEAD], seed),
+                          lengths - HEAD),
+            mix64_columns(values, seed, lengths))
 
     def test_rotation_needs_n_of_one_or_more(self):
         values = np.zeros((2, 1), dtype=np.int64)

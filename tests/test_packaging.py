@@ -162,3 +162,20 @@ def test_no_product_module_builds_record_objects_from_columns():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "to_records"]
     assert not offenders, offenders
+
+
+def test_no_two_bare_test_modules_share_a_name():
+    """pytest imports a test module outside a package by its basename,
+    so two such modules of one name under ``tests/`` and ``benchmarks/``
+    cannot be collected in one run ("import file mismatch")."""
+    seen = {}
+    clashes = []
+    for root in ("tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / root).rglob("test_*.py")):
+            if (path.parent / "__init__.py").exists():
+                continue
+            first = seen.setdefault(path.name, path)
+            if first != path:
+                clashes.append(f"{first.relative_to(REPO_ROOT)} and "
+                               f"{path.relative_to(REPO_ROOT)}")
+    assert not clashes, clashes

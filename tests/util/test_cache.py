@@ -1,8 +1,11 @@
 """Tests for the bounded LRU mapping behind the simulator caches and
 the answer memo behind the service and the daemon."""
 
+import numpy as np
+import pytest
+
 from repro.util import LruDict
-from repro.util.cache import AnswerMemo
+from repro.util.cache import AnswerMemo, ArrayLru
 
 
 class TestLruDict:
@@ -30,21 +33,6 @@ class TestLruDict:
         assert cache.get("zzz", count=False) is None
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.hit_rate == 0.0
-
-    def test_get_many_is_get_of_every_key(self):
-        """Values in order, every look-up counted, hits refreshed in the
-        order asked, a falsy value a hit."""
-        many: LruDict[int, tuple] = LruDict(capacity=3)
-        one: LruDict[int, tuple] = LruDict(capacity=3)
-        for cache in (many, one):
-            for key in (1, 2, 3):
-                cache.put(key, (key,) * (key - 1))
-        keys = [2, 9, 1, 2]
-        assert many.get_many(keys) == [one.get(key) for key in keys]
-        assert (many.hits, many.misses) == (one.hits, one.misses) == (3, 1)
-        for cache in (many, one):
-            cache.put(4, ())             # evicts 3, now the stalest
-        assert list(many.values()) == list(one.values()) == [(), (2,), ()]
 
     def test_evicts_least_recently_used(self):
         cache: LruDict[int, int] = LruDict(capacity=3)
@@ -89,6 +77,82 @@ class TestLruDict:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (1, 1)
+
+
+def drive(capacity, batches):
+    """The same batches of int keys through an ``ArrayLru`` (a batch at
+    a time) and an ``LruDict`` (a key at a time: ``get`` of each, then
+    ``put`` of each missed key, first seen first); a key's row is
+    derived from the key.  Both, and each batch's two answers."""
+    memo, loop = ArrayLru(capacity, 2), LruDict(capacity)
+    answers = []
+    for batch in batches:
+        keys = np.array(batch, dtype=np.int64)
+        rows, held = memo.get_many(keys)
+        found = [loop.get(key) for key in batch]
+        missed = list(dict.fromkeys(
+            key for key, row in zip(batch, found) if row is None))
+        memo.put_many(np.array(missed, dtype=np.int64),
+                      np.array([[key, -key] for key in missed],
+                               dtype=np.float64).reshape(-1, 2))
+        for key in missed:
+            loop.put(key, (float(key), float(-key)))
+        answers.append((rows[held].tolist(),
+                        [list(row) for row in found if row is not None]))
+    return memo, loop, answers
+
+
+class TestArrayLru:
+    """``get_many`` over int keys, then ``put_many`` of the misses,
+    equals a loop of ``get`` and ``put`` on an ``LruDict``: hits,
+    misses, evictions, what is held and what it answers."""
+
+    @pytest.mark.parametrize("capacity", [0, 1, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_equal_a_loop_of_get_and_put(self, capacity, seed):
+        rng = np.random.default_rng(seed)
+        # repeats within a batch, batches larger than the capacity, and
+        # keys that come back after being evicted
+        batches = [rng.integers(0, 12, int(rng.integers(0, 10))).tolist()
+                   for _ in range(60)]
+        memo, loop, answers = drive(capacity, batches)
+        for mine, theirs in answers:
+            assert mine == theirs
+        assert (memo.hits, memo.misses, memo.evictions) == (
+            loop.hits, loop.misses, loop.evictions)
+        assert loop.evictions > 0 or capacity in (0, 8)
+        assert len(memo) == len(loop)
+        # the same keys held, in the same order of use: one key asked
+        # at a time, each answers what the loop answers, and a put past
+        # the capacity evicts the same stalest key
+        for key in range(12):
+            rows, held = memo.get_many(np.array([key], dtype=np.int64))
+            row = loop.get(key)
+            assert bool(held[0]) == (row is not None)
+            if row is not None:
+                assert tuple(rows[0]) == row
+
+    def test_put_many_refuses_held_or_repeated_keys(self):
+        memo = ArrayLru(4, 1)
+        memo.put_many(np.array([1, 2], dtype=np.int64), np.ones((2, 1)))
+        for keys in ([2, 3], [3, 3]):
+            with pytest.raises(ValueError):
+                memo.put_many(np.array(keys, dtype=np.int64),
+                              np.ones((2, 1)))
+        assert len(memo) == 2
+
+    def test_evicted_rows_are_reused(self):
+        """Rows an eviction frees hold later puts: the table stays at
+        the capacity plus the largest put."""
+        memo = ArrayLru(3, 1)
+        for start in range(0, 30, 2):
+            keys = np.arange(start, start + 2, dtype=np.int64)
+            memo.put_many(keys, keys[:, None].astype(np.float64))
+        assert len(memo) == 3 and memo.evictions == 27
+        assert len(memo._rows) <= 5
+        rows, held = memo.get_many(np.arange(26, 30, dtype=np.int64))
+        assert held.tolist() == [False, True, True, True]
+        assert rows[1:, 0].tolist() == [27.0, 28.0, 29.0]
 
 
 class TestAnswerMemo:
