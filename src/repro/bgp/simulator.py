@@ -48,17 +48,14 @@ not as a lookup per row.
 
 A call pays per row, not per call, for what it can keep:
 
-- Routing tables are cached per removal key and per set of peers that
-  go dark, a miss of both computed from scratch
-  (``compute_routing_table``, over a policy-bias column built once); a
-  removal-key set's tables are kept too (``_STACK_SLOTS``).  The walk
-  reads each table's ``direct`` and ``nexthops`` columns from one frame
-  that holds every table once (``_FRAME_SLOTS``), not a stack built per
-  call.
-- A pocket's decision is kept per (pocket, removal key)
-  (``_DECISION_SLOTS``), and a candidate pool without TE per (AS, entry
-  metro, pocket, the AS's removed links) (``_POOL_SLOTS``), as the id of
-  the pool, interned.
+- Routing tables are cached by the set of peers that go dark (those a
+  removal set leaves with no link: each such set names one seeded set),
+  a miss computed from scratch (``compute_routing_table``, over a
+  policy-bias column built once).  The walk reads each table's
+  ``direct`` and ``nexthops`` columns from one frame that holds every
+  table once (``_FRAME_SLOTS``), not a stack built per call.
+- A candidate pool without TE is kept per (AS, entry metro, pocket, the
+  AS's removed links) (``_POOL_SLOTS``), as the id of the pool, interned.
 - The split past the candidate pool, the one per-flow memo, is keyed by
   one int per delivering lane, packed from (pool id, src prefix, dest
   prefix, rotation) at widths fixed here (``_POOL_BITS`` ...; an id past
@@ -72,7 +69,6 @@ A call pays per row, not per call, for what it can keep:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import (Dict, FrozenSet, List, Optional,
@@ -90,15 +86,10 @@ from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
                           default_bias)
 from .state import AdvertisementState
 
-#: removal-key sets whose tables are kept: a probe's set recurs when the
-#: same link is probed again on a later hour
-_STACK_SLOTS = 64
 #: routing tables the walk's frame holds at once
 _FRAME_SLOTS = 256
 #: candidate pools kept by (AS, entry metro, pocket, its removed links)
 _POOL_SLOTS = 1 << 16
-#: pocket decisions kept by (pocket, removal key)
-_DECISION_SLOTS = 1 << 14
 #: the split memo's key is one int, its fields high to low: interned
 #: pool id, src prefix, dest prefix, rotation; an id past its field's
 #: width is refused (``ValueError``)
@@ -191,8 +182,8 @@ class IngressSimulator:
         self._links_by_peer: Dict[int, Tuple[PeeringLink, ...]] = {
             asn: wan.links_of_peer(asn) for asn in wan.peer_asns
         }
-        self._link_ids_by_peer: Dict[int, Tuple[int, ...]] = {
-            asn: tuple(l.link_id for l in links)
+        self._link_ids_by_peer: Dict[int, FrozenSet[int]] = {
+            asn: frozenset(l.link_id for l in links)
             for asn, links in self._links_by_peer.items()
         }
         self._peer_asns = frozenset(a for a in wan.peer_asns if a in graph)
@@ -201,11 +192,9 @@ class IngressSimulator:
             link_id: asn for asn, ids in self._link_ids_by_peer.items()
             if asn in self._peer_asns for link_id in ids}
         p = self.params
-        self._table_by_removed: LruDict[FrozenSet[int], RoutingTable] = \
-            LruDict(p.table_cache_size)
         # keyed by the peers that go dark (lose every link): the seeded
         # set is the rest, so each key names one seeded set
-        self._table_by_dark: LruDict[FrozenSet[int], RoutingTable] = \
+        self._tables: LruDict[FrozenSet[int], RoutingTable] = \
             LruDict(p.table_cache_size)
         # the split memo: (pool id, src prefix, dest prefix, rotation),
         # packed into one int (``_POOL_BITS`` ...), -> the split as six
@@ -218,27 +207,10 @@ class IngressSimulator:
         self._pool_links = np.full((0, p.candidate_pool_size), -1,
                                    dtype=np.int64)
         self._pool_sizes = np.zeros(0, dtype=np.int64)
-        self._stacks: LruDict[Tuple[FrozenSet[int], ...],
-                              Tuple[RoutingTable, ...]] = \
-            LruDict(_STACK_SLOTS)
-        self._touched_cache: LruDict[
-            Tuple[FrozenSet[int], FrozenSet[int]],
-            Tuple[FrozenSet[int], FrozenSet[int]]] = \
-            LruDict(p.table_cache_size)
-        self._drift_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
         # (AS row, entry metro code, pocket, the AS's removed links) ->
         # the id of the candidate pool without TE
         self._ranked_pools: LruDict[Tuple[int, int, int, FrozenSet[int]],
                                     int] = LruDict(_POOL_SLOTS)
-        # (pocket, removal key) -> the pocket's decision: delivers on its
-        # own links (1/0), the providers it hands over to, its providers
-        # (each -1 padded to the walk's width)
-        self._decisions: LruDict[Tuple[int, FrozenSet[int]],
-                                 Tuple[int, ...]] = \
-            LruDict(_DECISION_SLOTS)
-        self._p_cache: Dict[Tuple[int, int], float] = {}
-        # the tables computed (the LRU caches carry their own counters)
-        self._table_full_rebuilds = 0
         # the walk's frame: dense AS rows (those of every routing table),
         # metro codes, each (AS row, metro)'s pocket (the AS's first that
         # holds the metro, -1: none) and entry metro (-1 until first used)
@@ -295,9 +267,8 @@ class IngressSimulator:
         is gone; ids the WAN does not have are ignored."""
         ids_of = self._link_ids_by_peer
         return frozenset(
-            asn for asn, n in Counter(map(self._peer_of_link.get,
-                                          removed)).items()
-            if asn is not None and n == len(ids_of[asn]))
+            asn for asn in set(map(self._peer_of_link.get, removed))
+            if asn is not None and ids_of[asn] <= removed)
 
     def _check_graph(self) -> None:
         if self.graph.dense() is not self._topo:
@@ -306,29 +277,22 @@ class IngressSimulator:
 
     def routing_table(self, removed: FrozenSet[int]) -> RoutingTable:
         """AS-level routing table for a set of removed links (cached per
-        removal key and per seeded-neighbor set, the latter keyed by the
-        peers that go dark; a miss of both computes the table).  Raises
-        ``RuntimeError`` once the AS graph has changed after the
-        simulator was built."""
+        seeded-neighbor set, keyed by the peers that go dark; a miss
+        computes the table).  Raises ``RuntimeError`` once the AS graph
+        has changed after the simulator was built."""
         self._check_graph()
-        table = self._table_by_removed.get(removed)
-        if table is not None:
-            return table
         dark = self._dark_peers(removed)
-        table = self._table_by_dark.get(dark)
+        table = self._tables.get(dark)
         if table is None:
-            self._table_full_rebuilds += 1
-            table = compute_routing_table(
+            table = self._tables[dark] = compute_routing_table(
                 self.graph, self._peer_asns - dark, self._bias)
-            self._table_by_dark[dark] = table
-        self._table_by_removed[removed] = table
         return table
 
     def touched(self, before: FrozenSet[int], after: FrozenSet[int]
                 ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """The footprint rule, as (ASes, links): a resolution made under
         ``before`` stands under ``after`` unless its footprint meets the
-        ASes or its pools meet the links (cached).
+        ASes or its pools meet the links.
 
         The ASes are those whose route differs between the two tables
         and the owners of the *restored* links: any pool of the owner may
@@ -338,30 +302,10 @@ class IngressSimulator:
         link is always in the pool (pocket-filtered and TE-ranked alike),
         so no link list empties without a pool member going; and a peer
         losing its last link changes the tables."""
-        key = (before, after)
-        touched = self._touched_cache.get(key)
-        if touched is None:
-            touched = (frozenset(
-                self.wan.link(l).peer_asn for l in before - after
-            ) | self.routing_table(before).changed_asns(
-                self.routing_table(after)), after - before)
-            self._touched_cache[key] = touched
-        return touched
-
-    def _stacked(self, removals: Tuple[FrozenSet[int], ...]
-                 ) -> Tuple[RoutingTable, ...]:
-        """The tables of ``removals`` (cached per removal-key tuple)."""
-        self._check_graph()
-        stack = self._stacks.get(removals)
-        if stack is None:
-            stack = self._stack(removals)
-            self._stacks[removals] = stack
-        return stack
-
-    def _stack(self, removals: Tuple[FrozenSet[int], ...]
-               ) -> Tuple[RoutingTable, ...]:
-        """One routing table per removal key."""
-        return tuple(map(self.routing_table, removals))
+        return (frozenset(
+            self.wan.link(l).peer_asn for l in before - after
+        ) | self.routing_table(before).changed_asns(
+            self.routing_table(after)), after - before)
 
     def _framed(self, tables: Tuple[RoutingTable, ...]) -> np.ndarray:
         """Each table's row of the walk's frame (``_direct``, ``_hops``,
@@ -410,28 +354,11 @@ class IngressSimulator:
 
     def drift_days(self, src_asn: int, src_prefix: int,
                    dest_prefix: int) -> Tuple[int, int]:
-        """(minor shift day, major shift day) for a flow (memoized)."""
-        key = (src_asn, src_prefix, dest_prefix)
-        days = self._drift_cache.get(key)
-        if days is None:
-            days = (
-                geometric_day(self.params.minor_drift_daily,
-                              src_asn, src_prefix, dest_prefix, 11,
-                              seed=self.seed),
-                geometric_day(self.params.major_drift_daily,
-                              src_asn, src_prefix, dest_prefix, 13,
-                              seed=self.seed),
-            )
-            self._drift_cache[key] = days
-        return days
-
-    def drift_state(self, src_asn: int, src_prefix: int, dest_prefix: int,
-                    day: Optional[int]) -> Tuple[bool, bool]:
-        """(minor_shifted, major_shifted) for a flow on a given day."""
-        if day is None:
-            return (False, False)
-        minor_day, major_day = self.drift_days(src_asn, src_prefix, dest_prefix)
-        return (day >= minor_day, day >= major_day)
+        """(minor shift day, major shift day) for a flow."""
+        return (geometric_day(self.params.minor_drift_daily, src_asn,
+                              src_prefix, dest_prefix, 11, seed=self.seed),
+                geometric_day(self.params.major_drift_daily, src_asn,
+                              src_prefix, dest_prefix, 13, seed=self.seed))
 
     # -- resolution -----------------------------------------------------------
 
@@ -490,7 +417,7 @@ class IngressSimulator:
             at_prefix.append(index.setdefault(key, len(index)))
         removals = tuple(index)
         tix = np.array(at_prefix, dtype=np.int64)[prefix_at]
-        tables = self._stacked(removals)
+        tables = tuple(map(self.routing_table, removals))
         row_of = self._framed(tables)[tix]
         # an AS without a route has no next-hops; a direct AS has a route
         direct, hops, n_hops = self._direct, self._hops, self._n_hops
@@ -512,7 +439,7 @@ class IngressSimulator:
         cands[known, :MAX_NEXTHOPS] = hops[t_k, s_k]
         # a pocketed source reads its pocket's providers too, delivers
         # only on the pocket's links, else via its providers with a route
-        # (decided once per pocket and removal key, ``_decided``)
+        # (``_decide``, once per pocket and removal key of the call)
         in_pocket = np.full(n, -1, dtype=np.int64)
         in_pocket[known] = self._pocket_of[s_k, metro[known]]
         pocketed = np.flatnonzero(in_pocket >= 0)
@@ -520,7 +447,7 @@ class IngressSimulator:
             in_pocket[pocketed] * len(tables) + tix[pocketed],
             len(self._pockets) * len(tables))
         decided = np.array(
-            [self._decided(pocket, removals[t], tables[t])
+            [self._decide(pocket, removals[t], tables[t])
              for pocket, t in map(divmod, groups.tolist(),
                                   repeat(len(tables)))],
             dtype=np.int64).reshape(-1, 1 + 2 * self._width)[which]
@@ -654,16 +581,6 @@ class IngressSimulator:
                 np.broadcast_to(d_row[:, None], pooled.shape)[pooled >= 0],
                 pooled[pooled >= 0])
 
-    def _decided(self, pocket: int, removed: FrozenSet[int],
-                 table: RoutingTable) -> Tuple[int, ...]:
-        """:meth:`_decide`, cached per (pocket, removal key)."""
-        key = (pocket, removed)
-        decision = self._decisions.get(key)
-        if decision is None:
-            decision = self._decisions[key] = self._decide(pocket, removed,
-                                                           table)
-        return decision
-
     def _decide(self, pocket: int, removed: FrozenSet[int],
                 table: RoutingTable) -> Tuple[int, ...]:
         """A pocket's decision under removal key ``removed`` (whose table
@@ -796,21 +713,12 @@ class IngressSimulator:
         held = first < sizes[:, None]
         take = ordered[starts[:, None]
                        + (first + rotate[:, None]) % sizes[:, None]]
-        flows = list(zip(src.tolist(), dest.tolist()))
-        new = [flow for flow in dict.fromkeys(flows)
-               if flow not in self._p_cache]
-        if new:
-            u = unit_columns(np.column_stack((
-                np.array(new, dtype=np.int64).reshape(-1, 2),
-                np.full(len(new), 19, dtype=np.int64))), self.seed)
-            self._p_cache.update(zip(new, (
-                params.primary_share_lo
-                + (params.primary_share_hi - params.primary_share_lo)
-                * (1.0 - np.array(list(map(pow, u.tolist(), repeat(
-                    params.primary_share_skew, len(new)))),
-                    dtype=np.float64))).tolist()))
-        p = np.array(list(map(self._p_cache.__getitem__, flows)),
-                     dtype=np.float64)
+        u = unit_columns(np.column_stack((
+            src, dest, np.full(len(todo), 19, dtype=np.int64))), self.seed)
+        p = params.primary_share_lo + (
+            params.primary_share_hi - params.primary_share_lo) * (
+            1.0 - np.array(list(map(pow, u.tolist(), repeat(
+                params.primary_share_skew, len(todo)))), dtype=np.float64))
         sw = params.secondary_weight
         raw = np.column_stack((p, (1.0 - p) * sw,
                                (1.0 - p) * (1.0 - sw)))
@@ -856,25 +764,16 @@ class IngressSimulator:
         return {
             "share_entries": len(self._split_memo),
             "entry_metro_entries": int(np.count_nonzero(self._entry_of >= 0)),
-            "touched_entries": len(self._touched_cache),
-            "drift_entries": len(self._drift_cache),
             "ranked_pool_entries": len(self._ranked_pools),
-            "primary_share_entries": len(self._p_cache),
-            "tables_by_removed": len(self._table_by_removed),
-            "tables_by_seeded": len(self._table_by_dark),
-            "stack_entries": len(self._stacks),
+            "tables_by_seeded": len(self._tables),
             "share_hits": self._split_memo.hits,
             "share_misses": self._split_memo.misses,
             "share_evictions": self._split_memo.evictions,
-            "table_hits": self._table_by_removed.hits,
-            "table_misses": self._table_by_removed.misses,
-            "table_seeded_hits": self._table_by_dark.hits,
-            "table_seeded_misses": self._table_by_dark.misses,
-            "table_evictions": (self._table_by_removed.evictions
-                                + self._table_by_dark.evictions),
-            "table_full_rebuilds": self._table_full_rebuilds,
-            "stack_hits": self._stacks.hits,
-            "stack_misses": self._stacks.misses,
+            "table_hits": self._tables.hits,
+            "table_misses": self._tables.misses,
+            "table_evictions": self._tables.evictions,
+            # every miss computes a table
+            "table_full_rebuilds": self._tables.misses,
             # no table is repaired; the benchmark's churn workload still
             # reads this key (benchmarks/e2e/tipsybench/churn.py)
             "table_incremental_updates": 0,
@@ -882,9 +781,6 @@ class IngressSimulator:
             "ranked_pool_misses": self._ranked_pools.misses,
             "interned_pools": len(self._pool_ids),
             "frame_tables": len(self._frame),
-            "decision_entries": len(self._decisions),
-            "decision_hits": self._decisions.hits,
-            "decision_misses": self._decisions.misses,
         }
 
     def export_gauges(self) -> None:
@@ -901,6 +797,5 @@ class IngressSimulator:
         gauges = {key: float(value)
                   for key, value in self.cache_stats().items()}
         gauges["share_hit_rate"] = self._split_memo.hit_rate
-        gauges["table_hit_rate"] = self._table_by_removed.hit_rate
-        gauges["stack_hit_rate"] = self._stacks.hit_rate
+        gauges["table_hit_rate"] = self._tables.hit_rate
         obs.set_gauges(gauges, prefix="bgp.simulator.")

@@ -13,7 +13,7 @@ tables, ``touched``, drift days and a peer's links.
 :func:`resolve_one` is the other direction: one flow through the
 columnar ``resolve_shares``, read back as a :class:`Resolution`.
 :func:`drifted_on` is the per-row drift lookup ``resolve_shares`` made
-before it took a ``drifted`` column.
+before it took a ``drifted`` column, one :func:`drift_state` a row.
 """
 
 from __future__ import annotations
@@ -44,6 +44,17 @@ class Resolution(NamedTuple):
     removed: FrozenSet[int]
 
 
+def drift_state(simulator: IngressSimulator, src_asn: int, src_prefix: int,
+                dest_prefix: int, day: Optional[int]) -> Tuple[bool, bool]:
+    """(minor shifted, major shifted) for a flow on ``day``: on or past
+    its ``drift_days``; neither without a day."""
+    if day is None:
+        return (False, False)
+    minor_day, major_day = simulator.drift_days(src_asn, src_prefix,
+                                                dest_prefix)
+    return (day >= minor_day, day >= major_day)
+
+
 def drifted_on(simulator: IngressSimulator, src_asn: Sequence[int],
                src_prefix: Sequence[int], dest_prefix: Sequence[int],
                day: Optional[int]) -> Optional[np.ndarray]:
@@ -51,8 +62,8 @@ def drifted_on(simulator: IngressSimulator, src_asn: Sequence[int],
     ``drifted`` column ``resolve_shares`` takes (None without a day)."""
     if day is None:
         return None
-    return np.array([simulator.drift_state(int(asn), int(source),
-                                           int(dest), day)
+    return np.array([drift_state(simulator, int(asn), int(source),
+                                 int(dest), day)
                      for asn, source, dest in zip(src_asn, src_prefix,
                                                   dest_prefix)],
                     dtype=np.bool_).reshape(-1, 2)
@@ -101,8 +112,8 @@ class ResolveOracle:
                    day: Optional[int] = None) -> Resolution:
         removed = state.removal_key(dest_prefix)
         prepends = state.prepend_key(dest_prefix)
-        minor, major = self.sim.drift_state(src_asn, src_prefix,
-                                            dest_prefix, day)
+        minor, major = drift_state(self.sim, src_asn, src_prefix,
+                                   dest_prefix, day)
         flow = (src_asn, src_metro, src_prefix, dest_prefix, prepends,
                 minor, major)
         found = self._share_cache.get((flow, removed))

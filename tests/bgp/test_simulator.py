@@ -1,5 +1,8 @@
 """Tests for the ingress simulator: the ground-truth routing engine."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from repro.topology import (
     Relationship,
 )
 
-from .resolve_oracle import ResolveOracle, drifted_on, resolve_one
+from .resolve_oracle import (ResolveOracle, drift_state, drifted_on,
+                             resolve_one)
 
 
 def build_world(pocket_metros=("sin",)):
@@ -311,7 +315,6 @@ class TestFootprintRule:
         moved = resolve_one(sim, *self.STUB, state)
         assert not self.stands(sim, third, moved.removed)
         assert moved.shares == self.fresh(wan, {0, 3})
-        assert sim.cache_stats()["touched_entries"] >= 3
 
     def test_a_removed_link_reaches_only_the_pools_that_held_it(self, world):
         _g, wan, sim = world
@@ -423,14 +426,14 @@ class TestFootprintRule:
 class TestDrift:
     def test_no_day_means_no_drift(self, world):
         _g, wan, sim = world
-        assert sim.drift_state(4, 100, 0, None) == (False, False)
+        assert drift_state(sim, 4, 100, 0, None) == (False, False)
 
     def test_drift_monotone_in_time(self, world):
         _g, wan, sim = world
         minor_day, major_day = sim.drift_days(4, 100, 0)
-        assert sim.drift_state(4, 100, 0, minor_day - 1)[0] is False
-        assert sim.drift_state(4, 100, 0, minor_day)[0] is True
-        assert sim.drift_state(4, 100, 0, major_day)[1] is True
+        assert drift_state(sim, 4, 100, 0, minor_day - 1)[0] is False
+        assert drift_state(sim, 4, 100, 0, minor_day)[0] is True
+        assert drift_state(sim, 4, 100, 0, major_day)[1] is True
 
     def test_some_flows_drift_within_horizon(self, world):
         graph, wan = build_world()
@@ -489,15 +492,24 @@ class TestCacheStats:
     def test_all_caches_reported(self, world):
         _g, wan, sim = world
         stats = sim.cache_stats()
-        for key in ("share_entries", "entry_metro_entries", "touched_entries",
-                    "drift_entries", "ranked_pool_entries",
-                    "primary_share_entries", "tables_by_removed",
-                    "tables_by_seeded", "share_hits", "share_misses",
-                    "table_hits", "table_misses", "ranked_pool_hits",
-                    "ranked_pool_misses", "stack_entries", "stack_hits",
-                    "stack_misses"):
+        for key in ("share_entries", "entry_metro_entries",
+                    "ranked_pool_entries", "tables_by_seeded",
+                    "share_hits", "share_misses", "share_evictions",
+                    "table_hits", "table_misses", "table_evictions",
+                    "table_full_rebuilds", "table_incremental_updates",
+                    "ranked_pool_hits", "ranked_pool_misses",
+                    "interned_pools", "frame_tables"):
             assert key in stats, key
             assert stats[key] == 0
+
+    def test_every_key_the_benchmark_reads_is_reported(self, world):
+        """The churn workload reads the simulator's counters by name
+        (``bgp["..."]``) half-way through a run: each of them is here."""
+        churn = (Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+                 / "tipsybench" / "churn.py")
+        read = set(re.findall(r'bgp\["(\w+)"\]', churn.read_text()))
+        assert len(read) >= 5
+        assert read <= set(world[2].cache_stats())
 
     def test_hit_miss_counters(self, world):
         """``share_*`` count the split memo: one look-up per delivering
@@ -508,18 +520,15 @@ class TestCacheStats:
         stats = sim.cache_stats()
         assert stats["share_misses"] == 1
         assert stats["share_hits"] == 0
-        assert stats["drift_entries"] == 1
         resolve_one(sim, 4, "nyc", 100, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_hits"] == 1
         assert stats["share_misses"] == 1
-        # a different flow re-uses the routing table (its stack) but not
-        # the split
+        # a different flow re-uses the routing table but not the split
         resolve_one(sim, 4, "nyc", 101, 0, state, day=0)
         stats = sim.cache_stats()
         assert stats["share_misses"] == 2
-        assert stats["stack_hits"] >= 1
-        assert stats["table_misses"] >= 1
+        assert (stats["table_hits"], stats["table_misses"]) == (2, 1)
 
 
 class TestBoundedCaches:
@@ -535,7 +544,6 @@ class TestBoundedCaches:
         for key in keys:
             sim.routing_table(key)
         stats = sim.cache_stats()
-        assert stats["tables_by_removed"] <= 2
         assert stats["tables_by_seeded"] <= 2
         assert stats["table_evictions"] > 0
         # one compute per distinct seeded set missed, none repaired
@@ -544,15 +552,18 @@ class TestBoundedCaches:
         # a hit computes nothing
         table = sim.routing_table(keys[-1])
         assert sim.cache_stats()["table_full_rebuilds"] == len(keys)
-        # removal keys that keep every peer seeded: the first computes
-        # the full-availability table, the others miss the removal cache
-        # only and take that table from the seeded cache
+        # removal keys that keep every peer seeded go dark on no peer:
+        # the first computes the full-availability table, the others
+        # take it from the cache
         partial = [frozenset({0}), frozenset({2, 3}), frozenset({0, 4})]
+        assert len({sim.seeded_for(key) for key in keys + partial}) == len(
+            keys) + 1
         full = {sim.routing_table(key) for key in partial}
         assert len(full) == 1 and table not in full
         stats = sim.cache_stats()
-        assert stats["table_misses"] == len(keys) + len(partial)
-        assert stats["table_seeded_misses"] == len(keys) + 1
+        assert stats["table_misses"] == len(keys) + 1
+        # the repeat of the last key, then every partial key but the first
+        assert stats["table_hits"] == len(partial)
         assert stats["table_full_rebuilds"] == len(keys) + 1
 
     def test_evicted_table_recomputed_identically(self):
@@ -615,27 +626,75 @@ class TestBoundedCaches:
         finally:
             obs.disable()
 
-    def test_stacked_tables_are_cached_and_exported(self):
-        """One removal-key set resolved three times: its tables are
-        fetched and stacked once, then read from the stack cache."""
-        from repro.obs import runtime as obs
+
+
+class TestTableLookups:
+    """Every routing table a call reads comes through ``routing_table``,
+    and only it computes one: the benchmark's traced pass times the
+    ``bgp.routing_table`` layer by wrapping that method on the class, so
+    a table reached another way would drop out of the layer's time with
+    no error."""
+
+    def test_tables_are_read_and_built_only_through_routing_table(
+            self, monkeypatch):
+        from repro.bgp import simulator as bgp_simulator
+        from repro.bgp.propagation import RoutingTable
 
         graph, wan = build_world()
         sim = IngressSimulator(graph, wan, SimulatorParams(), seed=1)
+        handed, read, computed = [], [], []
+        depth = [0]
+        lookup = IngressSimulator.routing_table
+        compute = bgp_simulator.compute_routing_table
+
+        def routing_table(self, removed):
+            depth[0] += 1
+            try:
+                table = lookup(self, removed)
+            finally:
+                depth[0] -= 1
+            handed.append(table)
+            return table
+
+        def compute_routing_table(*args):
+            computed.append(depth[0])
+            return compute(*args)
+
+        def spy(owner, name, tables_of):
+            real = getattr(owner, name)
+
+            def call(*args):
+                read.extend(tables_of(*args))
+                return real(*args)
+            monkeypatch.setattr(owner, name, call)
+
+        # wrapped on the class, the way the tracer does it
+        monkeypatch.setattr(IngressSimulator, "routing_table", routing_table)
+        monkeypatch.setattr(bgp_simulator, "compute_routing_table",
+                            compute_routing_table)
+        # the walk reads a call's tables through its frame, a pocket's
+        # decision reads one, and ``touched`` compares two
+        spy(IngressSimulator, "_framed", lambda _sim, tables: tables)
+        spy(IngressSimulator, "_decide",
+            lambda _sim, _pocket, _removed, table: (table,))
+        spy(RoutingTable, "changed_asns", lambda table, other: (table, other))
+
         state = AdvertisementState(wan)
-        state.set_link_down(3)
-        for _ in range(3):
-            resolve_one(sim, 4, "nyc", 100, 0, state)
-        stats = sim.cache_stats()
-        assert (stats["stack_entries"], stats["stack_hits"],
-                stats["stack_misses"]) == (1, 2, 1)
-        assert stats["table_hits"] + stats["table_misses"] == 1
-        obs.enable(fresh=True)
-        try:
-            sim.export_gauges()
-            gauges = obs.snapshot().gauges
-            assert gauges["bgp.simulator.stack_entries"] == 1
-            assert gauges["bgp.simulator.stack_hits"] == 2
-            assert gauges["bgp.simulator.stack_hit_rate"] == 2 / 3
-        finally:
-            obs.disable()
+        for link in wan.links_of_peer(1):   # peer 1 goes dark
+            state.set_link_down(link.link_id)
+        state.withdraw(1, 3)
+        asns, metros, sources, dests = zip(*TestColumns.FLOWS)
+        columns = (np.array(asns, dtype=np.int64), metros,
+                   np.array(sources, dtype=np.int64),
+                   np.array(dests, dtype=np.int64), state)
+        # a call's tables, new and then cached; and ``touched`` after
+        # which peer 3 goes dark, a table of its own
+        for call in (lambda: sim.resolve_shares(*columns),
+                     lambda: sim.resolve_shares(*columns),
+                     lambda: sim.touched(frozenset({4}), frozenset({4, 5}))):
+            del handed[:], read[:]
+            call()
+            assert read and {id(table) for table in read} <= {
+                id(table) for table in handed}
+        # peer 1 dark, none dark, peer 3 dark: each built inside one look-up
+        assert computed == [1, 1, 1]

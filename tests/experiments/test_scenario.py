@@ -9,7 +9,7 @@ from repro.experiments import Scenario, ScenarioParams
 from repro.experiments import scenario as scenario_module
 from repro.telemetry.ipfix import IpfixExporter
 from repro.util.cache import ArrayLru
-from tests.bgp.resolve_oracle import ResolveOracle
+from tests.bgp.resolve_oracle import ResolveOracle, drift_state
 
 
 def arrays(cols):
@@ -325,8 +325,8 @@ class TestCountedWork:
                 continue
             key = (flow.src_asn, flow.src_metro, flow.src_prefix_id,
                    flow.dest_prefix_id)
-            read = oracle._resolve(*key, before, *sim.drift_state(
-                flow.src_asn, flow.src_prefix_id, flow.dest_prefix_id,
+            read = oracle._resolve(*key, before, *drift_state(
+                sim, flow.src_asn, flow.src_prefix_id, flow.dest_prefix_id,
                 self.HOUR // 24))
             if link in read.pools or not asns.isdisjoint(read.footprint):
                 expected.append(key)
@@ -447,9 +447,9 @@ class TestCountedWork:
 class TestCountedProbeWork:
     """What a probe's stream pays for, counted call by call: no IPFIX
     draw that nothing reads, no per-row drift lookup in a derive, one
-    stack of routing tables per removal-key set, one decision per
-    pocket and removal key, split look-ups by int key, and one
-    comparison of each cached expansion with the content asked for."""
+    routing table built per set of peers that go dark, split look-ups by
+    int key, and one comparison of each cached expansion with the
+    content asked for."""
 
     HOUR = 30
 
@@ -511,6 +511,8 @@ class TestCountedProbeWork:
             base.true_bytes, self.HOUR))
 
     def test_a_derive_asks_no_drift_days(self, spied):
+        spied["spy"](IngressSimulator, "resolve_shares",
+                     lambda *columns: len(columns[0]))
         sc, state, _base, links = self.world(spied)
         # a later day: every row whose drift flag flips is resolved again
         for hour in (self.HOUR, self.HOUR + 24, self.HOUR + 72):
@@ -518,39 +520,26 @@ class TestCountedProbeWork:
             for link in links:
                 self.probe(sc, state, link, hour)
         assert spied["drift_days"] == []
-        assert sc.simulator.cache_stats()["stack_misses"] > 0
+        assert spied["resolve_shares"]
 
-    def test_each_removal_key_set_is_stacked_once(self, spied):
-        spied["spy"](IngressSimulator, "_stack", lambda removals: removals)
+    def test_a_table_is_built_once_per_dark_peer_set(self, spied):
+        """Probes on three days, one of them taking a peer's every link
+        down: many removal sets, and a table built for each set of peers
+        that go dark, once."""
+        asked = []
+        spied["spy"](IngressSimulator, "routing_table", asked.append)
         sc, state, _base, links = self.world(spied)
         for hour in (self.HOUR, self.HOUR + 24, self.HOUR + 72):
             for link in links:
                 self.probe(sc, state, link, hour)
-        stacked = spied["_stack"]
-        assert len(stacked) == len(set(stacked)) > 0
-        # the probes of later days ask for the same sets again
-        assert sc.simulator.cache_stats()["stack_hits"] > 0
-
-    def test_a_pocket_decision_is_made_once_per_removal_key(self, spied):
-        spied["spy"](IngressSimulator, "_decide",
-                     lambda pocket, removed, table: (pocket, removed))
-        sc, state, _base, links = self.world(spied)
-        held = sc._expansions._data
-        (streamed,) = held
-        for link in links:
-            self.probe(sc, state, link, self.HOUR)
-        made = list(spied["_decide"])
-        hits = sc.simulator.cache_stats()["decision_hits"]
-        # the probes derived again from S, asking the same pockets under
-        # the same removal keys: every decision is read, none made
-        for content in [key for key in held if key != streamed]:
-            del held[content]
-        for link in links:
-            self.probe(sc, state, link, self.HOUR)
-        assert len(made) == len(set(made)) > 0
-        assert spied["_decide"] == made
-        assert sc.simulator.cache_stats()["decision_hits"] - hits >= len(
-            made)
+        # a peer loses every link: the tables change
+        for other in sc.wan.links_of_peer(sc.wan.link(links[0]).peer_asn):
+            state.set_link_down(other.link_id)
+        self.streamed(sc, state, self.HOUR)
+        sim = sc.simulator
+        seeded = {sim.seeded_for(removed) for removed in asked}
+        assert 2 <= len(seeded) < len(set(asked))
+        assert sim.cache_stats()["table_full_rebuilds"] == len(seeded)
 
     def test_a_split_hit_builds_no_per_lane_tuple(self, spied):
         """The split memo is asked one int64 array, a key per lane, and a

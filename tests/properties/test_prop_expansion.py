@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.bgp import AdvertisementState, SimulatorParams
 from repro.experiments import Scenario, ScenarioParams
 from repro.experiments.scenario import _EXPANSION_SLOTS, _rows_per
-from tests.bgp.resolve_oracle import ResolveOracle
+from tests.bgp.resolve_oracle import ResolveOracle, drift_state
 
 DAYS = 7
 
@@ -104,8 +104,8 @@ def read_from_scratch(scenario, oracle, day, state):
         full = oracle._resolve(
             flow.src_asn, flow.src_metro, flow.src_prefix_id, prefix,
             state.removal_key(prefix),
-            *simulator.drift_state(flow.src_asn, flow.src_prefix_id, prefix,
-                                   day),
+            *drift_state(simulator, flow.src_asn, flow.src_prefix_id,
+                         prefix, day),
             state.prepends_for(prefix) or None)
         walked += [(i, asn) for asn in full.footprint]
         pooled += [(i, link) for link in full.pools]
