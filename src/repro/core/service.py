@@ -26,12 +26,14 @@ nothing; building anew means a model's counts never change once served
 and what a service answers does not depend on how long it has run.
 
 Retraining is also *atomic* to a reader: the new models, the days they
-were trained on, a fresh memo and the day of publication are published
-together as one :class:`PublishedSuite` by a single assignment.  A query
+were trained on and a fresh memo are published together as one
+:class:`PublishedSuite` by a single assignment.  A query
 reads it once, lock-free, so one asked mid-retrain gets the old suite
 or the new one, never a half-built model (``tests/serve/test_hotswap.py``),
-at the cost of a second suite in memory while a retrain runs; the day
-tag tells ``repro.serve`` which of the two gave an answer.
+at the cost of a second suite in memory while a retrain runs.  A suite
+is built from its base grains' folded counts, so one folded elsewhere
+can be served too: :meth:`TipsyService.install` is how the sharded
+daemon's front serves its shards' merged publications (``repro.serve``).
 
 Serving is *remembered*: a query reads the suite's bounded
 :class:`~repro.util.cache.AnswerMemo` first, and only the flows it does
@@ -62,7 +64,7 @@ from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
-from ..util.cache import AnswerMemo
+from ..util.cache import AnswerMemo, MemoStats
 from .base import (NO_LINKS, IngressModel, Prediction, group_flows,
                    spill_from_groups)
 from .ensemble import SequentialEnsemble
@@ -163,16 +165,16 @@ class PublishedSuite(NamedTuple):
 
     models: Dict[str, IngressModel]
     trained_on: Tuple[int, ...]
-    #: tagged with the day being collected when the suite was published,
-    #: which :meth:`TipsyService.answers` returns beside its answers
     memo: Memo
 
 
 class TipsyService:
     """Rolling-window, daily-retrained ingress prediction service."""
 
-    #: feature grains of the base model suite, in ensemble order
+    #: feature grains of the base model suite, in ensemble order, and
+    #: the names their models are served under
     _GRAINS = (FEATURES_AP, FEATURES_AL, FEATURES_A)
+    _BASE = ("Hist_AP", "Hist_AL", "Hist_A")
 
     def __init__(self, wan: CloudWAN, config: Optional[ServiceConfig] = None):
         self.wan = wan
@@ -255,31 +257,38 @@ class TipsyService:
             if day not in self._projections:
                 self._projections[day] = tuple(
                     self._days[day].project(fs) for fs in self._GRAINS)
-        base = []
-        for grain, fs in enumerate(self._GRAINS):
-            window = [self._projections[day][grain] for day in trained_on]
-            base.append(HistoricalModel.from_arrays(
-                fold_keyed(window, len(fs.fields) + 1), fs))
-        self._publish(tuple(base), trained_on)
+        self.install([fold_keyed([self._projections[day][grain]
+                                  for day in trained_on], len(fs.fields) + 1)
+                      for grain, fs in enumerate(self._GRAINS)], trained_on)
 
-    def _publish(self, base: Tuple[HistoricalModel, ...],
-                 trained_on: Tuple[int, ...]) -> None:
-        """Serve a trained base suite (AP, AL, A) from the next query on.
+    def install(self, tables: Sequence[KeyedTable],
+                trained_on: Tuple[int, ...]) -> None:
+        """Serve the suite built from ``tables`` — the folded counts of
+        ``trained_on`` at each base grain (AP, AL, A), as
+        :meth:`published_tables` gives them — from the next query on.
 
-        The memo starts empty — its answers were the previous suite's —
-        and carries the cumulative counters :meth:`cache_stats` reports.
+        Every retrain publishes through here.  The memo starts empty —
+        its answers were the previous suite's — and carries the
+        cumulative counters :meth:`cache_stats` reports.
         """
-        ap, al, a = base
-        self._published = PublishedSuite({
-            "Hist_AP": ap,
-            "Hist_AL": al,
-            "Hist_A": a,
-            "Hist_AL+G": GeoAugmentedModel(al, self.wan,
-                                           name="Hist_AL+G"),
-            "Hist_AP/AL/A": SequentialEnsemble([ap, al, a],
-                                               name="Hist_AP/AL/A"),
-        }, trained_on, AnswerMemo(self.config.memo_size, self._current_day,
-                                  self._published.memo))
+        base = [HistoricalModel.from_arrays(table, fs)
+                for table, fs in zip(tables, self._GRAINS)]
+        models: Dict[str, IngressModel] = dict(zip(self._BASE, base))
+        models["Hist_AL+G"] = GeoAugmentedModel(base[1], self.wan,
+                                                name="Hist_AL+G")
+        models["Hist_AP/AL/A"] = SequentialEnsemble(base,
+                                                    name="Hist_AP/AL/A")
+        self._published = PublishedSuite(models, trained_on, AnswerMemo(
+            self.config.memo_size, self._published.memo))
+
+    def published_tables(self) -> Tuple[Tuple[int, ...],
+                                         Tuple[KeyedTable, ...]]:
+        """The served suite's days and its base models' counts (AP, AL,
+        A), read from one publication: what :meth:`install` takes."""
+        suite = self._published
+        return suite.trained_on, tuple(
+            cast(HistoricalModel, self._model_of(suite, name)).to_arrays()
+            for name in self._BASE)
 
     @property
     def trained_days(self) -> Tuple[int, ...]:
@@ -432,11 +441,11 @@ class TipsyService:
         the memo's, else the model's — each distinct group key among
         the contexts the memo does not hold predicted once."""
         k = self.config.query_k(k)
-        model = self._model_of(suite, name)
         shape = (name, k, prior)
         found, n_missing = suite.memo.lookup(shape, contexts)
         if not n_missing:
             return cast(List[Answer], found)
+        model = self._model_of(suite, name)
         group_key = model.group_key
         by_group: Dict[object, Answer] = {}
         fresh: Dict[FlowContext, Answer] = {}
@@ -511,34 +520,21 @@ class TipsyService:
             obs.count("service.what_if.calls")
             obs.count("service.what_if.flows", float(len(flows)))
         with obs.timed("service.what_if"):
+            if not flows:
+                return {}
             suite = self._published
             name = self.config.withdrawal_model
             group_contexts, group_bytes = group_flows(
                 self._model_of(suite, name).group_key, flows)
-            if not group_contexts:
-                return {}
             predictions = self._answer(suite, name, group_contexts, k,
                                        frozenset(withdrawn))
             return spill_from_groups(zip(predictions, group_bytes))
 
-    def answers(
-        self, name: str, contexts: Sequence[FlowContext],
-        k: Optional[int], prior: AbstractSet[int],
-    ) -> Tuple[Optional[int], List[Answer]]:
-        """Model ``name``'s per-context answers, memoized, tagged with
-        the day of the suite that gave them — both from one read.
-
-        The building block the sharded daemon scatters: each shard
-        answers its own contexts (the parent re-runs the exact
-        :func:`spill_from_groups` accumulation for ``what_if``), and
-        the tag lets the daemon keep an answer for exactly as long as
-        the suite that gave it is the one a shard must be serving.
-        """
-        suite = self._published
-        return suite.memo.day, self._answer(suite, name, contexts, k,
-                                            frozenset(prior))
-
     # -- observability -------------------------------------------------------------
+
+    def memo_stats(self) -> MemoStats:
+        """The served memo's counters, cumulative across publications."""
+        return self._published.memo.stats()
 
     def cache_stats(self) -> Dict[str, int]:
         """Serving-cache occupancy and efficiency, for logs and gauges."""

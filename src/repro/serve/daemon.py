@@ -1,48 +1,52 @@
-"""The serving daemon: sharded ingest, scatter-gather queries, lifecycle.
+"""The serving daemon: sharded ingest, reads from the published suite,
+lifecycle.
 
 :class:`ServeDaemon` is the long-running form of
 :class:`~repro.core.service.TipsyService`: an hourly
 telemetry stream goes in, sharded by feature-key hash
 (:mod:`repro.serve.sharding`) across shard servers
 (:class:`~repro.serve.worker.ShardServer`) that each hold one
-:class:`~repro.core.service.TipsyService`; batched
-``predict_batch``/``what_if`` queries are answered from the daemon's
-memo, or scatter to the owning shards and gather back in the caller's
-order.  Two worker modes share every other code path, the shard server
-included:
+:class:`~repro.core.service.TipsyService` and retrain it daily; batched
+``predict_batch``/``what_if`` queries are answered in the daemon's own
+process by one more ``TipsyService``, the *front*, which serves the
+shards' merged suite.  Two worker modes share every other code path,
+the shard server included:
 
 * ``process`` (the deployment shape) — one OS process per shard, talking
   over a pipe (:mod:`repro.serve.worker`); per-shard retrains run in
-  parallel across cores and never touch the parent's query latency;
+  parallel across cores;
 * ``inline`` — shards live in the daemon process with one ingest thread
   each; cheap to start, used by tests and available for tiny deployments.
 
-**Equivalence.**  A sharded prediction is bit-identical to the
-single-process service fed the same stream: every model grain keys on
-``src_asn``, so a shard's counts for its keys equal the unsharded
-service's counts for the same keys, and ``what_if`` re-runs the exact
-:func:`~repro.core.base.group_flows` /
-:func:`~repro.core.base.spill_from_groups` accumulation parent-side
-over shard-computed predictions (``tests/serve/test_daemon_equivalence.py``).
+**Publication.**  A shard's retrain publishes a new suite at the first
+hour of each day.  The thread that feeds that hour then asks every shard
+for it (the ``publish`` op, answered once the hour is applied — the feed
+waits for the slowest retrain, as ``TipsyService.ingest_hour`` waits for
+its own) and gets back the folded base tables (AP, AL, A) it was built
+from.  Every model grain keys on ``src_asn``, so the shards' tables are
+disjoint, and stacked they hold exactly the single-process service's
+counts; the front builds its suite from them and swaps it in by one
+assignment (:meth:`TipsyService.install`).  A resumed daemon takes one
+publication in :meth:`ServeDaemon.start`.  Only publications cross a
+pipe for reads.
 
-**Warm reads.**  Callers repeat their questions, so the daemon keeps
-the answers its shards have given (an
-:class:`~repro.util.cache.AnswerMemo`, the class each shard's service
-remembers its own in) and only the contexts it does not hold cross a
-pipe.  A memo is valid for one publication of the shards' suites: each
-``answer`` reply is tagged with
-the day of the suite that gave it, the daemon's *day* is that of the
-newest hour it has fed, and a reply is stored only if its tag is the day
-the query read when it began — into the memo it read then, which
-``ingest_hour`` replaces, by one assignment, *before* any shard is sent
-the first hour of a new day.  The invariant: an entry of day *D* was
-answered by its owning shard's suite *D*, and while the daemon's day is
-*D* no shard has been sent an hour of a later day, so none can have
-published past *D* — a hit is bit-identical to what the hop would return
-now.  A shard still retraining (tag = yesterday) is not cached and keeps
-being asked.  A hit takes no daemon lock and contacts no shard: a dead
-worker is noticed by the next miss, feed, ``status`` or ``checkpoint``,
-and any :class:`ShardError` empties the memo (``docs/operations.md``).
+**Equivalence.**  A read is the front's ``predict_batch``/``what_if`` on
+a suite built from the single-process service's counts, so a sharded
+answer is bit-identical to the unsharded one by construction
+(``tests/serve/test_daemon_equivalence.py``,
+``tests/properties/test_prop_serving.py``).  A read takes no daemon
+lock and contacts no shard: it never waits on a feed, a retrain or a
+checkpoint, and one that races a publication gets the old suite or the
+new one, never a mix.
+
+**Failures.**  No answer is silently stale.  A publication that fails
+raises :class:`ShardError` from the call that asked for it
+(``ingest_hour`` or ``start``); from then on every read raises
+``ShardError`` naming the day, until a publication for the current day
+succeeds (each hour fed asks again).  A worker that dies mid-day fails
+no read — the suite reads use is still the single service's for that
+day — but the next feed, ``drain``, ``status`` or ``checkpoint`` raises
+``ShardError`` naming the shard (``docs/operations.md``).
 
 **Lifecycle.**  ``checkpoint`` holds back the feed, drains in-flight
 ingest, snapshots every shard into ``<dir>/shard-NN/``
@@ -51,32 +55,32 @@ the hour the snapshots hold by atomic rename — a checkpoint without a
 manifest is invisible, so a crash mid-checkpoint leaves the previous
 one intact.  ``resume`` restores each shard from its segments and
 continues ingesting at ``last_hour + 1`` with bit-identical answers.
-``shutdown(drain=True)`` stops accepting work, drains queues, and joins
-the workers; see ``docs/operations.md`` for the runbook.
+``shutdown(drain=True)`` stops accepting work, drains queues, joins the
+workers, and drops the front's suite and memo; see
+``docs/operations.md`` for the runbook.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, FrozenSet,
-                    Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
-                    cast)
+from typing import (TYPE_CHECKING, AbstractSet, Any, Dict, List, Optional,
+                    Protocol, Sequence, Tuple, Union)
 
-from ..core.base import (NO_LINKS, Prediction, group_flows,
-                         spill_from_groups)
-from ..core.service import Answer, Memo, ServiceConfig
+import numpy as np
+
+from ..core.base import NO_LINKS, Prediction
+from ..core.service import ServiceConfig, TipsyService
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN
-from ..util.cache import AnswerMemo
 from .health import DaemonStatus, export_status_gauges
-from .sharding import (SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_columns,
-                       split_indices)
+from .sharding import SHARD_HASH_SEED, SHARD_LAYOUT_VERSION, split_columns
 from .worker import ShardServer, shard_worker_main
 
 if TYPE_CHECKING:
@@ -160,7 +164,7 @@ class _ProcessShard:
         self.shard_id = shard_id
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
         self._conn: "Connection" = parent_conn
-        # sends from the ingest path and the query path may come from
+        # sends from the ingest path and a conversation may come from
         # different threads; one lock keeps pipe messages whole
         self._send_lock = threading.Lock()
         self.process = multiprocessing.Process(
@@ -243,17 +247,20 @@ class ServeDaemon:
         self.wan = wan
         self.config = config or DaemonConfig()
         self._handles: List[_ShardHandle] = []
-        # serializes scatter-gather conversations (queries, status,
-        # checkpoints) across caller threads; ingest does not take it,
-        # so feeding the stream never waits on a query and vice versa
-        self._query_lock = threading.Lock()
+        # serializes conversations with the shards (publications,
+        # drains, status, checkpoints) across caller threads; sending
+        # an hour does not take it, and no read does
+        self._shard_lock = threading.Lock()
         # feed vs checkpoint: an hour is on every shard or on none when
-        # a snapshot is cut.  Taken before _query_lock, never by a query
+        # a snapshot is cut.  Taken before _shard_lock, never by a read
         self._feed_lock = threading.Lock()
         self._last_hour: Optional[int] = None
-        # _last_hour's day and the shards' answers under it: read once
-        # by a query, replaced whole at each day crossing
-        self._memo: Memo = AnswerMemo(self.config.service.memo_size)
+        # what reads ask: the shards' merged suite, swapped in whole at
+        # each publication; the day it is for, and a day whose
+        # publication failed (reads refuse while one is set)
+        self._front = TipsyService(wan, self.config.service)
+        self._published_day: Optional[int] = None
+        self._unpublished: Optional[int] = None
         self._started = False
         self._stopped = False
 
@@ -276,7 +283,7 @@ class ServeDaemon:
                           for i in range(self.config.n_shards)]
             last = manifest.get("last_hour")
             if isinstance(last, int):
-                self._admit_locked(last)  # not yet shared: no lock to hold
+                self._last_hour = last
         for shard_id, shard_dir in enumerate(shard_dirs):
             if self.config.workers == "process":
                 handle: _ShardHandle = _ProcessShard(
@@ -287,6 +294,13 @@ class ServeDaemon:
                     shard_id, self.wan, self.config.service, shard_dir)
             self._handles.append(handle)
         self._started = True
+        if self._last_hour is not None:
+            try:  # not yet shared: no feed lock to hold
+                self._publish_locked(self._last_hour // 24)
+            except BaseException:
+                with contextlib.suppress(ShardError):
+                    self.shutdown(drain=False)
+                raise
         return self
 
     @classmethod
@@ -317,12 +331,14 @@ class ServeDaemon:
             self.shutdown(drain=not any(exc))
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop the workers; ``drain`` finishes queued ingest first."""
+        """Stop the workers; ``drain`` finishes queued ingest first.
+        The front's suite and memo are dropped either way."""
         if self._stopped:
             return
         self._stopped = True
+        self._front = TipsyService(self.wan, self.config.service)
         failures: List[str] = []
-        with self._query_lock:
+        with self._shard_lock:
             for handle in self._handles:
                 try:
                     handle.stop(drain)
@@ -334,47 +350,64 @@ class ServeDaemon:
     # -- ingest ---------------------------------------------------------------
 
     def ingest_hour(self, hour: int, records: AggHour) -> None:
-        """Feed one hour of telemetry; returns without waiting.
+        """Feed one hour of telemetry; returns once every shard is sent
+        its slice, without waiting for it to be applied.
 
         Every shard receives its slice of the columns — including an
         empty one — so day crossings (and with them retrains and window
         evictions) happen at the same hours on every shard as they would
         in the single-process service.  Rows labelled with another hour,
         or an hour older than the last one fed (equal hours may repeat),
-        raise ``ValueError`` before any shard is sent anything.
+        raise ``ValueError`` before any shard is sent anything.  The
+        first hour of a day (or any hour while the day has no suite
+        published) waits for the day's publication.
         """
         self._check_serving()
         columns = AggColumns.of(hour, records)
         shards = split_columns(columns, self.config.n_shards)
-        try:
-            with self._feed_lock:
-                self._admit_locked(hour)
-                for handle, shard_columns in zip(self._handles, shards):
-                    handle.ingest(hour, shard_columns)
-        except ShardError:
-            self._memo.clear()
-            raise
+        with self._feed_lock:
+            self._feed_locked(hour, shards)
         if obs.enabled():
             obs.count("serve.ingest.hours")
             obs.count("serve.ingest.records", float(columns.n_records))
 
-    def _admit_locked(self, hour: int) -> None:
-        """Refuse an hour out of time order; else make it the last fed
-        and, if it starts a day, retire the memo — before any shard
-        hears of the new day (caller holds ``_feed_lock``)."""
+    def _feed_locked(self, hour: int, shards: Sequence[AggColumns]) -> None:
+        """Refuse an hour out of time order; else send every shard its
+        slice and, if the hour's day has no suite published yet, ask for
+        one — the day is left unpublished, and reads refuse, if that
+        fails (caller holds ``_feed_lock``)."""
         if self._last_hour is not None and hour < self._last_hour:
             raise ValueError(
                 f"hour {hour} is older than hour {self._last_hour}, the last "
                 "one fed: telemetry must be ingested in time order")
         self._last_hour = hour
-        if hour // 24 != self._memo.day:
-            self._memo = AnswerMemo(
-                self.config.service.memo_size, hour // 24, self._memo)
+        day = hour // 24
+        try:
+            for handle, shard_columns in zip(self._handles, shards):
+                handle.ingest(hour, shard_columns)
+            if day != self._published_day:
+                self._publish_locked(day)
+        finally:
+            if day != self._published_day:
+                self._unpublished = day
+
+    def _publish_locked(self, day: int) -> None:
+        """Ask every shard for the suite it serves once its queued hours
+        are applied, and serve their union as day ``day``'s (the caller
+        holds ``_feed_lock``, or is ``start``)."""
+        with self._shard_lock:
+            replies = self._gather("publish")
+        by_grain = zip(*(tables for _days, tables in replies))
+        self._front.install(
+            [{name: np.concatenate([table[name] for table in tables])
+              for name in tables[0]} for tables in by_grain],
+            tuple(sorted({d for days, _tables in replies for d in days})))
+        self._published_day, self._unpublished = day, None
 
     def drain(self) -> None:
         """Block until every queued hour is applied on every shard."""
         self._check_serving()
-        with self._query_lock:
+        with self._shard_lock:
             self._gather("drain")
 
     @property
@@ -388,22 +421,16 @@ class ServeDaemon:
                       k: Optional[int] = None,
                       unavailable: AbstractSet[int] = NO_LINKS,
                       ) -> List[List[Prediction]]:
-        """Top-k predictions for many flows, in the caller's order.
-
-        From the memo, else scatter by owning shard, gather, reassemble
-        — bit-identical to :meth:`TipsyService.predict_batch` on the
-        same trained stream.
-        """
-        self._check_serving()
-        prior = frozenset(unavailable)
+        """Top-k predictions for many flows, in the caller's order: the
+        front's :meth:`TipsyService.predict_batch` — bit-identical to the
+        single-process service on the same trained stream."""
+        front = self._reader()
         with obs.timed("serve.predict_batch"):
-            out = self._by_owner(
-                ServiceConfig.withdrawal_model if prior
-                else ServiceConfig.primary_model, contexts, k, prior)
+            out = front.predict_batch(contexts, k, unavailable)
         if obs.enabled():
             obs.count("serve.predict.batches")
             obs.count("serve.predict.flows", float(len(contexts)))
-        return [list(answer) for answer in out]
+        return out
 
     def what_if(
         self,
@@ -411,24 +438,12 @@ class ServeDaemon:
         withdrawn: AbstractSet[int],
         k: Optional[int] = None,
     ) -> Dict[int, float]:
-        """Predicted per-link byte spill if ``withdrawn`` links go away.
-
-        Flows are grouped parent-side at the withdrawal model's feature
-        grain with the same :func:`group_flows` the single service uses,
-        each group's prediction comes from its owning shard, and the
-        spill accumulation re-runs :func:`spill_from_groups` over the
-        groups in their original order — so the result is bit-identical
-        to the unsharded ``what_if``, not merely close.
-        """
-        self._check_serving()
+        """Predicted per-link byte spill if ``withdrawn`` links go away:
+        the front's :meth:`TipsyService.what_if`, bit-identical to the
+        unsharded answer, not merely close."""
+        front = self._reader()
         with obs.timed("serve.what_if"):
-            group_contexts, group_bytes = group_flows(
-                ServiceConfig.withdrawal_grain.key, flows)
-            if not group_contexts:
-                return {}
-            answers = self._by_owner(ServiceConfig.withdrawal_model,
-                                     group_contexts, k, frozenset(withdrawn))
-            spill = spill_from_groups(zip(answers, group_bytes))
+            spill = front.what_if(flows, withdrawn, k)
         if obs.enabled():
             obs.count("serve.what_if.calls")
             obs.count("serve.what_if.flows", float(len(flows)))
@@ -439,14 +454,14 @@ class ServeDaemon:
     def status(self) -> DaemonStatus:
         """Gather per-shard health, merge worker metrics, export gauges."""
         self._check_serving()
-        with self._query_lock:
+        with self._shard_lock:
             replies = self._gather("status")
         for _health, delta in replies:
             if delta is not None and obs.enabled():
                 obs.registry().merge(delta)
         status = DaemonStatus.from_shards(
             tuple(health for health, _delta in replies),
-            workers=self.config.workers, front=self._memo.stats())
+            workers=self.config.workers, front=self._front.memo_stats())
         export_status_gauges(status)
         return status
 
@@ -464,11 +479,11 @@ class ServeDaemon:
         self._check_serving()
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        with obs.timed("serve.checkpoint"), self._feed_lock, self._query_lock:
+        with obs.timed("serve.checkpoint"), self._feed_lock, self._shard_lock:
             self._gather("drain")
-            hours = self._gather("checkpoint", (
-                (shard_id, (str(root / f"shard-{shard_id:02d}"),))
-                for shard_id in range(self.config.n_shards)))
+            hours = self._gather("checkpoint", [
+                (str(root / f"shard-{shard_id:02d}"),)
+                for shard_id in range(self.config.n_shards)])
             if len(set(hours)) != 1:
                 raise ShardError(
                     f"shards snapshotted different hours {hours}; "
@@ -488,26 +503,31 @@ class ServeDaemon:
         if self._stopped:
             raise RuntimeError("daemon already shut down")
 
-    def _gather(self, op: str, requests: Optional[
-            Iterable[Tuple[int, Tuple[object, ...]]]] = None) -> List[Any]:
-        """The one scatter/gather: send ``op`` to the addressed shards
-        (every shard, no payload, by default), read every reply, and
-        only then raise the first failure.
+    def _reader(self) -> TipsyService:
+        """The service reads ask, once the current day's suite is in."""
+        self._check_serving()
+        if self._unpublished is not None:
+            raise ShardError(
+                f"day {self._unpublished} has no published suite: reads "
+                "wait for a publication of the day that succeeds")
+        return self._front
 
-        Caller must hold ``_query_lock``.  Every shard whose request was
+    def _gather(self, op: str, payloads: Optional[
+            Sequence[Tuple[object, ...]]] = None) -> List[Any]:
+        """The one conversation with the shards: send ``op`` to every
+        shard (``payloads[i]`` to shard ``i``; none by default), read
+        every reply, and only then raise the first failure.
+
+        Caller must hold ``_shard_lock``.  Every shard whose request was
         sent has its reply read before this returns or raises, whatever
         any shard answered — an unread reply would be taken for the next
-        conversation's answer.  ``requests`` is consumed lazily, so a
-        shard works on its slice while the next one's is being built.
+        conversation's answer.
         """
-        if requests is None:
-            requests = ((i, ()) for i in range(self.config.n_shards))
         failures: List[str] = []
         sent: List[_ShardHandle] = []
-        for shard_id, payload in requests:
-            handle = self._handles[shard_id]
+        for shard_id, handle in enumerate(self._handles):
             try:
-                handle.begin(op, *payload)
+                handle.begin(op, *(payloads[shard_id] if payloads else ()))
             except ShardError as error:
                 failures.append(str(error))
             else:
@@ -519,38 +539,8 @@ class ServeDaemon:
                 failures.append(str(result))
             results.append(result)
         if failures:
-            self._memo.clear()
             raise ShardError(failures[0])
         return results
-
-    def _by_owner(self, name: str, contexts: Sequence[FlowContext],
-                  k: Optional[int], prior: FrozenSet[int]) -> List[Answer]:
-        """Model ``name``'s per-context answers in the caller's order:
-        the memo's, else the owning shard's — each distinct missing
-        context asked once, ``()`` where a shard returned short.  A bad
-        ``k`` is a ``ValueError`` before the memo or any shard is read."""
-        shape = (name, self.config.service.query_k(k), prior)
-        memo = self._memo  # read once: its day is this query's day
-        found, n_missing = memo.lookup(shape, contexts)
-        if not n_missing:
-            return cast(List[Answer], found)
-        missing = list(dict.fromkeys(
-            c for c, answer in zip(contexts, found) if answer is None))
-        indices = split_indices(missing, self.config.n_shards)
-        busy = [(shard_id, [missing[i] for i in positions])
-                for shard_id, positions in enumerate(indices) if positions]
-        with self._query_lock:
-            replies = self._gather("answer", (
-                (shard_id, (name, asked, k, prior))
-                for shard_id, asked in busy))
-        fresh: Dict[FlowContext, Answer] = {}
-        for (_shard_id, asked), (day, answers) in zip(busy, replies):
-            learnt = dict(zip(asked, answers))
-            fresh.update(learnt)
-            if day == memo.day:
-                memo.store(shape, learnt)
-        return [fresh.get(context, ()) if answer is None else answer
-                for context, answer in zip(contexts, found)]
 
 
 # -- checkpoint manifest ------------------------------------------------------
@@ -570,10 +560,10 @@ def write_manifest(directory: Union[str, Path], n_shards: int,
     }
     path = root / MANIFEST_NAME
     tmp = root / (MANIFEST_NAME + ".tmp")
-    # checkpoint() calls this while holding _query_lock on purpose:
-    # queries must observe the old checkpoint or the new one, never a
-    # half-committed swap, so the manifest IO stays inside the critical
-    # section (docs/operations.md, "checkpoint stalls queries")
+    # checkpoint() calls this while holding _shard_lock on purpose:
+    # conversations must observe the old checkpoint or the new one, never
+    # a half-committed swap, so the manifest IO stays inside the critical
+    # section (docs/operations.md, "checkpoint stalls the feed")
     with open(tmp, "w", encoding="utf-8") as handle:  # repro: noqa[RA802]
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -2,9 +2,9 @@
 
 Built on :mod:`repro.obs`: every :meth:`ServeDaemon.status` call gathers
 one :class:`ShardHealth` per shard (trained window, swap counter,
-staleness, ingest backlog, memo efficiency, days a resume could not
-read back), folds them and the front process's own answer-memo counters
-into a :class:`DaemonStatus`, and publishes the numbers as ``serve.*``
+staleness, ingest backlog, its own service's memo, days a resume could
+not read back), folds them and the answer-memo counters of the front's
+service, which answers every read, into a :class:`DaemonStatus`, and publishes the numbers as ``serve.*``
 gauges when instrumentation is enabled — so the same figures feed the
 CLI's status lines and the Prometheus exporter.
 
@@ -96,7 +96,7 @@ class DaemonStatus:
                 f"backlog={self.ingest_backlog}, "
                 f"front memo={self.front.entries} ({self.front.hits} hits, "
                 f"{self.front.misses} misses, "
-                f"{self.front.hop_free} queries without a hop)")
+                f"{self.front.hop_free} queries from it alone)")
         lines = [head]
         for s in self.shards:
             lines.append(

@@ -22,11 +22,11 @@ bumping :data:`SHARD_LAYOUT_VERSION`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from ..pipeline.records import AggColumns, FlowContext
+from ..pipeline.records import AggColumns
 from ..util.hashing import mix64
 
 #: fixed hash seed — part of the checkpoint format, never change casually
@@ -63,16 +63,3 @@ def split_columns(columns: AggColumns, n_shards: int) -> List[AggColumns]:
                                        for column in columns[1:]))
             for mask in masks]
 
-
-def split_indices(contexts: Sequence[FlowContext],
-                  n_shards: int) -> List[List[int]]:
-    """Positions of each shard's contexts, order-preserving per shard.
-
-    The scatter half of a batched query: the gather half reassembles
-    answers into the original positions, so a sharded batch returns in
-    exactly the caller's order.
-    """
-    indices: List[List[int]] = [[] for _ in range(n_shards)]
-    for position, context in enumerate(contexts):
-        indices[shard_of(context.src_asn, n_shards)].append(position)
-    return indices

@@ -9,28 +9,26 @@ implementation of a shard both worker modes have: a worker process
 :mod:`multiprocessing` connection, the daemon's inline handle calls it
 directly.  The message protocol is small tuples, first element the op:
 
-========== ============================ ==================================
-op         payload                      reply
-========== ============================ ==================================
-ingest     (hour, AggColumns)           *none* — enqueued, fire-and-forget
-answer     (model, contexts, k, prior)  ("ok", (day, [(Prediction, ...), ...]))
-drain      ()                           ("ok", None) once queue empty
-status     ()                           ("ok", (ShardHealth, obs delta))
-checkpoint (directory,)                 ("ok", last_hour the snapshot holds)
-stop       (drain,)                     ("ok", None); worker exits
-========== ============================ ==================================
+========== ================== ============================================
+op         payload            reply
+========== ================== ============================================
+ingest     (hour, AggColumns) *none* — enqueued, fire-and-forget
+publish    ()                 ("ok", (trained days, (AP, AL, A) tables))
+drain      ()                 ("ok", None) once queue empty
+status     ()                 ("ok", (ShardHealth, obs delta))
+checkpoint (directory,)       ("ok", last_hour the snapshot holds)
+stop       (drain,)           ("ok", None); worker exits
+========== ================== ============================================
 
-``answer`` is the one query op; ``day`` is that of the published suite
-that gave the answers, the tag the daemon's memo keeps them under.
+No op answers a query: the daemon's front serves every read from the
+suite it builds out of the shards' ``publish`` replies, which carry
+the keyed count tables (``TipsyService.published_tables``) of the suite
+each shard published once its queued hours were applied.
 
-Ingest is decoupled from the query loop by an internal queue and a
-dedicated ingest thread: a day-boundary retrain builds the next suite on
-that thread, so the loop keeps answering from the published suite
-throughout — the worker-level half of the never-block-on-retrain
-guarantee (the service's atomic publication, old suite or new, is the
-state-level half).  Answers take no lock; the one writer lock orders an
-hour's ingest against a snapshot, so a checkpoint never holds half an
-hour.
+Ingest is decoupled from the op loop by an internal queue and a
+dedicated ingest thread, on which a day-boundary retrain builds the
+next suite; the one writer lock orders an hour's ingest against a
+snapshot, so a checkpoint never holds half an hour.
 
 Errors inside an op come back as ``("error", message)`` — in both
 modes, so both fail at the same point — and raise
@@ -50,13 +48,12 @@ from __future__ import annotations
 import gc
 import queue
 import threading
-from typing import (TYPE_CHECKING, AbstractSet, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..core.service import ServiceConfig, TipsyService
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
-from ..pipeline.records import AggColumns, FlowContext
+from ..pipeline.records import AggColumns
 from ..topology.wan import CloudWAN
 from .health import ShardHealth, staleness_hours
 
@@ -124,9 +121,9 @@ class ShardServer:
         except Exception as error:
             return "error", f"shard {self.shard_id} {op}: {error!r}"
 
-    def _op_answer(self, name: str, contexts: Sequence[FlowContext],
-                   k: Optional[int], prior: AbstractSet[int]) -> object:
-        return self.service.answers(name, contexts, k, prior)
+    def _op_publish(self) -> object:
+        self._op_drain()
+        return self.service.published_tables()
 
     def _op_drain(self) -> None:
         self._queue.join()

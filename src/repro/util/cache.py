@@ -13,8 +13,8 @@ bounding off for short-lived runs.  :class:`ArrayLru` is its twin for a
 batch of ``int64`` keys at a time, holding fixed-width float rows (the
 simulator's split memo); :func:`interleaved` and :func:`spliced` merge
 two ascending columns by ``np.searchsorted``.  :class:`AnswerMemo` is
-the one memo of model answers (``TipsyService`` and ``ServeDaemon``
-each hold one).
+the one memo of model answers (each suite a ``TipsyService``
+publishes holds one).
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ class MemoStats(NamedTuple):
     """An :class:`AnswerMemo`'s counters: answers held now; since the
     first memo of its ``retired`` chain, keys found and not (per key),
     and lookups that found every key, so that their caller went nowhere
-    else for an answer (the daemon's queries without a hop)."""
+    else for an answer (queries answered wholly from the memo)."""
 
     entries: int
     hits: int
@@ -243,8 +243,7 @@ class MemoStats(NamedTuple):
 
 
 class AnswerMemo(Generic[S, K, V]):
-    """Answers valid under one publication, ``day``: shape -> key ->
-    answer, a shape being whatever else the answer depends on (answering
+    """Answers valid under one publication: shape -> key -> answer, a shape being whatever else the answer depends on (answering
     model, ``k``, unavailable links), so a batch of one shape is one
     ``map`` over one dictionary and a shape never asked costs one miss.
 
@@ -254,9 +253,8 @@ class AnswerMemo(Generic[S, K, V]):
     ``None``.  The lock is held around dictionary work only.
     """
 
-    def __init__(self, size: int, day: Optional[int] = None,
+    def __init__(self, size: int,
                  retired: Optional["AnswerMemo[S, K, V]"] = None):
-        self.day = day
         self._size = max(size, 0)
         self._lock = threading.Lock()
         self._shapes: "OrderedDict[S, Dict[K, V]]" = OrderedDict()

@@ -7,16 +7,19 @@ link) -> bytes tables, one for the window and one per scheduled
 down-set (:class:`_StreamAccumulator`), and ``_actuals_from_pairs``
 named each row by its flow's context for the dict scorer
 (``tests/core/accuracy_oracle.py``).  The code is kept as the runner
-had it.  ``tests/experiments/test_runner.py`` holds it to a per-pair
-dictionary walk, and holds ``EvaluationRunner.actuals_window`` — the
-feed's hours folded per down-set — to it, key for key and byte for
-byte; ``feed_reference.assert_feed_is_the_walk`` holds the training
-window to it.
+had it, but for one thing: each epoch is folded in as it closes, not
+all of them at the end, so that a paper-scale window holds its tables
+and one epoch, not every epoch.  ``tests/experiments/test_runner.py``
+holds it to a per-pair dictionary walk, and holds
+``EvaluationRunner.actuals_window`` — the feed's hours folded per
+down-set — to it, key for key and byte for byte;
+``feed_reference.assert_feed_is_the_walk`` holds the training window
+to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -31,13 +34,13 @@ class _StreamAccumulator:
     """Accumulates streamed columns into keyed (flow row, link) -> bytes
     tables (``k0`` flow row, ``k1`` link, ``value``), one for the window
     and one per down-set; an expansion epoch's hours are summed first, so
-    the availability context of every row is known."""
+    the availability context of every row is known, and each closed
+    epoch is folded into both tables at once, so that no more than one
+    epoch is ever held beside them."""
 
     def __init__(self) -> None:
         self.by_downset: Dict[FrozenSet[int], KeyedTable] = {}
         self.total: KeyedTable = fold_keyed((), 2)
-        # closed epochs in stream order: (down-set, non-zero rows)
-        self._epochs: List[Tuple[FrozenSet[int], KeyedTable]] = []
         self._epoch_rows: Optional[np.ndarray] = None
         self._epoch_links: Optional[np.ndarray] = None
         self._epoch_sum: Optional[np.ndarray] = None
@@ -54,27 +57,24 @@ class _StreamAccumulator:
         self._epoch_sum += cols.sampled_bytes
 
     def _close_epoch(self) -> None:
+        """Fold the open epoch's non-zero rows into ``total`` and its
+        down-set's table: each key's bytes summed in stream order, keys
+        (and down-sets) first seen first, as a ``sums.get(key, 0.0) +
+        value`` walk over the epochs would leave them."""
         rows, links, sums = (self._epoch_rows, self._epoch_links,
                              self._epoch_sum)
         if rows is None or links is None or sums is None:
             return
         nz = sums > 0.0
-        self._epochs.append((self._epoch_down, {
-            "k0": rows[nz], "k1": links[nz], "value": sums[nz]}))
+        epoch = {"k0": rows[nz], "k1": links[nz], "value": sums[nz]}
+        self.total = fold_keyed((self.total, epoch), 2)
+        held = self.by_downset.get(self._epoch_down, fold_keyed((), 2))
+        self.by_downset[self._epoch_down] = fold_keyed((held, epoch), 2)
         self._epoch_sum = None
 
     def finish(self) -> None:
-        """Fold the epochs into ``total`` and ``by_downset``: each key's
-        bytes summed in stream order, keys (and down-sets) first seen
-        first, as a ``sums.get(key, 0.0) + value`` walk would leave them."""
+        """Fold the last epoch in."""
         self._close_epoch()
-        self.total = fold_keyed([table for _, table in self._epochs], 2)
-        epochs_of: Dict[FrozenSet[int], List[KeyedTable]] = {}
-        for down, table in self._epochs:
-            epochs_of.setdefault(down, []).append(table)
-        self.by_downset = {down: fold_keyed(tables, 2)
-                           for down, tables in epochs_of.items()}
-        self._epochs = []
 
 
 class StreamWindows:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import EvaluationRunner, WindowSpec
 from repro.experiments.runner import _WINDOW_SLOTS
-from tests.experiments.stream_oracle import StreamWindows
+from tests.experiments.stream_oracle import StreamWindows, _StreamAccumulator
 
 
 class TestWindowSpec:
@@ -170,6 +170,31 @@ class TestRunnerMechanics:
         for down, bucket in by_downset.items():
             assert pairs(acc.by_downset[down]) == list(bucket.items())
         assert streamed.collect_window(lo, hi) is acc
+
+    def test_streamed_oracle_holds_its_tables_and_one_epoch(
+            self, small_scenario):
+        """Every keyed table the streamed oracle holds while it walks is
+        one of its folded tables: a closed epoch is folded in at once,
+        never kept aside for ``finish``, so that the open epoch's arrays
+        are all it holds beside them (on a paper-scale window, keeping
+        every epoch's rows was most of a gigabyte)."""
+        def rows_held(value):
+            if isinstance(value, dict):
+                return (len(value["value"]) if "value" in value
+                        else sum(map(rows_held, value.values())))
+            if isinstance(value, (list, tuple)):
+                return sum(map(rows_held, value))
+            return 0
+
+        acc = _StreamAccumulator()
+        epochs = 0
+        for cols in small_scenario.stream(0, 96):
+            epochs += acc._epoch_rows is not cols.flow_rows
+            acc.add_hour(cols, small_scenario.scheduled_down_at(cols.hour))
+            folded = len(acc.total["value"]) + sum(
+                len(table["value"]) for table in acc.by_downset.values())
+            assert rows_held(vars(acc)) == folded
+        assert epochs > 2
 
     def test_actuals_window_is_the_streamed_ground_truth(
             self, small_scenario):

@@ -1,13 +1,12 @@
-"""The daemon's front memo: a repeated question is answered without a
-hop, and what it answers is bit-identical to asking the shards now.
+"""The daemon's front: every read is answered in its own process from
+the suite the shards last published, remembered in that suite's memo,
+and bit-identical to the single-process service.
 
-An answer is kept only under the publication that gave it (the reply's
-day tag equals the day the query read when it began) and the memo is
-replaced before any shard hears of a new day — so these tests ask
-everything several times, across day boundaries, inside the lag window
-in which a shard still serves yesterday's suite, across a feed that
-crosses a day mid-query, across a resume, and under a bound smaller
-than one batch, always against the single-process oracle.
+A repeated question is answered from the memo without touching a model;
+these tests ask everything several times, across day boundaries, while
+a shard is still rebuilding its next suite, with the daemon's locks
+held, across a resume, and under a bound smaller than one batch, always
+against the single-process oracle.
 """
 
 import dataclasses
@@ -111,8 +110,9 @@ def test_repeated_questions_equal_the_oracle_across_boundaries(
 def test_a_bad_k_is_refused_before_the_memo_and_the_shards(
         serve_world, workers):
     """A negative ``k`` is the single service's ``ValueError``, raised
-    before any shard is asked: the memo keeps every answer it held, and
-    the next good question is answered from it without a hop."""
+    before the memo is read or any shard is asked: the memo keeps every
+    answer it held, and the next good question is answered from it
+    alone."""
     daemon = _daemon(serve_world, workers)
     oracle = _oracle(serve_world, 30)
     batch = serve_world.contexts[:50]
@@ -150,13 +150,14 @@ def test_a_bad_k_is_refused_before_the_memo_and_the_shards(
 BOUNDARY = 72
 
 
-def test_lagging_shard_is_asked_again_and_never_cached(serve_world,
-                                                       monkeypatch):
+def test_a_lagging_shard_holds_the_feed_and_not_the_reads(serve_world,
+                                                        monkeypatch):
     """Shard 1's rebuild is parked half-way (as in ``test_hotswap``):
-    the daemon's day has moved on, shard 0 has published the new suite,
-    shard 1 still serves — correctly — the old one.  Its answers must
-    come back old every time and must not be kept, or they would
-    outlive the suite that gave them."""
+    shard 0 has published the new day, shard 1 has not, so the feed of
+    the day's first hour waits for the publication.  Reads meanwhile
+    are the old suite's, whole — never shard 0's new answers beside
+    shard 1's old ones — and are remembered as such; the publication
+    swaps in the new suite with a fresh memo."""
     daemon = _daemon(serve_world, "inline")
     before = _oracle(serve_world, BOUNDARY)
     after = _oracle(serve_world, BOUNDARY + 1)
@@ -166,7 +167,6 @@ def test_lagging_shard_is_asked_again_and_never_cached(serve_world,
     mixed = [new[i] if owner == 0 else old[i]
              for i, owner in enumerate(owners)]
     assert mixed != old and mixed != new  # otherwise the test is vacuous
-    lagging = len({c for c, owner in zip(batch, owners) if owner == 1})
 
     parked, release = threading.Event(), threading.Event()
     build_model = HistoricalModel.from_arrays
@@ -179,82 +179,38 @@ def test_lagging_shard_is_asked_again_and_never_cached(serve_world,
             assert release.wait(30)
         return model
 
+    feeder = threading.Thread(target=daemon.ingest_hour, args=(
+        BOUNDARY, serve_world.hourly[BOUNDARY]))
     try:
         _feed(serve_world, 0, BOUNDARY, daemon)
         daemon.drain()
-        assert daemon.predict_batch(batch) == old
-        assert daemon.status().front.entries == len(set(batch))
         monkeypatch.setattr(HistoricalModel, "from_arrays", park_shard_1)
-        daemon.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
+        feeder.start()
         assert parked.wait(30)
         daemon._handles[0]._queue.join()  # shard 0 has published day 3
-        assert daemon.status().front.entries == 0  # retired with day 2
-        try:
-            for asked in (1, 2, 3):
-                misses = daemon.status().front.misses
-                assert daemon.predict_batch(batch) == mixed
-                front = daemon.status().front
-                # shard 0's new answers were kept at once; shard 1's
-                # old ones never are, and it is asked every time
-                assert front.entries == len(set(batch)) - lagging
-                assert front.misses - misses == (
-                    len(batch) if asked == 1
-                    else sum(owner == 1 for owner in owners))
-        finally:
-            release.set()
-        daemon.drain()
-        assert daemon.predict_batch(batch) == new
-        hop_free = daemon.status().front.hop_free
-        assert daemon.predict_batch(batch) == new
-        assert daemon.status().front.hop_free == hop_free + 1
-    finally:
+        for asked in range(3):
+            assert daemon.predict_batch(batch) == old
+        assert feeder.is_alive()  # waiting for shard 1's publication
+        # (status() would wait too: the publication holds the shard lock)
+        front = daemon._front.memo_stats()
+        assert front.entries == len(set(batch)) and front.hop_free >= 2
         release.set()
-        daemon.shutdown(drain=False)
-
-
-def test_reply_that_lost_the_race_with_a_crossing_feed_is_not_found(
-        serve_world):
-    """The day moves to D + 1 between a query's scatter and its reply:
-    the reply, rightly tagged D, may only land in the memo the query
-    read when it began — which no later query reads."""
-    daemon = _daemon(serve_world, "inline")
-    batch = serve_world.contexts[:40]
-    old = _oracle(serve_world, BOUNDARY).predict_batch(batch)
-    new = _oracle(serve_world, BOUNDARY + 1).predict_batch(batch)
-    assert old != new
-    handle = daemon._handles[0]
-    finish, ingest = handle.finish, handle.ingest
-    day_when_first_shard_was_sent = []
-
-    def finish_after_the_day_moved():
-        handle.finish = finish
-        daemon.ingest_hour(BOUNDARY, serve_world.hourly[BOUNDARY])
-        return finish()  # answered before the feed: suite D's reply
-
-    def ingest_noting_the_day(hour, columns):
-        day_when_first_shard_was_sent.append(daemon._memo.day)
-        ingest(hour, columns)
-
-    try:
-        _feed(serve_world, 0, BOUNDARY, daemon)
-        daemon.drain()
-        handle.finish = finish_after_the_day_moved
-        handle.ingest = ingest_noting_the_day
-        assert daemon.predict_batch(batch) == old
-        assert day_when_first_shard_was_sent == [BOUNDARY // 24]
-        assert daemon.last_hour == BOUNDARY
-        assert daemon.status().front.entries == 0
-        daemon.drain()
+        feeder.join(30)
+        assert not feeder.is_alive()
+        assert daemon.status().front.entries == 0  # retired with day 2
         for _ in range(2):
             assert daemon.predict_batch(batch) == new
+        assert daemon.status().front.hop_free == front.hop_free + 1
     finally:
+        release.set()
+        feeder.join(30)
         daemon.shutdown(drain=False)
 
 
 @pytest.mark.parametrize("workers", WORKER_MODES)
-def test_warm_query_waits_for_no_daemon_lock(serve_world, workers):
+def test_no_query_waits_for_a_daemon_lock(serve_world, workers):
     """A checkpoint holds both daemon locks from drain to manifest; a
-    fully warm query still returns, a query with one miss waits."""
+    warm query and one about contexts never asked both still return."""
     daemon = _daemon(serve_world, workers)
     oracle = _oracle(serve_world, 30)
     warm = serve_world.contexts[:40]
@@ -272,14 +228,13 @@ def test_warm_query_waits_for_no_daemon_lock(serve_world, workers):
         _feed(serve_world, 0, 30, daemon)
         daemon.drain()
         daemon.predict_batch(warm)
-        with daemon._feed_lock, daemon._query_lock:
-            ask(warm).join(30)
-            assert answers == [oracle.predict_batch(warm)]
-            waiting = ask(cold)
-            waiting.join(0.2)
-            assert waiting.is_alive() and len(answers) == 1
-        waiting.join(30)
-        assert answers[1] == oracle.predict_batch(cold)
+        with daemon._feed_lock, daemon._shard_lock:
+            for batch in (warm, cold):
+                thread = ask(batch)
+                thread.join(10)
+                assert not thread.is_alive(), "a query waited for a lock"
+        assert answers == [oracle.predict_batch(warm),
+                           oracle.predict_batch(cold)]
     finally:
         daemon.shutdown(drain=False)
 
@@ -351,7 +306,7 @@ def test_status_line_and_exported_gauges_carry_the_memo(serve_world):
         status = daemon.status()
         assert status.front == (30, 70, 35, 2)
         assert status.format_text().splitlines()[0].endswith(
-            "front memo=30 (70 hits, 35 misses, 2 queries without a hop)")
+            "front memo=30 (70 hits, 35 misses, 2 queries from it alone)")
         snapshot = obs.snapshot()
         assert {name: value for name, value in snapshot.gauges.items()
                 if name.startswith("serve.front.")} == {

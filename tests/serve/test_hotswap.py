@@ -5,15 +5,20 @@ concurrent readers while retrains are in flight.
 The invariant is the service's (its atomic ``PublishedSuite``), so the
 races run on :class:`TipsyService` itself; what the shard server adds —
 its ingest thread, swap count and health — runs on an inline
-:class:`ShardServer`."""
+:class:`ShardServer`, and the daemon's front, which installs the shards'
+merged publications, is raced last."""
 
 import contextlib
 import dataclasses
 import sys
 import threading
 
+import pytest
+
 from repro.core.historical import HistoricalModel
 from repro.core.service import TipsyService
+from repro.serve import DaemonConfig, ServeDaemon
+from repro.serve.daemon import WORKER_MODES
 from repro.serve.worker import ShardServer
 
 from .conftest import HOURS
@@ -42,14 +47,18 @@ def _health(server):
 
 class TestHotSwapEquivalence:
     def test_matches_single_service_after_full_stream(self, serve_world):
+        """What a shard publishes, installed in another service, answers
+        as the service fed the stream does."""
         contexts = serve_world.contexts[:300]
         with _server(serve_world) as server:
-            _fed(server, serve_world, range(HOURS))
-            status, (_day, answers) = server.handle(
-                "answer", server.service.config.primary_model, contexts, None,
-                frozenset())
+            for hour in range(HOURS):
+                server.ingest(hour, serve_world.hourly[hour])
+            status, (days, tables) = server.handle("publish")
         assert status == "ok"
-        assert ([list(answer) for answer in answers]
+        assert days == serve_world.reference.trained_days
+        front = TipsyService(serve_world.scenario.wan, serve_world.config)
+        front.install(tables, days)
+        assert (front.predict_batch(contexts)
                 == serve_world.reference.predict_batch(contexts))
 
     def test_swap_per_published_suite(self, serve_world):
@@ -347,3 +356,59 @@ class TestOldOrNewInvariant:
         assert not failures
         assert (service.predict_batch(batch)
                 == serve_world.reference.predict_batch(batch))
+
+
+class TestOldOrNewAtTheFront:
+    @pytest.mark.parametrize("workers", WORKER_MODES)
+    def test_readers_racing_publications_see_one_suite_per_call(
+            self, serve_world, workers):
+        """Readers hammer a 2-shard daemon, under a short switch
+        interval, while the feed crosses three day boundaries: each call
+        is answered by exactly one publication (never one shard's new
+        day beside the other's old one), and no reader ever goes back to
+        an older publication."""
+        wan = serve_world.scenario.wan
+        oracle = TipsyService(wan, serve_world.config)
+        batch = serve_world.contexts[:40]
+        warm = 25
+        valid = []
+        for hour in range(HOURS):
+            oracle.ingest_hour(hour, serve_world.hourly[hour])
+            if hour >= 24 and hour % 24 == 0:  # a suite was published
+                valid.append(oracle.predict_batch(batch))
+        assert len({repr(answer) for answer in valid}) == len(valid)
+        daemon = ServeDaemon(wan, DaemonConfig(
+            n_shards=2, workers=workers, service=serve_world.config)).start()
+        observed = [[] for _ in range(3)]
+        failures = []
+        stop = threading.Event()
+
+        def read_loop(seen):
+            try:
+                while not stop.is_set():
+                    seen.append(valid.index(daemon.predict_batch(batch)))
+            except Exception as error:  # pragma: no cover - on failure
+                failures.append(error)
+
+        readers = [threading.Thread(target=read_loop, args=(seen,))
+                   for seen in observed]
+        interval = sys.getswitchinterval()
+        try:
+            for hour in range(warm):
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+            sys.setswitchinterval(1e-5)
+            for reader in readers:
+                reader.start()
+            for hour in range(warm, HOURS):
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(30)
+            sys.setswitchinterval(interval)
+            final = daemon.predict_batch(batch)
+            daemon.shutdown(drain=False)
+        assert not failures and not any(r.is_alive() for r in readers)
+        for seen in observed:
+            assert seen and seen == sorted(seen)
+        assert final == valid[-1]

@@ -203,6 +203,54 @@ class TestConcurrentCheckpoint:
         finally:
             resumed.shutdown()
 
+    def test_reads_never_wait_for_a_checkpoint(self, serve_world,
+                                               tmp_path, monkeypatch):
+        """Shard 1 is parked inside its snapshot, so the checkpoint holds
+        both daemon locks; from another thread, a batch of contexts never
+        asked before and a ``what_if`` each return the single service's
+        answer before the shard is released."""
+        daemon = _daemon(serve_world, n_shards=2)
+        oracle = TipsyService(serve_world.scenario.wan, serve_world.config)
+        for hour in range(30):
+            daemon.ingest_hour(hour, serve_world.hourly[hour])
+            oracle.ingest_hour(hour, serve_world.hourly[hour])
+        contexts = serve_world.contexts[:120]
+        flows = [(context, float(10 + i)) for i, context
+                 in enumerate(serve_world.contexts[:200])]
+        withdrawn = frozenset(sorted(
+            link.link_id for link in serve_world.scenario.wan.links)[:3])
+        parked, release = threading.Event(), threading.Event()
+        snapshot = TipsyService.snapshot
+
+        def parked_snapshot(service, directory):
+            if str(directory).endswith("shard-01"):
+                parked.set()
+                assert release.wait(30)
+            return snapshot(service, directory)
+
+        monkeypatch.setattr(TipsyService, "snapshot", parked_snapshot)
+        checkpointer = threading.Thread(target=daemon.checkpoint,
+                                        args=(tmp_path,))
+        answers = []
+        reader = threading.Thread(target=lambda: answers.extend((
+            daemon.predict_batch(contexts),
+            daemon.what_if(flows, withdrawn))))
+        try:
+            checkpointer.start()
+            assert parked.wait(30)
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive(), "a read waited for the checkpoint"
+            assert checkpointer.is_alive()  # the shard is still parked
+            assert answers == [oracle.predict_batch(contexts),
+                               oracle.what_if(flows, withdrawn)]
+        finally:
+            release.set()
+            checkpointer.join(30)
+            reader.join(30)
+            daemon.shutdown()
+        assert read_manifest(tmp_path)["last_hour"] == 29
+
     def test_shards_at_different_hours_commit_no_manifest(
             self, serve_world, tmp_path):
         daemon = _daemon(serve_world, n_shards=2)

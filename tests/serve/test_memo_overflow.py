@@ -3,8 +3,9 @@
 Plain predictions are a single shape, so a caller whose working set is
 one context larger than the bound must lose one answer, not all of them:
 the memo sheds that shape's oldest answers and keeps its newest
-``memo_size`` — the daemon's front memo and the service's own alike
-(they are one class, ``repro.util.cache.AnswerMemo``).
+``memo_size`` — read through the daemon's status and through the
+service's own counters alike (the daemon's front is a service, and its
+memo is ``repro.util.cache.AnswerMemo``).
 """
 
 import dataclasses

@@ -5,8 +5,7 @@ import pytest
 from repro.core.service import TipsyService
 from repro.serve import DaemonConfig, ServeDaemon
 from repro.serve.daemon import WORKER_MODES
-from repro.serve.sharding import (SHARD_HASH_SEED, shard_of, split_columns,
-                                  split_indices)
+from repro.serve.sharding import SHARD_HASH_SEED, shard_of, split_columns
 from repro.util.hashing import mix64
 
 
@@ -33,6 +32,17 @@ class TestShardOf:
     def test_spreads_across_shards(self):
         owners = {shard_of(asn, 4) for asn in range(1, 500)}
         assert owners == {0, 1, 2, 3}
+
+    def test_record_and_context_placement_agree(self, serve_world):
+        # a flow's training records all land on its source's shard,
+        # so the shards' tables are disjoint — the heart of the
+        # equivalence argument
+        context_shards = {c.src_asn: shard_of(c.src_asn, 4)
+                          for c in serve_world.contexts}
+        for record in serve_world.hourly[12]:
+            if record.src_asn in context_shards:
+                assert (shard_of(record.src_asn, 4)
+                        == context_shards[record.src_asn])
 
 
 class TestSplitRecords:
@@ -100,29 +110,3 @@ class TestIngestEdge:
                     == oracle.predict_batch(contexts))
         finally:
             daemon.shutdown(drain=False)
-
-
-class TestSplitIndices:
-    def test_round_trips_the_batch(self, serve_world):
-        contexts = serve_world.contexts[:200]
-        indices = split_indices(contexts, 4)
-        scattered = sorted(i for shard in indices for i in shard)
-        assert scattered == list(range(len(contexts)))
-        for shard_id, positions in enumerate(indices):
-            assert positions == sorted(positions)
-            assert all(shard_of(contexts[i].src_asn, 4) == shard_id
-                       for i in positions)
-
-    def test_record_and_context_placement_agree(self, serve_world):
-        # a flow's training records and its queries land on the same
-        # shard — the heart of the equivalence argument
-        context_shards = {c.src_asn: shard_of(c.src_asn, 4)
-                          for c in serve_world.contexts}
-        for record in serve_world.hourly[12]:
-            if record.src_asn in context_shards:
-                assert (shard_of(record.src_asn, 4)
-                        == context_shards[record.src_asn])
-
-    def test_single_shard_degenerates_to_unsharded(self, serve_world):
-        contexts = serve_world.contexts[:50]
-        assert split_indices(contexts, 1) == [list(range(len(contexts)))]

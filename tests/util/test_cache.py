@@ -197,11 +197,10 @@ class TestAnswerMemo:
             assert memo.stats() == (0, 0, 1, 0)
 
     def test_successor_starts_empty_with_the_counters_so_far(self):
-        first: AnswerMemo[str, int, int] = AnswerMemo(size=1, day=4)
+        first: AnswerMemo[str, int, int] = AnswerMemo(size=1)
         first.store("s", {1: 1, 2: 2})
         first.lookup("s", [1, 2])
-        second = AnswerMemo(1, 5, first)
-        assert (first.day, second.day) == (4, 5)
+        second = AnswerMemo(1, first)
         assert first.stats() == (1, 1, 1, 0)
         assert second.stats() == (0, 1, 1, 0)
         assert first.evictions == second.evictions == 1
