@@ -5,9 +5,9 @@ Hist_AP / Hist_AL), specific-to-general ensembles, the geographic
 AL+G completion for never-seen withdrawals, Naive Bayes baselines and
 the oracle, all scored by byte-weighted top-k accuracy (§5.1.2).  Also
 home to :class:`~repro.core.service.TipsyService`, the online §4
-surface: rolling-window ingestion, a daily retrain that rebuilds every
-model from the window's counts, and batched ``predict_batch`` /
-``what_if`` serving with a bounded memo.
+surface: a :class:`~repro.core.window.RollingWindow` whose daily fold
+rebuilds the served suite (:func:`~repro.core.ensemble.build_suite`),
+and batched ``predict_batch`` / ``what_if`` serving with a bounded memo.
 """
 
 from .features import (

@@ -14,9 +14,10 @@ Reproduces the paper's methodology end to end:
 * build the matching k-restricted oracles per feature set.
 
 Training reads the feed the service trains on: ``feed_window`` folds
-``Scenario.aggregated_hours`` through ``DayCounts.add_hour``, so every
-historical model (``from_arrays`` over a projection) is byte-equal to
-the one ``TipsyService`` serves over the same days.  Testing reads the
+``Scenario.aggregated_hours`` through ``DayCounts.add_hour``, and the
+served models are built from its projections by the service's own
+builder (``core.ensemble.build_suite``), so each is byte-equal to the one
+``TipsyService`` serves over the same days.  Testing reads the
 same feed, whole and per scheduled down-set (``actuals_window``), and
 scores it as columns (``core.accuracy.ActualsTable``).
 """
@@ -30,10 +31,8 @@ import numpy as np
 
 from ..core.accuracy import ActualsTable, Slice
 from ..core.base import IngressModel
-from ..core.ensemble import SequentialEnsemble
-from ..core.features import FEATURES_A, FEATURES_AL, FEATURES_AP
-from ..core.geo_augment import GeoAugmentedModel
-from ..core.historical import HistoricalModel
+from ..core.ensemble import BASE_GRAINS, SequentialEnsemble, build_suite
+from ..core.features import FEATURES_A, FEATURES_AL
 from ..core.naive_bayes import NaiveBayesModel
 from ..core.oracle import oracle_models
 from ..core.training import KEY_NAMES, DayCounts, KeyedTable, fold_keyed
@@ -144,15 +143,15 @@ class EvaluationRunner:
 
     def build_models(self, train_counts: DayCounts,
                      include_naive_bayes: bool = False) -> List[IngressModel]:
-        """Train the paper's model suite (Table 2, plus Appendix A on demand)."""
-        hist_a, hist_ap, hist_al = (
-            HistoricalModel.from_arrays(train_counts.project(fs), fs)
-            for fs in (FEATURES_A, FEATURES_AP, FEATURES_AL))
+        """Train the paper's model suite (Table 2, plus Appendix A on
+        demand): the served suite, and the models only the tables score."""
+        served = build_suite((train_counts.project(fs) for fs in BASE_GRAINS),
+                             self.scenario.wan)
+        hist_a, hist_ap, hist_al = (served[name] for name in (
+            "Hist_A", "Hist_AP", "Hist_AL"))
         models: List[IngressModel] = [
             hist_a, hist_ap, hist_al,
-            GeoAugmentedModel(hist_al, self.scenario.wan, name="Hist_AL+G"),
-            SequentialEnsemble([hist_ap, hist_al, hist_a],
-                               name="Hist_AP/AL/A"),
+            served["Hist_AL+G"], served["Hist_AP/AL/A"],
             SequentialEnsemble([hist_al, hist_ap, hist_a],
                                name="Hist_AL/AP/A"),
         ]

@@ -6,29 +6,28 @@ lifecycle.
 telemetry stream goes in, sharded by feature-key hash
 (:mod:`repro.serve.sharding`) across shard servers
 (:class:`~repro.serve.worker.ShardServer`) that each hold one
-:class:`~repro.core.service.TipsyService` and retrain it daily; batched
+:class:`~repro.core.window.RollingWindow` and fold it daily; batched
 ``predict_batch``/``what_if`` queries are answered in the daemon's own
-process by one more ``TipsyService``, the *front*, which serves the
-shards' merged suite.  Two worker modes share every other code path,
-the shard server included:
+process by one ``TipsyService``, the *front*, which serves the suite
+built from the shards' merged folds.  Two worker modes share every
+other code path, the shard server included:
 
 * ``process`` (the deployment shape) — one OS process per shard, talking
-  over a pipe (:mod:`repro.serve.worker`); per-shard retrains run in
+  over a pipe (:mod:`repro.serve.worker`); per-shard folds run in
   parallel across cores;
 * ``inline`` — shards live in the daemon process with one ingest thread
   each; cheap to start, used by tests and available for tiny deployments.
 
-**Publication.**  A shard's retrain publishes a new suite at the first
-hour of each day.  The thread that feeds that hour then asks every shard
-for it (the ``publish`` op, answered once the hour is applied — the feed
-waits for the slowest retrain, as ``TipsyService.ingest_hour`` waits for
-its own) and gets back the folded base tables (AP, AL, A) it was built
-from.  Every model grain keys on ``src_asn``, so the shards' tables are
-disjoint, and stacked they hold exactly the single-process service's
-counts; the front builds its suite from them and swaps it in by one
-assignment (:meth:`TipsyService.install`).  A resumed daemon takes one
-publication in :meth:`ServeDaemon.start`.  Only publications cross a
-pipe for reads.
+**Publication.**  A shard folds its window at the first hour of each
+day.  The thread that feeds that hour then asks every shard for its
+last fold, the days and base tables (AP, AL, A) (the ``publish`` op,
+answered once the hour is applied: the feed waits for the slowest
+fold).  Every model grain keys on ``src_asn``, so the shards' tables
+are disjoint, and stacked they hold exactly the single-process
+service's counts; the front builds the day's suite from them, the only
+one the daemon builds, and swaps it in by one assignment
+(:meth:`TipsyService.install`).  A resumed daemon takes one publication
+in :meth:`ServeDaemon.start`.  Only publications cross a pipe for reads.
 
 **Equivalence.**  A read is the front's ``predict_batch``/``what_if`` on
 a suite built from the single-process service's counts, so a sharded
@@ -76,6 +75,7 @@ import numpy as np
 
 from ..core.base import NO_LINKS, Prediction
 from ..core.service import ServiceConfig, TipsyService
+from ..core.window import Fold
 from ..obs import runtime as obs
 from ..pipeline.records import AggColumns, AggHour, FlowContext
 from ..topology.wan import CloudWAN
@@ -158,7 +158,7 @@ class _ProcessShard:
     _STOP_JOIN_TIMEOUT = 30.0
     _ESCALATE_JOIN_TIMEOUT = 5.0
 
-    def __init__(self, shard_id: int, wan: CloudWAN, config: ServiceConfig,
+    def __init__(self, shard_id: int, config: ServiceConfig,
                  restore_dir: Optional[str] = None,
                  obs_enabled: bool = False):
         self.shard_id = shard_id
@@ -169,8 +169,7 @@ class _ProcessShard:
         self._send_lock = threading.Lock()
         self.process = multiprocessing.Process(
             target=shard_worker_main,
-            args=(child_conn, shard_id, wan, config, restore_dir,
-                  obs_enabled),
+            args=(child_conn, shard_id, config, restore_dir, obs_enabled),
             name=f"serve-shard-{shard_id:02d}",
             daemon=True)
         self.process.start()
@@ -287,11 +286,11 @@ class ServeDaemon:
         for shard_id, shard_dir in enumerate(shard_dirs):
             if self.config.workers == "process":
                 handle: _ShardHandle = _ProcessShard(
-                    shard_id, self.wan, self.config.service, shard_dir,
+                    shard_id, self.config.service, shard_dir,
                     obs_enabled=obs.enabled())
             else:
                 handle = _InlineShard(
-                    shard_id, self.wan, self.config.service, shard_dir)
+                    shard_id, self.config.service, shard_dir)
             self._handles.append(handle)
         self._started = True
         if self._last_hour is not None:
@@ -392,16 +391,16 @@ class ServeDaemon:
                 self._unpublished = day
 
     def _publish_locked(self, day: int) -> None:
-        """Ask every shard for the suite it serves once its queued hours
-        are applied, and serve their union as day ``day``'s (the caller
-        holds ``_feed_lock``, or is ``start``)."""
+        """Ask every shard for its last fold once its queued hours are
+        applied, and serve the suite of their union as day ``day``'s
+        (the caller holds ``_feed_lock``, or is ``start``)."""
         with self._shard_lock:
-            replies = self._gather("publish")
-        by_grain = zip(*(tables for _days, tables in replies))
+            folds: List[Fold] = self._gather("publish")
+        by_grain = zip(*(fold.tables for fold in folds))
         self._front.install(
             [{name: np.concatenate([table[name] for table in tables])
               for name in tables[0]} for tables in by_grain],
-            tuple(sorted({d for days, _tables in replies for d in days})))
+            tuple(sorted({d for fold in folds for d in fold.trained_on})))
         self._published_day, self._unpublished = day, None
 
     def drain(self) -> None:

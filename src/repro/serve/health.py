@@ -2,11 +2,11 @@
 
 Built on :mod:`repro.obs`: every :meth:`ServeDaemon.status` call gathers
 one :class:`ShardHealth` per shard (trained window, swap counter,
-staleness, ingest backlog, its own service's memo, days a resume could
-not read back), folds them and the answer-memo counters of the front's
-service, which answers every read, into a :class:`DaemonStatus`, and publishes the numbers as ``serve.*``
-gauges when instrumentation is enabled — so the same figures feed the
-CLI's status lines and the Prometheus exporter.
+staleness, ingest backlog, days a resume could not read back), folds
+them and the answer-memo counters of the front's service, which
+answers every read, into a :class:`DaemonStatus`, and publishes the
+numbers as ``serve.*`` gauges when instrumentation is enabled — so the
+same figures feed the CLI's status lines and the Prometheus exporter.
 
 *Staleness* is the operator's freshness number: how many ingested hours
 are newer than the newest day behind the served models.  A healthy
@@ -26,7 +26,7 @@ from ..util.cache import MemoStats
 
 @dataclass(frozen=True)
 class ShardHealth:
-    """One shard's liveness, freshness and serving-cache numbers."""
+    """One shard's liveness and freshness numbers."""
 
     shard_id: int
     last_hour: Optional[int]
@@ -37,9 +37,12 @@ class ShardHealth:
     retrain_count: int
     ready: bool
     ingest_queue_depth: int
-    memo_entries: int
-    memo_hits: int
-    memo_misses: int
+    # always 0: a shard holds no memo, as no read reaches it and it
+    # builds no model.  Kept while benchmarks/e2e/tipsybench/serving.py
+    # reads them (ROADMAP 2(e))
+    memo_entries: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
     #: window days whose checkpoint segment was unreadable at resume:
     #: the shard serves without them until they age out of the window
     days_lost: Tuple[int, ...] = ()
@@ -103,8 +106,7 @@ class DaemonStatus:
                 f"  shard {s.shard_id:02d}: days={s.trained_days} "
                 f"(latest {s.latest_trained_day}), "
                 f"swaps={s.swap_count}, stale={s.staleness_hours}h, "
-                f"queue={s.ingest_queue_depth}, "
-                f"memo={s.memo_entries} ({s.memo_hits} hits)"
+                f"queue={s.ingest_queue_depth}"
                 + (f", LOST days {list(s.days_lost)}" if s.days_lost else ""))
         return "\n".join(lines)
 
@@ -129,6 +131,5 @@ def export_status_gauges(status: DaemonStatus) -> None:
             "staleness_hours": float(s.staleness_hours),
             "trained_days": float(s.trained_days),
             "ingest_queue_depth": float(s.ingest_queue_depth),
-            "memo_entries": float(s.memo_entries),
             "days_lost": float(len(s.days_lost)),
         }, prefix=f"serve.shard{s.shard_id:02d}.")

@@ -1,8 +1,8 @@
-"""The shard server: one service, its ingest thread, op dispatch, and
-its pipe loop.
+"""The shard server: one rolling window, its ingest thread, op
+dispatch, and its pipe loop.
 
 :class:`ShardServer` holds the one
-:class:`~repro.core.service.TipsyService` of the feature keys that hash
+:class:`~repro.core.window.RollingWindow` of the feature keys that hash
 to its shard (:mod:`repro.serve.sharding`) and is the only
 implementation of a shard both worker modes have: a worker process
 (:func:`shard_worker_main`) feeds it from a duplex
@@ -13,22 +13,22 @@ directly.  The message protocol is small tuples, first element the op:
 op         payload            reply
 ========== ================== ============================================
 ingest     (hour, AggColumns) *none* — enqueued, fire-and-forget
-publish    ()                 ("ok", (trained days, (AP, AL, A) tables))
+publish    ()                 ("ok", the window's last Fold)
 drain      ()                 ("ok", None) once queue empty
 status     ()                 ("ok", (ShardHealth, obs delta))
 checkpoint (directory,)       ("ok", last_hour the snapshot holds)
 stop       (drain,)           ("ok", None); worker exits
 ========== ================== ============================================
 
-No op answers a query: the daemon's front serves every read from the
-suite it builds out of the shards' ``publish`` replies, which carry
-the keyed count tables (``TipsyService.published_tables``) of the suite
-each shard published once its queued hours were applied.
+No op answers a query, and a shard builds no model: the daemon's front
+serves every read from the suite it builds out of the shards'
+``publish`` replies — each the window's last fold, (trained days,
+(AP, AL, A) count tables), once its queued hours were applied.
 
 Ingest is decoupled from the op loop by an internal queue and a
-dedicated ingest thread, on which a day-boundary retrain builds the
-next suite; the one writer lock orders an hour's ingest against a
-snapshot, so a checkpoint never holds half an hour.
+dedicated ingest thread, on which a day's first hour folds the window;
+the one writer lock orders an hour's ingest against a snapshot, so a
+checkpoint never holds half an hour.
 
 Errors inside an op come back as ``("error", message)`` — in both
 modes, so both fail at the same point — and raise
@@ -50,11 +50,10 @@ import queue
 import threading
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..core.service import ServiceConfig, TipsyService
+from ..core.window import RollingWindow, ServiceConfig
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsSnapshot
 from ..pipeline.records import AggColumns
-from ..topology.wan import CloudWAN
 from .health import ShardHealth, staleness_hours
 
 if TYPE_CHECKING:
@@ -62,7 +61,7 @@ if TYPE_CHECKING:
 
 
 class ShardServer:
-    """One shard's service and everything that serves it: the writer
+    """One shard's window and everything that serves it: the writer
     lock, the ingest queue and thread, the deferred ingest errors, and
     the op table above.
 
@@ -74,16 +73,16 @@ class ShardServer:
     #: shard stuck (class attr so tests can shrink it)
     _STOP_JOIN_TIMEOUT = 30.0
 
-    def __init__(self, shard_id: int, wan: CloudWAN, config: ServiceConfig,
+    def __init__(self, shard_id: int, config: ServiceConfig,
                  restore_dir: Optional[str] = None,
                  ship_metrics: bool = False):
-        self.service = (TipsyService(wan, config) if restore_dir is None
-                        else TipsyService.restore(restore_dir, wan))
+        self.window = (RollingWindow(config) if restore_dir is None
+                       else RollingWindow.restore(restore_dir))
         self.shard_id = shard_id
         self._write_lock = threading.Lock()
-        # suites a restored service published before this server existed
-        # (its retrain_count is cumulative) are not this shard's swaps
-        self._retrains_before = self.service.retrain_count
+        # folds a restored window made before this server existed (its
+        # retrain_count is cumulative) are not this shard's swaps
+        self._retrains_before = self.window.retrain_count
         self._ship_metrics = ship_metrics
         self._last_shipped = MetricsSnapshot({}, {}, {})
         self._queue: "queue.Queue[Optional[Tuple[int, AggColumns]]]" = (
@@ -103,7 +102,7 @@ class ShardServer:
                 hour, columns = item
                 try:
                     with self._write_lock:
-                        self.service.ingest_hour(hour, columns)
+                        self.window.ingest_hour(hour, columns)
                 except Exception as error:  # surfaced at the next drain
                     self._errors.append(
                         f"shard {self.shard_id} hour {hour}: {error!r}")
@@ -123,7 +122,7 @@ class ShardServer:
 
     def _op_publish(self) -> object:
         self._op_drain()
-        return self.service.published_tables()
+        return self.window.last_fold
 
     def _op_drain(self) -> None:
         self._queue.join()
@@ -136,31 +135,28 @@ class ShardServer:
             current = obs.snapshot()
             delta = current.diff(self._last_shipped)
             self._last_shipped = current
-        service = self.service
-        trained, stats = service.trained_days, service.cache_stats()
+        window = self.window
+        trained = window.last_fold.trained_on
         latest = max(trained) if trained else None
-        last_hour, report = service.last_hour, service.restore_report
+        last_hour, report = window.last_hour, window.restore_report
         return ShardHealth(
             shard_id=self.shard_id,
             last_hour=last_hour,
             trained_days=len(trained),
             latest_trained_day=latest,
             staleness_hours=staleness_hours(last_hour, latest),
-            swap_count=service.retrain_count - self._retrains_before,
-            retrain_count=service.retrain_count,
+            swap_count=window.retrain_count - self._retrains_before,
+            retrain_count=window.retrain_count,
             ready=bool(trained),
             ingest_queue_depth=self._queue.qsize(),
-            memo_entries=stats["memo_entries"],
-            memo_hits=stats["memo_hits"],
-            memo_misses=stats["memo_misses"],
             days_lost=report.days_lost if report is not None else (),
         ), delta
 
     def _op_checkpoint(self, directory: str) -> Optional[int]:
         self._op_drain()
         with self._write_lock:
-            self.service.snapshot(directory)
-            return self.service.last_hour
+            self.window.snapshot(directory)
+            return self.window.last_hour
 
     def _op_stop(self, drain: bool) -> None:
         try:
@@ -184,7 +180,7 @@ class ShardServer:
                 "after stop")
 
 
-def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,
+def shard_worker_main(conn: "Connection", shard_id: int,
                       config: ServiceConfig,
                       restore_dir: Optional[str] = None,
                       obs_enabled: bool = False) -> None:
@@ -194,7 +190,7 @@ def shard_worker_main(conn: "Connection", shard_id: int, wan: CloudWAN,
     gc.freeze()
     if obs_enabled:
         obs.enable(fresh=True)
-    server = ShardServer(shard_id, wan, config, restore_dir,
+    server = ShardServer(shard_id, config, restore_dir,
                          ship_metrics=obs_enabled)
     try:
         while True:

@@ -88,11 +88,11 @@ class TestBitIdenticalRestore:
         restored = TipsyService.restore(snapshot_dir, scenario.wan)
         assert restored.trained_days == reference.trained_days
         assert restored.retrain_count == reference.retrain_count
-        assert sorted(restored._days) == sorted(reference._days)
-        for day, counts in reference._days.items():
+        assert sorted(restored.window._days) == sorted(reference.window._days)
+        for day, counts in reference.window._days.items():
             # the bit-identical guarantee needs the same rows in the
             # same order with the same dtypes: compare the stored form
-            restored_arrays = restored._days[day].to_arrays()
+            restored_arrays = restored.window._days[day].to_arrays()
             assert list(restored_arrays) == list(counts.to_arrays())
             for name, column in counts.to_arrays().items():
                 assert restored_arrays[name].dtype == column.dtype
@@ -134,13 +134,13 @@ class TestBitIdenticalRestore:
                 service.ingest_hour(hour, records)
             store = service.snapshot(tmp_path)
             assert sorted(tmp_path.glob("day-*.npz")) == [
-                tmp_path / f"day-{kept:06d}.npz" for kept in service._days]
+                tmp_path / f"day-{kept:06d}.npz" for kept in service.window._days]
             assert [info.name for info in store.segments()] == [
-                f"day-{kept:06d}" for kept in service._days]
-        assert len(service._days) == WINDOW_DAYS + 1 < day + 1
+                f"day-{kept:06d}" for kept in service.window._days]
+        assert len(service.window._days) == WINDOW_DAYS + 1 < day + 1
         restored = TipsyService.restore(tmp_path, scenario.wan)
         assert restored.restore_report.clean
-        assert restored.restore_report.days_restored == tuple(service._days)
+        assert restored.restore_report.days_restored == tuple(service.window._days)
         assert _predictions(restored, scenario) == \
             _predictions(service, scenario)
 
@@ -153,7 +153,7 @@ class TestBitIdenticalRestore:
         orphan.write_bytes((snapshot_dir / "day-000003.npz").read_bytes())
         restored = TipsyService.restore(snapshot_dir, scenario.wan)
         assert restored.restore_report.clean
-        assert 0 not in restored._days
+        assert 0 not in restored.window._days
         assert _predictions(restored, scenario) == _predictions(
             _service_fed_to(world, SNAP_DAYS * 24), scenario)
 
@@ -170,13 +170,13 @@ class TestBitIdenticalRestore:
             reference.ingest_hour(hour, records)
         reference.snapshot(snapshot_dir)      # days 1, 2 are now stale
         stale = snapshot_dir / "day-000002.npz"
-        assert stale.exists() and 2 not in reference._days
+        assert stale.exists() and 2 not in reference.window._days
         stale.write_bytes(stale.read_bytes()[:100])     # and one is torn
         restored = TipsyService.restore(snapshot_dir, scenario.wan)
         assert restored.restore_report.clean
-        assert sorted(restored._days) == sorted(reference._days)
+        assert sorted(restored.window._days) == sorted(reference.window._days)
         assert restored.restore_report.days_restored == tuple(
-            sorted(reference._days))
+            sorted(reference.window._days))
         assert restored.trained_days == reference.trained_days
         assert _predictions(restored, scenario) == \
             _predictions(reference, scenario)
@@ -256,7 +256,7 @@ class TestDegradedRestore:
         report = restored.restore_report
         assert report.days_lost == (day,)
         assert day not in restored.trained_days
-        assert day not in restored._days
+        assert day not in restored.window._days
 
     def test_empty_directory_raises_snapshot_error(self, world,
                                                    tmp_path):

@@ -26,6 +26,7 @@ differently and fails the gate.
 import numpy as np
 import pytest
 
+from repro.core.ensemble import BASE_GRAINS
 from repro.core.service import ServiceConfig, TipsyService
 from repro.pipeline import AggRecord, FlowContext
 from repro.topology import (
@@ -99,14 +100,14 @@ def fresh_service_over_window(service, fed):
     """A new service fed only the days ``service`` still holds."""
     fresh = TipsyService(service.wan, service.config)
     for hour, records in fed:
-        if hour // 24 in service._days:
+        if hour // 24 in service.window._days:
             fresh.ingest_hour(hour, records)
     return fresh
 
 
 def offline_models(fed, trained_days):
     """The base suite trained record by record, day by day."""
-    models = [DictHistoricalModel(fs) for fs in TipsyService._GRAINS]
+    models = [DictHistoricalModel(fs) for fs in BASE_GRAINS]
     for day in trained_days:
         counts = CountsAccumulator()
         for hour, records in fed:

@@ -40,7 +40,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import service as service_module
+from repro.core import window as window_module
+from repro.core.ensemble import BASE_GRAINS
 from repro.core.service import ServiceConfig, TipsyService
 from repro.core.training import DayCounts
 from repro.pipeline import AggColumns, AggRecord, FlowContext
@@ -138,17 +139,17 @@ def nested_items(projection, feature_set):
 
 
 def assert_same(service, reference, contexts):
-    assert list(service._days) == list(reference._days)
+    assert list(service.window._days) == list(reference.window._days)
     assert service.trained_days == reference.trained_days
-    for day, table in service._days.items():
-        got, want = table.to_arrays(), reference._days[day].to_arrays()
+    for day, table in service.window._days.items():
+        got, want = table.to_arrays(), reference.window._days[day].to_arrays()
         assert list(got) == list(want)
         for name, column in want.items():
             assert got[name].dtype == column.dtype
             assert got[name].tobytes() == column.tobytes(), (day, name)
-        for grain in TipsyService._GRAINS:
+        for grain in BASE_GRAINS:
             assert (nested_items(table.project(grain), grain)
-                    == nested_items(reference._days[day].project(grain),
+                    == nested_items(reference.window._days[day].project(grain),
                                     grain))
     for name in ("Hist_AP", "Hist_AL", "Hist_A"):
         got, want = service.model(name), reference.model(name)
@@ -175,7 +176,7 @@ class TestDayCounts:
         with tempfile.TemporaryDirectory() as scratch:
             scratch = Path(scratch)
             # the reference: every day a CountsAccumulator, fed lists
-            with mock.patch.object(service_module, "DayCounts",
+            with mock.patch.object(window_module, "DayCounts",
                                    RecordPathDay):
                 reference = new_service()
                 for index, (hour, records) in enumerate(stream):
@@ -239,7 +240,7 @@ class TestHandedOut:
         again = data.draw(st.sampled_from(hours), label="again")
         arrays = table.to_arrays()
         projections = [table.project(grain)
-                       for grain in TipsyService._GRAINS]
+                       for grain in BASE_GRAINS]
         before = [snapshot_of(arrays),
                   *(snapshot_of(p) for p in projections)]
         held = len(table)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.historical import HistoricalModel
 from repro.core.service import TipsyService
+from repro.core.window import RollingWindow
 from repro.obs import runtime as obs
 from repro.obs.export import render_prometheus
 from repro.pipeline.records import FlowContext
@@ -152,8 +152,8 @@ BOUNDARY = 72
 
 def test_a_lagging_shard_holds_the_feed_and_not_the_reads(serve_world,
                                                         monkeypatch):
-    """Shard 1's rebuild is parked half-way (as in ``test_hotswap``):
-    shard 0 has published the new day, shard 1 has not, so the feed of
+    """Shard 1's fold is parked half-way (as ``test_hotswap`` parks a
+    retrain): shard 0 has folded the new day, shard 1 has not, so the feed of
     the day's first hour waits for the publication.  Reads meanwhile
     are the old suite's, whole — never shard 0's new answers beside
     shard 1's old ones — and are remembered as such; the publication
@@ -169,25 +169,25 @@ def test_a_lagging_shard_holds_the_feed_and_not_the_reads(serve_world,
     assert mixed != old and mixed != new  # otherwise the test is vacuous
 
     parked, release = threading.Event(), threading.Event()
-    build_model = HistoricalModel.from_arrays
+    folded = RollingWindow._folded
 
-    def park_shard_1(arrays, feature_set):
-        model = build_model(arrays, feature_set)
+    def park_shard_1(window):
+        fold = folded(window)
         if (threading.current_thread().name == "serve-ingest-1"
                 and not parked.is_set()):
             parked.set()
             assert release.wait(30)
-        return model
+        return fold
 
     feeder = threading.Thread(target=daemon.ingest_hour, args=(
         BOUNDARY, serve_world.hourly[BOUNDARY]))
     try:
         _feed(serve_world, 0, BOUNDARY, daemon)
         daemon.drain()
-        monkeypatch.setattr(HistoricalModel, "from_arrays", park_shard_1)
+        monkeypatch.setattr(RollingWindow, "_folded", park_shard_1)
         feeder.start()
         assert parked.wait(30)
-        daemon._handles[0]._queue.join()  # shard 0 has published day 3
+        daemon._handles[0]._queue.join()  # shard 0 has folded day 3
         for asked in range(3):
             assert daemon.predict_batch(batch) == old
         assert feeder.is_alive()  # waiting for shard 1's publication
@@ -305,13 +305,18 @@ def test_status_line_and_exported_gauges_carry_the_memo(serve_world):
             daemon.predict_batch(batch + batch[:5])
         status = daemon.status()
         assert status.front == (30, 70, 35, 2)
-        assert status.format_text().splitlines()[0].endswith(
+        head, *shards = status.format_text().splitlines()
+        assert head.endswith(
             "front memo=30 (70 hits, 35 misses, 2 queries from it alone)")
+        # the front's is the only memo: a shard line names none
+        assert len(shards) == 2 and not any("memo" in s for s in shards)
         snapshot = obs.snapshot()
         assert {name: value for name, value in snapshot.gauges.items()
                 if name.startswith("serve.front.")} == {
             "serve.front.entries": 30.0, "serve.front.hits": 70.0,
             "serve.front.misses": 35.0, "serve.front.hop_free": 2.0}
+        assert not [name for name in snapshot.gauges
+                    if name.startswith("serve.shard") and "memo" in name]
         assert "repro_serve_front_hop_free 2" in render_prometheus(snapshot)
     finally:
         daemon.shutdown(drain=False)

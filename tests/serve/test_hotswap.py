@@ -1,12 +1,12 @@
-"""A shard server's service: equivalence, swap accounting, and the
-old-or-new invariant — with a retrain parked mid-build, and under
+"""The service and the shard server: equivalence, swap accounting, and
+the old-or-new invariant — with a retrain parked mid-build, and under
 concurrent readers while retrains are in flight.
 
 The invariant is the service's (its atomic ``PublishedSuite``), so the
-races run on :class:`TipsyService` itself; what the shard server adds —
-its ingest thread, swap count and health — runs on an inline
-:class:`ShardServer`, and the daemon's front, which installs the shards'
-merged publications, is raced last."""
+races run on :class:`TipsyService` itself; what the shard server adds to
+its rolling window — its ingest thread, swap count and health — runs on
+an inline :class:`ShardServer`, and the daemon's front, which installs
+the shards' merged folds, is raced last."""
 
 import contextlib
 import dataclasses
@@ -26,7 +26,7 @@ from .conftest import HOURS
 
 @contextlib.contextmanager
 def _server(serve_world):
-    server = ShardServer(0, serve_world.scenario.wan, serve_world.config)
+    server = ShardServer(0, serve_world.config)
     try:
         yield server
     finally:
@@ -87,8 +87,7 @@ class TestHotSwapEquivalence:
         with _server(serve_world) as server:
             _fed(server, serve_world, range(30))
             assert server.handle("checkpoint", str(tmp_path)) == ("ok", 29)
-        restored = ShardServer(0, serve_world.scenario.wan,
-                               serve_world.config, str(tmp_path))
+        restored = ShardServer(0, serve_world.config, str(tmp_path))
         try:
             health = _health(restored)
             # the snapshot's two retrains are the service's, not its swaps

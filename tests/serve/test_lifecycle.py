@@ -10,13 +10,16 @@ from unittest import mock
 
 import pytest
 
+from repro.core.historical import HistoricalModel
 from repro.core.service import ServiceConfig, TipsyService
+from repro.core.window import RollingWindow
 from repro.obs import runtime as obs
 from repro.serve import DaemonConfig, ServeDaemon, ShardError
 from repro.serve import daemon as daemon_mod
 from repro.serve import worker as worker_mod
 from repro.serve.daemon import MANIFEST_NAME, read_manifest
 from repro.serve.sharding import shard_of
+from repro.util.cache import AnswerMemo
 
 from .conftest import HOURS
 
@@ -220,15 +223,15 @@ class TestConcurrentCheckpoint:
         withdrawn = frozenset(sorted(
             link.link_id for link in serve_world.scenario.wan.links)[:3])
         parked, release = threading.Event(), threading.Event()
-        snapshot = TipsyService.snapshot
+        snapshot = RollingWindow.snapshot
 
-        def parked_snapshot(service, directory):
+        def parked_snapshot(window, directory):
             if str(directory).endswith("shard-01"):
                 parked.set()
                 assert release.wait(30)
-            return snapshot(service, directory)
+            return snapshot(window, directory)
 
-        monkeypatch.setattr(TipsyService, "snapshot", parked_snapshot)
+        monkeypatch.setattr(RollingWindow, "snapshot", parked_snapshot)
         checkpointer = threading.Thread(target=daemon.checkpoint,
                                         args=(tmp_path,))
         answers = []
@@ -257,7 +260,7 @@ class TestConcurrentCheckpoint:
         try:
             daemon.ingest_hour(0, serve_world.hourly[0])
             daemon.drain()
-            daemon._handles[1].service.ingest_hour(1, [])  # behind the feed
+            daemon._handles[1].window.ingest_hour(1, [])  # behind the feed
             with pytest.raises(ShardError, match="different hours"):
                 daemon.checkpoint(tmp_path)
             assert not (tmp_path / MANIFEST_NAME).exists()
@@ -267,23 +270,24 @@ class TestConcurrentCheckpoint:
 
 class TestOneServicePerShard:
     """Each shard hour is ingested once and each checkpoint restored
-    once, and the service-side counters say so."""
+    once, only the front builds models, and the service-side counters
+    say so."""
 
     def test_one_ingest_and_one_restore_per_shard(
             self, serve_world, tmp_path, monkeypatch):
         calls = {"ingest": 0, "restore": 0}
-        ingest, restore = TipsyService.ingest_hour, TipsyService.restore
+        ingest, restore = RollingWindow.ingest_hour, RollingWindow.restore
 
         def counted_ingest(self, hour, records):
             calls["ingest"] += 1
             ingest(self, hour, records)
 
-        def counted_restore(directory, wan):
+        def counted_restore(directory):
             calls["restore"] += 1
-            return restore(directory, wan)
+            return restore(directory)
 
-        monkeypatch.setattr(TipsyService, "ingest_hour", counted_ingest)
-        monkeypatch.setattr(TipsyService, "restore", counted_restore)
+        monkeypatch.setattr(RollingWindow, "ingest_hour", counted_ingest)
+        monkeypatch.setattr(RollingWindow, "restore", counted_restore)
         daemon = _daemon(serve_world, n_shards=3)
         for hour in range(26):
             daemon.ingest_hour(hour, serve_world.hourly[hour])
@@ -293,6 +297,33 @@ class TestOneServicePerShard:
         ServeDaemon.resume(tmp_path, serve_world.scenario.wan,
                            workers="inline").shutdown()
         assert calls == {"ingest": 26 * 3, "restore": 3}
+
+    def test_only_the_front_builds_models(self, serve_world, monkeypatch):
+        """A publication builds one suite, the front's: three historical
+        models, none on a shard, and no shard holds an answer memo."""
+        builds = []
+        build = HistoricalModel.__init__
+
+        def counted_build(model, *args, **kwargs):
+            builds.append(model)
+            build(model, *args, **kwargs)
+
+        monkeypatch.setattr(HistoricalModel, "__init__", counted_build)
+        daemon = _daemon(serve_world, n_shards=3)
+        try:
+            per_hour = []
+            for hour in range(49):  # day 0 opens, days 1 and 2 cross
+                before = len(builds)
+                daemon.ingest_hour(hour, serve_world.hourly[hour])
+                per_hour.append(len(builds) - before)
+            daemon.drain()
+            assert {hour: n for hour, n in enumerate(per_hour) if n} == {
+                0: 3, 24: 3, 48: 3}
+            assert not [found for handle in daemon._handles
+                        for found in _reachable(handle)
+                        if isinstance(found, AnswerMemo)]
+        finally:
+            daemon.shutdown()
 
     @pytest.mark.parametrize("workers", ["inline", "process"])
     def test_service_counters_match_the_daemons(self, serve_world, workers):
@@ -314,7 +345,26 @@ class TestOneServicePerShard:
         assert counters["service.retrain.count"] == 2 * 3
 
 
-def _wedged_worker(conn, shard_id, wan, config, restore_dir=None,
+def _reachable(root):
+    """Every object reachable from ``root`` through this package's
+    objects' attributes and the containers they hold."""
+    seen, stack = set(), [root]
+    while stack:
+        found = stack.pop()
+        if id(found) in seen:
+            continue
+        seen.add(id(found))
+        yield found
+        if isinstance(found, dict):
+            stack.extend(found.values())
+        elif isinstance(found, (list, tuple)):
+            stack.extend(found)
+        elif (type(found).__module__.startswith("repro.")
+              and hasattr(found, "__dict__")):
+            stack.extend(vars(found).values())
+
+
+def _wedged_worker(conn, shard_id, config, restore_dir=None,
                    obs_enabled=False):
     """Worker that acks the stop protocol but refuses to die.
 
@@ -332,7 +382,7 @@ def _wedged_worker(conn, shard_id, wan, config, restore_dir=None,
                 time.sleep(60)
 
 
-def _mute_worker(conn, shard_id, wan, config, restore_dir=None,
+def _mute_worker(conn, shard_id, config, restore_dir=None,
                  obs_enabled=False):
     """Worker that dies without acking stop (crash during shutdown)."""
     conn.recv()
@@ -356,8 +406,7 @@ class TestShutdownEscalation:
                                                 monkeypatch):
         monkeypatch.setattr(
             daemon_mod, "shard_worker_main", _wedged_worker)
-        shard = daemon_mod._ProcessShard(
-            0, serve_world.scenario.wan, serve_world.config)
+        shard = daemon_mod._ProcessShard(0, serve_world.config)
         started = time.monotonic()
         shard.stop(drain=False)  # used to leak the process silently
         assert time.monotonic() - started < 10
@@ -368,16 +417,14 @@ class TestShutdownEscalation:
                                                      monkeypatch):
         monkeypatch.setattr(
             daemon_mod, "shard_worker_main", _mute_worker)
-        shard = daemon_mod._ProcessShard(
-            0, serve_world.scenario.wan, serve_world.config)
+        shard = daemon_mod._ProcessShard(0, serve_world.config)
         with pytest.raises(ShardError, match="worker died"):
             shard.stop(drain=False)
         assert not shard.process.is_alive()
 
     def test_inline_stop_surfaces_stuck_ingest_thread(self, serve_world,
                                                       monkeypatch):
-        shard = daemon_mod._InlineShard(
-            0, serve_world.scenario.wan, serve_world.config)
+        shard = daemon_mod._InlineShard(0, serve_world.config)
         entered = threading.Event()
         release = threading.Event()
 
@@ -385,7 +432,7 @@ class TestShutdownEscalation:
             entered.set()
             release.wait()
 
-        monkeypatch.setattr(shard.service, "ingest_hour", wedged_ingest)
+        monkeypatch.setattr(shard.window, "ingest_hour", wedged_ingest)
         shard.ingest(0, [])
         assert entered.wait(5)  # the thread is inside the slow ingest
         with pytest.raises(ShardError, match="ingest thread"):
@@ -413,8 +460,7 @@ class TestWorkerFreezesInheritedHeap:
         monkeypatch.setattr(worker_mod, "ShardServer", server)
         front, back = multiprocessing.Pipe()
         front.send(("stop", False))
-        worker_mod.shard_worker_main(
-            back, 0, serve_world.scenario.wan, serve_world.config)
+        worker_mod.shard_worker_main(back, 0, serve_world.config)
         assert front.recv() == ("ok", None)
         assert calls == ["freeze", "server"]
 
