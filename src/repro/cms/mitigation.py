@@ -23,8 +23,8 @@ exactly the §2 incident, reproduced in ``examples/cascade_incident.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -59,6 +59,15 @@ def first_seen_totals(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]
     (``first_seen_sums`` adds with ``bincount``, in row order)."""
     rep, sums = first_seen_sums([keys], weights)
     return dict(zip(keys[rep].tolist(), sums.tolist()))
+
+
+def running_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...`` in order on every interpreter (from 3.12
+    the builtin ``sum`` of floats compensates, and can differ by an ulp)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ class CongestionMitigationSystem:
                 break
             if not state.is_available(prefix_id, link_id):
                 continue
-            volume = sum(bytes_ for _, bytes_ in flows)
+            volume = running_sum(bytes_ for _, bytes_ in flows)
             spill = self._predict_spill(state, prefix_id, link_id, flows)
             if spill is not None and self._overloaded(spill, link_bytes):
                 plan = None
@@ -222,7 +231,7 @@ class CongestionMitigationSystem:
                 sample.bytes[at_link].tolist()):
             by_prefix.setdefault(prefix_id, []).append((contexts[row], bytes_))
         return sorted(by_prefix.items(),
-                      key=lambda kv: -sum(bytes_ for _, bytes_ in kv[1]))
+                      key=lambda kv: -running_sum(bytes_ for _, bytes_ in kv[1]))
 
     def _plan_coordinated(
         self,

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 from ..core.base import IngressModel
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-from .mitigation import TrafficSample, first_seen_totals
+from .mitigation import TrafficSample, first_seen_totals, running_sum
 from .monitor import capacity_bytes
 
 #: a failure group: a link id, or a router, metro or ``AS<peer>`` name
@@ -81,7 +81,7 @@ class RiskAnalyzer:
         if cached is None:
             predictions = self.model.predict(context, self.prediction_k,
                                              down)
-            total = sum(p.score for p in predictions)
+            total = running_sum(p.score for p in predictions)
             cached = tuple(
                 (p.link_id, p.score / total) for p in predictions
             ) if total > 0.0 else ()

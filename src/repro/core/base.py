@@ -1,9 +1,11 @@
 """Model protocol and prediction types.
 
-All TIPSY models share one interface: given a flow context, a budget of
-``k`` links, and a prior of currently-unavailable links (the withdrawal /
-outage being evaluated, paper §5.3.1), return up to ``k`` ranked links
-with the predicted fraction of the flow's bytes on each.
+All TIPSY models share one interface, :meth:`IngressModel.answers`:
+given flow contexts, a budget of ``k`` links, and a prior of
+currently-unavailable links (the withdrawal / outage being evaluated,
+paper §5.3.1), answer each with up to ``k`` ranked links and the
+predicted fraction of the flow's bytes on each.  ``predict`` (one
+context) and ``what_if`` are views over it.
 
 Every model also answers the CMS's safety question (paper §4.4),
 ``what_if(flows, withdrawn, k)``, through the package's one spill sum,
@@ -28,6 +30,16 @@ class Prediction(NamedTuple):
 
     link_id: int
     score: float
+
+
+#: one context's answer: up to ``k`` predictions, best first
+Answer = Tuple[Prediction, ...]
+
+
+def check_k(k: int) -> None:
+    """A ``k`` below 1 is a caller's error, never an empty answer."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
 
 
 def group_flows(
@@ -73,7 +85,10 @@ def spill_from_groups(
     sums: Dict[int, float] = {}
     unplaceable = 0.0
     for predictions, bytes_ in groups:
-        total = sum(p.score for p in predictions)
+        # left to right, as 3.9-3.11's ``sum`` adds (3.12's compensates)
+        total = 0.0
+        for _, score in predictions:
+            total += score
         if total <= 0.0:
             unplaceable += bytes_
             continue
@@ -103,20 +118,27 @@ class IngressModel(abc.ABC):
     name: str = "model"
 
     @abc.abstractmethod
-    def predict(self, context: FlowContext, k: int,
-                unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
-        """Top-``k`` predicted ingress links for a flow.
+    def answers(self, contexts: Sequence[FlowContext], k: int,
+                prior: FrozenSet[int] = NO_LINKS) -> List[Answer]:
+        """Each context's top-``k`` predicted ingress links.
 
         Args:
-            context: the flow's full feature tuple.
-            k: maximum number of links to return, at least 1.
-            unavailable: links known to be out of service (withdrawn or in
+            contexts: the flows' full feature tuples.
+            k: maximum number of links an answer holds, at least 1.
+            prior: links known to be out of service (withdrawn or in
                 outage); never returned.
 
         Returns:
-            Up to ``k`` predictions sorted by descending score; empty if
-            the model has nothing to say for this flow.
+            One answer per context, in order: up to ``k`` predictions
+            sorted by descending score; empty if the model has nothing
+            to say for that flow.
         """
+
+    def predict(self, context: FlowContext, k: int,
+                unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
+        """Top-``k`` predicted ingress links for one flow: its
+        :meth:`answers` row."""
+        return list(self.answers((context,), k, unavailable)[0])
 
     def what_if(self, flows: Sequence[Tuple[FlowContext, float]],
                 withdrawn: AbstractSet[int], k: int) -> Dict[int, float]:
@@ -124,14 +146,14 @@ class IngressModel(abc.ABC):
         links go away (paper §4.4), byte-weighted by prediction scores;
         bytes with no prediction are returned under link id ``-1``.
 
-        Each distinct :meth:`group_key` among the flows is predicted
-        once, with ``withdrawn`` as the availability prior.
+        Each distinct :meth:`group_key` among the flows is answered
+        once, in one :meth:`answers` call with ``withdrawn`` as the
+        availability prior.
         """
-        prior = frozenset(withdrawn)
         group_contexts, group_bytes = group_flows(self.group_key, flows)
-        return spill_from_groups(
-            (self.predict(context, k, prior), bytes_)
-            for context, bytes_ in zip(group_contexts, group_bytes))
+        return spill_from_groups(zip(
+            self.answers(group_contexts, k, frozenset(withdrawn)),
+            group_bytes))
 
     def group_key(self, context: FlowContext) -> object:
         """A hashable key under which this model's predictions are constant.
@@ -149,10 +171,10 @@ class IngressModel(abc.ABC):
     @property
     def key_fields(self) -> Optional[Tuple[str, ...]]:
         """The ``FlowContext`` fields :meth:`group_key` projects onto, if
-        the key is exactly that projection and :meth:`predict` reads
+        the key is exactly that projection and :meth:`answers` reads
         nothing else of the context (an ensemble keys such components
         jointly by the union of their fields); ``None``, the default,
-        promises nothing.  Whoever overrides ``group_key`` or ``predict``
+        promises nothing.  Whoever overrides ``group_key`` or ``answers``
         restates this."""
         return None
 

@@ -15,7 +15,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-from .base import NO_LINKS, IngressModel, Prediction
+from .base import NO_LINKS, Answer, IngressModel
 from .features import FEATURES_A, FEATURES_AL, FEATURES_AP, FeatureSet
 from .geo_augment import GeoAugmentedModel
 from .historical import HistoricalModel
@@ -49,13 +49,19 @@ class SequentialEnsemble(IngressModel):
             self._union = (_itself if fields == FlowContext._fields
                            else FeatureSet("union", fields).key)
 
-    def predict(self, context: FlowContext, k: int,
-                unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
-        for model in self.models:
-            predictions = model.predict(context, k, unavailable)
-            if predictions:
-                return predictions
-        return []
+    def answers(self, contexts: Sequence[FlowContext], k: int,
+                prior: FrozenSet[int] = NO_LINKS) -> List[Answer]:
+        """Each member answers only the rows its predecessors left empty."""
+        first, *rest = self.models
+        out = first.answers(contexts, k, prior)
+        for model in rest:
+            empty = [row for row, answer in enumerate(out) if not answer]
+            if not empty:
+                break
+            for row, answer in zip(empty, model.answers(
+                    [contexts[row] for row in empty], k, prior)):
+                out[row] = answer
+        return out
 
     def group_key(self, context: FlowContext) -> object:
         """Component keys jointly determine the first model that answers."""

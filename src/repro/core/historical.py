@@ -24,21 +24,25 @@ folded counts, safe to serve from while its successor is built.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..pipeline.aggregation import first_seen_groups, sorted_rows
 from ..pipeline.records import FlowContext
 from ..store.codec import key_column_names
-from .base import NO_LINKS, IngressModel, Prediction
+from .base import NO_LINKS, Answer, IngressModel, Prediction, check_k
 from .features import FeatureSet
 
 #: a model key: the projection of a flow context onto a feature set
 TupleKey = Tuple[object, ...]
 
 #: every tuple's ranked predictions
-Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
+Rankings = Dict[TupleKey, Answer]
+
+#: a (link, share) pair's ``Prediction``, without the Python ``__new__``
+_prediction = partial(tuple.__new__, Prediction)
 
 
 class HistoricalModel(IngressModel):
@@ -72,15 +76,23 @@ class HistoricalModel(IngressModel):
         self._seen = order = sorted_rows((group, down, links))
         self._bytes, counts = values[order], np.bincount(group, minlength=len(rep))
         self._starts: List[int] = [0, *np.cumsum(counts).tolist()]
-        # fsum totals: one rounded addition is the fsum of two links
-        totals, starts = np.add.reduceat(self._bytes, self._starts[:-1]), self._starts
-        for g in np.flatnonzero(counts > 2).tolist():
-            totals[g] = math.fsum(self._bytes[starts[g]:starts[g + 1]].tolist())
+        starts = self._starts
+        if (int(values.max(initial=0.0)) * int(counts.max(initial=0)) < 2 ** 63
+                and (self._bytes == np.floor(self._bytes)).all()):
+            # integral counts whose longest tuple's total fits in int64
+            # add exactly and round once, as ``math.fsum`` does
+            totals = np.add.reduceat(self._bytes.astype(np.int64),
+                                     starts[:-1]).astype(np.float64)
+        else:
+            # fsum totals: one rounded addition is the fsum of two links
+            totals = np.add.reduceat(self._bytes, starts[:-1])
+            for g in np.flatnonzero(counts > 2).tolist():
+                totals[g] = math.fsum(self._bytes[starts[g]:starts[g + 1]].tolist())
         self._links: List[int] = links[order].tolist()
         self._shares: List[float] = (self._bytes / np.repeat(totals, counts)).tolist()
         self._index: Dict[TupleKey, int] = dict(zip(
             zip(*(field[rep].tolist() for field in fields)), range(len(rep))))
-        self._slots: List[Optional[Tuple[Prediction, ...]]] = [None] * len(rep)
+        self._slots: List[Optional[Answer]] = [None] * len(rep)
         if type(self).group_key is HistoricalModel.group_key:
             # the projection itself, no method frame; an override keeps its key
             setattr(self, "group_key", feature_set.key)
@@ -100,33 +112,25 @@ class HistoricalModel(IngressModel):
 
     # -- prediction -----------------------------------------------------------
 
-    def _rank(self, group: int) -> Tuple[Prediction, ...]:
+    def _rank(self, group: int) -> Answer:
         """Fill one tuple's slot."""
         start, end = self._starts[group], self._starts[group + 1]
-        ranking = self._slots[group] = tuple(map(
-            Prediction, self._links[start:end], self._shares[start:end]))
+        ranking = self._slots[group] = tuple(map(_prediction, zip(
+            self._links[start:end], self._shares[start:end])))
         return ranking
 
-    def _ranking_for(self, context: FlowContext) -> Tuple[Prediction, ...]:
-        group = self._index.get(self.feature_set.key(context))
-        if group is None:
-            return ()
-        return self._slots[group] or self._rank(group)
-
-    def predict(self, context: FlowContext, k: int,
-                unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        ranking = self._ranking_for(context)
-        if not unavailable:
-            return list(ranking[:k])
-        out: List[Prediction] = []
-        for pred in ranking:
-            if pred.link_id not in unavailable:
-                out.append(pred)
-                if len(out) == k:
-                    break
-        return out
+    def answers(self, contexts: Sequence[FlowContext], k: int,
+                prior: FrozenSet[int] = NO_LINKS) -> List[Answer]:
+        """Key -> group -> slot for each context; an unseen tuple is ()."""
+        check_k(k)
+        slots, rank = self._slots, self._rank
+        rankings = [() if group is None else slots[group] or rank(group)
+                    for group in map(self._index.get,
+                                     map(self.feature_set.key, contexts))]
+        if not prior:
+            return [ranking[:k] for ranking in rankings]
+        return [tuple([p for p in ranking if p.link_id not in prior][:k])
+                for ranking in rankings]
 
     def group_key(self, context: FlowContext) -> TupleKey:
         """Predictions are constant per feature tuple (batching key)."""

@@ -12,13 +12,13 @@ that a prediction is a handful of array adds plus a top-k selection.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..pipeline.records import FlowContext
 from ..store.codec import key_column_names
-from .base import NO_LINKS, IngressModel, Prediction
+from .base import NO_LINKS, Answer, IngressModel, Prediction, check_k
 from .features import FeatureSet
 
 #: Laplace smoothing: every (feature value, link) count starts at one byte
@@ -104,35 +104,38 @@ class NaiveBayesModel(IngressModel):
                 log_p += vec
         return log_p, any_known
 
-    def predict(self, context: FlowContext, k: int,
-                unavailable: FrozenSet[int] = NO_LINKS) -> List[Prediction]:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
+    def answers(self, contexts: Sequence[FlowContext], k: int,
+                prior: FrozenSet[int] = NO_LINKS) -> List[Answer]:
+        check_k(k)
+        withdrawn = (np.array([l in prior for l in self._links], dtype=np.bool_)
+                     if prior else None)
+        return [self._answer(context, k, withdrawn) for context in contexts]
+
+    def _answer(self, context: FlowContext, k: int,
+                withdrawn: Optional[np.ndarray]) -> Answer:
         log_p, any_known = self._scores(context)
         if log_p.size == 0 or not any_known:
-            return []
-        if unavailable:
-            mask = np.array(
-                [l in unavailable for l in self._links], dtype=np.bool_)
-            if mask.all():
-                return []
-            log_p = np.where(mask, -np.inf, log_p)
+            return ()
+        if withdrawn is not None:
+            if withdrawn.all():
+                return ()
+            log_p = np.where(withdrawn, -np.inf, log_p)
         # normalise to probabilities for interpretable scores
         finite = log_p[np.isfinite(log_p)]
         if finite.size == 0:
-            return []
+            return ()
         shifted = np.exp(log_p - finite.max())
         shifted[~np.isfinite(log_p)] = 0.0
         total = shifted.sum()
         if total <= 0.0:
-            return []
+            return ()
         probs = shifted / total
         k = min(k, int(np.count_nonzero(probs > 0.0)))
         if k == 0:
-            return []
+            return ()
         top = np.argpartition(-probs, k - 1)[:k]
         top = top[np.argsort(-probs[top], kind="stable")]
-        return [Prediction(self._links[i], float(probs[i])) for i in top]
+        return tuple(Prediction(self._links[i], float(probs[i])) for i in top)
 
     def group_key(self, context: FlowContext) -> object:
         """Scores depend only on the projected feature tuple."""

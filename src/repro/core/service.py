@@ -47,7 +47,7 @@ from ..pipeline.records import AggHour, FlowContext
 from ..store import SegmentStore
 from ..topology.wan import CloudWAN
 from ..util.cache import AnswerMemo, MemoStats
-from .base import (NO_LINKS, IngressModel, Prediction, group_flows,
+from .base import (NO_LINKS, Answer, IngressModel, Prediction, group_flows,
                    spill_from_groups)
 from .ensemble import build_suite
 from .training import KeyedTable
@@ -57,11 +57,11 @@ from .window import (SNAPSHOT_FORMAT, RestoreReport, RollingWindow,
 __all__ = ["SNAPSHOT_FORMAT", "PublishedSuite", "RestoreReport",
            "ServiceConfig", "SnapshotError", "TipsyService"]
 
-#: one flow's (or flow group's) answer, as the memo keeps it
-Answer = Tuple[Prediction, ...]
+#: what else an answer depends on: answering model, k, unavailable links
+Shape = Tuple[str, int, FrozenSet[int]]
 
-#: (answering model, k, unavailable links) -> flow context -> answer
-Memo = AnswerMemo[Tuple[str, int, FrozenSet[int]], FlowContext, Answer]
+#: shape -> flow context -> answer
+Memo = AnswerMemo[Shape, FlowContext, Answer]
 
 
 class PublishedSuite(NamedTuple):
@@ -169,46 +169,46 @@ class TipsyService:
 
     # -- queries ------------------------------------------------------------------
 
-    def _answer(self, suite: PublishedSuite, name: str,
-                contexts: Sequence[FlowContext], k: Optional[int],
-                prior: FrozenSet[int]) -> List[Answer]:
-        """Per-context answers of model ``name``, one suite throughout:
-        the memo's, else the model's — each distinct group key among
-        the contexts the memo does not hold predicted once."""
-        k = self.config.query_k(k)
-        shape = (name, k, prior)
-        found, n_missing = suite.memo.lookup(shape, contexts)
-        if not n_missing:
-            return cast(List[Answer], found)
+    def _ask(self, suite: PublishedSuite, shape: Shape,
+             contexts: Sequence[FlowContext]) -> List[Answer]:
+        """Each context's answer under ``shape``: the memo's, and only
+        if it misses any, :meth:`_answer`'s."""
+        found, missing = suite.memo.lookup(shape, contexts)
+        return (self._answer(suite, shape, contexts, found) if missing
+                else cast("List[Answer]", found))
+
+    def _answer(self, suite: PublishedSuite, shape: Shape,
+                contexts: Sequence[FlowContext],
+                found: List[Optional[Answer]]) -> List[Answer]:
+        """``found`` (the memo's answers to ``contexts``) completed by the
+        model ``shape`` names: the distinct group keys of the contexts
+        the memo does not hold, each keyed once, in one
+        :meth:`~repro.core.base.IngressModel.answers` call."""
+        name, k, prior = shape
         model = self._model_of(suite, name)
         group_key = model.group_key
-        by_group: Dict[object, Answer] = {}
-        fresh: Dict[FlowContext, Answer] = {}
-        for context, held in zip(contexts, found):
-            if held is None and context not in fresh:
-                key = group_key(context)
-                answer = by_group.get(key)
-                if answer is None:
-                    answer = by_group[key] = tuple(
-                        model.predict(context, k, prior))
-                fresh[context] = answer
+        missed = dict.fromkeys(context for context, held
+                               in zip(contexts, found) if held is None)
+        rep_of: Dict[object, FlowContext] = {}
+        reps = [rep_of.setdefault(group_key(context), context)
+                for context in missed]
+        asked = list(rep_of.values())
+        by_rep = dict(zip(asked, model.answers(asked, k, prior)))
+        fresh = {context: by_rep[rep] for context, rep in zip(missed, reps)}
         suite.memo.store(shape, fresh)
         if obs.enabled():
-            obs.count("service.predict.groups", float(len(by_group)))
+            obs.count("service.predict.groups", float(len(asked)))
         return [fresh[context] if held is None else held
                 for context, held in zip(contexts, found)]
-
-    def _query_model(self, unavailable: FrozenSet[int]) -> str:
-        return (self.config.withdrawal_model if unavailable
-                else self.config.primary_model)
 
     def predict(self, context: FlowContext, k: Optional[int] = None,
                 unavailable: AbstractSet[int] = NO_LINKS) -> List[Prediction]:
         """Top-k ingress prediction for one flow; ``k`` of ``None`` or 0
         means ``config.prediction_k``, a negative one is a ``ValueError``."""
-        prior = frozenset(unavailable)
-        return list(self._answer(self._published, self._query_model(prior),
-                                 (context,), k, prior)[0])
+        prior, config = frozenset(unavailable), self.config
+        return [*self._ask(self._published, (
+            config.withdrawal_model if prior else config.primary_model,
+            config.query_k(k), prior), (context,))[0]]
 
     def predict_batch(self, contexts: Sequence[FlowContext],
                       k: Optional[int] = None,
@@ -217,16 +217,18 @@ class TipsyService:
         """Top-k predictions for many flows at once (``k`` as in
         :meth:`predict`).
 
-        A remembered flow costs one dictionary look-up; the rest are
-        grouped by the answering model's feature key, each distinct key
-        predicted once: a million flows over a few thousand tuples cost
-        a few thousand model lookups plus fan-out.
+        A batch the memo holds costs one look-up plus the lists
+        returned; only a miss reaches :meth:`_answer`, which groups the
+        rest by the answering model's feature key and answers each
+        distinct key once: a million flows over a few thousand tuples
+        cost a few thousand model lookups plus fan-out.
         """
         prior = frozenset(unavailable)
         with obs.timed("service.predict_batch"):
-            out = [list(answer) for answer in self._answer(
-                self._published, self._query_model(prior), contexts, k,
-                prior)]
+            config = self.config
+            out = [[*answer] for answer in self._ask(self._published, (
+                config.withdrawal_model if prior else config.primary_model,
+                config.query_k(k), prior), contexts)]
         if obs.enabled():
             obs.count("service.predict.batches")
             obs.count("service.predict.flows", float(len(out)))
@@ -257,13 +259,12 @@ class TipsyService:
         with obs.timed("service.what_if"):
             if not flows:
                 return {}
-            suite = self._published
-            name = self.config.withdrawal_model
+            suite, name = self._published, self.config.withdrawal_model
             group_contexts, group_bytes = group_flows(
                 self._model_of(suite, name).group_key, flows)
-            predictions = self._answer(suite, name, group_contexts, k,
-                                       frozenset(withdrawn))
-            return spill_from_groups(zip(predictions, group_bytes))
+            return spill_from_groups(zip(self._ask(
+                suite, (name, self.config.query_k(k), frozenset(withdrawn)),
+                group_contexts), group_bytes))
 
     # -- observability -------------------------------------------------------------
 

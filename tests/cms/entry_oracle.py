@@ -42,13 +42,14 @@ def totals_by_entry(entries):
 
 
 def candidates_by_entry(entries, link_id):
-    """The link's entries grouped by prefix, the largest total first."""
-    by_prefix = {}
+    """The link's entries grouped by prefix, the largest running total
+    first."""
+    by_prefix, totals = {}, {}
     for link, prefix, context, bytes_ in entries:
         if link == link_id:
             by_prefix.setdefault(prefix, []).append((context, bytes_))
-    return sorted(by_prefix.items(),
-                  key=lambda kv: -sum(bytes_ for _, bytes_ in kv[1]))
+            totals[prefix] = totals.get(prefix, 0.0) + bytes_
+    return sorted(by_prefix.items(), key=lambda kv: -totals[kv[0]])
 
 
 class EntryCMS(CongestionMitigationSystem):

@@ -76,7 +76,9 @@ class RiskAnalyzer:
         if cached is None:
             predictions = self.model.predict(
                 context, self.prediction_k, frozenset((outaged,)))
-            total = sum(p.score for p in predictions)
+            total = 0.0
+            for p in predictions:
+                total += p.score
             if total <= 0.0:
                 cached = ()
             else:
@@ -221,7 +223,9 @@ class GroupRiskAnalyzer:
         if cached is None:
             predictions = self.model.predict(context, self.prediction_k,
                                              down)
-            total = sum(p.score for p in predictions)
+            total = 0.0
+            for p in predictions:
+                total += p.score
             cached = tuple(
                 (p.link_id, p.score / total) for p in predictions
             ) if total > 0.0 else ()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bgp import AdvertisementState
 from repro.cms import CMSConfig, CongestionMitigationSystem, TrafficSample
+from repro.cms.mitigation import running_sum
 from repro.core import FEATURES_AP, HistoricalModel
 from repro.pipeline import FlowContext
 from repro.topology import (
@@ -248,3 +249,28 @@ class TestColumnarSample:
         links, prefixes = observed_totals(cms, AdvertisementState(wan), empty)
         assert links == {} and prefixes == {}
         assert cms.actions == []
+
+
+#: a sum whose left-to-right value (1.0) is not its compensated one:
+#: from Python 3.12 the builtin ``sum`` of floats compensates and gives
+#: 1.0000000000000002, one ulp above
+TINY_TAIL = (1.0, 1e-16, 1e-16)
+
+
+class TestLeftToRightSums:
+    """The CMS adds floats left to right on every interpreter, so a
+    decision does not depend on which Python runs it."""
+
+    def test_running_sum_is_the_left_to_right_walk(self):
+        assert running_sum(TINY_TAIL) == running_sum(iter(TINY_TAIL)) == 1.0
+        assert running_sum(()) == 0.0
+
+    def test_candidates_rank_by_the_running_total(self, wan):
+        # prefix 0 runs to exactly 1.0, prefix 1 holds one ulp more;
+        # compensated, the two would tie and keep first-seen order
+        rows = [(0, 0, ctx(i), b) for i, b in enumerate(TINY_TAIL)]
+        rows.append((0, 1, ctx(9), 1.0000000000000002))
+        got = CongestionMitigationSystem(wan)._candidates(sample(rows), 0)
+        assert [prefix for prefix, _ in got] == [1, 0]
+        assert hexed_candidates(got) == hexed_candidates(
+            candidates_by_entry(rows, 0))

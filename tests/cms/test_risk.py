@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cms import RiskAnalyzer
-from repro.core import FEATURES_AP, HistoricalModel
+from repro.core import FEATURES_AP, HistoricalModel, Prediction
 from repro.pipeline import FlowContext
 from repro.topology import (
     CloudWAN,
@@ -15,6 +15,7 @@ from repro.topology import (
 
 from tests.cms.entry_oracle import sample_of_entries as sample
 from tests.core.builders import from_rows
+from tests.core.per_context import PerContextModel
 
 GBPS_HOUR = 1e9 / 8.0 * 3600.0
 
@@ -105,3 +106,23 @@ class TestRiskAnalyzer:
         assert top.peer_asn == 100
         assert top.capacity_gbps == 1.0
         assert wan.link(top.affecting_group).peer_asn == 100
+
+
+class _TinyTail(PerContextModel):
+    """Every flow on links 0, 1 and 2, scored 1.0, 1e-16 and 1e-16: a
+    total of 1.0 added left to right, one ulp more compensated (the
+    builtin ``sum`` of floats from Python 3.12)."""
+
+    name = "tiny-tail"
+
+    def predict(self, context, k, unavailable=frozenset()):
+        return [Prediction(link, score) for link, score
+                in ((0, 1.0), (1, 1e-16), (2, 1e-16))][:k]
+
+
+class TestLeftToRightWeights:
+    def test_shift_weights_divide_by_the_running_total(self, world):
+        wan, _model = world
+        weights = RiskAnalyzer(wan, _TinyTail())._shift(ctx(0), frozenset())
+        assert [(link, weight.hex()) for link, weight in weights] == [
+            (0, (1.0).hex()), (1, (1e-16).hex()), (2, (1e-16).hex())]

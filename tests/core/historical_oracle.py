@@ -19,10 +19,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, cast
 
 import numpy as np
 
-from repro.core.base import NO_LINKS, IngressModel, Prediction
+from repro.core.base import NO_LINKS, Prediction
 from repro.core.features import FeatureSet
 from repro.pipeline.records import FlowContext
 from repro.store.codec import encode_keyed_table, key_column_names
+from tests.core.per_context import PerContextModel
 
 #: a model key: the projection of a flow context onto a feature set
 TupleKey = Tuple[object, ...]
@@ -31,7 +32,7 @@ TupleKey = Tuple[object, ...]
 Rankings = Dict[TupleKey, Tuple[Prediction, ...]]
 
 
-class DictHistoricalModel(IngressModel):
+class DictHistoricalModel(PerContextModel):
     """Byte-weighted empirical link distribution per feature tuple."""
 
     def __init__(self, feature_set: FeatureSet, name: Optional[str] = None):

@@ -16,12 +16,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import NO_LINKS, IngressModel, Prediction
+from repro.core.base import NO_LINKS, Prediction
 from repro.core.features import FeatureSet
 from repro.pipeline.records import FlowContext
+from tests.core.per_context import PerContextModel
 
 
-class DictNaiveBayesModel(IngressModel):
+class DictNaiveBayesModel(PerContextModel):
     """Byte-weighted multinomial Naive Bayes over the feature set."""
 
     def __init__(self, feature_set: FeatureSet, name: Optional[str] = None,

@@ -7,14 +7,15 @@ import pytest
 from repro.core import (FEATURES_A, FEATURES_AL, GeoAugmentedModel,
                         HistoricalModel, IngressModel, NaiveBayesModel,
                         OracleModel, Prediction, SequentialEnsemble)
-from repro.core.base import NO_LINKS
+from repro.core.base import NO_LINKS, spill_from_groups
 from repro.pipeline import FlowContext
 from repro.topology import (CloudWAN, DestPrefix, MetroCatalog, PeeringLink,
                             Region)
 from tests.core.builders import from_rows
+from tests.core.per_context import PerContextModel
 
 
-class _Fixed(IngressModel):
+class _Fixed(PerContextModel):
     """Minimal model returning a fixed ranking (for protocol tests)."""
 
     name = "fixed"
@@ -76,6 +77,19 @@ def _k_world():
     return {"Hist_AL": hist, "NB_AL": bayes, "Oracle_AL": oracle,
             "Hist_AL+G": GeoAugmentedModel(hist, wan),
             "Hist_AL/A": SequentialEnsemble([hist, a])}
+
+
+class TestSpillSum:
+    def test_a_group_total_adds_left_to_right(self):
+        """Scores 1.0, 1e-16, 1e-16 total 1.0 added left to right, as
+        Python 3.9-3.11's builtin ``sum`` adds; from 3.12 it compensates
+        and totals one ulp more, which would shrink every share."""
+        tiny_tail = (Prediction(0, 1.0), Prediction(1, 1e-16),
+                     Prediction(2, 1e-16))
+        spill = spill_from_groups([(tiny_tail, 1.0), ((), 2.0)])
+        assert [(link, bytes_.hex()) for link, bytes_ in spill.items()] == [
+            (0, (1.0).hex()), (1, (1e-16).hex()), (2, (1e-16).hex()),
+            (-1, (2.0).hex())]
 
 
 class TestKBelowOne:

@@ -125,3 +125,66 @@ class TestLazyReranking:
         assert model._slots[1] is None
         again = model.predict(ctx(), 2)
         assert all(a is b for a, b in zip(again, first))
+
+
+class TestTotals:
+    """A share is bytes over its tuple's ``math.fsum`` total.  A table
+    of integral byte counts whose longest tuple's total fits in int64
+    adds them as integers and rounds once; any other table takes
+    ``math.fsum`` per tuple of three or more links.  Both branches give
+    per-tuple ``fsum`` shares to the bit."""
+
+    @pytest.fixture()
+    def fsums(self, monkeypatch):
+        """The ``math.fsum`` calls a build makes."""
+        calls = []
+        fsum = math.fsum
+
+        def counted(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        return calls
+
+    @staticmethod
+    def assert_fsum_shares(model, contexts):
+        for context in contexts:
+            by_link = model.bytes_for(context)
+            total = math.fsum(by_link.values())
+            assert {p.link_id: p.score.hex()
+                    for p in model.predict(context, len(by_link))} == {
+                link: (bytes_ / total).hex()
+                for link, bytes_ in by_link.items()}
+
+    def test_integral_counts_add_exactly_above_two_to_the_53(self, fsums):
+        # 2**53 + 3 is not a float: fsum rounds it once, to 2**53 + 4,
+        # where a running float sum drops each 1.0 and stays at 2**53
+        rows = [(ctx(), 5, 2.0 ** 53), (ctx(), 6, 1.0), (ctx(), 7, 1.0),
+                (ctx(), 8, 1.0), (ctx(prefix=11), 5, 3.0),
+                (ctx(prefix=11), 6, 2.0 ** 60), (ctx(prefix=12), 9, 7.0)]
+        # numpy's float reduce of this tuple is 4 above its fsum
+        rows += [(ctx(prefix=13), link, bytes_) for link, bytes_ in zip(
+            range(5), (2.0 ** 53, 2.0 ** 53, 7.0, 7.0, 3.0))]
+        model = hist(FEATURES_AP, *rows)
+        assert fsums == []
+        self.assert_fsum_shares(model, [ctx(), ctx(prefix=11),
+                                        ctx(prefix=12), ctx(prefix=13)])
+        assert model.predict(ctx(), 1)[0].score == 2.0 ** 53 / (2.0 ** 53 + 4)
+
+    def test_a_total_past_int64_takes_fsum(self, fsums):
+        rows = [(ctx(), link, 2.0 ** 62) for link in (5, 6, 7)]
+        rows.append((ctx(prefix=11), 5, 1.0))
+        model = hist(FEATURES_AP, *rows)
+        assert fsums == [3]
+        self.assert_fsum_shares(model, [ctx(), ctx(prefix=11)])
+
+    def test_fractional_counts_take_fsum(self, fsums):
+        rows = [(ctx(), 5, 0.1), (ctx(), 6, 0.2), (ctx(), 7, 0.3),
+                (ctx(prefix=11), 5, 2.0 ** 53), (ctx(prefix=11), 6, 1.0),
+                (ctx(prefix=11), 7, 1.0), (ctx(prefix=12), 5, 0.5),
+                (ctx(prefix=12), 6, 0.25)]
+        model = hist(FEATURES_AP, *rows)
+        assert fsums == [3, 3]
+        self.assert_fsum_shares(model, [ctx(), ctx(prefix=11),
+                                        ctx(prefix=12)])

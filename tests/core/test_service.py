@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import GeoAugmentedModel
+from repro.core import (GeoAugmentedModel, HistoricalModel,
+                        SequentialEnsemble)
 from repro.core.base import NO_LINKS, IngressModel
 from repro.core.features import FEATURES_AL
 from repro.core.service import ServiceConfig, TipsyService
@@ -16,6 +17,7 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+from repro.util.cache import AnswerMemo
 
 from tests.core.spill_reference import what_if_per_flow
 
@@ -311,7 +313,8 @@ class TestPredictionMemo:
 
 
 class SpyModel(IngressModel):
-    """Counts what a query costs the model it wraps."""
+    """Counts what a query costs the model it wraps: every context it is
+    asked to answer, and every group key it computes."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -319,9 +322,9 @@ class SpyModel(IngressModel):
         self.predicted = []
         self.keyed = 0
 
-    def predict(self, context, k, unavailable=NO_LINKS):
-        self.predicted.append(context)
-        return self.inner.predict(context, k, unavailable)
+    def answers(self, contexts, k, prior=NO_LINKS):
+        self.predicted.extend(contexts)
+        return self.inner.answers(contexts, k, prior)
 
     def group_key(self, context):
         self.keyed += 1
@@ -422,6 +425,109 @@ class TestReadPathCounts:
         assert len(primary.predicted) == 4  # nothing new since the retrain
 
 
+class ReadSpy(IngressModel):
+    """Records every context whose ranking is read from the model it
+    wraps, one context at a time or in a batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.read = []
+
+    def answers(self, contexts, k, prior=NO_LINKS):
+        self.read.extend(contexts)
+        return self.inner.answers(contexts, k, prior)
+
+    def predict(self, context, k, unavailable=NO_LINKS):
+        self.read.append(context)
+        return self.inner.predict(context, k, unavailable)
+
+    def group_key(self, context):
+        return self.inner.group_key(context)
+
+
+class TestCountedReadWork:
+    """A memo hit is one memo look-up and no model call; a partly warm
+    batch asks the memo about each of its contexts once; AL+G reads each
+    distinct group's base ranking once, even for a row short of k."""
+
+    BATCH = TestReadPathCounts.BATCH
+    FLOWS = [(c, 10.0 + i) for i, c in enumerate(BATCH)]
+
+    @pytest.fixture()
+    def trained(self, service):
+        service.ingest_hour(0, [rec(0, 0, 1, 100.0), rec(0, 1, 1, 30.0),
+                                rec(0, 0, 2, 50.0), rec(0, 2, 3, 10.0)])
+        service.ingest_hour(24, [])
+        return service
+
+    @pytest.fixture()
+    def lookups(self, monkeypatch):
+        """The batch length of every ``AnswerMemo.lookup``."""
+        calls = []
+        lookup = AnswerMemo.lookup
+
+        def counted(memo, shape, keys):
+            calls.append(len(keys))
+            return lookup(memo, shape, keys)
+
+        monkeypatch.setattr(AnswerMemo, "lookup", counted)
+        return calls
+
+    def test_a_memo_hit_is_one_lookup_and_no_model_call(
+            self, trained, lookups, monkeypatch):
+        first = (trained.predict_batch(self.BATCH),
+                 trained.predict_batch(self.BATCH, 2, {0}),
+                 trained.what_if(self.FLOWS, {0}))
+        called = []
+        for cls in (HistoricalModel, GeoAugmentedModel, SequentialEnsemble):
+            for method in ("answers", "predict", "what_if", "group_key",
+                           "size"):
+                monkeypatch.setattr(cls, method, lambda *args, _at=(
+                    cls.__name__, method), **kwargs: called.append(_at))
+        for ask, calls in (
+                (lambda: trained.predict_batch(self.BATCH), [6]),
+                (lambda: trained.predict_batch(self.BATCH, 2, {0}), [6]),
+                # one AL group among the six flows
+                (lambda: trained.what_if(self.FLOWS, {0}), [1])):
+            lookups.clear()
+            assert ask() in first
+            assert lookups == calls
+        assert called == []
+
+    def test_a_partly_warm_batch_asks_each_context_once(self, trained):
+        trained.predict_batch(self.BATCH[:3])
+        before = trained.memo_stats()
+        assert trained.predict_batch(self.BATCH) == [
+            trained.model(trained.config.primary_model).predict(c, 3)
+            for c in self.BATCH]
+        after = trained.memo_stats()
+        assert (after.hits + after.misses) - (before.hits + before.misses) \
+            == len(self.BATCH)
+        # ctx(1) and ctx(2) were held; ctx(3) and ctx(99) were not
+        assert (after.hits - before.hits, after.misses - before.misses) \
+            == (4, 2)
+
+    def test_al_g_reads_each_base_ranking_once(self, trained):
+        name = trained.config.withdrawal_model
+        plain = trained.model(name)
+        spy = ReadSpy(plain.base)
+        completion = GeoAugmentedModel(spy, plain.wan, name=name)
+        # the one AL group ranks links 0, 1, 2: with 0 down, two are
+        # left of k=3, so the row is completed from its anchor, link 0
+        for context in (ctx(1), ctx(3), ctx(99)):
+            spy.read.clear()
+            assert completion.predict(context, 3, frozenset({0})) == (
+                plain.predict(context, 3, frozenset({0})))
+            assert spy.read == [context]
+        spy.read.clear()
+        trained._published.models[name] = completion
+        trained.predict_batch(self.BATCH, 3, {0})
+        trained.what_if(self.FLOWS, {1})
+        # one distinct group, one read per question
+        assert spy.read == [ctx(1), ctx(1)]
+
+
 SERVED_MODELS = ("Hist_AP", "Hist_AL", "Hist_A", "Hist_AL+G", "Hist_AP/AL/A")
 
 
@@ -517,9 +623,9 @@ class PerPrefixGeo(GeoAugmentedModel):
         super().__init__(base, wan, name="Hist_AL+G")
         self.predicted = []
 
-    def predict(self, context, k, unavailable=NO_LINKS):
-        self.predicted.append(context)
-        return super().predict(context, k, unavailable)
+    def answers(self, contexts, k, prior=NO_LINKS):
+        self.predicted.extend(contexts)
+        return super().answers(contexts, k, prior)
 
     def group_key(self, context):
         return (context.src_prefix, *super().group_key(context))

@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.base import NO_LINKS, IngressModel, Prediction
 from repro.pipeline.records import FlowContext
 from repro.topology.wan import CloudWAN
+from tests.core.per_context import PerContextModel
 
 
 def spill_from_groups(
@@ -40,7 +41,9 @@ def spill_from_groups(
     link_weights: List[float] = []
     unplaceable = 0.0
     for predictions, bytes_ in groups:
-        total = sum(p.score for p in predictions)
+        total = 0.0
+        for p in predictions:
+            total += p.score
         if total <= 0.0:
             unplaceable += bytes_
             continue
@@ -63,7 +66,7 @@ def spill_from_groups(
     return spill
 
 
-class OracleGeoAugmentedModel(IngressModel):
+class OracleGeoAugmentedModel(PerContextModel):
     """Wraps a base model, completing rankings with geographic fallback."""
 
     def __init__(self, base: IngressModel, wan: CloudWAN,

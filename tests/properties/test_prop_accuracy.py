@@ -157,8 +157,8 @@ class _Unkeyed(IngressModel):
     def __init__(self, inner):
         self.inner = inner
 
-    def predict(self, context, k, unavailable=frozenset()):
-        return self.inner.predict(context, k, unavailable)
+    def answers(self, contexts, k, prior=frozenset()):
+        return self.inner.answers(contexts, k, prior)
 
 
 def suite(rows):
