@@ -80,8 +80,9 @@ from ..obs import runtime as obs
 from ..topology.asgraph import ASGraph, Pocket
 from ..topology.wan import CloudWAN, PeeringLink
 from ..util.cache import ArrayLru, LruDict
-from ..util.hashing import (folded_seed, geometric_day, mix64_columns,
-                            rotation_columns, unit, unit_columns)
+from ..util.hashing import (folded_seed, geometric_day_columns,
+                            mix64_columns, rotation_columns, unit,
+                            unit_columns)
 from .propagation import (MAX_NEXTHOPS, RoutingTable, compute_routing_table,
                           default_bias)
 from .state import AdvertisementState
@@ -344,21 +345,18 @@ class IngressSimulator:
 
     def shift_days(self, src_asn: np.ndarray, src_prefix: np.ndarray,
                    dest_prefix: np.ndarray) -> np.ndarray:
-        """:meth:`drift_days` of flows given as aligned columns, an
-        ``(n, 2)`` ``int64`` array; ``day >= shift_days(...)`` is the
+        """Each flow's (minor, major) shift day, flows given as aligned
+        columns, an ``(n, 2)`` ``int64`` array: ``geometric_day`` of the
+        flow and a salt (11, 13); ``day >= shift_days(...)`` is the
         ``drifted`` column :meth:`resolve_shares` takes."""
-        return np.array(list(map(self.drift_days, *(
-            np.asarray(column, dtype=np.int64).tolist()
-            for column in (src_asn, src_prefix, dest_prefix)))),
-            dtype=np.int64).reshape(-1, 2)
-
-    def drift_days(self, src_asn: int, src_prefix: int,
-                   dest_prefix: int) -> Tuple[int, int]:
-        """(minor shift day, major shift day) for a flow."""
-        return (geometric_day(self.params.minor_drift_daily, src_asn,
-                              src_prefix, dest_prefix, 11, seed=self.seed),
-                geometric_day(self.params.major_drift_daily, src_asn,
-                              src_prefix, dest_prefix, 13, seed=self.seed))
+        flows = np.zeros((len(src_asn), 4), dtype=np.int64)
+        flows[:, :3] = np.column_stack((src_asn, src_prefix, dest_prefix))
+        days = []
+        for p, salt in ((self.params.minor_drift_daily, 11),
+                        (self.params.major_drift_daily, 13)):
+            flows[:, 3] = salt
+            days.append(geometric_day_columns(p, flows, self.seed))
+        return np.column_stack(days)
 
     # -- resolution -----------------------------------------------------------
 

@@ -23,8 +23,8 @@ exactly the §2 incident, reproduced in ``examples/cascade_incident.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ..core.base import SpillPredictor
 from ..pipeline.aggregation import first_seen_sums
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
+from ..util import running_sum
 from .monitor import CongestionEvent, UtilizationMonitor, capacity_bytes
 
 
@@ -59,15 +60,6 @@ def first_seen_totals(keys: np.ndarray, weights: np.ndarray) -> Dict[int, float]
     (``first_seen_sums`` adds with ``bincount``, in row order)."""
     rep, sums = first_seen_sums([keys], weights)
     return dict(zip(keys[rep].tolist(), sums.tolist()))
-
-
-def running_sum(values: Iterable[float]) -> float:
-    """``0.0 + v0 + v1 + ...`` in order on every interpreter (from 3.12
-    the builtin ``sum`` of floats compensates, and can differ by an ulp)."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
 from ..core.base import IngressModel
 from ..pipeline.records import FlowContext
 from ..topology.wan import CloudWAN
-from .mitigation import TrafficSample, first_seen_totals, running_sum
+from ..util import running_sum
+from .mitigation import TrafficSample, first_seen_totals
 from .monitor import capacity_bytes
 
 #: a failure group: a link id, or a router, metro or ``AS<peer>`` name

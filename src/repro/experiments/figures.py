@@ -31,6 +31,7 @@ from ..pipeline.outages import (
     last_outage_days_before,
     schedule_outages,
 )
+from ..util import running_sum
 from .runner import EvaluationRunner, WindowSpec
 from .scenario import Scenario
 
@@ -42,7 +43,7 @@ def cdf_points(values: Sequence[float],
     if weights is None:
         weights = [1.0] * len(values)
     pairs = sorted(zip(values, weights))
-    total = sum(w for _v, w in pairs)
+    total = running_sum(w for _v, w in pairs)
     if total <= 0.0:
         return []
     out: List[Tuple[float, float]] = []
@@ -72,7 +73,7 @@ def fig2_bytes_by_distance(scenario: Scenario, start_hour: int,
             if d is None:
                 continue
             by_distance[d] = by_distance.get(d, 0.0) + float(bytes_)
-    total = sum(by_distance.values())
+    total = running_sum(by_distance.values())
     return {d: b / total for d, b in sorted(by_distance.items())}
 
 
@@ -210,7 +211,7 @@ def fig9_training_window_sweep(
             accs.append(result.overall.get(model_name, k))
         if accs:
             points.append(WindowSweepPoint(
-                length, sum(accs) / len(accs), min(accs), max(accs)))
+                length, running_sum(accs) / len(accs), min(accs), max(accs)))
     return points
 
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..topology.asgraph import ASGraph, ASRole
 from ..topology.wan import CloudWAN
+from ..util import running_sum
 from ..util.hashing import mix64
 from .diurnal import diurnal_factors_vec, tz_offset_hours, weekday
 from .prefixes import PrefixUniverse
@@ -64,6 +66,10 @@ class FlowSpec:
     start_day: int
     end_day: int
     tz_offset: int
+
+
+#: a ``FlowSpec``'s fields, in order
+_Row = Tuple[int, int, int, str, int, str, str, float, str, int, int, int]
 
 
 @dataclass
@@ -121,15 +127,18 @@ class TrafficGenerator:
         # the hour last drawn and its volumes: a CMS loop streams one
         # hour for the live state, again after acting and once per probe
         self._last_volumes: Optional[Tuple[int, np.ndarray]] = None
-        flows = self._build_flows(distance_of)
+        rows = self._draw_flows(distance_of)
+        factor, cap = self._utilization_scale([row[7] for row in rows])
         self.flows: Tuple[FlowSpec, ...] = tuple(
-            self._scale_to_utilization(flows))
+            FlowSpec(*row[:7], min(row[7] * factor, cap), *row[8:])
+            for row in rows)
         self._build_arrays()
 
     # -- population ----------------------------------------------------------
 
-    def _build_flows(self, distance_of: Callable[[int], Optional[int]]
-                     ) -> List[FlowSpec]:
+    def _draw_flows(self, distance_of: Callable[[int], Optional[int]]
+                    ) -> List[_Row]:
+        """The population as rows of ``FlowSpec`` fields, rates as drawn."""
         params = self.params
         rng = self._rng
 
@@ -143,18 +152,24 @@ class TrafficGenerator:
         targets = {
             d: t for d, t in params.distance_targets.items() if by_distance.get(d)
         }
-        total_target = sum(targets.values())
+        total_target = running_sum(targets.values())
         if not targets:
             raise ValueError("no routable source ASes to generate traffic from")
 
-        # destination popularity: zipf over destination prefixes
-        n_dest = len(self.wan.dest_prefixes)
-        dest_weights = [1.0 / (i + 1) ** params.dest_zipf_s for i in range(n_dest)]
-        dest_order = list(range(n_dest))
-        rng.shuffle(dest_order)  # decouple popularity from prefix id order
+        # destination popularity: zipf over destination prefix ranks,
+        # drawn with the cumulative weights `weights=` builds every call;
+        # each rank's prefix (shuffled apart from prefix id order) and
+        # its profile
+        ranks = range(len(self.wan.dest_prefixes))
+        rank_cum = list(accumulate(
+            1.0 / (i + 1) ** params.dest_zipf_s for i in ranks))
+        dest_order = list(ranks)
+        rng.shuffle(dest_order)
+        by_rank = [(dest, profile_for(dest.service))
+                   for dest in map(self.wan.dest_prefix, dest_order)]
+        tz_of = {m.name: tz_offset_hours(m.lon) for m in self.graph.metros}
 
-        flows: List[FlowSpec] = []
-        flow_id = 0
+        rows: List[_Row] = []
         for d, target in sorted(targets.items()):
             n_flows_d = max(1, round(params.n_flows * target / total_target))
             asns = by_distance[d]
@@ -163,65 +178,36 @@ class TrafficGenerator:
                 max(1, len(self.universe.of_as(a)))
                 for a in asns
             ]
-            chosen_asns = rng.choices(asns, weights=weights, k=n_flows_d)
-            for asn in chosen_asns:
+            for asn in rng.choices(asns, weights=weights, k=n_flows_d):
                 prefixes = self.universe.of_as(asn)
                 src = prefixes[rng.randrange(len(prefixes))]
-                dest_idx = dest_order[
-                    rng.choices(range(n_dest), weights=dest_weights, k=1)[0]]
-                dest = self.wan.dest_prefix(dest_idx)
-                profile = profile_for(dest.service)
+                dest, profile = by_rank[
+                    rng.choices(ranks, cum_weights=rank_cum)[0]]
                 rate = float(np.exp(rng.gauss(
                     math.log(profile.rate_scale_mbps), profile.rate_sigma)))
                 start_day, end_day = self._lifetime(rng)
-                metro = self.graph.metros.get(src.metro)
-                flows.append(FlowSpec(
-                    flow_id=flow_id,
-                    src_prefix_id=src.prefix_id,
-                    src_asn=asn,
-                    src_metro=src.metro,
-                    dest_prefix_id=dest.prefix_id,
-                    dest_region=dest.region,
-                    dest_service=dest.service,
-                    base_rate_mbps=rate,
-                    profile_name=profile.name,
-                    start_day=start_day,
-                    end_day=end_day,
-                    tz_offset=tz_offset_hours(metro.lon),
-                ))
-                flow_id += 1
-        return flows
+                rows.append((
+                    len(rows), src.prefix_id, asn, src.metro, dest.prefix_id,
+                    dest.region, dest.service, rate, profile.name,
+                    start_day, end_day, tz_of[src.metro]))
+        return rows
 
-    def _scale_to_utilization(self, flows: List[FlowSpec]) -> List[FlowSpec]:
-        """Scale base rates so demand hits the mean-utilization target.
+    def _utilization_scale(self, rates: List[float]) -> Tuple[float, float]:
+        """(factor, cap) on base rates so demand hits the mean-utilization
+        target; (1, inf) without a target or a demand.
 
-        Individual flows are then capped at ``rate_cap_fraction`` of the
+        Individual flows are capped at ``rate_cap_fraction`` of the
         total; the cap trims the extreme lognormal tail so a single flow
         aggregate cannot dominate a whole evaluation partition.
         """
         target = self.params.mean_utilization_target
-        if target <= 0.0 or not flows:
-            return flows
-        total_capacity_mbps = sum(
-            l.capacity_gbps for l in self.wan.links) * 1000.0
-        total_rate_mbps = sum(f.base_rate_mbps for f in flows)
-        if total_rate_mbps <= 0.0:
-            return flows
-        target_total = target * total_capacity_mbps
-        factor = target_total / total_rate_mbps
-        cap = self.params.rate_cap_fraction * target_total
-        return [
-            FlowSpec(
-                flow_id=f.flow_id, src_prefix_id=f.src_prefix_id,
-                src_asn=f.src_asn, src_metro=f.src_metro,
-                dest_prefix_id=f.dest_prefix_id, dest_region=f.dest_region,
-                dest_service=f.dest_service,
-                base_rate_mbps=min(f.base_rate_mbps * factor, cap),
-                profile_name=f.profile_name, start_day=f.start_day,
-                end_day=f.end_day, tz_offset=f.tz_offset,
-            )
-            for f in flows
-        ]
+        total_rate_mbps = running_sum(rates)
+        if target <= 0.0 or total_rate_mbps <= 0.0:
+            return 1.0, math.inf
+        target_total = target * (running_sum(
+            l.capacity_gbps for l in self.wan.links) * 1000.0)
+        return (target_total / total_rate_mbps,
+                self.params.rate_cap_fraction * target_total)
 
     def _lifetime(self, rng: random.Random) -> Tuple[int, int]:
         params = self.params

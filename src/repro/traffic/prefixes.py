@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..topology.asgraph import ASGraph, ASRole
 
@@ -63,7 +63,7 @@ class PrefixUniverse:
         rng = random.Random(seed ^ 0x9E3F)
         self.graph = graph
         self._prefixes: List[SourcePrefix] = []
-        self._by_as: Dict[int, List[SourcePrefix]] = {}
+        self._by_as: Dict[int, Tuple[SourcePrefix, ...]] = {}
         prefix_id = 0
         for node in sorted(graph.nodes(), key=lambda n: n.asn):
             lo, hi = counts[node.role]
@@ -78,7 +78,7 @@ class PrefixUniverse:
                 per_as.append(prefix)
                 self._prefixes.append(prefix)
                 prefix_id += 1
-            self._by_as[node.asn] = per_as
+            self._by_as[node.asn] = tuple(per_as)
 
     def __len__(self) -> int:
         return len(self._prefixes)
@@ -89,8 +89,8 @@ class PrefixUniverse:
     def prefix(self, prefix_id: int) -> SourcePrefix:
         return self._prefixes[prefix_id]
 
-    def of_as(self, asn: int) -> Sequence[SourcePrefix]:
-        return tuple(self._by_as.get(asn, ()))
+    def of_as(self, asn: int) -> Tuple[SourcePrefix, ...]:
+        return self._by_as.get(asn, ())
 
     def asns(self) -> Tuple[int, ...]:
         return tuple(self._by_as)

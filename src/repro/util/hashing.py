@@ -6,8 +6,9 @@ spraying, policy biases, drift schedules) goes through these mixers
 instead.  The mixer is a splitmix64-style finalizer: fast, well
 distributed, and reproducible across runs and platforms.
 
-:func:`mix64_columns`, :func:`unit_columns`, :func:`rotation_columns`:
-their column twins, each matrix row hashed as the scalar hashes it;
+:func:`mix64_columns`, :func:`unit_columns`, :func:`rotation_columns`,
+:func:`geometric_day_columns`: their column twins, each matrix row
+hashed as the scalar hashes it;
 :func:`folded_seed` carries a fold's first columns over as a seed.
 """
 
@@ -115,3 +116,21 @@ def geometric_day(p: float, *values: int, seed: int = 0, cap: int = 10_000) -> i
     u = max(u, 1e-12)
     day = int(math.log(u) / math.log(1.0 - p))
     return min(day, cap)
+
+
+def geometric_day_columns(p: float, values: np.ndarray,
+                          seed: Union[int, np.ndarray] = 0,
+                          cap: int = 10_000) -> np.ndarray:
+    """:func:`geometric_day` per row (see :func:`mix64_columns`), as
+    int64, for ``cap`` below 2**53.  The logs are ``math.log`` per
+    value: ``np.log`` may round differently."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p must be in [0, 1)")
+    if p == 0.0:
+        return np.full(len(values), cap, dtype=np.int64)
+    base = math.log(1.0 - p)
+    if base == 0.0:  # p below 2**-53: the scalar's division raises
+        raise ZeroDivisionError("float division by zero")
+    logs = np.fromiter(map(math.log, np.maximum(
+        unit_columns(values, seed), 1e-12).tolist()), np.float64, len(values))
+    return np.minimum(logs / base, cap).astype(np.int64)

@@ -8,7 +8,8 @@ flow's latest full resolution is reused under another removal set when
 the change reaches nothing the walk read (``IngressSimulator.touched``).
 
 It asks the simulator only for what both paths share by design: routing
-tables, ``touched``, drift days and a peer's links.
+tables, ``touched`` and a peer's links.  :func:`drift_days` is the
+scalar twin of ``IngressSimulator.shift_days``, one flow a call.
 
 :func:`resolve_one` is the other direction: one flow through the
 columnar ``resolve_shares``, read back as a :class:`Resolution`.
@@ -26,7 +27,7 @@ import numpy as np
 from repro.bgp import AdvertisementState, IngressSimulator, RoutingTable
 from repro.topology.asgraph import Pocket
 from repro.topology.wan import PeeringLink
-from repro.util.hashing import mix64, rotation, unit
+from repro.util.hashing import geometric_day, mix64, rotation, unit
 
 #: (link_id, fraction) pairs, descending fraction; fractions sum to 1.0
 ShareVector = Tuple[Tuple[int, float], ...]
@@ -44,14 +45,25 @@ class Resolution(NamedTuple):
     removed: FrozenSet[int]
 
 
+def drift_days(simulator: IngressSimulator, src_asn: int, src_prefix: int,
+               dest_prefix: int) -> Tuple[int, int]:
+    """(minor shift day, major shift day) for a flow, one
+    ``geometric_day`` each."""
+    params, seed = simulator.params, simulator.seed
+    return (geometric_day(params.minor_drift_daily, src_asn, src_prefix,
+                          dest_prefix, 11, seed=seed),
+            geometric_day(params.major_drift_daily, src_asn, src_prefix,
+                          dest_prefix, 13, seed=seed))
+
+
 def drift_state(simulator: IngressSimulator, src_asn: int, src_prefix: int,
                 dest_prefix: int, day: Optional[int]) -> Tuple[bool, bool]:
     """(minor shifted, major shifted) for a flow on ``day``: on or past
     its ``drift_days``; neither without a day."""
     if day is None:
         return (False, False)
-    minor_day, major_day = simulator.drift_days(src_asn, src_prefix,
-                                                dest_prefix)
+    minor_day, major_day = drift_days(simulator, src_asn, src_prefix,
+                                      dest_prefix)
     return (day >= minor_day, day >= major_day)
 
 

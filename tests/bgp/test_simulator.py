@@ -20,8 +20,8 @@ from repro.topology import (
     Relationship,
 )
 
-from .resolve_oracle import (ResolveOracle, drift_state, drifted_on,
-                             resolve_one)
+from .resolve_oracle import (ResolveOracle, drift_days, drift_state,
+                             drifted_on, resolve_one)
 
 
 def build_world(pocket_metros=("sin",)):
@@ -430,7 +430,7 @@ class TestDrift:
 
     def test_drift_monotone_in_time(self, world):
         _g, wan, sim = world
-        minor_day, major_day = sim.drift_days(4, 100, 0)
+        minor_day, major_day = drift_days(sim, 4, 100, 0)
         assert drift_state(sim, 4, 100, 0, minor_day - 1)[0] is False
         assert drift_state(sim, 4, 100, 0, minor_day)[0] is True
         assert drift_state(sim, 4, 100, 0, major_day)[1] is True
@@ -440,7 +440,7 @@ class TestDrift:
         sim = IngressSimulator(graph, wan, SimulatorParams(
             minor_drift_daily=0.05), seed=3)
         drifted = sum(
-            1 for p in range(200) if sim.drift_days(4, p, 0)[0] < 28)
+            1 for p in range(200) if drift_days(sim, 4, p, 0)[0] < 28)
         assert 0 < drifted < 200
 
     def test_drift_changes_shares(self, world):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bgp import AdvertisementState
 from repro.cms import CMSConfig, CongestionMitigationSystem, TrafficSample
-from repro.cms.mitigation import running_sum
 from repro.core import FEATURES_AP, HistoricalModel
 from repro.pipeline import FlowContext
 from repro.topology import (
@@ -15,6 +14,7 @@ from repro.topology import (
     PeeringLink,
     Region,
 )
+from repro.util import running_sum
 
 from tests.cms.entry_oracle import (
     candidates_by_entry,

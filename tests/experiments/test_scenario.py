@@ -446,7 +446,7 @@ class TestCountedWork:
 
 class TestCountedProbeWork:
     """What a probe's stream pays for, counted call by call: no IPFIX
-    draw that nothing reads, no per-row drift lookup in a derive, one
+    draw that nothing reads, no shift day hashed in a derive, one
     routing table built per set of peers that go dark, split look-ups by
     int key, and one comparison of each cached expansion with the
     content asked for."""
@@ -469,7 +469,9 @@ class TestCountedProbeWork:
             monkeypatch.setattr(owner, name, call)
 
         spy(IpfixExporter, "sample_bytes", lambda _bytes, hour: hour)
-        spy(IngressSimulator, "drift_days", lambda *flow: flow)
+        spy(IngressSimulator, "shift_days", lambda *columns: len(columns[0]))
+        spy(bgp_simulator, "geometric_day_columns",
+            lambda values, *_: len(values))
         calls["spy"] = spy
         return calls
 
@@ -510,7 +512,7 @@ class TestCountedProbeWork:
         assert np.array_equal(base.sampled_bytes, sc.exporter.sample_bytes(
             base.true_bytes, self.HOUR))
 
-    def test_a_derive_asks_no_drift_days(self, spied):
+    def test_a_derive_asks_no_shift_days(self, spied):
         spied["spy"](IngressSimulator, "resolve_shares",
                      lambda *columns: len(columns[0]))
         sc, state, _base, links = self.world(spied)
@@ -519,7 +521,8 @@ class TestCountedProbeWork:
             self.streamed(sc, state, hour)
             for link in links:
                 self.probe(sc, state, link, hour)
-        assert spied["drift_days"] == []
+        assert spied["shift_days"] == []
+        assert spied["geometric_day_columns"] == []
         assert spied["resolve_shares"]
 
     def test_a_table_is_built_once_per_dark_peer_set(self, spied):

@@ -1,13 +1,14 @@
 """The column twins of the hashing mixers equal the scalar forms.
 
-``mix64_columns``, ``unit_columns`` and ``rotation_columns`` hash each
-row of an integer matrix as ``mix64``, ``unit`` and ``rotation`` hash its
-values: taken mod 2**64 (int64 negatives, uint64 values from 2**63), with
-one seed or one per row, and a row's trailing values masked off by its
-length; a row's first values folded into a seed (``folded_seed``) and
-the rest hashed from it hash as the whole row.  ``unit``'s ``uint64 -> float64`` rounding is pinned exactly on
-the half-way cases, reached through the public function by inverting
-the finalizer.
+``mix64_columns``, ``unit_columns``, ``rotation_columns`` and
+``geometric_day_columns`` hash each row of an integer matrix as
+``mix64``, ``unit``, ``rotation`` and ``geometric_day`` hash its
+values: taken mod 2**64 (int64 negatives, uint64 values from 2**63),
+with one seed or one per row, and a row's trailing values masked off by
+its length; a row's first values folded into a seed (``folded_seed``)
+and the rest hashed from it hash as the whole row.  ``unit``'s
+``uint64 -> float64`` rounding is pinned exactly on the half-way cases,
+reached through the public function by inverting the finalizer.
 """
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.hashing import (folded_seed, mix64, mix64_columns, rotation,
-                                rotation_columns, unit, unit_columns)
+from repro.util.hashing import (folded_seed, geometric_day,
+                                geometric_day_columns, mix64, mix64_columns,
+                                rotation, rotation_columns, unit,
+                                unit_columns)
 
 MASK = (1 << 64) - 1
 HEAD = 2          # values every row folds
@@ -112,6 +115,35 @@ class TestColumnTwins:
                           folded_seed(values[:, :HEAD], seed),
                           lengths - HEAD),
             mix64_columns(values, seed, lengths))
+
+    @given(matrices(), st.one_of(
+        st.sampled_from([0.0, 2**-53, 0.5, 0.99, 1 - 2**-20, 1 - 2**-53]),
+        st.floats(2**-53, 1.0, exclude_max=True)),
+        st.one_of(st.integers(0, 30), st.integers(-2**53 + 1, 2**53 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_geometric_day(self, case, p, cap):
+        """Row for row, for ``p`` from 0 (every row at ``cap``) up to
+        one ulp below 1, and caps that bind."""
+        values, _lengths, seed = case
+        full = np.full(len(values), values.shape[1], dtype=np.int64)
+        got = geometric_day_columns(p, values, seed, cap)
+        assert got.dtype == np.int64
+        assert got.tolist() == [
+            geometric_day(p, *row, seed=s, cap=cap)
+            for row, s in scalar_args(values, full, seed)]
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
+    def test_geometric_day_needs_p_in_the_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            geometric_day_columns(p, np.zeros((2, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("p", [2**-54, 1e-17, 5e-324])
+    def test_geometric_day_raises_where_one_minus_p_rounds_to_one(self, p):
+        """As the scalar divides by ``log(1 - p) == 0``, not a day."""
+        with pytest.raises(ZeroDivisionError):
+            geometric_day(p, 1, 2)
+        with pytest.raises(ZeroDivisionError):
+            geometric_day_columns(p, np.ones((2, 2), dtype=np.int64))
 
     def test_rotation_needs_n_of_one_or_more(self):
         values = np.zeros((2, 1), dtype=np.int64)

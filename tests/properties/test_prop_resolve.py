@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bgp import AdvertisementState, SimulatorParams
 from repro.experiments import Scenario, ScenarioParams
-from tests.bgp.resolve_oracle import ResolveOracle, drifted_on
+from tests.bgp.resolve_oracle import ResolveOracle, drift_days, drifted_on
 
 DAYS = 7
 #: enough drift that shift days fall inside the horizon
@@ -106,7 +106,7 @@ def build(world, removal, te, picks, when):
     if when is not None:
         pick, which, before = when
         asn, _metro, source, dest = asked[pick % len(asked)]
-        shift = world.scenario.simulator.drift_days(asn, source, dest)
+        shift = drift_days(world.scenario.simulator, asn, source, dest)
         day = max(0, min(shift[which], DAYS - 1) + before)
     return state, asked, day
 
@@ -154,7 +154,7 @@ class TestColumnsEqualTheOracle:
         rows whose source has a route deliver nothing."""
         sim = world.scenario.simulator
         assert world.pocketed
-        shifts = np.array([sim.drift_days(a, s, d)
+        shifts = np.array([drift_days(sim, a, s, d)
                            for a, _m, s, d in world.flows])
         assert ((shifts > 0) & (shifts < DAYS)).any(axis=0).all()
         state = AdvertisementState(world.scenario.wan)
